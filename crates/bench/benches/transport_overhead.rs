@@ -15,7 +15,7 @@
 //! point of the design: the transport seam is cheap enough to leave on.
 //!
 //! A second group isolates the exchange itself (no training): a
-//! `ModelDownload` for the LeNet-5 global weights sent to a client that
+//! model download for the LeNet-5 global weights sent to a client that
 //! echoes an error (cheapest legal reply), which bounds the per-message
 //! framing + pipe cost alone.
 //!
@@ -32,8 +32,9 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 
 use gradsec_data::{SyntheticCifar100, SyntheticMicro};
+use gradsec_fl::codec::{encode_weights, CodecKind};
 use gradsec_fl::config::{MuxOptions, TrainingPlan, TransportKind};
-use gradsec_fl::message::{encode, Envelope, MessageKind, ModelDownload};
+use gradsec_fl::message::{encode, EncodedModelDownload, Envelope, MessageKind};
 use gradsec_fl::runner::Federation;
 use gradsec_fl::transport::inprocess::channel_pair;
 use gradsec_fl::transport::poller::{fd_soft_limit, raise_fd_soft_limit};
@@ -79,10 +80,10 @@ fn bench_round(c: &mut Criterion) {
 fn lenet_download() -> Envelope {
     let model = zoo::lenet5_with(2, 3).expect("LeNet-5 builds");
     Envelope::pack(
-        MessageKind::ModelDownload,
-        &ModelDownload {
+        MessageKind::EncodedModelDownload,
+        &EncodedModelDownload {
             round: 0,
-            weights: model.weights(),
+            weights: encode_weights(CodecKind::Identity, 0, &model.weights(), None),
             plan: TrainingPlan::default(),
             protected_layers: vec![1, 4],
         },

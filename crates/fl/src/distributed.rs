@@ -1,14 +1,15 @@
-//! Multi-process federation: shard-server processes driven by a mux
+//! Multi-process federation: shard-server processes driven by a wire
 //! coordinator.
 //!
-//! [`ShardedFederation`](crate::runner::ShardedFederation) scales the
-//! fleet across engine shards inside one process; this module promotes
-//! each shard to its own OS process. A [`DistributedCoordinator`] spawns
-//! `shard-server` children (the thin binary in `src/bin/shard_server.rs`
-//! over [`serve_shard`]), each hosting one contiguous
-//! [`ShardLayout`] client range behind the existing envelope protocol,
-//! and drives selection, screening and round execution over loopback
-//! TCP:
+//! An in-process [`Federation`] scales its fleet across engine shards
+//! inside one process; this module promotes each shard to its own OS
+//! process. [`DistributedCoordinator`] is the same
+//! [`RoundDriver`] over a [`ProcessFleet`]: `shard-server` children (the
+//! thin binary in `src/bin/shard_server.rs` over [`serve_shard`]), each
+//! hosting one contiguous [`ShardLayout`] client range — a
+//! [`LocalFleet`] built by the same assembler an in-process federation
+//! uses — behind the existing envelope protocol, screened and executed
+//! over loopback TCP:
 //!
 //! ```text
 //!  coordinator process                    shard-server processes
@@ -23,13 +24,14 @@
 //! ```
 //!
 //! The determinism contract is unchanged: because every RNG consumption
-//! happens on the coordinator ([`FlServer::screen_plan`] draws the
-//! candidate sub-sample and the attestation nonces in global candidate
-//! order, [`FlServer::sample_screened`] does the single shuffle), because
-//! quote *verification* stays on the coordinator against its own
-//! provisioning registry, and because shard replies come back tagged with
-//! *global* selection slots folded in canonical order through the same
-//! [`finish_round`] the in-process runners use, a distributed run over
+//! happens in the driver ([`FlServer::screen_plan`](crate::server::FlServer::screen_plan)
+//! draws the candidate sub-sample and the attestation nonces in global
+//! candidate order,
+//! [`FlServer::sample_screened`](crate::server::FlServer::sample_screened)
+//! does the single shuffle), because quote *verification* stays on the
+//! coordinator against its own provisioning registry, and because shard
+//! replies come back tagged with *global* selection slots and commit
+//! through the driver's one `finish_round`, a distributed run over
 //! `(S shard processes × W workers)` is bit-identical to the flat
 //! in-process reference — gated by `repro_distributed` and
 //! `tests/integration_distributed.rs`.
@@ -40,8 +42,8 @@
 //! zero-cost ledger entries and the round commits from the surviving
 //! shards. [`FlError::RoundCollapsed`] is raised only when *nothing*
 //! commits. A dead shard stays dead (and is reaped at
-//! [`shutdown`](DistributedCoordinator::shutdown)); later rounds simply
-//! screen its clients as unreachable.
+//! [`shutdown`](RoundDriver::shutdown)); later rounds simply screen its
+//! clients as unreachable.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,29 +56,25 @@ use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::{zoo, BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
-use gradsec_tee::crypto::sha256::sha256;
 
-use crate::adversary::{Adversary, AdversaryPlan, ReputationBook};
+use crate::adversary::{AdversaryPlan, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
-use crate::client::{DeviceProfile, FlClient};
+use crate::client::DeviceProfile;
 use crate::codec::CodecKind;
 use crate::config::{PartitionKind, ShardLayout, TrainingPlan};
 use crate::engine::{ClientOutcome, ExecutionEngine};
-use crate::faults::{FaultPlan, FaultyEndpoint};
+use crate::faults::FaultPlan;
+use crate::fleet::{Executed, Fleet};
 use crate::message::{
-    encode, negotiate_version, parse_envelope_head, DatasetSpec, Envelope, MessageKind, ModelSpec,
-    ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
-    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply,
-    ENVELOPE_HEADER_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    check_version, encode, parse_envelope_head, DatasetSpec, Envelope, MessageKind, ModelDownload,
+    ModelSpec, ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
+    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire,
+    ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
 };
-use crate::runner::{finish_round, FederationReport, RoundReport};
-use crate::scheduler::{NoProtection, ProtectionScheduler};
-use crate::selection::{verify_evidence, ScreeningOutcome};
-use crate::server::FlServer;
-use crate::trainer::PlainSgdTrainer;
-use crate::transport::inprocess::LocalEndpoint;
+use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
+use crate::scheduler::ProtectionScheduler;
+use crate::selection::{verify_evidence, ScreenPlan, ScreeningOutcome};
 use crate::transport::mux::DEFAULT_JOIN_GRACE;
-use crate::transport::{RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
 
 /// How long `launch` waits for every spawned shard-server to connect
@@ -251,22 +249,12 @@ fn resolve_shard_server() -> Result<PathBuf> {
 /// (the builder defaults); heterogeneous device mixes and custom
 /// trainers stay in-process for now.
 pub struct DistributedBuilder {
-    plan: TrainingPlan,
+    setup: RunSetup,
     dataset: Option<DatasetSpec>,
     model: Option<ModelSpec>,
     clients: usize,
     shards: usize,
     workers: usize,
-    backend: BackendKind,
-    codec: CodecKind,
-    faults: Option<FaultPlan>,
-    adversaries: Option<AdversaryPlan>,
-    aggregator: Aggregator,
-    partition: PartitionKind,
-    reputation: Option<ReputationBook>,
-    screening_sample: Option<usize>,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    measurement: Measurement,
     reply_timeout: Option<Duration>,
 }
 
@@ -274,22 +262,12 @@ impl DistributedBuilder {
     /// Starts a builder for `plan`.
     pub fn new(plan: TrainingPlan) -> Self {
         DistributedBuilder {
-            plan,
+            setup: RunSetup::new(plan),
             dataset: None,
             model: None,
             clients: 0,
             shards: 1,
             workers: 1,
-            backend: BackendKind::from_env(),
-            codec: CodecKind::from_env(),
-            faults: None,
-            adversaries: None,
-            aggregator: Aggregator::FedAvg,
-            partition: PartitionKind::Iid,
-            reputation: None,
-            screening_sample: None,
-            scheduler: Arc::new(NoProtection),
-            measurement: Measurement(sha256(b"gradsec-ta-code-v1")),
             reply_timeout: None,
         }
     }
@@ -325,7 +303,7 @@ impl DistributedBuilder {
 
     /// Overrides the kernel backend every shard process uses.
     pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
+        self.setup.backend = backend;
         self
     }
 
@@ -334,7 +312,7 @@ impl DistributedBuilder {
     /// `GRADSEC_CODEC` environment variable, falling back to
     /// [`CodecKind::Identity`]).
     pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.codec = codec;
+        self.setup.codec = codec;
         self
     }
 
@@ -342,7 +320,7 @@ impl DistributedBuilder {
     /// selection over-provisions by the plan's spare count, exactly as
     /// in-process).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.setup.faults = Some(Arc::new(plan));
         self
     }
 
@@ -351,7 +329,7 @@ impl DistributedBuilder {
     /// seed and the *global* client id, so the hostile subset is
     /// identical to an in-process run over the same plan).
     pub fn adversaries(mut self, plan: AdversaryPlan) -> Self {
-        self.adversaries = Some(plan);
+        self.setup.adversaries = Some(Arc::new(plan));
         self
     }
 
@@ -359,14 +337,14 @@ impl DistributedBuilder {
     /// (defaults to plain FedAvg; robust variants defend against
     /// hostile uploads).
     pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
-        self.aggregator = aggregator;
+        self.setup.aggregator = aggregator;
         self
     }
 
     /// Selects how the dataset is partitioned across clients (shipped
     /// by name in the [`ShardConfig`]; defaults to IID).
     pub fn partition(mut self, partition: PartitionKind) -> Self {
-        self.partition = partition;
+        self.setup.partition = partition;
         self
     }
 
@@ -374,14 +352,14 @@ impl DistributedBuilder {
     /// clients whose accumulated outcome score falls below `threshold`
     /// stop being screened (see [`crate::adversary::ReputationBook`]).
     pub fn reputation(mut self, threshold: i64) -> Self {
-        self.reputation = Some(ReputationBook::new(threshold));
+        self.setup.reputation = Some(ReputationBook::new(threshold));
         self
     }
 
     /// Caps per-round screening at `m` sub-sampled candidates (see
     /// [`FlServer::set_screening_sample`]).
     pub fn screening_sample(mut self, m: usize) -> Self {
-        self.screening_sample = Some(m);
+        self.setup.screening_sample = Some(m);
         self
     }
 
@@ -391,19 +369,20 @@ impl DistributedBuilder {
     where
         S: ProtectionScheduler + 'static,
     {
-        self.scheduler = Arc::new(s);
+        self.setup.scheduler = Arc::new(s);
         self
     }
 
     /// Overrides the whitelisted TA measurement.
     pub fn measurement(mut self, m: Measurement) -> Self {
-        self.measurement = m;
+        self.setup.measurement = m;
         self
     }
 
     /// Bounds how long the coordinator waits for any one shard reply; a
     /// shard that blows the deadline is billed and excluded like a
-    /// crashed one. `None` (the default) waits indefinitely.
+    /// crashed one. Unset (the default) waits indefinitely; zero is
+    /// rejected at [`launch`](Self::launch).
     pub fn reply_timeout(mut self, timeout: Duration) -> Self {
         self.reply_timeout = Some(timeout);
         self
@@ -417,15 +396,7 @@ impl DistributedBuilder {
     /// Returns [`FlError::BadConfig`] on invalid configuration,
     /// [`FlError::Transport`] when spawning/connecting fails, and
     /// [`FlError::Protocol`] on a handshake violation.
-    pub fn launch(self) -> Result<DistributedCoordinator> {
-        self.plan.validate()?;
-        if let Some(p) = &self.faults {
-            p.validate()?;
-        }
-        if let Some(p) = &self.adversaries {
-            p.validate()?;
-        }
-        self.aggregator.validate()?;
+    pub fn launch(mut self) -> Result<DistributedCoordinator> {
         let dataset = self.dataset.ok_or(FlError::BadConfig {
             reason: "distributed federation needs a dataset spec".to_owned(),
         })?;
@@ -437,16 +408,34 @@ impl DistributedBuilder {
                 reason: "distributed federation needs at least one client".to_owned(),
             });
         }
-        let prototype = build_model(&model)?;
-        let n_layers = prototype.num_layers();
-        let init_weights = prototype.weights();
-        let mut server = FlServer::new(self.plan, init_weights.clone(), self.measurement)?;
-        if let Some(p) = &self.faults {
-            server.overprovision(p.spare_count());
+        // std refuses a zero socket read timeout; unchecked, every shard
+        // reply would fail and round 0 would retire the whole fleet.
+        if self.reply_timeout.is_some_and(|t| t.is_zero()) {
+            return Err(FlError::BadConfig {
+                reason: "reply_timeout must be greater than zero".to_owned(),
+            });
         }
-        server.set_screening_sample(self.screening_sample);
-        server.set_reputation(self.reputation);
+        let init_weights = build_model(&model)?.weights();
+        let server = self.setup.server(init_weights.clone())?;
         let layout = ShardLayout::new(self.clients, self.shards);
+        // Everything but the shard's identity and range.
+        let template = ShardConfig {
+            shard_index: 0,
+            range_start: 0,
+            range_end: 0,
+            total_clients: self.clients as u64,
+            dataset,
+            model,
+            init_weights,
+            plan: self.setup.plan,
+            backend: self.setup.backend.name().to_owned(),
+            codec: self.setup.codec.name().to_owned(),
+            workers: self.workers as u64,
+            measurement: self.setup.measurement,
+            faults: self.setup.faults.as_deref().cloned(),
+            partition: self.setup.partition.name().to_owned(),
+            adversaries: self.setup.adversaries.as_deref().cloned(),
+        };
 
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| FlError::transport("binding coordinator listener", e))?;
@@ -456,164 +445,21 @@ impl DistributedBuilder {
         listener
             .set_nonblocking(true)
             .map_err(|e| FlError::transport("configuring coordinator listener", e))?;
-
         let binary = resolve_shard_server()?;
-        let mut shards: Vec<ShardSlot> = Vec::with_capacity(layout.num_shards());
-        for _ in 0..layout.num_shards() {
-            let child = Command::new(&binary)
-                .arg(addr.to_string())
-                .stdin(Stdio::null())
-                .spawn()
-                .map_err(|e| FlError::transport(format!("spawning {}", binary.display()), e))?;
-            shards.push(ShardSlot {
-                channel: None,
-                child,
-                reaped: false,
-                deliberately_killed: false,
-            });
-        }
-        let mut coordinator = DistributedCoordinator {
-            server,
-            layout,
-            scheduler: self.scheduler,
-            faults: self.faults,
-            adversaries: self.adversaries,
-            aggregator: self.aggregator,
-            partition: self.partition,
-            measurement: self.measurement,
-            n_layers,
+
+        let fleet = ProcessFleet {
+            measurement: self.setup.measurement,
             reply_timeout: self.reply_timeout,
-            shards,
-            retired_bytes: (0, 0),
+            shards: Vec::with_capacity(layout.num_shards()),
+            layout,
             torn_down: false,
         };
-        // Accept-and-handshake inside a closure so any failure still
-        // tears the children down via the coordinator's Drop.
-        let setup = (|| -> Result<()> {
-            // Accept one connection per shard; identity is assigned by
-            // arrival order (shard servers are symmetric until
-            // configured). Poll so a child that died before connecting
-            // fails the launch instead of hanging it.
-            let deadline = Instant::now() + CONNECT_GRACE;
-            for s in 0..coordinator.shards.len() {
-                let stream = loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => break stream,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            for slot in &mut coordinator.shards {
-                                if let Ok(Some(status)) = slot.child.try_wait() {
-                                    slot.reaped = true;
-                                    return Err(FlError::Protocol {
-                                        reason: format!(
-                                            "shard-server exited before connecting: {status}"
-                                        ),
-                                    });
-                                }
-                            }
-                            if Instant::now() > deadline {
-                                return Err(FlError::disconnected(
-                                    "waiting for shard-server connections",
-                                ));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(e) => return Err(FlError::transport("accepting shard connection", e)),
-                    }
-                };
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| FlError::transport("configuring shard stream", e))?;
-                let mut channel = ShardChannel::new(stream)?;
-                let hello: ShardHello = channel.recv()?.open(MessageKind::ShardHello)?;
-                // Arrival order assigns shard identity, but the child
-                // handles sit in *spawn* order — pair each connection
-                // with its process via the hello's pid, or a later
-                // kill/teardown would target the wrong child. Slots
-                // before `s` are already paired, so only the tail is
-                // searched (and swapped while both channels are None).
-                let k = coordinator.shards[s..]
-                    .iter()
-                    .position(|slot| u64::from(slot.child.id()) == hello.pid)
-                    .map(|offset| s + offset)
-                    .ok_or(FlError::Protocol {
-                        reason: format!("connection from unknown shard-server pid {}", hello.pid),
-                    })?;
-                coordinator.shards.swap(s, k);
-                let version = negotiate_version(hello.min_version, hello.max_version).ok_or(
-                    FlError::Protocol {
-                        reason: format!(
-                            "shard-server speaks versions {}..={}, coordinator {}..={}",
-                            hello.min_version,
-                            hello.max_version,
-                            MIN_SUPPORTED_VERSION,
-                            PROTOCOL_VERSION
-                        ),
-                    },
-                )?;
-                channel.send(&Envelope::pack(
-                    MessageKind::ShardHelloAck,
-                    &ShardHelloAck {
-                        version,
-                        shard_index: s as u64,
-                    },
-                ))?;
-                coordinator.shards[s].channel = Some(channel);
-            }
-            // Configure all shards, then collect all acks: fleet wiring
-            // is the expensive part and this pipelines it across
-            // processes.
-            for s in 0..coordinator.shards.len() {
-                let range = coordinator.layout.range(s);
-                let config = ShardConfig {
-                    shard_index: s as u64,
-                    range_start: range.start as u64,
-                    range_end: range.end as u64,
-                    total_clients: coordinator.layout.num_clients() as u64,
-                    dataset,
-                    model,
-                    init_weights: init_weights.clone(),
-                    plan: coordinator.server.plan().to_owned(),
-                    backend: self.backend.name().to_owned(),
-                    codec: self.codec.name().to_owned(),
-                    workers: self.workers as u64,
-                    measurement: coordinator.measurement,
-                    faults: coordinator.faults.clone(),
-                    partition: coordinator.partition.name().to_owned(),
-                    adversaries: coordinator.adversaries.clone(),
-                };
-                coordinator.shards[s]
-                    .channel
-                    .as_mut()
-                    .expect("channel just installed")
-                    .send(&Envelope::pack(MessageKind::ShardConfig, &config))?;
-            }
-            for s in 0..coordinator.shards.len() {
-                let range = coordinator.layout.range(s);
-                let ack: ShardConfigAck = coordinator.shards[s]
-                    .channel
-                    .as_mut()
-                    .expect("channel just installed")
-                    .recv()?
-                    .open(MessageKind::ShardConfigAck)?;
-                if ack.clients != range.len() as u64 {
-                    return Err(FlError::Protocol {
-                        reason: format!(
-                            "shard {s} wired {} clients, expected {}",
-                            ack.clients,
-                            range.len()
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })();
-        match setup {
-            Ok(()) => Ok(coordinator),
-            Err(e) => {
-                let _ = coordinator.teardown();
-                Err(e)
-            }
-        }
+        // Under the driver before the first spawn, so any failure from
+        // here on still tears the children down via its Drop.
+        let mut coordinator = self.setup.drive(server, fleet);
+        coordinator.fleet.spawn(&binary, addr)?;
+        coordinator.fleet.connect(&listener, &template)?;
+        Ok(coordinator)
     }
 }
 
@@ -622,41 +468,61 @@ impl DistributedBuilder {
 /// process handle.
 struct ShardSlot {
     channel: Option<ShardChannel>,
+    /// Bytes (out, in) the channel had carried when it was dropped.
+    retired_bytes: (u64, u64),
     child: Child,
     reaped: bool,
     deliberately_killed: bool,
 }
 
-/// Drives a fleet of `shard-server` processes through FL rounds — the
-/// multi-process counterpart of
-/// [`ShardedFederation`](crate::runner::ShardedFederation), with the
-/// identical determinism contract (see the [module docs](self)).
-pub struct DistributedCoordinator {
-    server: FlServer,
+impl ShardSlot {
+    /// Drops the channel, keeping its byte counters. Idempotent.
+    fn retire(&mut self) {
+        if let Some(ch) = self.channel.take() {
+            self.retired_bytes = (ch.bytes_out, ch.bytes_in);
+        }
+    }
+
+    /// Sends `msg` if the shard is still connected; a failed send
+    /// retires the channel.
+    fn send<T: Wire>(&mut self, kind: MessageKind, msg: &T) {
+        if let Some(ch) = &mut self.channel {
+            if ch.send(&Envelope::pack(kind, msg)).is_err() {
+                self.retire();
+            }
+        }
+    }
+
+    /// Receives the shard's reply under `timeout` and opens it as `T`.
+    /// Does *not* retire the channel on failure — the caller decides how
+    /// a failure is billed.
+    fn reply<T: Wire>(&mut self, expect: MessageKind, timeout: Option<Duration>) -> Result<T> {
+        let channel = self
+            .channel
+            .as_mut()
+            .ok_or_else(|| FlError::disconnected("shard channel already retired"))?;
+        channel.set_read_timeout(timeout)?;
+        let reply = channel.recv();
+        let _ = channel.set_read_timeout(None);
+        reply?.open(expect)
+    }
+}
+
+/// A fleet whose clients live in `shard-server` child processes, one per
+/// contiguous [`ShardLayout`] range, each behind its own control
+/// channel. Launched by [`DistributedBuilder`].
+pub struct ProcessFleet {
     layout: ShardLayout,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    faults: Option<FaultPlan>,
-    adversaries: Option<AdversaryPlan>,
-    aggregator: Aggregator,
-    partition: PartitionKind,
     measurement: Measurement,
-    n_layers: usize,
     reply_timeout: Option<Duration>,
     shards: Vec<ShardSlot>,
-    /// Bytes (out, in) accumulated from channels already dropped.
-    retired_bytes: (u64, u64),
     torn_down: bool,
 }
 
-impl std::fmt::Debug for DistributedCoordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedCoordinator")
-            .field("shards", &self.shards.len())
-            .field("clients", &self.layout.num_clients())
-            .field("round", &self.server.round())
-            .finish()
-    }
-}
+/// Drives a fleet of `shard-server` processes through FL rounds — the
+/// multi-process counterpart of an in-process [`Federation`], with the
+/// identical determinism contract (see the [module docs](self)).
+pub type DistributedCoordinator = RoundDriver<ProcessFleet>;
 
 impl DistributedCoordinator {
     /// Starts a builder.
@@ -664,19 +530,10 @@ impl DistributedCoordinator {
         DistributedBuilder::new(plan)
     }
 
-    /// The server (model, history, round counter).
-    pub fn server(&self) -> &FlServer {
-        &self.server
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
     /// Whether shard `s`'s process is still connected.
     pub fn shard_alive(&self, s: usize) -> bool {
-        self.shards
+        self.fleet
+            .shards
             .get(s)
             .is_some_and(|slot| slot.channel.is_some())
     }
@@ -684,15 +541,13 @@ impl DistributedCoordinator {
     /// Total envelope bytes `(sent, received)` across every shard
     /// channel this coordinator has driven, dead ones included.
     pub fn bytes_on_wire(&self) -> (u64, u64) {
-        let mut out = self.retired_bytes.0;
-        let mut inn = self.retired_bytes.1;
-        for slot in &self.shards {
-            if let Some(ch) = &slot.channel {
-                out += ch.bytes_out;
-                inn += ch.bytes_in;
-            }
-        }
-        (out, inn)
+        self.fleet.shards.iter().fold((0, 0), |(out, inn), slot| {
+            let (o, i) = match &slot.channel {
+                Some(ch) => (ch.bytes_out, ch.bytes_in),
+                None => slot.retired_bytes,
+            };
+            (out + o, inn + i)
+        })
     }
 
     /// Kills shard `s`'s process outright (SIGKILL) — the fault the
@@ -703,56 +558,153 @@ impl DistributedCoordinator {
     ///
     /// Returns [`FlError::Transport`] when the kill itself fails.
     pub fn kill_shard(&mut self, s: usize) -> Result<()> {
-        let slot = self.shards.get_mut(s).ok_or(FlError::BadConfig {
+        let slot = self.fleet.shards.get_mut(s).ok_or(FlError::BadConfig {
             reason: format!("no shard {s}"),
         })?;
         slot.deliberately_killed = true;
         slot.child
             .kill()
             .map_err(|e| FlError::transport(format!("killing shard {s}"), e))?;
-        // Reap now so the child never lingers as a zombie; the socket
-        // stays open until retired below.
+        // Reap now so the child never lingers as a zombie.
         let _ = slot.child.wait();
         slot.reaped = true;
-        self.retire_channel(s);
+        slot.retire();
+        Ok(())
+    }
+}
+
+impl ProcessFleet {
+    /// Spawns one shard-server per layout shard, pointed at `addr`.
+    fn spawn(&mut self, binary: &Path, addr: SocketAddr) -> Result<()> {
+        for _ in 0..self.layout.num_shards() {
+            let child = Command::new(binary)
+                .arg(addr.to_string())
+                .stdin(Stdio::null())
+                .spawn()
+                .map_err(|e| FlError::transport(format!("spawning {}", binary.display()), e))?;
+            self.shards.push(ShardSlot {
+                channel: None,
+                retired_bytes: (0, 0),
+                child,
+                reaped: false,
+                deliberately_killed: false,
+            });
+        }
         Ok(())
     }
 
-    /// Drops shard `s`'s channel, folding its byte counters into the
-    /// retired totals. Idempotent.
-    fn retire_channel(&mut self, s: usize) {
-        if let Some(ch) = self.shards[s].channel.take() {
-            self.retired_bytes.0 += ch.bytes_out;
-            self.retired_bytes.1 += ch.bytes_in;
+    /// Accepts, handshakes and configures every spawned shard-server;
+    /// `template` carries everything of the [`ShardConfig`] but the
+    /// shard's index and range.
+    fn connect(&mut self, listener: &TcpListener, template: &ShardConfig) -> Result<()> {
+        // Accept one connection per shard; identity is assigned by
+        // arrival order (shard servers are symmetric until
+        // configured). Poll so a child that died before connecting
+        // fails the launch instead of hanging it.
+        let deadline = Instant::now() + CONNECT_GRACE;
+        for s in 0..self.shards.len() {
+            let stream = loop {
+                match listener.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        for slot in &mut self.shards {
+                            if let Ok(Some(status)) = slot.child.try_wait() {
+                                slot.reaped = true;
+                                return Err(FlError::Protocol {
+                                    reason: format!(
+                                        "shard-server exited before connecting: {status}"
+                                    ),
+                                });
+                            }
+                        }
+                        if Instant::now() > deadline {
+                            return Err(FlError::disconnected(
+                                "waiting for shard-server connections",
+                            ));
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(e) => return Err(FlError::transport("accepting shard connection", e)),
+                }
+            };
+            stream
+                .set_nonblocking(false)
+                .map_err(|e| FlError::transport("configuring shard stream", e))?;
+            let mut channel = ShardChannel::new(stream)?;
+            let hello: ShardHello = channel.recv()?.open(MessageKind::ShardHello)?;
+            // Arrival order assigns shard identity, but the child
+            // handles sit in *spawn* order — pair each connection
+            // with its process via the hello's pid, or a later
+            // kill/teardown would target the wrong child. Slots
+            // before `s` are already paired, so only the tail is
+            // searched (and swapped while both channels are None).
+            let k = self.shards[s..]
+                .iter()
+                .position(|slot| u64::from(slot.child.id()) == hello.pid)
+                .map(|offset| s + offset)
+                .ok_or(FlError::Protocol {
+                    reason: format!("connection from unknown shard-server pid {}", hello.pid),
+                })?;
+            self.shards.swap(s, k);
+            check_version("shard-server", hello.version)?;
+            channel.send(&Envelope::pack(
+                MessageKind::ShardHelloAck,
+                &ShardHelloAck {
+                    version: PROTOCOL_VERSION,
+                    shard_index: s as u64,
+                },
+            ))?;
+            self.shards[s].channel = Some(channel);
         }
+        // Configure all shards, then collect all acks: fleet wiring
+        // is the expensive part and this pipelines it across
+        // processes.
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            let range = self.layout.range(s);
+            let config = ShardConfig {
+                shard_index: s as u64,
+                range_start: range.start as u64,
+                range_end: range.end as u64,
+                ..template.clone()
+            };
+            slot.channel
+                .as_mut()
+                .expect("channel just installed")
+                .send(&Envelope::pack(MessageKind::ShardConfig, &config))?;
+        }
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            let expected = self.layout.range(s).len();
+            let ack: ShardConfigAck = slot.reply(MessageKind::ShardConfigAck, None)?;
+            if ack.clients != expected as u64 {
+                return Err(FlError::Protocol {
+                    reason: format!(
+                        "shard {s} wired {} clients, expected {expected}",
+                        ack.clients
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Fleet for ProcessFleet {
+    const RUNNER: &'static str = "DistributedCoordinator";
+
+    fn layout(&self) -> &ShardLayout {
+        &self.layout
     }
 
-    /// Runs one FL cycle across the shard processes: screen (nonces
-    /// drawn here, evidence verified here), sample, broadcast the
-    /// download, fold the shard partials in canonical slot order, and
-    /// commit through the same [`finish_round`] as the in-process
-    /// runners.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection and aggregation failures;
-    /// [`FlError::RoundCollapsed`] when every picked client (shard
-    /// deaths included) failed to commit.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let round = self.server.round();
-        let screen = self.server.screen_plan(self.layout.num_clients());
+    /// Fans the attestation challenges out to the owning shards (nonces
+    /// were drawn by the driver) and verifies the relayed evidence here.
+    fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome> {
         // Partition this round's candidates by owning shard, remembering
         // each probe's position in the global candidate order so the
         // outcome vector can be reassembled index-aligned.
         let num_shards = self.shards.len();
         let mut positions: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
         let mut probes: Vec<Vec<ScreenProbe>> = vec![Vec::new(); num_shards];
-        for (ci, (&g, ch)) in screen
-            .candidates
-            .iter()
-            .zip(screen.challenges.iter())
-            .enumerate()
-        {
+        for (ci, (&g, ch)) in plan.candidates.iter().zip(&plan.challenges).enumerate() {
             let s = self.layout.shard_of(g);
             positions[s].push(ci);
             probes[s].push(ScreenProbe {
@@ -763,125 +715,89 @@ impl DistributedCoordinator {
         // Candidates on a dead (or newly failing) shard screen as
         // unreachable — the same verdict an in-process fleet gives a
         // client whose endpoint is gone.
-        let mut outcomes = vec![ScreeningOutcome::Unreachable; screen.candidates.len()];
-        // Indexed loops throughout the fan-out: the body both reads the
-        // per-shard vectors and mutably re-borrows `self` (retiring dead
-        // channels), which an iterator over those vectors would pin.
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..num_shards {
-            if probes[s].is_empty() || self.shards[s].channel.is_none() {
-                continue;
-            }
-            let msg = Envelope::pack(
-                MessageKind::ShardScreen,
-                &ShardScreen {
-                    probes: std::mem::take(&mut probes[s]),
-                },
-            );
-            if self.shards[s]
-                .channel
-                .as_mut()
-                .expect("checked above")
-                .send(&msg)
-                .is_err()
-            {
-                self.retire_channel(s);
+        let mut outcomes = vec![ScreeningOutcome::Unreachable; plan.candidates.len()];
+        for (slot, probes) in self.shards.iter_mut().zip(probes) {
+            if !probes.is_empty() {
+                slot.send(MessageKind::ShardScreen, &ShardScreen { probes });
             }
         }
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..num_shards {
-            if positions[s].is_empty() || self.shards[s].channel.is_none() {
+        for (slot, positions) in self.shards.iter_mut().zip(&positions) {
+            if positions.is_empty() || slot.channel.is_none() {
                 continue;
             }
-            let reply = self.shard_reply::<ShardScreenReply>(s, MessageKind::ShardScreenReply);
-            match reply {
-                Ok(reply) if reply.evidence.len() == positions[s].len() => {
-                    for (&ci, evidence) in positions[s].iter().zip(reply.evidence) {
-                        let g = screen.candidates[ci];
+            match slot.reply::<ShardScreenReply>(MessageKind::ShardScreenReply, self.reply_timeout)
+            {
+                Ok(reply) if reply.evidence.len() == positions.len() => {
+                    for (&ci, evidence) in positions.iter().zip(reply.evidence) {
+                        let g = plan.candidates[ci];
                         outcomes[ci] = match evidence {
                             None => ScreeningOutcome::Unreachable,
                             Some(resp) => verify_evidence(
                                 &DeviceProfile::provisioned_key(g as u64),
                                 resp.quote,
                                 self.measurement,
-                                &screen.challenges[ci],
+                                &plan.challenges[ci],
                             ),
                         };
                     }
                 }
-                _ => self.retire_channel(s),
+                _ => slot.retire(),
             }
         }
-        let picked = self.server.sample_screened(&screen, &outcomes)?;
+        outcomes
+    }
 
-        let mut protected = self.scheduler.layers_for_round(round);
-        protected.retain(|&l| l < self.n_layers);
-        let download = self.server.download(protected.clone());
-
-        // Fan the round out. With a contiguous layout and sorted picks,
-        // shard s's picks occupy the contiguous global slot range
-        // starting at the prefix count — that is each reply's slot_base.
-        let split = self.layout.split_picks(&picked);
-        let mut slot_base = vec![0usize; num_shards];
+    /// Broadcasts the download, collects the shard partials at their
+    /// global slots, and bills a shard that died, hung or answered
+    /// garbage as a lost cohort.
+    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+        // With a contiguous layout and sorted picks, shard s's picks
+        // occupy the contiguous global slot range starting at the prefix
+        // count — that is each reply's slot_base.
+        let split = self.layout.split_picks(picked);
+        let mut slot_base = Vec::with_capacity(split.len());
         let mut at = 0usize;
-        for s in 0..num_shards {
-            slot_base[s] = at;
-            at += split[s].len();
+        for picks in &split {
+            slot_base.push(at);
+            at += picks.len();
         }
-        let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
-        let mut ledger = RoundLedger::new();
-        let mut cohort_failed = false;
-        for s in 0..num_shards {
-            if split[s].is_empty() || self.shards[s].channel.is_none() {
+        for ((slot, picks), &base) in self.shards.iter_mut().zip(&split).zip(&slot_base) {
+            if picks.is_empty() || slot.channel.is_none() {
                 continue;
             }
-            let msg = Envelope::pack(
+            slot.send(
                 MessageKind::ShardRound,
                 &ShardRound {
                     download: download.clone(),
-                    picks: split[s].iter().map(|&p| p as u64).collect(),
-                    slot_base: slot_base[s] as u64,
+                    picks: picks.iter().map(|&p| p as u64).collect(),
+                    slot_base: base as u64,
                 },
             );
-            if self.shards[s]
-                .channel
-                .as_mut()
-                .expect("checked above")
-                .send(&msg)
-                .is_err()
-            {
-                self.retire_channel(s);
-            }
         }
-        for s in 0..num_shards {
-            if split[s].is_empty() {
+        let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
+        let mut ledger = RoundLedger::new();
+        let mut cohort_lost = false;
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            let (picks, base) = (&split[s], slot_base[s]);
+            if picks.is_empty() {
                 continue;
             }
-            let applied = if self.shards[s].channel.is_some() {
-                match self.shard_reply::<ShardRoundReply>(s, MessageKind::ShardRoundReply) {
-                    Ok(reply) => apply_shard_reply(
-                        reply,
-                        slot_base[s],
-                        split[s].len(),
-                        &mut slots,
-                        &mut ledger,
-                    )
-                    .is_ok(),
-                    Err(_) => false,
-                }
-            } else {
-                false
-            };
+            let applied = slot
+                .reply::<ShardRoundReply>(MessageKind::ShardRoundReply, self.reply_timeout)
+                .and_then(|reply| {
+                    apply_shard_reply(reply, base, picks.len(), &mut slots, &mut ledger)
+                })
+                .is_ok();
             if !applied {
                 // The whole cohort is billed and excluded, straggler
                 // style: failed outcomes with zero-cost ledger entries.
-                self.retire_channel(s);
-                cohort_failed = true;
-                let range = self.layout.range(s);
-                for (j, &local) in split[s].iter().enumerate() {
-                    let client = (range.start + local) as u64;
+                slot.retire();
+                cohort_lost = true;
+                let first = self.layout.range(s).start;
+                for (j, &local) in picks.iter().enumerate() {
+                    let client = (first + local) as u64;
                     ledger.record(ClientCycleCost::unbilled(client));
-                    slots[slot_base[s] + j] = Some(ClientOutcome::Failed {
+                    slots[base + j] = Some(ClientOutcome::Failed {
                         client,
                         error: FlError::ClientFailure {
                             client,
@@ -891,12 +807,12 @@ impl DistributedCoordinator {
                 }
             }
         }
-        let outcomes: Vec<ClientOutcome> = slots
+        let outcomes = slots
             .into_iter()
-            .enumerate()
-            .map(|(slot, o)| {
-                o.unwrap_or_else(|| {
-                    let client = picked[slot] as u64;
+            .zip(picked)
+            .map(|(outcome, &pick)| {
+                outcome.unwrap_or_else(|| {
+                    let client = pick as u64;
                     ledger.record(ClientCycleCost::unbilled(client));
                     ClientOutcome::Failed {
                         client,
@@ -908,75 +824,26 @@ impl DistributedCoordinator {
                 })
             })
             .collect();
-        // A shard-process death is tolerated like a straggler cohort
-        // even without a fault plan; the round errs only when nothing
-        // committed (RoundCollapsed inside finish_round).
-        let tolerate = self.faults.is_some() || cohort_failed;
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
+        Ok(Executed {
             outcomes,
             ledger,
-            protected,
-            tolerate,
-            self.aggregator,
-        )
+            cohort_lost,
+        })
     }
 
-    /// Receives shard `s`'s reply under the configured deadline and
-    /// opens it as `T`. Does *not* retire the channel on failure — the
-    /// caller decides how a failure is billed.
-    fn shard_reply<T: crate::message::Wire>(&mut self, s: usize, expect: MessageKind) -> Result<T> {
-        let timeout = self.reply_timeout;
-        let channel = self.shards[s]
-            .channel
-            .as_mut()
-            .ok_or_else(|| FlError::disconnected(format!("shard {s} channel already retired")))?;
-        channel.set_read_timeout(timeout)?;
-        let reply = channel.recv();
-        let _ = channel.set_read_timeout(None);
-        reply?.open(expect)
-    }
-
-    /// Runs the full plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(&mut self) -> Result<FederationReport> {
-        let mut report = FederationReport::default();
-        for _ in 0..self.server.plan().rounds {
-            let r = self.run_round()?;
-            report.rounds.push(r);
-            report.rounds_completed += 1;
-        }
-        Ok(report)
-    }
-
-    /// Tears the fleet down: sends every live shard a Goodbye, drops the
-    /// channels (so a shard that lost the goodbye observes EOF), then
-    /// waits for the child processes under the same watchdog discipline
-    /// as `MuxFleet::join` — bounded by [`DEFAULT_JOIN_GRACE`],
-    /// kill-on-timeout, first error surfaced. Called automatically on
-    /// drop (best effort); call explicitly to observe teardown errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first goodbye/exit failure encountered (deliberately
-    /// killed shards excepted).
-    pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
-    }
-
+    /// Sends every live shard a Goodbye, drops the channels (so a shard
+    /// that lost the goodbye observes EOF), then waits for the child
+    /// processes under the same watchdog discipline as `MuxFleet::join` —
+    /// bounded by [`DEFAULT_JOIN_GRACE`], kill-on-timeout, first error
+    /// surfaced (deliberately killed shards excepted).
     fn teardown(&mut self) -> Result<()> {
         if self.torn_down {
             return Ok(());
         }
         self.torn_down = true;
         let mut first_err: Option<FlError> = None;
-        for s in 0..self.shards.len() {
-            if let Some(ch) = self.shards[s].channel.as_mut() {
+        for slot in &mut self.shards {
+            if let Some(ch) = slot.channel.as_mut() {
                 if let Err(e) = ch.send(&Envelope::control(MessageKind::Goodbye)) {
                     first_err.get_or_insert(e);
                 }
@@ -984,7 +851,7 @@ impl DistributedCoordinator {
             // Dropping the channel closes the socket: a shard whose
             // goodbye was lost sees EOF and exits instead of hanging
             // the wait below.
-            self.retire_channel(s);
+            slot.retire();
         }
         let deadline = Instant::now() + DEFAULT_JOIN_GRACE;
         loop {
@@ -1035,12 +902,6 @@ impl DistributedCoordinator {
             None => Ok(()),
             Some(e) => Err(e),
         }
-    }
-}
-
-impl Drop for DistributedCoordinator {
-    fn drop(&mut self) {
-        let _ = self.teardown();
     }
 }
 
@@ -1128,14 +989,6 @@ pub fn shard_server_main(mut args: impl Iterator<Item = String>) -> Result<()> {
     serve_shard(stream)
 }
 
-/// The wired state one [`ShardConfig`] produces: the shard's handshaken
-/// client endpoints (global ids), its engine and its fault plan.
-struct ShardState {
-    remotes: Vec<RemoteClient>,
-    engine: ExecutionEngine,
-    faults: Option<Arc<FaultPlan>>,
-}
-
 /// Serves one shard over an established coordinator connection:
 /// handshake, configuration, then screen/round requests until Goodbye.
 /// This is the whole shard-server process in library form — the binary
@@ -1153,42 +1006,29 @@ pub fn serve_shard(stream: TcpStream) -> Result<()> {
         &ShardHello::current(),
     ))?;
     let ack: ShardHelloAck = channel.recv()?.open(MessageKind::ShardHelloAck)?;
-    if !(MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&ack.version) {
-        return Err(FlError::Protocol {
-            reason: format!("coordinator negotiated unsupported version {}", ack.version),
-        });
-    }
-    let config: ShardConfig = match channel.recv()?.open(MessageKind::ShardConfig) {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = channel.send(&Envelope::error(e.to_string()));
-            return Err(e);
-        }
-    };
-    let mut state = match wire_shard(&config) {
-        Ok(state) => state,
-        Err(e) => {
-            let _ = channel.send(&Envelope::error(e.to_string()));
-            return Err(e);
-        }
-    };
+    check_version("coordinator", ack.version)?;
+    let config: ShardConfig =
+        reported(channel.recv()?.open(MessageKind::ShardConfig), &mut channel)?;
+    let mut fleet = reported(host_shard(&config), &mut channel)?;
     channel.send(&Envelope::pack(
         MessageKind::ShardConfigAck,
         &ShardConfigAck {
-            clients: state.remotes.len() as u64,
+            clients: fleet.layout().num_clients() as u64,
         },
     ))?;
     loop {
         let request = channel.recv()?;
         match request.kind {
             MessageKind::ShardScreen => {
+                // Raw evidence only: verification stays on the
+                // coordinator, against its own provisioning registry.
                 let screen: ShardScreen = request.open(MessageKind::ShardScreen)?;
+                let clients = fleet.clients_mut();
                 let evidence = screen
                     .probes
                     .iter()
                     .map(|probe| {
-                        state
-                            .remotes
+                        clients
                             .get_mut(probe.local as usize)
                             .and_then(|client| client.attest(&probe.challenge).ok())
                     })
@@ -1200,32 +1040,36 @@ pub fn serve_shard(stream: TcpStream) -> Result<()> {
             }
             MessageKind::ShardRound => {
                 let round: ShardRound = request.open(MessageKind::ShardRound)?;
-                let reply = match run_shard_round(&mut state, &round) {
-                    Ok(reply) => reply,
-                    Err(e) => {
-                        let _ = channel.send(&Envelope::error(e.to_string()));
-                        return Err(e);
-                    }
-                };
+                let picks: Vec<usize> = round.picks.iter().map(|&p| p as usize).collect();
+                let executed = reported(fleet.execute(&picks, &round.download), &mut channel)?;
+                let reply = shard_round_reply(executed, round.slot_base as usize);
                 channel.send(&Envelope::pack(MessageKind::ShardRoundReply, &reply))?;
             }
             MessageKind::Goodbye => {
                 // Mirror the in-process teardown: goodbye every client
                 // endpoint before exiting.
-                for client in &mut state.remotes {
-                    let _ = client.goodbye();
-                }
+                let _ = fleet.teardown();
                 return Ok(());
             }
             other => {
-                let e = FlError::Protocol {
-                    reason: format!("unexpected {other:?} on shard control channel"),
-                };
-                let _ = channel.send(&Envelope::error(e.to_string()));
-                return Err(e);
+                return reported(
+                    Err(FlError::Protocol {
+                        reason: format!("unexpected {other:?} on shard control channel"),
+                    }),
+                    &mut channel,
+                );
             }
         }
     }
+}
+
+/// Passes `result` through, first telling the coordinator why when it is
+/// a failure this process is about to exit on.
+fn reported<T>(result: Result<T>, channel: &mut ShardChannel) -> Result<T> {
+    if let Err(e) = &result {
+        let _ = channel.send(&Envelope::error(e.to_string()));
+    }
+    result
 }
 
 /// Materialises a [`DatasetSpec`] — both sides construct the identical
@@ -1264,13 +1108,14 @@ fn build_model(spec: &ModelSpec) -> Result<Sequential> {
     })
 }
 
-/// Builds and handshakes the shard's client fleet from its config:
-/// the *global* data partition re-derived and sub-ranged (so every
-/// client's local dataset is bit-identical to the flat reference),
-/// global client ids, all-TrustZone devices, plain SGD trainers, and the
-/// fault wrapper installed before the handshake exactly as
-/// `wire_fleet` does in-process.
-fn wire_shard(config: &ShardConfig) -> Result<ShardState> {
+/// Builds and handshakes the shard's client fleet from its config through
+/// the same assembler as an in-process federation
+/// ([`FederationBuilder::host`](crate::runner::FederationBuilder)):
+/// all-TrustZone devices and plain SGD trainers (the builder defaults),
+/// global client ids, the *global* data partition sub-ranged, personas
+/// re-derived from the shipped scenario plan, and the fault wrapper
+/// installed before the handshake.
+fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     if config.range_start > config.range_end || config.range_end > config.total_clients {
         return Err(FlError::BadConfig {
             reason: format!(
@@ -1285,80 +1130,45 @@ fn wire_shard(config: &ShardConfig) -> Result<ShardState> {
     let codec = CodecKind::parse(&config.codec).ok_or_else(|| FlError::BadConfig {
         reason: format!("unknown update codec {:?}", config.codec),
     })?;
-    let dataset = build_dataset(&config.dataset);
+    let partition = PartitionKind::parse(&config.partition).ok_or_else(|| FlError::BadConfig {
+        reason: format!("unknown partition kind {:?}", config.partition),
+    })?;
     let mut prototype = build_model(&config.model)?;
     prototype.set_backend(backend);
     prototype.set_weights(&config.init_weights)?;
-    // The *global* partition derivation, identical to the in-process
-    // runners — every shard computes the full fleet's shards and keeps
-    // only its range, so per-client data is layout-independent.
-    let partition_kind =
-        PartitionKind::parse(&config.partition).ok_or_else(|| FlError::BadConfig {
-            reason: format!("unknown partition kind {:?}", config.partition),
-        })?;
-    let mut partition = crate::runner::partition_dataset(
-        dataset.as_ref(),
-        config.total_clients as usize,
-        partition_kind,
-        config.plan.seed,
-    );
-    let faults = config.faults.clone().map(Arc::new);
-    // Personas re-derive from the shipped scenario plan and the global
-    // client id — the hostile subset matches the coordinator's view
-    // exactly. The collusion log stays `None` in shard processes: it is
-    // an observability artifact, and colluders train honestly, so its
-    // absence cannot perturb the committed weights.
-    let adversaries = config.adversaries.clone().map(Arc::new);
-    let mut remotes = Vec::with_capacity((config.range_end - config.range_start) as usize);
-    for g in config.range_start..config.range_end {
-        let shard_data = std::mem::take(&mut partition[g as usize]);
-        let mut client = FlClient::new(
-            g,
-            DeviceProfile::trustzone(g),
-            dataset.clone(),
-            shard_data,
-            prototype.replicate(),
-            Box::new(PlainSgdTrainer),
-        );
-        if let Some(plan) = &adversaries {
-            if let Some(persona) = plan.persona_of(g) {
-                client.set_adversary(Adversary {
-                    persona,
-                    plan: plan.clone(),
-                    log: None,
-                });
-            }
-        }
-        let endpoint: Box<dyn ServerEndpoint> = Box::new(LocalEndpoint::new(client));
-        let endpoint: Box<dyn ServerEndpoint> = match &faults {
-            Some(plan) => Box::new(FaultyEndpoint::new(endpoint, plan.clone())),
-            None => endpoint,
-        };
-        remotes.push(RemoteClient::connect_with(endpoint, codec)?);
+    let devices = (config.range_start..config.range_end)
+        .map(DeviceProfile::trustzone)
+        .collect();
+    let mut builder = Federation::builder(config.plan)
+        .devices(devices, build_dataset(&config.dataset))
+        .engine(ExecutionEngine::new(config.workers as usize))
+        .codec(codec)
+        .partition(partition);
+    if let Some(plan) = &config.faults {
+        builder = builder.faults(plan.clone());
     }
-    Ok(ShardState {
-        remotes,
-        engine: ExecutionEngine::new(config.workers as usize),
-        faults,
-    })
+    if let Some(plan) = &config.adversaries {
+        builder = builder.adversaries(plan.clone());
+    }
+    // No collusion log in shard processes: it is an observability
+    // artifact, and colluders train honestly, so its absence cannot
+    // perturb the committed weights.
+    builder.host(
+        &prototype,
+        config.range_start as usize,
+        config.total_clients as usize,
+        None,
+    )
 }
 
-/// Executes one round request on the shard's engine and repackages the
-/// outcomes at their *global* slots: completed updates into the
-/// [`PartialAggregate`], stragglers/failures into the tagged overflow
-/// list, the shard ledger as-is.
-fn run_shard_round(state: &mut ShardState, round: &ShardRound) -> Result<ShardRoundReply> {
-    let picks: Vec<usize> = round.picks.iter().map(|&p| p as usize).collect();
-    let (outcomes, ledger) = state.engine.execute_cycles_with(
-        &mut state.remotes,
-        &picks,
-        &round.download,
-        state.faults.as_deref(),
-    )?;
+/// Repackages one executed round at its *global* slots: completed updates
+/// into the [`PartialAggregate`], stragglers/failures into the tagged
+/// overflow list, the shard ledger as-is.
+fn shard_round_reply(executed: Executed, slot_base: usize) -> ShardRoundReply {
     let mut partial = PartialAggregate::new();
     let mut others = Vec::new();
-    for (j, outcome) in outcomes.into_iter().enumerate() {
-        let slot = round.slot_base as usize + j;
+    for (j, outcome) in executed.outcomes.into_iter().enumerate() {
+        let slot = slot_base + j;
         match outcome {
             ClientOutcome::Completed(upload) => partial.push(slot, upload),
             ClientOutcome::Straggler { client, elapsed_s } => others.push(ShardOutcome {
@@ -1375,9 +1185,74 @@ fn run_shard_round(state: &mut ShardState, round: &ShardRound) -> Result<ShardRo
             }),
         }
     }
-    Ok(ShardRoundReply {
+    ShardRoundReply {
         partial,
         others,
-        ledger,
-    })
+        ledger: executed.ledger,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_zero_reply_timeout_is_rejected_before_any_spawn() {
+        let err = DistributedCoordinator::builder(TrainingPlan::default())
+            .clients(
+                8,
+                DatasetSpec::Micro {
+                    len: 64,
+                    classes: 2,
+                    dim: 4,
+                    seed: 1,
+                },
+            )
+            .model(ModelSpec::TinyMlp {
+                inputs: 4,
+                hidden: 4,
+                outputs: 2,
+                seed: 1,
+            })
+            .reply_timeout(Duration::ZERO)
+            .launch()
+            .unwrap_err();
+        assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+        assert!(err.to_string().contains("reply_timeout"), "{err}");
+    }
+
+    #[test]
+    fn a_shard_server_refuses_a_coordinator_at_another_version() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shard = std::thread::spawn(move || serve_shard(TcpStream::connect(addr).unwrap()));
+        let mut channel = ShardChannel::new(listener.accept().unwrap().0).unwrap();
+        let hello: ShardHello = channel
+            .recv()
+            .unwrap()
+            .open(MessageKind::ShardHello)
+            .unwrap();
+        assert_eq!(hello.version, PROTOCOL_VERSION);
+        channel
+            .send(&Envelope::pack(
+                MessageKind::ShardHelloAck,
+                &ShardHelloAck {
+                    version: PROTOCOL_VERSION + 1,
+                    shard_index: 0,
+                },
+            ))
+            .unwrap();
+        let err = shard.join().unwrap().unwrap_err();
+        assert!(matches!(err, FlError::Protocol { .. }), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("coordinator"), "{text}");
+        assert!(
+            text.contains(&format!("version {},", PROTOCOL_VERSION + 1)),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("speaks {PROTOCOL_VERSION}")),
+            "{text}"
+        );
+    }
 }

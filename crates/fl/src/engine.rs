@@ -345,10 +345,9 @@ impl ExecutionEngine {
     /// indices. Because every shard's execution is independently
     /// deterministic (fault decisions included) and results stay keyed by
     /// shard + slot, the concatenated outcome is bit-identical to running
-    /// the shards one after another — which is how [`ShardedFederation`]
-    /// reproduces an unsharded round exactly.
-    ///
-    /// [`ShardedFederation`]: crate::runner::ShardedFederation
+    /// the shards one after another — which is how a multi-shard
+    /// [`Federation`](crate::runner::Federation) reproduces a one-shard
+    /// round exactly.
     ///
     /// # Errors
     ///

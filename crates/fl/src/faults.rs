@@ -533,19 +533,16 @@ impl FaultyEndpoint {
     /// carried in the payload's leading 8 bytes.
     fn round_of(&mut self, request: &Envelope) -> u64 {
         match request.kind {
-            // Both download kinds lead with the round in their first 8
-            // payload bytes — the encoded (v4) layout preserves the plain
-            // one's prefix precisely so this peek stays codec-agnostic.
-            MessageKind::ModelDownload | MessageKind::EncodedModelDownload => {
-                match self.attests_seen.checked_sub(1) {
-                    Some(screened) => screened,
-                    None => request
-                        .payload
-                        .first_chunk::<8>()
-                        .map(|b| u64::from_le_bytes(*b))
-                        .unwrap_or(0),
-                }
-            }
+            // The download leads with the round in its first 8 payload
+            // bytes, whatever codec packed the weights behind it.
+            MessageKind::EncodedModelDownload => match self.attests_seen.checked_sub(1) {
+                Some(screened) => screened,
+                None => request
+                    .payload
+                    .first_chunk::<8>()
+                    .map(|b| u64::from_le_bytes(*b))
+                    .unwrap_or(0),
+            },
             _ => {
                 let round = self.attests_seen;
                 self.attests_seen += 1;
@@ -565,9 +562,7 @@ impl ServerEndpoint for FaultyEndpoint {
                 }
                 Ok(reply)
             }
-            MessageKind::AttestationRequest
-            | MessageKind::ModelDownload
-            | MessageKind::EncodedModelDownload => {
+            MessageKind::AttestationRequest | MessageKind::EncodedModelDownload => {
                 let client = self.client.unwrap_or_default();
                 let round = self.round_of(&request);
                 let nth = self.messages_seen;

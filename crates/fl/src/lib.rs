@@ -19,15 +19,15 @@
 //!    ([`aggregate`]) and the global snapshot history is recorded for the
 //!    long-term DPIA attacker ([`history`]).
 //!
-//! Rounds run on a flat fleet ([`runner::Federation`]); for 10⁴+
-//! simulated clients, on a fleet partitioned across independent engine
-//! shards ([`runner::ShardedFederation`]); or across real OS processes,
-//! with a [`distributed::DistributedCoordinator`] driving `shard-server`
-//! children over the envelope protocol — same results bit-for-bit,
-//! scaled-out wall clock. Imperfect fleets — stragglers, dropouts,
-//! crashes, lossy links — are simulated by the seeded, deterministic
-//! [`faults`] layer, with over-provisioned selection keeping faulted
-//! rounds aggregating a full cohort. Hostile fleets — update poisoners,
+//! One round driver ([`runner::RoundDriver`]) runs every cycle; the
+//! clients live either in this process ([`runner::Federation`] — one
+//! engine shard, or for 10⁴+ simulated clients many) or in real OS
+//! processes ([`distributed::DistributedCoordinator`] driving
+//! `shard-server` children over the envelope protocol) — same results
+//! bit-for-bit, scaled-out wall clock. Imperfect fleets — stragglers,
+//! dropouts, crashes, lossy links — are simulated by the seeded,
+//! deterministic [`faults`] layer, with over-provisioned selection
+//! keeping faulted rounds aggregating a full cohort. Hostile fleets — update poisoners,
 //! scalers, free-riders, colluding observers — are simulated by the
 //! equally-seeded [`adversary`] layer, defended by robust aggregation
 //! ([`aggregate::Aggregator`]) and reputation-filtered selection.
@@ -76,6 +76,7 @@ pub mod distributed;
 pub mod engine;
 mod error;
 pub mod faults;
+mod fleet;
 pub mod history;
 pub mod message;
 pub mod runner;

@@ -7,10 +7,10 @@
 //! doubles as the length-prefixed TCP frame, and the trusted I/O path
 //! (`gradsec-tee::tiop`) can seal exactly the same bytes.
 //!
-//! Protocol-version negotiation is a [`Hello`]/[`HelloAck`] exchange at
-//! session start: the server advertises its supported range, the client
-//! picks the highest mutually supported version (or refuses with an
-//! [`ErrorReply`]).
+//! Peers are always the same build, so there is one wire dialect: the
+//! [`Hello`]/[`HelloAck`] exchange at session start states each side's
+//! [`PROTOCOL_VERSION`] and negotiates only the update codec; any other
+//! version is refused by name (see [`check_version`]).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -61,38 +61,34 @@ pub mod limits {
     pub const MAX_ENCODED_TENSORS: usize = 2 * MAX_LAYERS;
 }
 
-/// The newest protocol version this build speaks.
+/// The protocol version this build speaks — the only one it accepts.
 ///
-/// Version 1 was the pre-envelope framing (raw message bytes, in-process
-/// only); version 2 introduced the [`Envelope`] header and the TEE cost
-/// accounting carried on [`UpdateUpload`]; version 3 added the
-/// shard-control messages (`Shard*`) a distributed coordinator speaks to
-/// `shard-server` processes; version 4 added the update-codec layer —
-/// the encoded payload kinds ([`EncodedModelDownload`],
-/// [`EncodedUpdateUpload`]), the codec byte negotiated on
-/// [`Hello`]/[`HelloAck`], and the wire-bytes bill carried on
-/// `ClientCycleCost`; version 5 extended [`ShardConfig`] with the
-/// adversarial-scenario fields (the dataset partition kind and an
-/// optional `AdversaryPlan`) so shard-server processes re-derive the
-/// same hostile fleet the coordinator assembled. Version 1 is no longer
-/// spoken; version 2 and 3 peers interoperate on the client protocol
-/// (the kinds each version added are only spoken once both sides
-/// negotiated it, so an older peer never sees them).
-pub const PROTOCOL_VERSION: u16 = 5;
+/// Version 2 introduced the [`Envelope`] header and the TEE cost
+/// accounting carried on [`UpdateUpload`]; version 3 the shard-control
+/// messages (`Shard*`); version 4 the update-codec layer (the encoded
+/// payload kinds and the codec byte on [`Hello`]/[`HelloAck`]); version 5
+/// the adversarial-scenario fields on [`ShardConfig`]. Version 6 is the
+/// single dialect: both hellos carry one version instead of a range, and
+/// the plain download/upload envelope kinds are gone (model payloads
+/// always travel encoded, identity codec included).
+pub const PROTOCOL_VERSION: u16 = 6;
 
-/// The oldest protocol version this build still accepts.
-pub const MIN_SUPPORTED_VERSION: u16 = 2;
-
-/// Picks the highest version supported by both this build and a peer
-/// advertising `[peer_min, peer_max]`, or `None` when the ranges are
-/// disjoint.
-pub fn negotiate_version(peer_min: u16, peer_max: u16) -> Option<u16> {
-    let chosen = PROTOCOL_VERSION.min(peer_max);
-    if chosen >= MIN_SUPPORTED_VERSION.max(peer_min) {
-        Some(chosen)
-    } else {
-        None
+/// Checks the version `peer` stamped on a hello, an ack or an envelope.
+/// Coordinator, shard servers and clients are always the same build, so
+/// nothing is negotiated: anything but [`PROTOCOL_VERSION`] is refused.
+///
+/// # Errors
+///
+/// Returns [`FlError::Protocol`] naming both versions.
+pub fn check_version(peer: &str, version: u16) -> Result<()> {
+    if version == PROTOCOL_VERSION {
+        return Ok(());
     }
+    Err(FlError::Protocol {
+        reason: format!(
+            "{peer} speaks protocol version {version}, this build speaks {PROTOCOL_VERSION}"
+        ),
+    })
 }
 
 /// Server → client: attestation challenge during selection (Figure 2-➊).
@@ -177,15 +173,12 @@ pub struct EncodedUpdateUpload {
     pub cost: ClientCycleCost,
 }
 
-/// Session setup, server → client: the server's supported version range
-/// plus the update codec it intends to speak (v4; absent on the wire
-/// from older peers, which implies [`CodecKind::Identity`]).
+/// Session setup, server → client: the server's protocol version plus
+/// the update codec it intends to speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hello {
-    /// Oldest protocol version the server accepts.
-    pub min_version: u16,
-    /// Newest protocol version the server speaks.
-    pub max_version: u16,
+    /// The protocol version the server speaks.
+    pub version: u16,
     /// The update codec the server proposes for this session.
     pub codec: CodecKind,
 }
@@ -199,24 +192,21 @@ impl Hello {
     /// The Hello this build sends, proposing `codec`.
     pub fn with_codec(codec: CodecKind) -> Self {
         Hello {
-            min_version: MIN_SUPPORTED_VERSION,
-            max_version: PROTOCOL_VERSION,
+            version: PROTOCOL_VERSION,
             codec,
         }
     }
 }
 
-/// Session setup, client → server: the negotiated version plus the
-/// client's identity (which keys the server's attestation registry).
+/// Session setup, client → server: the client's protocol version plus
+/// its identity (which keys the server's attestation registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HelloAck {
-    /// The version the client chose from the server's advertised range.
+    /// The protocol version the client speaks.
     pub version: u16,
     /// The connecting client's id.
     pub client_id: u64,
-    /// The codec the client accepted (echo of the server's proposal at
-    /// v4+; [`CodecKind::Identity`] when the negotiated version
-    /// predates codecs).
+    /// The codec the client accepted (echo of the server's proposal).
     pub codec: CodecKind,
 }
 
@@ -290,18 +280,14 @@ pub(crate) fn decode_len(buf: &mut Bytes, what: &str) -> Result<usize> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum MessageKind {
-    /// [`Hello`] — version offer (server → client).
+    /// [`Hello`] — version and codec offer (server → client).
     Hello = 0,
-    /// [`HelloAck`] — version choice + identity (client → server).
+    /// [`HelloAck`] — version, identity and codec echo (client → server).
     HelloAck = 1,
     /// [`AttestationRequest`] (Figure 2-➊).
     AttestationRequest = 2,
     /// [`AttestationResponse`].
     AttestationResponse = 3,
-    /// [`ModelDownload`] (Figure 2-➋).
-    ModelDownload = 4,
-    /// [`UpdateUpload`] (Figure 2-➍).
-    UpdateUpload = 5,
     /// Session teardown; carries no payload and expects no reply.
     Goodbye = 6,
     /// [`ErrorReply`] — the peer could not produce the expected reply.
@@ -312,8 +298,8 @@ pub enum MessageKind {
     /// [`ShardHello`] — shard-server → coordinator session opener
     /// (protocol v3, the shard-control plane).
     ShardHello = 9,
-    /// [`ShardHelloAck`] — coordinator → shard-server: negotiated version
-    /// plus the shard index this connection will serve.
+    /// [`ShardHelloAck`] — coordinator → shard-server: the coordinator's
+    /// version plus the shard index this connection will serve.
     ShardHelloAck = 10,
     /// [`ShardConfig`] — coordinator → shard-server: everything the shard
     /// needs to host its client range deterministically.
@@ -334,10 +320,10 @@ pub enum MessageKind {
     /// partial aggregate, non-completed outcomes and the shard ledger.
     ShardRoundReply = 16,
     /// [`EncodedModelDownload`] — a [`ModelDownload`] whose weights
-    /// travel as a codec payload (protocol v4).
+    /// travel as a codec payload (Figure 2-➋).
     EncodedModelDownload = 17,
     /// [`EncodedUpdateUpload`] — an [`UpdateUpload`] whose weights
-    /// travel as a codec payload (protocol v4).
+    /// travel as a codec payload (Figure 2-➍).
     EncodedUpdateUpload = 18,
 }
 
@@ -348,8 +334,6 @@ impl MessageKind {
             1 => MessageKind::HelloAck,
             2 => MessageKind::AttestationRequest,
             3 => MessageKind::AttestationResponse,
-            4 => MessageKind::ModelDownload,
-            5 => MessageKind::UpdateUpload,
             6 => MessageKind::Goodbye,
             7 => MessageKind::Error,
             8 => MessageKind::Sealed,
@@ -447,7 +431,7 @@ pub fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<Envelop
 /// pulls exactly that many more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Protocol version the sender speaks (negotiated after Hello).
+    /// Protocol version the sender speaks.
     pub version: u16,
     /// What the payload decodes as.
     pub kind: MessageKind,
@@ -511,11 +495,6 @@ impl Envelope {
         decode::<ErrorReply>(&self.payload)
             .map(|e| e.reason)
             .unwrap_or_else(|_| "malformed error reply".to_owned())
-    }
-
-    /// Whether the sender's version is one this build can speak.
-    pub fn version_supported(&self) -> bool {
-        (MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&self.version)
     }
 }
 
@@ -851,25 +830,15 @@ impl Wire for EncodedUpdateUpload {
 
 impl Wire for Hello {
     fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.min_version);
-        buf.put_u16_le(self.max_version);
+        buf.put_u16_le(self.version);
         buf.put_u8(self.codec.as_u8());
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 4, "hello")?;
-        let min_version = buf.get_u16_le();
-        let max_version = buf.get_u16_le();
-        // v2/v3 hellos end here; the codec byte is a v4 tail.
-        let codec = if buf.has_remaining() {
-            CodecKind::from_u8(buf.get_u8())?
-        } else {
-            CodecKind::Identity
-        };
+        need(buf, 3, "hello")?;
         Ok(Hello {
-            min_version,
-            max_version,
-            codec,
+            version: buf.get_u16_le(),
+            codec: CodecKind::from_u8(buf.get_u8())?,
         })
     }
 }
@@ -882,19 +851,11 @@ impl Wire for HelloAck {
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 10, "hello ack")?;
-        let version = buf.get_u16_le();
-        let client_id = buf.get_u64_le();
-        // v2/v3 acks end here; the codec echo is a v4 tail.
-        let codec = if buf.has_remaining() {
-            CodecKind::from_u8(buf.get_u8())?
-        } else {
-            CodecKind::Identity
-        };
+        need(buf, 11, "hello ack")?;
         Ok(HelloAck {
-            version,
-            client_id,
-            codec,
+            version: buf.get_u16_le(),
+            client_id: buf.get_u64_le(),
+            codec: CodecKind::from_u8(buf.get_u8())?,
         })
     }
 }
@@ -1041,14 +1002,12 @@ fn decode_str(buf: &mut Bytes, what: &str) -> Result<String> {
 }
 
 /// Shard-server → coordinator: opens the shard-control channel with the
-/// server's supported version range plus its OS process id (diagnostics
-/// only — never an input to any fault or selection decision).
+/// server's protocol version plus its OS process id (diagnostics only —
+/// never an input to any fault or selection decision).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHello {
-    /// Oldest protocol version the shard server accepts.
-    pub min_version: u16,
-    /// Newest protocol version the shard server speaks.
-    pub max_version: u16,
+    /// The protocol version the shard server speaks.
+    pub version: u16,
     /// The shard server's process id.
     pub pid: u64,
 }
@@ -1057,19 +1016,18 @@ impl ShardHello {
     /// The ShardHello this build sends.
     pub fn current() -> Self {
         ShardHello {
-            min_version: MIN_SUPPORTED_VERSION,
-            max_version: PROTOCOL_VERSION,
+            version: PROTOCOL_VERSION,
             pid: u64::from(std::process::id()),
         }
     }
 }
 
-/// Coordinator → shard-server: the negotiated version and the shard
+/// Coordinator → shard-server: the coordinator's version and the shard
 /// index this connection will serve (assigned by connection-arrival
 /// order — shard servers are symmetric until configured).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHelloAck {
-    /// The version the coordinator chose from the shard's range.
+    /// The protocol version the coordinator speaks.
     pub version: u16,
     /// The shard index this channel serves.
     pub shard_index: u64,
@@ -1270,16 +1228,14 @@ pub struct ShardRoundReply {
 
 impl Wire for ShardHello {
     fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.min_version);
-        buf.put_u16_le(self.max_version);
+        buf.put_u16_le(self.version);
         buf.put_u64_le(self.pid);
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 12, "shard hello")?;
+        need(buf, 10, "shard hello")?;
         Ok(ShardHello {
-            min_version: buf.get_u16_le(),
-            max_version: buf.get_u16_le(),
+            version: buf.get_u16_le(),
             pid: buf.get_u64_le(),
         })
     }
@@ -1813,29 +1769,40 @@ mod tests {
     }
 
     #[test]
-    fn hello_messages_accept_the_codecless_v3_tail() {
+    fn hello_messages_require_the_codec_byte() {
         use crate::codec::CodecKind;
-        // A v3 peer's hello/ack stops before the codec byte; decoding
-        // must default to identity rather than reject.
-        let hello = Hello::with_codec(CodecKind::Int8);
-        let mut bytes = encode(&hello);
-        assert_eq!(bytes.len(), 5);
+        // One dialect: a hello or ack that stops before the codec byte
+        // is truncated input, not an older peer to accommodate.
+        let mut bytes = encode(&Hello::with_codec(CodecKind::Int8));
+        assert_eq!(bytes.len(), 3);
         let back: Hello = decode(&bytes).unwrap();
         assert_eq!(back.codec, CodecKind::Int8);
-        bytes.truncate(4);
-        let back: Hello = decode(&bytes).unwrap();
-        assert_eq!(back.codec, CodecKind::Identity);
-        let ack = HelloAck {
+        bytes.truncate(2);
+        assert!(decode::<Hello>(&bytes).is_err());
+        let mut bytes = encode(&HelloAck {
             version: PROTOCOL_VERSION,
             client_id: 12,
             codec: CodecKind::DeltaTopK,
-        };
-        let mut bytes = encode(&ack);
+        });
         assert_eq!(bytes.len(), 11);
         bytes.truncate(10);
-        let back: HelloAck = decode(&bytes).unwrap();
-        assert_eq!(back.codec, CodecKind::Identity);
-        assert_eq!(back.client_id, 12);
+        assert!(decode::<HelloAck>(&bytes).is_err());
+    }
+
+    #[test]
+    fn other_versions_are_refused_by_name() {
+        check_version("peer", PROTOCOL_VERSION).unwrap();
+        for theirs in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let err = check_version("shard-server", theirs).unwrap_err();
+            assert!(matches!(err, FlError::Protocol { .. }), "{err}");
+            let text = err.to_string();
+            assert!(text.contains("shard-server"), "{text}");
+            assert!(text.contains(&format!("version {theirs},")), "{text}");
+            assert!(
+                text.contains(&format!("speaks {PROTOCOL_VERSION}")),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,32 @@
-//! Federation orchestration: wiring server and clients through rounds.
+//! Federation orchestration: one round driver over a fleet of clients.
 //!
-//! The round exchange is driven exclusively through
-//! [`transport`](crate::transport) endpoints: the builder assembles the
-//! client fleet, wires each client onto the configured
-//! [`TransportKind`] (zero-copy in-process dispatch by default; loopback
-//! TCP with one service thread per client; or multiplexed loopback TCP
-//! with the whole fleet served by a small event-loop pool), handshakes
-//! every endpoint, and hands the resulting [`RemoteClient`]s to the
-//! server and engine. The same protocol bytes flow every way, so reports
-//! are bit-identical across transports.
+//! A GradSec FL cycle is one fixed sequence (Figure 2): attest and
+//! select ➊, download with the protected-layer set ➋, local train ➌,
+//! aggregate ➍. [`RoundDriver`] is the only code that runs it. It owns
+//! the [`FlServer`] (global model, history, the selection RNG), the
+//! protection scheduler and the aggregation rule, and asks its fleet for
+//! two things only: screen these candidates, execute these picks. Where
+//! the clients live is the fleet's business, and there are two:
 //!
-//! Two runners share that machinery:
+//! * [`LocalFleet`] — handshaken [`RemoteClient`] endpoints in this
+//!   process. [`FederationBuilder`] assembles the clients, wires each
+//!   onto the configured [`TransportKind`] (zero-copy in-process dispatch
+//!   by default; loopback TCP with one service thread per client; or
+//!   multiplexed loopback TCP with the whole fleet served by a small
+//!   event-loop pool) and partitions them into contiguous
+//!   [`ShardLayout`] shards, each running its picks on its own
+//!   [`ExecutionEngine`] pool. [`Federation`] is the driver over one, at
+//!   any shard count; a `shard-server` process hosts one too.
+//! * [`ProcessFleet`](crate::distributed::ProcessFleet) — `shard-server`
+//!   child processes behind the shard-control protocol;
+//!   [`DistributedCoordinator`](crate::distributed::DistributedCoordinator)
+//!   is the driver over one.
 //!
-//! * [`Federation`] — one flat fleet on one [`ExecutionEngine`].
-//! * [`ShardedFederation`] — the fleet partitioned into contiguous
-//!   [`ShardLayout`] shards, each running its selected clients on its own
-//!   engine instance, with per-shard ledgers and [`PartialAggregate`]s
-//!   merged into one global round report. Screening walks shards in
-//!   global client order and the merge restores canonical selection
-//!   order, so for any `(shards, workers)` combination the report and
-//!   final weights are bit-identical to the flat run.
+//! Every draw on the server RNG happens in the driver, fleets hand
+//! outcomes back in selection order, and every round commits through
+//! the one `finish_round`, so for any `(fleet, shards, workers,
+//! transport)` combination the reports and final weights are
+//! bit-identical.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,6 +34,7 @@ use std::thread::JoinHandle;
 use serde::{Deserialize, Serialize};
 
 use gradsec_data::{split, Dataset};
+use gradsec_nn::model::ModelWeights;
 use gradsec_nn::{BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
@@ -39,7 +47,10 @@ use crate::codec::CodecKind;
 use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::{FaultPlan, FaultyEndpoint};
+use crate::fleet::{Executed, Fleet};
+use crate::message::ModelDownload;
 use crate::scheduler::{NoProtection, ProtectionScheduler};
+use crate::selection::{screen_planned, ScreenPlan, ScreeningOutcome};
 use crate::server::FlServer;
 use crate::trainer::{LocalTrainer, PlainSgdTrainer};
 use crate::transport::inprocess::LocalEndpoint;
@@ -131,51 +142,99 @@ impl FederationReport {
     }
 }
 
+/// The run configuration both builders carry — everything that is the
+/// same question whether the clients live in this process or in
+/// `shard-server` children — and the one place it is validated and
+/// turned into an [`FlServer`].
+pub(crate) struct RunSetup {
+    pub(crate) plan: TrainingPlan,
+    pub(crate) scheduler: Arc<dyn ProtectionScheduler>,
+    pub(crate) measurement: Measurement,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+    pub(crate) adversaries: Option<Arc<AdversaryPlan>>,
+    pub(crate) backend: BackendKind,
+    pub(crate) codec: CodecKind,
+    pub(crate) screening_sample: Option<usize>,
+    pub(crate) aggregator: Aggregator,
+    pub(crate) partition: PartitionKind,
+    pub(crate) reputation: Option<ReputationBook>,
+}
+
+impl RunSetup {
+    pub(crate) fn new(plan: TrainingPlan) -> Self {
+        RunSetup {
+            plan,
+            scheduler: Arc::new(NoProtection),
+            measurement: Measurement(sha256(b"gradsec-ta-code-v1")),
+            faults: None,
+            adversaries: None,
+            backend: BackendKind::from_env(),
+            codec: CodecKind::from_env(),
+            screening_sample: None,
+            aggregator: Aggregator::FedAvg,
+            partition: PartitionKind::Iid,
+            reputation: None,
+        }
+    }
+
+    /// Validates the configuration and builds the server around the
+    /// `initial` global model: over-provisioned by the fault plan's spare
+    /// count, with the screening cap and reputation book installed.
+    pub(crate) fn server(&mut self, initial: ModelWeights) -> Result<FlServer> {
+        self.plan.validate()?;
+        if let Some(plan) = &self.faults {
+            plan.validate()?;
+        }
+        if let Some(plan) = &self.adversaries {
+            plan.validate()?;
+        }
+        self.aggregator.validate()?;
+        let mut server = FlServer::new(self.plan, initial, self.measurement)?;
+        if let Some(plan) = &self.faults {
+            server.overprovision(plan.spare_count());
+        }
+        server.set_screening_sample(self.screening_sample);
+        server.set_reputation(self.reputation.take());
+        Ok(server)
+    }
+
+    /// Puts `server` and `fleet` under the round driver.
+    pub(crate) fn drive<F: Fleet>(self, server: FlServer, fleet: F) -> RoundDriver<F> {
+        RoundDriver {
+            server,
+            fleet,
+            scheduler: self.scheduler,
+            aggregator: self.aggregator,
+            fault_tolerant: self.faults.is_some(),
+        }
+    }
+}
+
 /// Builder for a [`Federation`].
 pub struct FederationBuilder {
-    plan: TrainingPlan,
+    setup: RunSetup,
     model_factory: Option<ModelFactory>,
     trainer_factory: TrainerFactory,
     dataset: Option<Arc<dyn Dataset>>,
     devices: Vec<DeviceProfile>,
-    scheduler: Arc<dyn ProtectionScheduler>,
     engine: ExecutionEngine,
-    measurement: Measurement,
     transport: TransportKind,
     mux: MuxOptions,
     shards: usize,
-    faults: Option<Arc<FaultPlan>>,
-    backend: BackendKind,
-    codec: CodecKind,
-    screening_sample: Option<usize>,
-    adversaries: Option<Arc<AdversaryPlan>>,
-    aggregator: Aggregator,
-    partition: PartitionKind,
-    reputation: Option<ReputationBook>,
 }
 
 impl FederationBuilder {
     fn new(plan: TrainingPlan) -> Self {
         FederationBuilder {
-            plan,
+            setup: RunSetup::new(plan),
             model_factory: None,
             trainer_factory: Box::new(|_| Box::new(PlainSgdTrainer)),
             dataset: None,
             devices: Vec::new(),
-            scheduler: Arc::new(NoProtection),
             engine: ExecutionEngine::sequential(),
-            measurement: Measurement(sha256(b"gradsec-ta-code-v1")),
             transport: TransportKind::InProcess,
             mux: MuxOptions::default(),
             shards: 1,
-            faults: None,
-            backend: BackendKind::from_env(),
-            codec: CodecKind::from_env(),
-            screening_sample: None,
-            adversaries: None,
-            aggregator: Aggregator::FedAvg,
-            partition: PartitionKind::Iid,
-            reputation: None,
         }
     }
 
@@ -222,7 +281,7 @@ impl FederationBuilder {
     where
         S: ProtectionScheduler + 'static,
     {
-        self.scheduler = Arc::new(s);
+        self.setup.scheduler = Arc::new(s);
         self
     }
 
@@ -235,7 +294,7 @@ impl FederationBuilder {
 
     /// Overrides the whitelisted TA measurement.
     pub fn measurement(mut self, m: Measurement) -> Self {
-        self.measurement = m;
+        self.setup.measurement = m;
         self
     }
 
@@ -266,7 +325,7 @@ impl FederationBuilder {
     /// the same plan seed a faulted run is bit-identical for any
     /// `(shards, workers, transport)` combination.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(plan));
+        self.setup.faults = Some(Arc::new(plan));
         self
     }
 
@@ -281,7 +340,7 @@ impl FederationBuilder {
     /// `(shards, workers, transport)` combination; switching backends
     /// changes f32 rounding, not semantics.
     pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
+        self.setup.backend = backend;
         self
     }
 
@@ -296,14 +355,14 @@ impl FederationBuilder {
     /// codec are bit-identical across shards, workers, transports and
     /// process boundaries.
     pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.codec = codec;
+        self.setup.codec = codec;
         self
     }
 
     /// Partitions the fleet into `shards` contiguous engine shards
-    /// (clamped to the client count; defaults to 1). Build the result
-    /// with [`build_sharded`](Self::build_sharded) — sharding changes
-    /// wall-clock scaling, never results.
+    /// (clamped to the client count; defaults to 1), each running its
+    /// selected clients on its own worker pool, all shards concurrently
+    /// — sharding changes wall-clock scaling, never results.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -318,7 +377,7 @@ impl FederationBuilder {
     /// process boundaries; changing the cap changes which clients are
     /// screened, so it is part of the run's reproducibility key.
     pub fn screening_sample(mut self, m: usize) -> Self {
-        self.screening_sample = Some(m);
+        self.setup.screening_sample = Some(m);
         self
     }
 
@@ -330,7 +389,7 @@ impl FederationBuilder {
     /// `(shards, workers, transport)` combination under the same
     /// scenario seed, and a quiet plan changes nothing at all.
     pub fn adversaries(mut self, plan: AdversaryPlan) -> Self {
-        self.adversaries = Some(Arc::new(plan));
+        self.setup.adversaries = Some(Arc::new(plan));
         self
     }
 
@@ -339,7 +398,7 @@ impl FederationBuilder {
     /// state: it never crosses the wire, so flat, sharded and
     /// distributed runs of the same rule are bit-identical.
     pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
-        self.aggregator = aggregator;
+        self.setup.aggregator = aggregator;
         self
     }
 
@@ -347,7 +406,7 @@ impl FederationBuilder {
     /// [`PartitionKind`]); defaults to IID. Part of the run's
     /// reproducibility key.
     pub fn partition(mut self, partition: PartitionKind) -> Self {
-        self.partition = partition;
+        self.setup.partition = partition;
         self
     }
 
@@ -357,127 +416,97 @@ impl FederationBuilder {
     /// (see [`ReputationBook`]). The filter is a deterministic retain
     /// before the selection shuffle — it consumes no server RNG.
     pub fn reputation(mut self, threshold: i64) -> Self {
-        self.reputation = Some(ReputationBook::new(threshold));
+        self.setup.reputation = Some(ReputationBook::new(threshold));
         self
     }
 
-    /// Assembles a flat (single-shard) federation: builds the fleet,
-    /// wires it onto the configured transport and handshakes every
-    /// endpoint.
+    /// Assembles the federation: builds the fleet, wires it onto the
+    /// configured transport, handshakes every endpoint and partitions it
+    /// into the configured number of shards (one by default).
     ///
     /// # Errors
     ///
     /// Returns [`FlError::BadConfig`] when the model factory or dataset is
-    /// missing, the plan is invalid, or a shard count above 1 was
-    /// configured (use [`build_sharded`](Self::build_sharded)); transport/
-    /// handshake failures propagate as
-    /// [`FlError::Transport`]/[`FlError::Protocol`].
-    pub fn build(self) -> Result<Federation> {
-        if self.shards > 1 {
-            return Err(FlError::BadConfig {
-                reason: format!(
-                    "builder configured {} shards; use build_sharded()",
-                    self.shards
-                ),
-            });
-        }
-        let fleet = self.assemble()?;
-        Ok(Federation {
-            server: fleet.server,
-            clients: fleet.clients,
-            scheduler: fleet.scheduler,
-            engine: fleet.engine,
-            sessions: fleet.sessions,
-            faults: fleet.faults,
-            aggregator: fleet.aggregator,
-            collusion: fleet.collusion,
-        })
-    }
-
-    /// Assembles a sharded federation: the same fleet, wired the same
-    /// way, then partitioned into the configured number of contiguous
-    /// shards. `shards(1)` (the default) yields a one-shard federation
-    /// whose rounds are bit-identical to [`build`](Self::build)'s.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build), minus the shard-count
-    /// restriction.
-    pub fn build_sharded(self) -> Result<ShardedFederation> {
-        let shards = self.shards;
-        let fleet = self.assemble()?;
-        let mut clients = fleet.clients;
-        let layout = ShardLayout::new(clients.len(), shards);
-        let mut fleet_shards = Vec::with_capacity(layout.num_shards());
-        for s in 0..layout.num_shards() {
-            let rest = clients.split_off(layout.range(s).len());
-            fleet_shards.push(std::mem::replace(&mut clients, rest));
-        }
-        Ok(ShardedFederation {
-            server: fleet.server,
-            shards: fleet_shards,
-            layout,
-            scheduler: fleet.scheduler,
-            engine: fleet.engine,
-            sessions: fleet.sessions,
-            faults: fleet.faults,
-            aggregator: fleet.aggregator,
-            collusion: fleet.collusion,
-        })
-    }
-
-    fn assemble(self) -> Result<AssembledFleet> {
-        let model_factory = self.model_factory.ok_or_else(|| FlError::BadConfig {
-            reason: "model factory not set".to_owned(),
-        })?;
-        let dataset = self.dataset.ok_or_else(|| FlError::BadConfig {
-            reason: "dataset not set".to_owned(),
-        })?;
+    /// missing or the plan is invalid; transport/handshake failures
+    /// propagate as [`FlError::Transport`]/[`FlError::Protocol`].
+    pub fn build(mut self) -> Result<Federation> {
+        let model_factory = self
+            .model_factory
+            .take()
+            .ok_or_else(|| FlError::BadConfig {
+                reason: "model factory not set".to_owned(),
+            })?;
         if self.devices.is_empty() {
             return Err(FlError::BadConfig {
                 reason: "no clients configured".to_owned(),
             });
         }
-        self.plan.validate()?;
-        if let Some(plan) = &self.faults {
-            plan.validate()?;
-        }
-        if let Some(plan) = &self.adversaries {
-            plan.validate()?;
-        }
-        self.aggregator.validate()?;
-        let shards = partition_dataset(
-            dataset.as_ref(),
-            self.devices.len(),
-            self.partition,
-            self.plan.seed,
-        );
         // One factory invocation builds the prototype; every client gets a
         // replica (identical weights, fresh caches) — the same mechanism
         // the engine's per-worker replicas rely on. The run's kernel
         // backend is set once here and rides along in every replica.
         let mut prototype = model_factory();
-        prototype.set_backend(self.backend);
+        prototype.set_backend(self.setup.backend);
+        let server = self.setup.server(prototype.weights())?;
         let collusion = self
+            .setup
             .adversaries
             .as_ref()
             .map(|_| Arc::new(CollusionLog::default()));
-        let fleet: Vec<FlClient> = self
-            .devices
+        let total = self.devices.len();
+        let fleet = self.host(&prototype, 0, total, collusion)?;
+        Ok(self.setup.drive(server, fleet))
+    }
+
+    /// Alias of [`build`](Self::build), for callers that spell out the
+    /// multi-shard case.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`build`](Self::build).
+    pub fn build_sharded(self) -> Result<ShardedFederation> {
+        self.build()
+    }
+
+    /// Builds the configured devices as clients `first_id..` of a
+    /// `total_clients` federation (replicas of `prototype`), wires them
+    /// onto the transport and handshakes them — the one client assembler,
+    /// for [`build`](Self::build) and for a `shard-server` process
+    /// hosting its range of a distributed fleet.
+    ///
+    /// The data partition is derived for the *whole* federation and
+    /// sub-ranged, and ids and personas are global, so a client is the
+    /// same client wherever it is hosted.
+    pub(crate) fn host(
+        &mut self,
+        prototype: &Sequential,
+        first_id: usize,
+        total_clients: usize,
+        collusion: Option<Arc<CollusionLog>>,
+    ) -> Result<LocalFleet> {
+        let dataset = self.dataset.clone().ok_or_else(|| FlError::BadConfig {
+            reason: "dataset not set".to_owned(),
+        })?;
+        let mut partition = partition_dataset(
+            dataset.as_ref(),
+            total_clients,
+            self.setup.partition,
+            self.setup.plan.seed,
+        );
+        let clients: Vec<FlClient> = std::mem::take(&mut self.devices)
             .into_iter()
-            .zip(shards)
-            .enumerate()
-            .map(|(i, (device, shard))| {
+            .zip(first_id..)
+            .map(|(device, g)| {
                 let mut client = FlClient::new(
-                    i as u64,
+                    g as u64,
                     device,
                     dataset.clone(),
-                    shard,
+                    std::mem::take(&mut partition[g]),
                     prototype.replicate(),
-                    (self.trainer_factory)(i as u64),
+                    (self.trainer_factory)(g as u64),
                 );
-                if let Some(plan) = &self.adversaries {
-                    if let Some(persona) = plan.persona_of(i as u64) {
+                if let Some(plan) = &self.setup.adversaries {
+                    if let Some(persona) = plan.persona_of(g as u64) {
                         client.set_adversary(Adversary {
                             persona,
                             plan: plan.clone(),
@@ -488,36 +517,30 @@ impl FederationBuilder {
                 client
             })
             .collect();
-        let mut server = FlServer::new(self.plan, prototype.weights(), self.measurement)?;
-        if let Some(plan) = &self.faults {
-            server.overprovision(plan.spare_count());
-        }
-        server.set_screening_sample(self.screening_sample);
-        server.set_reputation(self.reputation);
         let (clients, sessions) = wire_fleet(
-            fleet,
+            clients,
             self.transport,
             &self.mux,
-            self.faults.as_ref(),
-            self.codec,
+            self.setup.faults.as_ref(),
+            self.setup.codec,
         )?;
-        Ok(AssembledFleet {
-            server,
+        Ok(LocalFleet {
+            layout: ShardLayout::new(clients.len(), self.shards),
             clients,
-            sessions,
-            scheduler: self.scheduler,
             engine: self.engine,
-            faults: self.faults,
-            aggregator: self.aggregator,
+            faults: self.setup.faults.clone(),
+            sessions,
+            measurement: self.setup.measurement,
             collusion,
         })
     }
 }
 
-/// Derives the per-client data partition for `kind` — the one function
-/// both the in-process assemblers and the distributed shard servers call,
-/// so every execution path hands client `i` the identical local shard.
-pub(crate) fn partition_dataset(
+/// Derives the per-client data partition for `kind` over the whole
+/// federation — every hosting path calls this one function with the
+/// same arguments, so client `i` gets the identical local shard wherever
+/// it runs.
+fn partition_dataset(
     dataset: &dyn Dataset,
     clients: usize,
     kind: PartitionKind,
@@ -532,19 +555,6 @@ pub(crate) fn partition_dataset(
             split::shard_by_label(&labels, clients, seed)
         }
     }
-}
-
-/// Everything `assemble` produces: the handshaken fleet plus the run
-/// configuration the builder carried.
-struct AssembledFleet {
-    server: FlServer,
-    clients: Vec<RemoteClient>,
-    sessions: SessionBackend,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    engine: ExecutionEngine,
-    faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
-    collusion: Option<Arc<CollusionLog>>,
 }
 
 /// The client-side machinery a socket-backed transport left running
@@ -682,25 +692,308 @@ fn wire_fleet(
     }
 }
 
-/// A complete federation: one server plus its client fleet, reachable
-/// only through transport endpoints.
-pub struct Federation {
-    server: FlServer,
+/// A fleet of handshaken client endpoints in this process, partitioned
+/// into contiguous engine shards (one shard: the flat federation). Built
+/// by [`FederationBuilder`]; the scale-out shape for 10⁴+ simulated
+/// clients is the same fleet with more shards.
+pub struct LocalFleet {
     clients: Vec<RemoteClient>,
-    scheduler: Arc<dyn ProtectionScheduler>,
+    layout: ShardLayout,
     engine: ExecutionEngine,
-    sessions: SessionBackend,
     faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
+    sessions: SessionBackend,
+    measurement: Measurement,
     collusion: Option<Arc<CollusionLog>>,
 }
 
-impl std::fmt::Debug for Federation {
+impl LocalFleet {
+    /// The hosted endpoints, id-ordered (a `shard-server` relays raw
+    /// attestation evidence from them instead of screening).
+    pub(crate) fn clients_mut(&mut self) -> &mut [RemoteClient] {
+        &mut self.clients
+    }
+}
+
+impl Fleet for LocalFleet {
+    const RUNNER: &'static str = "Federation";
+
+    fn layout(&self) -> &ShardLayout {
+        &self.layout
+    }
+
+    fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome> {
+        screen_planned(&mut self.clients, self.measurement, plan)
+    }
+
+    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+        // Shards are contiguous sub-slices of the one client vector; each
+        // runs its picks on its own worker pool, all shards concurrently
+        // (a single shard runs straight on the calling thread's pool).
+        let mut rest = self.clients.as_mut_slice();
+        let mut jobs = Vec::with_capacity(self.layout.num_shards());
+        for (s, picks) in self.layout.split_picks(picked).into_iter().enumerate() {
+            let (shard, tail) = rest.split_at_mut(self.layout.range(s).len());
+            rest = tail;
+            jobs.push((shard, picks));
+        }
+        let per_shard = self
+            .engine
+            .execute_shards_with(jobs, download, self.faults.as_deref())?;
+        // Ledgers fold id-sorted; outcomes concatenate in shard order,
+        // which — the layout being contiguous — restores exactly the
+        // canonical global selection order the commit walks.
+        let mut ledger = RoundLedger::new();
+        let mut outcomes = Vec::with_capacity(picked.len());
+        for (shard_outcomes, shard_ledger) in per_shard {
+            outcomes.extend(shard_outcomes);
+            ledger.merge(&shard_ledger);
+        }
+        Ok(Executed {
+            outcomes,
+            ledger,
+            cohort_lost: false,
+        })
+    }
+
+    /// Says goodbye over every endpoint, *drops* every endpoint, then
+    /// reaps the client-side session backend.
+    ///
+    /// The order matters: dropping the server-side endpoints closes their
+    /// sockets/channels before the joins below, so a session whose
+    /// goodbye was lost (dead peer, injected fault, broken pipe) observes
+    /// a disconnect — the threaded path wakes from its blocking `recv`,
+    /// the mux path sees EOF on its next readiness event — and exits
+    /// instead of hanging the join forever. The mux join is additionally
+    /// bounded by [`DEFAULT_JOIN_GRACE`] plus the loops' shutdown flag,
+    /// the same watchdog discipline in a form one thread can apply to
+    /// thousands of sessions.
+    fn teardown(&mut self) -> Result<()> {
+        let mut first_err = None;
+        for mut client in std::mem::take(&mut self.clients) {
+            if let Err(e) = client.goodbye() {
+                first_err.get_or_insert(e);
+            }
+            // `client` drops here, hanging up its transport.
+        }
+        match &mut self.sessions {
+            SessionBackend::Threads(handles) => {
+                for session in handles.drain(..) {
+                    match session.join() {
+                        Ok(Ok(_client)) => {}
+                        Ok(Err(e)) => {
+                            first_err.get_or_insert(e);
+                        }
+                        Err(_) => {
+                            first_err.get_or_insert(FlError::Protocol {
+                                reason: "client session thread panicked".to_owned(),
+                            });
+                        }
+                    }
+                }
+            }
+            SessionBackend::Mux(fleet) => {
+                if let Err(e) = fleet.join(DEFAULT_JOIN_GRACE) {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        match first_err {
+            None => Ok(()),
+            Some(e) => Err(e),
+        }
+    }
+}
+
+/// The one FL round loop: a server plus a fleet of clients, wherever
+/// they live. [`Federation`] and
+/// [`DistributedCoordinator`](crate::distributed::DistributedCoordinator)
+/// are this type over their fleets.
+pub struct RoundDriver<F: Fleet> {
+    server: FlServer,
+    pub(crate) fleet: F,
+    scheduler: Arc<dyn ProtectionScheduler>,
+    aggregator: Aggregator,
+    /// A fault plan is installed: failed and straggling clients are
+    /// recorded on the report instead of failing the round.
+    fault_tolerant: bool,
+}
+
+/// A complete in-process federation: one server plus its client fleet,
+/// reachable only through transport endpoints, on one engine shard or
+/// many.
+pub type Federation = RoundDriver<LocalFleet>;
+
+/// Alias of [`Federation`], for callers that spell out the multi-shard
+/// case.
+pub type ShardedFederation = Federation;
+
+impl<F: Fleet> std::fmt::Debug for RoundDriver<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Federation")
-            .field("clients", &self.clients.len())
+        let layout = self.fleet.layout();
+        f.debug_struct(F::RUNNER)
+            .field("shards", &layout.num_shards())
+            .field("clients", &layout.num_clients())
             .field("round", &self.server.round())
             .finish()
+    }
+}
+
+impl<F: Fleet> RoundDriver<F> {
+    /// The server (model, history, round counter).
+    pub fn server(&self) -> &FlServer {
+        &self.server
+    }
+
+    /// How the fleet is partitioned into shards.
+    pub fn layout(&self) -> &ShardLayout {
+        self.fleet.layout()
+    }
+
+    /// The configured protection scheduler.
+    pub fn scheduler(&self) -> &Arc<dyn ProtectionScheduler> {
+        &self.scheduler
+    }
+
+    /// Runs one FL cycle — screen and select ➊, download ➋, local train
+    /// on the fleet ➌, aggregate ➍ — and merges the TEE accounting
+    /// carried on the uploads into the round ledger.
+    ///
+    /// # Errors
+    ///
+    /// Propagates selection, training and aggregation failures. Without a
+    /// fault plan, when several clients fail in one round the error of the
+    /// earliest client in selection order is returned; with one — or when
+    /// the fleet lost a whole cohort with the process hosting it —
+    /// failures and stragglers are tolerated and recorded on the report
+    /// as long as at least one update commits
+    /// ([`FlError::RoundCollapsed`] otherwise).
+    pub fn run_round(&mut self) -> Result<RoundReport> {
+        let round = self.server.round();
+        let plan = self.server.screen_plan(self.fleet.layout().num_clients());
+        let verdicts = self.fleet.screen(&plan);
+        let picked = self.server.sample_screened(&plan, &verdicts)?;
+        // Clamp the scheduler's draw to the global model's depth — a
+        // policy configured for a deeper network shelters what exists
+        // rather than failing the round (the semantics the old
+        // closure hook had via `protected_for_round(round, n_layers)`).
+        let n_layers = self.server.global().num_layers();
+        let mut protected = self.scheduler.layers_for_round(round);
+        protected.retain(|&l| l < n_layers);
+        let download = self.server.download(protected);
+        let executed = self.fleet.execute(&picked, &download)?;
+        self.finish_round(round, picked, executed, download.protected_layers)
+    }
+
+    /// Commits one executed round: walks the outcomes in canonical
+    /// (selection) order, aggregates the first `clients_per_round`
+    /// completed updates, classifies the rest into surplus/straggler/
+    /// failure groups and installs the new global model. Every fleet
+    /// bottoms out here — sharing the commit path is part of the
+    /// bit-identity guarantee.
+    ///
+    /// Without tolerance (no fault plan, no lost cohort) any failed
+    /// outcome fails the round with the earliest failure in selection
+    /// order — the strict contract healthy fleets always had. With it,
+    /// failures and stragglers are merely recorded, and the round only
+    /// errors when *no* update committed.
+    fn finish_round(
+        &mut self,
+        round: u64,
+        picked: Vec<usize>,
+        executed: Executed,
+        protected: Vec<usize>,
+    ) -> Result<RoundReport> {
+        let k = self.server.plan().clients_per_round;
+        let mut agg = PartialAggregate::new();
+        let mut participants = Vec::new();
+        let mut surplus = Vec::new();
+        let mut stragglers = Vec::new();
+        let mut failures = Vec::new();
+        let mut first_err: Option<FlError> = None;
+        for (slot, (outcome, &ci)) in executed.outcomes.into_iter().zip(&picked).enumerate() {
+            match outcome {
+                ClientOutcome::Completed(upload) => {
+                    if participants.len() < k {
+                        agg.push(slot, upload);
+                        participants.push(ci);
+                    } else {
+                        surplus.push(ci);
+                    }
+                }
+                ClientOutcome::Straggler { .. } => stragglers.push(ci),
+                ClientOutcome::Failed { error, .. } => {
+                    failures.push(ci);
+                    first_err.get_or_insert(error);
+                }
+            }
+        }
+        if !(self.fault_tolerant || executed.cohort_lost) {
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+        }
+        if participants.is_empty() {
+            // Prefer the earliest concrete failure; a collapse with no
+            // failure at all means every survivor straggled — name that
+            // rather than misdiagnosing it as a selection problem.
+            return Err(first_err.unwrap_or(FlError::RoundCollapsed {
+                round,
+                stragglers: stragglers.len(),
+                failures: failures.len(),
+            }));
+        }
+        // Robust variants need the previous global as a reference point
+        // (norm clipping measures drift against it).
+        let outcome = agg.finish_with(self.aggregator, Some(self.server.global()))?;
+        // Reputation accrues from outcome history: committed updates earn
+        // credit, shed ones (stragglers and failures alike) earn debit. A
+        // no-op unless a `ReputationBook` is installed on the server.
+        let completed: Vec<usize> = participants.iter().chain(surplus.iter()).copied().collect();
+        let shed: Vec<usize> = stragglers.iter().chain(failures.iter()).copied().collect();
+        self.server.note_round_outcomes(&completed, &shed);
+        self.server.commit(outcome.weights);
+        Ok(RoundReport {
+            round,
+            participants,
+            surplus,
+            stragglers,
+            failures,
+            mean_loss: outcome.mean_loss,
+            protected_layers: protected,
+            ledger: executed.ledger,
+        })
+    }
+
+    /// Runs the full plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates round failures.
+    pub fn run(&mut self) -> Result<FederationReport> {
+        let mut report = FederationReport::default();
+        for _ in 0..self.server.plan().rounds {
+            report.rounds.push(self.run_round()?);
+            report.rounds_completed += 1;
+        }
+        Ok(report)
+    }
+
+    /// Tears the fleet down — goodbyes over every endpoint or shard
+    /// channel, then joins/reaps whatever serves the clients. Called
+    /// automatically on drop (best effort); call explicitly to observe
+    /// teardown errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first goodbye/join/exit failure encountered.
+    pub fn shutdown(mut self) -> Result<()> {
+        self.fleet.teardown()
+    }
+}
+
+impl<F: Fleet> Drop for RoundDriver<F> {
+    fn drop(&mut self) {
+        let _ = self.fleet.teardown();
     }
 }
 
@@ -710,441 +1003,64 @@ impl Federation {
         FederationBuilder::new(plan)
     }
 
-    /// The server.
-    pub fn server(&self) -> &FlServer {
-        &self.server
-    }
-
-    /// The clients' endpoint handles.
+    /// The clients' endpoint handles, id-ordered across all shards.
     pub fn clients(&self) -> &[RemoteClient] {
-        &self.clients
+        &self.fleet.clients
     }
 
     /// Mutable endpoint access (tests drive exchanges through this).
     pub fn clients_mut(&mut self) -> &mut [RemoteClient] {
-        &mut self.clients
-    }
-
-    /// The configured protection scheduler.
-    pub fn scheduler(&self) -> &Arc<dyn ProtectionScheduler> {
-        &self.scheduler
-    }
-
-    /// The configured execution engine.
-    pub fn engine(&self) -> ExecutionEngine {
-        self.engine
-    }
-
-    /// The colluding coalition's observation log, present when an
-    /// adversarial scenario is installed (empty until a colluder
-    /// participates in a round).
-    pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
-        self.collusion.as_ref()
-    }
-
-    /// Runs one FL cycle with the builder-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection, training and aggregation failures.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let engine = self.engine;
-        self.run_round_with(&engine)
-    }
-
-    /// Runs one FL cycle — select → download → local train (fanned out by
-    /// `engine` over the endpoints) → aggregate — and merges the TEE
-    /// accounting carried on the uploads into the round ledger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection, training and aggregation failures. Without a
-    /// fault plan, when several clients fail in one round the error of the
-    /// earliest client in selection order is returned; with one, failures
-    /// and stragglers are tolerated and recorded on the report as long as
-    /// at least one update commits.
-    pub fn run_round_with(&mut self, engine: &ExecutionEngine) -> Result<RoundReport> {
-        let round = self.server.round();
-        let picked = self.server.select(&mut self.clients)?;
-        // Clamp the scheduler's draw to the global model's depth — a
-        // policy configured for a deeper network shelters what exists
-        // rather than failing the round (the semantics the old
-        // closure hook had via `protected_for_round(round, n_layers)`).
-        let n_layers = self.server.global().num_layers();
-        let mut protected = self.scheduler.layers_for_round(round);
-        protected.retain(|&l| l < n_layers);
-        let download = self.server.download(protected.clone());
-        let (outcomes, ledger) = engine.execute_cycles_with(
-            &mut self.clients,
-            &picked,
-            &download,
-            self.faults.as_deref(),
-        )?;
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
-            outcomes,
-            ledger,
-            protected,
-            self.faults.is_some(),
-            self.aggregator,
-        )
-    }
-
-    /// Runs the full plan with the builder-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(&mut self) -> Result<FederationReport> {
-        let engine = self.engine;
-        self.run_with(&engine)
-    }
-
-    /// Runs the full plan through `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run_with(&mut self, engine: &ExecutionEngine) -> Result<FederationReport> {
-        let mut report = FederationReport::default();
-        for _ in 0..self.server.plan().rounds {
-            let r = self.run_round_with(engine)?;
-            report.rounds.push(r);
-            report.rounds_completed += 1;
-        }
-        Ok(report)
-    }
-
-    /// Tears the fleet down: says goodbye over every endpoint and joins
-    /// any client service threads. Called automatically on drop (best
-    /// effort); call explicitly to observe teardown errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first goodbye/join failure encountered.
-    pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
-    }
-
-    fn teardown(&mut self) -> Result<()> {
-        teardown_fleet(std::mem::take(&mut self.clients), &mut self.sessions)
-    }
-}
-
-impl Drop for Federation {
-    fn drop(&mut self) {
-        let _ = self.teardown();
-    }
-}
-
-/// Commits one executed round: walks the outcomes in canonical
-/// (selection) order, aggregates the first `clients_per_round` completed
-/// updates, classifies the rest into surplus/straggler/failure groups and
-/// installs the new global model. Both runners bottom out here — sharing
-/// the commit path is part of the flat/sharded bit-identity guarantee.
-///
-/// Without fault tolerance (`tolerate == false`, no fault plan
-/// configured) any failed outcome fails the round with the earliest
-/// failure in selection order — the strict contract healthy fleets always
-/// had. With tolerance, failures and stragglers are merely recorded, and
-/// the round only errors when *no* update committed.
-#[allow(clippy::too_many_arguments)] // the round's full classification context, one commit path
-pub(crate) fn finish_round(
-    server: &mut FlServer,
-    round: u64,
-    picked: Vec<usize>,
-    outcomes: Vec<ClientOutcome>,
-    ledger: RoundLedger,
-    protected: Vec<usize>,
-    tolerate: bool,
-    aggregator: Aggregator,
-) -> Result<RoundReport> {
-    let k = server.plan().clients_per_round;
-    let mut agg = PartialAggregate::new();
-    let mut participants = Vec::new();
-    let mut surplus = Vec::new();
-    let mut stragglers = Vec::new();
-    let mut failures = Vec::new();
-    let mut first_err: Option<FlError> = None;
-    for (slot, (outcome, &ci)) in outcomes.into_iter().zip(picked.iter()).enumerate() {
-        match outcome {
-            ClientOutcome::Completed(upload) => {
-                if participants.len() < k {
-                    agg.push(slot, upload);
-                    participants.push(ci);
-                } else {
-                    surplus.push(ci);
-                }
-            }
-            ClientOutcome::Straggler { .. } => stragglers.push(ci),
-            ClientOutcome::Failed { error, .. } => {
-                failures.push(ci);
-                first_err.get_or_insert(error);
-            }
-        }
-    }
-    if !tolerate {
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-    }
-    if participants.is_empty() {
-        // Prefer the earliest concrete failure; a collapse with no
-        // failure at all means every survivor straggled — name that
-        // rather than misdiagnosing it as a selection problem.
-        return Err(first_err.unwrap_or(FlError::RoundCollapsed {
-            round,
-            stragglers: stragglers.len(),
-            failures: failures.len(),
-        }));
-    }
-    // Robust variants need the previous global as a reference point (norm
-    // clipping measures drift against it); the immutable borrow ends
-    // before the commit below takes the server mutably.
-    let outcome = {
-        let reference = server.global();
-        agg.finish_with(aggregator, Some(reference))?
-    };
-    // Reputation accrues from outcome history: committed updates earn
-    // credit, shed ones (stragglers and failures alike) earn debit. A
-    // no-op unless a `ReputationBook` is installed on the server.
-    let completed: Vec<usize> = participants.iter().chain(surplus.iter()).copied().collect();
-    let shed: Vec<usize> = stragglers.iter().chain(failures.iter()).copied().collect();
-    server.note_round_outcomes(&completed, &shed);
-    server.commit(outcome.weights);
-    Ok(RoundReport {
-        round,
-        participants,
-        surplus,
-        stragglers,
-        failures,
-        mean_loss: outcome.mean_loss,
-        protected_layers: protected,
-        ledger,
-    })
-}
-
-/// Says goodbye over every endpoint, *drops* every endpoint, then reaps
-/// the client-side session backend, returning the first failure
-/// encountered (both runners tear down this way).
-///
-/// The order matters: dropping the server-side endpoints closes their
-/// sockets/channels before the joins below, so a session whose goodbye
-/// was lost (dead peer, injected fault, broken pipe) observes a
-/// disconnect — the threaded path wakes from its blocking `recv`, the
-/// mux path sees EOF on its next readiness event — and exits instead of
-/// hanging the join forever. The mux join is additionally bounded by
-/// [`DEFAULT_JOIN_GRACE`] plus the loops' shutdown flag, the same
-/// watchdog discipline in a form one thread can apply to thousands of
-/// sessions.
-fn teardown_fleet(clients: Vec<RemoteClient>, sessions: &mut SessionBackend) -> Result<()> {
-    let mut first_err = None;
-    for mut client in clients {
-        if let Err(e) = client.goodbye() {
-            first_err.get_or_insert(e);
-        }
-        // `client` drops here, hanging up its transport.
-    }
-    match sessions {
-        SessionBackend::Threads(handles) => {
-            for session in handles.drain(..) {
-                match session.join() {
-                    Ok(Ok(_client)) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert(FlError::Protocol {
-                            reason: "client session thread panicked".to_owned(),
-                        });
-                    }
-                }
-            }
-        }
-        SessionBackend::Mux(fleet) => {
-            if let Err(e) = fleet.join(DEFAULT_JOIN_GRACE) {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// A federation whose client fleet is partitioned across independent
-/// engine shards — the scale-out runner for 10⁴+ simulated clients.
-///
-/// One [`FlServer`] still owns the global model, RNG and history; what
-/// shards is the *fleet*: each contiguous [`ShardLayout`] shard holds its
-/// own `Vec<RemoteClient>` and runs its selected clients on its own
-/// [`ExecutionEngine`] worker pool (shards execute concurrently). Per
-/// round the server screens shard-by-shard in global client order,
-/// samples globally, and the per-shard outcomes come back as slot-tagged
-/// [`PartialAggregate`]s plus per-shard [`RoundLedger`]s that merge into
-/// one canonical report — bit-identical to the flat [`Federation`] for
-/// any `(shards, workers)` combination (asserted by
-/// `tests/integration_sharding.rs`).
-pub struct ShardedFederation {
-    server: FlServer,
-    shards: Vec<Vec<RemoteClient>>,
-    layout: ShardLayout,
-    scheduler: Arc<dyn ProtectionScheduler>,
-    engine: ExecutionEngine,
-    sessions: SessionBackend,
-    faults: Option<Arc<FaultPlan>>,
-    aggregator: Aggregator,
-    collusion: Option<Arc<CollusionLog>>,
-}
-
-impl std::fmt::Debug for ShardedFederation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedFederation")
-            .field("shards", &self.shards.len())
-            .field("clients", &self.layout.num_clients())
-            .field("round", &self.server.round())
-            .finish()
-    }
-}
-
-impl ShardedFederation {
-    /// The server.
-    pub fn server(&self) -> &FlServer {
-        &self.server
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
+        self.fleet.clients_mut()
     }
 
     /// Number of engine shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.fleet.layout.num_shards()
     }
 
     /// Total clients across all shards.
     pub fn num_clients(&self) -> usize {
-        self.layout.num_clients()
+        self.fleet.layout.num_clients()
     }
 
     /// The configured execution engine (each shard runs its own pool of
     /// this size).
     pub fn engine(&self) -> ExecutionEngine {
-        self.engine
+        self.fleet.engine
     }
 
     /// The colluding coalition's observation log, present when an
     /// adversarial scenario is installed (empty until a colluder
     /// participates in a round).
     pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
-        self.collusion.as_ref()
+        self.fleet.collusion.as_ref()
     }
 
-    /// Runs one FL cycle with the builder-configured engine.
+    /// [`run_round`](Self::run_round) through `engine` instead of the
+    /// builder-configured one.
     ///
     /// # Errors
     ///
-    /// Propagates selection, training and aggregation failures.
-    pub fn run_round(&mut self) -> Result<RoundReport> {
-        let engine = self.engine;
-        self.run_round_with(&engine)
-    }
-
-    /// Runs one FL cycle — shard-scoped screening, global sampling,
-    /// concurrent per-shard execution, canonical merge — through
-    /// `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection, training and aggregation failures under the
-    /// same tolerance contract as the flat runner: strict without a fault
-    /// plan (earliest failure in selection order fails the round),
-    /// fault-tolerant with one.
+    /// Same conditions as [`run_round`](Self::run_round).
     pub fn run_round_with(&mut self, engine: &ExecutionEngine) -> Result<RoundReport> {
-        let round = self.server.round();
-        let picked = self.server.select_sharded(&mut self.shards)?;
-        let n_layers = self.server.global().num_layers();
-        let mut protected = self.scheduler.layers_for_round(round);
-        protected.retain(|&l| l < n_layers);
-        let download = self.server.download(protected.clone());
-        let local_picks = self.layout.split_picks(&picked);
-        let jobs: Vec<(&mut [RemoteClient], Vec<usize>)> = self
-            .shards
-            .iter_mut()
-            .map(Vec::as_mut_slice)
-            .zip(local_picks)
-            .collect();
-        let per_shard = engine.execute_shards_with(jobs, &download, self.faults.as_deref())?;
-        // Merge: ledgers fold id-sorted; outcomes concatenate in shard
-        // order, which — the layout being contiguous — restores exactly
-        // the canonical global selection order the commit walks.
-        let mut ledger = RoundLedger::new();
-        let mut outcomes = Vec::with_capacity(picked.len());
-        for (shard_outcomes, shard_ledger) in per_shard {
-            outcomes.extend(shard_outcomes);
-            ledger.merge(&shard_ledger);
-        }
-        finish_round(
-            &mut self.server,
-            round,
-            picked,
-            outcomes,
-            ledger,
-            protected,
-            self.faults.is_some(),
-            self.aggregator,
-        )
+        self.with_engine(engine, Self::run_round)
     }
 
-    /// Runs the full plan with the builder-configured engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(&mut self) -> Result<FederationReport> {
-        let engine = self.engine;
-        self.run_with(&engine)
-    }
-
-    /// Runs the full plan through `engine`.
+    /// [`run`](Self::run) through `engine` instead of the
+    /// builder-configured one.
     ///
     /// # Errors
     ///
     /// Propagates round failures.
     pub fn run_with(&mut self, engine: &ExecutionEngine) -> Result<FederationReport> {
-        let mut report = FederationReport::default();
-        for _ in 0..self.server.plan().rounds {
-            let r = self.run_round_with(engine)?;
-            report.rounds.push(r);
-            report.rounds_completed += 1;
-        }
-        Ok(report)
+        self.with_engine(engine, Self::run)
     }
 
-    /// Tears the fleet down: says goodbye over every endpoint and joins
-    /// any client service threads. Called automatically on drop (best
-    /// effort); call explicitly to observe teardown errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first goodbye/join failure encountered.
-    pub fn shutdown(mut self) -> Result<()> {
-        self.teardown()
-    }
-
-    fn teardown(&mut self) -> Result<()> {
-        let clients: Vec<RemoteClient> = self.shards.drain(..).flatten().collect();
-        teardown_fleet(clients, &mut self.sessions)
-    }
-}
-
-impl Drop for ShardedFederation {
-    fn drop(&mut self) {
-        let _ = self.teardown();
+    fn with_engine<T>(&mut self, engine: &ExecutionEngine, run: fn(&mut Self) -> T) -> T {
+        let configured = std::mem::replace(&mut self.fleet.engine, *engine);
+        let out = run(self);
+        self.fleet.engine = configured;
+        out
     }
 }
 
@@ -1153,6 +1069,7 @@ mod tests {
     use super::*;
     use gradsec_data::SyntheticCifar100;
     use gradsec_nn::zoo;
+    use gradsec_tee::cost::ClientCycleCost;
 
     fn plan() -> TrainingPlan {
         TrainingPlan {
@@ -1308,15 +1225,180 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_multi_shard_config() {
-        let err = Federation::builder(plan())
-            .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
-            .clients(4, dataset())
-            .shards(3)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
-        assert!(err.to_string().contains("build_sharded"));
+    fn build_and_build_sharded_agree_at_any_shard_count() {
+        // One builder path: `build()` accepts any shard count,
+        // `build_sharded()` is the same call, and the shard count never
+        // shows in the results.
+        let run = |shards: usize, sharded: bool| {
+            let builder = Federation::builder(plan())
+                .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
+                .clients(5, dataset())
+                .screening_sample(4)
+                .shards(shards);
+            let mut fed = if sharded {
+                builder.build_sharded().unwrap()
+            } else {
+                builder.build().unwrap()
+            };
+            assert_eq!(fed.num_shards(), shards);
+            let report = fed.run().unwrap();
+            let weights = fed.server().global().clone();
+            fed.shutdown().unwrap();
+            (report, weights)
+        };
+        let reference = run(1, false);
+        assert_eq!(reference.0.rounds_completed, 3);
+        for (shards, sharded) in [(1, true), (3, false), (3, true)] {
+            assert_eq!(
+                run(shards, sharded),
+                reference,
+                "{shards} shards (build_sharded: {sharded}) diverged"
+            );
+        }
+    }
+
+    /// A fleet that answers from a script — no clients, no sockets — so
+    /// the driver's own rules are tested in isolation.
+    struct ScriptedFleet {
+        layout: ShardLayout,
+        outcome_of: fn(u64, &ModelDownload) -> ClientOutcome,
+        cohort_lost: bool,
+    }
+
+    impl Fleet for ScriptedFleet {
+        const RUNNER: &'static str = "Scripted";
+
+        fn layout(&self) -> &ShardLayout {
+            &self.layout
+        }
+
+        fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome> {
+            vec![ScreeningOutcome::Eligible; plan.candidates.len()]
+        }
+
+        fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+            let mut ledger = RoundLedger::new();
+            let outcomes = picked
+                .iter()
+                .map(|&client| {
+                    ledger.record(ClientCycleCost::unbilled(client as u64));
+                    (self.outcome_of)(client as u64, download)
+                })
+                .collect();
+            Ok(Executed {
+                outcomes,
+                ledger,
+                cohort_lost: self.cohort_lost,
+            })
+        }
+
+        fn teardown(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A driver without a fault plan over `clients` scripted clients, all
+    /// of them picked every round.
+    fn scripted(
+        clients: usize,
+        outcome_of: fn(u64, &ModelDownload) -> ClientOutcome,
+        cohort_lost: bool,
+    ) -> RoundDriver<ScriptedFleet> {
+        let mut setup = RunSetup::new(TrainingPlan {
+            clients_per_round: clients,
+            ..plan()
+        });
+        let initial = zoo::tiny_mlp(4, 4, 2, 1).unwrap().weights();
+        let server = setup.server(initial).unwrap();
+        let fleet = ScriptedFleet {
+            layout: ShardLayout::new(clients, 1),
+            outcome_of,
+            cohort_lost,
+        };
+        setup.drive(server, fleet)
+    }
+
+    fn completed(client: u64, download: &ModelDownload) -> ClientOutcome {
+        ClientOutcome::Completed(crate::message::UpdateUpload {
+            client_id: client,
+            round: download.round,
+            weights: download.weights.clone(),
+            num_samples: 4,
+            train_loss: 0.5,
+            cost: ClientCycleCost::unbilled(client),
+        })
+    }
+
+    fn failed(client: u64) -> ClientOutcome {
+        ClientOutcome::Failed {
+            client,
+            error: FlError::ClientFailure {
+                client,
+                reason: format!("client {client} broke"),
+            },
+        }
+    }
+
+    #[test]
+    fn strict_rounds_return_the_earliest_failure_and_commit_nothing() {
+        let mut driver = scripted(
+            3,
+            |client, download| match client {
+                0 => completed(client, download),
+                _ => failed(client),
+            },
+            false,
+        );
+        let err = driver.run_round().unwrap_err();
+        assert!(
+            matches!(err, FlError::ClientFailure { client: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(driver.server().round(), 0);
+        assert_eq!(driver.server().history().len(), 1);
+    }
+
+    #[test]
+    fn a_lost_cohort_commits_from_the_survivors_without_a_fault_plan() {
+        let mut driver = scripted(
+            4,
+            |client, download| match client {
+                0 | 1 => completed(client, download),
+                _ => failed(client),
+            },
+            true,
+        );
+        let report = driver.run_round().unwrap();
+        assert_eq!(report.participants, vec![0, 1]);
+        assert_eq!(report.failures, vec![2, 3]);
+        assert!(report.stragglers.is_empty() && report.surplus.is_empty());
+        assert_eq!(report.ledger.len(), 4);
+        assert_eq!(driver.server().round(), 1);
+    }
+
+    #[test]
+    fn a_round_of_stragglers_collapses_with_its_counts() {
+        let mut driver = scripted(
+            3,
+            |client, _| ClientOutcome::Straggler {
+                client,
+                elapsed_s: 9.0,
+            },
+            false,
+        );
+        let err = driver.run_round().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlError::RoundCollapsed {
+                    round: 0,
+                    stragglers: 3,
+                    failures: 0
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(driver.server().round(), 0);
     }
 
     #[test]

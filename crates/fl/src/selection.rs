@@ -78,6 +78,22 @@ pub fn verify_evidence(
     }
 }
 
+/// Screens a drawn plan's candidates over their endpoints, returning the
+/// verdicts index-aligned with the plan — the one walk behind
+/// [`FlServer::select`](crate::server::FlServer::select) and an
+/// in-process fleet's screening, in global candidate order.
+pub(crate) fn screen_planned(
+    clients: &mut [RemoteClient],
+    expected: Measurement,
+    plan: &ScreenPlan,
+) -> Vec<ScreeningOutcome> {
+    plan.candidates
+        .iter()
+        .zip(plan.challenges.iter())
+        .map(|(&i, challenge)| screen_one(&mut clients[i], expected, challenge))
+        .collect()
+}
+
 /// Screens every client with a fresh challenge and returns the verdicts,
 /// index-aligned with `clients`.
 ///

@@ -12,7 +12,7 @@ use crate::config::TrainingPlan;
 use crate::history::SnapshotHistory;
 use crate::message::{ModelDownload, UpdateUpload};
 use crate::selection::{
-    draw_challenge, sample_indices, screen_clients, screen_one, ScreenPlan, ScreeningOutcome,
+    draw_challenge, sample_indices, screen_clients, screen_planned, ScreenPlan, ScreeningOutcome,
 };
 use crate::{FlError, Result};
 
@@ -145,10 +145,9 @@ impl FlServer {
     /// one challenge per candidate, in global candidate order.
     ///
     /// With full screening no sub-sample draw happens and the nonce
-    /// stream is exactly what [`select`](Self::select) always consumed,
-    /// so existing flat/sharded runs stay bit-identical; with a cap, the
-    /// same plan drives flat and distributed runs alike, so they cannot
-    /// drift from each other.
+    /// stream is exactly what [`select`](Self::select) always consumed;
+    /// with a cap, the same plan drives every fleet alike, so they
+    /// cannot drift from each other.
     pub fn screen_plan(&mut self, n: usize) -> ScreenPlan {
         let candidates = match self.screening_sample {
             Some(m) if m < n => sample_indices(n, m, &mut self.rng),
@@ -165,7 +164,7 @@ impl FlServer {
     }
 
     /// The sampling tail every selection path shares — keeping it single
-    /// is part of the flat/sharded/distributed bit-identity guarantee.
+    /// is part of the bit-identity guarantee across fleets.
     /// `outcomes` is index-aligned with the plan's candidates; samples
     /// `clients_per_round + spare` eligible *global* indices, returned in
     /// canonical (sorted) order.
@@ -211,52 +210,7 @@ impl FlServer {
     /// Returns [`FlError::NoEligibleClients`] when nobody passes.
     pub fn select(&mut self, clients: &mut [crate::transport::RemoteClient]) -> Result<Vec<usize>> {
         let plan = self.screen_plan(clients.len());
-        let expected = self.expected_measurement;
-        let outcomes: Vec<ScreeningOutcome> = plan
-            .candidates
-            .iter()
-            .zip(plan.challenges.iter())
-            .map(|(&i, ch)| screen_one(&mut clients[i], expected, ch))
-            .collect();
-        self.sample_screened(&plan, &outcomes)
-    }
-
-    /// Screens and samples a *sharded* fleet (Figure 2-➊ at fleet scale).
-    ///
-    /// Candidates are walked in global order, so with the contiguous
-    /// [`ShardLayout`](crate::config::ShardLayout) the server's RNG
-    /// consumes nonces in exactly the global client order — the returned
-    /// pick set (global indices, sorted) is bit-identical to
-    /// [`select`](Self::select) over the flattened fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::NoEligibleClients`] when nobody passes.
-    pub fn select_sharded(
-        &mut self,
-        shards: &mut [Vec<crate::transport::RemoteClient>],
-    ) -> Result<Vec<usize>> {
-        let total = shards.iter().map(Vec::len).sum();
-        let plan = self.screen_plan(total);
-        let mut offsets = Vec::with_capacity(shards.len() + 1);
-        let mut at = 0usize;
-        offsets.push(at);
-        for shard in shards.iter() {
-            at += shard.len();
-            offsets.push(at);
-        }
-        let expected = self.expected_measurement;
-        let outcomes: Vec<ScreeningOutcome> = plan
-            .candidates
-            .iter()
-            .zip(plan.challenges.iter())
-            .map(|(&g, ch)| {
-                // partition_point (not binary_search) so empty shards'
-                // duplicated offsets can never misroute a candidate.
-                let s = offsets.partition_point(|&o| o <= g) - 1;
-                screen_one(&mut shards[s][g - offsets[s]], expected, ch)
-            })
-            .collect();
+        let outcomes = screen_planned(clients, self.expected_measurement, &plan);
         self.sample_screened(&plan, &outcomes)
     }
 
@@ -295,9 +249,9 @@ impl FlServer {
     }
 
     /// Installs an already-aggregated global model — the commit half of
-    /// [`aggregate`](Self::aggregate), used by the sharded runner after
-    /// merging per-shard [`PartialAggregate`]s — records the snapshot and
-    /// advances the round counter.
+    /// [`aggregate`](Self::aggregate), used by the round driver after
+    /// folding the round's [`PartialAggregate`] — records the snapshot
+    /// and advances the round counter.
     ///
     /// [`PartialAggregate`]: crate::aggregate::PartialAggregate
     pub fn commit(&mut self, next: ModelWeights) {
@@ -405,36 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_selection_matches_flat_selection() {
-        let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
-        let devices = || {
-            vec![
-                DeviceProfile::trustzone(0),
-                DeviceProfile::legacy(1),
-                DeviceProfile::trustzone(2),
-                DeviceProfile::trustzone(3),
-                DeviceProfile::compromised(4),
-            ]
-        };
-        let mut flat_server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        let mut flat = make_clients(devices());
-        let flat_picked = flat_server.select(&mut flat).unwrap();
-        // The same fleet cut into contiguous shards consumes the same RNG
-        // stream and picks the same global indices.
-        for cuts in [vec![2usize, 3], vec![1, 1, 3], vec![5]] {
-            let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-            let mut clients = make_clients(devices());
-            let mut shards: Vec<Vec<RemoteClient>> = Vec::new();
-            for n in cuts {
-                let rest = clients.split_off(n);
-                shards.push(std::mem::replace(&mut clients, rest));
-            }
-            let picked = server.select_sharded(&mut shards).unwrap();
-            assert_eq!(picked, flat_picked);
-        }
-    }
-
-    #[test]
     fn overprovisioned_selection_samples_k_plus_spare() {
         let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
         let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
@@ -500,39 +424,6 @@ mod tests {
             a.set_screening_sample(cap);
             b.set_screening_sample(cap);
             assert_eq!(a.screen_plan(40), b.screen_plan(40), "cap {cap:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_selection_matches_flat_under_screening_cap() {
-        // The binding cap routes only the sampled candidates to their
-        // shards; the pick set must still match the flat fleet's.
-        let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
-        let devices = || {
-            (0..8)
-                .map(|i| {
-                    if i == 2 {
-                        DeviceProfile::legacy(i)
-                    } else {
-                        DeviceProfile::trustzone(i)
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut flat_server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        flat_server.set_screening_sample(Some(5));
-        let flat_picked = flat_server.select(&mut make_clients(devices())).unwrap();
-        for cuts in [vec![4usize, 4], vec![2, 3, 3], vec![8]] {
-            let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-            server.set_screening_sample(Some(5));
-            let mut clients = make_clients(devices());
-            let mut shards: Vec<Vec<RemoteClient>> = Vec::new();
-            for n in cuts {
-                let rest = clients.split_off(n);
-                shards.push(std::mem::replace(&mut clients, rest));
-            }
-            let picked = server.select_sharded(&mut shards).unwrap();
-            assert_eq!(picked, flat_picked);
         }
     }
 

@@ -31,7 +31,7 @@
 //!
 //! Above the byte seam sit the two protocol roles: [`RemoteClient`] (the
 //! server's typed view of a client behind any endpoint, beginning with the
-//! [`Hello`]/[`HelloAck`] version handshake) and [`ClientHandler`] /
+//! [`Hello`]/[`HelloAck`] version-check-and-codec handshake) and [`ClientHandler`] /
 //! [`ClientSession`] (the client-side request dispatcher and its serve
 //! loop).
 
@@ -48,14 +48,11 @@ use gradsec_tee::cost::WireBill;
 use crate::client::{DeviceProfile, FlClient};
 use crate::codec::{decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH};
 use crate::message::{
-    negotiate_version, AttestationRequest, AttestationResponse, EncodedModelDownload,
+    check_version, AttestationRequest, AttestationResponse, EncodedModelDownload,
     EncodedUpdateUpload, Envelope, Hello, HelloAck, MessageKind, ModelDownload, UpdateUpload, Wire,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::{FlError, Result};
-
-/// The first protocol version that speaks the encoded payload kinds.
-const CODEC_VERSION: u16 = 4;
 
 /// The server's byte-level handle to one client.
 ///
@@ -126,9 +123,7 @@ impl ServerEndpoint for Box<dyn ServerEndpoint> {
 /// round logic can decide what a failed client costs.
 pub struct ClientHandler {
     client: FlClient,
-    negotiated: Option<u16>,
-    /// The update codec the hello negotiated (None before a handshake;
-    /// a pre-codec peer implies identity).
+    /// The update codec the hello negotiated (None before a handshake).
     codec: Option<CodecKind>,
     /// The delta codec's committed reference view: the last downloaded
     /// model this client both trained on and successfully replied to,
@@ -140,7 +135,6 @@ impl std::fmt::Debug for ClientHandler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientHandler")
             .field("client", &self.client.id())
-            .field("negotiated", &self.negotiated)
             .field("codec", &self.codec)
             .finish()
     }
@@ -151,7 +145,6 @@ impl ClientHandler {
     pub fn new(client: FlClient) -> Self {
         ClientHandler {
             client,
-            negotiated: None,
             codec: None,
             view: None,
         }
@@ -172,41 +165,21 @@ impl ClientHandler {
         self.client
     }
 
-    /// The protocol version agreed during the handshake, if one happened.
-    pub fn negotiated_version(&self) -> Option<u16> {
-        self.negotiated
-    }
-
     /// Handles one request, returning the reply — or `None` for
     /// [`MessageKind::Goodbye`], which ends the session without a reply.
-    ///
-    /// Replies are stamped with the session's negotiated version once a
-    /// handshake has happened, so both directions keep speaking the
-    /// agreed dialect.
     pub fn handle(&mut self, request: Envelope) -> Option<Envelope> {
         if request.kind == MessageKind::Goodbye {
             return None;
         }
-        let mut reply = self.reply_to(request);
-        if let Some(version) = self.negotiated {
-            reply.version = version;
-        }
-        Some(reply)
+        Some(self.reply_to(request))
     }
 
     fn reply_to(&mut self, request: Envelope) -> Envelope {
-        // The handshake is the one exchange allowed to carry a version we
-        // don't speak — that's what it exists to discover.
-        if request.kind == MessageKind::Hello {
-            return self.handle_hello(&request);
-        }
-        if !request.version_supported() {
-            return Envelope::error(format!(
-                "unsupported protocol version {} (this build speaks {}..={})",
-                request.version, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION
-            ));
+        if let Err(e) = check_version("peer envelope", request.version) {
+            return Envelope::error(e.to_string());
         }
         match request.kind {
+            MessageKind::Hello => self.handle_hello(&request),
             MessageKind::AttestationRequest => {
                 match request.open::<AttestationRequest>(MessageKind::AttestationRequest) {
                     Ok(req) => Envelope::pack(
@@ -214,15 +187,6 @@ impl ClientHandler {
                         &self.client.attest(&req.challenge),
                     ),
                     Err(e) => Envelope::error(format!("malformed attestation request: {e}")),
-                }
-            }
-            MessageKind::ModelDownload => {
-                match request.open::<ModelDownload>(MessageKind::ModelDownload) {
-                    Ok(download) => match self.client.run_cycle(&download) {
-                        Ok(upload) => Envelope::pack(MessageKind::UpdateUpload, &upload),
-                        Err(e) => Envelope::error(format!("training cycle failed: {e}")),
-                    },
-                    Err(e) => Envelope::error(format!("malformed model download: {e}")),
                 }
             }
             MessageKind::EncodedModelDownload => {
@@ -235,11 +199,11 @@ impl ClientHandler {
         }
     }
 
-    /// The encoded-payload training exchange (protocol v4): decode the
-    /// download through the session codec, train, and reply with the
-    /// update encoded the same way. The reference view for delta rounds
-    /// commits only on the success path, mirroring the server's commit
-    /// rule, so a failed cycle leaves both sides on the old base.
+    /// The training exchange: decode the download through the session
+    /// codec, train, and reply with the update encoded the same way. The
+    /// reference view for delta rounds commits only on the success path,
+    /// mirroring the server's commit rule, so a failed cycle leaves both
+    /// sides on the old base.
     fn handle_encoded_download(&mut self, download: EncodedModelDownload) -> Envelope {
         let codec = self.codec.unwrap_or(download.weights.codec);
         let reference = match download.weights.base_epoch {
@@ -294,31 +258,18 @@ impl ClientHandler {
             Ok(h) => h,
             Err(e) => return Envelope::error(format!("malformed hello: {e}")),
         };
-        match negotiate_version(hello.min_version, hello.max_version) {
-            Some(version) => {
-                // The codec byte is a v4 negotiation: an older dialect
-                // keeps the identity semantics it always had.
-                let codec = if version >= CODEC_VERSION {
-                    hello.codec
-                } else {
-                    CodecKind::Identity
-                };
-                self.negotiated = Some(version);
-                self.codec = Some(codec);
-                Envelope::pack(
-                    MessageKind::HelloAck,
-                    &HelloAck {
-                        version,
-                        client_id: self.client.id(),
-                        codec,
-                    },
-                )
-            }
-            None => Envelope::error(format!(
-                "no common protocol version: peer speaks {}..={}, this build {}..={}",
-                hello.min_version, hello.max_version, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION
-            )),
+        if let Err(e) = check_version("server", hello.version) {
+            return Envelope::error(e.to_string());
         }
+        self.codec = Some(hello.codec);
+        Envelope::pack(
+            MessageKind::HelloAck,
+            &HelloAck {
+                version: PROTOCOL_VERSION,
+                client_id: self.client.id(),
+                codec: hello.codec,
+            },
+        )
     }
 }
 
@@ -357,14 +308,13 @@ impl<E: ClientEndpoint> ClientSession<E> {
 
 /// The server's typed view of one client behind a [`ServerEndpoint`].
 ///
-/// Construction performs the protocol handshake: the server offers its
-/// version range, the client picks one and identifies itself, and the
+/// Construction performs the protocol handshake: the server states its
+/// version and proposes a codec, the client identifies itself, and the
 /// attestation key for that identity is looked up from the provisioning
 /// registry ([`DeviceProfile::provisioned_key`]).
 pub struct RemoteClient {
     id: u64,
     attestation_key: Vec<u8>,
-    version: u16,
     codec: CodecKind,
     /// Epoch counter stamping each encoded download (one per train
     /// attempt, retries included, so the sequence is deterministic).
@@ -379,7 +329,6 @@ impl std::fmt::Debug for RemoteClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteClient")
             .field("id", &self.id)
-            .field("version", &self.version)
             .field("codec", &self.codec)
             .field("endpoint", &self.endpoint.descriptor())
             .finish()
@@ -392,41 +341,30 @@ impl RemoteClient {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::Protocol`] when no common version exists or the
-    /// ack is malformed, and [`FlError::Transport`] on pipe failures.
+    /// Returns [`FlError::Protocol`] when the client speaks another
+    /// protocol version or the ack is malformed, and
+    /// [`FlError::Transport`] on pipe failures.
     pub fn connect(endpoint: Box<dyn ServerEndpoint>) -> Result<Self> {
         RemoteClient::connect_with(endpoint, CodecKind::Identity)
     }
 
     /// Handshakes with the client behind `endpoint`, proposing `codec`
-    /// for the session's model payloads. A peer that negotiates a
-    /// pre-codec protocol version falls back to identity.
+    /// for the session's model payloads.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::Protocol`] when no common version exists or the
-    /// ack is malformed, and [`FlError::Transport`] on pipe failures.
+    /// Same conditions as [`connect`](Self::connect).
     pub fn connect_with(mut endpoint: Box<dyn ServerEndpoint>, codec: CodecKind) -> Result<Self> {
         let reply = endpoint.exchange(Envelope::pack(
             MessageKind::Hello,
             &Hello::with_codec(codec),
         ))?;
         let ack: HelloAck = reply.open(MessageKind::HelloAck)?;
-        if !(MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&ack.version) {
-            return Err(FlError::Protocol {
-                reason: format!("client acked unsupported version {}", ack.version),
-            });
-        }
-        let codec = if ack.version >= CODEC_VERSION {
-            ack.codec
-        } else {
-            CodecKind::Identity
-        };
+        check_version("client", ack.version)?;
         Ok(RemoteClient {
             id: ack.client_id,
             attestation_key: DeviceProfile::provisioned_key(ack.client_id),
-            version: ack.version,
-            codec,
+            codec: ack.codec,
             epoch: 0,
             view: None,
             endpoint,
@@ -448,11 +386,6 @@ impl RemoteClient {
         &self.attestation_key
     }
 
-    /// The negotiated protocol version.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
     /// The endpoint's peer description.
     pub fn descriptor(&self) -> String {
         self.endpoint.descriptor()
@@ -464,11 +397,7 @@ impl RemoteClient {
         msg: &Req,
         expect: MessageKind,
     ) -> Result<Resp> {
-        // Speak the *negotiated* version, not the build's newest: a peer
-        // that acked an older version must keep seeing that version.
-        let mut envelope = Envelope::pack(kind, msg);
-        envelope.version = self.version;
-        let reply = self.endpoint.exchange(envelope)?;
+        let reply = self.endpoint.exchange(Envelope::pack(kind, msg))?;
         if reply.kind == MessageKind::Error {
             return Err(FlError::ClientFailure {
                 client: self.id,
@@ -497,8 +426,8 @@ impl RemoteClient {
     /// Ships the global model and plan, blocking for the trained update
     /// (Figure 2-➋/➌/➍).
     ///
-    /// At protocol v4 both directions travel as encoded codec payloads
-    /// (identity included, so every session is billed uniformly); the
+    /// Both directions travel as encoded codec payloads (identity
+    /// included, so every session is billed uniformly); the
     /// decoded update plus its wire-bytes bill come back as the familiar
     /// [`UpdateUpload`] — the single chokepoint every execution path
     /// (flat, sharded, distributed) funnels through.
@@ -508,13 +437,6 @@ impl RemoteClient {
     /// Transport/protocol failures; a failed training cycle surfaces as
     /// [`FlError::ClientFailure`].
     pub fn train(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
-        if self.version < CODEC_VERSION {
-            return self.request(
-                MessageKind::ModelDownload,
-                download,
-                MessageKind::UpdateUpload,
-            );
-        }
         match self.train_encoded(download) {
             Err(FlError::ClientFailure { reason, .. }) if reason.contains(BASE_MISMATCH) => {
                 // The client lost the reference view this delta was coded
@@ -643,7 +565,6 @@ mod tests {
     fn handshake_negotiates_current_version_and_identity() {
         let remote = RemoteClient::connect(Box::new(LocalEndpoint::new(fl_client(42)))).unwrap();
         assert_eq!(remote.id(), 42);
-        assert_eq!(remote.protocol_version(), PROTOCOL_VERSION);
         assert_eq!(
             remote.attestation_key(),
             DeviceProfile::provisioned_key(42).as_slice()
@@ -656,15 +577,57 @@ mod tests {
         let futuristic = Envelope::pack(
             MessageKind::Hello,
             &Hello {
-                min_version: PROTOCOL_VERSION + 7,
-                max_version: PROTOCOL_VERSION + 9,
+                version: PROTOCOL_VERSION + 7,
                 codec: CodecKind::Identity,
             },
         );
         let reply = handler.handle(futuristic).expect("hello gets a reply");
         assert_eq!(reply.kind, MessageKind::Error);
-        assert!(reply.error_reason().contains("no common protocol version"));
-        assert_eq!(handler.negotiated_version(), None);
+        let reason = reply.error_reason();
+        assert!(
+            reason.contains(&format!("version {},", PROTOCOL_VERSION + 7)),
+            "{reason}"
+        );
+        assert!(
+            reason.contains(&format!("speaks {PROTOCOL_VERSION}")),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn connect_rejects_an_ack_at_another_version() {
+        /// A client that acks every hello at an older protocol version.
+        struct StaleClient;
+        impl ServerEndpoint for StaleClient {
+            fn exchange(&mut self, _request: Envelope) -> Result<Envelope> {
+                Ok(Envelope::pack(
+                    MessageKind::HelloAck,
+                    &HelloAck {
+                        version: PROTOCOL_VERSION - 1,
+                        client_id: 8,
+                        codec: CodecKind::Identity,
+                    },
+                ))
+            }
+            fn notify(&mut self, _message: Envelope) -> Result<()> {
+                Ok(())
+            }
+            fn descriptor(&self) -> String {
+                "stale".to_owned()
+            }
+        }
+        let err = RemoteClient::connect(Box::new(StaleClient)).unwrap_err();
+        assert!(matches!(err, FlError::Protocol { .. }), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("client speaks"), "{text}");
+        assert!(
+            text.contains(&format!("version {},", PROTOCOL_VERSION - 1)),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("speaks {PROTOCOL_VERSION}")),
+            "{text}"
+        );
     }
 
     #[test]
@@ -679,32 +642,12 @@ mod tests {
         req.version = 0;
         let reply = handler.handle(req).expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
-        assert!(reply
-            .error_reason()
-            .contains("unsupported protocol version"));
-    }
-
-    #[test]
-    fn replies_carry_the_negotiated_version() {
-        let mut handler = ClientHandler::new(fl_client(1));
-        let ack = handler
-            .handle(Envelope::pack(MessageKind::Hello, &Hello::current()))
-            .expect("hello gets a reply");
-        assert_eq!(ack.version, PROTOCOL_VERSION);
-        assert_eq!(handler.negotiated_version(), Some(PROTOCOL_VERSION));
-        // Post-handshake replies are stamped with the agreed version —
-        // the dialect both sides keep speaking even when a newer build
-        // talks to an older peer.
-        let reply = handler
-            .handle(Envelope::pack(
-                MessageKind::AttestationRequest,
-                &AttestationRequest {
-                    challenge: Challenge::new([0u8; 16]),
-                },
-            ))
-            .expect("a reply");
-        assert_eq!(reply.kind, MessageKind::AttestationResponse);
-        assert_eq!(reply.version, PROTOCOL_VERSION);
+        let reason = reply.error_reason();
+        assert!(reason.contains("version 0,"), "{reason}");
+        assert!(
+            reason.contains(&format!("speaks {PROTOCOL_VERSION}")),
+            "{reason}"
+        );
     }
 
     #[test]
@@ -722,9 +665,9 @@ mod tests {
     #[test]
     fn encoded_train_matches_plain_train_bit_for_bit() {
         use crate::config::TrainingPlan;
-        // The same client trained through the v4 encoded identity path
-        // and the legacy plain path must produce identical updates —
-        // that is the refactor's bit-identity contract.
+        // The same client trained through the encoded identity exchange
+        // and by a direct `run_cycle` call must produce identical
+        // updates — the identity codec is bit-exact end to end.
         let download = ModelDownload {
             round: 0,
             weights: zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights(),
@@ -737,21 +680,16 @@ mod tests {
         };
         let mut encoded_path =
             RemoteClient::connect(Box::new(LocalEndpoint::new(fl_client(7)))).unwrap();
-        assert!(encoded_path.protocol_version() >= CODEC_VERSION);
         let via_codec = encoded_path.train(&download).unwrap();
         assert!(via_codec.cost.wire.download_encoded_bytes > 0);
         assert_eq!(
             via_codec.cost.wire.download_encoded_bytes, via_codec.cost.wire.download_raw_bytes,
             "identity bills encoded == raw"
         );
-        // Same client, same data, forced through the legacy kind.
-        let mut handler = ClientHandler::new(fl_client(7));
-        let reply = handler
-            .handle(Envelope::pack(MessageKind::ModelDownload, &download))
-            .expect("a reply");
-        let legacy: UpdateUpload = reply.open(MessageKind::UpdateUpload).unwrap();
-        assert_eq!(via_codec.weights, legacy.weights);
-        assert_eq!(via_codec.train_loss, legacy.train_loss);
+        // Same client, same data, no transport or codec in between.
+        let plain = fl_client(7).run_cycle(&download).unwrap();
+        assert_eq!(via_codec.weights, plain.weights);
+        assert_eq!(via_codec.train_loss, plain.train_loss);
     }
 
     #[test]
@@ -797,7 +735,7 @@ mod tests {
     fn unexpected_kinds_get_error_replies_not_panics() {
         let mut handler = ClientHandler::new(fl_client(1));
         let reply = handler
-            .handle(Envelope::control(MessageKind::UpdateUpload))
+            .handle(Envelope::control(MessageKind::EncodedUpdateUpload))
             .expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
     }

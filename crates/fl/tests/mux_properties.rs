@@ -12,8 +12,7 @@ use gradsec_fl::codec::{encode_weights, CodecKind};
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::message::{
     encode, AttestationRequest, AttestationResponse, EncodedModelDownload, EncodedUpdateUpload,
-    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ModelDownload, UpdateUpload,
-    ENVELOPE_HEADER_LEN,
+    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN,
 };
 use gradsec_fl::transport::mux::FrameReassembler;
 use gradsec_nn::model::{LayerWeights, ModelWeights};
@@ -35,10 +34,10 @@ fn weights(layers: usize, width: usize, seed: u64) -> ModelWeights {
     )
 }
 
-/// One representative envelope per [`MessageKind`], parameterised by a
-/// seed so payload bytes (and sizes) vary across proptest cases. Index
-/// is the `MessageKind` discriminant: the strategies below pick kinds by
-/// index, so this covers the protocol exhaustively by construction.
+/// One representative envelope per client-protocol [`MessageKind`],
+/// parameterised by a seed so payload bytes (and sizes) vary across
+/// proptest cases. The strategies below pick kinds by index, so this
+/// covers the client protocol exhaustively by construction.
 fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
     let width = 1 + (seed % 4) as usize;
     match kind_index {
@@ -73,53 +72,18 @@ fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
             )
         }
         4 => Envelope::pack(
-            MessageKind::ModelDownload,
-            &ModelDownload {
-                round: seed,
-                weights: weights(1 + (seed % 3) as usize, width, seed),
-                plan: TrainingPlan::default(),
-                protected_layers: vec![(seed % 5) as usize],
-            },
-        ),
-        5 => Envelope::pack(
-            MessageKind::UpdateUpload,
-            &UpdateUpload {
-                client_id: seed,
-                round: 3,
-                weights: weights(1, width, seed),
-                num_samples: 10,
-                train_loss: 0.5,
-                cost: ClientCycleCost {
-                    client_id: seed,
-                    time: TimeBreakdown {
-                        user_s: 2.0,
-                        kernel_s: 0.25,
-                        alloc_s: 4.5,
-                    },
-                    crossings: seed,
-                    tee_peak_bytes: width << 10,
-                    wire: WireBill {
-                        download_encoded_bytes: seed,
-                        download_raw_bytes: seed * 3,
-                        upload_encoded_bytes: seed + 1,
-                        upload_raw_bytes: (seed + 1) * 3,
-                    },
-                },
-            },
-        ),
-        6 => Envelope::pack(
             MessageKind::Error,
             &ErrorReply {
                 reason: format!("injected fault {seed}"),
             },
         ),
-        7 => Envelope::control(MessageKind::Goodbye),
-        8 => {
+        5 => Envelope::control(MessageKind::Goodbye),
+        6 => {
             let (mut tx, _rx) = SecureChannel::pair(&seed.to_le_bytes());
             let frame = tx.seal(&seed.to_le_bytes());
             Envelope::pack(MessageKind::Sealed, &frame)
         }
-        9 => Envelope::pack(
+        7 => Envelope::pack(
             MessageKind::EncodedModelDownload,
             &EncodedModelDownload {
                 round: seed,
@@ -166,7 +130,7 @@ fn encoded_weights_of(seed: u64, width: usize) -> gradsec_fl::codec::EncodedWeig
     encode_weights(codec, seed + 1, &w, reference)
 }
 
-const NUM_KINDS: usize = 11;
+const NUM_KINDS: usize = 9;
 
 /// Splits `bytes` into chunks following the (cycled) size schedule and
 /// feeds each chunk to a fresh reassembler, returning the emitted frames.

@@ -126,6 +126,9 @@ fn sharded_federation_debug_and_layout_are_coherent() {
         .sum();
     assert_eq!(covered, CLIENTS);
     let dbg = format!("{fed:?}");
-    assert!(dbg.contains("ShardedFederation"), "{dbg}");
+    assert!(
+        dbg.contains("Federation") && dbg.contains("shards: 4"),
+        "{dbg}"
+    );
     fed.shutdown().unwrap();
 }
