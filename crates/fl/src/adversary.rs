@@ -38,7 +38,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -47,7 +46,7 @@ use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
 use crate::faults::decision_rng;
-use crate::message::{need, Wire};
+use crate::wire::wire_struct;
 use crate::{FlError, Result};
 
 /// Domain-separation salts for adversary decisions, disjoint from the
@@ -86,8 +85,8 @@ impl Persona {
 ///
 /// Follows the `FaultPlan` pattern: seeded constructor, chained
 /// `#[must_use]` knobs, [`validate`](Self::validate) called at assembly,
-/// and a [`Wire`] impl so distributed shard processes re-derive the
-/// exact same personas from the `ShardConfig`.
+/// and a [`Wire`](crate::message::Wire) impl so distributed shard
+/// processes re-derive the exact same personas from the `ShardConfig`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdversaryPlan {
     seed: u64,
@@ -316,34 +315,19 @@ fn uniform_like(like: &ModelWeights, rng: &mut StdRng, width: f32) -> ModelWeigh
     )
 }
 
-impl Wire for AdversaryPlan {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.seed);
-        buf.put_f64_le(self.poisoners);
-        buf.put_f64_le(self.scalers);
-        buf.put_f64_le(self.free_riders);
-        buf.put_f64_le(self.colluders);
-        buf.put_f32_le(self.poison_strength);
-        buf.put_f32_le(self.poison_noise);
-        buf.put_f32_le(self.scale_boost);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8 + 4 * 8 + 3 * 4, "adversary plan")?;
-        let plan = AdversaryPlan {
-            seed: buf.get_u64_le(),
-            poisoners: buf.get_f64_le(),
-            scalers: buf.get_f64_le(),
-            free_riders: buf.get_f64_le(),
-            colluders: buf.get_f64_le(),
-            poison_strength: buf.get_f32_le(),
-            poison_noise: buf.get_f32_le(),
-            scale_boost: buf.get_f32_le(),
-        };
-        plan.validate()?;
-        Ok(plan)
-    }
-}
+wire_struct!(
+    AdversaryPlan {
+        seed,
+        poisoners,
+        scalers,
+        free_riders,
+        colluders,
+        poison_strength,
+        poison_noise,
+        scale_boost,
+    },
+    validate = AdversaryPlan::validate
+);
 
 /// The view a client's adversarial behavior needs at cycle time: its
 /// persona, the scenario knobs, and (for colluders assembled in the
@@ -500,6 +484,7 @@ impl ReputationBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{decode, encode};
 
     fn weights(v: f32) -> ModelWeights {
         ModelWeights::new(vec![LayerWeights {
@@ -598,12 +583,9 @@ mod tests {
             .poison_strength(2.0)
             .poison_noise(0.05)
             .scale_boost(16.0);
-        let mut buf = BytesMut::new();
-        plan.encode_into(&mut buf);
-        let mut bytes = buf.freeze();
-        let back = AdversaryPlan::decode_from(&mut bytes).unwrap();
+        // `decode` also demands the plan consumed every byte.
+        let back: AdversaryPlan = decode(&encode(&plan)).unwrap();
         assert_eq!(plan, back);
-        assert_eq!(bytes.remaining(), 0);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
-use crate::message::UpdateUpload;
+use crate::message::{limits, UpdateUpload};
+use crate::wire::wire_struct;
 use crate::{FlError, Result};
 
 /// The aggregation rule a round commits with. [`FedAvg`](Self::FedAvg)
@@ -155,6 +156,10 @@ pub struct AggregateOutcome {
 pub struct PartialAggregate {
     terms: Vec<(usize, UpdateUpload)>,
 }
+
+wire_struct!(PartialAggregate {
+    terms: list(limits::MAX_LIST_ITEMS),
+});
 
 impl PartialAggregate {
     /// An empty partial.

@@ -43,7 +43,8 @@ use serde::{Deserialize, Serialize};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
-use crate::message::{decode_len, limits, need, Wire};
+use crate::message::{limits, Wire};
+use crate::wire::{decode_len, need, wire_struct};
 use crate::{FlError, Result};
 
 /// Environment variable selecting the fleet codec
@@ -552,57 +553,23 @@ impl Wire for EncodedTensor {
     }
 }
 
-impl Wire for EncodedWeights {
+/// One byte: the tag [`CodecKind::as_u8`] names.
+impl Wire for CodecKind {
     fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.codec.as_u8());
-        buf.put_u64_le(self.epoch);
-        match self.base_epoch {
-            Some(e) => {
-                buf.put_u8(1);
-                buf.put_u64_le(e);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u64_le(self.tensors.len() as u64);
-        for t in &self.tensors {
-            t.encode_into(buf);
-        }
+        buf.put_u8(self.as_u8());
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 10, "encoded weights header")?;
-        let codec = CodecKind::from_u8(buf.get_u8())?;
-        let epoch = buf.get_u64_le();
-        let base_epoch = match buf.get_u8() {
-            0 => None,
-            1 => {
-                need(buf, 8, "base epoch")?;
-                Some(buf.get_u64_le())
-            }
-            other => {
-                return Err(FlError::BadConfig {
-                    reason: format!("bad base epoch presence flag {other}"),
-                })
-            }
-        };
-        let n = decode_len(buf, "encoded tensor count")?;
-        if n > limits::MAX_ENCODED_TENSORS {
-            return Err(FlError::BadConfig {
-                reason: format!("encoded tensor count {n} exceeds protocol maximum"),
-            });
-        }
-        let mut tensors = Vec::with_capacity(n);
-        for _ in 0..n {
-            tensors.push(EncodedTensor::decode_from(buf)?);
-        }
-        Ok(EncodedWeights {
-            codec,
-            epoch,
-            base_epoch,
-            tensors,
-        })
+        CodecKind::from_u8(u8::decode_from(buf)?)
     }
 }
+
+wire_struct!(EncodedWeights {
+    codec,
+    epoch,
+    base_epoch,
+    tensors: list(limits::MAX_ENCODED_TENSORS),
+});
 
 #[cfg(test)]
 mod tests {

@@ -45,13 +45,13 @@
 //! [`shutdown`](RoundDriver::shutdown)); later rounds simply screen its
 //! clients as unreachable.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::{zoo, BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
@@ -66,15 +66,16 @@ use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::{Executed, Fleet};
 use crate::message::{
-    check_version, encode, parse_envelope_head, DatasetSpec, Envelope, MessageKind, ModelDownload,
-    ModelSpec, ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
-    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire,
-    ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
+    check_version, DatasetSpec, Envelope, MessageKind, ModelDownload, ModelSpec, ScreenProbe,
+    ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome, ShardOutcomeKind,
+    ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire, ENVELOPE_HEADER_LEN,
+    PROTOCOL_VERSION,
 };
 use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
 use crate::scheduler::ProtectionScheduler;
 use crate::selection::{verify_evidence, ScreenPlan, ScreeningOutcome};
 use crate::transport::mux::DEFAULT_JOIN_GRACE;
+use crate::transport::tcp::{read_envelope, write_envelope};
 use crate::{FlError, Result};
 
 /// How long `launch` waits for every spawned shard-server to connect
@@ -98,6 +99,8 @@ pub const SHARD_SERVER_ENV: &str = "GRADSEC_SHARD_SERVER";
 struct ShardChannel {
     stream: TcpStream,
     peer: String,
+    /// Write scratch reused across frames (see `tcp::write_envelope`).
+    scratch: BytesMut,
     bytes_out: u64,
     bytes_in: u64,
 }
@@ -109,11 +112,11 @@ impl ShardChannel {
             .map_err(|e| FlError::transport("configuring shard channel", e))?;
         let peer = stream
             .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".to_owned());
+            .map_or_else(|_| "shard <unknown>".to_owned(), |a| format!("shard {a}"));
         Ok(ShardChannel {
             stream,
             peer,
+            scratch: BytesMut::new(),
             bytes_out: 0,
             bytes_in: 0,
         })
@@ -126,30 +129,15 @@ impl ShardChannel {
     }
 
     fn send(&mut self, envelope: &Envelope) -> Result<()> {
-        let bytes = encode(envelope);
-        self.stream
-            .write_all(&bytes)
-            .map_err(|e| FlError::transport(format!("sending to shard {}", self.peer), e))?;
-        self.bytes_out += bytes.len() as u64;
+        write_envelope(&mut self.stream, &mut self.scratch, envelope, &self.peer)?;
+        self.bytes_out += self.scratch.len() as u64;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Envelope> {
-        let mut header = [0u8; ENVELOPE_HEADER_LEN];
-        self.stream.read_exact(&mut header).map_err(|e| {
-            FlError::transport(format!("reading header from shard {}", self.peer), e)
-        })?;
-        let head = parse_envelope_head(&header)?;
-        let mut payload = vec![0u8; head.payload_len];
-        self.stream.read_exact(&mut payload).map_err(|e| {
-            FlError::transport(format!("reading payload from shard {}", self.peer), e)
-        })?;
-        self.bytes_in += (ENVELOPE_HEADER_LEN + payload.len()) as u64;
-        Ok(Envelope {
-            version: head.version,
-            kind: head.kind,
-            payload,
-        })
+        let envelope = read_envelope(&mut self.stream, &self.peer)?;
+        self.bytes_in += (ENVELOPE_HEADER_LEN + envelope.payload.len()) as u64;
+        Ok(envelope)
     }
 }
 

@@ -29,14 +29,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::message::limits::MAX_PLAN_ENTRIES;
-use crate::message::{decode_len, need, Envelope, HelloAck, MessageKind, Wire};
+use crate::message::limits::{MAX_FIELD_BYTES, MAX_PLAN_ENTRIES};
+use crate::message::{Envelope, HelloAck, MessageKind};
 use crate::transport::ServerEndpoint;
+use crate::wire::{wire_enum, wire_struct};
 use crate::{FlError, Result};
 
 /// A simulated network/compute latency distribution, drawn per
@@ -330,146 +330,39 @@ impl FaultPlan {
     }
 }
 
-impl Wire for LatencyModel {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match *self {
-            LatencyModel::None => buf.put_u8(0),
-            LatencyModel::Fixed(s) => {
-                buf.put_u8(1);
-                buf.put_f64_le(s);
-            }
-            LatencyModel::Uniform { min_s, max_s } => {
-                buf.put_u8(2);
-                buf.put_f64_le(min_s);
-                buf.put_f64_le(max_s);
-            }
-            LatencyModel::Exponential { mean_s } => {
-                buf.put_u8(3);
-                buf.put_f64_le(mean_s);
-            }
-        }
-    }
+wire_enum!(
+    LatencyModel, "latency model" {
+        0 => None {},
+        1 => Fixed { 0: s },
+        2 => Uniform { min_s, max_s },
+        3 => Exponential { mean_s },
+    },
+    validate = LatencyModel::validate
+);
 
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 1, "latency model tag")?;
-        let model = match buf.get_u8() {
-            0 => LatencyModel::None,
-            1 => {
-                need(buf, 8, "fixed latency")?;
-                LatencyModel::Fixed(buf.get_f64_le())
-            }
-            2 => {
-                need(buf, 16, "uniform latency")?;
-                LatencyModel::Uniform {
-                    min_s: buf.get_f64_le(),
-                    max_s: buf.get_f64_le(),
-                }
-            }
-            3 => {
-                need(buf, 8, "exponential latency")?;
-                LatencyModel::Exponential {
-                    mean_s: buf.get_f64_le(),
-                }
-            }
-            other => {
-                return Err(FlError::BadConfig {
-                    reason: format!("unknown latency model tag {other}"),
-                })
-            }
-        };
-        model.validate()?;
-        Ok(model)
-    }
-}
-
-impl Wire for FaultPlan {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.seed);
-        self.latency.encode_into(buf);
-        buf.put_u64_le(self.client_latency.len() as u64);
-        for (&client, model) in &self.client_latency {
-            buf.put_u64_le(client);
-            model.encode_into(buf);
-        }
-        buf.put_f64_le(self.dropout);
-        buf.put_u64_le(self.crash_at.len() as u64);
-        for (&client, &round) in &self.crash_at {
-            buf.put_u64_le(client);
-            buf.put_u64_le(round);
-        }
-        buf.put_f64_le(self.drop_prob);
-        buf.put_f64_le(self.garble_prob);
-        match self.round_deadline_s {
-            Some(d) => {
-                buf.put_u8(1);
-                buf.put_f64_le(d);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u64_le(self.spare as u64);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "fault plan seed")?;
-        let seed = buf.get_u64_le();
-        let latency = LatencyModel::decode_from(buf)?;
-        let n = decode_len(buf, "client latency count")?;
-        if n > MAX_PLAN_ENTRIES {
+wire_struct!(
+    FaultPlan {
+        seed,
+        latency,
+        client_latency: list(MAX_PLAN_ENTRIES),
+        dropout,
+        crash_at: list(MAX_PLAN_ENTRIES),
+        drop_prob,
+        garble_prob,
+        round_deadline_s,
+        spare,
+    },
+    validate = |plan: &FaultPlan| {
+        // A spare count is added to a cohort size: bounded like any
+        // other length a peer can name.
+        if plan.spare > MAX_FIELD_BYTES {
             return Err(FlError::BadConfig {
-                reason: format!("client latency count {n} exceeds protocol maximum"),
+                reason: format!("spare count {} exceeds protocol maximum", plan.spare),
             });
         }
-        let mut client_latency = BTreeMap::new();
-        for _ in 0..n {
-            need(buf, 8, "client latency id")?;
-            let client = buf.get_u64_le();
-            client_latency.insert(client, LatencyModel::decode_from(buf)?);
-        }
-        need(buf, 8, "dropout probability")?;
-        let dropout = buf.get_f64_le();
-        let n = decode_len(buf, "crash entry count")?;
-        if n > MAX_PLAN_ENTRIES {
-            return Err(FlError::BadConfig {
-                reason: format!("crash entry count {n} exceeds protocol maximum"),
-            });
-        }
-        need(buf, 16 * n, "crash entries")?;
-        let mut crash_at = BTreeMap::new();
-        for _ in 0..n {
-            let client = buf.get_u64_le();
-            crash_at.insert(client, buf.get_u64_le());
-        }
-        need(buf, 8 + 8 + 1, "fault plan probabilities")?;
-        let drop_prob = buf.get_f64_le();
-        let garble_prob = buf.get_f64_le();
-        let round_deadline_s = match buf.get_u8() {
-            0 => None,
-            1 => {
-                need(buf, 8, "round deadline")?;
-                Some(buf.get_f64_le())
-            }
-            other => {
-                return Err(FlError::BadConfig {
-                    reason: format!("bad deadline presence flag {other}"),
-                })
-            }
-        };
-        let spare = decode_len(buf, "spare count")?;
-        let plan = FaultPlan {
-            seed,
-            latency,
-            client_latency,
-            dropout,
-            crash_at,
-            drop_prob,
-            garble_prob,
-            round_deadline_s,
-            spare,
-        };
-        plan.validate()?;
-        Ok(plan)
+        plan.validate()
     }
-}
+);
 
 /// The transport error a dropped/unreachable exchange synthesises. The
 /// rendering is transport-independent on purpose: a faulted run must look
@@ -730,6 +623,19 @@ mod tests {
             .spare(4)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn decoding_validates_the_plan_and_bounds_its_spare_count() {
+        use crate::message::{decode, encode};
+        let valid = FaultPlan::seeded(3).spare(MAX_FIELD_BYTES);
+        assert_eq!(decode::<FaultPlan>(&encode(&valid)).unwrap(), valid);
+        // Both encode fine (plain data) and are refused on decode.
+        let oversized = FaultPlan::seeded(3).spare(MAX_FIELD_BYTES + 1);
+        let err = decode::<FaultPlan>(&encode(&oversized)).unwrap_err();
+        assert!(err.to_string().contains("spare count"), "{err}");
+        let invalid = FaultPlan::seeded(3).dropout(1.5);
+        assert!(decode::<FaultPlan>(&encode(&invalid)).is_err());
     }
 
     #[test]

@@ -85,6 +85,7 @@ pub mod selection;
 pub mod server;
 pub mod trainer;
 pub mod transport;
+mod wire;
 
 pub use adversary::{Adversary, AdversaryPlan, CollusionLog, Persona, ReputationBook};
 pub use aggregate::Aggregator;

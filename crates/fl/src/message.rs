@@ -1,16 +1,41 @@
 //! Wire messages between the FL server and clients.
 //!
-//! Every payload has a concrete binary framing (a hand-rolled
-//! little-endian codec over the `bytes` crate). Since the transport
-//! redesign, these bytes genuinely cross process/socket boundaries: each
-//! message travels inside a typed, versioned [`Envelope`] whose header
-//! doubles as the length-prefixed TCP frame, and the trusted I/O path
-//! (`gradsec-tee::tiop`) can seal exactly the same bytes.
+//! Every payload has a concrete binary framing (a little-endian codec
+//! over the `bytes` crate). These bytes genuinely cross process/socket
+//! boundaries: each message travels inside a typed, versioned
+//! [`Envelope`] whose header doubles as the length-prefixed TCP frame,
+//! and the trusted I/O path (`gradsec-tee::tiop`) can seal exactly the
+//! same bytes.
 //!
 //! Peers are always the same build, so there is one wire dialect: the
 //! [`Hello`]/[`HelloAck`] exchange at session start states each side's
 //! [`PROTOCOL_VERSION`] and negotiates only the update codec; any other
 //! version is refused by name (see [`check_version`]).
+//!
+//! # Wire grammar
+//!
+//! A message is its field list, in wire order, over a handful of leaf
+//! shapes that are laid out and bounded once (in the crate-private
+//! `wire` module). The `wire_struct!` / `wire_enum!` lines after each
+//! plane's type definitions *are* the format.
+//!
+//! | shape | bytes | bound on decode |
+//! |---|---|---|
+//! | `u8` `u16` `u64` `f32` `f64` | fixed width, little-endian | truncation |
+//! | `usize` | a `u64` | must fit this target's `usize` (never truncated) |
+//! | `[u8; N]` | `N` raw bytes | truncation |
+//! | `String` | `u64` length, UTF-8 bytes | [`limits::MAX_FIELD_BYTES`]; valid UTF-8 |
+//! | `Option<T>` | `u8` flag `0`/`1`, then `T` if `1` | any other flag refused |
+//! | list (`Vec<T>`, map) | `u64` count, then each item (map: key, value) | a per-field cap from [`limits`]; the count must fit the bytes that remain |
+//! | `(A, B)` | `A` then `B` | — |
+//! | struct | its fields in listed order | an optional post-decode `validate` |
+//! | tagged enum | `u8` tag, then that variant's fields | unknown tag refused |
+//!
+//! Written out by hand instead: [`Tensor`] and the
+//! [`EncodedTensor`](crate::codec::EncodedTensor) body (the hot loops;
+//! ranks and element counts bounded by [`limits`]), and the two frame
+//! formats — the [`Envelope`] header and the sealed [`Frame`], both
+//! bounded by [`MAX_ENVELOPE_PAYLOAD`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -25,8 +50,9 @@ use gradsec_tensor::Tensor;
 use crate::adversary::AdversaryPlan;
 use crate::aggregate::PartialAggregate;
 use crate::codec::{CodecKind, EncodedWeights};
-use crate::config::TrainingPlan;
+use crate::config::{PartitionKind, TrainingPlan};
 use crate::faults::FaultPlan;
+use crate::wire::{decode_count, decode_len, need, take_bytes, wire_enum, wire_list, wire_struct};
 use crate::{FlError, Result};
 
 /// The decode-side size caps every length-prefixed field in this
@@ -251,29 +277,6 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T> {
         });
     }
     Ok(v)
-}
-
-pub(crate) fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(FlError::BadConfig {
-            reason: format!("truncated message: need {n} bytes for {what}"),
-        });
-    }
-    Ok(())
-}
-
-pub(crate) fn decode_len(buf: &mut Bytes, what: &str) -> Result<usize> {
-    need(buf, 8, what)?;
-    // Bound the raw u64 *before* casting: on 32-bit targets a
-    // `as usize` cast truncates, which would let a hostile 2^32+k
-    // prefix slip past the guard as k.
-    let n = buf.get_u64_le();
-    if n > limits::MAX_FIELD_BYTES as u64 {
-        return Err(FlError::BadConfig {
-            reason: format!("{what} length {n} exceeds protocol maximum"),
-        });
-    }
-    Ok(n as usize)
 }
 
 /// The kind tag of an [`Envelope`], one per message the protocol speaks.
@@ -508,17 +511,11 @@ impl Wire for Envelope {
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, ENVELOPE_HEADER_LEN, "envelope header")?;
-        let mut header = [0u8; ENVELOPE_HEADER_LEN];
-        buf.copy_to_slice(&mut header);
-        let head = parse_envelope_head(&header)?;
-        need(buf, head.payload_len, "envelope payload")?;
-        let mut payload = vec![0u8; head.payload_len];
-        buf.copy_to_slice(&mut payload);
+        let head = parse_envelope_head(&<[u8; ENVELOPE_HEADER_LEN]>::decode_from(buf)?)?;
         Ok(Envelope {
             version: head.version,
             kind: head.kind,
-            payload,
+            payload: take_bytes(buf, head.payload_len, "envelope payload")?,
         })
     }
 }
@@ -547,7 +544,9 @@ impl Wire for Tensor {
             dims.push(decode_len(buf, "tensor dim")?);
         }
         let n = decode_len(buf, "tensor data")?;
-        if dims.iter().product::<usize>() != n {
+        // Checked: three maximal dims already overflow a 64-bit product.
+        let numel = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+        if numel != Some(n) {
             return Err(FlError::BadConfig {
                 reason: "tensor dims disagree with element count".to_owned(),
             });
@@ -563,373 +562,97 @@ impl Wire for Tensor {
     }
 }
 
-impl Wire for ModelWeights {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.num_layers() as u64);
-        for lw in self.iter() {
-            lw.w.encode_into(buf);
-            lw.b.encode_into(buf);
-        }
+wire_struct!(LayerWeights { w, b });
+wire_list!(
+    ModelWeights,
+    limits::MAX_LAYERS,
+    "layer count",
+    |m| (m.num_layers(), m.iter()),
+    ModelWeights::new
+);
+wire_struct!(TrainingPlan {
+    rounds,
+    clients_per_round,
+    batches_per_cycle,
+    batch_size,
+    learning_rate,
+    seed,
+});
+wire_struct!(Uuid { 0 });
+wire_struct!(Measurement { 0 });
+wire_struct!(Challenge { nonce });
+wire_struct!(Quote {
+    ta,
+    measurement,
+    nonce,
+    signature,
+});
+wire_struct!(AttestationRequest { challenge });
+wire_struct!(AttestationResponse { quote });
+wire_struct!(ModelDownload {
+    round,
+    weights,
+    plan,
+    protected_layers: list(limits::MAX_PROTECTED_LAYERS),
+});
+wire_struct!(UpdateUpload {
+    client_id,
+    round,
+    weights,
+    num_samples,
+    train_loss,
+    cost,
+});
+wire_struct!(EncodedModelDownload {
+    round,
+    weights,
+    plan,
+    protected_layers: list(limits::MAX_PROTECTED_LAYERS),
+});
+wire_struct!(EncodedUpdateUpload {
+    client_id,
+    round,
+    weights,
+    num_samples,
+    train_loss,
+    cost,
+});
+wire_struct!(Hello { version, codec });
+wire_struct!(HelloAck {
+    version,
+    client_id,
+    codec,
+});
+wire_struct!(ErrorReply { reason });
+wire_struct!(TimeBreakdown {
+    user_s,
+    kernel_s,
+    alloc_s,
+});
+wire_struct!(WireBill {
+    download_encoded_bytes,
+    download_raw_bytes,
+    upload_encoded_bytes,
+    upload_raw_bytes,
+});
+wire_struct!(ClientCycleCost {
+    client_id,
+    time,
+    crossings,
+    tee_peak_bytes,
+    wire,
+});
+wire_list!(
+    RoundLedger,
+    limits::MAX_LIST_ITEMS,
+    "ledger entry count",
+    |l| (l.entries().len(), l.entries().iter()),
+    |entries: Vec<ClientCycleCost>| {
+        let mut ledger = RoundLedger::new();
+        entries.into_iter().for_each(|e| ledger.record(e));
+        ledger
     }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_len(buf, "layer count")?;
-        if n > limits::MAX_LAYERS {
-            return Err(FlError::BadConfig {
-                reason: format!("layer count {n} exceeds protocol maximum"),
-            });
-        }
-        let mut layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let w = Tensor::decode_from(buf)?;
-            let b = Tensor::decode_from(buf)?;
-            layers.push(LayerWeights { w, b });
-        }
-        Ok(ModelWeights::new(layers))
-    }
-}
-
-impl Wire for TrainingPlan {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.rounds);
-        buf.put_u64_le(self.clients_per_round as u64);
-        buf.put_u64_le(self.batches_per_cycle as u64);
-        buf.put_u64_le(self.batch_size as u64);
-        buf.put_f32_le(self.learning_rate);
-        buf.put_u64_le(self.seed);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8 * 5 + 4, "training plan")?;
-        let rounds = buf.get_u64_le();
-        let clients_per_round = buf.get_u64_le() as usize;
-        let batches_per_cycle = buf.get_u64_le() as usize;
-        let batch_size = buf.get_u64_le() as usize;
-        let learning_rate = buf.get_f32_le();
-        let seed = buf.get_u64_le();
-        Ok(TrainingPlan {
-            rounds,
-            clients_per_round,
-            batches_per_cycle,
-            batch_size,
-            learning_rate,
-            seed,
-        })
-    }
-}
-
-impl Wire for Challenge {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_slice(&self.nonce);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 16, "challenge nonce")?;
-        let mut nonce = [0u8; 16];
-        buf.copy_to_slice(&mut nonce);
-        Ok(Challenge::new(nonce))
-    }
-}
-
-impl Wire for Quote {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_slice(self.ta.as_bytes());
-        buf.put_slice(&self.measurement.0);
-        buf.put_slice(&self.nonce);
-        buf.put_slice(&self.signature);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 16 + 32 + 16 + 32, "attestation quote")?;
-        let mut ta = [0u8; 16];
-        buf.copy_to_slice(&mut ta);
-        let mut m = [0u8; 32];
-        buf.copy_to_slice(&mut m);
-        let mut nonce = [0u8; 16];
-        buf.copy_to_slice(&mut nonce);
-        let mut sig = [0u8; 32];
-        buf.copy_to_slice(&mut sig);
-        Ok(Quote {
-            ta: Uuid(ta),
-            measurement: Measurement(m),
-            nonce,
-            signature: sig,
-        })
-    }
-}
-
-impl Wire for AttestationRequest {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        self.challenge.encode_into(buf);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        Ok(AttestationRequest {
-            challenge: Challenge::decode_from(buf)?,
-        })
-    }
-}
-
-impl Wire for AttestationResponse {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match &self.quote {
-            Some(q) => {
-                buf.put_u8(1);
-                q.encode_into(buf);
-            }
-            None => buf.put_u8(0),
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 1, "quote presence flag")?;
-        let has = buf.get_u8();
-        match has {
-            0 => Ok(AttestationResponse { quote: None }),
-            1 => Ok(AttestationResponse {
-                quote: Some(Quote::decode_from(buf)?),
-            }),
-            other => Err(FlError::BadConfig {
-                reason: format!("bad quote presence flag {other}"),
-            }),
-        }
-    }
-}
-
-impl Wire for ModelDownload {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.round);
-        self.weights.encode_into(buf);
-        self.plan.encode_into(buf);
-        buf.put_u64_le(self.protected_layers.len() as u64);
-        for &l in &self.protected_layers {
-            buf.put_u64_le(l as u64);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "round")?;
-        let round = buf.get_u64_le();
-        let weights = ModelWeights::decode_from(buf)?;
-        let plan = TrainingPlan::decode_from(buf)?;
-        let n = decode_len(buf, "protected layer count")?;
-        if n > limits::MAX_PROTECTED_LAYERS {
-            return Err(FlError::BadConfig {
-                reason: format!("protected layer count {n} exceeds protocol maximum"),
-            });
-        }
-        let mut protected_layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(buf, 8, "protected layer index")?;
-            protected_layers.push(buf.get_u64_le() as usize);
-        }
-        Ok(ModelDownload {
-            round,
-            weights,
-            plan,
-            protected_layers,
-        })
-    }
-}
-
-impl Wire for UpdateUpload {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.client_id);
-        buf.put_u64_le(self.round);
-        self.weights.encode_into(buf);
-        buf.put_u64_le(self.num_samples as u64);
-        buf.put_f32_le(self.train_loss);
-        self.cost.encode_into(buf);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 16, "upload header")?;
-        let client_id = buf.get_u64_le();
-        let round = buf.get_u64_le();
-        let weights = ModelWeights::decode_from(buf)?;
-        need(buf, 12, "upload footer")?;
-        let num_samples = buf.get_u64_le() as usize;
-        let train_loss = buf.get_f32_le();
-        let cost = ClientCycleCost::decode_from(buf)?;
-        Ok(UpdateUpload {
-            client_id,
-            round,
-            weights,
-            num_samples,
-            train_loss,
-            cost,
-        })
-    }
-}
-
-impl Wire for EncodedModelDownload {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.round);
-        self.weights.encode_into(buf);
-        self.plan.encode_into(buf);
-        buf.put_u64_le(self.protected_layers.len() as u64);
-        for &l in &self.protected_layers {
-            buf.put_u64_le(l as u64);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "round")?;
-        let round = buf.get_u64_le();
-        let weights = EncodedWeights::decode_from(buf)?;
-        let plan = TrainingPlan::decode_from(buf)?;
-        let n = decode_len(buf, "protected layer count")?;
-        if n > limits::MAX_PROTECTED_LAYERS {
-            return Err(FlError::BadConfig {
-                reason: format!("protected layer count {n} exceeds protocol maximum"),
-            });
-        }
-        let mut protected_layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(buf, 8, "protected layer index")?;
-            protected_layers.push(buf.get_u64_le() as usize);
-        }
-        Ok(EncodedModelDownload {
-            round,
-            weights,
-            plan,
-            protected_layers,
-        })
-    }
-}
-
-impl Wire for EncodedUpdateUpload {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.client_id);
-        buf.put_u64_le(self.round);
-        self.weights.encode_into(buf);
-        buf.put_u64_le(self.num_samples as u64);
-        buf.put_f32_le(self.train_loss);
-        self.cost.encode_into(buf);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 16, "upload header")?;
-        let client_id = buf.get_u64_le();
-        let round = buf.get_u64_le();
-        let weights = EncodedWeights::decode_from(buf)?;
-        need(buf, 12, "upload footer")?;
-        let num_samples = buf.get_u64_le() as usize;
-        let train_loss = buf.get_f32_le();
-        let cost = ClientCycleCost::decode_from(buf)?;
-        Ok(EncodedUpdateUpload {
-            client_id,
-            round,
-            weights,
-            num_samples,
-            train_loss,
-            cost,
-        })
-    }
-}
-
-impl Wire for Hello {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.version);
-        buf.put_u8(self.codec.as_u8());
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 3, "hello")?;
-        Ok(Hello {
-            version: buf.get_u16_le(),
-            codec: CodecKind::from_u8(buf.get_u8())?,
-        })
-    }
-}
-
-impl Wire for HelloAck {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.version);
-        buf.put_u64_le(self.client_id);
-        buf.put_u8(self.codec.as_u8());
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 11, "hello ack")?;
-        Ok(HelloAck {
-            version: buf.get_u16_le(),
-            client_id: buf.get_u64_le(),
-            codec: CodecKind::from_u8(buf.get_u8())?,
-        })
-    }
-}
-
-impl Wire for ErrorReply {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        let bytes = self.reason.as_bytes();
-        buf.put_u64_le(bytes.len() as u64);
-        buf.put_slice(bytes);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_len(buf, "error reason")?;
-        need(buf, n, "error reason bytes")?;
-        let mut bytes = vec![0u8; n];
-        buf.copy_to_slice(&mut bytes);
-        let reason = String::from_utf8(bytes).map_err(|_| FlError::Protocol {
-            reason: "error reason is not valid UTF-8".to_owned(),
-        })?;
-        Ok(ErrorReply { reason })
-    }
-}
-
-impl Wire for TimeBreakdown {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_f64_le(self.user_s);
-        buf.put_f64_le(self.kernel_s);
-        buf.put_f64_le(self.alloc_s);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 24, "time breakdown")?;
-        Ok(TimeBreakdown {
-            user_s: buf.get_f64_le(),
-            kernel_s: buf.get_f64_le(),
-            alloc_s: buf.get_f64_le(),
-        })
-    }
-}
-
-impl Wire for ClientCycleCost {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.client_id);
-        self.time.encode_into(buf);
-        buf.put_u64_le(self.crossings);
-        buf.put_u64_le(self.tee_peak_bytes as u64);
-        buf.put_u64_le(self.wire.download_encoded_bytes);
-        buf.put_u64_le(self.wire.download_raw_bytes);
-        buf.put_u64_le(self.wire.upload_encoded_bytes);
-        buf.put_u64_le(self.wire.upload_raw_bytes);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "cost client id")?;
-        let client_id = buf.get_u64_le();
-        let time = TimeBreakdown::decode_from(buf)?;
-        need(buf, 48, "cost footer")?;
-        let crossings = buf.get_u64_le();
-        let tee_peak_bytes = buf.get_u64_le() as usize;
-        let wire = WireBill {
-            download_encoded_bytes: buf.get_u64_le(),
-            download_raw_bytes: buf.get_u64_le(),
-            upload_encoded_bytes: buf.get_u64_le(),
-            upload_raw_bytes: buf.get_u64_le(),
-        };
-        Ok(ClientCycleCost {
-            client_id,
-            time,
-            crossings,
-            tee_peak_bytes,
-            wire,
-        })
-    }
-}
+);
 
 impl Wire for Frame {
     fn encode_into(&self, buf: &mut BytesMut) {
@@ -941,64 +664,26 @@ impl Wire for Frame {
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "frame sequence")?;
-        let seq = buf.get_u64_le();
+        let seq = u64::decode_from(buf)?;
         // A frame's ciphertext seals a whole envelope, so its bound is
         // the envelope maximum (plus seal slack) — not the per-field
         // maximum ordinary message fields use. Otherwise the sealed
         // transport would silently cap messages the plain transports
-        // carry fine. Raw-u64 comparison for the same 32-bit-truncation
-        // reason as decode_len.
-        need(buf, 8, "frame ciphertext")?;
-        let n = buf.get_u64_le();
-        if n > (MAX_ENVELOPE_PAYLOAD + SEAL_OVERHEAD) as u64 {
-            return Err(FlError::Protocol {
-                reason: format!("frame ciphertext length {n} exceeds protocol maximum"),
-            });
-        }
-        let n = n as usize;
-        need(buf, n, "frame ciphertext bytes")?;
-        let mut ciphertext = vec![0u8; n];
-        buf.copy_to_slice(&mut ciphertext);
+        // carry fine.
+        let n = decode_count(
+            buf,
+            MAX_ENVELOPE_PAYLOAD + SEAL_OVERHEAD,
+            "frame ciphertext length",
+        )?;
+        let ciphertext = take_bytes(buf, n, "frame ciphertext bytes")?;
         let m = decode_len(buf, "frame mac")?;
-        need(buf, m, "frame mac bytes")?;
-        let mut mac = vec![0u8; m];
-        buf.copy_to_slice(&mut mac);
+        let mac = take_bytes(buf, m, "frame mac bytes")?;
         Ok(Frame {
             seq,
             ciphertext,
             mac,
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shard-control plane (protocol v3)
-// ---------------------------------------------------------------------------
-
-fn decode_count(buf: &mut Bytes, what: &str) -> Result<usize> {
-    let n = decode_len(buf, what)?;
-    if n > limits::MAX_LIST_ITEMS {
-        return Err(FlError::BadConfig {
-            reason: format!("{what} {n} exceeds protocol maximum"),
-        });
-    }
-    Ok(n)
-}
-
-fn encode_str(s: &str, buf: &mut BytesMut) {
-    buf.put_u64_le(s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn decode_str(buf: &mut Bytes, what: &str) -> Result<String> {
-    let n = decode_len(buf, what)?;
-    need(buf, n, what)?;
-    let mut bytes = vec![0u8; n];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| FlError::Protocol {
-        reason: format!("{what} is not valid UTF-8"),
-    })
 }
 
 /// Shard-server → coordinator: opens the shard-control channel with the
@@ -1226,447 +911,84 @@ pub struct ShardRoundReply {
     pub ledger: RoundLedger,
 }
 
-impl Wire for ShardHello {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.version);
-        buf.put_u64_le(self.pid);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 10, "shard hello")?;
-        Ok(ShardHello {
-            version: buf.get_u16_le(),
-            pid: buf.get_u64_le(),
-        })
-    }
-}
-
-impl Wire for ShardHelloAck {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(self.version);
-        buf.put_u64_le(self.shard_index);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 10, "shard hello ack")?;
-        Ok(ShardHelloAck {
-            version: buf.get_u16_le(),
-            shard_index: buf.get_u64_le(),
-        })
-    }
-}
-
-impl Wire for DatasetSpec {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match *self {
-            DatasetSpec::Micro {
-                len,
-                classes,
-                dim,
-                seed,
-            } => {
-                buf.put_u8(0);
-                buf.put_u64_le(len);
-                buf.put_u64_le(classes);
-                buf.put_u64_le(dim);
-                buf.put_u64_le(seed);
-            }
-            DatasetSpec::Cifar { len, classes, seed } => {
-                buf.put_u8(1);
-                buf.put_u64_le(len);
-                buf.put_u64_le(classes);
-                buf.put_u64_le(seed);
-            }
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 1, "dataset spec tag")?;
-        match buf.get_u8() {
-            0 => {
-                need(buf, 32, "micro dataset spec")?;
-                Ok(DatasetSpec::Micro {
-                    len: buf.get_u64_le(),
-                    classes: buf.get_u64_le(),
-                    dim: buf.get_u64_le(),
-                    seed: buf.get_u64_le(),
-                })
-            }
-            1 => {
-                need(buf, 24, "cifar dataset spec")?;
-                Ok(DatasetSpec::Cifar {
-                    len: buf.get_u64_le(),
-                    classes: buf.get_u64_le(),
-                    seed: buf.get_u64_le(),
-                })
-            }
-            other => Err(FlError::BadConfig {
-                reason: format!("unknown dataset spec tag {other}"),
-            }),
-        }
-    }
-}
-
-impl Wire for ModelSpec {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match *self {
-            ModelSpec::TinyMlp {
-                inputs,
-                hidden,
-                outputs,
-                seed,
-            } => {
-                buf.put_u8(0);
-                buf.put_u64_le(inputs);
-                buf.put_u64_le(hidden);
-                buf.put_u64_le(outputs);
-                buf.put_u64_le(seed);
-            }
-            ModelSpec::LeNet5 { classes, seed } => {
-                buf.put_u8(1);
-                buf.put_u64_le(classes);
-                buf.put_u64_le(seed);
-            }
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 1, "model spec tag")?;
-        match buf.get_u8() {
-            0 => {
-                need(buf, 32, "tiny-mlp spec")?;
-                Ok(ModelSpec::TinyMlp {
-                    inputs: buf.get_u64_le(),
-                    hidden: buf.get_u64_le(),
-                    outputs: buf.get_u64_le(),
-                    seed: buf.get_u64_le(),
-                })
-            }
-            1 => {
-                need(buf, 16, "lenet-5 spec")?;
-                Ok(ModelSpec::LeNet5 {
-                    classes: buf.get_u64_le(),
-                    seed: buf.get_u64_le(),
-                })
-            }
-            other => Err(FlError::BadConfig {
-                reason: format!("unknown model spec tag {other}"),
-            }),
-        }
-    }
-}
-
-impl Wire for ShardConfig {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.shard_index);
-        buf.put_u64_le(self.range_start);
-        buf.put_u64_le(self.range_end);
-        buf.put_u64_le(self.total_clients);
-        self.dataset.encode_into(buf);
-        self.model.encode_into(buf);
-        self.init_weights.encode_into(buf);
-        self.plan.encode_into(buf);
-        encode_str(&self.backend, buf);
-        encode_str(&self.codec, buf);
-        buf.put_u64_le(self.workers);
-        buf.put_slice(&self.measurement.0);
-        match &self.faults {
-            Some(p) => {
-                buf.put_u8(1);
-                p.encode_into(buf);
-            }
-            None => buf.put_u8(0),
-        }
-        encode_str(&self.partition, buf);
-        match &self.adversaries {
-            Some(p) => {
-                buf.put_u8(1);
-                p.encode_into(buf);
-            }
-            None => buf.put_u8(0),
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 32, "shard config header")?;
-        let shard_index = buf.get_u64_le();
-        let range_start = buf.get_u64_le();
-        let range_end = buf.get_u64_le();
-        let total_clients = buf.get_u64_le();
-        if range_start > range_end || range_end > total_clients {
+impl ShardConfig {
+    /// What a decoded config must satisfy before a shard server indexes
+    /// the global partition with it.
+    fn validate(&self) -> Result<()> {
+        if self.range_start > self.range_end || self.range_end > self.total_clients {
             return Err(FlError::BadConfig {
                 reason: format!(
-                    "shard range [{range_start}, {range_end}) out of order or beyond \
-                     {total_clients} clients"
+                    "shard range [{}, {}) out of order or beyond {} clients",
+                    self.range_start, self.range_end, self.total_clients
                 ),
             });
         }
-        let dataset = DatasetSpec::decode_from(buf)?;
-        let model = ModelSpec::decode_from(buf)?;
-        let init_weights = ModelWeights::decode_from(buf)?;
-        let plan = TrainingPlan::decode_from(buf)?;
-        let backend = decode_str(buf, "backend name")?;
-        let codec = decode_str(buf, "codec name")?;
-        need(buf, 8 + 32 + 1, "shard config footer")?;
-        let workers = buf.get_u64_le();
-        let mut m = [0u8; 32];
-        buf.copy_to_slice(&mut m);
-        let faults = match buf.get_u8() {
-            0 => None,
-            1 => Some(FaultPlan::decode_from(buf)?),
-            other => {
-                return Err(FlError::BadConfig {
-                    reason: format!("bad fault plan presence flag {other}"),
-                })
-            }
-        };
-        let partition = decode_str(buf, "partition kind name")?;
-        if crate::config::PartitionKind::parse(&partition).is_none() {
+        if PartitionKind::parse(&self.partition).is_none() {
             return Err(FlError::BadConfig {
-                reason: format!("unknown partition kind {partition:?}"),
+                reason: format!("unknown partition kind {:?}", self.partition),
             });
         }
-        need(buf, 1, "adversary plan presence flag")?;
-        let adversaries = match buf.get_u8() {
-            0 => None,
-            1 => Some(AdversaryPlan::decode_from(buf)?),
-            other => {
-                return Err(FlError::BadConfig {
-                    reason: format!("bad adversary plan presence flag {other}"),
-                })
-            }
-        };
-        Ok(ShardConfig {
-            shard_index,
-            range_start,
-            range_end,
-            total_clients,
-            dataset,
-            model,
-            init_weights,
-            plan,
-            backend,
-            codec,
-            workers,
-            measurement: Measurement(m),
-            faults,
-            partition,
-            adversaries,
-        })
+        Ok(())
     }
 }
 
-impl Wire for ShardConfigAck {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.clients);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 8, "shard config ack")?;
-        Ok(ShardConfigAck {
-            clients: buf.get_u64_le(),
-        })
-    }
-}
-
-impl Wire for ShardScreen {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.probes.len() as u64);
-        for p in &self.probes {
-            buf.put_u64_le(p.local);
-            p.challenge.encode_into(buf);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_count(buf, "screen probe count")?;
-        let mut probes = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(buf, 8, "probe local index")?;
-            let local = buf.get_u64_le();
-            let challenge = Challenge::decode_from(buf)?;
-            probes.push(ScreenProbe { local, challenge });
-        }
-        Ok(ShardScreen { probes })
-    }
-}
-
-impl Wire for ShardScreenReply {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.evidence.len() as u64);
-        for e in &self.evidence {
-            match e {
-                Some(resp) => {
-                    buf.put_u8(1);
-                    resp.encode_into(buf);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_count(buf, "screen evidence count")?;
-        let mut evidence = Vec::with_capacity(n);
-        for _ in 0..n {
-            need(buf, 1, "evidence presence flag")?;
-            evidence.push(match buf.get_u8() {
-                0 => None,
-                1 => Some(AttestationResponse::decode_from(buf)?),
-                other => {
-                    return Err(FlError::BadConfig {
-                        reason: format!("bad evidence presence flag {other}"),
-                    })
-                }
-            });
-        }
-        Ok(ShardScreenReply { evidence })
-    }
-}
-
-impl Wire for ShardRound {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        self.download.encode_into(buf);
-        buf.put_u64_le(self.slot_base);
-        buf.put_u64_le(self.picks.len() as u64);
-        for &p in &self.picks {
-            buf.put_u64_le(p);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let download = ModelDownload::decode_from(buf)?;
-        need(buf, 8, "slot base")?;
-        let slot_base = buf.get_u64_le();
-        let n = decode_count(buf, "pick count")?;
-        need(buf, 8 * n, "pick list")?;
-        let mut picks = Vec::with_capacity(n);
-        for _ in 0..n {
-            picks.push(buf.get_u64_le());
-        }
-        Ok(ShardRound {
-            download,
-            picks,
-            slot_base,
-        })
-    }
-}
-
-impl Wire for ShardOutcomeKind {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            ShardOutcomeKind::Straggler { elapsed_s } => {
-                buf.put_u8(0);
-                buf.put_f64_le(*elapsed_s);
-            }
-            ShardOutcomeKind::Failed { reason } => {
-                buf.put_u8(1);
-                encode_str(reason, buf);
-            }
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 1, "outcome kind tag")?;
-        match buf.get_u8() {
-            0 => {
-                need(buf, 8, "straggler elapsed")?;
-                Ok(ShardOutcomeKind::Straggler {
-                    elapsed_s: buf.get_f64_le(),
-                })
-            }
-            1 => Ok(ShardOutcomeKind::Failed {
-                reason: decode_str(buf, "failure reason")?,
-            }),
-            other => Err(FlError::BadConfig {
-                reason: format!("unknown outcome kind tag {other}"),
-            }),
-        }
-    }
-}
-
-impl Wire for ShardOutcome {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.slot);
-        buf.put_u64_le(self.client);
-        self.kind.encode_into(buf);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        need(buf, 16, "outcome header")?;
-        Ok(ShardOutcome {
-            slot: buf.get_u64_le(),
-            client: buf.get_u64_le(),
-            kind: ShardOutcomeKind::decode_from(buf)?,
-        })
-    }
-}
-
-impl Wire for PartialAggregate {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.terms().len() as u64);
-        for (slot, upload) in self.terms() {
-            buf.put_u64_le(*slot as u64);
-            upload.encode_into(buf);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_count(buf, "aggregate term count")?;
-        let mut partial = PartialAggregate::new();
-        for _ in 0..n {
-            need(buf, 8, "term slot")?;
-            let slot = buf.get_u64_le() as usize;
-            let upload = UpdateUpload::decode_from(buf)?;
-            partial.push(slot, upload);
-        }
-        Ok(partial)
-    }
-}
-
-impl Wire for RoundLedger {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.entries().len() as u64);
-        for e in self.entries() {
-            e.encode_into(buf);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let n = decode_count(buf, "ledger entry count")?;
-        let mut ledger = RoundLedger::new();
-        for _ in 0..n {
-            ledger.record(ClientCycleCost::decode_from(buf)?);
-        }
-        Ok(ledger)
-    }
-}
-
-impl Wire for ShardRoundReply {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        self.partial.encode_into(buf);
-        buf.put_u64_le(self.others.len() as u64);
-        for o in &self.others {
-            o.encode_into(buf);
-        }
-        self.ledger.encode_into(buf);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let partial = PartialAggregate::decode_from(buf)?;
-        let n = decode_count(buf, "outcome count")?;
-        let mut others = Vec::with_capacity(n);
-        for _ in 0..n {
-            others.push(ShardOutcome::decode_from(buf)?);
-        }
-        let ledger = RoundLedger::decode_from(buf)?;
-        Ok(ShardRoundReply {
-            partial,
-            others,
-            ledger,
-        })
-    }
-}
+wire_struct!(ShardHello { version, pid });
+wire_struct!(ShardHelloAck {
+    version,
+    shard_index,
+});
+wire_enum!(DatasetSpec, "dataset spec" {
+    0 => Micro { len, classes, dim, seed },
+    1 => Cifar { len, classes, seed },
+});
+wire_enum!(ModelSpec, "model spec" {
+    0 => TinyMlp { inputs, hidden, outputs, seed },
+    1 => LeNet5 { classes, seed },
+});
+wire_struct!(
+    ShardConfig {
+        shard_index,
+        range_start,
+        range_end,
+        total_clients,
+        dataset,
+        model,
+        init_weights,
+        plan,
+        backend,
+        codec,
+        workers,
+        measurement,
+        faults,
+        partition,
+        adversaries,
+    },
+    validate = ShardConfig::validate
+);
+wire_struct!(ShardConfigAck { clients });
+wire_struct!(ScreenProbe { local, challenge });
+wire_struct!(ShardScreen {
+    probes: list(limits::MAX_LIST_ITEMS),
+});
+wire_struct!(ShardScreenReply {
+    evidence: list(limits::MAX_LIST_ITEMS),
+});
+// Wire order, not declaration order: the slot base precedes the picks.
+wire_struct!(ShardRound {
+    download,
+    slot_base,
+    picks: list(limits::MAX_LIST_ITEMS),
+});
+wire_enum!(ShardOutcomeKind, "outcome kind" {
+    0 => Straggler { elapsed_s },
+    1 => Failed { reason },
+});
+wire_struct!(ShardOutcome { slot, client, kind });
+wire_struct!(ShardRoundReply {
+    partial,
+    others: list(limits::MAX_LIST_ITEMS),
+    ledger,
+});
 
 #[cfg(test)]
 mod tests {
@@ -1863,6 +1185,15 @@ mod tests {
         buf.put_u64_le(1); // rank 1
         buf.put_u64_le(1 << 60); // dim
         buf.put_u64_le(1 << 60); // elems
+        assert!(decode::<Tensor>(&buf.to_vec()).is_err());
+        // Dims that each pass the per-field bound but whose product
+        // wraps to the claimed element count (2^84 mod 2^64 == 0).
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(3);
+        for _ in 0..3 {
+            buf.put_u64_le(limits::MAX_FIELD_BYTES as u64);
+        }
+        buf.put_u64_le(0);
         assert!(decode::<Tensor>(&buf.to_vec()).is_err());
     }
 

@@ -26,7 +26,7 @@
 //!   polling ([`poller`]) — the fan-in shape for tens of thousands of
 //!   sessions on one host.
 //!
-//! [`sealed`] wraps any of the three in the trusted I/O path
+//! [`sealed`] wraps any of the four in the trusted I/O path
 //! (`gradsec-tee::tiop`), sealing exactly the bytes that cross the wire.
 //!
 //! Above the byte seam sit the two protocol roles: [`RemoteClient`] (the

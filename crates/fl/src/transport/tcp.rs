@@ -26,7 +26,7 @@ use crate::{FlError, Result};
 /// envelope is encoded into it in place and its capacity survives the
 /// call, so steady-state rounds do one allocation per *session*, not one
 /// (or, with the old `encode` → `to_vec` path, two) per envelope.
-fn write_envelope<W: Write>(
+pub(crate) fn write_envelope<W: Write>(
     w: &mut W,
     scratch: &mut BytesMut,
     envelope: &Envelope,
@@ -44,7 +44,7 @@ fn write_envelope<W: Write>(
 /// advertised payload length read directly into the envelope's own
 /// buffer (no reassembly or second decode pass — this is the hot round
 /// path, and the payload `Vec` is the envelope's storage, not scratch).
-fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
+pub(crate) fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
     let mut header = [0u8; ENVELOPE_HEADER_LEN];
     r.read_exact(&mut header)
         .map_err(|e| FlError::transport(format!("reading envelope header from {peer}"), e))?;
