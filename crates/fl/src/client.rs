@@ -226,6 +226,10 @@ impl FlClient {
         )?;
         self.last_stats = Some(stats);
         self.model.clear_caches();
+        // The gradients go with the caches: the next backward pass
+        // re-creates them, and until then they are a model-sized buffer
+        // held by every idle client of the fleet.
+        self.model.zero_grads();
         let weights = match &self.adversary {
             Some(adv) => match adv.persona {
                 Persona::Poisoner => adv.plan.poisoned(
@@ -402,5 +406,9 @@ mod tests {
         assert_eq!(up.num_samples, 16);
         assert_ne!(up.weights, global, "training must move the weights");
         assert!(c.last_stats().is_some());
+        assert!(
+            c.model.gradient_snapshot().is_none(),
+            "an idle client holds no gradient buffers"
+        );
     }
 }

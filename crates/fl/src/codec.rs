@@ -189,20 +189,40 @@ pub struct EncodedWeights {
 }
 
 impl EncodedWeights {
-    /// Exact wire size of this payload in bytes.
+    /// Exact wire size of this payload in bytes: what
+    /// [`encode`](crate::message::encode) of it would measure, summed
+    /// from the dims and body lengths without serialising anything.
     pub fn wire_bytes(&self) -> u64 {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.len() as u64
+        // codec tag, epoch, the base epoch's flag and value, tensor count.
+        let head = 1 + 8 + 1 + 8 * u64::from(self.base_epoch.is_some()) + 8;
+        head + self
+            .tensors
+            .iter()
+            .map(|t| {
+                // rank, dims, body tag, body.
+                8 + 8 * t.dims.len() as u64
+                    + 1
+                    + match &t.body {
+                        EncodedBody::Dense(v) => 4 * v.len() as u64,
+                        EncodedBody::Int8 { q, .. } => 4 + 4 + q.len() as u64,
+                        EncodedBody::TopK { indices, values } => {
+                            8 + 4 * (indices.len() + values.len()) as u64
+                        }
+                    }
+            })
+            .sum::<u64>()
     }
 }
 
 /// Exact wire size of `weights` encoded dense (the raw-bytes column the
-/// compression-ratio report divides by).
+/// compression-ratio report divides by), in closed form like
+/// [`EncodedWeights::wire_bytes`].
 pub fn dense_wire_bytes(weights: &ModelWeights) -> u64 {
-    let mut buf = BytesMut::new();
-    weights.encode_into(&mut buf);
-    buf.len() as u64
+    // layer count; per tensor: rank, dims, element count, elements.
+    8 + flatten(weights)
+        .into_iter()
+        .map(|t| 8 + 8 * t.dims().len() as u64 + 8 + 4 * t.numel() as u64)
+        .sum::<u64>()
 }
 
 /// The model's layers flattened to `[w0, b0, w1, b1, …]`.
@@ -706,6 +726,44 @@ mod tests {
             let back: EncodedWeights = decode(&encode(&enc)).unwrap();
             assert_eq!(enc, back);
         }
+    }
+
+    #[test]
+    fn byte_counts_equal_the_serialised_lengths() {
+        // The billing columns are computed from lengths; pin them to what
+        // the serialiser writes, for every codec and body kind, a
+        // reference present and absent, and the degenerate tensors.
+        let scalar = |x| LayerWeights {
+            w: Tensor::scalar(x),
+            b: Tensor::zeros(&[0]),
+        };
+        let models = [
+            weights(11),
+            // Wide enough that top-k keeps a sparse body on the weights.
+            zoo::tiny_mlp(64, 32, 4, 3).unwrap().weights(),
+            ModelWeights::new(vec![scalar(1.5), scalar(-2.0)]),
+            ModelWeights::new(Vec::new()),
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        for w in &models {
+            let mut reference = w.clone();
+            reference.add_scaled(w, 0.01).unwrap();
+            assert_eq!(dense_wire_bytes(w), encode(w).len() as u64);
+            for enc in [
+                encode_weights(CodecKind::Identity, 1, w, None),
+                encode_weights(CodecKind::Int8, 2, w, None),
+                encode_weights(CodecKind::DeltaTopK, 3, w, None),
+                encode_weights(CodecKind::DeltaTopK, u64::MAX, w, Some((7, &reference))),
+            ] {
+                assert_eq!(enc.wire_bytes(), encode(&enc).len() as u64, "{enc:?}");
+                kinds.extend(enc.tensors.iter().map(|t| match t.body {
+                    EncodedBody::Dense(_) => 0,
+                    EncodedBody::Int8 { .. } => 1,
+                    EncodedBody::TopK { .. } => 2,
+                }));
+            }
+        }
+        assert_eq!(kinds.len(), 3, "every body kind was measured");
     }
 
     #[test]

@@ -60,6 +60,7 @@ use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
 use crate::faults::FaultPlan;
 use crate::message::{ModelDownload, UpdateUpload};
 use crate::selection::validate_picks;
+use crate::transport::broadcast::Broadcast;
 use crate::transport::RemoteClient;
 use crate::{FlError, Result};
 
@@ -213,6 +214,19 @@ impl ExecutionEngine {
         download: &ModelDownload,
         faults: Option<&FaultPlan>,
     ) -> Result<CycleOutcomes> {
+        self.cycles_in(clients, picked, &Broadcast::new(download), faults)
+    }
+
+    /// [`execute_cycles_with`](Self::execute_cycles_with) against a
+    /// broadcast the caller owns — one per round, so every worker of
+    /// every shard draws its download from the same memo.
+    fn cycles_in(
+        &self,
+        clients: &mut [RemoteClient],
+        picked: &[usize],
+        broadcast: &Broadcast<'_>,
+        faults: Option<&FaultPlan>,
+    ) -> Result<CycleOutcomes> {
         validate_picks(picked, clients.len())?;
         let picked_ids: Vec<u64> = picked.iter().map(|&ci| clients[ci].id()).collect();
         let ledger = SharedLedger::new();
@@ -221,7 +235,7 @@ impl ExecutionEngine {
             for (slot, &ci) in picked.iter().enumerate() {
                 slots[slot] = Some(exchange_outcome(
                     &mut clients[ci],
-                    download,
+                    broadcast,
                     &ledger,
                     faults,
                 ));
@@ -264,7 +278,7 @@ impl ExecutionEngine {
                             shard
                                 .iter_mut()
                                 .map(|(slot, client)| {
-                                    (*slot, exchange_outcome(client, download, ledger, faults))
+                                    (*slot, exchange_outcome(client, broadcast, ledger, faults))
                                 })
                                 .collect::<Vec<_>>()
                         })
@@ -362,19 +376,18 @@ impl ExecutionEngine {
         for (clients, picked) in &shards {
             validate_picks(picked, clients.len())?;
         }
+        let broadcast = &Broadcast::new(download);
         if shards.len() <= 1 {
             return shards
                 .into_iter()
-                .map(|(clients, picked)| {
-                    self.execute_cycles_with(clients, &picked, download, faults)
-                })
+                .map(|(clients, picked)| self.cycles_in(clients, &picked, broadcast, faults))
                 .collect();
         }
         crossbeam::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .into_iter()
                 .map(|(clients, picked)| {
-                    s.spawn(move |_| self.execute_cycles_with(clients, &picked, download, faults))
+                    s.spawn(move |_| self.cycles_in(clients, &picked, broadcast, faults))
                 })
                 .collect();
             handles
@@ -407,15 +420,15 @@ impl Default for ExecutionEngine {
 /// client's [`ClientOutcome::Failed`] so it cannot take the worker — and
 /// with it the whole round — down; failures are billed as zero-cost
 /// ledger entries so the round accounts every selected client.
-fn exchange_outcome(
+pub(crate) fn exchange_outcome(
     client: &mut RemoteClient,
-    download: &ModelDownload,
+    broadcast: &Broadcast<'_>,
     ledger: &SharedLedger,
     faults: Option<&FaultPlan>,
 ) -> ClientOutcome {
     let id = client.id();
     let result =
-        catch_unwind(AssertUnwindSafe(|| client.train(download))).unwrap_or_else(|payload| {
+        catch_unwind(AssertUnwindSafe(|| client.train_in(broadcast))).unwrap_or_else(|payload| {
             Err(FlError::ClientFailure {
                 client: id,
                 reason: format!(
@@ -432,7 +445,8 @@ fn exchange_outcome(
             // should not pay a per-exchange RNG for a discarded value.
             if let Some(plan) = faults {
                 if let Some(deadline) = plan.round_deadline_s() {
-                    let elapsed_s = plan.latency_s(id, download.round) + upload.cost.time.total_s();
+                    let round = broadcast.download.round;
+                    let elapsed_s = plan.latency_s(id, round) + upload.cost.time.total_s();
                     if elapsed_s > deadline {
                         return ClientOutcome::Straggler {
                             client: id,
@@ -466,6 +480,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> &str {
 mod tests {
     use super::*;
     use crate::client::{DeviceProfile, FlClient};
+    use crate::codec::CodecKind;
     use crate::config::TrainingPlan;
     use crate::faults::LatencyModel;
     use crate::trainer::{CycleStats, LocalTrainer, PlainSgdTrainer};
@@ -528,6 +543,10 @@ mod tests {
     }
 
     fn fleet(n: usize, panicking: &[usize]) -> Vec<RemoteClient> {
+        fleet_speaking(CodecKind::Identity, n, panicking)
+    }
+
+    fn fleet_speaking(codec: CodecKind, n: usize, panicking: &[usize]) -> Vec<RemoteClient> {
         let ds = Arc::new(SyntheticCifar100::with_classes(4 * n, 2, 1));
         let shards = gradsec_data::split::shard(4 * n, n, 1);
         (0..n)
@@ -546,7 +565,7 @@ mod tests {
                     zoo::tiny_mlp(3 * 32 * 32, 4, 2, 9).unwrap(),
                     trainer,
                 );
-                RemoteClient::connect(Box::new(LocalEndpoint::new(client))).unwrap()
+                RemoteClient::connect_with(Box::new(LocalEndpoint::new(client)), codec).unwrap()
             })
             .collect()
     }
@@ -690,6 +709,42 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], want_a);
         assert_eq!(got[1], want_b);
+    }
+
+    #[test]
+    fn lockstep_sessions_share_one_encode_and_one_view_per_round() {
+        // A healthy delta-topk fleet, two shards of 2 workers drawing from
+        // one broadcast: whatever the worker, every session stands at the
+        // same epoch on the same base, so each round encodes its download
+        // once — not once per client — and all sessions end up holding one
+        // view allocation.
+        let mut head = fleet_speaking(CodecKind::DeltaTopK, 6, &[]);
+        let mut tail = head.split_off(3);
+        let engine = ExecutionEngine::new(2);
+        let mut download = download();
+        for round in 0..3 {
+            download.round = round;
+            let broadcast = Broadcast::new(&download);
+            let per_shard = [&mut head, &mut tail].map(|shard| {
+                engine
+                    .cycles_in(shard, &[0, 1, 2], &broadcast, None)
+                    .unwrap()
+            });
+            assert_eq!(broadcast.encodes(), 1, "round {round}");
+            let uploads: Vec<_> = per_shard
+                .into_iter()
+                .flat_map(|(outcomes, _)| outcomes)
+                .map(|o| o.into_update().expect("a healthy fleet completes"))
+                .collect();
+            assert_eq!(uploads.len(), 6);
+            download.weights = uploads[0].weights.clone();
+        }
+        let all: Vec<&RemoteClient> = head.iter().chain(&tail).collect();
+        assert!(all.iter().all(|c| c.shares_view_with(all[0])));
+        // A stateless codec keeps no view to share.
+        let mut plain = fleet(1, &[]);
+        plain[0].train(&download).unwrap();
+        assert!(!plain[0].shares_view_with(&plain[0]));
     }
 
     #[test]

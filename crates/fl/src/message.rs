@@ -260,7 +260,7 @@ pub trait Wire: Sized {
 pub fn encode<T: Wire>(msg: &T) -> Vec<u8> {
     let mut buf = BytesMut::new();
     msg.encode_into(&mut buf);
-    buf.to_vec()
+    buf.into()
 }
 
 /// Deserialises a message from bytes, requiring full consumption.

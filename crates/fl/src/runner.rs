@@ -1067,9 +1067,11 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gradsec_data::SyntheticCifar100;
+    use crate::engine::exchange_outcome;
+    use crate::transport::broadcast::Broadcast;
+    use gradsec_data::{SyntheticCifar100, SyntheticMicro};
     use gradsec_nn::zoo;
-    use gradsec_tee::cost::ClientCycleCost;
+    use gradsec_tee::cost::{ClientCycleCost, SharedLedger};
 
     fn plan() -> TrainingPlan {
         TrainingPlan {
@@ -1399,6 +1401,154 @@ mod tests {
             "{err}"
         );
         assert_eq!(driver.server().round(), 0);
+    }
+
+    /// A federation whose rounds run on the per-client path: every picked
+    /// client gets a broadcast of its own — which is what
+    /// `RemoteClient::train` is — one after another. The reference the
+    /// round-scoped broadcast has to reproduce.
+    struct OneByOne(Federation);
+
+    impl Fleet for OneByOne {
+        const RUNNER: &'static str = "OneByOne";
+
+        fn layout(&self) -> &ShardLayout {
+            self.0.fleet.layout()
+        }
+
+        fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome> {
+            self.0.fleet.screen(plan)
+        }
+
+        fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+            let fleet = &mut self.0.fleet;
+            let ledger = SharedLedger::new();
+            let outcomes = picked
+                .iter()
+                .map(|&ci| {
+                    exchange_outcome(
+                        &mut fleet.clients[ci],
+                        &Broadcast::new(download),
+                        &ledger,
+                        fleet.faults.as_deref(),
+                    )
+                })
+                .collect();
+            Ok(Executed {
+                outcomes,
+                ledger: ledger.into_round_ledger(),
+                cohort_lost: false,
+            })
+        }
+
+        fn teardown(&mut self) -> Result<()> {
+            self.0.fleet.teardown()
+        }
+    }
+
+    fn one_by_one(configured: impl Fn() -> FederationBuilder) -> RoundDriver<OneByOne> {
+        let inner = configured().build().unwrap();
+        let mut setup = configured().setup;
+        let server = setup.server(inner.server().global().clone()).unwrap();
+        setup.drive(server, OneByOne(inner))
+    }
+
+    #[test]
+    fn broadcast_rounds_equal_the_per_client_path() {
+        // 4 of 8 clients a round, so attempt counts drift apart even on a
+        // healthy fleet; the fault plan adds lost requests (a failed cycle,
+        // neither side commits) and truncated replies (only the client
+        // commits: BASE_MISMATCH and a dense re-send on its next pick).
+        let mut shed = 0;
+        for codec in [CodecKind::Identity, CodecKind::Int8, CodecKind::DeltaTopK] {
+            for faulted in [false, true] {
+                let configured = || {
+                    let builder = Federation::builder(TrainingPlan {
+                        rounds: 6,
+                        clients_per_round: 4,
+                        ..plan()
+                    })
+                    .model(|| zoo::tiny_mlp(64, 16, 2, 9).unwrap())
+                    .clients(8, Arc::new(SyntheticMicro::new(128, 2, 64, 2)))
+                    .codec(codec);
+                    if faulted {
+                        builder.faults(
+                            FaultPlan::seeded(23)
+                                .drop_messages(0.1)
+                                .garble_replies(0.2)
+                                .spare(2),
+                        )
+                    } else {
+                        builder
+                    }
+                };
+                let mut reference = one_by_one(configured);
+                let want = reference.run().unwrap();
+                shed += want.rounds.iter().map(|r| r.failures.len()).sum::<usize>();
+                for (shards, workers) in [(1, 1), (2, 2)] {
+                    let mut fed = configured()
+                        .shards(shards)
+                        .engine(ExecutionEngine::new(workers))
+                        .build()
+                        .unwrap();
+                    let what = format!("{codec:?}, {shards} shards x {workers}, faults: {faulted}");
+                    assert_eq!(fed.run().unwrap(), want, "{what}: report");
+                    assert_eq!(
+                        fed.server().global(),
+                        reference.server().global(),
+                        "{what}: weights"
+                    );
+                }
+            }
+        }
+        assert!(shed >= 3, "the fault plan shed {shed} cycles");
+    }
+
+    #[test]
+    fn concurrent_federations_keep_their_payloads_apart() {
+        // Two federations of one shape — same codec, same epochs, same
+        // shard layout, different models — stepping through their rounds
+        // at the same time. A payload reaching the wrong one would move
+        // its weights off its solo run.
+        let build = |seed: u64| {
+            Federation::builder(TrainingPlan {
+                clients_per_round: 4,
+                ..plan()
+            })
+            .model(move || zoo::tiny_mlp(64, 16, 2, seed).unwrap())
+            .clients(4, Arc::new(SyntheticMicro::new(64, 2, 64, seed)))
+            .codec(CodecKind::DeltaTopK)
+            .shards(2)
+            .build()
+            .unwrap()
+        };
+        let rounds = plan().rounds;
+        let run = |seed: u64, before_round: &dyn Fn()| {
+            let mut fed = build(seed);
+            let reports: Vec<RoundReport> = (0..rounds)
+                .map(|_| {
+                    before_round();
+                    fed.run_round().unwrap()
+                })
+                .collect();
+            // Healthy, all picked every round, 2 shards: one group, so
+            // every session ends on the same view allocation.
+            let first = &fed.clients()[0];
+            assert!(fed.clients().iter().all(|c| c.shares_view_with(first)));
+            (reports, fed.server().global().clone())
+        };
+        let solo = [3u64, 4].map(|seed| run(seed, &|| ()));
+        let barrier = std::sync::Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let step = || {
+                barrier.wait();
+            };
+            [3u64, 4]
+                .map(|seed| s.spawn(move || run(seed, &step)))
+                .map(|h| h.join().unwrap())
+        });
+        assert!(solo == together);
+        assert_ne!(solo[0].1, solo[1].1);
     }
 
     #[test]

@@ -33,18 +33,24 @@
 //! server's typed view of a client behind any endpoint, beginning with the
 //! [`Hello`]/[`HelloAck`] version-check-and-codec handshake) and [`ClientHandler`] /
 //! [`ClientSession`] (the client-side request dispatcher and its serve
-//! loop).
+//! loop). The server half of a round's download — encode, mirror decode,
+//! billing, framing — is memoised per group of lockstep sessions by the
+//! crate-private `broadcast` module.
 
+pub(crate) mod broadcast;
 pub mod inprocess;
 pub mod mux;
 pub mod poller;
 pub mod sealed;
 pub mod tcp;
 
+use std::sync::Arc;
+
 use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Challenge;
 use gradsec_tee::cost::WireBill;
 
+use self::broadcast::{Broadcast, View};
 use crate::client::{DeviceProfile, FlClient};
 use crate::codec::{decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH};
 use crate::message::{
@@ -320,8 +326,9 @@ pub struct RemoteClient {
     /// attempt, retries included, so the sequence is deterministic).
     epoch: u64,
     /// The delta codec's committed reference view: the last download
-    /// this client demonstrably decoded and replied to.
-    view: Option<(u64, ModelWeights)>,
+    /// this client demonstrably decoded and replied to. One allocation
+    /// per broadcast group — lockstep sessions all point at the same one.
+    view: Option<View>,
     endpoint: Box<dyn ServerEndpoint>,
 }
 
@@ -391,13 +398,10 @@ impl RemoteClient {
         self.endpoint.descriptor()
     }
 
-    fn request<Req: Wire, Resp: Wire>(
-        &mut self,
-        kind: MessageKind,
-        msg: &Req,
-        expect: MessageKind,
-    ) -> Result<Resp> {
-        let reply = self.endpoint.exchange(Envelope::pack(kind, msg))?;
+    /// Sends `request`, blocks for the reply and opens it as `expect`; a
+    /// client-side error report surfaces as [`FlError::ClientFailure`].
+    fn exchange<Resp: Wire>(&mut self, request: Envelope, expect: MessageKind) -> Result<Resp> {
+        let reply = self.endpoint.exchange(request)?;
         if reply.kind == MessageKind::Error {
             return Err(FlError::ClientFailure {
                 client: self.id,
@@ -414,11 +418,11 @@ impl RemoteClient {
     /// Transport/protocol failures; a client-side failure surfaces as
     /// [`FlError::ClientFailure`].
     pub fn attest(&mut self, challenge: &Challenge) -> Result<AttestationResponse> {
-        self.request(
-            MessageKind::AttestationRequest,
-            &AttestationRequest {
-                challenge: *challenge,
-            },
+        let request = AttestationRequest {
+            challenge: *challenge,
+        };
+        self.exchange(
+            Envelope::pack(MessageKind::AttestationRequest, &request),
             MessageKind::AttestationResponse,
         )
     }
@@ -430,66 +434,38 @@ impl RemoteClient {
     /// included, so every session is billed uniformly); the
     /// decoded update plus its wire-bytes bill come back as the familiar
     /// [`UpdateUpload`] — the single chokepoint every execution path
-    /// (flat, sharded, distributed) funnels through.
+    /// (flat, sharded, distributed) funnels through. This is the
+    /// one-member [`Broadcast`]; the engine hands a whole round's
+    /// sessions the same one.
     ///
     /// # Errors
     ///
     /// Transport/protocol failures; a failed training cycle surfaces as
     /// [`FlError::ClientFailure`].
     pub fn train(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
-        match self.train_encoded(download) {
+        self.train_in(&Broadcast::new(download))
+    }
+
+    /// [`train`](Self::train) as one member of `round`'s broadcast.
+    pub(crate) fn train_in(&mut self, round: &Broadcast<'_>) -> Result<UpdateUpload> {
+        match self.train_encoded(round) {
             Err(FlError::ClientFailure { reason, .. }) if reason.contains(BASE_MISMATCH) => {
                 // The client lost the reference view this delta was coded
                 // against (e.g. its previous reply never arrived, so only
                 // one side committed). Drop ours and re-send dense, once.
                 self.view = None;
-                self.train_encoded(download)
+                self.train_encoded(round)
             }
             other => other,
         }
     }
 
-    fn train_encoded(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
+    fn train_encoded(&mut self, round: &Broadcast<'_>) -> Result<UpdateUpload> {
         let epoch = self.epoch;
         self.epoch += 1;
-        let reference = self.view.as_ref().map(|(e, w)| (*e, w));
-        let encoded = encode_weights(self.codec, epoch, &download.weights, reference);
-        // The client trains on the *decoded* model, so for delta commits
-        // the server must mirror that decode (lossy codecs make it differ
-        // from `download.weights`). Only the delta codec needs the mirror.
-        let view_next = if self.codec == CodecKind::DeltaTopK {
-            Some(decode_weights(
-                &encoded,
-                self.view.as_ref().map(|(_, w)| w),
-            )?)
-        } else {
-            None
-        };
-        // The raw column is the dense payload size; Identity's body IS
-        // that payload bit-for-bit (its codec envelope is constant
-        // per-message overhead, not payload), so it bills the two
-        // columns equal and reports a ratio of exactly 1.
-        let download_raw = dense_wire_bytes(&download.weights);
-        let wire = WireBill {
-            download_encoded_bytes: if self.codec == CodecKind::Identity {
-                download_raw
-            } else {
-                encoded.wire_bytes()
-            },
-            download_raw_bytes: download_raw,
-            ..WireBill::default()
-        };
-        let request = EncodedModelDownload {
-            round: download.round,
-            weights: encoded,
-            plan: download.plan,
-            protected_layers: download.protected_layers.clone(),
-        };
-        let reply: EncodedUpdateUpload = self.request(
-            MessageKind::EncodedModelDownload,
-            &request,
-            MessageKind::EncodedUpdateUpload,
-        )?;
+        let shared = round.payload(self.codec, epoch, self.view.as_ref())?;
+        let reply: EncodedUpdateUpload =
+            self.exchange(shared.frame.clone(), MessageKind::EncodedUpdateUpload)?;
         if reply.weights.base_epoch.is_some_and(|base| base != epoch) {
             return Err(FlError::Protocol {
                 reason: format!(
@@ -498,24 +474,24 @@ impl RemoteClient {
                 ),
             });
         }
-        let upload_reference = view_next.as_ref();
-        let weights = decode_weights(&reply.weights, upload_reference)?;
+        let weights = decode_weights(&reply.weights, shared.view_next.as_deref())?;
         let upload_raw = dense_wire_bytes(&weights);
         let wire = WireBill {
+            download_encoded_bytes: shared.encoded_bytes,
+            download_raw_bytes: round.raw_bytes,
             upload_encoded_bytes: if self.codec == CodecKind::Identity {
                 upload_raw
             } else {
                 reply.weights.wire_bytes()
             },
             upload_raw_bytes: upload_raw,
-            ..wire
         };
         // Commit the reference only after a decodable reply: the client
         // commits on its success path, so the views advance in lockstep
         // (a dropped or garbled reply leaves both sides on the old base,
         // and a half-committed pair recovers via the mismatch retry).
-        if let Some(view) = view_next {
-            self.view = Some((epoch, view));
+        if let Some(view) = &shared.view_next {
+            self.view = Some((epoch, Arc::clone(view)));
         }
         let mut cost = reply.cost;
         cost.wire = wire;
@@ -547,7 +523,17 @@ mod tests {
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
     use gradsec_nn::zoo;
-    use std::sync::Arc;
+
+    impl RemoteClient {
+        /// Whether both sessions hold the *same allocation* as their
+        /// committed view (not merely equal weights).
+        pub(crate) fn shares_view_with(&self, other: &RemoteClient) -> bool {
+            match (&self.view, &other.view) {
+                (Some((_, a)), Some((_, b))) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+    }
 
     fn fl_client(id: u64) -> FlClient {
         let ds = Arc::new(SyntheticCifar100::with_classes(16, 2, 1));
@@ -713,7 +699,7 @@ mod tests {
         remote.train(&download).unwrap();
         // Simulate one-sided state loss: the server thinks epoch 0 is
         // committed but pretends a newer epoch exists.
-        remote.view = Some((99, download.weights.clone()));
+        remote.view = Some((99, Arc::new(download.weights.clone())));
         // The client rejects the unknown base, the server retries dense,
         // and the exchange still completes.
         let upload = remote.train(&download).unwrap();

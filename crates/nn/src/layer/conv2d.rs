@@ -218,6 +218,13 @@ impl Layer for Conv2d {
         }
     }
 
+    fn params_with_grads(&mut self) -> Option<[(&mut Tensor, &Tensor); 2]> {
+        match (&self.dw, &self.db) {
+            (Some(dw), Some(db)) => Some([(&mut self.weights, dw), (&mut self.bias, db)]),
+            _ => None,
+        }
+    }
+
     fn zero_grads(&mut self) {
         self.dw = None;
         self.db = None;

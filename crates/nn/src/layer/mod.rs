@@ -145,6 +145,12 @@ pub trait Layer: Send {
     /// [`Layer::zero_grads`].
     fn grads(&self) -> Option<(&Tensor, &Tensor)>;
 
+    /// Pairs each parameter tensor, mutably, with its stored gradient —
+    /// `[(W, dW), (b, db)]` out of one borrow of the layer, so an optimizer
+    /// reads the gradients in place while it updates the parameters.
+    /// `None` exactly when [`Layer::grads`] is.
+    fn params_with_grads(&mut self) -> Option<[(&mut Tensor, &Tensor); 2]>;
+
     /// Clears stored gradients.
     fn zero_grads(&mut self);
 

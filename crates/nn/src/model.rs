@@ -317,13 +317,12 @@ impl Sequential {
     /// weights then bias).
     pub fn apply_gradients(&mut self, opt: &mut dyn Optimizer) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (dw, db) = match layer.grads() {
-                Some((dw, db)) => (dw.clone(), db.clone()),
-                None => continue,
+            let Some(pairs) = layer.params_with_grads() else {
+                continue;
             };
-            let (w, b) = layer.weights_mut();
-            opt.update(2 * i, w, &dw);
-            opt.update(2 * i + 1, b, &db);
+            for (k, (param, grad)) in pairs.into_iter().enumerate() {
+                opt.update(2 * i + k, param, grad);
+            }
         }
     }
 
@@ -583,6 +582,34 @@ mod tests {
         let after = m.weights();
         let leaked = GradientSnapshot::from_weight_diff(&before, &after, lr).unwrap();
         assert!(leaked.distance(&true_grads).unwrap() < 1e-4);
+    }
+
+    #[test]
+    fn apply_gradients_steps_every_slot_from_its_own_gradient() {
+        // Plain SGD is `p -= lr * g` to the bit, so reading the gradients
+        // in place must land exactly where the stored snapshot says.
+        let mut m = xor_model(9);
+        let (x, y) = xor_data();
+        let lr = 0.25f32;
+        let before = m.weights();
+        let (_, grads) = m.forward_backward(&x, &y).unwrap();
+        m.apply_gradients(&mut Sgd::new(lr));
+        let step = |p: &Tensor, g: &Tensor| -> Vec<f32> {
+            p.data()
+                .iter()
+                .zip(g.data())
+                .map(|(&p, &g)| p - lr * g)
+                .collect()
+        };
+        for ((was, now), g) in before.iter().zip(m.weights().iter()).zip(grads.iter()) {
+            assert_eq!(now.w.data(), step(&was.w, &g.dw));
+            assert_eq!(now.b.data(), step(&was.b, &g.db));
+        }
+        // No gradients, no step.
+        m.zero_grads();
+        let unchanged = m.weights();
+        m.apply_gradients(&mut Sgd::new(lr));
+        assert_eq!(m.weights(), unchanged);
     }
 
     #[test]
