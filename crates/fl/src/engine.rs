@@ -10,7 +10,11 @@
 //!
 //! * endpoints are dealt round-robin onto `workers` scoped threads
 //!   (the crossbeam idiom the tensor kernels already use), each worker
-//!   owning its shard of endpoints for the round,
+//!   owning its shard of endpoints for the round and walking it through
+//!   [`slide`]: the download goes out to a window of its sessions before
+//!   the worker waits for the oldest upload, so a worker's concurrency
+//!   is the window, not one (an in-process endpoint trains inside the
+//!   send and is collected at once, one client at a time as ever),
 //! * each exchange lands a [`ClientOutcome`] in a slot keyed by the
 //!   client's position in the round's selection, so aggregation order
 //!   never depends on timing,
@@ -25,11 +29,11 @@
 //!
 //! Failure containment: a schedule with duplicate or out-of-range indices
 //! is rejected up front ([`FlError::InvalidSelection`]) instead of
-//! panicking, and a panic inside one client's exchange — a buggy trainer,
-//! a poisoned endpoint — is caught on the worker and surfaced as that
-//! client's [`ClientOutcome::Failed`]. One bad client in a 10⁴-client
-//! round can therefore no longer kill the *process*; the round's fate
-//! stays a policy decision of the runner.
+//! panicking, and a panic inside either half of one client's exchange — a
+//! buggy trainer, a poisoned endpoint — is caught on the worker and
+//! surfaced as that client's [`ClientOutcome::Failed`]. One bad client in
+//! a 10⁴-client round can therefore no longer kill the *process*; the
+//! round's fate stays a policy decision of the runner.
 //!
 //! Fault injection: [`execute_cycles_with`](ExecutionEngine::execute_cycles_with)
 //! threads an optional [`FaultPlan`] through the exchange path. The plan
@@ -61,7 +65,7 @@ use crate::faults::FaultPlan;
 use crate::message::{ModelDownload, UpdateUpload};
 use crate::selection::validate_picks;
 use crate::transport::broadcast::Broadcast;
-use crate::transport::RemoteClient;
+use crate::transport::{slide, InFlight, RemoteClient};
 use crate::{FlError, Result};
 
 /// How one selected client's exchange ended.
@@ -232,14 +236,15 @@ impl ExecutionEngine {
         let ledger = SharedLedger::new();
         let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
         if self.workers <= 1 || picked.len() <= 1 {
-            for (slot, &ci) in picked.iter().enumerate() {
-                slots[slot] = Some(exchange_outcome(
-                    &mut clients[ci],
-                    broadcast,
-                    &ledger,
-                    faults,
-                ));
-            }
+            let outcomes = slide(
+                clients,
+                picked.len(),
+                |clients, slot| cycle_begin(&mut clients[picked[slot]], broadcast),
+                |clients, slot, sent| {
+                    cycle_finish(&mut clients[picked[slot]], sent, broadcast, &ledger, faults)
+                },
+            );
+            slots = outcomes.into_iter().map(Some).collect();
         } else {
             // Deal the selected clients round-robin into one shard per
             // worker. The deal is a pure function of (picked, workers),
@@ -275,12 +280,16 @@ impl ExecutionEngine {
                     .map(|mut shard| {
                         let ledger = &ledger;
                         s.spawn(move |_| {
-                            shard
-                                .iter_mut()
-                                .map(|(slot, client)| {
-                                    (*slot, exchange_outcome(client, broadcast, ledger, faults))
-                                })
-                                .collect::<Vec<_>>()
+                            let n = shard.len();
+                            slide(
+                                shard.as_mut_slice(),
+                                n,
+                                |shard, k| cycle_begin(shard[k].1, broadcast),
+                                |shard, k, sent| {
+                                    let (slot, client) = &mut shard[k];
+                                    (*slot, cycle_finish(client, sent, broadcast, ledger, faults))
+                                },
+                            )
                         })
                     })
                     .collect();
@@ -411,32 +420,46 @@ impl Default for ExecutionEngine {
     }
 }
 
-/// Drives one client exchange and classifies the result. On success the
+/// Runs one half of a client's exchange, turning a panic inside it
+/// (trainer bug, poisoned endpoint state) into that client's failure so
+/// it cannot take the worker — and with it the whole round — down.
+fn contained<T>(id: u64, half: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(half)).unwrap_or_else(|payload| {
+        Err(FlError::ClientFailure {
+            client: id,
+            reason: format!(
+                "client exchange panicked: {}",
+                panic_reason(payload.as_ref())
+            ),
+        })
+    })
+}
+
+/// Sends one client its download — the `begin` of a [`slide`] over a
+/// round's sessions. A failure here is the client's result;
+/// [`cycle_finish`] bills it in the client's turn.
+pub(crate) fn cycle_begin(
+    client: &mut RemoteClient,
+    broadcast: &Broadcast<'_>,
+) -> Result<(InFlight, bool)> {
+    contained(client.id(), || client.train_begin(broadcast))
+}
+
+/// Collects one client's upload and classifies the result. On success the
 /// TEE accounting the upload carried across the transport is recorded and
 /// the simulated elapsed time (injected latency + cycle compute) is
 /// checked against any round deadline; overruns come back as stragglers
-/// with their cost still billed. A panic inside the exchange (trainer
-/// bug, poisoned endpoint state) is caught and converted into that
-/// client's [`ClientOutcome::Failed`] so it cannot take the worker — and
-/// with it the whole round — down; failures are billed as zero-cost
-/// ledger entries so the round accounts every selected client.
-pub(crate) fn exchange_outcome(
+/// with their cost still billed. Failures of either half are billed as
+/// zero-cost ledger entries so the round accounts every selected client.
+pub(crate) fn cycle_finish(
     client: &mut RemoteClient,
+    sent: Result<InFlight>,
     broadcast: &Broadcast<'_>,
     ledger: &SharedLedger,
     faults: Option<&FaultPlan>,
 ) -> ClientOutcome {
     let id = client.id();
-    let result =
-        catch_unwind(AssertUnwindSafe(|| client.train_in(broadcast))).unwrap_or_else(|payload| {
-            Err(FlError::ClientFailure {
-                client: id,
-                reason: format!(
-                    "client exchange panicked: {}",
-                    panic_reason(payload.as_ref())
-                ),
-            })
-        });
+    let result = sent.and_then(|sent| contained(id, || client.train_finish(broadcast, sent)));
     match result {
         Ok(upload) => {
             ledger.record(upload.cost);

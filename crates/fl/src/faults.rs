@@ -391,6 +391,8 @@ pub struct FaultyEndpoint {
     client: Option<u64>,
     attests_seen: u64,
     messages_seen: u64,
+    /// The reply to the request in flight arrives truncated.
+    garble: bool,
 }
 
 impl std::fmt::Debug for FaultyEndpoint {
@@ -411,6 +413,7 @@ impl FaultyEndpoint {
             client: None,
             attests_seen: 0,
             messages_seen: 0,
+            garble: false,
         }
     }
 
@@ -446,38 +449,44 @@ impl FaultyEndpoint {
 }
 
 impl ServerEndpoint for FaultyEndpoint {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
-        match request.kind {
-            MessageKind::Hello => {
-                let reply = self.inner.exchange(request)?;
-                if let Ok(ack) = reply.open::<HelloAck>(MessageKind::HelloAck) {
-                    self.client = Some(ack.client_id);
-                }
-                Ok(reply)
+    /// Decides the faults that stop a request — an injected failure is
+    /// that exchange's result, with nothing to finish — and whether the
+    /// reply, once collected, arrives garbled.
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
+        self.garble = false;
+        if matches!(
+            request.kind,
+            MessageKind::AttestationRequest | MessageKind::EncodedModelDownload
+        ) {
+            let client = self.client.unwrap_or_default();
+            let round = self.round_of(&request);
+            let nth = self.messages_seen;
+            self.messages_seen += 1;
+            if self.plan.down(client, round) {
+                return Err(injected_failure("client is down this round"));
             }
-            MessageKind::AttestationRequest | MessageKind::EncodedModelDownload => {
-                let client = self.client.unwrap_or_default();
-                let round = self.round_of(&request);
-                let nth = self.messages_seen;
-                self.messages_seen += 1;
-                if self.plan.down(client, round) {
-                    return Err(injected_failure("client is down this round"));
-                }
-                if self.plan.drops_message(client, nth) {
-                    return Err(injected_failure("exchange dropped in flight"));
-                }
-                let mut reply = self.inner.exchange(request)?;
-                if self.plan.garbles_reply(client, nth) {
-                    // Truncation is the one corruption every decoder
-                    // detects deterministically (a bit-flip inside f32
-                    // weight data would decode fine and silently poison
-                    // the aggregate).
-                    reply.payload.truncate(reply.payload.len() / 2);
-                }
-                Ok(reply)
+            if self.plan.drops_message(client, nth) {
+                return Err(injected_failure("exchange dropped in flight"));
             }
-            _ => self.inner.exchange(request),
+            self.garble = self.plan.garbles_reply(client, nth);
         }
+        self.inner.begin(request)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
+        let mut reply = self.inner.finish()?;
+        if reply.kind == MessageKind::HelloAck {
+            if let Ok(ack) = reply.open::<HelloAck>(MessageKind::HelloAck) {
+                self.client = Some(ack.client_id);
+            }
+        }
+        if std::mem::take(&mut self.garble) {
+            // Truncation is the one corruption every decoder detects
+            // deterministically (a bit-flip inside f32 weight data would
+            // decode fine and silently poison the aggregate).
+            reply.payload.truncate(reply.payload.len() / 2);
+        }
+        Ok(reply)
     }
 
     fn notify(&mut self, message: Envelope) -> Result<()> {

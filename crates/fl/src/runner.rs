@@ -583,28 +583,38 @@ fn wire_fleet(
     faults: Option<&Arc<FaultPlan>>,
     codec: CodecKind,
 ) -> Result<(Vec<RemoteClient>, SessionBackend)> {
-    let wrap = move |endpoint: Box<dyn ServerEndpoint>| -> Box<dyn ServerEndpoint> {
-        match faults {
-            Some(plan) => Box::new(FaultyEndpoint::new(endpoint, plan.clone())),
+    // Handshakes every accepted endpoint through one window and restores
+    // fleet order: sockets are accepted in arrival order, the handshake
+    // tells who is who.
+    let greet = |endpoints: Vec<Box<dyn ServerEndpoint>>| -> Result<Vec<RemoteClient>> {
+        let wrapped = endpoints.into_iter().map(|endpoint| match faults {
+            Some(plan) => Box::new(FaultyEndpoint::new(endpoint, plan.clone())) as _,
             None => endpoint,
-        }
+        });
+        let mut remotes = RemoteClient::connect_all(wrapped.collect(), codec)?;
+        remotes.sort_by_key(RemoteClient::id);
+        Ok(remotes)
     };
-    match transport {
-        TransportKind::InProcess => {
-            let remotes = fleet
-                .into_iter()
-                .map(|c| RemoteClient::connect_with(wrap(Box::new(LocalEndpoint::new(c))), codec))
-                .collect::<Result<Vec<_>>>()?;
-            Ok((remotes, SessionBackend::Threads(Vec::new())))
-        }
-        TransportKind::Tcp => {
-            let listener = tcp::bind(("127.0.0.1", 0))?;
-            let addr = listener.local_addr()?;
-            let n = fleet.len();
-            // Every session thread connects at once; outgrow the std
-            // 128-slot backlog before the SYN storm starts.
-            listener.deepen_backlog(n as u32 + 128);
-            let mut sessions: Vec<JoinHandle<Result<FlClient>>> = fleet
+    if transport == TransportKind::InProcess {
+        let endpoints = fleet
+            .into_iter()
+            .map(|c| Box::new(LocalEndpoint::new(c)) as _);
+        return Ok((
+            greet(endpoints.collect())?,
+            SessionBackend::Threads(Vec::new()),
+        ));
+    }
+    let listener = tcp::bind(("127.0.0.1", 0))?;
+    let addr = listener.local_addr()?;
+    let n = fleet.len();
+    // Every session connects at once — the threads as they start, the
+    // event loops their whole share before they poll; outgrow the std
+    // 128-slot backlog so no connect lands in kernel retry backoff.
+    listener.deepen_backlog(n as u32 + 128);
+    let mut sessions = match transport {
+        TransportKind::TcpMux => SessionBackend::Mux(MuxFleet::launch(addr, fleet, mux)?),
+        _ => SessionBackend::Threads(
+            fleet
                 .into_iter()
                 .map(|client| {
                     std::thread::spawn(move || {
@@ -612,84 +622,50 @@ fn wire_fleet(
                         ClientSession::new(client, endpoint).serve()
                     })
                 })
-                .collect();
-            // Poll for the n connections rather than blocking in accept:
-            // a session thread that failed to connect would otherwise
-            // leave build() waiting forever for a connection that will
-            // never arrive.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            let mut remotes = Vec::with_capacity(n);
-            while remotes.len() < n {
-                match listener.try_accept()? {
-                    Some(endpoint) => {
-                        remotes.push(RemoteClient::connect_with(wrap(Box::new(endpoint)), codec)?)
-                    }
-                    None => {
-                        if let Some(dead) = sessions.iter().position(JoinHandle::is_finished) {
-                            let outcome = sessions.remove(dead).join();
-                            let reason = match outcome {
-                                Ok(Ok(_)) => continue, // clean early exit; keep accepting
-                                Ok(Err(e)) => return Err(e),
-                                Err(_) => "client session thread panicked".to_owned(),
-                            };
-                            return Err(FlError::Protocol { reason });
-                        }
-                        if std::time::Instant::now() > deadline {
-                            return Err(FlError::disconnected(
-                                "waiting for client connections during federation build",
-                            ));
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
+                .collect(),
+        ),
+    };
+    // Accept ALL n connections before handshaking any of them. The event
+    // loops connect their whole share before they start polling, so a
+    // handshake attempted early would block on a session nobody is
+    // serving yet — while the un-accepted remainder overflows the
+    // listener backlog and stalls the loops' own connects: a deadlock.
+    // Draining the backlog first breaks the cycle. Poll rather than block
+    // in accept: a session that failed to connect would otherwise leave
+    // build() waiting forever for a connection that will never arrive.
+    listener.set_nonblocking(true)?;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut endpoints: Vec<Box<dyn ServerEndpoint>> = Vec::with_capacity(n);
+    while endpoints.len() < n {
+        if let Some(endpoint) = listener.try_accept()? {
+            endpoints.push(Box::new(endpoint));
+            continue;
+        }
+        match &mut sessions {
+            SessionBackend::Mux(fleet) => {
+                if let Some(e) = fleet.take_early_error() {
+                    return Err(e);
                 }
             }
-            // Connections are accepted in arrival order; the handshake
-            // told us who is who, so restore fleet order by id.
-            remotes.sort_by_key(RemoteClient::id);
-            Ok((remotes, SessionBackend::Threads(sessions)))
-        }
-        TransportKind::TcpMux => {
-            let listener = tcp::bind(("127.0.0.1", 0))?;
-            let addr = listener.local_addr()?;
-            let n = fleet.len();
-            // The event loops connect their whole share before the
-            // accepts below drain anything; outgrow the 128-slot
-            // backlog so no connect lands in kernel retry backoff.
-            listener.deepen_backlog(n as u32 + 128);
-            let fleet_handle = MuxFleet::launch(addr, fleet, mux)?;
-            // Accept ALL n connections before handshaking any of them.
-            // The event loops connect their whole share before they start
-            // polling, so a handshake attempted early would block on a
-            // session nobody is serving yet — while the un-accepted
-            // remainder overflows the listener backlog and stalls the
-            // loops' own connects: a deadlock. Draining the backlog first
-            // breaks the cycle.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            let mut endpoints = Vec::with_capacity(n);
-            while endpoints.len() < n {
-                match listener.try_accept()? {
-                    Some(endpoint) => endpoints.push(endpoint),
-                    None => {
-                        if let Some(e) = fleet_handle.take_early_error() {
-                            return Err(e);
-                        }
-                        if std::time::Instant::now() > deadline {
-                            return Err(FlError::disconnected(
-                                "waiting for mux client connections during federation build",
-                            ));
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
+            SessionBackend::Threads(threads) => {
+                if let Some(dead) = threads.iter().position(JoinHandle::is_finished) {
+                    let reason = match threads.remove(dead).join() {
+                        Ok(Ok(_)) => continue, // clean early exit; keep accepting
+                        Ok(Err(e)) => return Err(e),
+                        Err(_) => "client session thread panicked".to_owned(),
+                    };
+                    return Err(FlError::Protocol { reason });
                 }
             }
-            let mut remotes = endpoints
-                .into_iter()
-                .map(|endpoint| RemoteClient::connect_with(wrap(Box::new(endpoint)), codec))
-                .collect::<Result<Vec<_>>>()?;
-            remotes.sort_by_key(RemoteClient::id);
-            Ok((remotes, SessionBackend::Mux(fleet_handle)))
         }
+        if std::time::Instant::now() > deadline {
+            return Err(FlError::disconnected(
+                "waiting for client connections during federation build",
+            ));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
+    Ok((greet(endpoints)?, sessions))
 }
 
 /// A fleet of handshaken client endpoints in this process, partitioned
@@ -1065,13 +1041,15 @@ impl Federation {
 }
 
 #[cfg(test)]
+mod split_phase;
+
+#[cfg(test)]
 mod tests {
+    use super::split_phase::one_by_one;
     use super::*;
-    use crate::engine::exchange_outcome;
-    use crate::transport::broadcast::Broadcast;
     use gradsec_data::{SyntheticCifar100, SyntheticMicro};
     use gradsec_nn::zoo;
-    use gradsec_tee::cost::{ClientCycleCost, SharedLedger};
+    use gradsec_tee::cost::ClientCycleCost;
 
     fn plan() -> TrainingPlan {
         TrainingPlan {
@@ -1401,56 +1379,6 @@ mod tests {
             "{err}"
         );
         assert_eq!(driver.server().round(), 0);
-    }
-
-    /// A federation whose rounds run on the per-client path: every picked
-    /// client gets a broadcast of its own — which is what
-    /// `RemoteClient::train` is — one after another. The reference the
-    /// round-scoped broadcast has to reproduce.
-    struct OneByOne(Federation);
-
-    impl Fleet for OneByOne {
-        const RUNNER: &'static str = "OneByOne";
-
-        fn layout(&self) -> &ShardLayout {
-            self.0.fleet.layout()
-        }
-
-        fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome> {
-            self.0.fleet.screen(plan)
-        }
-
-        fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
-            let fleet = &mut self.0.fleet;
-            let ledger = SharedLedger::new();
-            let outcomes = picked
-                .iter()
-                .map(|&ci| {
-                    exchange_outcome(
-                        &mut fleet.clients[ci],
-                        &Broadcast::new(download),
-                        &ledger,
-                        fleet.faults.as_deref(),
-                    )
-                })
-                .collect();
-            Ok(Executed {
-                outcomes,
-                ledger: ledger.into_round_ledger(),
-                cohort_lost: false,
-            })
-        }
-
-        fn teardown(&mut self) -> Result<()> {
-            self.0.fleet.teardown()
-        }
-    }
-
-    fn one_by_one(configured: impl Fn() -> FederationBuilder) -> RoundDriver<OneByOne> {
-        let inner = configured().build().unwrap();
-        let mut setup = configured().setup;
-        let server = setup.server(inner.server().global().clone()).unwrap();
-        setup.drive(server, OneByOne(inner))
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //! [`AttestationRequest`](crate::message::AttestationRequest) envelope
 //! and the quote comes back the same way, so selection works identically
 //! whether the client is a struct in this process or a device across a
-//! socket.
+//! socket. A plan's challenges go out through the transport's
+//! [`slide`]: a window of them is on the wire before the first quote is
+//! awaited, so screening a socket-backed fleet costs one wait per
+//! window rather than one per client. The plan fixed the candidates and
+//! their nonces beforehand and verdicts are keyed by position, so the
+//! overlap cannot reach the selection RNG or the outcome order.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -18,7 +23,8 @@ use rand::RngExt;
 
 use gradsec_tee::attestation::{verify_quote, Challenge, Measurement};
 
-use crate::transport::RemoteClient;
+use crate::message::AttestationResponse;
+use crate::transport::{slide, RemoteClient};
 use crate::{FlError, Result};
 
 /// Outcome of screening one client.
@@ -47,16 +53,21 @@ pub fn screen_one(
     expected: Measurement,
     challenge: &Challenge,
 ) -> ScreeningOutcome {
-    let response = match client.attest(challenge) {
-        Ok(r) => r,
-        Err(_) => return ScreeningOutcome::Unreachable,
-    };
-    verify_evidence(
-        client.attestation_key(),
-        response.quote,
-        expected,
-        challenge,
-    )
+    let response = client.attest(challenge);
+    judge(client, response, expected, challenge)
+}
+
+/// The verdict on one attestation exchange, however it was driven.
+fn judge(
+    client: &RemoteClient,
+    response: Result<AttestationResponse>,
+    expected: Measurement,
+    challenge: &Challenge,
+) -> ScreeningOutcome {
+    match response {
+        Ok(r) => verify_evidence(client.attestation_key(), r.quote, expected, challenge),
+        Err(_) => ScreeningOutcome::Unreachable,
+    }
 }
 
 /// Turns raw attestation evidence into a screening verdict, verifying the
@@ -87,11 +98,20 @@ pub(crate) fn screen_planned(
     expected: Measurement,
     plan: &ScreenPlan,
 ) -> Vec<ScreeningOutcome> {
-    plan.candidates
-        .iter()
-        .zip(plan.challenges.iter())
-        .map(|(&i, challenge)| screen_one(&mut clients[i], expected, challenge))
-        .collect()
+    let probe = |k: usize| (plan.candidates[k], &plan.challenges[k]);
+    slide(
+        clients,
+        plan.candidates.len().min(plan.challenges.len()),
+        |clients, k| {
+            let (i, challenge) = probe(k);
+            Ok(((), clients[i].attest_begin(challenge)?))
+        },
+        |clients, k, sent| {
+            let (i, challenge) = probe(k);
+            let response = sent.and_then(|()| clients[i].attest_finish());
+            judge(&clients[i], response, expected, challenge)
+        },
+    )
 }
 
 /// Screens every client with a fresh challenge and returns the verdicts,
@@ -105,13 +125,11 @@ pub fn screen_clients(
     expected: Measurement,
     rng: &mut StdRng,
 ) -> Vec<ScreeningOutcome> {
-    clients
-        .iter_mut()
-        .map(|c| {
-            let challenge = draw_challenge(rng);
-            screen_one(c, expected, &challenge)
-        })
-        .collect()
+    let plan = ScreenPlan {
+        candidates: (0..clients.len()).collect(),
+        challenges: clients.iter().map(|_| draw_challenge(rng)).collect(),
+    };
+    screen_planned(clients, expected, &plan)
 }
 
 /// Draws one 16-byte attestation nonce — the single point every

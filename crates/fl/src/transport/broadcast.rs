@@ -191,21 +191,27 @@ mod tests {
         inner: LocalEndpoint,
         script: Vec<(usize, Fault)>,
         downloads: usize,
+        garble: bool,
     }
 
     impl ServerEndpoint for Scripted {
-        fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
-            if request.kind != MessageKind::EncodedModelDownload {
-                return self.inner.exchange(request);
+        fn begin(&mut self, request: Envelope) -> Result<bool> {
+            self.garble = false;
+            if request.kind == MessageKind::EncodedModelDownload {
+                let nth = self.downloads;
+                self.downloads += 1;
+                let fault = self.script.iter().find(|(at, _)| *at == nth).map(|s| s.1);
+                if fault == Some(Fault::DropRequest) {
+                    return Err(FlError::disconnected("scripted drop"));
+                }
+                self.garble = fault == Some(Fault::GarbleReply);
             }
-            let nth = self.downloads;
-            self.downloads += 1;
-            let fault = self.script.iter().find(|(at, _)| *at == nth).map(|s| s.1);
-            if fault == Some(Fault::DropRequest) {
-                return Err(FlError::disconnected("scripted drop"));
-            }
-            let mut reply = self.inner.exchange(request)?;
-            if fault == Some(Fault::GarbleReply) {
+            self.inner.begin(request)
+        }
+
+        fn finish(&mut self) -> Result<Envelope> {
+            let mut reply = self.inner.finish()?;
+            if self.garble {
                 reply.payload.truncate(reply.payload.len() / 2);
             }
             Ok(reply)
@@ -245,6 +251,7 @@ mod tests {
                     inner: LocalEndpoint::new(client),
                     script,
                     downloads: 0,
+                    garble: false,
                 };
                 RemoteClient::connect_with(Box::new(endpoint), CodecKind::DeltaTopK).unwrap()
             })
@@ -275,7 +282,11 @@ mod tests {
             let broadcast = Broadcast::new(&download);
             let mut next = None;
             for (member, single) in shared.iter_mut().zip(&mut alone) {
-                let got = comparable(member.train_in(&broadcast));
+                let got = comparable(
+                    member
+                        .train_begin(&broadcast)
+                        .and_then(|(sent, _)| member.train_finish(&broadcast, sent)),
+                );
                 assert_eq!(got, comparable(single.train(&download)), "round {round}");
                 next = next.or(got.ok());
             }

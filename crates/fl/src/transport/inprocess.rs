@@ -8,12 +8,14 @@
 //! bit-identical. The `transport_overhead` bench tracks what that codec
 //! pass costs relative to the training compute it rides with.
 //!
-//! * [`LocalEndpoint`] — synchronous dispatch: the server's `exchange`
-//!   *is* the client's request handling, on the calling thread. This is
-//!   the default federation transport; the execution engine's worker pool
-//!   fans `exchange` calls out exactly as it used to fan direct
-//!   `run_cycle` calls, so determinism and parallel speedup carry over
-//!   bit-for-bit.
+//! * [`LocalEndpoint`] — synchronous dispatch: the server's `begin`
+//!   *is* the client's request handling, on the calling thread, and
+//!   reports the reply as already waiting — so a walk over in-process
+//!   sessions collects each before it begins the next and never holds
+//!   more than one exchange's buffers. This is the default federation
+//!   transport; the execution engine's worker pool fans exchanges out
+//!   exactly as it used to fan direct `run_cycle` calls, so determinism
+//!   and parallel speedup carry over bit-for-bit.
 //! * [`channel_pair`] — a duplex built from two `std::sync::mpsc`
 //!   channels, for running [`ClientSession`](super::ClientSession) serve
 //!   loops on their own threads inside one process (the closest in-process
@@ -30,6 +32,8 @@ use crate::{FlError, Result};
 /// to the wrapped client's [`ClientHandler`] on the calling thread.
 pub struct LocalEndpoint {
     handler: ClientHandler,
+    /// The reply `begin` produced, parked for `finish`.
+    reply: Option<Envelope>,
 }
 
 impl LocalEndpoint {
@@ -37,6 +41,7 @@ impl LocalEndpoint {
     pub fn new(client: FlClient) -> Self {
         LocalEndpoint {
             handler: ClientHandler::new(client),
+            reply: None,
         }
     }
 
@@ -60,9 +65,16 @@ impl std::fmt::Debug for LocalEndpoint {
 }
 
 impl ServerEndpoint for LocalEndpoint {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
-        self.handler.handle(request).ok_or_else(|| {
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
+        self.reply = Some(self.handler.handle(request).ok_or_else(|| {
             FlError::disconnected("exchanging with an in-process client that said goodbye")
+        })?);
+        Ok(true)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
+        self.reply.take().ok_or_else(|| FlError::Protocol {
+            reason: "no request begun on this in-process endpoint".to_owned(),
         })
     }
 
@@ -111,10 +123,14 @@ pub fn channel_pair() -> (ChannelServerEndpoint, ChannelClientEndpoint) {
 }
 
 impl ServerEndpoint for ChannelServerEndpoint {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
         self.tx
             .send(request)
             .map_err(|_| FlError::disconnected("sending request to in-process channel"))?;
+        Ok(false)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
         self.rx
             .recv()
             .map_err(|_| FlError::disconnected("awaiting reply from in-process channel"))

@@ -5,10 +5,21 @@
 //! module lifts that pattern onto a narrow byte-level seam so one protocol
 //! implementation serves every deployment scenario:
 //!
-//! * [`ServerEndpoint`] — the server's handle to one client: send an
-//!   [`Envelope`], block for the reply envelope.
+//! * [`ServerEndpoint`] — the server's handle to one client, in two
+//!   halves: `begin` puts a request [`Envelope`] on the pipe, `finish`
+//!   blocks for that session's reply (`exchange` is the two composed).
 //! * [`ClientEndpoint`] — the client's side: block for the next request,
 //!   send the reply.
+//!
+//! The split is what lets one server thread keep many sessions waiting
+//! at once: every walk over sessions — the handshake, screening, an
+//! engine worker's share of a round — goes through [`slide`], which
+//! begins up to [`WINDOW`] sessions in canonical order before it collects
+//! the oldest reply, in the same order. Each session still sees its own
+//! messages one at a time and in the same sequence, so nothing a session
+//! computes, and nothing keyed by its slot, can tell the difference; an
+//! endpoint that answers inside `begin` (the in-process one) is collected
+//! before the next session begins, which is the old one-at-a-time walk.
 //!
 //! Four backends implement the seam:
 //!
@@ -44,13 +55,14 @@ pub mod poller;
 pub mod sealed;
 pub mod tcp;
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Challenge;
 use gradsec_tee::cost::WireBill;
 
-use self::broadcast::{Broadcast, View};
+use self::broadcast::{Broadcast, Payload, View};
 use crate::client::{DeviceProfile, FlClient};
 use crate::codec::{decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH};
 use crate::message::{
@@ -62,17 +74,38 @@ use crate::{FlError, Result};
 
 /// The server's byte-level handle to one client.
 ///
-/// Implementations deliver a request envelope and block until the
-/// client's reply envelope arrives (the protocol is strictly
-/// request/response, so no reordering can occur within one endpoint).
+/// The protocol is strictly request/response, so no reordering can occur
+/// within one endpoint: every [`begin`](Self::begin) that succeeded is
+/// followed by exactly one [`finish`](Self::finish) before the next
+/// request. Between the two the caller is free to begin *other* sessions.
 pub trait ServerEndpoint: Send {
-    /// Sends `request` and blocks for the reply.
+    /// Puts `request` on the pipe without waiting for the reply. Returns
+    /// `true` when the endpoint answered inside the call (the reply is
+    /// already parked for `finish`), `false` when `finish` will block for
+    /// it. After an error there is nothing to finish.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::Transport`] when the underlying pipe fails.
+    fn begin(&mut self, request: Envelope) -> Result<bool>;
+
+    /// Blocks for the reply to the request last begun.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the underlying pipe fails and
     /// [`FlError::Protocol`] on framing violations.
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope>;
+    fn finish(&mut self) -> Result<Envelope>;
+
+    /// Sends `request` and blocks for the reply: the two halves composed.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`begin`](Self::begin) and [`finish`](Self::finish).
+    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
+        self.begin(request)?;
+        self.finish()
+    }
 
     /// Sends `message` without waiting for a reply (session teardown).
     ///
@@ -108,8 +141,12 @@ pub trait ClientEndpoint: Send {
 }
 
 impl ServerEndpoint for Box<dyn ServerEndpoint> {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
-        (**self).exchange(request)
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
+        (**self).begin(request)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
+        (**self).finish()
     }
 
     fn notify(&mut self, message: Envelope) -> Result<()> {
@@ -119,6 +156,40 @@ impl ServerEndpoint for Box<dyn ServerEndpoint> {
     fn descriptor(&self) -> String {
         (**self).descriptor()
     }
+}
+
+/// How many sessions one driver keeps begun but unfinished.
+pub(crate) const WINDOW: usize = 64;
+
+/// Walks sessions `0..n` of `fleet` through `begin` then `finish`, both
+/// in index order, with at most [`WINDOW`] begun and not yet finished;
+/// results come back index-aligned. `begin` returns what its session's
+/// `finish` needs, plus whether the endpoint answered inline — then a
+/// whole reply is parked in the session, and everything begun is
+/// collected before another session begins. A failed `begin` is that
+/// session's result, handed to its `finish` in its turn; every session
+/// begun is finished before the walk returns.
+pub(crate) fn slide<F: ?Sized, B, T>(
+    fleet: &mut F,
+    n: usize,
+    mut begin: impl FnMut(&mut F, usize) -> Result<(B, bool)>,
+    mut finish: impl FnMut(&mut F, usize, Result<B>) -> T,
+) -> Vec<T> {
+    let mut begun = VecDeque::with_capacity(WINDOW.min(n));
+    let mut done = Vec::with_capacity(n);
+    while done.len() < n {
+        let mut inline = false;
+        while !inline && begun.len() < WINDOW && done.len() + begun.len() < n {
+            let session = begin(fleet, done.len() + begun.len());
+            inline = matches!(session, Ok((_, true)));
+            begun.push_back(session.map(|(sent, _)| sent));
+        }
+        let collect = if inline { begun.len() } else { 1 };
+        for session in begun.drain(..collect) {
+            done.push(finish(fleet, done.len(), session));
+        }
+    }
+    done
 }
 
 /// The client-side protocol logic, independent of any transport: decodes
@@ -329,7 +400,16 @@ pub struct RemoteClient {
     /// this client demonstrably decoded and replied to. One allocation
     /// per broadcast group — lockstep sessions all point at the same one.
     view: Option<View>,
+    /// A request is on the pipe and its reply not yet collected.
+    begun: bool,
     endpoint: Box<dyn ServerEndpoint>,
+}
+
+/// A training request on the pipe: what
+/// [`train_finish`](RemoteClient::train_finish) needs to read its reply.
+pub(crate) struct InFlight {
+    epoch: u64,
+    shared: Arc<Payload>,
 }
 
 impl std::fmt::Debug for RemoteClient {
@@ -361,21 +441,45 @@ impl RemoteClient {
     /// # Errors
     ///
     /// Same conditions as [`connect`](Self::connect).
-    pub fn connect_with(mut endpoint: Box<dyn ServerEndpoint>, codec: CodecKind) -> Result<Self> {
-        let reply = endpoint.exchange(Envelope::pack(
-            MessageKind::Hello,
-            &Hello::with_codec(codec),
-        ))?;
-        let ack: HelloAck = reply.open(MessageKind::HelloAck)?;
-        check_version("client", ack.version)?;
-        Ok(RemoteClient {
-            id: ack.client_id,
-            attestation_key: DeviceProfile::provisioned_key(ack.client_id),
-            codec: ack.codec,
-            epoch: 0,
-            view: None,
-            endpoint,
-        })
+    pub fn connect_with(endpoint: Box<dyn ServerEndpoint>, codec: CodecKind) -> Result<Self> {
+        let mut one = RemoteClient::connect_all(vec![endpoint], codec)?;
+        Ok(one.pop().expect("one endpoint in, one session out"))
+    }
+
+    /// Handshakes with every endpoint through one [`slide`], returning
+    /// the sessions in endpoint order. Every hello sent is collected
+    /// before the first failure, if any, is returned.
+    pub(crate) fn connect_all(
+        endpoints: Vec<Box<dyn ServerEndpoint>>,
+        codec: CodecKind,
+    ) -> Result<Vec<Self>> {
+        let hello = Envelope::pack(MessageKind::Hello, &Hello::with_codec(codec));
+        let mut endpoints: Vec<_> = endpoints.into_iter().map(Some).collect();
+        let n = endpoints.len();
+        let greeted = slide(
+            &mut endpoints,
+            n,
+            |endpoints, i| {
+                let endpoint = endpoints[i].as_mut().expect("greeted once");
+                Ok(((), endpoint.begin(hello.clone())?))
+            },
+            |endpoints, i, sent| {
+                let mut endpoint = endpoints[i].take().expect("greeted once");
+                sent?;
+                let ack: HelloAck = endpoint.finish()?.open(MessageKind::HelloAck)?;
+                check_version("client", ack.version)?;
+                Ok(RemoteClient {
+                    id: ack.client_id,
+                    attestation_key: DeviceProfile::provisioned_key(ack.client_id),
+                    codec: ack.codec,
+                    epoch: 0,
+                    view: None,
+                    begun: false,
+                    endpoint,
+                })
+            },
+        );
+        greeted.into_iter().collect()
     }
 
     /// The update codec this session negotiated.
@@ -398,10 +502,31 @@ impl RemoteClient {
         self.endpoint.descriptor()
     }
 
-    /// Sends `request`, blocks for the reply and opens it as `expect`; a
-    /// client-side error report surfaces as [`FlError::ClientFailure`].
-    fn exchange<Resp: Wire>(&mut self, request: Envelope, expect: MessageKind) -> Result<Resp> {
-        let reply = self.endpoint.exchange(request)?;
+    /// Puts `request` on the pipe (see [`ServerEndpoint::begin`]). A
+    /// session takes one request at a time: a second one before the
+    /// first's reply is collected would let that reply answer the wrong
+    /// request, so it is refused.
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
+        if self.begun {
+            return Err(FlError::Protocol {
+                reason: format!("client {} has a request in flight already", self.id),
+            });
+        }
+        let inline = self.endpoint.begin(request)?;
+        self.begun = true;
+        Ok(inline)
+    }
+
+    /// Blocks for the reply to the request begun and opens it as
+    /// `expect`; a client-side error report surfaces as
+    /// [`FlError::ClientFailure`].
+    fn finish<Resp: Wire>(&mut self, expect: MessageKind) -> Result<Resp> {
+        if !std::mem::take(&mut self.begun) {
+            return Err(FlError::Protocol {
+                reason: format!("client {} has no request in flight", self.id),
+            });
+        }
+        let reply = self.endpoint.finish()?;
         if reply.kind == MessageKind::Error {
             return Err(FlError::ClientFailure {
                 client: self.id,
@@ -418,13 +543,21 @@ impl RemoteClient {
     /// Transport/protocol failures; a client-side failure surfaces as
     /// [`FlError::ClientFailure`].
     pub fn attest(&mut self, challenge: &Challenge) -> Result<AttestationResponse> {
+        self.attest_begin(challenge)?;
+        self.attest_finish()
+    }
+
+    /// The request half of [`attest`](Self::attest).
+    pub(crate) fn attest_begin(&mut self, challenge: &Challenge) -> Result<bool> {
         let request = AttestationRequest {
             challenge: *challenge,
         };
-        self.exchange(
-            Envelope::pack(MessageKind::AttestationRequest, &request),
-            MessageKind::AttestationResponse,
-        )
+        self.begin(Envelope::pack(MessageKind::AttestationRequest, &request))
+    }
+
+    /// The reply half of [`attest`](Self::attest).
+    pub(crate) fn attest_finish(&mut self) -> Result<AttestationResponse> {
+        self.finish(MessageKind::AttestationResponse)
     }
 
     /// Ships the global model and plan, blocking for the trained update
@@ -435,37 +568,54 @@ impl RemoteClient {
     /// decoded update plus its wire-bytes bill come back as the familiar
     /// [`UpdateUpload`] — the single chokepoint every execution path
     /// (flat, sharded, distributed) funnels through. This is the
-    /// one-member [`Broadcast`]; the engine hands a whole round's
-    /// sessions the same one.
+    /// one-member [`Broadcast`], begun and finished at once; the engine
+    /// hands a whole round's sessions the same one and overlaps them.
     ///
     /// # Errors
     ///
     /// Transport/protocol failures; a failed training cycle surfaces as
     /// [`FlError::ClientFailure`].
     pub fn train(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
-        self.train_in(&Broadcast::new(download))
+        let round = Broadcast::new(download);
+        let (sent, _) = self.train_begin(&round)?;
+        self.train_finish(&round, sent)
     }
 
-    /// [`train`](Self::train) as one member of `round`'s broadcast.
-    pub(crate) fn train_in(&mut self, round: &Broadcast<'_>) -> Result<UpdateUpload> {
-        match self.train_encoded(round) {
+    /// The request half of [`train`](Self::train) as one member of
+    /// `round`'s broadcast: stamps the next epoch and sends the group's
+    /// frame.
+    pub(crate) fn train_begin(&mut self, round: &Broadcast<'_>) -> Result<(InFlight, bool)> {
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let shared = round.payload(self.codec, epoch, self.view.as_ref())?;
+        let inline = self.begin(shared.frame.clone())?;
+        Ok((InFlight { epoch, shared }, inline))
+    }
+
+    /// The reply half of [`train`](Self::train).
+    pub(crate) fn train_finish(
+        &mut self,
+        round: &Broadcast<'_>,
+        sent: InFlight,
+    ) -> Result<UpdateUpload> {
+        match self.collect(round, sent) {
             Err(FlError::ClientFailure { reason, .. }) if reason.contains(BASE_MISMATCH) => {
                 // The client lost the reference view this delta was coded
                 // against (e.g. its previous reply never arrived, so only
-                // one side committed). Drop ours and re-send dense, once.
+                // one side committed). Drop ours and re-send dense, once,
+                // waiting for it here: a retry is rare, and the session's
+                // slot in the walk is this one.
                 self.view = None;
-                self.train_encoded(round)
+                let (resent, _) = self.train_begin(round)?;
+                self.collect(round, resent)
             }
             other => other,
         }
     }
 
-    fn train_encoded(&mut self, round: &Broadcast<'_>) -> Result<UpdateUpload> {
-        let epoch = self.epoch;
-        self.epoch += 1;
-        let shared = round.payload(self.codec, epoch, self.view.as_ref())?;
-        let reply: EncodedUpdateUpload =
-            self.exchange(shared.frame.clone(), MessageKind::EncodedUpdateUpload)?;
+    fn collect(&mut self, round: &Broadcast<'_>, sent: InFlight) -> Result<UpdateUpload> {
+        let InFlight { epoch, shared } = sent;
+        let reply: EncodedUpdateUpload = self.finish(MessageKind::EncodedUpdateUpload)?;
         if reply.weights.base_epoch.is_some_and(|base| base != epoch) {
             return Err(FlError::Protocol {
                 reason: format!(
@@ -525,6 +675,11 @@ mod tests {
     use gradsec_nn::zoo;
 
     impl RemoteClient {
+        /// Training attempts so far (retries included).
+        pub(crate) fn epoch(&self) -> u64 {
+            self.epoch
+        }
+
         /// Whether both sessions hold the *same allocation* as their
         /// committed view (not merely equal weights).
         pub(crate) fn shares_view_with(&self, other: &RemoteClient) -> bool {
@@ -585,7 +740,10 @@ mod tests {
         /// A client that acks every hello at an older protocol version.
         struct StaleClient;
         impl ServerEndpoint for StaleClient {
-            fn exchange(&mut self, _request: Envelope) -> Result<Envelope> {
+            fn begin(&mut self, _request: Envelope) -> Result<bool> {
+                Ok(true)
+            }
+            fn finish(&mut self) -> Result<Envelope> {
                 Ok(Envelope::pack(
                     MessageKind::HelloAck,
                     &HelloAck {

@@ -14,10 +14,12 @@
 //! configured bound, that session's reads pause until the peer drains it
 //! (backpressure, never unbounded queueing).
 //!
-//! The server side is untouched: the engine still drives blocking
-//! [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s (optionally
-//! wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)), and
-//! completed uploads feed the existing canonical-order commit — so a mux
+//! The server side is the threaded transport's: the engine drives
+//! blocking [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s
+//! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
+//! a window of them at a time (see [`slide`](super::slide)) so the loops
+//! have many requests to serve per wake-up, and completed uploads feed
+//! the existing canonical-order commit — so a mux
 //! round is bit-identical to the threaded-TCP and in-process rounds; only
 //! the pipe changed. Teardown follows the protocol's `Goodbye`
 //! discipline: a session that receives `Goodbye` drains its write queue
@@ -274,6 +276,12 @@ impl Session {
                     self.frames = frames;
                     fed?;
                     self.flush()?;
+                    // A short read emptied the socket. The pollers are
+                    // level-triggered, so whatever arrives next raises a
+                    // new event; reading again now would only learn that.
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

@@ -17,8 +17,9 @@
 //!
 //! Both are *level-triggered*: an event means "this session can make
 //! progress now", and the mux event loop advances each flagged session
-//! until it hits `WouldBlock` — so a spurious event is harmless and a
-//! missed edge cannot strand a session.
+//! until it hits `WouldBlock` or a short read — so a spurious event is
+//! harmless, a missed edge cannot strand a session, and bytes that land
+//! after a session stopped reading raise an event of their own.
 
 #![allow(unsafe_code)]
 

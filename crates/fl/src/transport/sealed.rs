@@ -53,9 +53,13 @@ impl<E: ServerEndpoint> SealedServerEndpoint<E> {
 }
 
 impl<E: ServerEndpoint> ServerEndpoint for SealedServerEndpoint<E> {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
         let sealed = seal_envelope(&mut self.channel, &request);
-        let reply = self.inner.exchange(sealed)?;
+        self.inner.begin(sealed)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
+        let reply = self.inner.finish()?;
         open_envelope(&mut self.channel, &reply)
     }
 

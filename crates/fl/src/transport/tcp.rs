@@ -81,8 +81,12 @@ pub struct TcpServerEndpoint {
 }
 
 impl ServerEndpoint for TcpServerEndpoint {
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
+    fn begin(&mut self, request: Envelope) -> Result<bool> {
         write_envelope(&mut self.stream, &mut self.scratch, &request, &self.peer)?;
+        Ok(false)
+    }
+
+    fn finish(&mut self) -> Result<Envelope> {
         read_envelope(&mut self.stream, &self.peer)
     }
 
@@ -159,9 +163,23 @@ impl TcpListenerEndpoint {
         crate::transport::poller::deepen_listen_backlog(&self.listener, backlog)
     }
 
-    /// Polls for one client connection without blocking: `Ok(None)` when
-    /// nobody is waiting. Callers that interleave accepting with other
-    /// work (liveness checks, deadlines) use this instead of [`accept`].
+    /// Switches the listener between blocking accepts (the default) and
+    /// polled ones ([`try_accept`](Self::try_accept)) — once per accept
+    /// loop, not once per accept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::Transport`] when the socket is gone.
+    pub fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
+        self.listener
+            .set_nonblocking(nonblocking)
+            .map_err(|e| FlError::transport("configuring listener", e))
+    }
+
+    /// Polls a [non-blocking](Self::set_nonblocking) listener for one
+    /// client connection: `Ok(None)` when nobody is waiting. Callers that
+    /// interleave accepting with other work (liveness checks, deadlines)
+    /// use this instead of [`accept`].
     ///
     /// [`accept`]: TcpListenerEndpoint::accept
     ///
@@ -169,20 +187,9 @@ impl TcpListenerEndpoint {
     ///
     /// Returns [`FlError::Transport`] on accept failure.
     pub fn try_accept(&self) -> Result<Option<TcpServerEndpoint>> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| FlError::transport("configuring listener", e))?;
-        let polled = self.listener.accept();
-        let restore = self.listener.set_nonblocking(false);
-        match polled {
-            Ok((stream, addr)) => {
-                restore.map_err(|e| FlError::transport("configuring listener", e))?;
-                self.admit(stream, addr).map(Some)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                restore.map_err(|e| FlError::transport("configuring listener", e))?;
-                Ok(None)
-            }
+        match self.listener.accept() {
+            Ok((stream, addr)) => self.admit(stream, addr).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(FlError::transport("accepting client connection", e)),
         }
     }

@@ -1,5 +1,5 @@
-//! Property-based tests for the multiplexed transport's frame
-//! reassembler.
+//! Property-based tests for the multiplexed transport: its frame
+//! reassembler, and split-phase exchanges over a live event-loop pool.
 //!
 //! The mux event loop sees the protocol as the kernel delivers it:
 //! arbitrary chunks that straddle header and payload boundaries,
@@ -7,17 +7,27 @@
 //! chunking, [`FrameReassembler`] must emit exactly the envelopes that
 //! were written — every [`MessageKind`] the protocol speaks, in order,
 //! bit-identical — and reject a corrupt header without reading past it.
+//!
+//! The server side sees sessions as independent pipes: it may `begin` a
+//! request on any of them, in any order, before it `finish`es any, and
+//! collect the replies in any other order — each session's reply must
+//! still answer that session's request.
 
+use gradsec_fl::client::{DeviceProfile, FlClient};
 use gradsec_fl::codec::{encode_weights, CodecKind};
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::message::{
     encode, AttestationRequest, AttestationResponse, EncodedModelDownload, EncodedUpdateUpload,
     Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN,
 };
-use gradsec_fl::transport::mux::FrameReassembler;
+use gradsec_fl::trainer::PlainSgdTrainer;
+use gradsec_fl::transport::mux::{FrameReassembler, MuxFleet, DEFAULT_JOIN_GRACE};
+use gradsec_fl::transport::tcp;
+use gradsec_fl::{MuxOptions, ServerEndpoint};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
-use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
+use gradsec_tee::attestation::{sign_quote, verify_quote, Challenge, Measurement};
 use gradsec_tee::cost::{ClientCycleCost, TimeBreakdown, WireBill};
+use gradsec_tee::crypto::sha256::sha256;
 use gradsec_tee::ta::Uuid;
 use gradsec_tee::tiop::SecureChannel;
 use gradsec_tensor::init;
@@ -220,5 +230,81 @@ proptest! {
         prop_assert!(rx.feed(&bytes[..split], &mut out).is_ok());
         prop_assert!(rx.feed(&bytes[split..], &mut out).is_err());
         prop_assert!(out.is_empty());
+    }
+}
+
+/// Sessions in the live fleet of the interleaving property.
+const SESSIONS: usize = 5;
+
+/// The session order a vector of sort keys spells out.
+fn order_by(keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&s| (keys[s], s));
+    order
+}
+
+fn fl_client(id: u64) -> FlClient {
+    FlClient::new(
+        id,
+        DeviceProfile::trustzone(id),
+        std::sync::Arc::new(gradsec_data::SyntheticMicro::new(8, 2, 4, 1)),
+        (0..8).collect(),
+        gradsec_nn::zoo::tiny_mlp(4, 3, 2, 1).unwrap(),
+        Box::new(PlainSgdTrainer),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Requests begun across the sessions of a live mux fleet in one
+    /// arbitrary order, all before any finish, and collected in another:
+    /// every session acks with its own identity and signs the nonce *it*
+    /// was sent, under its own key.
+    #[test]
+    fn interleaved_begins_are_answered_session_by_session(
+        hello_keys in proptest::collection::vec(0u64..1000, SESSIONS..SESSIONS + 1),
+        begin_keys in proptest::collection::vec(0u64..1000, SESSIONS..SESSIONS + 1),
+        finish_keys in proptest::collection::vec(0u64..1000, SESSIONS..SESSIONS + 1),
+        seed in 0u8..200,
+    ) {
+        let listener = tcp::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fleet = (0..SESSIONS as u64).map(fl_client).collect();
+        let mut mux = MuxFleet::launch(addr, fleet, &MuxOptions::default()).unwrap();
+        let mut endpoints: Vec<_> = (0..SESSIONS).map(|_| listener.accept().unwrap()).collect();
+
+        let hello = Envelope::pack(MessageKind::Hello, &Hello::current());
+        for &s in &order_by(&hello_keys) {
+            prop_assert!(!endpoints[s].begin(hello.clone()).unwrap(), "a socket answers later");
+        }
+        let mut ids = [0u64; SESSIONS];
+        for &s in &order_by(&finish_keys) {
+            let ack: HelloAck = endpoints[s].finish().unwrap().open(MessageKind::HelloAck).unwrap();
+            ids[s] = ack.client_id;
+        }
+        let mut seen = ids;
+        seen.sort_unstable();
+        prop_assert_eq!(seen.to_vec(), (0..SESSIONS as u64).collect::<Vec<_>>());
+
+        let challenge_of = |s: usize| Challenge::new([seed + s as u8; 16]);
+        for &s in &order_by(&begin_keys) {
+            let request = AttestationRequest { challenge: challenge_of(s) };
+            endpoints[s].begin(Envelope::pack(MessageKind::AttestationRequest, &request)).unwrap();
+        }
+        let whitelisted = Measurement(sha256(b"gradsec-ta-code-v1"));
+        for &s in &order_by(&finish_keys) {
+            let reply = endpoints[s].finish().unwrap();
+            let response: AttestationResponse = reply.open(MessageKind::AttestationResponse).unwrap();
+            let quote = response.quote.expect("a TrustZone device signs");
+            let key = DeviceProfile::provisioned_key(ids[s]);
+            prop_assert!(verify_quote(&key, &quote, whitelisted, &challenge_of(s)).is_ok());
+        }
+
+        for endpoint in &mut endpoints {
+            endpoint.notify(Envelope::control(MessageKind::Goodbye)).unwrap();
+        }
+        drop(endpoints);
+        prop_assert_eq!(mux.join(DEFAULT_JOIN_GRACE).unwrap().len(), SESSIONS);
     }
 }
