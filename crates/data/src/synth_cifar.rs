@@ -123,17 +123,28 @@ impl Dataset for SyntheticCifar100 {
         let dy: f32 = rng.random_range(-2.0..2.0);
         let mut img = Tensor::zeros(&[CHANNELS, HW, HW]);
         let tau = std::f32::consts::TAU;
+        // Neither grating factor nor the blob depends on the channel:
+        // each is evaluated once, with the per-pixel loop's expression.
+        let grating_x: [f32; HW] =
+            std::array::from_fn(|x| ((p.fx * x as f32 / HW as f32) * tau + phase).sin());
+        let grating_y: [f32; HW] =
+            std::array::from_fn(|y| ((p.fy * y as f32 / HW as f32) * tau + phase).cos());
+        let mut blob = [0.0f32; HW * HW];
+        for y in 0..HW {
+            for x in 0..HW {
+                let bx = x as f32 - (p.blob_x + dx);
+                let by = y as f32 - (p.blob_y + dy);
+                blob[y * HW + x] =
+                    (-(bx * bx + by * by) / (2.0 * p.blob_sigma * p.blob_sigma)).exp();
+            }
+        }
         for c in 0..CHANNELS {
             for y in 0..HW {
                 for x in 0..HW {
-                    let grating = ((p.fx * x as f32 / HW as f32) * tau + phase).sin()
-                        * ((p.fy * y as f32 / HW as f32) * tau + phase).cos();
-                    let bx = x as f32 - (p.blob_x + dx);
-                    let by = y as f32 - (p.blob_y + dy);
-                    let blob = (-(bx * bx + by * by) / (2.0 * p.blob_sigma * p.blob_sigma)).exp();
+                    let grating = grating_x[x] * grating_y[y];
                     let base = p.color[c]
                         + p.grating_weight * grating
-                        + 0.35 * blob * (1.0 - 0.3 * c as f32);
+                        + 0.35 * blob[y * HW + x] * (1.0 - 0.3 * c as f32);
                     let noise: f32 = {
                         // Cheap Gaussian-ish noise: mean of 2 uniforms.
                         let a: f32 = rng.random_range(-1.0..1.0);
@@ -213,6 +224,62 @@ mod tests {
             within < across,
             "within-class distance {within} should be below cross-class {across}"
         );
+    }
+
+    /// The pixel loop `sample` shipped with — every term evaluated per
+    /// channel — kept as the oracle for the hoisted tables.
+    fn sample_per_channel(ds: &SyntheticCifar100, index: usize) -> Sample {
+        let mut rng = ds.sample_rng(index);
+        let label = rng.random_range(0..ds.classes);
+        let p = ds.class_params(label);
+        let phase: f32 = rng.random_range(0.0..std::f32::consts::TAU);
+        let dx: f32 = rng.random_range(-2.0..2.0);
+        let dy: f32 = rng.random_range(-2.0..2.0);
+        let mut img = Tensor::zeros(&[CHANNELS, HW, HW]);
+        let tau = std::f32::consts::TAU;
+        for c in 0..CHANNELS {
+            for y in 0..HW {
+                for x in 0..HW {
+                    let grating = ((p.fx * x as f32 / HW as f32) * tau + phase).sin()
+                        * ((p.fy * y as f32 / HW as f32) * tau + phase).cos();
+                    let bx = x as f32 - (p.blob_x + dx);
+                    let by = y as f32 - (p.blob_y + dy);
+                    let blob = (-(bx * bx + by * by) / (2.0 * p.blob_sigma * p.blob_sigma)).exp();
+                    let base = p.color[c]
+                        + p.grating_weight * grating
+                        + 0.35 * blob * (1.0 - 0.3 * c as f32);
+                    let noise: f32 = {
+                        let a: f32 = rng.random_range(-1.0..1.0);
+                        let b: f32 = rng.random_range(-1.0..1.0);
+                        0.5 * (a + b) * ds.noise
+                    };
+                    let v = (base + noise).clamp(0.0, 1.0);
+                    img.data_mut()[c * HW * HW + y * HW + x] = v;
+                }
+            }
+        }
+        Sample {
+            image: img,
+            label,
+            property: None,
+        }
+    }
+
+    #[test]
+    fn hoisted_tables_reproduce_the_per_channel_loop_bit_for_bit() {
+        for seed in [0, 1, 9, 0xDEAD_BEEF] {
+            for classes in [1, 3, 10, 100] {
+                let ds = SyntheticCifar100::with_classes(40, classes, seed).with_noise(0.2);
+                for index in [0, 1, 17, 39] {
+                    let (got, want) = (ds.sample(index), sample_per_channel(&ds, index));
+                    assert_eq!(got.label, want.label);
+                    let bits = |s: &Sample| -> Vec<u32> {
+                        s.image.data().iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} index {index}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -134,9 +134,7 @@ impl MuxOptions {
         if self.loops > 0 {
             return self.loops;
         }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        gradsec_tensor::ops::threads::host()
     }
 }
 

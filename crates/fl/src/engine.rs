@@ -8,9 +8,11 @@
 //! the transport redesign the engine drives [`RemoteClient`] endpoints
 //! rather than touching client structs directly:
 //!
-//! * endpoints are dealt round-robin onto `workers` scoped threads
-//!   (the crossbeam idiom the tensor kernels already use), each worker
-//!   owning its shard of endpoints for the round and walking it through
+//! * endpoints are dealt round-robin onto `workers` scoped threads, which
+//!   divide the caller's kernel budget (`gradsec_tensor::ops::threads`)
+//!   between them, as shard threads do one level up, so workers × kernel
+//!   bands never exceed the cores; each worker owns its shard of
+//!   endpoints for the round and walks it through
 //!   [`slide`]: the download goes out to a window of its sessions before
 //!   the worker waits for the oldest upload, so a worker's concurrency
 //!   is the window, not one (an in-process endpoint trains inside the
@@ -60,6 +62,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
+use gradsec_tensor::ops::threads;
 
 use crate::faults::FaultPlan;
 use crate::message::{ModelDownload, UpdateUpload};
@@ -165,9 +168,7 @@ impl ExecutionEngine {
     /// A pool of `workers` threads; `0` means one per available core.
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            threads::host()
         } else {
             workers
         };
@@ -274,6 +275,8 @@ impl ExecutionEngine {
                 .iter()
                 .map(|shard| shard.iter().map(|(slot, _)| *slot).collect())
                 .collect();
+            // The workers split the caller's kernel budget between them.
+            let kernel_threads = threads::budget() / workers;
             let outcomes = crossbeam::thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .into_iter()
@@ -281,15 +284,19 @@ impl ExecutionEngine {
                         let ledger = &ledger;
                         s.spawn(move |_| {
                             let n = shard.len();
-                            slide(
-                                shard.as_mut_slice(),
-                                n,
-                                |shard, k| cycle_begin(shard[k].1, broadcast),
-                                |shard, k, sent| {
-                                    let (slot, client) = &mut shard[k];
-                                    (*slot, cycle_finish(client, sent, broadcast, ledger, faults))
-                                },
-                            )
+                            threads::with_budget(kernel_threads, || {
+                                slide(
+                                    shard.as_mut_slice(),
+                                    n,
+                                    |shard, k| cycle_begin(shard[k].1, broadcast),
+                                    |shard, k, sent| {
+                                        let (slot, client) = &mut shard[k];
+                                        let outcome =
+                                            cycle_finish(client, sent, broadcast, ledger, faults);
+                                        (*slot, outcome)
+                                    },
+                                )
+                            })
                         })
                     })
                     .collect();
@@ -392,11 +399,17 @@ impl ExecutionEngine {
                 .map(|(clients, picked)| self.cycles_in(clients, &picked, broadcast, faults))
                 .collect();
         }
+        // Shard threads split the caller's kernel budget, as workers do.
+        let kernel_threads = threads::budget() / shards.len();
         crossbeam::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .into_iter()
                 .map(|(clients, picked)| {
-                    s.spawn(move |_| self.cycles_in(clients, &picked, broadcast, faults))
+                    s.spawn(move |_| {
+                        threads::with_budget(kernel_threads, || {
+                            self.cycles_in(clients, &picked, broadcast, faults)
+                        })
+                    })
                 })
                 .collect();
             handles
@@ -506,6 +519,7 @@ mod tests {
     use crate::codec::CodecKind;
     use crate::config::TrainingPlan;
     use crate::faults::LatencyModel;
+    use crate::trainer::tests::BudgetRecorder;
     use crate::trainer::{CycleStats, LocalTrainer, PlainSgdTrainer};
     use crate::transport::inprocess::LocalEndpoint;
     use gradsec_data::{Dataset, SyntheticCifar100};
@@ -570,27 +584,68 @@ mod tests {
     }
 
     fn fleet_speaking(codec: CodecKind, n: usize, panicking: &[usize]) -> Vec<RemoteClient> {
+        fleet_trained_by(codec, n, |i| {
+            if panicking.contains(&i) {
+                Box::new(PanickingTrainer)
+            } else {
+                Box::new(BilledTrainer)
+            }
+        })
+    }
+
+    fn fleet_trained_by(
+        codec: CodecKind,
+        n: usize,
+        trainer: impl Fn(usize) -> Box<dyn LocalTrainer>,
+    ) -> Vec<RemoteClient> {
         let ds = Arc::new(SyntheticCifar100::with_classes(4 * n, 2, 1));
         let shards = gradsec_data::split::shard(4 * n, n, 1);
         (0..n)
             .zip(shards)
             .map(|(i, shard)| {
-                let trainer: Box<dyn LocalTrainer> = if panicking.contains(&i) {
-                    Box::new(PanickingTrainer)
-                } else {
-                    Box::new(BilledTrainer)
-                };
                 let client = FlClient::new(
                     i as u64,
                     DeviceProfile::trustzone(i as u64),
                     ds.clone(),
                     shard,
                     zoo::tiny_mlp(3 * 32 * 32, 4, 2, 9).unwrap(),
-                    trainer,
+                    trainer(i),
                 );
                 RemoteClient::connect_with(Box::new(LocalEndpoint::new(client)), codec).unwrap()
             })
             .collect()
+    }
+
+    /// Workers, and shard threads above them, divide the caller's kernel
+    /// budget instead of each taking the whole host.
+    #[test]
+    fn fan_out_divides_the_callers_kernel_budget() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut clients = fleet_trained_by(CodecKind::Identity, 6, |_| {
+            Box::new(BudgetRecorder(seen.clone()))
+        });
+        let picked: Vec<usize> = (0..6).collect();
+        let take = || std::mem::take(&mut *seen.lock().unwrap());
+        for (budget, workers, want) in [(12, 1, 12), (12, 2, 6), (12, 3, 4), (2, 3, 1), (7, 2, 3)] {
+            threads::with_budget(budget, || {
+                let (outcomes, _) = ExecutionEngine::new(workers)
+                    .execute_cycles(&mut clients, &picked, &download())
+                    .unwrap();
+                assert!(outcomes.iter().all(ClientOutcome::is_completed));
+                assert_eq!(threads::budget(), budget, "the caller's budget is restored");
+            });
+            assert_eq!(take(), vec![want; 6], "budget {budget}, {workers} workers");
+        }
+        // Two shards of three clients, three workers each: 12 / 2 / 3.
+        threads::with_budget(12, || {
+            let (lo, hi) = clients.split_at_mut(3);
+            let shards = vec![(lo, vec![0, 1, 2]), (hi, vec![0, 1, 2])];
+            ExecutionEngine::new(3)
+                .execute_shards(shards, &download())
+                .unwrap();
+            assert_eq!(threads::budget(), 12, "the caller's budget is restored");
+        });
+        assert_eq!(take(), vec![2; 6]);
     }
 
     fn download() -> ModelDownload {

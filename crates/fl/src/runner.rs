@@ -39,6 +39,7 @@ use gradsec_nn::{BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
+use gradsec_tensor::ops::threads;
 
 use crate::adversary::{Adversary, AdversaryPlan, CollusionLog, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
@@ -617,9 +618,12 @@ fn wire_fleet(
             fleet
                 .into_iter()
                 .map(|client| {
+                    // A window of these trains at once: no kernel fan-out.
                     std::thread::spawn(move || {
-                        let endpoint = tcp::connect(addr)?;
-                        ClientSession::new(client, endpoint).serve()
+                        threads::with_budget(1, || {
+                            let endpoint = tcp::connect(addr)?;
+                            ClientSession::new(client, endpoint).serve()
+                        })
                     })
                 })
                 .collect(),
@@ -1114,6 +1118,35 @@ mod tests {
                 par.server().global(),
                 "{workers}-worker weights diverged"
             );
+        }
+    }
+
+    /// Remote sessions train on transport threads: threaded `Tcp` gives
+    /// each of its one-per-client threads a kernel budget of 1, the mux
+    /// loops split the builder's between them.
+    #[test]
+    fn transport_threads_divide_the_kernel_budget() {
+        for (transport, want) in [(TransportKind::Tcp, 1), (TransportKind::TcpMux, 4)] {
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let recorder = seen.clone();
+            let mut fed = threads::with_budget(8, || {
+                Federation::builder(plan())
+                    .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
+                    .clients(4, dataset())
+                    .transport(transport)
+                    .mux(MuxOptions {
+                        loops: 2,
+                        ..MuxOptions::default()
+                    })
+                    .trainer(move |_| {
+                        Box::new(crate::trainer::tests::BudgetRecorder(recorder.clone()))
+                    })
+                    .build()
+                    .unwrap()
+            });
+            fed.run_round().unwrap();
+            fed.shutdown().unwrap();
+            assert_eq!(*seen.lock().unwrap(), vec![want; 2], "{transport:?}");
         }
     }
 

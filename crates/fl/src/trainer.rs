@@ -107,10 +107,29 @@ impl LocalTrainer for PlainSgdTrainer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gradsec_data::SyntheticCifar100;
     use gradsec_nn::zoo;
+
+    /// Test double: a plain trainer that notes the kernel budget
+    /// (`gradsec_tensor::ops::threads::budget`) each cycle trains under.
+    pub(crate) struct BudgetRecorder(pub std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl LocalTrainer for BudgetRecorder {
+        fn train_cycle(
+            &mut self,
+            model: &mut Sequential,
+            dataset: &dyn Dataset,
+            batches: &[Vec<usize>],
+            learning_rate: f32,
+            protected_layers: &[usize],
+        ) -> Result<CycleStats> {
+            let budget = gradsec_tensor::ops::threads::budget();
+            self.0.lock().expect("no recorder panics").push(budget);
+            PlainSgdTrainer.train_cycle(model, dataset, batches, learning_rate, protected_layers)
+        }
+    }
 
     #[test]
     fn plain_trainer_reduces_loss() {

@@ -36,6 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use gradsec_tensor::ops::threads;
 
 use crate::client::FlClient;
 use crate::config::MuxOptions;
@@ -469,13 +470,17 @@ impl MuxFleet {
         let early_error = Arc::new(Mutex::new(None));
         let read_chunk = options.read_chunk;
         let write_bound = options.write_bound;
+        // Clients train on their loop's thread: split the kernel budget.
+        let kernel_threads = threads::budget() / loops;
         let handles = per_loop
             .into_iter()
             .map(|share| {
                 let shutdown = shutdown.clone();
                 let early_error = early_error.clone();
                 std::thread::spawn(move || {
-                    run_loop(addr, share, read_chunk, write_bound, shutdown, early_error)
+                    threads::with_budget(kernel_threads, || {
+                        run_loop(addr, share, read_chunk, write_bound, shutdown, early_error)
+                    })
                 })
             })
             .collect();

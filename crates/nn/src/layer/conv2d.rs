@@ -1,7 +1,8 @@
 //! 2-D convolutional layer, optionally fused with `MP2` max pooling.
 
-use gradsec_tensor::ops::conv::{conv2d_backward_with, conv2d_forward_fused_with, Conv2dGeometry};
-use gradsec_tensor::ops::elementwise::hadamard_with;
+use gradsec_tensor::ops::conv::{
+    conv2d_backward_params_with, conv2d_backward_with, conv2d_forward_fused_with, Conv2dGeometry,
+};
 use gradsec_tensor::ops::pool::{maxpool_backward_with, maxpool_forward_with, PoolGeometry};
 use gradsec_tensor::{init, BackendKind, Tensor};
 
@@ -103,6 +104,29 @@ impl Conv2d {
             None => (self.geo.out_channels, self.geo.out_h, self.geo.out_w),
         }
     }
+
+    /// The backward pass's operands: the cached `A_{l−1}` and
+    /// `δ_l = (un-pooled upstream error) ∗ f'(Z_l)` — the Hadamard term of
+    /// eq. (4) — computed in one pass over the borrowed error.
+    fn backward_operands(&self, delta_out: &Tensor) -> Result<(&Tensor, Tensor)> {
+        let not_run = NnError::BackwardBeforeForward { layer: 0 };
+        let (Some(input), Some(z)) = (&self.cached_input, &self.cached_preact) else {
+            return Err(not_run);
+        };
+        let unpooled = match &self.pool {
+            Some(p) => {
+                let argmax = self.cached_argmax.as_ref().ok_or(not_run)?;
+                Some(maxpool_backward_with(delta_out, argmax, p, self.backend)?)
+            }
+            None => None,
+        };
+        let act = self.act;
+        let delta_z = unpooled
+            .as_ref()
+            .unwrap_or(delta_out)
+            .zip_with(z, |d, z| d * act.derivative(z))?;
+        Ok((input, delta_z))
+    }
 }
 
 impl Layer for Conv2d {
@@ -174,33 +198,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: 0 })?;
-        let z = self
-            .cached_preact
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: 0 })?;
-        // Un-pool the upstream error first, if a pool is fused.
-        let delta_act = match &self.pool {
-            Some(p) => {
-                let argmax = self
-                    .cached_argmax
-                    .as_ref()
-                    .ok_or(NnError::BackwardBeforeForward { layer: 0 })?;
-                maxpool_backward_with(delta_out, argmax, p, self.backend)?
-            }
-            None => delta_out.clone(),
-        };
-        // δ_l = (unpooled error) ∗ f'(Z_l)  — the Hadamard term of eq. (4).
-        let fprime = self.act.derivative_tensor(z);
-        let delta_z = hadamard_with(&delta_act, &fprime, self.backend)?;
+        let (input, delta_z) = self.backward_operands(delta_out)?;
         let (dw, db, dinput) =
             conv2d_backward_with(input, &self.weights, &delta_z, &self.geo, self.backend)?;
-        self.dw = Some(dw);
-        self.db = Some(db);
+        (self.dw, self.db) = (Some(dw), Some(db));
         Ok(dinput)
+    }
+
+    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
+        let (input, delta_z) = self.backward_operands(delta_out)?;
+        let (dw, db) =
+            conv2d_backward_params_with(input, &self.weights, &delta_z, &self.geo, self.backend)?;
+        (self.dw, self.db) = (Some(dw), Some(db));
+        Ok(())
     }
 
     fn weights(&self) -> (&Tensor, &Tensor) {
@@ -335,6 +345,32 @@ mod tests {
                     "maxpool={maxpool} dW[{i}]: {num} vs {}",
                     dw.data()[i]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_params_stores_the_gradients_backward_stores() {
+        for backend in BackendKind::ALL {
+            for maxpool in [false, true] {
+                let mut l =
+                    Conv2d::new(3, 16, 16, 6, 3, 1, 1, Activation::Tanh, maxpool, 7).unwrap();
+                l.set_backend(backend);
+                let x = init::uniform(&[6, 3, 16, 16], -1.0, 1.0, 1); // two bands
+                let y = l.forward(&x).unwrap();
+                let delta = init::uniform(y.dims(), -1.0, 1.0, 2);
+                let dinput = l.backward(&delta).unwrap();
+                let bits = |l: &Conv2d| -> Vec<u32> {
+                    let (dw, db) = l.grads().unwrap();
+                    let both = dw.data().iter().chain(db.data());
+                    both.map(|x| x.to_bits()).collect()
+                };
+                let full = bits(&l);
+                l.zero_grads();
+                l.backward_params(&delta).unwrap();
+                assert_eq!(bits(&l), full, "{backend} maxpool={maxpool}");
+                // The caches survive: the full pass still answers.
+                assert_eq!(l.backward(&delta).unwrap(), dinput);
             }
         }
     }

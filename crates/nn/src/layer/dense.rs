@@ -1,6 +1,5 @@
 //! Fully-connected (dense) layer.
 
-use gradsec_tensor::ops::elementwise::hadamard_with;
 use gradsec_tensor::ops::matmul::{dense_forward_fused_with, matmul_tn_with, matmul_with};
 use gradsec_tensor::{init, BackendKind, Tensor};
 
@@ -94,6 +93,28 @@ impl Dense {
         }
         Ok(input.reshape(&[batch, self.inputs])?)
     }
+
+    /// Stores `dW_l`/`db_l` and returns `δ_l = upstream ∗ f'(Z_l)`,
+    /// computed in one pass over the borrowed error.
+    fn param_grads(&mut self, delta_out: &Tensor) -> Result<Tensor> {
+        let (Some(input), Some(z)) = (&self.cached_input, &self.cached_preact) else {
+            return Err(NnError::BackwardBeforeForward { layer: 0 });
+        };
+        let act = self.act;
+        let delta_z = delta_out.zip_with(z, |d, z| d * act.derivative(z))?;
+        // dW (out, in) = δᵀ (out, N) · A (N, in)  — eq. (3): δ_l · A_{l−1}.
+        self.dw = Some(matmul_tn_with(&delta_z, input, self.backend)?);
+        // db (out) = column sums of δ.
+        let batch = delta_z.dims()[0];
+        let mut db = Tensor::zeros(&[self.outputs]);
+        for i in 0..batch {
+            for j in 0..self.outputs {
+                db.data_mut()[j] += delta_z.data()[i * self.outputs + j];
+            }
+        }
+        self.db = Some(db);
+        Ok(delta_z)
+    }
 }
 
 impl Layer for Dense {
@@ -153,28 +174,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: 0 })?;
-        let z = self
-            .cached_preact
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: 0 })?;
-        // δ_l = upstream ∗ f'(Z_l).
-        let fprime = self.act.derivative_tensor(z);
-        let delta_z = hadamard_with(delta_out, &fprime, self.backend)?;
-        // dW (out, in) = δᵀ (out, N) · A (N, in)  — eq. (3): δ_l · A_{l−1}.
-        self.dw = Some(matmul_tn_with(&delta_z, input, self.backend)?);
-        // db (out) = column sums of δ.
-        let batch = delta_z.dims()[0];
-        let mut db = Tensor::zeros(&[self.outputs]);
-        for i in 0..batch {
-            for j in 0..self.outputs {
-                db.data_mut()[j] += delta_z.data()[i * self.outputs + j];
-            }
-        }
-        self.db = Some(db);
+        let delta_z = self.param_grads(delta_out)?;
         // dA_{l−1} (N, in) = δ (N, out) · W (out, in) — the W_{l+1}·δ_{l+1}
         // term that the *previous* layer consumes.
         let dinput = matmul_with(&delta_z, &self.weights, self.backend)?;
@@ -183,6 +183,10 @@ impl Layer for Dense {
             Some(dims) if dims.len() != 2 => Ok(dinput.reshape(dims)?),
             _ => Ok(dinput),
         }
+    }
+
+    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
+        self.param_grads(delta_out).map(drop)
     }
 
     fn weights(&self) -> (&Tensor, &Tensor) {
@@ -307,6 +311,24 @@ mod tests {
             l.weights_mut().1.data_mut()[i] = orig;
             let num = (up - down) / (2.0 * eps);
             assert!((num - db.data()[i]).abs() < 0.02);
+        }
+    }
+
+    #[test]
+    fn backward_params_stores_the_gradients_backward_stores() {
+        for backend in BackendKind::ALL {
+            let mut l = Dense::new(20, 7, Activation::Sigmoid, 21).unwrap();
+            l.set_backend(backend);
+            let x = init::uniform(&[5, 20], -1.0, 1.0, 22);
+            let delta = init::uniform(l.forward(&x).unwrap().dims(), -1.0, 1.0, 23);
+            l.backward(&delta).unwrap();
+            let full = l.grads().map(|(dw, db)| (dw.clone(), db.clone())).unwrap();
+            l.zero_grads();
+            l.backward_params(&delta).unwrap();
+            let (dw, db) = l.grads().unwrap();
+            let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(dw), bits(&full.0), "{backend} dW");
+            assert_eq!(bits(db), bits(&full.1), "{backend} db");
         }
     }
 

@@ -135,6 +135,14 @@ pub trait Layer: Send {
     /// cache exists, or shape errors when `delta_out` is inconsistent.
     fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::backward`] for a caller that will not read
+    /// `∂Loss/∂A_{l−1}` (layer 0 of a model in training): stores the same
+    /// parameter gradients, bit for bit, and fails the same way. Layers
+    /// override it to skip the input-gradient arithmetic.
+    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
+        self.backward(delta_out).map(drop)
+    }
+
     /// Returns `(W, b)`.
     fn weights(&self) -> (&Tensor, &Tensor);
 

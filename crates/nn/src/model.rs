@@ -250,12 +250,26 @@ impl Sequential {
     /// Returns [`NnError::BackwardBeforeForward`] (with the correct layer
     /// index) when `forward` has not run.
     pub fn backward(&mut self, loss_delta: &Tensor) -> Result<Tensor> {
+        let input_grad = self.backward_from(loss_delta, true)?;
+        Ok(input_grad.expect("asked for the input gradient"))
+    }
+
+    /// The one backward pass. Without `input_grad` (a training step never
+    /// reads the error w.r.t. its own batch) layer 0 runs
+    /// [`Layer::backward_params`] and nothing is returned.
+    fn backward_from(&mut self, loss_delta: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
         if self.layers.is_empty() {
             return Err(NnError::EmptyModel);
         }
-        let mut delta = loss_delta.clone();
+        let mut delta = Some(loss_delta.clone());
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            delta = layer.backward(&delta).map_err(|e| match e {
+            let upstream = delta.as_ref().expect("only layer 0 returns no error");
+            let step = if i > 0 || input_grad {
+                layer.backward(upstream).map(Some)
+            } else {
+                layer.backward_params(upstream).map(|()| None)
+            };
+            delta = step.map_err(|e| match e {
                 NnError::BackwardBeforeForward { .. } => {
                     NnError::BackwardBeforeForward { layer: i }
                 }
@@ -280,7 +294,7 @@ impl Sequential {
     ) -> Result<(f32, GradientSnapshot)> {
         let logits = self.forward(input)?;
         let (loss, delta) = self.loss.evaluate(&logits, targets)?;
-        self.backward(&delta)?;
+        self.backward_from(&delta, false)?;
         let snapshot = self
             .gradient_snapshot()
             .expect("backward has just populated gradients");
@@ -304,7 +318,7 @@ impl Sequential {
         let logits = self.forward(input)?;
         let (loss, delta) = self.loss.evaluate(&logits, targets)?;
         let correct = count_correct(&logits, targets)?;
-        self.backward(&delta)?;
+        self.backward_from(&delta, false)?;
         self.apply_gradients(opt);
         Ok(BatchStats {
             loss,
@@ -501,6 +515,46 @@ mod replicate_tests {
         for (a, b) in w_ref.iter().zip(w_blk.iter()) {
             assert!(a.w.approx_eq(&b.w, 1e-3));
             assert!(a.b.approx_eq(&b.b, 1e-3));
+        }
+    }
+
+    /// `train_batch` skips layer 0's input gradient; nothing else may
+    /// differ from the long hand, to the bit, on any backend.
+    #[test]
+    fn train_batch_equals_the_long_hand_bit_for_bit() {
+        use gradsec_tensor::BackendKind;
+        let x = init::uniform(&[6, 3, 32, 32], 0.0, 1.0, 2); // two conv bands
+        let mut y = gradsec_tensor::Tensor::zeros(&[6, 3]);
+        for i in 0..6 {
+            y.set(&[i, i % 3], 1.0).unwrap();
+        }
+        let bits = |m: &crate::Sequential| -> Vec<u32> {
+            let w = m.weights();
+            let all = w.iter().flat_map(|l| l.w.data().iter().chain(l.b.data()));
+            all.map(|x| x.to_bits()).collect()
+        };
+        for backend in BackendKind::ALL {
+            let mut short = zoo::lenet5_with(3, 7).unwrap();
+            short.set_backend(backend);
+            let mut long = short.replicate();
+            let (mut opt_short, mut opt_long) =
+                (crate::optim::Sgd::new(0.05), crate::optim::Sgd::new(0.05));
+            for _ in 0..2 {
+                short.train_batch(&x, &y, &mut opt_short).unwrap();
+                let logits = long.forward(&x).unwrap();
+                let (_, delta) = long.loss().evaluate(&logits, &y).unwrap();
+                long.backward(&delta).unwrap();
+                long.apply_gradients(&mut opt_long);
+            }
+            assert_eq!(bits(&short), bits(&long), "{backend}");
+            // After a step that skipped it, `backward` still returns the
+            // whole input gradient.
+            let logits = long.forward(&x).unwrap();
+            let (_, delta) = long.loss().evaluate(&logits, &y).unwrap();
+            let want = long.backward(&delta).unwrap();
+            short.forward_backward(&x, &y).unwrap();
+            assert_eq!(short.backward(&delta).unwrap(), want, "{backend}");
+            assert_eq!(want.dims(), x.dims());
         }
     }
 

@@ -266,6 +266,9 @@ impl TensorBackend for Blocked {
                     // db += Σ spatial δ (fused with the dW filter walk).
                     db[f] += sum_lanes(drow);
                 }
+                if dinput.is_empty() {
+                    continue; // the caller wants the parameter gradients only
+                }
                 // dcol = Wᵀ (k2, F) × δ (F, cols): 4 filters fused per
                 // pass over dcol, then scatter to image space.
                 dcol.fill(0.0);

@@ -25,8 +25,9 @@
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only
 //!   `unsafe` island), selected at runtime via `is_x86_feature_detected!`
 //!   with a `GRADSEC_TILED_ISA` override. Convolutions consume their
-//!   input through a *virtual im2col* packer, so the conv path checks no
-//!   column scratch out of the pool at all. Same contract as `Blocked`:
+//!   input through a *virtual im2col* packer — a zero-padded copy of the
+//!   band read in row runs — so the conv path checks no column scratch
+//!   out of the pool at all. Same contract as `Blocked`:
 //!   deterministic per ISA path, ~1e-5 relative parity with `Reference`.
 //!
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
@@ -47,10 +48,10 @@ pub use reference::Reference;
 pub use tiled::{Tiled, TiledIsa};
 
 /// Column-scratch checkouts performed by the calling thread so far (a
-/// monotonic counter). Banded conv dispatchers run their kernels on
-/// scoped worker threads, so observe this across a *single-band* op to
-/// see exactly that op's scratch traffic — the `Tiled` backend's
-/// virtual-im2col conv path is asserted to add zero.
+/// monotonic counter). Banded conv dispatchers may run bands on other
+/// threads of the caller's budget, so observe this across a
+/// *single-band* op to see exactly that op's scratch traffic — the
+/// `Tiled` backend's virtual-im2col conv path is asserted to add zero.
 pub fn thread_scratch_checkouts() -> u64 {
     scratch::thread_checkouts()
 }
@@ -226,7 +227,8 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
 
     /// Both convolution backward passes over one band: accumulates the
     /// filter gradients into `dw`/`db` and the data gradient into the
-    /// band's `dinput` slice.
+    /// band's `dinput` slice. An empty `dinput` skips the data-gradient
+    /// half; `dw`/`db` are the same either way.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward(
         &self,

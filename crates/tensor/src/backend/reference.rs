@@ -163,6 +163,9 @@ impl TensorBackend for Reference {
                 for f in 0..geo.out_channels {
                     db[f] += dout[f * cols..(f + 1) * cols].iter().sum::<f32>();
                 }
+                if dinput.is_empty() {
+                    continue; // the caller wants the parameter gradients only
+                }
                 // dcol = Wᵀ (k2, F) × δ (F, cols); then scatter to image space.
                 dcol.fill(0.0);
                 for f in 0..geo.out_channels {

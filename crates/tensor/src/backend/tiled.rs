@@ -18,15 +18,20 @@
 //! picks AVX2 when the host has it. `avx2` silently falls back to
 //! portable on hosts without the features, so CI recipes are portable.
 //!
-//! Convolutions never materialise an im2col buffer: the packers gather
-//! patch taps straight from the `NCHW` input into the GEMM panels
-//! (*virtual im2col*), and the backward data pass scatters tile results
-//! straight into `dinput` (a fused col2im), so the conv path performs
-//! **zero** `backend::scratch` checkouts. Forward additionally batches
-//! all images of a band into one GEMM whose virtual columns are indexed
-//! `(image, oh, ow)` — the per-worker-band batched GEMM the engine's
-//! cycle execution benefits from — with a geometry-aware writeback that
-//! also applies the fused activation on the final `KC` slab.
+//! Convolutions never materialise an im2col buffer (*virtual im2col*).
+//! Each kernel call copies its band of images once into zero-padded
+//! frames, so every tap of every output position is in bounds, and the
+//! packers then move *runs*, not elements: a strip of batched columns
+//! `(image, oh, ow)` splits once into its output-row runs, and each tap of
+//! the forward B panel is one (strided) row-segment copy per run; error
+//! panels and writebacks walk per-image runs as contiguous slices; only
+//! dW's transposed panel still gathers, through a tap-offset table with
+//! no compare. The backward data pass lands `Wᵀ·Δ` in a column buffer and
+//! folds it through a padded gradient frame in canonical `col2im` order.
+//! Frames and buffers are plain per-call `Vec`s: the conv path performs
+//! **zero** `backend::scratch` checkouts. Forward batches all images of a
+//! band into one GEMM whose writeback also applies the fused activation
+//! on the final `KC` slab.
 //!
 //! # Determinism
 //!
@@ -37,6 +42,8 @@
 //! run-to-run and under any banding; the AVX2 kernel's FMA contractions
 //! mean portable and AVX2 outputs may differ in the last bits (each stays
 //! within the ~1e-5 relative parity bound of `Reference`).
+
+use std::borrow::Cow;
 
 use super::blocked::Blocked;
 use super::{BackendKind, FusedActivation, TensorBackend};
@@ -373,75 +380,117 @@ fn pack_b_strided(
 }
 
 // ---------------------------------------------------------------------------
-// Convolution geometry helpers
+// Convolution layout: a padded band, walked by runs
 // ---------------------------------------------------------------------------
 
-/// Walks the virtual batched column index `gc = img·(OH·OW) + oh·OW + ow`.
-#[derive(Clone, Copy)]
-struct ColCursor {
-    img: usize,
-    oh: usize,
-    ow: usize,
+/// Splits `len` consecutive indices from `start` into maximal runs inside
+/// one `period`-long block: `(offset into the range, block, position in
+/// the block, run length)`. Over batched columns `gc = img·(OH·OW) +
+/// oh·OW + ow`, period `OW` yields *row runs* (block `img·OH + oh`,
+/// position `ow`) and period `OH·OW` *image runs* (block `img`).
+fn runs(
+    start: usize,
+    len: usize,
+    period: usize,
+) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        if at == len {
+            return None;
+        }
+        let (block, pos) = ((start + at) / period, (start + at) % period);
+        let take = (period - pos).min(len - at);
+        at += take;
+        Some((at - take, block, pos, take))
+    })
 }
 
-impl ColCursor {
-    fn at(gc: usize, geo: &Conv2dGeometry) -> Self {
-        let cols = geo.out_h * geo.out_w;
-        ColCursor {
-            img: gc / cols,
-            oh: (gc % cols) / geo.out_w,
-            ow: gc % geo.out_w,
-        }
-    }
+/// One band of images in zero-padded frames — `(H+2p)×(W+2p)` per
+/// channel, image after image — so every tap of every output position is
+/// in bounds: the virtual im2col element `(kk, gc)` is
+/// `frame[base(gc) + tap_off[kk]]`, no compare.
+struct PaddedBand<'a> {
+    /// The padded copy, or the input itself when there is no padding.
+    frame: Cow<'a, [f32]>,
+    /// Per patch row `kk = (c, ki, kj)`: `c·PH·PW + ki·PW + kj`.
+    tap_off: Vec<usize>,
+    /// Elements per padded image, `C·PH·PW`.
+    image_len: usize,
+    /// Padded row length `W + 2p`.
+    pw: usize,
+}
 
-    #[inline]
-    fn advance(&mut self, geo: &Conv2dGeometry) {
-        self.ow += 1;
-        if self.ow == geo.out_w {
-            self.ow = 0;
-            self.oh += 1;
-            if self.oh == geo.out_h {
-                self.oh = 0;
-                self.img += 1;
+/// `(offset in a padded image, offset in the dense image)` of every
+/// `in_w`-long input row, in `(c, ih)` order.
+fn interior_rows(geo: &Conv2dGeometry) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
+    (0..geo.in_channels * geo.in_h).map(move |row| {
+        let (c, ih) = (row / geo.in_h, row % geo.in_h);
+        ((c * ph + ih + geo.pad) * pw + geo.pad, row * geo.in_w)
+    })
+}
+
+impl<'a> PaddedBand<'a> {
+    fn new(input: &'a [f32], geo: &Conv2dGeometry) -> Self {
+        let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
+        let image_len = geo.in_channels * ph * pw;
+        let frame = if geo.pad == 0 {
+            Cow::Borrowed(input)
+        } else {
+            let mut frame = vec![0.0f32; input.len() / geo.in_len() * image_len];
+            for (padded, image) in frame.chunks_mut(image_len).zip(input.chunks(geo.in_len())) {
+                for (to, from) in interior_rows(geo) {
+                    padded[to..to + geo.in_w].copy_from_slice(&image[from..from + geo.in_w]);
+                }
             }
+            Cow::Owned(frame)
+        };
+        let k = geo.kernel;
+        let tap_off = (0..geo.in_channels * k * k)
+            .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + kk % k)
+            .collect();
+        PaddedBand {
+            frame,
+            tap_off,
+            image_len,
+            pw,
         }
+    }
+
+    /// Frame offset of the patch origin of output position `ow` in output
+    /// row `grow = img·OH + oh`.
+    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
+        (grow / geo.out_h) * self.image_len
+            + (grow % geo.out_h) * geo.stride * self.pw
+            + ow * geo.stride
     }
 }
 
-/// Per-`kk` patch coordinates: the channel base offset into one image
-/// plus the kernel tap `(ki, kj)` — precomputed once per backward call
-/// so the transposed gathers avoid divisions in their inner loops.
-fn tap_table(geo: &Conv2dGeometry) -> Vec<(usize, usize, usize)> {
-    let k = geo.kernel;
-    let mut taps = Vec::with_capacity(geo.in_channels * k * k);
-    for c in 0..geo.in_channels {
-        for ki in 0..k {
-            for kj in 0..k {
-                taps.push((c * geo.in_h * geo.in_w, ki, kj));
-            }
-        }
-    }
-    taps
-}
-
-/// The input tap for patch row `kk` at output position `(oh, ow)`, or
-/// zero when the tap lands in the padding ring.
-#[inline]
-fn tap(
-    image: &[f32],
+/// One image's `col2im` scatter, in [`crate::ops::conv::col2im`]'s `(c,
+/// ki, kj, oh, ow)` order, into a zeroed padded `frame` — no tap needs a
+/// bounds test — whose interior is then added to `dinput`.
+fn col2im_padded(
+    dcol: &[f32],
     geo: &Conv2dGeometry,
-    chan_base: usize,
-    ki: usize,
-    kj: usize,
-    oh: usize,
-    ow: usize,
-) -> f32 {
-    let ih = (oh * geo.stride + ki) as isize - geo.pad as isize;
-    let iw = (ow * geo.stride + kj) as isize - geo.pad as isize;
-    if ih < 0 || ih as usize >= geo.in_h || iw < 0 || iw as usize >= geo.in_w {
-        0.0
-    } else {
-        image[chan_base + ih as usize * geo.in_w + iw as usize]
+    band: &PaddedBand<'_>,
+    frame: &mut [f32],
+    dinput: &mut [f32],
+) {
+    let cols = geo.out_h * geo.out_w;
+    frame.fill(0.0);
+    for (kk, &off) in band.tap_off.iter().enumerate() {
+        for oh in 0..geo.out_h {
+            let src = &dcol[kk * cols + oh * geo.out_w..][..geo.out_w];
+            let dst = &mut frame[off + oh * geo.stride * band.pw..];
+            for (slot, &v) in dst.iter_mut().step_by(geo.stride).zip(src) {
+                *slot += v;
+            }
+        }
+    }
+    for (from, to) in interior_rows(geo) {
+        for (d, &g) in dinput[to..to + geo.in_w].iter_mut().zip(&frame[from..]) {
+            *d += g;
+        }
     }
 }
 
@@ -469,11 +518,9 @@ impl Tiled {
         let k2 = geo.in_channels * geo.kernel * geo.kernel;
         let cols = geo.out_h * geo.out_w;
         let n_imgs = input.len() / geo.in_len();
-        let in_len = geo.in_len();
         let out_len = geo.out_len();
         let fused = !a_out.is_empty();
-        let k = geo.kernel;
-        let kk2 = k * k;
+        let band = PaddedBand::new(input, geo);
         gemm(
             isa,
             geo.out_channels,
@@ -481,35 +528,42 @@ impl Tiled {
             n_imgs * cols,
             pack_a_strided(weights, k2, 1),
             |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                // Virtual im2col: gather the patch taps for `cols_take`
-                // consecutive batched columns straight into the panel.
-                for step in 0..kc_len {
-                    let kk = kc0 + step;
-                    let chan_base = (kk / kk2) * geo.in_h * geo.in_w;
-                    let ki = (kk % kk2) / k;
-                    let kj = kk % k;
-                    let mut cur = ColCursor::at(j0, geo);
+                // The strip splits once into its row runs; each tap is
+                // then one strided row-segment copy per run.
+                let mut row_runs = [(0usize, 0usize, 0usize); NR];
+                let mut n_runs = 0;
+                for (at, grow, ow, take) in runs(j0, cols_take, geo.out_w) {
+                    row_runs[n_runs] = (at, take, band.base(grow, ow, geo));
+                    n_runs += 1;
+                }
+                for (step, &off) in band.tap_off[kc0..kc0 + kc_len].iter().enumerate() {
                     let row = &mut dst[step * NR..step * NR + cols_take];
-                    for slot in row.iter_mut() {
-                        let image = &input[cur.img * in_len..(cur.img + 1) * in_len];
-                        *slot = tap(image, geo, chan_base, ki, kj, cur.oh, cur.ow);
-                        cur.advance(geo);
+                    for &(at, take, base) in &row_runs[..n_runs] {
+                        let (seg, src) = (&mut row[at..at + take], &band.frame[base + off..]);
+                        if geo.stride == 1 {
+                            seg.copy_from_slice(&src[..take]);
+                        } else {
+                            for (slot, &v) in seg.iter_mut().zip(src.iter().step_by(geo.stride)) {
+                                *slot = v;
+                            }
+                        }
                     }
                 }
             },
             |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
-                for (r, arow) in acc.iter().enumerate().take(rows) {
-                    let f = i0 + r;
-                    let b = bias[f];
-                    let mut cur = ColCursor::at(j0, geo);
-                    for &av in arow.iter().take(cols_take) {
-                        let zi = cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow;
-                        let v = if slab_first { b + av } else { z[zi] + av };
-                        z[zi] = v;
-                        if fused && slab_last {
-                            a_out[zi] = act.apply(v);
+                for (at, img, pos, take) in runs(j0, cols_take, cols) {
+                    for (r, arow) in acc.iter().enumerate().take(rows) {
+                        let f = i0 + r;
+                        let zi = img * out_len + f * cols + pos;
+                        let zrow = &mut z[zi..zi + take];
+                        for (zv, &av) in zrow.iter_mut().zip(&arow[at..at + take]) {
+                            *zv = if slab_first { bias[f] + av } else { *zv + av };
                         }
-                        cur.advance(geo);
+                        if fused && slab_last {
+                            for (a, &zv) in a_out[zi..zi + take].iter_mut().zip(zrow.iter()) {
+                                *a = act.apply(zv);
+                            }
+                        }
                     }
                 }
             },
@@ -637,39 +691,40 @@ impl TensorBackend for Tiled {
         let gc_total = n_imgs * cols;
         let in_len = geo.in_len();
         let out_len = geo.out_len();
-        let taps = tap_table(geo);
+        let band = PaddedBand::new(input, geo);
 
         // dW (F × k2) += Δ (F × gc) · colᵀ (gc × k2): the batched error
-        // matrix is gathered by geometry, the transposed virtual im2col
-        // by the tap table — still no materialised column buffer.
+        // matrix is read image run by image run, the transposed virtual
+        // im2col through the tap-offset table — still no materialised
+        // column buffer.
         gemm(
             isa,
             geo.out_channels,
             gc_total,
             k2,
             |i0, rows, kc0, kc_len, dst: &mut [f32]| {
-                for r in 0..rows {
-                    let f = i0 + r;
-                    let mut cur = ColCursor::at(kc0, geo);
-                    for step in 0..kc_len {
-                        dst[step * MR + r] =
-                            delta_out[cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow];
-                        cur.advance(geo);
+                for (at, img, pos, take) in runs(kc0, kc_len, cols) {
+                    for r in 0..rows {
+                        let src = &delta_out[img * out_len + (i0 + r) * cols + pos..][..take];
+                        for (step, &d) in src.iter().enumerate() {
+                            dst[(at + step) * MR + r] = d;
+                        }
                     }
                 }
             },
             |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                for step in 0..kc_len {
-                    let mut cur = ColCursor::at(kc0 + step, geo);
-                    // One batched column per panel row; `cur` is fixed
-                    // here and the taps vary instead.
-                    let image = &input[cur.img * in_len..(cur.img + 1) * in_len];
-                    let row = &mut dst[step * NR..step * NR + cols_take];
-                    for (c, slot) in row.iter_mut().enumerate() {
-                        let (chan_base, ki, kj) = taps[j0 + c];
-                        *slot = tap(image, geo, chan_base, ki, kj, cur.oh, cur.ow);
+                // One batched column per panel row: the position is fixed
+                // along a row and the taps vary instead.
+                let offs = &band.tap_off[j0..j0 + cols_take];
+                for (at, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
+                    let base = band.base(grow, ow, geo);
+                    for i in 0..take {
+                        let src = &band.frame[base + i * geo.stride..];
+                        let row = &mut dst[(at + i) * NR..(at + i) * NR + cols_take];
+                        for (slot, &off) in row.iter_mut().zip(offs) {
+                            *slot = src[off];
+                        }
                     }
-                    let _ = &mut cur;
                 }
             },
             |i0, rows, j0, cols_take, acc: &Acc, _, _| {
@@ -693,6 +748,9 @@ impl TensorBackend for Tiled {
             }
             *dbf += acc;
         }
+        if dinput.is_empty() {
+            return; // the caller wants the parameter gradients only
+        }
 
         // dInput: dcol (k2 × gc) = Wᵀ · Δ in one band-batched GEMM (the
         // transposed weights pack once for all images), landed in a
@@ -711,35 +769,27 @@ impl TensorBackend for Tiled {
             gc_total,
             pack_a_strided(weights, 1, k2),
             |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                for step in 0..kc_len {
-                    let f = kc0 + step;
-                    let mut cur = ColCursor::at(j0, geo);
-                    let row = &mut dst[step * NR..step * NR + cols_take];
-                    for slot in row.iter_mut() {
-                        *slot =
-                            delta_out[cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow];
-                        cur.advance(geo);
+                for (at, img, pos, take) in runs(j0, cols_take, cols) {
+                    for step in 0..kc_len {
+                        let src = &delta_out[img * out_len + (kc0 + step) * cols + pos..];
+                        dst[step * NR + at..step * NR + at + take].copy_from_slice(&src[..take]);
                     }
                 }
             },
             |i0, rows, j0, cols_take, acc: &Acc, first, _| {
-                for (r, arow) in acc.iter().enumerate().take(rows) {
-                    let kk2 = i0 + r;
-                    let mut cur = ColCursor::at(j0, geo);
-                    for &av in arow.iter().take(cols_take) {
-                        let di = cur.img * col_len + kk2 * cols + cur.oh * geo.out_w + cur.ow;
-                        dcol[di] = if first { av } else { dcol[di] + av };
-                        cur.advance(geo);
+                for (at, img, pos, take) in runs(j0, cols_take, cols) {
+                    for (r, arow) in acc.iter().enumerate().take(rows) {
+                        let drow = &mut dcol[img * col_len + (i0 + r) * cols + pos..][..take];
+                        for (d, &av) in drow.iter_mut().zip(&arow[at..at + take]) {
+                            *d = if first { av } else { *d + av };
+                        }
                     }
                 }
             },
         );
-        for img in 0..n_imgs {
-            crate::ops::conv::col2im(
-                &dcol[img * col_len..(img + 1) * col_len],
-                geo,
-                &mut dinput[img * in_len..(img + 1) * in_len],
-            );
+        let mut grad_frame = vec![0.0f32; band.image_len];
+        for (dcol, dinput) in dcol.chunks(col_len).zip(dinput.chunks_mut(in_len)) {
+            col2im_padded(dcol, geo, &band, &mut grad_frame, dinput);
         }
     }
 
@@ -904,6 +954,352 @@ mod tests {
                 t.matmul(&a[split * k..], &b, hi, m - split, k, n);
                 assert_eq!(full, banded, "{isa} row split {split} diverged");
             }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The per-element packers this backend shipped with, kept as the
+    // oracle for the run-based ones: same `gemm`, same accumulation
+    // order, every im2col element fetched through `tap()`.
+    // -----------------------------------------------------------------
+
+    /// Walks the virtual batched column index `gc = img·(OH·OW) + oh·OW + ow`.
+    #[derive(Clone, Copy)]
+    struct ColCursor {
+        img: usize,
+        oh: usize,
+        ow: usize,
+    }
+
+    impl ColCursor {
+        fn at(gc: usize, geo: &Conv2dGeometry) -> Self {
+            let cols = geo.out_h * geo.out_w;
+            ColCursor {
+                img: gc / cols,
+                oh: (gc % cols) / geo.out_w,
+                ow: gc % geo.out_w,
+            }
+        }
+
+        #[inline]
+        fn advance(&mut self, geo: &Conv2dGeometry) {
+            self.ow += 1;
+            if self.ow == geo.out_w {
+                self.ow = 0;
+                self.oh += 1;
+                if self.oh == geo.out_h {
+                    self.oh = 0;
+                    self.img += 1;
+                }
+            }
+        }
+    }
+
+    /// Per-`kk` patch coordinates: the channel base offset into one image
+    /// plus the kernel tap `(ki, kj)` — precomputed once per backward call
+    /// so the transposed gathers avoid divisions in their inner loops.
+    fn tap_table(geo: &Conv2dGeometry) -> Vec<(usize, usize, usize)> {
+        let k = geo.kernel;
+        let mut taps = Vec::with_capacity(geo.in_channels * k * k);
+        for c in 0..geo.in_channels {
+            for ki in 0..k {
+                for kj in 0..k {
+                    taps.push((c * geo.in_h * geo.in_w, ki, kj));
+                }
+            }
+        }
+        taps
+    }
+
+    /// The input tap for patch row `kk` at output position `(oh, ow)`, or
+    /// zero when the tap lands in the padding ring.
+    #[inline]
+    fn tap(
+        image: &[f32],
+        geo: &Conv2dGeometry,
+        chan_base: usize,
+        ki: usize,
+        kj: usize,
+        oh: usize,
+        ow: usize,
+    ) -> f32 {
+        let ih = (oh * geo.stride + ki) as isize - geo.pad as isize;
+        let iw = (ow * geo.stride + kj) as isize - geo.pad as isize;
+        if ih < 0 || ih as usize >= geo.in_h || iw < 0 || iw as usize >= geo.in_w {
+            0.0
+        } else {
+            image[chan_base + ih as usize * geo.in_w + iw as usize]
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_forward(
+        isa: TiledIsa,
+        input: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        z: &mut [f32],
+        a_out: &mut [f32],
+        act: FusedActivation,
+        geo: &Conv2dGeometry,
+    ) {
+        let k2 = geo.in_channels * geo.kernel * geo.kernel;
+        let cols = geo.out_h * geo.out_w;
+        let n_imgs = input.len() / geo.in_len();
+        let in_len = geo.in_len();
+        let out_len = geo.out_len();
+        let fused = !a_out.is_empty();
+        let k = geo.kernel;
+        let kk2 = k * k;
+        gemm(
+            isa,
+            geo.out_channels,
+            k2,
+            n_imgs * cols,
+            pack_a_strided(weights, k2, 1),
+            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
+                // Virtual im2col: gather the patch taps for `cols_take`
+                // consecutive batched columns straight into the panel.
+                for step in 0..kc_len {
+                    let kk = kc0 + step;
+                    let chan_base = (kk / kk2) * geo.in_h * geo.in_w;
+                    let ki = (kk % kk2) / k;
+                    let kj = kk % k;
+                    let mut cur = ColCursor::at(j0, geo);
+                    let row = &mut dst[step * NR..step * NR + cols_take];
+                    for slot in row.iter_mut() {
+                        let image = &input[cur.img * in_len..(cur.img + 1) * in_len];
+                        *slot = tap(image, geo, chan_base, ki, kj, cur.oh, cur.ow);
+                        cur.advance(geo);
+                    }
+                }
+            },
+            |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
+                for (r, arow) in acc.iter().enumerate().take(rows) {
+                    let f = i0 + r;
+                    let b = bias[f];
+                    let mut cur = ColCursor::at(j0, geo);
+                    for &av in arow.iter().take(cols_take) {
+                        let zi = cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow;
+                        let v = if slab_first { b + av } else { z[zi] + av };
+                        z[zi] = v;
+                        if fused && slab_last {
+                            a_out[zi] = act.apply(v);
+                        }
+                        cur.advance(geo);
+                    }
+                }
+            },
+        );
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_backward(
+        isa: TiledIsa,
+        input: &[f32],
+        weights: &[f32],
+        delta_out: &[f32],
+        dw: &mut [f32],
+        db: &mut [f32],
+        dinput: &mut [f32],
+        geo: &Conv2dGeometry,
+    ) {
+        let k2 = geo.in_channels * geo.kernel * geo.kernel;
+        let cols = geo.out_h * geo.out_w;
+        let n_imgs = input.len() / geo.in_len();
+        let gc_total = n_imgs * cols;
+        let in_len = geo.in_len();
+        let out_len = geo.out_len();
+        let taps = tap_table(geo);
+
+        // dW (F × k2) += Δ (F × gc) · colᵀ (gc × k2): the batched error
+        // matrix is gathered by geometry, the transposed virtual im2col
+        // by the tap table — still no materialised column buffer.
+        gemm(
+            isa,
+            geo.out_channels,
+            gc_total,
+            k2,
+            |i0, rows, kc0, kc_len, dst: &mut [f32]| {
+                for r in 0..rows {
+                    let f = i0 + r;
+                    let mut cur = ColCursor::at(kc0, geo);
+                    for step in 0..kc_len {
+                        dst[step * MR + r] =
+                            delta_out[cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow];
+                        cur.advance(geo);
+                    }
+                }
+            },
+            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
+                for step in 0..kc_len {
+                    let mut cur = ColCursor::at(kc0 + step, geo);
+                    // One batched column per panel row; `cur` is fixed
+                    // here and the taps vary instead.
+                    let image = &input[cur.img * in_len..(cur.img + 1) * in_len];
+                    let row = &mut dst[step * NR..step * NR + cols_take];
+                    for (c, slot) in row.iter_mut().enumerate() {
+                        let (chan_base, ki, kj) = taps[j0 + c];
+                        *slot = tap(image, geo, chan_base, ki, kj, cur.oh, cur.ow);
+                    }
+                    let _ = &mut cur;
+                }
+            },
+            |i0, rows, j0, cols_take, acc: &Acc, _, _| {
+                for (r, arow) in acc.iter().enumerate().take(rows) {
+                    let dwrow = &mut dw[(i0 + r) * k2 + j0..(i0 + r) * k2 + j0 + cols_take];
+                    for (dj, &av) in dwrow.iter_mut().zip(arow) {
+                        *dj += av;
+                    }
+                }
+            },
+        );
+
+        // db (F) += Σ batch+spatial Δ.
+        for (f, dbf) in db.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for img in 0..n_imgs {
+                let drow = &delta_out[img * out_len + f * cols..img * out_len + (f + 1) * cols];
+                for &d in drow {
+                    acc += d;
+                }
+            }
+            *dbf += acc;
+        }
+
+        // dInput: dcol (k2 × gc) = Wᵀ · Δ in one band-batched GEMM (the
+        // transposed weights pack once for all images), landed in a
+        // plain per-call `Vec` blocked per image — deliberately *not* a
+        // `backend::scratch` checkout — then folded into image space by
+        // the canonical `col2im` scatter. Scattering per image in
+        // canonical tap order (rather than per GEMM tile) keeps `dinput`
+        // bit-identical under any batch banding: overlapping taps always
+        // accumulate in the same order.
+        let col_len = k2 * cols;
+        let mut dcol = vec![0.0f32; n_imgs * col_len];
+        gemm(
+            isa,
+            k2,
+            geo.out_channels,
+            gc_total,
+            pack_a_strided(weights, 1, k2),
+            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
+                for step in 0..kc_len {
+                    let f = kc0 + step;
+                    let mut cur = ColCursor::at(j0, geo);
+                    let row = &mut dst[step * NR..step * NR + cols_take];
+                    for slot in row.iter_mut() {
+                        *slot =
+                            delta_out[cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow];
+                        cur.advance(geo);
+                    }
+                }
+            },
+            |i0, rows, j0, cols_take, acc: &Acc, first, _| {
+                for (r, arow) in acc.iter().enumerate().take(rows) {
+                    let kk2 = i0 + r;
+                    let mut cur = ColCursor::at(j0, geo);
+                    for &av in arow.iter().take(cols_take) {
+                        let di = cur.img * col_len + kk2 * cols + cur.oh * geo.out_w + cur.ow;
+                        dcol[di] = if first { av } else { dcol[di] + av };
+                        cur.advance(geo);
+                    }
+                }
+            },
+        );
+        for img in 0..n_imgs {
+            crate::ops::conv::col2im(
+                &dcol[img * col_len..(img + 1) * col_len],
+                geo,
+                &mut dinput[img * in_len..(img + 1) * in_len],
+            );
+        }
+    }
+
+    fn signal(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * 37 + seed * 101) % 257) as f32 / 128.0 - 1.0)
+            .collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward `z`/`a`, `dW`, `db` and `dInput` of the run-based packers
+    /// against the per-element oracle, bit for bit, on every ISA the
+    /// host can execute; also the parameters-only backward.
+    fn assert_matches_oracle(geo: &Conv2dGeometry, n: usize) {
+        let k2 = geo.in_channels * geo.kernel * geo.kernel;
+        let input = signal(n * geo.in_len(), 1);
+        let weights = signal(geo.out_channels * k2, 2);
+        let bias = signal(geo.out_channels, 3);
+        let delta = signal(n * geo.out_len(), 4);
+        for isa in TiledIsa::available_on_host() {
+            let tiled = Tiled::with_isa(isa);
+            let what = format!("{isa} {geo:?} x{n}");
+            let (mut z, mut a) = (vec![0.0; delta.len()], vec![0.0; delta.len()]);
+            let (mut z0, mut a0) = (z.clone(), a.clone());
+            let act = FusedActivation::Tanh;
+            tiled.conv2d_forward_fused(&input, &weights, &bias, &mut z, &mut a, act, geo);
+            oracle_forward(isa, &input, &weights, &bias, &mut z0, &mut a0, act, geo);
+            assert_eq!(bits(&z), bits(&z0), "z {what}");
+            assert_eq!(bits(&a), bits(&a0), "a {what}");
+            let mut plain = vec![0.0; delta.len()];
+            tiled.conv2d_forward(&input, &weights, &bias, &mut plain, geo);
+            assert_eq!(bits(&plain), bits(&z0), "unfused z {what}");
+
+            let zeros = |len: usize| (vec![0.0f32; len], vec![0.0f32; len]);
+            let ((mut dw, mut dw0), (mut db, mut db0), (mut di, mut di0)) =
+                (zeros(weights.len()), zeros(bias.len()), zeros(input.len()));
+            tiled.conv2d_backward(&input, &weights, &delta, &mut dw, &mut db, &mut di, geo);
+            oracle_backward(
+                isa, &input, &weights, &delta, &mut dw0, &mut db0, &mut di0, geo,
+            );
+            assert_eq!(bits(&dw), bits(&dw0), "dW {what}");
+            assert_eq!(bits(&db), bits(&db0), "db {what}");
+            assert_eq!(bits(&di), bits(&di0), "dInput {what}");
+            let (mut dw, mut db) = (vec![0.0; dw.len()], vec![0.0; db.len()]);
+            tiled.conv2d_backward(&input, &weights, &delta, &mut dw, &mut db, &mut [], geo);
+            assert_eq!(bits(&dw), bits(&dw0), "params-only dW {what}");
+            assert_eq!(bits(&db), bits(&db0), "params-only db {what}");
+        }
+    }
+
+    /// The shapes the run-splitting has to get right, one by one.
+    #[test]
+    fn packers_match_the_per_element_oracle_on_named_geometries() {
+        // (C, H, W, F, K, stride, pad, images)
+        for (c, h, w, f, k, s, p, n) in [
+            (3, 32, 32, 12, 5, 2, 2, 4),  // LeNet L1: out_w = NR, one run per strip
+            (12, 16, 16, 12, 5, 2, 2, 3), // LeNet L2: k2 = 300 > KC, out_w = 8
+            (12, 8, 8, 12, 5, 1, 2, 5),   // LeNet L3/L4: stride 1, five images
+            (3, 32, 32, 64, 3, 2, 1, 2),  // AlexNet L1: pad 1, F spans 11 row panels
+            (2, 9, 7, 5, 3, 1, 0, 3),     // pad 0 (frame borrowed), in_h != in_w, out_w = 5
+            (1, 6, 11, 7, 3, 2, 1, 5), // out_w = 6 does not divide NR; 18 columns an image, so strips cross images
+            (2, 5, 40, 3, 3, 1, 1, 2), // out_w = 40 > NR: a strip inside one row
+            (1, 4, 4, 2, 5, 1, 2, 1),  // kernel wider than the unpadded input
+            (2, 3, 3, 13, 1, 1, 0, 5), // 1x1 kernel, 9 columns an image
+            (3, 7, 5, 4, 3, 2, 2, 4),  // pad 2 with stride 2 on a 3x-wide ring
+        ] {
+            let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
+            assert_matches_oracle(&geo, n);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn packers_match_the_per_element_oracle(
+            (c, h, w) in (1usize..5, 1usize..13, 1usize..21),
+            (f, k, s, p) in (1usize..15, 1usize..6, 1usize..3, 0usize..3),
+            n in 1usize..6,
+        ) {
+            let Ok(geo) = Conv2dGeometry::new(c, h, w, f, k, s, p) else {
+                continue; // kernel larger than the padded input
+            };
+            assert_matches_oracle(&geo, n);
         }
     }
 }

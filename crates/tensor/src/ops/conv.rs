@@ -16,18 +16,20 @@
 //! and thread banding live here, while the per-band kernels come from a
 //! [`TensorBackend`](crate::backend::TensorBackend) — the default
 //! [`BackendKind::Reference`] for the plain entry points or any backend
-//! via the `*_with` variants. Both passes split the batch dimension
-//! across scoped threads once the per-batch im2col volume crosses
-//! [`PARALLEL_THRESHOLD`] — the scoped banding pattern of `ops::matmul`.
-//! Each image's computation is independent, so the forward pass is
-//! bit-identical to the sequential loop under any banding. The backward
+//! via the `*_with` variants. Both passes cut the batch into image bands
+//! once the per-batch im2col volume crosses [`PARALLEL_THRESHOLD`] and
+//! hand them to [`threads::for_each_band`]: as many threads as the
+//! caller's budget allows, the caller among them, walk the bands — under
+//! a federation engine worker that owns one core, inline. Each image's
+//! computation is independent, so the forward pass is bit-identical to
+//! the sequential loop under any banding. The backward
 //! pass reduces per-band `dW`/`db` partials in band order, so — unlike
 //! `matmul`, whose disjoint output rows make any band count safe — the
-//! band count must **not** depend on the machine: bands are a fixed
-//! [`IMAGES_PER_BAND`] images wide, making the reduction grouping a pure
-//! function of the batch size. (This also bounds the threads a nested
-//! caller — e.g. a federation engine worker — can fan out per pass.)
+//! band count must **not** depend on the machine or the budget: bands are
+//! a fixed [`IMAGES_PER_BAND`] images wide, making the reduction grouping
+//! a pure function of the batch size.
 
+use super::threads;
 use crate::backend::{BackendKind, FusedActivation};
 use crate::{Result, Tensor, TensorError};
 
@@ -46,6 +48,11 @@ fn conv_bands(n: usize, col_len: usize) -> usize {
         return 1;
     }
     n.div_ceil(IMAGES_PER_BAND)
+}
+
+/// Images per band for a batch of `n` (the last band may be narrower).
+fn band_width(n: usize, geo: &Conv2dGeometry) -> usize {
+    n.div_ceil(conv_bands(n, geo.col_len())).max(1)
 }
 
 /// Validated convolution geometry shared by the forward and backward passes.
@@ -288,35 +295,18 @@ pub fn conv2d_forward_with(
     check_weights(weights, bias, geo)?;
     let kernels = backend.kernels();
     let mut out = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
-    let bands = conv_bands(n, geo.col_len());
-    if bands == 1 {
-        kernels.conv2d_forward(
-            input.data(),
-            weights.data(),
-            bias.data(),
-            out.data_mut(),
-            geo,
-        );
-    } else {
-        // Split the batch into contiguous image bands, one scoped thread
-        // each. Every image is computed exactly as in the sequential
-        // loop, so the result is bit-identical under any banding.
-        let per = n.div_ceil(bands);
-        let (wd, bd, id) = (weights.data(), bias.data(), input.data());
-        crossbeam::thread::scope(|s| {
-            let mut rest = out.data_mut();
-            let mut row = 0usize;
-            while row < n {
-                let take = per.min(n - row);
-                let (band, tail) = rest.split_at_mut(take * geo.out_len());
-                let in_band = &id[row * geo.in_len()..(row + take) * geo.in_len()];
-                s.spawn(move |_| kernels.conv2d_forward(in_band, wd, bd, band, geo));
-                rest = tail;
-                row += take;
-            }
-        })
-        .expect("conv2d forward worker panicked");
-    }
+    // Contiguous image bands; every image is computed exactly as in the
+    // sequential loop, so the result is bit-identical under any banding.
+    let per = band_width(n, geo);
+    let (wd, bd) = (weights.data(), bias.data());
+    let jobs = input
+        .data()
+        .chunks(per * geo.in_len())
+        .zip(out.data_mut().chunks_mut(per * geo.out_len()))
+        .collect();
+    threads::for_each_band(jobs, |(in_band, band)| {
+        kernels.conv2d_forward(in_band, wd, bd, band, geo)
+    });
     Ok(out)
 }
 
@@ -347,39 +337,17 @@ pub fn conv2d_forward_fused_with(
     let kernels = backend.kernels();
     let mut z = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
     let mut a = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
-    let bands = conv_bands(n, geo.col_len());
-    if bands == 1 {
-        kernels.conv2d_forward_fused(
-            input.data(),
-            weights.data(),
-            bias.data(),
-            z.data_mut(),
-            a.data_mut(),
-            act,
-            geo,
-        );
-    } else {
-        let per = n.div_ceil(bands);
-        let (wd, bd, id) = (weights.data(), bias.data(), input.data());
-        crossbeam::thread::scope(|s| {
-            let mut z_rest = z.data_mut();
-            let mut a_rest = a.data_mut();
-            let mut row = 0usize;
-            while row < n {
-                let take = per.min(n - row);
-                let (z_band, z_tail) = z_rest.split_at_mut(take * geo.out_len());
-                let (a_band, a_tail) = a_rest.split_at_mut(take * geo.out_len());
-                let in_band = &id[row * geo.in_len()..(row + take) * geo.in_len()];
-                s.spawn(move |_| {
-                    kernels.conv2d_forward_fused(in_band, wd, bd, z_band, a_band, act, geo)
-                });
-                z_rest = z_tail;
-                a_rest = a_tail;
-                row += take;
-            }
-        })
-        .expect("conv2d fused forward worker panicked");
-    }
+    let per = band_width(n, geo);
+    let (wd, bd) = (weights.data(), bias.data());
+    let jobs = input
+        .data()
+        .chunks(per * geo.in_len())
+        .zip(z.data_mut().chunks_mut(per * geo.out_len()))
+        .zip(a.data_mut().chunks_mut(per * geo.out_len()))
+        .collect();
+    threads::for_each_band(jobs, |((in_band, z_band), a_band)| {
+        kernels.conv2d_forward_fused(in_band, wd, bd, z_band, a_band, act, geo)
+    });
     Ok((z, a))
 }
 
@@ -418,6 +386,35 @@ pub fn conv2d_backward_with(
     geo: &Conv2dGeometry,
     backend: BackendKind,
 ) -> Result<(Tensor, Tensor, Tensor)> {
+    let mut dinput = Tensor::zeros(input.dims());
+    let (dw, db) = backward_banded(input, weights, delta_out, geo, backend, dinput.data_mut())?;
+    Ok((dw, db, dinput))
+}
+
+/// The parameter half of [`conv2d_backward_with`] — `(dW, db)`, bit-equal
+/// to the ones it returns, same errors — for a layer whose input gradient
+/// nobody reads (the first of a model in training).
+pub fn conv2d_backward_params_with(
+    input: &Tensor,
+    weights: &Tensor,
+    delta_out: &Tensor,
+    geo: &Conv2dGeometry,
+    backend: BackendKind,
+) -> Result<(Tensor, Tensor)> {
+    backward_banded(input, weights, delta_out, geo, backend, &mut [])
+}
+
+/// Both backward passes over image bands. `dinput` is the zeroed
+/// `(N, C, H, W)` buffer to receive the data gradient, or empty to skip
+/// that half (the kernels' empty-`dinput` convention).
+fn backward_banded(
+    input: &Tensor,
+    weights: &Tensor,
+    delta_out: &Tensor,
+    geo: &Conv2dGeometry,
+    backend: BackendKind,
+    dinput: &mut [f32],
+) -> Result<(Tensor, Tensor)> {
     let n = check_batch_input(input, geo)?;
     let k2 = geo.in_channels * geo.kernel * geo.kernel;
     if delta_out.dims() != [n, geo.out_channels, geo.out_h, geo.out_w] {
@@ -435,69 +432,43 @@ pub fn conv2d_backward_with(
         });
     }
     let kernels = backend.kernels();
-    let mut dw = Tensor::zeros(&[geo.out_channels, k2]);
-    let mut db = Tensor::zeros(&[geo.out_channels]);
-    let mut dinput = Tensor::zeros(input.dims());
-    let bands = conv_bands(n, geo.col_len());
-    if bands == 1 {
+    // Per-band workers own disjoint dInput slices and private dW/db
+    // partials; partials are reduced in band order afterwards, so the
+    // result depends only on the band width, never on thread timing.
+    let per = band_width(n, geo);
+    let wd = weights.data();
+    let mut di_bands = dinput.chunks_mut(per * geo.in_len());
+    let jobs = input
+        .data()
+        .chunks(per * geo.in_len())
+        .zip(delta_out.data().chunks(per * geo.out_len()))
+        .map(|(in_band, d_band)| (in_band, d_band, di_bands.next().unwrap_or_default()))
+        .collect();
+    let partials = threads::for_each_band(jobs, |(in_band, d_band, di_band)| {
+        let mut dw_part = vec![0.0f32; geo.weight_len()];
+        let mut db_part = vec![0.0f32; geo.out_channels];
         kernels.conv2d_backward(
-            input.data(),
-            weights.data(),
-            delta_out.data(),
-            dw.data_mut(),
-            db.data_mut(),
-            dinput.data_mut(),
+            in_band,
+            wd,
+            d_band,
+            &mut dw_part,
+            &mut db_part,
+            di_band,
             geo,
         );
-    } else {
-        // Per-band workers own disjoint dInput slices and private dW/db
-        // partials; partials are reduced in band order afterwards, so the
-        // result depends only on the band count, never on thread timing.
-        let per = n.div_ceil(bands);
-        let (wd, id, dd) = (weights.data(), input.data(), delta_out.data());
-        let partials: Vec<(Vec<f32>, Vec<f32>)> = crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            let mut rest = dinput.data_mut();
-            let mut row = 0usize;
-            while row < n {
-                let take = per.min(n - row);
-                let (di_band, tail) = rest.split_at_mut(take * geo.in_len());
-                let in_band = &id[row * geo.in_len()..(row + take) * geo.in_len()];
-                let d_band = &dd[row * geo.out_len()..(row + take) * geo.out_len()];
-                handles.push(s.spawn(move |_| {
-                    let mut dw_part = vec![0.0f32; geo.weight_len()];
-                    let mut db_part = vec![0.0f32; geo.out_channels];
-                    kernels.conv2d_backward(
-                        in_band,
-                        wd,
-                        d_band,
-                        &mut dw_part,
-                        &mut db_part,
-                        di_band,
-                        geo,
-                    );
-                    (dw_part, db_part)
-                }));
-                rest = tail;
-                row += take;
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("conv2d backward worker panicked"))
-                .collect()
-        })
-        .expect("conv2d backward scope panicked");
-        let (dwd, dbd) = (dw.data_mut(), db.data_mut());
-        for (dw_part, db_part) in &partials {
-            for (x, y) in dwd.iter_mut().zip(dw_part) {
-                *x += y;
-            }
-            for (x, y) in dbd.iter_mut().zip(db_part) {
-                *x += y;
-            }
+        (dw_part, db_part)
+    });
+    let mut dw = Tensor::zeros(&[geo.out_channels, k2]);
+    let mut db = Tensor::zeros(&[geo.out_channels]);
+    for (dw_part, db_part) in &partials {
+        for (x, y) in dw.data_mut().iter_mut().zip(dw_part) {
+            *x += y;
+        }
+        for (x, y) in db.data_mut().iter_mut().zip(db_part) {
+            *x += y;
         }
     }
-    Ok((dw, db, dinput))
+    Ok((dw, db))
 }
 
 #[cfg(test)]

@@ -12,12 +12,14 @@
 //! [`TensorBackend`](crate::backend::TensorBackend) — the default
 //! [`BackendKind::Reference`] kernels for the plain entry points, or any
 //! backend via the `*_with` variants. [`matmul`] additionally splits row
-//! bands across scoped threads (crossbeam) when the output is large
-//! enough to amortize the spawn cost; each band is an independent kernel
-//! call over disjoint output rows, so the result is bit-identical under
-//! any banding whatever the backend. AlexNet's 4096×4096 dense layers are
-//! intractable per-cycle without this.
+//! bands across the threads of the caller's budget
+//! ([`threads::for_each_band`]) when the output is large enough to
+//! amortize a spawn; each band is an independent kernel call over
+//! disjoint output rows, so the result is bit-identical under any banding
+//! — and therefore under any budget — whatever the backend. AlexNet's
+//! 4096×4096 dense layers are intractable per-cycle without this.
 
+use super::threads;
 use crate::backend::{BackendKind, FusedActivation, TensorBackend};
 use crate::{Result, Tensor, TensorError};
 
@@ -224,8 +226,9 @@ pub fn matvec_with(a: &Tensor, x: &Tensor, backend: BackendKind) -> Result<Tenso
     Ok(out)
 }
 
-/// Splits the rows of `C` into bands and computes each band on its own
-/// scoped thread through the same backend kernel.
+/// Splits the rows of `C` into one band per thread of the caller's
+/// [`threads::budget`] and computes each through the same backend kernel
+/// (a budget of 1 is one kernel call on the calling thread).
 fn matmul_parallel(
     kernels: &dyn TensorBackend,
     a: &[f32],
@@ -235,39 +238,13 @@ fn matmul_parallel(
     k: usize,
     n: usize,
 ) {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(m)
-        .max(1);
-    if threads == 1 {
-        kernels.matmul(a, b, c, m, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let bands: Vec<(usize, &mut [f32])> = {
-        let mut bands = Vec::new();
-        let mut rest = c;
-        let mut row = 0;
-        while row < m {
-            let take = rows_per.min(m - row);
-            let (band, tail) = rest.split_at_mut(take * n);
-            bands.push((row, band));
-            rest = tail;
-            row += take;
-        }
-        bands
-    };
-    crossbeam::thread::scope(|s| {
-        for (row0, band) in bands {
-            let rows = band.len() / n;
-            let asub = &a[row0 * k..(row0 + rows) * k];
-            s.spawn(move |_| {
-                kernels.matmul(asub, b, band, rows, k, n);
-            });
-        }
-    })
-    .expect("matmul worker panicked");
+    let rows_per = m.div_ceil(threads::budget().min(m));
+    let jobs = c.chunks_mut(rows_per * n).enumerate().collect();
+    threads::for_each_band(jobs, |(band, cband): (usize, &mut [f32])| {
+        let rows = cband.len() / n;
+        let asub = &a[band * rows_per * k..][..rows * k];
+        kernels.matmul(asub, b, cband, rows, k, n);
+    });
 }
 
 #[cfg(test)]

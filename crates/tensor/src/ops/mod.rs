@@ -6,7 +6,8 @@
 //! * [`conv`] — im2col/col2im 2-D convolution (forward + both backwards),
 //! * [`pool`] — 2×2 max pooling with argmax bookkeeping,
 //! * [`elementwise`] — Hadamard products, axpy, scaling,
-//! * [`reduce`] — sums, means, argmax, row softmax.
+//! * [`reduce`] — sums, means, argmax, row softmax,
+//! * [`threads`] — the one thread budget banded ops and their callers share.
 //!
 //! Each module validates shapes, allocates outputs and handles thread
 //! banding, then dispatches the innermost loops to a
@@ -20,3 +21,4 @@ pub mod elementwise;
 pub mod matmul;
 pub mod pool;
 pub mod reduce;
+pub mod threads;
