@@ -2,17 +2,14 @@
 //! AlexNet shapes.
 //!
 //! Each measurement builds a fresh federation and times one full FL
-//! round through `ExecutionEngine::new(workers)`. Besides the usual
-//! per-benchmark lines, a machine-readable summary (median seconds per
-//! configuration plus the speedup over the 1-worker engine) is written to
-//! `target/engine_scaling.json` for the performance trajectory.
+//! round through `ExecutionEngine::new(workers)`.
 //!
 //! Expect >1.5× at 4 workers on AlexNet shapes on a multi-core host;
 //! on a single-core container the engine degrades gracefully to ~1×.
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use gradsec_data::SyntheticCifar100;
 use gradsec_fl::config::TrainingPlan;
@@ -72,50 +69,4 @@ fn bench_alexnet(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_lenet, bench_alexnet);
-
-/// Renders the JSON summary from the harness's measurements: median
-/// seconds per `(model, workers)` plus speedup over the 1-worker round.
-fn summary_json(c: &Criterion) -> String {
-    let baseline_of = |prefix: &str| {
-        c.results()
-            .iter()
-            .find(|r| r.id == format!("{prefix}/1w"))
-            .map(|r| r.median.as_secs_f64())
-    };
-    let rows: Vec<String> = c
-        .results()
-        .iter()
-        .map(|r| {
-            let (prefix, workers) = r.id.split_once('/').unwrap_or((r.id.as_str(), "?"));
-            let secs = r.median.as_secs_f64();
-            let speedup = baseline_of(prefix)
-                .filter(|&b| secs > 0.0 && b > 0.0)
-                .map(|b| b / secs)
-                .unwrap_or(1.0);
-            format!(
-                "    {{\"model\": \"{}\", \"workers\": \"{}\", \"median_s\": {:.6}, \"speedup_vs_1w\": {:.3}}}",
-                prefix.trim_start_matches("engine_round_"),
-                workers.trim_end_matches('w'),
-                secs,
-                speedup
-            )
-        })
-        .collect();
-    format!("{{\n  \"benchmarks\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    benches(&mut c);
-    let json = summary_json(&c);
-    let target = gradsec_bench::workspace_target();
-    let path = target.join("engine_scaling.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    println!("{json}");
-}
+criterion_main!(benches);

@@ -7,16 +7,13 @@
 //! an excluded cohort instead of collapsing the federation.
 //!
 //! The gate table (wall clocks, bytes on the wire, clients per
-//! worker-core) is spliced into `target/transport_overhead.json` as a
-//! `"distributed"` row — the same artifact the `repro_rounds` mux gate
-//! ships from CI — and exits non-zero when any configuration diverges
-//! from the reference or the killed-shard run fails to commit.
+//! worker-core) goes to stdout; the bin exits non-zero when any
+//! configuration diverges from the reference or the killed-shard run
+//! fails to commit.
 //!
 //! Environment:
 //!
 //! * `GRADSEC_DIST_SESSIONS=n` — fleet size (default 1000).
-//! * `GRADSEC_DIST_GATE=0` — skip the gate (useful when loopback or
-//!   process spawning is unavailable).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -307,37 +304,7 @@ fn killed_shard_survives(clients: usize) -> bool {
     committed && excluded && teardown_clean
 }
 
-/// Splices the `"distributed"` row into `target/transport_overhead.json`
-/// (created standalone when the mux gate hasn't run yet), so one CI
-/// artifact carries both transports' scaling tables.
-fn splice_into_overhead(row: &str) {
-    let path = gradsec_bench::workspace_target().join("transport_overhead.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix('}') {
-                Some(head) if !trimmed.is_empty() => {
-                    format!("{head},\"distributed\":{row}}}")
-                }
-                _ => format!(r#"{{"distributed":{row}}}"#),
-            }
-        }
-        Err(_) => format!(r#"{{"distributed":{row}}}"#),
-    };
-    match std::fs::write(&path, &merged) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    if std::env::var("GRADSEC_DIST_GATE").as_deref() == Ok("0") {
-        eprintln!("GRADSEC_DIST_GATE=0: skipping the distributed-federation gate");
-        return;
-    }
     let clients = env_u64("GRADSEC_DIST_SESSIONS", 1_000).max(1) as usize;
     eprintln!(
         "{clients}-client distributed gate: flat reference + (1,2,4 procs) x (1,2,4 workers)…"
@@ -368,7 +335,6 @@ fn main() {
         r#"{{"sessions":{clients},"host_cores":{cores},"all_bit_identical":{matrix_ok},"faulted_identical":{faulted_ok},"screening_identical":{screening_ok},"codec_identical":{codec_ok},"killed_shard_survives":{kill_ok},"codecs":[{codec_json}],"matrix":[{}]}}"#,
         json_rows.join(",")
     );
-    splice_into_overhead(&row);
     println!("{row}");
     if !(matrix_ok && faulted_ok && screening_ok && codec_ok) {
         eprintln!("FAIL: a distributed configuration diverged from the flat reference");

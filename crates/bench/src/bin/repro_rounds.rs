@@ -4,46 +4,36 @@
 //! path repro pipelines consume. Then runs the **multiplexed-transport
 //! gate**: kilo-session (and, under `GRADSEC_FULL=1`, ~10k-session)
 //! loopback fleets where every `TransportKind::TcpMux` configuration —
-//! (1,2,4 workers) × (1,4 shards), plus a fixed-fault-seed run — must be
-//! bit-identical to the flat in-process reference and to threaded TCP,
-//! and the mux round must not fall below threaded-TCP throughput at the
-//! kilo-session tier. The gate table (wall clocks, `sessions_per_core`,
-//! mux-vs-threaded ratio) is written to `target/transport_overhead.json`
-//! — the same file the `transport_overhead` criterion bench writes for
-//! local runs; in CI this gate's table is the one that ships as the
-//! artifact (the repro_kernels/kernel_scaling precedent).
+//! (1,2,4 workers) × (1,4 shards), plus a fixed-fault-seed run against
+//! its in-process twin — must be bit-identical to the flat in-process
+//! reference. The gate table goes to stdout; how fast a mux round is is
+//! the `benchmark/` package's `fleet_mux_1k` workload, not this bin.
 //!
 //! A **codec gate** follows: the identity codec must keep the encoded
 //! payload path bit-identical to the dense reference (including over the
 //! mux transport), and the lossy codecs (`int8`, `delta-topk`) must
 //! shrink the steady-state round's bytes at least 3× while their final
 //! weights stay within pinned divergence bounds of the identity run.
-//! Per-codec bytes-per-round and compression ratios are spliced into
-//! `target/transport_overhead.json` as the `codecs` column.
+//! Per-codec bytes-per-round and compression ratios are the table's
+//! `codecs` column.
 //!
 //! Exits non-zero when any mux configuration diverges from the
-//! reference, when the faulted mux run diverges from faulted threaded
-//! TCP, when the kilo-session mux round is slower than
-//! `GRADSEC_MUX_SLACK` × the threaded round, or when a codec breaks
-//! bit-identity, the byte bar or its error bound.
+//! reference, when the faulted mux run diverges from the faulted
+//! in-process run, or when a codec breaks bit-identity, the byte bar or
+//! its error bound.
 //!
 //! Environment:
 //!
-//! * `GRADSEC_TRANSPORT=tcp|mux` — drive the export rounds over loopback
-//!   TCP (threaded or multiplexed) instead of the in-process transport
-//!   (the JSON is bit-identical any way).
+//! * `GRADSEC_TRANSPORT=mux` — drive the export rounds over multiplexed
+//!   loopback TCP instead of the in-process transport (the JSON is
+//!   bit-identical either way); any other value is refused.
 //! * `GRADSEC_ROUNDS=n` — override the export round count (default 5).
-//! * `GRADSEC_MUX_GATE=0` — skip the mux gate (export only).
 //! * `GRADSEC_MUX_SESSIONS=1000,10000` — override the gate fleet sizes
 //!   (each clamped to what `RLIMIT_NOFILE` can hold: two descriptors per
 //!   loopback session plus headroom).
-//! * `GRADSEC_MUX_SLACK=1.25` — throughput bar: the kilo-session mux
-//!   round may take at most this multiple of the threaded round.
-//!   Deliberately tolerant per push — shared CI runners compress
-//!   relative timings; tighten locally to compare architectures.
 
+use std::env::VarError;
 use std::sync::Arc;
-use std::time::Instant;
 
 use gradsec_core::trainer::SecureTrainer;
 use gradsec_core::ProtectionPolicy;
@@ -89,19 +79,30 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn transport_name(transport: TransportKind) -> &'static str {
     match transport {
         TransportKind::InProcess => "in-process",
-        TransportKind::Tcp => "loopback-TCP",
         TransportKind::TcpMux => "multiplexed-TCP",
     }
 }
 
+/// Reads `GRADSEC_TRANSPORT`: unset is the in-process transport, `mux`
+/// the multiplexed one. Anything else is an error, not a silent default
+/// — CI sets this variable to cover the mux export path, and a typo
+/// there must not pass having covered nothing.
+fn parse_transport(var: Result<String, VarError>) -> Result<TransportKind, String> {
+    let refused = match var.as_deref() {
+        Err(VarError::NotPresent) => return Ok(TransportKind::InProcess),
+        Ok("mux") => return Ok(TransportKind::TcpMux),
+        Ok(other) => format!("{other:?}"),
+        Err(e) => e.to_string(),
+    };
+    Err(format!(
+        "GRADSEC_TRANSPORT must be unset (in-process) or `mux` \
+         (multiplexed loopback TCP), got {refused}"
+    ))
+}
+
 /// The per-round export demo (unchanged shape: LeNet-5, protected
 /// layers, JSON to `target/rounds.json`).
-fn export_rounds() {
-    let transport = match std::env::var("GRADSEC_TRANSPORT").as_deref() {
-        Ok("tcp") => TransportKind::Tcp,
-        Ok("mux") => TransportKind::TcpMux,
-        _ => TransportKind::InProcess,
-    };
+fn export_rounds(transport: TransportKind) {
     let rounds = env_u64("GRADSEC_ROUNDS", 5);
     let data = Arc::new(SyntheticCifar100::with_classes(96, 2, 5));
     let policy = ProtectionPolicy::static_layers(&[1, 4]).expect("valid layer set");
@@ -206,125 +207,70 @@ fn faulted_builder(clients: usize) -> FederationBuilder {
     .faults(fault_plan())
 }
 
-fn finish(mut fed: Federation, start: Instant) -> (FederationReport, ModelWeights, f64) {
-    let report = fed.run().expect("gate round completes");
-    let wall = start.elapsed().as_secs_f64();
-    let weights = fed.server().global().clone();
-    fed.shutdown().expect("clean teardown");
-    (report, weights, wall)
-}
-
-fn run_flat(
+fn run(
     builder: FederationBuilder,
     transport: TransportKind,
+    shards: usize,
     workers: usize,
-) -> (FederationReport, ModelWeights, f64) {
-    let start = Instant::now();
-    let fed = builder
+) -> (FederationReport, ModelWeights) {
+    let mut fed = builder
         .transport(transport)
+        .shards(shards)
         .engine(ExecutionEngine::new(workers))
         .build()
         .expect("gate fleet builds");
-    finish(fed, start)
+    let report = fed.run().expect("gate round completes");
+    let weights = fed.server().global().clone();
+    fed.shutdown().expect("clean teardown");
+    (report, weights)
 }
 
-struct MuxRow {
-    workers: usize,
-    shards: usize,
-    wall_s: f64,
-    identical: bool,
-}
-
-/// One gate tier: reference + threaded TCP + the mux matrix + the
-/// faulted pair. Returns the JSON row and whether everything held.
-fn gate_tier(sessions: usize, slack: f64) -> (String, bool, bool) {
+/// One gate tier: reference + the mux matrix + the faulted pair.
+/// Returns the JSON row and whether everything held.
+fn gate_tier(sessions: usize) -> (String, bool) {
     eprintln!("{sessions}-session tier: flat in-process reference…");
-    let (ref_report, ref_weights, inproc_wall) =
-        run_flat(gate_builder(sessions), TransportKind::InProcess, 1);
-    eprintln!("  in-process: {inproc_wall:.3}s; threaded TCP…");
-    let (tcp_report, tcp_weights, tcp_wall) =
-        run_flat(gate_builder(sessions), TransportKind::Tcp, 1);
-    let tcp_identical = tcp_report == ref_report && tcp_weights == ref_weights;
-    eprintln!(
-        "  threaded TCP: {tcp_wall:.3}s ({})",
-        verdict(tcp_identical)
-    );
+    let reference = run(gate_builder(sessions), TransportKind::InProcess, 1, 1);
 
-    let mut all_identical = tcp_identical;
-    let mut rows: Vec<MuxRow> = Vec::new();
+    let mut all_identical = true;
+    let mut mux_rows: Vec<String> = Vec::new();
     for workers in MUX_WORKERS {
         for shards in MUX_SHARDS {
-            let start = Instant::now();
-            let mut fed = gate_builder(sessions)
-                .transport(TransportKind::TcpMux)
-                .shards(shards)
-                .engine(ExecutionEngine::new(workers))
-                .build_sharded()
-                .expect("mux fleet builds");
-            let report = fed.run().expect("mux round completes");
-            let wall_s = start.elapsed().as_secs_f64();
-            let identical = report == ref_report && fed.server().global() == &ref_weights;
-            fed.shutdown().expect("clean mux teardown");
+            let got = run(
+                gate_builder(sessions),
+                TransportKind::TcpMux,
+                shards,
+                workers,
+            );
+            let identical = got == reference;
             all_identical &= identical;
             eprintln!(
-                "  mux {workers} workers x {shards} shards: {wall_s:.3}s ({})",
+                "  mux {workers} workers x {shards} shards: {}",
                 verdict(identical)
             );
-            rows.push(MuxRow {
-                workers,
-                shards,
-                wall_s,
-                identical,
-            });
+            mux_rows.push(format!(
+                r#"{{"workers":{workers},"shards":{shards},"identical":{identical}}}"#
+            ));
         }
     }
 
     // Fixed fault seed: the faulted mux round must match the faulted
-    // threaded round bit for bit (every fault decision is a pure
-    // function of seed/client/message, never of who drives the socket).
-    let (ftcp_report, ftcp_weights, _) = run_flat(faulted_builder(sessions), TransportKind::Tcp, 2);
-    let (fmux_report, fmux_weights, _) =
-        run_flat(faulted_builder(sessions), TransportKind::TcpMux, 2);
-    let faulted_identical = fmux_report == ftcp_report && fmux_weights == ftcp_weights;
+    // in-process round bit for bit (every fault decision is a pure
+    // function of seed/client/message, never of what carries the bytes).
+    let faulted_identical = run(faulted_builder(sessions), TransportKind::TcpMux, 1, 2)
+        == run(faulted_builder(sessions), TransportKind::InProcess, 1, 2);
     all_identical &= faulted_identical;
-    eprintln!("  faulted mux vs threaded: {}", verdict(faulted_identical));
-
-    // Throughput bar: the flat 1-worker mux round vs its threaded twin.
-    let mux_flat_wall = rows
-        .iter()
-        .find(|r| r.workers == 1 && r.shards == 1)
-        .map(|r| r.wall_s)
-        .unwrap_or(f64::INFINITY);
-    let ratio = mux_flat_wall / tcp_wall;
-    let throughput_ok = ratio <= slack;
     eprintln!(
-        "  mux/threaded wall ratio: {ratio:.3} (bar {slack:.2}) ({})",
-        if throughput_ok { "ok" } else { "TOO SLOW" }
+        "  faulted mux vs faulted in-process: {}",
+        verdict(faulted_identical)
     );
 
     let loops = MuxOptions::default().effective_loops();
-    let mux_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                r#"{{"workers":{},"shards":{},"wall_s":{},"identical":{}}}"#,
-                r.workers,
-                r.shards,
-                json_number(r.wall_s),
-                r.identical
-            )
-        })
-        .collect();
     let row = format!(
-        r#"{{"sessions":{sessions},"event_loops":{loops},"sessions_per_core":{},"inprocess_wall_s":{},"threaded_wall_s":{},"mux_flat_wall_s":{},"mux_vs_threaded":{},"threaded_identical":{tcp_identical},"faulted_identical":{faulted_identical},"mux":[{}]}}"#,
+        r#"{{"sessions":{sessions},"event_loops":{loops},"sessions_per_core":{},"faulted_identical":{faulted_identical},"mux":[{}]}}"#,
         sessions.div_ceil(loops),
-        json_number(inproc_wall),
-        json_number(tcp_wall),
-        json_number(mux_flat_wall),
-        json_number(ratio),
         mux_rows.join(",")
     );
-    (row, all_identical, throughput_ok)
+    (row, all_identical)
 }
 
 fn codec_builder(clients: usize, codec: CodecKind) -> FederationBuilder {
@@ -362,12 +308,11 @@ fn max_abs_diff(a: &ModelWeights, b: &ModelWeights) -> f32 {
 /// whether every bar held.
 fn codec_gate(sessions: usize) -> (String, bool) {
     eprintln!("codec gate ({sessions} clients, {CODEC_ROUNDS} rounds)…");
-    let start = Instant::now();
-    let (ref_report, ref_weights, _) = finish(
-        codec_builder(sessions, CodecKind::Identity)
-            .build()
-            .expect("identity fleet builds"),
-        start,
+    let (ref_report, ref_weights) = run(
+        codec_builder(sessions, CodecKind::Identity),
+        TransportKind::InProcess,
+        1,
+        1,
     );
     let ref_wire = ref_report
         .rounds
@@ -378,13 +323,11 @@ fn codec_gate(sessions: usize) -> (String, bool) {
 
     // Identity over the mux transport: the encoded path must keep the
     // byte-for-byte report/weight identity every other gate relies on.
-    let start = Instant::now();
-    let (mux_report, mux_weights, _) = finish(
-        codec_builder(sessions, CodecKind::Identity)
-            .transport(TransportKind::TcpMux)
-            .build()
-            .expect("identity mux fleet builds"),
-        start,
+    let (mux_report, mux_weights) = run(
+        codec_builder(sessions, CodecKind::Identity),
+        TransportKind::TcpMux,
+        1,
+        1,
     );
     let identity_identical = mux_report == ref_report
         && mux_weights == ref_weights
@@ -402,12 +345,11 @@ fn codec_gate(sessions: usize) -> (String, bool) {
         (CodecKind::Int8, INT8_MAX_DIVERGENCE),
         (CodecKind::DeltaTopK, TOPK_MAX_DIVERGENCE),
     ] {
-        let start = Instant::now();
-        let (report, weights, _) = finish(
-            codec_builder(sessions, codec)
-                .build()
-                .expect("lossy fleet builds"),
-            start,
+        let (report, weights) = run(
+            codec_builder(sessions, codec),
+            TransportKind::InProcess,
+            1,
+            1,
         );
         let wire = report
             .rounds
@@ -462,47 +404,63 @@ fn write_json(name: &str, json: &str) {
 }
 
 fn main() {
-    export_rounds();
-    if std::env::var("GRADSEC_MUX_GATE").as_deref() == Ok("0") {
-        eprintln!("GRADSEC_MUX_GATE=0: skipping the multiplexed-transport gate");
-        return;
-    }
-    let slack = std::env::var("GRADSEC_MUX_SLACK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.25_f64);
+    let transport = parse_transport(std::env::var("GRADSEC_TRANSPORT")).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    export_rounds(transport);
     let mut all_identical = true;
-    let mut throughput_ok = true;
     let mut tiers = Vec::new();
     let fleets = gate_fleets();
     for &sessions in &fleets {
-        let (row, identical, fast_enough) = gate_tier(sessions, slack);
+        let (row, identical) = gate_tier(sessions);
         all_identical &= identical;
-        // The throughput bar binds at the kilo-session tier and up;
-        // tinier (fd-clamped) tiers still gate bit-identity.
-        if sessions >= 1_000 {
-            throughput_ok &= fast_enough;
-        }
         tiers.push(row);
     }
     let (codec_rows, codec_ok) = codec_gate(fleets.first().copied().unwrap_or(1_000));
-    let json = format!(
-        r#"{{"source":"repro_rounds mux gate","slack":{},"all_bit_identical":{all_identical},"throughput_ok":{throughput_ok},"codec_gate_ok":{codec_ok},"codecs":[{codec_rows}],"fleets":[{}]}}"#,
-        json_number(slack),
+    println!(
+        r#"{{"source":"repro_rounds mux gate","all_bit_identical":{all_identical},"codec_gate_ok":{codec_ok},"codecs":[{codec_rows}],"fleets":[{}]}}"#,
         tiers.join(",")
     );
-    write_json("transport_overhead.json", &json);
-    println!("{json}");
     if !all_identical {
         eprintln!("FAIL: a mux configuration diverged from the reference");
-        std::process::exit(1);
-    }
-    if !throughput_ok {
-        eprintln!("FAIL: the mux round fell below threaded-TCP throughput");
         std::process::exit(1);
     }
     if !codec_ok {
         eprintln!("FAIL: a codec broke bit-identity, the byte bar or its error bound");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transport_is_in_process_when_unset() {
+        assert_eq!(
+            parse_transport(Err(VarError::NotPresent)),
+            Ok(TransportKind::InProcess)
+        );
+    }
+
+    #[test]
+    fn transport_mux_selects_the_multiplexed_fleet() {
+        assert_eq!(
+            parse_transport(Ok("mux".to_owned())),
+            Ok(TransportKind::TcpMux)
+        );
+    }
+
+    #[test]
+    fn any_other_transport_value_is_refused_by_name() {
+        for bad in ["tcp", "Mux", ""] {
+            let err = parse_transport(Ok(bad.to_owned())).unwrap_err();
+            assert!(
+                err.contains("GRADSEC_TRANSPORT") && err.contains("`mux`"),
+                "{err}"
+            );
+        }
+        assert!(parse_transport(Err(VarError::NotUnicode("\u{1}".into()))).is_err());
     }
 }

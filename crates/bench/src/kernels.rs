@@ -1,10 +1,6 @@
-//! Shared kernel-benchmark workloads.
-//!
-//! The `kernel_scaling` bench and the `repro_kernels` gate bin time the
-//! same per-op, per-backend workloads and write the same
-//! `target/kernel_scaling.json`; the model shapes and seeded operand
-//! construction live here so the two entry points can never drift apart
-//! and silently measure different workloads.
+//! Kernel-benchmark workloads: the model shapes and seeded operand
+//! construction the `repro_kernels` gate bin times per op and per
+//! backend (`target/kernel_scaling.json`).
 
 use gradsec_tensor::ops::conv::Conv2dGeometry;
 use gradsec_tensor::{init, Tensor};

@@ -57,7 +57,7 @@ impl TrainingPlan {
 
 /// Which transport a built federation wires its clients onto.
 ///
-/// Every transport speaks the identical envelope protocol, so a run is
+/// Both speak the identical envelope protocol, so a run is
 /// bit-identical whichever is chosen (asserted by
 /// `tests/integration_transport.rs` and `tests/integration_mux.rs` at the
 /// workspace root).
@@ -67,14 +67,11 @@ pub enum TransportKind {
     /// the execution engine's worker threads.
     #[default]
     InProcess,
-    /// Loopback TCP: one socket and one service thread per client, the
-    /// round exchange crossing real sockets.
-    Tcp,
-    /// Multiplexed loopback TCP: one socket per client, but client
-    /// sessions are served by a small fixed pool of event-loop threads
-    /// over nonblocking sockets (see `transport::mux`) — the fan-in shape
-    /// for tens of thousands of sessions on one host. Tuned via
-    /// [`MuxOptions`].
+    /// Multiplexed loopback TCP: the round exchange crosses one real
+    /// socket per client, and the client sessions are served by a small
+    /// fixed pool of event-loop threads over nonblocking sockets (see
+    /// `transport::mux`) — the fan-in shape for tens of thousands of
+    /// sessions on one host. Tuned via [`MuxOptions`].
     TcpMux,
 }
 

@@ -14,9 +14,9 @@
 //!   turns slow clients into stragglers, and an over-provisioning spare
 //!   count for selection.
 //! * [`FaultyEndpoint`] — a [`ServerEndpoint`] wrapper injecting the
-//!   transport-level faults around *any* backend (in-process, channel or
-//!   TCP), so a faulted run behaves identically whichever transport
-//!   carries it.
+//!   transport-level faults around *any* backend (in-process or TCP),
+//!   so a faulted run behaves identically whichever transport carries
+//!   it.
 //!
 //! **Determinism.** Every fault decision is a pure function of
 //! `(fault seed, client id, round-or-message index)` — no shared RNG

@@ -11,9 +11,8 @@
 //! * [`LocalFleet`] — handshaken [`RemoteClient`] endpoints in this
 //!   process. [`FederationBuilder`] assembles the clients, wires each
 //!   onto the configured [`TransportKind`] (zero-copy in-process dispatch
-//!   by default; loopback TCP with one service thread per client; or
-//!   multiplexed loopback TCP with the whole fleet served by a small
-//!   event-loop pool) and partitions them into contiguous
+//!   by default, or multiplexed loopback TCP with the whole fleet served
+//!   by a small event-loop pool) and partitions them into contiguous
 //!   [`ShardLayout`] shards, each running its picks on its own
 //!   [`ExecutionEngine`] pool. [`Federation`] is the driver over one, at
 //!   any shard count; a `shard-server` process hosts one too.
@@ -29,7 +28,6 @@
 //! bit-identical.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +37,6 @@ use gradsec_nn::{BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
-use gradsec_tensor::ops::threads;
 
 use crate::adversary::{Adversary, AdversaryPlan, CollusionLog, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
@@ -56,7 +53,7 @@ use crate::server::FlServer;
 use crate::trainer::{LocalTrainer, PlainSgdTrainer};
 use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
-use crate::transport::{tcp, ClientSession, RemoteClient, ServerEndpoint};
+use crate::transport::{tcp, RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
 
 /// Builds the prototype model whose replicas every client trains.
@@ -300,10 +297,9 @@ impl FederationBuilder {
     }
 
     /// Selects the transport the fleet is wired onto (in-process by
-    /// default; [`TransportKind::Tcp`] runs every client behind a
-    /// loopback socket with its own service thread;
-    /// [`TransportKind::TcpMux`] multiplexes every client session onto a
-    /// small event-loop pool — see [`mux`](Self::mux) for its knobs).
+    /// default; [`TransportKind::TcpMux`] puts every client behind a
+    /// loopback socket served by a small event-loop pool — see
+    /// [`mux`](Self::mux) for its knobs).
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
         self
@@ -311,7 +307,7 @@ impl FederationBuilder {
 
     /// Tunes the [`TransportKind::TcpMux`] transport: event-loop count
     /// (0 = one per core), read-chunk size and the per-session
-    /// write-queue bound. Ignored by the other transports.
+    /// write-queue bound. Ignored by the in-process transport.
     pub fn mux(mut self, options: MuxOptions) -> Self {
         self.mux = options;
         self
@@ -558,32 +554,20 @@ fn partition_dataset(
     }
 }
 
-/// The client-side machinery a socket-backed transport left running
-/// behind the handshaken endpoints — whatever teardown must reap.
-enum SessionBackend {
-    /// Thread-per-client service threads ([`TransportKind::Tcp`]); each
-    /// returns its `FlClient` when the session ends. The in-process
-    /// transport leaves this empty.
-    Threads(Vec<JoinHandle<Result<FlClient>>>),
-    /// The event-loop pool serving a multiplexed fleet
-    /// ([`TransportKind::TcpMux`]).
-    Mux(MuxFleet),
-}
-
 /// Wires a built fleet onto `transport`, returning the handshaken
-/// endpoints (id-ordered) plus the client-side session backend to reap
-/// at teardown. With a fault plan, every endpoint — whatever the
-/// backend — is wrapped in a [`FaultyEndpoint`] before the handshake, so
-/// transport faults inject identically over in-process pipes, threaded
-/// sockets and multiplexed sockets (the fault layer lives server-side,
-/// above the pipe).
+/// endpoints (id-ordered) plus, over sockets, the event-loop pool serving
+/// their client side, for teardown to reap. With a fault plan, every
+/// endpoint — whatever the transport — is wrapped in a [`FaultyEndpoint`]
+/// before the handshake, so transport faults inject identically over
+/// in-process pipes and multiplexed sockets (the fault layer lives
+/// server-side, above the pipe).
 fn wire_fleet(
     fleet: Vec<FlClient>,
     transport: TransportKind,
     mux: &MuxOptions,
     faults: Option<&Arc<FaultPlan>>,
     codec: CodecKind,
-) -> Result<(Vec<RemoteClient>, SessionBackend)> {
+) -> Result<(Vec<RemoteClient>, Option<MuxFleet>)> {
     // Handshakes every accepted endpoint through one window and restores
     // fleet order: sockets are accepted in arrival order, the handshake
     // tells who is who.
@@ -600,35 +584,15 @@ fn wire_fleet(
         let endpoints = fleet
             .into_iter()
             .map(|c| Box::new(LocalEndpoint::new(c)) as _);
-        return Ok((
-            greet(endpoints.collect())?,
-            SessionBackend::Threads(Vec::new()),
-        ));
+        return Ok((greet(endpoints.collect())?, None));
     }
     let listener = tcp::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;
     let n = fleet.len();
-    // Every session connects at once — the threads as they start, the
-    // event loops their whole share before they poll; outgrow the std
-    // 128-slot backlog so no connect lands in kernel retry backoff.
+    // Every loop connects its whole share before it polls; outgrow the
+    // std 128-slot backlog so no connect lands in kernel retry backoff.
     listener.deepen_backlog(n as u32 + 128);
-    let mut sessions = match transport {
-        TransportKind::TcpMux => SessionBackend::Mux(MuxFleet::launch(addr, fleet, mux)?),
-        _ => SessionBackend::Threads(
-            fleet
-                .into_iter()
-                .map(|client| {
-                    // A window of these trains at once: no kernel fan-out.
-                    std::thread::spawn(move || {
-                        threads::with_budget(1, || {
-                            let endpoint = tcp::connect(addr)?;
-                            ClientSession::new(client, endpoint).serve()
-                        })
-                    })
-                })
-                .collect(),
-        ),
-    };
+    let sessions = MuxFleet::launch(addr, fleet, mux)?;
     // Accept ALL n connections before handshaking any of them. The event
     // loops connect their whole share before they start polling, so a
     // handshake attempted early would block on a session nobody is
@@ -645,22 +609,8 @@ fn wire_fleet(
             endpoints.push(Box::new(endpoint));
             continue;
         }
-        match &mut sessions {
-            SessionBackend::Mux(fleet) => {
-                if let Some(e) = fleet.take_early_error() {
-                    return Err(e);
-                }
-            }
-            SessionBackend::Threads(threads) => {
-                if let Some(dead) = threads.iter().position(JoinHandle::is_finished) {
-                    let reason = match threads.remove(dead).join() {
-                        Ok(Ok(_)) => continue, // clean early exit; keep accepting
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => "client session thread panicked".to_owned(),
-                    };
-                    return Err(FlError::Protocol { reason });
-                }
-            }
+        if let Some(e) = sessions.take_early_error() {
+            return Err(e);
         }
         if std::time::Instant::now() > deadline {
             return Err(FlError::disconnected(
@@ -669,7 +619,7 @@ fn wire_fleet(
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    Ok((greet(endpoints)?, sessions))
+    Ok((greet(endpoints)?, Some(sessions)))
 }
 
 /// A fleet of handshaken client endpoints in this process, partitioned
@@ -681,7 +631,8 @@ pub struct LocalFleet {
     layout: ShardLayout,
     engine: ExecutionEngine,
     faults: Option<Arc<FaultPlan>>,
-    sessions: SessionBackend,
+    /// The event-loop pool behind a [`TransportKind::TcpMux`] fleet.
+    sessions: Option<MuxFleet>,
     measurement: Measurement,
     collusion: Option<Arc<CollusionLog>>,
 }
@@ -736,17 +687,15 @@ impl Fleet for LocalFleet {
     }
 
     /// Says goodbye over every endpoint, *drops* every endpoint, then
-    /// reaps the client-side session backend.
+    /// reaps the event loops of a socket-backed fleet.
     ///
     /// The order matters: dropping the server-side endpoints closes their
-    /// sockets/channels before the joins below, so a session whose
-    /// goodbye was lost (dead peer, injected fault, broken pipe) observes
-    /// a disconnect — the threaded path wakes from its blocking `recv`,
-    /// the mux path sees EOF on its next readiness event — and exits
-    /// instead of hanging the join forever. The mux join is additionally
-    /// bounded by [`DEFAULT_JOIN_GRACE`] plus the loops' shutdown flag,
-    /// the same watchdog discipline in a form one thread can apply to
-    /// thousands of sessions.
+    /// sockets before the join below, so a session whose goodbye was lost
+    /// (dead peer, injected fault, broken pipe) sees EOF on its next
+    /// readiness event and exits instead of holding its loop open. The
+    /// join is additionally bounded by [`DEFAULT_JOIN_GRACE`] plus the
+    /// loops' shutdown flag — watchdog discipline in a form one thread
+    /// can apply to thousands of sessions.
     fn teardown(&mut self) -> Result<()> {
         let mut first_err = None;
         for mut client in std::mem::take(&mut self.clients) {
@@ -755,26 +704,9 @@ impl Fleet for LocalFleet {
             }
             // `client` drops here, hanging up its transport.
         }
-        match &mut self.sessions {
-            SessionBackend::Threads(handles) => {
-                for session in handles.drain(..) {
-                    match session.join() {
-                        Ok(Ok(_client)) => {}
-                        Ok(Err(e)) => {
-                            first_err.get_or_insert(e);
-                        }
-                        Err(_) => {
-                            first_err.get_or_insert(FlError::Protocol {
-                                reason: "client session thread panicked".to_owned(),
-                            });
-                        }
-                    }
-                }
-            }
-            SessionBackend::Mux(fleet) => {
-                if let Err(e) = fleet.join(DEFAULT_JOIN_GRACE) {
-                    first_err.get_or_insert(e);
-                }
+        if let Some(fleet) = &mut self.sessions {
+            if let Err(e) = fleet.join(DEFAULT_JOIN_GRACE) {
+                first_err.get_or_insert(e);
             }
         }
         match first_err {
@@ -1054,6 +986,7 @@ mod tests {
     use gradsec_data::{SyntheticCifar100, SyntheticMicro};
     use gradsec_nn::zoo;
     use gradsec_tee::cost::ClientCycleCost;
+    use gradsec_tensor::ops::threads;
 
     fn plan() -> TrainingPlan {
         TrainingPlan {
@@ -1121,33 +1054,28 @@ mod tests {
         }
     }
 
-    /// Remote sessions train on transport threads: threaded `Tcp` gives
-    /// each of its one-per-client threads a kernel budget of 1, the mux
-    /// loops split the builder's between them.
+    /// Remote sessions train on the mux's event-loop threads, which split
+    /// the builder's kernel budget between them.
     #[test]
-    fn transport_threads_divide_the_kernel_budget() {
-        for (transport, want) in [(TransportKind::Tcp, 1), (TransportKind::TcpMux, 4)] {
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let recorder = seen.clone();
-            let mut fed = threads::with_budget(8, || {
-                Federation::builder(plan())
-                    .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
-                    .clients(4, dataset())
-                    .transport(transport)
-                    .mux(MuxOptions {
-                        loops: 2,
-                        ..MuxOptions::default()
-                    })
-                    .trainer(move |_| {
-                        Box::new(crate::trainer::tests::BudgetRecorder(recorder.clone()))
-                    })
-                    .build()
-                    .unwrap()
-            });
-            fed.run_round().unwrap();
-            fed.shutdown().unwrap();
-            assert_eq!(*seen.lock().unwrap(), vec![want; 2], "{transport:?}");
-        }
+    fn mux_loops_divide_the_kernel_budget() {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let recorder = seen.clone();
+        let mut fed = threads::with_budget(8, || {
+            Federation::builder(plan())
+                .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
+                .clients(4, dataset())
+                .transport(TransportKind::TcpMux)
+                .mux(MuxOptions {
+                    loops: 2,
+                    ..MuxOptions::default()
+                })
+                .trainer(move |_| Box::new(crate::trainer::tests::BudgetRecorder(recorder.clone())))
+                .build()
+                .unwrap()
+        });
+        fed.run_round().unwrap();
+        fed.shutdown().unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![4; 2]);
     }
 
     #[test]

@@ -1,31 +1,32 @@
-//! In-process transports.
+//! The in-process transport.
 //!
-//! Two flavours, both moving [`Envelope`]s without copying their payload
-//! bytes *in flight* (the envelope is moved, never re-buffered between
-//! endpoints). Encoding/decoding still happens once per side — that is
-//! the point of the seam: every transport carries the identical protocol
-//! bytes, so the trusted I/O path can seal them and a TCP deployment is
-//! bit-identical. The `transport_overhead` bench tracks what that codec
-//! pass costs relative to the training compute it rides with.
+//! [`Envelope`]s move without their payload bytes being copied *in
+//! flight* (the envelope is moved, never re-buffered between endpoints).
+//! Encoding/decoding still happens once per side — that is the point of
+//! the seam: every transport carries the identical protocol bytes, so the
+//! trusted I/O path can seal them and a TCP deployment is bit-identical.
 //!
-//! * [`LocalEndpoint`] — synchronous dispatch: the server's `begin`
-//!   *is* the client's request handling, on the calling thread, and
-//!   reports the reply as already waiting — so a walk over in-process
-//!   sessions collects each before it begins the next and never holds
-//!   more than one exchange's buffers. This is the default federation
-//!   transport; the execution engine's worker pool fans exchanges out
-//!   exactly as it used to fan direct `run_cycle` calls, so determinism
-//!   and parallel speedup carry over bit-for-bit.
-//! * [`channel_pair`] — a duplex built from two `std::sync::mpsc`
-//!   channels, for running [`ClientSession`](super::ClientSession) serve
-//!   loops on their own threads inside one process (the closest in-process
-//!   analogue of the TCP deployment).
+//! [`LocalEndpoint`] is synchronous dispatch: the server's `begin` *is*
+//! the client's request handling, on the calling thread, and reports the
+//! reply as already waiting — so a walk over in-process sessions collects
+//! each before it begins the next and never holds more than one
+//! exchange's buffers. This is the default federation transport; the
+//! execution engine's worker pool fans exchanges out exactly as it used
+//! to fan direct `run_cycle` calls, so determinism and parallel speedup
+//! carry over bit-for-bit.
+//!
+//! Unit tests also get `channel_pair`, an mpsc-backed duplex that runs a
+//! [`ClientSession`](super::ClientSession) serve loop on its own thread
+//! without a socket.
 
+#[cfg(test)]
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::client::FlClient;
 use crate::message::Envelope;
-use crate::transport::{ClientEndpoint, ClientHandler, ServerEndpoint};
+#[cfg(test)]
+use crate::transport::ClientEndpoint;
+use crate::transport::{ClientHandler, ServerEndpoint};
 use crate::{FlError, Result};
 
 /// A synchronous, zero-copy in-process endpoint: requests are dispatched
@@ -91,15 +92,17 @@ impl ServerEndpoint for LocalEndpoint {
 }
 
 /// The server half of a channel-backed in-process duplex.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ChannelServerEndpoint {
+pub(crate) struct ChannelServerEndpoint {
     tx: Sender<Envelope>,
     rx: Receiver<Envelope>,
 }
 
 /// The client half of a channel-backed in-process duplex.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct ChannelClientEndpoint {
+pub(crate) struct ChannelClientEndpoint {
     tx: Sender<Envelope>,
     rx: Receiver<Envelope>,
 }
@@ -107,7 +110,8 @@ pub struct ChannelClientEndpoint {
 /// Builds a connected (server, client) endpoint pair over two unbounded
 /// channels. Envelopes are moved through the channels — payload bytes are
 /// never copied in flight.
-pub fn channel_pair() -> (ChannelServerEndpoint, ChannelClientEndpoint) {
+#[cfg(test)]
+pub(crate) fn channel_pair() -> (ChannelServerEndpoint, ChannelClientEndpoint) {
     let (to_client, from_server) = channel();
     let (to_server, from_client) = channel();
     (
@@ -122,6 +126,7 @@ pub fn channel_pair() -> (ChannelServerEndpoint, ChannelClientEndpoint) {
     )
 }
 
+#[cfg(test)]
 impl ServerEndpoint for ChannelServerEndpoint {
     fn begin(&mut self, request: Envelope) -> Result<bool> {
         self.tx
@@ -147,6 +152,7 @@ impl ServerEndpoint for ChannelServerEndpoint {
     }
 }
 
+#[cfg(test)]
 impl ClientEndpoint for ChannelClientEndpoint {
     fn recv(&mut self) -> Result<Envelope> {
         self.rx

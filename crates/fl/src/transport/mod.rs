@@ -21,23 +21,22 @@
 //! endpoint that answers inside `begin` (the in-process one) is collected
 //! before the next session begins, which is the old one-at-a-time walk.
 //!
-//! Four backends implement the seam:
+//! Three backends implement the seam:
 //!
 //! * [`inprocess::LocalEndpoint`] — in-process dispatch, zero-copy in
 //!   flight (the envelope is moved between endpoints, never re-buffered;
 //!   each side pays the codec once, as on every transport); the default,
 //!   and bit-identical to the pre-transport direct-call federation.
-//! * [`inprocess::channel_pair`] — a channel-backed duplex for client
-//!   service threads inside one process.
-//! * [`tcp`] — the same envelopes over real sockets, the envelope header
-//!   doubling as the length-prefixed frame; one blocking service thread
-//!   per client session.
-//! * [`mux`] — the same sockets, but client sessions multiplexed onto a
-//!   small fixed pool of event-loop threads via nonblocking readiness
-//!   polling ([`poller`]) — the fan-in shape for tens of thousands of
-//!   sessions on one host.
+//! * [`mux`] — the same envelopes over real sockets, the envelope header
+//!   doubling as the length-prefixed frame: the server side accepts
+//!   blocking [`tcp`] endpoints, the fleet's client sessions are
+//!   multiplexed onto a small fixed pool of event-loop threads via
+//!   nonblocking readiness polling ([`poller`]) — the fan-in shape for
+//!   tens of thousands of sessions on one host.
+//! * [`tcp::connect`] — the client side of one such socket served by one
+//!   blocking [`ClientSession`]: what a single device runs.
 //!
-//! [`sealed`] wraps any of the four in the trusted I/O path
+//! [`sealed`] wraps any of the three in the trusted I/O path
 //! (`gradsec-tee::tiop`), sealing exactly the bytes that cross the wire.
 //!
 //! Above the byte seam sit the two protocol roles: [`RemoteClient`] (the

@@ -1,10 +1,10 @@
 //! Multiplexed TCP transport: a fixed pool of event-loop threads driving
 //! tens of thousands of client sessions over nonblocking sockets.
 //!
-//! The threaded TCP transport spawns one service thread per client, which
-//! stalls socket-backed fleets around the OS thread limit long before the
-//! sharded engine saturates. This module replaces the *client side* of
-//! that wiring: [`MuxFleet`] spawns `loops` event-loop threads (one per
+//! One blocking service thread per client would stall a socket-backed
+//! fleet around the OS thread limit long before the sharded engine
+//! saturates. This module is the *client side* of a socket fleet
+//! instead: [`MuxFleet`] spawns `loops` event-loop threads (one per
 //! core by default), each owning its share of the fleet as nonblocking
 //! sockets registered with a [`Poller`](super::poller::Poller). A
 //! per-session [`Session`] state machine reassembles [`Envelope`] frames
@@ -14,19 +14,18 @@
 //! configured bound, that session's reads pause until the peer drains it
 //! (backpressure, never unbounded queueing).
 //!
-//! The server side is the threaded transport's: the engine drives
-//! blocking [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s
+//! The server side is plain blocking sockets: the engine drives
+//! [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s
 //! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
 //! a window of them at a time (see [`slide`](super::slide)) so the loops
 //! have many requests to serve per wake-up, and completed uploads feed
-//! the existing canonical-order commit — so a mux
-//! round is bit-identical to the threaded-TCP and in-process rounds; only
-//! the pipe changed. Teardown follows the protocol's `Goodbye`
-//! discipline: a session that receives `Goodbye` drains its write queue
-//! before closing, and [`MuxFleet::join`] bounds the event-loop join with
-//! a grace deadline plus a shutdown flag every loop polls, so a lost
-//! goodbye can stall teardown by at most one poll interval past the
-//! grace, never forever.
+//! the existing canonical-order commit — so a mux round is bit-identical
+//! to the in-process round; only the pipe changed. Teardown follows the
+//! protocol's `Goodbye` discipline: a session that receives `Goodbye`
+//! drains its write queue before closing, and [`MuxFleet::join`] bounds
+//! the event-loop join with a grace deadline plus a shutdown flag every
+//! loop polls, so a lost goodbye can stall teardown by at most one poll
+//! interval past the grace, never forever.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -257,8 +256,8 @@ impl Session {
         while self.phase == Phase::Serving && self.pending_write() < write_bound {
             match self.stream.read(chunk) {
                 Ok(0) => {
-                    // EOF without a goodbye: the same disconnect error the
-                    // threaded serve loop reports from its blocking recv.
+                    // EOF without a goodbye: the same disconnect error a
+                    // blocking `ClientSession` reports from its recv.
                     return Err(FlError::disconnected(format!(
                         "mux peer {} closed mid-session",
                         self.peer
@@ -445,8 +444,8 @@ impl MuxFleet {
     /// Spawns the event-loop pool and hands it the fleet: clients are
     /// dealt round-robin across [`MuxOptions::effective_loops`] threads,
     /// each of which connects its share to `addr` and starts polling. The
-    /// server side accepts and handshakes those connections exactly as it
-    /// would threaded ones.
+    /// server side accepts and handshakes those connections as it would
+    /// any [`tcp::connect`](super::tcp::connect)ed device.
     ///
     /// # Errors
     ///
@@ -682,6 +681,11 @@ mod tests {
         drop(endpoint);
     }
 
+    /// The one liveness check `wire_fleet`'s accept loop keeps: a refused
+    /// connect reaches the builder through `take_early_error` at once,
+    /// instead of through the 30 s accept deadline. A thread-per-client
+    /// fleet would have left its session threads detached on this path;
+    /// here `join` (and, on an abandoned build, `Drop`) reaps every loop.
     #[test]
     fn connect_failure_surfaces_as_early_error() {
         // A listener that is bound and immediately dropped leaves a port
@@ -690,7 +694,12 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let mut fleet = MuxFleet::launch(addr, vec![fl_client(1)], &MuxOptions::default()).unwrap();
+        let options = MuxOptions {
+            loops: 2,
+            ..MuxOptions::default()
+        };
+        let mut fleet = MuxFleet::launch(addr, vec![fl_client(1), fl_client(2)], &options).unwrap();
+        assert_eq!(fleet.loops(), 2);
         let deadline = Instant::now() + Duration::from_secs(10);
         let early = loop {
             if let Some(e) = fleet.take_early_error() {
@@ -700,6 +709,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         };
         assert!(matches!(early, FlError::Protocol { .. }), "{early:?}");
-        assert!(fleet.join(Duration::from_secs(5)).is_err());
+        // Neither loop has a live session, so both exit on their own: the
+        // join returns the refused connect itself well inside its grace.
+        let grace = Duration::from_secs(5);
+        let start = Instant::now();
+        let err = fleet.join(grace).unwrap_err();
+        assert!(start.elapsed() < grace, "join ran out its grace");
+        assert!(matches!(err, FlError::Transport { .. }), "{err:?}");
+        assert!(fleet.handles.is_empty(), "a loop thread was left unjoined");
     }
 }

@@ -6,7 +6,7 @@
 //! envelope. The bytes the normal world (or the network) sees are
 //! ciphertext; replay, reorder and tampering are all detected by the
 //! channel. Because sealing happens *above* the byte seam, it composes
-//! with every backend — in-process channels and TCP alike.
+//! with every backend — in-process and TCP alike.
 
 use gradsec_tee::tiop::{Frame, Role, SecureChannel};
 

@@ -8,8 +8,12 @@
 //! ([`MAX_ENVELOPE_PAYLOAD`](crate::message::MAX_ENVELOPE_PAYLOAD)).
 //!
 //! Deployment shape: the FL server [`bind`]s and [`TcpListenerEndpoint::accept`]s
-//! one connection per client; each client device [`connect`]s and runs a
-//! [`ClientSession`](super::ClientSession) serve loop over its socket.
+//! one connection per client; a client device [`connect`]s and runs one
+//! blocking [`ClientSession`](super::ClientSession) serve loop over its
+//! socket. A fleet simulated inside one process connects to the same
+//! listener from the [`mux`](super::mux) event loops instead, and the
+//! shard-control channel frames its messages with the same
+//! `read_envelope` / `write_envelope`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

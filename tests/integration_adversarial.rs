@@ -1,7 +1,7 @@
 //! Hostile-fleet integration: a federation with seeded adversarial
 //! personas (update poisoners, scalers, free-riders, colluders) must be
 //! bit-identical across every execution path — flat, sharded, and
-//! multi-process, over the in-process, threaded-TCP and multiplexed
+//! multi-process, over the in-process and multiplexed
 //! transports — under one scenario seed, because persona assignment is
 //! a pure function of `(scenario seed, client id)` and every transform
 //! is applied client-side. Robust aggregation must hold the committed
@@ -71,11 +71,7 @@ fn l2(a: &ModelWeights, b: &ModelWeights) -> f64 {
 #[test]
 fn hostile_fleet_is_bit_identical_across_runners_and_transports() {
     let mut reference: Option<(FederationReport, ModelWeights)> = None;
-    for transport in [
-        TransportKind::InProcess,
-        TransportKind::Tcp,
-        TransportKind::TcpMux,
-    ] {
+    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
         for (shards, workers) in [(1usize, 1usize), (1, 4), (3, 2)] {
             let b = builder()
                 .adversaries(scenario())

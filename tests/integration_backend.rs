@@ -107,7 +107,7 @@ fn runs_are_bit_identical_within_each_backend() {
                 "{backend}: {shards}x{workers} weights diverged"
             );
         }
-        let (report, weights) = run_sharded(backend, 2, 2, TransportKind::Tcp);
+        let (report, weights) = run_sharded(backend, 2, 2, TransportKind::TcpMux);
         assert_eq!(report, reference, "{backend}: TCP sharded diverged");
         assert_eq!(weights, ref_weights, "{backend}: TCP weights diverged");
     }

@@ -2,9 +2,9 @@
 //! invisible when it should be and cheap when it may be.
 //!
 //! * The identity codec keeps every deployment shape — flat, sharded,
-//!   distributed — and every transport — in-process, threaded TCP,
-//!   multiplexed TCP — bit-identical to the dense reference, with and
-//!   without seeded faults, and bills encoded == raw bytes.
+//!   distributed — and both transports — in-process, multiplexed
+//!   TCP — bit-identical to the dense reference, with and without
+//!   seeded faults, and bills encoded == raw bytes.
 //! * The lossy codecs (`int8`, `delta-topk`) are deterministic pure
 //!   functions of the run: the same codec produces the same bits on any
 //!   transport and shape, shrinks the steady-state round's payload, and
@@ -95,11 +95,10 @@ fn identity_codec_is_bit_identical_across_transports_and_shapes() {
         assert_eq!(wire.encoded_bytes(), wire.raw_bytes());
     }
 
-    for transport in [TransportKind::Tcp, TransportKind::TcpMux] {
-        let (report, weights) = run_flat(CodecKind::Identity, transport, None);
-        assert_eq!(report, ref_report, "{transport:?} diverged from reference");
-        assert_eq!(weights, ref_weights);
-    }
+    let transport = TransportKind::TcpMux;
+    let (report, weights) = run_flat(CodecKind::Identity, transport, None);
+    assert_eq!(report, ref_report, "{transport:?} diverged from reference");
+    assert_eq!(weights, ref_weights);
 
     let mut sharded = builder(CodecKind::Identity)
         .transport(TransportKind::TcpMux)
@@ -146,14 +145,13 @@ fn identity_codec_is_bit_identical_under_faults() {
         TransportKind::InProcess,
         Some(fault_plan()),
     );
-    for transport in [TransportKind::Tcp, TransportKind::TcpMux] {
-        let (report, weights) = run_flat(CodecKind::Identity, transport, Some(fault_plan()));
-        assert_eq!(
-            report, ref_report,
-            "faulted {transport:?} diverged from reference"
-        );
-        assert_eq!(weights, ref_weights);
-    }
+    let transport = TransportKind::TcpMux;
+    let (report, weights) = run_flat(CodecKind::Identity, transport, Some(fault_plan()));
+    assert_eq!(
+        report, ref_report,
+        "faulted {transport:?} diverged from reference"
+    );
+    assert_eq!(weights, ref_weights);
 }
 
 #[test]
@@ -163,16 +161,15 @@ fn lossy_codecs_are_deterministic_and_transport_invariant() {
         let (again, again_weights) = run_flat(codec, TransportKind::InProcess, None);
         assert_eq!(first, again, "{} is not deterministic", codec.name());
         assert_eq!(first_weights, again_weights);
-        for transport in [TransportKind::Tcp, TransportKind::TcpMux] {
-            let (report, weights) = run_flat(codec, transport, None);
-            assert_eq!(
-                report,
-                first,
-                "{} over {transport:?} diverged from in-process",
-                codec.name()
-            );
-            assert_eq!(weights, first_weights);
-        }
+        let transport = TransportKind::TcpMux;
+        let (report, weights) = run_flat(codec, transport, None);
+        assert_eq!(
+            report,
+            first,
+            "{} over {transport:?} diverged from in-process",
+            codec.name()
+        );
+        assert_eq!(weights, first_weights);
     }
 }
 
@@ -215,14 +212,13 @@ fn delta_codec_survives_faulted_rounds_deterministically() {
         Some(fault_plan()),
     );
     assert!(ref_report.rounds_completed > 0);
-    for transport in [TransportKind::Tcp, TransportKind::TcpMux] {
-        let (report, weights) = run_flat(CodecKind::DeltaTopK, transport, Some(fault_plan()));
-        assert_eq!(
-            report, ref_report,
-            "faulted delta-topk over {transport:?} diverged"
-        );
-        assert_eq!(weights, ref_weights);
-    }
+    let transport = TransportKind::TcpMux;
+    let (report, weights) = run_flat(CodecKind::DeltaTopK, transport, Some(fault_plan()));
+    assert_eq!(
+        report, ref_report,
+        "faulted delta-topk over {transport:?} diverged"
+    );
+    assert_eq!(weights, ref_weights);
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //! * **Isolation** — a panicking client (`ClientFailure`) is billed a
 //!   zero-cost ledger entry in exactly its own slot; every other client's
 //!   bill is unchanged, whatever the worker count.
-//! * **Teardown** — `Federation::shutdown` over TCP joins every
-//!   per-client service thread without hanging, even when a client
-//!   session already ended, and a session whose goodbye never arrives is
-//!   released by the endpoint drop.
+//! * **Teardown** — `Federation::shutdown` over TCP reaps every
+//!   client session and its event loops without hanging, even when a
+//!   client session already ended, and a blocking device session whose
+//!   goodbye never arrives is released by the endpoint drop.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +106,7 @@ fn faulted_reports_are_invariant_across_shards_workers_and_transports() {
         all_rounds.iter().any(|r| !r.participants.is_empty()),
         "no round committed anything"
     );
-    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
         for shards in [1usize, 2, 4] {
             for workers in [1usize, 2, 4] {
                 let mut fed = builder(faults(deadline))
@@ -290,13 +290,13 @@ fn tcp_shutdown_joins_every_session_even_after_a_client_already_left() {
         })
         .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
         .clients(3, data)
-        .transport(TransportKind::Tcp)
+        .transport(TransportKind::TcpMux)
         .build()
         .unwrap();
         fed.run().unwrap();
-        // One client leaves early: its session thread goodbyes out and
-        // dies. Teardown must still join all three service threads —
-        // including the already-dead one — without hanging or erroring.
+        // One client leaves early: its session goodbyes out and closes.
+        // Teardown must still reap all three sessions — including the
+        // already-finished one — without hanging or erroring.
         fed.clients_mut()[1].goodbye().unwrap();
         fed.shutdown().unwrap();
     });
@@ -311,7 +311,7 @@ fn tcp_shutdown_is_clean_for_faulted_fleets() {
         let fed = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
             .clients(3, data)
-            .transport(TransportKind::Tcp)
+            .transport(TransportKind::TcpMux)
             .faults(
                 FaultPlan::seeded(1)
                     .dropout(1.0)

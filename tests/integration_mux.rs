@@ -1,10 +1,9 @@
 //! Multiplexed-transport determinism: a federation whose client fleet is
 //! served by the mux event loops ([`TransportKind::TcpMux`]) must be
-//! bit-identical to the thread-per-connection TCP transport and to the
-//! in-process transport — same per-round reports and final global
-//! weights — flat or sharded, clean or faulted, whatever the event-loop
-//! count or read-chunk size. The protocol bytes are identical on every
-//! path; the mux only changes who drives the sockets.
+//! bit-identical to the in-process transport — same per-round reports
+//! and final global weights — flat or sharded, clean or faulted,
+//! whatever the event-loop count or read-chunk size. The protocol bytes
+//! are identical on either path; the mux only adds the sockets.
 
 use std::sync::Arc;
 
@@ -49,13 +48,9 @@ fn run(mut fed: Federation) -> (FederationReport, ModelWeights) {
 }
 
 #[test]
-fn mux_round_is_bit_identical_to_threaded_tcp_and_in_process() {
+fn mux_round_is_bit_identical_to_in_process() {
     let mut reference = None;
-    for transport in [
-        TransportKind::InProcess,
-        TransportKind::Tcp,
-        TransportKind::TcpMux,
-    ] {
+    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
         for workers in [1usize, 2, 4] {
             let fed = builder()
                 .transport(transport)
@@ -126,7 +121,7 @@ fn faulted_mux_is_bit_identical_under_a_fixed_seed() {
             .spare(3)
     };
     let mut reference = None;
-    for transport in [TransportKind::Tcp, TransportKind::TcpMux] {
+    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
         let fed = builder()
             .transport(transport)
             .faults(faults())
@@ -162,7 +157,7 @@ fn tiny_read_chunks_force_straddled_frames_and_still_match() {
     // in the session queue until the peer drains). Results must not
     // notice.
     let (want_report, want_weights) = {
-        let fed = builder().transport(TransportKind::Tcp).build().unwrap();
+        let fed = builder().build().unwrap();
         run(fed)
     };
     let fed = builder()

@@ -99,7 +99,7 @@ fn sharded_runs_are_transport_agnostic() {
         (report, weights)
     };
     let (inproc_report, inproc_weights) = run(TransportKind::InProcess);
-    let (tcp_report, tcp_weights) = run(TransportKind::Tcp);
+    let (tcp_report, tcp_weights) = run(TransportKind::TcpMux);
     assert_eq!(inproc_report, tcp_report);
     assert_eq!(inproc_weights, tcp_weights);
 }

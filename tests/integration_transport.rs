@@ -49,7 +49,7 @@ fn run(transport: TransportKind, workers: usize) -> (FederationReport, ModelWeig
 fn tcp_loopback_round_is_bit_identical_to_in_process() {
     let (inproc_report, inproc_weights) = run(TransportKind::InProcess, 1);
     assert_eq!(inproc_report.rounds_completed, 2);
-    let (tcp_report, tcp_weights) = run(TransportKind::Tcp, 1);
+    let (tcp_report, tcp_weights) = run(TransportKind::TcpMux, 1);
     assert_eq!(
         inproc_report, tcp_report,
         "TCP round reports diverged from in-process"
@@ -71,9 +71,9 @@ fn tcp_loopback_round_is_bit_identical_to_in_process() {
 
 #[test]
 fn tcp_transport_is_deterministic_across_engine_widths() {
-    let (seq_report, seq_weights) = run(TransportKind::Tcp, 1);
+    let (seq_report, seq_weights) = run(TransportKind::TcpMux, 1);
     for workers in [2usize, 4] {
-        let (report, weights) = run(TransportKind::Tcp, workers);
+        let (report, weights) = run(TransportKind::TcpMux, workers);
         assert_eq!(
             seq_report, report,
             "{workers}-worker TCP report diverged from sequential TCP"
@@ -110,7 +110,7 @@ fn mixed_fleet_screens_identically_over_tcp() {
     };
     let mut inproc = build(TransportKind::InProcess);
     let inproc_report = inproc.run().unwrap();
-    let mut tcp = build(TransportKind::Tcp);
+    let mut tcp = build(TransportKind::TcpMux);
     let tcp_report = tcp.run().unwrap();
     assert_eq!(inproc_report, tcp_report);
     for r in &tcp_report.rounds {
@@ -122,7 +122,7 @@ fn mixed_fleet_screens_identically_over_tcp() {
 #[test]
 fn per_round_json_export_is_stable_across_transports() {
     let (inproc_report, _) = run(TransportKind::InProcess, 1);
-    let (tcp_report, _) = run(TransportKind::Tcp, 2);
+    let (tcp_report, _) = run(TransportKind::TcpMux, 2);
     assert_eq!(inproc_report.to_json(), tcp_report.to_json());
     let json = tcp_report.to_json();
     assert!(json.contains(r#""rounds_completed":2"#), "{json}");
