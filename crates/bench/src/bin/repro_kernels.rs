@@ -49,19 +49,11 @@ use gradsec_tensor::ops::pool::{maxpool_forward_with, PoolGeometry};
 const MIN_ALEXNET_CONV_SPEEDUP: f64 = 1.3;
 
 fn reps() -> usize {
-    std::env::var("GRADSEC_KERNEL_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(5)
+    gradsec_bench::env::u64("GRADSEC_KERNEL_REPS", 5).max(1) as usize
 }
 
 fn min_speedup() -> f64 {
-    std::env::var("GRADSEC_KERNEL_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s: &f64| s.is_finite() && s >= 0.0)
-        .unwrap_or(MIN_ALEXNET_CONV_SPEEDUP)
+    gradsec_bench::env::f64("GRADSEC_KERNEL_MIN_SPEEDUP", MIN_ALEXNET_CONV_SPEEDUP)
 }
 
 /// One timed table entry: an op at a model shape, run per backend.

@@ -1,7 +1,9 @@
 //! # gradsec-bench
 //!
 //! The reproduction harness: one module per table/figure of the paper's
-//! evaluation (§8), plus shared infrastructure.
+//! evaluation (§8), plus shared infrastructure — the [`gate`] that
+//! `repro_gates` judges every deployment of one fleet with, and the
+//! [`env`] parser behind the harness's `GRADSEC_*` switches.
 //!
 //! Every experiment honours the `GRADSEC_FULL=1` environment variable:
 //! the default *quick* profile shrinks datasets/iterations so the whole
@@ -21,7 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod experiments;
+pub mod gate;
 pub mod kernels;
 pub mod table;
 
@@ -35,12 +39,10 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Reads the profile from the environment.
+    /// Reads the profile from the environment (`GRADSEC_FULL`, an
+    /// [`env::flag`]).
     pub fn from_env() -> Self {
-        if std::env::var("GRADSEC_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
+        if env::flag("GRADSEC_FULL") {
             Profile::Full
         } else {
             Profile::Quick
@@ -56,10 +58,7 @@ impl Profile {
 /// The master seed used by every experiment (override with
 /// `GRADSEC_SEED`).
 pub fn master_seed() -> u64 {
-    std::env::var("GRADSEC_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    env::u64("GRADSEC_SEED", 42)
 }
 
 /// The workspace `target/` directory, honouring `CARGO_TARGET_DIR`.

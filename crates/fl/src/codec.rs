@@ -17,7 +17,7 @@
 //! * [`CodecKind::Int8`] — per-tensor affine quantization: each tensor
 //!   is mapped to `q = round((x - zero) / scale)` over 256 levels, so a
 //!   coefficient costs 1 byte instead of 4. Lossy, with a per-tensor
-//!   error bound of `scale / 2` (pinned by the `repro_rounds` gate the
+//!   error bound of `scale / 2` (pinned by the `repro_gates` gate the
 //!   way `Blocked` pins 1e-5 kernel parity).
 //! * [`CodecKind::DeltaTopK`] — top-k sparsified delta against the
 //!   previous committed round: both sides keep a reference *view* of
@@ -46,10 +46,6 @@ use gradsec_tensor::Tensor;
 use crate::message::{limits, Wire};
 use crate::wire::{decode_len, need, wire_struct};
 use crate::{FlError, Result};
-
-/// Environment variable selecting the fleet codec
-/// ([`CodecKind::from_env`]), mirroring `GRADSEC_BACKEND` for kernels.
-pub const CODEC_ENV: &str = "GRADSEC_CODEC";
 
 /// Fraction of per-tensor delta coefficients [`CodecKind::DeltaTopK`]
 /// keeps (at least one per tensor).
@@ -92,15 +88,6 @@ impl CodecKind {
             "delta-topk" | "delta_topk" | "deltatopk" => Some(CodecKind::DeltaTopK),
             _ => None,
         }
-    }
-
-    /// The codec selected by the [`CODEC_ENV`] environment variable, or
-    /// `Identity` when unset/unknown.
-    pub fn from_env() -> Self {
-        std::env::var(CODEC_ENV)
-            .ok()
-            .and_then(|v| CodecKind::parse(&v))
-            .unwrap_or_default()
     }
 
     /// The wire tag.

@@ -33,7 +33,7 @@
 //! replies come back tagged with *global* selection slots and commit
 //! through the driver's one `finish_round`, a distributed run over
 //! `(S shard processes × W workers)` is bit-identical to the flat
-//! in-process reference — gated by `repro_distributed` and
+//! in-process reference — gated by `repro_gates` and
 //! `tests/integration_distributed.rs`.
 //!
 //! Shard-failure semantics: a shard process that crashes, hangs past the
@@ -296,8 +296,7 @@ impl DistributedBuilder {
     }
 
     /// Selects the update codec every shard's sessions negotiate
-    /// (shipped by name in the [`ShardConfig`]; defaults to the
-    /// `GRADSEC_CODEC` environment variable, falling back to
+    /// (shipped by name in the [`ShardConfig`]; defaults to
     /// [`CodecKind::Identity`]).
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.setup.codec = codec;

@@ -24,7 +24,7 @@
 //! transports therefore all observe the *same* faults, and a faulted
 //! round report is bit-identical for any `(shards, workers, transport)`
 //! combination under the same seed (asserted by
-//! `tests/integration_faults.rs` and the `repro_faults` binary).
+//! `tests/integration_faults.rs` and the `repro_gates` binary).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -166,8 +166,8 @@ impl RunSetup {
             measurement: Measurement(sha256(b"gradsec-ta-code-v1")),
             faults: None,
             adversaries: None,
-            backend: BackendKind::from_env(),
-            codec: CodecKind::from_env(),
+            backend: BackendKind::Reference,
+            codec: CodecKind::Identity,
             screening_sample: None,
             aggregator: Aggregator::FedAvg,
             partition: PartitionKind::Iid,
@@ -330,9 +330,8 @@ impl FederationBuilder {
     /// the prototype model is pointed at it before replication, so every
     /// client replica — and every per-worker copy the engine makes from
     /// those — trains through the same kernels on every shard and
-    /// transport. Defaults to the `GRADSEC_BACKEND` environment variable
-    /// (`reference`/`blocked`), falling back to
-    /// [`BackendKind::Reference`], the bit-identical-to-seed kernels.
+    /// transport. Defaults to [`BackendKind::Reference`], the
+    /// bit-identical-to-seed kernels.
     /// Runs are bit-identical *within* a backend for any
     /// `(shards, workers, transport)` combination; switching backends
     /// changes f32 rounding, not semantics.
@@ -346,11 +345,9 @@ impl FederationBuilder {
     /// [`CodecKind::Identity`] (the default) is bit-identical to the
     /// uncompressed payloads; [`CodecKind::Int8`] and
     /// [`CodecKind::DeltaTopK`] trade a pinned, deterministic amount of
-    /// precision for 3×+ smaller rounds. Defaults to the `GRADSEC_CODEC`
-    /// environment variable (`identity`/`int8`/`delta-topk`). The codec
-    /// is part of the run's reproducibility key: runs with the same
-    /// codec are bit-identical across shards, workers, transports and
-    /// process boundaries.
+    /// precision for 3×+ smaller rounds. The codec is part of the run's
+    /// reproducibility key: runs with the same codec are bit-identical
+    /// across shards, workers, transports and process boundaries.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.setup.codec = codec;
         self
@@ -1146,15 +1143,12 @@ mod tests {
             fed.shutdown().unwrap();
             (report, weights)
         };
-        // The builder default is whatever GRADSEC_BACKEND selects
-        // (Reference when unset) — bit-identical to passing that kind
-        // explicitly, so the comparison holds even when the suite runs
-        // under a GRADSEC_BACKEND override.
+        // The builder default is `Reference` — bit-identical to passing
+        // that kind explicitly.
         let (r_default, w_default) = run(None);
-        let (r_env, w_env) = run(Some(BackendKind::from_env()));
-        assert_eq!(r_default, r_env);
-        assert_eq!(w_default, w_env);
         let (r_ref, w_ref) = run(Some(BackendKind::Reference));
+        assert_eq!(r_default, r_ref);
+        assert_eq!(w_default, w_ref);
         // The blocked backend completes the same plan and lands within
         // kernel-rounding distance of the reference run.
         let (r_blk, w_blk) = run(Some(BackendKind::Blocked));

@@ -12,8 +12,8 @@
 //!   registered session as ready and lets the session state machines
 //!   discover actual readiness via `WouldBlock`. Correct anywhere
 //!   `std::net` works (tests and non-Linux hosts), at the cost of some
-//!   idle polling; selected automatically off Linux, or explicitly with
-//!   `GRADSEC_MUX_POLLER=portable`.
+//!   idle polling; selected automatically off Linux, or explicitly by
+//!   constructing [`Poller::Portable`].
 //!
 //! Both are *level-triggered*: an event means "this session can make
 //! progress now", and the mux event loop advances each flagged session
@@ -74,20 +74,14 @@ pub enum Poller {
 }
 
 impl Poller {
-    /// Builds the best poller for this host. `GRADSEC_MUX_POLLER=portable`
-    /// forces the fallback (useful for exercising it on Linux); an epoll
-    /// setup failure also degrades to the fallback rather than erroring.
+    /// Builds the best poller for this host: epoll on Linux, the
+    /// portable fallback elsewhere — and on an epoll setup failure,
+    /// rather than erroring.
     pub fn new() -> Poller {
-        let forced = std::env::var("GRADSEC_MUX_POLLER")
-            .map(|v| v.eq_ignore_ascii_case("portable"))
-            .unwrap_or(false);
         #[cfg(target_os = "linux")]
-        if !forced {
-            if let Ok(p) = EpollPoller::new() {
-                return Poller::Epoll(p);
-            }
+        if let Ok(p) = EpollPoller::new() {
+            return Poller::Epoll(p);
         }
-        let _ = forced;
         Poller::Portable(PortablePoller::default())
     }
 
@@ -520,9 +514,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_is_the_linux_default() {
-        if std::env::var("GRADSEC_MUX_POLLER").is_err() {
-            assert_eq!(Poller::new().kind(), "epoll");
-        }
+        assert_eq!(Poller::new().kind(), "epoll");
     }
 
     #[cfg(target_os = "linux")]

@@ -197,12 +197,6 @@ where
                 None => break,
             }
         }
-        if std::env::var("LBFGS_DEBUG").is_ok() {
-            eprintln!(
-                "it {iterations}: f {fx} -> {new_fx}, step {step}, hist {}",
-                s_hist.len()
-            );
-        }
         // Store the curvature pair.
         let s: Vec<f32> = new_x
             .data()

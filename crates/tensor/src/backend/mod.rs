@@ -33,10 +33,9 @@
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
 //! carry a [`BackendKind`] into every forward/backward call,
 //! `Sequential::replicate` copies it into per-client/per-worker model
-//! replicas, and `FederationBuilder::backend(...)` (or the
-//! `GRADSEC_BACKEND` environment variable) selects it for a whole
-//! federation run. Within one backend, flat/sharded/faulted runs stay
-//! bit-identical for any worker/shard/transport combination.
+//! replicas, and `FederationBuilder::backend(...)` selects it for a
+//! whole federation run. Within one backend, flat/sharded/faulted runs
+//! stay bit-identical for any worker/shard/transport combination.
 
 mod blocked;
 mod reference;
@@ -101,8 +100,7 @@ impl BackendKind {
     }
 
     /// The selector's canonical lowercase name (what
-    /// [`BackendKind::parse`] accepts and `GRADSEC_BACKEND` is matched
-    /// against).
+    /// [`BackendKind::parse`] accepts).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
@@ -120,17 +118,6 @@ impl BackendKind {
             "tiled" => Some(BackendKind::Tiled),
             _ => None,
         }
-    }
-
-    /// Reads the backend selection from the `GRADSEC_BACKEND` environment
-    /// variable. Unset or unrecognised values select
-    /// [`BackendKind::Reference`] — the env var is an opt-in accelerator
-    /// switch, never a way to break determinism by accident.
-    pub fn from_env() -> Self {
-        std::env::var("GRADSEC_BACKEND")
-            .ok()
-            .and_then(|v| BackendKind::parse(&v))
-            .unwrap_or_default()
     }
 }
 

@@ -14,9 +14,10 @@
 //!
 //! The ISA is chosen per call: a [`Tiled::with_isa`] instance is pinned,
 //! otherwise the `GRADSEC_TILED_ISA` environment variable
-//! (`portable`/`avx2`) is honoured, otherwise `is_x86_feature_detected!`
-//! picks AVX2 when the host has it. `avx2` silently falls back to
-//! portable on hosts without the features, so CI recipes are portable.
+//! (`portable`/`avx2`; any other value panics naming the variable) is
+//! honoured, otherwise `is_x86_feature_detected!` picks AVX2 when the
+//! host has it. `avx2` silently falls back to portable on hosts without
+//! the features, so CI recipes are portable.
 //!
 //! Convolutions never materialise an im2col buffer (*virtual im2col*).
 //! Each kernel call copies its band of images once into zero-padded
@@ -157,17 +158,24 @@ impl Tiled {
     }
 }
 
-fn env_isa() -> Option<TiledIsa> {
-    match std::env::var("GRADSEC_TILED_ISA")
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "portable" => Some(TiledIsa::Portable),
-        "avx2" => Some(TiledIsa::Avx2),
-        _ => None,
+/// What a `GRADSEC_TILED_ISA` value selects: nothing when unset, an ISA
+/// for `portable` / `avx2` (case and surrounding whitespace ignored),
+/// and an error naming the variable for anything else — a typo in a CI
+/// leg must not silently gate the other ISA.
+fn parse_isa(value: Option<&str>) -> Result<Option<TiledIsa>, String> {
+    let Some(value) = value else { return Ok(None) };
+    match value.trim().to_ascii_lowercase().as_str() {
+        "portable" => Ok(Some(TiledIsa::Portable)),
+        "avx2" => Ok(Some(TiledIsa::Avx2)),
+        _ => Err(format!(
+            "GRADSEC_TILED_ISA must be unset, `portable` or `avx2`, got {value:?}"
+        )),
     }
+}
+
+fn env_isa() -> Option<TiledIsa> {
+    let value = std::env::var_os("GRADSEC_TILED_ISA").map(|v| v.to_string_lossy().into_owned());
+    parse_isa(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -897,6 +905,23 @@ mod tests {
             assert_eq!(pinned, TiledIsa::Avx2);
         } else {
             assert_eq!(pinned, TiledIsa::Portable);
+        }
+    }
+
+    #[test]
+    fn parse_isa_accepts_two_names_and_refuses_the_rest_by_name() {
+        assert_eq!(parse_isa(None), Ok(None));
+        assert_eq!(parse_isa(Some("portable")), Ok(Some(TiledIsa::Portable)));
+        assert_eq!(parse_isa(Some(" AVX2\n")), Ok(Some(TiledIsa::Avx2)));
+        for isa in [TiledIsa::Portable, TiledIsa::Avx2] {
+            assert_eq!(parse_isa(Some(isa.name())), Ok(Some(isa)));
+        }
+        for bad in ["portabel", "", "avx512"] {
+            let err = parse_isa(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("GRADSEC_TILED_ISA") && err.contains("`portable`"),
+                "{err}"
+            );
         }
     }
 

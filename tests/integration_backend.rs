@@ -152,14 +152,11 @@ fn faulted_runs_are_bit_identical_within_each_backend() {
     }
 }
 
-/// The builder default is the `GRADSEC_BACKEND` selection (reference
-/// when unset) and is bit-identical to passing that kind explicitly;
-/// blocked runs land within kernel-rounding distance of reference but
-/// are *not* required to match bits. Comparing against `from_env()`
-/// rather than a hardcoded `Reference` keeps the test meaningful when
-/// the whole suite is run under a `GRADSEC_BACKEND` override.
+/// The builder default is `Reference` and is bit-identical to passing
+/// that kind explicitly; blocked runs land within kernel-rounding
+/// distance of reference but are *not* required to match bits.
 #[test]
-fn backends_agree_within_rounding_and_default_follows_env() {
+fn backends_agree_within_rounding_and_default_is_reference() {
     let data = Arc::new(SyntheticCifar100::with_classes(8 * CLIENTS, 2, 3));
     let mut default_fed = Federation::builder(plan())
         .model(model)
@@ -170,14 +167,12 @@ fn backends_agree_within_rounding_and_default_follows_env() {
     let default_weights = default_fed.server().global().clone();
     default_fed.shutdown().expect("clean teardown");
 
-    let (env_report, env_weights) = run_flat(BackendKind::from_env(), 1);
-    assert_eq!(
-        default_report, env_report,
-        "default backend is not the GRADSEC_BACKEND selection"
-    );
-    assert_eq!(default_weights, env_weights);
-
     let (ref_report, ref_weights) = run_flat(BackendKind::Reference, 1);
+    assert_eq!(
+        default_report, ref_report,
+        "default backend is not `Reference`"
+    );
+    assert_eq!(default_weights, ref_weights);
 
     let (blk_report, blk_weights) = run_flat(BackendKind::Blocked, 1);
     assert_eq!(blk_report.rounds_completed, ref_report.rounds_completed);
