@@ -97,8 +97,11 @@ fn loopback_sessions() -> usize {
 
 /// Three rounds on the wide model per codec, each equal across process
 /// boundaries. Identity must also survive the mux and bill raw bytes;
-/// a lossy codec must shrink the last (steady-state) round 3x and stay
-/// within its pinned max-abs distance of the dense run.
+/// a lossy codec must shrink the last (steady-state) round by its bar —
+/// int8 3.0x (measured 3.40x), delta-topk 5.0x (measured 5.47x with
+/// gap-coded indices, 3.91x before them: the bar sits a tenth under the
+/// measurement and well over the old layout) — and stay within its pinned
+/// max-abs distance of the dense run.
 fn codecs(n: usize) -> Vec<Section> {
     fn bars(s: &Scenario, (report, weights): &Outcome) -> Bars {
         let last = report.rounds.last().expect("codec run has rounds");
@@ -111,15 +114,19 @@ fn codecs(n: usize) -> Vec<Section> {
         twin.codec = CodecKind::Identity;
         let dense = run(&twin, FLAT).1;
         let distance = diffs(weights, &dense).fold(0.0, |m, d| d.abs().max(m));
-        let bound = match s.codec {
-            CodecKind::Int8 => 0.02,
-            _ => 0.10,
+        let (bar, bound) = match s.codec {
+            CodecKind::Int8 => (3.0, 0.02),
+            _ => (5.0, 0.10),
         };
         let ratio = wire.compression_ratio();
-        let shrunk = report.rounds_completed == s.rounds && ratio >= 3.0;
+        let shrunk = report.rounds_completed == s.rounds && ratio >= bar;
         let within = distance <= bound;
         vec![
-            ("last-round bytes", shrunk, format!("{ratio:.2}x, bar 3.0x")),
+            (
+                "last-round bytes",
+                shrunk,
+                format!("{ratio:.2}x, bar {bar:.1}x"),
+            ),
             ("distance", within, format!("{distance:.5}, bound {bound}")),
         ]
     }

@@ -2,12 +2,12 @@
 //!
 //! Every round ships model weights both directions; for a fleet of
 //! millions of clients the dominant cost is those bytes, not cycles.
-//! This module defines the codec layer the transport speaks at protocol
-//! v4: the server proposes a [`CodecKind`] in its `Hello`, the client
-//! echoes acceptance in the `HelloAck`, and from then on downloads and
-//! uploads carry [`EncodedWeights`] instead of raw `ModelWeights` —
-//! opaque bytes to every transport backend (in-process, mpsc, TCP,
-//! TcpMux and the tiop-sealed wrapper alike).
+//! This module is the codec layer every transport speaks: the server
+//! proposes a [`CodecKind`] in its `Hello`, the client echoes acceptance
+//! in the `HelloAck`, and from then on downloads and uploads carry
+//! [`EncodedWeights`] — opaque bytes to every transport backend (the
+//! in-process endpoint, the multiplexed sockets and the tiop-sealed
+//! wrapper alike).
 //!
 //! Three codecs ship:
 //!
@@ -27,6 +27,28 @@
 //!   committed view) and any tensor whose sparse form would not save
 //!   bytes fall back to dense absolute values.
 //!
+//! # Byte layout
+//!
+//! An [`EncodedTensor`] is its rank and dims (`u64` each), a one-byte
+//! body tag, then the body; `n` is the product of the dims.
+//!
+//! | body | tag | bytes after the tag | size |
+//! |---|---|---|---|
+//! | dense | `0` | `n` × `f32` | `4n` |
+//! | int8 | `1` | `zero: f32`, `scale: f32`, `n` × `u8` | `8 + n` |
+//! | sparse | `2` | `k: u64`, `k` index gaps as varints, `k` × `f32` values | `8 + gaps + 4k` |
+//!
+//! A sparse body's indices are strictly increasing, so each travels as
+//! the LEB128 varint of its gap to the previous one (`idx - prev - 1`;
+//! the first gap is the first index). At [`TOPK_DENSITY`] kept indices
+//! sit 10 apart on average and a gap below 128 is one byte, so a kept
+//! coefficient costs 5 bytes — one of gap, four of value — against 4 for
+//! every coefficient of a dense body. Decoding refuses `k > n`, a
+//! running index `>= n`, and any gap not in the one form the encoder
+//! writes (see the varint row of the grammar table in
+//! [`crate::message`]), so an accepted body re-encodes to the bytes it
+//! arrived as.
+//!
 //! **Determinism.** Encoding is a pure function of `(codec, weights,
 //! reference)` — no RNG, no wall clock — so a flat, sharded or
 //! distributed run over any transport produces bit-identical encoded
@@ -44,7 +66,9 @@ use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
 use crate::message::{limits, Wire};
-use crate::wire::{decode_len, need, wire_struct};
+use crate::wire::{
+    decode_len, get_f32s, get_varint, need, put_f32s, put_varint, varint_len, wire_struct,
+};
 use crate::{FlError, Result};
 
 /// Fraction of per-tensor delta coefficients [`CodecKind::DeltaTopK`]
@@ -158,7 +182,7 @@ pub struct EncodedTensor {
     pub body: EncodedBody,
 }
 
-/// A whole model's weights in encoded form — the payload the v4
+/// A whole model's weights in encoded form — the payload the
 /// `EncodedModelDownload`/`EncodedUpdateUpload` messages carry. Tensors
 /// are the model's layers flattened `[w0, b0, w1, b1, …]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -187,18 +211,39 @@ impl EncodedWeights {
             .iter()
             .map(|t| {
                 // rank, dims, body tag, body.
-                8 + 8 * t.dims.len() as u64
-                    + 1
-                    + match &t.body {
-                        EncodedBody::Dense(v) => 4 * v.len() as u64,
-                        EncodedBody::Int8 { q, .. } => 4 + 4 + q.len() as u64,
-                        EncodedBody::TopK { indices, values } => {
-                            8 + 4 * (indices.len() + values.len()) as u64
-                        }
-                    }
+                8 + 8 * t.dims.len() as u64 + 1 + t.body.wire_bytes()
             })
             .sum::<u64>()
     }
+}
+
+impl EncodedBody {
+    /// Exact wire size of the body after its tag (the size column of the
+    /// module's layout table), from lengths and gaps alone.
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            EncodedBody::Dense(v) => 4 * v.len() as u64,
+            EncodedBody::Int8 { q, .. } => 4 + 4 + q.len() as u64,
+            EncodedBody::TopK { indices, values } => {
+                let gap_bytes: u64 = gaps(indices).map(|g| varint_len(g) as u64).sum();
+                8 + gap_bytes + 4 * values.len() as u64
+            }
+        }
+    }
+}
+
+/// What a sparse body ships in place of each index: its distance past
+/// the previous one (`idx - prev - 1`; the first gap is the first index).
+fn gaps(indices: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    // Wrapping, so a hand-built body whose indices are not increasing
+    // still serialises — to gaps the decoder refuses — instead of
+    // panicking in the sender.
+    let mut next = 0u32;
+    indices.iter().map(move |&idx| {
+        let gap = idx.wrapping_sub(next);
+        next = idx.wrapping_add(1);
+        gap
+    })
 }
 
 /// Exact wire size of `weights` encoded dense (the raw-bytes column the
@@ -257,13 +302,10 @@ fn encode_int8(t: &Tensor) -> EncodedTensor {
 
 fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
     let n = t.numel();
-    let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n.max(1));
-    // A sparse entry costs 8 bytes (u32 index + f32 value); dense costs
-    // 4 per coefficient. When sparsity would not save bytes, ship dense
-    // absolute values (also the n == 0 case).
-    if n == 0 || 8 * k >= 4 * n {
+    if n == 0 {
         return encode_dense(t);
     }
+    let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n);
     let data = t.data();
     let ref_data = reference.data();
     let delta: Vec<f32> = data.iter().zip(ref_data).map(|(&x, &r)| x - r).collect();
@@ -280,9 +322,17 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
     let mut indices: Vec<u32> = order[..k].to_vec();
     indices.sort_unstable();
     let values = indices.iter().map(|&i| delta[i as usize]).collect();
+    let body = EncodedBody::TopK { indices, values };
+    // A sparse body pays a count, a gap and a value per kept coefficient;
+    // dense pays 4 bytes for every coefficient and is exact. When the
+    // sparse form would not actually be smaller (tensors of a handful of
+    // coefficients), ship dense absolute values.
+    if body.wire_bytes() >= 4 * n as u64 {
+        return encode_dense(t);
+    }
     EncodedTensor {
         dims: t.dims().to_vec(),
-        body: EncodedBody::TopK { indices, values },
+        body,
     }
 }
 
@@ -465,9 +515,7 @@ impl Wire for EncodedTensor {
         match &self.body {
             EncodedBody::Dense(v) => {
                 buf.put_u8(0);
-                for &x in v {
-                    buf.put_f32_le(x);
-                }
+                put_f32s(buf, v);
             }
             EncodedBody::Int8 { zero, scale, q } => {
                 buf.put_u8(1);
@@ -478,12 +526,10 @@ impl Wire for EncodedTensor {
             EncodedBody::TopK { indices, values } => {
                 buf.put_u8(2);
                 buf.put_u64_le(indices.len() as u64);
-                for &i in indices {
-                    buf.put_u32_le(i);
+                for gap in gaps(indices) {
+                    put_varint(buf, gap);
                 }
-                for &v in values {
-                    buf.put_f32_le(v);
-                }
+                put_f32s(buf, values);
             }
         }
     }
@@ -508,14 +554,7 @@ impl Wire for EncodedTensor {
             })?;
         need(buf, 1, "encoded body tag")?;
         let body = match buf.get_u8() {
-            0 => {
-                need(buf, 4 * n, "dense body")?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(buf.get_f32_le());
-                }
-                EncodedBody::Dense(v)
-            }
+            0 => EncodedBody::Dense(get_f32s(buf, n, "dense body")?),
             1 => {
                 need(buf, 8 + n, "int8 body")?;
                 let zero = buf.get_f32_le();
@@ -531,23 +570,25 @@ impl Wire for EncodedTensor {
                         reason: format!("sparse entry count {k} exceeds tensor size {n}"),
                     });
                 }
-                need(buf, 8 * k, "sparse body")?;
+                // An entry is at least one gap byte and a 4-byte value:
+                // a count the body cannot hold reserves nothing.
+                need(buf, 5 * k, "sparse body")?;
                 let mut indices = Vec::with_capacity(k);
-                let mut prev: Option<u32> = None;
+                // The lowest index the next entry may take. In u64, so a
+                // gap cannot wrap the sum; `n` fits `u32` with room to
+                // spare (`MAX_FIELD_BYTES`), so an index below it does.
+                let mut next = 0u64;
                 for _ in 0..k {
-                    let idx = buf.get_u32_le();
-                    if (idx as usize) >= n || prev.is_some_and(|p| idx <= p) {
+                    let idx = next + u64::from(get_varint(buf, "sparse index gap")?);
+                    if idx >= n as u64 {
                         return Err(FlError::BadConfig {
-                            reason: format!("sparse index {idx} invalid for tensor of {n}"),
+                            reason: format!("sparse index {idx} out of bounds for tensor of {n}"),
                         });
                     }
-                    prev = Some(idx);
-                    indices.push(idx);
+                    indices.push(idx as u32);
+                    next = idx + 1;
                 }
-                let mut values = Vec::with_capacity(k);
-                for _ in 0..k {
-                    values.push(buf.get_f32_le());
-                }
+                let values = get_f32s(buf, k, "sparse values")?;
                 EncodedBody::TopK { indices, values }
             }
             other => {
@@ -669,6 +710,15 @@ mod tests {
             enc.wire_bytes(),
             dense_wire_bytes(&moved)
         );
+        // The benchmark's wide model, where envelope and dims no longer
+        // mask the body: 5 bytes a kept coefficient at 10 % density is
+        // 7.9x under dense (the fixed-width index form managed 4.98x).
+        let wide = zoo::tiny_mlp(256, 128, 2, 5).unwrap().weights();
+        let mut drifted = wide.clone();
+        drifted.add_scaled(&wide, 0.01).unwrap();
+        let sparse = encode_weights(CodecKind::DeltaTopK, 9, &drifted, Some((8, &wide)));
+        let ratio = dense_wire_bytes(&drifted) as f64 / sparse.wire_bytes() as f64;
+        assert!((7.9..8.0).contains(&ratio), "wide delta ratio {ratio:.3}");
         let back = decode_weights(&enc, Some(&reference)).unwrap();
         // Kept coefficients are exact; dropped ones revert to the
         // reference, so the error is bounded by the largest dropped
@@ -773,11 +823,159 @@ mod tests {
         assert!(decode_weights(&enc, Some(&reference)).is_err());
     }
 
+    /// A rank-1 sparse tensor of `n` coefficients keeping every
+    /// `stride`-th one, so the first index is 0 and every later gap is
+    /// `stride - 1`.
+    fn strided(n: usize, stride: usize) -> EncodedTensor {
+        let indices: Vec<u32> = (0..n as u32).step_by(stride).collect();
+        let values = indices.iter().map(|&i| i as f32 * 0.5 - 3.0).collect();
+        EncodedTensor {
+            dims: vec![n],
+            body: EncodedBody::TopK { indices, values },
+        }
+    }
+
+    #[test]
+    fn sparse_bodies_round_trip_at_one_two_and_three_byte_gaps() {
+        // Both edges of each width: a gap of 127 is the last one-byte
+        // gap, 16 383 the last two-byte one.
+        let widths = [
+            (1, 1),
+            (10, 1),
+            (128, 1),
+            (129, 2),
+            (16_384, 2),
+            (16_385, 3),
+        ];
+        for (stride, gap_width) in widths {
+            // 41 entries, the last one on the last coefficient.
+            let n = 40 * stride + 1;
+            let t = strided(n, stride);
+            let EncodedBody::TopK { indices, .. } = &t.body else {
+                unreachable!()
+            };
+            let k = indices.len() as u64;
+            assert_eq!((indices[0], indices[k as usize - 1]), (0, n as u32 - 1));
+            // Count, the first gap (0: one byte), the rest, the values.
+            let expected = 8 + 1 + (k - 1) * gap_width + 4 * k;
+            assert_eq!(t.body.wire_bytes(), expected, "stride {stride}");
+            let bytes = encode(&t);
+            // Rank, one dim, body tag.
+            assert_eq!(bytes.len() as u64, 8 + 8 + 1 + expected, "stride {stride}");
+            assert_eq!(
+                decode::<EncodedTensor>(&bytes).unwrap(),
+                t,
+                "stride {stride}"
+            );
+        }
+    }
+
+    /// The bytes of a rank-1 sparse tensor of `n` coefficients claiming
+    /// `k` entries, with `body` behind the count.
+    fn sparse_bytes(n: u64, k: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(1);
+        buf.put_u64_le(n);
+        buf.put_u8(2);
+        buf.put_u64_le(k);
+        buf.put_slice(body);
+        buf.into()
+    }
+
+    #[test]
+    fn hostile_sparse_bodies_are_refused_by_name() {
+        let refusal = |n, k, body: &[u8]| {
+            let err = decode::<EncodedTensor>(&sparse_bytes(n, k, body)).unwrap_err();
+            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+            err.to_string()
+        };
+        // One entry, with `gap` in front of enough zero bytes that the
+        // 5-bytes-an-entry floor is met and the varint is what decides.
+        let one = |gap: &[u8]| {
+            let mut body = gap.to_vec();
+            body.resize(gap.len() + 8, 0);
+            refusal(1 << 20, 1, &body)
+        };
+        let cases = [
+            (one(&[0x80; 6]), "varint longer than 5 bytes"),
+            (
+                one(&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F]),
+                "varint longer than 5 bytes",
+            ),
+            (one(&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F]), "varint overflows u32"),
+            (one(&[0x80, 0x00]), "overlong varint"),
+            // The body ends inside the second gap.
+            (
+                refusal(100, 2, &[0x05, 0x80]),
+                "need 10 bytes for sparse body",
+            ),
+            // Index 9, then a gap of 0: index 10 of 10.
+            (
+                refusal(10, 2, &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+                "sparse index 10 out of bounds for tensor of 10",
+            ),
+            // Index 5, then the widest gap: the sum is past u32::MAX and
+            // must not wrap back into the tensor.
+            (
+                refusal(
+                    100,
+                    2,
+                    &[5, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0, 0, 0, 0],
+                ),
+                "sparse index 4294967301 out of bounds",
+            ),
+            (
+                refusal(4, 5, &[0; 25]),
+                "sparse entry count 5 exceeds tensor size 4",
+            ),
+            // Two 2-byte gaps and six bytes of values: past the floor,
+            // two bytes short of the values.
+            (
+                refusal(1000, 2, &[0x80, 0x01, 0x80, 0x01, 0, 0, 0, 0, 0, 0]),
+                "need 8 bytes for sparse values",
+            ),
+            // A count the body cannot hold is refused before the index
+            // vector is reserved on its word.
+            (
+                refusal(1 << 28, 1 << 27, &[0; 64]),
+                "need 671088640 bytes for sparse body",
+            ),
+        ];
+        for (text, expected) in cases {
+            assert!(text.contains(expected), "{expected}: {text}");
+        }
+    }
+
+    #[test]
+    fn tiny_tensors_ship_dense_when_sparse_would_not_be_smaller() {
+        // One kept coefficient costs 8 (count) + 1 (gap) + 4 (value) = 13
+        // bytes: more than a dense tensor of 3, less than one of 4.
+        for (n, sparse) in [(1, false), (2, false), (3, false), (4, true), (5, true)] {
+            let reference = Tensor::zeros(&[n]);
+            let moved = Tensor::from_vec((0..n).map(|i| 1.0 + i as f32).collect(), &[n]).unwrap();
+            let enc = encode_topk(&moved, &reference);
+            assert_eq!(
+                matches!(enc.body, EncodedBody::TopK { .. }),
+                sparse,
+                "n = {n}"
+            );
+            assert!(enc.body.wire_bytes() <= 4 * n as u64, "n = {n}");
+            if !sparse {
+                assert_eq!(enc.body, EncodedBody::Dense(moved.data().to_vec()));
+            }
+        }
+    }
+
     #[test]
     fn truncated_encodings_never_panic() {
         let w = weights(6);
-        for kind in [CodecKind::Identity, CodecKind::Int8] {
-            let bytes = encode(&encode_weights(kind, 0, &w, None));
+        let base = weights(7);
+        for (kind, reference) in [
+            (CodecKind::Identity, None),
+            (CodecKind::Int8, None),
+            (CodecKind::DeltaTopK, Some((0, &base))),
+        ] {
+            let bytes = encode(&encode_weights(kind, 0, &w, reference));
             for cut in [1, bytes.len() / 3, bytes.len() - 1] {
                 assert!(decode::<EncodedWeights>(&bytes[..cut]).is_err());
             }

@@ -28,6 +28,8 @@
 //! | `Option<T>` | `u8` flag `0`/`1`, then `T` if `1` | any other flag refused |
 //! | list (`Vec<T>`, map) | `u64` count, then each item (map: key, value) | a per-field cap from [`limits`]; the count must fit the bytes that remain |
 //! | `(A, B)` | `A` then `B` | — |
+//! | `f32` run | the floats back to back, count known from context | the count's own bound; truncation, before allocating |
+//! | varint (`u32`) | LEB128: 7 bits a byte, low group first, shortest form | at most 5 bytes; no bits beyond `u32`; overlong form refused |
 //! | struct | its fields in listed order | an optional post-decode `validate` |
 //! | tagged enum | `u8` tag, then that variant's fields | unknown tag refused |
 //!
@@ -52,7 +54,9 @@ use crate::aggregate::PartialAggregate;
 use crate::codec::{CodecKind, EncodedWeights};
 use crate::config::{PartitionKind, TrainingPlan};
 use crate::faults::FaultPlan;
-use crate::wire::{decode_count, decode_len, need, take_bytes, wire_enum, wire_list, wire_struct};
+use crate::wire::{
+    decode_count, decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct,
+};
 use crate::{FlError, Result};
 
 /// The decode-side size caps every length-prefixed field in this
@@ -96,8 +100,9 @@ pub mod limits {
 /// the adversarial-scenario fields on [`ShardConfig`]. Version 6 is the
 /// single dialect: both hellos carry one version instead of a range, and
 /// the plain download/upload envelope kinds are gone (model payloads
-/// always travel encoded, identity codec included).
-pub const PROTOCOL_VERSION: u16 = 6;
+/// always travel encoded, identity codec included). Version 7 gap-codes
+/// the sparse codec body's indices as varints (see [`crate::codec`]).
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -527,9 +532,7 @@ impl Wire for Tensor {
             buf.put_u64_le(d as u64);
         }
         buf.put_u64_le(self.numel() as u64);
-        for &x in self.data() {
-            buf.put_f32_le(x);
-        }
+        put_f32s(buf, self.data());
     }
 
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
@@ -551,11 +554,7 @@ impl Wire for Tensor {
                 reason: "tensor dims disagree with element count".to_owned(),
             });
         }
-        need(buf, 4 * n, "tensor elements")?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(buf.get_f32_le());
-        }
+        let data = get_f32s(buf, n, "tensor elements")?;
         Tensor::from_vec(data, &dims).map_err(|e| FlError::BadConfig {
             reason: format!("tensor decode: {e}"),
         })

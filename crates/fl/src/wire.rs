@@ -1,10 +1,11 @@
 //! The leaf shapes of the wire grammar, and the macros that spell a
 //! message as a list of them.
 //!
-//! How an integer, a `usize`, a fixed array, a string, an optional and a
-//! counted list are laid out — and bounded on decode — is decided here,
-//! once. Every message in [`crate::message`], [`crate::codec`],
-//! [`crate::faults`] and [`crate::adversary`] is then a field list
+//! How an integer, a `usize`, a fixed array, a string, an optional, a
+//! counted list, a run of floats and a varint are laid out — and bounded
+//! on decode — is decided here, once. Every message in
+//! [`crate::message`], [`crate::codec`], [`crate::faults`] and
+//! [`crate::adversary`] is then a field list
 //! ([`wire_struct!`]), a tag plus field lists ([`wire_enum!`]) or a
 //! counted list behind a constructor ([`wire_list!`]) over these leaves;
 //! the grammar table in [`crate::message`] is the reader's summary.
@@ -55,6 +56,108 @@ pub(crate) fn take_bytes(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u8
     let mut bytes = vec![0u8; n];
     buf.copy_to_slice(&mut bytes);
     Ok(bytes)
+}
+
+/// Floats converted per [`put_f32s`] block: 1 KiB of stack, wide enough
+/// that the conversion vectorises and the buffer is appended to once a
+/// block rather than once a float.
+pub(crate) const F32_BLOCK: usize = 256;
+
+/// `values` as little-endian `f32`s, no count in front: the payload run
+/// of a [`Tensor`](gradsec_tensor::Tensor), a dense body or a sparse
+/// body's values.
+///
+/// Nothing is reserved for the run: the buffer becomes an envelope's
+/// payload, capacity and all, and a reservation per run compounds with
+/// the buffer's own doubling — a 355 KB LeNet-5 download ended in a
+/// 709 KB buffer, against 546 KB grown block by block.
+pub(crate) fn put_f32s(buf: &mut BytesMut, values: &[f32]) {
+    let mut block = [0u8; 4 * F32_BLOCK];
+    for run in values.chunks(F32_BLOCK) {
+        let bytes = &mut block[..4 * run.len()];
+        for (dst, x) in bytes.chunks_exact_mut(4).zip(run) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        buf.put_slice(bytes);
+    }
+}
+
+/// The next `n` little-endian `f32`s, bit for bit (NaN payloads and
+/// signed zeros survive). `n` is bounded by the caller
+/// ([`limits::MAX_FIELD_BYTES`]); nothing is allocated until the buffer
+/// is known to hold all `4 * n` bytes.
+pub(crate) fn get_f32s(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<f32>> {
+    need(buf, 4 * n, what)?;
+    let values = buf.chunk()[..4 * n]
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    buf.advance(4 * n);
+    Ok(values)
+}
+
+/// Most bytes a `u32` takes as a varint.
+const MAX_VARINT_BYTES: usize = 5;
+
+/// Bytes [`put_varint`] writes for `v`.
+pub(crate) fn varint_len(v: u32) -> usize {
+    match v {
+        0..=0x7F => 1,
+        0x80..=0x3FFF => 2,
+        0x4000..=0x1F_FFFF => 3,
+        0x20_0000..=0xFFF_FFFF => 4,
+        _ => 5,
+    }
+}
+
+/// `v` as an LEB128 varint: seven bits a byte, low group first, the high
+/// bit set on every byte but the last. Always the shortest form.
+pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u32) {
+    let mut bytes = [0u8; MAX_VARINT_BYTES];
+    let mut len = 0;
+    while v >= 0x80 {
+        bytes[len] = v as u8 | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    bytes[len] = v as u8;
+    buf.put_slice(&bytes[..=len]);
+}
+
+/// One LEB128 varint, accepted only in the form [`put_varint`] writes —
+/// so a value has exactly one encoding and an accepted message
+/// re-encodes to the bytes it arrived as.
+///
+/// # Errors
+///
+/// Returns [`FlError::BadConfig`] when the buffer ends inside the
+/// varint, when it runs past five bytes or carries bits beyond `u32`,
+/// and when it is overlong (a zero final group after a continuation).
+pub(crate) fn get_varint(buf: &mut Bytes, what: &str) -> Result<u32> {
+    let bad = |problem: &str| FlError::BadConfig {
+        reason: format!("{problem} for {what}"),
+    };
+    let mut v = 0u32;
+    for (i, &b) in buf.chunk().iter().take(MAX_VARINT_BYTES).enumerate() {
+        let group = u32::from(b & 0x7F);
+        // The fifth byte holds bits 28..32: four of them.
+        if i == MAX_VARINT_BYTES - 1 && group > 0x0F {
+            return Err(bad("varint overflows u32"));
+        }
+        v |= group << (7 * i);
+        if b & 0x80 == 0 {
+            if group == 0 && i > 0 {
+                return Err(bad("overlong varint"));
+            }
+            buf.advance(i + 1);
+            return Ok(v);
+        }
+    }
+    Err(if buf.remaining() < MAX_VARINT_BYTES {
+        bad("truncated message: varint cut short")
+    } else {
+        bad("varint longer than 5 bytes")
+    })
 }
 
 macro_rules! wire_num {
@@ -352,6 +455,112 @@ mod tests {
             let text = refusal::<usize>(&encode(&(u64::from(u32::MAX) + 5)));
             assert!(text.contains("exceeds protocol maximum"), "{text}");
         }
+    }
+
+    #[test]
+    fn float_runs_round_trip_bit_for_bit_at_every_block_edge() {
+        // Values whose bits a float comparison would blur: both zeros, a
+        // quiet and a signalling NaN with payloads, infinities, a subnormal.
+        let odd = [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x7FC0_1234,
+            0xFFA0_0001,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x0000_0001,
+        ];
+        for n in [0, 1, F32_BLOCK - 1, F32_BLOCK, F32_BLOCK + 1, 3 * F32_BLOCK] {
+            let values: Vec<f32> = (0..n)
+                .map(|i| match odd.get(i % 11) {
+                    Some(&bits) => f32::from_bits(bits),
+                    None => i as f32 * -0.37,
+                })
+                .collect();
+            let mut buf = BytesMut::new();
+            buf.put_u8(0xEE);
+            put_f32s(&mut buf, &values);
+            // The layout is the per-float one, whatever the blocking.
+            let mut one_by_one = BytesMut::new();
+            one_by_one.put_u8(0xEE);
+            values.iter().for_each(|&x| one_by_one.put_f32_le(x));
+            assert_eq!(buf, one_by_one, "n = {n}");
+            let mut bytes = buf.freeze();
+            assert_eq!(bytes.get_u8(), 0xEE);
+            let back = get_f32s(&mut bytes, n, "floats").unwrap();
+            assert!(!bytes.has_remaining());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&values), "n = {n}");
+        }
+        // One byte short: refused whole, the cursor where it was.
+        let mut short = Bytes::copy_from_slice(&[0u8; 11]);
+        let text = get_f32s(&mut short, 3, "floats").unwrap_err().to_string();
+        assert!(text.contains("need 12 bytes for floats"), "{text}");
+        assert_eq!(short.remaining(), 11);
+    }
+
+    fn varint(bytes: &[u8]) -> Result<(u32, usize)> {
+        let mut buf = Bytes::copy_from_slice(bytes);
+        let v = get_varint(&mut buf, "gap")?;
+        Ok((v, bytes.len() - buf.remaining()))
+    }
+
+    #[test]
+    fn varints_round_trip_in_the_length_they_claim() {
+        let edges = [
+            (0u32, 1),
+            (0x7F, 1),
+            (0x80, 2),
+            (0x3FFF, 2),
+            (0x4000, 3),
+            (0x1F_FFFF, 3),
+            (0x20_0000, 4),
+            (0xFFF_FFFF, 4),
+            (0x1000_0000, 5),
+            (u32::MAX, 5),
+        ];
+        for (v, len) in edges {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            assert_eq!(buf.len(), len, "{v:#x}");
+            assert_eq!(varint_len(v), len, "{v:#x}");
+            // Trailing bytes are left for the next field.
+            buf.put_slice(&[0xFF; 6]);
+            assert_eq!(varint(buf.as_slice()).unwrap(), (v, len), "{v:#x}");
+        }
+    }
+
+    #[test]
+    fn a_varint_has_one_accepted_form() {
+        let refused = |bytes: &[u8]| varint(bytes).unwrap_err().to_string();
+        for cut in [&[][..], &[0x80], &[0xFF, 0xFF, 0xFF, 0xFF]] {
+            let text = refused(cut);
+            assert!(text.contains("varint cut short for gap"), "{text}");
+        }
+        let six = refused(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]);
+        assert!(six.contains("longer than 5 bytes"), "{six}");
+        let ends_on_a_continuation = refused(&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F]);
+        assert!(
+            ends_on_a_continuation.contains("longer than 5 bytes"),
+            "{ends_on_a_continuation}"
+        );
+        // 0x1F in the fifth byte would be bit 32.
+        for fifth in [0x10, 0x1F, 0x7F, 0x90] {
+            let text = refused(&[0xFF, 0xFF, 0xFF, 0xFF, fifth]);
+            assert!(text.contains("overflows u32"), "{fifth:#x}: {text}");
+        }
+        // A zero final group after a continuation: 0, 127 and 1 again,
+        // each a byte or more longer than `put_varint` writes it.
+        for overlong in [
+            &[0x80, 0x00][..],
+            &[0xFF, 0x80, 0x00],
+            &[0x81, 0x80, 0x80, 0x80, 0x00],
+        ] {
+            let text = refused(overlong);
+            assert!(text.contains("overlong varint"), "{overlong:?}: {text}");
+        }
+        // Zero itself is one byte, not overlong.
+        assert_eq!(varint(&[0x00]).unwrap(), (0, 1));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 use gradsec_fl::adversary::AdversaryPlan;
 use gradsec_fl::aggregate::{fedavg, PartialAggregate};
 use gradsec_fl::codec::{
-    decode_weights, dense_wire_bytes, encode_weights, int8_error_bound, CodecKind,
+    decode_weights, dense_wire_bytes, encode_weights, int8_error_bound, CodecKind, EncodedBody,
+    EncodedTensor, EncodedWeights,
 };
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::faults::{FaultPlan, LatencyModel};
@@ -18,6 +19,7 @@ use gradsec_fl::message::{
     ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, UpdateUpload,
     Wire, ENVELOPE_MAGIC,
 };
+use gradsec_fl::FlError;
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
@@ -63,6 +65,18 @@ fn codec_from(tag: u8) -> CodecKind {
         0 => CodecKind::Identity,
         1 => CodecKind::Int8,
         _ => CodecKind::DeltaTopK,
+    }
+}
+
+/// A rank-1 sparse tensor keeping `entries` coefficients `stride` apart
+/// from index `first`, with `tail` coefficients after the last kept one.
+fn strided_sparse(stride: usize, entries: usize, first: usize, tail: usize) -> EncodedTensor {
+    let indices: Vec<u32> = (0..entries).map(|j| (first + j * stride) as u32).collect();
+    let n = first + (entries - 1) * stride + 1 + tail;
+    let values = indices.iter().map(|&i| 0.5 - i as f32).collect();
+    EncodedTensor {
+        dims: vec![n],
+        body: EncodedBody::TopK { indices, values },
     }
 }
 
@@ -574,8 +588,9 @@ proptest! {
     }
 }
 
-// Update codecs (protocol v4): every codec's payloads round-trip through
-// the full envelope path, hostile bytes never panic, and the lossy
+// Update codecs (protocol v4; gap-coded sparse bodies since v7): every
+// codec's payloads round-trip through the full envelope path, hostile
+// bytes never panic, the billed size is the encoded size, and the lossy
 // codecs honour their pinned error bounds for arbitrary weights.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -720,6 +735,80 @@ proptest! {
             if let Ok(up) = env.open::<EncodedUpdateUpload>(MessageKind::EncodedUpdateUpload) {
                 let _ = decode_weights(&up.weights, Some(&base));
             }
+        }
+    }
+
+    #[test]
+    fn wire_bytes_is_the_encoded_length_for_every_codec(layers in 1usize..4, width in 1usize..24, seed in any::<u64>(), tag in any::<u8>()) {
+        // The ledger bills from the closed form; the sparse body's share
+        // of it depends on where the kept coefficients fall.
+        let codec = codec_from(tag);
+        let w = weights(layers, width, seed);
+        let base = weights(layers, width, seed ^ 0x5EED);
+        let reference = (codec == CodecKind::DeltaTopK).then_some((3, &base));
+        let enc = encode_weights(codec, 4, &w, reference);
+        prop_assert_eq!(enc.wire_bytes(), encode(&enc).len() as u64);
+    }
+
+    #[test]
+    fn sparse_bodies_roundtrip_at_any_density(stride in 1usize..40_000, entries in 1usize..40, first in 0usize..3, tail in 0usize..3) {
+        // Strides up to 40 000 are gaps of one, two and three bytes;
+        // `first == 0` puts an entry on index 0, `tail == 0` on n - 1.
+        let tensor = strided_sparse(stride, entries, first, tail);
+        let n = tensor.dims[0];
+        let enc = EncodedWeights {
+            codec: CodecKind::DeltaTopK,
+            epoch: 2,
+            base_epoch: Some(1),
+            tensors: vec![tensor, EncodedTensor { dims: vec![0], body: EncodedBody::Dense(vec![]) }],
+        };
+        let bytes = encode(&enc);
+        prop_assert_eq!(enc.wire_bytes(), bytes.len() as u64);
+        let back: EncodedWeights = decode(&bytes).unwrap();
+        prop_assert_eq!(&back, &enc);
+        // One coefficient fewer and the last index is out of bounds.
+        if tail == 0 {
+            let mut short = enc.clone();
+            short.tensors[0].dims = vec![n - 1];
+            prop_assert!(decode::<EncodedWeights>(&encode(&short)).is_err());
+        }
+    }
+
+    #[test]
+    fn accepted_sparse_bodies_reencode_to_the_bytes_they_arrived_as(stride in 1usize..20_000) {
+        // Every byte of the tensor in turn — dims, tag, count, gaps,
+        // values — set to every value: whatever still decodes has exactly
+        // one encoding, the one it arrived in.
+        let clean = encode(&strided_sparse(stride, 6, 1, 2));
+        for pos in 0..clean.len() {
+            let mut bytes = clean.clone();
+            for byte in 0..=u8::MAX {
+                bytes[pos] = byte;
+                match decode::<EncodedTensor>(&bytes) {
+                    Ok(back) => prop_assert_eq!(&encode(&back), &bytes, "pos {}", pos),
+                    Err(e) => prop_assert!(matches!(e, FlError::BadConfig { .. }), "{}", e),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_gap_bytes_never_panic(raw in proptest::collection::vec(any::<u8>(), 0..48), k in 0u64..6, n in 0u64..100_000) {
+        // A rank-1 sparse header claiming `k` of `n` coefficients, then
+        // noise where the gaps and values belong.
+        let mut bytes = encode(&1u64);
+        bytes.extend(encode(&n));
+        bytes.push(2);
+        bytes.extend(encode(&k));
+        bytes.extend(raw);
+        match decode::<EncodedTensor>(&bytes) {
+            Ok(EncodedTensor { body: EncodedBody::TopK { indices, values }, .. }) => {
+                prop_assert_eq!((indices.len() as u64, values.len() as u64), (k, k));
+                prop_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(indices.iter().all(|&i| u64::from(i) < n));
+            }
+            Ok(other) => prop_assert!(false, "tag 2 decoded as {:?}", other),
+            Err(e) => prop_assert!(matches!(e, FlError::BadConfig { .. }), "{}", e),
         }
     }
 }
