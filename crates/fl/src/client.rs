@@ -3,9 +3,11 @@
 use std::sync::Arc;
 
 use gradsec_data::{Batcher, Dataset};
+use gradsec_nn::model::ModelWeights;
 use gradsec_nn::Sequential;
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::ta::Uuid;
+use gradsec_tensor::Tensor;
 
 use crate::adversary::{Adversary, Persona};
 use crate::message::{AttestationResponse, ModelDownload, UpdateUpload};
@@ -93,6 +95,13 @@ impl DeviceProfile {
 
 /// One federated-learning client: a device, a local data shard and a
 /// model replica.
+///
+/// The replica is the client's only copy of the model. Between cycles
+/// nothing reads what training left in it — [`run_cycle`](Self::run_cycle)
+/// starts by overwriting it with the download — so a delta-topk session
+/// parks its reference view there (see
+/// [`ClientHandler`](crate::transport::ClientHandler)) instead of keeping
+/// a second dense copy.
 pub struct FlClient {
     id: u64,
     device: DeviceProfile,
@@ -174,6 +183,24 @@ impl FlClient {
     /// This client's persona, if hostile.
     pub fn persona(&self) -> Option<Persona> {
         self.adversary.as_ref().map(|a| a.persona)
+    }
+
+    /// The replica's parameter tensors, flattened `[w0, b0, w1, b1, …]`
+    /// and borrowed in place: the reference a delta download is decoded
+    /// against.
+    pub(crate) fn replica_tensors(&self) -> Vec<&Tensor> {
+        let params = self.model.iter().map(|layer| layer.weights());
+        params.flat_map(|(w, b)| [w, b]).collect()
+    }
+
+    /// Trades parameter tensors with `weights`, buffers and all: the
+    /// replica ends up holding `weights`, nothing is copied or allocated.
+    ///
+    /// # Errors
+    ///
+    /// An architecture mismatch, before anything has moved.
+    pub(crate) fn swap_weights(&mut self, weights: &mut ModelWeights) -> Result<()> {
+        Ok(self.model.swap_weights(weights)?)
     }
 
     /// Responds to an attestation challenge. Devices without a TEE (or

@@ -20,12 +20,16 @@
 //!   error bound of `scale / 2` (pinned by the `repro_gates` gate the
 //!   way `Blocked` pins 1e-5 kernel parity).
 //! * [`CodecKind::DeltaTopK`] — top-k sparsified delta against the
-//!   previous committed round: both sides keep a reference *view* of
+//!   previous committed round: both sides hold a reference *view* of
 //!   the model per client epoch, only the largest [`TOPK_DENSITY`]
 //!   fraction of per-tensor delta coefficients cross the wire, and the
-//!   receiver reconstructs `view + delta`. The first exchange (no
-//!   committed view) and any tensor whose sparse form would not save
-//!   bytes fall back to dense absolute values.
+//!   receiver reconstructs `view + delta`. The server's view is one
+//!   shared allocation per lockstep group; the client's view *is* the
+//!   replica it trains — a successful cycle leaves the decoded download
+//!   in it, and the next delta is decoded against its tensors in place
+//!   — so an idle client holds one model, not two. The first exchange
+//!   (no committed view) and any tensor whose sparse form would not
+//!   save bytes fall back to dense absolute values.
 //!
 //! # Byte layout
 //!
@@ -54,10 +58,11 @@
 //! distributed run over any transport produces bit-identical encoded
 //! frames, and the lossy codecs' reconstruction error is a seeded,
 //! reproducible quantity. The delta codec's epoch handshake recovers
-//! deterministically too: a client that lost its reference view (e.g. a
-//! garbled upload made the server withhold its commit) answers with a
-//! typed error containing [`BASE_MISMATCH`], and the server re-sends
-//! that one download dense.
+//! deterministically too: a client whose view is not the one the server
+//! names — a garbled upload made the server withhold its commit, or the
+//! client's last cycle failed after it had begun overwriting the replica
+//! that was its view — answers with a typed error containing
+//! [`BASE_MISMATCH`], and the server re-sends that one download dense.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -258,7 +263,7 @@ pub fn dense_wire_bytes(weights: &ModelWeights) -> u64 {
 }
 
 /// The model's layers flattened to `[w0, b0, w1, b1, …]`.
-fn flatten(weights: &ModelWeights) -> Vec<&Tensor> {
+pub(crate) fn flatten(weights: &ModelWeights) -> Vec<&Tensor> {
     weights.iter().flat_map(|l| [&l.w, &l.b]).collect()
 }
 
@@ -389,11 +394,25 @@ pub fn encode_weights(
 /// # Errors
 ///
 /// Returns [`FlError::Protocol`] on structural violations: an odd
-/// tensor count, a delta body without (or against a mismatched)
-/// reference, out-of-bounds indices, or body/shape length disagreement.
+/// tensor count, a reference whose tensors are not the payload's in
+/// number and dims, a delta body without a reference, out-of-bounds
+/// indices, or body/shape length disagreement.
 pub fn decode_weights(
     enc: &EncodedWeights,
     reference: Option<&ModelWeights>,
+) -> Result<ModelWeights> {
+    decode_against(enc, reference.map(flatten).as_deref())
+}
+
+/// [`decode_weights`] with the reference view as borrowed tensors,
+/// flattened `[w0, b0, w1, b1, …]`: a client's view is the replica it
+/// trains, lent in place. The decoded model is a fresh allocation, so a
+/// refused payload has touched nothing; with a reference, every tensor
+/// must have the reference's dims, so an accepted one fits the model the
+/// reference was borrowed from.
+pub(crate) fn decode_against(
+    enc: &EncodedWeights,
+    reference: Option<&[&Tensor]>,
 ) -> Result<ModelWeights> {
     let bad = |reason: String| FlError::Protocol { reason };
     if !enc.tensors.len().is_multiple_of(2) {
@@ -402,8 +421,7 @@ pub fn decode_weights(
             enc.tensors.len()
         )));
     }
-    let ref_flat: Option<Vec<&Tensor>> = reference.map(flatten);
-    if let Some(r) = &ref_flat {
+    if let Some(r) = reference {
         if r.len() != enc.tensors.len() {
             return Err(bad(format!(
                 "reference has {} tensors, payload {}",
@@ -419,6 +437,14 @@ pub fn decode_weights(
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .ok_or_else(|| bad("encoded tensor dims overflow".to_owned()))?;
+        let r = reference.map(|f| f[i]);
+        if let Some(r) = r.filter(|r| r.dims() != t.dims) {
+            return Err(bad(format!(
+                "reference tensor {i} has dims {:?}, payload {:?}",
+                r.dims(),
+                t.dims
+            )));
+        }
         let data: Vec<f32> = match &t.body {
             EncodedBody::Dense(v) => {
                 if v.len() != n {
@@ -439,16 +465,7 @@ pub fn decode_weights(
                 q.iter().map(|&b| zero + scale * f32::from(b)).collect()
             }
             EncodedBody::TopK { indices, values } => {
-                let r = ref_flat
-                    .as_ref()
-                    .and_then(|f| f.get(i))
-                    .ok_or_else(|| bad("delta body without a reference view".to_owned()))?;
-                if r.numel() != n {
-                    return Err(bad(format!(
-                        "reference tensor has {} elements, payload {n}",
-                        r.numel()
-                    )));
-                }
+                let r = r.ok_or_else(|| bad("delta body without a reference view".to_owned()))?;
                 if indices.len() != values.len() {
                     return Err(bad("sparse index/value length mismatch".to_owned()));
                 }

@@ -10,10 +10,13 @@ use gradsec_tee::attestation::Challenge;
 use gradsec_tee::cost::SharedLedger;
 
 use super::*;
+use crate::codec::flatten;
 use crate::engine::{cycle_begin, cycle_finish};
 use crate::message::{Envelope, HelloAck, MessageKind};
 use crate::selection::screen_one;
+use crate::trainer::tests::{Flaky, Mishap};
 use crate::transport::broadcast::Broadcast;
+use crate::transport::tests::bits;
 use crate::transport::{slide, ClientEndpoint, ClientHandler, WINDOW};
 
 /// A federation driven the old way: every candidate screened and every
@@ -110,6 +113,11 @@ fn fl_client(id: u64) -> FlClient {
 
 fn whitelist() -> Measurement {
     RunSetup::new(plan(1, 1)).measurement
+}
+
+/// Training attempts per session: one epoch each, retries included.
+fn epochs(clients: &[RemoteClient]) -> Vec<u64> {
+    clients.iter().map(RemoteClient::epoch).collect()
 }
 
 fn screen_all(clients: &mut [RemoteClient]) -> Vec<ScreeningOutcome> {
@@ -268,9 +276,6 @@ fn a_base_mismatch_inside_a_full_window_recovers_like_the_serial_path() {
             .codec(CodecKind::DeltaTopK)
             .faults(FaultPlan::seeded(23).garble_replies(0.2))
     };
-    let epochs = |clients: &[RemoteClient]| -> Vec<u64> {
-        clients.iter().map(RemoteClient::epoch).collect()
-    };
     let mut reference = one_by_one(configured);
     let want = reference.run().unwrap();
     let mut fed = configured().build().unwrap();
@@ -280,6 +285,97 @@ fn a_base_mismatch_inside_a_full_window_recovers_like_the_serial_path() {
     // One epoch per attempt: more epochs than rounds is a dense retry.
     let retried = epochs(fed.clients()).into_iter().filter(|&e| e > rounds);
     assert!(retried.count() >= 1, "no session went through the retry");
+}
+
+#[test]
+fn a_failed_or_panicked_cycle_costs_one_dense_resend_in_and_out_of_the_window() {
+    // Client 2's second cycle goes wrong after a training step has moved
+    // its replica. The handler took the view's epoch before it lent the
+    // replica out, so the view is gone: the next delta is refused with
+    // BASE_MISMATCH and re-sent dense, and the one after is sparse again.
+    // A panic is only survivable in process, where the engine contains it.
+    let (rounds, fleet) = (5, 6usize);
+    for (transport, how) in [
+        (TransportKind::TcpMux, Mishap::Fails),
+        (TransportKind::InProcess, Mishap::Fails),
+        (TransportKind::InProcess, Mishap::Panics),
+    ] {
+        let configured = || {
+            Federation::builder(plan(rounds, fleet))
+                .model(model)
+                .clients(fleet, Arc::new(SyntheticMicro::new(8 * fleet, 2, 64, 2)))
+                .transport(transport)
+                .codec(CodecKind::DeltaTopK)
+                // The tolerance-only plan: a failed client is recorded.
+                .faults(FaultPlan::seeded(1))
+                .trainer(move |id| match id {
+                    2 => Flaky::boxed(1, how),
+                    _ => Box::new(PlainSgdTrainer),
+                })
+        };
+        let mut reference = one_by_one(configured);
+        let want = reference.run().unwrap();
+        let mut fed = configured()
+            .shards(2)
+            .engine(ExecutionEngine::new(2))
+            .build()
+            .unwrap();
+        assert_eq!(fed.run().unwrap(), want);
+        assert_eq!(fed.server().global(), reference.server().global());
+        assert_eq!(epochs(fed.clients()), epochs(reference.clients()));
+        // One epoch per attempt: exactly one retry, and it is client 2's.
+        let attempts: Vec<u64> = (0..fleet).map(|i| rounds + u64::from(i == 2)).collect();
+        assert_eq!(epochs(fed.clients()), attempts);
+        let failed: Vec<&[usize]> = want.rounds.iter().map(|r| &r.failures[..]).collect();
+        assert_eq!(failed, [&[][..], &[2], &[], &[], &[]]);
+        let wire = |round: usize| want.rounds[round].ledger.client(2).unwrap().wire;
+        let dense = wire(0).download_encoded_bytes;
+        let sparse = |bytes: u64| bytes * 3 <= wire(0).download_raw_bytes;
+        assert!(!sparse(dense));
+        let resent = wire(2).download_encoded_bytes;
+        assert!(
+            resent > dense && sparse(resent - dense),
+            "{resent} vs {dense}"
+        );
+        assert!(sparse(wire(3).download_encoded_bytes));
+        assert!(sparse(wire(4).download_encoded_bytes));
+        fed.shutdown().unwrap();
+        reference.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn replicas_a_mux_fleet_hands_back_are_the_committed_views() {
+    // Five delta sessions, four rounds; client 4 sits round 2 out, so its
+    // last delta is decoded against an older view than the others'.
+    let all = [0, 1, 2, 3, 4];
+    let (mut clients, mut mux) = mux_sessions(5, 0, CodecKind::DeltaTopK, |e| e, |_| ());
+    let mut next = download(0);
+    for round in 0..4 {
+        next.round = round;
+        let picked = if round == 2 { &all[..4] } else { &all[..] };
+        let (outcomes, _) = ExecutionEngine::new(2)
+            .execute_cycles(&mut clients, picked, &next)
+            .unwrap();
+        assert!(outcomes.iter().all(ClientOutcome::is_completed));
+        next.weights = outcomes[0].update().unwrap().weights.clone();
+    }
+    let views: Vec<ModelWeights> = clients
+        .iter()
+        .map(|c| c.view_weights().expect("a delta session commits").clone())
+        .collect();
+    assert_ne!(views[3], views[4], "two histories");
+    for client in &mut clients {
+        client.goodbye().unwrap();
+    }
+    drop(clients);
+    let mut served = mux.join(DEFAULT_JOIN_GRACE).unwrap();
+    served.sort_by_key(FlClient::id);
+    assert_eq!(served.len(), views.len());
+    for (client, view) in served.iter().zip(&views) {
+        let replica = bits(client.replica_tensors());
+        assert_eq!(replica, bits(flatten(view)), "client {}", client.id());
+    }
 }
 
 #[test]

@@ -21,7 +21,8 @@ use crate::{FlError, Result};
 #[derive(Debug)]
 pub struct FlServer {
     plan: TrainingPlan,
-    global: ModelWeights,
+    /// Every committed global model, the initial one first; the last is
+    /// the current global — the server keeps no second copy of it.
     history: SnapshotHistory,
     expected_measurement: Measurement,
     rng: StdRng,
@@ -48,11 +49,10 @@ impl FlServer {
     ) -> Result<Self> {
         plan.validate()?;
         let mut history = SnapshotHistory::new();
-        history.push(initial.clone());
+        history.push(initial);
         Ok(FlServer {
             rng: StdRng::seed_from_u64(plan.seed),
             plan,
-            global: initial,
             history,
             expected_measurement,
             round: 0,
@@ -126,7 +126,9 @@ impl FlServer {
 
     /// The current global model.
     pub fn global(&self) -> &ModelWeights {
-        &self.global
+        self.history
+            .latest()
+            .expect("the history starts with the initial model")
     }
 
     /// The snapshot history (the DPIA observable).
@@ -230,7 +232,7 @@ impl FlServer {
     pub fn download(&self, protected_layers: Vec<usize>) -> ModelDownload {
         ModelDownload {
             round: self.round,
-            weights: self.global.clone(),
+            weights: self.global().clone(),
             plan: self.plan,
             protected_layers,
         }
@@ -255,7 +257,6 @@ impl FlServer {
     ///
     /// [`PartialAggregate`]: crate::aggregate::PartialAggregate
     pub fn commit(&mut self, next: ModelWeights) {
-        self.global = next.clone();
         self.history.push(next);
         self.round += 1;
     }

@@ -131,6 +131,59 @@ pub(crate) mod tests {
         }
     }
 
+    /// How a [`Flaky`] trainer's one bad cycle goes wrong.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Mishap {
+        /// `train_cycle` returns an error.
+        Fails,
+        /// `train_cycle` panics.
+        Panics,
+    }
+
+    /// Test double: a plain trainer whose `at`-th cycle (0-based) takes a
+    /// training step — so the replica has moved — and then goes wrong.
+    pub(crate) struct Flaky {
+        at: usize,
+        how: Mishap,
+        cycles: usize,
+    }
+
+    impl Flaky {
+        pub(crate) fn boxed(at: usize, how: Mishap) -> Box<dyn LocalTrainer> {
+            Box::new(Flaky { at, how, cycles: 0 })
+        }
+    }
+
+    impl LocalTrainer for Flaky {
+        fn train_cycle(
+            &mut self,
+            model: &mut Sequential,
+            dataset: &dyn Dataset,
+            batches: &[Vec<usize>],
+            learning_rate: f32,
+            protected_layers: &[usize],
+        ) -> Result<CycleStats> {
+            let stats = PlainSgdTrainer.train_cycle(
+                model,
+                dataset,
+                batches,
+                learning_rate,
+                protected_layers,
+            )?;
+            let nth = self.cycles;
+            self.cycles += 1;
+            if nth != self.at {
+                return Ok(stats);
+            }
+            match self.how {
+                Mishap::Fails => Err(crate::FlError::BadConfig {
+                    reason: "flaky trainer".to_owned(),
+                }),
+                Mishap::Panics => panic!("flaky trainer"),
+            }
+        }
+    }
+
     #[test]
     fn plain_trainer_reduces_loss() {
         let ds = SyntheticCifar100::with_classes(64, 2, 5);

@@ -277,10 +277,13 @@ mod tests {
             protected_layers: vec![],
         };
         let mut encodes = Vec::new();
+        // Per round, what each member's download was billed (0: failed).
+        let mut billed = Vec::new();
         for round in 0..4 {
             download.round = round;
             let broadcast = Broadcast::new(&download);
             let mut next = None;
+            let mut bills = Vec::new();
             for (member, single) in shared.iter_mut().zip(&mut alone) {
                 let got = comparable(
                     member
@@ -288,9 +291,12 @@ mod tests {
                         .and_then(|(sent, _)| member.train_finish(&broadcast, sent)),
                 );
                 assert_eq!(got, comparable(single.train(&download)), "round {round}");
+                let bill = got.as_ref().map(|u| u.cost.wire.download_encoded_bytes);
+                bills.push(bill.unwrap_or(0));
                 next = next.or(got.ok());
             }
             encodes.push(broadcast.encodes());
+            billed.push(bills);
             download.weights = next.expect("client 0 never fails").weights;
         }
         // Rounds 0 and 1: everyone in lockstep (the faults strike *during*
@@ -300,6 +306,11 @@ mod tests {
         // round 1 alone, refuses with BASE_MISMATCH, so it is re-sent dense
         // from a group of its own. Round 3: three histories, three groups.
         assert_eq!(encodes, [1, 1, 3, 3]);
+        // Client 1's round 2 put two frames on the wire and is billed for
+        // both: the delta it refused (the one client 2 accepted) and the
+        // dense re-send (the size of anyone's first download).
+        assert_eq!(billed[2][1], billed[2][2] + billed[0][1]);
+        assert!(billed[2][2] * 3 <= billed[0][1], "{billed:?}");
         assert!(!shared[0].shares_view_with(&shared[1]));
         assert!(!shared[1].shares_view_with(&shared[2]));
     }

@@ -13,7 +13,10 @@
 //! exchange's buffers. This is the default federation transport; the
 //! execution engine's worker pool fans exchanges out exactly as it used
 //! to fan direct `run_cycle` calls, so determinism and parallel speedup
-//! carry over bit-for-bit.
+//! carry over bit-for-bit. The handler runs on the caller's stack, so a
+//! trainer that panics unwinds through it into the engine's containment:
+//! the handler has already taken its delta view's epoch by then, and the
+//! session recovers with one dense re-send like any other failed cycle.
 //!
 //! Unit tests also get `channel_pair`, an mpsc-backed duplex that runs a
 //! [`ClientSession`](super::ClientSession) serve loop on its own thread

@@ -57,13 +57,14 @@ pub mod tcp;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Challenge;
 use gradsec_tee::cost::WireBill;
 
 use self::broadcast::{Broadcast, Payload, View};
 use crate::client::{DeviceProfile, FlClient};
-use crate::codec::{decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH};
+use crate::codec::{
+    decode_against, decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH,
+};
 use crate::message::{
     check_version, AttestationRequest, AttestationResponse, EncodedModelDownload,
     EncodedUpdateUpload, Envelope, Hello, HelloAck, MessageKind, ModelDownload, UpdateUpload, Wire,
@@ -197,14 +198,19 @@ pub(crate) fn slide<F: ?Sized, B, T>(
 /// Failures never tear the session down silently — they are reported back
 /// to the server as [`MessageKind::Error`] envelopes, so the server's
 /// round logic can decide what a failed client costs.
+///
+/// The handler holds no model. A delta-topk session's reference view is
+/// the client's own replica, left holding the decoded download by every
+/// successful cycle; the handler keeps the epoch that names it.
 pub struct ClientHandler {
     client: FlClient,
     /// The update codec the hello negotiated (None before a handshake).
     codec: Option<CodecKind>,
-    /// The delta codec's committed reference view: the last downloaded
-    /// model this client both trained on and successfully replied to,
-    /// keyed by the server's epoch stamp.
-    view: Option<(u64, ModelWeights)>,
+    /// The epoch of the delta codec's committed reference view: the last
+    /// download this client trained on and successfully replied to. The
+    /// view itself is the wrapped client's replica, which holds exactly
+    /// that decoded model whenever this is `Some`.
+    view: Option<u64>,
 }
 
 impl std::fmt::Debug for ClientHandler {
@@ -276,31 +282,40 @@ impl ClientHandler {
     }
 
     /// The training exchange: decode the download through the session
-    /// codec, train, and reply with the update encoded the same way. The
-    /// reference view for delta rounds commits only on the success path,
-    /// mirroring the server's commit rule, so a failed cycle leaves both
-    /// sides on the old base.
+    /// codec, train, and reply with the update encoded the same way.
+    ///
+    /// A delta session keeps no model of its own: its reference view is
+    /// the replica, lent to the decoder in place, and a successful cycle
+    /// ends by trading the replica's trained tensors (which nothing reads
+    /// — the next cycle starts by overwriting them) for the decoded
+    /// download's. The view's epoch is taken before the replica is
+    /// touched and put back only by that trade — or untouched, when the
+    /// download is refused before the replica was written — so a cycle
+    /// that fails or panics half-way leaves no view, and the server's
+    /// next delta is answered with [`BASE_MISMATCH`] and re-sent dense.
     fn handle_encoded_download(&mut self, download: EncodedModelDownload) -> Envelope {
         let codec = self.codec.unwrap_or(download.weights.codec);
+        let held = self.view.take();
         let reference = match download.weights.base_epoch {
-            Some(base) => match &self.view {
-                Some((epoch, weights)) if *epoch == base => Some(weights),
-                _ => {
-                    return Envelope::error(format!(
-                        "{BASE_MISMATCH}: server referenced epoch {base} but this \
-                         client holds {:?}",
-                        self.view.as_ref().map(|(e, _)| *e)
-                    ))
-                }
-            },
+            Some(base) if held == Some(base) => Some(self.client.replica_tensors()),
+            Some(base) => {
+                self.view = held;
+                return Envelope::error(format!(
+                    "{BASE_MISMATCH}: server referenced epoch {base} but this \
+                     client holds {held:?}"
+                ));
+            }
             None => None,
         };
-        let weights = match decode_weights(&download.weights, reference) {
+        let weights = match decode_against(&download.weights, reference.as_deref()) {
             Ok(w) => w,
-            Err(e) => return Envelope::error(format!("malformed encoded download: {e}")),
+            Err(e) => {
+                self.view = held;
+                return Envelope::error(format!("malformed encoded download: {e}"));
+            }
         };
         let epoch = download.weights.epoch;
-        let plain = ModelDownload {
+        let mut plain = ModelDownload {
             round: download.round,
             weights,
             plan: download.plan,
@@ -311,7 +326,17 @@ impl ClientHandler {
                 let encoded =
                     encode_weights(codec, epoch, &upload.weights, Some((epoch, &plain.weights)));
                 if codec == CodecKind::DeltaTopK {
-                    self.view = Some((epoch, plain.weights));
+                    // A trade, not a copy: the decoded model's allocation
+                    // lives on as the replica and the replica's old one is
+                    // freed, which keeps a round's pending uploads
+                    // interleaved with live buffers. Were they all a
+                    // worker's arena held, the fold would free it whole and
+                    // glibc would trim and re-fault it every round (+24 %
+                    // round time on `wide_delta_topk` when this was a
+                    // `set_weights`). The view commits only if the replica
+                    // took the model.
+                    let parked = self.client.swap_weights(&mut plain.weights);
+                    self.view = parked.ok().map(|()| epoch);
                 }
                 Envelope::pack(
                     MessageKind::EncodedUpdateUpload,
@@ -366,7 +391,9 @@ impl<E: ClientEndpoint> ClientSession<E> {
     }
 
     /// Serves requests until the server says goodbye, returning the client
-    /// (with its trained model and last-cycle stats) to the caller.
+    /// (with its last-cycle stats; after a delta-topk session its replica
+    /// holds the last decoded download, not the weights it trained) to
+    /// the caller.
     ///
     /// # Errors
     ///
@@ -597,16 +624,21 @@ impl RemoteClient {
         round: &Broadcast<'_>,
         sent: InFlight,
     ) -> Result<UpdateUpload> {
+        let refused = sent.shared.encoded_bytes;
         match self.collect(round, sent) {
             Err(FlError::ClientFailure { reason, .. }) if reason.contains(BASE_MISMATCH) => {
-                // The client lost the reference view this delta was coded
-                // against (e.g. its previous reply never arrived, so only
-                // one side committed). Drop ours and re-send dense, once,
-                // waiting for it here: a retry is rare, and the session's
-                // slot in the walk is this one.
+                // The client no longer holds the reference view this delta
+                // was coded against (its previous reply never arrived, so
+                // only it committed; or its last cycle failed and dropped
+                // the view). Drop ours and re-send dense, once, waiting
+                // for it here: a retry is rare, and the session's slot in
+                // the walk is this one.
                 self.view = None;
                 let (resent, _) = self.train_begin(round)?;
-                self.collect(round, resent)
+                let mut upload = self.collect(round, resent)?;
+                // The refused delta crossed the wire before the dense one.
+                upload.cost.wire.download_encoded_bytes += refused;
+                Ok(upload)
             }
             other => other,
         }
@@ -666,17 +698,28 @@ impl RemoteClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::inprocess::LocalEndpoint;
     use super::*;
+    use crate::adversary::{Adversary, AdversaryPlan, Persona};
+    use crate::codec::{flatten, EncodedWeights};
+    use crate::config::TrainingPlan;
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
+    use gradsec_nn::model::ModelWeights;
     use gradsec_nn::zoo;
+    use gradsec_tensor::Tensor;
+    use std::sync::Mutex;
 
     impl RemoteClient {
         /// Training attempts so far (retries included).
         pub(crate) fn epoch(&self) -> u64 {
             self.epoch
+        }
+
+        /// The committed reference view's model, if the session holds one.
+        pub(crate) fn view_weights(&self) -> Option<&ModelWeights> {
+            self.view.as_ref().map(|(_, weights)| &**weights)
         }
 
         /// Whether both sessions hold the *same allocation* as their
@@ -881,5 +924,171 @@ mod tests {
             .handle(Envelope::control(MessageKind::EncodedUpdateUpload))
             .expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
+    }
+
+    /// The exact bits of a run of tensors: what "the replica *is* the
+    /// view" is asserted on (`==` on floats would let `-0.0` pass for `0.0`).
+    pub(crate) fn bits<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u32>> {
+        let raw = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+        tensors.into_iter().map(raw).collect()
+    }
+
+    fn one_batch() -> TrainingPlan {
+        TrainingPlan {
+            batches_per_cycle: 1,
+            batch_size: 4,
+            ..TrainingPlan::default()
+        }
+    }
+
+    /// A handler past a delta-topk handshake.
+    fn delta_handler(client: FlClient) -> ClientHandler {
+        let mut handler = ClientHandler::new(client);
+        let hello = Hello::with_codec(CodecKind::DeltaTopK);
+        let ack = handler.handle(Envelope::pack(MessageKind::Hello, &hello));
+        assert_eq!(ack.expect("an ack").kind, MessageKind::HelloAck);
+        handler
+    }
+
+    fn send(handler: &mut ClientHandler, round: u64, weights: EncodedWeights) -> Envelope {
+        let request = EncodedModelDownload {
+            round,
+            weights,
+            plan: one_batch(),
+            protected_layers: vec![],
+        };
+        let request = Envelope::pack(MessageKind::EncodedModelDownload, &request);
+        handler.handle(request).expect("a reply")
+    }
+
+    /// A [`LocalEndpoint`] the test keeps a second handle on, to read the
+    /// client's replica between exchanges.
+    #[derive(Clone)]
+    struct Watched(Arc<Mutex<LocalEndpoint>>);
+
+    impl ServerEndpoint for Watched {
+        fn begin(&mut self, request: Envelope) -> Result<bool> {
+            self.0.lock().unwrap().begin(request)
+        }
+        fn finish(&mut self) -> Result<Envelope> {
+            self.0.lock().unwrap().finish()
+        }
+        fn notify(&mut self, message: Envelope) -> Result<()> {
+            self.0.lock().unwrap().notify(message)
+        }
+        fn descriptor(&self) -> String {
+            "watched".to_owned()
+        }
+    }
+
+    #[test]
+    fn the_replica_is_the_committed_view_after_every_delta_exchange() {
+        let mut download = ModelDownload {
+            round: 0,
+            weights: zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights(),
+            plan: one_batch(),
+            protected_layers: vec![],
+        };
+        let watched = Watched(Arc::new(Mutex::new(LocalEndpoint::new(fl_client(5)))));
+        let mut remote =
+            RemoteClient::connect_with(Box::new(watched.clone()), CodecKind::DeltaTopK).unwrap();
+        for round in 0..4 {
+            download.round = round;
+            let upload = remote.train(&download).unwrap();
+            let view = remote.view_weights().expect("a delta session commits");
+            let endpoint = watched.0.lock().unwrap();
+            assert_eq!(
+                bits(endpoint.client().replica_tensors()),
+                bits(flatten(view)),
+                "round {round}"
+            );
+            // Sparse from the second exchange on: the replica really is
+            // what the deltas are decoded against.
+            let wire = upload.cost.wire;
+            assert_eq!(
+                wire.download_encoded_bytes * 3 <= wire.download_raw_bytes,
+                round > 0,
+                "round {round}: {wire:?}"
+            );
+            download.weights = upload.weights;
+        }
+    }
+
+    #[test]
+    fn a_refused_delta_leaves_the_replica_and_its_epoch_untouched() {
+        let base = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let mut handler = delta_handler(fl_client(1));
+        let dense = encode_weights(CodecKind::DeltaTopK, 0, &base, None);
+        let first = send(&mut handler, 0, dense);
+        assert_eq!(first.kind, MessageKind::EncodedUpdateUpload);
+        let parked = bits(handler.client().replica_tensors());
+        assert_eq!(parked, bits(flatten(&base)));
+
+        let mut next = base.clone();
+        next.add_scaled(&base, 0.01).unwrap();
+        let good = encode_weights(CodecKind::DeltaTopK, 1, &next, Some((0, &base)));
+        let mut stale = good.clone();
+        stale.base_epoch = Some(7);
+        // The same coefficients under transposed dims: every length and
+        // index still fits, only the shape disagrees with the replica.
+        let mut reshaped = good.clone();
+        reshaped.tensors[0].dims.reverse();
+        let mut odd = good.clone();
+        odd.tensors.pop();
+        for (bad, why) in [
+            (stale, BASE_MISMATCH),
+            (reshaped, "has dims"),
+            (odd, "odd tensor count"),
+        ] {
+            let reply = send(&mut handler, 1, bad);
+            assert_eq!(reply.kind, MessageKind::Error, "{why}");
+            let reason = reply.error_reason();
+            assert!(reason.contains(why), "{why}: {reason}");
+            assert_eq!(bits(handler.client().replica_tensors()), parked, "{why}");
+        }
+        // The view survived all three: a delta on the same base decodes.
+        let want = decode_weights(&good, Some(&base)).unwrap();
+        let reply = send(&mut handler, 1, good);
+        let upload: EncodedUpdateUpload = reply.open(MessageKind::EncodedUpdateUpload).unwrap();
+        assert_eq!(upload.weights.base_epoch, Some(1));
+        assert_eq!(
+            bits(handler.client().replica_tensors()),
+            bits(flatten(&want))
+        );
+    }
+
+    #[test]
+    fn hostile_personas_park_the_decoded_download_too() {
+        // A free-rider never touches its replica and a poisoner uploads
+        // something other than what it trained; the view is the decoded
+        // download either way.
+        let base = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let mut next = base.clone();
+        next.add_scaled(&base, 0.01).unwrap();
+        for persona in [Persona::FreeRider, Persona::Poisoner] {
+            let mut client = fl_client(2);
+            client.set_adversary(Adversary {
+                persona,
+                plan: Arc::new(AdversaryPlan::seeded(5).poisoners(1.0)),
+                log: None,
+            });
+            let mut handler = delta_handler(client);
+            let dense = encode_weights(CodecKind::DeltaTopK, 0, &base, None);
+            let delta = encode_weights(CodecKind::DeltaTopK, 1, &next, Some((0, &base)));
+            let decoded = decode_weights(&delta, Some(&base)).unwrap();
+            for (round, download, want) in [(0, dense, &base), (1, delta, &decoded)] {
+                let reply = send(&mut handler, round, download);
+                assert_eq!(
+                    reply.kind,
+                    MessageKind::EncodedUpdateUpload,
+                    "{persona:?}, round {round}"
+                );
+                assert_eq!(
+                    bits(handler.client().replica_tensors()),
+                    bits(flatten(want)),
+                    "{persona:?}, round {round}"
+                );
+            }
+        }
     }
 }

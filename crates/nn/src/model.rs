@@ -372,13 +372,8 @@ impl Sequential {
         )
     }
 
-    /// Imports weights (the FL model download step, Figure 2-➋).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::IncompatibleWeights`] on any architecture
-    /// mismatch.
-    pub fn set_weights(&mut self, weights: &ModelWeights) -> Result<()> {
+    /// Checks that `weights` has this model's layer count and shapes.
+    fn check_fits(&self, weights: &ModelWeights) -> Result<()> {
         if weights.num_layers() != self.layers.len() {
             return Err(NnError::IncompatibleWeights {
                 reason: format!(
@@ -388,15 +383,47 @@ impl Sequential {
                 ),
             });
         }
-        for (layer, lw) in self.layers.iter_mut().zip(weights.iter()) {
-            let (w, b) = layer.weights_mut();
+        for (layer, lw) in self.layers.iter().zip(weights.iter()) {
+            let (w, b) = layer.weights();
             if w.dims() != lw.w.dims() || b.dims() != lw.b.dims() {
                 return Err(NnError::IncompatibleWeights {
                     reason: "layer weight shapes differ".to_owned(),
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// Imports weights (the FL model download step, Figure 2-➋).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::IncompatibleWeights`] on any architecture
+    /// mismatch, before anything is written.
+    pub fn set_weights(&mut self, weights: &ModelWeights) -> Result<()> {
+        self.check_fits(weights)?;
+        for (layer, lw) in self.layers.iter_mut().zip(weights.iter()) {
+            let (w, b) = layer.weights_mut();
             w.data_mut().copy_from_slice(lw.w.data());
             b.data_mut().copy_from_slice(lw.b.data());
+        }
+        Ok(())
+    }
+
+    /// Exchanges the model's parameter tensors with those of `weights`:
+    /// the model ends up holding what `weights` held — buffers and all,
+    /// nothing is copied or allocated — and `weights` what the model held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::IncompatibleWeights`] on any architecture
+    /// mismatch, before anything is moved.
+    pub fn swap_weights(&mut self, weights: &mut ModelWeights) -> Result<()> {
+        self.check_fits(weights)?;
+        for (layer, lw) in self.layers.iter_mut().zip(&mut weights.layers) {
+            let (w, b) = layer.weights_mut();
+            std::mem::swap(w, &mut lw.w);
+            std::mem::swap(b, &mut lw.b);
         }
         Ok(())
     }
@@ -675,6 +702,32 @@ mod tests {
         b.set_weights(&a.weights()).unwrap();
         let yb = b.forward(&x).unwrap();
         assert!(ya.approx_eq(&yb, 1e-6));
+    }
+
+    #[test]
+    fn swap_weights_trades_buffers_or_moves_nothing() {
+        let mut a = xor_model(1);
+        let (was, mut other) = (a.weights(), xor_model(2).weights());
+        let incoming = other.clone();
+        let buffer = other.layer(0).unwrap().w.data().as_ptr();
+        a.swap_weights(&mut other).unwrap();
+        assert_eq!(a.weights(), incoming);
+        assert_eq!(other, was);
+        let (w, _) = a.layer(0).unwrap().weights();
+        assert_eq!(
+            w.data().as_ptr(),
+            buffer,
+            "the buffer moved, not its contents"
+        );
+        // A mismatch in the last layer leaves the first where it was.
+        let mut tiny = Sequential::new(Loss::CategoricalCrossEntropy);
+        tiny.push(Box::new(Dense::new(2, 8, Activation::Linear, 3).unwrap()));
+        tiny.push(Box::new(Dense::new(8, 3, Activation::Linear, 4).unwrap()));
+        let mut misfit = tiny.weights();
+        assert!(a.swap_weights(&mut misfit).is_err());
+        assert!(a.set_weights(&misfit).is_err());
+        assert_eq!(a.weights(), incoming);
+        assert_eq!(misfit, tiny.weights());
     }
 
     #[test]

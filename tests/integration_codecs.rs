@@ -9,16 +9,20 @@
 //!   functions of the run: the same codec produces the same bits on any
 //!   transport and shape, shrinks the steady-state round's payload, and
 //!   stays within a pinned divergence bound of the identity run.
+//! * A delta-topk client's reference view is the replica it trains, so a
+//!   failed cycle costs it the view: one dense re-send, the same on
+//!   every topology.
 
 use std::sync::Arc;
 
-use gradsec::data::SyntheticMicro;
+use gradsec::data::{Dataset, SyntheticMicro};
 use gradsec::fl::config::{TrainingPlan, TransportKind};
 use gradsec::fl::message::{DatasetSpec, ModelSpec};
 use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec::fl::{CodecKind, DistributedCoordinator, ExecutionEngine, FaultPlan};
+use gradsec::fl::trainer::{CycleStats, LocalTrainer, PlainSgdTrainer};
+use gradsec::fl::{CodecKind, DistributedCoordinator, ExecutionEngine, FaultPlan, FlError};
 use gradsec::nn::model::ModelWeights;
-use gradsec::nn::zoo;
+use gradsec::nn::{zoo, Sequential};
 
 const CLIENTS: usize = 6;
 const DIM: usize = 32;
@@ -219,6 +223,73 @@ fn delta_codec_survives_faulted_rounds_deterministically() {
         "faulted delta-topk over {transport:?} diverged"
     );
     assert_eq!(weights, ref_weights);
+}
+
+/// A plain trainer whose second cycle fails after its training step.
+struct FailsSecondCycle(usize);
+
+impl LocalTrainer for FailsSecondCycle {
+    fn train_cycle(
+        &mut self,
+        model: &mut Sequential,
+        dataset: &dyn Dataset,
+        batches: &[Vec<usize>],
+        learning_rate: f32,
+        protected_layers: &[usize],
+    ) -> Result<CycleStats, FlError> {
+        let stats = PlainSgdTrainer.train_cycle(
+            model,
+            dataset,
+            batches,
+            learning_rate,
+            protected_layers,
+        )?;
+        self.0 += 1;
+        if self.0 == 2 {
+            return Err(FlError::BadConfig {
+                reason: "second cycle fails".to_owned(),
+            });
+        }
+        Ok(stats)
+    }
+}
+
+#[test]
+fn a_failed_delta_cycle_costs_one_dense_download_on_every_topology() {
+    const FLAKY: u64 = 2;
+    let configured = || {
+        builder(CodecKind::DeltaTopK)
+            // Tolerance only: the failed cycle is recorded, not fatal.
+            .faults(FaultPlan::seeded(1))
+            .trainer(|id| match id {
+                FLAKY => Box::new(FailsSecondCycle(0)),
+                _ => Box::new(PlainSgdTrainer),
+            })
+    };
+    let run = |builder: FederationBuilder| {
+        let mut fed = builder.build().unwrap();
+        let report = fed.run().unwrap();
+        let weights = fed.server().global().clone();
+        fed.shutdown().unwrap();
+        (report, weights)
+    };
+    let (flat, flat_weights) = run(configured());
+    let sharded = configured().shards(2).engine(ExecutionEngine::new(2));
+    let mux = configured().transport(TransportKind::TcpMux);
+    for (shape, builder) in [("2 shards", sharded), ("mux", mux)] {
+        let (report, weights) = run(builder);
+        assert_eq!(report, flat, "{shape}: report");
+        assert_eq!(weights, flat_weights, "{shape}: weights");
+    }
+    // Every client is picked every round, so the second cycle is round 1.
+    assert_eq!(flat.rounds[1].failures, [FLAKY as usize]);
+    let wire = |round: usize| flat.rounds[round].ledger.client(FLAKY).unwrap().wire;
+    let dense = wire(0).download_encoded_bytes;
+    // The client dropped its view with the failed cycle: round 2's delta
+    // is refused and re-sent dense, and both frames are billed.
+    let resent = wire(2).download_encoded_bytes;
+    assert!(resent > dense, "round 2 billed {resent}, dense is {dense}");
+    assert!((resent - dense) * 3 <= wire(2).download_raw_bytes);
 }
 
 #[test]
