@@ -11,6 +11,20 @@
 //!   [`finish`](PartialAggregate::finish) restores canonical slot order
 //!   before running the very same fold `fedavg` runs.
 //!
+//! A partial's terms wait in the form they arrived in: a session's int8
+//! or sparse reply is still the checked codec payload that crossed the
+//! wire; an update pushed through the public API or decoded off the
+//! shard-control channel is dense. Sample counts and the mean loss are
+//! read from the metadata beside the weights; the coefficients are
+//! produced by the finish and nowhere earlier. Under `FedAvg` (and
+//! `TrimmedMean { trim: 0 }`, which is the same fold) the terms are
+//! pulled by value in slot order — expand, add, drop — with the first
+//! one's expansion serving as the accumulator, so one dense update is
+//! alive at a time; the rules that need every
+//! update per coordinate, or clip each one first, expand them all and run
+//! as they always have. The arithmetic is term for term what it was when
+//! every term was dense from the start.
+//!
 //! That split is what makes the merge *associativity-safe*: f32 addition
 //! is not associative, so summing per-shard weight averages would make the
 //! global model depend on the shard layout. By deferring every
@@ -18,10 +32,14 @@
 //! grouping of updates into partials — 1 shard or 64, merged in any order
 //! — produces bit-identical global weights.
 
+use std::borrow::Cow;
+
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
-use crate::message::{limits, UpdateUpload};
+#[cfg(test)]
+use crate::message::probe;
+use crate::message::{limits, ArrivedUpload, UpdateUpload};
 use crate::wire::wire_struct;
 use crate::{FlError, Result};
 
@@ -96,25 +114,38 @@ impl Aggregator {
 /// post-training weights, accumulated strictly in iteration order. Both
 /// [`fedavg`] and [`PartialAggregate::finish`] bottom out here, so the
 /// flat and sharded paths cannot drift apart numerically.
+///
+/// Terms are pulled one at a time and dropped as soon as they are added:
+/// a partial hands its terms over by value, expanding each only as the
+/// fold reaches it, so one dense update is alive at a time and the
+/// accumulator *is* the first of them; `fedavg`'s lent slice is cloned
+/// once, for the accumulator.
 fn fold_updates<'a, I>(mut updates: I, total: usize) -> Result<ModelWeights>
 where
-    I: Iterator<Item = &'a UpdateUpload>,
+    I: Iterator<Item = Cow<'a, UpdateUpload>>,
 {
     if total == 0 {
         return Err(FlError::BadAggregation {
             reason: "total sample count is zero".to_owned(),
         });
     }
-    let first = updates.next().ok_or_else(|| FlError::BadAggregation {
-        reason: "no updates to aggregate".to_owned(),
-    })?;
-    let mut acc = first.weights.clone();
+    let first = updates
+        .next()
+        .ok_or_else(|| FlError::BadAggregation {
+            reason: "no updates to aggregate".to_owned(),
+        })?
+        .into_owned();
+    let mut acc = first.weights;
     acc.scale(first.num_samples as f32 / total as f32);
+    #[cfg(test)]
+    probe::note(probe::Event::Folded(first.client_id));
     for u in updates {
         acc.add_scaled(&u.weights, u.num_samples as f32 / total as f32)
             .map_err(|e| FlError::BadAggregation {
                 reason: format!("update from client {}: {e}", u.client_id),
             })?;
+        #[cfg(test)]
+        probe::note(probe::Event::Folded(u.client_id));
     }
     Ok(acc)
 }
@@ -134,7 +165,7 @@ pub fn fedavg(updates: &[UpdateUpload]) -> Result<ModelWeights> {
         });
     }
     let total: usize = updates.iter().map(|u| u.num_samples).sum();
-    fold_updates(updates.iter(), total)
+    fold_updates(updates.iter().map(Cow::Borrowed), total)
 }
 
 /// The finished global aggregate of one round.
@@ -151,10 +182,14 @@ pub struct AggregateOutcome {
 
 /// A shard's contribution to one round's aggregate: updates tagged with
 /// their global selection slots, merged exactly and finished in canonical
-/// order (see the module docs for why the fold is deferred).
+/// order (see the module docs for why the fold is deferred). Terms wait
+/// in the form they arrived in — a session's int8 or sparse reply as the
+/// checked codec payload that crossed the wire, anything pushed through
+/// the public [`push`](Self::push) dense — and are expanded by the
+/// finish, not before.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialAggregate {
-    terms: Vec<(usize, UpdateUpload)>,
+    terms: Vec<(usize, ArrivedUpload)>,
 }
 
 wire_struct!(PartialAggregate {
@@ -169,6 +204,11 @@ impl PartialAggregate {
 
     /// Adds one update at its global selection slot.
     pub fn push(&mut self, slot: usize, upload: UpdateUpload) {
+        self.push_arrived(slot, upload.into());
+    }
+
+    /// [`push`](Self::push) for an update still in its arrival form.
+    pub(crate) fn push_arrived(&mut self, slot: usize, upload: ArrivedUpload) {
         self.terms.push((slot, upload));
     }
 
@@ -180,11 +220,19 @@ impl PartialAggregate {
         self.terms.extend(other.terms);
     }
 
-    /// The collected `(global slot, update)` terms, in push order (the
-    /// canonical ordering happens at [`finish`](Self::finish), not here).
-    /// This is the view the wire codec serialises.
-    pub fn terms(&self) -> &[(usize, UpdateUpload)] {
-        &self.terms
+    /// The global slots of the collected terms, in push order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().map(|(slot, _)| *slot)
+    }
+
+    /// Consumes the partial into its `(global slot, update)` terms, dense,
+    /// in push order (the canonical ordering happens at
+    /// [`finish`](Self::finish), not here).
+    pub fn into_terms(self) -> Vec<(usize, UpdateUpload)> {
+        self.terms
+            .into_iter()
+            .map(|(slot, upload)| (slot, upload.expand()))
+            .collect()
     }
 
     /// Number of updates collected so far.
@@ -220,7 +268,9 @@ impl PartialAggregate {
     /// only by [`Aggregator::NormClip`] (the delta-clipping baseline);
     /// the other rules ignore it. `FedAvg` and `TrimmedMean { trim: 0 }`
     /// run *literally* the canonical FedAvg fold, so a robust run with
-    /// no trimming is bit-identical to the plain path.
+    /// no trimming is bit-identical to the plain path — and they expand
+    /// one term at a time; the rules that read every update per
+    /// coordinate, or clip each before the fold, expand them all first.
     ///
     /// # Errors
     ///
@@ -245,9 +295,12 @@ impl PartialAggregate {
         }
         let total = self.total_samples();
         let n = self.terms.len();
+        let mean_loss = self.terms.iter().map(|(_, u)| u.train_loss).sum::<f32>() / n as f32;
+        // Slot order, each term expanded as it is pulled.
+        let updates = self.terms.into_iter().map(|(_, u)| u.expand());
         let weights = match aggregator {
             Aggregator::FedAvg | Aggregator::TrimmedMean { trim: 0 } => {
-                fold_updates(self.terms.iter().map(|(_, u)| u), total)?
+                fold_updates(updates.map(Cow::Owned), total)?
             }
             Aggregator::TrimmedMean { trim } => {
                 if 2 * trim >= n {
@@ -255,26 +308,14 @@ impl PartialAggregate {
                         reason: format!("trim {trim} leaves no values out of {n} updates"),
                     });
                 }
-                coordinate_reduce(
-                    &self
-                        .terms
-                        .iter()
-                        .map(|(_, u)| &u.weights)
-                        .collect::<Vec<_>>(),
-                    |vals| {
-                        vals.sort_unstable_by(f32::total_cmp);
-                        let kept = &vals[trim..vals.len() - trim];
-                        kept.iter().sum::<f32>() / kept.len() as f32
-                    },
-                )?
+                coordinate_reduce(&updates.map(|u| u.weights).collect::<Vec<_>>(), |vals| {
+                    vals.sort_unstable_by(f32::total_cmp);
+                    let kept = &vals[trim..vals.len() - trim];
+                    kept.iter().sum::<f32>() / kept.len() as f32
+                })?
             }
-            Aggregator::Median => coordinate_reduce(
-                &self
-                    .terms
-                    .iter()
-                    .map(|(_, u)| &u.weights)
-                    .collect::<Vec<_>>(),
-                |vals| {
+            Aggregator::Median => {
+                coordinate_reduce(&updates.map(|u| u.weights).collect::<Vec<_>>(), |vals| {
                     vals.sort_unstable_by(f32::total_cmp);
                     let mid = vals.len() / 2;
                     if vals.len() % 2 == 1 {
@@ -282,35 +323,30 @@ impl PartialAggregate {
                     } else {
                         0.5 * (vals[mid - 1] + vals[mid])
                     }
-                },
-            )?,
+                })?
+            }
             Aggregator::NormClip { tau } => {
                 aggregator.validate()?;
                 let reference = reference.ok_or_else(|| FlError::BadAggregation {
                     reason: "norm clipping needs the previous global model as reference".to_owned(),
                 })?;
-                let clipped: Vec<UpdateUpload> = self
-                    .terms
-                    .iter()
-                    .map(|(_, u)| {
+                let clipped: Vec<UpdateUpload> = updates
+                    .map(|mut u| {
                         let norm = delta_norm(&u.weights, reference)?;
                         if norm <= f64::from(tau) {
-                            return Ok(u.clone());
+                            return Ok(u);
                         }
                         let factor = f64::from(tau) / norm;
                         let mut w = reference.clone();
                         w.add_scaled(&u.weights, factor as f32)?;
                         w.add_scaled(reference, -(factor as f32))?;
-                        let mut out = u.clone();
-                        out.weights = w;
-                        Ok(out)
+                        u.weights = w;
+                        Ok(u)
                     })
                     .collect::<Result<_>>()?;
-                fold_updates(clipped.iter(), total)?
+                fold_updates(clipped.into_iter().map(Cow::Owned), total)?
             }
         };
-        let mean_loss = self.terms.iter().map(|(_, u)| u.train_loss).sum::<f32>()
-            / self.terms.len().max(1) as f32;
         Ok(AggregateOutcome {
             weights,
             mean_loss,
@@ -353,7 +389,7 @@ fn delta_norm(w: &ModelWeights, reference: &ModelWeights) -> Result<f64> {
 /// output coefficient. All robust coordinate-wise estimators bottom
 /// out here.
 fn coordinate_reduce(
-    ws: &[&ModelWeights],
+    ws: &[ModelWeights],
     reduce: impl Fn(&mut [f32]) -> f32,
 ) -> Result<ModelWeights> {
     let first = ws.first().ok_or_else(|| FlError::BadAggregation {
@@ -640,5 +676,71 @@ mod tests {
         agg.push(0, upload(1, 2.0, 4));
         let err = agg.finish().unwrap_err();
         assert!(err.to_string().contains("selection slot"), "{err}");
+    }
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The terms of a round wait in two forms — a session's reply as
+        /// the checked payload that crossed the wire, a shard's or a
+        /// public caller's update dense. Whatever the mix, however it is
+        /// grouped into partials and in whichever order those merge, the
+        /// fold is `fedavg` over the dense updates the eager calls would
+        /// have handed out, bit for bit.
+        #[test]
+        fn any_mix_of_wire_form_and_dense_terms_folds_to_fedavg_bits(
+            n in 1usize..9,
+            in_wire_form in proptest::any::<u16>(),
+            in_second_partial in proptest::any::<u16>(),
+            second_first in proptest::any::<bool>(),
+            codec in 0u8..3,
+            seed in proptest::any::<u64>(),
+        ) {
+            use crate::codec::{decode_weights, encode_weights, CheckedWeights, CodecKind};
+            use crate::message::ArrivedWeights;
+            use gradsec_tensor::init;
+            let model = |seed: u64| {
+                ModelWeights::new(vec![LayerWeights {
+                    w: init::uniform(&[6, 7], -1.0, 1.0, seed),
+                    b: init::uniform(&[7], -1.0, 1.0, seed ^ 0xB1A5),
+                }])
+            };
+            let codec = CodecKind::from_u8(codec).unwrap();
+            let view = std::sync::Arc::new(model(seed ^ 0x5EED));
+            let mut dense = Vec::new();
+            let mut partials = [PartialAggregate::new(), PartialAggregate::new()];
+            for slot in 0..n {
+                let trained = model(seed.wrapping_add(slot as u64));
+                let enc = encode_weights(codec, 1, &trained, Some((0, &view)));
+                let mut update = upload(slot as u64, 0.0, 1 + 3 * slot);
+                update.weights = decode_weights(&enc, Some(&view)).unwrap();
+                dense.push(update.clone());
+                let mut term = ArrivedUpload::from(update);
+                if in_wire_form >> slot & 1 == 1 {
+                    let checked = CheckedWeights::new(enc, Some(view.clone())).unwrap();
+                    term.weights = ArrivedWeights::Wire(Box::new(checked));
+                }
+                partials[usize::from(in_second_partial >> slot & 1 == 1)].push_arrived(slot, term);
+            }
+            let want = fedavg(&dense).unwrap();
+            let [first, second] = partials;
+            let mut merged = PartialAggregate::new();
+            if second_first {
+                merged.merge(second);
+                merged.merge(first);
+            } else {
+                merged.merge(first);
+                merged.merge(second);
+            }
+            let bits = |w: &ModelWeights| crate::transport::tests::bits(crate::codec::flatten(w));
+            for rule in [Aggregator::FedAvg, Aggregator::TrimmedMean { trim: 0 }] {
+                let out = merged.clone().finish_with(rule, None).unwrap();
+                proptest::prop_assert_eq!(bits(&out.weights), bits(&want));
+            }
+            // The dense view of the same partial is the eager calls' updates.
+            let mut terms = merged.into_terms();
+            terms.sort_by_key(|(slot, _)| *slot);
+            let terms: Vec<UpdateUpload> = terms.into_iter().map(|(_, u)| u).collect();
+            proptest::prop_assert_eq!(terms, dense);
+        }
     }
 }

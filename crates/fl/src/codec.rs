@@ -53,6 +53,31 @@
 //! [`crate::message`]), so an accepted body re-encodes to the bytes it
 //! arrived as.
 //!
+//! # Who holds what, when
+//!
+//! A payload is dense in exactly two places: in the replica that trains
+//! on it, and inside the fold that consumes it. On the way up, the
+//! server reads a session's reply, runs it through `check_against` — the
+//! one validator: every structural refusal there is, against the view
+//! the client coded it against, allocating nothing — bills it from its
+//! lengths and dims, commits the session's view, and *keeps the payload*
+//! (a `CheckedWeights`: the [`EncodedWeights`] plus an `Arc` of that
+//! view; a payload whose bodies are all dense — every identity reply —
+//! is the model already, so it is moved out on the spot, which costs
+//! nothing). It stays in that form through the engine's slots, the round's
+//! outcomes and the [`PartialAggregate`](crate::aggregate::PartialAggregate),
+//! so a round's pending updates cost what crossed the wire, not `k ×`
+//! the dense model; the fold expands them — one at a time under FedAvg —
+//! and an update the round does not fold (a surplus spare, a straggler)
+//! is never expanded at all. `decode_against`, the client's and the
+//! mirror's decoder, is the same check followed by the same rebuild,
+//! which after the check cannot fail. The public eager calls
+//! ([`RemoteClient::train`](crate::transport::RemoteClient::train),
+//! `ExecutionEngine::execute_cycles`, `PartialAggregate::push` /
+//! `into_terms`) and the shard-control channel still speak dense
+//! [`UpdateUpload`](crate::message::UpdateUpload)s: they are the same
+//! path with the expansion applied at the edge.
+//!
 //! **Determinism.** Encoding is a pure function of `(codec, weights,
 //! reference)` — no RNG, no wall clock — so a flat, sharded or
 //! distributed run over any transport produces bit-identical encoded
@@ -63,6 +88,8 @@
 //! client's last cycle failed after it had begun overwriting the replica
 //! that was its view — answers with a typed error containing
 //! [`BASE_MISMATCH`], and the server re-sends that one download dense.
+
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -255,10 +282,14 @@ fn gaps(indices: &[u32]) -> impl Iterator<Item = u32> + '_ {
 /// compression-ratio report divides by), in closed form like
 /// [`EncodedWeights::wire_bytes`].
 pub fn dense_wire_bytes(weights: &ModelWeights) -> u64 {
+    dense_bytes_of(flatten(weights).into_iter().map(Tensor::dims))
+}
+
+/// [`dense_wire_bytes`] of a model whose tensors have these dims.
+fn dense_bytes_of<'a>(dims: impl Iterator<Item = &'a [usize]>) -> u64 {
     // layer count; per tensor: rank, dims, element count, elements.
-    8 + flatten(weights)
-        .into_iter()
-        .map(|t| 8 + 8 * t.dims().len() as u64 + 8 + 4 * t.numel() as u64)
+    8 + dims
+        .map(|d| 8 + 8 * d.len() as u64 + 8 + 4 * d.iter().product::<usize>() as u64)
         .sum::<u64>()
 }
 
@@ -406,14 +437,30 @@ pub fn decode_weights(
 
 /// [`decode_weights`] with the reference view as borrowed tensors,
 /// flattened `[w0, b0, w1, b1, …]`: a client's view is the replica it
-/// trains, lent in place. The decoded model is a fresh allocation, so a
-/// refused payload has touched nothing; with a reference, every tensor
-/// must have the reference's dims, so an accepted one fits the model the
-/// reference was borrowed from.
+/// trains, lent in place. It is [`check_against`] and then a rebuild that
+/// cannot fail; the decoded model is a fresh allocation, so a refused
+/// payload has touched nothing.
 pub(crate) fn decode_against(
     enc: &EncodedWeights,
     reference: Option<&[&Tensor]>,
 ) -> Result<ModelWeights> {
+    check_against(enc, reference)?;
+    Ok(rebuild_all(enc, reference))
+}
+
+/// The one validator of an encoded payload: every structural refusal
+/// there is — an odd tensor count, a reference whose tensors are not the
+/// payload's in number and dims, dims whose product overflows, a body
+/// whose length disagrees with its dims, a delta body without a
+/// reference, sparse indices out of order or out of range — in payload
+/// order, reading the payload and allocating nothing. With a reference,
+/// every tensor must have the reference tensor's dims, so an accepted
+/// payload fits the model the reference was borrowed from.
+///
+/// # Errors
+///
+/// Returns [`FlError::Protocol`] naming the first violation.
+pub(crate) fn check_against(enc: &EncodedWeights, reference: Option<&[&Tensor]>) -> Result<()> {
     let bad = |reason: String| FlError::Protocol { reason };
     if !enc.tensors.len().is_multiple_of(2) {
         return Err(bad(format!(
@@ -430,7 +477,6 @@ pub(crate) fn decode_against(
             )));
         }
     }
-    let mut decoded = Vec::with_capacity(enc.tensors.len());
     for (i, t) in enc.tensors.iter().enumerate() {
         let n = t
             .dims
@@ -445,56 +491,143 @@ pub(crate) fn decode_against(
                 t.dims
             )));
         }
-        let data: Vec<f32> = match &t.body {
-            EncodedBody::Dense(v) => {
-                if v.len() != n {
-                    return Err(bad(format!(
-                        "dense body has {} values for {n}-element tensor",
-                        v.len()
-                    )));
-                }
-                v.clone()
+        match &t.body {
+            EncodedBody::Dense(v) if v.len() != n => {
+                return Err(bad(format!(
+                    "dense body has {} values for {n}-element tensor",
+                    v.len()
+                )));
             }
-            EncodedBody::Int8 { zero, scale, q } => {
-                if q.len() != n {
-                    return Err(bad(format!(
-                        "int8 body has {} values for {n}-element tensor",
-                        q.len()
-                    )));
-                }
-                q.iter().map(|&b| zero + scale * f32::from(b)).collect()
+            EncodedBody::Int8 { q, .. } if q.len() != n => {
+                return Err(bad(format!(
+                    "int8 body has {} values for {n}-element tensor",
+                    q.len()
+                )));
             }
+            EncodedBody::Dense(_) | EncodedBody::Int8 { .. } => {}
             EncodedBody::TopK { indices, values } => {
-                let r = r.ok_or_else(|| bad("delta body without a reference view".to_owned()))?;
+                if r.is_none() {
+                    return Err(bad("delta body without a reference view".to_owned()));
+                }
                 if indices.len() != values.len() {
                     return Err(bad("sparse index/value length mismatch".to_owned()));
                 }
-                let mut out = r.data().to_vec();
                 let mut prev: Option<u32> = None;
-                for (&idx, &v) in indices.iter().zip(values) {
+                for &idx in indices {
                     if prev.is_some_and(|p| idx <= p) {
                         return Err(bad("sparse indices not strictly increasing".to_owned()));
                     }
                     prev = Some(idx);
-                    let slot = out
-                        .get_mut(idx as usize)
-                        .ok_or_else(|| bad(format!("sparse index {idx} out of bounds {n}")))?;
-                    *slot += v;
+                    if idx as usize >= n {
+                        return Err(bad(format!("sparse index {idx} out of bounds {n}")));
+                    }
                 }
-                out
             }
-        };
-        decoded.push(
-            Tensor::from_vec(data, &t.dims)
-                .map_err(|e| bad(format!("encoded tensor reconstruction: {e}")))?,
-        );
+        }
     }
-    let mut layers = Vec::with_capacity(decoded.len() / 2);
-    let mut it = decoded.into_iter();
-    while let (Some(w), Some(b)) = (it.next(), it.next()) {
+    Ok(())
+}
+
+/// The coefficients a checked body stands for; `r` is the reference
+/// tensor a sparse delta is added to.
+fn rebuild(body: &EncodedBody, r: Option<&Tensor>) -> Vec<f32> {
+    match body {
+        EncodedBody::Dense(v) => v.clone(),
+        EncodedBody::Int8 { zero, scale, q } => {
+            q.iter().map(|&b| zero + scale * f32::from(b)).collect()
+        }
+        EncodedBody::TopK { indices, values } => {
+            let mut out = r
+                .expect("checked: a delta body has its reference")
+                .data()
+                .to_vec();
+            for (&idx, &v) in indices.iter().zip(values) {
+                out[idx as usize] += v;
+            }
+            out
+        }
+    }
+}
+
+/// The model a payload [`check_against`] accepted against `reference`
+/// stands for, the payload left in place.
+fn rebuild_all(enc: &EncodedWeights, reference: Option<&[&Tensor]>) -> ModelWeights {
+    layers(
+        enc.tensors
+            .iter()
+            .enumerate()
+            .map(|(i, t)| dense_tensor(&t.dims, rebuild(&t.body, reference.map(|f| f[i])))),
+    )
+}
+
+fn dense_tensor(dims: &[usize], data: Vec<f32>) -> Tensor {
+    Tensor::from_vec(data, dims).expect("checked: the body holds its dims' element count")
+}
+
+/// Pairs flattened `[w0, b0, w1, b1, …]` tensors back into a model.
+fn layers(mut tensors: impl Iterator<Item = Tensor>) -> ModelWeights {
+    let mut layers = Vec::with_capacity(tensors.size_hint().0 / 2);
+    while let (Some(w), Some(b)) = (tensors.next(), tensors.next()) {
         layers.push(LayerWeights { w, b });
     }
-    Ok(ModelWeights::new(layers))
+    ModelWeights::new(layers)
+}
+
+/// A payload [`check_against`] accepted, together with the view it was
+/// checked against: the form an upload waits for the fold in. Expanding
+/// it cannot fail, and nothing but [`CheckedWeights::new`] makes one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CheckedWeights {
+    enc: EncodedWeights,
+    view: Option<Arc<ModelWeights>>,
+}
+
+impl CheckedWeights {
+    /// Checks `enc` against `view` (the model its delta bodies add to).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`check_against`] refuses.
+    pub(crate) fn new(enc: EncodedWeights, view: Option<Arc<ModelWeights>>) -> Result<Self> {
+        check_against(&enc, view.as_deref().map(flatten).as_deref())?;
+        Ok(CheckedWeights { enc, view })
+    }
+
+    /// The payload as it crossed the wire.
+    pub(crate) fn encoded(&self) -> &EncodedWeights {
+        &self.enc
+    }
+
+    /// [`dense_wire_bytes`] of the model this expands to, from the dims
+    /// (whose products the check found not to overflow).
+    pub(crate) fn dense_wire_bytes(&self) -> u64 {
+        dense_bytes_of(self.enc.tensors.iter().map(|t| t.dims.as_slice()))
+    }
+
+    /// Whether every body is dense — the payload *is* the model, and
+    /// [`into_dense`](Self::into_dense) only moves it.
+    pub(crate) fn is_dense(&self) -> bool {
+        let dense = |t: &EncodedTensor| matches!(t.body, EncodedBody::Dense(_));
+        self.enc.tensors.iter().all(dense)
+    }
+
+    /// The dense model, leaving the wire form in place.
+    pub(crate) fn to_dense(&self) -> ModelWeights {
+        rebuild_all(&self.enc, self.view.as_deref().map(flatten).as_deref())
+    }
+
+    /// The dense model: dense bodies are moved into it, int8 and sparse
+    /// ones rebuilt against the shared view.
+    pub(crate) fn into_dense(self) -> ModelWeights {
+        let reference = self.view.as_deref().map(flatten);
+        layers(self.enc.tensors.into_iter().enumerate().map(|(i, t)| {
+            let data = match t.body {
+                EncodedBody::Dense(v) => v,
+                body => rebuild(&body, reference.as_ref().map(|f| f[i])),
+            };
+            dense_tensor(&t.dims, data)
+        }))
+    }
 }
 
 /// The worst-case per-coefficient reconstruction error an [`Int8`]
@@ -899,21 +1032,17 @@ mod tests {
         buf.into()
     }
 
-    #[test]
-    fn hostile_sparse_bodies_are_refused_by_name() {
-        let refusal = |n, k, body: &[u8]| {
-            let err = decode::<EncodedTensor>(&sparse_bytes(n, k, body)).unwrap_err();
-            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
-            err.to_string()
-        };
+    /// Sparse tensors the frame decoder refuses, as bytes, each with the
+    /// text it is refused by.
+    fn hostile_sparse_fixtures() -> Vec<(Vec<u8>, &'static str)> {
         // One entry, with `gap` in front of enough zero bytes that the
         // 5-bytes-an-entry floor is met and the varint is what decides.
         let one = |gap: &[u8]| {
             let mut body = gap.to_vec();
             body.resize(gap.len() + 8, 0);
-            refusal(1 << 20, 1, &body)
+            sparse_bytes(1 << 20, 1, &body)
         };
-        let cases = [
+        vec![
             (one(&[0x80; 6]), "varint longer than 5 bytes"),
             (
                 one(&[0xFF, 0xFF, 0xFF, 0xFF, 0x8F]),
@@ -923,18 +1052,18 @@ mod tests {
             (one(&[0x80, 0x00]), "overlong varint"),
             // The body ends inside the second gap.
             (
-                refusal(100, 2, &[0x05, 0x80]),
+                sparse_bytes(100, 2, &[0x05, 0x80]),
                 "need 10 bytes for sparse body",
             ),
             // Index 9, then a gap of 0: index 10 of 10.
             (
-                refusal(10, 2, &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+                sparse_bytes(10, 2, &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
                 "sparse index 10 out of bounds for tensor of 10",
             ),
             // Index 5, then the widest gap: the sum is past u32::MAX and
             // must not wrap back into the tensor.
             (
-                refusal(
+                sparse_bytes(
                     100,
                     2,
                     &[5, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -942,24 +1071,247 @@ mod tests {
                 "sparse index 4294967301 out of bounds",
             ),
             (
-                refusal(4, 5, &[0; 25]),
+                sparse_bytes(4, 5, &[0; 25]),
                 "sparse entry count 5 exceeds tensor size 4",
             ),
             // Two 2-byte gaps and six bytes of values: past the floor,
             // two bytes short of the values.
             (
-                refusal(1000, 2, &[0x80, 0x01, 0x80, 0x01, 0, 0, 0, 0, 0, 0]),
+                sparse_bytes(1000, 2, &[0x80, 0x01, 0x80, 0x01, 0, 0, 0, 0, 0, 0]),
                 "need 8 bytes for sparse values",
             ),
             // A count the body cannot hold is refused before the index
             // vector is reserved on its word.
             (
-                refusal(1 << 28, 1 << 27, &[0; 64]),
+                sparse_bytes(1 << 28, 1 << 27, &[0; 64]),
                 "need 671088640 bytes for sparse body",
             ),
-        ];
-        for (text, expected) in cases {
+        ]
+    }
+
+    #[test]
+    fn hostile_sparse_bodies_are_refused_by_name() {
+        for (bytes, expected) in hostile_sparse_fixtures() {
+            let err = decode::<EncodedTensor>(&bytes).unwrap_err();
+            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+            let text = err.to_string();
             assert!(text.contains(expected), "{expected}: {text}");
+        }
+    }
+
+    /// The decoder as it was when validation and reconstruction were one
+    /// walk — each tensor checked, then built, before the next is looked
+    /// at. The oracle [`check_against`] + rebuild must equal, refusal for
+    /// refusal and bit for bit.
+    fn decode_interleaved(
+        enc: &EncodedWeights,
+        reference: Option<&[&Tensor]>,
+    ) -> Result<ModelWeights> {
+        let bad = |reason: String| FlError::Protocol { reason };
+        if !enc.tensors.len().is_multiple_of(2) {
+            return Err(bad(format!(
+                "encoded payload has odd tensor count {}",
+                enc.tensors.len()
+            )));
+        }
+        if let Some(r) = reference {
+            if r.len() != enc.tensors.len() {
+                return Err(bad(format!(
+                    "reference has {} tensors, payload {}",
+                    r.len(),
+                    enc.tensors.len()
+                )));
+            }
+        }
+        let mut decoded = Vec::with_capacity(enc.tensors.len());
+        for (i, t) in enc.tensors.iter().enumerate() {
+            let n = t
+                .dims
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .ok_or_else(|| bad("encoded tensor dims overflow".to_owned()))?;
+            let r = reference.map(|f| f[i]);
+            if let Some(r) = r.filter(|r| r.dims() != t.dims) {
+                return Err(bad(format!(
+                    "reference tensor {i} has dims {:?}, payload {:?}",
+                    r.dims(),
+                    t.dims
+                )));
+            }
+            let data: Vec<f32> = match &t.body {
+                EncodedBody::Dense(v) => {
+                    if v.len() != n {
+                        return Err(bad(format!(
+                            "dense body has {} values for {n}-element tensor",
+                            v.len()
+                        )));
+                    }
+                    v.clone()
+                }
+                EncodedBody::Int8 { zero, scale, q } => {
+                    if q.len() != n {
+                        return Err(bad(format!(
+                            "int8 body has {} values for {n}-element tensor",
+                            q.len()
+                        )));
+                    }
+                    q.iter().map(|&b| zero + scale * f32::from(b)).collect()
+                }
+                EncodedBody::TopK { indices, values } => {
+                    let r =
+                        r.ok_or_else(|| bad("delta body without a reference view".to_owned()))?;
+                    if indices.len() != values.len() {
+                        return Err(bad("sparse index/value length mismatch".to_owned()));
+                    }
+                    let mut out = r.data().to_vec();
+                    let mut prev: Option<u32> = None;
+                    for (&idx, &v) in indices.iter().zip(values) {
+                        if prev.is_some_and(|p| idx <= p) {
+                            return Err(bad("sparse indices not strictly increasing".to_owned()));
+                        }
+                        prev = Some(idx);
+                        let slot = out
+                            .get_mut(idx as usize)
+                            .ok_or_else(|| bad(format!("sparse index {idx} out of bounds {n}")))?;
+                        *slot += v;
+                    }
+                    out
+                }
+            };
+            decoded.push(Tensor::from_vec(data, &t.dims).unwrap());
+        }
+        let mut layers = Vec::with_capacity(decoded.len() / 2);
+        let mut it = decoded.into_iter();
+        while let (Some(w), Some(b)) = (it.next(), it.next()) {
+            layers.push(LayerWeights { w, b });
+        }
+        Ok(ModelWeights::new(layers))
+    }
+
+    /// A model's exact bits, or the refusal's text.
+    fn outcome(result: Result<ModelWeights>) -> std::result::Result<Vec<Vec<u32>>, String> {
+        result
+            .map(|w| crate::transport::tests::bits(flatten(&w)))
+            .map_err(|e| e.to_string())
+    }
+
+    /// One case of the arrival property. Seeds: the hostile fixtures and
+    /// four well-formed sparse tensors, a few bytes overwritten. Whatever
+    /// still parses as a tensor is then bent in memory the ways a frame
+    /// cannot express (the decoder guarantees them; the arrival check must
+    /// not rely on that) and put in a payload, against a fitting
+    /// reference, a misfitting one and none.
+    fn arrival_case(seed: usize, edits: Vec<(usize, u8)>, bend: usize, view: usize) {
+        // Ten hostile seeds; the four that parse take the other draws.
+        let mut corpus: Vec<Vec<u8>> = hostile_sparse_fixtures()
+            .into_iter()
+            .map(|(b, _)| b)
+            .collect();
+        corpus.extend(
+            [(40, 1), (40, 3), (300, 10), (2600, 129)].map(|(n, s)| encode(&strided(n, s))),
+        );
+        let mut bytes = corpus[if seed < 10 { seed } else { 10 + seed % 4 }].clone();
+        for (at, byte) in edits {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        let Ok(mut t) = decode::<EncodedTensor>(&bytes) else {
+            return;
+        };
+        let n = t.dims.iter().product::<usize>();
+        // A reference is a dense tensor per payload tensor.
+        if n > 1 << 21 {
+            return;
+        }
+        if let EncodedBody::TopK { indices, values } = &mut t.body {
+            match bend {
+                1 if indices.len() >= 2 => indices.swap(0, 1),
+                2 if !indices.is_empty() => *indices.last_mut().unwrap() = n as u32,
+                3 => drop(values.pop()),
+                4 if !indices.is_empty() => indices.push(*indices.last().unwrap()),
+                _ => {}
+            }
+        }
+        match bend {
+            5 => t.body = EncodedBody::Dense(vec![0.5; n.saturating_sub(1)]),
+            6 => {
+                t.body = EncodedBody::Int8 {
+                    zero: -1.0,
+                    scale: 0.5,
+                    q: vec![7; n + 1],
+                }
+            }
+            7 => {
+                t.body = EncodedBody::Int8 {
+                    zero: -1.0,
+                    scale: 0.5,
+                    q: vec![7; n],
+                }
+            }
+            _ => {}
+        }
+        let bias = EncodedTensor {
+            dims: vec![2],
+            body: EncodedBody::Dense(vec![1.0, -2.0]),
+        };
+        let mut tensors = vec![t.clone(), bias];
+        if bend == 8 {
+            tensors.pop();
+        }
+        let enc = EncodedWeights {
+            codec: CodecKind::DeltaTopK,
+            epoch: 1,
+            base_epoch: Some(0),
+            tensors,
+        };
+        let ramp = |dims: &[usize]| {
+            let len = dims.iter().product::<usize>();
+            Tensor::from_vec((0..len).map(|i| i as f32 * 0.25 - 1.0).collect(), dims).unwrap()
+        };
+        let model = |w: Tensor| ModelWeights::new(vec![LayerWeights { w, b: ramp(&[2]) }]);
+        let reference = match view {
+            0 => None,
+            // The same coefficients under other dims.
+            1 => Some(model(ramp(&[n, 1]))),
+            // A layer too many.
+            2 => Some(ModelWeights::new(vec![
+                LayerWeights {
+                    w: ramp(&t.dims),
+                    b: ramp(&[2]),
+                },
+                LayerWeights {
+                    w: ramp(&[1]),
+                    b: ramp(&[1]),
+                },
+            ])),
+            _ => Some(model(ramp(&t.dims))),
+        };
+        let flat = reference.as_ref().map(flatten);
+        let want = outcome(decode_interleaved(&enc, flat.as_deref()));
+        assert_eq!(&outcome(decode_against(&enc, flat.as_deref())), &want);
+        let checked = check_against(&enc, flat.as_deref()).map_err(|e| e.to_string());
+        assert_eq!(&checked, &want.clone().map(|_| ()));
+        // Held for the fold and expanded there, by reference and by
+        // value: the same bits, and no way to fail.
+        let held = CheckedWeights::new(enc, reference.map(Arc::new)).map_err(|e| e.to_string());
+        assert_eq!(held.is_ok(), want.is_ok());
+        if let Ok(held) = held {
+            assert_eq!(&outcome(Ok(held.to_dense())), &want);
+            assert_eq!(&outcome(Ok(held.into_dense())), &want);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn the_arrival_check_accepts_exactly_what_decodes_and_expanding_it_cannot_fail(
+            seed in 0usize..24,
+            edits in proptest::collection::vec((0usize..4096, proptest::any::<u8>()), 0..3),
+            bend in 0usize..12,
+            view in 0usize..6,
+        ) {
+            arrival_case(seed, edits, bend, view);
         }
     }
 

@@ -66,10 +66,10 @@ use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::{Executed, Fleet};
 use crate::message::{
-    check_version, DatasetSpec, Envelope, MessageKind, ModelDownload, ModelSpec, ScreenProbe,
-    ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome, ShardOutcomeKind,
-    ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire, ENVELOPE_HEADER_LEN,
-    PROTOCOL_VERSION,
+    check_version, ArrivedUpload, DatasetSpec, Envelope, MessageKind, ModelDownload, ModelSpec,
+    ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
+    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire,
+    ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
 };
 use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
 use crate::scheduler::ProtectionScheduler;
@@ -761,7 +761,8 @@ impl Fleet for ProcessFleet {
                 },
             );
         }
-        let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<ClientOutcome<ArrivedUpload>>> =
+            (0..picked.len()).map(|_| None).collect();
         let mut ledger = RoundLedger::new();
         let mut cohort_lost = false;
         for (s, slot) in self.shards.iter_mut().enumerate() {
@@ -901,7 +902,7 @@ fn apply_shard_reply(
     reply: ShardRoundReply,
     slot_base: usize,
     picks: usize,
-    slots: &mut [Option<ClientOutcome>],
+    slots: &mut [Option<ClientOutcome<ArrivedUpload>>],
     ledger: &mut RoundLedger,
 ) -> Result<()> {
     let mut seen = vec![false; picks];
@@ -922,10 +923,15 @@ fn apply_shard_reply(
         }
         Ok(())
     };
-    for (slot, _) in reply.partial.terms() {
-        mark(*slot)?;
+    let ShardRoundReply {
+        partial,
+        others,
+        ledger: shard_ledger,
+    } = reply;
+    for slot in partial.slots() {
+        mark(slot)?;
     }
-    for o in &reply.others {
+    for o in &others {
         mark(o.slot as usize)?;
     }
     if !seen.iter().all(|&s| s) {
@@ -933,10 +939,11 @@ fn apply_shard_reply(
             reason: "shard reply does not account every pick".to_owned(),
         });
     }
-    for (slot, upload) in reply.partial.terms() {
-        slots[*slot] = Some(ClientOutcome::Completed(upload.clone()));
+    // The reply validated: its updates move into the slots, held once.
+    for (slot, upload) in partial.into_terms() {
+        slots[slot] = Some(ClientOutcome::Completed(upload.into()));
     }
-    for o in reply.others {
+    for o in others {
         let outcome = match o.kind {
             ShardOutcomeKind::Straggler { elapsed_s } => ClientOutcome::Straggler {
                 client: o.client,
@@ -952,7 +959,7 @@ fn apply_shard_reply(
         };
         slots[o.slot as usize] = Some(outcome);
     }
-    ledger.merge(&reply.ledger);
+    ledger.merge(&shard_ledger);
     Ok(())
 }
 
@@ -1150,14 +1157,16 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
 
 /// Repackages one executed round at its *global* slots: completed updates
 /// into the [`PartialAggregate`], stragglers/failures into the tagged
-/// overflow list, the shard ledger as-is.
+/// overflow list, the shard ledger as-is. The updates go in as they
+/// arrived; the control channel ships a partial dense, so each is
+/// expanded into the reply's frame as that is written, one at a time.
 fn shard_round_reply(executed: Executed, slot_base: usize) -> ShardRoundReply {
     let mut partial = PartialAggregate::new();
     let mut others = Vec::new();
     for (j, outcome) in executed.outcomes.into_iter().enumerate() {
         let slot = slot_base + j;
         match outcome {
-            ClientOutcome::Completed(upload) => partial.push(slot, upload),
+            ClientOutcome::Completed(upload) => partial.push_arrived(slot, upload),
             ClientOutcome::Straggler { client, elapsed_s } => others.push(ShardOutcome {
                 slot: slot as u64,
                 client,

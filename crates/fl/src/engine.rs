@@ -19,7 +19,16 @@
 //!   send and is collected at once, one client at a time as ever),
 //! * each exchange lands a [`ClientOutcome`] in a slot keyed by the
 //!   client's position in the round's selection, so aggregation order
-//!   never depends on timing,
+//!   never depends on timing. Inside a round the slot holds the update
+//!   as it arrived — the codec payload that crossed the wire, checked
+//!   against the session's view, billed and committed, but not expanded
+//!   (see [`crate::codec`], "Who holds what, when") — so `k` pending
+//!   updates cost `k` wire payloads, and a straggler's is dropped
+//!   unexpanded. The public entry points
+//!   ([`execute_cycles`](ExecutionEngine::execute_cycles),
+//!   [`execute_shards`](ExecutionEngine::execute_shards) and their
+//!   `_with` forms) are that same run with every completed update
+//!   expanded on the way out,
 //! * the TEE accounting that arrives *on the wire* with every upload is
 //!   recorded into a [`SharedLedger`] as workers finish and merged into an
 //!   id-sorted [`RoundLedger`], so the world-switch/crypto bill stays
@@ -65,17 +74,20 @@ use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
 use gradsec_tensor::ops::threads;
 
 use crate::faults::FaultPlan;
-use crate::message::{ModelDownload, UpdateUpload};
+use crate::message::{ArrivedUpload, ModelDownload, UpdateUpload};
 use crate::selection::validate_picks;
 use crate::transport::broadcast::Broadcast;
 use crate::transport::{slide, InFlight, RemoteClient};
 use crate::{FlError, Result};
 
-/// How one selected client's exchange ended.
+/// How one selected client's exchange ended. `U` is the form the update
+/// is held in: the dense [`UpdateUpload`] everywhere the public API
+/// shows an outcome, and inside a round the crate-private arrival form —
+/// the reply as it crossed the wire, checked but not expanded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ClientOutcome {
+pub enum ClientOutcome<U = UpdateUpload> {
     /// The client trained and its update arrived within any deadline.
-    Completed(UpdateUpload),
+    Completed(U),
     /// The client trained, but its simulated elapsed time (injected
     /// latency + cycle compute) overran the round deadline; its cost is
     /// billed to the ledger but its update is excluded from aggregation.
@@ -121,6 +133,19 @@ impl ClientOutcome {
             _ => None,
         }
     }
+}
+
+impl<U> ClientOutcome<U> {
+    /// The same outcome with its update, if any, in another form.
+    pub(crate) fn map<V>(self, form: impl FnOnce(U) -> V) -> ClientOutcome<V> {
+        match self {
+            ClientOutcome::Completed(u) => ClientOutcome::Completed(form(u)),
+            ClientOutcome::Straggler { client, elapsed_s } => {
+                ClientOutcome::Straggler { client, elapsed_s }
+            }
+            ClientOutcome::Failed { client, error } => ClientOutcome::Failed { client, error },
+        }
+    }
 
     /// The failure, for failed outcomes.
     pub fn error(&self) -> Option<&FlError> {
@@ -150,6 +175,16 @@ impl ClientOutcome {
 /// round's merged TEE ledger (one entry per picked client — zero-cost
 /// entries for failures).
 pub type CycleOutcomes = (Vec<ClientOutcome>, RoundLedger);
+
+/// [`CycleOutcomes`] with every completed update still in its arrival
+/// form: what a round carries from the workers to the fold.
+pub(crate) type ArrivedOutcomes = (Vec<ClientOutcome<ArrivedUpload>>, RoundLedger);
+
+/// The public, dense view of one engine run.
+fn expanded((outcomes, ledger): ArrivedOutcomes) -> CycleOutcomes {
+    let dense = |o: ClientOutcome<ArrivedUpload>| o.map(ArrivedUpload::expand);
+    (outcomes.into_iter().map(dense).collect(), ledger)
+}
 
 /// A round-execution strategy: how many workers drive client exchanges
 /// concurrently within one FL cycle.
@@ -220,22 +255,25 @@ impl ExecutionEngine {
         faults: Option<&FaultPlan>,
     ) -> Result<CycleOutcomes> {
         self.cycles_in(clients, picked, &Broadcast::new(download), faults)
+            .map(expanded)
     }
 
     /// [`execute_cycles_with`](Self::execute_cycles_with) against a
     /// broadcast the caller owns — one per round, so every worker of
-    /// every shard draws its download from the same memo.
+    /// every shard draws its download from the same memo — with the
+    /// uploads left as they arrived.
     fn cycles_in(
         &self,
         clients: &mut [RemoteClient],
         picked: &[usize],
         broadcast: &Broadcast<'_>,
         faults: Option<&FaultPlan>,
-    ) -> Result<CycleOutcomes> {
+    ) -> Result<ArrivedOutcomes> {
         validate_picks(picked, clients.len())?;
         let picked_ids: Vec<u64> = picked.iter().map(|&ci| clients[ci].id()).collect();
         let ledger = SharedLedger::new();
-        let mut slots: Vec<Option<ClientOutcome>> = (0..picked.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<ClientOutcome<ArrivedUpload>>> =
+            (0..picked.len()).map(|_| None).collect();
         if self.workers <= 1 || picked.len() <= 1 {
             let outcomes = slide(
                 clients,
@@ -389,6 +427,18 @@ impl ExecutionEngine {
         download: &ModelDownload,
         faults: Option<&FaultPlan>,
     ) -> Result<Vec<CycleOutcomes>> {
+        let per_shard = self.shards_in(shards, download, faults)?;
+        Ok(per_shard.into_iter().map(expanded).collect())
+    }
+
+    /// [`execute_shards_with`](Self::execute_shards_with) with the
+    /// uploads left as they arrived.
+    pub(crate) fn shards_in(
+        &self,
+        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
+        download: &ModelDownload,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Vec<ArrivedOutcomes>> {
         for (clients, picked) in &shards {
             validate_picks(picked, clients.len())?;
         }
@@ -462,15 +512,16 @@ pub(crate) fn cycle_begin(
 /// TEE accounting the upload carried across the transport is recorded and
 /// the simulated elapsed time (injected latency + cycle compute) is
 /// checked against any round deadline; overruns come back as stragglers
-/// with their cost still billed. Failures of either half are billed as
-/// zero-cost ledger entries so the round accounts every selected client.
+/// with their cost still billed (and their payload dropped as it
+/// arrived). Failures of either half are billed as zero-cost ledger
+/// entries so the round accounts every selected client.
 pub(crate) fn cycle_finish(
     client: &mut RemoteClient,
     sent: Result<InFlight>,
     broadcast: &Broadcast<'_>,
     ledger: &SharedLedger,
     faults: Option<&FaultPlan>,
-) -> ClientOutcome {
+) -> ClientOutcome<ArrivedUpload> {
     let id = client.id();
     let result = sent.and_then(|sent| contained(id, || client.train_finish(broadcast, sent)));
     match result {
@@ -812,6 +863,7 @@ mod tests {
             let uploads: Vec<_> = per_shard
                 .into_iter()
                 .flat_map(|(outcomes, _)| outcomes)
+                .map(|o| o.map(ArrivedUpload::expand))
                 .map(|o| o.into_update().expect("a healthy fleet completes"))
                 .collect();
             assert_eq!(uploads.len(), 6);

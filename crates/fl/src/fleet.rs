@@ -14,6 +14,12 @@
 //!   live in `shard-server` child processes reached over the
 //!   shard-control protocol.
 //!
+//! Either way a fleet hands the driver its completed updates *as they
+//! arrived* ([`ArrivedUpload`]): a local session's int8 or sparse reply
+//! still in wire form, a shard server's already dense. The driver's
+//! commit moves the ones it folds into the partial aggregate, which
+//! expands them, and drops the rest untouched.
+//!
 //! The module is private: the trait bounds the public driver but cannot
 //! be named — or implemented — outside this crate.
 
@@ -21,14 +27,15 @@ use gradsec_tee::cost::RoundLedger;
 
 use crate::config::ShardLayout;
 use crate::engine::ClientOutcome;
-use crate::message::ModelDownload;
+use crate::message::{ArrivedUpload, ModelDownload};
 use crate::selection::{ScreenPlan, ScreeningOutcome};
 use crate::Result;
 
 /// What one round's execution hands back to the driver.
 pub struct Executed {
-    /// One outcome per picked client, in selection order.
-    pub outcomes: Vec<ClientOutcome>,
+    /// One outcome per picked client, in selection order, every completed
+    /// update still in the form it arrived in.
+    pub(crate) outcomes: Vec<ClientOutcome<ArrivedUpload>>,
     /// One entry per picked client — zero-cost entries for failures.
     pub ledger: RoundLedger,
     /// A whole cohort was lost with the machinery hosting it (a dead

@@ -51,7 +51,7 @@ use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
 use crate::aggregate::PartialAggregate;
-use crate::codec::{CodecKind, EncodedWeights};
+use crate::codec::{CheckedWeights, CodecKind, EncodedWeights};
 use crate::config::{PartitionKind, TrainingPlan};
 use crate::faults::FaultPlan;
 use crate::wire::{
@@ -202,6 +202,103 @@ pub struct EncodedUpdateUpload {
     /// The cycle's TEE accounting (the server overwrites the wire-bytes
     /// bill with what it actually observed on the wire).
     pub cost: ClientCycleCost,
+}
+
+/// An [`UpdateUpload`] as the server holds it from arrival to the fold:
+/// the metadata the round reads (who, how many samples, what loss, what
+/// it cost) beside weights still in the form they arrived in. A session's
+/// int8 or sparse reply stays the codec payload that crossed the wire,
+/// already checked against the view it names ([`CheckedWeights`]), so a
+/// pending update costs what it cost the network; a reply of dense bodies,
+/// a scripted fleet's update and a shard server's are dense on arrival
+/// and are carried as they are.
+/// [`expand`](Self::expand) is the only way to the coefficients.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ArrivedUpload {
+    pub(crate) client_id: u64,
+    pub(crate) round: u64,
+    pub(crate) weights: ArrivedWeights,
+    pub(crate) num_samples: usize,
+    pub(crate) train_loss: f32,
+    pub(crate) cost: ClientCycleCost,
+}
+
+/// The two forms an arrived update's weights wait in.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ArrivedWeights {
+    /// Already dense.
+    Dense(ModelWeights),
+    /// As they crossed the wire, checked on arrival. Boxed, so that an
+    /// arrived update is a word larger than the dense one it may become —
+    /// a round holds one per selected client in each of three vectors.
+    Wire(Box<CheckedWeights>),
+}
+
+impl From<UpdateUpload> for ArrivedUpload {
+    fn from(upload: UpdateUpload) -> Self {
+        ArrivedUpload {
+            client_id: upload.client_id,
+            round: upload.round,
+            weights: ArrivedWeights::Dense(upload.weights),
+            num_samples: upload.num_samples,
+            train_loss: upload.train_loss,
+            cost: upload.cost,
+        }
+    }
+}
+
+impl ArrivedUpload {
+    /// The dense update. Dense weights are moved, a wire payload's dense
+    /// bodies too; int8 and sparse bodies are rebuilt against the view
+    /// the payload was checked against, which cannot fail.
+    pub(crate) fn expand(self) -> UpdateUpload {
+        #[cfg(test)]
+        if matches!(self.weights, ArrivedWeights::Wire(_)) {
+            probe::note(probe::Event::Expanded(self.client_id));
+        }
+        UpdateUpload {
+            client_id: self.client_id,
+            round: self.round,
+            weights: match self.weights {
+                ArrivedWeights::Dense(weights) => weights,
+                ArrivedWeights::Wire(checked) => checked.into_dense(),
+            },
+            num_samples: self.num_samples,
+            train_loss: self.train_loss,
+            cost: self.cost,
+        }
+    }
+}
+
+/// What became of the wire-form uploads on this thread, in order: the
+/// log the two-views tests read to show that an upload the round does
+/// not fold is never expanded, and that the FedAvg fold expands one
+/// at a time.
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::RefCell;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Event {
+        /// A wire-form upload of this client was expanded.
+        Expanded(u64),
+        /// The fold added this client's term (and drops it before it
+        /// pulls the next).
+        Folded(u64),
+    }
+
+    thread_local! {
+        static LOG: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn note(event: Event) {
+        LOG.with(|log| log.borrow_mut().push(event));
+    }
+
+    /// This thread's events since the last call.
+    pub(crate) fn take() -> Vec<Event> {
+        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
+    }
 }
 
 /// Session setup, server → client: the server's protocol version plus
@@ -602,6 +699,26 @@ wire_struct!(UpdateUpload {
     train_loss,
     cost,
 });
+/// An [`UpdateUpload`]'s bytes: the shard-control channel ships partials
+/// dense, so a wire-form term is expanded into the buffer as it is
+/// written (one at a time) and always decodes dense.
+impl Wire for ArrivedUpload {
+    fn encode_into(&self, buf: &mut BytesMut) {
+        self.client_id.encode_into(buf);
+        self.round.encode_into(buf);
+        match &self.weights {
+            ArrivedWeights::Dense(weights) => weights.encode_into(buf),
+            ArrivedWeights::Wire(checked) => checked.to_dense().encode_into(buf),
+        }
+        self.num_samples.encode_into(buf);
+        self.train_loss.encode_into(buf);
+        self.cost.encode_into(buf);
+    }
+
+    fn decode_from(buf: &mut Bytes) -> Result<Self> {
+        UpdateUpload::decode_from(buf).map(ArrivedUpload::from)
+    }
+}
 wire_struct!(EncodedModelDownload {
     round,
     weights,

@@ -53,6 +53,7 @@ use crate::server::FlServer;
 use crate::trainer::{LocalTrainer, PlainSgdTrainer};
 use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
+use crate::transport::poller::Poller;
 use crate::transport::{tcp, RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
 
@@ -598,7 +599,13 @@ fn wire_fleet(
     // Draining the backlog first breaks the cycle. Poll rather than block
     // in accept: a session that failed to connect would otherwise leave
     // build() waiting forever for a connection that will never arrive.
+    // An empty backlog is waited on through the poller, which returns as
+    // soon as a connection lands — or within a millisecond, to look at
+    // the loops and the deadline again.
     listener.set_nonblocking(true)?;
+    let mut backlog = Poller::new();
+    listener.watch(&mut backlog, 0)?;
+    let mut landed = Vec::new();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let mut endpoints: Vec<Box<dyn ServerEndpoint>> = Vec::with_capacity(n);
     while endpoints.len() < n {
@@ -614,7 +621,7 @@ fn wire_fleet(
                 "waiting for client connections during federation build",
             ));
         }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        backlog.wait(&mut landed, std::time::Duration::from_millis(1))?;
     }
     Ok((greet(endpoints)?, Some(sessions)))
 }
@@ -666,7 +673,7 @@ impl Fleet for LocalFleet {
         }
         let per_shard = self
             .engine
-            .execute_shards_with(jobs, download, self.faults.as_deref())?;
+            .shards_in(jobs, download, self.faults.as_deref())?;
         // Ledgers fold id-sorted; outcomes concatenate in shard order,
         // which — the layout being contiguous — restores exactly the
         // canonical global selection order the commit walks.
@@ -823,7 +830,7 @@ impl<F: Fleet> RoundDriver<F> {
             match outcome {
                 ClientOutcome::Completed(upload) => {
                     if participants.len() < k {
-                        agg.push(slot, upload);
+                        agg.push_arrived(slot, upload);
                         participants.push(ci);
                     } else {
                         surplus.push(ci);
@@ -975,6 +982,9 @@ impl Federation {
 
 #[cfg(test)]
 mod split_phase;
+
+#[cfg(test)]
+mod two_views;
 
 #[cfg(test)]
 mod tests {
@@ -1217,7 +1227,7 @@ mod tests {
                 .iter()
                 .map(|&client| {
                     ledger.record(ClientCycleCost::unbilled(client as u64));
-                    (self.outcome_of)(client as u64, download)
+                    (self.outcome_of)(client as u64, download).map(Into::into)
                 })
                 .collect();
             Ok(Executed {

@@ -169,7 +169,7 @@ mod tests {
     use super::*;
     use crate::client::{DeviceProfile, FlClient};
     use crate::config::TrainingPlan;
-    use crate::message::UpdateUpload;
+    use crate::message::{ArrivedUpload, UpdateUpload};
     use crate::trainer::PlainSgdTrainer;
     use crate::transport::inprocess::LocalEndpoint;
     use crate::transport::{RemoteClient, ServerEndpoint};
@@ -288,7 +288,8 @@ mod tests {
                 let got = comparable(
                     member
                         .train_begin(&broadcast)
-                        .and_then(|(sent, _)| member.train_finish(&broadcast, sent)),
+                        .and_then(|(sent, _)| member.train_finish(&broadcast, sent))
+                        .map(ArrivedUpload::expand),
                 );
                 assert_eq!(got, comparable(single.train(&download)), "round {round}");
                 let bill = got.as_ref().map(|u| u.cost.wire.download_encoded_bytes);

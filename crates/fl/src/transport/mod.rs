@@ -62,13 +62,11 @@ use gradsec_tee::cost::WireBill;
 
 use self::broadcast::{Broadcast, Payload, View};
 use crate::client::{DeviceProfile, FlClient};
-use crate::codec::{
-    decode_against, decode_weights, dense_wire_bytes, encode_weights, CodecKind, BASE_MISMATCH,
-};
+use crate::codec::{decode_against, encode_weights, CheckedWeights, CodecKind, BASE_MISMATCH};
 use crate::message::{
-    check_version, AttestationRequest, AttestationResponse, EncodedModelDownload,
-    EncodedUpdateUpload, Envelope, Hello, HelloAck, MessageKind, ModelDownload, UpdateUpload, Wire,
-    PROTOCOL_VERSION,
+    check_version, ArrivedUpload, ArrivedWeights, AttestationRequest, AttestationResponse,
+    EncodedModelDownload, EncodedUpdateUpload, Envelope, Hello, HelloAck, MessageKind,
+    ModelDownload, UpdateUpload, Wire, PROTOCOL_VERSION,
 };
 use crate::{FlError, Result};
 
@@ -590,12 +588,14 @@ impl RemoteClient {
     /// (Figure 2-➋/➌/➍).
     ///
     /// Both directions travel as encoded codec payloads (identity
-    /// included, so every session is billed uniformly); the
-    /// decoded update plus its wire-bytes bill come back as the familiar
-    /// [`UpdateUpload`] — the single chokepoint every execution path
-    /// (flat, sharded, distributed) funnels through. This is the
-    /// one-member [`Broadcast`], begun and finished at once; the engine
-    /// hands a whole round's sessions the same one and overlaps them.
+    /// included, so every session is billed uniformly). The reply is
+    /// checked, billed and committed on arrival by the single chokepoint
+    /// every execution path (flat, sharded, distributed) funnels through;
+    /// this eager form then expands it into the familiar
+    /// [`UpdateUpload`], where a round keeps it as it arrived until the
+    /// fold. This is the one-member [`Broadcast`], begun and finished at
+    /// once; the engine hands a whole round's sessions the same one and
+    /// overlaps them.
     ///
     /// # Errors
     ///
@@ -604,7 +604,7 @@ impl RemoteClient {
     pub fn train(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
         let round = Broadcast::new(download);
         let (sent, _) = self.train_begin(&round)?;
-        self.train_finish(&round, sent)
+        self.train_finish(&round, sent).map(ArrivedUpload::expand)
     }
 
     /// The request half of [`train`](Self::train) as one member of
@@ -618,12 +618,14 @@ impl RemoteClient {
         Ok((InFlight { epoch, shared }, inline))
     }
 
-    /// The reply half of [`train`](Self::train).
+    /// The reply half of [`train`](Self::train): the update checked,
+    /// billed and committed to the session's view, its weights left in
+    /// the form they crossed the wire in.
     pub(crate) fn train_finish(
         &mut self,
         round: &Broadcast<'_>,
         sent: InFlight,
-    ) -> Result<UpdateUpload> {
+    ) -> Result<ArrivedUpload> {
         let refused = sent.shared.encoded_bytes;
         match self.collect(round, sent) {
             Err(FlError::ClientFailure { reason, .. }) if reason.contains(BASE_MISMATCH) => {
@@ -644,7 +646,11 @@ impl RemoteClient {
         }
     }
 
-    fn collect(&mut self, round: &Broadcast<'_>, sent: InFlight) -> Result<UpdateUpload> {
+    /// Reads one reply. Everything that can be wrong with its payload is
+    /// found here, on arrival, by the one validator — against the model
+    /// the client coded it against — before anything is billed, committed
+    /// or kept; what is kept is the payload itself, not its expansion.
+    fn collect(&mut self, round: &Broadcast<'_>, sent: InFlight) -> Result<ArrivedUpload> {
         let InFlight { epoch, shared } = sent;
         let reply: EncodedUpdateUpload = self.finish(MessageKind::EncodedUpdateUpload)?;
         if reply.weights.base_epoch.is_some_and(|base| base != epoch) {
@@ -655,15 +661,15 @@ impl RemoteClient {
                 ),
             });
         }
-        let weights = decode_weights(&reply.weights, shared.view_next.as_deref())?;
-        let upload_raw = dense_wire_bytes(&weights);
+        let weights = CheckedWeights::new(reply.weights, shared.view_next.clone())?;
+        let upload_raw = weights.dense_wire_bytes();
         let wire = WireBill {
             download_encoded_bytes: shared.encoded_bytes,
             download_raw_bytes: round.raw_bytes,
             upload_encoded_bytes: if self.codec == CodecKind::Identity {
                 upload_raw
             } else {
-                reply.weights.wire_bytes()
+                weights.encoded().wire_bytes()
             },
             upload_raw_bytes: upload_raw,
         };
@@ -676,7 +682,15 @@ impl RemoteClient {
         }
         let mut cost = reply.cost;
         cost.wire = wire;
-        Ok(UpdateUpload {
+        // A payload of dense bodies is the model already: expanding it
+        // moves them, which saves nothing by waiting — so it is done here,
+        // on the worker, not by the fold on the driver's one thread.
+        let weights = if weights.is_dense() {
+            ArrivedWeights::Dense(weights.into_dense())
+        } else {
+            ArrivedWeights::Wire(Box::new(weights))
+        };
+        Ok(ArrivedUpload {
             client_id: reply.client_id,
             round: reply.round,
             weights,
@@ -702,7 +716,7 @@ pub(crate) mod tests {
     use super::inprocess::LocalEndpoint;
     use super::*;
     use crate::adversary::{Adversary, AdversaryPlan, Persona};
-    use crate::codec::{flatten, EncodedWeights};
+    use crate::codec::{decode_weights, flatten, EncodedBody, EncodedWeights};
     use crate::config::TrainingPlan;
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
@@ -1088,6 +1102,203 @@ pub(crate) mod tests {
                     bits(flatten(want)),
                     "{persona:?}, round {round}"
                 );
+            }
+        }
+    }
+    /// What a [`Tampering`] endpoint does to tensor 0 of an update on its
+    /// way back to the server.
+    #[derive(Debug, Clone, Copy)]
+    enum Tamper {
+        /// A sparse body whose one index is the tensor's element count.
+        IndexOutOfRange,
+        /// A sparse body naming the same index twice.
+        IndexRepeated,
+        /// The dims reversed: every length and index still fits.
+        TransposedDims,
+        /// The last tensor dropped.
+        OddTensorCount,
+        /// An int8 body one byte short of its dims.
+        ShortInt8Body,
+        /// A well-formed sparse body.
+        DeltaBody,
+    }
+
+    impl Tamper {
+        fn apply(self, weights: &mut EncodedWeights) {
+            let n = weights.tensors[0].dims.iter().product::<usize>();
+            let sparse = |indices: &[usize]| EncodedBody::TopK {
+                indices: indices.iter().map(|&i| i as u32).collect(),
+                values: vec![0.5; indices.len()],
+            };
+            match self {
+                Tamper::IndexOutOfRange => weights.tensors[0].body = sparse(&[n]),
+                Tamper::IndexRepeated => weights.tensors[0].body = sparse(&[3, 3]),
+                Tamper::TransposedDims => weights.tensors[0].dims.reverse(),
+                Tamper::OddTensorCount => drop(weights.tensors.pop()),
+                Tamper::ShortInt8Body => {
+                    weights.tensors[0].body = EncodedBody::Int8 {
+                        zero: 0.0,
+                        scale: 1.0,
+                        q: vec![0; n - 1],
+                    }
+                }
+                Tamper::DeltaBody => weights.tensors[0].body = sparse(&[0]),
+            }
+        }
+    }
+
+    /// A [`LocalEndpoint`] whose `at`-th update is tampered with in
+    /// flight: opened, rewritten and packed again, so what the server
+    /// reads is a well-framed reply from a hostile client.
+    struct Tampering {
+        inner: LocalEndpoint,
+        /// Which update to rewrite, and how; `None` is an honest client.
+        tamper: Option<(usize, Tamper)>,
+        updates: usize,
+    }
+
+    impl ServerEndpoint for Tampering {
+        fn begin(&mut self, request: Envelope) -> Result<bool> {
+            self.inner.begin(request)
+        }
+        fn finish(&mut self) -> Result<Envelope> {
+            let reply = self.inner.finish()?;
+            if reply.kind != MessageKind::EncodedUpdateUpload {
+                return Ok(reply);
+            }
+            let nth = self.updates;
+            self.updates += 1;
+            match self.tamper {
+                Some((at, tamper)) if at == nth => {
+                    let mut update: EncodedUpdateUpload =
+                        reply.open(MessageKind::EncodedUpdateUpload)?;
+                    tamper.apply(&mut update.weights);
+                    Ok(Envelope::pack(MessageKind::EncodedUpdateUpload, &update))
+                }
+                _ => Ok(reply),
+            }
+        }
+        fn notify(&mut self, message: Envelope) -> Result<()> {
+            self.inner.notify(message)
+        }
+        fn descriptor(&self) -> String {
+            "tampering".to_owned()
+        }
+    }
+
+    #[test]
+    fn a_hostile_update_is_refused_on_arrival_by_name_and_leaves_nothing_behind() {
+        use crate::engine::{ClientOutcome, ExecutionEngine};
+        use gradsec_tee::cost::ClientCycleCost;
+        use CodecKind::{DeltaTopK, Identity, Int8};
+        // Every refusal is the text it has always been. The frame decoder
+        // is the first to see a body and names what a gap-coded index or
+        // a body read by its dims cannot express; the arrival check names
+        // the rest. Dims are compared with the reference only — without a
+        // view there is nothing for them to disagree with before the fold
+        // — and a sparse body is a refusal only where no view exists.
+        let cases: [(&[CodecKind], Tamper, &str); 6] = [
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::IndexOutOfRange,
+                "sparse index 12288 out of bounds for tensor of 12288",
+            ),
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::IndexRepeated,
+                "sparse index 4294967299 out of bounds for tensor of 12288",
+            ),
+            (
+                &[DeltaTopK],
+                Tamper::TransposedDims,
+                "reference tensor 0 has dims [4, 3072], payload [3072, 4]",
+            ),
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::OddTensorCount,
+                "encoded payload has odd tensor count 3",
+            ),
+            // Read by its dims, a short body ends one byte into the next
+            // tensor, whose rank (1) and first dim (4) then read as 4 << 56.
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::ShortInt8Body,
+                "encoded tensor rank 288230376151711744 exceeds protocol maximum",
+            ),
+            (
+                &[Identity, Int8],
+                Tamper::DeltaBody,
+                "delta body without a reference view",
+            ),
+        ];
+        let session = |id: u64, codec, tamper| {
+            let endpoint = Tampering {
+                inner: LocalEndpoint::new(fl_client(id)),
+                tamper,
+                updates: 0,
+            };
+            RemoteClient::connect_with(Box::new(endpoint), codec).unwrap()
+        };
+        let engine = ExecutionEngine::sequential();
+        for (codecs, tamper, why) in cases {
+            for &codec in codecs {
+                let what = format!("{codec:?}, {tamper:?}");
+                // Client 0 is honest; client 1 is too in round 0, so that a
+                // delta session has a view to lose in round 1.
+                let mut clients = vec![
+                    session(0, codec, None),
+                    session(1, codec, Some((1, tamper))),
+                ];
+                let mut download = ModelDownload {
+                    round: 0,
+                    weights: zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights(),
+                    plan: one_batch(),
+                    protected_layers: vec![],
+                };
+                let (honest, _) = engine
+                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .unwrap();
+                assert!(honest.iter().all(ClientOutcome::is_completed), "{what}");
+                let committed = clients[1].view_weights().cloned();
+                assert_eq!(committed.is_some(), codec == DeltaTopK, "{what}");
+
+                download.round = 1;
+                download.weights = honest[0].update().unwrap().weights.clone();
+                let (outcomes, ledger) = engine
+                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .unwrap();
+                assert!(outcomes[0].is_completed(), "{what}");
+                let refusal = match &outcomes[1] {
+                    ClientOutcome::Failed { client: 1, error } => error.to_string(),
+                    other => panic!("{what}: expected a refusal, got {other:?}"),
+                };
+                assert!(refusal.contains(why), "{what}: {refusal}");
+                assert_eq!(
+                    ledger.client(1),
+                    Some(&ClientCycleCost::unbilled(1)),
+                    "{what}"
+                );
+                assert_ne!(
+                    ledger.client(0),
+                    Some(&ClientCycleCost::unbilled(0)),
+                    "{what}"
+                );
+                // The refused session's view did not move; its neighbour's did.
+                assert_eq!(clients[1].view_weights(), committed.as_ref(), "{what}");
+                assert_eq!(
+                    clients[0].view_weights() != committed.as_ref(),
+                    codec == DeltaTopK,
+                    "{what}"
+                );
+
+                // And the session is not poisoned: the next round completes
+                // (a delta session by way of one dense re-send).
+                download.round = 2;
+                let (recovered, _) = engine
+                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .unwrap();
+                assert!(recovered.iter().all(ClientOutcome::is_completed), "{what}");
+                assert_eq!(clients[1].epoch(), if codec == DeltaTopK { 4 } else { 3 });
             }
         }
     }

@@ -23,7 +23,7 @@
 
 #![allow(unsafe_code)]
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use crate::{FlError, Result};
@@ -105,6 +105,23 @@ impl Poller {
             Poller::Epoll(p) => p.ctl(EPOLL_CTL_ADD, stream, token, interest),
             Poller::Portable(p) => {
                 p.set(token, Some(interest));
+                Ok(())
+            }
+        }
+    }
+
+    /// Starts watching a listening socket under `token`: it reads as
+    /// ready while a connection waits to be accepted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::Transport`] when the kernel rejects the watch.
+    pub(crate) fn register_listener(&mut self, listener: &TcpListener, token: usize) -> Result<()> {
+        match self {
+            #[cfg(target_os = "linux")]
+            Poller::Epoll(p) => p.ctl(EPOLL_CTL_ADD, listener, token, Interest::READ),
+            Poller::Portable(p) => {
+                p.set(token, Some(Interest::READ));
                 Ok(())
             }
         }
@@ -264,8 +281,13 @@ impl EpollPoller {
         })
     }
 
-    fn ctl(&mut self, op: i32, stream: &TcpStream, token: usize, interest: Interest) -> Result<()> {
-        use std::os::fd::AsRawFd;
+    fn ctl(
+        &mut self,
+        op: i32,
+        socket: &impl std::os::fd::AsRawFd,
+        token: usize,
+        interest: Interest,
+    ) -> Result<()> {
         let mut flags = EPOLLRDHUP;
         if interest.readable {
             flags |= EPOLLIN;
@@ -279,8 +301,8 @@ impl EpollPoller {
         };
         // SAFETY: `ev` is a live, properly-laid-out epoll_event for the
         // duration of the call; the fd is borrowed from an open
-        // TcpStream, so it cannot be closed concurrently.
-        let rc = unsafe { epoll_ctl(self.epfd, op, stream.as_raw_fd(), &mut ev) };
+        // socket, so it cannot be closed concurrently.
+        let rc = unsafe { epoll_ctl(self.epfd, op, socket.as_raw_fd(), &mut ev) };
         if rc < 0 {
             return Err(FlError::transport(
                 "updating epoll interest",

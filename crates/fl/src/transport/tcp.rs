@@ -21,6 +21,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use bytes::BytesMut;
 
 use crate::message::{parse_envelope_head, Envelope, Wire, ENVELOPE_HEADER_LEN};
+use crate::transport::poller::Poller;
 use crate::transport::{ClientEndpoint, ServerEndpoint};
 use crate::{FlError, Result};
 
@@ -178,6 +179,17 @@ impl TcpListenerEndpoint {
         self.listener
             .set_nonblocking(nonblocking)
             .map_err(|e| FlError::transport("configuring listener", e))
+    }
+
+    /// Registers the listener with `poller` under `token`, so an accept
+    /// loop can wait for the backlog to fill instead of napping between
+    /// [`try_accept`](Self::try_accept)s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::Transport`] when the poller rejects the watch.
+    pub(crate) fn watch(&self, poller: &mut Poller, token: usize) -> Result<()> {
+        poller.register_listener(&self.listener, token)
     }
 
     /// Polls a [non-blocking](Self::set_nonblocking) listener for one

@@ -19,9 +19,9 @@
 //! round-tripped through the `delta-topk` sparse codec — the realistic
 //! shape a bandwidth-constrained hostile fleet uploads.
 
-use gradsec_fl::aggregate::{Aggregator, PartialAggregate};
+use gradsec_fl::aggregate::{fedavg, Aggregator, PartialAggregate};
 use gradsec_fl::codec::{decode_weights, encode_weights, CodecKind};
-use gradsec_fl::message::UpdateUpload;
+use gradsec_fl::message::{decode, encode, UpdateUpload};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::{init, Tensor};
 use proptest::prelude::*;
@@ -304,5 +304,51 @@ proptest! {
                 prop_assert!((x - value).abs() <= slack, "|{x} - {value}| > {slack}");
             }
         }
+    }
+    #[test]
+    fn any_grouping_of_local_and_shipped_partials_folds_to_fedavg_bits(
+        n in 1usize..9,
+        groups in any::<u32>(),
+        shipped in any::<u8>(),
+        rot in 0usize..3,
+        layers in 1usize..3,
+        width in 1usize..4,
+        seed in any::<u64>(),
+        sparse in any::<bool>(),
+    ) {
+        // However the updates are grouped into partials, whichever of
+        // those crossed the shard-control channel on the way (a partial
+        // travels dense, whatever form its terms waited in), and in
+        // whatever order they merge, the finish restores slot order and
+        // runs the fold `fedavg` runs. (Terms still in wire form cannot be
+        // built outside the crate; that half of the property is
+        // `aggregate::tests::any_mix_of_wire_form_and_dense_terms_folds_to_fedavg_bits`.)
+        let base = weights(layers, width, seed ^ 0x5EED);
+        let uploads: Vec<UpdateUpload> = (0..n)
+            .map(|i| {
+                let w = weights(layers, width, seed.wrapping_add(i as u64));
+                let w = if sparse { through_topk(&w, &base, i as u64) } else { w };
+                upload(i as u64, w, 1 + 2 * i)
+            })
+            .collect();
+        let want = fedavg(&uploads).expect("fedavg succeeds");
+        let mut partials = [(); 3].map(|()| PartialAggregate::new());
+        for (slot, u) in uploads.iter().enumerate() {
+            partials[(groups >> (2 * slot)) as usize % 3].push(slot, u.clone());
+        }
+        let mut merged = PartialAggregate::new();
+        for i in 0..3 {
+            let g = (i + rot) % 3;
+            let partial = std::mem::take(&mut partials[g]);
+            merged.merge(if shipped >> g & 1 == 1 {
+                decode(&encode(&partial)).expect("a partial round-trips")
+            } else {
+                partial
+            });
+        }
+        prop_assert_eq!(merged.len(), n);
+        let out = merged.finish().expect("aggregation succeeds");
+        prop_assert_eq!(out.weights, want);
+        prop_assert_eq!(out.total_samples, uploads.iter().map(|u| u.num_samples).sum::<usize>());
     }
 }
