@@ -28,12 +28,6 @@ fn parse_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String> {
     parse(name, "an unsigned integer", value, |v| v.parse().ok())
 }
 
-fn parse_f64(name: &str, value: Option<&str>) -> Result<Option<f64>, String> {
-    parse(name, "a finite non-negative number", value, |v| {
-        v.parse().ok().filter(|x: &f64| x.is_finite() && *x >= 0.0)
-    })
-}
-
 /// Reads `name` through one of the parsers above, exiting 2 on a
 /// malformed (or non-unicode) value.
 fn read<T>(name: &str, parser: fn(&str, Option<&str>) -> Result<Option<T>, String>) -> Option<T> {
@@ -52,11 +46,6 @@ pub fn flag(name: &str) -> bool {
 /// `name` as an unsigned integer, `default` when unset.
 pub fn u64(name: &str, default: u64) -> u64 {
     read(name, parse_u64).unwrap_or(default)
-}
-
-/// `name` as a finite non-negative number, `default` when unset.
-pub fn f64(name: &str, default: f64) -> f64 {
-    read(name, parse_f64).unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -84,16 +73,6 @@ mod tests {
         assert_eq!(parse_u64("SOME_VAR", Some("42")), Ok(Some(42)));
         for bad in ["abc", "-1", "4.5"] {
             refused(parse_u64("SOME_VAR", Some(bad)), "unsigned integer");
-        }
-    }
-
-    #[test]
-    fn f64_parses_bars_and_refuses_the_rest_by_name() {
-        assert_eq!(parse_f64("SOME_VAR", None), Ok(None));
-        assert_eq!(parse_f64("SOME_VAR", Some("1.3")), Ok(Some(1.3)));
-        assert_eq!(parse_f64("SOME_VAR", Some("0")), Ok(Some(0.0)));
-        for bad in ["fast", "NaN", "-0.5"] {
-            refused(parse_f64("SOME_VAR", Some(bad)), "non-negative number");
         }
     }
 }

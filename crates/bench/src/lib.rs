@@ -61,20 +61,6 @@ pub fn master_seed() -> u64 {
     env::u64("GRADSEC_SEED", 42)
 }
 
-/// The workspace `target/` directory, honouring `CARGO_TARGET_DIR`.
-/// Cargo runs bins and benches with the *package* directory as cwd, so
-/// every JSON summary they export must be anchored here, never on a
-/// relative path.
-pub fn workspace_target() -> std::path::PathBuf {
-    std::env::var_os("CARGO_TARGET_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("target")
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //!   is mapped to `q = round((x - zero) / scale)` over 256 levels, so a
 //!   coefficient costs 1 byte instead of 4. Lossy, with a per-tensor
 //!   error bound of `scale / 2` (pinned by the `repro_gates` gate the
-//!   way `Blocked` pins 1e-5 kernel parity).
+//!   way `repro_kernels` pins `Tiled`'s kernel parity).
 //! * [`CodecKind::DeltaTopK`] — top-k sparsified delta against the
 //!   previous committed round: both sides hold a reference *view* of
 //!   the model per client epoch, only the largest [`TOPK_DENSITY`]

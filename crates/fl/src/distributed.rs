@@ -1217,6 +1217,58 @@ mod tests {
         assert!(err.to_string().contains("reply_timeout"), "{err}");
     }
 
+    /// A shard server refuses a backend, codec or partition name its build
+    /// does not know — the retired `"blocked"` backend among them — with a
+    /// `BadConfig` naming the value, instead of running something else.
+    #[test]
+    fn host_shard_refuses_unknown_names_by_name() {
+        let model = ModelSpec::TinyMlp {
+            inputs: 4,
+            hidden: 4,
+            outputs: 2,
+            seed: 1,
+        };
+        let valid = ShardConfig {
+            shard_index: 0,
+            range_start: 0,
+            range_end: 2,
+            total_clients: 2,
+            dataset: DatasetSpec::Micro {
+                len: 16,
+                classes: 2,
+                dim: 4,
+                seed: 1,
+            },
+            init_weights: build_model(&model).unwrap().weights(),
+            model,
+            plan: TrainingPlan::default(),
+            backend: "reference".to_owned(),
+            codec: "identity".to_owned(),
+            workers: 1,
+            measurement: Measurement([0; 32]),
+            faults: None,
+            partition: "iid".to_owned(),
+            adversaries: None,
+        };
+        assert!(host_shard(&valid).is_ok());
+        type Field = fn(&mut ShardConfig) -> &mut String;
+        let cases: [(Field, &str, &str); 3] = [
+            (|c| &mut c.backend, "blocked", "kernel backend"),
+            (|c| &mut c.codec, "zstd", "update codec"),
+            (|c| &mut c.partition, "dirichlet", "partition kind"),
+        ];
+        for (field, value, what) in cases {
+            let mut config = valid.clone();
+            *field(&mut config) = value.to_owned();
+            let Err(err) = host_shard(&config) else {
+                panic!("{what} {value:?} was accepted");
+            };
+            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+            let text = err.to_string();
+            assert!(text.contains(what) && text.contains(value), "{text}");
+        }
+    }
+
     #[test]
     fn a_shard_server_refuses_a_coordinator_at_another_version() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();

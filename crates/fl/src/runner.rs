@@ -1159,11 +1159,11 @@ mod tests {
         let (r_ref, w_ref) = run(Some(BackendKind::Reference));
         assert_eq!(r_default, r_ref);
         assert_eq!(w_default, w_ref);
-        // The blocked backend completes the same plan and lands within
+        // The tiled backend completes the same plan and lands within
         // kernel-rounding distance of the reference run.
-        let (r_blk, w_blk) = run(Some(BackendKind::Blocked));
-        assert_eq!(r_blk.rounds_completed, r_ref.rounds_completed);
-        for (a, b) in w_ref.iter().zip(w_blk.iter()) {
+        let (r_tld, w_tld) = run(Some(BackendKind::Tiled));
+        assert_eq!(r_tld.rounds_completed, r_ref.rounds_completed);
+        for (a, b) in w_ref.iter().zip(w_tld.iter()) {
             assert!(a.w.approx_eq(&b.w, 1e-2));
             assert!(a.b.approx_eq(&b.b, 1e-2));
         }

@@ -171,7 +171,7 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         // One fused kernel call computes Z and A = f(Z) together: the
-        // Reference/Blocked defaults replay the historical unfused op
+        // Reference default hook replays the historical unfused op
         // order bit-for-bit, while Tiled applies the activation inside
         // its GEMM writeback instead of re-walking the output.
         let (z, a) = conv2d_forward_fused_with(

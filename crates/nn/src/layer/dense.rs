@@ -156,7 +156,7 @@ impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let flat = self.flatten_input(input)?;
         // Z (N, out) = A (N, in) · Wᵀ + b and A = f(Z), in one fused
-        // kernel call: the Reference/Blocked defaults replay the
+        // kernel call: Reference's default hook replays the
         // historical matmul → bias sweep → activation order
         // bit-for-bit, while Tiled seeds the bias and activates inside
         // its GEMM writeback.

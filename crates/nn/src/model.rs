@@ -509,17 +509,17 @@ mod replicate_tests {
         use gradsec_tensor::BackendKind;
         let mut proto = zoo::tiny_mlp(16, 8, 2, 3).unwrap();
         assert_eq!(proto.backend(), BackendKind::Reference);
-        proto.set_backend(BackendKind::Blocked);
-        assert_eq!(proto.backend(), BackendKind::Blocked);
+        proto.set_backend(BackendKind::Tiled);
+        assert_eq!(proto.backend(), BackendKind::Tiled);
         let replica = proto.replicate();
-        assert_eq!(replica.backend(), BackendKind::Blocked);
+        assert_eq!(replica.backend(), BackendKind::Tiled);
         for l in replica.iter() {
-            assert_eq!(l.backend(), BackendKind::Blocked);
+            assert_eq!(l.backend(), BackendKind::Tiled);
         }
     }
 
     #[test]
-    fn blocked_backend_trains_close_to_reference() {
+    fn tiled_backend_trains_close_to_reference() {
         use gradsec_tensor::BackendKind;
         let proto = zoo::lenet5_with(2, 7).unwrap();
         let x = init::uniform(&[2, 3, 32, 32], 0.0, 1.0, 2);
@@ -534,12 +534,12 @@ mod replicate_tests {
             (stats.loss, m.weights())
         };
         let (loss_ref, w_ref) = run(BackendKind::Reference);
-        let (loss_blk, w_blk) = run(BackendKind::Blocked);
+        let (loss_tld, w_tld) = run(BackendKind::Tiled);
         assert!(
-            (loss_ref - loss_blk).abs() < 1e-4,
-            "{loss_ref} vs {loss_blk}"
+            (loss_ref - loss_tld).abs() < 1e-4,
+            "{loss_ref} vs {loss_tld}"
         );
-        for (a, b) in w_ref.iter().zip(w_blk.iter()) {
+        for (a, b) in w_ref.iter().zip(w_tld.iter()) {
             assert!(a.w.approx_eq(&b.w, 1e-3));
             assert!(a.b.approx_eq(&b.b, 1e-3));
         }

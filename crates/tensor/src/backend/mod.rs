@@ -8,27 +8,25 @@
 //! validation, allocation, thread banding) and dispatch the innermost
 //! loops to a backend chosen per call site.
 //!
-//! Three backends ship today:
+//! Two backends ship:
 //!
 //! * [`BackendKind::Reference`] — the original scalar kernels, extracted
 //!   verbatim from `ops::*`. This is the default everywhere and the
 //!   determinism anchor: its results are bit-identical to the pre-backend
 //!   kernels, so every seeded test and federation bit-identity gate holds
-//!   unchanged.
-//! * [`BackendKind::Blocked`] — cache-blocked, unrolled, safe Rust tuned
-//!   for autovectorization. Deterministic (same inputs → bit-identical
-//!   outputs) but *not* bit-identical to `Reference`: its kernels
-//!   reassociate floating-point reductions, so outputs agree only to
-//!   ~1e-5 relative error.
+//!   unchanged. Its convolutions check their im2col/col2im buffers out of
+//!   the `scratch` pool, which serves `Reference` only.
 //! * [`BackendKind::Tiled`] — register-tiled GEMM micro-kernels (6×16
 //!   tiles over packed panels) with two interchangeable inner kernels: a
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only
-//!   `unsafe` island), selected at runtime via `is_x86_feature_detected!`
-//!   with a `GRADSEC_TILED_ISA` override. Convolutions consume their
-//!   input through a *virtual im2col* packer — a zero-padded copy of the
-//!   band read in row runs — so the conv path checks no column scratch
-//!   out of the pool at all. Same contract as `Blocked`:
-//!   deterministic per ISA path, ~1e-5 relative parity with `Reference`.
+//!   `unsafe` island), selected once per process via
+//!   `is_x86_feature_detected!` with a `GRADSEC_TILED_ISA` override.
+//!   Convolutions consume their input through a *virtual im2col* packer —
+//!   a zero-padded copy of the band read in row runs — so the conv path
+//!   checks no column scratch out of the pool at all. Deterministic per
+//!   ISA path (same inputs → bit-identical outputs) but *not*
+//!   bit-identical to `Reference`: its kernels reassociate floating-point
+//!   reductions, so outputs agree only to ~1e-5 relative error.
 //!
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
 //! carry a [`BackendKind`] into every forward/backward call,
@@ -37,12 +35,10 @@
 //! whole federation run. Within one backend, flat/sharded/faulted runs
 //! stay bit-identical for any worker/shard/transport combination.
 
-mod blocked;
 mod reference;
 pub(crate) mod scratch;
 mod tiled;
 
-pub use blocked::Blocked;
 pub use reference::Reference;
 pub use tiled::{Tiled, TiledIsa};
 
@@ -69,9 +65,6 @@ pub enum BackendKind {
     /// seed implementation.
     #[default]
     Reference,
-    /// Cache-blocked, unrolled, autovectorization-friendly kernels —
-    /// deterministic, ~1e-5 relative parity with `Reference`.
-    Blocked,
     /// Register-tiled GEMM micro-kernels (portable or AVX2+FMA, chosen
     /// at runtime) with virtual-im2col convolutions — deterministic per
     /// ISA path, ~1e-5 relative parity with `Reference`.
@@ -79,22 +72,16 @@ pub enum BackendKind {
 }
 
 static REFERENCE: Reference = Reference;
-static BLOCKED: Blocked = Blocked;
 static TILED: Tiled = Tiled::auto();
 
 impl BackendKind {
     /// Every selectable backend, in documentation order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Reference,
-        BackendKind::Blocked,
-        BackendKind::Tiled,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Tiled];
 
     /// Resolves the selector to its kernel implementation.
     pub fn kernels(self) -> &'static dyn TensorBackend {
         match self {
             BackendKind::Reference => &REFERENCE,
-            BackendKind::Blocked => &BLOCKED,
             BackendKind::Tiled => &TILED,
         }
     }
@@ -104,7 +91,6 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
-            BackendKind::Blocked => "blocked",
             BackendKind::Tiled => "tiled",
         }
     }
@@ -114,7 +100,6 @@ impl BackendKind {
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
             "reference" => Some(BackendKind::Reference),
-            "blocked" => Some(BackendKind::Blocked),
             "tiled" => Some(BackendKind::Tiled),
             _ => None,
         }
@@ -274,8 +259,8 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
     ///
     /// The default is the unfused two-sweep path — the kernel followed by
     /// an elementwise map in the same order the layers used before fusion
-    /// existed, so `Reference`/`Blocked` stay bit-identical to their
-    /// historical behaviour. Backends that fuse (e.g. `Tiled`, which
+    /// existed, so `Reference` stays bit-identical to its historical
+    /// behaviour. Backends that fuse (e.g. `Tiled`, which
     /// applies `act` during the final tile writeback) must produce the
     /// same `z` as their unfused kernel and `a = act(z)` exactly.
     #[allow(clippy::too_many_arguments)]
@@ -338,12 +323,15 @@ mod tests {
             assert_eq!(kind.kernels().kind(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(BackendKind::parse(" Blocked\n"), Some(BackendKind::Blocked));
+        assert_eq!(BackendKind::parse(" Tiled\n"), Some(BackendKind::Tiled));
         assert_eq!(
             BackendKind::parse("REFERENCE"),
             Some(BackendKind::Reference)
         );
         assert_eq!(BackendKind::parse("simd"), None);
+        // The retired backend is refused, not mis-run as another one.
+        assert_eq!(BackendKind::parse("blocked"), None);
+        assert_eq!(BackendKind::parse(" Blocked\n"), None);
         assert_eq!(BackendKind::parse(""), None);
     }
 

@@ -1,4 +1,6 @@
-//! Reusable scratch buffers for the im2col/col2im convolution kernels.
+//! Reusable scratch buffers for the `Reference` backend's im2col/col2im
+//! convolution kernels — the pool's only client (`Tiled` convolves
+//! through virtual im2col and never checks a buffer out).
 //!
 //! One client cycle calls `conv2d_forward`/`conv2d_backward` once per
 //! convolutional layer per batch; allocating the `(C·K·K) × (OH·OW)`

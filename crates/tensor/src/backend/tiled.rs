@@ -12,12 +12,17 @@
 //! * an **x86-64 AVX2+FMA** kernel — the crate's only `unsafe` island —
 //!   holding the whole 6×16 tile in twelve YMM accumulators.
 //!
-//! The ISA is chosen per call: a [`Tiled::with_isa`] instance is pinned,
-//! otherwise the `GRADSEC_TILED_ISA` environment variable
-//! (`portable`/`avx2`; any other value panics naming the variable) is
-//! honoured, otherwise `is_x86_feature_detected!` picks AVX2 when the
-//! host has it. `avx2` silently falls back to portable on hosts without
-//! the features, so CI recipes are portable.
+//! A [`Tiled::with_isa`] instance is pinned; every other instance runs on
+//! the ISA the process resolves once, at first use: the
+//! `GRADSEC_TILED_ISA` environment variable (`portable`/`avx2`; any other
+//! value panics naming the variable) when set, otherwise AVX2 when
+//! `is_x86_feature_detected!` finds it. `avx2` silently falls back to
+//! portable on hosts without the features, so CI recipes are portable.
+//!
+//! `matvec`, `sum` and `dot` are lane reductions ([`LANES`] independent
+//! chains, so the loop vectorizes); max pooling and the elementwise maps
+//! are memory-bound with nothing to tile, so they are the `Reference`
+//! kernels, bit for bit.
 //!
 //! Convolutions never materialise an im2col buffer (*virtual im2col*).
 //! Each kernel call copies its band of images once into zero-padded
@@ -46,8 +51,9 @@
 
 use std::borrow::Cow;
 
-use super::blocked::Blocked;
-use super::{BackendKind, FusedActivation, TensorBackend};
+use std::sync::OnceLock;
+
+use super::{BackendKind, FusedActivation, Reference, TensorBackend};
 use crate::ops::conv::Conv2dGeometry;
 use crate::ops::pool::PoolGeometry;
 
@@ -62,9 +68,9 @@ const KC: usize = 256;
 /// One micro-tile of output accumulators.
 type Acc = [[f32; NR]; MR];
 
-/// Elementwise/pool/matvec ops delegate to the `Blocked` kernels: they
-/// are memory-bound, so tiling buys nothing over its fused lane loops.
-const FALLBACK: Blocked = Blocked;
+/// Independent accumulator chains for the `matvec`, `sum` and `dot`
+/// reductions.
+const LANES: usize = 8;
 
 /// The instruction set the micro-kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,8 +132,9 @@ pub struct Tiled {
 }
 
 impl Tiled {
-    /// The auto-selecting instance `BackendKind::Tiled` resolves to:
-    /// honours `GRADSEC_TILED_ISA`, otherwise detects the best ISA.
+    /// The auto-selecting instance `BackendKind::Tiled` resolves to: the
+    /// ISA the process resolved once (`GRADSEC_TILED_ISA`, otherwise the
+    /// best the host has).
     pub const fn auto() -> Self {
         Tiled { pinned: None }
     }
@@ -140,16 +147,10 @@ impl Tiled {
     }
 
     /// The ISA this instance's kernels will actually run on, resolving
-    /// pin → environment override → host detection, and degrading any
-    /// unavailable choice to portable.
+    /// pin → the process's ISA, and degrading any unavailable choice to
+    /// portable.
     pub fn isa(&self) -> TiledIsa {
-        let wanted = self.pinned.or_else(env_isa).unwrap_or({
-            if avx2_available() {
-                TiledIsa::Avx2
-            } else {
-                TiledIsa::Portable
-            }
-        });
+        let wanted = self.pinned.unwrap_or_else(process_isa);
         if wanted.available() {
             wanted
         } else {
@@ -173,9 +174,17 @@ fn parse_isa(value: Option<&str>) -> Result<Option<TiledIsa>, String> {
     }
 }
 
-fn env_isa() -> Option<TiledIsa> {
-    let value = std::env::var_os("GRADSEC_TILED_ISA").map(|v| v.to_string_lossy().into_owned());
-    parse_isa(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+/// The ISA every unpinned instance runs on, resolved once per process:
+/// the `GRADSEC_TILED_ISA` override, otherwise AVX2 (which [`Tiled::isa`]
+/// degrades to portable on a host without it). A malformed override
+/// panics naming the variable, at first use.
+fn process_isa() -> TiledIsa {
+    static ISA: OnceLock<TiledIsa> = OnceLock::new();
+    *ISA.get_or_init(|| {
+        let value = std::env::var_os("GRADSEC_TILED_ISA").map(|v| v.to_string_lossy().into_owned());
+        let wanted = parse_isa(value.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+        wanted.unwrap_or(TiledIsa::Avx2)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -273,6 +282,43 @@ fn run_kernel(isa: TiledIsa, kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
             kernel_portable(kc, a, b, acc)
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Lane reductions
+// ---------------------------------------------------------------------------
+
+/// Multi-lane inner product over equal-length slices.
+fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    let xc = x.chunks_exact(LANES);
+    let yc = y.chunks_exact(LANES);
+    let mut tail = 0.0f32;
+    for (xv, yv) in xc.remainder().iter().zip(yc.remainder()) {
+        tail += xv * yv;
+    }
+    for (xs, ys) in xc.zip(yc) {
+        for l in 0..LANES {
+            lanes[l] += xs[l] * ys[l];
+        }
+    }
+    lanes.iter().sum::<f32>() + tail
+}
+
+/// Multi-lane sum.
+fn sum_lanes(xs: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    let chunks = xs.chunks_exact(LANES);
+    let mut tail = 0.0f32;
+    for &x in chunks.remainder() {
+        tail += x;
+    }
+    for c in chunks {
+        for l in 0..LANES {
+            lanes[l] += c[l];
+        }
+    }
+    lanes.iter().sum::<f32>() + tail
 }
 
 // ---------------------------------------------------------------------------
@@ -645,9 +691,11 @@ impl TensorBackend for Tiled {
     }
 
     fn matvec(&self, a: &[f32], x: &[f32], y: &mut [f32], m: usize, k: usize) {
-        // A single output column wastes 15/16 of the tile; the blocked
-        // lane reduction is the right kernel for matvec.
-        FALLBACK.matvec(a, x, y, m, k);
+        // A single output column wastes 15/16 of the tile; a lane
+        // reduction per row is the right kernel for matvec.
+        for (i, yi) in y.iter_mut().enumerate().take(m) {
+            *yi = dot_lanes(&a[i * k..(i + 1) * k], x);
+        }
     }
 
     fn conv2d_forward(
@@ -809,7 +857,7 @@ impl TensorBackend for Tiled {
         n: usize,
         geo: &PoolGeometry,
     ) {
-        FALLBACK.maxpool_forward(input, out, argmax, n, geo);
+        Reference.maxpool_forward(input, out, argmax, n, geo);
     }
 
     fn maxpool_backward(
@@ -820,27 +868,27 @@ impl TensorBackend for Tiled {
         n: usize,
         geo: &PoolGeometry,
     ) {
-        FALLBACK.maxpool_backward(delta_out, argmax, dinput, n, geo);
+        Reference.maxpool_backward(delta_out, argmax, dinput, n, geo);
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        FALLBACK.axpy(alpha, x, y);
+        Reference.axpy(alpha, x, y);
     }
 
     fn hadamard(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        FALLBACK.hadamard(a, b, out);
+        Reference.hadamard(a, b, out);
     }
 
     fn scale(&self, s: f32, a: &[f32], out: &mut [f32]) {
-        FALLBACK.scale(s, a, out);
+        Reference.scale(s, a, out);
     }
 
     fn sum(&self, xs: &[f32]) -> f32 {
-        FALLBACK.sum(xs)
+        sum_lanes(xs)
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        FALLBACK.dot(a, b)
+        dot_lanes(a, b)
     }
 
     fn dense_forward_fused(
@@ -923,6 +971,16 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn lane_reductions_match_serial_on_small_inputs() {
+        let xs: Vec<f32> = (0..37).map(|i| (i as f32) * 0.25 - 4.0).collect();
+        let ys: Vec<f32> = (0..37).map(|i| 1.0 - (i as f32) * 0.125).collect();
+        let serial_sum: f32 = xs.iter().sum();
+        let serial_dot: f32 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
+        assert!((sum_lanes(&xs) - serial_sum).abs() < 1e-4);
+        assert!((dot_lanes(&xs, &ys) - serial_dot).abs() < 1e-4);
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! * [`Shape`] — row-major shapes with stride computation,
 //! * [`Tensor`] — owned dense `f32` tensors with elementwise algebra,
 //! * [`backend`] — pluggable kernel backends behind the [`TensorBackend`]
-//!   trait: [`BackendKind::Reference`] (the bit-identical default),
-//!   [`BackendKind::Blocked`] (cache-blocked autovectorization-friendly
-//!   kernels) and [`BackendKind::Tiled`] (register-tiled GEMM micro-kernels
-//!   with virtual-im2col convolutions and a runtime-dispatched AVX2+FMA
-//!   path),
+//!   trait: [`BackendKind::Reference`] (the bit-identical default) and
+//!   [`BackendKind::Tiled`] (register-tiled GEMM micro-kernels with
+//!   virtual-im2col convolutions and a runtime-dispatched AVX2+FMA path),
 //! * [`ops::matmul`] — blocked and multi-threaded matrix products,
 //! * [`ops::conv`] — im2col/col2im 2-D convolutions (forward and both
 //!   backward passes), the workhorse of LeNet-5 and AlexNet,

@@ -188,7 +188,7 @@ mod tests {
         assert!(add(&a, &b).is_err());
         assert!(sub(&a, &b).is_err());
         assert!(hadamard(&a, &b).is_err());
-        assert!(hadamard_with(&a, &b, BackendKind::Blocked).is_err());
+        assert!(hadamard_with(&a, &b, BackendKind::Tiled).is_err());
         assert!(lerp(&a, &b, 0.5).is_err());
         let mut y = t(&[0.0, 0.0]);
         assert!(axpy(1.0, &a, &mut y).is_err());

@@ -242,17 +242,17 @@ mod tests {
 
     #[test]
     fn backends_agree_bit_identically() {
-        // Pooling is memory-bound: the blocked backend deliberately reuses
+        // Pooling is memory-bound: the tiled backend deliberately reuses
         // the reference scan, so outputs match exactly.
         let geo = PoolGeometry::mp2(2, 4, 4).unwrap();
         let input = init::uniform(&[2, 2, 4, 4], -1.0, 1.0, 71);
         let (a, am_a) = maxpool_forward_with(&input, &geo, BackendKind::Reference).unwrap();
-        let (b, am_b) = maxpool_forward_with(&input, &geo, BackendKind::Blocked).unwrap();
+        let (b, am_b) = maxpool_forward_with(&input, &geo, BackendKind::Tiled).unwrap();
         assert_eq!(a.data(), b.data());
         assert_eq!(am_a, am_b);
         let delta = init::uniform(&[2, 2, 2, 2], -1.0, 1.0, 72);
         let da = maxpool_backward_with(&delta, &am_a, &geo, BackendKind::Reference).unwrap();
-        let db = maxpool_backward_with(&delta, &am_b, &geo, BackendKind::Blocked).unwrap();
+        let db = maxpool_backward_with(&delta, &am_b, &geo, BackendKind::Tiled).unwrap();
         assert_eq!(da.data(), db.data());
     }
 

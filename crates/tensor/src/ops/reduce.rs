@@ -9,7 +9,7 @@ pub fn sum(t: &Tensor) -> f32 {
 }
 
 /// [`sum`] through an explicit backend. Reductions are where backends
-/// legitimately differ: the blocked backend accumulates in multiple
+/// legitimately differ: the tiled backend accumulates in multiple
 /// lanes, so its result can differ from [`sum`] by f32 reassociation
 /// error (each backend is individually deterministic).
 pub fn sum_with(t: &Tensor, backend: BackendKind) -> f32 {

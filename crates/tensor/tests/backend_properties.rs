@@ -7,20 +7,19 @@
 //!    seed kernels. The oracles below are verbatim copies of those seed
 //!    loops — including the machine-independent conv banding/reduction
 //!    schedule — so any reordering regression shows up as a bit diff.
-//! 2. **Blocked ≈ Reference** — the `Blocked` backend agrees with
-//!    `Reference` on every op (forward *and* backward) within 1e-5
-//!    relative error (scaled by the largest output magnitude, since f32
-//!    reassociation error is absolute per accumulation).
-//! 3. **Each backend is deterministic** — running any op twice on the
+//! 2. **Each backend is deterministic** — running any op twice on the
 //!    same inputs yields bit-identical results, including the
 //!    thread-banded paths.
-//! 4. **Tiled ≈ Reference on every ISA** — the `Tiled` backend agrees
-//!    with `Reference` on every op (forward *and* backward) within the
-//!    same 1e-5 relative bound, on the portable kernel *and* on the
-//!    AVX2 kernel when the host has one; each ISA path is individually
-//!    bit-deterministic, and the fused conv/dense forward hooks agree
-//!    with their unfused op sequences (bit-identically on backends
-//!    running the default unfused replay).
+//! 3. **Tiled ≈ Reference on every ISA** — the `Tiled` backend agrees
+//!    with `Reference` on every op (forward *and* backward) within 1e-5
+//!    relative error (scaled by the largest output magnitude, since f32
+//!    reassociation error is absolute per accumulation), on the portable
+//!    kernel *and* on the AVX2 kernel when the host has one; each ISA
+//!    path is individually bit-deterministic, its pooling and
+//!    elementwise hooks are `Reference`'s bit for bit, and the fused
+//!    conv/dense forward hooks agree with their unfused op sequences
+//!    (bit-identically on `Reference`, which runs the default unfused
+//!    replay).
 
 use gradsec_tensor::backend::{
     thread_scratch_checkouts, BackendKind, FusedActivation, TensorBackend, Tiled, TiledIsa,
@@ -357,7 +356,7 @@ proptest! {
 
     /// Reference matmul family is bit-identical to the seed kernels for
     /// arbitrary shapes (including ones that cross the parallel-banding
-    /// threshold), and Blocked agrees within relative tolerance. Both
+    /// threshold), and Tiled agrees within relative tolerance. Both
     /// backends are deterministic.
     #[test]
     fn matmul_family_parity(m in 1usize..72, k in 1usize..48, n in 1usize..72, seed in 0u64..1000) {
@@ -375,24 +374,6 @@ proptest! {
         prop_assert_eq!(ref_tn.data(), seed_matmul_tn(&at, &b).data());
         let ref_mv = matvec_with(&a, &x, BackendKind::Reference).unwrap();
         prop_assert_eq!(ref_mv.data(), seed_matvec(&a, &x).data());
-
-        let blocked = matmul_with(&a, &b, BackendKind::Blocked).unwrap();
-        assert_rel_close(reference.data(), blocked.data(), "matmul");
-        assert_rel_close(
-            ref_nt.data(),
-            matmul_nt_with(&a, &bt, BackendKind::Blocked).unwrap().data(),
-            "matmul_nt",
-        );
-        assert_rel_close(
-            ref_tn.data(),
-            matmul_tn_with(&at, &b, BackendKind::Blocked).unwrap().data(),
-            "matmul_tn",
-        );
-        assert_rel_close(
-            ref_mv.data(),
-            matvec_with(&a, &x, BackendKind::Blocked).unwrap().data(),
-            "matvec",
-        );
 
         assert_rel_close(
             reference.data(),
@@ -423,7 +404,7 @@ proptest! {
     }
 
     /// Conv forward + both backward passes: Reference bit-identical to the
-    /// seed kernels (including the band-ordered dW/db reduction), Blocked
+    /// seed kernels (including the band-ordered dW/db reduction), Tiled
     /// within relative tolerance, both deterministic.
     #[test]
     fn conv2d_parity(
@@ -458,14 +439,6 @@ proptest! {
         prop_assert_eq!(db_ref.data(), db_seed.data());
         prop_assert_eq!(di_ref.data(), di_seed.data());
 
-        let fwd_blk = conv2d_forward_with(&input, &weights, &bias, &geo, BackendKind::Blocked).unwrap();
-        assert_rel_close(fwd_ref.data(), fwd_blk.data(), "conv2d_forward");
-        let (dw_blk, db_blk, di_blk) =
-            conv2d_backward_with(&input, &weights, &delta, &geo, BackendKind::Blocked).unwrap();
-        assert_rel_close(dw_ref.data(), dw_blk.data(), "conv2d dW");
-        assert_rel_close(db_ref.data(), db_blk.data(), "conv2d db");
-        assert_rel_close(di_ref.data(), di_blk.data(), "conv2d dInput");
-
         let fwd_tld = conv2d_forward_with(&input, &weights, &bias, &geo, BackendKind::Tiled).unwrap();
         assert_rel_close(fwd_ref.data(), fwd_tld.data(), "tiled conv2d_forward");
         let (dw_tld, db_tld, di_tld) =
@@ -487,7 +460,7 @@ proptest! {
     }
 
     /// Pooling: bit-identical to the seed scan on every backend (the
-    /// blocked backend deliberately shares the reference kernel).
+    /// tiled backend deliberately shares the reference kernel).
     #[test]
     fn maxpool_parity(
         n in 1usize..5,
@@ -515,8 +488,8 @@ proptest! {
         // Backward routes identically whatever the backend: same argmax,
         // same scatter.
         let di_ref = maxpool_backward_with(&delta, &am_seed, &geo, BackendKind::Reference).unwrap();
-        let di_blk = maxpool_backward_with(&delta, &am_seed, &geo, BackendKind::Blocked).unwrap();
-        prop_assert_eq!(di_ref.data(), di_blk.data());
+        let di_tld = maxpool_backward_with(&delta, &am_seed, &geo, BackendKind::Tiled).unwrap();
+        prop_assert_eq!(di_ref.data(), di_tld.data());
     }
 
     /// Elementwise hooks are bit-identical across backends (no
@@ -527,28 +500,28 @@ proptest! {
         let a = t(&[len], seed);
         let b = t(&[len], seed + 1);
         let had_ref = hadamard_with(&a, &b, BackendKind::Reference).unwrap();
-        let had_blk = hadamard_with(&a, &b, BackendKind::Blocked).unwrap();
-        prop_assert_eq!(had_ref.data(), had_blk.data());
+        let had_tld = hadamard_with(&a, &b, BackendKind::Tiled).unwrap();
+        prop_assert_eq!(had_ref.data(), had_tld.data());
         prop_assert_eq!(
             scale_with(&a, alpha, BackendKind::Reference).data(),
-            scale_with(&a, alpha, BackendKind::Blocked).data()
+            scale_with(&a, alpha, BackendKind::Tiled).data()
         );
         let mut y_ref = b.clone();
         axpy_with(alpha, &a, &mut y_ref, BackendKind::Reference).unwrap();
-        let mut y_blk = b.clone();
-        axpy_with(alpha, &a, &mut y_blk, BackendKind::Blocked).unwrap();
-        prop_assert_eq!(y_ref.data(), y_blk.data());
+        let mut y_tld = b.clone();
+        axpy_with(alpha, &a, &mut y_tld, BackendKind::Tiled).unwrap();
+        prop_assert_eq!(y_ref.data(), y_tld.data());
 
         // Scalar reductions can cancel to near zero, so judge the
         // reassociation error against the L1 mass of the terms summed.
         let sum_ref = sum_with(&a, BackendKind::Reference);
-        let sum_blk = sum_with(&a, BackendKind::Blocked);
+        let sum_tld = sum_with(&a, BackendKind::Tiled);
         let l1: f32 = a.data().iter().map(|x| x.abs()).sum();
-        prop_assert!((sum_ref - sum_blk).abs() <= 1e-5 * (1.0 + l1));
+        prop_assert!((sum_ref - sum_tld).abs() <= 1e-5 * (1.0 + l1));
         let dot_ref = dot_with(&a, &b, BackendKind::Reference).unwrap();
-        let dot_blk = dot_with(&a, &b, BackendKind::Blocked).unwrap();
+        let dot_tld = dot_with(&a, &b, BackendKind::Tiled).unwrap();
         let l1d: f32 = a.data().iter().zip(b.data()).map(|(x, y)| (x * y).abs()).sum();
-        prop_assert!((dot_ref - dot_blk).abs() <= 1e-5 * (1.0 + l1d));
+        prop_assert!((dot_ref - dot_tld).abs() <= 1e-5 * (1.0 + l1d));
         for backend in BackendKind::ALL {
             prop_assert_eq!(sum_with(&a, backend), sum_with(&a, backend));
             prop_assert_eq!(dot_with(&a, &b, backend).unwrap(), dot_with(&a, &b, backend).unwrap());
@@ -622,8 +595,8 @@ proptest! {
     }
 
     /// The fused conv/dense forward hooks agree with the unfused op
-    /// sequence they replace: bit-identically on Reference/Blocked
-    /// (whose default impls replay the exact historical op order) and
+    /// sequence they replace: bit-identically on Reference (whose
+    /// default impls replay the exact historical op order) and
     /// within the relative bound on Tiled (which seeds bias and applies
     /// the activation inside its GEMM writeback).
     #[test]
