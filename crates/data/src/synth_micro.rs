@@ -2,11 +2,13 @@
 //!
 //! The engine-scaling and shard-scaling benches simulate 10⁴+ clients per
 //! round; at that scale the 3,072-dimensional CIFAR stand-in would spend
-//! all its time (and hundreds of megabytes of per-client model replicas)
-//! on pixels nobody looks at. [`SyntheticMicro`] keeps the same contract —
-//! lazily generated, `sample(i)` a pure function of `(seed, i)`, genuinely
-//! learnable class structure — at a configurable handful of dimensions, so
-//! a 10,000-client fleet of `tiny_mlp` replicas fits in a few megabytes.
+//! all its time (and the first layer's weights, which grow with the input
+//! width) on pixels nobody looks at. [`SyntheticMicro`] keeps the same
+//! contract — lazily generated, `sample(i)` a pure function of
+//! `(seed, i)`, genuinely learnable class structure — at a configurable
+//! handful of dimensions, so a 10,000-client round of `tiny_mlp` cycles
+//! stays cheap. (An idle client holds no model at all: a fleet keeps one
+//! replica per cycle in flight.)
 //!
 //! Samples are class centroids (seeded uniform draws in `[0, 1]`) plus
 //! small per-sample noise; labels round-robin over the classes so every

@@ -1,15 +1,17 @@
-//! FL clients and their devices.
+//! FL clients, their devices, and the models a fleet of them trains.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use gradsec_data::{Batcher, Dataset};
 use gradsec_nn::model::ModelWeights;
 use gradsec_nn::Sequential;
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::ta::Uuid;
-use gradsec_tensor::Tensor;
 
 use crate::adversary::{Adversary, Persona};
+use crate::codec::{flatten, identical, rebuild_all, EncodedWeights};
+use crate::config::TrainingPlan;
 use crate::message::{AttestationResponse, ModelDownload, UpdateUpload};
 use crate::trainer::{CycleStats, LocalTrainer};
 use crate::Result;
@@ -93,21 +95,221 @@ impl DeviceProfile {
     }
 }
 
-/// One federated-learning client: a device, a local data shard and a
-/// model replica.
+/// The models a fleet's clients train, lent per cycle, and the delta
+/// views they hold between cycles, shared per lockstep group.
 ///
-/// The replica is the client's only copy of the model. Between cycles
-/// nothing reads what training left in it — [`run_cycle`](Self::run_cycle)
-/// starts by overwriting it with the download — so a delta-topk session
-/// parks its reference view there (see
-/// [`ClientHandler`](crate::transport::ClientHandler)) instead of keeping
-/// a second dense copy.
+/// Between cycles nothing reads what training left in a model — a cycle
+/// starts by overwriting it with the download — so an idle client needs
+/// none. A cycle borrows an idle replica ([`lend`](Self::lend)),
+/// replicating the prototype only when none is idle, and hands it back
+/// reset when it ends: the store holds as many replicas as cycles ever
+/// overlapped, not one per client. A cycle that panics never hands its
+/// replica back; it is dropped, not lent out dirty.
+///
+/// A delta-topk client's reference view is the decoded download it last
+/// trained on. Decoding is a pure function of `(base view, payload)`, so
+/// clients that hold the same base allocation and receive an identical
+/// payload — a lockstep group — are handed one allocation
+/// ([`view`](Self::view)), the client-side counterpart of the server's
+/// per-group view.
+pub(crate) struct ClientModels {
+    replicas: Mutex<Replicas>,
+    /// Every view handed out and possibly still held, with what it was
+    /// decoded from.
+    views: Mutex<Vec<Decoded>>,
+    /// Replicas built so far.
+    #[cfg(test)]
+    built: std::sync::atomic::AtomicUsize,
+    /// The view each client holds, as its handler last recorded it.
+    #[cfg(test)]
+    held: Mutex<std::collections::BTreeMap<u64, Weak<ModelWeights>>>,
+}
+
+struct Replicas {
+    prototype: Sequential,
+    idle: Vec<Sequential>,
+}
+
+/// A view and the `(base, payload)` it was decoded from. The base is held
+/// weakly, which keeps its address from being reused while it is a key.
+struct Decoded {
+    base: Option<Weak<ModelWeights>>,
+    payload: EncodedWeights,
+    view: Weak<ModelWeights>,
+}
+
+impl Decoded {
+    fn is(&self, base: Option<&Arc<ModelWeights>>, payload: &EncodedWeights) -> bool {
+        let same_base = match (&self.base, base) {
+            (None, None) => true,
+            (Some(held), Some(base)) => std::ptr::eq(held.as_ptr(), Arc::as_ptr(base)),
+            _ => false,
+        };
+        same_base && identical(&self.payload, payload)
+    }
+
+    /// Whether the view is still held and its base can still be named.
+    fn is_live(&self) -> bool {
+        self.view.strong_count() > 0 && self.base.as_ref().is_none_or(|b| b.strong_count() > 0)
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Nothing panics while holding these locks; a poisoned one still
+    // holds consistent state.
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl ClientModels {
+    /// A store lending replicas of `prototype`.
+    pub(crate) fn new(prototype: Sequential) -> Arc<Self> {
+        Arc::new(ClientModels {
+            replicas: Mutex::new(Replicas {
+                prototype,
+                idle: Vec::new(),
+            }),
+            views: Mutex::default(),
+            #[cfg(test)]
+            built: Default::default(),
+            #[cfg(test)]
+            held: Mutex::default(),
+        })
+    }
+
+    /// Borrows an idle replica for one cycle, replicating the prototype
+    /// when none is idle. Its weights are whatever the last cycle left.
+    fn lend(&self) -> Lent<'_> {
+        let mut replicas = lock(&self.replicas);
+        let model = replicas.idle.pop().unwrap_or_else(|| {
+            #[cfg(test)]
+            self.built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            replicas.prototype.replicate()
+        });
+        Lent {
+            store: self,
+            model: Some(model),
+        }
+    }
+
+    /// The model `payload` decodes to against `base`: the live view
+    /// already decoded from the same base allocation and an identical
+    /// payload, or a new one. `payload` must have passed
+    /// [`check_against`](crate::codec::check_against) against `base`.
+    pub(crate) fn view(
+        &self,
+        base: Option<&Arc<ModelWeights>>,
+        payload: EncodedWeights,
+    ) -> Arc<ModelWeights> {
+        let live = |views: &[Decoded]| {
+            let found = views.iter().find(|d| d.is(base, &payload));
+            found.and_then(|d| d.view.upgrade())
+        };
+        if let Some(view) = live(&lock(&self.views)) {
+            return view;
+        }
+        let reference = base.map(|b| flatten(b));
+        let decoded = Arc::new(rebuild_all(&payload, reference.as_deref()));
+        let mut views = lock(&self.views);
+        // Another thread may have decoded the same view meanwhile: the
+        // first one stays, so the group still shares one allocation.
+        if let Some(view) = live(&views) {
+            return view;
+        }
+        views.retain(Decoded::is_live);
+        views.push(Decoded {
+            base: base.map(Arc::downgrade),
+            payload,
+            view: Arc::downgrade(&decoded),
+        });
+        decoded
+    }
+
+    /// How many replicas this store has built.
+    #[cfg(test)]
+    pub(crate) fn replicas_built(&self) -> usize {
+        self.built.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// The replicas idle right now: whether each is clean (no gradients).
+    #[cfg(test)]
+    pub(crate) fn idle_clean(&self) -> Vec<bool> {
+        let replicas = lock(&self.replicas);
+        let clean = |m: &Sequential| m.gradient_snapshot().is_none();
+        replicas.idle.iter().map(clean).collect()
+    }
+
+    /// Records the view `client` holds now.
+    #[cfg(test)]
+    pub(crate) fn note_view(&self, client: u64, view: Option<&Arc<ModelWeights>>) {
+        let mut held = lock(&self.held);
+        match view {
+            Some(view) => held.insert(client, Arc::downgrade(view)),
+            None => held.remove(&client),
+        };
+    }
+
+    /// The view every client holds, by client id.
+    #[cfg(test)]
+    pub(crate) fn views_held(&self) -> std::collections::BTreeMap<u64, Arc<ModelWeights>> {
+        let held = lock(&self.held);
+        let live = held.iter().filter_map(|(&id, v)| Some((id, v.upgrade()?)));
+        live.collect()
+    }
+}
+
+/// A replica borrowed for one cycle. Dropping it hands it back reset —
+/// unless the cycle is unwinding from a panic, which discards it.
+struct Lent<'a> {
+    store: &'a ClientModels,
+    model: Option<Sequential>,
+}
+
+impl Deref for Lent<'_> {
+    type Target = Sequential;
+
+    fn deref(&self) -> &Sequential {
+        self.model.as_ref().expect("lent until dropped")
+    }
+}
+
+impl DerefMut for Lent<'_> {
+    fn deref_mut(&mut self) -> &mut Sequential {
+        self.model.as_mut().expect("lent until dropped")
+    }
+}
+
+impl Lent<'_> {
+    /// Drops the caches and gradients: model-sized buffers that the next
+    /// backward pass re-creates, and that an idle replica does not hold.
+    fn reset(&mut self) {
+        self.clear_caches();
+        self.zero_grads();
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        self.reset();
+        if let Some(model) = self.model.take() {
+            lock(&self.store.replicas).idle.push(model);
+        }
+    }
+}
+
+/// One federated-learning client: a device, a local data shard and a
+/// trainer. It holds no model: each cycle borrows one from its fleet's
+/// `ClientModels` (a client built on its own gets a store of its own),
+/// and a delta-topk session's reference view is held by its
+/// [`ClientHandler`](crate::transport::ClientHandler).
 pub struct FlClient {
     id: u64,
     device: DeviceProfile,
     dataset: Arc<dyn Dataset>,
     shard: Vec<usize>,
-    model: Sequential,
+    models: Arc<ClientModels>,
     trainer: Box<dyn LocalTrainer>,
     last_stats: Option<CycleStats>,
     adversary: Option<Adversary>,
@@ -124,7 +326,7 @@ impl std::fmt::Debug for FlClient {
 }
 
 impl FlClient {
-    /// Creates a client.
+    /// Creates a client that trains replicas of `model`.
     pub fn new(
         id: u64,
         device: DeviceProfile,
@@ -133,16 +335,34 @@ impl FlClient {
         model: Sequential,
         trainer: Box<dyn LocalTrainer>,
     ) -> Self {
+        let models = ClientModels::new(model);
+        FlClient::hosted(id, device, dataset, shard, models, trainer)
+    }
+
+    /// Creates a client of a fleet whose clients borrow from `models`.
+    pub(crate) fn hosted(
+        id: u64,
+        device: DeviceProfile,
+        dataset: Arc<dyn Dataset>,
+        shard: Vec<usize>,
+        models: Arc<ClientModels>,
+        trainer: Box<dyn LocalTrainer>,
+    ) -> Self {
         FlClient {
             id,
             device,
             dataset,
             shard,
-            model,
+            models,
             trainer,
             last_stats: None,
             adversary: None,
         }
+    }
+
+    /// The store this client's cycles borrow from.
+    pub(crate) fn models(&self) -> &ClientModels {
+        &self.models
     }
 
     /// Client id.
@@ -185,24 +405,6 @@ impl FlClient {
         self.adversary.as_ref().map(|a| a.persona)
     }
 
-    /// The replica's parameter tensors, flattened `[w0, b0, w1, b1, …]`
-    /// and borrowed in place: the reference a delta download is decoded
-    /// against.
-    pub(crate) fn replica_tensors(&self) -> Vec<&Tensor> {
-        let params = self.model.iter().map(|layer| layer.weights());
-        params.flat_map(|(w, b)| [w, b]).collect()
-    }
-
-    /// Trades parameter tensors with `weights`, buffers and all: the
-    /// replica ends up holding `weights`, nothing is copied or allocated.
-    ///
-    /// # Errors
-    ///
-    /// An architecture mismatch, before anything has moved.
-    pub(crate) fn swap_weights(&mut self, weights: &mut ModelWeights) -> Result<()> {
-        Ok(self.model.swap_weights(weights)?)
-    }
-
     /// Responds to an attestation challenge. Devices without a TEE (or
     /// without the TA) answer with no quote and are filtered out by the
     /// server.
@@ -229,56 +431,78 @@ impl FlClient {
     ///
     /// Propagates model/TEE failures.
     pub fn run_cycle(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
+        let ModelDownload {
+            round,
+            weights,
+            plan,
+            protected_layers,
+        } = download;
+        self.cycle(*round, weights, plan, protected_layers)
+    }
+
+    /// [`run_cycle`](Self::run_cycle) from the download's parts, its
+    /// weights borrowed — a view a lockstep group shares is trained from
+    /// where it lies. The cycle borrows a replica from the fleet's store,
+    /// loads `global` into it with one `set_weights`, trains, builds the
+    /// upload and hands the replica back reset.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model/TEE failures.
+    pub(crate) fn cycle(
+        &mut self,
+        round: u64,
+        global: &ModelWeights,
+        plan: &TrainingPlan,
+        protected_layers: &[usize],
+    ) -> Result<UpdateUpload> {
         if self.persona() == Some(Persona::FreeRider) {
-            return self.free_ride(download);
+            return Ok(self.free_ride(round, global, plan));
         }
-        self.model.set_weights(&download.weights)?;
+        let mut model = self.models.lend();
+        model.set_weights(global)?;
         let batcher = Batcher::new(
             self.shard.len(),
-            download.plan.batch_size,
-            download.plan.seed ^ self.id ^ download.round.wrapping_mul(0x9E37),
+            plan.batch_size,
+            plan.seed ^ self.id ^ round.wrapping_mul(0x9E37),
         );
         // Map shard-relative batch indices to dataset indices.
         let batches: Vec<Vec<usize>> = batcher
-            .epoch_batches(download.round, download.plan.batches_per_cycle)
+            .epoch_batches(round, plan.batches_per_cycle)
             .into_iter()
             .map(|b| b.into_iter().map(|i| self.shard[i]).collect())
             .collect();
         let stats = self.trainer.train_cycle(
-            &mut self.model,
+            &mut model,
             self.dataset.as_ref(),
             &batches,
-            download.plan.learning_rate,
-            &download.protected_layers,
+            plan.learning_rate,
+            protected_layers,
         )?;
         self.last_stats = Some(stats);
-        self.model.clear_caches();
-        // The gradients go with the caches: the next backward pass
-        // re-creates them, and until then they are a model-sized buffer
-        // held by every idle client of the fleet.
-        self.model.zero_grads();
+        // Reset before the upload is built, as a client always has: heap
+        // shape is a cost here, and the other order measured 13–26 %
+        // slower `lenet_protected` set-ups.
+        model.reset();
+        let trained = model.weights();
+        drop(model);
         let weights = match &self.adversary {
             Some(adv) => match adv.persona {
-                Persona::Poisoner => adv.plan.poisoned(
-                    self.id,
-                    download.round,
-                    &download.weights,
-                    &self.model.weights(),
-                )?,
-                Persona::Scaler => adv.plan.scaled(&download.weights, &self.model.weights())?,
+                Persona::Poisoner => adv.plan.poisoned(self.id, round, global, &trained)?,
+                Persona::Scaler => adv.plan.scaled(global, &trained)?,
                 Persona::Colluder => {
                     if let Some(log) = &adv.log {
-                        log.observe(self.id, download.round, &download.weights);
+                        log.observe(self.id, round, global);
                     }
-                    self.model.weights()
+                    trained
                 }
                 Persona::FreeRider => unreachable!("free-riders return before training"),
             },
-            None => self.model.weights(),
+            None => trained,
         };
         Ok(UpdateUpload {
             client_id: self.id,
-            round: download.round,
+            round,
             weights,
             num_samples: stats.samples.max(1),
             train_loss: stats.mean_loss,
@@ -289,17 +513,22 @@ impl FlClient {
     /// The free-rider cycle: no training at all — echo the global
     /// weights back while claiming a full cycle's samples and zero
     /// compute cost. Deterministic by construction (no RNG, no batches).
-    fn free_ride(&mut self, download: &ModelDownload) -> Result<UpdateUpload> {
-        let claimed = (download.plan.batch_size * download.plan.batches_per_cycle).max(1);
+    fn free_ride(
+        &mut self,
+        round: u64,
+        global: &ModelWeights,
+        plan: &TrainingPlan,
+    ) -> UpdateUpload {
+        let claimed = (plan.batch_size * plan.batches_per_cycle).max(1);
         self.last_stats = Some(CycleStats::default());
-        Ok(UpdateUpload {
+        UpdateUpload {
             client_id: self.id,
-            round: download.round,
-            weights: download.weights.clone(),
+            round,
+            weights: global.clone(),
             num_samples: claimed,
             train_loss: 0.0,
             cost: CycleStats::default().cost(self.id),
-        })
+        }
     }
 }
 
@@ -312,17 +541,31 @@ mod tests {
     use gradsec_nn::zoo;
     use gradsec_tee::attestation::verify_quote;
 
+    fn model() -> Sequential {
+        zoo::tiny_mlp(3 * 32 * 32, 8, 2, 1).unwrap()
+    }
+
     fn client(device: DeviceProfile) -> FlClient {
         let ds = Arc::new(SyntheticCifar100::with_classes(32, 2, 3));
-        let model = zoo::tiny_mlp(3 * 32 * 32, 8, 2, 1).unwrap();
         FlClient::new(
             7,
             device,
             ds,
             (0..32).collect(),
-            model,
+            model(),
             Box::new(PlainSgdTrainer),
         )
+    }
+
+    fn plan() -> TrainingPlan {
+        TrainingPlan {
+            rounds: 1,
+            clients_per_round: 1,
+            batches_per_cycle: 2,
+            batch_size: 8,
+            learning_rate: 0.05,
+            seed: 11,
+        }
     }
 
     #[test]
@@ -354,23 +597,12 @@ mod tests {
     fn personas_shape_the_upload() {
         use crate::adversary::{Adversary, AdversaryPlan, CollusionLog};
 
-        let plan = TrainingPlan {
-            rounds: 1,
-            clients_per_round: 1,
-            batches_per_cycle: 2,
-            batch_size: 8,
-            learning_rate: 0.05,
-            seed: 11,
-        };
         let scenario = Arc::new(AdversaryPlan::seeded(5).poisoners(1.0));
-        let download = {
-            let c = client(DeviceProfile::trustzone(7));
-            ModelDownload {
-                round: 0,
-                weights: c.model.weights(),
-                plan,
-                protected_layers: vec![],
-            }
+        let download = ModelDownload {
+            round: 0,
+            weights: model().weights(),
+            plan: plan(),
+            protected_layers: vec![],
         };
 
         let honest = client(DeviceProfile::trustzone(7))
@@ -413,19 +645,11 @@ mod tests {
     #[test]
     fn run_cycle_trains_and_uploads() {
         let mut c = client(DeviceProfile::trustzone(7));
-        let plan = TrainingPlan {
-            rounds: 1,
-            clients_per_round: 1,
-            batches_per_cycle: 2,
-            batch_size: 8,
-            learning_rate: 0.05,
-            seed: 11,
-        };
-        let global = c.model.weights();
+        let global = model().weights();
         let download = ModelDownload {
             round: 0,
             weights: global.clone(),
-            plan,
+            plan: plan(),
             protected_layers: vec![],
         };
         let up = c.run_cycle(&download).unwrap();
@@ -433,9 +657,56 @@ mod tests {
         assert_eq!(up.num_samples, 16);
         assert_ne!(up.weights, global, "training must move the weights");
         assert!(c.last_stats().is_some());
-        assert!(
-            c.model.gradient_snapshot().is_none(),
-            "an idle client holds no gradient buffers"
+        assert_eq!(
+            c.models().idle_clean(),
+            [true],
+            "the replica went back without gradient buffers"
         );
+    }
+
+    #[test]
+    fn a_replica_whose_cycle_failed_or_panicked_is_never_lent_out_dirty() {
+        use crate::trainer::tests::{Flaky, Mishap};
+        use crate::transport::tests::bits;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let ds = Arc::new(SyntheticCifar100::with_classes(32, 2, 3));
+        let member = |id: u64, models: &Arc<ClientModels>, trainer: Box<dyn LocalTrainer>| {
+            let device = DeviceProfile::trustzone(id);
+            let shard = (0..32).collect();
+            FlClient::hosted(id, device, ds.clone(), shard, models.clone(), trainer)
+        };
+        let download = ModelDownload {
+            round: 3,
+            weights: zoo::tiny_mlp(3 * 32 * 32, 8, 2, 5).unwrap().weights(),
+            plan: plan(),
+            protected_layers: vec![],
+        };
+        let fresh = member(8, &ClientModels::new(model()), Box::new(PlainSgdTrainer))
+            .run_cycle(&download)
+            .unwrap();
+        for how in [Mishap::Fails, Mishap::Panics] {
+            let models = ClientModels::new(model());
+            let mut flaky = member(7, &models, Flaky::boxed(0, how));
+            let went_wrong = catch_unwind(AssertUnwindSafe(|| flaky.run_cycle(&download)));
+            // An error hands the replica back reset; a panic drops it.
+            let (failed, idle) = match how {
+                Mishap::Fails => (matches!(went_wrong, Ok(Err(_))), vec![true]),
+                Mishap::Panics => (went_wrong.is_err(), vec![]),
+            };
+            assert!(failed);
+            assert_eq!(models.idle_clean(), idle);
+            let next = member(8, &models, Box::new(PlainSgdTrainer))
+                .run_cycle(&download)
+                .unwrap();
+            assert_eq!(bits(flatten(&next.weights)), bits(flatten(&fresh.weights)));
+            assert_eq!(next.train_loss.to_bits(), fresh.train_loss.to_bits());
+            assert_eq!(next, fresh);
+            let built = match how {
+                Mishap::Fails => 1,
+                Mishap::Panics => 2,
+            };
+            assert_eq!(models.replicas_built(), built);
+        }
     }
 }

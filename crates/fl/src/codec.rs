@@ -23,13 +23,14 @@
 //!   previous committed round: both sides hold a reference *view* of
 //!   the model per client epoch, only the largest [`TOPK_DENSITY`]
 //!   fraction of per-tensor delta coefficients cross the wire, and the
-//!   receiver reconstructs `view + delta`. The server's view is one
-//!   shared allocation per lockstep group; the client's view *is* the
-//!   replica it trains — a successful cycle leaves the decoded download
-//!   in it, and the next delta is decoded against its tensors in place
-//!   — so an idle client holds one model, not two. The first exchange
-//!   (no committed view) and any tensor whose sparse form would not
-//!   save bytes fall back to dense absolute values.
+//!   receiver reconstructs `view + delta`. A view is one shared
+//!   allocation per lockstep group on each side: the server's broadcast
+//!   decodes it once per group, and a client's is the decoded download it
+//!   last trained on, which clients holding the same base and receiving
+//!   the same payload share (`client::ClientModels`). An idle client
+//!   holds no model of its own. The first exchange (no committed view)
+//!   and any tensor whose sparse form would not save bytes fall back to
+//!   dense absolute values.
 //!
 //! # Byte layout
 //!
@@ -55,12 +56,17 @@
 //!
 //! # Who holds what, when
 //!
-//! A payload is dense in exactly two places: in the replica that trains
-//! on it, and inside the fold that consumes it. On the way up, the
-//! server reads a session's reply, runs it through `check_against` — the
-//! one validator: every structural refusal there is, against the view
-//! the client coded it against, allocating nothing — bills it from its
-//! lengths and dims, commits the session's view, and *keeps the payload*
+//! A payload is dense in exactly three places: in a delta view, one per
+//! lockstep group on each side; in the replica a cycle borrows to train
+//! on it, one per cycle in flight; and inside the fold that consumes it.
+//! On the way down, a client runs the download through `check_against`
+//! against the view it holds and is handed the group's decoded view. On
+//! the way up, the server reads a session's reply, runs it through
+//! `check_against` — the one validator: every structural refusal there
+//! is and every coefficient that would decode to NaN or ±inf, against
+//! the view the client coded it against, allocating nothing — bills it
+//! from its lengths and dims, commits the session's view, and *keeps the
+//! payload*
 //! (a `CheckedWeights`: the [`EncodedWeights`] plus an `Arc` of that
 //! view; a payload whose bodies are all dense — every identity reply —
 //! is the model already, so it is moved out on the spot, which costs
@@ -69,8 +75,8 @@
 //! so a round's pending updates cost what crossed the wire, not `k ×`
 //! the dense model; the fold expands them — one at a time under FedAvg —
 //! and an update the round does not fold (a surplus spare, a straggler)
-//! is never expanded at all. `decode_against`, the client's and the
-//! mirror's decoder, is the same check followed by the same rebuild,
+//! is never expanded at all. A client's download and the server's
+//! mirror decode are the same check followed by the same rebuild,
 //! which after the check cannot fail. The public eager calls
 //! ([`RemoteClient::train`](crate::transport::RemoteClient::train),
 //! `ExecutionEngine::execute_cycles`, `PartialAggregate::push` /
@@ -85,8 +91,8 @@
 //! reproducible quantity. The delta codec's epoch handshake recovers
 //! deterministically too: a client whose view is not the one the server
 //! names — a garbled upload made the server withhold its commit, or the
-//! client's last cycle failed after it had begun overwriting the replica
-//! that was its view — answers with a typed error containing
+//! client's last cycle failed or panicked, which drops its view —
+//! answers with a typed error containing
 //! [`BASE_MISMATCH`], and the server re-sends that one download dense.
 
 use std::sync::Arc;
@@ -424,10 +430,11 @@ pub fn encode_weights(
 ///
 /// # Errors
 ///
-/// Returns [`FlError::Protocol`] on structural violations: an odd
+/// Returns [`FlError::Protocol`] on structural violations — an odd
 /// tensor count, a reference whose tensors are not the payload's in
 /// number and dims, a delta body without a reference, out-of-bounds
-/// indices, or body/shape length disagreement.
+/// indices, or body/shape length disagreement — and on a coefficient
+/// that would decode to NaN or ±inf.
 pub fn decode_weights(
     enc: &EncodedWeights,
     reference: Option<&ModelWeights>,
@@ -436,10 +443,9 @@ pub fn decode_weights(
 }
 
 /// [`decode_weights`] with the reference view as borrowed tensors,
-/// flattened `[w0, b0, w1, b1, …]`: a client's view is the replica it
-/// trains, lent in place. It is [`check_against`] and then a rebuild that
-/// cannot fail; the decoded model is a fresh allocation, so a refused
-/// payload has touched nothing.
+/// flattened `[w0, b0, w1, b1, …]`. It is [`check_against`] and then
+/// [`rebuild_all`], which cannot fail; the decoded model is a fresh
+/// allocation, so a refused payload has touched nothing.
 pub(crate) fn decode_against(
     enc: &EncodedWeights,
     reference: Option<&[&Tensor]>,
@@ -448,20 +454,25 @@ pub(crate) fn decode_against(
     Ok(rebuild_all(enc, reference))
 }
 
-/// The one validator of an encoded payload: every structural refusal
-/// there is — an odd tensor count, a reference whose tensors are not the
-/// payload's in number and dims, dims whose product overflows, a body
-/// whose length disagrees with its dims, a delta body without a
-/// reference, sparse indices out of order or out of range — in payload
-/// order, reading the payload and allocating nothing. With a reference,
-/// every tensor must have the reference tensor's dims, so an accepted
-/// payload fits the model the reference was borrowed from.
+/// The one validator of an encoded payload: every refusal there is — an
+/// odd tensor count, a reference whose tensors are not the payload's in
+/// number and dims, dims whose product overflows, a body whose length
+/// disagrees with its dims, a delta body without a reference, sparse
+/// indices out of order or out of range, and a coefficient that would
+/// decode to NaN or ±inf — in payload order, reading the payload and
+/// allocating nothing. With a reference, every tensor must have the
+/// reference tensor's dims, so an accepted payload fits the model the
+/// reference was taken from. Every coefficient an accepted payload
+/// stands for is finite, so no accepted update can poison a fold.
 ///
 /// # Errors
 ///
 /// Returns [`FlError::Protocol`] naming the first violation.
 pub(crate) fn check_against(enc: &EncodedWeights, reference: Option<&[&Tensor]>) -> Result<()> {
     let bad = |reason: String| FlError::Protocol { reason };
+    let non_finite = |i: usize, at: std::fmt::Arguments<'_>, x: f32| {
+        bad(format!("non-finite coefficient {x} in tensor {i} at {at}"))
+    };
     if !enc.tensors.len().is_multiple_of(2) {
         return Err(bad(format!(
             "encoded payload has odd tensor count {}",
@@ -504,16 +515,32 @@ pub(crate) fn check_against(enc: &EncodedWeights, reference: Option<&[&Tensor]>)
                     q.len()
                 )));
             }
-            EncodedBody::Dense(_) | EncodedBody::Int8 { .. } => {}
-            EncodedBody::TopK { indices, values } => {
-                if r.is_none() {
-                    return Err(bad("delta body without a reference view".to_owned()));
+            EncodedBody::Dense(v) => {
+                if let Some(j) = v.iter().position(|x| !x.is_finite()) {
+                    return Err(non_finite(i, format_args!("index {j}"), v[j]));
                 }
+            }
+            EncodedBody::Int8 { zero, scale, .. } => {
+                // `zero + scale * q` for `q` in 0..=255 lies between its
+                // two ends, so those and the scale are what can blow up.
+                let ends = [
+                    ("zero", *zero),
+                    ("scale", *scale),
+                    ("zero + 255·scale", zero + scale * 255.0),
+                ];
+                if let Some((at, x)) = ends.into_iter().find(|(_, x)| !x.is_finite()) {
+                    return Err(non_finite(i, format_args!("int8 {at}"), x));
+                }
+            }
+            EncodedBody::TopK { indices, values } => {
+                let Some(r) = r else {
+                    return Err(bad("delta body without a reference view".to_owned()));
+                };
                 if indices.len() != values.len() {
                     return Err(bad("sparse index/value length mismatch".to_owned()));
                 }
                 let mut prev: Option<u32> = None;
-                for &idx in indices {
+                for (&idx, &v) in indices.iter().zip(values) {
                     if prev.is_some_and(|p| idx <= p) {
                         return Err(bad("sparse indices not strictly increasing".to_owned()));
                     }
@@ -521,11 +548,48 @@ pub(crate) fn check_against(enc: &EncodedWeights, reference: Option<&[&Tensor]>)
                     if idx as usize >= n {
                         return Err(bad(format!("sparse index {idx} out of bounds {n}")));
                     }
+                    // What decodes here is `reference + value`.
+                    let x = r.data()[idx as usize] + v;
+                    if !x.is_finite() {
+                        return Err(non_finite(i, format_args!("index {idx}"), x));
+                    }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Whether two payloads are the same bits: `==`, except that floats
+/// compare by bit pattern (`-0.0` is not `0.0`), so equal payloads decode
+/// to equal bits against the same reference.
+pub(crate) fn identical(a: &EncodedWeights, b: &EncodedWeights) -> bool {
+    let floats = |x: &[f32], y: &[f32]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    let bodies = |x: &EncodedBody, y: &EncodedBody| match (x, y) {
+        (EncodedBody::Dense(x), EncodedBody::Dense(y)) => floats(x, y),
+        (
+            EncodedBody::Int8 { zero, scale, q },
+            EncodedBody::Int8 {
+                zero: z,
+                scale: s,
+                q: p,
+            },
+        ) => floats(&[*zero, *scale], &[*z, *s]) && q == p,
+        (
+            EncodedBody::TopK { indices, values },
+            EncodedBody::TopK {
+                indices: i,
+                values: v,
+            },
+        ) => indices == i && floats(values, v),
+        _ => false,
+    };
+    (a.codec, a.epoch, a.base_epoch) == (b.codec, b.epoch, b.base_epoch)
+        && a.tensors.len() == b.tensors.len()
+        && (a.tensors.iter().zip(&b.tensors))
+            .all(|(x, y)| x.dims == y.dims && bodies(&x.body, &y.body))
 }
 
 /// The coefficients a checked body stands for; `r` is the reference
@@ -551,7 +615,7 @@ fn rebuild(body: &EncodedBody, r: Option<&Tensor>) -> Vec<f32> {
 
 /// The model a payload [`check_against`] accepted against `reference`
 /// stands for, the payload left in place.
-fn rebuild_all(enc: &EncodedWeights, reference: Option<&[&Tensor]>) -> ModelWeights {
+pub(crate) fn rebuild_all(enc: &EncodedWeights, reference: Option<&[&Tensor]>) -> ModelWeights {
     layers(
         enc.tensors
             .iter()
@@ -1099,15 +1163,141 @@ mod tests {
         }
     }
 
+    #[test]
+    fn non_finite_coefficients_are_refused_by_name() {
+        // Tensor 1 (a bias of 4) carries the bad coefficient; tensor 0 and
+        // the reference are ordinary, so only the body under test decides.
+        let reference = ModelWeights::new(vec![LayerWeights {
+            w: Tensor::from_vec(vec![0.5; 6], &[2, 3]).unwrap(),
+            b: Tensor::from_vec(vec![1.0, -1.0, f32::MAX, 2.0], &[4]).unwrap(),
+        }]);
+        let payload = |body: EncodedBody| EncodedWeights {
+            codec: CodecKind::DeltaTopK,
+            epoch: 1,
+            base_epoch: Some(0),
+            tensors: vec![
+                EncodedTensor {
+                    dims: vec![2, 3],
+                    body: EncodedBody::Dense(vec![0.25; 6]),
+                },
+                EncodedTensor {
+                    dims: vec![4],
+                    body,
+                },
+            ],
+        };
+        let dense = |x: f32| EncodedBody::Dense(vec![0.0, 1.0, 2.0, x]);
+        let int8 = |zero: f32, scale: f32| EncodedBody::Int8 {
+            zero,
+            scale,
+            q: vec![0, 1, 2, 3],
+        };
+        let sparse = |idx: u32, v: f32| EncodedBody::TopK {
+            indices: vec![0, idx],
+            values: vec![0.5, v],
+        };
+        let cells = [
+            (
+                dense(f32::NAN),
+                "non-finite coefficient NaN in tensor 1 at index 3",
+            ),
+            (
+                dense(f32::INFINITY),
+                "non-finite coefficient inf in tensor 1 at index 3",
+            ),
+            (
+                dense(f32::NEG_INFINITY),
+                "non-finite coefficient -inf in tensor 1 at index 3",
+            ),
+            (
+                int8(f32::NAN, 1.0),
+                "non-finite coefficient NaN in tensor 1 at int8 zero",
+            ),
+            (
+                int8(0.0, f32::INFINITY),
+                "non-finite coefficient inf in tensor 1 at int8 scale",
+            ),
+            (
+                int8(f32::MIN, -f32::MAX / 128.0),
+                "non-finite coefficient -inf in tensor 1 at int8 zero + 255·scale",
+            ),
+            (
+                sparse(3, f32::NAN),
+                "non-finite coefficient NaN in tensor 1 at index 3",
+            ),
+            (
+                sparse(3, f32::INFINITY),
+                "non-finite coefficient inf in tensor 1 at index 3",
+            ),
+            (
+                sparse(3, f32::NEG_INFINITY),
+                "non-finite coefficient -inf in tensor 1 at index 3",
+            ),
+            // Both finite, their sum is not: `reference + value` decodes.
+            (
+                sparse(2, f32::MAX),
+                "non-finite coefficient inf in tensor 1 at index 2",
+            ),
+        ];
+        for (body, why) in cells {
+            let enc = payload(body);
+            let err = decode_weights(&enc, Some(&reference)).unwrap_err();
+            assert!(matches!(err, FlError::Protocol { .. }), "{why}: {err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+            let flat = flatten(&reference);
+            let checked = check_against(&enc, Some(&flat)).unwrap_err();
+            assert_eq!(checked.to_string(), err.to_string());
+        }
+        // The edges themselves are fine.
+        let edges = [dense(f32::MAX), int8(f32::MIN, f32::MAX / 256.0)];
+        for body in edges.into_iter().chain([sparse(2, -f32::MAX)]) {
+            assert!(decode_weights(&payload(body), Some(&reference)).is_ok());
+        }
+    }
+
+    #[test]
+    fn identical_payloads_are_the_same_bits_not_equal_floats() {
+        let reference = weights(4);
+        let mut moved = reference.clone();
+        moved.add_scaled(&reference, 0.01).unwrap();
+        let enc = encode_weights(CodecKind::DeltaTopK, 1, &moved, Some((0, &reference)));
+        assert!(identical(&enc, &enc.clone()));
+        let mut zero = encode_weights(CodecKind::Identity, 1, &moved, None);
+        let EncodedBody::Dense(v) = &mut zero.tensors[1].body else {
+            unreachable!("identity bodies are dense")
+        };
+        v[0] = 0.0;
+        let mut negative = zero.clone();
+        let EncodedBody::Dense(v) = &mut negative.tensors[1].body else {
+            unreachable!("identity bodies are dense")
+        };
+        v[0] = -0.0;
+        assert_eq!(zero, negative, "== cannot tell them apart");
+        assert!(!identical(&zero, &negative));
+        let mut later = enc.clone();
+        later.epoch += 1;
+        assert!(!identical(&enc, &later));
+    }
+
     /// The decoder as it was when validation and reconstruction were one
     /// walk — each tensor checked, then built, before the next is looked
-    /// at. The oracle [`check_against`] + rebuild must equal, refusal for
-    /// refusal and bit for bit.
+    /// at — plus the non-finite refusal, made on each coefficient as it is
+    /// built. The oracle [`check_against`] + rebuild must equal, refusal
+    /// for refusal and bit for bit.
     fn decode_interleaved(
         enc: &EncodedWeights,
         reference: Option<&[&Tensor]>,
     ) -> Result<ModelWeights> {
         let bad = |reason: String| FlError::Protocol { reason };
+        let finite = |i: usize, at: String, x: f32| {
+            if x.is_finite() {
+                Ok(x)
+            } else {
+                Err(bad(format!(
+                    "non-finite coefficient {x} in tensor {i} at {at}"
+                )))
+            }
+        };
         if !enc.tensors.len().is_multiple_of(2) {
             return Err(bad(format!(
                 "encoded payload has odd tensor count {}",
@@ -1146,7 +1336,9 @@ mod tests {
                             v.len()
                         )));
                     }
-                    v.clone()
+                    let at = |j: usize| format!("index {j}");
+                    let checked = v.iter().enumerate().map(|(j, &x)| finite(i, at(j), x));
+                    checked.collect::<Result<_>>()?
                 }
                 EncodedBody::Int8 { zero, scale, q } => {
                     if q.len() != n {
@@ -1155,6 +1347,9 @@ mod tests {
                             q.len()
                         )));
                     }
+                    finite(i, "int8 zero".to_owned(), *zero)?;
+                    finite(i, "int8 scale".to_owned(), *scale)?;
+                    finite(i, "int8 zero + 255·scale".to_owned(), zero + scale * 255.0)?;
                     q.iter().map(|&b| zero + scale * f32::from(b)).collect()
                 }
                 EncodedBody::TopK { indices, values } => {
@@ -1173,7 +1368,7 @@ mod tests {
                         let slot = out
                             .get_mut(idx as usize)
                             .ok_or_else(|| bad(format!("sparse index {idx} out of bounds {n}")))?;
-                        *slot += v;
+                        *slot = finite(i, format!("index {idx}"), *slot + v)?;
                     }
                     out
                 }

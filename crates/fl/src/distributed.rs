@@ -1148,7 +1148,7 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     // artifact, and colluders train honestly, so its absence cannot
     // perturb the committed weights.
     builder.host(
-        &prototype,
+        prototype,
         config.range_start as usize,
         config.total_clients as usize,
         None,

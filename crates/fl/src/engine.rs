@@ -1,10 +1,11 @@
 //! The federation execution engine: fans one round's client exchanges out
 //! across a worker pool.
 //!
-//! Every selected client's local training is independent — each trains a
-//! private model replica on a private shard with a per-client seeded
-//! batcher (`plan.seed ^ client_id ^ round`), so exchanges can run on any
-//! worker in any order without changing a single bit of the result. Since
+//! Every selected client's local training is independent — each cycle
+//! loads the download into a replica it borrows for that cycle alone and
+//! trains it on a private shard with a per-client seeded batcher
+//! (`plan.seed ^ client_id ^ round`), so exchanges can run on any worker
+//! in any order without changing a single bit of the result. Since
 //! the transport redesign the engine drives [`RemoteClient`] endpoints
 //! rather than touching client structs directly:
 //!

@@ -40,7 +40,7 @@ use gradsec_tee::crypto::sha256::sha256;
 
 use crate::adversary::{Adversary, AdversaryPlan, CollusionLog, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
-use crate::client::{DeviceProfile, FlClient};
+use crate::client::{ClientModels, DeviceProfile, FlClient};
 use crate::codec::CodecKind;
 use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
 use crate::engine::{ClientOutcome, ExecutionEngine};
@@ -329,9 +329,8 @@ impl FederationBuilder {
 
     /// Selects the tensor kernel backend for the whole federation run:
     /// the prototype model is pointed at it before replication, so every
-    /// client replica — and every per-worker copy the engine makes from
-    /// those — trains through the same kernels on every shard and
-    /// transport. Defaults to [`BackendKind::Reference`], the
+    /// replica a cycle borrows trains through the same kernels on every
+    /// shard and transport. Defaults to [`BackendKind::Reference`], the
     /// bit-identical-to-seed kernels.
     /// Runs are bit-identical *within* a backend for any
     /// `(shards, workers, transport)` combination; switching backends
@@ -436,10 +435,10 @@ impl FederationBuilder {
                 reason: "no clients configured".to_owned(),
             });
         }
-        // One factory invocation builds the prototype; every client gets a
-        // replica (identical weights, fresh caches) — the same mechanism
-        // the engine's per-worker replicas rely on. The run's kernel
-        // backend is set once here and rides along in every replica.
+        // One factory invocation builds the prototype, which the fleet's
+        // store replicates once per cycle in flight, not once per client.
+        // The run's kernel backend is set once here and rides along in
+        // every replica.
         let mut prototype = model_factory();
         prototype.set_backend(self.setup.backend);
         let server = self.setup.server(prototype.weights())?;
@@ -449,7 +448,7 @@ impl FederationBuilder {
             .as_ref()
             .map(|_| Arc::new(CollusionLog::default()));
         let total = self.devices.len();
-        let fleet = self.host(&prototype, 0, total, collusion)?;
+        let fleet = self.host(prototype, 0, total, collusion)?;
         Ok(self.setup.drive(server, fleet))
     }
 
@@ -464,17 +463,18 @@ impl FederationBuilder {
     }
 
     /// Builds the configured devices as clients `first_id..` of a
-    /// `total_clients` federation (replicas of `prototype`), wires them
-    /// onto the transport and handshakes them — the one client assembler,
-    /// for [`build`](Self::build) and for a `shard-server` process
-    /// hosting its range of a distributed fleet.
+    /// `total_clients` federation, wires them onto the transport and
+    /// handshakes them — the one client assembler, for
+    /// [`build`](Self::build) and for a `shard-server` process hosting its
+    /// range of a distributed fleet. The clients share one store that
+    /// lends replicas of `prototype` to the cycles in flight.
     ///
     /// The data partition is derived for the *whole* federation and
     /// sub-ranged, and ids and personas are global, so a client is the
     /// same client wherever it is hosted.
     pub(crate) fn host(
         &mut self,
-        prototype: &Sequential,
+        prototype: Sequential,
         first_id: usize,
         total_clients: usize,
         collusion: Option<Arc<CollusionLog>>,
@@ -488,16 +488,17 @@ impl FederationBuilder {
             self.setup.partition,
             self.setup.plan.seed,
         );
+        let models = ClientModels::new(prototype);
         let clients: Vec<FlClient> = std::mem::take(&mut self.devices)
             .into_iter()
             .zip(first_id..)
             .map(|(device, g)| {
-                let mut client = FlClient::new(
+                let mut client = FlClient::hosted(
                     g as u64,
                     device,
                     dataset.clone(),
                     std::mem::take(&mut partition[g]),
-                    prototype.replicate(),
+                    models.clone(),
                     (self.trainer_factory)(g as u64),
                 );
                 if let Some(plan) = &self.setup.adversaries {
@@ -527,6 +528,8 @@ impl FederationBuilder {
             sessions,
             measurement: self.setup.measurement,
             collusion,
+            #[cfg(test)]
+            models,
         })
     }
 }
@@ -639,6 +642,9 @@ pub struct LocalFleet {
     sessions: Option<MuxFleet>,
     measurement: Measurement,
     collusion: Option<Arc<CollusionLog>>,
+    /// The store every client of the fleet borrows from.
+    #[cfg(test)]
+    models: Arc<ClientModels>,
 }
 
 impl LocalFleet {
@@ -1135,6 +1141,42 @@ mod tests {
                 failures: 0,
             } => assert!(stragglers > 0),
             other => panic!("expected RoundCollapsed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_store_builds_no_more_replicas_than_cycles_overlapped() {
+        // Sixteen clients, all picked every round: at the parent every
+        // client owned a replica, 16 of them whatever the topology.
+        let configured = || {
+            let plan = TrainingPlan {
+                clients_per_round: 16,
+                ..plan()
+            };
+            Federation::builder(plan)
+                .model(|| zoo::tiny_mlp(64, 16, 2, 9).unwrap())
+                .clients(16, Arc::new(SyntheticMicro::new(64, 2, 64, 2)))
+        };
+        let two_loops = MuxOptions {
+            loops: 2,
+            ..MuxOptions::default()
+        };
+        let cases = [
+            ("sequential", configured(), 1),
+            ("2 workers", configured().engine(ExecutionEngine::new(2)), 2),
+            ("2 shards x 1", configured().shards(2), 2),
+            (
+                "TcpMux, 2 loops",
+                configured().transport(TransportKind::TcpMux).mux(two_loops),
+                2,
+            ),
+        ];
+        for (what, builder, overlap) in cases {
+            let mut fed = builder.build().unwrap();
+            assert_eq!(fed.run().unwrap().rounds_completed, 3, "{what}");
+            let built = fed.fleet.models.replicas_built();
+            fed.shutdown().unwrap();
+            assert!((1..=overlap).contains(&built), "{what}: {built} replicas");
         }
     }
 

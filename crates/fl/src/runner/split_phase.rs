@@ -140,12 +140,24 @@ fn mux_sessions(
     wrap: impl Fn(Box<dyn ServerEndpoint>) -> Box<dyn ServerEndpoint>,
     connect_extra: impl FnOnce(std::net::SocketAddr),
 ) -> (Vec<RemoteClient>, MuxFleet) {
+    let fleet = (0..n).map(fl_client).collect();
+    serve_over_mux(fleet, extra, codec, wrap, connect_extra)
+}
+
+/// [`mux_sessions`] over a fleet the caller built.
+fn serve_over_mux(
+    fleet: Vec<FlClient>,
+    extra: usize,
+    codec: CodecKind,
+    wrap: impl Fn(Box<dyn ServerEndpoint>) -> Box<dyn ServerEndpoint>,
+    connect_extra: impl FnOnce(std::net::SocketAddr),
+) -> (Vec<RemoteClient>, MuxFleet) {
     let listener = tcp::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
-    let fleet = (0..n).map(fl_client).collect();
+    let n = fleet.len();
     let mux = MuxFleet::launch(addr, fleet, &MuxOptions::default()).unwrap();
     connect_extra(addr);
-    let endpoints = (0..n as usize + extra)
+    let endpoints = (0..n + extra)
         .map(|_| wrap(Box::new(listener.accept().unwrap())))
         .collect();
     let mut clients = RemoteClient::connect_all(endpoints, codec).unwrap();
@@ -290,8 +302,8 @@ fn a_base_mismatch_inside_a_full_window_recovers_like_the_serial_path() {
 #[test]
 fn a_failed_or_panicked_cycle_costs_one_dense_resend_in_and_out_of_the_window() {
     // Client 2's second cycle goes wrong after a training step has moved
-    // its replica. The handler took the view's epoch before it lent the
-    // replica out, so the view is gone: the next delta is refused with
+    // the replica it borrowed. The handler took its view before the cycle
+    // began, so the view is gone: the next delta is refused with
     // BASE_MISMATCH and re-sent dense, and the one after is sparse again.
     // A panic is only survivable in process, where the engine contains it.
     let (rounds, fleet) = (5, 6usize);
@@ -369,12 +381,73 @@ fn replicas_a_mux_fleet_hands_back_are_the_committed_views() {
         client.goodbye().unwrap();
     }
     drop(clients);
-    let mut served = mux.join(DEFAULT_JOIN_GRACE).unwrap();
-    served.sort_by_key(FlClient::id);
+    let mut served = mux.join_handlers(DEFAULT_JOIN_GRACE).unwrap();
+    served.sort_by_key(|handler| handler.client().id());
     assert_eq!(served.len(), views.len());
-    for (client, view) in served.iter().zip(&views) {
-        let replica = bits(client.replica_tensors());
-        assert_eq!(replica, bits(flatten(view)), "client {}", client.id());
+    for (handler, view) in served.iter().zip(&views) {
+        let held = handler.view_weights().expect("the client committed too");
+        let id = handler.client().id();
+        assert_eq!(bits(flatten(held)), bits(flatten(view)), "client {id}");
+    }
+}
+
+#[test]
+fn a_lockstep_group_shares_one_client_view_in_process_and_over_a_mux() {
+    // Five delta sessions of one fleet, four rounds; client 4 sits round
+    // 2 out. After every round each client's view is bit for bit its
+    // session's server view, and the clients that have been picked
+    // together every round hold one allocation between them.
+    let all = [0, 1, 2, 3, 4];
+    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
+        let models = ClientModels::new(model());
+        let fleet: Vec<FlClient> = (0..5)
+            .map(|id| {
+                let data = Arc::new(SyntheticMicro::new(8, 2, 64, 1));
+                let trainer = Box::new(PlainSgdTrainer);
+                let device = DeviceProfile::trustzone(id);
+                FlClient::hosted(id, device, data, (0..8).collect(), models.clone(), trainer)
+            })
+            .collect();
+        let (mut clients, mux) = match transport {
+            TransportKind::InProcess => {
+                let endpoints = fleet
+                    .into_iter()
+                    .map(|c| Box::new(LocalEndpoint::new(c)) as _);
+                let clients = RemoteClient::connect_all(endpoints.collect(), CodecKind::DeltaTopK);
+                (clients.unwrap(), None)
+            }
+            TransportKind::TcpMux => {
+                let (clients, mux) = serve_over_mux(fleet, 0, CodecKind::DeltaTopK, |e| e, |_| ());
+                (clients, Some(mux))
+            }
+        };
+        let mut next = download(0);
+        for round in 0..4 {
+            next.round = round;
+            let picked = if round == 2 { &all[..4] } else { &all[..] };
+            let (outcomes, _) = ExecutionEngine::new(2)
+                .execute_cycles(&mut clients, picked, &next)
+                .unwrap();
+            assert!(outcomes.iter().all(ClientOutcome::is_completed));
+            next.weights = outcomes[0].update().unwrap().weights.clone();
+            let held = models.views_held();
+            let what = format!("{transport:?}, round {round}");
+            assert_eq!(held.len(), 5, "{what}");
+            for (client, view) in clients.iter().zip(held.values()) {
+                let server = client.view_weights().expect("a delta session commits");
+                assert_eq!(bits(flatten(view)), bits(flatten(server)), "{what}");
+            }
+            for id in 1..4 {
+                assert!(Arc::ptr_eq(&held[&0], &held[&id]), "{what}: client {id}");
+            }
+            let apart = round >= 2;
+            assert_eq!(
+                !Arc::ptr_eq(&held[&0], &held[&4]),
+                apart,
+                "{what}: client 4"
+            );
+        }
+        drop((clients, mux));
     }
 }
 

@@ -15,8 +15,9 @@
 //! to fan direct `run_cycle` calls, so determinism and parallel speedup
 //! carry over bit-for-bit. The handler runs on the caller's stack, so a
 //! trainer that panics unwinds through it into the engine's containment:
-//! the handler has already taken its delta view's epoch by then, and the
-//! session recovers with one dense re-send like any other failed cycle.
+//! the handler has already taken its delta view by then, the replica the
+//! cycle borrowed is dropped rather than handed back, and the session
+//! recovers with one dense re-send like any other failed cycle.
 //!
 //! Unit tests also get `channel_pair`, an mpsc-backed duplex that runs a
 //! [`ClientSession`](super::ClientSession) serve loop on its own thread
@@ -57,6 +58,12 @@ impl LocalEndpoint {
     /// Mutable access to the wrapped client.
     pub fn client_mut(&mut self) -> &mut FlClient {
         self.handler.client_mut()
+    }
+
+    /// The handler serving the client.
+    #[cfg(test)]
+    pub(crate) fn handler(&self) -> &ClientHandler {
+        &self.handler
     }
 }
 

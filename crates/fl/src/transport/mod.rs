@@ -62,7 +62,9 @@ use gradsec_tee::cost::WireBill;
 
 use self::broadcast::{Broadcast, Payload, View};
 use crate::client::{DeviceProfile, FlClient};
-use crate::codec::{decode_against, encode_weights, CheckedWeights, CodecKind, BASE_MISMATCH};
+use crate::codec::{
+    check_against, encode_weights, flatten, rebuild_all, CheckedWeights, CodecKind, BASE_MISMATCH,
+};
 use crate::message::{
     check_version, ArrivedUpload, ArrivedWeights, AttestationRequest, AttestationResponse,
     EncodedModelDownload, EncodedUpdateUpload, Envelope, Hello, HelloAck, MessageKind,
@@ -197,18 +199,18 @@ pub(crate) fn slide<F: ?Sized, B, T>(
 /// to the server as [`MessageKind::Error`] envelopes, so the server's
 /// round logic can decide what a failed client costs.
 ///
-/// The handler holds no model. A delta-topk session's reference view is
-/// the client's own replica, left holding the decoded download by every
-/// successful cycle; the handler keeps the epoch that names it.
+/// A delta-topk session's reference view is held here, as the server
+/// holds its own: the decoded download with the epoch that names it, one
+/// allocation per lockstep group (see `client::ClientModels`). The
+/// wrapped client holds no model at all.
 pub struct ClientHandler {
     client: FlClient,
     /// The update codec the hello negotiated (None before a handshake).
     codec: Option<CodecKind>,
-    /// The epoch of the delta codec's committed reference view: the last
-    /// download this client trained on and successfully replied to. The
-    /// view itself is the wrapped client's replica, which holds exactly
-    /// that decoded model whenever this is `Some`.
-    view: Option<u64>,
+    /// The delta codec's committed reference view: the last download
+    /// this client trained on and successfully replied to — the
+    /// client-side counterpart of `RemoteClient::view`.
+    view: Option<View>,
 }
 
 impl std::fmt::Debug for ClientHandler {
@@ -243,6 +245,19 @@ impl ClientHandler {
     /// Unwraps the client.
     pub fn into_client(self) -> FlClient {
         self.client
+    }
+
+    /// The committed delta view's model, if the session holds one.
+    #[cfg(test)]
+    pub(crate) fn view_weights(&self) -> Option<&gradsec_nn::model::ModelWeights> {
+        self.view.as_ref().map(|(_, weights)| &**weights)
+    }
+
+    /// Tells the fleet's store which view this client holds now.
+    #[cfg(test)]
+    fn note_view(&self) {
+        let view = self.view.as_ref().map(|(_, weights)| weights);
+        self.client.models().note_view(self.client.id(), view);
     }
 
     /// Handles one request, returning the reply — or `None` for
@@ -282,59 +297,55 @@ impl ClientHandler {
     /// The training exchange: decode the download through the session
     /// codec, train, and reply with the update encoded the same way.
     ///
-    /// A delta session keeps no model of its own: its reference view is
-    /// the replica, lent to the decoder in place, and a successful cycle
-    /// ends by trading the replica's trained tensors (which nothing reads
-    /// — the next cycle starts by overwriting them) for the decoded
-    /// download's. The view's epoch is taken before the replica is
-    /// touched and put back only by that trade — or untouched, when the
-    /// download is refused before the replica was written — so a cycle
-    /// that fails or panics half-way leaves no view, and the server's
-    /// next delta is answered with [`BASE_MISMATCH`] and re-sent dense.
+    /// The download is checked against the view this client holds,
+    /// whatever the bytes of its neighbours; a delta session is then
+    /// handed its group's decoded view by the fleet's store, and the cycle
+    /// trains from it in place. The view is taken before the cycle starts
+    /// and put back untouched when the download is refused, or replaced by
+    /// the decoded download when the cycle succeeds — so a cycle that
+    /// fails or panics leaves no view, and the server's next delta is
+    /// answered with [`BASE_MISMATCH`] and re-sent dense.
     fn handle_encoded_download(&mut self, download: EncodedModelDownload) -> Envelope {
-        let codec = self.codec.unwrap_or(download.weights.codec);
         let held = self.view.take();
-        let reference = match download.weights.base_epoch {
-            Some(base) if held == Some(base) => Some(self.client.replica_tensors()),
-            Some(base) => {
+        #[cfg(test)]
+        self.note_view();
+        let reply = self.train_on(download, held);
+        #[cfg(test)]
+        self.note_view();
+        reply
+    }
+
+    fn train_on(&mut self, download: EncodedModelDownload, held: Option<View>) -> Envelope {
+        let codec = self.codec.unwrap_or(download.weights.codec);
+        let base = match (download.weights.base_epoch, &held) {
+            (None, _) => None,
+            (Some(base), Some((epoch, view))) if base == *epoch => Some(Arc::clone(view)),
+            (Some(base), _) => {
+                let holds = held.as_ref().map(|(epoch, _)| *epoch);
                 self.view = held;
                 return Envelope::error(format!(
                     "{BASE_MISMATCH}: server referenced epoch {base} but this \
-                     client holds {held:?}"
+                     client holds {holds:?}"
                 ));
             }
-            None => None,
         };
-        let weights = match decode_against(&download.weights, reference.as_deref()) {
-            Ok(w) => w,
-            Err(e) => {
-                self.view = held;
-                return Envelope::error(format!("malformed encoded download: {e}"));
-            }
-        };
+        let reference = base.as_deref().map(flatten);
+        if let Err(e) = check_against(&download.weights, reference.as_deref()) {
+            self.view = held;
+            return Envelope::error(format!("malformed encoded download: {e}"));
+        }
         let epoch = download.weights.epoch;
-        let mut plain = ModelDownload {
-            round: download.round,
-            weights,
-            plan: download.plan,
-            protected_layers: download.protected_layers,
+        let global = if codec == CodecKind::DeltaTopK {
+            self.client.models().view(base.as_ref(), download.weights)
+        } else {
+            Arc::new(rebuild_all(&download.weights, reference.as_deref()))
         };
-        match self.client.run_cycle(&plain) {
+        let (round, plan, protected) = (download.round, &download.plan, &download.protected_layers);
+        match self.client.cycle(round, &global, plan, protected) {
             Ok(upload) => {
-                let encoded =
-                    encode_weights(codec, epoch, &upload.weights, Some((epoch, &plain.weights)));
+                let encoded = encode_weights(codec, epoch, &upload.weights, Some((epoch, &global)));
                 if codec == CodecKind::DeltaTopK {
-                    // A trade, not a copy: the decoded model's allocation
-                    // lives on as the replica and the replica's old one is
-                    // freed, which keeps a round's pending uploads
-                    // interleaved with live buffers. Were they all a
-                    // worker's arena held, the fold would free it whole and
-                    // glibc would trim and re-fault it every round (+24 %
-                    // round time on `wide_delta_topk` when this was a
-                    // `set_weights`). The view commits only if the replica
-                    // took the model.
-                    let parked = self.client.swap_weights(&mut plain.weights);
-                    self.view = parked.ok().map(|()| epoch);
+                    self.view = Some((epoch, global));
                 }
                 Envelope::pack(
                     MessageKind::EncodedUpdateUpload,
@@ -389,9 +400,8 @@ impl<E: ClientEndpoint> ClientSession<E> {
     }
 
     /// Serves requests until the server says goodbye, returning the client
-    /// (with its last-cycle stats; after a delta-topk session its replica
-    /// holds the last decoded download, not the weights it trained) to
-    /// the caller.
+    /// (with its last-cycle stats) to the caller. A delta-topk session's
+    /// view belongs to the session and ends with it.
     ///
     /// # Errors
     ///
@@ -940,8 +950,9 @@ pub(crate) mod tests {
         assert_eq!(reply.kind, MessageKind::Error);
     }
 
-    /// The exact bits of a run of tensors: what "the replica *is* the
-    /// view" is asserted on (`==` on floats would let `-0.0` pass for `0.0`).
+    /// The exact bits of a run of tensors: what "the two sides hold the
+    /// same view" is asserted on (`==` on floats would let `-0.0` pass for
+    /// `0.0`).
     pub(crate) fn bits<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u32>> {
         let raw = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect();
         tensors.into_iter().map(raw).collect()
@@ -976,7 +987,7 @@ pub(crate) mod tests {
     }
 
     /// A [`LocalEndpoint`] the test keeps a second handle on, to read the
-    /// client's replica between exchanges.
+    /// client's view between exchanges.
     #[derive(Clone)]
     struct Watched(Arc<Mutex<LocalEndpoint>>);
 
@@ -996,7 +1007,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_replica_is_the_committed_view_after_every_delta_exchange() {
+    fn the_client_view_is_the_committed_view_after_every_delta_exchange() {
         let mut download = ModelDownload {
             round: 0,
             weights: zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights(),
@@ -1011,12 +1022,12 @@ pub(crate) mod tests {
             let upload = remote.train(&download).unwrap();
             let view = remote.view_weights().expect("a delta session commits");
             let endpoint = watched.0.lock().unwrap();
-            assert_eq!(
-                bits(endpoint.client().replica_tensors()),
-                bits(flatten(view)),
-                "round {round}"
-            );
-            // Sparse from the second exchange on: the replica really is
+            let held = endpoint
+                .handler()
+                .view_weights()
+                .expect("and so does the client");
+            assert_eq!(bits(flatten(held)), bits(flatten(view)), "round {round}");
+            // Sparse from the second exchange on: the view really is
             // what the deltas are decoded against.
             let wire = upload.cost.wire;
             assert_eq!(
@@ -1035,7 +1046,8 @@ pub(crate) mod tests {
         let dense = encode_weights(CodecKind::DeltaTopK, 0, &base, None);
         let first = send(&mut handler, 0, dense);
         assert_eq!(first.kind, MessageKind::EncodedUpdateUpload);
-        let parked = bits(handler.client().replica_tensors());
+        let held = |handler: &ClientHandler| bits(flatten(handler.view_weights().unwrap()));
+        let parked = held(&handler);
         assert_eq!(parked, bits(flatten(&base)));
 
         let mut next = base.clone();
@@ -1044,7 +1056,7 @@ pub(crate) mod tests {
         let mut stale = good.clone();
         stale.base_epoch = Some(7);
         // The same coefficients under transposed dims: every length and
-        // index still fits, only the shape disagrees with the replica.
+        // index still fits, only the shape disagrees with the view.
         let mut reshaped = good.clone();
         reshaped.tensors[0].dims.reverse();
         let mut odd = good.clone();
@@ -1058,24 +1070,21 @@ pub(crate) mod tests {
             assert_eq!(reply.kind, MessageKind::Error, "{why}");
             let reason = reply.error_reason();
             assert!(reason.contains(why), "{why}: {reason}");
-            assert_eq!(bits(handler.client().replica_tensors()), parked, "{why}");
+            assert_eq!(held(&handler), parked, "{why}");
         }
         // The view survived all three: a delta on the same base decodes.
         let want = decode_weights(&good, Some(&base)).unwrap();
         let reply = send(&mut handler, 1, good);
         let upload: EncodedUpdateUpload = reply.open(MessageKind::EncodedUpdateUpload).unwrap();
         assert_eq!(upload.weights.base_epoch, Some(1));
-        assert_eq!(
-            bits(handler.client().replica_tensors()),
-            bits(flatten(&want))
-        );
+        assert_eq!(held(&handler), bits(flatten(&want)));
     }
 
     #[test]
     fn hostile_personas_park_the_decoded_download_too() {
-        // A free-rider never touches its replica and a poisoner uploads
-        // something other than what it trained; the view is the decoded
-        // download either way.
+        // A free-rider never trains and a poisoner uploads something
+        // other than what it trained; the view is the decoded download
+        // either way.
         let base = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
         let mut next = base.clone();
         next.add_scaled(&base, 0.01).unwrap();
@@ -1098,7 +1107,7 @@ pub(crate) mod tests {
                     "{persona:?}, round {round}"
                 );
                 assert_eq!(
-                    bits(handler.client().replica_tensors()),
+                    bits(flatten(handler.view_weights().unwrap())),
                     bits(flatten(want)),
                     "{persona:?}, round {round}"
                 );
@@ -1121,6 +1130,38 @@ pub(crate) mod tests {
         ShortInt8Body,
         /// A well-formed sparse body.
         DeltaBody,
+        /// A well-formed body of this kind standing for one coefficient
+        /// that is this non-finite value (at index 5; an int8 body's zero).
+        NonFinite(Body, f32),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Body {
+        Dense,
+        Int8,
+        Sparse,
+    }
+
+    impl Body {
+        /// A body of this kind for `n` coefficients, one of them `x`.
+        fn standing_for(self, x: f32, n: usize) -> EncodedBody {
+            match self {
+                Body::Dense => {
+                    let mut v = vec![0.5; n];
+                    v[5] = x;
+                    EncodedBody::Dense(v)
+                }
+                Body::Int8 => EncodedBody::Int8 {
+                    zero: x,
+                    scale: 1.0,
+                    q: vec![0; n],
+                },
+                Body::Sparse => EncodedBody::TopK {
+                    indices: vec![5],
+                    values: vec![x],
+                },
+            }
+        }
     }
 
     impl Tamper {
@@ -1143,6 +1184,7 @@ pub(crate) mod tests {
                     }
                 }
                 Tamper::DeltaBody => weights.tensors[0].body = sparse(&[0]),
+                Tamper::NonFinite(body, x) => weights.tensors[0].body = body.standing_for(x, n),
             }
         }
     }
@@ -1196,8 +1238,10 @@ pub(crate) mod tests {
         // a body read by its dims cannot express; the arrival check names
         // the rest. Dims are compared with the reference only — without a
         // view there is nothing for them to disagree with before the fold
-        // — and a sparse body is a refusal only where no view exists.
-        let cases: [(&[CodecKind], Tamper, &str); 6] = [
+        // — and a sparse body is a refusal only where no view exists. A
+        // coefficient that would decode to NaN or ±inf is refused in every
+        // body kind, naming the tensor and the position.
+        let structural: [(&[CodecKind], Tamper, &str); 6] = [
             (
                 &[Identity, Int8, DeltaTopK],
                 Tamper::IndexOutOfRange,
@@ -1231,6 +1275,31 @@ pub(crate) mod tests {
                 "delta body without a reference view",
             ),
         ];
+        let mut cases: Vec<(&[CodecKind], Tamper, String)> = structural
+            .into_iter()
+            .map(|(codecs, tamper, why)| (codecs, tamper, why.to_owned()))
+            .collect();
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let at =
+                |position: &str| format!("non-finite coefficient {x} in tensor 0 at {position}");
+            cases.extend([
+                (
+                    &[Identity, Int8, DeltaTopK][..],
+                    Tamper::NonFinite(Body::Dense, x),
+                    at("index 5"),
+                ),
+                (
+                    &[Identity, Int8, DeltaTopK],
+                    Tamper::NonFinite(Body::Int8, x),
+                    at("int8 zero"),
+                ),
+                (
+                    &[DeltaTopK],
+                    Tamper::NonFinite(Body::Sparse, x),
+                    at("index 5"),
+                ),
+            ]);
+        }
         let session = |id: u64, codec, tamper| {
             let endpoint = Tampering {
                 inner: LocalEndpoint::new(fl_client(id)),
@@ -1272,7 +1341,7 @@ pub(crate) mod tests {
                     ClientOutcome::Failed { client: 1, error } => error.to_string(),
                     other => panic!("{what}: expected a refusal, got {other:?}"),
                 };
-                assert!(refusal.contains(why), "{what}: {refusal}");
+                assert!(refusal.contains(&why), "{what}: {refusal}");
                 assert_eq!(
                     ledger.client(1),
                     Some(&ClientCycleCost::unbilled(1)),

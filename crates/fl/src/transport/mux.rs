@@ -303,10 +303,11 @@ impl Session {
     }
 }
 
-/// What one event loop returns: the clients it served (trained state
-/// included) plus the first session error it saw, if any.
+/// What one event loop returns: the sessions it served (each client's
+/// handler, trained state and delta view included) plus the first session
+/// error it saw, if any — a failed connect included.
 struct LoopOutcome {
-    clients: Vec<FlClient>,
+    handlers: Vec<ClientHandler>,
     error: Option<FlError>,
 }
 
@@ -325,7 +326,7 @@ fn run_loop(
         slot.get_or_insert(e);
     }
     let mut outcome = LoopOutcome {
-        clients: Vec::with_capacity(fleet.len()),
+        handlers: Vec::with_capacity(fleet.len()),
         error: None,
     };
     let mut poller = Poller::new();
@@ -337,7 +338,7 @@ fn run_loop(
                 match poller.register(&session.stream, token, session.interest) {
                     Ok(()) => sessions.push(Some(session)),
                     Err(e) => {
-                        outcome.clients.push(session.handler.into_client());
+                        outcome.handlers.push(session.handler);
                         record(&mut outcome.error, e);
                     }
                 }
@@ -396,7 +397,7 @@ fn run_loop(
                 if let Err(e) = poller.deregister(&session.stream, token) {
                     record(&mut outcome.error, e);
                 }
-                outcome.clients.push(session.handler.into_client());
+                outcome.handlers.push(session.handler);
                 live -= 1;
                 // The stream drops (closes) here.
             }
@@ -413,7 +414,7 @@ fn run_loop(
                     session.peer
                 )),
             );
-            outcome.clients.push(session.handler.into_client());
+            outcome.handlers.push(session.handler);
         }
     }
     outcome
@@ -526,6 +527,20 @@ impl MuxFleet {
     /// disconnect for sessions that outlived the grace, or
     /// [`FlError::Protocol`] for a panicked loop thread.
     pub fn join(&mut self, grace: Duration) -> Result<Vec<FlClient>> {
+        let handlers = self.join_handlers(grace)?;
+        Ok(handlers
+            .into_iter()
+            .map(ClientHandler::into_client)
+            .collect())
+    }
+
+    /// [`join`](Self::join), handing back each session's handler.
+    ///
+    /// The first error is read from the loops' outcomes in loop order,
+    /// never from the early-error slot: every early error is also in its
+    /// loop's outcome, while the slot holds whichever loop posted first —
+    /// and one the builder already took is no longer there at all.
+    pub(crate) fn join_handlers(&mut self, grace: Duration) -> Result<Vec<ClientHandler>> {
         let deadline = Instant::now() + grace;
         while !self.handles.iter().all(JoinHandle::is_finished) {
             if Instant::now() >= deadline {
@@ -534,12 +549,12 @@ impl MuxFleet {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        let mut clients = Vec::with_capacity(self.sessions);
-        let mut first_err = self.take_early_error();
+        let mut handlers = Vec::with_capacity(self.sessions);
+        let mut first_err = None;
         for handle in self.handles.drain(..) {
             match handle.join() {
                 Ok(mut outcome) => {
-                    clients.append(&mut outcome.clients);
+                    handlers.append(&mut outcome.handlers);
                     if let Some(e) = outcome.error {
                         first_err.get_or_insert(e);
                     }
@@ -552,7 +567,7 @@ impl MuxFleet {
             }
         }
         match first_err {
-            None => Ok(clients),
+            None => Ok(handlers),
             Some(e) => Err(e),
         }
     }

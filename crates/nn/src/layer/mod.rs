@@ -100,7 +100,7 @@ pub trait Layer: Send {
     /// change. [`Layer::clone_box`] (and therefore
     /// [`crate::Sequential::replicate`]) carries the selection into every
     /// replica, which is how one federation-level choice reaches every
-    /// per-client and per-worker model copy.
+    /// model a client trains.
     fn set_backend(&mut self, backend: BackendKind);
 
     /// The activation function applied after the linear part.
@@ -166,8 +166,8 @@ pub trait Layer: Send {
     fn clear_cache(&mut self);
 
     /// Deep-copies the layer into a fresh box — the mechanism behind
-    /// [`crate::Sequential::replicate`], which hands every FL client /
-    /// engine worker its own replica of a prototype model.
+    /// [`crate::Sequential::replicate`], which builds the replicas of a
+    /// prototype model that FL clients train.
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 

@@ -207,8 +207,8 @@ impl Sequential {
     /// passes. Weights are untouched, so switching backends mid-training
     /// is safe (though it changes subsequent rounding for non-reference
     /// backends). [`Sequential::replicate`] copies the selection into
-    /// every replica — set it once on the prototype and every FL client
-    /// and engine worker inherits it.
+    /// every replica — set it once on the prototype and every replica an
+    /// FL client trains inherits it.
     pub fn set_backend(&mut self, backend: BackendKind) -> &mut Self {
         for l in &mut self.layers {
             l.set_backend(backend);
@@ -410,24 +410,6 @@ impl Sequential {
         Ok(())
     }
 
-    /// Exchanges the model's parameter tensors with those of `weights`:
-    /// the model ends up holding what `weights` held — buffers and all,
-    /// nothing is copied or allocated — and `weights` what the model held.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::IncompatibleWeights`] on any architecture
-    /// mismatch, before anything is moved.
-    pub fn swap_weights(&mut self, weights: &mut ModelWeights) -> Result<()> {
-        self.check_fits(weights)?;
-        for (layer, lw) in self.layers.iter_mut().zip(&mut weights.layers) {
-            let (w, b) = layer.weights_mut();
-            std::mem::swap(w, &mut lw.w);
-            std::mem::swap(b, &mut lw.b);
-        }
-        Ok(())
-    }
-
     /// Clears stored gradients on every layer.
     pub fn zero_grads(&mut self) {
         for l in &mut self.layers {
@@ -443,9 +425,9 @@ impl Sequential {
     }
 
     /// Deep-copies the model: identical weights and architecture, with
-    /// caches and gradients cleared. This is how the federation hands
-    /// every client (and every engine worker) its own replica of one
-    /// prototype without re-running weight initialisation per copy.
+    /// caches and gradients cleared. This is how a federation builds the
+    /// replicas its clients' cycles borrow from one prototype without
+    /// re-running weight initialisation per copy.
     pub fn replicate(&self) -> Sequential {
         let mut copy = Sequential {
             layers: self.layers.iter().map(|l| l.clone_box()).collect(),
@@ -705,32 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_weights_trades_buffers_or_moves_nothing() {
-        let mut a = xor_model(1);
-        let (was, mut other) = (a.weights(), xor_model(2).weights());
-        let incoming = other.clone();
-        let buffer = other.layer(0).unwrap().w.data().as_ptr();
-        a.swap_weights(&mut other).unwrap();
-        assert_eq!(a.weights(), incoming);
-        assert_eq!(other, was);
-        let (w, _) = a.layer(0).unwrap().weights();
-        assert_eq!(
-            w.data().as_ptr(),
-            buffer,
-            "the buffer moved, not its contents"
-        );
-        // A mismatch in the last layer leaves the first where it was.
-        let mut tiny = Sequential::new(Loss::CategoricalCrossEntropy);
-        tiny.push(Box::new(Dense::new(2, 8, Activation::Linear, 3).unwrap()));
-        tiny.push(Box::new(Dense::new(8, 3, Activation::Linear, 4).unwrap()));
-        let mut misfit = tiny.weights();
-        assert!(a.swap_weights(&mut misfit).is_err());
-        assert!(a.set_weights(&misfit).is_err());
-        assert_eq!(a.weights(), incoming);
-        assert_eq!(misfit, tiny.weights());
-    }
-
-    #[test]
     fn set_weights_rejects_mismatch() {
         let mut a = xor_model(1);
         let w = ModelWeights::new(vec![]);
@@ -739,6 +695,13 @@ mod tests {
         tiny.push(Box::new(Dense::new(2, 2, Activation::Linear, 3).unwrap()));
         tiny.push(Box::new(Dense::new(2, 2, Activation::Linear, 4).unwrap()));
         assert!(a.set_weights(&tiny.weights()).is_err());
+        // A mismatch in the last layer leaves the first where it was.
+        let was = a.weights();
+        let mut last = Sequential::new(Loss::CategoricalCrossEntropy);
+        last.push(Box::new(Dense::new(2, 8, Activation::Linear, 3).unwrap()));
+        last.push(Box::new(Dense::new(8, 3, Activation::Linear, 4).unwrap()));
+        assert!(a.set_weights(&last.weights()).is_err());
+        assert_eq!(a.weights(), was);
     }
 
     #[test]

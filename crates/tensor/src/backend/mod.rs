@@ -30,10 +30,11 @@
 //!
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
 //! carry a [`BackendKind`] into every forward/backward call,
-//! `Sequential::replicate` copies it into per-client/per-worker model
-//! replicas, and `FederationBuilder::backend(...)` selects it for a
-//! whole federation run. Within one backend, flat/sharded/faulted runs
-//! stay bit-identical for any worker/shard/transport combination.
+//! `Sequential::replicate` copies it into the model replicas a
+//! federation's cycles borrow, and `FederationBuilder::backend(...)`
+//! selects it for a whole federation run. Within one backend,
+//! flat/sharded/faulted runs stay bit-identical for any
+//! worker/shard/transport combination.
 
 mod reference;
 pub(crate) mod scratch;

@@ -2,8 +2,8 @@
 //!
 //! The kernel backend is a *whole-run* policy: `FederationBuilder::
 //! backend(...)` points the prototype model at one kernel set and every
-//! client replica (and every per-worker copy the engine makes) inherits
-//! it. Within one backend, runs must stay bit-identical across
+//! replica a client's cycle borrows inherits it. Within one backend,
+//! runs must stay bit-identical across
 //! sequential/parallel engines, flat/sharded fleets and transports —
 //! exactly the guarantee the pre-backend stack had, now parameterised by
 //! `BackendKind`. Across backends only f32 rounding may differ.

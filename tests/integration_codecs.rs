@@ -9,9 +9,9 @@
 //!   functions of the run: the same codec produces the same bits on any
 //!   transport and shape, shrinks the steady-state round's payload, and
 //!   stays within a pinned divergence bound of the identity run.
-//! * A delta-topk client's reference view is the replica it trains, so a
-//!   failed cycle costs it the view: one dense re-send, the same on
-//!   every topology.
+//! * A delta-topk client's reference view is the decoded download it
+//!   last trained on, and a failed cycle costs it the view: one dense
+//!   re-send, the same on every topology.
 
 use std::sync::Arc;
 
