@@ -3,7 +3,7 @@
 //! Methodology (paper §8.1–8.2):
 //!
 //! 1. Run a real FL training of LeNet-5 on the synthetic LFW dataset,
-//!    recording the global-model snapshot after every cycle.
+//!    observing the global model the server broadcasts at every cycle.
 //! 2. Build the attacker's `D_grad`: for each cycle, gradients of
 //!    auxiliary batches *with* and *without* the property, computed
 //!    against that cycle's snapshot (the attacker's `b_adv_prop` /
@@ -131,7 +131,6 @@ pub fn build_rows(cfg: &Table5Config) -> (Vec<RawRow>, usize) {
         .clients(3, data.clone())
         .build()
         .expect("federation builds");
-    fed.run().expect("federation runs");
     // Partition probe indices by property.
     let mut prop_idx = Vec::new();
     let mut nonprop_idx = Vec::new();
@@ -141,18 +140,16 @@ pub fn build_rows(cfg: &Table5Config) -> (Vec<RawRow>, usize) {
             _ => nonprop_idx.push(i),
         }
     }
-    // Probe every cycle snapshot with property/non-property batches.
+    // The attacker observes each cycle's global as it is broadcast —
+    // the server keeps none of them — and probes it with
+    // property/non-property batches before the cycle's round runs.
     let mut probe: Sequential = zoo::lenet5_with(identities, seed + 1).expect("LeNet-5 builds");
     let mut rows = Vec::new();
     let half = cfg.probe_batch / 2;
     for cycle in 0..cfg.rounds {
-        let snap = fed
-            .server()
-            .history()
-            .snapshot(cycle as usize)
-            .expect("history covers every cycle")
-            .clone();
-        probe.set_weights(&snap).expect("weights fit");
+        probe
+            .set_weights(fed.server().global())
+            .expect("weights fit");
         for rep in 0..cfg.probes_per_cycle {
             let offset = (cycle as usize * cfg.probes_per_cycle + rep) * cfg.probe_batch;
             // Property batch: the attacker's b_adv_prop — images carrying
@@ -175,6 +172,7 @@ pub fn build_rows(cfg: &Table5Config) -> (Vec<RawRow>, usize) {
                 });
             }
         }
+        fed.run_round().expect("federation runs");
     }
     (rows, probe.num_layers())
 }
@@ -333,6 +331,33 @@ mod tests {
             assert!(in_cycle.iter().any(|r| r.has_property));
             assert!(in_cycle.iter().any(|r| !r.has_property));
         }
+    }
+
+    /// FNV-1a over every raw row's gradient bits and property label, in
+    /// row order.
+    fn rows_digest(rows: &[RawRow]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in rows {
+            for x in r.snapshot.to_flat() {
+                eat(&x.to_bits().to_le_bytes());
+            }
+            eat(&[u8::from(r.has_property)]);
+        }
+        h
+    }
+
+    /// The attacker's rows are a pure function of the configuration: the
+    /// snapshot each cycle probes is the global the server holds before
+    /// that cycle's round, and this digest pins every bit of them.
+    #[test]
+    fn rows_are_pinned_bit_for_bit() {
+        let (rows, _) = build_rows(&tiny_cfg());
+        assert_eq!(rows_digest(&rows), 0x6810_7e2e_a0bf_936b);
     }
 
     #[test]

@@ -220,11 +220,6 @@ impl PartialAggregate {
         self.terms.extend(other.terms);
     }
 
-    /// The global slots of the collected terms, in push order.
-    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.terms.iter().map(|(slot, _)| *slot)
-    }
-
     /// Consumes the partial into its `(global slot, update)` terms, dense,
     /// in push order (the canonical ordering happens at
     /// [`finish`](Self::finish), not here).

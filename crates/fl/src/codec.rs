@@ -306,7 +306,7 @@ pub(crate) fn flatten(weights: &ModelWeights) -> Vec<&Tensor> {
 
 /// Whether two models have identical tensor shapes (the precondition
 /// for delta coding one against the other).
-fn shapes_match(a: &ModelWeights, b: &ModelWeights) -> bool {
+pub(crate) fn shapes_match(a: &ModelWeights, b: &ModelWeights) -> bool {
     a.num_layers() == b.num_layers()
         && a.iter()
             .zip(b.iter())

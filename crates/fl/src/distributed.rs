@@ -14,8 +14,8 @@
 //! ```text
 //!  coordinator process                    shard-server processes
 //!  ┌─────────────────────────┐   TCP     ┌───────────────────────────┐
-//!  │ FlServer (RNG, model,   │◄────────► │ shard 0: clients [0, a)   │
-//!  │ history, sampling)      │  envelope │   engine × W workers      │
+//!  │ FlServer (RNG, global   │◄────────► │ shard 0: clients [0, a)   │
+//!  │ model, sampling)        │  envelope │   engine × W workers      │
 //!  │ ProtectionScheduler     │◄────────► │ shard 1: clients [a, b)   │
 //!  │ quote verification      │   one     │   engine × W workers      │
 //!  │ PartialAggregate fold   │◄────────► │ shard 2: clients [b, n)   │
@@ -53,6 +53,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
+use gradsec_nn::model::ModelWeights;
 use gradsec_nn::{zoo, BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
@@ -60,7 +61,7 @@ use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
 use crate::adversary::{AdversaryPlan, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
 use crate::client::DeviceProfile;
-use crate::codec::CodecKind;
+use crate::codec::{shapes_match, CodecKind};
 use crate::config::{PartitionKind, ShardLayout, TrainingPlan};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::FaultPlan;
@@ -68,8 +69,8 @@ use crate::fleet::{Executed, Fleet};
 use crate::message::{
     check_version, ArrivedUpload, DatasetSpec, Envelope, MessageKind, ModelDownload, ModelSpec,
     ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
-    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, Wire,
-    ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
+    ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, UpdateUpload,
+    Wire, ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
 };
 use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
 use crate::scheduler::ProtectionScheduler;
@@ -773,7 +774,14 @@ impl Fleet for ProcessFleet {
             let applied = slot
                 .reply::<ShardRoundReply>(MessageKind::ShardRoundReply, self.reply_timeout)
                 .and_then(|reply| {
-                    apply_shard_reply(reply, base, picks.len(), &mut slots, &mut ledger)
+                    apply_shard_reply(
+                        reply,
+                        &download.weights,
+                        base,
+                        picks.len(),
+                        &mut slots,
+                        &mut ledger,
+                    )
                 })
                 .is_ok();
             if !applied {
@@ -895,11 +903,14 @@ impl Fleet for ProcessFleet {
 
 /// Validates and applies one shard's round reply: every slot must fall
 /// in the shard's `[slot_base, slot_base + picks)` window exactly once
-/// (full coverage — the shard accounts every pick, success or not).
-/// Nothing is written to `slots`/`ledger` unless the whole reply
-/// validates, so a garbled reply degrades to a clean cohort failure.
+/// (full coverage — the shard accounts every pick, success or not), and
+/// every completed term must pass [`check_shard_term`] against the
+/// round's `download`. Nothing is written to `slots`/`ledger` unless the
+/// whole reply validates, so a garbled or hostile reply degrades to a
+/// clean cohort failure.
 fn apply_shard_reply(
     reply: ShardRoundReply,
+    download: &ModelWeights,
     slot_base: usize,
     picks: usize,
     slots: &mut [Option<ClientOutcome<ArrivedUpload>>],
@@ -928,8 +939,12 @@ fn apply_shard_reply(
         others,
         ledger: shard_ledger,
     } = reply;
-    for slot in partial.slots() {
-        mark(slot)?;
+    // A shard's partial decodes dense, so this moves its terms out.
+    let terms = partial.into_terms();
+    let mut samples = 0usize;
+    for (slot, upload) in &terms {
+        mark(*slot)?;
+        samples = check_shard_term(*slot, upload, download, samples)?;
     }
     for o in &others {
         mark(o.slot as usize)?;
@@ -940,7 +955,7 @@ fn apply_shard_reply(
         });
     }
     // The reply validated: its updates move into the slots, held once.
-    for (slot, upload) in partial.into_terms() {
+    for (slot, upload) in terms {
         slots[slot] = Some(ClientOutcome::Completed(upload.into()));
     }
     for o in others {
@@ -961,6 +976,40 @@ fn apply_shard_reply(
     }
     ledger.merge(&shard_ledger);
     Ok(())
+}
+
+/// Refuses a completed shard term that no honest shard produces: a shape
+/// other than the round's `download`, a NaN or ±inf coefficient, a claim
+/// of zero samples, or a sample count that pushes the reply's running
+/// `total` past `usize`. Returns the new total.
+fn check_shard_term(
+    slot: usize,
+    upload: &UpdateUpload,
+    download: &ModelWeights,
+    total: usize,
+) -> Result<usize> {
+    let refuse = |what: String| FlError::Protocol {
+        reason: format!("shard reply slot {slot}: {what}"),
+    };
+    if !shapes_match(&upload.weights, download) {
+        return Err(refuse("shape differs from the round's download".to_owned()));
+    }
+    let mut coefficients = upload
+        .weights
+        .iter()
+        .flat_map(|l| l.w.data().iter().chain(l.b.data()));
+    if let Some(x) = coefficients.find(|x| !x.is_finite()) {
+        return Err(refuse(format!("non-finite coefficient {x}")));
+    }
+    if upload.num_samples == 0 {
+        return Err(refuse("claims 0 samples".to_owned()));
+    }
+    total.checked_add(upload.num_samples).ok_or_else(|| {
+        refuse(format!(
+            "{} samples overflow the reply's sample total",
+            upload.num_samples
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1266,6 +1315,93 @@ mod tests {
             assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
             let text = err.to_string();
             assert!(text.contains(what) && text.contains(value), "{text}");
+        }
+    }
+
+    /// A shard reply whose completed term no honest shard produces is
+    /// refused by slot before any slot or the ledger is touched — even
+    /// when the reply's other term is sound.
+    #[test]
+    fn a_hostile_shard_term_is_refused_before_any_slot_is_written() {
+        use gradsec_nn::model::LayerWeights;
+        use gradsec_tensor::Tensor;
+
+        let model = |w: Vec<f32>| {
+            let n = w.len();
+            ModelWeights::new(vec![LayerWeights {
+                w: Tensor::from_vec(w, &[n]).unwrap(),
+                b: Tensor::full(&[1], 0.5),
+            }])
+        };
+        let download = model(vec![0.0; 2]);
+        let term = |client: u64, weights: ModelWeights, num_samples: usize| UpdateUpload {
+            client_id: client,
+            round: 0,
+            weights,
+            num_samples,
+            train_loss: 0.1,
+            cost: ClientCycleCost::unbilled(client),
+        };
+        let cases = [
+            (vec![1.0; 3], 4, "shape differs from the round's download"),
+            (vec![1.0, f32::NAN], 4, "coefficient NaN"),
+            (vec![f32::INFINITY, 1.0], 4, "coefficient inf"),
+            (vec![1.0, f32::NEG_INFINITY], 4, "coefficient -inf"),
+            (vec![1.0; 2], 0, "claims 0 samples"),
+            (vec![1.0; 2], usize::MAX, "overflow the reply's"),
+        ];
+        // Slots 2 and 3 are this shard's; slot 2 holds a sound term.
+        let reply = |coefficients: Vec<f32>, samples: usize| {
+            let mut partial = PartialAggregate::new();
+            partial.push(2, term(7, model(vec![1.0; 2]), 4));
+            partial.push(3, term(8, model(coefficients), samples));
+            let mut ledger = RoundLedger::new();
+            ledger.record(ClientCycleCost::unbilled(7));
+            ledger.record(ClientCycleCost::unbilled(8));
+            ShardRoundReply {
+                partial,
+                others: Vec::new(),
+                ledger,
+            }
+        };
+        let fresh = || {
+            let mut ledger = RoundLedger::new();
+            ledger.record(ClientCycleCost::unbilled(1));
+            let slots: Vec<Option<ClientOutcome<ArrivedUpload>>> = (0..4).map(|_| None).collect();
+            (slots, ledger)
+        };
+        let (mut slots, mut ledger) = fresh();
+        apply_shard_reply(
+            reply(vec![1.0; 2], 4),
+            &download,
+            2,
+            2,
+            &mut slots,
+            &mut ledger,
+        )
+        .unwrap();
+        assert!(slots[2].is_some() && slots[3].is_some());
+        assert_eq!(ledger.len(), 3);
+        for (coefficients, samples, expected) in cases {
+            let (mut slots, mut ledger) = fresh();
+            let before = ledger.clone();
+            let err = apply_shard_reply(
+                reply(coefficients, samples),
+                &download,
+                2,
+                2,
+                &mut slots,
+                &mut ledger,
+            )
+            .expect_err(expected);
+            assert!(matches!(err, FlError::Protocol { .. }), "{err}");
+            let text = err.to_string();
+            assert!(
+                text.contains("slot 3") && text.contains(expected),
+                "{expected}: {text}"
+            );
+            assert!(slots.iter().all(Option::is_none), "{expected}");
+            assert_eq!(ledger, before, "{expected}");
         }
     }
 

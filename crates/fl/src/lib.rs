@@ -16,8 +16,8 @@
 //!    trainer lives here, the enclave-partitioned GradSec trainer in
 //!    `gradsec-core`.
 //! 4. **Upload & aggregation** — updates are FedAvg-combined
-//!    ([`aggregate`]) and the global snapshot history is recorded for the
-//!    long-term DPIA attacker ([`history`]).
+//!    ([`aggregate`]) into the next global model, which replaces the
+//!    last; the server keeps no past global.
 //!
 //! One round driver ([`runner::RoundDriver`]) runs every cycle; the
 //! clients live either in this process ([`runner::Federation`] — one
@@ -77,7 +77,6 @@ pub mod engine;
 mod error;
 pub mod faults;
 mod fleet;
-pub mod history;
 pub mod message;
 pub mod runner;
 pub mod scheduler;

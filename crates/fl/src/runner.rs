@@ -3,7 +3,7 @@
 //! A GradSec FL cycle is one fixed sequence (Figure 2): attest and
 //! select ➊, download with the protected-layer set ➋, local train ➌,
 //! aggregate ➍. [`RoundDriver`] is the only code that runs it. It owns
-//! the [`FlServer`] (global model, history, the selection RNG), the
+//! the [`FlServer`] (global model, round counter, the selection RNG), the
 //! protection scheduler and the aggregation rule, and asks its fleet for
 //! two things only: screen these candidates, execute these picks. Where
 //! the clients live is the fleet's business, and there are two:
@@ -761,7 +761,7 @@ impl<F: Fleet> std::fmt::Debug for RoundDriver<F> {
 }
 
 impl<F: Fleet> RoundDriver<F> {
-    /// The server (model, history, round counter).
+    /// The server (global model, round counter).
     pub fn server(&self) -> &FlServer {
         &self.server
     }
@@ -1023,9 +1023,11 @@ mod tests {
             .clients(3, dataset())
             .build()
             .unwrap();
+        let initial = fed.server().global().clone();
         let report = fed.run().unwrap();
         assert_eq!(report.rounds_completed, 3);
-        assert_eq!(fed.server().history().len(), 4); // initial + 3
+        assert_eq!(fed.server().round(), 3);
+        assert_ne!(fed.server().global(), &initial);
         fed.shutdown().unwrap();
     }
 
@@ -1336,13 +1338,14 @@ mod tests {
             },
             false,
         );
+        let before = driver.server().global().clone();
         let err = driver.run_round().unwrap_err();
         assert!(
             matches!(err, FlError::ClientFailure { client: 1, .. }),
             "{err}"
         );
         assert_eq!(driver.server().round(), 0);
-        assert_eq!(driver.server().history().len(), 1);
+        assert_eq!(driver.server().global(), &before);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use gradsec_tee::attestation::Measurement;
 use crate::adversary::ReputationBook;
 use crate::aggregate::fedavg;
 use crate::config::TrainingPlan;
-use crate::history::SnapshotHistory;
 use crate::message::{ModelDownload, UpdateUpload};
 use crate::selection::{
     draw_challenge, sample_indices, screen_clients, screen_planned, ScreenPlan, ScreeningOutcome,
@@ -17,13 +16,14 @@ use crate::selection::{
 use crate::{FlError, Result};
 
 /// The central FL server: owns the global model, screens and samples
-/// clients, aggregates updates and records history.
+/// clients and aggregates updates. It keeps no past global: an observer
+/// that wants the trajectory (the long-term DPIA attacker, paper §3.2)
+/// records each global itself, as a client that downloads it would.
 #[derive(Debug)]
 pub struct FlServer {
     plan: TrainingPlan,
-    /// Every committed global model, the initial one first; the last is
-    /// the current global — the server keeps no second copy of it.
-    history: SnapshotHistory,
+    /// The current global model, replaced at every commit.
+    global: ModelWeights,
     expected_measurement: Measurement,
     rng: StdRng,
     round: u64,
@@ -48,12 +48,10 @@ impl FlServer {
         expected_measurement: Measurement,
     ) -> Result<Self> {
         plan.validate()?;
-        let mut history = SnapshotHistory::new();
-        history.push(initial);
         Ok(FlServer {
             rng: StdRng::seed_from_u64(plan.seed),
             plan,
-            history,
+            global: initial,
             expected_measurement,
             round: 0,
             spare: 0,
@@ -126,14 +124,7 @@ impl FlServer {
 
     /// The current global model.
     pub fn global(&self) -> &ModelWeights {
-        self.history
-            .latest()
-            .expect("the history starts with the initial model")
-    }
-
-    /// The snapshot history (the DPIA observable).
-    pub fn history(&self) -> &SnapshotHistory {
-        &self.history
+        &self.global
     }
 
     /// Rounds completed so far.
@@ -239,7 +230,7 @@ impl FlServer {
     }
 
     /// Aggregates the round's updates into the next global model
-    /// (Figure 2-➍) and records the snapshot.
+    /// (Figure 2-➍) and commits it.
     ///
     /// # Errors
     ///
@@ -252,12 +243,12 @@ impl FlServer {
 
     /// Installs an already-aggregated global model — the commit half of
     /// [`aggregate`](Self::aggregate), used by the round driver after
-    /// folding the round's [`PartialAggregate`] — records the snapshot
-    /// and advances the round counter.
+    /// folding the round's [`PartialAggregate`] — replaces the global,
+    /// dropping the outgoing one, and advances the round counter.
     ///
     /// [`PartialAggregate`]: crate::aggregate::PartialAggregate
     pub fn commit(&mut self, next: ModelWeights) {
-        self.history.push(next);
+        self.global = next;
         self.round += 1;
     }
 }
@@ -440,13 +431,14 @@ mod tests {
     }
 
     #[test]
-    fn full_round_advances_history() {
+    fn full_round_advances_the_global() {
         let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
         let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
         let mut clients = make_clients(vec![
             DeviceProfile::trustzone(0),
             DeviceProfile::trustzone(1),
         ]);
+        let before = server.global().clone();
         let picked = server.select(&mut clients).unwrap();
         let download = server.download(vec![]);
         let updates: Vec<_> = picked
@@ -455,9 +447,8 @@ mod tests {
             .collect();
         server.aggregate(&updates).unwrap();
         assert_eq!(server.round(), 1);
-        assert_eq!(server.history().len(), 2);
         // The global model moved.
-        assert_ne!(server.global(), server.history().snapshot(0).unwrap());
+        assert_ne!(server.global(), &before);
     }
 
     #[test]

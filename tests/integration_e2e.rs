@@ -10,6 +10,7 @@ use gradsec::data::{batch_of, SyntheticCifar100};
 use gradsec::fl::client::DeviceProfile;
 use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::runner::Federation;
+use gradsec::nn::gradient::GradientSnapshot;
 use gradsec::nn::zoo;
 
 fn plan(rounds: u64) -> TrainingPlan {
@@ -133,21 +134,18 @@ fn federated_model_learns_under_protection() {
 
 #[test]
 fn history_supports_flaw1_gradient_recovery() {
-    // The DPIA observable: consecutive snapshots diff back to aggregated
-    // gradients (paper eq. 2 applied to the global model).
+    // The DPIA observable: two consecutive globals, recorded by whoever
+    // observes them (the server keeps none), diff back to the round's
+    // aggregated gradients (paper eq. 2 applied to the global model).
     let data = Arc::new(SyntheticCifar100::with_classes(64, 2, 5));
     let mut fed = Federation::builder(plan(2))
         .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).expect("builds"))
         .clients(2, data)
         .build()
         .unwrap();
-    fed.run().unwrap();
-    let g = fed
-        .server()
-        .history()
-        .aggregated_gradients(0, 0.05)
-        .unwrap()
-        .expect("round 0 covered");
+    let before = fed.server().global().clone();
+    fed.run_round().unwrap();
+    let g = GradientSnapshot::from_weight_diff(&before, fed.server().global(), 0.05).unwrap();
     assert!(!g.is_empty());
     assert!(g.to_flat().iter().any(|&x| x != 0.0));
 }
