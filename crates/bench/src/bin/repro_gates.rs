@@ -6,39 +6,19 @@
 //! 1 naming every failed cell. Takes no arguments; `GRADSEC_FULL=1` adds
 //! the ~10k-session mux tier. How fast a round is belongs to `benchmark/`.
 
-use gradsec_bench::gate::{diffs, run, Bars, Deployment, Gate, Outcome, Scenario, Section, FLAT};
+use gradsec_bench::gate::{
+    codec_bars, diffs, grid, run, Bars, Deployment, Gate, Net, Outcome, Scenario, Section, FLAT,
+};
 use gradsec_bench::Profile;
 use gradsec_fl::transport::poller::{fd_soft_limit, raise_fd_soft_limit};
 use gradsec_fl::{AdversaryPlan, Aggregator, CodecKind, FaultPlan, LatencyModel};
 
 use Deployment::{InProcess, Mux, Processes};
 
-/// `cell(a, b)` for every `a`, then every `b`.
-fn grid(a: &[usize], b: &[usize], cell: fn(usize, usize) -> Deployment) -> Vec<Deployment> {
-    let row = |&x| b.iter().map(move |&y| cell(x, y));
-    a.iter().flat_map(row).collect()
-}
-
-/// A section judged against its own flat in-process run.
-fn section(
-    name: String,
-    scenario: Scenario,
-    deployments: Vec<Deployment>,
-    bars: Option<fn(&Scenario, &Outcome) -> Bars>,
-) -> Section {
-    Section {
-        name,
-        scenario,
-        reference: FLAT,
-        deployments,
-        bars,
-    }
-}
-
 /// Clean sharding: 1/2/4/8 engine shards x 1/4 workers.
 fn shards(n: usize) -> Section {
     let cells = grid(&[1, 2, 4, 8], &[1, 4], InProcess);
-    section(format!("shards {n}"), Scenario::new(n), cells, None)
+    Section::new(format!("shards {n}"), Scenario::new(n), cells)
 }
 
 /// A sixteenth of the fleet per round under a fixed fault seed: 10 %
@@ -74,7 +54,7 @@ fn chaos(n: usize) -> Section {
         ]
     }
     let cells = shards(n).deployments;
-    section(format!("chaos {n}"), chaotic(n), cells, Some(bars))
+    Section::new(format!("chaos {n}"), chaotic(n), cells).bars(bars)
 }
 
 /// The multiplexed transport: (1,4 shards) x (1,2,4 workers) clean, and
@@ -83,8 +63,8 @@ fn chaos(n: usize) -> Section {
 fn mux(n: usize) -> [Section; 2] {
     let cells = grid(&[1, 4], &[1, 2, 4], Mux);
     [
-        section(format!("mux {n}"), Scenario::new(n), cells, None),
-        section(format!("mux chaos {n}"), chaotic(n), vec![Mux(1, 2)], None),
+        Section::new(format!("mux {n}"), Scenario::new(n), cells),
+        Section::new(format!("mux chaos {n}"), chaotic(n), vec![Mux(1, 2)]),
     ]
 }
 
@@ -96,49 +76,18 @@ fn loopback_sessions() -> usize {
 }
 
 /// Three rounds on the wide model per codec, each equal across process
-/// boundaries. Identity must also survive the mux and bill raw bytes;
-/// a lossy codec must shrink the last (steady-state) round by its bar —
-/// int8 3.0x (measured 3.40x), delta-topk 5.0x (measured 5.47x with
-/// gap-coded indices, 3.91x before them: the bar sits a tenth under the
-/// measurement and well over the old layout) — and stay within its pinned
-/// max-abs distance of the dense run.
+/// boundaries and judged by [`codec_bars`]; identity must also survive
+/// the mux.
 fn codecs(n: usize) -> Vec<Section> {
-    fn bars(s: &Scenario, (report, weights): &Outcome) -> Bars {
-        let last = report.rounds.last().expect("codec run has rounds");
-        let wire = last.ledger.total_wire();
-        if s.codec == CodecKind::Identity {
-            let raw = wire.encoded_bytes() == wire.raw_bytes();
-            return vec![("bytes == raw", raw, format!("{} B", wire.raw_bytes()))];
-        }
-        let mut twin = s.clone();
-        twin.codec = CodecKind::Identity;
-        let dense = run(&twin, FLAT).1;
-        let distance = diffs(weights, &dense).fold(0.0, |m, d| d.abs().max(m));
-        let (bar, bound) = match s.codec {
-            CodecKind::Int8 => (3.0, 0.02),
-            _ => (5.0, 0.10),
-        };
-        let ratio = wire.compression_ratio();
-        let shrunk = report.rounds_completed == s.rounds && ratio >= bar;
-        let within = distance <= bound;
-        vec![
-            (
-                "last-round bytes",
-                shrunk,
-                format!("{ratio:.2}x, bar {bar:.1}x"),
-            ),
-            ("distance", within, format!("{distance:.5}, bound {bound}")),
-        ]
-    }
     let per_codec = |codec: CodecKind| {
         let mut scenario = Scenario::new(n);
-        (scenario.rounds, scenario.dim, scenario.codec) = (3, 32, codec);
+        (scenario.rounds, scenario.net, scenario.codec) = (3, Net::Mlp(32), codec);
         let mut cells = vec![Processes(2, 2)];
         if codec == CodecKind::Identity {
             cells.push(Mux(1, 1));
         }
         let name = format!("codec {} {n}", codec.name());
-        section(name, scenario, cells, Some(bars))
+        Section::new(name, scenario, cells).bars(codec_bars)
     };
     let kinds = [CodecKind::Identity, CodecKind::Int8, CodecKind::DeltaTopK];
     kinds.map(per_codec).into()
@@ -162,9 +111,9 @@ fn processes(n: usize) -> [Section; 3] {
     let capped = two_rounds(n, Some((n / 4).max(1)));
     let name = format!("procs screening cap {n}");
     [
-        section(format!("procs {n}"), Scenario::new(n), cells, None),
-        section(format!("procs chaos {n}"), chaotic(n), pair, None),
-        section(name, capped, vec![Processes(2, 2)], None),
+        Section::new(format!("procs {n}"), Scenario::new(n), cells),
+        Section::new(format!("procs chaos {n}"), chaotic(n), pair),
+        Section::new(name, capped, vec![Processes(2, 2)]),
     ]
 }
 
@@ -223,7 +172,7 @@ fn hostile(n: usize) -> Vec<Section> {
     }
     let robustness = |aggregator: Aggregator| {
         let name = format!("hostile {} {n}", aggregator.name());
-        section(name, hostile_fleet(n, aggregator, 6), vec![], Some(bars))
+        Section::new(name, hostile_fleet(n, aggregator, 6), vec![]).bars(bars)
     };
     let trim = (n / 16).max(5) / 4;
     let trimmed = Aggregator::TrimmedMean { trim };
@@ -232,7 +181,7 @@ fn hostile(n: usize) -> Vec<Section> {
     let mut paths = vec![Mux(1, 4), InProcess(4, 2), InProcess(16, 2)];
     paths.extend([Processes(2, 2), Processes(4, 1)]);
     let scenario = hostile_fleet(n, Aggregator::Median, 1);
-    sections.push(section(format!("hostile paths {n}"), scenario, paths, None));
+    sections.push(Section::new(format!("hostile paths {n}"), scenario, paths));
     sections
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§8), plus shared infrastructure — the [`gate`] that
-//! `repro_gates` judges every deployment of one fleet with, and the
+//! `repro_gates` and the integration tests judge every deployment of one
+//! fleet with, the seeded deployment [`matrix`] built on it, and the
 //! [`env`] parser behind the harness's `GRADSEC_*` switches.
 //!
 //! Every experiment honours the `GRADSEC_FULL=1` environment variable:
@@ -27,6 +28,7 @@ pub mod env;
 pub mod experiments;
 pub mod gate;
 pub mod kernels;
+pub mod matrix;
 pub mod table;
 
 /// Experiment scale.

@@ -3,114 +3,38 @@
 //! The kernel backend is a *whole-run* policy: `FederationBuilder::
 //! backend(...)` points the prototype model at one kernel set and every
 //! replica a client's cycle borrows inherits it. Within one backend,
-//! runs must stay bit-identical across
-//! sequential/parallel engines, flat/sharded fleets and transports —
-//! exactly the guarantee the pre-backend stack had, now parameterised by
-//! `BackendKind`. Across backends only f32 rounding may differ.
-//!
-//! The model is a small LeNet-style conv stack so the conv, pool, dense
-//! and elementwise kernels are all exercised, not just matmul.
+//! runs must stay bit-identical across engines, engine shards and
+//! transports, faulted or not — named slices of the deployment matrix
+//! (`deployment_matrix.rs`), judged by the same gate. Across backends only
+//! f32 rounding may differ. LeNet-5 runs, so the conv, pool, dense and
+//! elementwise kernels all count, not just matmul.
 
-use std::sync::Arc;
+use gradsec::fl::FaultPlan;
+use gradsec::nn::BackendKind;
+use gradsec_bench::gate::Deployment::{InProcess, Mux};
+use gradsec_bench::gate::{
+    drive, grid, hold, run, Bars, Local, Net, Outcome, Scenario, Section, FLAT,
+};
 
-use gradsec::data::SyntheticCifar100;
-use gradsec::fl::config::{TrainingPlan, TransportKind};
-use gradsec::fl::faults::FaultPlan;
-use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec::fl::ExecutionEngine;
-use gradsec::nn::model::ModelWeights;
-use gradsec::nn::{zoo, BackendKind, Sequential};
-
-const CLIENTS: usize = 4;
-
-fn plan() -> TrainingPlan {
-    TrainingPlan {
+/// LeNet-5 on `backend`: 2 of 4 clients a round, twice, two sampled
+/// batches per cycle.
+fn lenet(backend: BackendKind) -> Scenario {
+    Scenario {
+        cohort: 2,
         rounds: 2,
-        clients_per_round: 2,
-        batches_per_cycle: 1,
-        batch_size: 4,
-        learning_rate: 0.05,
-        seed: 23,
+        net: Net::LeNet,
+        local: Local::TwoSteps,
+        backend,
+        ..Scenario::new(4)
     }
 }
 
-fn model() -> Sequential {
-    // LeNet-5 shrunk to a 2-class head: 4 conv layers + 1 dense.
-    zoo::lenet5_with(2, 11).expect("model builds")
-}
-
-fn builder(backend: BackendKind) -> FederationBuilder {
-    let data = Arc::new(SyntheticCifar100::with_classes(8 * CLIENTS, 2, 3));
-    Federation::builder(plan())
-        .model(model)
-        .clients(CLIENTS, data)
-        .backend(backend)
-}
-
-fn run_flat(backend: BackendKind, workers: usize) -> (FederationReport, ModelWeights) {
-    let mut fed = builder(backend).build().expect("flat federation builds");
-    let engine = if workers <= 1 {
-        ExecutionEngine::sequential()
-    } else {
-        ExecutionEngine::new(workers)
-    };
-    let report = fed.run_with(&engine).expect("flat run completes");
-    let weights = fed.server().global().clone();
-    fed.shutdown().expect("clean teardown");
-    (report, weights)
-}
-
-fn run_sharded(
-    backend: BackendKind,
-    shards: usize,
-    workers: usize,
-    transport: TransportKind,
-) -> (FederationReport, ModelWeights) {
-    let mut fed = builder(backend)
-        .shards(shards)
-        .engine(ExecutionEngine::new(workers))
-        .transport(transport)
-        .build_sharded()
-        .expect("sharded federation builds");
-    let report = fed.run().expect("sharded run completes");
-    let weights = fed.server().global().clone();
-    fed.shutdown().expect("clean teardown");
-    (report, weights)
-}
-
-/// Within one backend, flat-sequential, flat-parallel and sharded runs
-/// (in-process and TCP) are all bit-identical.
 #[test]
 fn runs_are_bit_identical_within_each_backend() {
-    for backend in BackendKind::ALL {
-        let (reference, ref_weights) = run_flat(backend, 1);
-        assert_eq!(reference.rounds_completed, plan().rounds);
-        for workers in [2usize, 4] {
-            let (report, weights) = run_flat(backend, workers);
-            assert_eq!(
-                report, reference,
-                "{backend}: {workers}-worker flat diverged"
-            );
-            assert_eq!(
-                weights, ref_weights,
-                "{backend}: {workers}-worker weights diverged"
-            );
-        }
-        for (shards, workers) in [(2usize, 1usize), (2, 2), (4, 2)] {
-            let (report, weights) = run_sharded(backend, shards, workers, TransportKind::InProcess);
-            assert_eq!(
-                report, reference,
-                "{backend}: {shards}x{workers} sharded diverged"
-            );
-            assert_eq!(
-                weights, ref_weights,
-                "{backend}: {shards}x{workers} weights diverged"
-            );
-        }
-        let (report, weights) = run_sharded(backend, 2, 2, TransportKind::TcpMux);
-        assert_eq!(report, reference, "{backend}: TCP sharded diverged");
-        assert_eq!(weights, ref_weights, "{backend}: TCP weights diverged");
-    }
+    let mut cells = grid(&[1], &[2, 4], InProcess);
+    cells.extend([InProcess(2, 1), InProcess(2, 2), InProcess(4, 2), Mux(2, 2)]);
+    let per_backend = |b: BackendKind| Section::new(b.to_string(), lenet(b), cells.clone());
+    hold(&BackendKind::ALL.map(per_backend));
 }
 
 /// Faulted runs are bit-identical within a backend too: the fault plan
@@ -118,38 +42,23 @@ fn runs_are_bit_identical_within_each_backend() {
 /// arithmetic, never control flow.
 #[test]
 fn faulted_runs_are_bit_identical_within_each_backend() {
-    let faults = || FaultPlan::seeded(41).dropout(0.3).spare(2);
-    for backend in BackendKind::ALL {
-        let run = |shards: usize, workers: usize| {
-            let mut fed = builder(backend)
-                .faults(faults())
-                .shards(shards)
-                .engine(ExecutionEngine::new(workers))
-                .build_sharded()
-                .expect("faulted federation builds");
-            let report = fed.run().expect("faulted run completes");
-            let weights = fed.server().global().clone();
-            fed.shutdown().expect("clean teardown");
-            (report, weights)
-        };
-        let (reference, ref_weights) = run(1, 1);
-        // The chaos must be real for the property to mean anything.
-        assert!(
-            reference
-                .rounds
-                .iter()
-                .any(|r| !r.failures.is_empty() || !r.surplus.is_empty()),
-            "{backend}: fault plan injected nothing"
-        );
-        for (shards, workers) in [(2usize, 2usize), (4, 1)] {
-            let (report, weights) = run(shards, workers);
-            assert_eq!(
-                report, reference,
-                "{backend}: faulted {shards}x{workers} diverged"
-            );
-            assert_eq!(weights, ref_weights, "{backend}: faulted weights diverged");
-        }
+    // The chaos must be real for the property to mean anything.
+    fn injected(_: &Scenario, (report, _): &Outcome) -> Bars {
+        let rounds = &report.rounds;
+        let hit = rounds
+            .iter()
+            .any(|r| !r.failures.is_empty() || !r.surplus.is_empty());
+        vec![("faults injected", hit, format!("{} rounds", rounds.len()))]
     }
+    let faulted = |backend| {
+        let scenario = Scenario {
+            faults: Some(FaultPlan::seeded(41).dropout(0.3).spare(2)),
+            ..lenet(backend)
+        };
+        let cells = vec![InProcess(2, 2), InProcess(4, 1)];
+        Section::new(backend.to_string(), scenario, cells).bars(injected)
+    };
+    hold(&BackendKind::ALL.map(faulted));
 }
 
 /// The builder default is `Reference` and is bit-identical to passing
@@ -157,17 +66,13 @@ fn faulted_runs_are_bit_identical_within_each_backend() {
 /// of reference but are *not* required to match bits.
 #[test]
 fn backends_agree_within_rounding_and_default_is_reference() {
-    let data = Arc::new(SyntheticCifar100::with_classes(8 * CLIENTS, 2, 3));
-    let mut default_fed = Federation::builder(plan())
-        .model(model)
-        .clients(CLIENTS, data)
-        .build()
-        .expect("default federation builds");
-    let default_report = default_fed.run().expect("default run completes");
-    let default_weights = default_fed.server().global().clone();
-    default_fed.shutdown().expect("clean teardown");
-
-    let (ref_report, ref_weights) = run_flat(BackendKind::Reference, 1);
+    // A scenario on the default backend leaves the builder's default alone.
+    let (default_report, default_weights) = run(&lenet(BackendKind::default()), FLAT);
+    let explicit = lenet(BackendKind::Reference).federation();
+    let (ref_report, ref_weights) = drive(
+        "explicit reference",
+        explicit.backend(BackendKind::Reference),
+    );
     assert_eq!(
         default_report, ref_report,
         "default backend is not `Reference`"
@@ -178,7 +83,7 @@ fn backends_agree_within_rounding_and_default_is_reference() {
     // fused activations — whichever micro-kernel ISA the host resolves)
     // honours the same whole-run contract: identical control flow,
     // kernel arithmetic within rounding distance of reference.
-    let (tld_report, tld_weights) = run_flat(BackendKind::Tiled, 1);
+    let (tld_report, tld_weights) = run(&lenet(BackendKind::Tiled), FLAT);
     assert_eq!(tld_report.rounds_completed, ref_report.rounds_completed);
     for (r, t) in ref_report.rounds.iter().zip(&tld_report.rounds) {
         assert_eq!(

@@ -1,120 +1,41 @@
-//! Engine determinism: the parallel round engine must be bit-identical
-//! to the sequential runner — same round reports (including the TEE
-//! ledger) and same final global weights — for any worker count.
+//! Engine determinism: the parallel round engine must commit the
+//! sequential run's bits — round reports, TEE ledger included, and final
+//! weights — for any worker count, under the paper's static policy and a
+//! moving window alike. Named slices of the deployment matrix
+//! (`deployment_matrix.rs`), judged by the same gate.
 
-use std::sync::Arc;
+use gradsec_bench::gate::Deployment::InProcess;
+use gradsec_bench::gate::{accounted, grid, hold, Local, Net, Policy, Scenario, Section};
 
-use gradsec::core::trainer::SecureTrainer;
-use gradsec::core::ProtectionPolicy;
-use gradsec::data::SyntheticCifar100;
-use gradsec::fl::config::TrainingPlan;
-use gradsec::fl::runner::{Federation, FederationReport};
-use gradsec::fl::ExecutionEngine;
-use gradsec::nn::model::ModelWeights;
-use gradsec::nn::zoo;
-
-fn lenet_federation() -> Federation {
-    let data = Arc::new(SyntheticCifar100::with_classes(64, 2, 11));
-    let policy = ProtectionPolicy::static_layers(&[1, 4]).unwrap();
-    Federation::builder(TrainingPlan {
+/// LeNet-5: 3 of 4 clients a round, twice, two sampled batches per cycle.
+fn lenet(policy: Policy) -> Scenario {
+    Scenario {
+        cohort: 3,
         rounds: 2,
-        clients_per_round: 3,
-        batches_per_cycle: 2,
-        batch_size: 4,
-        learning_rate: 0.05,
-        seed: 23,
-    })
-    .model(|| zoo::lenet5_with(2, 31).expect("LeNet-5 builds"))
-    .clients(4, data)
-    .trainer(|_| Box::new(SecureTrainer::new()))
-    .scheduler(policy)
-    .build()
-    .unwrap()
-}
-
-fn run_with_workers(workers: usize) -> (FederationReport, ModelWeights) {
-    let mut fed = lenet_federation();
-    let engine = if workers == 0 {
-        ExecutionEngine::sequential()
-    } else {
-        ExecutionEngine::new(workers)
-    };
-    let report = fed.run_with(&engine).unwrap();
-    (report, fed.server().global().clone())
+        net: Net::LeNet,
+        local: Local::TwoSteps,
+        policy,
+        ..Scenario::new(4)
+    }
 }
 
 #[test]
 fn parallel_engine_is_bit_identical_across_worker_counts() {
-    let (seq_report, seq_weights) = run_with_workers(0);
-    assert_eq!(seq_report.rounds_completed, 2);
-    for workers in [1usize, 2, 4] {
-        let (report, weights) = run_with_workers(workers);
-        assert_eq!(
-            seq_report, report,
-            "{workers}-worker round reports diverged from sequential"
-        );
-        assert_eq!(
-            seq_weights, weights,
-            "{workers}-worker final weights diverged from sequential"
-        );
-    }
+    let widths = grid(&[1], &[2, 4], InProcess);
+    hold(&[Section::new("widths", lenet(Policy::Secure), widths)]);
 }
 
 #[test]
 fn round_ledger_carries_enclave_accounting_under_parallelism() {
-    let mut fed = lenet_federation();
-    let report = fed.run_with(&ExecutionEngine::new(3)).unwrap();
-    for round in &report.rounds {
-        let ledger = &round.ledger;
-        assert_eq!(
-            ledger.len(),
-            round.participants.len(),
-            "one ledger entry per participant"
-        );
-        // Entries are id-sorted regardless of worker completion order.
-        let ids: Vec<u64> = ledger.entries().iter().map(|e| e.client_id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        assert_eq!(ids, sorted);
-        // {L2, L5} protection charges enclave time, crossings and memory.
-        assert!(ledger.total_time().kernel_s > 0.0);
-        assert!(ledger.total_time().alloc_s > 0.0);
-        assert!(ledger.total_crossings() > 0);
-        assert!(ledger.max_tee_peak_bytes() > 0);
-        // The critical path is at most the full bill, and positive.
-        assert!(ledger.critical_path_s() > 0.0);
-        assert!(ledger.critical_path_s() <= ledger.total_time().total_s() + 1e-12);
-    }
+    let section = Section::new("ledger", lenet(Policy::Secure), vec![InProcess(1, 3)]);
+    hold(&[section.bars(accounted)]);
 }
 
 #[test]
 fn dynamic_policy_schedules_identically_on_every_engine() {
-    let data = Arc::new(SyntheticCifar100::with_classes(48, 2, 7));
-    let window = gradsec::core::window::MovingWindow::uniform(2, 5, 13).unwrap();
-    let build = || {
-        Federation::builder(TrainingPlan {
-            rounds: 4,
-            clients_per_round: 2,
-            batches_per_cycle: 1,
-            batch_size: 4,
-            learning_rate: 0.05,
-            seed: 9,
-        })
-        .model(|| zoo::lenet5_with(2, 3).expect("builds"))
-        .clients(3, data.clone())
-        .scheduler(ProtectionPolicy::dynamic(
-            gradsec::core::window::MovingWindow::uniform(2, 5, 13).unwrap(),
-        ))
-        .build()
-        .unwrap()
+    let window = Scenario {
+        rounds: 4,
+        ..lenet(Policy::Window)
     };
-    let mut seq = build();
-    let seq_report = seq.run_with(&ExecutionEngine::sequential()).unwrap();
-    let mut par = build();
-    let par_report = par.run_with(&ExecutionEngine::new(2)).unwrap();
-    assert_eq!(seq_report, par_report);
-    // The schedule itself followed the window's deterministic draws.
-    for r in &seq_report.rounds {
-        assert_eq!(r.protected_layers, window.layers_for_round(r.round));
-    }
+    hold(&[Section::new("window", window, vec![InProcess(1, 2)]).bars(accounted)]);
 }

@@ -3,10 +3,10 @@
 //! The guarantees under test:
 //!
 //! * **Determinism** — under a fixed fault seed, a faulted federation
-//!   produces bit-identical reports and final weights for every
-//!   `(shards, workers, transport)` combination: every fault decision is
-//!   a pure function of `(seed, client, round/message)`, never of
-//!   scheduling.
+//!   commits the flat run's bits for every `(shards, workers, transport)`
+//!   combination: every fault decision is a pure function of `(seed,
+//!   client, round/message)`, never of scheduling. A named slice of the
+//!   deployment matrix (`deployment_matrix.rs`), judged by the same gate.
 //! * **Liveness** — a kilo-client round with 10% dropout (plus message
 //!   loss and a straggler deadline) completes without hanging, commits a
 //!   full cohort from the over-provisioned selection, and its ledger
@@ -24,141 +24,83 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gradsec::core::trainer::SecureTrainer;
-use gradsec::core::ProtectionPolicy;
 use gradsec::data::SyntheticMicro;
-use gradsec::fl::config::{TrainingPlan, TransportKind};
-use gradsec::fl::runner::{Federation, FederationBuilder, FederationReport};
+use gradsec::fl::config::TransportKind;
 use gradsec::fl::trainer::{CycleStats, LocalTrainer};
 use gradsec::fl::{ExecutionEngine, FaultPlan, LatencyModel};
-use gradsec::nn::model::ModelWeights;
 use gradsec::nn::zoo;
 use gradsec::nn::Sequential;
+use gradsec_bench::gate::Deployment::{InProcess, Mux};
+use gradsec_bench::gate::{
+    faults_landed, grid, hold, run, Bars, Local, Outcome, Policy, Scenario, Section, FLAT,
+};
 
-const CLIENTS: usize = 10;
-const DIM: usize = 12;
-
-fn plan() -> TrainingPlan {
-    TrainingPlan {
+/// 4 of 10 clients a round, three rounds of two sampled batches per
+/// cycle, the `{L2}` policy in the enclave.
+fn secure() -> Scenario {
+    Scenario {
+        cohort: 4,
         rounds: 3,
-        clients_per_round: 4,
-        batches_per_cycle: 2,
-        batch_size: 4,
-        learning_rate: 0.05,
-        seed: 31,
+        local: Local::TwoSteps,
+        policy: Policy::Secure,
+        ..Scenario::new(10)
     }
 }
 
-/// The probe that calibrates the straggler deadline: one clean round
-/// tells us what a SecureTrainer cycle costs on the simulated clock, so
-/// the faulted runs can set a deadline the injected latency tail
-/// overruns for some — but not all — clients.
-fn cycle_cost_s() -> f64 {
-    let mut fed = builder(FaultPlan::seeded(0)).build().unwrap();
-    let report = fed.run_round().unwrap();
-    let cost = report.ledger.critical_path_s();
-    fed.shutdown().unwrap();
-    cost
+/// The fixture must exercise the fault machinery: across the run, some
+/// client straggles, some fails and some round still commits.
+fn stragglers_and_failures(s: &Scenario, outcome: &Outcome) -> Bars {
+    let rounds = &outcome.0.rounds;
+    let straggled = rounds.iter().any(|r| !r.stragglers.is_empty());
+    let failed = rounds.iter().any(|r| !r.failures.is_empty());
+    let detail = format!("{} rounds", rounds.len());
+    let mut bars = faults_landed(s, outcome);
+    bars.push(("stragglers landed", straggled, detail.clone()));
+    bars.push(("failures landed", failed, detail));
+    bars
 }
 
-fn faults(deadline_s: f64) -> FaultPlan {
-    FaultPlan::seeded(0xFA417)
+#[test]
+fn faulted_reports_are_invariant_across_shards_workers_and_transports() {
+    // One clean round prices a cycle on the simulated clock, so the
+    // deadline lets the latency tail overrun some clients but not all.
+    let one_round = Scenario {
+        rounds: 1,
+        ..secure()
+    };
+    let clean = run(&one_round, FLAT).0;
+    let deadline_s = clean.rounds[0].ledger.critical_path_s() + 1.0;
+    let plan = FaultPlan::seeded(0xFA417)
         .dropout(0.15)
         .drop_messages(0.08)
         .garble_replies(0.05)
         .latency(LatencyModel::Exponential { mean_s: 1.0 })
         .deadline_s(deadline_s)
-        .spare(3)
-}
-
-fn builder(faults: FaultPlan) -> FederationBuilder {
-    let data = Arc::new(SyntheticMicro::new(16 * CLIENTS, 2, DIM, 5));
-    let policy = ProtectionPolicy::static_layers(&[1]).unwrap();
-    Federation::builder(plan())
-        .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
-        .clients(CLIENTS, data)
-        .trainer(|_| Box::new(SecureTrainer::new()))
-        .scheduler(policy)
-        .faults(faults)
-}
-
-#[test]
-fn faulted_reports_are_invariant_across_shards_workers_and_transports() {
-    let deadline = cycle_cost_s() + 1.0;
-    let reference: (FederationReport, ModelWeights) = {
-        let mut fed = builder(faults(deadline)).build().unwrap();
-        let report = fed.run_with(&ExecutionEngine::sequential()).unwrap();
-        let weights = fed.server().global().clone();
-        fed.shutdown().unwrap();
-        (report, weights)
+        .spare(3);
+    let faulted = Scenario {
+        faults: Some(plan),
+        ..secure()
     };
-    // The fixture must actually exercise the fault machinery: across the
-    // run, every outcome class shows up at least once.
-    let all_rounds = &reference.0.rounds;
-    assert!(
-        all_rounds.iter().any(|r| !r.stragglers.is_empty()),
-        "fixture produced no stragglers — retune the fault seed"
-    );
-    assert!(
-        all_rounds.iter().any(|r| !r.failures.is_empty()),
-        "fixture produced no failures — retune the fault seed"
-    );
-    assert!(
-        all_rounds.iter().any(|r| !r.participants.is_empty()),
-        "no round committed anything"
-    );
-    for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
-        for shards in [1usize, 2, 4] {
-            for workers in [1usize, 2, 4] {
-                let mut fed = builder(faults(deadline))
-                    .transport(transport)
-                    .shards(shards)
-                    .engine(ExecutionEngine::new(workers))
-                    .build_sharded()
-                    .unwrap();
-                let report = fed.run().unwrap();
-                assert_eq!(
-                    report, reference.0,
-                    "{transport:?} x {shards} shards x {workers} workers: report diverged"
-                );
-                assert_eq!(
-                    fed.server().global(),
-                    &reference.1,
-                    "{transport:?} x {shards} shards x {workers} workers: weights diverged"
-                );
-                fed.shutdown().unwrap();
-            }
-        }
-    }
+    let mut cells = grid(&[1, 2, 4], &[1, 2, 4], InProcess);
+    cells.extend(grid(&[1, 2, 4], &[1, 2, 4], Mux));
+    let section = Section::new("faulted", faulted, cells);
+    hold(&[section.bars(stragglers_and_failures)]);
 }
 
 #[test]
 fn kilo_client_round_with_ten_percent_dropout_completes_and_accounts_everyone() {
-    const FLEET: usize = 1000;
-    let data = Arc::new(SyntheticMicro::new(2 * FLEET, 2, 8, 5));
-    let mut fed = Federation::builder(TrainingPlan {
-        rounds: 1,
-        clients_per_round: 64,
-        batches_per_cycle: 1,
-        batch_size: 2,
-        learning_rate: 0.05,
-        seed: 7,
-    })
-    .model(|| zoo::tiny_mlp(8, 4, 2, 13).unwrap())
-    .clients(FLEET, data)
-    .faults(
-        FaultPlan::seeded(99)
-            .dropout(0.10)
-            .drop_messages(0.05)
-            .latency(LatencyModel::Exponential { mean_s: 0.5 })
-            .deadline_s(1.5)
-            .spare(16),
-    )
-    .shards(4)
-    .engine(ExecutionEngine::new(4))
-    .build_sharded()
-    .unwrap();
-    let report = fed.run().unwrap();
-    fed.shutdown().unwrap();
+    let plan = FaultPlan::seeded(99)
+        .dropout(0.10)
+        .drop_messages(0.05)
+        .latency(LatencyModel::Exponential { mean_s: 0.5 })
+        .deadline_s(1.5)
+        .spare(16);
+    let kilo = Scenario {
+        cohort: 64,
+        faults: Some(plan),
+        ..Scenario::new(1000)
+    };
+    let (report, _) = run(&kilo, InProcess(4, 4));
     let round = &report.rounds[0];
     // Over-provisioning filled the cohort despite the faults.
     assert_eq!(round.participants.len(), 64, "cohort not filled");
@@ -168,18 +110,13 @@ fn kilo_client_round_with_ten_percent_dropout_completes_and_accounts_everyone() 
     assert!(shed > 0, "no faults landed — retune the seed");
     // The ledger accounts every selected client exactly once: committed,
     // surplus, straggler and failed alike.
-    let selected = round.participants.len()
-        + round.surplus.len()
-        + round.stragglers.len()
-        + round.failures.len();
+    let selected = round.participants.len() + round.surplus.len() + shed;
     assert_eq!(round.ledger.len(), selected);
-    for group in [&round.stragglers, &round.failures] {
-        for &ci in group {
-            assert!(
-                round.ledger.client(ci as u64).is_some(),
-                "client {ci} shed but not accounted"
-            );
-        }
+    for &ci in round.stragglers.iter().chain(&round.failures) {
+        assert!(
+            round.ledger.client(ci as u64).is_some(),
+            "client {ci} shed but not accounted"
+        );
     }
     // Failures are zero-billed; participants keep their (plain-trainer,
     // zero-cost) entries too — no slot is missing.
@@ -208,27 +145,20 @@ impl LocalTrainer for PanickingTrainer {
 
 #[test]
 fn a_client_failure_bills_exactly_its_own_ledger_slot() {
+    let fleet = Scenario {
+        cohort: 3,
+        local: Local::TwoSteps,
+        ..Scenario::new(4)
+    };
     let build = |panicking: bool| {
-        let data = Arc::new(SyntheticMicro::new(16 * 4, 2, DIM, 5));
-        Federation::builder(TrainingPlan {
-            rounds: 1,
-            clients_per_round: 3,
-            batches_per_cycle: 2,
-            batch_size: 4,
-            learning_rate: 0.05,
-            seed: 3,
-        })
-        .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
-        .clients(4, data)
-        .trainer(move |id| {
+        let trainer = move |id| {
             if panicking && id == 2 {
                 Box::new(PanickingTrainer) as Box<dyn LocalTrainer>
             } else {
                 Box::new(SecureTrainer::new())
             }
-        })
-        .build()
-        .unwrap()
+        };
+        fleet.federation().trainer(trainer).build().unwrap()
     };
     // Reference bills from a clean fleet, same picks.
     let mut clean = build(false);
@@ -279,20 +209,15 @@ fn within_secs<F: FnOnce() + Send + 'static>(secs: u64, what: &str, f: F) {
 #[test]
 fn tcp_shutdown_joins_every_session_even_after_a_client_already_left() {
     within_secs(30, "TCP teardown", || {
-        let data = Arc::new(SyntheticMicro::new(16 * 3, 2, DIM, 5));
-        let mut fed = Federation::builder(TrainingPlan {
-            rounds: 1,
-            clients_per_round: 2,
-            batches_per_cycle: 1,
-            batch_size: 4,
-            learning_rate: 0.05,
-            seed: 3,
-        })
-        .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
-        .clients(3, data)
-        .transport(TransportKind::TcpMux)
-        .build()
-        .unwrap();
+        let fleet = Scenario {
+            cohort: 2,
+            ..Scenario::new(3)
+        };
+        let mut fed = fleet
+            .federation()
+            .transport(TransportKind::TcpMux)
+            .build()
+            .unwrap();
         fed.run().unwrap();
         // One client leaves early: its session goodbyes out and closes.
         // Teardown must still reap all three sessions — including the
@@ -307,17 +232,17 @@ fn tcp_shutdown_is_clean_for_faulted_fleets() {
     within_secs(30, "faulted TCP teardown", || {
         // Goodbye is never faulted, so even a plan that kills every
         // other exchange tears down cleanly over real sockets.
-        let data = Arc::new(SyntheticMicro::new(16 * 3, 2, DIM, 5));
-        let fed = Federation::builder(plan())
-            .model(|| zoo::tiny_mlp(DIM, 6, 2, 21).unwrap())
-            .clients(3, data)
+        let plan = FaultPlan::seeded(1)
+            .dropout(1.0)
+            .drop_messages(1.0)
+            .garble_replies(1.0);
+        let fleet = Scenario {
+            faults: Some(plan),
+            ..Scenario::new(3)
+        };
+        let fed = fleet
+            .federation()
             .transport(TransportKind::TcpMux)
-            .faults(
-                FaultPlan::seeded(1)
-                    .dropout(1.0)
-                    .drop_messages(1.0)
-                    .garble_replies(1.0),
-            )
             .build()
             .unwrap();
         fed.shutdown().unwrap();
