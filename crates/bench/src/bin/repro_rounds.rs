@@ -1,8 +1,8 @@
 //! The per-round export path repro pipelines consume: a small protected
 //! federation (LeNet-5, `SecureTrainer`, {L2, L5} sheltered, 3 of 4
 //! clients, 5 rounds) printed as JSON — participants, mean loss,
-//! protected layers, TEE ledger. `tests/integration_transport.rs` pins
-//! the JSON across transports; fleet-scale gates live in `repro_gates`.
+//! protected layers, TEE ledger. `tests/integration_edges.rs` pins the
+//! JSON across transports; fleet-scale gates live in `repro_gates`.
 
 use std::sync::Arc;
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use gradsec_core::window::MovingWindow;
 use gradsec_core::{ProtectionPolicy, SecureTrainer};
-use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
+use gradsec_data::Dataset;
 use gradsec_fl::client::DeviceProfile;
 use gradsec_fl::config::{MuxOptions, TrainingPlan, TransportKind};
 use gradsec_fl::distributed::DistributedBuilder;
@@ -23,7 +23,7 @@ use gradsec_fl::{
     ProtectionScheduler,
 };
 use gradsec_nn::model::{ModelWeights, Sequential};
-use gradsec_nn::{zoo, BackendKind};
+use gradsec_nn::BackendKind;
 
 use crate::table::TextTable;
 
@@ -145,7 +145,7 @@ macro_rules! configured {
     ($builder:expr, $s:expr) => {{
         let mut b = $builder.aggregator($s.aggregator).codec($s.codec);
         // The default backend is left to the builders' own default, which
-        // `integration_backend` pins as `Reference`.
+        // `integration_edges` pins as `Reference`.
         if $s.backend != BackendKind::default() {
             b = b.backend($s.backend);
         }
@@ -228,58 +228,35 @@ impl Scenario {
         !(remote && (self.mixed || self.policy == Policy::Secure))
     }
 
-    /// `SyntheticMicro`'s `[len, classes, dim, seed]` for width `dim`:
-    /// the one literal behind both the recipe and the in-process dataset.
-    fn micro(&self, dim: usize) -> [u64; 4] {
-        [self.samples(), 2, dim as u64, 5]
-    }
-
-    /// `SyntheticCifar100::with_classes`' `[len, classes, seed]`, likewise.
-    fn cifar(&self) -> [u64; 3] {
-        [self.samples(), 2, 5]
-    }
-
     /// The fleet's samples: one shard per client.
     fn samples(&self) -> u64 {
         (self.local.shape().0 * self.clients) as u64
     }
 
-    /// `tiny_mlp`'s `[inputs, hidden, outputs, seed]`, likewise.
-    fn mlp(dim: usize) -> [u64; 4] {
-        [dim as u64, dim as u64 / 2, 2, 13]
-    }
-
-    /// The dataset recipe a shard server rebuilds its range from.
+    /// The dataset recipe: what a shard server rebuilds its range from,
+    /// and what this process builds the fleet's dataset from.
     fn dataset_spec(&self) -> DatasetSpec {
+        let (len, classes, seed) = (self.samples(), 2, 5);
         match self.net {
-            Net::Mlp(width) => {
-                let [len, classes, dim, seed] = self.micro(width);
-                DatasetSpec::Micro {
-                    len,
-                    classes,
-                    dim,
-                    seed,
-                }
-            }
-            Net::LeNet => {
-                let [len, classes, seed] = self.cifar();
-                DatasetSpec::Cifar { len, classes, seed }
-            }
+            Net::Mlp(dim) => DatasetSpec::Micro {
+                len,
+                classes,
+                dim: dim as u64,
+                seed,
+            },
+            Net::LeNet => DatasetSpec::Cifar { len, classes, seed },
         }
     }
 
-    /// The model recipe a shard server builds.
+    /// The model recipe, likewise.
     fn model_spec(&self) -> ModelSpec {
         match self.net {
-            Net::Mlp(dim) => {
-                let [inputs, hidden, outputs, seed] = Self::mlp(dim);
-                ModelSpec::TinyMlp {
-                    inputs,
-                    hidden,
-                    outputs,
-                    seed,
-                }
-            }
+            Net::Mlp(dim) => ModelSpec::TinyMlp {
+                inputs: dim as u64,
+                hidden: dim as u64 / 2,
+                outputs: 2,
+                seed: 13,
+            },
             Net::LeNet => ModelSpec::LeNet5 {
                 classes: 2,
                 seed: 13,
@@ -289,37 +266,12 @@ impl Scenario {
 
     /// The fleet's shared dataset.
     pub fn dataset(&self) -> Arc<dyn Dataset> {
-        match self.net {
-            Net::Mlp(width) => {
-                let [len, classes, dim, seed] = self.micro(width);
-                Arc::new(SyntheticMicro::new(
-                    len as usize,
-                    classes as usize,
-                    dim as usize,
-                    seed,
-                ))
-            }
-            Net::LeNet => {
-                let [len, classes, seed] = self.cifar();
-                Arc::new(SyntheticCifar100::with_classes(
-                    len as usize,
-                    classes as usize,
-                    seed,
-                ))
-            }
-        }
+        self.dataset_spec().build()
     }
 
     /// A freshly initialised model.
     pub fn model(&self) -> Sequential {
-        let built = match self.net {
-            Net::Mlp(dim) => {
-                let [i, h, o, seed] = Self::mlp(dim);
-                zoo::tiny_mlp(i as usize, h as usize, o as usize, seed)
-            }
-            Net::LeNet => zoo::lenet5_with(2, 13),
-        };
-        built.expect("zoo model builds")
+        self.model_spec().build().expect("zoo model builds")
     }
 
     /// The in-process federation of this fleet.
@@ -530,17 +482,21 @@ pub fn accounted(s: &Scenario, (report, _): &Outcome) -> Bars {
     ]
 }
 
-/// Seeded faults that landed — some client straggled or failed — and a
-/// run that still committed: some round has participants.
+/// Seeded faults that landed — some client straggled past the deadline
+/// and some failed — and a run that still committed: some round has
+/// participants.
 pub fn faults_landed(_: &Scenario, (report, _): &Outcome) -> Bars {
     let rounds = &report.rounds;
-    let shed: usize = rounds
-        .iter()
-        .map(|r| r.stragglers.len() + r.failures.len())
-        .sum();
+    let straggled: usize = rounds.iter().map(|r| r.stragglers.len()).sum();
+    let failed: usize = rounds.iter().map(|r| r.failures.len()).sum();
     let committed = rounds.iter().filter(|r| !r.participants.is_empty()).count();
     vec![
-        ("faults landed", shed > 0, format!("{shed} shed")),
+        (
+            "stragglers landed",
+            straggled > 0,
+            format!("{straggled} straggled"),
+        ),
+        ("failures landed", failed > 0, format!("{failed} failed")),
         (
             "a round committed",
             committed > 0,
@@ -722,6 +678,8 @@ pub fn hold(sections: &[Section]) {
 
 #[cfg(test)]
 mod tests {
+    use gradsec_nn::zoo;
+
     use super::*;
 
     fn outcome() -> Outcome {

@@ -39,6 +39,10 @@ pub struct DeviceProfile {
     pub ta: Option<InstalledTa>,
 }
 
+/// The genuine GradSec TA's code: what a TrustZone device installs, and
+/// what every federation whitelists by its measurement.
+pub const TA_CODE: &[u8] = b"gradsec-ta-code-v1";
+
 /// A TA installed on a device.
 #[derive(Debug, Clone)]
 pub struct InstalledTa {
@@ -65,7 +69,7 @@ impl DeviceProfile {
             attestation_key: Self::provisioned_key(device_id),
             ta: Some(InstalledTa {
                 uuid: Uuid::from_name("gradsec-ta"),
-                code: b"gradsec-ta-code-v1".to_vec(),
+                code: TA_CODE.to_vec(),
             }),
         }
     }

@@ -58,9 +58,8 @@ impl TrainingPlan {
 /// Which transport a built federation wires its clients onto.
 ///
 /// Both speak the identical envelope protocol, so a run is
-/// bit-identical whichever is chosen (asserted by
-/// `tests/integration_transport.rs` and `tests/integration_mux.rs` at the
-/// workspace root).
+/// bit-identical whichever is chosen (asserted by the mux and trickle-mux
+/// cells of `tests/deployment_matrix.rs` at the workspace root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TransportKind {
     /// Zero-copy in-process dispatch (the default): client cycles run on

@@ -33,8 +33,8 @@
 //! replies come back tagged with *global* selection slots and commit
 //! through the driver's one `finish_round`, a distributed run over
 //! `(S shard processes × W workers)` is bit-identical to the flat
-//! in-process reference — gated by `repro_gates` and
-//! `tests/integration_distributed.rs`.
+//! in-process reference — gated by `repro_gates` and the shard-server
+//! cells of `tests/deployment_matrix.rs`.
 //!
 //! Shard-failure semantics: a shard process that crashes, hangs past the
 //! reply deadline, or answers garbage is billed and excluded like a
@@ -52,9 +52,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::model::ModelWeights;
-use gradsec_nn::{zoo, BackendKind, Sequential};
+use gradsec_nn::BackendKind;
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
 
@@ -361,12 +360,6 @@ impl DistributedBuilder {
         self
     }
 
-    /// Overrides the whitelisted TA measurement.
-    pub fn measurement(mut self, m: Measurement) -> Self {
-        self.setup.measurement = m;
-        self
-    }
-
     /// Bounds how long the coordinator waits for any one shard reply; a
     /// shard that blows the deadline is billed and excluded like a
     /// crashed one. Unset (the default) waits indefinitely; zero is
@@ -403,7 +396,7 @@ impl DistributedBuilder {
                 reason: "reply_timeout must be greater than zero".to_owned(),
             });
         }
-        let init_weights = build_model(&model)?.weights();
+        let init_weights = model.build()?.weights();
         let server = self.setup.server(init_weights.clone())?;
         let layout = ShardLayout::new(self.clients, self.shards);
         // Everything but the shard's identity and range.
@@ -419,7 +412,6 @@ impl DistributedBuilder {
             backend: self.setup.backend.name().to_owned(),
             codec: self.setup.codec.name().to_owned(),
             workers: self.workers as u64,
-            measurement: self.setup.measurement,
             faults: self.setup.faults.as_deref().cloned(),
             partition: self.setup.partition.name().to_owned(),
             adversaries: self.setup.adversaries.as_deref().cloned(),
@@ -1144,42 +1136,6 @@ fn reported<T>(result: Result<T>, channel: &mut ShardChannel) -> Result<T> {
     result
 }
 
-/// Materialises a [`DatasetSpec`] — both sides construct the identical
-/// deterministic dataset from the recipe, so no sample crosses the wire.
-fn build_dataset(spec: &DatasetSpec) -> Arc<dyn Dataset> {
-    match *spec {
-        DatasetSpec::Micro {
-            len,
-            classes,
-            dim,
-            seed,
-        } => Arc::new(SyntheticMicro::new(
-            len as usize,
-            classes as usize,
-            dim as usize,
-            seed,
-        )),
-        DatasetSpec::Cifar { len, classes, seed } => Arc::new(SyntheticCifar100::with_classes(
-            len as usize,
-            classes as usize,
-            seed,
-        )),
-    }
-}
-
-/// Materialises a [`ModelSpec`].
-fn build_model(spec: &ModelSpec) -> Result<Sequential> {
-    Ok(match *spec {
-        ModelSpec::TinyMlp {
-            inputs,
-            hidden,
-            outputs,
-            seed,
-        } => zoo::tiny_mlp(inputs as usize, hidden as usize, outputs as usize, seed)?,
-        ModelSpec::LeNet5 { classes, seed } => zoo::lenet5_with(classes as usize, seed)?,
-    })
-}
-
 /// Builds and handshakes the shard's client fleet from its config through
 /// the same assembler as an in-process federation
 /// ([`FederationBuilder::host`](crate::runner::FederationBuilder)):
@@ -1205,14 +1161,14 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     let partition = PartitionKind::parse(&config.partition).ok_or_else(|| FlError::BadConfig {
         reason: format!("unknown partition kind {:?}", config.partition),
     })?;
-    let mut prototype = build_model(&config.model)?;
+    let mut prototype = config.model.build()?;
     prototype.set_backend(backend);
     prototype.set_weights(&config.init_weights)?;
     let devices = (config.range_start..config.range_end)
         .map(DeviceProfile::trustzone)
         .collect();
     let mut builder = Federation::builder(config.plan)
-        .devices(devices, build_dataset(&config.dataset))
+        .devices(devices, config.dataset.build())
         .engine(ExecutionEngine::new(config.workers as usize))
         .codec(codec)
         .partition(partition);
@@ -1319,13 +1275,12 @@ mod tests {
                 dim: 4,
                 seed: 1,
             },
-            init_weights: build_model(&model).unwrap().weights(),
+            init_weights: model.build().unwrap().weights(),
             model,
             plan: TrainingPlan::default(),
             backend: "reference".to_owned(),
             codec: "identity".to_owned(),
             workers: 1,
-            measurement: Measurement([0; 32]),
             faults: None,
             partition: "iid".to_owned(),
             adversaries: None,

@@ -65,9 +65,9 @@
 //!
 //! With identical seeds — training *and* fault seeds — a 1-worker and an
 //! N-worker engine, over the in-process or the TCP transport, sharded or
-//! flat, produce bit-identical round reports and final weights (see
-//! `tests/integration_engine.rs`, `tests/integration_sharding.rs` and
-//! `tests/integration_faults.rs` at the workspace root).
+//! flat, produce bit-identical round reports and final weights (see the
+//! policy and faulted corners of `tests/deployment_matrix.rs` at the
+//! workspace root).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -23,8 +23,8 @@
 //! stream, no wall clock. Concurrent workers, shard layouts and
 //! transports therefore all observe the *same* faults, and a faulted
 //! round report is bit-identical for any `(shards, workers, transport)`
-//! combination under the same seed (asserted by
-//! `tests/integration_faults.rs` and the `repro_gates` binary).
+//! combination under the same seed (asserted by the faulted corners of
+//! `tests/deployment_matrix.rs` and the `repro_gates` binary).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -40,10 +40,14 @@
 //! [`Envelope`] header and the sealed [`Frame`], both bounded by
 //! [`MAX_ENVELOPE_PAYLOAD`].
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
+use gradsec_nn::{zoo, Sequential};
 use gradsec_tee::attestation::{Challenge, Measurement, Quote};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
@@ -105,8 +109,10 @@ pub mod limits {
 /// the sparse codec body's indices as varints (see [`crate::codec`]).
 /// Version 8 ships a shard's self-contained update payloads as they
 /// arrived: a [`ShardRoundReply`] term tags its weights, and an int8 one
-/// crosses as the payload its client sent.
-pub const PROTOCOL_VERSION: u16 = 8;
+/// crosses as the payload its client sent. Version 9 drops the TA
+/// measurement from [`ShardConfig`]: a shard server never read it, since
+/// quotes are verified on the coordinator.
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -964,11 +970,55 @@ pub enum ModelSpec {
     },
 }
 
+impl DatasetSpec {
+    /// Materialises the recipe: both sides construct the identical
+    /// deterministic dataset, so no sample crosses the wire.
+    pub fn build(&self) -> Arc<dyn Dataset> {
+        match *self {
+            DatasetSpec::Micro {
+                len,
+                classes,
+                dim,
+                seed,
+            } => Arc::new(SyntheticMicro::new(
+                len as usize,
+                classes as usize,
+                dim as usize,
+                seed,
+            )),
+            DatasetSpec::Cifar { len, classes, seed } => Arc::new(SyntheticCifar100::with_classes(
+                len as usize,
+                classes as usize,
+                seed,
+            )),
+        }
+    }
+}
+
+impl ModelSpec {
+    /// Materialises the recipe.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the zoo's refusal of a degenerate shape.
+    pub fn build(&self) -> Result<Sequential> {
+        Ok(match *self {
+            ModelSpec::TinyMlp {
+                inputs,
+                hidden,
+                outputs,
+                seed,
+            } => zoo::tiny_mlp(inputs as usize, hidden as usize, outputs as usize, seed)?,
+            ModelSpec::LeNet5 { classes, seed } => zoo::lenet5_with(classes as usize, seed)?,
+        })
+    }
+}
+
 /// Coordinator → shard-server: everything the shard needs to host its
 /// contiguous client range deterministically — the global fleet shape
 /// (so data sharding reproduces the flat reference), the model recipe
 /// plus initial weights, the training plan, the kernel backend, the
-/// engine worker count, the attestation whitelist and the fault plan.
+/// engine worker count and the fault plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// The shard index this config provisions (echoes the hello ack).
@@ -998,8 +1048,6 @@ pub struct ShardConfig {
     pub codec: String,
     /// Engine worker threads the shard runs (`0` = one per core).
     pub workers: u64,
-    /// The whitelisted TA measurement.
-    pub measurement: Measurement,
     /// The fault plan, when the run injects faults.
     pub faults: Option<FaultPlan>,
     /// Dataset partition kind name
@@ -1149,7 +1197,6 @@ wire_struct!(
         backend,
         codec,
         workers,
-        measurement,
         faults,
         partition,
         adversaries,

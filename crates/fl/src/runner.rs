@@ -40,7 +40,7 @@ use gradsec_tee::crypto::sha256::sha256;
 
 use crate::adversary::{Adversary, AdversaryPlan, CollusionLog, ReputationBook};
 use crate::aggregate::{Aggregator, PartialAggregate};
-use crate::client::{ClientModels, DeviceProfile, FlClient};
+use crate::client::{ClientModels, DeviceProfile, FlClient, TA_CODE};
 use crate::codec::CodecKind;
 use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
 use crate::engine::{ClientOutcome, ExecutionEngine};
@@ -164,7 +164,7 @@ impl RunSetup {
         RunSetup {
             plan,
             scheduler: Arc::new(NoProtection),
-            measurement: Measurement(sha256(b"gradsec-ta-code-v1")),
+            measurement: Measurement(sha256(TA_CODE)),
             faults: None,
             adversaries: None,
             backend: BackendKind::Reference,
@@ -288,12 +288,6 @@ impl FederationBuilder {
     /// sequential execution.
     pub fn engine(mut self, engine: ExecutionEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Overrides the whitelisted TA measurement.
-    pub fn measurement(mut self, m: Measurement) -> Self {
-        self.setup.measurement = m;
         self
     }
 

@@ -1,8 +1,9 @@
-//! A shard term's bytes at protocol version 8, for the wire tests. A
-//! `ShardRoundReply` term tags its weights — `0` and a dense model, or `1`
-//! and the self-contained payload its client sent — and only a shard
-//! server holds a term in wire form, so a test that needs one spells it
-//! in bytes. Included by each test binary with `#[path]`.
+//! A shard term's bytes (laid out so since protocol version 8), for the
+//! wire tests. A `ShardRoundReply` term tags its weights — `0` and a
+//! dense model, or `1` and the self-contained payload its client sent —
+//! and only a shard server holds a term in wire form, so a test that
+//! needs one spells it in bytes. Included by each test binary with
+//! `#[path]`.
 
 #![allow(dead_code)]
 

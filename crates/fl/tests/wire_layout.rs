@@ -1,12 +1,15 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 8 has always produced.
+//! version 9 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 8 moved
-//! only what it meant to: every `envelope/*` (the version stamp), and
+//! table (the failure message prints the new digests). Version 9 moved
+//! only what it meant to: every `envelope/*` (the version stamp), two of
+//! them, `envelope/shard_config_{plain,hostile}`, also for the TA
+//! measurement `ShardConfig` no longer ships. Version 8 had moved every
+//! `envelope/*` too, and
 //! `partial_aggregate` and `envelope/shard_round_reply` (a shard term's
 //! weights tag, and the fixture's int8 term in wire form). Version 7 had
 //! moved `encoded_weights/delta_topk` and `encoded_tensor/sparse`
@@ -190,7 +193,6 @@ fn shard_config(hostile: bool) -> ShardConfig {
         backend: "tiled".to_owned(),
         codec: "int8".to_owned(),
         workers: 4,
-        measurement: Measurement([0xE5; 32]),
         faults: hostile.then(fault_plan),
         partition: if hostile { "by-label" } else { "iid" }.to_owned(),
         adversaries: hostile.then(adversary_plan),
@@ -492,79 +494,79 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 8 (see the module comment for what moved from 7).
+/// Protocol version 9 (see the module comment for what moved from 8).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "610d77779426cade2dc7c014b1d612b7584a6d362c4567ba51282325ad9822e9",
+        "484d3bd857821c4fe5c4472de551ae314ab20067b2ea88e06bea84a24f5db862",
     ),
     (
         "envelope/hello_ack",
-        "865b8fde97559a8eb4cf22d05c8a646c900656c0da2a4a928373c93f26fb106f",
+        "98136d6d41fed6d842543c817723568138555c3313a966f62523c1a74e4ca888",
     ),
     (
         "envelope/attestation_request",
-        "f767e6f52bf3341a01d936b4e2e11e8fba3bca1c7a0c5077f26d34336e373054",
+        "9ace1f96468ab9d9dd142f115fd73437cc00e1d5680893cdc0b6ce99aafcebe4",
     ),
     (
         "envelope/attestation_response",
-        "cf1414eb8cfa5d01eb658610229b56ce830498acdf97987c4033799a5b64edec",
+        "7a7185f27adcd695f9ff6c89627000135704b476c5f4662f6cf55b5fdd3153bb",
     ),
     (
         "envelope/goodbye",
-        "e1966be2b33292fcbccead4bb8f6a8113a4a3659037b040840c1b8b6aece2cfd",
+        "f3c931eea5037ef9634f8e078913e880686d201e64cfab548a7638bb9dc80efc",
     ),
     (
         "envelope/error",
-        "d6cae2fb8039f079bcf8c9548ce2fb74505a02b6da075429afa3b48f5e7824b3",
+        "d1b24642a92cc8847a4999abf8cde35b6a0b85042e96f1ea48381f05409c1958",
     ),
     (
         "envelope/sealed",
-        "3585ef8cda30cf26b3ac4365352083d91566b4ab7c0d0561afbfece7ce9e2668",
+        "69977c8014d195d2e3fa0ae105939a76af373cc7bfbfe624f157f03f3a449c3f",
     ),
     (
         "envelope/encoded_model_download",
-        "ef3b7dc362d8c7a68a9780ba068057e58c8bff98db6decf4ca6377dcab34a645",
+        "29b6422c25bd9b861d786b208b157377f3d42b36ffe2aef1e2f2e75f1e3ccb32",
     ),
     (
         "envelope/encoded_update_upload",
-        "29c1880785f70fe8bba23967d3b323938763073e4a72bcdb8ed8d1029264febb",
+        "2c68caa684a63afbc182edd54ed08a333c64b529a9b56989c0ba5c5b2f00b6dc",
     ),
     (
         "envelope/shard_hello",
-        "cbda19c130e0d416639c2c64dc6578217e0855f81dd3bdb373db6acf963b1682",
+        "539378d0b935002f2b081c8bd4ed4a4398aae9bf8dcb337665f27440e53f13b7",
     ),
     (
         "envelope/shard_hello_ack",
-        "7d9291953b067845d9610f83119a381794430686da45b5d970224471b334784a",
+        "8a3471000450055800409db9b6b060e1b96da020681ccefecab09658e250cc38",
     ),
     (
         "envelope/shard_config_plain",
-        "e153cc28a78f075733e97c44d538cb388783d2d4f8a570f5c16d60995220d16e",
+        "17747d3be0b49b84c2d1875f3495217e0229e8d6574511a8dd37deadf75e11da",
     ),
     (
         "envelope/shard_config_hostile",
-        "fd31de40e713f09b0d60ab7997b7e14b146d532193b8f9bda69f7496cc39ba1d",
+        "5840a09c4fb48cd2eb60164ca3ae53e1c4f5707d6785db52428169f19e231d71",
     ),
     (
         "envelope/shard_config_ack",
-        "fb0ebc50f22352ee89e91db638cd1c9a480c2ccab2b3aa355d4a8ce8fbf04a40",
+        "b2bbdf5044d88492d55c6f7e64cce57ad0133cc7435d24fa54ff99783bff3da2",
     ),
     (
         "envelope/shard_screen",
-        "e20c0bc107181d767b52a48b29a3c4d8bc208ac0e49108b2b38aae7605c8e4a0",
+        "2aae619c43ddf6fe6ad260006bcd9a1600c26bf08001bf23b745aed24b71d86c",
     ),
     (
         "envelope/shard_screen_reply",
-        "d9e5b2aed10a87f9d22349c63494a6d52a529bc80123e02ea3bd2a627d15418f",
+        "40900e7b6707e5e2a7950508cfb1ea01380de7469b77d9d5a618dac9b13946ca",
     ),
     (
         "envelope/shard_round",
-        "77500be09b84e353099a193a46fa044d1ff8a1edd0d31440d98999c39803f01a",
+        "5fb609370dc7345afe899035204693c3f86afb2b36ea9414539c5817d6474a42",
     ),
     (
         "envelope/shard_round_reply",
-        "5280e7ea8d7229be0ae6f1529feab1847d533c31b2cb932e0a17975cccb718e3",
+        "bef80beb334fe353f36d5c528896b0ebc02a43e71d2725e9e1497b3274b4eae8",
     ),
     (
         "tensor",
@@ -698,7 +700,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 8, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 9, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

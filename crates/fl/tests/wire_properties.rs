@@ -186,7 +186,6 @@ fn shard_config(
         backend: "reference".to_owned(),
         codec: "identity".to_owned(),
         workers: 4,
-        measurement: Measurement([9u8; 32]),
         faults,
         partition: "iid".to_owned(),
         adversaries: None,

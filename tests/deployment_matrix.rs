@@ -1,14 +1,20 @@
-//! The deployment matrix (`gradsec_bench::matrix`): every corner of
-//! fleet × codec × backend × faults × adversaries × aggregator, on engine
-//! shards, the mux and shard-server processes, and an interior drawn from
-//! a fixed seed across every axis, must commit what the flat in-process
-//! run commits — report and weights, bit for bit — and owe every run's
-//! ledger, schedule and screening invariants. A failure names each failed
-//! cell; an interior one names its seed, which `interior(seed, ..)`
-//! replays.
+//! The deployment matrix (`gradsec_bench::matrix`), the one parity
+//! suite: every corner of fleet × codec × backend × faults × adversaries
+//! × aggregator on engine shards, the mux and shard-server processes;
+//! the paper's policies — `Secure`'s static sheltered set in the enclave
+//! and a moving `Window` — on the MLP and LeNet-5 across a wide engine,
+//! engine shards, the mux (the MLP also on a trickle mux) and, for the
+//! window, shard servers; the mixed fleet; a screening cap; and an
+//! interior drawn from a fixed seed across every axis. Each must commit
+//! what the flat in-process run commits — report and weights, bit for
+//! bit — and owe every run's ledger, schedule and screening invariants;
+//! a faulted corner must also shed stragglers and failures. A failure
+//! names each failed cell; an interior one names its seed, which
+//! `interior(seed, ..)` replays.
 //!
-//! The integration files beside this one keep a named slice each, judged
-//! by the same `gate::hold`, and the checks that are not parity.
+//! A new deployment axis is a line in `gradsec_bench::matrix`, not a new
+//! file; the end-to-end checks that are not parity live in
+//! `integration_edges.rs`.
 
 use gradsec_bench::gate::hold;
 use gradsec_bench::matrix;
