@@ -1,5 +1,5 @@
 //! Data-Property Inference Attack (DPIA) — Melis et al. (paper reference
-//! [35]).
+//! \[35\]).
 //!
 //! DPIA is the paper's *long-term* attack: across many FL cycles the
 //! attacker differences consecutive global-model snapshots to obtain the

@@ -1,5 +1,5 @@
 //! Data-Reconstruction Inference Attack (DRIA) — deep leakage from
-//! gradients (Zhu et al., paper reference [59]).
+//! gradients (Zhu et al., paper reference \[59\]).
 //!
 //! The attacker observes the victim's gradients `g*` (restricted to the
 //! layers *not* protected by the enclave), knows the global model weights

@@ -9,12 +9,12 @@
 //!
 //! 1. For each observed snapshot, the victim model is rewound to that
 //!    round's global weights and per-sample gradient feature rows are
-//!    extracted for the probe sets ([`mia::gradient_rows`]).
+//!    extracted for the probe sets ([`crate::mia::gradient_rows`]).
 //! 2. Rows from *all* observed rounds concatenate into one training
 //!    corpus — the coalition's advantage over a lone attacker is
 //!    exactly this longitudinal pooling.
 //! 3. One attack classifier fits the pooled corpus and reports the
-//!    held-out AUC ([`mia::attack_auc_from_rows`]), alongside per-round
+//!    held-out AUC ([`crate::mia::attack_auc_from_rows`]), alongside per-round
 //!    AUCs for trend inspection.
 //!
 //! The module takes snapshots as plain `(round, ModelWeights)` pairs,

@@ -1,5 +1,5 @@
 //! Membership Inference Attack (MIA) — Nasr et al. (paper reference
-//! [39]).
+//! \[39\]).
 //!
 //! The attacker holds sets `D1 ⊂ D` (known members) and `D2 ⊄ D` (known
 //! non-members), computes the target model's per-sample gradients for

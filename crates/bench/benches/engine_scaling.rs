@@ -19,7 +19,7 @@ use gradsec_nn::{zoo, Sequential};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn federation(model: fn() -> Sequential, clients: usize) -> Federation {
+fn federation(model: fn() -> Sequential, clients: usize, engine: ExecutionEngine) -> Federation {
     let data = Arc::new(SyntheticCifar100::with_classes(clients * 16, 2, 5));
     Federation::builder(TrainingPlan {
         rounds: 1,
@@ -31,6 +31,7 @@ fn federation(model: fn() -> Sequential, clients: usize) -> Federation {
     })
     .model(model)
     .clients(clients, data)
+    .engine(engine)
     .build()
     .expect("federation builds")
 }
@@ -51,8 +52,8 @@ fn bench_model(c: &mut Criterion, name: &str, model: fn() -> Sequential) {
         let engine = ExecutionEngine::new(workers);
         group.bench_function(format!("{workers}w"), |b| {
             b.iter_batched(
-                || federation(model, 8),
-                |mut fed| fed.run_round_with(&engine).expect("round runs"),
+                || federation(model, 8, engine),
+                |mut fed| fed.run_round().expect("round runs"),
                 criterion::BatchSize::LargeInput,
             )
         });

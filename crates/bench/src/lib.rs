@@ -4,7 +4,7 @@
 //! evaluation (§8), plus shared infrastructure — the [`gate`] that
 //! `repro_gates` and the integration tests judge every deployment of one
 //! fleet with, the seeded deployment [`matrix`] built on it, and the
-//! [`env`] parser behind the harness's `GRADSEC_*` switches.
+//! [`env`](mod@env) parser behind the harness's `GRADSEC_*` switches.
 //!
 //! Every experiment honours the `GRADSEC_FULL=1` environment variable:
 //! the default *quick* profile shrinks datasets/iterations so the whole

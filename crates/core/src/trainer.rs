@@ -114,12 +114,6 @@ impl SecureTrainer {
         }
     }
 
-    /// Overrides the cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Overrides the secure-memory budget in bytes.
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget;

@@ -31,7 +31,7 @@
 //!
 //! **Determinism.** Persona assignment and every poisoner noise draw
 //! key on `(seed, salt, client, round)` through
-//! [`crate::faults::decision_rng`]'s SplitMix64 mix. Nothing here
+//! `faults::decision_rng`'s SplitMix64 mix. Nothing here
 //! touches the server's selection/screening RNG stream — asserted by
 //! `clean_fleet_consumes_no_server_rng` in the runner tests.
 

@@ -384,12 +384,6 @@ impl FlClient {
         self.shard.len()
     }
 
-    /// Replaces the local trainer (e.g. swap the plain trainer for the
-    /// GradSec secure trainer).
-    pub fn set_trainer(&mut self, trainer: Box<dyn LocalTrainer>) {
-        self.trainer = trainer;
-    }
-
     /// Statistics of the most recent cycle.
     pub fn last_stats(&self) -> Option<&CycleStats> {
         self.last_stats.as_ref()

@@ -5,9 +5,8 @@
 //! This module is the codec layer every transport speaks: the server
 //! proposes a [`CodecKind`] in its `Hello`, the client echoes acceptance
 //! in the `HelloAck`, and from then on downloads and uploads carry
-//! [`EncodedWeights`] — opaque bytes to every transport backend (the
-//! in-process endpoint, the multiplexed sockets and the tiop-sealed
-//! wrapper alike).
+//! [`EncodedWeights`] — opaque bytes to every transport (the in-process
+//! endpoint and the multiplexed sockets alike).
 //!
 //! Three codecs ship:
 //!

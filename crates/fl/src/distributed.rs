@@ -344,7 +344,7 @@ impl DistributedBuilder {
     }
 
     /// Caps per-round screening at `m` sub-sampled candidates (see
-    /// [`FlServer::set_screening_sample`]).
+    /// [`FlServer::set_screening_sample`](crate::server::FlServer::set_screening_sample)).
     pub fn screening_sample(mut self, m: usize) -> Self {
         self.setup.screening_sample = Some(m);
         self

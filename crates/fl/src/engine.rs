@@ -14,7 +14,7 @@
 //!   between them, as shard threads do one level up, so workers × kernel
 //!   bands never exceed the cores; each worker owns its shard of
 //!   endpoints for the round and walks it through
-//!   [`slide`]: the download goes out to a window of its sessions before
+//!   the transport's `slide`: the download goes out to a window of its sessions before
 //!   the worker waits for the oldest upload, so a worker's concurrency
 //!   is the window, not one (an in-process endpoint trains inside the
 //!   send and is collected at once, one client at a time as ever),

@@ -10,7 +10,7 @@
 //!    ([`selection`]).
 //! 2. **Transmission** — the global model and training plan are shipped to
 //!    the selected clients ([`message`]) over a pluggable [`transport`]
-//!    (in-process by default; TCP for multi-process deployments).
+//!    (in-process by default; multiplexed sockets across processes).
 //! 3. **Secure local training** — each client trains locally through a
 //!    pluggable [`LocalTrainer`](trainer::LocalTrainer); the plain SGD
 //!    trainer lives here, the enclave-partitioned GradSec trainer in
@@ -96,7 +96,7 @@ pub use error::FlError;
 pub use faults::{FaultPlan, FaultyEndpoint, LatencyModel};
 pub use runner::ShardedFederation;
 pub use scheduler::ProtectionScheduler;
-pub use transport::{ClientEndpoint, RemoteClient, ServerEndpoint};
+pub use transport::{RemoteClient, ServerEndpoint};
 
 /// Crate-wide result alias using [`FlError`].
 pub type Result<T> = std::result::Result<T, FlError>;

@@ -3,9 +3,7 @@
 //! Every payload has a concrete binary framing (a little-endian codec
 //! over the `bytes` crate). These bytes genuinely cross process/socket
 //! boundaries: each message travels inside a typed, versioned
-//! [`Envelope`] whose header doubles as the length-prefixed TCP frame,
-//! and the trusted I/O path (`gradsec-tee::tiop`) can seal exactly the
-//! same bytes.
+//! [`Envelope`] whose header doubles as the length-prefixed TCP frame.
 //!
 //! Peers are always the same build, so there is one wire dialect: the
 //! [`Hello`]/[`HelloAck`] exchange at session start states each side's
@@ -36,9 +34,8 @@
 //! Written out by hand instead: [`Tensor`] and the
 //! [`EncodedTensor`](crate::codec::EncodedTensor) body (the hot loops;
 //! ranks and element counts bounded by [`limits`]), a shard term's tagged
-//! weights (a [`ShardRoundReply`] term), and the two frame formats — the
-//! [`Envelope`] header and the sealed [`Frame`], both bounded by
-//! [`MAX_ENVELOPE_PAYLOAD`].
+//! weights (a [`ShardRoundReply`] term), and the [`Envelope`] header,
+//! whose payload length is bounded by [`MAX_ENVELOPE_PAYLOAD`].
 
 use std::sync::Arc;
 
@@ -51,7 +48,6 @@ use gradsec_nn::{zoo, Sequential};
 use gradsec_tee::attestation::{Challenge, Measurement, Quote};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
-use gradsec_tee::tiop::Frame;
 use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
@@ -59,9 +55,7 @@ use crate::aggregate::PartialAggregate;
 use crate::codec::{flat_tensor, CheckedWeights, CodecKind, EncodedWeights};
 use crate::config::{PartitionKind, TrainingPlan};
 use crate::faults::FaultPlan;
-use crate::wire::{
-    decode_count, decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct,
-};
+use crate::wire::{decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct};
 use crate::{FlError, Result};
 
 /// The decode-side size caps every length-prefixed field in this
@@ -111,8 +105,10 @@ pub mod limits {
 /// arrived: a [`ShardRoundReply`] term tags its weights, and an int8 one
 /// crosses as the payload its client sent. Version 9 drops the TA
 /// measurement from [`ShardConfig`]: a shard server never read it, since
-/// quotes are verified on the coordinator.
-pub const PROTOCOL_VERSION: u16 = 9;
+/// quotes are verified on the coordinator. Version 10 retires the
+/// envelope-sealing carrier: kind byte 8 is refused as unknown, and a
+/// payload is bounded by [`MAX_ENVELOPE_PAYLOAD`] with no sealing slack.
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -441,9 +437,6 @@ pub enum MessageKind {
     Goodbye = 6,
     /// [`ErrorReply`] — the peer could not produce the expected reply.
     Error = 7,
-    /// A [`gradsec_tee::tiop::Frame`] sealing a whole inner envelope
-    /// (the trusted I/O path; see `transport::sealed`).
-    Sealed = 8,
     /// [`ShardHello`] — shard-server → coordinator session opener
     /// (protocol v3, the shard-control plane).
     ShardHello = 9,
@@ -485,7 +478,6 @@ impl MessageKind {
             3 => MessageKind::AttestationResponse,
             6 => MessageKind::Goodbye,
             7 => MessageKind::Error,
-            8 => MessageKind::Sealed,
             9 => MessageKind::ShardHello,
             10 => MessageKind::ShardHelloAck,
             11 => MessageKind::ShardConfig,
@@ -516,13 +508,6 @@ pub const ENVELOPE_HEADER_LEN: usize = 13;
 /// legitimately ships more than 1 GiB in one message.
 pub const MAX_ENVELOPE_PAYLOAD: usize = 1024 * 1024 * 1024;
 
-/// Extra bytes a sealed carrier may legitimately add on top of a
-/// maximum-size inner envelope: the inner envelope's own header plus the
-/// frame's sequence number, two length prefixes and HMAC tag (56 bytes),
-/// rounded up. Envelope decoding admits this slack so the sealed
-/// transport never caps a message the plain transports carry fine.
-pub const SEAL_OVERHEAD: usize = ENVELOPE_HEADER_LEN + 115;
-
 /// A validated envelope header: everything a socket reader needs to pull
 /// the rest of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -544,10 +529,9 @@ pub struct EnvelopeHead {
 /// # Errors
 ///
 /// Returns [`FlError::Protocol`] on bad magic, an unknown kind tag, or a
-/// payload length beyond [`MAX_ENVELOPE_PAYLOAD`] +
-/// [`SEAL_OVERHEAD`]. The length bound is checked on the raw `u64` — a
-/// `usize` cast first would truncate on 32-bit targets and defeat the
-/// guard.
+/// payload length beyond [`MAX_ENVELOPE_PAYLOAD`]. The length bound is
+/// checked on the raw `u64` — a `usize` cast first would truncate on
+/// 32-bit targets and defeat the guard.
 pub fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<EnvelopeHead> {
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != ENVELOPE_MAGIC {
@@ -560,7 +544,7 @@ pub fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<Envelop
     let len = u64::from_le_bytes([
         header[5], header[6], header[7], header[8], header[9], header[10], header[11], header[12],
     ]);
-    if len > (MAX_ENVELOPE_PAYLOAD + SEAL_OVERHEAD) as u64 {
+    if len > MAX_ENVELOPE_PAYLOAD as u64 {
         return Err(FlError::Protocol {
             reason: format!("envelope payload length {len} exceeds protocol maximum"),
         });
@@ -850,38 +834,6 @@ wire_list!(
         ledger
     }
 );
-
-impl Wire for Frame {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.seq);
-        buf.put_u64_le(self.ciphertext.len() as u64);
-        buf.put_slice(&self.ciphertext);
-        buf.put_u64_le(self.mac.len() as u64);
-        buf.put_slice(&self.mac);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let seq = u64::decode_from(buf)?;
-        // A frame's ciphertext seals a whole envelope, so its bound is
-        // the envelope maximum (plus seal slack) — not the per-field
-        // maximum ordinary message fields use. Otherwise the sealed
-        // transport would silently cap messages the plain transports
-        // carry fine.
-        let n = decode_count(
-            buf,
-            MAX_ENVELOPE_PAYLOAD + SEAL_OVERHEAD,
-            "frame ciphertext length",
-        )?;
-        let ciphertext = take_bytes(buf, n, "frame ciphertext bytes")?;
-        let m = decode_len(buf, "frame mac")?;
-        let mac = take_bytes(buf, m, "frame mac bytes")?;
-        Ok(Frame {
-            seq,
-            ciphertext,
-            mac,
-        })
-    }
-}
 
 /// Shard-server → coordinator: opens the shard-control channel with the
 /// server's protocol version plus its OS process id (diagnostics only —
@@ -1413,6 +1365,20 @@ mod tests {
         let mut bytes = encode(&msg);
         bytes.push(0);
         assert!(decode::<UpdateUpload>(&bytes).is_err());
+        // Kind byte 8 named a retired carrier; no kind answers to it now.
+        let err = parse_envelope_head(&header(8, 0)).unwrap_err();
+        assert!(err.to_string().contains("unknown message kind 8"), "{err}");
+    }
+
+    /// A raw envelope header: this build's magic and version, `kind`
+    /// and a claimed payload length.
+    fn header(kind: u8, len: u64) -> [u8; ENVELOPE_HEADER_LEN] {
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(ENVELOPE_MAGIC);
+        buf.put_u16_le(PROTOCOL_VERSION);
+        buf.put_u8(kind);
+        buf.put_u64_le(len);
+        buf.as_ref().try_into().unwrap()
     }
 
     #[test]
@@ -1433,6 +1399,12 @@ mod tests {
         }
         buf.put_u64_le(0);
         assert!(decode::<Tensor>(&buf.to_vec()).is_err());
+        // An envelope payload is bounded at the maximum, with no slack.
+        let hello = MessageKind::Hello as u8;
+        let max = MAX_ENVELOPE_PAYLOAD as u64;
+        assert!(parse_envelope_head(&header(hello, max + 1)).is_err());
+        let head = parse_envelope_head(&header(hello, max)).unwrap();
+        assert_eq!(head.payload_len, MAX_ENVELOPE_PAYLOAD);
     }
 
     #[test]

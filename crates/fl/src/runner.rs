@@ -951,33 +951,6 @@ impl Federation {
     pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
         self.fleet.collusion.as_ref()
     }
-
-    /// [`run_round`](Self::run_round) through `engine` instead of the
-    /// builder-configured one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_round`](Self::run_round).
-    pub fn run_round_with(&mut self, engine: &ExecutionEngine) -> Result<RoundReport> {
-        self.with_engine(engine, Self::run_round)
-    }
-
-    /// [`run`](Self::run) through `engine` instead of the
-    /// builder-configured one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run_with(&mut self, engine: &ExecutionEngine) -> Result<FederationReport> {
-        self.with_engine(engine, Self::run)
-    }
-
-    fn with_engine<T>(&mut self, engine: &ExecutionEngine, run: fn(&mut Self) -> T) -> T {
-        let configured = std::mem::replace(&mut self.fleet.engine, *engine);
-        let out = run(self);
-        self.fleet.engine = configured;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1042,18 +1015,19 @@ mod tests {
 
     #[test]
     fn parallel_engine_is_bit_identical_to_sequential() {
-        let build = || {
+        let build = |engine| {
             Federation::builder(plan())
                 .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
                 .clients(4, dataset())
+                .engine(engine)
                 .build()
                 .unwrap()
         };
-        let mut seq = build();
-        let seq_report = seq.run_with(&ExecutionEngine::sequential()).unwrap();
+        let mut seq = build(ExecutionEngine::sequential());
+        let seq_report = seq.run().unwrap();
         for workers in [2usize, 4] {
-            let mut par = build();
-            let par_report = par.run_with(&ExecutionEngine::new(workers)).unwrap();
+            let mut par = build(ExecutionEngine::new(workers));
+            let par_report = par.run().unwrap();
             assert_eq!(seq_report, par_report, "{workers}-worker report diverged");
             assert_eq!(
                 seq.server().global(),

@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bytes::BytesMut;
 use gradsec_data::SyntheticMicro;
 use gradsec_nn::zoo;
 use gradsec_tee::attestation::Challenge;
@@ -16,8 +17,9 @@ use crate::message::{Envelope, HelloAck, MessageKind};
 use crate::selection::screen_one;
 use crate::trainer::tests::{Flaky, Mishap};
 use crate::transport::broadcast::Broadcast;
+use crate::transport::tcp::{read_envelope, write_envelope};
 use crate::transport::tests::bits;
-use crate::transport::{slide, ClientEndpoint, ClientHandler, WINDOW};
+use crate::transport::{slide, ClientHandler, WINDOW};
 
 /// A federation driven the old way: every candidate screened and every
 /// picked client trained by one blocking exchange — a broadcast of its
@@ -464,14 +466,16 @@ fn a_session_killed_mid_window_fails_alone() {
         |endpoint| endpoint,
         |addr| {
             victim = Some(std::thread::spawn(move || {
-                let mut endpoint = tcp::connect(addr).unwrap();
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
                 let mut handler = ClientHandler::new(fl_client(3));
+                let mut scratch = BytesMut::new();
                 loop {
-                    let request = endpoint.recv().unwrap();
+                    let request = read_envelope(&mut stream, "server").unwrap();
                     if request.kind == MessageKind::EncodedModelDownload {
                         return;
                     }
-                    endpoint.send(handler.handle(request).unwrap()).unwrap();
+                    let reply = handler.handle(request).unwrap();
+                    write_envelope(&mut stream, &mut scratch, &reply, "server").unwrap();
                 }
             }));
         },

@@ -11,14 +11,13 @@
 //! and the quote comes back the same way, so selection works identically
 //! whether the client is a struct in this process or a device across a
 //! socket. A plan's challenges go out through the transport's
-//! [`slide`]: a window of them is on the wire before the first quote is
+//! `slide`: a window of them is on the wire before the first quote is
 //! awaited, so screening a socket-backed fleet costs one wait per
 //! window rather than one per client. The plan fixed the candidates and
 //! their nonces beforehand and verdicts are keyed by position, so the
 //! overlap cannot reach the selection RNG or the outcome order.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::RngExt;
 
 use gradsec_tee::attestation::{verify_quote, Challenge, Measurement};
@@ -114,24 +113,6 @@ pub(crate) fn screen_planned(
     )
 }
 
-/// Screens every client with a fresh challenge and returns the verdicts,
-/// index-aligned with `clients`.
-///
-/// One nonce is drawn per client in slice order, so the server's RNG
-/// stream — and therefore the round's sampling — is identical across
-/// transports.
-pub fn screen_clients(
-    clients: &mut [RemoteClient],
-    expected: Measurement,
-    rng: &mut StdRng,
-) -> Vec<ScreeningOutcome> {
-    let plan = ScreenPlan {
-        candidates: (0..clients.len()).collect(),
-        challenges: clients.iter().map(|_| draw_challenge(rng)).collect(),
-    };
-    screen_planned(clients, expected, &plan)
-}
-
 /// Draws one 16-byte attestation nonce — the single point every
 /// screening path consumes the selection RNG through, so nonce streams
 /// cannot drift between flat, sharded and distributed runs.
@@ -205,32 +186,12 @@ pub fn validate_picks(picked: &[usize], n_clients: usize) -> Result<()> {
     Ok(())
 }
 
-/// Samples up to `k` eligible client indices uniformly without
-/// replacement, returned in canonical (sorted) order.
-///
-/// Over-provisioned selection is this same function with
-/// `k = clients_per_round + spare` (see
-/// [`FlServer::overprovision`](crate::server::FlServer::overprovision)):
-/// the runner later commits the first `clients_per_round` *survivors* of
-/// the returned canonical order, so faulted rounds keep aggregating a
-/// full cohort deterministically.
-pub fn sample_eligible(outcomes: &[ScreeningOutcome], k: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut eligible: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| **o == ScreeningOutcome::Eligible)
-        .map(|(i, _)| i)
-        .collect();
-    eligible.shuffle(rng);
-    eligible.truncate(k);
-    eligible.sort_unstable();
-    eligible
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{DeviceProfile, FlClient};
+    use crate::config::TrainingPlan;
+    use crate::server::FlServer;
     use crate::trainer::PlainSgdTrainer;
     use crate::transport::inprocess::LocalEndpoint;
     use gradsec_data::SyntheticCifar100;
@@ -239,21 +200,36 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn make_client(id: u64, device: DeviceProfile) -> RemoteClient {
+    fn fl_client(id: u64, device: DeviceProfile) -> FlClient {
         let ds = Arc::new(SyntheticCifar100::with_classes(8, 2, 1));
-        let client = FlClient::new(
+        FlClient::new(
             id,
             device,
             ds,
             (0..8).collect(),
             zoo::tiny_mlp(3 * 32 * 32, 4, 2, id).unwrap(),
             Box::new(PlainSgdTrainer),
-        );
+        )
+    }
+
+    fn make_client(id: u64, device: DeviceProfile) -> RemoteClient {
+        let client = fl_client(id, device);
         RemoteClient::connect(Box::new(LocalEndpoint::new(client))).unwrap()
     }
 
     fn whitelist() -> Measurement {
         Measurement(sha256(b"gradsec-ta-code-v1"))
+    }
+
+    /// Screens every client, each against a fresh challenge from a
+    /// `seed`ed stream.
+    fn screen_all(clients: &mut [RemoteClient], seed: u64) -> Vec<ScreeningOutcome> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = ScreenPlan {
+            candidates: (0..clients.len()).collect(),
+            challenges: clients.iter().map(|_| draw_challenge(&mut rng)).collect(),
+        };
+        screen_planned(clients, whitelist(), &plan)
     }
 
     #[test]
@@ -264,8 +240,7 @@ mod tests {
             make_client(2, DeviceProfile::compromised(2)),
             make_client(3, DeviceProfile::trustzone(3)),
         ];
-        let mut rng = StdRng::seed_from_u64(1);
-        let outcomes = screen_clients(&mut clients, whitelist(), &mut rng);
+        let outcomes = screen_all(&mut clients, 1);
         assert_eq!(
             outcomes,
             vec![
@@ -279,29 +254,22 @@ mod tests {
 
     #[test]
     fn hung_up_clients_screen_as_unreachable() {
-        let (server_ep, client_ep) = crate::transport::inprocess::channel_pair();
-        // The session thread answers the handshake then exits without a
-        // Goodbye, hanging up the channel.
+        use crate::transport::tcp::{bind, read_envelope, write_envelope};
+        use crate::transport::ClientHandler;
+        let listener = bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The peer answers the handshake then hangs up without a Goodbye.
         let handle = std::thread::spawn(move || {
-            let mut ep = client_ep;
-            use crate::transport::{ClientEndpoint, ClientHandler};
-            let ds = Arc::new(SyntheticCifar100::with_classes(8, 2, 1));
-            let mut handler = ClientHandler::new(FlClient::new(
-                5,
-                DeviceProfile::trustzone(5),
-                ds,
-                (0..8).collect(),
-                zoo::tiny_mlp(3 * 32 * 32, 4, 2, 5).unwrap(),
-                Box::new(PlainSgdTrainer),
-            ));
-            let req = ep.recv().unwrap();
-            let reply = handler.handle(req).unwrap();
-            ep.send(reply).unwrap();
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            let mut handler = ClientHandler::new(fl_client(5, DeviceProfile::trustzone(5)));
+            let reply = handler.handle(read_envelope(&mut stream, "server").unwrap());
+            let mut scratch = bytes::BytesMut::new();
+            write_envelope(&mut stream, &mut scratch, &reply.unwrap(), "server").unwrap();
         });
-        let mut clients = vec![RemoteClient::connect(Box::new(server_ep)).unwrap()];
+        let endpoint = listener.accept().unwrap();
+        let mut clients = vec![RemoteClient::connect(Box::new(endpoint)).unwrap()];
         handle.join().unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let outcomes = screen_clients(&mut clients, whitelist(), &mut rng);
+        let outcomes = screen_all(&mut clients, 9);
         assert_eq!(outcomes, vec![ScreeningOutcome::Unreachable]);
     }
 
@@ -314,8 +282,7 @@ mod tests {
         let mut device = DeviceProfile::trustzone(0);
         device.attestation_key = b"some-other-key".to_vec();
         let mut clients = vec![make_client(0, device)];
-        let mut rng = StdRng::seed_from_u64(2);
-        let outcomes = screen_clients(&mut clients, whitelist(), &mut rng);
+        let outcomes = screen_all(&mut clients, 2);
         assert_eq!(outcomes, vec![ScreeningOutcome::FailedAttestation]);
     }
 
@@ -328,13 +295,22 @@ mod tests {
             ScreeningOutcome::Eligible,
             ScreeningOutcome::FailedAttestation,
         ];
-        let mut rng = StdRng::seed_from_u64(2);
-        let picked = sample_eligible(&outcomes, 2, &mut rng);
+        let plan = ScreenPlan {
+            candidates: (0..5).collect(),
+            challenges: vec![Challenge::new([0; 16]); 5],
+        };
+        let training = TrainingPlan {
+            clients_per_round: 2,
+            ..TrainingPlan::default()
+        };
+        let model = zoo::tiny_mlp(4, 4, 2, 1).unwrap();
+        let mut server = FlServer::new(training, model.weights(), whitelist()).unwrap();
+        let picked = server.sample_screened(&plan, &outcomes).unwrap();
         assert_eq!(picked.len(), 2);
         assert!(picked.iter().all(|&i| [0usize, 2, 3].contains(&i)));
         // Requesting more than available returns all eligible.
-        let mut rng = StdRng::seed_from_u64(3);
-        let all = sample_eligible(&outcomes, 10, &mut rng);
+        server.overprovision(8);
+        let all = server.sample_screened(&plan, &outcomes).unwrap();
         assert_eq!(all, vec![0, 2, 3]);
     }
 
@@ -362,26 +338,16 @@ mod tests {
         // a genuinely dead device earns — so faulted selection needs no
         // special cases downstream.
         use crate::faults::{FaultPlan, FaultyEndpoint};
-        use std::sync::Arc;
         let plan = Arc::new(FaultPlan::seeded(3).crash_at(1, 0));
         let mut clients: Vec<RemoteClient> = (0..3u64)
             .map(|id| {
-                let ds = Arc::new(SyntheticCifar100::with_classes(8, 2, 1));
-                let client = FlClient::new(
-                    id,
-                    DeviceProfile::trustzone(id),
-                    ds,
-                    (0..8).collect(),
-                    zoo::tiny_mlp(3 * 32 * 32, 4, 2, id).unwrap(),
-                    Box::new(PlainSgdTrainer),
-                );
+                let client = fl_client(id, DeviceProfile::trustzone(id));
                 let inner: Box<dyn crate::transport::ServerEndpoint> =
                     Box::new(LocalEndpoint::new(client));
                 RemoteClient::connect(Box::new(FaultyEndpoint::new(inner, plan.clone()))).unwrap()
             })
             .collect();
-        let mut rng = StdRng::seed_from_u64(1);
-        let outcomes = screen_clients(&mut clients, whitelist(), &mut rng);
+        let outcomes = screen_all(&mut clients, 1);
         assert_eq!(
             outcomes,
             vec![
@@ -390,16 +356,5 @@ mod tests {
                 ScreeningOutcome::Eligible,
             ]
         );
-    }
-
-    #[test]
-    fn sampling_none_when_no_eligible() {
-        let outcomes = vec![
-            ScreeningOutcome::NoTee,
-            ScreeningOutcome::FailedAttestation,
-            ScreeningOutcome::Unreachable,
-        ];
-        let mut rng = StdRng::seed_from_u64(4);
-        assert!(sample_eligible(&outcomes, 3, &mut rng).is_empty());
     }
 }

@@ -7,11 +7,10 @@ use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Measurement;
 
 use crate::adversary::ReputationBook;
-use crate::aggregate::fedavg;
 use crate::config::TrainingPlan;
-use crate::message::{ModelDownload, UpdateUpload};
+use crate::message::ModelDownload;
 use crate::selection::{
-    draw_challenge, sample_indices, screen_clients, screen_planned, ScreenPlan, ScreeningOutcome,
+    draw_challenge, sample_indices, screen_planned, ScreenPlan, ScreeningOutcome,
 };
 use crate::{FlError, Result};
 
@@ -207,15 +206,6 @@ impl FlServer {
         self.sample_screened(&plan, &outcomes)
     }
 
-    /// Screens all clients, returning the per-client verdicts (used by
-    /// examples and tests to show who was filtered and why).
-    pub fn screen(
-        &mut self,
-        clients: &mut [crate::transport::RemoteClient],
-    ) -> Vec<ScreeningOutcome> {
-        screen_clients(clients, self.expected_measurement, &mut self.rng)
-    }
-
     /// Builds the model download for the current round (Figure 2-➋).
     ///
     /// `protected_layers` is the GradSec configuration for this cycle
@@ -229,22 +219,10 @@ impl FlServer {
         }
     }
 
-    /// Aggregates the round's updates into the next global model
-    /// (Figure 2-➍) and commits it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates aggregation failures (empty set, mismatches).
-    pub fn aggregate(&mut self, updates: &[UpdateUpload]) -> Result<()> {
-        let next = fedavg(updates)?;
-        self.commit(next);
-        Ok(())
-    }
-
-    /// Installs an already-aggregated global model — the commit half of
-    /// [`aggregate`](Self::aggregate), used by the round driver after
-    /// folding the round's [`PartialAggregate`] — replaces the global,
-    /// dropping the outgoing one, and advances the round counter.
+    /// Installs an already-aggregated global model (Figure 2-➍) — the
+    /// round driver calls it after folding the round's
+    /// [`PartialAggregate`] — replaces the global, dropping the outgoing
+    /// one, and advances the round counter.
     ///
     /// [`PartialAggregate`]: crate::aggregate::PartialAggregate
     pub fn commit(&mut self, next: ModelWeights) {
@@ -256,6 +234,7 @@ impl FlServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::fedavg;
     use crate::client::{DeviceProfile, FlClient};
     use crate::trainer::PlainSgdTrainer;
     use crate::transport::inprocess::LocalEndpoint;
@@ -445,7 +424,7 @@ mod tests {
             .into_iter()
             .map(|i| clients[i].train(&download).unwrap())
             .collect();
-        server.aggregate(&updates).unwrap();
+        server.commit(fedavg(&updates).unwrap());
         assert_eq!(server.round(), 1);
         // The global model moved.
         assert_ne!(server.global(), &before);

@@ -3,25 +3,24 @@
 //! The paper's protocol (Figure 2 ➊–➍) is a strict request/response
 //! pattern: the server initiates every exchange, the client answers. This
 //! module lifts that pattern onto a narrow byte-level seam so one protocol
-//! implementation serves every deployment scenario:
-//!
-//! * [`ServerEndpoint`] — the server's handle to one client, in two
-//!   halves: `begin` puts a request [`Envelope`] on the pipe, `finish`
-//!   blocks for that session's reply (`exchange` is the two composed).
-//! * [`ClientEndpoint`] — the client's side: block for the next request,
-//!   send the reply.
+//! implementation serves every deployment scenario: a
+//! [`ServerEndpoint`] is the server's handle to one client, in two
+//! halves — `begin` puts a request [`Envelope`] on the pipe, `finish`
+//! blocks for that session's reply (`exchange` is the two composed).
 //!
 //! The split is what lets one server thread keep many sessions waiting
 //! at once: every walk over sessions — the handshake, screening, an
-//! engine worker's share of a round — goes through [`slide`], which
-//! begins up to [`WINDOW`] sessions in canonical order before it collects
-//! the oldest reply, in the same order. Each session still sees its own
-//! messages one at a time and in the same sequence, so nothing a session
-//! computes, and nothing keyed by its slot, can tell the difference; an
-//! endpoint that answers inside `begin` (the in-process one) is collected
-//! before the next session begins, which is the old one-at-a-time walk.
+//! engine worker's share of a round — goes through the crate-private
+//! `slide`, which begins up to `WINDOW` (64) sessions in canonical order
+//! before it collects the oldest reply, in the same order. Each session
+//! still sees its own messages one at a time and in the same sequence,
+//! so nothing a session computes, and nothing keyed by its slot, can
+//! tell the difference; an endpoint that answers inside `begin` (the
+//! in-process one) is collected before the next session begins, which is
+//! the old one-at-a-time walk.
 //!
-//! Three backends implement the seam:
+//! A client is served one way: a [`ClientHandler`] turns each request
+//! into its reply. Two paths carry envelopes to it:
 //!
 //! * [`inprocess::LocalEndpoint`] — in-process dispatch, zero-copy in
 //!   flight (the envelope is moved between endpoints, never re-buffered;
@@ -32,18 +31,14 @@
 //!   blocking [`tcp`] endpoints, the fleet's client sessions are
 //!   multiplexed onto a small fixed pool of event-loop threads via
 //!   nonblocking readiness polling ([`poller`]) — the fan-in shape for
-//!   tens of thousands of sessions on one host.
-//! * [`tcp::connect`] — the client side of one such socket served by one
-//!   blocking [`ClientSession`]: what a single device runs.
-//!
-//! [`sealed`] wraps any of the three in the trusted I/O path
-//! (`gradsec-tee::tiop`), sealing exactly the bytes that cross the wire.
+//!   tens of thousands of sessions on one host. A single device is a
+//!   one-session fleet: [`mux::MuxFleet::launch`] with one client.
 //!
 //! Above the byte seam sit the two protocol roles: [`RemoteClient`] (the
 //! server's typed view of a client behind any endpoint, beginning with the
-//! [`Hello`]/[`HelloAck`] version-check-and-codec handshake) and [`ClientHandler`] /
-//! [`ClientSession`] (the client-side request dispatcher and its serve
-//! loop). The server half of a round's download — encode, mirror decode,
+//! [`Hello`]/[`HelloAck`] version-check-and-codec handshake) and
+//! [`ClientHandler`] (the client-side request dispatcher both paths
+//! drive). The server half of a round's download — encode, mirror decode,
 //! billing, framing — is memoised per group of lockstep sessions by the
 //! crate-private `broadcast` module.
 
@@ -51,7 +46,6 @@ pub(crate) mod broadcast;
 pub mod inprocess;
 pub mod mux;
 pub mod poller;
-pub mod sealed;
 pub mod tcp;
 
 use std::collections::VecDeque;
@@ -116,27 +110,6 @@ pub trait ServerEndpoint: Send {
 
     /// A human-readable description of the peer ("in-process",
     /// "tcp:127.0.0.1:40812", …) for error context.
-    fn descriptor(&self) -> String;
-}
-
-/// The client's byte-level side of the exchange.
-pub trait ClientEndpoint: Send {
-    /// Blocks for the next request envelope.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] when the underlying pipe fails and
-    /// [`FlError::Protocol`] on framing violations.
-    fn recv(&mut self) -> Result<Envelope>;
-
-    /// Sends a reply envelope.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] when the underlying pipe fails.
-    fn send(&mut self, reply: Envelope) -> Result<()>;
-
-    /// A human-readable description of the peer, for error context.
     fn descriptor(&self) -> String;
 }
 
@@ -383,40 +356,6 @@ impl ClientHandler {
     }
 }
 
-/// A [`ClientHandler`] bound to a [`ClientEndpoint`]: the serve loop a
-/// client device runs (typically on its own thread or process).
-pub struct ClientSession<E: ClientEndpoint> {
-    handler: ClientHandler,
-    endpoint: E,
-}
-
-impl<E: ClientEndpoint> ClientSession<E> {
-    /// Binds a client to its endpoint.
-    pub fn new(client: FlClient, endpoint: E) -> Self {
-        ClientSession {
-            handler: ClientHandler::new(client),
-            endpoint,
-        }
-    }
-
-    /// Serves requests until the server says goodbye, returning the client
-    /// (with its last-cycle stats) to the caller. A delta-topk session's
-    /// view belongs to the session and ends with it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] when the pipe breaks mid-session.
-    pub fn serve(mut self) -> Result<FlClient> {
-        loop {
-            let request = self.endpoint.recv()?;
-            match self.handler.handle(request) {
-                Some(reply) => self.endpoint.send(reply)?,
-                None => return Ok(self.handler.into_client()),
-            }
-        }
-    }
-}
-
 /// The server's typed view of one client behind a [`ServerEndpoint`].
 ///
 /// Construction performs the protocol handshake: the server states its
@@ -603,7 +542,7 @@ impl RemoteClient {
     /// every execution path (flat, sharded, distributed) funnels through;
     /// this eager form then expands it into the familiar
     /// [`UpdateUpload`], where a round keeps it as it arrived until the
-    /// fold. This is the one-member [`Broadcast`], begun and finished at
+    /// fold. This is the one-member `Broadcast`, begun and finished at
     /// once; the engine hands a whole round's sessions the same one and
     /// overlaps them.
     ///

@@ -6,8 +6,8 @@
 //! saturates. This module is the *client side* of a socket fleet
 //! instead: [`MuxFleet`] spawns `loops` event-loop threads (one per
 //! core by default), each owning its share of the fleet as nonblocking
-//! sockets registered with a [`Poller`](super::poller::Poller). A
-//! per-session [`Session`] state machine reassembles [`Envelope`] frames
+//! sockets registered with a [`Poller`]. A
+//! per-session `Session` state machine reassembles [`Envelope`] frames
 //! from partial reads ([`FrameReassembler`]), dispatches them through the
 //! ordinary [`ClientHandler`], and queues the encoded reply in a bounded
 //! per-session write buffer — when the buffer backs up past the
@@ -17,7 +17,7 @@
 //! The server side is plain blocking sockets: the engine drives
 //! [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s
 //! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
-//! a window of them at a time (see [`slide`](super::slide)) so the loops
+//! a window of them at a time (the transport's `slide`) so the loops
 //! have many requests to serve per wake-up, and completed uploads feed
 //! the existing canonical-order commit — so a mux round is bit-identical
 //! to the in-process round; only the pipe changed. Teardown follows the
@@ -256,8 +256,8 @@ impl Session {
         while self.phase == Phase::Serving && self.pending_write() < write_bound {
             match self.stream.read(chunk) {
                 Ok(0) => {
-                    // EOF without a goodbye: the same disconnect error a
-                    // blocking `ClientSession` reports from its recv.
+                    // EOF without a goodbye: the server is gone, and the
+                    // session ends with a disconnect error.
                     return Err(FlError::disconnected(format!(
                         "mux peer {} closed mid-session",
                         self.peer
@@ -445,8 +445,12 @@ impl MuxFleet {
     /// Spawns the event-loop pool and hands it the fleet: clients are
     /// dealt round-robin across [`MuxOptions::effective_loops`] threads,
     /// each of which connects its share to `addr` and starts polling. The
-    /// server side accepts and handshakes those connections as it would
-    /// any [`tcp::connect`](super::tcp::connect)ed device.
+    /// server side accepts those connections with
+    /// [`TcpListenerEndpoint::accept`](super::tcp::TcpListenerEndpoint::accept)
+    /// and handshakes them through
+    /// [`RemoteClient::connect`](super::RemoteClient::connect). A single
+    /// device is a one-client fleet: `join` hands that client back once
+    /// the server says goodbye.
     ///
     /// # Errors
     ///

@@ -1,19 +1,16 @@
 //! TCP transport: the same envelopes over real sockets.
 //!
-//! The [`Envelope`](crate::message::Envelope) binary layout doubles as
-//! the socket frame — a fixed 13-byte header (magic, version, kind,
-//! payload length) followed by exactly `payload length` bytes — so the
-//! reader never needs to guess message boundaries and a hostile length
-//! prefix is rejected before any allocation
-//! ([`MAX_ENVELOPE_PAYLOAD`](crate::message::MAX_ENVELOPE_PAYLOAD)).
+//! The [`Envelope`] binary layout doubles as the socket frame — a fixed
+//! 13-byte header (magic, version, kind, payload length) followed by
+//! exactly `payload length` bytes — so the reader never needs to guess
+//! message boundaries and a hostile length prefix is rejected before any
+//! allocation ([`MAX_ENVELOPE_PAYLOAD`](crate::message::MAX_ENVELOPE_PAYLOAD)).
 //!
 //! Deployment shape: the FL server [`bind`]s and [`TcpListenerEndpoint::accept`]s
-//! one connection per client; a client device [`connect`]s and runs one
-//! blocking [`ClientSession`](super::ClientSession) serve loop over its
-//! socket. A fleet simulated inside one process connects to the same
-//! listener from the [`mux`](super::mux) event loops instead, and the
-//! shard-control channel frames its messages with the same
-//! `read_envelope` / `write_envelope`.
+//! one connection per client. The client side of every such socket is a
+//! [`mux`](super::mux) session — one device is a one-session
+//! [`MuxFleet`](super::mux::MuxFleet) — and the shard-control channel
+//! frames its messages with the same `read_envelope` / `write_envelope`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -22,7 +19,7 @@ use bytes::BytesMut;
 
 use crate::message::{parse_envelope_head, Envelope, Wire, ENVELOPE_HEADER_LEN};
 use crate::transport::poller::Poller;
-use crate::transport::{ClientEndpoint, ServerEndpoint};
+use crate::transport::ServerEndpoint;
 use crate::{FlError, Result};
 
 /// Writes one envelope to a stream (header + payload, single buffer).
@@ -69,13 +66,6 @@ pub(crate) fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> 
     })
 }
 
-fn configure(stream: &TcpStream, peer: &str) -> Result<()> {
-    // One small frame per exchange: Nagle only adds latency here.
-    stream
-        .set_nodelay(true)
-        .map_err(|e| FlError::transport(format!("configuring socket to {peer}"), e))
-}
-
 /// The server's socket to one connected client.
 #[derive(Debug)]
 pub struct TcpServerEndpoint {
@@ -97,29 +87,6 @@ impl ServerEndpoint for TcpServerEndpoint {
 
     fn notify(&mut self, message: Envelope) -> Result<()> {
         write_envelope(&mut self.stream, &mut self.scratch, &message, &self.peer)
-    }
-
-    fn descriptor(&self) -> String {
-        format!("tcp:{}", self.peer)
-    }
-}
-
-/// The client's socket to the server.
-#[derive(Debug)]
-pub struct TcpClientEndpoint {
-    stream: TcpStream,
-    peer: String,
-    /// Per-session write scratch (see [`write_envelope`]).
-    scratch: BytesMut,
-}
-
-impl ClientEndpoint for TcpClientEndpoint {
-    fn recv(&mut self) -> Result<Envelope> {
-        read_envelope(&mut self.stream, &self.peer)
-    }
-
-    fn send(&mut self, reply: Envelope) -> Result<()> {
-        write_envelope(&mut self.stream, &mut self.scratch, &reply, &self.peer)
     }
 
     fn descriptor(&self) -> String {
@@ -213,11 +180,12 @@ impl TcpListenerEndpoint {
     fn admit(&self, stream: TcpStream, addr: SocketAddr) -> Result<TcpServerEndpoint> {
         let peer = addr.to_string();
         // The listener may have been polled in non-blocking mode; the
-        // session socket must block.
+        // session socket must block. One small frame per exchange: Nagle
+        // only adds latency here.
         stream
             .set_nonblocking(false)
+            .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| FlError::transport(format!("configuring socket to {peer}"), e))?;
-        configure(&stream, &peer)?;
         Ok(TcpServerEndpoint {
             stream,
             peer,
@@ -238,26 +206,6 @@ pub fn bind<A: ToSocketAddrs>(addr: A) -> Result<TcpListenerEndpoint> {
     Ok(TcpListenerEndpoint { listener })
 }
 
-/// Connects a client device to the FL server.
-///
-/// # Errors
-///
-/// Returns [`FlError::Transport`] on connect failure.
-pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<TcpClientEndpoint> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| FlError::transport("connecting to server", e))?;
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_owned());
-    configure(&stream, &peer)?;
-    Ok(TcpClientEndpoint {
-        stream,
-        peer,
-        scratch: BytesMut::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,9 +216,10 @@ mod tests {
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut client = connect(addr).unwrap();
-            let req = client.recv().unwrap();
-            client.send(req).unwrap(); // echo
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let req = read_envelope(&mut stream, "server").unwrap();
+            write_envelope(&mut stream, &mut BytesMut::new(), &req, "server").unwrap();
+            // echo
         });
         let mut server = listener.accept().unwrap();
         let sent = Envelope::pack(MessageKind::Hello, &Hello::current());
@@ -284,7 +233,7 @@ mod tests {
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(&[0u8; ENVELOPE_HEADER_LEN]).unwrap();
         });
         let mut server = listener.accept().unwrap();
@@ -298,7 +247,7 @@ mod tests {
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || {
-            let _ = connect(addr).unwrap();
+            let _ = TcpStream::connect(addr).unwrap();
             // drop: connection closes without a byte sent
         });
         let mut server = listener.accept().unwrap();

@@ -105,10 +105,10 @@ proptest! {
             seed, dropout, drop_p, garble_p,
             latency_kind, lat_a, lat_b, deadline_ds, spare,
         );
-        let mut seq = builder(faults()).build().unwrap();
-        let seq_report = seq.run_with(&ExecutionEngine::sequential());
-        let mut par = builder(faults()).build().unwrap();
-        let par_report = par.run_with(&ExecutionEngine::new(workers));
+        let mut seq = builder(faults()).engine(ExecutionEngine::sequential()).build().unwrap();
+        let seq_report = seq.run();
+        let mut par = builder(faults()).engine(ExecutionEngine::new(workers)).build().unwrap();
+        let par_report = par.run();
         prop_assert_eq!(&seq_report, &par_report, "workers={}", workers);
         if seq_report.is_ok() {
             prop_assert_eq!(seq.server().global(), par.server().global());

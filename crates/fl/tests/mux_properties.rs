@@ -18,7 +18,7 @@ use gradsec_fl::codec::{encode_weights, CodecKind};
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::message::{
     encode, AttestationRequest, AttestationResponse, EncodedModelDownload, EncodedUpdateUpload,
-    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN,
+    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
 };
 use gradsec_fl::trainer::PlainSgdTrainer;
 use gradsec_fl::transport::mux::{FrameReassembler, MuxFleet, DEFAULT_JOIN_GRACE};
@@ -29,7 +29,6 @@ use gradsec_tee::attestation::{sign_quote, verify_quote, Challenge, Measurement}
 use gradsec_tee::cost::{ClientCycleCost, TimeBreakdown, WireBill};
 use gradsec_tee::crypto::sha256::sha256;
 use gradsec_tee::ta::Uuid;
-use gradsec_tee::tiop::SecureChannel;
 use gradsec_tensor::init;
 use proptest::prelude::*;
 
@@ -44,9 +43,9 @@ fn weights(layers: usize, width: usize, seed: u64) -> ModelWeights {
     )
 }
 
-/// One representative envelope per client-protocol [`MessageKind`],
-/// parameterised by a seed so payload bytes (and sizes) vary across
-/// proptest cases. The strategies below pick kinds by index, so this
+/// One representative envelope per client-protocol [`MessageKind`], plus
+/// an opaque payload, parameterised by a seed so payload bytes (and
+/// sizes) vary across proptest cases. The strategies below pick kinds by index, so this
 /// covers the client protocol exhaustively by construction.
 fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
     let width = 1 + (seed % 4) as usize;
@@ -88,11 +87,12 @@ fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
             },
         ),
         5 => Envelope::control(MessageKind::Goodbye),
-        6 => {
-            let (mut tx, _rx) = SecureChannel::pair(&seed.to_le_bytes());
-            let frame = tx.seal(&seed.to_le_bytes());
-            Envelope::pack(MessageKind::Sealed, &frame)
-        }
+        // Bytes the reassembler must carry without reading them.
+        6 => Envelope {
+            version: PROTOCOL_VERSION,
+            kind: MessageKind::Error,
+            payload: sha256(&seed.to_le_bytes())[..(seed % 33) as usize].to_vec(),
+        },
         7 => Envelope::pack(
             MessageKind::EncodedModelDownload,
             &EncodedModelDownload {

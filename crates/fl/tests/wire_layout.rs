@@ -1,20 +1,22 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 9 has always produced.
+//! version 10 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 9 moved
-//! only what it meant to: every `envelope/*` (the version stamp), two of
-//! them, `envelope/shard_config_{plain,hostile}`, also for the TA
-//! measurement `ShardConfig` no longer ships. Version 8 had moved every
-//! `envelope/*` too, and
-//! `partial_aggregate` and `envelope/shard_round_reply` (a shard term's
-//! weights tag, and the fixture's int8 term in wire form). Version 7 had
-//! moved `encoded_weights/delta_topk` and `encoded_tensor/sparse`
-//! (gap-coded indices); the other twenty-nine digests are still the ones
-//! captured from version 6's hand-written encoders.
+//! table (the failure message prints the new digests). Version 10 moved
+//! only the version stamp of every `envelope/*`; it retired the sealed
+//! carrier, so `envelope/sealed` and `frame` left the table. Version 9
+//! had moved every `envelope/*` too, and two of them,
+//! `envelope/shard_config_{plain,hostile}`, also for the TA measurement
+//! `ShardConfig` no longer ships. Version 8 had moved every
+//! `envelope/*`, and `partial_aggregate` and
+//! `envelope/shard_round_reply` (a shard term's weights tag, and the
+//! fixture's int8 term in wire form). Version 7 had moved
+//! `encoded_weights/delta_topk` and `encoded_tensor/sparse` (gap-coded
+//! indices); the other twenty-eight digests are still the ones captured
+//! from version 6's hand-written encoders.
 
 use gradsec_fl::adversary::AdversaryPlan;
 use gradsec_fl::codec::{encode_weights, CodecKind, EncodedBody, EncodedWeights};
@@ -32,7 +34,6 @@ use gradsec_tee::attestation::{Challenge, Measurement, Quote};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::crypto::sha256::sha256;
 use gradsec_tee::ta::Uuid;
-use gradsec_tee::tiop::Frame;
 use gradsec_tensor::Tensor;
 
 #[path = "common/shard_terms.rs"]
@@ -307,12 +308,6 @@ fn digests() -> Vec<(&'static str, String)> {
         &Envelope::control(MessageKind::Goodbye),
     );
     file(&mut t, "envelope/error", &Envelope::error("no such round"));
-    let frame = Frame {
-        seq: 17,
-        ciphertext: (0u8..40).collect(),
-        mac: vec![0x6B; 32],
-    };
-    file_framed(&mut t, "envelope/sealed", MessageKind::Sealed, &frame);
     file_framed(
         &mut t,
         "envelope/encoded_model_download",
@@ -446,7 +441,6 @@ fn digests() -> Vec<(&'static str, String)> {
             reason: "peer reported: résumé".to_owned(),
         },
     );
-    file(&mut t, "frame", &frame);
     file(&mut t, "latency/none", &LatencyModel::None);
     file(&mut t, "latency/fixed", &LatencyModel::Fixed(1.5));
     file(
@@ -494,79 +488,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 9 (see the module comment for what moved from 8).
+/// Protocol version 10 (see the module comment for what moved from 9).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "484d3bd857821c4fe5c4472de551ae314ab20067b2ea88e06bea84a24f5db862",
+        "18ba46478b23a1d7e6d11a7726927974ca8076bb06fde8b8bf154ad0d9e3af5a",
     ),
     (
         "envelope/hello_ack",
-        "98136d6d41fed6d842543c817723568138555c3313a966f62523c1a74e4ca888",
+        "32c2fd3179c452cc403c85e0e75299fe0210b45e86203dd3b1299fbfe0230677",
     ),
     (
         "envelope/attestation_request",
-        "9ace1f96468ab9d9dd142f115fd73437cc00e1d5680893cdc0b6ce99aafcebe4",
+        "e968c9c856f51449cd09b73ae4d65a464770c9ebe47ac8be211d1c24e6cc2f9e",
     ),
     (
         "envelope/attestation_response",
-        "7a7185f27adcd695f9ff6c89627000135704b476c5f4662f6cf55b5fdd3153bb",
+        "be5a79b9f7e41b78d5ce5734f1b700943eb0f6e100bd19f894281fd6848914cb",
     ),
     (
         "envelope/goodbye",
-        "f3c931eea5037ef9634f8e078913e880686d201e64cfab548a7638bb9dc80efc",
+        "e3a881c3d0edacfeff566c5b71a0e70d74152ffd3aded3465dd1a5aa65649c28",
     ),
     (
         "envelope/error",
-        "d1b24642a92cc8847a4999abf8cde35b6a0b85042e96f1ea48381f05409c1958",
-    ),
-    (
-        "envelope/sealed",
-        "69977c8014d195d2e3fa0ae105939a76af373cc7bfbfe624f157f03f3a449c3f",
+        "f791cbfc3f8ba404211f8a44ac96be2227429aa13216eeb3568160bc2cfd2830",
     ),
     (
         "envelope/encoded_model_download",
-        "29b6422c25bd9b861d786b208b157377f3d42b36ffe2aef1e2f2e75f1e3ccb32",
+        "d674b4b3d875c0fecb6899d0f9d26e188527e1170a5481e6c89e87fd4f06a1fb",
     ),
     (
         "envelope/encoded_update_upload",
-        "2c68caa684a63afbc182edd54ed08a333c64b529a9b56989c0ba5c5b2f00b6dc",
+        "729ae534f91bfffc20a7448ba043c8e8439c66c03718c2ae1bcd9183e087a2a9",
     ),
     (
         "envelope/shard_hello",
-        "539378d0b935002f2b081c8bd4ed4a4398aae9bf8dcb337665f27440e53f13b7",
+        "4c354ea22e69fc6b97ab36170888ddcc391c85a9a292f5a3127cb3facfbb1f48",
     ),
     (
         "envelope/shard_hello_ack",
-        "8a3471000450055800409db9b6b060e1b96da020681ccefecab09658e250cc38",
+        "b3fa6988ede5c6073ac9b442f2accfe2570caad36a897f2e0de6aadbeecec82b",
     ),
     (
         "envelope/shard_config_plain",
-        "17747d3be0b49b84c2d1875f3495217e0229e8d6574511a8dd37deadf75e11da",
+        "309eac6556979faedd274fe2f2ff9ce56d1e15f69c85335ff7637c5f8615fce0",
     ),
     (
         "envelope/shard_config_hostile",
-        "5840a09c4fb48cd2eb60164ca3ae53e1c4f5707d6785db52428169f19e231d71",
+        "bd77bc609605f73ae7a35ff9d7a78eeeaa9368012aabf3a333107c308caea330",
     ),
     (
         "envelope/shard_config_ack",
-        "b2bbdf5044d88492d55c6f7e64cce57ad0133cc7435d24fa54ff99783bff3da2",
+        "544bbc7f778e817ba1fe01ede5e34a6fe072e866158c7e23e74ad3769dfc7974",
     ),
     (
         "envelope/shard_screen",
-        "2aae619c43ddf6fe6ad260006bcd9a1600c26bf08001bf23b745aed24b71d86c",
+        "213d05b96853307eaffa2a0a49e20a94c18685fbe01a00e643407fb1a188c8a0",
     ),
     (
         "envelope/shard_screen_reply",
-        "40900e7b6707e5e2a7950508cfb1ea01380de7469b77d9d5a618dac9b13946ca",
+        "bd8383f8c27e342ba21655036d3bb7373093908f43c0d43c306c6b2c8ce9606c",
     ),
     (
         "envelope/shard_round",
-        "5fb609370dc7345afe899035204693c3f86afb2b36ea9414539c5817d6474a42",
+        "7eace895ac7cde4ddc74f1676ac92515933b9d3bba7428eac8f8ab112acf04ff",
     ),
     (
         "envelope/shard_round_reply",
-        "bef80beb334fe353f36d5c528896b0ebc02a43e71d2725e9e1497b3274b4eae8",
+        "ae10455b5c7f14a2468c8b87d2955e470c7c8ebb0e509f6f4c0cb467d7f1f463",
     ),
     (
         "tensor",
@@ -611,10 +601,6 @@ const FROZEN: &[(&str, &str)] = &[
     (
         "error_reply",
         "af418296db903c7362a457b9720a5d4fc97071381b9b71148eacc1c586ccabd0",
-    ),
-    (
-        "frame",
-        "9e825c0eff0564e81e315b41526d4cc9dff764c4546f2f26474075506946c92f",
     ),
     (
         "latency/none",
@@ -700,7 +686,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 9, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 10, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

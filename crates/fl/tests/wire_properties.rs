@@ -24,7 +24,6 @@ use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
-use gradsec_tee::tiop::{Frame, SecureChannel};
 use gradsec_tensor::{init, Tensor};
 use proptest::prelude::*;
 
@@ -299,15 +298,6 @@ proptest! {
         };
         let back: TrainingPlan = decode(&encode(&plan)).unwrap();
         prop_assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn sealed_frame_roundtrips_through_envelope(payload in proptest::collection::vec(any::<u8>(), 0..256), secret in proptest::collection::vec(any::<u8>(), 1..32)) {
-        let (mut tx, mut rx) = SecureChannel::pair(&secret);
-        let frame = tx.seal(&payload);
-        let back: Frame = through_envelope(MessageKind::Sealed, &frame);
-        prop_assert_eq!(&back, &frame);
-        prop_assert_eq!(rx.open(&back).unwrap(), payload);
     }
 
     #[test]

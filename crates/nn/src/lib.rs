@@ -15,9 +15,9 @@
 //!   MSE,
 //! * [`optim`] — SGD (the FL client optimizer, eq. 1), Adam and L-BFGS (the
 //!   optimizers the DRIA attacker uses),
-//! * [`model`] — [`Sequential`](model::Sequential) with per-batch training,
+//! * [`model`] — [`Sequential`] with per-batch training,
 //!   gradient snapshots and weight import/export for federated learning,
-//! * [`gradient`] — [`GradientSnapshot`](gradient::GradientSnapshot) plus the
+//! * [`gradient`] — [`GradientSnapshot`] plus the
 //!   *Flaw 1* reconstruction `dW = (W^{t+1} − W^t)/λ`,
 //! * [`zoo`] — LeNet-5 and AlexNet exactly per the paper's Table 4.
 //!

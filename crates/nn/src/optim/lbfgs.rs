@@ -1,4 +1,4 @@
-//! Limited-memory BFGS (paper reference [34]).
+//! Limited-memory BFGS (paper reference \[34\]).
 //!
 //! The reference DRIA implementation performs its gradient-matching descent
 //! with L-BFGS (paper §8.1). This module provides a self-contained

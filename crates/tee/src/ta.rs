@@ -183,12 +183,6 @@ impl TrustedOs {
     pub fn memory(&self) -> &SecureMemory {
         &self.memory
     }
-
-    /// Mutable access to the secure memory pool (secure-world code only;
-    /// the GradSec trainer manages layer buffers directly).
-    pub fn memory_mut(&mut self) -> &mut SecureMemory {
-        &mut self.memory
-    }
 }
 
 impl Default for TrustedOs {

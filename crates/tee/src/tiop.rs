@@ -9,11 +9,6 @@
 //! carry a monotone sequence number under the MAC, so replay, reorder and
 //! truncation are all detected — the properties the provisioning path
 //! needs so protected weights never transit the normal world in clear.
-//!
-//! Since the federation's transport redesign, [`Frame`]s are also what
-//! the sealed transport endpoints (`gradsec-fl::transport::sealed`) ship:
-//! a whole protocol envelope is sealed here and the ciphertext crosses
-//! the in-process channel or TCP socket unchanged.
 
 use serde::{Deserialize, Serialize};
 

@@ -17,7 +17,7 @@
 //! [`TensorBackend`](crate::backend::TensorBackend) — the default
 //! [`BackendKind::Reference`] for the plain entry points or any backend
 //! via the `*_with` variants. Both passes cut the batch into image bands
-//! once the per-batch im2col volume crosses [`PARALLEL_THRESHOLD`] and
+//! once the per-batch im2col volume crosses `PARALLEL_THRESHOLD` and
 //! hand them to [`threads::for_each_band`]: as many threads as the
 //! caller's budget allows, the caller among them, walk the bands — under
 //! a federation engine worker that owns one core, inline. Each image's
@@ -26,7 +26,7 @@
 //! pass reduces per-band `dW`/`db` partials in band order, so — unlike
 //! `matmul`, whose disjoint output rows make any band count safe — the
 //! band count must **not** depend on the machine or the budget: bands are
-//! a fixed [`IMAGES_PER_BAND`] images wide, making the reduction grouping
+//! a fixed `IMAGES_PER_BAND` images wide, making the reduction grouping
 //! a pure function of the batch size.
 
 use super::threads;

@@ -9,7 +9,7 @@
 //!
 //! These functions are thin *dispatchers*: they validate shapes, allocate
 //! the output and hand the innermost loops to a
-//! [`TensorBackend`](crate::backend::TensorBackend) — the default
+//! [`TensorBackend`] — the default
 //! [`BackendKind::Reference`] kernels for the plain entry points, or any
 //! backend via the `*_with` variants. [`matmul`] additionally splits row
 //! bands across the threads of the caller's budget

@@ -249,30 +249,35 @@ fn tcp_shutdown_is_clean_for_faulted_fleets() {
 #[test]
 fn dropping_a_server_endpoint_releases_a_session_awaiting_goodbye() {
     use gradsec::fl::client::{DeviceProfile, FlClient};
-    use gradsec::fl::transport::{tcp, ClientSession, RemoteClient};
+    use gradsec::fl::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
+    use gradsec::fl::transport::{tcp, RemoteClient};
+    use gradsec::fl::MuxOptions;
     within_secs(30, "endpoint-drop release", || {
         let listener = tcp::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let session = std::thread::spawn(move || {
-            let ds = Arc::new(SyntheticMicro::new(8, 2, 4, 1));
-            let client = FlClient::new(
-                5,
-                DeviceProfile::trustzone(5),
-                ds,
-                (0..8).collect(),
-                zoo::tiny_mlp(4, 3, 2, 1).unwrap(),
-                Box::new(PlainSgdTrainer),
-            );
-            ClientSession::new(client, tcp::connect(addr).unwrap()).serve()
-        });
+        let ds = Arc::new(SyntheticMicro::new(8, 2, 4, 1));
+        let client = FlClient::new(
+            5,
+            DeviceProfile::trustzone(5),
+            ds,
+            (0..8).collect(),
+            zoo::tiny_mlp(4, 3, 2, 1).unwrap(),
+            Box::new(PlainSgdTrainer),
+        );
+        // One device: a one-session fleet.
+        let mut device = MuxFleet::launch(addr, vec![client], &MuxOptions::default()).unwrap();
         let endpoint = listener.accept().unwrap();
         let remote = RemoteClient::connect(Box::new(endpoint)).unwrap();
         assert_eq!(remote.id(), 5);
-        // No goodbye: the drop alone must wake the session's blocking
-        // recv with a disconnect so the join below cannot hang. This is
-        // the property `teardown_fleet` relies on when a goodbye is lost.
+        // No goodbye: the drop alone must end the session with a
+        // disconnect, so the join returns long before its grace runs
+        // out. This is the property `LocalFleet::teardown` relies on when
+        // a goodbye is lost.
         drop(remote);
-        let outcome = session.join().expect("session thread must not panic");
+        let started = Instant::now();
+        let outcome = device.join(DEFAULT_JOIN_GRACE);
+        let waited = started.elapsed();
+        assert!(waited < DEFAULT_JOIN_GRACE / 10, "join waited {waited:?}");
         assert!(outcome.is_err(), "session saw the disconnect");
     });
 }
