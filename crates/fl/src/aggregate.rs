@@ -23,9 +23,10 @@
 //! does, add, drop — with the first one's expansion serving as the
 //! accumulator, so one dense update is alive at a time. `TrimmedMean` and
 //! `Median`, which need every update per coordinate, expand none: they
-//! read each term in place, `REDUCE_CHUNK` coordinates of one tensor at a
-//! time. The arithmetic is term for term what it was when every term was
-//! dense from the start.
+//! read each term in place, front to back, `REDUCE_CHUNK` coordinates of
+//! one tensor at a time, so a sparse term's gaps are walked once a tensor.
+//! The arithmetic is term for term what it was when every term was dense
+//! from the start.
 //!
 //! That split is what makes the merge *associativity-safe*: f32 addition
 //! is not associative, so summing per-shard weight averages would make the
@@ -407,9 +408,11 @@ const REDUCE_CHUNK: usize = 64;
 
 /// Applies `reduce` to every coordinate across the terms: for each
 /// position, the values of all terms land in a scratch slice (in canonical
-/// slot order) and `reduce` folds them to the output coefficient. Terms
-/// are read [`REDUCE_CHUNK`] coordinates of one tensor at a time, so none
-/// is expanded. All robust coordinate-wise estimators bottom out here.
+/// slot order) and `reduce` folds them to the output coefficient. Each
+/// term's tensor is read front to back by one reader, [`REDUCE_CHUNK`]
+/// coordinates at a time, so none is expanded and a sparse term's gaps
+/// are walked once a tensor. All robust coordinate-wise estimators bottom
+/// out here.
 fn coordinate_reduce(
     terms: &[(usize, ArrivedUpload)],
     reduce: impl Fn(&mut [f32]) -> f32,
@@ -437,10 +440,14 @@ fn coordinate_reduce(
         let dims = first.dims(i);
         let n = dims.iter().product::<usize>();
         let mut data = Vec::with_capacity(n);
+        let mut readers: Vec<_> = terms.iter().map(|t| t.reader(i)).collect();
         for start in (0..n).step_by(REDUCE_CHUNK) {
             let len = REDUCE_CHUNK.min(n - start);
-            for (t, chunk) in terms.iter().zip(chunks.chunks_exact_mut(REDUCE_CHUNK)) {
-                t.read_range(i, start, &mut chunk[..len]);
+            for (r, chunk) in readers
+                .iter_mut()
+                .zip(chunks.chunks_exact_mut(REDUCE_CHUNK))
+            {
+                r.fill(&mut chunk[..len]);
             }
             for j in 0..len {
                 for (v, chunk) in vals.iter_mut().zip(chunks.chunks_exact(REDUCE_CHUNK)) {
@@ -821,6 +828,96 @@ mod tests {
                     ArrivedWeights::Dense(dense.clone())
                 };
                 expanded.push(dense);
+                partial.push_arrived(slot, term);
+            }
+            let bits = |w: &ModelWeights| crate::transport::tests::bits(flatten(w));
+            let rules: [(Aggregator, Reduce); 3] = [
+                (Aggregator::Median, median),
+                (Aggregator::TrimmedMean { trim: 1 }, |v| trimmed_mean(v, 1)),
+                (Aggregator::TrimmedMean { trim: 2 }, |v| trimmed_mean(v, 2)),
+            ];
+            for (rule, reduce) in rules {
+                let got = partial.clone().finish_with(rule, None).unwrap();
+                let want = reduce_expanded(&expanded, reduce);
+                proptest::prop_assert_eq!(bits(&got.weights), bits(&want), "{}", rule.name());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // Each case holds a 2.1M-coefficient view and every term expanded.
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// A sparse term's reader walks its gaps once across the chunks of
+        /// a tensor. Over wire-form delta terms whose kept indices sit
+        /// either side of multiples of [`REDUCE_CHUNK`] and whose gaps are
+        /// 1-, 2-, 3- and 4-byte varints (127 | 128, 16 383 | 16 384 and
+        /// 2^21), median and trimmed means commit what reducing every
+        /// expanded term commits, bit for bit. (A 5-byte gap, 2^28, needs
+        /// a tensor of over 2^28 coefficients; the decoder's walk of one
+        /// is pinned by the codec's hostile fixtures.)
+        #[test]
+        fn robust_rules_read_wide_gap_sparse_terms_to_the_bits_of_expanding_them(
+            n in 5usize..7,
+            starts in proptest::collection::vec(0usize..8, 7..8),
+            rotations in proptest::collection::vec(0usize..5, 7..8),
+            seed in proptest::any::<u64>(),
+        ) {
+            use crate::codec::{
+                CheckedWeights, CodecKind, EncodedBody, EncodedTensor, EncodedWeights, SparseDelta,
+            };
+            use crate::message::encode;
+            use gradsec_tensor::init;
+            const C: usize = REDUCE_CHUNK;
+            const GAPS: [(usize, usize); 5] = [(127, 1), (128, 2), (16_383, 2), (16_384, 3), (1 << 21, 4)];
+            // Room for a start below 2C, every gap and a closing run; the
+            // last chunk ends mid-way.
+            let len = 2 * C + GAPS.iter().map(|(g, _)| g + 1).sum::<usize>() + 3 * C + 5;
+            let view = std::sync::Arc::new(ModelWeights::new(vec![LayerWeights {
+                w: init::uniform(&[len], -1.0, 1.0, seed),
+                b: init::uniform(&[C], -1.0, 1.0, seed ^ 0xB1A5),
+            }]));
+            let mut expanded = Vec::new();
+            let mut partial = PartialAggregate::new();
+            for slot in 0..n {
+                // From just below the second chunk edge, across every gap
+                // width in a drawn order, then the run either side of the
+                // next chunk edge.
+                let mut kept = vec![C + starts[slot] - 4];
+                let mut gap_bytes = 1;
+                for j in 0..GAPS.len() {
+                    let (gap, width) = GAPS[(j + rotations[slot]) % GAPS.len()];
+                    kept.push(kept[kept.len() - 1] + gap + 1);
+                    gap_bytes += width;
+                }
+                let edge = (kept[kept.len() - 1] / C + 2) * C;
+                kept.extend([edge - 1, edge, edge + 1]);
+                gap_bytes += 3;
+                let values = init::uniform(&[kept.len()], -1.0, 1.0, seed.wrapping_add(slot as u64));
+                let entries = kept.iter().zip(values.data()).map(|(&i, &v)| (i as u32, v));
+                let weights = EncodedTensor {
+                    dims: vec![len],
+                    body: EncodedBody::TopK(SparseDelta::from_entries(entries)),
+                };
+                // Rank, dim, tag, count, the gaps, the values.
+                proptest::prop_assert_eq!(encode(&weights).len(), 8 + 8 + 1 + 8 + gap_bytes + 4 * kept.len());
+                let bias = [(C as u32 - 2, 0.25 * slot as f32), (C as u32 - 1, -0.5)];
+                let enc = EncodedWeights {
+                    codec: CodecKind::DeltaTopK,
+                    epoch: 1,
+                    base_epoch: Some(0),
+                    tensors: vec![
+                        weights,
+                        EncodedTensor {
+                            dims: vec![C],
+                            body: EncodedBody::TopK(SparseDelta::from_entries(bias)),
+                        },
+                    ],
+                };
+                let checked = CheckedWeights::new(enc, Some(view.clone())).unwrap();
+                expanded.push(checked.to_dense());
+                let mut term = ArrivedUpload::from(upload(slot as u64, 0.0, 1 + slot));
+                term.weights = ArrivedWeights::Wire(Box::new(checked));
                 partial.push_arrived(slot, term);
             }
             let bits = |w: &ModelWeights| crate::transport::tests::bits(flatten(w));

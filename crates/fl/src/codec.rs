@@ -50,8 +50,10 @@
 //! every coefficient of a dense body. Decoding refuses `k > n`, a
 //! running index `>= n`, and any gap not in the one form the encoder
 //! writes (see the varint row of the grammar table in
-//! [`crate::message`]), so an accepted body re-encodes to the bytes it
-//! arrived as.
+//! [`crate::message`]), so an accepted body *is* the bytes it arrived
+//! as: a [`SparseDelta`] keeps the gap varints it was walked from, and
+//! its values, and writes them back out unchanged. Its indices exist only
+//! as the one walk over those gaps ([`SparseDelta::entries`]).
 //!
 //! # Who holds what, when
 //!
@@ -72,10 +74,13 @@
 //! nothing). It stays in that form through the engine's slots, the round's
 //! outcomes and the [`PartialAggregate`](crate::aggregate::PartialAggregate),
 //! so a round's pending updates cost what crossed the wire, not `k ×`
-//! the dense model. The fold expands them one at a time under FedAvg and
-//! NormClip; TrimmedMean and Median expand none, reading each payload in
-//! place a chunk of coordinates at a time; and an update the round does
-//! not fold (a surplus spare, a straggler) is never expanded at all. A
+//! the dense model: a sparse body holds its wire bytes in memory, one gap
+//! byte and one `f32` a kept coefficient, and an int8 body its byte per
+//! coefficient. The fold expands them one at a time under FedAvg and
+//! NormClip; TrimmedMean and Median expand none, reading each payload
+//! front to back a chunk of coordinates at a time, so each sparse body's
+//! gaps are walked once a tensor; and an update the round does not fold
+//! (a surplus spare, a straggler) is never expanded at all. A
 //! shard server's self-contained (int8) payloads cross the shard-control
 //! channel in the same form and are checked again as they arrive, against
 //! no view; a payload that adds to a delta view crosses dense, because the
@@ -109,9 +114,7 @@ use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
 
 use crate::message::{limits, Wire};
-use crate::wire::{
-    decode_len, get_f32s, get_varint, need, put_f32s, put_varint, varint_len, wire_struct,
-};
+use crate::wire::{decode_len, get_f32s, get_varint, need, put_f32s, put_varint, wire_struct};
 use crate::{FlError, Result};
 
 /// Fraction of per-tensor delta coefficients [`CodecKind::DeltaTopK`]
@@ -205,15 +208,151 @@ pub enum EncodedBody {
         q: Vec<u8>,
     },
     /// Sparse delta vs. the reference view: `x[i] = ref[i]` everywhere,
-    /// plus `values[j]` added at `indices[j]`. Indices are strictly
-    /// increasing and in-bounds by construction (and re-validated on
-    /// decode).
-    TopK {
-        /// Kept coefficient positions, strictly increasing.
-        indices: Vec<u32>,
-        /// The delta value at each kept position.
-        values: Vec<f32>,
-    },
+    /// plus each kept `(index, value)` of the [`SparseDelta`] added at its
+    /// index. The body is held as it crosses the wire — a gap varint and
+    /// an `f32` a kept coefficient, 5 bytes at top-k density — so it costs
+    /// in memory what it costs on the wire. Its indices are walked from
+    /// the gaps; a decoded body's are strictly increasing and in bounds,
+    /// and the arrival check re-validates a body built in memory.
+    TopK(SparseDelta),
+}
+
+/// The body of a sparse delta in its wire form: the `k` kept indices as
+/// the LEB128 varints of their gaps (`idx - prev - 1`; the first gap is
+/// the first index), exactly the bytes the encoder writes, beside the `k`
+/// delta values. Only [`from_entries`](Self::from_entries) and the wire
+/// decoder build one, and [`entries`](Self::entries) is the one walk that
+/// reads the indices back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseDelta {
+    gaps: Vec<u8>,
+    values: Vec<f32>,
+}
+
+impl SparseDelta {
+    /// The body keeping `entries`, `(index, value)` in index order.
+    /// Gaps are taken wrapping, so a hand-built list whose indices are not
+    /// strictly increasing still builds — and serialises to gaps the
+    /// decoder refuses, and walks to an index the arrival check refuses —
+    /// instead of panicking in the sender.
+    pub fn from_entries(entries: impl IntoIterator<Item = (u32, f32)>) -> Self {
+        let entries = entries.into_iter();
+        let k = entries.size_hint().0;
+        let (mut gaps, mut values) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let mut next = 0u32;
+        for (idx, v) in entries {
+            put_varint(&mut gaps, idx.wrapping_sub(next));
+            next = idx.wrapping_add(1);
+            values.push(v);
+        }
+        // Exactly the wire bytes: no growth slack is kept.
+        SparseDelta {
+            gaps: gaps.into_boxed_slice().into_vec(),
+            values: values.into_boxed_slice().into_vec(),
+        }
+    }
+
+    /// The kept `(index, value)` pairs in order, each index walked from
+    /// its gap in `u64`, so a wrapped gap cannot land back inside a tensor.
+    pub fn entries(&self) -> SparseEntries<'_> {
+        SparseEntries {
+            gaps: GapWalk::new(&self.gaps),
+            values: self.values.iter(),
+        }
+    }
+
+    /// Exact wire size after the body tag: the count, the gaps, the values.
+    fn wire_bytes(&self) -> u64 {
+        8 + self.gaps.len() as u64 + 4 * self.values.len() as u64
+    }
+
+    /// The body of `k` entries for a tensor of `n` coefficients, read off
+    /// the wire behind its count. Each gap is walked as it is read, and the
+    /// walked span is kept as the body's gaps.
+    fn decode_from(buf: &mut Bytes, k: usize, n: usize) -> Result<Self> {
+        // An entry is at least one gap byte and a 4-byte value: a count
+        // the body cannot hold reserves nothing.
+        need(buf, 5 * k, "sparse body")?;
+        let mut walk = GapWalk::new(buf.chunk());
+        for _ in 0..k {
+            let idx = walk.next_index()?;
+            if idx >= n as u64 {
+                return Err(FlError::BadConfig {
+                    reason: index_out_of_bounds(idx, n),
+                });
+            }
+        }
+        let span = buf.chunk().len() - walk.rest.len();
+        let gaps = buf.chunk()[..span].to_vec();
+        buf.advance(span);
+        let values = get_f32s(buf, k, "sparse values")?;
+        Ok(SparseDelta { gaps, values })
+    }
+}
+
+/// The one refusal of a sparse index past its tensor, in every validator.
+fn index_out_of_bounds(idx: u64, n: usize) -> String {
+    format!("sparse index {idx} out of bounds for tensor of {n}")
+}
+
+/// The walk from gap varints to the indices they name: each gap read in
+/// the one form the encoder writes and added to the index past the
+/// previous one, in `u64`.
+#[derive(Debug, Clone)]
+struct GapWalk<'a> {
+    rest: &'a [u8],
+    next: u64,
+}
+
+impl<'a> GapWalk<'a> {
+    fn new(gaps: &'a [u8]) -> Self {
+        GapWalk {
+            rest: gaps,
+            next: 0,
+        }
+    }
+
+    #[inline]
+    fn next_index(&mut self) -> Result<u64> {
+        let gap = match *self.rest {
+            // At top-k density nearly every gap is one byte (below 128),
+            // read in line; longer ones go through the varint reader.
+            [b, ref rest @ ..] if b < 0x80 => {
+                self.rest = rest;
+                u32::from(b)
+            }
+            _ => get_varint(&mut self.rest, "sparse index gap")?,
+        };
+        let idx = self.next + u64::from(gap);
+        self.next = idx + 1;
+        Ok(idx)
+    }
+}
+
+/// The `(index, value)` pairs of a [`SparseDelta`], from
+/// [`SparseDelta::entries`].
+#[derive(Debug, Clone)]
+pub struct SparseEntries<'a> {
+    gaps: GapWalk<'a>,
+    values: std::slice::Iter<'a, f32>,
+}
+
+impl Iterator for SparseEntries<'_> {
+    type Item = (u64, f32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, f32)> {
+        let &v = self.values.next()?;
+        let idx = self
+            .gaps
+            .next_index()
+            .expect("a sparse body's gaps are the encoder's varints");
+        Some((idx, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.values.size_hint()
+    }
 }
 
 /// One encoded tensor: its shape plus the codec body.
@@ -267,26 +406,9 @@ impl EncodedBody {
         match self {
             EncodedBody::Dense(v) => 4 * v.len() as u64,
             EncodedBody::Int8 { q, .. } => 4 + 4 + q.len() as u64,
-            EncodedBody::TopK { indices, values } => {
-                let gap_bytes: u64 = gaps(indices).map(|g| varint_len(g) as u64).sum();
-                8 + gap_bytes + 4 * values.len() as u64
-            }
+            EncodedBody::TopK(sparse) => sparse.wire_bytes(),
         }
     }
-}
-
-/// What a sparse body ships in place of each index: its distance past
-/// the previous one (`idx - prev - 1`; the first gap is the first index).
-fn gaps(indices: &[u32]) -> impl Iterator<Item = u32> + '_ {
-    // Wrapping, so a hand-built body whose indices are not increasing
-    // still serialises — to gaps the decoder refuses — instead of
-    // panicking in the sender.
-    let mut next = 0u32;
-    indices.iter().map(move |&idx| {
-        let gap = idx.wrapping_sub(next);
-        next = idx.wrapping_add(1);
-        gap
-    })
 }
 
 /// Exact wire size of `weights` encoded dense (the raw-bytes column the
@@ -378,10 +500,10 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
             .then(a.cmp(&b))
     };
     order.select_nth_unstable_by(k - 1, rank);
-    let mut indices: Vec<u32> = order[..k].to_vec();
-    indices.sort_unstable();
-    let values = indices.iter().map(|&i| delta[i as usize]).collect();
-    let body = EncodedBody::TopK { indices, values };
+    let kept = &mut order[..k];
+    kept.sort_unstable();
+    let entries = kept.iter().map(|&i| (i, delta[i as usize]));
+    let body = EncodedBody::TopK(SparseDelta::from_entries(entries));
     // A sparse body pays a count, a gap and a value per kept coefficient;
     // dense pays 4 bytes for every coefficient and is exact. When the
     // sparse form would not actually be smaller (tensors of a handful of
@@ -549,21 +671,13 @@ pub(crate) fn check_against(enc: &EncodedWeights, reference: Option<&[&Tensor]>)
                     return Err(non_finite(i, format_args!("int8 {at}"), x));
                 }
             }
-            EncodedBody::TopK { indices, values } => {
+            EncodedBody::TopK(sparse) => {
                 let Some(r) = r else {
                     return Err(bad("delta body without a reference view".to_owned()));
                 };
-                if indices.len() != values.len() {
-                    return Err(bad("sparse index/value length mismatch".to_owned()));
-                }
-                let mut prev: Option<u32> = None;
-                for (&idx, &v) in indices.iter().zip(values) {
-                    if prev.is_some_and(|p| idx <= p) {
-                        return Err(bad("sparse indices not strictly increasing".to_owned()));
-                    }
-                    prev = Some(idx);
-                    if idx as usize >= n {
-                        return Err(bad(format!("sparse index {idx} out of bounds {n}")));
+                for (idx, v) in sparse.entries() {
+                    if idx >= n as u64 {
+                        return Err(bad(index_out_of_bounds(idx, n)));
                     }
                     // What decodes here is `reference + value`.
                     let x = r.data()[idx as usize] + v;
@@ -594,13 +708,9 @@ pub(crate) fn identical(a: &EncodedWeights, b: &EncodedWeights) -> bool {
                 q: p,
             },
         ) => floats(&[*zero, *scale], &[*z, *s]) && q == p,
-        (
-            EncodedBody::TopK { indices, values },
-            EncodedBody::TopK {
-                indices: i,
-                values: v,
-            },
-        ) => indices == i && floats(values, v),
+        (EncodedBody::TopK(x), EncodedBody::TopK(y)) => {
+            x.gaps == y.gaps && floats(&x.values, &y.values)
+        }
         _ => false,
     };
     (a.codec, a.epoch, a.base_epoch) == (b.codec, b.epoch, b.base_epoch)
@@ -617,12 +727,12 @@ fn rebuild(body: &EncodedBody, r: Option<&Tensor>) -> Vec<f32> {
         EncodedBody::Int8 { zero, scale, q } => {
             q.iter().map(|&b| zero + scale * f32::from(b)).collect()
         }
-        EncodedBody::TopK { indices, values } => {
+        EncodedBody::TopK(sparse) => {
             let mut out = r
                 .expect("checked: a delta body has its reference")
                 .data()
                 .to_vec();
-            for (&idx, &v) in indices.iter().zip(values) {
+            for (idx, v) in sparse.entries() {
                 out[idx as usize] += v;
             }
             out
@@ -695,31 +805,32 @@ impl CheckedWeights {
     /// Whether no body reads the view — no sparse delta — so the payload
     /// alone stands for the model, wherever the view is not held.
     pub(crate) fn is_self_contained(&self) -> bool {
-        let sparse = |t: &EncodedTensor| matches!(t.body, EncodedBody::TopK { .. });
+        let sparse = |t: &EncodedTensor| matches!(t.body, EncodedBody::TopK(_));
         !self.enc.tensors.iter().any(sparse)
     }
 
-    /// Writes coefficients `start..start + out.len()` of flattened tensor
-    /// `i` to `out`: that slice of [`to_dense`](Self::to_dense)'s tensor,
-    /// by [`rebuild`]'s arithmetic, without building the rest of it.
-    pub(crate) fn read_range(&self, i: usize, start: usize, out: &mut [f32]) {
-        let range = start..start + out.len();
+    /// A front-to-back reader of flattened tensor `i`: the coefficients
+    /// of [`to_dense`](Self::to_dense)'s tensor, by [`rebuild`]'s
+    /// arithmetic, without building it.
+    pub(crate) fn reader(&self, i: usize) -> TensorReader<'_> {
         match &self.enc.tensors[i].body {
-            EncodedBody::Dense(v) => out.copy_from_slice(&v[range]),
-            EncodedBody::Int8 { zero, scale, q } => {
-                for (x, &b) in out.iter_mut().zip(&q[range]) {
-                    *x = zero + scale * f32::from(b);
-                }
-            }
-            EncodedBody::TopK { indices, values } => {
+            EncodedBody::Dense(v) => TensorReader::dense(v),
+            EncodedBody::Int8 { zero, scale, q } => TensorReader {
+                base: Coefficients::Int8 {
+                    zero: *zero,
+                    scale: *scale,
+                    q,
+                },
+                delta: None,
+                at: 0,
+            },
+            EncodedBody::TopK(sparse) => {
                 let view = self.view.as_deref();
                 let r = flat_tensor(view.expect("checked: a delta body has its reference"), i);
-                out.copy_from_slice(&r.data()[range.clone()]);
-                // Indices are strictly increasing: the range's run is one slice.
-                let first = indices.partition_point(|&idx| (idx as usize) < range.start);
-                let end = indices.partition_point(|&idx| (idx as usize) < range.end);
-                for (&idx, &v) in indices[first..end].iter().zip(&values[first..end]) {
-                    out[idx as usize - range.start] += v;
+                TensorReader {
+                    base: Coefficients::Floats(r.data()),
+                    delta: Some(sparse.entries().peekable()),
+                    at: 0,
                 }
             }
         }
@@ -741,6 +852,53 @@ impl CheckedWeights {
             };
             dense_tensor(&t.dims, data)
         }))
+    }
+}
+
+/// One flattened tensor of a held update, read front to back: each
+/// [`fill`](Self::fill) writes the next `out.len()` coefficients. A sparse
+/// body's gaps are walked once across all the fills, each kept value
+/// added to the reference coefficient under it, as [`rebuild`] adds it.
+pub(crate) struct TensorReader<'a> {
+    base: Coefficients<'a>,
+    delta: Option<std::iter::Peekable<SparseEntries<'a>>>,
+    at: usize,
+}
+
+/// The coefficients a [`TensorReader`] starts from: a dense body or a
+/// reference tensor, or an int8 body dequantised as it is read.
+enum Coefficients<'a> {
+    Floats(&'a [f32]),
+    Int8 { zero: f32, scale: f32, q: &'a [u8] },
+}
+
+impl<'a> TensorReader<'a> {
+    /// A reader of dense coefficients.
+    pub(crate) fn dense(data: &'a [f32]) -> Self {
+        TensorReader {
+            base: Coefficients::Floats(data),
+            delta: None,
+            at: 0,
+        }
+    }
+
+    /// Writes the next `out.len()` coefficients to `out`.
+    pub(crate) fn fill(&mut self, out: &mut [f32]) {
+        let range = self.at..self.at + out.len();
+        match self.base {
+            Coefficients::Floats(v) => out.copy_from_slice(&v[range.clone()]),
+            Coefficients::Int8 { zero, scale, q } => {
+                for (x, &b) in out.iter_mut().zip(&q[range.clone()]) {
+                    *x = zero + scale * f32::from(b);
+                }
+            }
+        }
+        if let Some(entries) = &mut self.delta {
+            while let Some((idx, v)) = entries.next_if(|&(idx, _)| idx < range.end as u64) {
+                out[idx as usize - range.start] += v;
+            }
+        }
+        self.at = range.end;
     }
 }
 
@@ -787,13 +945,11 @@ impl Wire for EncodedTensor {
                 buf.put_f32_le(*scale);
                 buf.put_slice(q);
             }
-            EncodedBody::TopK { indices, values } => {
+            EncodedBody::TopK(sparse) => {
                 buf.put_u8(2);
-                buf.put_u64_le(indices.len() as u64);
-                for gap in gaps(indices) {
-                    put_varint(buf, gap);
-                }
-                put_f32s(buf, values);
+                buf.put_u64_le(sparse.values.len() as u64);
+                buf.put_slice(&sparse.gaps);
+                put_f32s(buf, &sparse.values);
             }
         }
     }
@@ -834,26 +990,7 @@ impl Wire for EncodedTensor {
                         reason: format!("sparse entry count {k} exceeds tensor size {n}"),
                     });
                 }
-                // An entry is at least one gap byte and a 4-byte value:
-                // a count the body cannot hold reserves nothing.
-                need(buf, 5 * k, "sparse body")?;
-                let mut indices = Vec::with_capacity(k);
-                // The lowest index the next entry may take. In u64, so a
-                // gap cannot wrap the sum; `n` fits `u32` with room to
-                // spare (`MAX_FIELD_BYTES`), so an index below it does.
-                let mut next = 0u64;
-                for _ in 0..k {
-                    let idx = next + u64::from(get_varint(buf, "sparse index gap")?);
-                    if idx >= n as u64 {
-                        return Err(FlError::BadConfig {
-                            reason: format!("sparse index {idx} out of bounds for tensor of {n}"),
-                        });
-                    }
-                    indices.push(idx as u32);
-                    next = idx + 1;
-                }
-                let values = get_f32s(buf, k, "sparse values")?;
-                EncodedBody::TopK { indices, values }
+                EncodedBody::TopK(SparseDelta::decode_from(buf, k, n)?)
             }
             other => {
                 return Err(FlError::BadConfig {
@@ -967,7 +1104,7 @@ mod tests {
         assert!(enc
             .tensors
             .iter()
-            .any(|t| matches!(t.body, EncodedBody::TopK { .. })));
+            .any(|t| matches!(t.body, EncodedBody::TopK(_))));
         assert!(
             enc.wire_bytes() * 3 <= dense_wire_bytes(&moved),
             "delta {} vs dense {}",
@@ -1060,11 +1197,19 @@ mod tests {
                 kinds.extend(enc.tensors.iter().map(|t| match t.body {
                     EncodedBody::Dense(_) => 0,
                     EncodedBody::Int8 { .. } => 1,
-                    EncodedBody::TopK { .. } => 2,
+                    EncodedBody::TopK(_) => 2,
                 }));
             }
         }
         assert_eq!(kinds.len(), 3, "every body kind was measured");
+    }
+
+    /// The reason a refusal gives, whichever validator made it.
+    fn reason(err: FlError) -> String {
+        match err {
+            FlError::BadConfig { reason } | FlError::Protocol { reason } => reason,
+            other => panic!("not a refusal: {other}"),
+        }
     }
 
     #[test]
@@ -1076,26 +1221,79 @@ mod tests {
         let sparse = enc
             .tensors
             .iter_mut()
-            .find(|t| matches!(t.body, EncodedBody::TopK { .. }))
+            .find(|t| matches!(t.body, EncodedBody::TopK(_)))
             .expect("a sparse tensor");
-        if let EncodedBody::TopK { indices, .. } = &mut sparse.body {
-            indices[0] = u32::MAX; // out of bounds and out of order
+        let EncodedBody::TopK(body) = &sparse.body else {
+            unreachable!()
+        };
+        let mut entries: Vec<(u32, f32)> = body.entries().map(|(i, v)| (i as u32, v)).collect();
+        entries[0].0 = u32::MAX; // out of bounds and out of order
+        sparse.body = EncodedBody::TopK(SparseDelta::from_entries(entries));
+        let on_the_wire = decode::<EncodedWeights>(&encode(&enc)).unwrap_err();
+        // In-memory decode re-validates too, and names the index the same.
+        let in_memory = decode_weights(&enc, Some(&reference)).unwrap_err();
+        assert_eq!(reason(on_the_wire), reason(in_memory));
+        // Index 9, then index 10 of 10: one text on the wire and in memory.
+        let ten = ModelWeights::new(vec![LayerWeights {
+            w: Tensor::zeros(&[10]),
+            b: Tensor::zeros(&[1]),
+        }]);
+        let past_the_end = EncodedWeights {
+            codec: CodecKind::DeltaTopK,
+            epoch: 1,
+            base_epoch: Some(0),
+            tensors: vec![
+                EncodedTensor {
+                    dims: vec![10],
+                    body: EncodedBody::TopK(SparseDelta::from_entries([(9, 1.0), (10, 1.0)])),
+                },
+                EncodedTensor {
+                    dims: vec![1],
+                    body: EncodedBody::Dense(vec![0.0]),
+                },
+            ],
+        };
+        let on_the_wire = reason(decode::<EncodedWeights>(&encode(&past_the_end)).unwrap_err());
+        let in_memory = reason(decode_weights(&past_the_end, Some(&ten)).unwrap_err());
+        assert_eq!(
+            on_the_wire,
+            "sparse index 10 out of bounds for tensor of 10"
+        );
+        assert_eq!(in_memory, on_the_wire);
+    }
+
+    #[test]
+    fn a_sparse_body_holds_its_wire_bytes() {
+        // The benchmark's wide model: sparse weights and a sparse bias.
+        let reference = zoo::tiny_mlp(256, 128, 2, 5).unwrap().weights();
+        let mut moved = reference.clone();
+        moved.add_scaled(&reference, 0.01).unwrap();
+        let enc = encode_weights(CodecKind::DeltaTopK, 1, &moved, Some((0, &reference)));
+        let back: EncodedWeights = decode(&encode(&enc)).unwrap();
+        for payload in [&enc, &back] {
+            let mut sparse = 0;
+            for t in &payload.tensors {
+                let EncodedBody::TopK(body) = &t.body else {
+                    continue;
+                };
+                // The count is on the wire, not in the body.
+                let held = body.gaps.capacity() + 4 * body.values.capacity();
+                assert_eq!(held as u64, t.body.wire_bytes() - 8, "{:?}", t.dims);
+                sparse += 1;
+            }
+            assert!(sparse >= 2, "{sparse} sparse bodies");
         }
-        let bytes = encode(&enc);
-        assert!(decode::<EncodedWeights>(&bytes).is_err());
-        // In-memory decode re-validates too.
-        assert!(decode_weights(&enc, Some(&reference)).is_err());
     }
 
     /// A rank-1 sparse tensor of `n` coefficients keeping every
     /// `stride`-th one, so the first index is 0 and every later gap is
     /// `stride - 1`.
     fn strided(n: usize, stride: usize) -> EncodedTensor {
-        let indices: Vec<u32> = (0..n as u32).step_by(stride).collect();
-        let values = indices.iter().map(|&i| i as f32 * 0.5 - 3.0).collect();
+        let indices = (0..n as u32).step_by(stride);
+        let entries = indices.map(|i| (i, i as f32 * 0.5 - 3.0));
         EncodedTensor {
             dims: vec![n],
-            body: EncodedBody::TopK { indices, values },
+            body: EncodedBody::TopK(SparseDelta::from_entries(entries)),
         }
     }
 
@@ -1115,11 +1313,12 @@ mod tests {
             // 41 entries, the last one on the last coefficient.
             let n = 40 * stride + 1;
             let t = strided(n, stride);
-            let EncodedBody::TopK { indices, .. } = &t.body else {
+            let EncodedBody::TopK(sparse) = &t.body else {
                 unreachable!()
             };
+            let indices: Vec<u64> = sparse.entries().map(|(i, _)| i).collect();
             let k = indices.len() as u64;
-            assert_eq!((indices[0], indices[k as usize - 1]), (0, n as u32 - 1));
+            assert_eq!((indices[0], indices[k as usize - 1]), (0, n as u64 - 1));
             // Count, the first gap (0: one byte), the rest, the values.
             let expected = 8 + 1 + (k - 1) * gap_width + 4 * k;
             assert_eq!(t.body.wire_bytes(), expected, "stride {stride}");
@@ -1242,10 +1441,8 @@ mod tests {
             scale,
             q: vec![0, 1, 2, 3],
         };
-        let sparse = |idx: u32, v: f32| EncodedBody::TopK {
-            indices: vec![0, idx],
-            values: vec![0.5, v],
-        };
+        let sparse =
+            |idx: u32, v: f32| EncodedBody::TopK(SparseDelta::from_entries([(0, 0.5), (idx, v)]));
         let cells = [
             (
                 dense(f32::NAN),
@@ -1402,22 +1599,16 @@ mod tests {
                     finite(i, "int8 zero + 255·scale".to_owned(), zero + scale * 255.0)?;
                     q.iter().map(|&b| zero + scale * f32::from(b)).collect()
                 }
-                EncodedBody::TopK { indices, values } => {
+                EncodedBody::TopK(sparse) => {
                     let r =
                         r.ok_or_else(|| bad("delta body without a reference view".to_owned()))?;
-                    if indices.len() != values.len() {
-                        return Err(bad("sparse index/value length mismatch".to_owned()));
-                    }
                     let mut out = r.data().to_vec();
-                    let mut prev: Option<u32> = None;
-                    for (&idx, &v) in indices.iter().zip(values) {
-                        if prev.is_some_and(|p| idx <= p) {
-                            return Err(bad("sparse indices not strictly increasing".to_owned()));
-                        }
-                        prev = Some(idx);
-                        let slot = out
-                            .get_mut(idx as usize)
-                            .ok_or_else(|| bad(format!("sparse index {idx} out of bounds {n}")))?;
+                    for (idx, v) in sparse.entries() {
+                        let slot = out.get_mut(idx as usize).ok_or_else(|| {
+                            bad(format!(
+                                "sparse index {idx} out of bounds for tensor of {n}"
+                            ))
+                        })?;
                         *slot = finite(i, format!("index {idx}"), *slot + v)?;
                     }
                     out
@@ -1468,14 +1659,17 @@ mod tests {
         if n > 1 << 21 {
             return;
         }
-        if let EncodedBody::TopK { indices, values } = &mut t.body {
+        if let EncodedBody::TopK(sparse) = &t.body {
+            let mut entries: Vec<(u32, f32)> =
+                sparse.entries().map(|(i, v)| (i as u32, v)).collect();
             match bend {
-                1 if indices.len() >= 2 => indices.swap(0, 1),
-                2 if !indices.is_empty() => *indices.last_mut().unwrap() = n as u32,
-                3 => drop(values.pop()),
-                4 if !indices.is_empty() => indices.push(*indices.last().unwrap()),
+                1 if entries.len() >= 2 => entries.swap(0, 1),
+                2 if !entries.is_empty() => entries.last_mut().unwrap().0 = n as u32,
+                3 => drop(entries.pop()),
+                4 if !entries.is_empty() => entries.push(*entries.last().unwrap()),
                 _ => {}
             }
+            t.body = EncodedBody::TopK(SparseDelta::from_entries(entries));
         }
         match bend {
             5 => t.body = EncodedBody::Dense(vec![0.5; n.saturating_sub(1)]),
@@ -1568,11 +1762,7 @@ mod tests {
             let reference = Tensor::zeros(&[n]);
             let moved = Tensor::from_vec((0..n).map(|i| 1.0 + i as f32).collect(), &[n]).unwrap();
             let enc = encode_topk(&moved, &reference);
-            assert_eq!(
-                matches!(enc.body, EncodedBody::TopK { .. }),
-                sparse,
-                "n = {n}"
-            );
+            assert_eq!(matches!(enc.body, EncodedBody::TopK(_)), sparse, "n = {n}");
             assert!(enc.body.wire_bytes() <= 4 * n as u64, "n = {n}");
             if !sparse {
                 assert_eq!(enc.body, EncodedBody::Dense(moved.data().to_vec()));

@@ -52,7 +52,7 @@ use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
 use crate::aggregate::PartialAggregate;
-use crate::codec::{flat_tensor, CheckedWeights, CodecKind, EncodedWeights};
+use crate::codec::{flat_tensor, CheckedWeights, CodecKind, EncodedWeights, TensorReader};
 use crate::config::{PartitionKind, TrainingPlan};
 use crate::faults::FaultPlan;
 use crate::wire::{decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct};
@@ -262,14 +262,12 @@ impl ArrivedWeights {
         }
     }
 
-    /// Writes coefficients `start..start + out.len()` of flattened tensor
-    /// `i` to `out`: what expanding would put there, nothing else built.
-    pub(crate) fn read_range(&self, i: usize, start: usize, out: &mut [f32]) {
+    /// A front-to-back reader of flattened tensor `i`: what expanding
+    /// would put there, a chunk at a time, nothing else built.
+    pub(crate) fn reader(&self, i: usize) -> TensorReader<'_> {
         match self {
-            ArrivedWeights::Dense(w) => {
-                out.copy_from_slice(&flat_tensor(w, i).data()[start..start + out.len()]);
-            }
-            ArrivedWeights::Wire(checked) => checked.read_range(i, start, out),
+            ArrivedWeights::Dense(w) => TensorReader::dense(flat_tensor(w, i).data()),
+            ArrivedWeights::Wire(checked) => checked.reader(i),
         }
     }
 }

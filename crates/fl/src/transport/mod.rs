@@ -665,7 +665,7 @@ pub(crate) mod tests {
     use super::inprocess::LocalEndpoint;
     use super::*;
     use crate::adversary::{Adversary, AdversaryPlan, Persona};
-    use crate::codec::{decode_weights, flatten, EncodedBody, EncodedWeights};
+    use crate::codec::{decode_weights, flatten, EncodedBody, EncodedWeights, SparseDelta};
     use crate::config::TrainingPlan;
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
@@ -1095,10 +1095,7 @@ pub(crate) mod tests {
                     scale: 1.0,
                     q: vec![0; n],
                 },
-                Body::Sparse => EncodedBody::TopK {
-                    indices: vec![5],
-                    values: vec![x],
-                },
+                Body::Sparse => EncodedBody::TopK(SparseDelta::from_entries([(5, x)])),
             }
         }
     }
@@ -1106,9 +1103,9 @@ pub(crate) mod tests {
     impl Tamper {
         fn apply(self, weights: &mut EncodedWeights) {
             let n = weights.tensors[0].dims.iter().product::<usize>();
-            let sparse = |indices: &[usize]| EncodedBody::TopK {
-                indices: indices.iter().map(|&i| i as u32).collect(),
-                values: vec![0.5; indices.len()],
+            let sparse = |indices: &[usize]| {
+                let entries = indices.iter().map(|&i| (i as u32, 0.5));
+                EncodedBody::TopK(SparseDelta::from_entries(entries))
             };
             match self {
                 Tamper::IndexOutOfRange => weights.tensors[0].body = sparse(&[n]),

@@ -99,46 +99,32 @@ pub(crate) fn get_f32s(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<f32>
 /// Most bytes a `u32` takes as a varint.
 const MAX_VARINT_BYTES: usize = 5;
 
-/// Bytes [`put_varint`] writes for `v`.
-pub(crate) fn varint_len(v: u32) -> usize {
-    match v {
-        0..=0x7F => 1,
-        0x80..=0x3FFF => 2,
-        0x4000..=0x1F_FFFF => 3,
-        0x20_0000..=0xFFF_FFFF => 4,
-        _ => 5,
-    }
-}
-
 /// `v` as an LEB128 varint: seven bits a byte, low group first, the high
 /// bit set on every byte but the last. Always the shortest form.
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u32) {
-    let mut bytes = [0u8; MAX_VARINT_BYTES];
-    let mut len = 0;
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
-        bytes[len] = v as u8 | 0x80;
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        len += 1;
     }
-    bytes[len] = v as u8;
-    buf.put_slice(&bytes[..=len]);
+    buf.push(v as u8);
 }
 
-/// One LEB128 varint, accepted only in the form [`put_varint`] writes —
-/// so a value has exactly one encoding and an accepted message
-/// re-encodes to the bytes it arrived as.
+/// One LEB128 varint from the front of `buf`, which is advanced past it,
+/// accepted only in the form [`put_varint`] writes — so a value has
+/// exactly one encoding and an accepted message re-encodes to the bytes
+/// it arrived as.
 ///
 /// # Errors
 ///
-/// Returns [`FlError::BadConfig`] when the buffer ends inside the
+/// Returns [`FlError::BadConfig`] when the bytes end inside the
 /// varint, when it runs past five bytes or carries bits beyond `u32`,
 /// and when it is overlong (a zero final group after a continuation).
-pub(crate) fn get_varint(buf: &mut Bytes, what: &str) -> Result<u32> {
+pub(crate) fn get_varint(buf: &mut &[u8], what: &str) -> Result<u32> {
     let bad = |problem: &str| FlError::BadConfig {
         reason: format!("{problem} for {what}"),
     };
     let mut v = 0u32;
-    for (i, &b) in buf.chunk().iter().take(MAX_VARINT_BYTES).enumerate() {
+    for (i, &b) in buf.iter().take(MAX_VARINT_BYTES).enumerate() {
         let group = u32::from(b & 0x7F);
         // The fifth byte holds bits 28..32: four of them.
         if i == MAX_VARINT_BYTES - 1 && group > 0x0F {
@@ -149,11 +135,11 @@ pub(crate) fn get_varint(buf: &mut Bytes, what: &str) -> Result<u32> {
             if group == 0 && i > 0 {
                 return Err(bad("overlong varint"));
             }
-            buf.advance(i + 1);
+            *buf = &buf[i + 1..];
             return Ok(v);
         }
     }
-    Err(if buf.remaining() < MAX_VARINT_BYTES {
+    Err(if buf.len() < MAX_VARINT_BYTES {
         bad("truncated message: varint cut short")
     } else {
         bad("varint longer than 5 bytes")
@@ -500,9 +486,9 @@ mod tests {
     }
 
     fn varint(bytes: &[u8]) -> Result<(u32, usize)> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         let v = get_varint(&mut buf, "gap")?;
-        Ok((v, bytes.len() - buf.remaining()))
+        Ok((v, bytes.len() - buf.len()))
     }
 
     #[test]
@@ -520,13 +506,12 @@ mod tests {
             (u32::MAX, 5),
         ];
         for (v, len) in edges {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), len, "{v:#x}");
-            assert_eq!(varint_len(v), len, "{v:#x}");
             // Trailing bytes are left for the next field.
-            buf.put_slice(&[0xFF; 6]);
-            assert_eq!(varint(buf.as_slice()).unwrap(), (v, len), "{v:#x}");
+            buf.extend_from_slice(&[0xFF; 6]);
+            assert_eq!(varint(&buf).unwrap(), (v, len), "{v:#x}");
         }
     }
 

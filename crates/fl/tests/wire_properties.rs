@@ -8,7 +8,7 @@ use gradsec_fl::adversary::AdversaryPlan;
 use gradsec_fl::aggregate::{fedavg, PartialAggregate};
 use gradsec_fl::codec::{
     decode_weights, dense_wire_bytes, encode_weights, int8_error_bound, CodecKind, EncodedBody,
-    EncodedTensor, EncodedWeights,
+    EncodedTensor, EncodedWeights, SparseDelta,
 };
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::faults::{FaultPlan, LatencyModel};
@@ -74,12 +74,12 @@ fn codec_from(tag: u8) -> CodecKind {
 /// A rank-1 sparse tensor keeping `entries` coefficients `stride` apart
 /// from index `first`, with `tail` coefficients after the last kept one.
 fn strided_sparse(stride: usize, entries: usize, first: usize, tail: usize) -> EncodedTensor {
-    let indices: Vec<u32> = (0..entries).map(|j| (first + j * stride) as u32).collect();
+    let indices = (0..entries).map(|j| (first + j * stride) as u32);
     let n = first + (entries - 1) * stride + 1 + tail;
-    let values = indices.iter().map(|&i| 0.5 - i as f32).collect();
+    let kept = indices.map(|i| (i, 0.5 - i as f32));
     EncodedTensor {
         dims: vec![n],
-        body: EncodedBody::TopK { indices, values },
+        body: EncodedBody::TopK(SparseDelta::from_entries(kept)),
     }
 }
 
@@ -654,7 +654,7 @@ fn shard_terms_the_coordinator_cannot_hold_are_refused_by_name() {
         &up.weights,
         Some((3, &weights(2, 3, 9))),
     );
-    assert!(matches!(sparse.tensors[0].body, EncodedBody::TopK { .. }));
+    assert!(matches!(sparse.tensors[0].body, EncodedBody::TopK(_)));
     let mut bad_scale = encode_weights(CodecKind::Int8, 4, &up.weights, None);
     let EncodedBody::Int8 { scale, .. } = &mut bad_scale.tensors[0].body else {
         unreachable!("int8 bodies")
@@ -894,10 +894,11 @@ proptest! {
         bytes.extend(encode(&k));
         bytes.extend(raw);
         match decode::<EncodedTensor>(&bytes) {
-            Ok(EncodedTensor { body: EncodedBody::TopK { indices, values }, .. }) => {
-                prop_assert_eq!((indices.len() as u64, values.len() as u64), (k, k));
+            Ok(EncodedTensor { body: EncodedBody::TopK(sparse), .. }) => {
+                let indices: Vec<u64> = sparse.entries().map(|(i, _)| i).collect();
+                prop_assert_eq!(indices.len() as u64, k);
                 prop_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(indices.iter().all(|&i| u64::from(i) < n));
+                prop_assert!(indices.iter().all(|&i| i < n));
             }
             Ok(other) => prop_assert!(false, "tag 2 decoded as {:?}", other),
             Err(e) => prop_assert!(matches!(e, FlError::BadConfig { .. }), "{}", e),
