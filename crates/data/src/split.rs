@@ -58,46 +58,6 @@ pub fn shard(len: usize, shards: usize, seed: u64) -> Vec<Vec<usize>> {
     out
 }
 
-/// Splits sample indices into `shards` near-equal disjoint shards that
-/// are **label-skewed** (pathologically non-IID): indices are grouped by
-/// label, shuffled *within* each label group under the seed, concatenated
-/// in ascending label order, and dealt out as contiguous chunks — so each
-/// shard holds samples from as few distinct classes as its size allows.
-/// `labels[i]` is the label of sample `i`; shard sizes match
-/// [`shard`]'s (`len / shards` each, remainder spread over the first
-/// shards).
-///
-/// # Panics
-///
-/// Panics when `shards == 0`.
-pub fn shard_by_label(labels: &[usize], shards: usize, seed: u64) -> Vec<Vec<usize>> {
-    assert!(shards > 0, "shard count must be positive");
-    let len = labels.len();
-    let mut by_label: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, &label) in labels.iter().enumerate() {
-        by_label.entry(label).or_default().push(i);
-    }
-    let mut ordered = Vec::with_capacity(len);
-    for (label, mut group) in by_label {
-        // Salt the within-label shuffle by the label so no two groups
-        // share a permutation.
-        let mut rng = StdRng::seed_from_u64(seed ^ (label as u64).wrapping_mul(0x9E37_79B9));
-        group.shuffle(&mut rng);
-        ordered.extend(group);
-    }
-    let base = len / shards;
-    let extra = len % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let size = base + usize::from(i < extra);
-        out.push(ordered[start..start + size].to_vec());
-        start += size;
-    }
-    out
-}
-
 /// The member/non-member split MIA requires: `n` member indices and `n`
 /// non-member indices, disjoint.
 ///
@@ -149,35 +109,6 @@ mod tests {
         assert_eq!(nm.len(), 40);
         let ms: HashSet<usize> = m.into_iter().collect();
         assert!(nm.iter().all(|i| !ms.contains(i)));
-    }
-
-    #[test]
-    fn label_shards_partition_everything_and_skew() {
-        // 120 samples, 6 classes of 20, 6 shards of 20: each shard must
-        // end up holding exactly one class.
-        let labels: Vec<usize> = (0..120).map(|i| i % 6).collect();
-        let parts = shard_by_label(&labels, 6, 11);
-        assert_eq!(parts.len(), 6);
-        let all: HashSet<usize> = parts.iter().flatten().copied().collect();
-        assert_eq!(all.len(), 120);
-        for part in &parts {
-            let classes: HashSet<usize> = part.iter().map(|&i| labels[i]).collect();
-            assert_eq!(classes.len(), 1, "shard spans classes {classes:?}");
-        }
-        // Sizes match the IID sharder's.
-        let sizes: Vec<usize> = shard_by_label(&labels, 7, 11)
-            .iter()
-            .map(Vec::len)
-            .collect();
-        let iid: Vec<usize> = shard(120, 7, 11).iter().map(Vec::len).collect();
-        assert_eq!(sizes, iid);
-    }
-
-    #[test]
-    fn label_shards_deterministic() {
-        let labels: Vec<usize> = (0..101).map(|i| i % 3).collect();
-        assert_eq!(shard_by_label(&labels, 4, 7), shard_by_label(&labels, 4, 7));
-        assert_ne!(shard_by_label(&labels, 4, 7), shard_by_label(&labels, 4, 8));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   `global − strength·(trained − global) + noise`: the negated update
 //!   plus seeded uniform noise, the classic sign-flip model-poisoning
 //!   attack.
-//! * **Scaler** — uploads `global + boost·(trained − global)`, the
-//!   boosted-update (model replacement) attack.
+//! * **Scaler** — uploads `global + 8·(trained − global)`
+//!   ([`SCALE_BOOST`]), the boosted-update (model replacement) attack.
 //! * **Free-rider** — skips training entirely and echoes the downloaded
 //!   global weights back, claiming a full cycle's samples.
 //! * **Colluder** — trains honestly (so colluding fleets stay
@@ -24,10 +24,8 @@
 //!   fleet-scale membership-inference harnesses in `gradsec_attacks`
 //!   consume after the run.
 //!
-//! The server-side defenses live next door: robust aggregation in
-//! [`crate::aggregate`] ([`crate::Aggregator`]) and per-client
-//! [`ReputationBook`] scores accumulated from round outcomes and fed
-//! back into selection.
+//! The server-side defense lives next door: robust aggregation in
+//! [`crate::aggregate`] ([`crate::Aggregator`]).
 //!
 //! **Determinism.** Persona assignment and every poisoner noise draw
 //! key on `(seed, salt, client, round)` through
@@ -53,6 +51,9 @@ use crate::{FlError, Result};
 /// fault salts so a hostile fleet and a faulty fleet never correlate.
 const SALT_PERSONA: u64 = 0x5045_5253_4F4E_4131; // "PERSONA1"
 const SALT_POISON: u64 = 0x504F_4953_4F4E_5231; // "POISONR1"
+
+/// The factor a [`Persona::Scaler`] multiplies its update by.
+pub const SCALE_BOOST: f32 = 8.0;
 
 /// The behavior a hostile client exhibits for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,13 +97,12 @@ pub struct AdversaryPlan {
     colluders: f64,
     poison_strength: f32,
     poison_noise: f32,
-    scale_boost: f32,
 }
 
 impl AdversaryPlan {
     /// A quiet plan (no hostile clients) under `seed`, with default
     /// attack strengths: poison strength 1 (pure sign flip), poison
-    /// noise 0.1, scale boost 8.
+    /// noise 0.1.
     pub fn seeded(seed: u64) -> Self {
         AdversaryPlan {
             seed,
@@ -112,7 +112,6 @@ impl AdversaryPlan {
             colluders: 0.0,
             poison_strength: 1.0,
             poison_noise: 0.1,
-            scale_boost: 8.0,
         }
     }
 
@@ -158,13 +157,6 @@ impl AdversaryPlan {
         self
     }
 
-    /// Multiplier on the update a scaler uploads.
-    #[must_use]
-    pub fn scale_boost(mut self, boost: f32) -> Self {
-        self.scale_boost = boost;
-        self
-    }
-
     /// The scenario seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -207,7 +199,6 @@ impl AdversaryPlan {
         for (name, v) in [
             ("poison_strength", self.poison_strength),
             ("poison_noise", self.poison_noise),
-            ("scale_boost", self.scale_boost),
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(FlError::BadConfig {
@@ -278,7 +269,7 @@ impl AdversaryPlan {
     }
 
     /// The boosted weights a scaler uploads:
-    /// `global + boost·(trained − global)`.
+    /// `global + SCALE_BOOST·(trained − global)`.
     ///
     /// # Errors
     ///
@@ -286,8 +277,8 @@ impl AdversaryPlan {
     /// architecture.
     pub fn scaled(&self, global: &ModelWeights, trained: &ModelWeights) -> Result<ModelWeights> {
         let mut out = global.clone();
-        out.scale(1.0 - self.scale_boost);
-        out.add_scaled(trained, self.scale_boost)?;
+        out.scale(1.0 - SCALE_BOOST);
+        out.add_scaled(trained, SCALE_BOOST)?;
         Ok(out)
     }
 }
@@ -324,7 +315,6 @@ wire_struct!(
         colluders,
         poison_strength,
         poison_noise,
-        scale_boost,
     },
     validate = AdversaryPlan::validate
 );
@@ -399,88 +389,6 @@ impl CollusionLog {
     }
 }
 
-/// Per-client reputation accumulated from round outcomes and fed back
-/// into selection: completing a round earns a point, straggling or
-/// failing loses one, and clients whose score sinks below the threshold
-/// are filtered from the eligible set *before* the selection shuffle —
-/// the filter is a deterministic `retain`, so enabling reputation never
-/// consumes extra RNG from the server stream.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ReputationBook {
-    threshold: i64,
-    scores: BTreeMap<u64, i64>,
-}
-
-impl ReputationBook {
-    /// An empty book: clients start at score 0 and stay eligible while
-    /// their score is at least `threshold` (so a threshold of, say, −2
-    /// tolerates two bad rounds before exclusion).
-    pub fn new(threshold: i64) -> Self {
-        ReputationBook {
-            threshold,
-            scores: BTreeMap::new(),
-        }
-    }
-
-    /// The exclusion threshold.
-    pub fn threshold(&self) -> i64 {
-        self.threshold
-    }
-
-    /// `client`'s current score (0 if never seen).
-    pub fn score(&self, client: u64) -> i64 {
-        self.scores.get(&client).copied().unwrap_or(0)
-    }
-
-    /// Rewards `client` for completing a round.
-    pub fn credit(&mut self, client: u64) {
-        *self.scores.entry(client).or_insert(0) += 1;
-    }
-
-    /// Penalizes `client` for straggling or failing a round.
-    pub fn debit(&mut self, client: u64) {
-        *self.scores.entry(client).or_insert(0) -= 1;
-    }
-
-    /// Whether `client` may still be selected.
-    pub fn eligible(&self, client: u64) -> bool {
-        self.score(client) >= self.threshold
-    }
-
-    /// Number of clients with a recorded score.
-    pub fn tracked(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Applies one round of outcome feedback: every completing client
-    /// is credited, every shed client debited, and every tracked client
-    /// the round did *not* touch decays toward zero (`s ← s·3/4`,
-    /// truncating toward zero, entries reaching zero forgotten).
-    ///
-    /// Decaying only the untouched keeps both halves of the feature
-    /// honest: a device that churned away (or was excluded and is never
-    /// selected again) sheds its debt within a few rounds and becomes
-    /// eligible once more, while a persistent straggler — debited every
-    /// round it appears in — never decays and stays below threshold.
-    /// Decaying everyone each round would instead let an always-bad
-    /// client oscillate around the threshold (truncation pulls `−1`
-    /// back to `0` between debits) and erode earned credit.
-    pub fn note_round(&mut self, completed: &[u64], shed: &[u64]) {
-        for &c in completed {
-            self.credit(c);
-        }
-        for &c in shed {
-            self.debit(c);
-        }
-        self.scores.retain(|c, s| {
-            if !completed.contains(c) && !shed.contains(c) {
-                *s = *s * 3 / 4;
-            }
-            *s != 0
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,13 +451,13 @@ mod tests {
 
     #[test]
     fn scaled_boosts_the_update() {
-        let plan = AdversaryPlan::seeded(7).scalers(1.0).scale_boost(10.0);
+        let plan = AdversaryPlan::seeded(7).scalers(1.0);
         let global = weights(1.0);
         let trained = weights(1.1);
         let scaled = plan.scaled(&global, &trained).unwrap();
         for l in scaled.iter() {
             for &x in l.w.data() {
-                assert!((x - 2.0).abs() < 1e-4, "expected 1 + 10*0.1 = 2, got {x}");
+                assert!((x - 1.8).abs() < 1e-4, "expected 1 + 8*0.1 = 1.8, got {x}");
             }
         }
     }
@@ -581,8 +489,7 @@ mod tests {
             .free_riders(0.1)
             .colluders(0.1)
             .poison_strength(2.0)
-            .poison_noise(0.05)
-            .scale_boost(16.0);
+            .poison_noise(0.05);
         // `decode` also demands the plan consumed every byte.
         let back: AdversaryPlan = decode(&encode(&plan)).unwrap();
         assert_eq!(plan, back);
@@ -599,80 +506,5 @@ mod tests {
         let snaps = log.snapshots();
         assert_eq!(snaps[0].0, 0);
         assert_eq!(snaps[1].0, 1);
-    }
-
-    #[test]
-    fn reputation_filters_after_threshold() {
-        let mut book = ReputationBook::new(-2);
-        assert!(book.eligible(7));
-        book.debit(7);
-        book.debit(7);
-        assert!(book.eligible(7));
-        book.debit(7);
-        assert!(!book.eligible(7));
-        book.credit(7);
-        assert!(book.eligible(7));
-        assert_eq!(book.score(7), -2);
-        assert_eq!(book.tracked(), 1);
-    }
-
-    #[test]
-    fn churned_device_decays_back_to_eligible() {
-        // A device that straggled below threshold, then disappeared
-        // (never selected again, so never touched by an outcome),
-        // sheds its debt over a few rounds and regains eligibility.
-        let mut book = ReputationBook::new(-2);
-        for _ in 0..4 {
-            book.note_round(&[], &[7]);
-        }
-        assert_eq!(book.score(7), -4);
-        assert!(!book.eligible(7));
-        let mut rounds = 0;
-        while !book.eligible(7) {
-            book.note_round(&[1], &[]); // other clients' round; 7 untouched
-            rounds += 1;
-            assert!(rounds < 16, "client 7 never recovered");
-        }
-        // −4 → −3 → −2: two decay rounds reach the −2 threshold.
-        assert_eq!(rounds, 2);
-        // Left alone, the debt is fully forgotten and the entry dropped.
-        book.note_round(&[1], &[]);
-        book.note_round(&[1], &[]);
-        assert_eq!(book.score(7), 0);
-        assert!(!book.scores.contains_key(&7), "zero score not forgotten");
-    }
-
-    #[test]
-    fn persistent_straggler_never_decays_free() {
-        // A client shed every round it appears in is touched every
-        // round, so decay never applies: it crosses the threshold and
-        // stays below it no matter how long the federation runs.
-        let mut book = ReputationBook::new(-2);
-        for round in 0..20 {
-            book.note_round(&[1, 2], &[7]);
-            if round >= 2 {
-                assert!(!book.eligible(7), "straggler escaped at round {round}");
-            }
-        }
-        assert_eq!(book.score(7), -20);
-        // Completing clients keep their earned credit while active.
-        assert_eq!(book.score(1), 20);
-    }
-
-    #[test]
-    fn decay_erodes_idle_credit_toward_zero() {
-        // Earned credit is not a permanent shield: a formerly-good
-        // client that stops participating drifts back to the neutral
-        // score instead of banking goodwill forever.
-        let mut book = ReputationBook::new(-2);
-        for _ in 0..5 {
-            book.note_round(&[7], &[]);
-        }
-        assert_eq!(book.score(7), 5);
-        for _ in 0..8 {
-            book.note_round(&[1], &[]);
-        }
-        assert_eq!(book.score(7), 0);
-        assert!(book.eligible(7));
     }
 }

@@ -139,24 +139,12 @@ pub enum CodecKind {
 }
 
 impl CodecKind {
-    /// Canonical name, as accepted by [`CodecKind::parse`] and carried
-    /// in a `ShardConfig`.
+    /// Canonical name, as reports and logs print it.
     pub fn name(&self) -> &'static str {
         match self {
             CodecKind::Identity => "identity",
             CodecKind::Int8 => "int8",
             CodecKind::DeltaTopK => "delta-topk",
-        }
-    }
-
-    /// Parses a codec name (case-insensitive; `delta-topk`, `delta_topk`
-    /// and `deltatopk` are all accepted).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "identity" => Some(CodecKind::Identity),
-            "int8" => Some(CodecKind::Int8),
-            "delta-topk" | "delta_topk" | "deltatopk" => Some(CodecKind::DeltaTopK),
-            _ => None,
         }
     }
 
@@ -180,7 +168,7 @@ impl CodecKind {
             1 => Ok(CodecKind::Int8),
             2 => Ok(CodecKind::DeltaTopK),
             other => Err(FlError::Protocol {
-                reason: format!("unknown codec tag {other}"),
+                reason: format!("unknown update codec tag {other}"),
             }),
         }
     }
@@ -1046,11 +1034,8 @@ mod tests {
     #[test]
     fn parse_and_env_names_are_stable() {
         for kind in [CodecKind::Identity, CodecKind::Int8, CodecKind::DeltaTopK] {
-            assert_eq!(CodecKind::parse(kind.name()), Some(kind));
             assert_eq!(CodecKind::from_u8(kind.as_u8()).unwrap(), kind);
         }
-        assert_eq!(CodecKind::parse("DELTA_TOPK"), Some(CodecKind::DeltaTopK));
-        assert_eq!(CodecKind::parse("gzip"), None);
         assert!(CodecKind::from_u8(9).is_err());
         assert!(!CodecKind::Identity.is_lossy());
         assert!(CodecKind::Int8.is_lossy());

@@ -28,8 +28,8 @@ impl TrainingPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::BadConfig`] for zero counts or a non-positive
-    /// learning rate.
+    /// Returns [`FlError::BadConfig`] for zero counts or a learning rate
+    /// that is not a positive finite number.
     pub fn validate(&self) -> Result<()> {
         if self.rounds == 0 {
             return Err(FlError::BadConfig {
@@ -46,9 +46,12 @@ impl TrainingPlan {
                 reason: "batches_per_cycle and batch_size must be positive".to_owned(),
             });
         }
-        if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             return Err(FlError::BadConfig {
-                reason: format!("learning rate must be positive, got {}", self.learning_rate),
+                reason: format!(
+                    "learning rate must be positive and finite, got {}",
+                    self.learning_rate
+                ),
             });
         }
         Ok(())
@@ -131,44 +134,6 @@ impl MuxOptions {
             return self.loops;
         }
         gradsec_tensor::ops::threads::host()
-    }
-}
-
-/// How the training dataset is partitioned across the client fleet.
-///
-/// The choice rides the `ShardConfig` to distributed shard processes by
-/// name (like backend and codec), so every execution path derives the
-/// identical per-client partition from `(kind, dataset, plan seed)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PartitionKind {
-    /// Seeded uniform shuffle into near-equal shards — every client sees
-    /// an IID sample of the label distribution (the default, via
-    /// `gradsec_data::split::shard`).
-    #[default]
-    Iid,
-    /// Label-skewed non-IID shards: samples grouped by label and dealt
-    /// as contiguous chunks, so each client holds as few distinct
-    /// classes as its shard size allows (via
-    /// `gradsec_data::split::shard_by_label`).
-    ByLabel,
-}
-
-impl PartitionKind {
-    /// Stable wire/CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PartitionKind::Iid => "iid",
-            PartitionKind::ByLabel => "by-label",
-        }
-    }
-
-    /// Parses a [`name`](Self::name) back; `None` for unknown names.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "iid" => Some(PartitionKind::Iid),
-            "by-label" => Some(PartitionKind::ByLabel),
-            _ => None,
-        }
     }
 }
 
@@ -378,6 +343,10 @@ mod tests {
             },
             TrainingPlan {
                 learning_rate: -1.0,
+                ..TrainingPlan::default()
+            },
+            TrainingPlan {
+                learning_rate: f32::INFINITY,
                 ..TrainingPlan::default()
             },
         ] {

@@ -57,11 +57,11 @@ use gradsec_nn::BackendKind;
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
 
-use crate::adversary::{AdversaryPlan, ReputationBook};
+use crate::adversary::AdversaryPlan;
 use crate::aggregate::{Aggregator, PartialAggregate};
 use crate::client::DeviceProfile;
 use crate::codec::{flatten, CodecKind};
-use crate::config::{PartitionKind, ShardLayout, TrainingPlan};
+use crate::config::{ShardLayout, TrainingPlan};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::{Executed, Fleet};
@@ -232,10 +232,14 @@ fn resolve_shard_server() -> Result<PathBuf> {
 /// whose model/trainer factories are arbitrary closures — the
 /// distributed builder takes *recipes* ([`DatasetSpec`], [`ModelSpec`])
 /// that travel over the wire, because a shard-server process must
-/// reconstruct the identical fleet from bytes alone. Shard servers
-/// provision all-TrustZone [`DeviceProfile`]s and the plain SGD trainer
-/// (the builder defaults); heterogeneous device mixes and custom
-/// trainers stay in-process for now.
+/// reconstruct the identical fleet from bytes alone. Everything a shard
+/// needs travels in its [`ShardConfig`]: the recipes, the plan, the
+/// backend and codec as one-byte tags, the worker count and the fault
+/// and adversary plans; the scheduler, aggregator and screening cap stay
+/// on the coordinator. Shard servers provision all-TrustZone
+/// [`DeviceProfile`]s and the plain SGD trainer (the builder defaults);
+/// heterogeneous device mixes and custom trainers stay in-process for
+/// now.
 pub struct DistributedBuilder {
     setup: RunSetup,
     dataset: Option<DatasetSpec>,
@@ -261,9 +265,8 @@ impl DistributedBuilder {
     }
 
     /// Sets the fleet: `n` clients sharing the dataset `spec`
-    /// (partitioned by the same global derivation the flat reference
-    /// uses — IID sharding by default, label-skewed via
-    /// [`partition`](Self::partition)).
+    /// (partitioned by the same global IID derivation the flat reference
+    /// uses).
     pub fn clients(mut self, n: usize, spec: DatasetSpec) -> Self {
         self.clients = n;
         self.dataset = Some(spec);
@@ -289,14 +292,15 @@ impl DistributedBuilder {
         self
     }
 
-    /// Overrides the kernel backend every shard process uses.
+    /// Overrides the kernel backend every shard process uses (shipped as
+    /// a tag in the [`ShardConfig`]).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.setup.backend = backend;
         self
     }
 
     /// Selects the update codec every shard's sessions negotiate
-    /// (shipped by name in the [`ShardConfig`]; defaults to
+    /// (shipped as a tag in the [`ShardConfig`]; defaults to
     /// [`CodecKind::Identity`]).
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.setup.codec = codec;
@@ -325,21 +329,6 @@ impl DistributedBuilder {
     /// hostile uploads).
     pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
         self.setup.aggregator = aggregator;
-        self
-    }
-
-    /// Selects how the dataset is partitioned across clients (shipped
-    /// by name in the [`ShardConfig`]; defaults to IID).
-    pub fn partition(mut self, partition: PartitionKind) -> Self {
-        self.setup.partition = partition;
-        self
-    }
-
-    /// Enables reputation-filtered selection on the coordinator:
-    /// clients whose accumulated outcome score falls below `threshold`
-    /// stop being screened (see [`crate::adversary::ReputationBook`]).
-    pub fn reputation(mut self, threshold: i64) -> Self {
-        self.setup.reputation = Some(ReputationBook::new(threshold));
         self
     }
 
@@ -377,7 +366,7 @@ impl DistributedBuilder {
     /// Returns [`FlError::BadConfig`] on invalid configuration,
     /// [`FlError::Transport`] when spawning/connecting fails, and
     /// [`FlError::Protocol`] on a handshake violation.
-    pub fn launch(mut self) -> Result<DistributedCoordinator> {
+    pub fn launch(self) -> Result<DistributedCoordinator> {
         let dataset = self.dataset.ok_or(FlError::BadConfig {
             reason: "distributed federation needs a dataset spec".to_owned(),
         })?;
@@ -409,11 +398,10 @@ impl DistributedBuilder {
             model,
             init_weights,
             plan: self.setup.plan,
-            backend: self.setup.backend.name().to_owned(),
-            codec: self.setup.codec.name().to_owned(),
+            backend: self.setup.backend,
+            codec: self.setup.codec,
             workers: self.workers as u64,
             faults: self.setup.faults.as_deref().cloned(),
-            partition: self.setup.partition.name().to_owned(),
             adversaries: self.setup.adversaries.as_deref().cloned(),
         };
 
@@ -1142,27 +1130,11 @@ fn reported<T>(result: Result<T>, channel: &mut ShardChannel) -> Result<T> {
 /// all-TrustZone devices and plain SGD trainers (the builder defaults),
 /// global client ids, the *global* data partition sub-ranged, personas
 /// re-derived from the shipped scenario plan, and the fault wrapper
-/// installed before the handshake.
+/// installed before the handshake. The config's range, tags and plan
+/// were checked where it decoded.
 fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
-    if config.range_start > config.range_end || config.range_end > config.total_clients {
-        return Err(FlError::BadConfig {
-            reason: format!(
-                "shard range [{}, {}) outside fleet of {}",
-                config.range_start, config.range_end, config.total_clients
-            ),
-        });
-    }
-    let backend = BackendKind::parse(&config.backend).ok_or_else(|| FlError::BadConfig {
-        reason: format!("unknown kernel backend {:?}", config.backend),
-    })?;
-    let codec = CodecKind::parse(&config.codec).ok_or_else(|| FlError::BadConfig {
-        reason: format!("unknown update codec {:?}", config.codec),
-    })?;
-    let partition = PartitionKind::parse(&config.partition).ok_or_else(|| FlError::BadConfig {
-        reason: format!("unknown partition kind {:?}", config.partition),
-    })?;
     let mut prototype = config.model.build()?;
-    prototype.set_backend(backend);
+    prototype.set_backend(config.backend);
     prototype.set_weights(&config.init_weights)?;
     let devices = (config.range_start..config.range_end)
         .map(DeviceProfile::trustzone)
@@ -1170,8 +1142,7 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     let mut builder = Federation::builder(config.plan)
         .devices(devices, config.dataset.build())
         .engine(ExecutionEngine::new(config.workers as usize))
-        .codec(codec)
-        .partition(partition);
+        .codec(config.codec);
     if let Some(plan) = &config.faults {
         builder = builder.faults(plan.clone());
     }
@@ -1253,11 +1224,14 @@ mod tests {
         assert!(err.to_string().contains("reply_timeout"), "{err}");
     }
 
-    /// A shard server refuses a backend, codec or partition name its build
-    /// does not know — the retired `"blocked"` backend among them — with a
-    /// `BadConfig` naming the value, instead of running something else.
+    /// A `ShardConfig` whose backend tag is past [`BackendKind::ALL`] —
+    /// the retired `Blocked` backend's among them — or whose codec tag is
+    /// unknown never decodes, and the error names the field, so a shard
+    /// server never runs something other than what it was sent.
     #[test]
-    fn host_shard_refuses_unknown_names_by_name() {
+    fn a_shard_config_with_an_unknown_tag_is_refused_by_field() {
+        use crate::message::{decode, encode};
+
         let model = ModelSpec::TinyMlp {
             inputs: 4,
             hidden: 4,
@@ -1278,29 +1252,44 @@ mod tests {
             init_weights: model.build().unwrap().weights(),
             model,
             plan: TrainingPlan::default(),
-            backend: "reference".to_owned(),
-            codec: "identity".to_owned(),
+            backend: BackendKind::Reference,
+            codec: CodecKind::Identity,
             workers: 1,
             faults: None,
-            partition: "iid".to_owned(),
             adversaries: None,
         };
-        assert!(host_shard(&valid).is_ok());
-        type Field = fn(&mut ShardConfig) -> &mut String;
-        let cases: [(Field, &str, &str); 3] = [
-            (|c| &mut c.backend, "blocked", "kernel backend"),
-            (|c| &mut c.codec, "zstd", "update codec"),
-            (|c| &mut c.partition, "dirichlet", "partition kind"),
-        ];
-        for (field, value, what) in cases {
-            let mut config = valid.clone();
-            *field(&mut config) = value.to_owned();
-            let Err(err) = host_shard(&config) else {
-                panic!("{what} {value:?} was accepted");
-            };
-            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+        let bytes = encode(&valid);
+        assert_eq!(decode::<ShardConfig>(&bytes).unwrap(), valid);
+        // A field's tag is the one byte that moves when only it changes.
+        let tag_of = |changed: ShardConfig| {
+            let other = encode(&changed);
+            let moved: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != other[i]).collect();
+            assert_eq!(moved.len(), 1, "{moved:?}");
+            moved[0]
+        };
+        let backend = tag_of(ShardConfig {
+            backend: BackendKind::Tiled,
+            ..valid.clone()
+        });
+        let codec = tag_of(ShardConfig {
+            codec: CodecKind::Int8,
+            ..valid.clone()
+        });
+        let past_all = BackendKind::ALL.len() as u8;
+        for (at, tag, what) in [
+            (backend, past_all, "kernel backend"),
+            (backend, u8::MAX, "kernel backend"),
+            (codec, 3, "update codec"),
+            (codec, u8::MAX, "update codec"),
+        ] {
+            let mut hostile = bytes.clone();
+            hostile[at] = tag;
+            let err = decode::<ShardConfig>(&hostile).unwrap_err();
             let text = err.to_string();
-            assert!(text.contains(what) && text.contains(value), "{text}");
+            assert!(
+                text.contains(what) && text.contains(&tag.to_string()),
+                "{text}"
+            );
         }
     }
 

@@ -30,7 +30,7 @@
 //! keeping faulted rounds aggregating a full cohort. Hostile fleets — update poisoners,
 //! scalers, free-riders, colluding observers — are simulated by the
 //! equally-seeded [`adversary`] layer, defended by robust aggregation
-//! ([`aggregate::Aggregator`]) and reputation-filtered selection.
+//! ([`aggregate::Aggregator`]).
 //!
 //! # Example
 //!
@@ -86,10 +86,10 @@ pub mod trainer;
 pub mod transport;
 mod wire;
 
-pub use adversary::{Adversary, AdversaryPlan, CollusionLog, Persona, ReputationBook};
+pub use adversary::{Adversary, AdversaryPlan, CollusionLog, Persona};
 pub use aggregate::Aggregator;
 pub use codec::CodecKind;
-pub use config::{MuxOptions, PartitionKind, ShardLayout, TransportKind};
+pub use config::{MuxOptions, ShardLayout, TransportKind};
 pub use distributed::DistributedCoordinator;
 pub use engine::{ClientOutcome, ExecutionEngine};
 pub use error::FlError;

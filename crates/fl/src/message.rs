@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 
 use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
-use gradsec_nn::{zoo, Sequential};
+use gradsec_nn::{zoo, BackendKind, Sequential};
 use gradsec_tee::attestation::{Challenge, Measurement, Quote};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
@@ -53,7 +53,7 @@ use gradsec_tensor::Tensor;
 use crate::adversary::AdversaryPlan;
 use crate::aggregate::PartialAggregate;
 use crate::codec::{flat_tensor, CheckedWeights, CodecKind, EncodedWeights, TensorReader};
-use crate::config::{PartitionKind, TrainingPlan};
+use crate::config::TrainingPlan;
 use crate::faults::FaultPlan;
 use crate::wire::{decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct};
 use crate::{FlError, Result};
@@ -108,7 +108,10 @@ pub mod limits {
 /// quotes are verified on the coordinator. Version 10 retires the
 /// envelope-sealing carrier: kind byte 8 is refused as unknown, and a
 /// payload is bounded by [`MAX_ENVELOPE_PAYLOAD`] with no sealing slack.
-pub const PROTOCOL_VERSION: u16 = 10;
+/// Version 11 ships a [`ShardConfig`]'s backend and codec as one-byte
+/// tags, drops its partition name, and drops the scale boost from
+/// [`AdversaryPlan`].
+pub const PROTOCOL_VERSION: u16 = 11;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -692,14 +695,17 @@ wire_list!(
     |m| (m.num_layers(), m.iter()),
     ModelWeights::new
 );
-wire_struct!(TrainingPlan {
-    rounds,
-    clients_per_round,
-    batches_per_cycle,
-    batch_size,
-    learning_rate,
-    seed,
-});
+wire_struct!(
+    TrainingPlan {
+        rounds,
+        clients_per_round,
+        batches_per_cycle,
+        batch_size,
+        learning_rate,
+        seed,
+    },
+    validate = TrainingPlan::validate
+);
 wire_struct!(Uuid { 0 });
 wire_struct!(Measurement { 0 });
 wire_struct!(Challenge { nonce });
@@ -967,8 +973,11 @@ impl ModelSpec {
 /// Coordinator → shard-server: everything the shard needs to host its
 /// contiguous client range deterministically — the global fleet shape
 /// (so data sharding reproduces the flat reference), the model recipe
-/// plus initial weights, the training plan, the kernel backend, the
-/// engine worker count and the fault plan.
+/// plus initial weights, the training plan, the kernel backend and
+/// update codec, the engine worker count, and the fault and adversary
+/// plans. Decoding refuses an unknown backend or codec tag, an invalid
+/// plan and an out-of-order range, so a shard server hosts only what it
+/// can run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// The shard index this config provisions (echoes the hello ack).
@@ -991,19 +1000,15 @@ pub struct ShardConfig {
     pub init_weights: ModelWeights,
     /// The training plan.
     pub plan: TrainingPlan,
-    /// Kernel backend name ([`gradsec_tensor::BackendKind::parse`]).
-    pub backend: String,
-    /// Update codec name ([`CodecKind::parse`]) the shard's sessions
-    /// negotiate at handshake.
-    pub codec: String,
+    /// The kernel backend, as a one-byte tag.
+    pub backend: BackendKind,
+    /// The update codec the shard's sessions negotiate at handshake, as a
+    /// one-byte tag.
+    pub codec: CodecKind,
     /// Engine worker threads the shard runs (`0` = one per core).
     pub workers: u64,
     /// The fault plan, when the run injects faults.
     pub faults: Option<FaultPlan>,
-    /// Dataset partition kind name
-    /// ([`crate::config::PartitionKind::parse`]) — how the global data
-    /// partition the shard re-derives was drawn.
-    pub partition: String,
     /// The adversarial scenario, when the run hosts hostile personas.
     pub adversaries: Option<AdversaryPlan>,
 }
@@ -1112,11 +1117,6 @@ impl ShardConfig {
                 ),
             });
         }
-        if PartitionKind::parse(&self.partition).is_none() {
-            return Err(FlError::BadConfig {
-                reason: format!("unknown partition kind {:?}", self.partition),
-            });
-        }
         Ok(())
     }
 }
@@ -1134,6 +1134,7 @@ wire_enum!(ModelSpec, "model spec" {
     0 => TinyMlp { inputs, hidden, outputs, seed },
     1 => LeNet5 { classes, seed },
 });
+wire_enum!(BackendKind, "kernel backend" { 0 => Reference {}, 1 => Tiled {} });
 wire_struct!(
     ShardConfig {
         shard_index,
@@ -1148,7 +1149,6 @@ wire_struct!(
         codec,
         workers,
         faults,
-        partition,
         adversaries,
     },
     validate = ShardConfig::validate

@@ -38,11 +38,11 @@ use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
 
-use crate::adversary::{Adversary, AdversaryPlan, CollusionLog, ReputationBook};
+use crate::adversary::{Adversary, AdversaryPlan, CollusionLog};
 use crate::aggregate::{Aggregator, PartialAggregate};
 use crate::client::{ClientModels, DeviceProfile, FlClient, TA_CODE};
 use crate::codec::CodecKind;
-use crate::config::{MuxOptions, PartitionKind, ShardLayout, TrainingPlan, TransportKind};
+use crate::config::{MuxOptions, ShardLayout, TrainingPlan, TransportKind};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::{FaultPlan, FaultyEndpoint};
 use crate::fleet::{Executed, Fleet};
@@ -155,8 +155,6 @@ pub(crate) struct RunSetup {
     pub(crate) codec: CodecKind,
     pub(crate) screening_sample: Option<usize>,
     pub(crate) aggregator: Aggregator,
-    pub(crate) partition: PartitionKind,
-    pub(crate) reputation: Option<ReputationBook>,
 }
 
 impl RunSetup {
@@ -171,15 +169,13 @@ impl RunSetup {
             codec: CodecKind::Identity,
             screening_sample: None,
             aggregator: Aggregator::FedAvg,
-            partition: PartitionKind::Iid,
-            reputation: None,
         }
     }
 
     /// Validates the configuration and builds the server around the
     /// `initial` global model: over-provisioned by the fault plan's spare
-    /// count, with the screening cap and reputation book installed.
-    pub(crate) fn server(&mut self, initial: ModelWeights) -> Result<FlServer> {
+    /// count, with the screening cap installed.
+    pub(crate) fn server(&self, initial: ModelWeights) -> Result<FlServer> {
         self.plan.validate()?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -193,7 +189,6 @@ impl RunSetup {
             server.overprovision(plan.spare_count());
         }
         server.set_screening_sample(self.screening_sample);
-        server.set_reputation(self.reputation.take());
         Ok(server)
     }
 
@@ -390,24 +385,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Selects how the dataset is partitioned across clients (see
-    /// [`PartitionKind`]); defaults to IID. Part of the run's
-    /// reproducibility key.
-    pub fn partition(mut self, partition: PartitionKind) -> Self {
-        self.setup.partition = partition;
-        self
-    }
-
-    /// Enables reputation-filtered selection: round outcomes accumulate
-    /// per-client scores (+1 completed, −1 straggled/failed) and
-    /// clients below `threshold` are excluded from future eligibility
-    /// (see [`ReputationBook`]). The filter is a deterministic retain
-    /// before the selection shuffle — it consumes no server RNG.
-    pub fn reputation(mut self, threshold: i64) -> Self {
-        self.setup.reputation = Some(ReputationBook::new(threshold));
-        self
-    }
-
     /// Assembles the federation: builds the fleet, wires it onto the
     /// configured transport, handshakes every endpoint and partitions it
     /// into the configured number of shards (one by default).
@@ -476,12 +453,7 @@ impl FederationBuilder {
         let dataset = self.dataset.clone().ok_or_else(|| FlError::BadConfig {
             reason: "dataset not set".to_owned(),
         })?;
-        let mut partition = partition_dataset(
-            dataset.as_ref(),
-            total_clients,
-            self.setup.partition,
-            self.setup.plan.seed,
-        );
+        let mut partition = split::shard(dataset.len(), total_clients, self.setup.plan.seed);
         let models = ClientModels::new(prototype);
         let clients: Vec<FlClient> = std::mem::take(&mut self.devices)
             .into_iter()
@@ -525,27 +497,6 @@ impl FederationBuilder {
             #[cfg(test)]
             models,
         })
-    }
-}
-
-/// Derives the per-client data partition for `kind` over the whole
-/// federation — every hosting path calls this one function with the
-/// same arguments, so client `i` gets the identical local shard wherever
-/// it runs.
-fn partition_dataset(
-    dataset: &dyn Dataset,
-    clients: usize,
-    kind: PartitionKind,
-    seed: u64,
-) -> Vec<Vec<usize>> {
-    match kind {
-        PartitionKind::Iid => split::shard(dataset.len(), clients, seed),
-        PartitionKind::ByLabel => {
-            let labels: Vec<usize> = (0..dataset.len())
-                .map(|i| dataset.sample(i).label)
-                .collect();
-            split::shard_by_label(&labels, clients, seed)
-        }
     }
 }
 
@@ -861,12 +812,6 @@ impl<F: Fleet> RoundDriver<F> {
         // Robust variants need the previous global as a reference point
         // (norm clipping measures drift against it).
         let outcome = agg.finish_with(self.aggregator, Some(self.server.global()))?;
-        // Reputation accrues from outcome history: committed updates earn
-        // credit, shed ones (stragglers and failures alike) earn debit. A
-        // no-op unless a `ReputationBook` is installed on the server.
-        let completed: Vec<usize> = participants.iter().chain(surplus.iter()).copied().collect();
-        let shed: Vec<usize> = stragglers.iter().chain(failures.iter()).copied().collect();
-        self.server.note_round_outcomes(&completed, &shed);
         self.server.commit(outcome.weights);
         Ok(RoundReport {
             round,
@@ -1261,7 +1206,7 @@ mod tests {
         outcome_of: fn(u64, &ModelDownload) -> ClientOutcome,
         cohort_lost: bool,
     ) -> RoundDriver<ScriptedFleet> {
-        let mut setup = RunSetup::new(TrainingPlan {
+        let setup = RunSetup::new(TrainingPlan {
             clients_per_round: clients,
             ..plan()
         });
@@ -1556,7 +1501,7 @@ mod tests {
         let quiet_report = quiet.run().unwrap();
         assert_eq!(plain_report, quiet_report);
         assert_eq!(plain.server().global(), quiet.server().global());
-        // A hostile fleet with reputation off still picks the same
+        // A hostile fleet still picks the same
         // participants every round: personas alter uploads, never the
         // server's sampling stream.
         let mut hostile = Federation::builder(plan())
@@ -1573,15 +1518,13 @@ mod tests {
 
     #[test]
     fn hostile_fleet_with_robust_aggregation_runs() {
-        // End-to-end wiring check: personas, a robust aggregator, a
-        // label-skewed partition and reputation all active at once.
+        // End-to-end wiring check: personas and a robust aggregator
+        // active at once.
         let mut fed = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
             .clients(4, dataset())
             .adversaries(AdversaryPlan::seeded(3).poisoners(0.3).colluders(0.3))
             .aggregator(Aggregator::Median)
-            .partition(PartitionKind::ByLabel)
-            .reputation(-2)
             .build()
             .unwrap();
         let report = fed.run().unwrap();

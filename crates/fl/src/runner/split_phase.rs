@@ -73,7 +73,7 @@ impl RoundDriver<OneByOne> {
 
 pub(super) fn one_by_one(configured: impl Fn() -> FederationBuilder) -> RoundDriver<OneByOne> {
     let inner = configured().build().unwrap();
-    let mut setup = configured().setup;
+    let setup = configured().setup;
     let server = setup.server(inner.server().global().clone()).unwrap();
     setup.drive(server, OneByOne(inner))
 }

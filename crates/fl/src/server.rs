@@ -6,7 +6,6 @@ use rand::SeedableRng;
 use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Measurement;
 
-use crate::adversary::ReputationBook;
 use crate::config::TrainingPlan;
 use crate::message::ModelDownload;
 use crate::selection::{
@@ -28,7 +27,6 @@ pub struct FlServer {
     round: u64,
     spare: usize,
     screening_sample: Option<usize>,
-    reputation: Option<ReputationBook>,
 }
 
 impl FlServer {
@@ -55,7 +53,6 @@ impl FlServer {
             round: 0,
             spare: 0,
             screening_sample: None,
-            reputation: None,
         })
     }
 
@@ -85,35 +82,6 @@ impl FlServer {
     /// The configured screening sample cap, if any.
     pub fn screening_sample(&self) -> Option<usize> {
         self.screening_sample
-    }
-
-    /// Enables (or disables) reputation-based selection filtering.
-    /// Clients whose accumulated score sinks below the book's threshold
-    /// are removed from the eligible set before the selection shuffle —
-    /// a deterministic `retain`, so the server's RNG stream is
-    /// untouched by the feature being on.
-    pub fn set_reputation(&mut self, book: Option<ReputationBook>) {
-        self.reputation = book;
-    }
-
-    /// The reputation book, if selection filtering is enabled.
-    pub fn reputation(&self) -> Option<&ReputationBook> {
-        self.reputation.as_ref()
-    }
-
-    /// Feeds one round's outcome classes into the reputation book (a
-    /// no-op when reputation is disabled). Deterministic: outcome
-    /// classes are already canonical, ascending lists in every path.
-    /// Besides crediting/debiting the touched clients, the book decays
-    /// every *untouched* score toward zero, so churned devices recover
-    /// eligibility while persistent stragglers stay caught (see
-    /// [`ReputationBook::note_round`]).
-    pub fn note_round_outcomes(&mut self, completed: &[usize], shed: &[usize]) {
-        if let Some(book) = &mut self.reputation {
-            let completed: Vec<u64> = completed.iter().map(|&g| g as u64).collect();
-            let shed: Vec<u64> = shed.iter().map(|&g| g as u64).collect();
-            book.note_round(&completed, &shed);
-        }
     }
 
     /// The training plan.
@@ -178,13 +146,6 @@ impl FlServer {
             .filter(|(_, o)| **o == ScreeningOutcome::Eligible)
             .map(|(&g, _)| g)
             .collect();
-        if let Some(book) = &self.reputation {
-            // Reputation exclusion happens *before* the shuffle and is a
-            // plain retain: no RNG is consumed whether or not the book
-            // filters anyone, so enabling the feature on a clean fleet
-            // leaves the selection stream bit-identical.
-            eligible.retain(|&g| book.eligible(g as u64));
-        }
         eligible.shuffle(&mut self.rng);
         eligible.truncate(k);
         eligible.sort_unstable();
@@ -290,43 +251,6 @@ mod tests {
         ]);
         let picked = server.select(&mut clients).unwrap();
         assert_eq!(picked, vec![0, 3]);
-    }
-
-    #[test]
-    fn empty_reputation_book_changes_nothing_including_the_rng_stream() {
-        let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
-        let devices = || (0..6).map(DeviceProfile::trustzone).collect::<Vec<_>>();
-        let mut plain = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        let mut with_book = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        with_book.set_reputation(Some(ReputationBook::new(-2)));
-        // Several consecutive rounds of selection: the retain consumes
-        // no RNG, so the streams stay aligned across rounds.
-        for _ in 0..3 {
-            let a = plain.select(&mut make_clients(devices())).unwrap();
-            let b = with_book.select(&mut make_clients(devices())).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn reputation_excludes_clients_below_threshold() {
-        let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
-        let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        let mut book = ReputationBook::new(0);
-        book.debit(0);
-        book.debit(3);
-        server.set_reputation(Some(book));
-        let picked = server
-            .select(&mut make_clients(
-                (0..6).map(DeviceProfile::trustzone).collect(),
-            ))
-            .unwrap();
-        assert!(!picked.contains(&0) && !picked.contains(&3), "{picked:?}");
-        // Outcome recording feeds back in.
-        server.note_round_outcomes(&picked, &[]);
-        for &g in &picked {
-            assert_eq!(server.reputation().unwrap().score(g as u64), 1);
-        }
     }
 
     #[test]

@@ -889,6 +889,31 @@ pub(crate) mod tests {
         assert_eq!(reply.kind, MessageKind::Error);
     }
 
+    /// A download whose plan no cycle can run is refused where it decodes,
+    /// with an error reply naming the field — never a panic in the
+    /// batcher, which on a mux event loop would take down every session
+    /// the loop serves.
+    #[test]
+    fn a_download_with_a_zero_batch_size_gets_an_error_naming_the_field() {
+        let mut handler = ClientHandler::new(fl_client(1));
+        let global = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let download = EncodedModelDownload {
+            round: 0,
+            weights: encode_weights(CodecKind::Identity, 0, &global, None),
+            plan: TrainingPlan {
+                batch_size: 0,
+                ..one_batch()
+            },
+            protected_layers: vec![],
+        };
+        let reply = handler
+            .handle(Envelope::pack(MessageKind::EncodedModelDownload, &download))
+            .expect("a reply");
+        assert_eq!(reply.kind, MessageKind::Error);
+        let reason = reply.error_reason();
+        assert!(reason.contains("batch_size"), "{reason}");
+    }
+
     /// The exact bits of a run of tensors: what "the two sides hold the
     /// same view" is asserted on (`==` on floats would let `-0.0` pass for
     /// `0.0`).

@@ -1,11 +1,15 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 10 has always produced.
+//! version 11 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 10 moved
+//! table (the failure message prints the new digests). Version 11 moved
+//! every `envelope/*` for the version stamp, two of them,
+//! `envelope/shard_config_{plain,hostile}`, also for their layout (the
+//! backend and codec as one-byte tags, no partition name), and
+//! `adversary_plan` for its layout (no scale boost). Version 10 had moved
 //! only the version stamp of every `envelope/*`; it retired the sealed
 //! carrier, so `envelope/sealed` and `frame` left the table. Version 9
 //! had moved every `envelope/*` too, and two of them,
@@ -15,7 +19,7 @@
 //! `envelope/shard_round_reply` (a shard term's weights tag, and the
 //! fixture's int8 term in wire form). Version 7 had moved
 //! `encoded_weights/delta_topk` and `encoded_tensor/sparse` (gap-coded
-//! indices); the other twenty-eight digests are still the ones captured
+//! indices); the other twenty-seven digests are still the ones captured
 //! from version 6's hand-written encoders.
 
 use gradsec_fl::adversary::AdversaryPlan;
@@ -34,7 +38,7 @@ use gradsec_tee::attestation::{Challenge, Measurement, Quote};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
 use gradsec_tee::crypto::sha256::sha256;
 use gradsec_tee::ta::Uuid;
-use gradsec_tensor::Tensor;
+use gradsec_tensor::{BackendKind, Tensor};
 
 #[path = "common/shard_terms.rs"]
 mod shard_terms;
@@ -153,7 +157,6 @@ fn adversary_plan() -> AdversaryPlan {
         .colluders(0.15)
         .poison_strength(2.0)
         .poison_noise(0.25)
-        .scale_boost(4.0)
 }
 
 fn shard_config(hostile: bool) -> ShardConfig {
@@ -191,11 +194,10 @@ fn shard_config(hostile: bool) -> ShardConfig {
         },
         init_weights: weights(0.5),
         plan: plan(),
-        backend: "tiled".to_owned(),
-        codec: "int8".to_owned(),
+        backend: BackendKind::Tiled,
+        codec: CodecKind::Int8,
         workers: 4,
         faults: hostile.then(fault_plan),
-        partition: if hostile { "by-label" } else { "iid" }.to_owned(),
         adversaries: hostile.then(adversary_plan),
     }
 }
@@ -488,75 +490,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 10 (see the module comment for what moved from 9).
+/// Protocol version 11 (see the module comment for what moved from 10).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "18ba46478b23a1d7e6d11a7726927974ca8076bb06fde8b8bf154ad0d9e3af5a",
+        "bc8a43542d459e413f6fc2f8639c7411546e98ac7c1123609e60e0ebca97f9d8",
     ),
     (
         "envelope/hello_ack",
-        "32c2fd3179c452cc403c85e0e75299fe0210b45e86203dd3b1299fbfe0230677",
+        "72c05a117a2b21a6750e435513a9a431a9154b9b34316ff6d4438c1ed3d51cfe",
     ),
     (
         "envelope/attestation_request",
-        "e968c9c856f51449cd09b73ae4d65a464770c9ebe47ac8be211d1c24e6cc2f9e",
+        "8ce5395d891bfd336ac84017845a7e5ba296cde93ceb5d33f4f67778b343421d",
     ),
     (
         "envelope/attestation_response",
-        "be5a79b9f7e41b78d5ce5734f1b700943eb0f6e100bd19f894281fd6848914cb",
+        "01ff4c8b9523d87d68c27fbae6c6e0489a8f14135c1ce2fe210a382f30f4cb6c",
     ),
     (
         "envelope/goodbye",
-        "e3a881c3d0edacfeff566c5b71a0e70d74152ffd3aded3465dd1a5aa65649c28",
+        "976140a0bbb9faf7600fc97bf32672011dcfc674b8486aa3fbf5baa991a46572",
     ),
     (
         "envelope/error",
-        "f791cbfc3f8ba404211f8a44ac96be2227429aa13216eeb3568160bc2cfd2830",
+        "310beb62689d2aee3aa1100359e6ccaef8d182955f0c8b3b01d6301fa36537ec",
     ),
     (
         "envelope/encoded_model_download",
-        "d674b4b3d875c0fecb6899d0f9d26e188527e1170a5481e6c89e87fd4f06a1fb",
+        "fef96d16807d89feb5683259ced87129c9ab71242282898be57d79a18b04970d",
     ),
     (
         "envelope/encoded_update_upload",
-        "729ae534f91bfffc20a7448ba043c8e8439c66c03718c2ae1bcd9183e087a2a9",
+        "472215982f8db2255ebfbab4b4e4f52cc17d3b0069a2986e3d3ea9cfc427892b",
     ),
     (
         "envelope/shard_hello",
-        "4c354ea22e69fc6b97ab36170888ddcc391c85a9a292f5a3127cb3facfbb1f48",
+        "2ec2415133fbfebdbf3e39ad923659dca07594d87dbb2b166d7fd3ad05b66238",
     ),
     (
         "envelope/shard_hello_ack",
-        "b3fa6988ede5c6073ac9b442f2accfe2570caad36a897f2e0de6aadbeecec82b",
+        "71b7b117f9c485c134655bcdbe1662706936c0571670b84d611dc3f6cdbe1c84",
     ),
     (
         "envelope/shard_config_plain",
-        "309eac6556979faedd274fe2f2ff9ce56d1e15f69c85335ff7637c5f8615fce0",
+        "ded0cfbc5c563d7bb13ee9d096abcdc7a645e7aea7c49f47461ec8648192056b",
     ),
     (
         "envelope/shard_config_hostile",
-        "bd77bc609605f73ae7a35ff9d7a78eeeaa9368012aabf3a333107c308caea330",
+        "1eaf601429908535cb7108faa67841faa933545c5b5c300d5fed065f5759bec9",
     ),
     (
         "envelope/shard_config_ack",
-        "544bbc7f778e817ba1fe01ede5e34a6fe072e866158c7e23e74ad3769dfc7974",
+        "98a4d04dc965553daf41079beb49f7ea66ded562e7d51c625923088d9b50721b",
     ),
     (
         "envelope/shard_screen",
-        "213d05b96853307eaffa2a0a49e20a94c18685fbe01a00e643407fb1a188c8a0",
+        "ab0c699ed0ae6d75cd87637922581c02c67cd20f188c6cbb40e0a6a54ad9ebf3",
     ),
     (
         "envelope/shard_screen_reply",
-        "bd8383f8c27e342ba21655036d3bb7373093908f43c0d43c306c6b2c8ce9606c",
+        "0352731826a6ae7db5ef23d0fba8ea4f3a0a33cf693c5fc44adf0d628796cad6",
     ),
     (
         "envelope/shard_round",
-        "7eace895ac7cde4ddc74f1676ac92515933b9d3bba7428eac8f8ab112acf04ff",
+        "af7e6bd48589ae25ba60bd7a3c1dde71a70f30a8e3f00c7b6beaadd40bc0c287",
     ),
     (
         "envelope/shard_round_reply",
-        "ae10455b5c7f14a2468c8b87d2955e470c7c8ebb0e509f6f4c0cb467d7f1f463",
+        "48a2918382923f26d25d5230427f125e41fe5b2ed7f71724299fd380adaf15aa",
     ),
     (
         "tensor",
@@ -628,7 +630,7 @@ const FROZEN: &[(&str, &str)] = &[
     ),
     (
         "adversary_plan",
-        "f1b0211d6c324ade7152c366d02f090b8e3c924bb493178cfab838440b7f320d",
+        "bca3e076c326b0120e0e18e56a46b5ad5e6b6d3d493da1d229d59b2e59eecb91",
     ),
     (
         "dataset_spec/micro",
@@ -686,7 +688,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 10, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 11, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

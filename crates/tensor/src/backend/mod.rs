@@ -52,6 +52,8 @@ pub fn thread_scratch_checkouts() -> u64 {
     scratch::thread_checkouts()
 }
 
+use serde::{Deserialize, Serialize};
+
 use crate::ops::conv::Conv2dGeometry;
 use crate::ops::pool::PoolGeometry;
 
@@ -60,7 +62,7 @@ use crate::ops::pool::PoolGeometry;
 /// This is the value the layers, the model container and the federation
 /// builder thread around; resolve it to kernels with
 /// [`BackendKind::kernels`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum BackendKind {
     /// The original scalar kernels — the default, bit-identical to the
     /// seed implementation.
@@ -87,22 +89,11 @@ impl BackendKind {
         }
     }
 
-    /// The selector's canonical lowercase name (what
-    /// [`BackendKind::parse`] accepts).
+    /// The selector's canonical lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
             BackendKind::Tiled => "tiled",
-        }
-    }
-
-    /// Parses a backend name (case-insensitive, surrounding whitespace
-    /// ignored). Returns `None` for unrecognised names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" => Some(BackendKind::Reference),
-            "tiled" => Some(BackendKind::Tiled),
-            _ => None,
         }
     }
 }
@@ -320,20 +311,9 @@ mod tests {
     #[test]
     fn parse_roundtrips_names() {
         for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.kernels().kind(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(BackendKind::parse(" Tiled\n"), Some(BackendKind::Tiled));
-        assert_eq!(
-            BackendKind::parse("REFERENCE"),
-            Some(BackendKind::Reference)
-        );
-        assert_eq!(BackendKind::parse("simd"), None);
-        // The retired backend is refused, not mis-run as another one.
-        assert_eq!(BackendKind::parse("blocked"), None);
-        assert_eq!(BackendKind::parse(" Blocked\n"), None);
-        assert_eq!(BackendKind::parse(""), None);
     }
 
     #[test]
