@@ -11,31 +11,29 @@
 //!   [`finish`](PartialAggregate::finish) restores canonical slot order
 //!   before running the very same fold `fedavg` runs.
 //!
-//! A partial's terms wait in the form they arrived in: a session's int8
-//! or sparse reply is still the checked codec payload that crossed the
-//! wire, and a shard server's int8 term crosses the shard-control channel
-//! in that form too; an update pushed through the public API, or a
-//! shard's dense or delta term, is dense. Sample counts and the mean loss
-//! are read from the metadata beside the weights; the coefficients are
-//! produced by the finish and nowhere earlier. Under `FedAvg` (and
-//! `TrimmedMean { trim: 0 }`, which is the same fold) and `NormClip` the
-//! terms are pulled by value in slot order — expand, clip if the rule
-//! does, add, drop — with the first one's expansion serving as the
-//! accumulator, so one dense update is alive at a time. `TrimmedMean` and
-//! `Median`, which need every update per coordinate, expand none: they
-//! read each term in place, front to back, `REDUCE_CHUNK` coordinates of
-//! one tensor at a time, so a sparse term's gaps are walked once a tensor.
-//! The arithmetic is term for term what it was when every term was dense
-//! from the start.
+//! The fold is FedAvg's Σ nᵢ·wᵢ accumulated in f64 and divided by
+//! N = Σ nᵢ once, at the finish: every product is exact, and a term can
+//! be folded — and dropped — before N is known. A term waits, if it waits
+//! at all, in the form it arrived in: a session's int8 or sparse reply is
+//! still the checked codec payload that crossed the wire, and a shard
+//! server's int8 term crosses the shard-control channel in that form too;
+//! an update pushed through the public API, or a shard's dense or delta
+//! term, is dense. Sample counts and the mean loss are read from the
+//! metadata beside the weights. Under `FedAvg` (and
+//! `TrimmedMean { trim: 0 }`, which is the same fold) a term is read in
+//! place, `REDUCE_CHUNK` coordinates of one tensor at a time, and nothing
+//! is expanded; `NormClip` expands the term it clips, one at a time.
+//! `TrimmedMean` and `Median`, which need every update per coordinate,
+//! keep their terms and expand none: they read each term in place, front
+//! to back, a chunk of one tensor at a time, so a sparse term's gaps are
+//! walked once a tensor.
 //!
-//! That split is what makes the merge *associativity-safe*: f32 addition
-//! is not associative, so summing per-shard weight averages would make the
-//! global model depend on the shard layout. By deferring every
-//! floating-point operation to the canonically-ordered finish, any
-//! grouping of updates into partials — 1 shard or 64, merged in any order
-//! — produces bit-identical global weights.
-
-use std::borrow::Cow;
+//! Canonical order is what makes the merge *associativity-safe*: float
+//! addition is not associative, so summing per-shard weight averages would
+//! make the global model depend on the shard layout. Because every
+//! floating-point operation runs in slot order, at the finish, any
+//! grouping of updates into partials or shards, merged in any order,
+//! produces bit-identical global weights.
 
 use gradsec_nn::model::ModelWeights;
 use gradsec_tensor::Tensor;
@@ -114,46 +112,195 @@ impl Aggregator {
     }
 }
 
-/// The canonical FedAvg fold: sample-weighted averaging of the updates'
-/// post-training weights, accumulated strictly in iteration order. Both
-/// [`fedavg`] and [`PartialAggregate::finish`] bottom out here, so the
-/// flat and sharded paths cannot drift apart numerically.
-///
-/// Terms are pulled one at a time and dropped as soon as they are added:
-/// a partial hands its terms over by value, expanding (and, under
-/// `NormClip`, clipping) each only as the fold reaches it, so one dense
-/// update is alive at a time and the accumulator *is* the first of them;
-/// `fedavg`'s lent slice is cloned once, for the accumulator. A term that
-/// cannot be produced ends the fold with its error.
-fn fold_updates<'a, I>(mut updates: I, total: usize) -> Result<ModelWeights>
-where
-    I: Iterator<Item = Result<Cow<'a, UpdateUpload>>>,
-{
-    if total == 0 {
-        return Err(FlError::BadAggregation {
-            reason: "total sample count is zero".to_owned(),
-        });
+/// The one FedAvg fold: Σ nᵢ·wᵢ accumulated in f64, term by term in the
+/// order terms are added, then divided by N = Σ nᵢ once, at the finish.
+/// Each product `nᵢ as f64 * f64::from(x)` is exact (a 24-bit
+/// significand times any count below 2²⁹), no finite f32 cohort can
+/// overflow the sum (2 × 3.4e38 is +inf in f32, not in f64), and a term
+/// is folded before N is known — which is what will let a round fold an
+/// upload the moment it arrives and drop it. Each term is read through
+/// its [`TensorReader`](crate::codec::TensorReader)s, a chunk of one
+/// tensor at a time, so a wire-form term is never expanded. [`Aggregation`] is its one caller.
+struct Fold {
+    /// Per flattened tensor: its dims and its Σ nᵢ·wᵢ so far. Empty until
+    /// the first term, whose products are the accumulator's start.
+    acc: Vec<(Vec<usize>, Vec<f64>)>,
+    /// One chunk of a term's coefficients.
+    chunk: Vec<f32>,
+}
+
+impl Fold {
+    fn new() -> Self {
+        Fold {
+            acc: Vec::new(),
+            chunk: vec![0.0; REDUCE_CHUNK],
+        }
     }
-    let first = updates
-        .next()
-        .ok_or_else(|| FlError::BadAggregation {
-            reason: "no updates to aggregate".to_owned(),
-        })??
-        .into_owned();
-    let mut acc = first.weights;
-    acc.scale(first.num_samples as f32 / total as f32);
-    #[cfg(test)]
-    probe::note(probe::Event::Folded(first.client_id));
-    for u in updates {
-        let u = u?;
-        acc.add_scaled(&u.weights, u.num_samples as f32 / total as f32)
-            .map_err(|e| FlError::BadAggregation {
-                reason: format!("update from client {}: {e}", u.client_id),
-            })?;
+
+    /// Adds `samples` times the coefficients of `client`'s term.
+    fn add(&mut self, client: u64, samples: usize, weights: &ArrivedWeights) -> Result<()> {
+        let count = weights.tensors();
+        let first = self.acc.is_empty();
+        if !first {
+            let disagree = |what: &str| FlError::BadAggregation {
+                reason: format!("update from client {client} disagrees on layer {what}"),
+            };
+            if count != self.acc.len() {
+                return Err(disagree("count"));
+            }
+            if (0..count).any(|i| weights.dims(i) != self.acc[i].0) {
+                return Err(disagree("shapes"));
+            }
+        }
+        let n = samples as f64;
+        for i in 0..count {
+            if first {
+                let dims = weights.dims(i).to_vec();
+                let len = dims.iter().product();
+                self.acc.push((dims, vec![0.0; len]));
+            }
+            let mut reader = weights.reader(i);
+            for acc in self.acc[i].1.chunks_mut(REDUCE_CHUNK) {
+                let xs = &mut self.chunk[..acc.len()];
+                reader.fill(xs);
+                let terms = acc.iter_mut().zip(xs.iter());
+                if first {
+                    terms.for_each(|(a, &x)| *a = n * f64::from(x));
+                } else {
+                    terms.for_each(|(a, &x)| *a += n * f64::from(x));
+                }
+            }
+        }
         #[cfg(test)]
-        probe::note(probe::Event::Folded(u.client_id));
+        probe::note(probe::Event::Folded(client));
+        Ok(())
     }
-    Ok(acc)
+
+    /// The average: every sum divided by `total` and rounded to f32 once.
+    fn finish(self, total: usize) -> ModelWeights {
+        let total = total as f64;
+        layers(self.acc.into_iter().map(|(dims, acc)| {
+            let data = acc.into_iter().map(|a| (a / total) as f32).collect();
+            Tensor::from_vec(data, &dims).expect("the average mirrors a term's shape")
+        }))
+    }
+}
+
+/// One round's aggregate built term by term in canonical slot order —
+/// the rule applied as each term is added, so the caller may drop the
+/// term at once. Under `FedAvg` (and `TrimmedMean { trim: 0 }`, which is
+/// the same fold) a term is read in place and folded; under `NormClip` it
+/// is expanded, clipped and folded; `TrimmedMean` and `Median`, which
+/// need every term per coordinate, keep them as they arrived for the
+/// finish. The first error ends the aggregation: later terms are dropped
+/// and [`finish`](Self::finish) returns it.
+pub(crate) struct Aggregation<'r> {
+    rule: Aggregator,
+    reference: Option<&'r ModelWeights>,
+    fold: Fold,
+    kept: Vec<ArrivedUpload>,
+    losses: Vec<f32>,
+    total: usize,
+    error: Option<FlError>,
+}
+
+impl<'r> Aggregation<'r> {
+    /// An empty aggregate under `rule`; `reference` is the previous global
+    /// model, needed only by [`Aggregator::NormClip`].
+    pub(crate) fn new(rule: Aggregator, reference: Option<&'r ModelWeights>) -> Self {
+        let error = match rule {
+            Aggregator::NormClip { .. } => rule.validate().err().or_else(|| {
+                reference.is_none().then(|| FlError::BadAggregation {
+                    reason: "norm clipping needs the previous global model as reference".to_owned(),
+                })
+            }),
+            _ => None,
+        };
+        Aggregation {
+            rule,
+            reference,
+            fold: Fold::new(),
+            kept: Vec::new(),
+            losses: Vec::new(),
+            total: 0,
+            error,
+        }
+    }
+
+    /// Adds the next term in slot order.
+    pub(crate) fn add(&mut self, upload: ArrivedUpload) {
+        if self.error.is_none() {
+            if let Err(e) = self.try_add(upload) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn try_add(&mut self, upload: ArrivedUpload) -> Result<()> {
+        let (client, samples) = (upload.client_id, upload.num_samples);
+        self.total = self
+            .total
+            .checked_add(samples)
+            .ok_or_else(|| FlError::BadAggregation {
+                reason: format!("{samples} samples from client {client} overflow the sample total"),
+            })?;
+        self.losses.push(upload.train_loss);
+        match self.rule {
+            Aggregator::FedAvg | Aggregator::TrimmedMean { trim: 0 } => {
+                self.fold.add(client, samples, &upload.weights)
+            }
+            Aggregator::NormClip { tau } => {
+                let reference = self.reference.expect("checked when the aggregation began");
+                let clipped = clip(upload.expand(), reference, tau)?;
+                let weights = ArrivedWeights::Dense(clipped.weights);
+                self.fold.add(client, samples, &weights)
+            }
+            Aggregator::TrimmedMean { .. } | Aggregator::Median => {
+                self.kept.push(upload);
+                Ok(())
+            }
+        }
+    }
+
+    /// The finished aggregate, with the mean loss summed in slot order.
+    ///
+    /// # Errors
+    ///
+    /// The first error of any term, no terms, a zero sample total, or a
+    /// trim that leaves no coordinates (`2·trim ≥ n`).
+    pub(crate) fn finish(self) -> Result<AggregateOutcome> {
+        let n = self.losses.len();
+        if n == 0 {
+            return Err(FlError::BadAggregation {
+                reason: "no updates to aggregate".to_owned(),
+            });
+        }
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let weights = match self.rule {
+            Aggregator::TrimmedMean { trim } if trim > 0 => {
+                if 2 * trim >= n {
+                    return Err(FlError::BadAggregation {
+                        reason: format!("trim {trim} leaves no values out of {n} updates"),
+                    });
+                }
+                coordinate_reduce(&self.kept, |vals| trimmed_mean(vals, trim))?
+            }
+            Aggregator::Median => coordinate_reduce(&self.kept, median)?,
+            _ if self.total == 0 => {
+                return Err(FlError::BadAggregation {
+                    reason: "total sample count is zero".to_owned(),
+                })
+            }
+            _ => self.fold.finish(self.total),
+        };
+        Ok(AggregateOutcome {
+            weights,
+            mean_loss: self.losses.iter().sum::<f32>() / n as f32,
+            total_samples: self.total,
+        })
+    }
 }
 
 /// Combines client updates into the next global model by sample-weighted
@@ -165,13 +312,11 @@ where
 /// Returns [`FlError::BadAggregation`] for an empty update set, a zero
 /// total sample count, or architecture mismatches between updates.
 pub fn fedavg(updates: &[UpdateUpload]) -> Result<ModelWeights> {
-    if updates.is_empty() {
-        return Err(FlError::BadAggregation {
-            reason: "no updates to aggregate".to_owned(),
-        });
+    let mut aggregation = Aggregation::new(Aggregator::FedAvg, None);
+    for u in updates {
+        aggregation.add(u.clone().into());
     }
-    let total: usize = updates.iter().map(|u| u.num_samples).sum();
-    fold_updates(updates.iter().map(|u| Ok(Cow::Borrowed(u))), total)
+    aggregation.finish().map(|outcome| outcome.weights)
 }
 
 /// The finished global aggregate of one round.
@@ -188,11 +333,11 @@ pub struct AggregateOutcome {
 
 /// A shard's contribution to one round's aggregate: updates tagged with
 /// their global selection slots, merged exactly and finished in canonical
-/// order (see the module docs for why the fold is deferred). Terms wait
-/// in the form they arrived in — a session's int8 or sparse reply as the
+/// order (see the module docs for why the fold runs in slot order). Terms
+/// wait in the form they arrived in — a shard server's int8 reply as the
 /// checked codec payload that crossed the wire, anything pushed through
-/// the public [`push`](Self::push) dense — and are expanded by the
-/// finish, not before.
+/// the public [`push`](Self::push) dense — and are read by the finish,
+/// not before.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialAggregate {
     terms: Vec<(usize, ArrivedUpload)>,
@@ -275,10 +420,10 @@ impl PartialAggregate {
     /// only by [`Aggregator::NormClip`] (the delta-clipping baseline);
     /// the other rules ignore it. `FedAvg` and `TrimmedMean { trim: 0 }`
     /// run *literally* the canonical FedAvg fold, so a robust run with
-    /// no trimming is bit-identical to the plain path. They, and
-    /// `NormClip`, which clips each term as the fold pulls it, expand one
-    /// term at a time; `TrimmedMean` and `Median` expand none — they read
-    /// each term in place, a chunk of coordinates at a time.
+    /// no trimming is bit-identical to the plain path; they read each term
+    /// in place and expand none. `NormClip` expands, clips and folds one
+    /// term at a time; `TrimmedMean` and `Median` expand none either —
+    /// they read each term in place, a chunk of coordinates at a time.
     ///
     /// # Errors
     ///
@@ -290,54 +435,17 @@ impl PartialAggregate {
         aggregator: Aggregator,
         reference: Option<&ModelWeights>,
     ) -> Result<AggregateOutcome> {
-        if self.terms.is_empty() {
-            return Err(FlError::BadAggregation {
-                reason: "no updates to aggregate".to_owned(),
-            });
-        }
         self.terms.sort_by_key(|(slot, _)| *slot);
         if let Some(w) = self.terms.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(FlError::BadAggregation {
                 reason: format!("two updates claim selection slot {}", w[0].0),
             });
         }
-        let total = self.total_samples();
-        let n = self.terms.len();
-        let mean_loss = self.terms.iter().map(|(_, u)| u.train_loss).sum::<f32>() / n as f32;
-        let weights = match aggregator {
-            Aggregator::FedAvg | Aggregator::TrimmedMean { trim: 0 } => {
-                // Slot order, each term expanded as it is pulled.
-                let updates = self.terms.into_iter();
-                fold_updates(updates.map(|(_, u)| Ok(Cow::Owned(u.expand()))), total)?
-            }
-            Aggregator::TrimmedMean { trim } => {
-                if 2 * trim >= n {
-                    return Err(FlError::BadAggregation {
-                        reason: format!("trim {trim} leaves no values out of {n} updates"),
-                    });
-                }
-                coordinate_reduce(&self.terms, |vals| trimmed_mean(vals, trim))?
-            }
-            Aggregator::Median => coordinate_reduce(&self.terms, median)?,
-            Aggregator::NormClip { tau } => {
-                aggregator.validate()?;
-                let reference = reference.ok_or_else(|| FlError::BadAggregation {
-                    reason: "norm clipping needs the previous global model as reference".to_owned(),
-                })?;
-                // Each term clipped as the fold pulls it, so one dense
-                // update is alive at a time, as under FedAvg.
-                let clipped = self
-                    .terms
-                    .into_iter()
-                    .map(|(_, u)| clip(u.expand(), reference, tau).map(Cow::Owned));
-                fold_updates(clipped, total)?
-            }
-        };
-        Ok(AggregateOutcome {
-            weights,
-            mean_loss,
-            total_samples: total,
-        })
+        let mut aggregation = Aggregation::new(aggregator, reference);
+        for (_, upload) in self.terms {
+            aggregation.add(upload);
+        }
+        aggregation.finish()
     }
 }
 
@@ -403,7 +511,8 @@ fn delta_norm(w: &ModelWeights, reference: &ModelWeights) -> Result<f64> {
 }
 
 /// Coordinates of one tensor [`coordinate_reduce`] reads from each term
-/// at a time: what it holds beyond the terms is this many floats a term.
+/// at a time (what it holds beyond the terms is this many floats a term),
+/// and [`Fold`] from the term it adds.
 const REDUCE_CHUNK: usize = 64;
 
 /// Applies `reduce` to every coordinate across the terms: for each
@@ -414,10 +523,10 @@ const REDUCE_CHUNK: usize = 64;
 /// are walked once a tensor. All robust coordinate-wise estimators bottom
 /// out here.
 fn coordinate_reduce(
-    terms: &[(usize, ArrivedUpload)],
+    terms: &[ArrivedUpload],
     reduce: impl Fn(&mut [f32]) -> f32,
 ) -> Result<ModelWeights> {
-    let terms: Vec<&ArrivedWeights> = terms.iter().map(|(_, u)| &u.weights).collect();
+    let terms: Vec<&ArrivedWeights> = terms.iter().map(|u| &u.weights).collect();
     let first = terms.first().ok_or_else(|| FlError::BadAggregation {
         reason: "no updates to aggregate".to_owned(),
     })?;

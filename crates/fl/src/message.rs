@@ -313,8 +313,7 @@ impl ArrivedUpload {
 
 /// What became of the wire-form uploads on this thread, in order: the
 /// log the two-views tests read to show that an upload the round does
-/// not fold is never expanded, and that the FedAvg fold expands one
-/// at a time.
+/// not fold is never expanded, and that the FedAvg fold expands nothing.
 #[cfg(test)]
 pub(crate) mod probe {
     use std::cell::RefCell;

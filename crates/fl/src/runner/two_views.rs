@@ -1,5 +1,5 @@
 //! The two views of a round. Inside [`RoundDriver::run_round`] a pending
-//! update is held in the form it crossed the wire in and expanded by the
+//! update is held in the form it crossed the wire in and read by the
 //! fold; the public eager calls (`RemoteClient::train`,
 //! `ExecutionEngine::execute_cycles_with`, `PartialAggregate::push`) hand
 //! out and take dense [`UpdateUpload`](crate::message::UpdateUpload)s.
@@ -166,12 +166,14 @@ fn the_fold_expands_one_upload_at_a_time_and_never_one_it_does_not_fold() {
                 // arrival; only int8 and sparse bodies have anything to expand.
                 let expand = codec != CodecKind::Identity;
                 let fold = matches!(aggregator, Aggregator::FedAvg | Aggregator::NormClip { .. });
+                let clip = matches!(aggregator, Aggregator::NormClip { .. });
                 let want: Vec<Event> = if fold {
-                    // Expanded, clipped under NormClip, added, dropped —
+                    // Read in place under FedAvg, which expands nothing;
+                    // expanded and clipped under NormClip; added, dropped —
                     // before the next is touched.
                     let per_term = |&ci: &usize| {
                         let id = ci as u64;
-                        expand
+                        (expand && clip)
                             .then_some(Event::Expanded(id))
                             .into_iter()
                             .chain([Event::Folded(id)])
