@@ -1,6 +1,6 @@
-//! FedAvg aggregation (Figure 2-➍), flat or sharded.
+//! FedAvg aggregation (Figure 2-➍), flat, sharded or as uploads arrive.
 //!
-//! Two entry points share one canonical fold:
+//! Three entry points share one canonical fold:
 //!
 //! * [`fedavg`] — the classic slice-in, weights-out aggregation over one
 //!   round's updates in selection order.
@@ -10,6 +10,8 @@
 //!   concatenation plus integer sample counts — no floating point), and
 //!   [`finish`](PartialAggregate::finish) restores canonical slot order
 //!   before running the very same fold `fedavg` runs.
+//! * The round driver's commit, which feeds the same fold one term at a
+//!   time as the round's uploads arrive, in canonical slot order.
 //!
 //! The fold is FedAvg's Σ nᵢ·wᵢ accumulated in f64 and divided by
 //! N = Σ nᵢ once, at the finish: every product is exact, and a term can
@@ -21,7 +23,7 @@
 //! term, is dense. Sample counts and the mean loss are read from the
 //! metadata beside the weights. Under `FedAvg` (and
 //! `TrimmedMean { trim: 0 }`, which is the same fold) a term is read in
-//! place, `REDUCE_CHUNK` coordinates of one tensor at a time, and nothing
+//! place, `FOLD_CHUNK` coordinates of one tensor at a time, and nothing
 //! is expanded; `NormClip` expands the term it clips, one at a time.
 //! `TrimmedMean` and `Median`, which need every update per coordinate,
 //! keep their terms and expand none: they read each term in place, front
@@ -31,9 +33,10 @@
 //! Canonical order is what makes the merge *associativity-safe*: float
 //! addition is not associative, so summing per-shard weight averages would
 //! make the global model depend on the shard layout. Because every
-//! floating-point operation runs in slot order, at the finish, any
-//! grouping of updates into partials or shards, merged in any order,
-//! produces bit-identical global weights.
+//! floating-point operation runs in slot order — at the finish, or as the
+//! commit's resolved prefix grows — any grouping of updates into partials
+//! or shards, merged or arriving in any order, produces bit-identical
+//! global weights.
 
 use gradsec_nn::model::ModelWeights;
 use gradsec_tensor::Tensor;
@@ -112,12 +115,17 @@ impl Aggregator {
     }
 }
 
+/// Coordinates of one tensor [`Fold`] reads from a term at a time: the
+/// fold holds one term at most, so its chunk can be long enough to make
+/// a reader's per-call cost vanish.
+const FOLD_CHUNK: usize = 1024;
+
 /// The one FedAvg fold: Σ nᵢ·wᵢ accumulated in f64, term by term in the
 /// order terms are added, then divided by N = Σ nᵢ once, at the finish.
 /// Each product `nᵢ as f64 * f64::from(x)` is exact (a 24-bit
 /// significand times any count below 2²⁹), no finite f32 cohort can
 /// overflow the sum (2 × 3.4e38 is +inf in f32, not in f64), and a term
-/// is folded before N is known — which is what will let a round fold an
+/// is folded before N is known — which is what lets a round fold an
 /// upload the moment it arrives and drop it. Each term is read through
 /// its [`TensorReader`](crate::codec::TensorReader)s, a chunk of one
 /// tensor at a time, so a wire-form term is never expanded. [`Aggregation`] is its one caller.
@@ -133,7 +141,7 @@ impl Fold {
     fn new() -> Self {
         Fold {
             acc: Vec::new(),
-            chunk: vec![0.0; REDUCE_CHUNK],
+            chunk: vec![0.0; FOLD_CHUNK],
         }
     }
 
@@ -160,7 +168,7 @@ impl Fold {
                 self.acc.push((dims, vec![0.0; len]));
             }
             let mut reader = weights.reader(i);
-            for acc in self.acc[i].1.chunks_mut(REDUCE_CHUNK) {
+            for acc in self.acc[i].1.chunks_mut(FOLD_CHUNK) {
                 let xs = &mut self.chunk[..acc.len()];
                 reader.fill(xs);
                 let terms = acc.iter_mut().zip(xs.iter());
@@ -511,8 +519,7 @@ fn delta_norm(w: &ModelWeights, reference: &ModelWeights) -> Result<f64> {
 }
 
 /// Coordinates of one tensor [`coordinate_reduce`] reads from each term
-/// at a time (what it holds beyond the terms is this many floats a term),
-/// and [`Fold`] from the term it adds.
+/// at a time: what it holds beyond the terms is this many floats a term.
 const REDUCE_CHUNK: usize = 64;
 
 /// Applies `reduce` to every coordinate across the terms: for each

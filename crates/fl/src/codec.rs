@@ -59,8 +59,9 @@
 //!
 //! A payload is dense in exactly three places: in a delta view, one per
 //! lockstep group on each side; in the replica a cycle borrows to train
-//! on it, one per cycle in flight; and inside the fold that consumes it.
-//! On the way down, a client runs the download through `check_against`
+//! on it, one per cycle in flight; and inside the fold that consumes it:
+//! its `f64` sum, one per round, and under NormClip the one term it
+//! clips. On the way down, a client runs the download through `check_against`
 //! against the view it holds and is handed the group's decoded view. On
 //! the way up, the server reads a session's reply, runs it through
 //! `check_against` — the one validator: every structural refusal there
@@ -71,13 +72,15 @@
 //! (a `CheckedWeights`: the [`EncodedWeights`] plus an `Arc` of that
 //! view; a payload whose bodies are all dense — every identity reply —
 //! is the model already, so it is moved out on the spot, which costs
-//! nothing). It stays in that form through the engine's slots, the round's
-//! outcomes and the [`PartialAggregate`](crate::aggregate::PartialAggregate),
-//! so a round's pending updates cost what crossed the wire, not `k ×`
+//! nothing). It reaches the round's commit in that form, straight from
+//! the worker, and waits there only until every slot below it is
+//! resolved, so an update that waits costs what crossed the wire, not
 //! the dense model: a sparse body holds its wire bytes in memory, one gap
 //! byte and one `f32` a kept coefficient, and an int8 body its byte per
-//! coefficient. The fold expands them one at a time under FedAvg and
-//! NormClip; TrimmedMean and Median expand none, reading each payload
+//! coefficient. FedAvg's fold reads each payload in place, a chunk of
+//! coordinates at a time, adds it to its `f64` sum and drops it, and
+//! expands nothing; NormClip expands the one term it clips; TrimmedMean
+//! and Median keep their terms and expand none, reading each payload
 //! front to back a chunk of coordinates at a time, so each sparse body's
 //! gaps are walked once a tensor; and an update the round does not fold
 //! (a surplus spare, a straggler) is never expanded at all. A

@@ -56,6 +56,23 @@ impl TrainingPlan {
         }
         Ok(())
     }
+
+    /// Refuses a claim of `samples` trained on in one cycle of this plan:
+    /// a cycle trains `batches_per_cycle` batches of at most `batch_size`,
+    /// and an honest client claims at least one sample, so a claim outside
+    /// `1 ..= batches_per_cycle × batch_size` (saturating) is a lie that
+    /// would skew the sample-weighted fold. The one text a session's reply
+    /// and a shard server's term are refused with.
+    pub(crate) fn check_sample_claim(&self, samples: usize) -> std::result::Result<(), String> {
+        let most = self.batches_per_cycle.saturating_mul(self.batch_size);
+        if (1..=most).contains(&samples) {
+            Ok(())
+        } else {
+            Err(format!(
+                "claims {samples} samples, outside 1..={most} for one cycle of the round's plan"
+            ))
+        }
+    }
 }
 
 /// Which transport a built federation wires its clients onto.

@@ -18,7 +18,7 @@
 //!  │ model, sampling)        │  envelope │   engine × W workers      │
 //!  │ ProtectionScheduler     │◄────────► │ shard 1: clients [a, b)   │
 //!  │ quote verification      │   one     │   engine × W workers      │
-//!  │ PartialAggregate fold   │◄────────► │ shard 2: clients [b, n)   │
+//!  │ commit (FedAvg fold)    │◄────────► │ shard 2: clients [b, n)   │
 //!  │ RoundLedger merge       │  channel  │   engine × W workers      │
 //!  └─────────────────────────┘  per shard└───────────────────────────┘
 //! ```
@@ -30,8 +30,8 @@
 //! [`FlServer::sample_screened`](crate::server::FlServer::sample_screened)
 //! does the single shuffle), because quote *verification* stays on the
 //! coordinator against its own provisioning registry, and because shard
-//! replies come back tagged with *global* selection slots and commit
-//! through the driver's one `finish_round`, a distributed run over
+//! replies come back tagged with *global* selection slots and are handed,
+//! reply by reply, to the driver's one commit, a distributed run over
 //! `(S shard processes × W workers)` is bit-identical to the flat
 //! in-process reference — gated by `repro_gates` and the shard-server
 //! cells of `tests/deployment_matrix.rs`.
@@ -52,7 +52,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use gradsec_nn::model::ModelWeights;
 use gradsec_nn::BackendKind;
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
@@ -64,7 +63,7 @@ use crate::codec::{flatten, CodecKind};
 use crate::config::{ShardLayout, TrainingPlan};
 use crate::engine::{ClientOutcome, ExecutionEngine};
 use crate::faults::FaultPlan;
-use crate::fleet::{Executed, Fleet};
+use crate::fleet::{Collected, Executed, Fleet, Sink};
 use crate::message::{
     check_version, ArrivedUpload, ArrivedWeights, DatasetSpec, Envelope, MessageKind,
     ModelDownload, ModelSpec, ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck,
@@ -715,10 +714,15 @@ impl Fleet for ProcessFleet {
         outcomes
     }
 
-    /// Broadcasts the download, collects the shard partials at their
-    /// global slots, and bills a shard that died, hung or answered
-    /// garbage as a lost cohort.
-    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+    /// Broadcasts the download, delivers each shard's outcomes at their
+    /// global slots as its reply is read and validated, and bills a shard
+    /// that died, hung or answered garbage as a lost cohort.
+    fn execute(
+        &mut self,
+        picked: &[usize],
+        download: &ModelDownload,
+        sink: Sink<'_>,
+    ) -> Result<Executed> {
         // With a contiguous layout and sorted picks, shard s's picks
         // occupy the contiguous global slot range starting at the prefix
         // count — that is each reply's slot_base.
@@ -742,8 +746,6 @@ impl Fleet for ProcessFleet {
                 },
             );
         }
-        let mut slots: Vec<Option<ClientOutcome<ArrivedUpload>>> =
-            (0..picked.len()).map(|_| None).collect();
         let mut ledger = RoundLedger::new();
         let mut cohort_lost = false;
         for (s, slot) in self.shards.iter_mut().enumerate() {
@@ -756,10 +758,10 @@ impl Fleet for ProcessFleet {
                 .and_then(|reply| {
                     apply_shard_reply(
                         reply,
-                        &download.weights,
+                        download,
                         base,
                         &picked[base..base + picks.len()],
-                        &mut slots,
+                        sink,
                         &mut ledger,
                     )
                 })
@@ -773,35 +775,15 @@ impl Fleet for ProcessFleet {
                 for (j, &local) in picks.iter().enumerate() {
                     let client = (first + local) as u64;
                     ledger.record(ClientCycleCost::unbilled(client));
-                    slots[base + j] = Some(ClientOutcome::Failed {
+                    let error = FlError::ClientFailure {
                         client,
-                        error: FlError::ClientFailure {
-                            client,
-                            reason: format!("shard {s} process failed mid-round"),
-                        },
-                    });
+                        reason: format!("shard {s} process failed mid-round"),
+                    };
+                    sink.deliver(base + j, ClientOutcome::Failed { client, error });
                 }
             }
         }
-        let outcomes = slots
-            .into_iter()
-            .zip(picked)
-            .map(|(outcome, &pick)| {
-                outcome.unwrap_or_else(|| {
-                    let client = pick as u64;
-                    ledger.record(ClientCycleCost::unbilled(client));
-                    ClientOutcome::Failed {
-                        client,
-                        error: FlError::ClientFailure {
-                            client,
-                            reason: "coordinator lost the client's outcome".to_owned(),
-                        },
-                    }
-                })
-            })
-            .collect();
         Ok(Executed {
-            outcomes,
             ledger,
             cohort_lost,
         })
@@ -887,15 +869,16 @@ impl Fleet for ProcessFleet {
 /// shard accounts every pick, success or not) and name the client picked
 /// there; every completed term must pass [`check_shard_term`] against the
 /// round's `download`; and the shard's ledger may bill only its own
-/// picks, since a merge replaces a client's entry by id. Nothing is
-/// written to `slots`/`ledger` unless the whole reply validates, so a
-/// garbled or hostile reply degrades to a clean cohort failure.
+/// picks, since a merge replaces a client's entry by id. Nothing reaches
+/// `sink` or `ledger` unless the whole reply validates, so a garbled or
+/// hostile reply degrades to a clean cohort failure; then every outcome
+/// goes to `sink` before the next reply is read.
 fn apply_shard_reply(
     reply: ShardRoundReply,
-    download: &ModelWeights,
+    download: &ModelDownload,
     slot_base: usize,
     picked: &[usize],
-    slots: &mut [Option<ClientOutcome<ArrivedUpload>>],
+    sink: Sink<'_>,
     ledger: &mut RoundLedger,
 ) -> Result<()> {
     let mut seen = vec![false; picked.len()];
@@ -959,9 +942,9 @@ fn apply_shard_reply(
             ),
         });
     }
-    // The reply validated: its updates move into the slots, held once.
+    // The reply validated: its updates go to the commit, held once.
     for (slot, upload) in terms {
-        slots[slot] = Some(ClientOutcome::Completed(upload));
+        sink.deliver(slot, ClientOutcome::Completed(upload));
     }
     for o in others {
         let outcome = match o.kind {
@@ -977,28 +960,29 @@ fn apply_shard_reply(
                 },
             },
         };
-        slots[o.slot as usize] = Some(outcome);
+        sink.deliver(o.slot as usize, outcome);
     }
     ledger.merge(&shard_ledger);
     Ok(())
 }
 
 /// Refuses a completed shard term that no honest shard produces: a shape
-/// other than the round's `download`, a NaN or ±inf coefficient, a claim
-/// of zero samples, or a sample count that pushes the reply's running
-/// `total` past `usize`. A term in wire form was checked as it decoded —
-/// every coefficient it stands for is finite — against no model, so its
-/// dims are what is left to check. Returns the new total.
+/// other than the round's `download`, a NaN or ±inf coefficient, a sample
+/// count that pushes the reply's running `total` past `usize`, or a claim
+/// outside what one cycle of the round's plan trains on (zero included).
+/// A term in wire form was checked as it decoded — every coefficient it
+/// stands for is finite — against no model, so its dims are what is left
+/// to check. Returns the new total.
 fn check_shard_term(
     slot: usize,
     upload: &ArrivedUpload,
-    download: &ModelWeights,
+    download: &ModelDownload,
     total: usize,
 ) -> Result<usize> {
     let refuse = |what: String| FlError::Protocol {
         reason: format!("shard reply slot {slot}: {what}"),
     };
-    let (w, want) = (&upload.weights, flatten(download));
+    let (w, want) = (&upload.weights, flatten(&download.weights));
     if w.tensors() != want.len() || (0..want.len()).any(|i| w.dims(i) != want[i].dims()) {
         return Err(refuse("shape differs from the round's download".to_owned()));
     }
@@ -1010,15 +994,17 @@ fn check_shard_term(
             return Err(refuse(format!("non-finite coefficient {x}")));
         }
     }
-    if upload.num_samples == 0 {
-        return Err(refuse("claims 0 samples".to_owned()));
-    }
-    total.checked_add(upload.num_samples).ok_or_else(|| {
+    let total = total.checked_add(upload.num_samples).ok_or_else(|| {
         refuse(format!(
             "{} samples overflow the reply's sample total",
             upload.num_samples
         ))
-    })
+    })?;
+    download
+        .plan
+        .check_sample_claim(upload.num_samples)
+        .map_err(refuse)?;
+    Ok(total)
 }
 
 // ---------------------------------------------------------------------
@@ -1093,8 +1079,17 @@ pub fn serve_shard(stream: TcpStream) -> Result<()> {
             MessageKind::ShardRound => {
                 let round: ShardRound = request.open(MessageKind::ShardRound)?;
                 let picks: Vec<usize> = round.picks.iter().map(|&p| p as usize).collect();
-                let executed = reported(fleet.execute(&picks, &round.download), &mut channel)?;
-                let reply = shard_round_reply(executed, round.slot_base as usize);
+                let collected = Collected::new(picks.len());
+                let sink = |slot, outcome| collected.put(slot, outcome);
+                let executed = reported(
+                    fleet.execute(&picks, &round.download, Sink::new(&sink)),
+                    &mut channel,
+                )?;
+                let reply = shard_round_reply(
+                    collected.into_outcomes(),
+                    executed.ledger,
+                    round.slot_base as usize,
+                );
                 channel.send(&Envelope::pack(MessageKind::ShardRoundReply, &reply))?;
             }
             MessageKind::Goodbye => {
@@ -1160,17 +1155,21 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     )
 }
 
-/// Repackages one executed round at its *global* slots: completed updates
-/// into the [`PartialAggregate`], stragglers/failures into the tagged
-/// overflow list, the shard ledger as-is. The updates go in as they
-/// arrived, and the reply's frame carries each in the form the term's
-/// `Wire` impl picks: an int8 payload as it crossed the client's wire, a
-/// term leaning on this shard's delta view expanded as the frame is
-/// written, one at a time.
-fn shard_round_reply(executed: Executed, slot_base: usize) -> ShardRoundReply {
+/// Repackages one executed round's collected outcomes at their *global*
+/// slots: completed updates into the [`PartialAggregate`],
+/// stragglers/failures into the tagged overflow list, the shard ledger
+/// as-is. The updates go in as they arrived, and the reply's frame
+/// carries each in the form the term's `Wire` impl picks: an int8 payload
+/// as it crossed the client's wire, a term leaning on this shard's delta
+/// view expanded as the frame is written, one at a time.
+fn shard_round_reply(
+    outcomes: Vec<ClientOutcome<ArrivedUpload>>,
+    ledger: RoundLedger,
+    slot_base: usize,
+) -> ShardRoundReply {
     let mut partial = PartialAggregate::new();
     let mut others = Vec::new();
-    for (j, outcome) in executed.outcomes.into_iter().enumerate() {
+    for (j, outcome) in outcomes.into_iter().enumerate() {
         let slot = slot_base + j;
         match outcome {
             ClientOutcome::Completed(upload) => partial.push_arrived(slot, upload),
@@ -1191,7 +1190,7 @@ fn shard_round_reply(executed: Executed, slot_base: usize) -> ShardRoundReply {
     ShardRoundReply {
         partial,
         others,
-        ledger: executed.ledger,
+        ledger,
     }
 }
 
@@ -1301,8 +1300,9 @@ mod tests {
     fn a_hostile_shard_term_is_refused_before_any_slot_is_written() {
         use crate::codec::{encode_weights, CheckedWeights};
         use crate::message::UpdateUpload;
-        use gradsec_nn::model::LayerWeights;
+        use gradsec_nn::model::{LayerWeights, ModelWeights};
         use gradsec_tensor::Tensor;
+        use std::sync::Mutex;
 
         let model = |w: Vec<f32>| {
             let n = w.len();
@@ -1311,7 +1311,17 @@ mod tests {
                 b: Tensor::full(&[1], 0.5),
             }])
         };
-        let download = model(vec![0.0; 2]);
+        // One cycle of the round's plan trains on at most 2 × 4 samples.
+        let download = ModelDownload {
+            round: 0,
+            weights: model(vec![0.0; 2]),
+            plan: TrainingPlan {
+                batches_per_cycle: 2,
+                batch_size: 4,
+                ..TrainingPlan::default()
+            },
+            protected_layers: vec![],
+        };
         let term = |client: u64, weights: ModelWeights, num_samples: usize| {
             ArrivedUpload::from(UpdateUpload {
                 client_id: client,
@@ -1329,7 +1339,7 @@ mod tests {
             let checked = CheckedWeights::new(enc, None).unwrap();
             ArrivedUpload {
                 weights: ArrivedWeights::Wire(Box::new(checked)),
-                ..term(8, download.clone(), 4)
+                ..term(8, download.weights.clone(), 4)
             }
         };
         let dense =
@@ -1364,19 +1374,26 @@ mod tests {
             let mut ledger = RoundLedger::new();
             ledger.record(ClientCycleCost::unbilled(1));
             let slots: Vec<Option<ClientOutcome<ArrivedUpload>>> = (0..4).map(|_| None).collect();
-            (slots, ledger)
+            (Mutex::new(slots), ledger)
         };
-        for sound in [dense(vec![1.0; 2], 4), Ok(int8(vec![1.0, -2.0])), Err(8)] {
-            let (mut slots, mut ledger) = fresh();
+        for sound in [
+            dense(vec![1.0; 2], 4),
+            dense(vec![1.0; 2], 8),
+            Ok(int8(vec![1.0, -2.0])),
+            Err(8),
+        ] {
+            let (slots, mut ledger) = fresh();
+            let sink = |slot: usize, outcome| slots.lock().unwrap()[slot] = Some(outcome);
             apply_shard_reply(
                 reply(sound, 8),
                 &download,
                 2,
                 &picked,
-                &mut slots,
+                Sink::new(&sink),
                 &mut ledger,
             )
             .unwrap();
+            let slots = slots.into_inner().unwrap();
             assert!(slots[2].is_some() && slots[3].is_some());
             assert_eq!(ledger.len(), 3);
         }
@@ -1407,6 +1424,12 @@ mod tests {
             ),
             (dense(vec![1.0; 2], 0), 8, "slot 3", "claims 0 samples"),
             (
+                dense(vec![1.0; 2], 9),
+                8,
+                "slot 3",
+                "claims 9 samples, outside 1..=8",
+            ),
+            (
                 dense(vec![1.0; 2], usize::MAX),
                 8,
                 "slot 3",
@@ -1436,17 +1459,19 @@ mod tests {
             ),
         ];
         for (third, billed, by, expected) in cases {
-            let (mut slots, mut ledger) = fresh();
+            let (slots, mut ledger) = fresh();
             let before = ledger.clone();
+            let sink = |slot: usize, outcome| slots.lock().unwrap()[slot] = Some(outcome);
             let err = apply_shard_reply(
                 reply(third, billed),
                 &download,
                 2,
                 &picked,
-                &mut slots,
+                Sink::new(&sink),
                 &mut ledger,
             )
             .expect_err(expected);
+            let slots = slots.into_inner().unwrap();
             assert!(matches!(err, FlError::Protocol { .. }), "{err}");
             let text = err.to_string();
             assert!(

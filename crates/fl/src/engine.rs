@@ -18,18 +18,19 @@
 //!   the worker waits for the oldest upload, so a worker's concurrency
 //!   is the window, not one (an in-process endpoint trains inside the
 //!   send and is collected at once, one client at a time as ever),
-//! * each exchange lands a [`ClientOutcome`] in a slot keyed by the
-//!   client's position in the round's selection, so aggregation order
-//!   never depends on timing. Inside a round the slot holds the update
-//!   as it arrived — the codec payload that crossed the wire, checked
-//!   against the session's view, billed and committed, but not expanded
-//!   (see [`crate::codec`], "Who holds what, when") — so `k` pending
-//!   updates cost `k` wire payloads, and a straggler's is dropped
-//!   unexpanded. The public entry points
-//!   ([`execute_cycles`](ExecutionEngine::execute_cycles),
+//! * each exchange's [`ClientOutcome`] is handed to the caller's sink the
+//!   moment its worker finishes it, keyed by the client's position in
+//!   the round's selection, so aggregation order never depends on timing.
+//!   Inside a round the update goes out as it arrived — the codec payload
+//!   that crossed the wire, checked against the session's view, billed
+//!   and committed, but not expanded (see [`crate::codec`], "Who holds
+//!   what, when") — and the round's commit folds it as soon as every
+//!   slot below it is resolved, so only updates waiting on an earlier
+//!   slot are held, and a straggler's is dropped unexpanded. The public
+//!   entry points ([`execute_cycles`](ExecutionEngine::execute_cycles),
 //!   [`execute_shards`](ExecutionEngine::execute_shards) and their
-//!   `_with` forms) are that same run with every completed update
-//!   expanded on the way out,
+//!   `_with` forms) are that same run with a sink that collects, every
+//!   completed update expanded on the way out,
 //! * the TEE accounting that arrives *on the wire* with every upload is
 //!   recorded into a [`SharedLedger`] as workers finish and merged into an
 //!   id-sorted [`RoundLedger`], so the world-switch/crypto bill stays
@@ -60,8 +61,9 @@
 //!
 //! [`ExecutionEngine::execute_shards`] lifts the same machinery one level
 //! up for sharded fleets: disjoint client shards run concurrently, each
-//! with its own worker pool and its own [`RoundLedger`], and the per-shard
-//! results come back in shard order for the global merge.
+//! with its own worker pool and its own [`RoundLedger`]; a shard's slots
+//! are offset by the picks of the shards before it, and the per-shard
+//! ledgers come back in shard order for the global merge.
 //!
 //! With identical seeds — training *and* fault seeds — a 1-worker and an
 //! N-worker engine, over the in-process or the TCP transport, sharded or
@@ -70,11 +72,13 @@
 //! workspace root).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
 use gradsec_tensor::ops::threads;
 
 use crate::faults::FaultPlan;
+use crate::fleet::{Collected, Sink};
 use crate::message::{ArrivedUpload, ModelDownload, UpdateUpload};
 use crate::selection::validate_picks;
 use crate::transport::broadcast::Broadcast;
@@ -177,14 +181,10 @@ impl<U> ClientOutcome<U> {
 /// entries for failures).
 pub type CycleOutcomes = (Vec<ClientOutcome>, RoundLedger);
 
-/// [`CycleOutcomes`] with every completed update still in its arrival
-/// form: what a round carries from the workers to the fold.
-pub(crate) type ArrivedOutcomes = (Vec<ClientOutcome<ArrivedUpload>>, RoundLedger);
-
-/// The public, dense view of one engine run.
-fn expanded((outcomes, ledger): ArrivedOutcomes) -> CycleOutcomes {
+/// The public, dense view of one engine run's collected outcomes.
+fn expanded(collected: Collected) -> Vec<ClientOutcome> {
     let dense = |o: ClientOutcome<ArrivedUpload>| o.map(ArrivedUpload::expand);
-    (outcomes.into_iter().map(dense).collect(), ledger)
+    collected.into_outcomes().into_iter().map(dense).collect()
 }
 
 /// A round-execution strategy: how many workers drive client exchanges
@@ -255,36 +255,56 @@ impl ExecutionEngine {
         download: &ModelDownload,
         faults: Option<&FaultPlan>,
     ) -> Result<CycleOutcomes> {
-        self.cycles_in(clients, picked, &Broadcast::new(download), faults)
-            .map(expanded)
+        let collected = Collected::new(picked.len());
+        let broadcast = Broadcast::new(download);
+        let sink = |slot, outcome| collected.put(slot, outcome);
+        let ledger = self.cycles_in(clients, picked, &broadcast, faults, Sink::new(&sink))?;
+        Ok((expanded(collected), ledger))
     }
 
     /// [`execute_cycles_with`](Self::execute_cycles_with) against a
     /// broadcast the caller owns — one per round, so every worker of
-    /// every shard draws its download from the same memo — with the
-    /// uploads left as they arrived.
+    /// every shard draws its download from the same memo — handing `sink`
+    /// each outcome, keyed by its slot in `picked`, as its worker finishes
+    /// it, with the upload left as it arrived. Returns the merged ledger.
     fn cycles_in(
         &self,
         clients: &mut [RemoteClient],
         picked: &[usize],
         broadcast: &Broadcast<'_>,
         faults: Option<&FaultPlan>,
-    ) -> Result<ArrivedOutcomes> {
+        sink: Sink<'_>,
+    ) -> Result<RoundLedger> {
         validate_picks(picked, clients.len())?;
         let picked_ids: Vec<u64> = picked.iter().map(|&ci| clients[ci].id()).collect();
         let ledger = SharedLedger::new();
-        let mut slots: Vec<Option<ClientOutcome<ArrivedUpload>>> =
-            (0..picked.len()).map(|_| None).collect();
+        // Which slots reached the sink. Read after every worker joined —
+        // the join orders the stores before the loads — so `Relaxed`.
+        let delivered: Vec<AtomicBool> = picked.iter().map(|_| AtomicBool::new(false)).collect();
+        let deliver = |slot: usize, outcome| {
+            delivered[slot].store(true, Ordering::Relaxed);
+            sink.deliver(slot, outcome);
+        };
+        // A client whose outcome no worker delivered fails, billed nothing.
+        let fail = |slot: usize, reason: &str| {
+            let client = picked_ids[slot];
+            ledger.record(ClientCycleCost::unbilled(client));
+            let error = FlError::ClientFailure {
+                client,
+                reason: reason.to_owned(),
+            };
+            deliver(slot, ClientOutcome::Failed { client, error });
+        };
         if self.workers <= 1 || picked.len() <= 1 {
-            let outcomes = slide(
+            slide(
                 clients,
                 picked.len(),
                 |clients, slot| cycle_begin(&mut clients[picked[slot]], broadcast),
                 |clients, slot, sent| {
-                    cycle_finish(&mut clients[picked[slot]], sent, broadcast, &ledger, faults)
+                    let client = &mut clients[picked[slot]];
+                    deliver(slot, cycle_finish(client, sent, broadcast, &ledger, faults));
                 },
             );
-            slots = outcomes.into_iter().map(Some).collect();
         } else {
             // Deal the selected clients round-robin into one shard per
             // worker. The deal is a pure function of (picked, workers),
@@ -309,18 +329,18 @@ impl ExecutionEngine {
             }
             // Remember each worker's slot assignment so a worker that dies
             // wholesale (a panic escaping the per-exchange guard) can be
-            // billed to exactly its clients.
+            // billed to exactly its undelivered clients.
             let assignments: Vec<Vec<usize>> = shards
                 .iter()
                 .map(|shard| shard.iter().map(|(slot, _)| *slot).collect())
                 .collect();
             // The workers split the caller's kernel budget between them.
             let kernel_threads = threads::budget() / workers;
-            let outcomes = crossbeam::thread::scope(|s| {
+            let joined = crossbeam::thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .into_iter()
                     .map(|mut shard| {
-                        let ledger = &ledger;
+                        let (ledger, deliver) = (&ledger, &deliver);
                         s.spawn(move |_| {
                             let n = shard.len();
                             threads::with_budget(kernel_threads, || {
@@ -332,63 +352,38 @@ impl ExecutionEngine {
                                         let (slot, client) = &mut shard[k];
                                         let outcome =
                                             cycle_finish(client, sent, broadcast, ledger, faults);
-                                        (*slot, outcome)
+                                        deliver(*slot, outcome);
                                     },
-                                )
+                                );
                             })
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join())
-                    .collect::<Vec<std::thread::Result<_>>>()
+                    .map(|h| h.join().is_ok())
+                    .collect::<Vec<bool>>()
             })
             .map_err(|_| FlError::Protocol {
                 reason: "engine scope panicked".to_owned(),
             })?;
-            for (worker, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok(results) => {
-                        for (slot, r) in results {
-                            slots[slot] = Some(r);
-                        }
-                    }
-                    // The per-exchange guard makes this unreachable in
-                    // practice; if it ever fires, the worker's clients
-                    // fail individually rather than killing the round.
-                    Err(_) => {
-                        for &slot in &assignments[worker] {
-                            ledger.record(ClientCycleCost::unbilled(picked_ids[slot]));
-                            slots[slot] = Some(ClientOutcome::Failed {
-                                client: picked_ids[slot],
-                                error: FlError::ClientFailure {
-                                    client: picked_ids[slot],
-                                    reason: "engine worker panicked".to_owned(),
-                                },
-                            });
-                        }
+            // The per-exchange guard makes this unreachable in practice;
+            // if it ever fires, the worker's clients fail individually
+            // rather than killing the round.
+            for (worker, _) in joined.iter().enumerate().filter(|(_, ok)| !**ok) {
+                for &slot in &assignments[worker] {
+                    if !delivered[slot].load(Ordering::Relaxed) {
+                        fail(slot, "engine worker panicked");
                     }
                 }
             }
         }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(slot, s)| {
-                s.unwrap_or_else(|| {
-                    ledger.record(ClientCycleCost::unbilled(picked_ids[slot]));
-                    ClientOutcome::Failed {
-                        client: picked_ids[slot],
-                        error: FlError::ClientFailure {
-                            client: picked_ids[slot],
-                            reason: "engine lost the client's outcome".to_owned(),
-                        },
-                    }
-                })
-            })
-            .collect();
-        Ok((results, ledger.into_round_ledger()))
+        for (slot, delivered) in delivered.iter().enumerate() {
+            if !delivered.load(Ordering::Relaxed) {
+                fail(slot, "engine lost the client's outcome");
+            }
+        }
+        Ok(ledger.into_round_ledger())
     }
 
     /// Runs several disjoint client shards concurrently with no fault
@@ -428,18 +423,28 @@ impl ExecutionEngine {
         download: &ModelDownload,
         faults: Option<&FaultPlan>,
     ) -> Result<Vec<CycleOutcomes>> {
-        let per_shard = self.shards_in(shards, download, faults)?;
-        Ok(per_shard.into_iter().map(expanded).collect())
+        let sizes: Vec<usize> = shards.iter().map(|(_, picked)| picked.len()).collect();
+        let collected = Collected::new(sizes.iter().sum());
+        let sink = |slot, outcome| collected.put(slot, outcome);
+        let ledgers = self.shards_in(shards, download, faults, Sink::new(&sink))?;
+        let mut outcomes = expanded(collected).into_iter();
+        let per_shard = sizes.into_iter().zip(ledgers);
+        Ok(per_shard
+            .map(|(n, ledger)| (outcomes.by_ref().take(n).collect(), ledger))
+            .collect())
     }
 
-    /// [`execute_shards_with`](Self::execute_shards_with) with the
-    /// uploads left as they arrived.
+    /// [`execute_shards_with`](Self::execute_shards_with) handing `sink`
+    /// each outcome as it lands, keyed by its slot in the shards' picks
+    /// concatenated in shard order, with the upload left as it arrived.
+    /// Returns the per-shard ledgers in shard order.
     pub(crate) fn shards_in(
         &self,
         shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
         download: &ModelDownload,
         faults: Option<&FaultPlan>,
-    ) -> Result<Vec<ArrivedOutcomes>> {
+        sink: Sink<'_>,
+    ) -> Result<Vec<RoundLedger>> {
         for (clients, picked) in &shards {
             validate_picks(picked, clients.len())?;
         }
@@ -447,18 +452,22 @@ impl ExecutionEngine {
         if shards.len() <= 1 {
             return shards
                 .into_iter()
-                .map(|(clients, picked)| self.cycles_in(clients, &picked, broadcast, faults))
+                .map(|(clients, picked)| self.cycles_in(clients, &picked, broadcast, faults, sink))
                 .collect();
         }
         // Shard threads split the caller's kernel budget, as workers do.
         let kernel_threads = threads::budget() / shards.len();
         crossbeam::thread::scope(|s| {
+            let mut base = 0;
             let handles: Vec<_> = shards
                 .into_iter()
                 .map(|(clients, picked)| {
+                    // The shard's slot j is the round's slot base + j.
+                    let shifted = move |slot: usize, outcome| sink.deliver(base + slot, outcome);
+                    base += picked.len();
                     s.spawn(move |_| {
                         threads::with_budget(kernel_threads, || {
-                            self.cycles_in(clients, &picked, broadcast, faults)
+                            self.cycles_in(clients, &picked, broadcast, faults, Sink::new(&shifted))
                         })
                     })
                 })
@@ -856,15 +865,17 @@ mod tests {
             download.round = round;
             let broadcast = Broadcast::new(&download);
             let per_shard = [&mut head, &mut tail].map(|shard| {
+                let collected = Collected::new(3);
+                let sink = |slot, outcome| collected.put(slot, outcome);
                 engine
-                    .cycles_in(shard, &[0, 1, 2], &broadcast, None)
-                    .unwrap()
+                    .cycles_in(shard, &[0, 1, 2], &broadcast, None, Sink::new(&sink))
+                    .unwrap();
+                expanded(collected)
             });
             assert_eq!(broadcast.encodes(), 1, "round {round}");
             let uploads: Vec<_> = per_shard
                 .into_iter()
-                .flat_map(|(outcomes, _)| outcomes)
-                .map(|o| o.map(ArrivedUpload::expand))
+                .flatten()
                 .map(|o| o.into_update().expect("a healthy fleet completes"))
                 .collect();
             assert_eq!(uploads.len(), 6);

@@ -14,15 +14,19 @@
 //!   live in `shard-server` child processes reached over the
 //!   shard-control protocol.
 //!
-//! Either way a fleet hands the driver its completed updates *as they
-//! arrived* ([`ArrivedUpload`]): a local session's int8 or sparse reply
-//! still in wire form, a shard server's int8 term as its client sent it
-//! and its other terms dense. The driver's
-//! commit moves the ones it folds into the partial aggregate, which
-//! expands them, and drops the rest untouched.
+//! Either way a fleet hands the driver each outcome *as it lands*,
+//! through a [`Sink`] keyed by global selection slot, with a completed
+//! update *as it arrived* ([`ArrivedUpload`]): a local session's int8 or
+//! sparse reply still in wire form, a shard server's int8 term as its
+//! client sent it and its other terms dense. The driver's commit folds an
+//! update among the round's first `k` completed ones as soon as every
+//! slot below it is resolved, and drops the rest untouched; a fleet holds
+//! nothing for the commit.
 //!
 //! The module is private: the trait bounds the public driver but cannot
 //! be named — or implemented — outside this crate.
+
+use std::sync::Mutex;
 
 use gradsec_tee::cost::RoundLedger;
 
@@ -32,17 +36,60 @@ use crate::message::{ArrivedUpload, ModelDownload};
 use crate::selection::{ScreenPlan, ScreeningOutcome};
 use crate::Result;
 
-/// What one round's execution hands back to the driver.
+/// Where a fleet delivers each picked client's outcome: its global
+/// selection slot and the outcome, a completed update in the form it
+/// arrived in. Delivered once per slot, from whichever thread finished
+/// the exchange, in no particular order. A newtype rather than the bare
+/// closure reference, so the public trait names no crate-private type.
+#[derive(Clone, Copy)]
+pub struct Sink<'a>(&'a (dyn Fn(usize, ClientOutcome<ArrivedUpload>) + Sync));
+
+impl<'a> Sink<'a> {
+    pub(crate) fn new(deliver: &'a (dyn Fn(usize, ClientOutcome<ArrivedUpload>) + Sync)) -> Self {
+        Sink(deliver)
+    }
+
+    /// Hands over the outcome of `slot`.
+    pub(crate) fn deliver(self, slot: usize, outcome: ClientOutcome<ArrivedUpload>) {
+        (self.0)(slot, outcome);
+    }
+}
+
+/// What one round's execution hands back to the driver besides the
+/// outcomes it delivered.
 pub struct Executed {
-    /// One outcome per picked client, in selection order, every completed
-    /// update still in the form it arrived in.
-    pub(crate) outcomes: Vec<ClientOutcome<ArrivedUpload>>,
     /// One entry per picked client — zero-cost entries for failures.
     pub ledger: RoundLedger,
     /// A whole cohort was lost with the machinery hosting it (a dead
     /// shard process) rather than client by client. The round then
     /// commits from the survivors even without a fault plan.
     pub cohort_lost: bool,
+}
+
+/// A sink that keeps every outcome at its slot, for a caller that wants a
+/// whole run at once: the public eager calls and a shard server's reply.
+pub(crate) struct Collected(Mutex<Vec<Option<ClientOutcome<ArrivedUpload>>>>);
+
+impl Collected {
+    /// Room for `slots` outcomes.
+    pub(crate) fn new(slots: usize) -> Self {
+        Collected(Mutex::new((0..slots).map(|_| None).collect()))
+    }
+
+    /// Keeps `outcome` at `slot`.
+    pub(crate) fn put(&self, slot: usize, outcome: ClientOutcome<ArrivedUpload>) {
+        self.0.lock().expect("no sink panics holding the slots")[slot] = Some(outcome);
+    }
+
+    /// The outcomes in slot order.
+    pub(crate) fn into_outcomes(self) -> Vec<ClientOutcome<ArrivedUpload>> {
+        let slots = self
+            .0
+            .into_inner()
+            .expect("no sink panics holding the slots");
+        let delivered = |o: Option<_>| o.expect("a fleet delivers every slot");
+        slots.into_iter().map(delivered).collect()
+    }
 }
 
 /// The clients of one federation, wherever they execute. The driver owns
@@ -61,12 +108,20 @@ pub trait Fleet {
     fn screen(&mut self, plan: &ScreenPlan) -> Vec<ScreeningOutcome>;
 
     /// Runs the cycles of the clients in `picked` (sorted global indices)
-    /// against `download`.
+    /// against `download`, handing `sink` each client's outcome — at its
+    /// slot in `picked` — as it lands. Every slot is delivered exactly
+    /// once before this returns `Ok`; on `Err` the driver abandons the
+    /// round, whatever was delivered.
     ///
     /// # Errors
     ///
     /// Only for a malformed schedule; a failing client is an outcome.
-    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed>;
+    fn execute(
+        &mut self,
+        picked: &[usize],
+        download: &ModelDownload,
+        sink: Sink<'_>,
+    ) -> Result<Executed>;
 
     /// Releases everything the fleet holds, returning the first failure.
     /// Idempotent: the driver calls it from `shutdown` and again on drop.

@@ -311,19 +311,22 @@ impl ArrivedUpload {
     }
 }
 
-/// What became of the wire-form uploads on this thread, in order: the
-/// log the two-views tests read to show that an upload the round does
-/// not fold is never expanded, and that the FedAvg fold expands nothing.
+/// What became of the uploads on this thread, in order: the log the
+/// two-views tests read to show that an upload the round does not fold
+/// is never expanded, that the FedAvg fold expands nothing, and that a
+/// term is folded as soon as it arrives.
 #[cfg(test)]
 pub(crate) mod probe {
     use std::cell::RefCell;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Event {
+        /// This client's outcome reached the round's commit.
+        Arrived(u64),
         /// A wire-form upload of this client was expanded.
         Expanded(u64),
         /// The fold added this client's term (and drops it before it
-        /// pulls the next).
+        /// reads the next).
         Folded(u64),
     }
 

@@ -21,11 +21,12 @@
 //!   [`DistributedCoordinator`](crate::distributed::DistributedCoordinator)
 //!   is the driver over one.
 //!
-//! Every draw on the server RNG happens in the driver, fleets hand
-//! outcomes back in selection order, and every round commits through
-//! the one `finish_round`, so for any `(fleet, shards, workers,
-//! transport)` combination the reports and final weights are
-//! bit-identical.
+//! Every draw on the server RNG happens in the driver, fleets hand each
+//! outcome to the round's commit as it lands, keyed by selection slot,
+//! and every round commits through that one commit, which resolves the
+//! outcomes in selection order whatever order they arrive in — so for
+//! any `(fleet, shards, workers, transport)` combination the reports and
+//! final weights are bit-identical.
 
 use std::sync::Arc;
 
@@ -39,13 +40,13 @@ use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
 
 use crate::adversary::{Adversary, AdversaryPlan, CollusionLog};
-use crate::aggregate::{Aggregator, PartialAggregate};
+use crate::aggregate::Aggregator;
 use crate::client::{ClientModels, DeviceProfile, FlClient, TA_CODE};
 use crate::codec::CodecKind;
 use crate::config::{MuxOptions, ShardLayout, TrainingPlan, TransportKind};
-use crate::engine::{ClientOutcome, ExecutionEngine};
+use crate::engine::ExecutionEngine;
 use crate::faults::{FaultPlan, FaultyEndpoint};
-use crate::fleet::{Executed, Fleet};
+use crate::fleet::{Executed, Fleet, Sink};
 use crate::message::ModelDownload;
 use crate::scheduler::{NoProtection, ProtectionScheduler};
 use crate::selection::{screen_planned, ScreenPlan, ScreeningOutcome};
@@ -611,10 +612,18 @@ impl Fleet for LocalFleet {
         screen_planned(&mut self.clients, self.measurement, plan)
     }
 
-    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+    fn execute(
+        &mut self,
+        picked: &[usize],
+        download: &ModelDownload,
+        sink: Sink<'_>,
+    ) -> Result<Executed> {
         // Shards are contiguous sub-slices of the one client vector; each
         // runs its picks on its own worker pool, all shards concurrently
         // (a single shard runs straight on the calling thread's pool).
+        // The layout being contiguous, a shard's picks concatenated in
+        // shard order are exactly the canonical global selection order,
+        // so the engine's slots are the round's.
         let mut rest = self.clients.as_mut_slice();
         let mut jobs = Vec::with_capacity(self.layout.num_shards());
         for (s, picks) in self.layout.split_picks(picked).into_iter().enumerate() {
@@ -624,18 +633,13 @@ impl Fleet for LocalFleet {
         }
         let per_shard = self
             .engine
-            .shards_in(jobs, download, self.faults.as_deref())?;
-        // Ledgers fold id-sorted; outcomes concatenate in shard order,
-        // which — the layout being contiguous — restores exactly the
-        // canonical global selection order the commit walks.
+            .shards_in(jobs, download, self.faults.as_deref(), sink)?;
+        // Ledgers fold id-sorted.
         let mut ledger = RoundLedger::new();
-        let mut outcomes = Vec::with_capacity(picked.len());
-        for (shard_outcomes, shard_ledger) in per_shard {
-            outcomes.extend(shard_outcomes);
+        for shard_ledger in per_shard {
             ledger.merge(&shard_ledger);
         }
         Ok(Executed {
-            outcomes,
             ledger,
             cohort_lost: false,
         })
@@ -747,80 +751,25 @@ impl<F: Fleet> RoundDriver<F> {
         let mut protected = self.scheduler.layers_for_round(round);
         protected.retain(|&l| l < n_layers);
         let download = self.server.download(protected);
-        let executed = self.fleet.execute(&picked, &download)?;
-        self.finish_round(round, picked, executed, download.protected_layers)
-    }
-
-    /// Commits one executed round: walks the outcomes in canonical
-    /// (selection) order, aggregates the first `clients_per_round`
-    /// completed updates, classifies the rest into surplus/straggler/
-    /// failure groups and installs the new global model. Every fleet
-    /// bottoms out here — sharing the commit path is part of the
-    /// bit-identity guarantee.
-    ///
-    /// Without tolerance (no fault plan, no lost cohort) any failed
-    /// outcome fails the round with the earliest failure in selection
-    /// order — the strict contract healthy fleets always had. With it,
-    /// failures and stragglers are merely recorded, and the round only
-    /// errors when *no* update committed.
-    fn finish_round(
-        &mut self,
-        round: u64,
-        picked: Vec<usize>,
-        executed: Executed,
-        protected: Vec<usize>,
-    ) -> Result<RoundReport> {
+        // Every fleet bottoms out in this one commit — sharing the commit
+        // path is part of the bit-identity guarantee.
         let k = self.server.plan().clients_per_round;
-        let mut agg = PartialAggregate::new();
-        let mut participants = Vec::new();
-        let mut surplus = Vec::new();
-        let mut stragglers = Vec::new();
-        let mut failures = Vec::new();
-        let mut first_err: Option<FlError> = None;
-        for (slot, (outcome, &ci)) in executed.outcomes.into_iter().zip(&picked).enumerate() {
-            match outcome {
-                ClientOutcome::Completed(upload) => {
-                    if participants.len() < k {
-                        agg.push_arrived(slot, upload);
-                        participants.push(ci);
-                    } else {
-                        surplus.push(ci);
-                    }
-                }
-                ClientOutcome::Straggler { .. } => stragglers.push(ci),
-                ClientOutcome::Failed { error, .. } => {
-                    failures.push(ci);
-                    first_err.get_or_insert(error);
-                }
-            }
-        }
-        if !(self.fault_tolerant || executed.cohort_lost) {
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        if participants.is_empty() {
-            // Prefer the earliest concrete failure; a collapse with no
-            // failure at all means every survivor straggled — name that
-            // rather than misdiagnosing it as a selection problem.
-            return Err(first_err.unwrap_or(FlError::RoundCollapsed {
-                round,
-                stragglers: stragglers.len(),
-                failures: failures.len(),
-            }));
-        }
         // Robust variants need the previous global as a reference point
         // (norm clipping measures drift against it).
-        let outcome = agg.finish_with(self.aggregator, Some(self.server.global()))?;
+        let commit = Commit::new(&picked, k, self.aggregator, self.server.global());
+        let sink = |slot, outcome| commit.deposit(slot, outcome);
+        let executed = self.fleet.execute(&picked, &download, Sink::new(&sink))?;
+        let tolerant = self.fault_tolerant || executed.cohort_lost;
+        let (outcome, groups) = commit.finish(round, tolerant)?;
         self.server.commit(outcome.weights);
         Ok(RoundReport {
             round,
-            participants,
-            surplus,
-            stragglers,
-            failures,
+            participants: groups.participants,
+            surplus: groups.surplus,
+            stragglers: groups.stragglers,
+            failures: groups.failures,
             mean_loss: outcome.mean_loss,
-            protected_layers: protected,
+            protected_layers: download.protected_layers,
             ledger: executed.ledger,
         })
     }
@@ -898,6 +847,10 @@ impl Federation {
     }
 }
 
+mod commit;
+
+use commit::Commit;
+
 #[cfg(test)]
 mod split_phase;
 
@@ -908,6 +861,7 @@ mod two_views;
 mod tests {
     use super::split_phase::one_by_one;
     use super::*;
+    use crate::engine::ClientOutcome;
     use gradsec_data::{SyntheticCifar100, SyntheticMicro};
     use gradsec_nn::zoo;
     use gradsec_tee::cost::ClientCycleCost;
@@ -1178,17 +1132,19 @@ mod tests {
             vec![ScreeningOutcome::Eligible; plan.candidates.len()]
         }
 
-        fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+        fn execute(
+            &mut self,
+            picked: &[usize],
+            download: &ModelDownload,
+            sink: Sink<'_>,
+        ) -> Result<Executed> {
             let mut ledger = RoundLedger::new();
-            let outcomes = picked
-                .iter()
-                .map(|&client| {
-                    ledger.record(ClientCycleCost::unbilled(client as u64));
-                    (self.outcome_of)(client as u64, download).map(Into::into)
-                })
-                .collect();
+            for (slot, &client) in picked.iter().enumerate() {
+                ledger.record(ClientCycleCost::unbilled(client as u64));
+                let outcome = (self.outcome_of)(client as u64, download);
+                sink.deliver(slot, outcome.map(Into::into));
+            }
             Ok(Executed {
-                outcomes,
                 ledger,
                 cohort_lost: self.cohort_lost,
             })

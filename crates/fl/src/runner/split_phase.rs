@@ -12,6 +12,7 @@ use gradsec_tee::cost::SharedLedger;
 
 use super::*;
 use crate::codec::flatten;
+use crate::engine::ClientOutcome;
 use crate::engine::{cycle_begin, cycle_finish};
 use crate::message::{Envelope, HelloAck, MessageKind};
 use crate::selection::screen_one;
@@ -42,19 +43,21 @@ impl Fleet for OneByOne {
             .collect()
     }
 
-    fn execute(&mut self, picked: &[usize], download: &ModelDownload) -> Result<Executed> {
+    fn execute(
+        &mut self,
+        picked: &[usize],
+        download: &ModelDownload,
+        sink: Sink<'_>,
+    ) -> Result<Executed> {
         let fleet = &mut self.0.fleet;
         let ledger = SharedLedger::new();
-        let outcomes = picked
-            .iter()
-            .map(|&ci| {
-                let (client, alone) = (&mut fleet.clients[ci], Broadcast::new(download));
-                let sent = cycle_begin(client, &alone).map(|(sent, _)| sent);
-                cycle_finish(client, sent, &alone, &ledger, fleet.faults.as_deref())
-            })
-            .collect();
+        for (slot, &ci) in picked.iter().enumerate() {
+            let (client, alone) = (&mut fleet.clients[ci], Broadcast::new(download));
+            let sent = cycle_begin(client, &alone).map(|(sent, _)| sent);
+            let outcome = cycle_finish(client, sent, &alone, &ledger, fleet.faults.as_deref());
+            sink.deliver(slot, outcome);
+        }
         Ok(Executed {
-            outcomes,
             ledger: ledger.into_round_ledger(),
             cohort_lost: false,
         })

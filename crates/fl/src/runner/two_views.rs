@@ -1,6 +1,6 @@
-//! The two views of a round. Inside [`RoundDriver::run_round`] a pending
-//! update is held in the form it crossed the wire in and read by the
-//! fold; the public eager calls (`RemoteClient::train`,
+//! The two views of a round. Inside [`RoundDriver::run_round`] an update
+//! is held in the form it crossed the wire in until the commit reads it;
+//! the public eager calls (`RemoteClient::train`,
 //! `ExecutionEngine::execute_cycles_with`, `PartialAggregate::push`) hand
 //! out and take dense [`UpdateUpload`](crate::message::UpdateUpload)s.
 //! Both must commit the same bits and tell the same story, and only the
@@ -11,7 +11,9 @@ use gradsec_data::SyntheticMicro;
 use gradsec_nn::zoo;
 
 use super::*;
+use crate::aggregate::PartialAggregate;
 use crate::codec::flatten;
+use crate::engine::ClientOutcome;
 use crate::faults::LatencyModel;
 use crate::message::probe::{self, Event};
 use crate::transport::tests::bits;
@@ -36,7 +38,7 @@ fn builder(clients: usize, clients_per_round: usize) -> FederationBuilder {
 /// One round long-hand through the public eager calls — `select` →
 /// `download` → `execute_cycles_with` → `PartialAggregate::finish_with` →
 /// `commit`, what `benchmark/src/staged.rs` does — against a server of
-/// the caller's own, with `finish_round`'s commit rule spelled out.
+/// the caller's own, with the commit's first-`k` rule spelled out.
 fn eager_round(
     shadow: &mut FlServer,
     fed: &mut Federation,
@@ -167,22 +169,19 @@ fn the_fold_expands_one_upload_at_a_time_and_never_one_it_does_not_fold() {
                 let expand = codec != CodecKind::Identity;
                 let fold = matches!(aggregator, Aggregator::FedAvg | Aggregator::NormClip { .. });
                 let clip = matches!(aggregator, Aggregator::NormClip { .. });
-                let want: Vec<Event> = if fold {
-                    // Read in place under FedAvg, which expands nothing;
-                    // expanded and clipped under NormClip; added, dropped —
-                    // before the next is touched.
-                    let per_term = |&ci: &usize| {
-                        let id = ci as u64;
-                        (expand && clip)
-                            .then_some(Event::Expanded(id))
-                            .into_iter()
-                            .chain([Event::Folded(id)])
-                    };
-                    report.participants.iter().flat_map(per_term).collect()
-                } else {
-                    // A coordinate-wise rule reads every term in place.
-                    Vec::new()
+                // Every outcome arrives in slot order, and a participant's
+                // term is folded and dropped before the next one arrives:
+                // read in place under FedAvg, which expands nothing, and
+                // expanded and clipped under NormClip. A coordinate-wise
+                // rule reads every term in place at the finish.
+                let per_slot = |ci: usize| {
+                    let (id, folded) = (ci as u64, fold && report.participants.contains(&ci));
+                    [Event::Arrived(id)]
+                        .into_iter()
+                        .chain((folded && clip && expand).then_some(Event::Expanded(id)))
+                        .chain(folded.then_some(Event::Folded(id)))
                 };
+                let want: Vec<Event> = (0..6).flat_map(per_slot).collect();
                 assert_eq!(probe::take(), want, "{what}");
             }
             fed.shutdown().unwrap();

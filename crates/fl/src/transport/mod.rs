@@ -610,6 +610,13 @@ impl RemoteClient {
                 ),
             });
         }
+        round
+            .download
+            .plan
+            .check_sample_claim(reply.num_samples)
+            .map_err(|what| FlError::Protocol {
+                reason: format!("client {} {what}", self.id),
+            })?;
         let weights = CheckedWeights::new(reply.weights, shared.view_next.clone())?;
         let upload_raw = weights.dense_wire_bytes();
         let wire = WireBill {
@@ -1097,6 +1104,8 @@ pub(crate) mod tests {
         /// A well-formed body of this kind standing for one coefficient
         /// that is this non-finite value (at index 5; an int8 body's zero).
         NonFinite(Body, f32),
+        /// Sound weights, claiming this many samples.
+        Claims(usize),
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -1126,7 +1135,8 @@ pub(crate) mod tests {
     }
 
     impl Tamper {
-        fn apply(self, weights: &mut EncodedWeights) {
+        fn apply(self, update: &mut EncodedUpdateUpload) {
+            let weights = &mut update.weights;
             let n = weights.tensors[0].dims.iter().product::<usize>();
             let sparse = |indices: &[usize]| {
                 let entries = indices.iter().map(|&i| (i as u32, 0.5));
@@ -1146,6 +1156,7 @@ pub(crate) mod tests {
                 }
                 Tamper::DeltaBody => weights.tensors[0].body = sparse(&[0]),
                 Tamper::NonFinite(body, x) => weights.tensors[0].body = body.standing_for(x, n),
+                Tamper::Claims(samples) => update.num_samples = samples,
             }
         }
     }
@@ -1175,7 +1186,7 @@ pub(crate) mod tests {
                 Some((at, tamper)) if at == nth => {
                     let mut update: EncodedUpdateUpload =
                         reply.open(MessageKind::EncodedUpdateUpload)?;
-                    tamper.apply(&mut update.weights);
+                    tamper.apply(&mut update);
                     Ok(Envelope::pack(MessageKind::EncodedUpdateUpload, &update))
                 }
                 _ => Ok(reply),
@@ -1202,7 +1213,7 @@ pub(crate) mod tests {
         // — and a sparse body is a refusal only where no view exists. A
         // coefficient that would decode to NaN or ±inf is refused in every
         // body kind, naming the tensor and the position.
-        let structural: [(&[CodecKind], Tamper, &str); 6] = [
+        let structural: [(&[CodecKind], Tamper, &str); 8] = [
             (
                 &[Identity, Int8, DeltaTopK],
                 Tamper::IndexOutOfRange,
@@ -1234,6 +1245,18 @@ pub(crate) mod tests {
                 &[Identity, Int8],
                 Tamper::DeltaBody,
                 "delta body without a reference view",
+            ),
+            // One cycle of `one_batch` trains on at most 4 samples; a claim
+            // outside 1..=4 would skew the sample-weighted fold.
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::Claims(0),
+                "client 1 claims 0 samples",
+            ),
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::Claims(usize::MAX),
+                "client 1 claims 18446744073709551615 samples, outside 1..=4",
             ),
         ];
         let mut cases: Vec<(&[CodecKind], Tamper, String)> = structural

@@ -1,7 +1,9 @@
 //! Memory is flat over run length: after warm-up, a federation's live
 //! heap does not grow with the rounds it has committed. The server holds
 //! one global model and replaces it at every commit, so nothing a round
-//! allocates outlives the next one.
+//! allocates outlives the next one. And a round's peak is flat over its
+//! cohort: the commit folds each upload as it arrives and drops it, so
+//! a round on one worker never holds more than one.
 //!
 //! This file is its own test binary with one test, because the counting
 //! allocator below sees every allocation in the process: a second test
@@ -14,14 +16,22 @@ use std::sync::Arc;
 use gradsec::data::SyntheticMicro;
 use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::runner::Federation;
+use gradsec::fl::CodecKind;
 use gradsec::nn::zoo;
 
 /// `System`, counting the bytes currently allocated through it.
 struct Counting;
 
-/// Live heap bytes. A statistic that publishes no other data, so
-/// `Relaxed` suffices.
+/// Live heap bytes, and their high-water mark since the test last reset
+/// it. Statistics that publish no other data, so `Relaxed` suffices.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `size` more live bytes.
+fn grow(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the counter
@@ -31,7 +41,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -40,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as for `alloc`.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -57,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
         // contract for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            grow(new_size);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         }
         p
@@ -67,12 +77,57 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The in-round peak above the live heap before the second round of a
+/// one-shard, one-worker, in-process delta-topk federation of `clients`
+/// clients of a 132 616-byte model, all picked every round, with the
+/// largest upload that round's clients sent.
+fn round_peak(clients: usize) -> (usize, u64) {
+    let plan = TrainingPlan {
+        rounds: 2,
+        clients_per_round: clients,
+        batches_per_cycle: 1,
+        batch_size: 2,
+        learning_rate: 0.05,
+        seed: 3,
+    };
+    let data = Arc::new(SyntheticMicro::new(2 * clients, 2, 256, 5));
+    let mut fed = Federation::builder(plan)
+        .model(|| zoo::tiny_mlp(256, 128, 2, 9).expect("builds"))
+        .clients(clients, data)
+        .codec(CodecKind::DeltaTopK)
+        .build()
+        .expect("federation builds");
+    fed.run_round().expect("warm-up round commits");
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let report = fed.run_round().expect("round commits");
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    fed.shutdown().expect("clean shutdown");
+    let uploads = report.ledger.entries().iter();
+    let term = uploads.map(|e| e.wire.upload_encoded_bytes).max();
+    (peak, term.expect("a round bills its clients"))
+}
+
 /// Live bytes after round 210 exceed those after round 60 by less than
 /// 4 KiB on a 16-client federation of a 132 616-byte model. A server
 /// that kept every committed global grew by one model a round here:
 /// about 19.9 MB over those 150 rounds.
+///
+/// And a round's peak grows by less than a tenth of an upload a pick
+/// from 32 to 256 picks: the commit folds each upload as it arrives. A
+/// round that held its uploads until the last one landed peaked about
+/// one upload (≈16.5 kB here) higher a pick.
 #[test]
 fn live_heap_is_flat_after_warm_up() {
+    let (small, _) = round_peak(32);
+    let (large, term) = round_peak(256);
+    let allowed = (256 - 32) * term as usize / 10;
+    assert!(
+        large < small + allowed,
+        "the round peak grew from {small} B at 32 picks to {large} B at 256, \
+         more than a tenth of a {term}-byte upload a pick"
+    );
+
     const WARM: u64 = 60;
     const ROUNDS: u64 = 210;
     let plan = TrainingPlan {
