@@ -1,6 +1,6 @@
 //! FedAvg aggregation (Figure 2-➍), flat, sharded or as uploads arrive.
 //!
-//! Three entry points share one canonical fold:
+//! Three entry points share one exact fold:
 //!
 //! * [`fedavg`] — the classic slice-in, weights-out aggregation over one
 //!   round's updates in selection order.
@@ -8,45 +8,51 @@
 //!   updates into a partial tagged with their *global selection slots*;
 //!   partials [`merge`](PartialAggregate::merge) exactly (list
 //!   concatenation plus integer sample counts — no floating point), and
-//!   [`finish`](PartialAggregate::finish) restores canonical slot order
-//!   before running the very same fold `fedavg` runs.
+//!   [`finish`](PartialAggregate::finish) runs the very same fold
+//!   `fedavg` runs.
 //! * The round driver's commit, which feeds the same fold one term at a
-//!   time as the round's uploads arrive, in canonical slot order.
+//!   time as the round's uploads arrive, in whatever order they arrive.
 //!
-//! The fold is FedAvg's Σ nᵢ·wᵢ accumulated in f64 and divided by
-//! N = Σ nᵢ once, at the finish: every product is exact, and a term can
-//! be folded — and dropped — before N is known. A term waits, if it waits
-//! at all, in the form it arrived in: a session's int8 or sparse reply is
-//! still the checked codec payload that crossed the wire, and a shard
-//! server's int8 term crosses the shard-control channel in that form too;
-//! an update pushed through the public API, or a shard's dense or delta
-//! term, is dense. Sample counts and the mean loss are read from the
-//! metadata beside the weights. Under `FedAvg` (and
-//! `TrimmedMean { trim: 0 }`, which is the same fold) a term is read in
-//! place, `FOLD_CHUNK` coordinates of one tensor at a time, and nothing
-//! is expanded; `NormClip` expands the term it clips, one at a time.
-//! `TrimmedMean` and `Median`, which need every update per coordinate,
-//! keep their terms and expand none: they read each term in place, front
-//! to back, a chunk of one tensor at a time, so a sparse term's gaps are
-//! walked once a tensor.
+//! The fold is FedAvg's Σ nᵢ·wᵢ held exactly, as a fixed-point integer
+//! per coordinate (an `i128` window, with a wide overflow for products
+//! outside it), and divided by N = Σ nᵢ once, at the finish, rounding to
+//! the nearest f32. Integer addition is associative and commutative, so
+//! any grouping of updates into partials or shards, merged or arriving
+//! in any order, folds to bit-identical global weights; a term can be
+//! folded — and dropped — the moment it arrives, before N is known. A
+//! sparse delta term costs its kept coefficients: it adds
+//! nᵢ·(f32(vⱼ + δⱼ) − vⱼ) where it keeps one and nᵢ to a count per view,
+//! and the finish adds each count times its view once.
 //!
-//! Canonical order is what makes the merge *associativity-safe*: float
-//! addition is not associative, so summing per-shard weight averages would
-//! make the global model depend on the shard layout. Because every
-//! floating-point operation runs in slot order — at the finish, or as the
-//! commit's resolved prefix grows — any grouping of updates into partials
-//! or shards, merged or arriving in any order, produces bit-identical
-//! global weights.
+//! A term waits, if it waits at all, in the form it arrived in: a
+//! session's int8 or sparse reply is still the checked codec payload that
+//! crossed the wire, and a shard server's int8 term crosses the
+//! shard-control channel in that form too; an update pushed through the
+//! public API, or a shard's dense or delta term, is dense. Every rule
+//! refuses a dense term holding a NaN or ±inf, naming its client (a
+//! wire-form term's coefficients were checked on arrival). Sample counts
+//! and the mean loss are read from the metadata beside the weights, in
+//! slot order at the finish. Under `FedAvg` (and `TrimmedMean { trim: 0 }`,
+//! which is the same fold) a term is read in place, a chunk of one tensor
+//! at a time or its kept coefficients, and nothing is expanded; `NormClip`
+//! expands the term it clips, one at a time. `TrimmedMean` and `Median`,
+//! which need every update per coordinate, keep their terms and expand
+//! none: they read each term in place, front to back, a chunk of one
+//! tensor at a time, so a sparse term's gaps are walked once a tensor.
+//! Their per-coordinate sums run over sorted values, so they too are
+//! independent of the order terms arrive in.
 
 use gradsec_nn::model::ModelWeights;
 use gradsec_tensor::Tensor;
 
-use crate::codec::layers;
-#[cfg(test)]
-use crate::message::probe;
+use crate::codec::{flatten, layers};
 use crate::message::{limits, ArrivedUpload, ArrivedWeights, UpdateUpload};
 use crate::wire::wire_struct;
 use crate::{FlError, Result};
+
+mod fold;
+
+use fold::Fold;
 
 /// The aggregation rule a round commits with. [`FedAvg`](Self::FedAvg)
 /// is the paper's sample-weighted average; the robust variants are the
@@ -115,108 +121,35 @@ impl Aggregator {
     }
 }
 
-/// Coordinates of one tensor [`Fold`] reads from a term at a time: the
-/// fold holds one term at most, so its chunk can be long enough to make
-/// a reader's per-call cost vanish.
-const FOLD_CHUNK: usize = 1024;
-
-/// The one FedAvg fold: Σ nᵢ·wᵢ accumulated in f64, term by term in the
-/// order terms are added, then divided by N = Σ nᵢ once, at the finish.
-/// Each product `nᵢ as f64 * f64::from(x)` is exact (a 24-bit
-/// significand times any count below 2²⁹), no finite f32 cohort can
-/// overflow the sum (2 × 3.4e38 is +inf in f32, not in f64), and a term
-/// is folded before N is known — which is what lets a round fold an
-/// upload the moment it arrives and drop it. Each term is read through
-/// its [`TensorReader`](crate::codec::TensorReader)s, a chunk of one
-/// tensor at a time, so a wire-form term is never expanded. [`Aggregation`] is its one caller.
-struct Fold {
-    /// Per flattened tensor: its dims and its Σ nᵢ·wᵢ so far. Empty until
-    /// the first term, whose products are the accumulator's start.
-    acc: Vec<(Vec<usize>, Vec<f64>)>,
-    /// One chunk of a term's coefficients.
-    chunk: Vec<f32>,
-}
-
-impl Fold {
-    fn new() -> Self {
-        Fold {
-            acc: Vec::new(),
-            chunk: vec![0.0; FOLD_CHUNK],
-        }
-    }
-
-    /// Adds `samples` times the coefficients of `client`'s term.
-    fn add(&mut self, client: u64, samples: usize, weights: &ArrivedWeights) -> Result<()> {
-        let count = weights.tensors();
-        let first = self.acc.is_empty();
-        if !first {
-            let disagree = |what: &str| FlError::BadAggregation {
-                reason: format!("update from client {client} disagrees on layer {what}"),
-            };
-            if count != self.acc.len() {
-                return Err(disagree("count"));
-            }
-            if (0..count).any(|i| weights.dims(i) != self.acc[i].0) {
-                return Err(disagree("shapes"));
-            }
-        }
-        let n = samples as f64;
-        for i in 0..count {
-            if first {
-                let dims = weights.dims(i).to_vec();
-                let len = dims.iter().product();
-                self.acc.push((dims, vec![0.0; len]));
-            }
-            let mut reader = weights.reader(i);
-            for acc in self.acc[i].1.chunks_mut(FOLD_CHUNK) {
-                let xs = &mut self.chunk[..acc.len()];
-                reader.fill(xs);
-                let terms = acc.iter_mut().zip(xs.iter());
-                if first {
-                    terms.for_each(|(a, &x)| *a = n * f64::from(x));
-                } else {
-                    terms.for_each(|(a, &x)| *a += n * f64::from(x));
-                }
-            }
-        }
-        #[cfg(test)]
-        probe::note(probe::Event::Folded(client));
-        Ok(())
-    }
-
-    /// The average: every sum divided by `total` and rounded to f32 once.
-    fn finish(self, total: usize) -> ModelWeights {
-        let total = total as f64;
-        layers(self.acc.into_iter().map(|(dims, acc)| {
-            let data = acc.into_iter().map(|a| (a / total) as f32).collect();
-            Tensor::from_vec(data, &dims).expect("the average mirrors a term's shape")
-        }))
-    }
-}
-
-/// One round's aggregate built term by term in canonical slot order —
-/// the rule applied as each term is added, so the caller may drop the
-/// term at once. Under `FedAvg` (and `TrimmedMean { trim: 0 }`, which is
-/// the same fold) a term is read in place and folded; under `NormClip` it
+/// One round's aggregate built term by term, in any order — the rule
+/// applied as each term is added, so the caller may drop the term at
+/// once. Under `FedAvg` (and `TrimmedMean { trim: 0 }`, which is the same
+/// fold) a term is read in place and folded exactly; under `NormClip` it
 /// is expanded, clipped and folded; `TrimmedMean` and `Median`, which
 /// need every term per coordinate, keep them as they arrived for the
-/// finish. The first error ends the aggregation: later terms are dropped
-/// and [`finish`](Self::finish) returns it.
+/// finish. Each term carries its selection slot: the finish reads the
+/// sample total, the mean loss and the kept terms in slot order, and of
+/// several failing terms reports the lowest slot's error, so the outcome
+/// does not depend on the order terms were added in.
 pub(crate) struct Aggregation<'r> {
     rule: Aggregator,
     reference: Option<&'r ModelWeights>,
     fold: Fold,
-    kept: Vec<ArrivedUpload>,
-    losses: Vec<f32>,
-    total: usize,
-    error: Option<FlError>,
+    kept: Vec<(usize, ArrivedUpload)>,
+    /// Every term's slot, client, sample count and loss, as added.
+    terms: Vec<(usize, u64, usize, f32)>,
+    /// The rule's own configuration error, before any term.
+    invalid: Option<FlError>,
+    /// The lowest-slot error of a term so far.
+    error: Option<(usize, FlError)>,
 }
 
 impl<'r> Aggregation<'r> {
     /// An empty aggregate under `rule`; `reference` is the previous global
-    /// model, needed only by [`Aggregator::NormClip`].
+    /// model, needed by [`Aggregator::NormClip`]. When given, every folded
+    /// term must have its shape; otherwise the first term's.
     pub(crate) fn new(rule: Aggregator, reference: Option<&'r ModelWeights>) -> Self {
-        let error = match rule {
+        let invalid = match rule {
             Aggregator::NormClip { .. } => rule.validate().err().or_else(|| {
                 reference.is_none().then(|| FlError::BadAggregation {
                     reason: "norm clipping needs the previous global model as reference".to_owned(),
@@ -227,32 +160,31 @@ impl<'r> Aggregation<'r> {
         Aggregation {
             rule,
             reference,
-            fold: Fold::new(),
+            fold: Fold::new(reference),
             kept: Vec::new(),
-            losses: Vec::new(),
-            total: 0,
-            error,
+            terms: Vec::new(),
+            invalid,
+            error: None,
         }
     }
 
-    /// Adds the next term in slot order.
-    pub(crate) fn add(&mut self, upload: ArrivedUpload) {
-        if self.error.is_none() {
-            if let Err(e) = self.try_add(upload) {
-                self.error = Some(e);
+    /// Adds the term at selection slot `slot`.
+    pub(crate) fn add(&mut self, slot: usize, upload: ArrivedUpload) {
+        let (client, samples) = (upload.client_id, upload.num_samples);
+        self.terms.push((slot, client, samples, upload.train_loss));
+        let settled = self.error.as_ref().is_some_and(|(at, _)| *at < slot);
+        if self.invalid.is_none() && !settled {
+            if let Err(e) = self.try_add(slot, upload) {
+                self.error = Some((slot, e));
             }
         }
     }
 
-    fn try_add(&mut self, upload: ArrivedUpload) -> Result<()> {
+    fn try_add(&mut self, slot: usize, upload: ArrivedUpload) -> Result<()> {
         let (client, samples) = (upload.client_id, upload.num_samples);
-        self.total = self
-            .total
-            .checked_add(samples)
-            .ok_or_else(|| FlError::BadAggregation {
-                reason: format!("{samples} samples from client {client} overflow the sample total"),
-            })?;
-        self.losses.push(upload.train_loss);
+        if let ArrivedWeights::Dense(w) = &upload.weights {
+            refuse_non_finite(client, w)?;
+        }
         match self.rule {
             Aggregator::FedAvg | Aggregator::TrimmedMean { trim: 0 } => {
                 self.fold.add(client, samples, &upload.weights)
@@ -264,7 +196,7 @@ impl<'r> Aggregation<'r> {
                 self.fold.add(client, samples, &weights)
             }
             Aggregator::TrimmedMean { .. } | Aggregator::Median => {
-                self.kept.push(upload);
+                self.kept.push((slot, upload));
                 Ok(())
             }
         }
@@ -274,18 +206,43 @@ impl<'r> Aggregation<'r> {
     ///
     /// # Errors
     ///
-    /// The first error of any term, no terms, a zero sample total, or a
-    /// trim that leaves no coordinates (`2·trim ≥ n`).
-    pub(crate) fn finish(self) -> Result<AggregateOutcome> {
-        let n = self.losses.len();
+    /// No terms, the rule's configuration error, the lowest slot's error
+    /// — a term's own, or a sample count that overflows the total summed
+    /// in slot order — a zero sample total, or a trim that leaves no
+    /// coordinates (`2·trim ≥ n`).
+    pub(crate) fn finish(mut self) -> Result<AggregateOutcome> {
+        let n = self.terms.len();
         if n == 0 {
             return Err(FlError::BadAggregation {
                 reason: "no updates to aggregate".to_owned(),
             });
         }
-        if let Some(e) = self.error {
+        if let Some(e) = self.invalid {
             return Err(e);
         }
+        self.terms.sort_by_key(|&(slot, ..)| slot);
+        let mut total = 0usize;
+        for &(slot, client, samples, _) in &self.terms {
+            let Some(sum) = total.checked_add(samples) else {
+                if self.error.as_ref().is_none_or(|(at, _)| slot <= *at) {
+                    self.error = Some((
+                        slot,
+                        FlError::BadAggregation {
+                            reason: format!(
+                                "{samples} samples from client {client} overflow the sample total"
+                            ),
+                        },
+                    ));
+                }
+                break;
+            };
+            total = sum;
+        }
+        if let Some((_, e)) = self.error {
+            return Err(e);
+        }
+        self.kept.sort_by_key(|(slot, _)| *slot);
+        let kept: Vec<ArrivedUpload> = self.kept.into_iter().map(|(_, u)| u).collect();
         let weights = match self.rule {
             Aggregator::TrimmedMean { trim } if trim > 0 => {
                 if 2 * trim >= n {
@@ -293,22 +250,34 @@ impl<'r> Aggregation<'r> {
                         reason: format!("trim {trim} leaves no values out of {n} updates"),
                     });
                 }
-                coordinate_reduce(&self.kept, |vals| trimmed_mean(vals, trim))?
+                coordinate_reduce(&kept, |vals| trimmed_mean(vals, trim))?
             }
-            Aggregator::Median => coordinate_reduce(&self.kept, median)?,
-            _ if self.total == 0 => {
+            Aggregator::Median => coordinate_reduce(&kept, median)?,
+            _ if total == 0 => {
                 return Err(FlError::BadAggregation {
                     reason: "total sample count is zero".to_owned(),
                 })
             }
-            _ => self.fold.finish(self.total),
+            _ => self.fold.finish(total)?,
         };
         Ok(AggregateOutcome {
             weights,
-            mean_loss: self.losses.iter().sum::<f32>() / n as f32,
-            total_samples: self.total,
+            mean_loss: self.terms.iter().map(|&(.., loss)| loss).sum::<f32>() / n as f32,
+            total_samples: total,
         })
     }
+}
+
+/// Refuses `client`'s dense update if any coefficient is NaN or ±inf:
+/// the check every rule makes on a dense term (a wire-form term's
+/// coefficients were checked on arrival).
+fn refuse_non_finite(client: u64, weights: &ModelWeights) -> Result<()> {
+    for (i, t) in flatten(weights).into_iter().enumerate() {
+        if let Some(j) = t.data().iter().position(|x| !x.is_finite()) {
+            return Err(fold::non_finite(client, i, j, t.data()[j]));
+        }
+    }
+    Ok(())
 }
 
 /// Combines client updates into the next global model by sample-weighted
@@ -318,11 +287,12 @@ impl<'r> Aggregation<'r> {
 /// # Errors
 ///
 /// Returns [`FlError::BadAggregation`] for an empty update set, a zero
-/// total sample count, or architecture mismatches between updates.
+/// total sample count, architecture mismatches between updates, or a
+/// non-finite coefficient, naming its client.
 pub fn fedavg(updates: &[UpdateUpload]) -> Result<ModelWeights> {
     let mut aggregation = Aggregation::new(Aggregator::FedAvg, None);
-    for u in updates {
-        aggregation.add(u.clone().into());
+    for (slot, u) in updates.iter().enumerate() {
+        aggregation.add(slot, u.clone().into());
     }
     aggregation.finish().map(|outcome| outcome.weights)
 }
@@ -340,8 +310,8 @@ pub struct AggregateOutcome {
 }
 
 /// A shard's contribution to one round's aggregate: updates tagged with
-/// their global selection slots, merged exactly and finished in canonical
-/// order (see the module docs for why the fold runs in slot order). Terms
+/// their global selection slots, merged exactly and finished by the exact
+/// fold (see the module docs), which no grouping or order moves. Terms
 /// wait in the form they arrived in — a shard server's int8 reply as the
 /// checked codec payload that crossed the wire, anything pushed through
 /// the public [`push`](Self::push) dense — and are read by the finish,
@@ -405,20 +375,14 @@ impl PartialAggregate {
         self.terms.is_empty()
     }
 
-    /// Total samples across the collected updates (exact integer
-    /// arithmetic, so shard-layout independent).
-    pub fn total_samples(&self) -> usize {
-        self.terms.iter().map(|(_, u)| u.num_samples).sum()
-    }
-
-    /// Restores canonical slot order and runs the one FedAvg fold, plus
-    /// the round's mean-loss reduction in the same order.
+    /// Runs the one FedAvg fold, plus the round's mean-loss reduction in
+    /// slot order.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::BadAggregation`] for an empty partial, duplicate
     /// slots (one update per selected client), a zero total sample count,
-    /// or architecture mismatches.
+    /// architecture mismatches, or a non-finite coefficient.
     pub fn finish(self) -> Result<AggregateOutcome> {
         self.finish_with(Aggregator::FedAvg, None)
     }
@@ -426,8 +390,9 @@ impl PartialAggregate {
     /// Like [`finish`](Self::finish), but committing with an arbitrary
     /// [`Aggregator`]. `reference` is the previous global model, needed
     /// only by [`Aggregator::NormClip`] (the delta-clipping baseline);
-    /// the other rules ignore it. `FedAvg` and `TrimmedMean { trim: 0 }`
-    /// run *literally* the canonical FedAvg fold, so a robust run with
+    /// the other rules ignore it, but for checking every folded term's
+    /// shape against it. `FedAvg` and `TrimmedMean { trim: 0 }`
+    /// run *literally* the one FedAvg fold, so a robust run with
     /// no trimming is bit-identical to the plain path; they read each term
     /// in place and expand none. `NormClip` expands, clips and folds one
     /// term at a time; `TrimmedMean` and `Median` expand none either —
@@ -450,8 +415,8 @@ impl PartialAggregate {
             });
         }
         let mut aggregation = Aggregation::new(aggregator, reference);
-        for (_, upload) in self.terms {
-            aggregation.add(upload);
+        for (slot, upload) in self.terms {
+            aggregation.add(slot, upload);
         }
         aggregation.finish()
     }
@@ -811,6 +776,41 @@ mod tests {
         assert!(Aggregator::NormClip { tau: 0.0 }.validate().is_err());
         assert!(Aggregator::NormClip { tau: f32::NAN }.validate().is_err());
         assert!(Aggregator::NormClip { tau: 1.0 }.validate().is_ok());
+    }
+
+    /// A non-finite coefficient on the public dense path is refused by
+    /// every rule with one text naming its client; it once committed a
+    /// NaN global.
+    #[test]
+    fn a_non_finite_dense_coefficient_is_refused_by_every_rule_naming_its_client() {
+        let reference = upload(0, 0.0, 1).weights;
+        let rules = [
+            Aggregator::FedAvg,
+            Aggregator::TrimmedMean { trim: 0 },
+            Aggregator::TrimmedMean { trim: 1 },
+            Aggregator::Median,
+            Aggregator::NormClip { tau: 0.5 },
+        ];
+        for (values, client) in [
+            ([1.0, f32::NAN, 2.0], 1),
+            ([f32::INFINITY, f32::NEG_INFINITY, 2.0], 0),
+        ] {
+            let updates: Vec<_> = (0..3).map(|i| upload(i, values[i as usize], 10)).collect();
+            let want = format!("update from client {client} holds non-finite coefficient");
+            let err = fedavg(&updates).unwrap_err().to_string();
+            assert!(err.contains(&want), "fedavg: {err}");
+            for rule in rules {
+                let err = collect(&updates)
+                    .finish_with(rule, Some(&reference))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, FlError::BadAggregation { .. }),
+                    "{}: {err}",
+                    rule.name()
+                );
+                assert!(err.to_string().contains(&want), "{}: {err}", rule.name());
+            }
+        }
     }
 
     #[test]

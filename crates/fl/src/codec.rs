@@ -60,8 +60,8 @@
 //! A payload is dense in exactly three places: in a delta view, one per
 //! lockstep group on each side; in the replica a cycle borrows to train
 //! on it, one per cycle in flight; and inside the fold that consumes it:
-//! its `f64` sum, one per round, and under NormClip the one term it
-//! clips. On the way down, a client runs the download through `check_against`
+//! its exact fixed-point sum (an `i128` a coordinate), one per round, and
+//! under NormClip the one term it clips. On the way down, a client runs the download through `check_against`
 //! against the view it holds and is handed the group's decoded view. On
 //! the way up, the server reads a session's reply, runs it through
 //! `check_against` — the one validator: every structural refusal there
@@ -73,12 +73,15 @@
 //! view; a payload whose bodies are all dense — every identity reply —
 //! is the model already, so it is moved out on the spot, which costs
 //! nothing). It reaches the round's commit in that form, straight from
-//! the worker, and waits there only until every slot below it is
-//! resolved, so an update that waits costs what crossed the wire, not
-//! the dense model: a sparse body holds its wire bytes in memory, one gap
+//! the worker, and is folded on arrival — the fold is an exact integer
+//! sum, so arrival order cannot move a bit — unless it is a spare that
+//! might prove surplus, which waits until every slot below it has
+//! arrived. An update that waits costs what crossed the wire, not the
+//! dense model: a sparse body holds its wire bytes in memory, one gap
 //! byte and one `f32` a kept coefficient, and an int8 body its byte per
-//! coefficient. FedAvg's fold reads each payload in place, a chunk of
-//! coordinates at a time, adds it to its `f64` sum and drops it, and
+//! coefficient. FedAvg's fold reads an int8 or dense payload in place, a
+//! chunk of coordinates at a time, and a sparse one at its kept
+//! coefficients only, adds it to its exact sum and drops it, and
 //! expands nothing; NormClip expands the one term it clips; TrimmedMean
 //! and Median keep their terms and expand none, reading each payload
 //! front to back a chunk of coordinates at a time, so each sparse body's
@@ -824,6 +827,21 @@ impl CheckedWeights {
                     at: 0,
                 }
             }
+        }
+    }
+
+    /// The view and the kept `(index, value)` pairs of flattened tensor
+    /// `i`, if its body is a sparse delta against that view.
+    pub(crate) fn delta(&self, i: usize) -> Option<(&Arc<ModelWeights>, SparseEntries<'_>)> {
+        match &self.enc.tensors[i].body {
+            EncodedBody::TopK(sparse) => {
+                let view = self.view.as_ref();
+                Some((
+                    view.expect("checked: a delta body has its reference"),
+                    sparse.entries(),
+                ))
+            }
+            _ => None,
         }
     }
 

@@ -20,13 +20,14 @@
 //!   send and is collected at once, one client at a time as ever),
 //! * each exchange's [`ClientOutcome`] is handed to the caller's sink the
 //!   moment its worker finishes it, keyed by the client's position in
-//!   the round's selection, so aggregation order never depends on timing.
-//!   Inside a round the update goes out as it arrived — the codec payload
-//!   that crossed the wire, checked against the session's view, billed
-//!   and committed, but not expanded (see [`crate::codec`], "Who holds
-//!   what, when") — and the round's commit folds it as soon as every
-//!   slot below it is resolved, so only updates waiting on an earlier
-//!   slot are held, and a straggler's is dropped unexpanded. The public
+//!   the round's selection, so what a round commits never depends on
+//!   timing. Inside a round the update goes out as it arrived — the
+//!   codec payload that crossed the wire, checked against the session's
+//!   view, billed and committed, but not expanded (see [`crate::codec`],
+//!   "Who holds what, when") — and the round's commit folds it on
+//!   arrival, in any order, unless it is a spare that might prove
+//!   surplus, so only such spares are held, and a straggler's is dropped
+//!   unexpanded. The public
 //!   entry points ([`execute_cycles`](ExecutionEngine::execute_cycles),
 //!   [`execute_shards`](ExecutionEngine::execute_shards) and their
 //!   `_with` forms) are that same run with a sink that collects, every

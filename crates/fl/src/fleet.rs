@@ -19,8 +19,9 @@
 //! update *as it arrived* ([`ArrivedUpload`]): a local session's int8 or
 //! sparse reply still in wire form, a shard server's int8 term as its
 //! client sent it and its other terms dense. The driver's commit folds an
-//! update among the round's first `k` completed ones as soon as every
-//! slot below it is resolved, and drops the rest untouched; a fleet holds
+//! update among the round's first `k` completed ones as soon as it is
+//! certain to be one — on arrival below slot `k`, else once every slot
+//! below it has arrived — and drops the rest untouched; a fleet holds
 //! nothing for the commit.
 //!
 //! The module is private: the trait bounds the public driver but cannot

@@ -52,7 +52,9 @@ use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
 use crate::aggregate::PartialAggregate;
-use crate::codec::{flat_tensor, CheckedWeights, CodecKind, EncodedWeights, TensorReader};
+use crate::codec::{
+    flat_tensor, CheckedWeights, CodecKind, EncodedWeights, SparseEntries, TensorReader,
+};
 use crate::config::TrainingPlan;
 use crate::faults::FaultPlan;
 use crate::wire::{decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct};
@@ -262,6 +264,15 @@ impl ArrivedWeights {
         match self {
             ArrivedWeights::Dense(w) => flat_tensor(w, i).dims(),
             ArrivedWeights::Wire(checked) => &checked.encoded().tensors[i].dims,
+        }
+    }
+
+    /// The view and kept `(index, value)` pairs of flattened tensor `i`,
+    /// if it waits as a sparse delta against that view.
+    pub(crate) fn delta(&self, i: usize) -> Option<(&Arc<ModelWeights>, SparseEntries<'_>)> {
+        match self {
+            ArrivedWeights::Dense(_) => None,
+            ArrivedWeights::Wire(checked) => checked.delta(i),
         }
     }
 

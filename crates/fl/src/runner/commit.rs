@@ -1,20 +1,23 @@
 //! A round's commit, resolved as its outcomes arrive.
 //!
 //! A fleet delivers outcomes in whatever order its workers, shards or
-//! shard processes finish them; the commit resolves them in canonical
-//! (selection) order all the same. Slot *i* is resolved as soon as every
-//! slot below it is: a completed update among the round's first `k`
-//! completed ones is added to the [`Aggregation`] — folded on the spot
-//! under FedAvg and NormClip, kept in wire form under the coordinate-wise
-//! rules — a later completed one is surplus and dropped, and stragglers
-//! and failures are recorded. So the only updates held are those waiting
-//! on an earlier slot, and the float sums keep their canonical order
-//! whatever the arrival order.
+//! shard processes finish them. The commit adds a completed update to
+//! the round's one [`Aggregation`] as soon as it is certain to be among
+//! the first `k` completed, whatever order it arrives in: every slot
+//! below `k` is, since fewer than `k` slots precede it. Under FedAvg and
+//! NormClip that folds it on the spot — the fold is an exact integer sum,
+//! so the order terms are folded in cannot move a bit — and under the
+//! coordinate-wise rules it is kept in wire form for the finish. Only a
+//! completed update at a slot of `k` or above, which might be surplus,
+//! waits until every slot below it has arrived: then it is added, or
+//! dropped as surplus. Stragglers and failures are recorded where they
+//! land. The groups, the earliest failure and (in the aggregation) the
+//! mean loss are read in slot order at the finish, so a round commits the
+//! same report in any arrival order.
 //!
-//! An outcome is deposited under a short lock; the depositing thread that
-//! finds the next unresolved slot filled takes the ready prefix out and
-//! resolves it outside that lock, so no worker waits on a fold in order
-//! to deposit, and while one thread resolves, the others only deposit.
+//! An outcome is deposited under a short lock, which hands back the
+//! updates it made ready; the depositing thread adds them under the
+//! aggregation's lock, so no worker waits on a fold in order to deposit.
 
 use std::sync::Mutex;
 
@@ -34,24 +37,29 @@ pub(crate) struct Commit<'r> {
     /// How many completed updates the round commits.
     k: usize,
     deposits: Mutex<Deposits>,
-    resolved: Mutex<Resolved<'r>>,
+    aggregation: Mutex<Aggregation<'r>>,
 }
 
-/// Outcomes that arrived before every slot below them was resolved.
+/// What has arrived, slot by slot.
 struct Deposits {
-    slots: Vec<Option<ClientOutcome<ArrivedUpload>>>,
-    /// The first unresolved slot.
+    slots: Vec<Slot>,
+    /// The first slot that has not arrived, or that every slot below
+    /// has.
     next: usize,
-    /// A thread is resolving the prefix below `next`.
-    resolving: bool,
+    /// Completed updates below `next`.
+    completed: usize,
 }
 
-/// The resolved prefix, in slot order.
-struct Resolved<'r> {
-    aggregation: Aggregation<'r>,
-    groups: Groups,
-    /// The earliest failure, for the strict path.
-    first_err: Option<FlError>,
+/// One slot's outcome, as far as it has arrived.
+enum Slot {
+    Pending,
+    /// A completed update that might be surplus, until every slot below
+    /// it has arrived.
+    Waiting(ArrivedUpload),
+    /// A completed update, added to the aggregation or dropped as surplus.
+    Completed,
+    Straggler,
+    Failed(FlError),
 }
 
 /// How a round's picks partition, as the report lists them.
@@ -76,61 +84,44 @@ impl<'r> Commit<'r> {
             picked,
             k,
             deposits: Mutex::new(Deposits {
-                slots: picked.iter().map(|_| None).collect(),
+                slots: picked.iter().map(|_| Slot::Pending).collect(),
                 next: 0,
-                resolving: false,
+                completed: 0,
             }),
-            resolved: Mutex::new(Resolved {
-                aggregation: Aggregation::new(aggregator, Some(reference)),
-                groups: Groups::default(),
-                first_err: None,
-            }),
+            aggregation: Mutex::new(Aggregation::new(aggregator, Some(reference))),
         }
     }
 
-    /// Takes the outcome of `slot`, then resolves every slot it completes
-    /// the prefix up to — unless another thread already is, which then
-    /// resolves this one too.
+    /// Takes the outcome of `slot`, then adds every update it made ready:
+    /// its own if it is completed below `k`, and any waiting one whose
+    /// slots below have now all arrived and which is among the first `k`.
     pub(crate) fn deposit(&self, slot: usize, outcome: ClientOutcome<ArrivedUpload>) {
         #[cfg(test)]
         probe::note(probe::Event::Arrived(self.picked[slot] as u64));
+        let mut ready = Vec::new();
         let mut deposits = self
             .deposits
             .lock()
             .expect("no deposit panics holding the lock");
-        deposits.slots[slot] = Some(outcome);
-        if deposits.resolving {
-            return;
-        }
-        deposits.resolving = true;
-        loop {
-            let start = deposits.next;
-            let mut ready = Vec::new();
-            while let Some(outcome) = deposits
-                .slots
-                .get_mut(start + ready.len())
-                .and_then(Option::take)
-            {
-                ready.push(outcome);
+        deposits.slots[slot] = match outcome {
+            ClientOutcome::Completed(upload) if slot < self.k => {
+                ready.push((slot, upload));
+                Slot::Completed
             }
-            if ready.is_empty() {
-                deposits.resolving = false;
-                return;
-            }
-            deposits.next += ready.len();
-            drop(deposits);
-            let mut resolved = self
-                .resolved
+            ClientOutcome::Completed(upload) => Slot::Waiting(upload),
+            ClientOutcome::Straggler { .. } => Slot::Straggler,
+            ClientOutcome::Failed { error, .. } => Slot::Failed(error),
+        };
+        deposits.advance(self.k, &mut ready);
+        drop(deposits);
+        if !ready.is_empty() {
+            let mut aggregation = self
+                .aggregation
                 .lock()
-                .expect("only the resolving thread locks");
-            for (slot, outcome) in (start..).zip(ready) {
-                resolved.resolve(self.picked[slot], outcome, self.k);
+                .expect("no aggregation panics holding the lock");
+            for (slot, upload) in ready {
+                aggregation.add(slot, upload);
             }
-            drop(resolved);
-            deposits = self
-                .deposits
-                .lock()
-                .expect("no deposit panics holding the lock");
         }
     }
 
@@ -148,11 +139,24 @@ impl<'r> Commit<'r> {
             self.picked.len(),
             "a fleet delivers every slot"
         );
-        let Resolved {
-            aggregation,
-            groups,
-            first_err,
-        } = self.resolved.into_inner().expect("no resolution panicked");
+        let aggregation = self.aggregation.into_inner().expect("no fold panicked");
+        let mut groups = Groups::default();
+        let mut first_err = None;
+        for (slot, outcome) in deposits.slots.into_iter().enumerate() {
+            let ci = self.picked[slot];
+            match outcome {
+                Slot::Completed if groups.participants.len() < self.k => {
+                    groups.participants.push(ci)
+                }
+                Slot::Completed => groups.surplus.push(ci),
+                Slot::Straggler => groups.stragglers.push(ci),
+                Slot::Failed(error) => {
+                    groups.failures.push(ci);
+                    first_err.get_or_insert(error);
+                }
+                Slot::Pending | Slot::Waiting(_) => unreachable!("every slot arrived"),
+            }
+        }
         if !tolerant {
             if let Some(e) = first_err {
                 return Err(e);
@@ -172,21 +176,27 @@ impl<'r> Commit<'r> {
     }
 }
 
-impl Resolved<'_> {
-    /// Resolves the next slot, whose pick is client `ci`.
-    fn resolve(&mut self, ci: usize, outcome: ClientOutcome<ArrivedUpload>, k: usize) {
-        let groups = &mut self.groups;
-        match outcome {
-            ClientOutcome::Completed(upload) if groups.participants.len() < k => {
-                self.aggregation.add(upload);
-                groups.participants.push(ci);
+impl Deposits {
+    /// Moves `next` past every slot that has arrived, settling each
+    /// waiting update on the way: among the first `k` completed it joins
+    /// `ready`, otherwise it is surplus and dropped.
+    fn advance(&mut self, k: usize, ready: &mut Vec<(usize, ArrivedUpload)>) {
+        while let Some(slot) = self.slots.get_mut(self.next) {
+            match std::mem::replace(slot, Slot::Completed) {
+                Slot::Pending => {
+                    *slot = Slot::Pending;
+                    return;
+                }
+                Slot::Waiting(upload) => {
+                    if self.completed < k {
+                        ready.push((self.next, upload));
+                    }
+                    self.completed += 1;
+                }
+                Slot::Completed => self.completed += 1,
+                other => *slot = other,
             }
-            ClientOutcome::Completed(_) => groups.surplus.push(ci),
-            ClientOutcome::Straggler { .. } => groups.stragglers.push(ci),
-            ClientOutcome::Failed { error, .. } => {
-                groups.failures.push(ci);
-                self.first_err.get_or_insert(error);
-            }
+            self.next += 1;
         }
     }
 }
@@ -210,8 +220,8 @@ mod tests {
     }
 
     /// The outcome of client `client` as `kind` draws it: completed dense
-    /// (0) or as an int8 payload in wire form (1), straggling (2) or
-    /// failed (3).
+    /// (0) or as an int8 payload in wire form (1), straggling (2), failed
+    /// (3), or completed dense but shaped unlike the model (4).
     fn outcome(client: usize, kind: u8, seed: u64) -> ClientOutcome<ArrivedUpload> {
         let id = client as u64;
         let trained = model(seed.wrapping_add(id));
@@ -229,6 +239,13 @@ mod tests {
                 let enc = encode_weights(CodecKind::Int8, 1, &trained, None);
                 let checked = CheckedWeights::new(enc, None).expect("an int8 payload checks");
                 upload.weights = ArrivedWeights::Wire(Box::new(checked));
+                ClientOutcome::Completed(upload)
+            }
+            4 => {
+                upload.weights = ArrivedWeights::Dense(ModelWeights::new(vec![LayerWeights {
+                    w: init::uniform(&[3, 49], -1.0, 1.0, seed),
+                    b: init::uniform(&[5], -1.0, 1.0, seed),
+                }]));
                 ClientOutcome::Completed(upload)
             }
             2 => ClientOutcome::Straggler {
@@ -262,16 +279,19 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Whatever order a round's outcomes arrive in, and from however
-        /// many threads, the commit resolves them in slot order: the same
-        /// groups, loss and error, and weights bit-identical to delivery
-        /// in slot order and to `PartialAggregate::finish_with` over the
-        /// first `k` completed updates, under every rule, strict or
-        /// tolerant.
+        /// many threads, the commit is the one slot order gives: the same
+        /// groups, loss and error — a misshapen term's included — and
+        /// weights bit-identical to delivery in slot order and to
+        /// `PartialAggregate::finish_with` over the first `k` completed
+        /// updates, under every rule, strict or tolerant. Delivered
+        /// highest slot first, every participant arrives before any slot
+        /// below it, and under FedAvg each one below `k` is folded before
+        /// the next outcome arrives.
         #[test]
         fn a_commit_in_any_arrival_order_is_the_canonical_one(
             n in 1usize..13,
             k in 0usize..12,
-            kinds in proptest::collection::vec(0u8..4, 12..13),
+            kinds in proptest::collection::vec(0u8..5, 12..13),
             keys in proptest::collection::vec(proptest::any::<u32>(), 12..13),
             tolerant in proptest::any::<bool>(),
             seed in proptest::any::<u64>(),
@@ -290,25 +310,42 @@ mod tests {
                 Aggregator::NormClip { tau: 0.5 },
             ];
             for rule in rules {
+                // The commit, and the probe log of a one-thread delivery.
                 let run = |order: &[usize], threads: usize| {
                     let commit = Commit::new(&picked, k, rule, &reference);
                     let per_thread = order.len().div_ceil(threads).max(1);
-                    std::thread::scope(|s| {
-                        for share in order.chunks(per_thread) {
-                            let (commit, outcomes) = (&commit, &outcomes);
-                            s.spawn(move || {
-                                for &slot in share {
-                                    commit.deposit(slot, outcomes[slot].clone());
-                                }
-                            });
-                        }
+                    let log = std::thread::scope(|s| {
+                        let delivered: Vec<_> = order
+                            .chunks(per_thread)
+                            .map(|share| {
+                                let (commit, outcomes) = (&commit, &outcomes);
+                                s.spawn(move || {
+                                    for &slot in share {
+                                        commit.deposit(slot, outcomes[slot].clone());
+                                    }
+                                    probe::take()
+                                })
+                            })
+                            .collect();
+                        delivered.into_iter().flat_map(|d| d.join().unwrap()).collect::<Vec<_>>()
                     });
-                    committed(commit.finish(0, tolerant))
+                    (committed(commit.finish(0, tolerant)), log)
                 };
                 let canonical: Vec<usize> = (0..n).collect();
-                let want = run(&canonical, 1);
-                proptest::prop_assert_eq!(&run(&arrival, 1), &want, "{}", rule.name());
-                proptest::prop_assert_eq!(&run(&arrival, 3), &want, "{}", rule.name());
+                let (want, _) = run(&canonical, 1);
+                proptest::prop_assert_eq!(&run(&arrival, 1).0, &want, "{}", rule.name());
+                proptest::prop_assert_eq!(&run(&arrival, 3).0, &want, "{}", rule.name());
+                let reversed: Vec<usize> = (0..n).rev().collect();
+                let (got, log) = run(&reversed, 1);
+                proptest::prop_assert_eq!(&got, &want, "{} reversed", rule.name());
+                if rule == Aggregator::FedAvg {
+                    for slot in (0..n.min(k)).filter(|&s| kinds[s] < 2) {
+                        let id = picked[slot] as u64;
+                        let at = log.iter().position(|&e| e == probe::Event::Arrived(id));
+                        let next = at.and_then(|at| log.get(at + 1));
+                        proptest::prop_assert_eq!(next, Some(&probe::Event::Folded(id)), "slot {}", slot);
+                    }
+                }
 
                 // The rule spelled out: the first k completed commit.
                 let mut groups = Groups::default();

@@ -19,8 +19,9 @@
 //! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
 //! a window of them at a time (the transport's `slide`) so the loops
 //! have many requests to serve per wake-up, and completed uploads feed
-//! the existing canonical-order commit — so a mux round is bit-identical
-//! to the in-process round; only the pipe changed. Teardown follows the
+//! the round's commit, whose exact fold no arrival order moves — so a
+//! mux round is bit-identical to the in-process round; only the pipe
+//! changed. Teardown follows the
 //! protocol's `Goodbye` discipline: a session that receives `Goodbye`
 //! drains its write queue before closing, and [`MuxFleet::join`] bounds
 //! the event-loop join with a grace deadline plus a shutdown flag every

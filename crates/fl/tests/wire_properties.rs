@@ -357,7 +357,7 @@ proptest! {
                 cost: cost(i as u64, 1.0, 2, 64),
             })
             .collect();
-        // Bit for bit: every nᵢ·w is exact in f64, and so is their sum N·w.
+        // Bit for bit: the exact fold sums N·w, and N·w / N rounds to w.
         let bits = |m: &ModelWeights| -> Vec<u32> {
             m.iter().flat_map(|l| l.w.data().iter().chain(l.b.data())).map(|x| x.to_bits()).collect()
         };

@@ -2,8 +2,9 @@
 //! heap does not grow with the rounds it has committed. The server holds
 //! one global model and replaces it at every commit, so nothing a round
 //! allocates outlives the next one. And a round's peak is flat over its
-//! cohort: the commit folds each upload as it arrives and drops it, so
-//! a round on one worker never holds more than one.
+//! cohort: the commit folds each upload as it arrives, in whatever order,
+//! and drops it, so a round holds about one upload per worker in flight —
+//! on one shard of one worker, or on two shards of one worker each.
 //!
 //! This file is its own test binary with one test, because the counting
 //! allocator below sees every allocation in the process: a second test
@@ -77,11 +78,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The in-round peak above the live heap before the second round of a
-/// one-shard, one-worker, in-process delta-topk federation of `clients`
-/// clients of a 132 616-byte model, all picked every round, with the
-/// largest upload that round's clients sent.
-fn round_peak(clients: usize) -> (usize, u64) {
+/// The in-round peak above the live heap before the second round of an
+/// in-process delta-topk federation of `clients` clients of a 132 616-byte
+/// model on `shards` shards of one worker each, all picked every round,
+/// with the largest upload that round's clients sent.
+fn round_peak(clients: usize, shards: usize) -> (usize, u64) {
     let plan = TrainingPlan {
         rounds: 2,
         clients_per_round: clients,
@@ -95,6 +96,7 @@ fn round_peak(clients: usize) -> (usize, u64) {
         .model(|| zoo::tiny_mlp(256, 128, 2, 9).expect("builds"))
         .clients(clients, data)
         .codec(CodecKind::DeltaTopK)
+        .shards(shards)
         .build()
         .expect("federation builds");
     fed.run_round().expect("warm-up round commits");
@@ -114,19 +116,23 @@ fn round_peak(clients: usize) -> (usize, u64) {
 /// about 19.9 MB over those 150 rounds.
 ///
 /// And a round's peak grows by less than a tenth of an upload a pick
-/// from 32 to 256 picks: the commit folds each upload as it arrives. A
-/// round that held its uploads until the last one landed peaked about
-/// one upload (≈16.5 kB here) higher a pick.
+/// from 32 to 256 picks, on one shard and on two: the commit folds each
+/// upload as it arrives, in any order. A round that held its uploads
+/// until the last one landed peaked about one upload (≈16.5 kB here)
+/// higher a pick; one whose shard 1 waited for shard 0's slots, about
+/// half an upload.
 #[test]
 fn live_heap_is_flat_after_warm_up() {
-    let (small, _) = round_peak(32);
-    let (large, term) = round_peak(256);
-    let allowed = (256 - 32) * term as usize / 10;
-    assert!(
-        large < small + allowed,
-        "the round peak grew from {small} B at 32 picks to {large} B at 256, \
-         more than a tenth of a {term}-byte upload a pick"
-    );
+    for shards in [1, 2] {
+        let (small, _) = round_peak(32, shards);
+        let (large, term) = round_peak(256, shards);
+        let allowed = (256 - 32) * term as usize / 10;
+        assert!(
+            large < small + allowed,
+            "on {shards} shard(s) the round peak grew from {small} B at 32 picks to \
+             {large} B at 256, more than a tenth of a {term}-byte upload a pick"
+        );
+    }
 
     const WARM: u64 = 60;
     const ROUNDS: u64 = 210;
