@@ -85,7 +85,7 @@ pub fn overfit_victim(
         for batch in batcher.epoch(epoch as u64) {
             let global: Vec<usize> = batch.iter().map(|&i| member_idx[i]).collect();
             let (x, y) = batch_of(dataset, &global);
-            model.train_batch(&x, &y, &mut opt)?;
+            model.train_batch(x, &y, &mut opt)?;
         }
     }
     let (x, y) = batch_of(dataset, member_idx);

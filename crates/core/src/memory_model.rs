@@ -12,6 +12,12 @@
 //! *relative* statements exactly: GradSec `{L2, L5}` uses ≈30 % less TEE
 //! memory than DarkneTZ `L2..L5`, and dynamic GradSec's worst window
 //! ≈8 % less.
+//!
+//! The bill follows the paper, not this host's buffers. The `gradsec-nn`
+//! layers keep no `Z_l` (they read `f'_l` off `A_l`) and hold each
+//! layer-boundary activation once, so the host's own training step
+//! holds less than this; the simulated enclave is still charged the
+//! paper's `Z_l`.
 
 use gradsec_nn::layer::Layer;
 use gradsec_nn::Sequential;

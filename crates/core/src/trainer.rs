@@ -172,7 +172,7 @@ impl SecureTrainer {
         for idx in batches {
             let (x, y) = batch_of(dataset, idx);
             let stats = model
-                .train_batch(&x, &y, &mut opt)
+                .train_batch(x, &y, &mut opt)
                 .map_err(GradSecError::from)?;
             loss_sum += stats.loss;
             samples += idx.len();

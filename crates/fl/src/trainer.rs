@@ -87,7 +87,7 @@ impl LocalTrainer for PlainSgdTrainer {
         let mut samples = 0usize;
         for idx in batches {
             let (x, y) = batch_of(dataset, idx);
-            let stats = model.train_batch(&x, &y, &mut opt)?;
+            let stats = model.train_batch(x, &y, &mut opt)?;
             loss_sum += stats.loss;
             samples += idx.len();
         }

@@ -259,11 +259,18 @@ extern "C" {
 }
 
 /// The Linux readiness queue: one epoll instance per event-loop thread.
+///
+/// It owns one fd, its own, and closes it once, on drop. A watched
+/// socket stays its owner's: registered once, deregistered at most once
+/// before its owner closes it (debug builds keep the watched set to
+/// assert exactly that).
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 pub struct EpollPoller {
     epfd: i32,
     buf: Vec<EpollEvent>,
+    #[cfg(debug_assertions)]
+    watched: std::collections::HashSet<i32>,
 }
 
 #[cfg(target_os = "linux")]
@@ -278,6 +285,8 @@ impl EpollPoller {
         Ok(EpollPoller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+            #[cfg(debug_assertions)]
+            watched: std::collections::HashSet::new(),
         })
     }
 
@@ -299,21 +308,39 @@ impl EpollPoller {
             events: flags,
             data: token as u64,
         };
+        let fd = socket.as_raw_fd();
+        debug_assert!(fd >= 0 && fd != self.epfd, "watching fd {fd}");
+        #[cfg(debug_assertions)]
+        match op {
+            EPOLL_CTL_ADD => debug_assert!(!self.watched.contains(&fd), "fd {fd} added twice"),
+            _ => debug_assert!(self.watched.contains(&fd), "fd {fd} is not watched"),
+        }
         // SAFETY: `ev` is a live, properly-laid-out epoll_event for the
         // duration of the call; the fd is borrowed from an open
         // socket, so it cannot be closed concurrently.
-        let rc = unsafe { epoll_ctl(self.epfd, op, socket.as_raw_fd(), &mut ev) };
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(FlError::transport(
                 "updating epoll interest",
                 std::io::Error::last_os_error(),
             ));
         }
+        #[cfg(debug_assertions)]
+        match op {
+            EPOLL_CTL_ADD => {
+                self.watched.insert(fd);
+            }
+            EPOLL_CTL_DEL => {
+                self.watched.remove(&fd);
+            }
+            _ => {}
+        }
         Ok(())
     }
 
     fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> Result<()> {
         let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        debug_assert!(!self.buf.is_empty() && self.buf.len() <= i32::MAX as usize);
         let n = loop {
             // SAFETY: the buffer outlives the call and maxevents matches
             // its length, so the kernel never writes out of bounds.
@@ -326,6 +353,8 @@ impl EpollPoller {
                 )
             };
             if rc >= 0 {
+                // The kernel reports at most `maxevents` events.
+                debug_assert!(rc as usize <= self.buf.len(), "epoll_wait returned {rc}");
                 break rc as usize;
             }
             let err = std::io::Error::last_os_error();
@@ -358,9 +387,9 @@ impl Drop for EpollPoller {
     fn drop(&mut self) {
         // SAFETY: the fd was returned by epoll_create1 and is closed
         // exactly once, here.
-        unsafe {
-            close(self.epfd);
-        }
+        let rc = unsafe { close(self.epfd) };
+        // A failure here (EBADF) means someone else closed the fd.
+        debug_assert_eq!(rc, 0, "closing epoll fd {}", self.epfd);
     }
 }
 

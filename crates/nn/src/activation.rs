@@ -2,7 +2,10 @@
 //!
 //! The backpropagation formulas of the paper (eqs. 3–4) require each layer
 //! to evaluate `f'_l(Z_l)` during the backward pass; every variant here is
-//! therefore paired with its exact derivative.
+//! therefore paired with its exact derivative. The layers read it off
+//! their output `A_l = f_l(Z_l)` instead
+//! ([`Activation::derivative_from_output`]), which every variant here
+//! allows bit for bit, so no layer keeps `Z_l`.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,6 +55,31 @@ impl Activation {
                 let t = z.tanh();
                 1.0 - t * t
             }
+        }
+    }
+
+    /// Evaluates the derivative `f'(z)` from the activation's output
+    /// `a = f(z)` alone: `1` (Linear), `a > 0` (ReLU), `a·(1−a)`
+    /// (Sigmoid), `1 − a²` (Tanh).
+    ///
+    /// Bit-equal to [`Activation::derivative`] at `z` on every f32 input,
+    /// NaN and infinities included, whenever `a` is [`Activation::apply`]
+    /// at `z` — as every fused kernel's output is (see
+    /// [`Activation::fused`]): ReLU's `z > 0` holds exactly when
+    /// `max(z, 0) > 0`, and the Sigmoid and Tanh derivatives recompute
+    /// `f(z)` with `apply`'s formula before the same arithmetic.
+    pub fn derivative_from_output(self, a: f32) -> f32 {
+        match self {
+            Activation::Linear => 1.0,
+            Activation::Relu => {
+                if a > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Sigmoid => a * (1.0 - a),
+            Activation::Tanh => 1.0 - a * a,
         }
     }
 

@@ -7,7 +7,7 @@ use gradsec_tensor::ops::pool::{maxpool_backward_with, maxpool_forward_with, Poo
 use gradsec_tensor::{init, BackendKind, Tensor};
 
 use crate::activation::Activation;
-use crate::layer::{Layer, LayerKind};
+use crate::layer::{scale_by_derivative, Layer, LayerKind};
 use crate::{NnError, Result};
 
 /// A convolutional layer `Z = W ⊛ A + b`, followed by an activation and an
@@ -26,12 +26,12 @@ use crate::{NnError, Result};
 /// // LeNet-5 L1: 32x32x3 -> 16x16x12 (Table 4).
 /// let mut l1 = Conv2d::new(3, 32, 32, 12, 5, 2, 2, Activation::Relu, false, 1)?;
 /// let x = Tensor::zeros(&[2, 3, 32, 32]);
-/// let y = l1.forward(&x)?;
+/// let y = l1.forward(x)?;
 /// assert_eq!(y.dims(), &[2, 12, 16, 16]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Conv2d {
     geo: Conv2dGeometry,
     pool: Option<PoolGeometry>,
@@ -41,9 +41,10 @@ pub struct Conv2d {
     bias: Tensor,
     dw: Option<Tensor>,
     db: Option<Tensor>,
-    cached_input: Option<Tensor>,
-    cached_preact: Option<Tensor>,
-    cached_argmax: Option<Vec<u32>>,
+    /// `A_{l−1}`, as the last forward pass took it over.
+    input: Option<Tensor>,
+    /// A pooled layer's pre-pool `A_l` and the pool's argmaxes.
+    pooled: Option<(Tensor, Vec<u32>)>,
 }
 
 impl Conv2d {
@@ -86,9 +87,8 @@ impl Conv2d {
             bias,
             dw: None,
             db: None,
-            cached_input: None,
-            cached_preact: None,
-            cached_argmax: None,
+            input: None,
+            pooled: None,
         })
     }
 
@@ -105,27 +105,23 @@ impl Conv2d {
         }
     }
 
-    /// The backward pass's operands: the cached `A_{l−1}` and
-    /// `δ_l = (un-pooled upstream error) ∗ f'(Z_l)` — the Hadamard term of
-    /// eq. (4) — computed in one pass over the borrowed error.
-    fn backward_operands(&self, delta_out: &Tensor) -> Result<(&Tensor, Tensor)> {
-        let not_run = NnError::BackwardBeforeForward { layer: 0 };
-        let (Some(input), Some(z)) = (&self.cached_input, &self.cached_preact) else {
-            return Err(not_run);
+    /// The backward pass's operands: the kept `A_{l−1}` and
+    /// `δ_l = (un-pooled upstream error) ∗ f'(A_l)` — the Hadamard term of
+    /// eq. (4) — written over the owned error (a pooled layer's over the
+    /// un-pooled one).
+    fn backward_operands(&self, delta_out: Tensor, output: &Tensor) -> Result<(&Tensor, Tensor)> {
+        let not_run = || NnError::BackwardBeforeForward { layer: 0 };
+        let input = self.input.as_ref().ok_or_else(not_run)?;
+        let (mut delta, a) = match (&self.pool, &self.pooled) {
+            (Some(p), Some((a, argmax))) => (
+                maxpool_backward_with(&delta_out, argmax, p, self.backend)?,
+                a,
+            ),
+            (Some(_), None) => return Err(not_run()),
+            (None, _) => (delta_out, output),
         };
-        let unpooled = match &self.pool {
-            Some(p) => {
-                let argmax = self.cached_argmax.as_ref().ok_or(not_run)?;
-                Some(maxpool_backward_with(delta_out, argmax, p, self.backend)?)
-            }
-            None => None,
-        };
-        let act = self.act;
-        let delta_z = unpooled
-            .as_ref()
-            .unwrap_or(delta_out)
-            .zip_with(z, |d, z| d * act.derivative(z))?;
-        Ok((input, delta_z))
+        scale_by_derivative(&mut delta, self.act, a)?;
+        Ok((input, delta))
     }
 }
 
@@ -169,48 +165,49 @@ impl Layer for Conv2d {
         self.weights.numel() + self.bias.numel()
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&mut self, input: Tensor) -> Result<Tensor> {
         // One fused kernel call computes Z and A = f(Z) together: the
         // Reference default hook replays the historical unfused op
         // order bit-for-bit, while Tiled applies the activation inside
-        // its GEMM writeback instead of re-walking the output.
-        let (z, a) = conv2d_forward_fused_with(
-            input,
+        // its GEMM writeback instead of re-walking the output. Z goes
+        // at once: backward reads f' off A.
+        let (_, a) = conv2d_forward_fused_with(
+            &input,
             &self.weights,
             &self.bias,
             &self.geo,
             self.act.fused(),
             self.backend,
         )?;
-        self.cached_input = Some(input.clone());
-        self.cached_preact = Some(z);
-        match &self.pool {
+        let (out, pooled) = match &self.pool {
             Some(p) => {
-                let (pooled, argmax) = maxpool_forward_with(&a, p, self.backend)?;
-                self.cached_argmax = Some(argmax);
-                Ok(pooled)
+                let (out, argmax) = maxpool_forward_with(&a, p, self.backend)?;
+                (out, Some((a, argmax)))
             }
-            None => {
-                self.cached_argmax = None;
-                Ok(a)
-            }
-        }
+            None => (a, None),
+        };
+        (self.input, self.pooled) = (Some(input), pooled);
+        Ok(out)
     }
 
-    fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor> {
-        let (input, delta_z) = self.backward_operands(delta_out)?;
+    fn backward(&mut self, delta_out: Tensor, output: &Tensor) -> Result<Tensor> {
+        let (input, delta) = self.backward_operands(delta_out, output)?;
         let (dw, db, dinput) =
-            conv2d_backward_with(input, &self.weights, &delta_z, &self.geo, self.backend)?;
+            conv2d_backward_with(input, &self.weights, &delta, &self.geo, self.backend)?;
         (self.dw, self.db) = (Some(dw), Some(db));
         Ok(dinput)
     }
 
-    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
-        let (input, delta_z) = self.backward_operands(delta_out)?;
+    fn backward_params(&mut self, delta_out: Tensor, output: &Tensor) -> Result<()> {
+        let (input, delta) = self.backward_operands(delta_out, output)?;
         let (dw, db) =
-            conv2d_backward_params_with(input, &self.weights, &delta_z, &self.geo, self.backend)?;
+            conv2d_backward_params_with(input, &self.weights, &delta, &self.geo, self.backend)?;
         (self.dw, self.db) = (Some(dw), Some(db));
         Ok(())
+    }
+
+    fn input(&self) -> Option<&Tensor> {
+        self.input.as_ref()
     }
 
     fn weights(&self) -> (&Tensor, &Tensor) {
@@ -241,13 +238,19 @@ impl Layer for Conv2d {
     }
 
     fn clear_cache(&mut self) {
-        self.cached_input = None;
-        self.cached_preact = None;
-        self.cached_argmax = None;
+        (self.input, self.pooled) = (None, None);
     }
 
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Conv2d {
+            weights: self.weights.clone(),
+            bias: self.bias.clone(),
+            dw: None,
+            db: None,
+            input: None,
+            pooled: None,
+            ..*self
+        })
     }
 }
 
@@ -264,9 +267,9 @@ mod tests {
     fn forward_shapes() {
         let mut plain = small_layer(false);
         let x = init::uniform(&[4, 2, 6, 6], -1.0, 1.0, 1);
-        assert_eq!(plain.forward(&x).unwrap().dims(), &[4, 3, 6, 6]);
+        assert_eq!(plain.forward(x.clone()).unwrap().dims(), &[4, 3, 6, 6]);
         let mut pooled = small_layer(true);
-        assert_eq!(pooled.forward(&x).unwrap().dims(), &[4, 3, 3, 3]);
+        assert_eq!(pooled.forward(x).unwrap().dims(), &[4, 3, 3, 3]);
     }
 
     #[test]
@@ -283,7 +286,7 @@ mod tests {
         let mut l = small_layer(false);
         let delta = Tensor::zeros(&[1, 3, 6, 6]);
         assert!(matches!(
-            l.backward(&delta),
+            l.backward(delta.clone(), &delta),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
@@ -298,9 +301,9 @@ mod tests {
             b.data_mut().fill(-100.0); // force z < 0 everywhere
         }
         let x = init::uniform(&[1, 1, 3, 3], 0.0, 1.0, 5);
-        let _ = l.forward(&x).unwrap();
+        let y = l.forward(x).unwrap();
         let delta = Tensor::ones(&[1, 1, 3, 3]);
-        let dinput = l.backward(&delta).unwrap();
+        let dinput = l.backward(delta, &y).unwrap();
         assert!(dinput.data().iter().all(|&g| g == 0.0));
         let (dw, db) = l.grads().unwrap();
         assert!(dw.data().iter().all(|&g| g == 0.0));
@@ -313,13 +316,13 @@ mod tests {
         for maxpool in [false, true] {
             let mut l = Conv2d::new(1, 4, 4, 2, 3, 1, 1, Activation::Tanh, maxpool, 11).unwrap();
             let x = init::uniform(&[1, 1, 4, 4], -1.0, 1.0, 12);
-            let out = l.forward(&x).unwrap();
-            let delta = Tensor::ones(out.dims());
-            let dinput = l.backward(&delta).unwrap();
+            let out = l.forward(x.clone()).unwrap();
+            let dinput = l.backward(Tensor::ones(out.dims()), &out).unwrap();
             let dw = l.grads().unwrap().0.clone();
             let eps = 1e-3f32;
-            let loss =
-                |l: &mut Conv2d, x: &Tensor| -> f32 { l.forward(x).unwrap().data().iter().sum() };
+            let loss = |l: &mut Conv2d, x: &Tensor| -> f32 {
+                l.forward(x.clone()).unwrap().data().iter().sum()
+            };
             for &i in &[0usize, 5, 11, 15] {
                 let mut xp = x.clone();
                 xp.data_mut()[i] += eps;
@@ -357,9 +360,9 @@ mod tests {
                     Conv2d::new(3, 16, 16, 6, 3, 1, 1, Activation::Tanh, maxpool, 7).unwrap();
                 l.set_backend(backend);
                 let x = init::uniform(&[6, 3, 16, 16], -1.0, 1.0, 1); // two bands
-                let y = l.forward(&x).unwrap();
+                let y = l.forward(x).unwrap();
                 let delta = init::uniform(y.dims(), -1.0, 1.0, 2);
-                let dinput = l.backward(&delta).unwrap();
+                let dinput = l.backward(delta.clone(), &y).unwrap();
                 let bits = |l: &Conv2d| -> Vec<u32> {
                     let (dw, db) = l.grads().unwrap();
                     let both = dw.data().iter().chain(db.data());
@@ -367,10 +370,10 @@ mod tests {
                 };
                 let full = bits(&l);
                 l.zero_grads();
-                l.backward_params(&delta).unwrap();
+                l.backward_params(delta.clone(), &y).unwrap();
                 assert_eq!(bits(&l), full, "{backend} maxpool={maxpool}");
                 // The caches survive: the full pass still answers.
-                assert_eq!(l.backward(&delta).unwrap(), dinput);
+                assert_eq!(l.backward(delta, &y).unwrap(), dinput);
             }
         }
     }
@@ -379,13 +382,14 @@ mod tests {
     fn zero_and_clear() {
         let mut l = small_layer(false);
         let x = init::uniform(&[1, 2, 6, 6], -1.0, 1.0, 9);
-        let y = l.forward(&x).unwrap();
-        let _ = l.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = l.forward(x).unwrap();
+        let _ = l.backward(Tensor::ones(y.dims()), &y).unwrap();
         assert!(l.grads().is_some());
         l.zero_grads();
         assert!(l.grads().is_none());
         l.clear_cache();
-        assert!(l.backward(&Tensor::ones(y.dims())).is_err());
+        assert!(l.input().is_none());
+        assert!(l.backward(Tensor::ones(y.dims()), &y).is_err());
     }
 
     #[test]

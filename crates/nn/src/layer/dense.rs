@@ -4,15 +4,16 @@ use gradsec_tensor::ops::matmul::{dense_forward_fused_with, matmul_tn_with, matm
 use gradsec_tensor::{init, BackendKind, Tensor};
 
 use crate::activation::Activation;
-use crate::layer::{Layer, LayerKind};
+use crate::layer::{scale_by_derivative, Layer, LayerKind};
 use crate::{NnError, Result};
 
 /// A dense layer `Z = A·Wᵀ + b` with weights stored `(outputs, inputs)`,
 /// matching the Darknet convention.
 ///
 /// Four-dimensional inputs (the output of a convolutional stack) are
-/// flattened automatically; the backward pass restores the original shape
-/// so convolutional layers below receive a correctly-shaped error tensor.
+/// flattened in place, without a copy, for each kernel call; the backward
+/// pass gives the input gradient the original shape so convolutional
+/// layers below receive a correctly-shaped error tensor.
 ///
 /// # Example
 ///
@@ -25,12 +26,12 @@ use crate::{NnError, Result};
 /// // LeNet-5 L5: 768 -> 100 (Table 4).
 /// let mut l5 = Dense::new(768, 100, Activation::Linear, 1)?;
 /// let x = Tensor::zeros(&[32, 12, 8, 8]); // flattens to (32, 768)
-/// let y = l5.forward(&x)?;
+/// let y = l5.forward(x)?;
 /// assert_eq!(y.dims(), &[32, 100]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dense {
     inputs: usize,
     outputs: usize,
@@ -40,9 +41,8 @@ pub struct Dense {
     bias: Tensor,
     dw: Option<Tensor>,
     db: Option<Tensor>,
-    cached_input: Option<Tensor>,
-    cached_preact: Option<Tensor>,
-    cached_input_dims: Option<Vec<usize>>,
+    /// `A_{l−1}`, in the shape the last forward pass took it over in.
+    input: Option<Tensor>,
 }
 
 impl Dense {
@@ -68,13 +68,12 @@ impl Dense {
             bias,
             dw: None,
             db: None,
-            cached_input: None,
-            cached_preact: None,
-            cached_input_dims: None,
+            input: None,
         })
     }
 
-    fn flatten_input(&self, input: &Tensor) -> Result<Tensor> {
+    /// Checks that `input` is a batch of this layer's inputs.
+    fn check_input(&self, input: &Tensor) -> Result<()> {
         let n_elems = input.numel();
         if !n_elems.is_multiple_of(self.inputs) {
             return Err(NnError::BadInput {
@@ -91,19 +90,20 @@ impl Dense {
                 actual: input.dims().to_vec(),
             });
         }
-        Ok(input.reshape(&[batch, self.inputs])?)
+        Ok(())
     }
 
-    /// Stores `dW_l`/`db_l` and returns `δ_l = upstream ∗ f'(Z_l)`,
-    /// computed in one pass over the borrowed error.
-    fn param_grads(&mut self, delta_out: &Tensor) -> Result<Tensor> {
-        let (Some(input), Some(z)) = (&self.cached_input, &self.cached_preact) else {
+    /// Stores `dW_l`/`db_l` and returns `δ_l = upstream ∗ f'(A_l)`,
+    /// written over the owned error.
+    fn param_grads(&mut self, mut delta_z: Tensor, output: &Tensor) -> Result<Tensor> {
+        let Some(input) = self.input.as_mut() else {
             return Err(NnError::BackwardBeforeForward { layer: 0 });
         };
-        let act = self.act;
-        let delta_z = delta_out.zip_with(z, |d, z| d * act.derivative(z))?;
+        scale_by_derivative(&mut delta_z, self.act, output)?;
         // dW (out, in) = δᵀ (out, N) · A (N, in)  — eq. (3): δ_l · A_{l−1}.
-        self.dw = Some(matmul_tn_with(&delta_z, input, self.backend)?);
+        let backend = self.backend;
+        let dw = flattened(input, self.inputs, |a| matmul_tn_with(&delta_z, a, backend))?;
+        self.dw = Some(dw);
         // db (out) = column sums of δ.
         let batch = delta_z.dims()[0];
         let mut db = Tensor::zeros(&[self.outputs]);
@@ -153,40 +153,44 @@ impl Layer for Dense {
         self.weights.numel() + self.bias.numel()
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let flat = self.flatten_input(input)?;
+    fn forward(&mut self, mut input: Tensor) -> Result<Tensor> {
+        self.check_input(&input)?;
         // Z (N, out) = A (N, in) · Wᵀ + b and A = f(Z), in one fused
         // kernel call: Reference's default hook replays the
         // historical matmul → bias sweep → activation order
         // bit-for-bit, while Tiled seeds the bias and activates inside
-        // its GEMM writeback.
-        let (z, a) = dense_forward_fused_with(
-            &flat,
-            &self.weights,
-            &self.bias,
-            self.act.fused(),
-            self.backend,
-        )?;
-        self.cached_input_dims = Some(input.dims().to_vec());
-        self.cached_input = Some(flat);
-        self.cached_preact = Some(z);
+        // its GEMM writeback. Z goes at once: backward reads f' off A.
+        let (_, a) = flattened(&mut input, self.inputs, |flat| {
+            dense_forward_fused_with(
+                flat,
+                &self.weights,
+                &self.bias,
+                self.act.fused(),
+                self.backend,
+            )
+        })?;
+        self.input = Some(input);
         Ok(a)
     }
 
-    fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor> {
-        let delta_z = self.param_grads(delta_out)?;
+    fn backward(&mut self, delta_out: Tensor, output: &Tensor) -> Result<Tensor> {
+        let delta_z = self.param_grads(delta_out, output)?;
         // dA_{l−1} (N, in) = δ (N, out) · W (out, in) — the W_{l+1}·δ_{l+1}
         // term that the *previous* layer consumes.
-        let dinput = matmul_with(&delta_z, &self.weights, self.backend)?;
-        // Restore the caller's original (possibly 4-D) input shape.
-        match &self.cached_input_dims {
-            Some(dims) if dims.len() != 2 => Ok(dinput.reshape(dims)?),
-            _ => Ok(dinput),
+        let mut dinput = matmul_with(&delta_z, &self.weights, self.backend)?;
+        // In the caller's original (possibly 4-D) input shape.
+        if let Some(input) = &self.input {
+            dinput.reshape_in_place(input.dims())?;
         }
+        Ok(dinput)
     }
 
-    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
-        self.param_grads(delta_out).map(drop)
+    fn backward_params(&mut self, delta_out: Tensor, output: &Tensor) -> Result<()> {
+        self.param_grads(delta_out, output).map(drop)
+    }
+
+    fn input(&self) -> Option<&Tensor> {
+        self.input.as_ref()
     }
 
     fn weights(&self) -> (&Tensor, &Tensor) {
@@ -217,14 +221,32 @@ impl Layer for Dense {
     }
 
     fn clear_cache(&mut self) {
-        self.cached_input = None;
-        self.cached_preact = None;
-        self.cached_input_dims = None;
+        self.input = None;
     }
 
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Dense {
+            weights: self.weights.clone(),
+            bias: self.bias.clone(),
+            dw: None,
+            db: None,
+            input: None,
+            ..*self
+        })
     }
+}
+
+/// Runs `f` on `t` flattened in place to rows of `cols`, then gives `t`
+/// its shape back: a flatten without a copy. `t` holds a whole number of
+/// rows ([`Dense`] checks its input on the way in).
+fn flattened<R>(t: &mut Tensor, cols: usize, f: impl FnOnce(&Tensor) -> R) -> R {
+    let dims = t.dims().to_vec();
+    let rows = t.numel() / cols;
+    t.reshape_in_place(&[rows, cols])
+        .expect("a whole number of rows");
+    let out = f(t);
+    t.reshape_in_place(&dims).expect("the same element count");
+    out
 }
 
 #[cfg(test)]
@@ -242,12 +264,15 @@ mod tests {
     fn forward_shapes_and_flattening() {
         let mut l = Dense::new(12, 4, Activation::Relu, 1).unwrap();
         let x2d = init::uniform(&[3, 12], -1.0, 1.0, 2);
-        assert_eq!(l.forward(&x2d).unwrap().dims(), &[3, 4]);
+        assert_eq!(l.forward(x2d).unwrap().dims(), &[3, 4]);
         let x4d = init::uniform(&[3, 3, 2, 2], -1.0, 1.0, 3);
-        assert_eq!(l.forward(&x4d).unwrap().dims(), &[3, 4]);
-        // Backward restores the 4-D shape.
+        let y = l.forward(x4d).unwrap();
+        assert_eq!(y.dims(), &[3, 4]);
+        // The layer keeps its input in the shape it came in, and backward
+        // gives the input gradient that shape.
+        assert_eq!(l.input().unwrap().dims(), &[3, 3, 2, 2]);
         let delta = Tensor::ones(&[3, 4]);
-        assert_eq!(l.backward(&delta).unwrap().dims(), &[3, 3, 2, 2]);
+        assert_eq!(l.backward(delta, &y).unwrap().dims(), &[3, 3, 2, 2]);
     }
 
     #[test]
@@ -255,9 +280,9 @@ mod tests {
         let mut l = Dense::new(15, 2, Activation::Linear, 1).unwrap();
         // 3*5 = 15 elements but leading dim 3 disagrees with inferred batch 1.
         let x = Tensor::zeros(&[3, 5]);
-        assert!(l.forward(&x).is_err());
+        assert!(l.forward(x).is_err());
         // 16 elements is not a multiple of 15.
-        assert!(l.forward(&Tensor::zeros(&[16])).is_err());
+        assert!(l.forward(Tensor::zeros(&[16])).is_err());
     }
 
     #[test]
@@ -269,7 +294,7 @@ mod tests {
             b.data_mut().copy_from_slice(&[10.0, 20.0]);
         }
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        let y = l.forward(&x).unwrap();
+        let y = l.forward(x).unwrap();
         assert_eq!(y.data(), &[13.0, 27.0]);
     }
 
@@ -277,13 +302,14 @@ mod tests {
     fn gradient_check() {
         let mut l = Dense::new(6, 3, Activation::Sigmoid, 21).unwrap();
         let x = init::uniform(&[2, 6], -1.0, 1.0, 22);
-        let out = l.forward(&x).unwrap();
-        let delta = Tensor::ones(out.dims());
-        let dinput = l.backward(&delta).unwrap();
+        let out = l.forward(x.clone()).unwrap();
+        let dinput = l.backward(Tensor::ones(out.dims()), &out).unwrap();
         let dw = l.grads().unwrap().0.clone();
         let db = l.grads().unwrap().1.clone();
         let eps = 1e-3f32;
-        let loss = |l: &mut Dense, x: &Tensor| -> f32 { l.forward(x).unwrap().data().iter().sum() };
+        let loss = |l: &mut Dense, x: &Tensor| -> f32 {
+            l.forward(x.clone()).unwrap().data().iter().sum()
+        };
         for i in 0..x.numel() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
@@ -320,11 +346,12 @@ mod tests {
             let mut l = Dense::new(20, 7, Activation::Sigmoid, 21).unwrap();
             l.set_backend(backend);
             let x = init::uniform(&[5, 20], -1.0, 1.0, 22);
-            let delta = init::uniform(l.forward(&x).unwrap().dims(), -1.0, 1.0, 23);
-            l.backward(&delta).unwrap();
+            let y = l.forward(x).unwrap();
+            let delta = init::uniform(y.dims(), -1.0, 1.0, 23);
+            l.backward(delta.clone(), &y).unwrap();
             let full = l.grads().map(|(dw, db)| (dw.clone(), db.clone())).unwrap();
             l.zero_grads();
-            l.backward_params(&delta).unwrap();
+            l.backward_params(delta, &y).unwrap();
             let (dw, db) = l.grads().unwrap();
             let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|x| x.to_bits()).collect() };
             assert_eq!(bits(dw), bits(&full.0), "{backend} dW");
@@ -345,8 +372,9 @@ mod tests {
     #[test]
     fn backward_before_forward() {
         let mut l = Dense::new(4, 2, Activation::Linear, 1).unwrap();
+        let y = Tensor::zeros(&[1, 2]);
         assert!(matches!(
-            l.backward(&Tensor::zeros(&[1, 2])),
+            l.backward(y.clone(), &y),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }

@@ -1,13 +1,23 @@
 //! Network layers.
 //!
-//! Each layer caches its input `A_{l−1}` and pre-activation `Z_l` during
-//! [`Layer::forward`] so that [`Layer::backward`] can evaluate the paper's
-//! backpropagation equations (3)–(4) and expose `dW_l`/`db_l`.
+//! A training step holds each layer-boundary activation once. A layer
+//! takes its input `A_{l−1}` over in [`Layer::forward`] and keeps it; its
+//! output `A_l` moves on as the next layer's input, and the last layer's
+//! is the model's logits, which [`crate::Sequential`] keeps. No layer
+//! keeps its pre-activation `Z_l`: [`Layer::backward`] reads `f'_l` off
+//! `A_l`, which its caller passes back in
+//! ([`Activation::derivative_from_output`], bit-equal to `f'_l(Z_l)`),
+//! and writes `δ_l = ∂Loss/∂A_l ∗ f'_l` over the upstream error it takes
+//! over, the Hadamard term of the paper's equation (4), before it stores
+//! `dW_l`/`db_l` (equation (3)). A pooled convolution keeps its pre-pool
+//! `A_l` and the pool's argmaxes, because its successor holds only the
+//! pooled output.
 //!
-//! The caches are exactly the tensors GradSec moves into the enclave when a
-//! layer is protected — see the `gradsec-core` crate's memory model, which
-//! calls [`Layer::input_elems`] / [`Layer::output_elems`] /
-//! [`Layer::param_count`] to size the secure allocations.
+//! Those are this host's buffers, not the enclave's bill. A protected
+//! layer's secure allocation follows the paper — `W_l`, `dW_l`,
+//! `A_{l−1}`, `Z_l` and `δ_l` — and the `gradsec-core` crate's memory
+//! model sizes it from [`Layer::input_elems`] / [`Layer::preact_elems`] /
+//! [`Layer::param_count`], whatever this crate keeps.
 
 mod conv2d;
 mod dense;
@@ -19,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::Result;
-use gradsec_tensor::{BackendKind, Tensor};
+use gradsec_tensor::{BackendKind, Tensor, TensorError};
 
 /// Static description of a layer's type and geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -82,10 +92,11 @@ impl std::fmt::Display for LayerKind {
 
 /// A trainable network layer.
 ///
-/// Layers are stateful: [`Layer::forward`] caches whatever the backward pass
-/// needs (`A_{l−1}`, `Z_l`, pooling argmaxes) and [`Layer::backward`]
-/// produces the parameter gradients retrievable via [`Layer::grads`] while
-/// returning `∂Loss/∂A_{l−1}` for the preceding layer.
+/// Layers are stateful: [`Layer::forward`] keeps whatever the backward
+/// pass needs besides the layer's own output (`A_{l−1}`, and a pooled
+/// layer's pre-pool activation and argmaxes), and [`Layer::backward`]
+/// produces the parameter gradients retrievable via [`Layer::grads`]
+/// while returning `∂Loss/∂A_{l−1}` for the preceding layer.
 pub trait Layer: Send {
     /// Static description of the layer.
     fn kind(&self) -> LayerKind;
@@ -97,7 +108,7 @@ pub trait Layer: Send {
 
     /// Points the layer at a different kernel backend. Weights, caches
     /// and gradients are untouched — only the kernels future passes use
-    /// change. [`Layer::clone_box`] (and therefore
+    /// change. [`Layer::replicate`] (and therefore
     /// [`crate::Sequential::replicate`]) carries the selection into every
     /// replica, which is how one federation-level choice reaches every
     /// model a client trains.
@@ -118,30 +129,42 @@ pub trait Layer: Send {
     /// Number of trainable parameters (weights + biases).
     fn param_count(&self) -> usize;
 
-    /// Runs the forward pass over a batch, caching backward state.
+    /// Runs the forward pass over a batch it takes over and keeps as
+    /// `A_{l−1}`, returning `A_l` — which the caller hands back to
+    /// [`Layer::backward`] (a model moves it on as the next layer's
+    /// input meanwhile).
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape disagrees with the layer
     /// geometry.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
+    fn forward(&mut self, input: Tensor) -> Result<Tensor>;
 
-    /// Runs the backward pass given `∂Loss/∂A_l`, returning `∂Loss/∂A_{l−1}`
-    /// and storing the parameter gradients.
+    /// Runs the backward pass given `∂Loss/∂A_l`, returning
+    /// `∂Loss/∂A_{l−1}` and storing the parameter gradients. `output` is
+    /// the `A_l` the last [`Layer::forward`] returned, which `f'_l` is
+    /// read off (a pooled convolution reads its own pre-pool activation
+    /// instead); the upstream error is taken over and overwritten.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
-    /// cache exists, or shape errors when `delta_out` is inconsistent.
-    fn backward(&mut self, delta_out: &Tensor) -> Result<Tensor>;
+    /// cache exists, or shape errors when `delta_out` or `output` is
+    /// inconsistent.
+    fn backward(&mut self, delta_out: Tensor, output: &Tensor) -> Result<Tensor>;
 
     /// [`Layer::backward`] for a caller that will not read
     /// `∂Loss/∂A_{l−1}` (layer 0 of a model in training): stores the same
     /// parameter gradients, bit for bit, and fails the same way. Layers
     /// override it to skip the input-gradient arithmetic.
-    fn backward_params(&mut self, delta_out: &Tensor) -> Result<()> {
-        self.backward(delta_out).map(drop)
+    fn backward_params(&mut self, delta_out: Tensor, output: &Tensor) -> Result<()> {
+        self.backward(delta_out, output).map(drop)
     }
+
+    /// The input the last [`Layer::forward`] kept, `A_{l−1}` — the
+    /// preceding layer's output — or `None` before any forward pass or
+    /// after [`Layer::clear_cache`].
+    fn input(&self) -> Option<&Tensor>;
 
     /// Returns `(W, b)`.
     fn weights(&self) -> (&Tensor, &Tensor);
@@ -165,10 +188,33 @@ pub trait Layer: Send {
     /// Drops the forward caches (frees activation memory between cycles).
     fn clear_cache(&mut self);
 
-    /// Deep-copies the layer into a fresh box — the mechanism behind
+    /// A fresh boxed layer with this one's geometry, activation, backend
+    /// and weights, and no caches or gradients — the mechanism behind
     /// [`crate::Sequential::replicate`], which builds the replicas of a
     /// prototype model that FL clients train.
-    fn clone_box(&self) -> Box<dyn Layer>;
+    fn replicate(&self) -> Box<dyn Layer>;
+}
+
+/// Writes `δ_l = upstream ∗ f'(A_l)` over the upstream error a backward
+/// pass owns, reading `f'` off the layer's output `A_l`: bit-equal to
+/// multiplying by `f'(Z_l)` (see [`Activation::derivative_from_output`]).
+///
+/// # Errors
+///
+/// Returns a shape error when `delta` and `output` differ in shape.
+fn scale_by_derivative(delta: &mut Tensor, act: Activation, output: &Tensor) -> Result<()> {
+    if delta.dims() != output.dims() {
+        return Err(TensorError::ShapeMismatch {
+            op: "backward",
+            lhs: delta.dims().to_vec(),
+            rhs: output.dims().to_vec(),
+        }
+        .into());
+    }
+    for (d, &a) in delta.data_mut().iter_mut().zip(output.data()) {
+        *d *= act.derivative_from_output(a);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

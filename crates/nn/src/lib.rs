@@ -8,8 +8,10 @@
 //!
 //! * [`layer`] — the [`Layer`](layer::Layer) trait with [`Conv2d`](layer::Conv2d)
 //!   (optionally fused with 2×2 max pooling, the paper's `Conv2D+MP2`) and
-//!   [`Dense`](layer::Dense) layers, each caching `A_{l−1}` and `Z_l` so the
-//!   backward pass can evaluate the paper's equations (3)–(4),
+//!   [`Dense`](layer::Dense) layers, each keeping the `A_{l−1}` it takes
+//!   over so the backward pass can evaluate the paper's equations (3)–(4)
+//!   with `f'_l` read off `A_l` — a training step holds each
+//!   layer-boundary activation once,
 //! * [`activation`] — ReLU/Sigmoid/Tanh/Linear with derivatives,
 //! * [`loss`] — categorical cross-entropy over softmax (the paper's Loss) and
 //!   MSE,

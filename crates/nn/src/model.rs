@@ -119,9 +119,17 @@ impl BatchStats {
 /// A feed-forward stack of layers trained with a shared loss — the model
 /// class assumed by the paper's threat model (§4: fully-connected and
 /// convolutional feed-forward networks).
+///
+/// A training step holds each layer-boundary activation once: the batch
+/// and every layer's output move from layer to layer, each kept by the
+/// layer that takes it as input, and the logits by the model (see the
+/// [`crate::layer`] module).
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     loss: Loss,
+    /// The last forward pass's logits: the one output no layer keeps as
+    /// its input, which the last layer's backward reads `f'` off.
+    logits: Option<Tensor>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -146,6 +154,7 @@ impl Sequential {
         Sequential {
             layers: Vec::new(),
             loss,
+            logits: None,
         }
     }
 
@@ -224,21 +233,33 @@ impl Sequential {
         self.layers.first().map(|l| l.backend()).unwrap_or_default()
     }
 
-    /// Runs the full forward pass, caching per-layer state for backward.
+    /// Runs the full forward pass, caching per-layer state for backward,
+    /// and returns the logits. The layers keep a copy of `input` and the
+    /// model one of the logits; [`Sequential::train_batch`] moves its
+    /// batch in instead.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::EmptyModel`] for empty models or shape errors from
     /// the layers.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.forward_owned(input.clone()).cloned()
+    }
+
+    /// The one forward pass, over a batch it takes over: each layer's
+    /// output moves into the next as its input, and the model keeps the
+    /// logits. The previous pass's caches go first, so two passes'
+    /// activations are never held at once.
+    fn forward_owned(&mut self, input: Tensor) -> Result<&Tensor> {
         if self.layers.is_empty() {
             return Err(NnError::EmptyModel);
         }
-        let mut x = input.clone();
+        self.clear_caches();
+        let mut x = input;
         for layer in &mut self.layers {
-            x = layer.forward(&x)?;
+            x = layer.forward(x)?;
         }
-        Ok(x)
+        Ok(self.logits.insert(x))
     }
 
     /// Runs the full backward pass from a loss delta, storing per-layer
@@ -250,29 +271,38 @@ impl Sequential {
     /// Returns [`NnError::BackwardBeforeForward`] (with the correct layer
     /// index) when `forward` has not run.
     pub fn backward(&mut self, loss_delta: &Tensor) -> Result<Tensor> {
-        let input_grad = self.backward_from(loss_delta, true)?;
+        let input_grad = self.backward_from(loss_delta.clone(), true)?;
         Ok(input_grad.expect("asked for the input gradient"))
     }
 
-    /// The one backward pass. Without `input_grad` (a training step never
-    /// reads the error w.r.t. its own batch) layer 0 runs
+    /// The one backward pass, over an error it takes over: each layer
+    /// writes its `δ` over the error it is handed and reads `f'` off its
+    /// output, which its successor keeps as input (the last layer's, the
+    /// logits, the model keeps). Without `input_grad` (a training step
+    /// never reads the error w.r.t. its own batch) layer 0 runs
     /// [`Layer::backward_params`] and nothing is returned.
-    fn backward_from(&mut self, loss_delta: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
+    fn backward_from(&mut self, loss_delta: Tensor, input_grad: bool) -> Result<Option<Tensor>> {
         if self.layers.is_empty() {
             return Err(NnError::EmptyModel);
         }
-        let mut delta = Some(loss_delta.clone());
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let upstream = delta.as_ref().expect("only layer 0 returns no error");
+        let mut delta = Some(loss_delta);
+        for i in (0..self.layers.len()).rev() {
+            let (head, tail) = self.layers.split_at_mut(i + 1);
+            let output = match tail.first() {
+                Some(next) => next.input(),
+                None => self.logits.as_ref(),
+            };
+            let not_run = || NnError::BackwardBeforeForward { layer: i };
+            let output = output.ok_or_else(not_run)?;
+            let upstream = delta.take().expect("only layer 0 returns no error");
+            let layer = &mut head[i];
             let step = if i > 0 || input_grad {
-                layer.backward(upstream).map(Some)
+                layer.backward(upstream, output).map(Some)
             } else {
-                layer.backward_params(upstream).map(|()| None)
+                layer.backward_params(upstream, output).map(|()| None)
             };
             delta = step.map_err(|e| match e {
-                NnError::BackwardBeforeForward { .. } => {
-                    NnError::BackwardBeforeForward { layer: i }
-                }
+                NnError::BackwardBeforeForward { .. } => not_run(),
                 other => other,
             })?;
         }
@@ -292,9 +322,10 @@ impl Sequential {
         input: &Tensor,
         targets: &Tensor,
     ) -> Result<(f32, GradientSnapshot)> {
-        let logits = self.forward(input)?;
-        let (loss, delta) = self.loss.evaluate(&logits, targets)?;
-        self.backward_from(&delta, false)?;
+        let objective = self.loss;
+        let logits = self.forward_owned(input.clone())?;
+        let (loss, delta) = objective.evaluate(logits, targets)?;
+        self.backward_from(delta, false)?;
         let snapshot = self
             .gradient_snapshot()
             .expect("backward has just populated gradients");
@@ -303,27 +334,32 @@ impl Sequential {
 
     /// One SGD training step over a batch: forward, loss, backward, update.
     ///
-    /// Returns the batch statistics; gradients remain available through
-    /// [`Sequential::gradient_snapshot`] until the next `zero_grads`.
+    /// The batch is moved in, so the step holds each layer-boundary
+    /// activation once: the batch itself becomes the first layer's
+    /// input. Returns the batch statistics; gradients remain available
+    /// through [`Sequential::gradient_snapshot`] until the next
+    /// `zero_grads`.
     ///
     /// # Errors
     ///
     /// Propagates forward/backward errors.
     pub fn train_batch(
         &mut self,
-        input: &Tensor,
+        input: Tensor,
         targets: &Tensor,
         opt: &mut dyn Optimizer,
     ) -> Result<BatchStats> {
-        let logits = self.forward(input)?;
-        let (loss, delta) = self.loss.evaluate(&logits, targets)?;
-        let correct = count_correct(&logits, targets)?;
-        self.backward_from(&delta, false)?;
+        let objective = self.loss;
+        let logits = self.forward_owned(input)?;
+        let (loss, delta) = objective.evaluate(logits, targets)?;
+        let correct = count_correct(logits, targets)?;
+        let total = logits.dims()[0];
+        self.backward_from(delta, false)?;
         self.apply_gradients(opt);
         Ok(BatchStats {
             loss,
             correct,
-            total: logits.dims()[0],
+            total,
         })
     }
 
@@ -422,20 +458,19 @@ impl Sequential {
         for l in &mut self.layers {
             l.clear_cache();
         }
+        self.logits = None;
     }
 
-    /// Deep-copies the model: identical weights and architecture, with
-    /// caches and gradients cleared. This is how a federation builds the
-    /// replicas its clients' cycles borrow from one prototype without
-    /// re-running weight initialisation per copy.
+    /// Copies the model's weights and architecture (backend included),
+    /// and nothing of its caches or gradients. This is how a federation
+    /// builds the replicas its clients' cycles borrow from one prototype
+    /// without re-running weight initialisation per copy.
     pub fn replicate(&self) -> Sequential {
-        let mut copy = Sequential {
-            layers: self.layers.iter().map(|l| l.clone_box()).collect(),
+        Sequential {
+            layers: self.layers.iter().map(|l| l.replicate()).collect(),
             loss: self.loss,
-        };
-        copy.zero_grads();
-        copy.clear_caches();
-        copy
+            logits: None,
+        }
     }
 
     /// Classification accuracy of the model on `(input, one-hot targets)`.
@@ -444,8 +479,8 @@ impl Sequential {
     ///
     /// Propagates forward errors.
     pub fn accuracy(&mut self, input: &Tensor, targets: &Tensor) -> Result<f32> {
-        let logits = self.forward(input)?;
-        let correct = count_correct(&logits, targets)?;
+        let logits = self.forward_owned(input.clone())?;
+        let correct = count_correct(logits, targets)?;
         Ok(correct as f32 / logits.dims()[0].max(1) as f32)
     }
 }
@@ -478,12 +513,17 @@ mod replicate_tests {
             t
         };
         let mut opt = crate::optim::Sgd::new(0.1);
-        a.train_batch(&x, &y, &mut opt).unwrap();
+        a.train_batch(x, &y, &mut opt).unwrap();
         assert_ne!(a.weights(), proto.weights());
         assert_eq!(b.weights(), proto.weights());
-        // Replicating a trained model copies the trained weights.
-        let c = a.replicate();
+        // Replicating a trained model copies the trained weights, and
+        // none of its caches or gradients.
+        let mut c = a.replicate();
         assert_eq!(c.weights(), a.weights());
+        assert!(a.gradient_snapshot().is_some() && a.layer(1).unwrap().input().is_some());
+        assert!(c.gradient_snapshot().is_none());
+        assert!(c.iter().all(|l| l.input().is_none()));
+        assert!(c.backward(&gradsec_tensor::Tensor::zeros(&[4, 2])).is_err());
     }
 
     #[test]
@@ -512,7 +552,7 @@ mod replicate_tests {
             let mut m = proto.replicate();
             m.set_backend(backend);
             let mut opt = crate::optim::Sgd::new(0.05);
-            let stats = m.train_batch(&x, &y, &mut opt).unwrap();
+            let stats = m.train_batch(x.clone(), &y, &mut opt).unwrap();
             (stats.loss, m.weights())
         };
         let (loss_ref, w_ref) = run(BackendKind::Reference);
@@ -549,7 +589,7 @@ mod replicate_tests {
             let (mut opt_short, mut opt_long) =
                 (crate::optim::Sgd::new(0.05), crate::optim::Sgd::new(0.05));
             for _ in 0..2 {
-                short.train_batch(&x, &y, &mut opt_short).unwrap();
+                short.train_batch(x.clone(), &y, &mut opt_short).unwrap();
                 let logits = long.forward(&x).unwrap();
                 let (_, delta) = long.loss().evaluate(&logits, &y).unwrap();
                 long.backward(&delta).unwrap();
@@ -576,7 +616,7 @@ mod replicate_tests {
         y.set(&[0, 0], 1.0).unwrap();
         y.set(&[1, 1], 1.0).unwrap();
         let mut opt = crate::optim::Sgd::new(0.05);
-        let stats = r.train_batch(&x, &y, &mut opt).unwrap();
+        let stats = r.train_batch(x, &y, &mut opt).unwrap();
         assert!(stats.loss.is_finite());
         assert_ne!(r.weights(), proto.weights());
     }
@@ -625,7 +665,7 @@ mod tests {
         let mut opt = Sgd::new(0.5);
         let mut last = f32::INFINITY;
         for _ in 0..600 {
-            last = m.train_batch(&x, &y, &mut opt).unwrap().loss;
+            last = m.train_batch(x.clone(), &y, &mut opt).unwrap().loss;
         }
         assert!(last < 0.05, "final loss {last}");
         assert_eq!(m.accuracy(&x, &y).unwrap(), 1.0);
@@ -640,7 +680,7 @@ mod tests {
         let lr = 0.25f32;
         let before = m.weights();
         let mut opt = Sgd::new(lr);
-        m.train_batch(&x, &y, &mut opt).unwrap();
+        m.train_batch(x, &y, &mut opt).unwrap();
         let true_grads = m.gradient_snapshot().unwrap();
         let after = m.weights();
         let leaked = GradientSnapshot::from_weight_diff(&before, &after, lr).unwrap();

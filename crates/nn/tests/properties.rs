@@ -17,12 +17,11 @@ proptest! {
         // Finite-difference validation of eq. (3) on random geometry.
         let mut l = Dense::new(inputs, outputs, Activation::Tanh, seed).unwrap();
         let x = init::uniform(&[2, inputs], -1.0, 1.0, seed + 1);
-        let out = l.forward(&x).unwrap();
-        let delta = Tensor::ones(out.dims());
-        let dinput = l.backward(&delta).unwrap();
+        let out = l.forward(x.clone()).unwrap();
+        let dinput = l.backward(Tensor::ones(out.dims()), &out).unwrap();
         let eps = 1e-3f32;
         let loss = |l: &mut Dense, x: &Tensor| -> f32 {
-            l.forward(x).unwrap().data().iter().sum()
+            l.forward(x.clone()).unwrap().data().iter().sum()
         };
         for i in 0..x.numel().min(6) {
             let mut xp = x.clone();
@@ -70,7 +69,7 @@ proptest! {
         }
         let before = model.weights();
         let mut opt = Sgd::new(lr);
-        model.train_batch(&x, &y, &mut opt).unwrap();
+        model.train_batch(x, &y, &mut opt).unwrap();
         let true_grads = model.gradient_snapshot().unwrap();
         let leaked = GradientSnapshot::from_weight_diff(&before, &model.weights(), lr).unwrap();
         let rel = leaked.distance(&true_grads).unwrap()

@@ -367,6 +367,9 @@ fn gemm<PA, PB, WB>(
         let kc_len = KC.min(k - kc0);
         let first = slab == 0;
         let last = slab == slabs - 1;
+        // The last slab is the `KC` tail: never empty (`k = 0` is one
+        // slab of zero steps, which packs and multiplies nothing).
+        debug_assert!(kc_len <= KC && (kc_len > 0 || k == 0));
         for pi in 0..row_panels {
             let i0 = pi * MR;
             let rows = MR.min(m - i0);
@@ -375,6 +378,10 @@ fn gemm<PA, PB, WB>(
                 dst.fill(0.0);
             }
             pack_a(i0, rows, kc0, kc_len, dst);
+            debug_assert!(
+                rows == MR || dst.chunks(MR).all(|s| s[rows..].iter().all(|&x| x == 0.0)),
+                "the packer wrote past the {rows}-row `MR` tail"
+            );
         }
         let mut j0 = 0;
         while j0 < n {
@@ -384,6 +391,10 @@ fn gemm<PA, PB, WB>(
                 bp.fill(0.0);
             }
             pack_b(j0, cols, kc0, kc_len, bp);
+            debug_assert!(
+                cols == NR || bp.chunks(NR).all(|s| s[cols..].iter().all(|&x| x == 0.0)),
+                "the packer wrote past the {cols}-column `NR` tail"
+            );
             for pi in 0..row_panels {
                 let i0 = pi * MR;
                 let rows = MR.min(m - i0);
@@ -486,6 +497,10 @@ fn interior_rows(geo: &Conv2dGeometry) -> impl Iterator<Item = (usize, usize)> +
 
 impl<'a> PaddedBand<'a> {
     fn new(input: &'a [f32], geo: &Conv2dGeometry) -> Self {
+        debug_assert!(
+            input.len().is_multiple_of(geo.in_len()),
+            "a band is whole images"
+        );
         let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
         let image_len = geo.in_channels * ph * pw;
         let frame = if geo.pad == 0 {
@@ -512,11 +527,19 @@ impl<'a> PaddedBand<'a> {
     }
 
     /// Frame offset of the patch origin of output position `ow` in output
-    /// row `grow = img·OH + oh`.
+    /// row `grow = img·OH + oh`. Every tap of that patch lies inside the
+    /// frame — the bound the packers' unchecked-looking reads rest on.
     fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
-        (grow / geo.out_h) * self.image_len
+        debug_assert!(ow < geo.out_w, "output column {ow} of {}", geo.out_w);
+        let base = (grow / geo.out_h) * self.image_len
             + (grow % geo.out_h) * geo.stride * self.pw
-            + ow * geo.stride
+            + ow * geo.stride;
+        debug_assert!(
+            base + self.tap_off.last().copied().unwrap_or(0) < self.frame.len(),
+            "output row {grow} reads past its band's {}-element frame",
+            self.frame.len()
+        );
+        base
     }
 }
 
