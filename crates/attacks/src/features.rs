@@ -6,8 +6,6 @@
 //! per-layer blocks stay contiguous so the enclave semantics ("delete the
 //! columns of a protected layer") map to exact column ranges.
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_nn::gradient::GradientSnapshot;
 
 /// Number of summary statistics per layer: L2 norm, mean, standard
@@ -15,7 +13,7 @@ use gradsec_nn::gradient::GradientSnapshot;
 pub const SUMMARY_STATS: usize = 5;
 
 /// One layer's contiguous column range in the feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSpan {
     /// Model layer index.
     pub layer: usize,
@@ -26,7 +24,7 @@ pub struct LayerSpan {
 }
 
 /// Column layout of reduced gradient features.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureLayout {
     spans: Vec<LayerSpan>,
     width: usize,

@@ -3,13 +3,12 @@
 use std::collections::BTreeSet;
 
 use gradsec_fl::scheduler::ProtectionScheduler;
-use serde::{Deserialize, Serialize};
 
 use crate::window::MovingWindow;
 use crate::{GradSecError, Result};
 
 /// How a client shelters layers across FL cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProtectionPolicy {
     /// No protection — the unprotected baseline of Table 6.
     None,
@@ -124,7 +123,7 @@ impl ProtectionScheduler for ProtectionPolicy {
 /// contiguous slice** of layers. Construction fails for non-successive
 /// sets — exactly the limitation that forces DarkneTZ to shelter
 /// `L2..L5` (four layers) where GradSec shelters only `{L2, L5}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DarknetzPolicy {
     first: usize,
     last: usize,

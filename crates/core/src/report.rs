@@ -1,12 +1,10 @@
 //! Cycle reports: the user/kernel/allocation decomposition plus enclave
 //! statistics for one FL training cycle (the row format of Table 6).
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_tee::cost::TimeBreakdown;
 
 /// Everything measured about one protected training cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleReport {
     /// Layers sheltered during the cycle.
     pub protected: Vec<usize>,

@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{GradSecError, Result};
 
 /// A validated moving-window configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingWindow {
     size: usize,
     v_mw: Vec<f64>,

@@ -16,7 +16,7 @@
 //!   component, so batches containing the property measurably bias the
 //!   aggregated gradients DPIA consumes.
 //! * [`SyntheticMicro`] — a featherweight low-dimensional vector dataset
-//!   for fleet-scale (10⁴+ client) federation benches, where CIFAR-sized
+//!   for fleet-scale (10⁴+ client) federation runs, where CIFAR-sized
 //!   samples would drown the measurement in pixel traffic.
 //!
 //! Everything is generated lazily and deterministically from a seed —

@@ -1,7 +1,7 @@
 //! A featherweight synthetic dataset for fleet-scale federation runs.
 //!
-//! The engine-scaling and shard-scaling benches simulate 10⁴+ clients per
-//! round; at that scale the 3,072-dimensional CIFAR stand-in would spend
+//! The fleet-scale gates and benchmark workloads simulate 10³–10⁴ clients
+//! per round; at that scale the 3,072-dimensional CIFAR stand-in would spend
 //! all its time (and the first layer's weights, which grow with the input
 //! width) on pixels nobody looks at. [`SyntheticMicro`] keeps the same
 //! contract — lazily generated, `sample(i)` a pure function of

@@ -38,7 +38,6 @@ use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
@@ -56,7 +55,7 @@ const SALT_POISON: u64 = 0x504F_4953_4F4E_5231; // "POISONR1"
 pub const SCALE_BOOST: f32 = 8.0;
 
 /// The behavior a hostile client exhibits for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Persona {
     /// Sign-flips its update and adds seeded uniform noise.
     Poisoner,
@@ -88,7 +87,7 @@ impl Persona {
 /// `#[must_use]` knobs, [`validate`](Self::validate) called at assembly,
 /// and a [`Wire`](crate::message::Wire) impl so distributed shard
 /// processes re-derive the exact same personas from the `ShardConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryPlan {
     seed: u64,
     poisoners: f64,

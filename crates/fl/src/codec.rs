@@ -114,7 +114,6 @@
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::Tensor;
@@ -133,7 +132,7 @@ pub const TOPK_DENSITY: f64 = 0.1;
 pub const BASE_MISMATCH: &str = "codec base mismatch";
 
 /// Which update codec a session speaks, negotiated at Hello/HelloAck.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecKind {
     /// Dense f32 payloads — bit-identical, the default.
     #[default]
@@ -186,7 +185,7 @@ impl CodecKind {
 }
 
 /// One encoded tensor body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EncodedBody {
     /// Dense absolute f32 values (Identity, and the lossless fallback
     /// every lossy codec uses when its form would not save bytes).
@@ -350,7 +349,7 @@ impl Iterator for SparseEntries<'_> {
 }
 
 /// One encoded tensor: its shape plus the codec body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedTensor {
     /// Tensor dimensions.
     pub dims: Vec<usize>,
@@ -361,7 +360,7 @@ pub struct EncodedTensor {
 /// A whole model's weights in encoded form — the payload the
 /// `EncodedModelDownload`/`EncodedUpdateUpload` messages carry. Tensors
 /// are the model's layers flattened `[w0, b0, w1, b1, …]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedWeights {
     /// The codec that produced (and decodes) this payload.
     pub codec: CodecKind,

@@ -1,12 +1,10 @@
 //! Training plans (the hyper-parameters the server ships to clients,
 //! Figure 2-➋).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FlError, Result};
 
 /// The server-chosen federated training plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingPlan {
     /// Number of FL cycles (rounds) to run.
     pub rounds: u64,
@@ -80,7 +78,7 @@ impl TrainingPlan {
 /// Both speak the identical envelope protocol, so a run is
 /// bit-identical whichever is chosen (asserted by the mux and trickle-mux
 /// cells of `tests/deployment_matrix.rs` at the workspace root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Zero-copy in-process dispatch (the default): client cycles run on
     /// the execution engine's worker threads.
@@ -95,7 +93,7 @@ pub enum TransportKind {
 }
 
 /// Tuning knobs for the [`TransportKind::TcpMux`] transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MuxOptions {
     /// Event-loop threads serving the fleet; `0` (the default) means one
     /// per available core. Clamped to the session count.
@@ -164,7 +162,7 @@ impl MuxOptions {
 /// 0, 1, … visits clients in exactly the global order, so the server's
 /// screening RNG stream and the global selection slots never notice the
 /// partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLayout {
     /// `shards + 1` cumulative offsets; `offsets[s]..offsets[s+1]` is
     /// shard `s`'s global client range.

@@ -337,12 +337,12 @@ impl ExecutionEngine {
                 .collect();
             // The workers split the caller's kernel budget between them.
             let kernel_threads = threads::budget() / workers;
-            let joined = crossbeam::thread::scope(|s| {
+            let joined = std::thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .into_iter()
                     .map(|mut shard| {
                         let (ledger, deliver) = (&ledger, &deliver);
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let n = shard.len();
                             threads::with_budget(kernel_threads, || {
                                 slide(
@@ -364,10 +364,7 @@ impl ExecutionEngine {
                     .into_iter()
                     .map(|h| h.join().is_ok())
                     .collect::<Vec<bool>>()
-            })
-            .map_err(|_| FlError::Protocol {
-                reason: "engine scope panicked".to_owned(),
-            })?;
+            });
             // The per-exchange guard makes this unreachable in practice;
             // if it ever fires, the worker's clients fail individually
             // rather than killing the round.
@@ -458,7 +455,7 @@ impl ExecutionEngine {
         }
         // Shard threads split the caller's kernel budget, as workers do.
         let kernel_threads = threads::budget() / shards.len();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut base = 0;
             let handles: Vec<_> = shards
                 .into_iter()
@@ -466,7 +463,7 @@ impl ExecutionEngine {
                     // The shard's slot j is the round's slot base + j.
                     let shifted = move |slot: usize, outcome| sink.deliver(base + slot, outcome);
                     base += picked.len();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         threads::with_budget(kernel_threads, || {
                             self.cycles_in(clients, &picked, broadcast, faults, Sink::new(&shifted))
                         })
@@ -482,9 +479,6 @@ impl ExecutionEngine {
                 })
                 .collect()
         })
-        .map_err(|_| FlError::Protocol {
-            reason: "engine shard scope panicked".to_owned(),
-        })?
     }
 }
 
@@ -785,6 +779,71 @@ mod tests {
                 assert!(ledger.client(id).expect("billed").time.total_s() > 0.0);
             }
         }
+    }
+
+    /// A worker that dies outside the per-exchange guard (here, in the
+    /// sink) fails exactly the slots it had not delivered, and a dead
+    /// shard thread is the round's error instead of a panic in the caller.
+    #[test]
+    fn a_dead_worker_fails_its_undelivered_slots_and_a_dead_shard_the_round() {
+        let got = std::sync::Mutex::new((0..4).map(|_| None).collect::<Vec<_>>());
+        let tripped = AtomicBool::new(false);
+        let sink = |slot: usize, outcome: ClientOutcome<ArrivedUpload>| {
+            if slot == 0 && !tripped.swap(true, Ordering::Relaxed) {
+                panic!("injected sink bug");
+            }
+            got.lock().unwrap()[slot] = Some(outcome);
+        };
+        let mut clients = fleet(4, &[]);
+        let download = download();
+        let broadcast = Broadcast::new(&download);
+        // Two workers deal slots {0, 2} and {1, 3}: slot 0's delivery
+        // kills the first worker before it finishes slot 2.
+        let ledger = ExecutionEngine::new(2)
+            .cycles_in(
+                &mut clients,
+                &[0, 1, 2, 3],
+                &broadcast,
+                None,
+                Sink::new(&sink),
+            )
+            .unwrap();
+        assert_eq!(ledger.len(), 4);
+        let got = got.into_inner().unwrap();
+        match &got[2] {
+            Some(ClientOutcome::Failed {
+                client: 2,
+                error: FlError::ClientFailure { reason, .. },
+            }) => assert_eq!(reason, "engine worker panicked"),
+            other => panic!("expected slot 2 to fail with its worker, got {other:?}"),
+        }
+        for slot in [1, 3] {
+            assert!(
+                got[slot].as_ref().is_some_and(ClientOutcome::is_completed),
+                "slot {slot}"
+            );
+        }
+
+        let tripped = AtomicBool::new(false);
+        let sink = |_: usize, _: ClientOutcome<ArrivedUpload>| {
+            if !tripped.swap(true, Ordering::Relaxed) {
+                panic!("injected sink bug");
+            }
+        };
+        let mut clients = fleet(4, &[]);
+        let (lo, hi) = clients.split_at_mut(2);
+        let err = ExecutionEngine::sequential()
+            .shards_in(
+                vec![(lo, vec![0, 1]), (hi, vec![0, 1])],
+                &download,
+                None,
+                Sink::new(&sink),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, FlError::Protocol { reason } if reason == "engine shard thread panicked"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::message::limits::{MAX_FIELD_BYTES, MAX_PLAN_ENTRIES};
 use crate::message::{Envelope, HelloAck, MessageKind};
@@ -42,7 +41,7 @@ use crate::{FlError, Result};
 /// A simulated network/compute latency distribution, drawn per
 /// `(client, round)` on the simulated clock (seconds). The draw never
 /// consumes a shared RNG stream, so it is independent of execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LatencyModel {
     /// No added latency (the default).
     #[default]
@@ -138,7 +137,7 @@ pub(crate) fn decision_rng(seed: u64, salt: u64, client: u64, index: u64) -> Std
 /// An unconfigured knob injects nothing, so `FaultPlan::seeded(s)` alone
 /// is a no-op plan (useful to turn on fault *tolerance* — over-provisioned
 /// selection, non-fatal client failures — without injecting anything).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
     latency: LatencyModel,

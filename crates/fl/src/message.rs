@@ -40,7 +40,6 @@
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
@@ -134,21 +133,21 @@ pub fn check_version(peer: &str, version: u16) -> Result<()> {
 }
 
 /// Server → client: attestation challenge during selection (Figure 2-➊).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttestationRequest {
     /// The freshness challenge.
     pub challenge: Challenge,
 }
 
 /// Client → server: attestation evidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttestationResponse {
     /// The signed quote, absent when the device has no TEE.
     pub quote: Option<Quote>,
 }
 
 /// Server → client: the global model and plan for one cycle (Figure 2-➋).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelDownload {
     /// Round this download belongs to.
     pub round: u64,
@@ -162,7 +161,7 @@ pub struct ModelDownload {
 }
 
 /// Client → server: the trained update (Figure 2-➍).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateUpload {
     /// Uploading client.
     pub client_id: u64,
@@ -184,7 +183,7 @@ pub struct UpdateUpload {
 /// travel as an [`EncodedWeights`] codec payload. The leading round
 /// field keeps the same byte offset as the plain download so the fault
 /// layer's round peek works on both kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedModelDownload {
     /// Round this download belongs to.
     pub round: u64,
@@ -198,7 +197,7 @@ pub struct EncodedModelDownload {
 
 /// Client → server (protocol v4): an [`UpdateUpload`] whose weights
 /// travel as an [`EncodedWeights`] codec payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedUpdateUpload {
     /// Uploading client.
     pub client_id: u64,
@@ -357,7 +356,7 @@ pub(crate) mod probe {
 
 /// Session setup, server → client: the server's protocol version plus
 /// the update codec it intends to speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// The protocol version the server speaks.
     pub version: u16,
@@ -382,7 +381,7 @@ impl Hello {
 
 /// Session setup, client → server: the client's protocol version plus
 /// its identity (which keys the server's attestation registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
     /// The protocol version the client speaks.
     pub version: u16,
@@ -393,7 +392,7 @@ pub struct HelloAck {
 }
 
 /// Either direction: a failure report that replaces the expected reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorReply {
     /// Human-readable reason.
     pub reason: String,
@@ -436,7 +435,7 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T> {
 }
 
 /// The kind tag of an [`Envelope`], one per message the protocol speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MessageKind {
     /// [`Hello`] — version and codec offer (server → client).
@@ -855,7 +854,7 @@ wire_list!(
 /// Shard-server → coordinator: opens the shard-control channel with the
 /// server's protocol version plus its OS process id (diagnostics only —
 /// never an input to any fault or selection decision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardHello {
     /// The protocol version the shard server speaks.
     pub version: u16,
@@ -876,7 +875,7 @@ impl ShardHello {
 /// Coordinator → shard-server: the coordinator's version and the shard
 /// index this connection will serve (assigned by connection-arrival
 /// order — shard servers are symmetric until configured).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardHelloAck {
     /// The protocol version the coordinator speaks.
     pub version: u16,
@@ -889,7 +888,7 @@ pub struct ShardHelloAck {
 /// The spec is the *recipe*, not the bytes: both sides construct the
 /// identical deterministic dataset from `(len, classes, dim, seed)`, so a
 /// shard config stays kilobytes even for million-sample fleets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetSpec {
     /// [`gradsec_data::SyntheticMicro`].
     Micro {
@@ -917,7 +916,7 @@ pub enum DatasetSpec {
 /// coordinator's initial weights. The seed only matters for layer
 /// construction scratch (the shipped weights overwrite initialisation),
 /// but carrying it keeps construction bit-reproducible anyway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// [`gradsec_nn::zoo::tiny_mlp`].
     TinyMlp {
@@ -991,7 +990,7 @@ impl ModelSpec {
 /// plans. Decoding refuses an unknown backend or codec tag, an invalid
 /// plan and an out-of-order range, so a shard server hosts only what it
 /// can run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// The shard index this config provisions (echoes the hello ack).
     pub shard_index: u64,
@@ -1027,7 +1026,7 @@ pub struct ShardConfig {
 }
 
 /// Shard-server → coordinator: configuration applied, fleet wired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfigAck {
     /// How many clients the shard wired (must equal the config's range).
     pub clients: u64,
@@ -1036,7 +1035,7 @@ pub struct ShardConfigAck {
 /// One screening probe: a shard-local client index and the challenge the
 /// coordinator drew for it (nonces are drawn on the coordinator, in
 /// global candidate order — the shard never touches the selection RNG).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScreenProbe {
     /// Shard-local client index.
     pub local: u64,
@@ -1046,7 +1045,7 @@ pub struct ScreenProbe {
 
 /// Coordinator → shard-server: this round's screening fan-out for the
 /// shard's slice of the candidate set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardScreen {
     /// The probes, in global candidate order.
     pub probes: Vec<ScreenProbe>,
@@ -1058,7 +1057,7 @@ pub struct ShardScreen {
 /// unreachable. Quote *verification* stays on the coordinator, against
 /// its own provisioning registry, so a shard process can not vouch for
 /// its clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardScreenReply {
     /// Per-probe evidence.
     pub evidence: Vec<Option<AttestationResponse>>,
@@ -1066,7 +1065,7 @@ pub struct ShardScreenReply {
 
 /// Coordinator → shard-server: execute one round's cycles for the
 /// shard's picks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardRound {
     /// The round's model download (identical on every shard).
     pub download: ModelDownload,
@@ -1080,7 +1079,7 @@ pub struct ShardRound {
 }
 
 /// How a non-completed cycle ended on a shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ShardOutcomeKind {
     /// The client blew the round deadline on the simulated clock.
     Straggler {
@@ -1095,7 +1094,7 @@ pub enum ShardOutcomeKind {
 }
 
 /// One non-completed outcome, tagged with its global selection slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutcome {
     /// Global selection slot.
     pub slot: u64,
@@ -1108,7 +1107,7 @@ pub struct ShardOutcome {
 /// Shard-server → coordinator: one round's results — the completed
 /// updates as a [`PartialAggregate`] tagged with *global* slots, the
 /// stragglers/failures, and the shard's cost ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardRoundReply {
     /// Completed updates at their global selection slots.
     pub partial: PartialAggregate,

@@ -30,8 +30,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_data::{split, Dataset};
 use gradsec_nn::model::ModelWeights;
 use gradsec_nn::{BackendKind, Sequential};
@@ -79,7 +77,7 @@ fn json_usize_list(xs: &[usize]) -> String {
 /// exchanges). The `ledger` accounts *every* selected client — zero-cost
 /// entries for failures. Without faults the last three groups are empty
 /// and `participants` is the whole selection, exactly as before.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport {
     /// Round index (0-based).
     pub round: u64,
@@ -103,8 +101,7 @@ pub struct RoundReport {
 }
 
 impl RoundReport {
-    /// Renders the report as a JSON object (hand-rolled: the vendored
-    /// serde is a derive marker only), so repro binaries can export
+    /// Renders the report as a JSON object, so repro binaries can export
     /// per-round results.
     pub fn to_json(&self) -> String {
         format!(
@@ -122,7 +119,7 @@ impl RoundReport {
 }
 
 /// Whole-run outcome.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FederationReport {
     /// Rounds completed.
     pub rounds_completed: u64,

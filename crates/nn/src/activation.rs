@@ -7,12 +7,10 @@
 //! ([`Activation::derivative_from_output`]), which every variant here
 //! allows bit for bit, so no layer keeps `Z_l`.
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_tensor::Tensor;
 
 /// An elementwise activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Identity: `f(z) = z` (used for logits feeding the softmax loss).
     #[default]

@@ -4,15 +4,13 @@
 //! client produces each cycle — the exact object the paper's client-side
 //! attacker tries to observe, and the payload uploaded to the FL server.
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_tensor::Tensor;
 
 use crate::model::ModelWeights;
 use crate::{NnError, Result};
 
 /// Gradients of one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerGradient {
     /// Index of the layer within its model (0-based; the paper's `l−1`).
     pub layer: usize,
@@ -43,7 +41,7 @@ impl LayerGradient {
 }
 
 /// Per-layer gradients for a whole model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GradientSnapshot {
     layers: Vec<LayerGradient>,
 }

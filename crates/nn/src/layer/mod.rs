@@ -25,14 +25,12 @@ mod dense;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
 
-use serde::{Deserialize, Serialize};
-
 use crate::activation::Activation;
 use crate::Result;
 use gradsec_tensor::{BackendKind, Tensor, TensorError};
 
 /// Static description of a layer's type and geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution, optionally fused with 2×2/2 max pooling
     /// (the paper's `Conv2D+MP2`).

@@ -4,15 +4,13 @@
 //! (its Table 2 `Loss`); the initial backward error is then
 //! `δ_n = (Ŷ − Y)/m` — exactly the `l = n` case of equation (3).
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_tensor::ops::reduce::softmax_rows;
 use gradsec_tensor::Tensor;
 
 use crate::{NnError, Result};
 
 /// A differentiable training loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Loss {
     /// Categorical cross-entropy over a softmax of the logits.
     #[default]

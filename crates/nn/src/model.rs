@@ -1,7 +1,5 @@
 //! Sequential model container.
 
-use serde::{Deserialize, Serialize};
-
 use gradsec_tensor::ops::reduce::argmax_rows;
 use gradsec_tensor::{BackendKind, Tensor};
 
@@ -12,7 +10,7 @@ use crate::optim::Optimizer;
 use crate::{NnError, Result};
 
 /// Serializable weights of one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// Weight matrix.
     pub w: Tensor,
@@ -23,7 +21,7 @@ pub struct LayerWeights {
 /// Serializable weights of a whole model — the object the FL server ships
 /// to clients and the *state* whose per-cycle difference leaks gradients
 /// via the paper's Flaw 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelWeights {
     layers: Vec<LayerWeights>,
 }

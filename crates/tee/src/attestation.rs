@@ -13,18 +13,16 @@
 //! server uses [`verify_quote`] to gate client selection (paper Figure
 //! 2-➊).
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::hmac::{hmac_sha256, hmac_verify};
 use crate::ta::Uuid;
 use crate::{Result, TeeError};
 
 /// A SHA-256 measurement of TA code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Measurement(pub [u8; 32]);
 
 /// A verifier-issued freshness challenge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Challenge {
     /// Random nonce the quote must echo.
     pub nonce: [u8; 16],
@@ -39,7 +37,7 @@ impl Challenge {
 }
 
 /// A signed attestation quote.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// Identity of the attested TA.
     pub ta: Uuid,

@@ -13,8 +13,9 @@
 //! compare. Instead the trainer charges a deterministic [`SimClock`]
 //! through this [`CostModel`], whose constants are calibrated once against
 //! the paper's baseline row (2.191 s user + 0.021 s kernel for LeNet-5,
-//! batch 32) and the per-layer allocation column. Criterion benches
-//! measure *real* wall clock separately.
+//! batch 32) and the per-layer allocation column. The `benchmark`
+//! package's `core.*` probes time a real protected cycle against this
+//! clock.
 //!
 //! Calibration (documented so it can be re-derived):
 //!
@@ -29,10 +30,8 @@
 //!   a two-point fit through Table 6's L2 (3,612 params → 0.34 s) and L5
 //!   (76,900 params → 4.68 s) rows.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost constants for the simulated device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Nanoseconds per MAC op in the normal world.
     pub ns_per_op_normal: f64,
@@ -79,7 +78,7 @@ impl Default for CostModel {
 
 /// The user/kernel/allocation decomposition of one training cycle, in
 /// seconds (Table 6's three-way split).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeBreakdown {
     /// Normal-world compute seconds.
     pub user_s: f64,
@@ -129,7 +128,7 @@ impl TimeBreakdown {
 /// what they would have cost dense. Encoded bytes are the billable
 /// column; the raw column exists so compression ratios can be reported
 /// without re-encoding anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireBill {
     /// Encoded bytes of the model-download payload (server → client).
     pub download_encoded_bytes: u64,
@@ -172,7 +171,7 @@ impl WireBill {
 
 /// One client's accounted cost for a single FL cycle, as recorded into a
 /// [`RoundLedger`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClientCycleCost {
     /// The client the entry belongs to.
     pub client_id: u64,
@@ -202,7 +201,7 @@ impl ClientCycleCost {
 /// Per-round TEE accounting: one entry per participating client, kept
 /// sorted by client id so the merged view is deterministic regardless of
 /// the order workers finished in.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundLedger {
     entries: Vec<ClientCycleCost>,
 }
@@ -301,9 +300,8 @@ impl RoundLedger {
         }
     }
 
-    /// Renders the ledger as a JSON object (hand-rolled: the vendored
-    /// serde is a derive marker only), so per-round accounting can be
-    /// exported by repro binaries.
+    /// Renders the ledger as a JSON object, so per-round accounting can
+    /// be exported by repro binaries.
     pub fn to_json(&self) -> String {
         let num = json_number;
         let entries: Vec<String> = self

@@ -4,15 +4,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::sha256::sha256;
 use crate::memory::SecureMemory;
 use crate::monitor::SecureMonitor;
 use crate::{Result, TeeError};
 
 /// A 128-bit TA identifier, as in GlobalPlatform TEE specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Uuid(pub [u8; 16]);
 
 impl Uuid {

@@ -10,15 +10,13 @@
 //! truncation are all detected — the properties the provisioning path
 //! needs so protected weights never transit the normal world in clear.
 
-use serde::{Deserialize, Serialize};
-
 use crate::crypto::chacha20::{xor_stream, KEY_LEN, NONCE_LEN};
 use crate::crypto::hmac::{hmac_sha256, hmac_verify};
 use crate::crypto::kdf::derive_key;
 use crate::{Result, TeeError};
 
 /// Which side of the channel an endpoint is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The FL server (initiator).
     Server,
@@ -43,7 +41,7 @@ impl Role {
 }
 
 /// One sealed frame on the wire (what the normal world sees).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Sequence number (covered by the MAC).
     pub seq: u64,

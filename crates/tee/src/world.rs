@@ -1,6 +1,5 @@
 //! Processor worlds (paper §3.3, Figure 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two TrustZone execution worlds.
@@ -9,7 +8,7 @@ use std::fmt;
 /// OS and legacy applications — in the paper's threat model, everything
 /// the attacker can read). The *secure* world runs the trusted OS and the
 /// trusted applications whose memory is hardware-shielded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum World {
     /// Rich Execution Environment — untrusted.
     #[default]

@@ -52,8 +52,6 @@ pub fn thread_scratch_checkouts() -> u64 {
     scratch::thread_checkouts()
 }
 
-use serde::{Deserialize, Serialize};
-
 use crate::ops::conv::Conv2dGeometry;
 use crate::ops::pool::PoolGeometry;
 
@@ -62,7 +60,7 @@ use crate::ops::pool::PoolGeometry;
 /// This is the value the layers, the model container and the federation
 /// builder thread around; resolve it to kernels with
 /// [`BackendKind::kernels`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The original scalar kernels — the default, bit-identical to the
     /// seed implementation.

@@ -54,12 +54,12 @@ pub fn for_each_band<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Syn
     let walk = |range: Vec<J>| with_budget(1, || range.into_iter().map(&work).collect::<Vec<R>>());
     let mut jobs = jobs.into_iter();
     let mine: Vec<J> = jobs.by_ref().take(per).collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads - 1);
         while jobs.len() > 0 {
             let range: Vec<J> = jobs.by_ref().take(per).collect();
             let walk = &walk;
-            handles.push(s.spawn(move |_| walk(range)));
+            handles.push(s.spawn(move || walk(range)));
         }
         let mut out = walk(mine);
         for h in handles {
@@ -67,7 +67,6 @@ pub fn for_each_band<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Syn
         }
         out
     })
-    .expect("the scope returns what its closure returned")
 }
 
 #[cfg(test)]

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{Shape, TensorError};
@@ -22,7 +21,7 @@ use crate::{Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -389,11 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn a_clone_compares_equal() {
+        // Tensors cross the wire through `gradsec-fl::message`'s
+        // hand-written codec, tested there; this checks only the clone.
         let t = Tensor::from_vec(vec![1.5, -2.5], &[2]).unwrap();
-        // serde internal consistency via the Serialize/Deserialize derives is
-        // exercised end-to-end in the fl crate's message tests; here we only
-        // check the struct clones & compares.
         let u = t.clone();
         assert_eq!(t, u);
     }
