@@ -22,11 +22,13 @@
 //!   `unsafe` island), selected once per process via
 //!   `is_x86_feature_detected!` with a `GRADSEC_TILED_ISA` override.
 //!   Convolutions consume their input through a *virtual im2col* packer —
-//!   a zero-padded copy of the band read in row runs — so the conv path
-//!   checks no column scratch out of the pool at all. Deterministic per
-//!   ISA path (same inputs → bit-identical outputs) but *not*
-//!   bit-identical to `Reference`: its kernels reassociate floating-point
-//!   reductions, so outputs agree only to ~1e-5 relative error.
+//!   a zero-padded copy of the band read in row runs — and compute the
+//!   input gradient with a direct per-tap kernel into a padded gradient
+//!   frame, so the conv path holds no column buffer and checks nothing
+//!   out of the pool. Deterministic per ISA path (same inputs →
+//!   bit-identical outputs) but *not* bit-identical to `Reference`: its
+//!   kernels reassociate floating-point reductions, so outputs agree only
+//!   to ~1e-5 relative error.
 //!
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
 //! carry a [`BackendKind`] into every forward/backward call,

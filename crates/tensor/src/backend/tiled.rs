@@ -1,16 +1,17 @@
 //! Register-tiled GEMM kernels with virtual-im2col convolutions.
 //!
-//! Every op here is lowered onto one GEMM core: a 6×16 (`MR`×`NR`)
-//! register tile marched over packed operand panels, with the shared
-//! dimension blocked in [`KC`]-wide slabs so the active B panel
-//! (`KC×NR`, 16 KiB) stays L1-resident and the packed A slab
-//! (`m×KC`) streams from L2/L3. The innermost micro-kernel exists
-//! twice:
+//! Every op here but the convolution's backward data pass is lowered onto
+//! one GEMM core: a 6×16 (`MR`×`NR`) register tile marched over packed
+//! operand panels, with the shared dimension blocked in [`KC`]-wide slabs
+//! so the active B panel (`KC×NR`, 16 KiB) stays L1-resident and the
+//! packed A slab (`m×KC`) streams from L2/L3. The innermost micro-kernel,
+//! and the backward data pass's direct tap kernel, exist twice:
 //!
 //! * a **portable** safe-Rust kernel written so the autovectorizer can
 //!   lift it to whatever SIMD the target baseline has, and
 //! * an **x86-64 AVX2+FMA** kernel — the crate's only `unsafe` island —
-//!   holding the whole 6×16 tile in twelve YMM accumulators.
+//!   holding the whole 6×16 tile in twelve YMM accumulators (the tap
+//!   kernel: 64 output positions in eight).
 //!
 //! A [`Tiled::with_isa`] instance is pinned; every other instance runs on
 //! the ISA the process resolves once, at first use: the
@@ -32,22 +33,27 @@
 //! the forward B panel is one (strided) row-segment copy per run; error
 //! panels and writebacks walk per-image runs as contiguous slices; only
 //! dW's transposed panel still gathers, through a tap-offset table with
-//! no compare. The backward data pass lands `Wᵀ·Δ` in a column buffer and
-//! folds it through a padded gradient frame in canonical `col2im` order.
-//! Frames and buffers are plain per-call `Vec`s: the conv path performs
-//! **zero** `backend::scratch` checkouts. Forward batches all images of a
-//! band into one GEMM whose writeback also applies the fused activation
-//! on the final `KC` slab.
+//! no compare. The backward data pass is no GEMM and has no column
+//! buffer: per image and per tap, a direct kernel sums that tap's row of
+//! `Wᵀ·Δ` over the filters in registers, then adds it into a padded
+//! gradient frame in canonical `col2im` order. The frame stores each row's
+//! columns by stride phase, so a tap's output row lands as one contiguous
+//! run. Frames and buffers are plain per-call `Vec`s: the conv path
+//! performs **zero** `backend::scratch` checkouts. Forward batches all
+//! images of a band into one GEMM whose writeback also applies the fused
+//! activation on the final `KC` slab.
 //!
 //! # Determinism
 //!
 //! Each output element accumulates in pure ascending-k order, rounded
 //! only at fixed `KC` boundaries — independent of the element's position
 //! within a tile, of its neighbours, and of how a dispatcher bands rows,
-//! columns or images. Both micro-kernels are therefore bit-deterministic
-//! run-to-run and under any banding; the AVX2 kernel's FMA contractions
-//! mean portable and AVX2 outputs may differ in the last bits (each stays
-//! within the ~1e-5 relative parity bound of `Reference`).
+//! columns or images; the direct tap kernel sums each dInput chain exactly
+//! as a micro-kernel lane would, so it lands the GEMM's bits. Both kernel
+//! sets are therefore bit-deterministic run-to-run and under any banding;
+//! the AVX2 kernels' FMA contractions mean portable and AVX2 outputs may
+//! differ in the last bits (each stays within the ~1e-5 relative parity
+//! bound of `Reference`).
 
 use std::borrow::Cow;
 
@@ -213,9 +219,9 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{Acc, MR, NR};
+    use super::{Acc, MR, NR, TAP_BLOCK};
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
 
@@ -261,6 +267,90 @@ mod avx2 {
             }
         }
     }
+
+    /// AVX2+FMA direct dInput tap: [`super::tap_portable`]'s contract,
+    /// with each chain fused the way [`kernel_6x16`]'s lanes are. Safe to
+    /// call: it checks the two conditions its kernel needs, so no caller
+    /// outside this module writes `unsafe`.
+    ///
+    /// # Panics
+    ///
+    /// On a host without AVX2 and FMA, or when `d` holds fewer than
+    /// `w.len()` rows of `out.len()` positions.
+    pub fn tap(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
+        assert!(super::avx2_available(), "the AVX2 tap needs AVX2 and FMA");
+        assert!(d.len() >= w.len() * out.len(), "one error row per filter");
+        // SAFETY: both of `tap_fma`'s conditions are asserted above.
+        unsafe { tap_fma(w, d, out, first) }
+    }
+
+    /// [`tap`]'s kernel. Output positions go `TAP_BLOCK` at a time, eight
+    /// YMM chains a block, so the `w.len()` dependent FMAs of a chain
+    /// overlap with the other seven; a tail of fewer than eight positions
+    /// runs scalar `mul_add` chains, which round exactly as the vector
+    /// lanes do.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the host supports AVX2 and FMA, and
+    /// that `d.len() >= w.len() * out.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tap_fma(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
+        let cols = out.len();
+        let lanes = cols - cols % 8;
+        let mut p0 = 0;
+        while p0 + TAP_BLOCK <= lanes {
+            // SAFETY: `p0 + TAP_BLOCK <= cols`, as `block` requires.
+            unsafe { block::<{ TAP_BLOCK / 8 }>(w, d, out, p0, first) };
+            p0 += TAP_BLOCK;
+        }
+        while p0 < lanes {
+            // SAFETY: `p0 + 8 <= lanes <= cols`.
+            unsafe { block::<1>(w, d, out, p0, first) };
+            p0 += 8;
+        }
+        for p in lanes..cols {
+            let acc = w
+                .iter()
+                .enumerate()
+                .fold(0.0f32, |acc, (f, &wf)| wf.mul_add(d[f * cols + p], acc));
+            out[p] = if first { acc } else { out[p] + acc };
+        }
+    }
+
+    /// Positions `p0 .. p0 + 8·V` of [`tap_fma`], in `V` YMM chains.
+    ///
+    /// # Safety
+    ///
+    /// AVX2+FMA on the host, `p0 + 8·V <= out.len()` and `d.len() >=
+    /// w.len() * out.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn block<const V: usize>(w: &[f32], d: &[f32], out: &mut [f32], p0: usize, first: bool) {
+        let cols = out.len();
+        debug_assert!(p0 + 8 * V <= cols && d.len() >= w.len() * cols);
+        // SAFETY: row `f < w.len()` of `d` reads `d[f·cols + p0 ..
+        // f·cols + p0 + 8·V]`, inside `d` by the bounds above, and the
+        // stores write `out[p0 .. p0 + 8·V]`.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); V];
+            for (f, &wf) in w.iter().enumerate() {
+                let wv = _mm256_set1_ps(wf);
+                let row = d.as_ptr().add(f * cols + p0);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(8 * j)), *a);
+                }
+            }
+            let to = out.as_mut_ptr().add(p0);
+            for (j, &a) in acc.iter().enumerate() {
+                let v = if first {
+                    a
+                } else {
+                    _mm256_add_ps(_mm256_loadu_ps(to.add(8 * j)), a)
+                };
+                _mm256_storeu_ps(to.add(8 * j), v);
+            }
+        }
+    }
 }
 
 /// Runs one micro-tile on the resolved ISA.
@@ -280,6 +370,55 @@ fn run_kernel(isa: TiledIsa, kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
             }
             #[cfg(not(target_arch = "x86_64"))]
             kernel_portable(kc, a, b, acc)
+        }
+    }
+}
+
+/// Output positions one direct dInput tap accumulates at once: eight
+/// AVX2 vectors, a whole LeNet 8×8 output map.
+const TAP_BLOCK: usize = 64;
+
+/// Portable direct dInput tap over one `KC` slab of filters: for every
+/// output position `p < out.len()`, the chain `Σ_f w[f]·d[f·cols + p]`
+/// (`cols = out.len()`) summed in ascending `f` from +0.0 exactly as a
+/// [`kernel_portable`] lane sums it, then landed as the GEMM writebacks
+/// land a slab: `out[p] = chain` on the first slab, `out[p] + chain`
+/// after. Positions go [`TAP_BLOCK`] at a time, so the block's chains are
+/// independent and the filter loop streams rows of `d`.
+fn tap_portable(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
+    let cols = out.len();
+    debug_assert!(d.len() >= w.len() * cols);
+    for (b, outs) in out.chunks_mut(TAP_BLOCK).enumerate() {
+        let p0 = b * TAP_BLOCK;
+        let mut acc = [0.0f32; TAP_BLOCK];
+        let acc = &mut acc[..outs.len()];
+        for (f, &wf) in w.iter().enumerate() {
+            for (a, &dv) in acc.iter_mut().zip(&d[f * cols + p0..]) {
+                *a += wf * dv;
+            }
+        }
+        for (o, &a) in outs.iter_mut().zip(acc.iter()) {
+            *o = if first { a } else { *o + a };
+        }
+    }
+}
+
+/// One tap's row of `Wᵀ·Δ` on the resolved ISA, from the tap's weight per
+/// filter `w` and the image's error rows `d` (`row.len()` positions
+/// each): `row[p] = Σ_f w[f]·d[f·cols + p]`, each chain split at `KC` as
+/// the GEMM splits its slabs — the bits `gemm` would land for it.
+fn tap_row(isa: TiledIsa, w: &[f32], d: &[f32], row: &mut [f32]) {
+    // `TensorBackend` callers size `delta_out` themselves.
+    assert_eq!(d.len(), w.len() * row.len(), "one error row per filter");
+    debug_assert!(!w.is_empty());
+    for (slab, (w, d)) in w.chunks(KC).zip(d.chunks(KC * row.len())).enumerate() {
+        let first = slab == 0;
+        match isa {
+            TiledIsa::Portable => tap_portable(w, d, row, first),
+            #[cfg(target_arch = "x86_64")]
+            TiledIsa::Avx2 => avx2::tap(w, d, row, first),
+            #[cfg(not(target_arch = "x86_64"))]
+            TiledIsa::Avx2 => tap_portable(w, d, row, first),
         }
     }
 }
@@ -543,31 +682,96 @@ impl<'a> PaddedBand<'a> {
     }
 }
 
-/// One image's `col2im` scatter, in [`crate::ops::conv::col2im`]'s `(c,
-/// ki, kj, oh, ow)` order, into a zeroed padded `frame` — no tap needs a
-/// bounds test — whose interior is then added to `dinput`.
-fn col2im_padded(
-    dcol: &[f32],
-    geo: &Conv2dGeometry,
-    band: &PaddedBand<'_>,
-    frame: &mut [f32],
-    dinput: &mut [f32],
-) {
-    let cols = geo.out_h * geo.out_w;
-    frame.fill(0.0);
-    for (kk, &off) in band.tap_off.iter().enumerate() {
-        for oh in 0..geo.out_h {
-            let src = &dcol[kk * cols + oh * geo.out_w..][..geo.out_w];
-            let dst = &mut frame[off + oh * geo.stride * band.pw..];
-            for (slot, &v) in dst.iter_mut().step_by(geo.stride).zip(src) {
-                *slot += v;
+/// One image's zeroed padded gradient frame, each padded row stored phase
+/// by phase — columns `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so
+/// on — so the `OW` positions one tap reaches in one output row, `stride`
+/// columns apart in the image, are one contiguous run here. No tap needs
+/// a bounds test, and each frame element still receives its taps' terms
+/// one by one, in the order the taps are added.
+struct GradFrame {
+    frame: Vec<f32>,
+    /// Per padded column `x`: its slot within a stored row.
+    slot: Vec<usize>,
+    /// Per patch row `kk = (c, ki, kj)`: where output `(0, 0)` lands.
+    tap_off: Vec<usize>,
+    /// Padded row length `W + 2p`.
+    pw: usize,
+}
+
+impl GradFrame {
+    fn new(geo: &Conv2dGeometry) -> Self {
+        let (ph, pw, k) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad, geo.kernel);
+        let mut slot = vec![0; pw];
+        let phases = (0..geo.stride).flat_map(|q| (q..pw).step_by(geo.stride));
+        for (at, x) in phases.enumerate() {
+            slot[x] = at;
+        }
+        let tap_off = (0..geo.in_channels * k * k)
+            .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + slot[kk % k])
+            .collect();
+        GradFrame {
+            frame: vec![0.0; geo.in_channels * ph * pw],
+            slot,
+            tap_off,
+            pw,
+        }
+    }
+
+    /// Adds tap `kk`'s `OH×OW` values, output row by output row.
+    fn add_tap(&mut self, kk: usize, row: &[f32], geo: &Conv2dGeometry) {
+        let off = self.tap_off[kk];
+        for (oh, vals) in row.chunks(geo.out_w).enumerate() {
+            let run = &mut self.frame[off + oh * geo.stride * self.pw..][..geo.out_w];
+            for (g, &v) in run.iter_mut().zip(vals) {
+                *g += v;
             }
         }
     }
-    for (from, to) in interior_rows(geo) {
-        for (d, &g) in dinput[to..to + geo.in_w].iter_mut().zip(&frame[from..]) {
-            *d += g;
+
+    /// Adds the frame's interior to `dinput`, then zeroes the frame for
+    /// the next image.
+    fn flush(&mut self, geo: &Conv2dGeometry, dinput: &mut [f32]) {
+        let slots = &self.slot[geo.pad..geo.pad + geo.in_w];
+        for (from, to) in interior_rows(geo) {
+            let frame_row = &self.frame[from - geo.pad..][..self.pw];
+            for (d, &x) in dinput[to..to + geo.in_w].iter_mut().zip(slots) {
+                *d += frame_row[x];
+            }
         }
+        self.frame.fill(0.0);
+    }
+}
+
+/// The backward data pass: `dinput += col2im(Wᵀ·Δ)`, image by image and
+/// tap by tap. The tap's row of `Wᵀ·Δ` (one chain over the filters per
+/// output position, split at `KC` as the GEMM's slabs are) is built in
+/// `row` and added straight into the image's gradient frame, in canonical
+/// `col2im` `(c, ki, kj, oh, ow)` order, so overlapping taps always land
+/// in the same order under any batch banding. No column buffer: the
+/// frame, one row and the tap's weights are the whole working set.
+fn conv_backward_data(
+    isa: TiledIsa,
+    weights: &[f32],
+    delta_out: &[f32],
+    dinput: &mut [f32],
+    geo: &Conv2dGeometry,
+) {
+    let k2 = geo.in_channels * geo.kernel * geo.kernel;
+    let mut w = vec![0.0f32; geo.out_channels];
+    let mut row = vec![0.0f32; geo.out_h * geo.out_w];
+    let mut frame = GradFrame::new(geo);
+    for (delta, dinput) in delta_out
+        .chunks(geo.out_len())
+        .zip(dinput.chunks_mut(geo.in_len()))
+    {
+        for kk in 0..k2 {
+            for (wf, wrow) in w.iter_mut().zip(weights.chunks(k2)) {
+                *wf = wrow[kk];
+            }
+            tap_row(isa, &w, delta, &mut row);
+            frame.add_tap(kk, &row, geo);
+        }
+        frame.flush(geo, dinput);
     }
 }
 
@@ -768,7 +972,6 @@ impl TensorBackend for Tiled {
         let cols = geo.out_h * geo.out_w;
         let n_imgs = input.len() / geo.in_len();
         let gc_total = n_imgs * cols;
-        let in_len = geo.in_len();
         let out_len = geo.out_len();
         let band = PaddedBand::new(input, geo);
 
@@ -831,45 +1034,7 @@ impl TensorBackend for Tiled {
             return; // the caller wants the parameter gradients only
         }
 
-        // dInput: dcol (k2 × gc) = Wᵀ · Δ in one band-batched GEMM (the
-        // transposed weights pack once for all images), landed in a
-        // plain per-call `Vec` blocked per image — deliberately *not* a
-        // `backend::scratch` checkout — then folded into image space by
-        // the canonical `col2im` scatter. Scattering per image in
-        // canonical tap order (rather than per GEMM tile) keeps `dinput`
-        // bit-identical under any batch banding: overlapping taps always
-        // accumulate in the same order.
-        let col_len = k2 * cols;
-        let mut dcol = vec![0.0f32; n_imgs * col_len];
-        gemm(
-            isa,
-            k2,
-            geo.out_channels,
-            gc_total,
-            pack_a_strided(weights, 1, k2),
-            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                for (at, img, pos, take) in runs(j0, cols_take, cols) {
-                    for step in 0..kc_len {
-                        let src = &delta_out[img * out_len + (kc0 + step) * cols + pos..];
-                        dst[step * NR + at..step * NR + at + take].copy_from_slice(&src[..take]);
-                    }
-                }
-            },
-            |i0, rows, j0, cols_take, acc: &Acc, first, _| {
-                for (at, img, pos, take) in runs(j0, cols_take, cols) {
-                    for (r, arow) in acc.iter().enumerate().take(rows) {
-                        let drow = &mut dcol[img * col_len + (i0 + r) * cols + pos..][..take];
-                        for (d, &av) in drow.iter_mut().zip(&arow[at..at + take]) {
-                            *d = if first { av } else { *d + av };
-                        }
-                    }
-                }
-            },
-        );
-        let mut grad_frame = vec![0.0f32; band.image_len];
-        for (dcol, dinput) in dcol.chunks(col_len).zip(dinput.chunks_mut(in_len)) {
-            col2im_padded(dcol, geo, &band, &mut grad_frame, dinput);
-        }
+        conv_backward_data(isa, weights, delta_out, dinput, geo);
     }
 
     fn maxpool_forward(
@@ -1322,9 +1487,12 @@ mod tests {
         }
     }
 
+    /// Values in [-1, 1) whose products and sums round: on dyadic
+    /// inputs every chain would be exact, and no summation order could
+    /// show.
     fn signal(len: usize, seed: usize) -> Vec<f32> {
         (0..len)
-            .map(|i| ((i * 37 + seed * 101) % 257) as f32 / 128.0 - 1.0)
+            .map(|i| ((i * 37 + seed * 101) % 257) as f32 / 128.3 - 1.0)
             .collect()
     }
 
@@ -1372,6 +1540,66 @@ mod tests {
         }
     }
 
+    /// A tap row is the row `gemm` lands for `w (1×F) · d (F×cols)` under
+    /// an overwrite-then-add writeback, bit for bit on every ISA: across
+    /// the `KC` split, and at every block and lane tail.
+    #[test]
+    fn direct_taps_land_the_gemm_bits() {
+        for (f, cols) in [
+            (1, 1),
+            (12, 64),
+            (12, 7),
+            (16, 65),
+            (17, 130),
+            (256, 9),
+            (257, 72),
+            (600, 24),
+        ] {
+            let (w, d) = (signal(f, 5), signal(f * cols, 6));
+            for isa in TiledIsa::available_on_host() {
+                let mut want = vec![f32::NAN; cols];
+                gemm(
+                    isa,
+                    1,
+                    f,
+                    cols,
+                    pack_a_strided(&w, f, 1),
+                    pack_b_strided(&d, cols, 1),
+                    |_, _, j0, take, acc: &Acc, first, _| {
+                        for (o, &av) in want[j0..j0 + take].iter_mut().zip(&acc[0]) {
+                            *o = if first { av } else { *o + av };
+                        }
+                    },
+                );
+                let mut row = vec![f32::NAN; cols];
+                tap_row(isa, &w, &d, &mut row);
+                assert_eq!(bits(&row), bits(&want), "{isa} F = {f}, {cols} positions");
+            }
+        }
+    }
+
+    /// Error rows that stop short of a whole image panic before the AVX2
+    /// tap kernel could read past them.
+    #[test]
+    #[should_panic(expected = "one error row per filter")]
+    fn a_short_trailing_error_image_panics() {
+        let geo = Conv2dGeometry::new(1, 4, 4, 2, 3, 1, 1).unwrap();
+        let (input, weights) = (signal(geo.in_len(), 1), signal(2 * 9, 2));
+        let delta = signal(geo.out_len() + 5, 4);
+        let (mut dw, mut db) = (vec![0.0; weights.len()], vec![0.0; 2]);
+        let mut dinput = vec![0.0; 2 * geo.in_len()];
+        let tiled = Tiled::auto();
+        tiled.conv2d_backward(
+            &input,
+            &weights,
+            &delta,
+            &mut dw,
+            &mut db,
+            &mut dinput,
+            &geo,
+        );
+    }
+
     /// The shapes the run-splitting has to get right, one by one.
     #[test]
     fn packers_match_the_per_element_oracle_on_named_geometries() {
@@ -1387,6 +1615,10 @@ mod tests {
             (1, 4, 4, 2, 5, 1, 2, 1),  // kernel wider than the unpadded input
             (2, 3, 3, 13, 1, 1, 0, 5), // 1x1 kernel, 9 columns an image
             (3, 7, 5, 4, 3, 2, 2, 4),  // pad 2 with stride 2 on a 3x-wide ring
+            (4, 8, 8, 16, 3, 1, 1, 3), // F = 16: dInput's filter chains 16 steps long
+            (3, 9, 9, 17, 3, 2, 1, 2), // F = 17, stride 2: one step longer, 25 positions a tap
+            (2, 4, 4, 300, 3, 1, 1, 2), // F = 300 > KC: dInput's filter chains split at KC
+            (2, 11, 10, 5, 4, 3, 1, 2), // stride 3: three column phases in the gradient frame
         ] {
             let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
             assert_matches_oracle(&geo, n);
@@ -1399,7 +1631,7 @@ mod tests {
         #[test]
         fn packers_match_the_per_element_oracle(
             (c, h, w) in (1usize..5, 1usize..13, 1usize..21),
-            (f, k, s, p) in (1usize..15, 1usize..6, 1usize..3, 0usize..3),
+            (f, k, s, p) in (1usize..40, 1usize..6, 1usize..4, 0usize..3),
             n in 1usize..6,
         ) {
             let Ok(geo) = Conv2dGeometry::new(c, h, w, f, k, s, p) else {
