@@ -1,12 +1,11 @@
 //! The per-round export path repro pipelines consume: a small protected
-//! federation (LeNet-5, `SecureTrainer`, {L2, L5} sheltered, 3 of 4
+//! federation (LeNet-5, {L2, L5} sheltered in `SecureTrainer`, 3 of 4
 //! clients, 5 rounds) printed as JSON — participants, mean loss,
 //! protected layers, TEE ledger. `tests/integration_edges.rs` pins the
 //! JSON across transports; fleet-scale gates live in `repro_gates`.
 
 use std::sync::Arc;
 
-use gradsec_core::trainer::SecureTrainer;
 use gradsec_core::ProtectionPolicy;
 use gradsec_data::SyntheticCifar100;
 use gradsec_fl::config::TrainingPlan;
@@ -26,7 +25,6 @@ fn main() {
     })
     .model(|| zoo::lenet5_with(2, 13).expect("LeNet-5 builds"))
     .clients(4, data)
-    .trainer(|_| Box::new(SecureTrainer::new()))
     .scheduler(policy)
     .build()
     .expect("federation builds");

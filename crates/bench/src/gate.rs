@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use gradsec_core::window::MovingWindow;
-use gradsec_core::{ProtectionPolicy, SecureTrainer};
+use gradsec_core::ProtectionPolicy;
 use gradsec_data::Dataset;
 use gradsec_fl::client::DeviceProfile;
 use gradsec_fl::config::{MuxOptions, TrainingPlan, TransportKind};
@@ -72,12 +72,12 @@ impl fmt::Display for Net {
 pub enum Policy {
     /// No schedule: the builders' default.
     Open,
-    /// The net's static paper policy with every cycle in `SecureTrainer`,
-    /// so each ledger carries an enclave bill. Shard servers train plain
-    /// SGD, so only fleets in this process run it.
+    /// The net's static paper policy. The builders' default trainer
+    /// trains every protected cycle in `SecureTrainer`, so each ledger
+    /// carries an enclave bill.
     Secure,
-    /// A moving window of half the net's layers, redrawn every round,
-    /// over plain trainers.
+    /// A moving window of half the net's layers, redrawn every round and
+    /// billed in the enclave alike.
     Window,
 }
 
@@ -222,10 +222,11 @@ impl Scenario {
     }
 
     /// Whether this scenario can run under `deployment`: shard servers
-    /// host TrustZone devices over plain SGD only.
+    /// train every policy, but provision TrustZone devices only. A mixed
+    /// fleet on them waits on ROADMAP's "One builder", which puts the
+    /// device mix on the wire.
     pub(crate) fn runs_on(&self, deployment: Deployment) -> bool {
-        let remote = matches!(deployment, Deployment::Processes(..));
-        !(remote && (self.mixed || self.policy == Policy::Secure))
+        !(self.mixed && matches!(deployment, Deployment::Processes(..)))
     }
 
     /// The fleet's samples: one shard per client.
@@ -278,7 +279,7 @@ impl Scenario {
     pub fn federation(&self) -> FederationBuilder {
         let scenario = self.clone();
         let builder = Federation::builder(self.plan()).model(move || scenario.model());
-        let mut builder = if self.mixed {
+        let builder = if self.mixed {
             let device = |id: u64| match id % 4 {
                 1 => DeviceProfile::legacy(id),
                 2 => DeviceProfile::compromised(id),
@@ -289,9 +290,6 @@ impl Scenario {
         } else {
             builder.clients(self.clients, self.dataset())
         };
-        if self.policy == Policy::Secure {
-            builder = builder.trainer(|_| Box::new(SecureTrainer::new()));
-        }
         configured!(builder, self)
     }
 
@@ -443,9 +441,8 @@ pub type Bars = Vec<(&'static str, bool, String)>;
 /// What every run owes whatever its scenario: every round completed, one
 /// ledger entry per selected client in id order, each round's layers as
 /// the schedule drew them, no screened-out device committed, and under
-/// [`Policy::Secure`] an enclave bill — kernel and allocation time,
-/// crossings, memory — whose critical path is positive and within its
-/// total.
+/// any schedule an enclave bill — kernel and allocation time, crossings,
+/// memory — whose critical path is positive and within its total.
 pub fn accounted(s: &Scenario, (report, _): &Outcome) -> Bars {
     let schedule = s.protection();
     let (mut ledgers, mut layers, mut screened, mut billed) = (true, true, true, true);
@@ -458,7 +455,7 @@ pub fn accounted(s: &Scenario, (report, _): &Outcome) -> Bars {
         layers &= r.protected_layers == drawn.unwrap_or_default();
         screened &= r.participants.iter().all(|&c| s.trusted(c));
         let (time, path) = (r.ledger.total_time(), r.ledger.critical_path_s());
-        billed &= s.policy != Policy::Secure
+        billed &= schedule.is_none()
             || time.kernel_s > 0.0
                 && time.alloc_s > 0.0
                 && r.ledger.total_crossings() > 0

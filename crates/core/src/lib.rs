@@ -15,9 +15,9 @@
 //!   policy, closing both flaws of §6 (weight-diff and backprop-flow).
 //! * [`memory_model`] — per-layer TEE memory (`W, dW, A_{l−1}, Z_l, δ_l`)
 //!   reproducing Table 6's memory column, and TCB comparisons.
-//! * [`trainer`] — the secure trainer: executes protected layers in the
-//!   simulated enclave, charging the calibrated cost model
-//!   (user/kernel/allocation time) and the bounded secure memory pool.
+//! * [`trainer`] — the secure trainer and its analytical estimator,
+//!   re-exported from `gradsec-fl`, whose default trainer runs every
+//!   cycle that protects a layer through it.
 //! * [`search`] — the `V_MW` grid search of §8.2 (train attack instances,
 //!   keep the distribution the attack handles worst).
 //!
@@ -39,7 +39,6 @@ mod error;
 pub mod leakage;
 pub mod memory_model;
 pub mod policy;
-pub mod report;
 pub mod search;
 pub mod trainer;
 pub mod window;

@@ -1,6 +1,7 @@
 //! TEE memory and TCB estimation (Table 6's memory column).
 //!
-//! Protecting layer `l` at batch size `m` moves into the enclave:
+//! Protecting layer `l` at batch size `m` moves into the enclave
+//! ([`layer_tee_bytes`], the bill the secure trainer provisions):
 //!
 //! * the weights `W_l` and their gradients `dW_l` (2 × `params` scalars),
 //! * the input `A_{l−1}` (`m × input_elems`),
@@ -19,15 +20,8 @@
 //! holds less than this; the simulated enclave is still charged the
 //! paper's `Z_l`.
 
-use gradsec_nn::layer::Layer;
+use gradsec_fl::trainer::layer_tee_bytes;
 use gradsec_nn::Sequential;
-
-/// Bytes of secure memory needed to shelter one layer at a batch size.
-pub fn layer_tee_bytes(layer: &dyn Layer, batch: usize) -> usize {
-    let params = layer.param_count();
-    let activations = batch * (layer.input_elems() + 2 * layer.preact_elems());
-    4 * (2 * params + activations)
-}
 
 /// Bytes needed for a set of layers (the paper sums per-layer costs; a
 /// shared boundary between adjacent protected layers is charged to each,

@@ -90,19 +90,10 @@ impl ProtectionPolicy {
     }
 
     /// Splits a static layer set into maximal contiguous slices — the
-    /// paper's "one or two separate slices" view of static GradSec.
+    /// paper's "one or two separate slices" view of static GradSec, and
+    /// the enclave runs the secure trainer enters once per batch.
     pub fn slices(layers: &[usize]) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = Vec::new();
-        let mut sorted: Vec<usize> = layers.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for l in sorted {
-            match out.last_mut() {
-                Some((_, end)) if *end + 1 == l => *end = l,
-                _ => out.push((l, l)),
-            }
-        }
-        out
+        gradsec_fl::trainer::contiguous_runs(layers)
     }
 }
 

@@ -236,9 +236,10 @@ fn resolve_shard_server() -> Result<PathBuf> {
 /// backend and codec as one-byte tags, the worker count and the fault
 /// and adversary plans; the scheduler, aggregator and screening cap stay
 /// on the coordinator. Shard servers provision all-TrustZone
-/// [`DeviceProfile`]s and the plain SGD trainer (the builder defaults);
-/// heterogeneous device mixes and custom trainers stay in-process for
-/// now.
+/// [`DeviceProfile`]s and the default trainer, which trains a cycle in
+/// the simulated enclave whenever the round's download protects a layer
+/// and as plain SGD otherwise (the builder defaults); heterogeneous
+/// device mixes and custom trainers stay in-process for now.
 pub struct DistributedBuilder {
     setup: RunSetup,
     dataset: Option<DatasetSpec>,
@@ -1122,7 +1123,8 @@ fn reported<T>(result: Result<T>, channel: &mut ShardChannel) -> Result<T> {
 /// Builds and handshakes the shard's client fleet from its config through
 /// the same assembler as an in-process federation
 /// ([`FederationBuilder::host`](crate::runner::FederationBuilder)):
-/// all-TrustZone devices and plain SGD trainers (the builder defaults),
+/// all-TrustZone devices and the default trainer, which shelters each
+/// round's protected layers in the enclave (the builder defaults),
 /// global client ids, the *global* data partition sub-ranged, personas
 /// re-derived from the shipped scenario plan, and the fault wrapper
 /// installed before the handshake. The config's range, tags and plan

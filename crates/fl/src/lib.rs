@@ -12,9 +12,10 @@
 //!    the selected clients ([`message`]) over a pluggable [`transport`]
 //!    (in-process by default; multiplexed sockets across processes).
 //! 3. **Secure local training** — each client trains locally through a
-//!    pluggable [`LocalTrainer`](trainer::LocalTrainer); the plain SGD
-//!    trainer lives here, the enclave-partitioned GradSec trainer in
-//!    `gradsec-core`.
+//!    pluggable [`LocalTrainer`](trainer::LocalTrainer). The default
+//!    trains the round's protected layers in the simulated enclave
+//!    through GradSec's [`SecureTrainer`](trainer::SecureTrainer) and a
+//!    cycle that protects nothing as plain SGD ([`trainer`]).
 //! 4. **Upload & aggregation** — updates are FedAvg-combined
 //!    ([`aggregate`]) into the next global model, which replaces the
 //!    last; the server keeps no past global.

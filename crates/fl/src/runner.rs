@@ -49,7 +49,7 @@ use crate::message::ModelDownload;
 use crate::scheduler::{NoProtection, ProtectionScheduler};
 use crate::selection::{screen_planned, ScreenPlan, ScreeningOutcome};
 use crate::server::FlServer;
-use crate::trainer::{LocalTrainer, PlainSgdTrainer};
+use crate::trainer::{DefaultTrainer, LocalTrainer};
 use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
 use crate::transport::poller::Poller;
@@ -220,7 +220,7 @@ impl FederationBuilder {
         FederationBuilder {
             setup: RunSetup::new(plan),
             model_factory: None,
-            trainer_factory: Box::new(|_| Box::new(PlainSgdTrainer)),
+            trainer_factory: Box::new(|_| Box::new(DefaultTrainer)),
             dataset: None,
             devices: Vec::new(),
             engine: ExecutionEngine::sequential(),
@@ -255,8 +255,11 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the per-client trainer factory (GradSec's secure trainer hooks
-    /// in here).
+    /// Overrides the per-client trainer factory — for test doubles and
+    /// custom enclave budgets. The default, [`DefaultTrainer`], already
+    /// trains every cycle whose round protects a layer in GradSec's
+    /// [`SecureTrainer`](crate::trainer::SecureTrainer) and every other
+    /// as plain SGD.
     pub fn trainer<F>(mut self, f: F) -> Self
     where
         F: Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync + 'static,

@@ -17,6 +17,7 @@ use crate::engine::{cycle_begin, cycle_finish};
 use crate::message::{Envelope, HelloAck, MessageKind};
 use crate::selection::screen_one;
 use crate::trainer::tests::{Flaky, Mishap};
+use crate::trainer::PlainSgdTrainer;
 use crate::transport::broadcast::Broadcast;
 use crate::transport::tcp::{read_envelope, write_envelope};
 use crate::transport::tests::bits;

@@ -30,12 +30,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One training cycle with the protected layers inside the enclave.
     let dataset = SyntheticCifar100::new(320, 7);
     let batches: Vec<Vec<usize>> = (0..10).map(|b| (b * 32..(b + 1) * 32).collect()).collect();
-    let mut trainer = SecureTrainer::new();
+    let trainer = SecureTrainer::new();
     let report = trainer.run_cycle(&mut model, &dataset, &batches, 0.05, &protected)?;
 
     println!("\nOne FL cycle (batch 32, 10 batches, Pi-3B+ cost model):");
-    println!("  time      : {}", report.time_row());
-    println!("  TEE peak  : {:.3} MB", report.tee_peak_mb());
+    let t = report.time;
+    println!(
+        "  time      : {:.3}s + {:.3}s + {:.3}s",
+        t.user_s, t.kernel_s, t.alloc_s
+    );
+    println!(
+        "  TEE peak  : {:.3} MB",
+        report.tee_peak_bytes as f64 / (1024.0 * 1024.0)
+    );
     println!("  crossings : {}", report.crossings);
     println!("  mean loss : {:.4}", report.mean_loss);
 
@@ -44,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline = trainer.run_cycle(&mut baseline_model, &dataset, &batches, 0.05, &[])?;
     println!(
         "\nOverhead vs unprotected baseline: {:.0}% (paper reports 235% for L2+L5)",
-        report.overhead_percent(&baseline)
+        t.overhead_vs(&baseline.time)
     );
     Ok(())
 }

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use gradsec::core::trainer::SecureTrainer;
 use gradsec::core::ProtectionPolicy;
 use gradsec::data::SyntheticCifar100;
 use gradsec::fl::client::DeviceProfile;
@@ -36,12 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DeviceProfile::compromised(3),
         DeviceProfile::trustzone(4),
     ];
-    // Server-side protection schedule: static {L2, L5}.
+    // Server-side protection schedule: static {L2, L5}. Each round's
+    // sheltered layers train in the enclave: the default trainer picks
+    // the secure trainer whenever a round protects a layer.
     let policy = ProtectionPolicy::static_layers(&[1, 4])?;
     let mut fed = Federation::builder(plan)
         .model(|| zoo::lenet5_with(8, 21).expect("LeNet-5 builds"))
         .devices(devices, data)
-        .trainer(|_| Box::new(SecureTrainer::new()))
         .scheduler(policy)
         .engine(ExecutionEngine::new(4))
         .build()?;

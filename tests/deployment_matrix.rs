@@ -1,10 +1,10 @@
 //! The deployment matrix (`gradsec_bench::matrix`), the one parity
 //! suite: every corner of fleet × codec × backend × faults × adversaries
 //! × aggregator on engine shards, the mux and shard-server processes;
-//! the paper's policies — `Secure`'s static sheltered set in the enclave
-//! and a moving `Window` — on the MLP and LeNet-5 across a wide engine,
-//! engine shards, the mux (the MLP also on a trickle mux) and, for the
-//! window, shard servers; the mixed fleet; a screening cap; and an
+//! the paper's policies — `Secure`'s static sheltered set and a moving
+//! `Window`, each trained in the enclave — on the MLP and LeNet-5 across
+//! a wide engine, engine shards, the mux (the MLP also on a trickle mux)
+//! and shard servers; the mixed fleet; a screening cap; and an
 //! interior drawn from a fixed seed across every axis. Each must commit
 //! what the flat in-process run commits — report and weights, bit for
 //! bit — and owe every run's ledger, schedule and screening invariants;

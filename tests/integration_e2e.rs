@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use gradsec::core::trainer::SecureTrainer;
 use gradsec::core::window::MovingWindow;
 use gradsec::core::ProtectionPolicy;
 use gradsec::data::{batch_of, SyntheticCifar100};
@@ -31,7 +30,6 @@ fn static_protected_federation_trains_and_reports() {
     let mut fed = Federation::builder(plan(3))
         .model(|| zoo::lenet5_with(3, 9).expect("builds"))
         .clients(3, data.clone())
-        .trainer(|_| Box::new(SecureTrainer::new()))
         .scheduler(policy)
         .build()
         .unwrap();
@@ -60,7 +58,6 @@ fn dynamic_federation_moves_the_window() {
     let mut fed = Federation::builder(plan(6))
         .model(|| zoo::lenet5_with(3, 9).expect("builds"))
         .clients(2, data)
-        .trainer(|_| Box::new(SecureTrainer::new()))
         .scheduler(policy)
         .build()
         .unwrap();
@@ -119,7 +116,6 @@ fn federated_model_learns_under_protection() {
     })
     .model(|| zoo::lenet5_with(2, 13).expect("builds"))
     .clients(3, data.clone())
-    .trainer(|_| Box::new(SecureTrainer::new()))
     .scheduler(policy)
     .build()
     .unwrap();

@@ -25,11 +25,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gradsec::attacks::fleet::{coalition_attack_auc, FleetMiaConfig};
-use gradsec::core::trainer::SecureTrainer;
 use gradsec::data::{Dataset, SyntheticMicro};
 use gradsec::fl::config::TransportKind;
 use gradsec::fl::runner::ShardedFederation;
-use gradsec::fl::trainer::{CycleStats, LocalTrainer, PlainSgdTrainer};
+use gradsec::fl::trainer::{CycleStats, DefaultTrainer, LocalTrainer, PlainSgdTrainer};
 use gradsec::fl::{
     AdversaryPlan, Aggregator, CodecKind, ExecutionEngine, FaultPlan, FlError, LatencyModel,
 };
@@ -152,7 +151,7 @@ fn a_client_failure_bills_exactly_its_own_ledger_slot() {
             if panicking && id == 2 {
                 Box::new(PanickingTrainer) as Box<dyn LocalTrainer>
             } else {
-                Box::new(SecureTrainer::new())
+                Box::new(DefaultTrainer)
             }
         };
         fleet.federation().trainer(trainer).build().unwrap()
@@ -284,8 +283,8 @@ fn dropping_a_server_endpoint_releases_a_session_awaiting_goodbye() {
 
 #[test]
 fn killed_shard_downgrades_to_excluded_cohort() {
-    // Shard servers train plain SGD, so a window, not an enclave policy.
-    let fleet = eight(Policy::Window);
+    // The paper's enclave policy: shard servers train it in the enclave.
+    let fleet = eight(Policy::Secure);
     let mut coord = fleet.distributed().shards(2).workers(1).launch().unwrap();
     let first = coord.run_round().unwrap();
     assert_eq!(first.participants.len(), 5);
@@ -315,6 +314,12 @@ fn killed_shard_downgrades_to_excluded_cohort() {
             report.participants
         );
         assert_eq!(report.ledger.len(), report.participants.len());
+        // The survivors' bills come from the shard server's enclave.
+        for entry in report.ledger.entries() {
+            let id = entry.client_id;
+            assert!(entry.time.kernel_s > 0.0, "client {id}: no kernel time");
+            assert!(entry.tee_peak_bytes > 0, "client {id}: no enclave memory");
+        }
     }
     // Teardown must not report the deliberate kill as an error.
     coord.shutdown().unwrap();

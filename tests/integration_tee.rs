@@ -3,10 +3,10 @@
 //! enclave failure injection.
 
 use gradsec::core::trainer::SecureTrainer;
-use gradsec::core::GradSecError;
 use gradsec::data::SyntheticCifar100;
 use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::message::{decode, encode, ModelDownload};
+use gradsec::fl::FlError;
 use gradsec::nn::zoo;
 use gradsec::tee::storage::SecureStorage;
 use gradsec::tee::ta::Uuid;
@@ -64,14 +64,14 @@ fn enclave_oom_fails_the_cycle_cleanly() {
     let ds = SyntheticCifar100::with_classes(32, 4, 3);
     let mut model = zoo::lenet5_with(4, 4).unwrap();
     // L1+L2 at batch 8 need ≈467 KiB; a 256 KiB carveout cannot hold them.
-    let mut trainer = SecureTrainer::new().with_budget(256 * 1024);
+    let trainer = SecureTrainer::new().with_budget(256 * 1024);
     let batches: Vec<Vec<usize>> = vec![(0..8).collect()];
     let err = trainer
         .run_cycle(&mut model, &ds, &batches, 0.05, &[0, 1])
         .unwrap_err();
     assert!(matches!(
         err,
-        GradSecError::Tee(TeeError::OutOfSecureMemory { .. })
+        FlError::Tee(TeeError::OutOfSecureMemory { .. })
     ));
     // The same cycle fits with only L3 (small) protected.
     trainer
