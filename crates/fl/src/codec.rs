@@ -1790,4 +1790,128 @@ mod tests {
             }
         }
     }
+
+    /// A seeded draw in `[-1, 1)`: the splitmix64 finaliser of
+    /// `(seed, i)`, scaled from its top 24 bits, so exact on every host.
+    fn draw(seed: u64, i: usize) -> f32 {
+        let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i as u64).wrapping_add(1);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 40) as f32 / (1u32 << 23) as f32 - 1.0
+    }
+
+    /// `f` at `0..n`, as a rank-1 tensor.
+    fn vector(n: usize, f: impl Fn(usize) -> f32) -> Tensor {
+        Tensor::from_vec((0..n).map(f).collect(), &[n]).unwrap()
+    }
+
+    /// The encoded bytes of every delta-topk input the kept set is pinned
+    /// over, in order: real one-step drifts of the wide MLP, rank-2
+    /// outer-product deltas with dead ReLU rows, tie-heavy deltas, a
+    /// mostly-zero tensor mixing ±0.0, a tensor of NaN, ±∞ and
+    /// subnormals, and every tensor size from 1 to 17.
+    fn pinned_sweep() -> Vec<Vec<u8>> {
+        use gradsec_nn::optim::Sgd;
+        use gradsec_tensor::{init, ops::threads};
+
+        let mut frames = Vec::new();
+        for seed in 0..3 {
+            let (before, after) = threads::with_budget(1, || {
+                let mut model = zoo::tiny_mlp(256, 128, 2, seed).unwrap();
+                let before = model.weights();
+                let x = init::uniform(&[16, 256], -1.0, 1.0, 100 + seed);
+                let mut y = Tensor::zeros(&[16, 2]);
+                for i in 0..16 {
+                    y.set(&[i, i % 2], 1.0).unwrap();
+                }
+                model.train_batch(x, &y, &mut Sgd::new(0.05)).unwrap();
+                (before, model.weights())
+            });
+            let enc = encode_weights(CodecKind::DeltaTopK, 1, &after, Some((0, &before)));
+            frames.push(encode(&enc));
+        }
+        let mut tensor = |t: Tensor, r: Tensor| frames.push(encode(&encode_topk(&t, &r)));
+        for seed in 0..3 {
+            let (rows, cols) = (96, 40);
+            // A dense layer's gradient is a sum of outer products; a ReLU
+            // unit that never fired contributes a zero row.
+            let u = |j: u64, r: usize| {
+                let dead = draw(seed + 10, r) < -0.5;
+                if dead {
+                    0.0
+                } else {
+                    draw(4 * seed + j, r)
+                }
+            };
+            let v = |j: u64, c: usize| draw(4 * seed + 2 + j, c);
+            let delta = |i: usize| {
+                let (r, c) = (i / cols, i % cols);
+                0.01 * (u(0, r) * v(0, c) + u(1, r) * v(1, c))
+            };
+            let r = vector(rows * cols, |i| 0.1 * draw(seed + 50, i));
+            tensor(vector(rows * cols, |i| r.data()[i] + delta(i)), r);
+        }
+        for (seed, n) in [(20, 1000), (21, 4099)] {
+            // Small integers, so every delta is exact and lands in
+            // {-2, …, 2}.
+            let r = vector(n, |i| (8.0 * draw(seed, i)).floor());
+            let d = |i: usize| (2.5 * draw(seed + 1, i)).round().clamp(-2.0, 2.0);
+            tensor(vector(n, |i| r.data()[i] + d(i)), r);
+        }
+        let zero = |i: usize| if draw(31, i) < 0.0 { -0.0 } else { 0.0 };
+        let sparse = |i: usize| {
+            if draw(30, i) > 0.97 {
+                draw(32, i)
+            } else {
+                zero(i)
+            }
+        };
+        tensor(vector(777, sparse), Tensor::zeros(&[777]));
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x7f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MAX,
+            0.0,
+            -0.0,
+        ];
+        // About as many non-finite values as are kept, so the k-th rank
+        // falls near the edge between them and the finite ones.
+        let odd = |i: usize| {
+            let pick = ((draw(40, i) + 1.0) * 24.0) as usize;
+            special.get(pick).copied().unwrap_or(draw(41, i))
+        };
+        tensor(vector(300, odd), vector(300, |i| draw(42, i) * 1e-39));
+        let tiny = |i: usize| {
+            let bits = ((draw(43, i) + 1.0) * 4_194_304.0) as u32;
+            f32::from_bits(bits) * if draw(44, i) < 0.0 { -1.0 } else { 1.0 }
+        };
+        tensor(vector(300, tiny), Tensor::zeros(&[300]));
+        for n in 1..=17 {
+            tensor(vector(n, |i| draw(50, i)), vector(n, |i| draw(51, i)));
+        }
+        frames
+    }
+
+    #[test]
+    fn delta_topk_selection_is_pinned() {
+        // The SHA-256 of every pinned encoding, captured from the
+        // permutation-and-select encoder this one replaced: the kept set,
+        // its values, its gap bytes and the dense fallback are frozen.
+        let frames = pinned_sweep();
+        let digest: String = gradsec_tee::crypto::sha256::sha256(&frames.concat())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "194fcc4b33e4dcb81a7827cb57b1e6a59ccec22d3bef8693ed196c50180a20c0"
+        );
+    }
 }
