@@ -55,6 +55,23 @@
 //! its values, and writes them back out unchanged. Its indices exist only
 //! as the one walk over those gaps ([`SparseDelta::entries`]).
 //!
+//! # Selection
+//!
+//! A delta-topk tensor of `n` coefficients keeps `k = ⌈n ×`
+//! [`TOPK_DENSITY`]`⌉` of its deltas `x − r`: those of largest magnitude,
+//! the lower index first among equal magnitudes, where magnitudes order as
+//! `total_cmp` orders `abs()` — NaN above ±∞, ±∞ above every finite value,
+//! and −0.0 tied with +0.0. That order is the unsigned order of a delta's
+//! bits without the sign, so the encoder ranks those bits: one pass
+//! histograms their top 11 bits, a walk down from the top bin finds the
+//! bin holding the `k`-th rank, a second pass lists every delta in or
+//! above that bin in index order, and only that bin's deltas are ranked
+//! among themselves, on `(magnitude << 32) | (u32::MAX − index)`. The list,
+//! cut to the `k` deltas ranked at or above the `k`-th, is the body's
+//! index order already, so nothing is sorted. The kept set, and with it
+//! every encoded byte, is pinned by a digest test and checked against the
+//! sorting selection it replaced.
+//!
 //! # Who holds what, when
 //!
 //! A payload is dense in exactly three places: in a delta view, one per
@@ -480,21 +497,9 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
         return encode_dense(t);
     }
     let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n);
-    let data = t.data();
-    let ref_data = reference.data();
+    let (data, ref_data) = (t.data(), reference.data());
     let delta: Vec<f32> = data.iter().zip(ref_data).map(|(&x, &r)| x - r).collect();
-    // Top-k by |delta|, ties broken by index so the selection is a pure
-    // function of the inputs. select_nth keeps this O(n) + O(k log k).
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let rank = |&a: &u32, &b: &u32| {
-        delta[b as usize]
-            .abs()
-            .total_cmp(&delta[a as usize].abs())
-            .then(a.cmp(&b))
-    };
-    order.select_nth_unstable_by(k - 1, rank);
-    let kept = &mut order[..k];
-    kept.sort_unstable();
+    let kept = kept_indices(&delta, k);
     let entries = kept.iter().map(|&i| (i, delta[i as usize]));
     let body = EncodedBody::TopK(SparseDelta::from_entries(entries));
     // A sparse body pays a count, a gap and a value per kept coefficient;
@@ -508,6 +513,89 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
         dims: t.dims().to_vec(),
         body,
     }
+}
+
+/// The high bits of a [`magnitude`] key that [`kept_indices`] histograms:
+/// the exponent and three mantissa bits, so a bin spans an eighth of an
+/// octave.
+const RADIX_BITS: u32 = 11;
+
+/// Sub-histograms [`kept_indices`] interleaves: a run of equal keys would
+/// otherwise make each count wait on the store of the one before it.
+const RADIX_LANES: usize = 4;
+
+/// `|d|` as a key whose unsigned order is `total_cmp`'s on magnitudes:
+/// the bits of `d` without the sign. NaN ranks above ±∞, ±∞ above every
+/// finite value, and −0.0 ties +0.0.
+#[inline]
+fn magnitude(d: f32) -> u32 {
+    d.to_bits() & 0x7fff_ffff
+}
+
+/// The histogram bin of a [`magnitude`] key: its top [`RADIX_BITS`].
+#[inline]
+fn radix_bin(key: u32) -> usize {
+    (key >> (31 - RADIX_BITS)) as usize
+}
+
+/// The indices of the `k` deltas that delta-topk keeps, in increasing
+/// order: the largest magnitudes, and among equal magnitudes the lowest
+/// indices; `1 <= k <= delta.len()`.
+///
+/// One pass histograms the keys' top [`RADIX_BITS`], and a walk down from
+/// the top bin finds the bin holding rank `k`. A second pass lists, in
+/// index order, every delta in or above that bin: those above it are
+/// kept, and only that bin's own are ranked, packed as
+/// `(key << 32) | (u32::MAX - index)` so that one integer order is the
+/// kept order. The list is then cut to the deltas ranked at or above the
+/// `k`-th, so it never needs sorting. Its scratch is one index per listed
+/// delta and one packed key per delta of the bin: a little over `k`
+/// indices on a continuous spread, `n` of each when every delta shares
+/// one bin.
+fn kept_indices(delta: &[f32], k: usize) -> Vec<u32> {
+    let mut hist = [[0u32; 1 << RADIX_BITS]; RADIX_LANES];
+    let mut lanes = delta.chunks_exact(RADIX_LANES);
+    for d in &mut lanes {
+        for (h, &d) in hist.iter_mut().zip(d) {
+            h[radix_bin(magnitude(d))] += 1;
+        }
+    }
+    for &d in lanes.remainder() {
+        hist[0][radix_bin(magnitude(d))] += 1;
+    }
+    let mut listed = 0;
+    let (bin, in_bin) = (0..1 << RADIX_BITS)
+        .rev()
+        .map(|b| (b, hist.iter().map(|h| h[b] as usize).sum::<usize>()))
+        .find(|&(_, count)| {
+            listed += count;
+            listed >= k
+        })
+        .expect("the bins hold all n >= k deltas");
+    // Each entry is written unconditionally and kept by advancing past
+    // it, because on a random spread a branch on the bin would mispredict.
+    let mut kept = vec![0u32; listed + 1];
+    let mut len = 0;
+    for (i, &d) in delta.iter().enumerate() {
+        kept[len] = i as u32;
+        len += usize::from(radix_bin(magnitude(d)) >= bin);
+    }
+    kept.truncate(listed);
+    let packed = |i: u32| u64::from(magnitude(delta[i as usize])) << 32 | u64::from(u32::MAX - i);
+    let mut ranked = vec![0u64; in_bin + 1];
+    let mut len = 0;
+    for &i in &kept {
+        let p = packed(i);
+        ranked[len] = p;
+        len += usize::from(radix_bin((p >> 32) as u32) == bin);
+    }
+    ranked.truncate(in_bin);
+    // The bin's keys rank among themselves `k - (listed - in_bin)` from
+    // the top.
+    let from_bottom = listed - k;
+    let (_, &mut kth, _) = ranked.select_nth_unstable(from_bottom);
+    kept.retain(|&i| packed(i) >= kth);
+    kept
 }
 
 /// Encodes `weights` under `codec`, stamped with `epoch`.
@@ -1913,5 +2001,169 @@ mod tests {
             digest,
             "194fcc4b33e4dcb81a7827cb57b1e6a59ccec22d3bef8693ed196c50180a20c0"
         );
+    }
+
+    #[test]
+    fn the_kept_set_is_largest_magnitude_then_lowest_index() {
+        // The kept `(index, delta bits)` of `delta` against a zero
+        // reference; 20 coefficients keep 2, 30 keep 3.
+        let kept = |delta: &[f32]| -> Vec<(u64, u32)> {
+            let n = delta.len();
+            let t = Tensor::from_vec(delta.to_vec(), &[n]).unwrap();
+            let EncodedBody::TopK(sparse) = encode_topk(&t, &Tensor::zeros(&[n])).body else {
+                panic!("{n} coefficients ship sparse")
+            };
+            sparse.entries().map(|(i, v)| (i, v.to_bits())).collect()
+        };
+        let at = |d: &[f32], i: usize| (i as u64, (d[i] - 0.0).to_bits());
+        // Equal magnitudes: the lower index wins, whatever the sign.
+        let mut d = [0.5f32; 20];
+        (d[3], d[7], d[12], d[15]) = (-3.0, 3.0, 3.0, 2.0);
+        assert_eq!(kept(&d), [at(&d, 3), at(&d, 7)]);
+        // A larger magnitude wins over a lower index.
+        d[19] = -4.0;
+        assert_eq!(kept(&d), [at(&d, 3), at(&d, 19)]);
+        // −0.0 ties +0.0, so among zeros the index decides and each kept
+        // zero keeps its sign.
+        let mut z = [0.0f32; 20];
+        (z[0], z[1], z[2]) = (-0.0, 0.0, -0.0);
+        assert_eq!(kept(&z), [at(&z, 0), at(&z, 1)]);
+        z[0] = 0.0;
+        z[1] = -0.0;
+        assert_eq!(kept(&z), [at(&z, 0), at(&z, 1)]);
+        // NaN ranks above ±∞, and ±∞ above every finite value.
+        let mut s = [1.0f32; 30];
+        (s[2], s[6], s[9], s[14]) = (f32::MAX, f32::NEG_INFINITY, f32::NAN, f32::INFINITY);
+        assert_eq!(kept(&s), [at(&s, 6), at(&s, 9), at(&s, 14)]);
+        assert_eq!(kept(&s[..20]), [at(&s, 6), at(&s, 9)]);
+        s[1] = -f32::NAN;
+        assert_eq!(kept(&s), [at(&s, 1), at(&s, 6), at(&s, 9)]);
+        // And below the non-finite ones, the largest finite magnitude.
+        let mut f = [1.0f32; 30];
+        (f[4], f[8], f[20]) = (f32::NAN, -f32::MAX, f32::from_bits(1));
+        assert_eq!(kept(&f), [at(&f, 0), at(&f, 4), at(&f, 8)]);
+    }
+
+    /// The delta-topk encoder as it was before its radix selection: an
+    /// `n`-index permutation partitioned by `select_nth_unstable_by` on
+    /// `total_cmp` of the magnitudes, ties broken by index, and the
+    /// survivors sorted. Kept verbatim as the oracle.
+    fn encode_topk_oracle(t: &Tensor, reference: &Tensor) -> EncodedTensor {
+        let n = t.numel();
+        if n == 0 {
+            return encode_dense(t);
+        }
+        let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n);
+        let data = t.data();
+        let ref_data = reference.data();
+        let delta: Vec<f32> = data.iter().zip(ref_data).map(|(&x, &r)| x - r).collect();
+        // Top-k by |delta|, ties broken by index so the selection is a pure
+        // function of the inputs. select_nth keeps this O(n) + O(k log k).
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let rank = |&a: &u32, &b: &u32| {
+            delta[b as usize]
+                .abs()
+                .total_cmp(&delta[a as usize].abs())
+                .then(a.cmp(&b))
+        };
+        order.select_nth_unstable_by(k - 1, rank);
+        let kept = &mut order[..k];
+        kept.sort_unstable();
+        let entries = kept.iter().map(|&i| (i, delta[i as usize]));
+        let body = EncodedBody::TopK(SparseDelta::from_entries(entries));
+        // A sparse body pays a count, a gap and a value per kept coefficient;
+        // dense pays 4 bytes for every coefficient and is exact. When the
+        // sparse form would not actually be smaller (tensors of a handful of
+        // coefficients), ship dense absolute values.
+        if body.wire_bytes() >= 4 * n as u64 {
+            return encode_dense(t);
+        }
+        EncodedTensor {
+            dims: t.dims().to_vec(),
+            body,
+        }
+    }
+
+    /// A tensor of `n` deltas of one of seven `shape`s against a zero
+    /// reference (the last against a drawn one), each chosen to stress the
+    /// selection: everything in one bin, two values, a tie across the k-th
+    /// rank, one bin of distinct keys, ±0.0, non-finite values, and a
+    /// spread over forty octaves.
+    fn oracle_case(n: usize, shape: usize, seed: u64) -> (Tensor, Tensor) {
+        let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n);
+        let u = |i: usize| draw(seed, i);
+        let bits = |i: usize| ((u(i) + 1.0) * 8_388_608.0) as u32;
+        let sign = |i: usize, x: f32| if draw(seed ^ 1, i) < 0.0 { -x } else { x };
+        let zero = Tensor::zeros(&[n]);
+        let delta = match shape {
+            0 => vector(n, |_| draw(seed, 0)),
+            1 => {
+                let (a, b) = (draw(seed, 0), draw(seed, 1));
+                vector(n, |i| if u(i + 2) < 0.0 { a } else { b })
+            }
+            2 => {
+                // `above` larger magnitudes and a block of equal ones that
+                // rank `above + 1 ..= above + ties`, so the k-th rank falls
+                // inside the block; the rest smaller. Placed at drawn slots.
+                let above = k - 1 - (bits(0) as usize % k);
+                let ties = (2 * (k - above) + 1).min(n - above);
+                let mut values: Vec<f32> = (0..n)
+                    .map(|i| match i {
+                        i if i < above => 2.0 + u(i),
+                        i if i < above + ties => sign(i, 0.75),
+                        _ => 0.5 * u(i),
+                    })
+                    .collect();
+                for i in (1..n).rev() {
+                    values.swap(i, bits(i) as usize % (i + 1));
+                }
+                Tensor::from_vec(values, &[n]).unwrap()
+            }
+            3 => vector(n, |i| {
+                sign(i, f32::from_bits(0x3f80_0000 | (bits(i) % (1 << 20))))
+            }),
+            4 => vector(n, |i| match u(i) {
+                x if x > 0.9 => x,
+                x if x < -0.4 => -0.0,
+                _ => 0.0,
+            }),
+            5 => vector(n, |i| {
+                let special = [
+                    f32::NAN,
+                    f32::from_bits(0x7fc0_0000 | (bits(i) % 64)),
+                    f32::INFINITY,
+                    f32::from_bits(bits(i) % 64),
+                    0.0,
+                ];
+                let x = special.get(bits(i) as usize % 8).copied().unwrap_or(u(i));
+                sign(i, x)
+            }),
+            _ => {
+                let r = vector(n, |i| draw(seed ^ 2, i));
+                let t = vector(n, |i| {
+                    r.data()[i] + u(i) * 2f32.powi(bits(i) as i32 % 40 - 20)
+                });
+                return (t, r);
+            }
+        };
+        (delta, zero)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn the_radix_selection_equals_the_sorting_oracle(
+            raw in 0usize..40_000,
+            scale in 0u32..16,
+            shape in 0usize..7,
+            seed in proptest::any::<u64>(),
+        ) {
+            // Small tensors as often as large ones: 1 ..= 40 000.
+            let n = 1 + (raw >> scale);
+            let (t, r) = oracle_case(n, shape, seed);
+            let got = encode(&encode_topk(&t, &r));
+            proptest::prop_assert_eq!(got, encode(&encode_topk_oracle(&t, &r)), "n = {}, shape {}", n, shape);
+        }
     }
 }

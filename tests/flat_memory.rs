@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gradsec::data::SyntheticMicro;
+use gradsec::fl::codec::encode_weights;
 use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::runner::Federation;
 use gradsec::fl::CodecKind;
@@ -140,6 +141,26 @@ fn step_peak(backend: BackendKind) -> (usize, usize) {
     })
 }
 
+/// The high-water mark of one delta-topk encode of `tiny_mlp(256, 128,
+/// 2)` drifted 1 % from its reference, above the live heap before it,
+/// the returned payload included; and the bytes of one `f32` a
+/// coefficient of its largest tensor.
+fn encode_peak() -> (usize, usize) {
+    let wide = zoo::tiny_mlp(256, 128, 2, 5).expect("builds").weights();
+    let mut drifted = wide.clone();
+    drifted.add_scaled(&wide, 0.01).expect("same shapes");
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let enc = encode_weights(CodecKind::DeltaTopK, 1, &drifted, Some((0, &wide)));
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    drop(enc);
+    let largest = wide.iter().map(|l| l.w.numel().max(l.b.numel())).max();
+    (
+        peak,
+        largest.expect("a model has layers") * std::mem::size_of::<f32>(),
+    )
+}
+
 /// Live bytes after round 210 exceed those after round 60 by less than
 /// 4 KiB on a 16-client federation of a 132 616-byte model. A server
 /// that kept every committed global grew by one model a round here:
@@ -161,6 +182,13 @@ fn step_peak(backend: BackendKind) -> (usize, usize) {
 /// backward data pass adds each tap straight into a per-image gradient
 /// frame. While that pass landed `Wᵀ·Δ` in a column buffer for a band of
 /// four images first, the step peaked at about 1.70 MB.
+///
+/// And a delta-topk encode of that model, drifted 1 %, peaks below two
+/// `f32` planes of its 32 768-coefficient weight tensor (2 × 131 072 B),
+/// the payload included: it holds one delta plane and indices for the
+/// kept coefficients and their nearest rivals (about 173 kB in all). An
+/// encoder that ranked an `n`-index permutation beside the delta plane
+/// peaked at 278 897 B.
 #[test]
 fn live_heap_is_flat_after_warm_up() {
     for backend in BackendKind::ALL {
@@ -178,6 +206,13 @@ fn live_heap_is_flat_after_warm_up() {
             );
         }
     }
+
+    let (peak, plane) = encode_peak();
+    assert!(
+        peak < 2 * plane,
+        "a delta-topk encode peaked {peak} B above the live heap, not below two \
+         {plane}-byte planes of its largest tensor"
+    );
 
     for shards in [1, 2] {
         let (small, _) = round_peak(32, shards);
