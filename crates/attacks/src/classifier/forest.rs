@@ -14,13 +14,13 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForestConfig {
     /// Number of trees.
-    pub trees: usize,
+    pub(crate) trees: usize,
     /// Per-tree depth limit.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Minimum samples per leaf.
-    pub min_leaf: usize,
+    pub(crate) min_leaf: usize,
     /// Candidate thresholds per feature per split.
-    pub threshold_candidates: usize,
+    pub(crate) threshold_candidates: usize,
 }
 
 impl Default for ForestConfig {
@@ -36,7 +36,7 @@ impl Default for ForestConfig {
 
 /// A bagged ensemble of CART trees; scores average leaf probabilities.
 #[derive(Debug, Clone)]
-pub struct RandomForest {
+pub(crate) struct RandomForest {
     cfg: ForestConfig,
     seed: u64,
     trees: Vec<DecisionTree>,
@@ -44,17 +44,12 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Creates an untrained forest.
-    pub fn new(cfg: ForestConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: ForestConfig, seed: u64) -> Self {
         RandomForest {
             cfg,
             seed,
             trees: Vec::new(),
         }
-    }
-
-    /// Number of fitted trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
     }
 }
 
@@ -124,7 +119,6 @@ mod tests {
         let (x, y) = ring_data(600, 1);
         let mut f = RandomForest::new(ForestConfig::default(), 7);
         f.fit(&x, &y).unwrap();
-        assert_eq!(f.tree_count(), 40);
         let (xt, yt) = ring_data(300, 2);
         let a = auc(&f.scores(&xt), &yt).unwrap();
         assert!(a > 0.85, "auc {a}");

@@ -8,7 +8,7 @@ use crate::Result;
 /// L2-regularised logistic regression trained by full-batch gradient
 /// descent on standardised features — the MIA attack model.
 #[derive(Debug, Clone)]
-pub struct LogisticRegression {
+pub(crate) struct LogisticRegression {
     lr: f32,
     epochs: usize,
     l2: f32,
@@ -21,7 +21,7 @@ pub struct LogisticRegression {
 
 impl LogisticRegression {
     /// Creates an untrained model.
-    pub fn new(lr: f32, epochs: usize, l2: f32, seed: u64) -> Self {
+    pub(crate) fn new(lr: f32, epochs: usize, l2: f32, seed: u64) -> Self {
         LogisticRegression {
             lr,
             epochs,
@@ -35,7 +35,7 @@ impl LogisticRegression {
     }
 
     /// A sensible default for gradient-feature inputs.
-    pub fn default_attack_model(seed: u64) -> Self {
+    pub(crate) fn default_attack_model(seed: u64) -> Self {
         LogisticRegression::new(0.3, 300, 1e-4, seed)
     }
 

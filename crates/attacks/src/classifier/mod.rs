@@ -1,7 +1,7 @@
 //! Attack models: binary classifiers trained on gradient features.
 //!
 //! * [`LogisticRegression`] — the MIA attack model,
-//! * [`DecisionTree`] / [`RandomForest`] — the DPIA attack model (the
+//! * [`RandomForest`] of CART decision trees — the DPIA attack model (the
 //!   paper's §8.2 trains "different instances of the attack model
 //!   (random forest)").
 
@@ -9,16 +9,15 @@ mod forest;
 mod logreg;
 mod tree;
 
-pub use forest::{ForestConfig, RandomForest};
-pub use logreg::LogisticRegression;
-pub use tree::{DecisionTree, TreeConfig};
+pub(crate) use forest::{ForestConfig, RandomForest};
+pub(crate) use logreg::LogisticRegression;
 
 use gradsec_tensor::Tensor;
 
 use crate::Result;
 
 /// A binary classifier over dense feature matrices.
-pub trait AttackModel: Send {
+pub(crate) trait AttackModel: Send {
     /// Fits the model on `(x, labels)`, where `x` is `(N, D)`.
     ///
     /// # Errors

@@ -34,23 +34,8 @@ impl GradientDataset {
         }
     }
 
-    /// The feature layout.
-    pub fn layout(&self) -> &FeatureLayout {
-        &self.layout
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The labels, row-aligned.
-    pub fn labels(&self) -> &[bool] {
+    pub(crate) fn labels(&self) -> &[bool] {
         &self.labels
     }
 
@@ -105,7 +90,7 @@ impl GradientDataset {
     }
 
     /// Column means ignoring missing cells (0 for all-missing columns).
-    pub fn column_means(&self) -> Vec<f32> {
+    pub(crate) fn column_means(&self) -> Vec<f32> {
         let d = self.layout.width();
         let mut sums = vec![0.0f64; d];
         let mut counts = vec![0usize; d];
@@ -127,7 +112,7 @@ impl GradientDataset {
     /// strategy for missing cells, with the means taken from `means`
     /// (train-set means are reused for validation/test imputation, as a
     /// real attacker would).
-    pub fn impute_with(&self, means: &[f32]) -> Tensor {
+    pub(crate) fn impute_with(&self, means: &[f32]) -> Tensor {
         let d = self.layout.width();
         let mut out = Tensor::zeros(&[self.rows.len(), d]);
         for (i, row) in self.rows.iter().enumerate() {
@@ -178,7 +163,6 @@ mod tests {
         let mut ds = GradientDataset::new(layout.clone());
         ds.push(feats.clone(), true, &[]).unwrap();
         ds.push(feats.clone(), false, &[0]).unwrap();
-        assert_eq!(ds.len(), 2);
         assert_eq!(ds.labels(), &[true, false]);
         // Row 1 has layer-0 columns NaN.
         let span = layout.span_of(0).unwrap();

@@ -101,7 +101,7 @@ pub struct DriaOutcome {
 /// # Errors
 ///
 /// Propagates model errors.
-pub fn victim_gradients(
+pub(crate) fn victim_gradients(
     model: &mut Sequential,
     target: &Tensor,
     label: &Tensor,

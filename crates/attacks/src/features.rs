@@ -10,15 +10,15 @@ use gradsec_nn::gradient::GradientSnapshot;
 
 /// Number of summary statistics per layer: L2 norm, mean, standard
 /// deviation, absolute maximum, absolute mean.
-pub const SUMMARY_STATS: usize = 5;
+pub(crate) const SUMMARY_STATS: usize = 5;
 
 /// One layer's contiguous column range in the feature vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSpan {
     /// Model layer index.
-    pub layer: usize,
+    pub(crate) layer: usize,
     /// First column of the block.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Block width.
     pub len: usize,
 }
@@ -37,7 +37,7 @@ impl FeatureLayout {
     }
 
     /// Per-layer spans, in layer order.
-    pub fn spans(&self) -> &[LayerSpan] {
+    pub(crate) fn spans(&self) -> &[LayerSpan] {
         &self.spans
     }
 
@@ -50,7 +50,7 @@ impl FeatureLayout {
 /// Reduces a gradient snapshot to features; returns the layout alongside.
 ///
 /// `raw_per_layer` controls how many strided raw gradient values accompany
-/// the [`SUMMARY_STATS`] per layer (layers with fewer scalars contribute
+/// the `SUMMARY_STATS` per layer (layers with fewer scalars contribute
 /// what they have).
 pub fn reduce_snapshot(
     snapshot: &GradientSnapshot,
@@ -67,7 +67,8 @@ pub fn reduce_snapshot(
         let var = flat.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n;
         let absmax = flat.iter().fold(0.0f32, |m, x| m.max(x.abs()));
         let absmean = flat.iter().map(|x| x.abs()).sum::<f32>() / n;
-        features.extend_from_slice(&[l2, mean, var.sqrt(), absmax, absmean]);
+        let stats: [f32; SUMMARY_STATS] = [l2, mean, var.sqrt(), absmax, absmean];
+        features.extend_from_slice(&stats);
         if raw_per_layer > 0 && !flat.is_empty() {
             let take = raw_per_layer.min(flat.len());
             let stride = (flat.len() / take).max(1);

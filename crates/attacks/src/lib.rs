@@ -14,14 +14,11 @@
 //! * [`dpia`] — **Data-Property Inference Attack** (Melis et al.): a
 //!   random forest over *aggregated* gradients across FL cycles infers a
 //!   private property of the victim's data.
-//! * [`fleet`] — fleet-scale MIA: a colluding coalition pools the
-//!   global snapshots it legitimately observed across rounds and fits
-//!   one attack model on the longitudinal corpus.
 //! * [`dgrad`] — the attacker's gradient dataset `D_grad`, including the
 //!   paper's enclave semantics: "we simply delete from `D_grad` all the
 //!   gradients columns relative to a protected layer" (§8.1), with
 //!   mean-imputation of missing columns (§8.2).
-//! * [`classifier`] — from-scratch logistic regression, CART decision
+//! * `classifier` — from-scratch logistic regression, CART decision
 //!   trees and random forests (the paper's DPIA attack model).
 //! * [`metrics`] — AUC (the paper's attack-success measure) and ImageLoss.
 //!
@@ -32,17 +29,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classifier;
+pub(crate) mod classifier;
 pub mod dgrad;
 pub mod dpia;
 pub mod dria;
 mod error;
 pub mod features;
-pub mod fleet;
 pub mod metrics;
 pub mod mia;
 
 pub use error::AttackError;
 
 /// Crate-wide result alias using [`AttackError`].
-pub type Result<T> = std::result::Result<T, AttackError>;
+pub(crate) type Result<T> = std::result::Result<T, AttackError>;

@@ -77,7 +77,7 @@ pub fn auc(scores: &[f32], labels: &[bool]) -> Result<f32> {
 /// # Errors
 ///
 /// Returns shape errors for mismatched images.
-pub fn image_loss(reconstructed: &Tensor, original: &Tensor) -> Result<f32> {
+pub(crate) fn image_loss(reconstructed: &Tensor, original: &Tensor) -> Result<f32> {
     Ok(reconstructed.distance(original)?)
 }
 

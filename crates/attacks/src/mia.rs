@@ -59,10 +59,6 @@ impl Default for MiaConfig {
 pub struct MiaOutcome {
     /// Attack AUC on the held-out evaluation rows (0.5 = random guess).
     pub auc: f32,
-    /// Rows the attack model trained on.
-    pub train_rows: usize,
-    /// Rows it was evaluated on.
-    pub test_rows: usize,
     /// Victim's final training accuracy on the member set (the degree of
     /// overfitting achieved).
     pub victim_train_accuracy: f32,
@@ -109,7 +105,7 @@ fn sample_features(
 }
 
 /// One attacker feature row: gradient features plus the membership label.
-pub type LabelledRow = (Vec<f32>, bool);
+pub(crate) type LabelledRow = (Vec<f32>, bool);
 
 /// Precomputes the attacker's full (pre-deletion) gradient feature rows
 /// for given member and non-member index sets against an already-trained
@@ -254,8 +250,6 @@ pub fn run_mia(
     let a = auc(&scores, test.labels())?;
     Ok(MiaOutcome {
         auc: a,
-        train_rows: train.len(),
-        test_rows: test.len(),
         victim_train_accuracy,
     })
 }
@@ -293,8 +287,6 @@ mod tests {
             out.victim_train_accuracy
         );
         assert!(out.auc > 0.6, "mia auc only {}", out.auc);
-        assert_eq!(out.train_rows, 40);
-        assert_eq!(out.test_rows, 40);
     }
 
     #[test]

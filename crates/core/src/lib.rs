@@ -48,4 +48,4 @@ pub use policy::ProtectionPolicy;
 pub use trainer::SecureTrainer;
 
 /// Crate-wide result alias using [`GradSecError`].
-pub type Result<T> = std::result::Result<T, GradSecError>;
+pub(crate) type Result<T> = std::result::Result<T, GradSecError>;

@@ -81,7 +81,7 @@ impl MovingWindow {
     }
 
     /// Window size (`size_MW`).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 

@@ -39,16 +39,6 @@ impl Batcher {
         }
     }
 
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Number of batches per epoch (last one may be partial).
-    pub fn batches_per_epoch(&self) -> usize {
-        self.len.div_ceil(self.batch_size)
-    }
-
     /// Returns the shuffled batches for `epoch`; each epoch gets an
     /// independent but deterministic permutation.
     pub fn epoch(&self, epoch: u64) -> Vec<Vec<usize>> {
@@ -97,13 +87,6 @@ mod tests {
         assert_ne!(b.epoch(0), b.epoch(1));
         let other_seed = Batcher::new(50, 10, 3);
         assert_ne!(b.epoch(0), other_seed.epoch(0));
-    }
-
-    #[test]
-    fn batch_counts() {
-        assert_eq!(Batcher::new(10, 4, 0).batches_per_epoch(), 3);
-        assert_eq!(Batcher::new(12, 4, 0).batches_per_epoch(), 3);
-        assert_eq!(Batcher::new(0, 4, 0).batches_per_epoch(), 0);
     }
 
     #[test]

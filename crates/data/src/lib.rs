@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+pub(crate) mod batch;
 mod dataset;
 pub mod split;
 mod synth_cifar;

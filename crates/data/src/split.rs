@@ -17,7 +17,7 @@ use rand::SeedableRng;
 /// # Panics
 ///
 /// Panics when the sizes sum to more than `len`.
-pub fn split_sizes(len: usize, sizes: &[usize], seed: u64) -> Vec<Vec<usize>> {
+pub(crate) fn split_sizes(len: usize, sizes: &[usize], seed: u64) -> Vec<Vec<usize>> {
     let total: usize = sizes.iter().sum();
     assert!(
         total <= len,

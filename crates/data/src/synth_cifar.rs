@@ -52,12 +52,6 @@ impl SyntheticCifar100 {
         }
     }
 
-    /// Sets the per-pixel noise standard deviation.
-    pub fn with_noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
-    }
-
     fn sample_rng(&self, index: usize) -> StdRng {
         StdRng::seed_from_u64(
             self.seed
@@ -269,7 +263,10 @@ mod tests {
     fn hoisted_tables_reproduce_the_per_channel_loop_bit_for_bit() {
         for seed in [0, 1, 9, 0xDEAD_BEEF] {
             for classes in [1, 3, 10, 100] {
-                let ds = SyntheticCifar100::with_classes(40, classes, seed).with_noise(0.2);
+                let ds = SyntheticCifar100 {
+                    noise: 0.2,
+                    ..SyntheticCifar100::with_classes(40, classes, seed)
+                };
                 for index in [0, 1, 17, 39] {
                     let (got, want) = (ds.sample(index), sample_per_channel(&ds, index));
                     assert_eq!(got.label, want.label);

@@ -44,17 +44,6 @@ impl SyntheticLfw {
         }
     }
 
-    /// Sets the per-pixel noise standard deviation.
-    pub fn with_noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// The configured property prevalence.
-    pub fn property_rate(&self) -> f64 {
-        self.property_rate
-    }
-
     fn sample_rng(&self, index: usize) -> StdRng {
         StdRng::seed_from_u64(
             self.seed

@@ -45,17 +45,6 @@ impl SyntheticMicro {
         }
     }
 
-    /// Sets the per-feature noise amplitude.
-    pub fn with_noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// The feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     fn centroid(&self, class: usize) -> StdRng {
         StdRng::seed_from_u64(
             self.seed
@@ -141,7 +130,7 @@ mod tests {
     fn degenerate_configs_are_clamped() {
         let ds = SyntheticMicro::new(4, 0, 0, 1);
         assert_eq!(ds.num_classes(), 1);
-        assert_eq!(ds.dim(), 1);
+        assert_eq!(ds.dim, 1);
         let s = ds.sample(3);
         assert_eq!(s.label, 0);
         assert_eq!(s.image.dims(), &[1, 1, 1]);

@@ -10,7 +10,7 @@
 //! counted list behind a constructor ([`wire_list!`]) over these leaves;
 //! the grammar table in [`crate::message`] is the reader's summary.
 //! Only the hot loops (`Tensor`, `EncodedTensor`) and the frame formats
-//! (`Envelope`, `tiop::Frame`) are still written out by hand.
+//! (`Envelope`) are still written out by hand.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

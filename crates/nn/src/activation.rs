@@ -7,8 +7,6 @@
 //! ([`Activation::derivative_from_output`]), which every variant here
 //! allows bit for bit, so no layer keeps `Z_l`.
 
-use gradsec_tensor::Tensor;
-
 /// An elementwise activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
@@ -81,23 +79,13 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to every element of a tensor.
-    pub fn apply_tensor(self, z: &Tensor) -> Tensor {
-        z.map(|x| self.apply(x))
-    }
-
-    /// Evaluates the derivative elementwise over a tensor of
-    /// pre-activations.
-    pub fn derivative_tensor(self, z: &Tensor) -> Tensor {
-        z.map(|x| self.derivative(x))
-    }
-
     /// The tensor-backend fused-kernel counterpart of this activation.
     ///
     /// The [`FusedActivation`](gradsec_tensor::backend::FusedActivation)
     /// formulas are kept textually identical to [`Activation::apply`],
-    /// so a fused forward pass is bit-identical to `forward` +
-    /// `apply_tensor` on backends that replay the unfused op order.
+    /// so a fused forward pass is bit-identical to `forward` followed by
+    /// `apply` on every element, on backends that replay the unfused op
+    /// order.
     pub fn fused(self) -> gradsec_tensor::backend::FusedActivation {
         use gradsec_tensor::backend::FusedActivation;
         match self {
@@ -109,7 +97,7 @@ impl Activation {
     }
 
     /// Short human-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Activation::Linear => "linear",
             Activation::Relu => "relu",
@@ -164,19 +152,6 @@ mod tests {
     fn relu_derivative_is_a_step() {
         assert_eq!(Activation::Relu.derivative(-0.1), 0.0);
         assert_eq!(Activation::Relu.derivative(0.1), 1.0);
-    }
-
-    #[test]
-    fn tensor_versions_agree_with_scalar() {
-        let z = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        for act in ACTS {
-            let a = act.apply_tensor(&z);
-            let d = act.derivative_tensor(&z);
-            for i in 0..3 {
-                assert_eq!(a.data()[i], act.apply(z.data()[i]));
-                assert_eq!(d.data()[i], act.derivative(z.data()[i]));
-            }
-        }
     }
 
     #[test]

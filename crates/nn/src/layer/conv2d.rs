@@ -92,13 +92,8 @@ impl Conv2d {
         })
     }
 
-    /// The convolution geometry (useful for chaining layer shapes).
-    pub fn geometry(&self) -> &Conv2dGeometry {
-        &self.geo
-    }
-
     /// Per-sample output spatial dims after the optional pool: `(C, H, W)`.
-    pub fn output_dims(&self) -> (usize, usize, usize) {
+    pub(crate) fn output_dims(&self) -> (usize, usize, usize) {
         match &self.pool {
             Some(p) => (self.geo.out_channels, p.out_h, p.out_w),
             None => (self.geo.out_channels, self.geo.out_h, self.geo.out_w),

@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(l.output_elems(), 100);
         assert_eq!(l.preact_elems(), 100);
         assert_eq!(l.param_count(), 76_900);
-        assert!(l.kind().is_dense());
+        assert!(matches!(l.kind(), LayerKind::Dense { .. }));
     }
 
     #[test]

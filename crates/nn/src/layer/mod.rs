@@ -55,18 +55,6 @@ pub enum LayerKind {
     },
 }
 
-impl LayerKind {
-    /// `true` for convolutional layers.
-    pub fn is_conv(&self) -> bool {
-        matches!(self, LayerKind::Conv2d { .. })
-    }
-
-    /// `true` for dense (fully-connected) layers.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, LayerKind::Dense { .. })
-    }
-}
-
 impl std::fmt::Display for LayerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -229,7 +217,6 @@ mod tests {
             maxpool: false,
         };
         assert_eq!(c.to_string(), "Conv2D(12 f, 5x5/2/2)");
-        assert!(c.is_conv());
         let cm = LayerKind::Conv2d {
             filters: 64,
             kernel: 3,
@@ -243,7 +230,5 @@ mod tests {
             outputs: 100,
         };
         assert_eq!(d.to_string(), "Dense(768->100)");
-        assert!(d.is_dense());
-        assert!(!d.is_conv());
     }
 }

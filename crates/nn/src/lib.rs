@@ -19,8 +19,8 @@
 //!   optimizers the DRIA attacker uses),
 //! * [`model`] — [`Sequential`] with per-batch training,
 //!   gradient snapshots and weight import/export for federated learning,
-//! * [`gradient`] — [`GradientSnapshot`] plus the
-//!   *Flaw 1* reconstruction `dW = (W^{t+1} − W^t)/λ`,
+//! * [`gradient`] — [`GradientSnapshot`](gradient::GradientSnapshot), the
+//!   per-layer `(dW, db)` a training step produces,
 //! * [`zoo`] — LeNet-5 and AlexNet exactly per the paper's Table 4.
 //!
 //! # Example
@@ -42,17 +42,15 @@ mod error;
 pub mod gradient;
 pub mod layer;
 pub mod loss;
-pub mod metrics;
 pub mod model;
 pub mod optim;
 pub mod zoo;
 
 pub use error::NnError;
-pub use gradient::GradientSnapshot;
 pub use model::Sequential;
 // Re-exported so layers-above (fl, bench) can select kernel backends
 // without depending on gradsec-tensor directly.
 pub use gradsec_tensor::BackendKind;
 
 /// Crate-wide result alias using [`NnError`].
-pub type Result<T> = std::result::Result<T, NnError>;
+pub(crate) type Result<T> = std::result::Result<T, NnError>;

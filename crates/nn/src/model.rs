@@ -47,11 +47,6 @@ impl ModelWeights {
         self.layers.get(index)
     }
 
-    /// Total number of scalars.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.numel() + l.b.numel()).sum()
-    }
-
     /// In-place `self ← self + alpha·other` (FedAvg accumulation).
     ///
     /// # Errors
@@ -97,21 +92,6 @@ impl ModelWeights {
 pub struct BatchStats {
     /// Mean loss over the batch.
     pub loss: f32,
-    /// Correctly-classified samples.
-    pub correct: usize,
-    /// Batch size.
-    pub total: usize,
-}
-
-impl BatchStats {
-    /// Classification accuracy in `[0, 1]`.
-    pub fn accuracy(&self) -> f32 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.correct as f32 / self.total as f32
-        }
-    }
 }
 
 /// A feed-forward stack of layers trained with a shared loss — the model
@@ -187,19 +167,6 @@ impl Sequential {
             })
     }
 
-    /// Mutably borrows layer `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoSuchLayer`] when out of range.
-    pub fn layer_mut(&mut self, index: usize) -> Result<&mut (dyn Layer + 'static)> {
-        let len = self.layers.len();
-        self.layers
-            .get_mut(index)
-            .map(|b| b.as_mut())
-            .ok_or(NnError::NoSuchLayer { index, len })
-    }
-
     /// Iterates over the layers in order.
     pub fn iter(&self) -> impl Iterator<Item = &dyn Layer> {
         self.layers.iter().map(|b| b.as_ref())
@@ -221,14 +188,6 @@ impl Sequential {
             l.set_backend(backend);
         }
         self
-    }
-
-    /// The kernel backend the model's layers dispatch through
-    /// ([`BackendKind::Reference`] for empty models; layers are only ever
-    /// assigned one backend collectively via
-    /// [`Sequential::set_backend`]).
-    pub fn backend(&self) -> BackendKind {
-        self.layers.first().map(|l| l.backend()).unwrap_or_default()
     }
 
     /// Runs the full forward pass, caching per-layer state for backward,
@@ -350,15 +309,9 @@ impl Sequential {
         let objective = self.loss;
         let logits = self.forward_owned(input)?;
         let (loss, delta) = objective.evaluate(logits, targets)?;
-        let correct = count_correct(logits, targets)?;
-        let total = logits.dims()[0];
         self.backward_from(delta, false)?;
         self.apply_gradients(opt);
-        Ok(BatchStats {
-            loss,
-            correct,
-            total,
-        })
+        Ok(BatchStats { loss })
     }
 
     /// Applies the stored gradients through `opt` (two slots per layer:
@@ -528,12 +481,10 @@ mod replicate_tests {
     fn replicas_inherit_the_prototype_backend() {
         use gradsec_tensor::BackendKind;
         let mut proto = zoo::tiny_mlp(16, 8, 2, 3).unwrap();
-        assert_eq!(proto.backend(), BackendKind::Reference);
+        assert!(proto.iter().all(|l| l.backend() == BackendKind::Reference));
         proto.set_backend(BackendKind::Tiled);
-        assert_eq!(proto.backend(), BackendKind::Tiled);
         let replica = proto.replicate();
-        assert_eq!(replica.backend(), BackendKind::Tiled);
-        for l in replica.iter() {
+        for l in proto.iter().chain(replica.iter()) {
             assert_eq!(l.backend(), BackendKind::Tiled);
         }
     }
@@ -680,9 +631,13 @@ mod tests {
         let mut opt = Sgd::new(lr);
         m.train_batch(x, &y, &mut opt).unwrap();
         let true_grads = m.gradient_snapshot().unwrap();
-        let after = m.weights();
-        let leaked = GradientSnapshot::from_weight_diff(&before, &after, lr).unwrap();
-        assert!(leaked.distance(&true_grads).unwrap() < 1e-4);
+        let mut leaked = before;
+        leaked.add_scaled(&m.weights(), -1.0).unwrap();
+        leaked.scale(1.0 / lr);
+        for g in true_grads.iter() {
+            let l = leaked.layer(g.layer).unwrap();
+            assert!(l.w.approx_eq(&g.dw, 1e-4) && l.b.approx_eq(&g.db, 1e-4));
+        }
     }
 
     #[test]
@@ -747,7 +702,7 @@ mod tests {
         let m = xor_model(3);
         let mut w = m.weights();
         let w2 = m.weights();
-        let n = w.param_count();
+        let n: usize = w.iter().map(|l| l.w.numel() + l.b.numel()).sum();
         assert_eq!(n, 2 * 8 + 8 + 8 * 2 + 2);
         w.add_scaled(&w2, 1.0).unwrap();
         w.scale(0.5);
@@ -796,13 +751,12 @@ mod tests {
     fn accuracy_on_known_predictions() {
         let mut m = Sequential::new(Loss::CategoricalCrossEntropy);
         m.push(Box::new(Dense::new(2, 2, Activation::Linear, 10).unwrap()));
-        {
-            let l = m.layer_mut(0).unwrap();
-            let (w, b) = l.weights_mut();
-            // Identity map: prediction = argmax(input).
-            w.data_mut().copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
-            b.data_mut().fill(0.0);
-        }
+        // Identity map: prediction = argmax(input).
+        let identity = LayerWeights {
+            w: Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap(),
+            b: Tensor::zeros(&[2]),
+        };
+        m.set_weights(&ModelWeights::new(vec![identity])).unwrap();
         let x = init::uniform(&[8, 2], 0.0, 1.0, 11);
         let mut y = Tensor::zeros(&[8, 2]);
         for i in 0..8 {

@@ -35,7 +35,7 @@ impl Adam {
     }
 
     /// Creates Adam with explicit hyper-parameters.
-    pub fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
+    pub(crate) fn with_params(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         Adam {
             lr,
             beta1,
@@ -43,11 +43,6 @@ impl Adam {
             eps,
             state: HashMap::new(),
         }
-    }
-
-    /// Drops all moment state (restart the schedule).
-    pub fn reset(&mut self) {
-        self.state.clear();
     }
 }
 
@@ -93,9 +88,8 @@ mod tests {
     #[test]
     fn first_step_magnitude_is_lr() {
         // With zero state, |Δ| ≈ lr regardless of gradient scale.
-        let mut opt = Adam::new(0.1);
         for &g0 in &[0.001f32, 1.0, 1000.0] {
-            opt.reset();
+            let mut opt = Adam::new(0.1);
             let mut w = Tensor::zeros(&[1]);
             let g = Tensor::from_vec(vec![g0], &[1]).unwrap();
             opt.update(0, &mut w, &g);
@@ -130,18 +124,5 @@ mod tests {
         opt.update(1, &mut b, &g);
         // Slot 1 is on its first step; slot 0 on its second — different t.
         assert!(a.data()[0] != 2.0 * b.data()[0]);
-    }
-
-    #[test]
-    fn reset_clears_schedule() {
-        let mut opt = Adam::new(0.1);
-        let g = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        let mut w1 = Tensor::zeros(&[1]);
-        opt.update(0, &mut w1, &g);
-        let first = w1.data()[0];
-        opt.reset();
-        let mut w2 = Tensor::zeros(&[1]);
-        opt.update(0, &mut w2, &g);
-        assert_eq!(first, w2.data()[0]);
     }
 }

@@ -50,10 +50,6 @@ pub struct LbfgsResult {
     pub x: Tensor,
     /// Objective value at `x`.
     pub value: f32,
-    /// Outer iterations performed.
-    pub iterations: usize,
-    /// Whether the gradient-norm tolerance was reached.
-    pub converged: bool,
 }
 
 /// Minimises `f` starting from `x0`.
@@ -97,13 +93,9 @@ where
 
     let dot = |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
 
-    let mut iterations = 0;
-    let mut converged = false;
     for _ in 0..cfg.max_iters {
-        iterations += 1;
         let gnorm = grad.norm();
         if gnorm <= cfg.grad_tol {
-            converged = true;
             break;
         }
         // Two-loop recursion: d = −H·∇f.
@@ -225,12 +217,7 @@ where
         fx = new_fx;
         grad = new_grad;
     }
-    Ok(LbfgsResult {
-        x,
-        value: fx,
-        iterations,
-        converged,
-    })
+    Ok(LbfgsResult { x, value: fx })
 }
 
 #[cfg(test)]
@@ -252,7 +239,6 @@ mod tests {
         };
         let x0 = Tensor::zeros(&[5]);
         let res = minimize(f, &x0, &LbfgsConfig::default()).unwrap();
-        assert!(res.converged, "did not converge: {res:?}");
         for (i, &xi) in res.x.data().iter().enumerate() {
             assert!((xi - i as f32).abs() < 1e-3);
         }
@@ -283,9 +269,8 @@ mod tests {
         let res = minimize(f, &x0, &cfg).unwrap();
         assert!(
             (res.x.data()[0] - 1.0).abs() < 1e-2 && (res.x.data()[1] - 1.0).abs() < 1e-2,
-            "ended at {:?} after {} iters",
-            res.x.data(),
-            res.iterations
+            "ended at {:?}",
+            res.x.data()
         );
     }
 

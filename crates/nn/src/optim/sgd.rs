@@ -1,14 +1,10 @@
 //! Stochastic gradient descent.
 
-use std::collections::HashMap;
-
 use gradsec_tensor::Tensor;
 
 use crate::optim::Optimizer;
 
-/// Plain SGD with optional classical momentum.
-///
-/// Without momentum this is exactly the paper's equation (1):
+/// Plain SGD, exactly the paper's equation (1):
 /// `W^{t+1}_l = W^t_l − λ·dW_l` — the update whose observability from the
 /// normal world constitutes *Flaw 1*.
 ///
@@ -27,57 +23,20 @@ use crate::optim::Optimizer;
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Tensor>,
 }
 
 impl Sgd {
     /// Creates plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Creates SGD with classical momentum `μ`:
-    /// `v ← μ·v + dW; W ← W − λ·v`.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// The momentum coefficient.
-    pub fn momentum(&self) -> f32 {
-        self.momentum
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
+    fn update(&mut self, _slot: usize, param: &mut Tensor, grad: &Tensor) {
         debug_assert_eq!(param.numel(), grad.numel());
-        if self.momentum == 0.0 {
-            for (p, &g) in param.data_mut().iter_mut().zip(grad.data()) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let v = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| Tensor::zeros(grad.dims()));
-        for ((vi, p), &g) in v
-            .data_mut()
-            .iter_mut()
-            .zip(param.data_mut())
-            .zip(grad.data())
-        {
-            *vi = self.momentum * *vi + g;
-            *p -= self.lr * *vi;
+        for (p, &g) in param.data_mut().iter_mut().zip(grad.data()) {
+            *p -= self.lr * g;
         }
     }
 
@@ -101,28 +60,6 @@ mod tests {
         let g = Tensor::from_vec(vec![10.0, -10.0], &[2]).unwrap();
         opt.update(0, &mut w, &g);
         assert_eq!(w.data(), &[0.0, 3.0]);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut opt = Sgd::with_momentum(1.0, 0.5);
-        let mut w = Tensor::from_vec(vec![0.0], &[1]).unwrap();
-        let g = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        opt.update(0, &mut w, &g); // v=1, w=-1
-        opt.update(0, &mut w, &g); // v=1.5, w=-2.5
-        assert!((w.data()[0] + 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_state_is_per_slot() {
-        let mut opt = Sgd::with_momentum(1.0, 0.9);
-        let g = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        let mut w0 = Tensor::zeros(&[1]);
-        let mut w1 = Tensor::zeros(&[1]);
-        opt.update(0, &mut w0, &g);
-        opt.update(1, &mut w1, &g);
-        // Both slots see a fresh velocity -> identical first steps.
-        assert_eq!(w0.data(), w1.data());
     }
 
     #[test]

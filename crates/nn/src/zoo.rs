@@ -17,11 +17,6 @@ use crate::loss::Loss;
 use crate::model::Sequential;
 use crate::Result;
 
-/// Input image geometry used by both models: 32×32 RGB (CIFAR-scale).
-pub const INPUT_CHANNELS: usize = 3;
-/// Input image height/width.
-pub const INPUT_HW: usize = 32;
-
 /// Builds the paper's LeNet-5 variant for `classes` output classes.
 ///
 /// Layers (Table 4): L1–L4 Conv2D with 12 filters (5×5; strides 2,2,1,1),
@@ -111,7 +106,7 @@ pub fn lenet5(seed: u64) -> Result<Sequential> {
 /// # Errors
 ///
 /// Propagates layer construction errors (zero classes).
-pub fn alexnet_with(classes: usize, seed: u64) -> Result<Sequential> {
+pub(crate) fn alexnet_with(classes: usize, seed: u64) -> Result<Sequential> {
     let mut m = Sequential::new(Loss::CategoricalCrossEntropy);
     // L1: 32x32x3 -> conv 16x16x64 -> MP2 8x8x64
     m.push(Box::new(Conv2d::new(
@@ -321,6 +316,7 @@ pub fn tiny_mlp(inputs: usize, hidden: usize, outputs: usize, seed: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
     use gradsec_tensor::Tensor;
 
     #[test]
@@ -379,10 +375,16 @@ mod tests {
     fn conv_dense_split() {
         let m = alexnet(2).unwrap();
         for i in 0..5 {
-            assert!(m.layer(i).unwrap().kind().is_conv());
+            assert!(matches!(
+                m.layer(i).unwrap().kind(),
+                LayerKind::Conv2d { .. }
+            ));
         }
         for i in 5..8 {
-            assert!(m.layer(i).unwrap().kind().is_dense());
+            assert!(matches!(
+                m.layer(i).unwrap().kind(),
+                LayerKind::Dense { .. }
+            ));
         }
     }
 

@@ -1,7 +1,6 @@
 //! Property-based tests for the NN substrate.
 
 use gradsec_nn::activation::Activation;
-use gradsec_nn::gradient::GradientSnapshot;
 use gradsec_nn::layer::{Dense, Layer};
 use gradsec_nn::loss::Loss;
 use gradsec_nn::optim::{Optimizer, Sgd};
@@ -71,25 +70,19 @@ proptest! {
         let mut opt = Sgd::new(lr);
         model.train_batch(x, &y, &mut opt).unwrap();
         let true_grads = model.gradient_snapshot().unwrap();
-        let leaked = GradientSnapshot::from_weight_diff(&before, &model.weights(), lr).unwrap();
-        let rel = leaked.distance(&true_grads).unwrap()
-            / (1.0 + true_grads.to_flat().iter().map(|x| x * x).sum::<f32>().sqrt());
+        let mut leaked = before.clone();
+        leaked.add_scaled(&model.weights(), -1.0).unwrap();
+        leaked.scale(1.0 / lr);
+        let truth = true_grads.to_flat();
+        let err = leaked
+            .iter()
+            .flat_map(|l| l.w.data().iter().chain(l.b.data()))
+            .zip(&truth)
+            .map(|(l, t)| (l - t) * (l - t))
+            .sum::<f32>()
+            .sqrt();
+        let rel = err / (1.0 + truth.iter().map(|x| x * x).sum::<f32>().sqrt());
         prop_assert!(rel < 1e-2, "relative recovery error {rel}");
-    }
-
-    #[test]
-    fn snapshot_scale_accumulate_algebra(s in -2.0f32..2.0, seed in 0u64..500) {
-        let mut model = zoo::tiny_mlp(3, 4, 2, seed).unwrap();
-        let x = init::uniform(&[2, 3], -1.0, 1.0, seed);
-        let y = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        let (_, g) = model.forward_backward(&x, &y).unwrap();
-        // g*s + g*(1-s) == g.
-        let mut a = g.clone();
-        a.scale(s);
-        let mut b = g.clone();
-        b.scale(1.0 - s);
-        a.accumulate(&b).unwrap();
-        prop_assert!(a.distance(&g).unwrap() < 1e-4);
     }
 
     #[test]

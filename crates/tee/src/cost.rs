@@ -34,15 +34,15 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Nanoseconds per MAC op in the normal world.
-    pub ns_per_op_normal: f64,
+    pub(crate) ns_per_op_normal: f64,
     /// Nanoseconds per MAC op inside the enclave.
-    pub ns_per_op_secure: f64,
+    pub(crate) ns_per_op_secure: f64,
     /// Nanoseconds per secure-monitor crossing (one direction).
-    pub ns_per_crossing: f64,
+    pub(crate) ns_per_crossing: f64,
     /// Allocation nanoseconds per protected parameter.
-    pub alloc_ns_per_param: f64,
+    pub(crate) alloc_ns_per_param: f64,
     /// Fixed allocation nanoseconds per protected layer.
-    pub alloc_ns_fixed: f64,
+    pub(crate) alloc_ns_fixed: f64,
 }
 
 impl CostModel {
@@ -161,7 +161,7 @@ impl WireBill {
     }
 
     /// Folds another bill into this one.
-    pub fn add(&mut self, other: &WireBill) {
+    pub(crate) fn add(&mut self, other: &WireBill) {
         self.download_encoded_bytes += other.download_encoded_bytes;
         self.download_raw_bytes += other.download_raw_bytes;
         self.upload_encoded_bytes += other.upload_encoded_bytes;
@@ -373,11 +373,6 @@ impl SharedLedger {
     pub fn into_round_ledger(self) -> RoundLedger {
         self.inner.into_inner().expect("ledger poisoned")
     }
-
-    /// Snapshot of the ledger so far.
-    pub fn snapshot(&self) -> RoundLedger {
-        self.inner.lock().expect("ledger poisoned").clone()
-    }
 }
 
 /// Accumulates simulated time for one training cycle.
@@ -429,11 +424,6 @@ impl SimClock {
             kernel_s: self.kernel_ns / 1e9,
             alloc_s: self.alloc_ns / 1e9,
         }
-    }
-
-    /// Zeroes the clock.
-    pub fn reset(&mut self) {
-        *self = SimClock::default();
     }
 }
 
@@ -674,15 +664,5 @@ mod tests {
         let json = ledger.to_json();
         assert!(json.contains(r#""total_wire_encoded_bytes":800"#), "{json}");
         assert!(json.contains(r#""wire_raw_bytes":800"#), "{json}");
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let m = CostModel::raspberry_pi3();
-        let mut clock = SimClock::new();
-        clock.charge_crossings(5, &m);
-        clock.reset();
-        assert_eq!(clock.crossings(), 0);
-        assert_eq!(clock.breakdown().total_s(), 0.0);
     }
 }

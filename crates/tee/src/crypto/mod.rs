@@ -1,26 +1,21 @@
 //! Cryptographic primitives implemented from scratch.
 //!
-//! OP-TEE's secure storage and trusted channels rest on symmetric crypto;
-//! since the reproduction may not pull external crypto crates, the needed
-//! primitives are implemented here and validated against published test
-//! vectors:
+//! TA measurement and remote attestation rest on a hash and a MAC; since
+//! the reproduction may not pull external crypto crates, both are
+//! implemented here and validated against published test vectors:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256,
-//! * [`hmac`] — RFC 2104 HMAC-SHA-256,
-//! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher,
-//! * [`kdf`] — RFC 5869 HKDF (extract-and-expand).
+//! * [`hmac`] — RFC 2104 HMAC-SHA-256.
 //!
 //! These are *simulation-grade* implementations: correct and tested, but
 //! not hardened against side channels (the simulated enclave has no
 //! adversarial co-residency).
 
-pub mod chacha20;
 pub mod hmac;
-pub mod kdf;
 pub mod sha256;
 
 /// Constant-time byte-slice equality (length leaks, contents do not).
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

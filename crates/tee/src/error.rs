@@ -25,7 +25,7 @@ pub enum TeeError {
         /// Human-readable operation name.
         op: &'static str,
         /// The world the caller was in.
-        was: crate::world::World,
+        was: crate::monitor::World,
     },
     /// Authentication/integrity check failed (tampered ciphertext, bad MAC,
     /// bad attestation signature).
@@ -33,9 +33,9 @@ pub enum TeeError {
         /// What was being verified.
         context: &'static str,
     },
-    /// No object stored under this identifier.
+    /// No trusted application is installed under this identifier.
     NotFound {
-        /// The object identifier.
+        /// The TA identifier.
         id: String,
     },
     /// A session or TA identifier is unknown.
@@ -46,12 +46,6 @@ pub enum TeeError {
     /// The trusted application rejected a command.
     TaError {
         /// TA-specific error message.
-        reason: String,
-    },
-    /// A trusted I/O channel protocol violation (replay, reorder,
-    /// truncation).
-    ChannelViolation {
-        /// Human-readable description.
         reason: String,
     },
     /// Invalid configuration value.
@@ -79,12 +73,9 @@ impl fmt::Display for TeeError {
             TeeError::IntegrityViolation { context } => {
                 write!(f, "integrity violation in {context}")
             }
-            TeeError::NotFound { id } => write!(f, "no stored object {id:?}"),
+            TeeError::NotFound { id } => write!(f, "no trusted application {id:?}"),
             TeeError::NoSuchSession { session } => write!(f, "no such session {session}"),
             TeeError::TaError { reason } => write!(f, "trusted application error: {reason}"),
-            TeeError::ChannelViolation { reason } => {
-                write!(f, "trusted channel violation: {reason}")
-            }
             TeeError::BadConfig { reason } => write!(f, "bad config: {reason}"),
         }
     }

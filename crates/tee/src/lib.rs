@@ -7,18 +7,14 @@
 //! This crate reproduces the *architecture* that the paper's security and
 //! performance arguments rest on:
 //!
-//! * [`world`] — the two processor worlds (§3.3, Figure 1),
-//! * [`monitor`] — the secure monitor (`SMC`) that switches worlds, with
-//!   full crossing accounting,
+//! * [`monitor`] — the two processor worlds (§3.3, Figure 1) and the
+//!   secure monitor (`SMC`) that switches between them and counts the
+//!   crossings,
 //! * [`memory`] — the bounded secure-memory pool (the paper's 3–5 MB limit)
 //!   with live/peak tracking and out-of-memory errors,
 //! * [`ta`] — GlobalPlatform-style trusted applications and sessions,
-//! * [`crypto`] — SHA-256, HMAC, ChaCha20 and HKDF implemented from
-//!   scratch (no external crypto dependencies),
-//! * [`storage`] — OP-TEE secure storage with the paper's §7.3 key
-//!   hierarchy (SSK → TSK → FEK), encrypt-then-MAC and atomic updates,
-//! * [`tiop`] — the trusted I/O path for provisioning protected layer
-//!   weights (§7.3),
+//! * [`crypto`] — SHA-256 and HMAC implemented from scratch (no
+//!   external crypto dependencies),
 //! * [`attestation`] — remote attestation of TA measurements (§7.3),
 //! * [`cost`] — the deterministic cost model calibrated against the
 //!   paper's Table 6 (user/kernel/allocation time, TEE memory).
@@ -49,12 +45,9 @@ pub mod crypto;
 mod error;
 pub mod memory;
 pub mod monitor;
-pub mod storage;
 pub mod ta;
-pub mod tiop;
-pub mod world;
 
 pub use error::TeeError;
 
 /// Crate-wide result alias using [`TeeError`].
-pub type Result<T> = std::result::Result<T, TeeError>;
+pub(crate) type Result<T> = std::result::Result<T, TeeError>;

@@ -6,7 +6,13 @@
 //! This pool enforces the budget, tracks live and peak usage, and fails
 //! allocations exactly the way a real TA hits `TEE_ERROR_OUT_OF_MEMORY`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::{Result, TeeError};
+
+/// Handle ids are drawn process-wide, so a handle never names a live
+/// allocation of a pool other than the one that issued it.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Default pool budget: 4 MiB, the middle of the paper's 3–5 MB range.
 pub const DEFAULT_BUDGET: usize = 4 * 1024 * 1024;
@@ -19,19 +25,6 @@ pub const DEFAULT_BUDGET: usize = 4 * 1024 * 1024;
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct SecureAlloc {
     id: u64,
-    bytes: usize,
-}
-
-impl SecureAlloc {
-    /// Size of this allocation in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Opaque handle id (for logging).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// A fixed-budget secure memory pool with live/peak accounting.
@@ -40,10 +33,7 @@ pub struct SecureMemory {
     budget: usize,
     in_use: usize,
     peak: usize,
-    next_id: u64,
     live: Vec<(u64, usize)>,
-    alloc_count: u64,
-    failed_allocs: u64,
 }
 
 impl SecureMemory {
@@ -53,21 +43,13 @@ impl SecureMemory {
             budget,
             in_use: 0,
             peak: 0,
-            next_id: 1,
             live: Vec::new(),
-            alloc_count: 0,
-            failed_allocs: 0,
         }
     }
 
     /// Creates a pool with the paper-typical 4 MiB budget.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SecureMemory::with_budget(DEFAULT_BUDGET)
-    }
-
-    /// The pool budget in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Live (currently allocated) bytes.
@@ -81,18 +63,8 @@ impl SecureMemory {
     }
 
     /// Free bytes remaining.
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.budget - self.in_use
-    }
-
-    /// Number of successful allocations performed.
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
-    }
-
-    /// Number of allocations rejected for lack of budget.
-    pub fn failed_allocs(&self) -> u64 {
-        self.failed_allocs
     }
 
     /// Allocates `bytes` of secure memory.
@@ -104,20 +76,17 @@ impl SecureMemory {
     /// protect more layers than the carveout can hold.
     pub fn alloc(&mut self, bytes: usize) -> Result<SecureAlloc> {
         if bytes > self.available() {
-            self.failed_allocs += 1;
             return Err(TeeError::OutOfSecureMemory {
                 requested: bytes,
                 available: self.available(),
                 budget: self.budget,
             });
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
         self.live.push((id, bytes));
-        self.alloc_count += 1;
-        Ok(SecureAlloc { id, bytes })
+        Ok(SecureAlloc { id })
     }
 
     /// Releases an allocation.
@@ -135,21 +104,6 @@ impl SecureMemory {
             }
             None => Err(TeeError::BadHandle { handle: alloc.id }),
         }
-    }
-
-    /// Frees every live allocation (end-of-cycle teardown) and returns the
-    /// number of allocations released.
-    pub fn free_all(&mut self) -> usize {
-        let n = self.live.len();
-        self.live.clear();
-        self.in_use = 0;
-        n
-    }
-
-    /// Resets the peak watermark to the current live usage (start of a new
-    /// measurement window, e.g. a new FL cycle).
-    pub fn reset_peak(&mut self) {
-        self.peak = self.in_use;
     }
 }
 
@@ -176,7 +130,6 @@ mod tests {
         assert_eq!(m.peak(), 70, "peak survives frees");
         m.free(b).unwrap();
         assert_eq!(m.in_use(), 0);
-        assert_eq!(m.alloc_count(), 2);
     }
 
     #[test]
@@ -192,7 +145,6 @@ mod tests {
                 budget: 50
             }
         );
-        assert_eq!(m.failed_allocs(), 1);
     }
 
     #[test]
@@ -214,15 +166,16 @@ mod tests {
     }
 
     #[test]
-    fn free_all_and_reset_peak() {
-        let mut m = SecureMemory::with_budget(100);
-        let _a = m.alloc(60).unwrap();
-        let _b = m.alloc(20).unwrap();
-        assert_eq!(m.free_all(), 2);
-        assert_eq!(m.in_use(), 0);
-        assert_eq!(m.peak(), 80);
-        m.reset_peak();
-        assert_eq!(m.peak(), 0);
+    fn a_handle_from_another_pool_is_refused() {
+        let mut a = SecureMemory::with_budget(100);
+        let mut b = SecureMemory::with_budget(100);
+        let foreign = a.alloc(10).unwrap();
+        let own = b.alloc(30).unwrap();
+        let err = b.free(foreign).unwrap_err();
+        assert!(matches!(err, TeeError::BadHandle { .. }));
+        assert_eq!(b.in_use(), 30, "a foreign free must not touch the pool");
+        b.free(own).unwrap();
+        assert_eq!(b.in_use(), 0);
     }
 
     #[test]
@@ -235,8 +188,7 @@ mod tests {
 
     #[test]
     fn default_budget_matches_paper_range() {
-        let m = SecureMemory::new();
-        let mb = m.budget() as f64 / (1024.0 * 1024.0);
+        let mb = DEFAULT_BUDGET as f64 / (1024.0 * 1024.0);
         assert!((3.0..=5.0).contains(&mb));
     }
 }

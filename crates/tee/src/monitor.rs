@@ -1,20 +1,51 @@
 //! Secure monitor — the `SMC` gateway between worlds (paper Figure 1).
 //!
 //! Every transition between the Rich Execution Environment and the TEE
-//! goes through the secure monitor. World crossings are *the* per-batch
+//! goes through the secure monitor, which refuses a crossing into the
+//! world the caller is already in. World crossings are *the* per-batch
 //! CPU cost of sheltering layers (each protected slice costs an entry and
-//! an exit per batch), so the monitor counts them precisely; the
-//! [`crate::cost::CostModel`] later converts counts into kernel time.
+//! an exit per batch); a cycle's crossings are billed by
+//! [`crate::cost::SimClock`].
 
-use crate::world::World;
+use std::fmt;
+
 use crate::{Result, TeeError};
+
+/// The two TrustZone execution worlds (paper §3.3, Figure 1).
+///
+/// The *normal* world runs the Rich Execution Environment (the untrusted
+/// OS and legacy applications — in the paper's threat model, everything
+/// the attacker can read). The *secure* world runs the trusted OS and the
+/// trusted applications whose memory is hardware-shielded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum World {
+    /// Rich Execution Environment — untrusted.
+    Normal,
+    /// Trusted Execution Environment — shielded.
+    Secure,
+}
+
+impl World {
+    /// `true` for [`World::Secure`].
+    pub(crate) fn is_secure(self) -> bool {
+        matches!(self, World::Secure)
+    }
+}
+
+impl fmt::Display for World {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            World::Normal => f.write_str("normal"),
+            World::Secure => f.write_str("secure"),
+        }
+    }
+}
 
 /// The secure monitor: tracks the current world and counts crossings.
 #[derive(Debug, Clone)]
 pub struct SecureMonitor {
     world: World,
-    to_secure: u64,
-    to_normal: u64,
+    crossings: u64,
 }
 
 impl SecureMonitor {
@@ -22,8 +53,7 @@ impl SecureMonitor {
     pub fn new() -> Self {
         SecureMonitor {
             world: World::Normal,
-            to_secure: 0,
-            to_normal: 0,
+            crossings: 0,
         }
     }
 
@@ -32,19 +62,9 @@ impl SecureMonitor {
         self.world
     }
 
-    /// Number of normal→secure transitions taken.
-    pub fn entries(&self) -> u64 {
-        self.to_secure
-    }
-
-    /// Number of secure→normal transitions taken.
-    pub fn exits(&self) -> u64 {
-        self.to_normal
-    }
-
     /// Total crossings in either direction.
     pub fn crossings(&self) -> u64 {
-        self.to_secure + self.to_normal
+        self.crossings
     }
 
     /// Issues an `SMC` into the secure world.
@@ -62,7 +82,7 @@ impl SecureMonitor {
             });
         }
         self.world = World::Secure;
-        self.to_secure += 1;
+        self.crossings += 1;
         Ok(())
     }
 
@@ -79,54 +99,8 @@ impl SecureMonitor {
             });
         }
         self.world = World::Normal;
-        self.to_normal += 1;
+        self.crossings += 1;
         Ok(())
-    }
-
-    /// Ensures the monitor is in `target`, crossing if needed. Returns
-    /// `true` when a crossing was taken.
-    pub fn ensure_world(&mut self, target: World) -> bool {
-        if self.world == target {
-            return false;
-        }
-        match target {
-            World::Secure => self.smc_enter().expect("checked world"),
-            World::Normal => self.smc_exit().expect("checked world"),
-        }
-        true
-    }
-
-    /// Runs `f` inside the secure world, entering/exiting as required, and
-    /// restores the previous world afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the closure's error.
-    pub fn with_secure<T, F>(&mut self, f: F) -> Result<T>
-    where
-        F: FnOnce() -> Result<T>,
-    {
-        let entered = self.ensure_world(World::Secure);
-        let out = f();
-        if entered {
-            self.ensure_world(World::Normal);
-        }
-        out
-    }
-
-    /// Zeroes the crossing counters (start of a measurement window).
-    pub fn reset_counters(&mut self) {
-        self.to_secure = 0;
-        self.to_normal = 0;
-    }
-
-    /// Folds another monitor's crossing counters into this one — used by
-    /// the parallel round engine to merge per-client monitors into the
-    /// round's accounting. The world state is not touched: merging is a
-    /// bookkeeping operation, not a world transition.
-    pub fn merge_counters(&mut self, other: &SecureMonitor) {
-        self.to_secure += other.to_secure;
-        self.to_normal += other.to_normal;
     }
 }
 
@@ -141,6 +115,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn secure_predicate() {
+        assert!(World::Secure.is_secure());
+        assert!(!World::Normal.is_secure());
+    }
+
+    #[test]
+    fn display_names() {
+        assert_eq!(World::Normal.to_string(), "normal");
+        assert_eq!(World::Secure.to_string(), "secure");
+    }
+
+    #[test]
     fn enter_exit_counts() {
         let mut m = SecureMonitor::new();
         assert_eq!(m.world(), World::Normal);
@@ -148,8 +134,6 @@ mod tests {
         assert_eq!(m.world(), World::Secure);
         m.smc_exit().unwrap();
         assert_eq!(m.crossings(), 2);
-        assert_eq!(m.entries(), 1);
-        assert_eq!(m.exits(), 1);
     }
 
     #[test]
@@ -159,62 +143,5 @@ mod tests {
         assert!(matches!(m.smc_enter(), Err(TeeError::WrongWorld { .. })));
         m.smc_exit().unwrap();
         assert!(matches!(m.smc_exit(), Err(TeeError::WrongWorld { .. })));
-    }
-
-    #[test]
-    fn ensure_world_is_idempotent() {
-        let mut m = SecureMonitor::new();
-        assert!(!m.ensure_world(World::Normal));
-        assert!(m.ensure_world(World::Secure));
-        assert!(!m.ensure_world(World::Secure));
-        assert_eq!(m.crossings(), 1);
-    }
-
-    #[test]
-    fn with_secure_restores_world() {
-        let mut m = SecureMonitor::new();
-        let out: i32 = m.with_secure(|| Ok(7)).unwrap();
-        assert_eq!(out, 7);
-        assert_eq!(m.world(), World::Normal);
-        assert_eq!(m.crossings(), 2);
-        // From inside the secure world, no extra crossings.
-        m.smc_enter().unwrap();
-        m.with_secure::<(), _>(|| Ok(())).unwrap();
-        assert_eq!(m.world(), World::Secure);
-        assert_eq!(m.crossings(), 3);
-    }
-
-    #[test]
-    fn with_secure_restores_on_error() {
-        let mut m = SecureMonitor::new();
-        let r: Result<()> = m.with_secure(|| {
-            Err(TeeError::TaError {
-                reason: "boom".to_owned(),
-            })
-        });
-        assert!(r.is_err());
-        assert_eq!(m.world(), World::Normal);
-    }
-
-    #[test]
-    fn merge_counters_sums_without_world_change() {
-        let mut a = SecureMonitor::new();
-        a.smc_enter().unwrap();
-        a.smc_exit().unwrap();
-        let mut b = SecureMonitor::new();
-        b.smc_enter().unwrap();
-        a.merge_counters(&b);
-        assert_eq!(a.entries(), 2);
-        assert_eq!(a.exits(), 1);
-        assert_eq!(a.world(), World::Normal, "merge must not switch worlds");
-    }
-
-    #[test]
-    fn reset_counters() {
-        let mut m = SecureMonitor::new();
-        m.smc_enter().unwrap();
-        m.smc_exit().unwrap();
-        m.reset_counters();
-        assert_eq!(m.crossings(), 0);
     }
 }

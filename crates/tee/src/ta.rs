@@ -228,7 +228,7 @@ mod tests {
                 0 => Ok(input.to_vec()),
                 1 => {
                     let a = memory.alloc(input.len())?;
-                    let n = a.bytes() as u64;
+                    let n = memory.in_use() as u64;
                     memory.free(a)?;
                     Ok(n.to_le_bytes().to_vec())
                 }

@@ -235,7 +235,7 @@ mod avx2 {
     /// that `a.len() >= kc * MR` and `b.len() >= kc * NR` (both also
     /// debug-asserted).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn kernel_6x16(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
+    pub(crate) unsafe fn kernel_6x16(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
         debug_assert!(a.len() >= kc * MR);
         debug_assert!(b.len() >= kc * NR);
         // SAFETY: every pointer below stays inside `a`, `b` or `acc`:
@@ -277,7 +277,7 @@ mod avx2 {
     ///
     /// On a host without AVX2 and FMA, or when `d` holds fewer than
     /// `w.len()` rows of `out.len()` positions.
-    pub fn tap(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
+    pub(crate) fn tap(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
         assert!(super::avx2_available(), "the AVX2 tap needs AVX2 and FMA");
         assert!(d.len() >= w.len() * out.len(), "one error row per filter");
         // SAFETY: both of `tap_fma`'s conditions are asserted above.

@@ -29,7 +29,7 @@ pub fn uniform(dims: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
 
 /// Returns a tensor with elements drawn i.i.d. from `N(mean, std²)`,
 /// using the Box–Muller transform (no external distribution crates).
-pub fn normal(dims: &[usize], mean: f32, std: f32, seed: u64) -> Tensor {
+pub(crate) fn normal(dims: &[usize], mean: f32, std: f32, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Tensor::zeros(dims);
     fill_normal(t.data_mut(), mean, std, &mut rng);
@@ -37,7 +37,7 @@ pub fn normal(dims: &[usize], mean: f32, std: f32, seed: u64) -> Tensor {
 }
 
 /// Fills `buf` with `N(mean, std²)` samples from an existing RNG.
-pub fn fill_normal<R: Rng>(buf: &mut [f32], mean: f32, std: f32, rng: &mut R) {
+pub(crate) fn fill_normal<R: Rng>(buf: &mut [f32], mean: f32, std: f32, rng: &mut R) {
     let mut i = 0;
     while i < buf.len() {
         let (z0, z1) = box_muller(rng);

@@ -28,12 +28,12 @@
 //! # Example
 //!
 //! ```
-//! use gradsec_tensor::{Tensor, ops::matmul};
+//! use gradsec_tensor::{BackendKind, Tensor, ops::matmul};
 //!
 //! # fn main() -> Result<(), gradsec_tensor::TensorError> {
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = matmul::matmul(&a, &b)?;
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
+//! let c = matmul::matmul_with(&a, &identity, BackendKind::Reference)?;
 //! assert_eq!(c.data(), a.data());
 //! # Ok(())
 //! # }
@@ -58,4 +58,4 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Crate-wide result alias using [`TensorError`].
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

@@ -8,8 +8,8 @@
 //!   `out = (in + 2·pad − k) / stride + 1` (integer division),
 //!   which yields exactly the layer shapes of the paper's Table 4.
 //!
-//! Three passes are provided: [`conv2d_forward`], and a combined
-//! [`conv2d_backward`] returning `(dW, db, dInput)` per the paper's
+//! Three passes are provided: [`conv2d_forward_with`], and a combined
+//! [`conv2d_backward_with`] returning `(dW, db, dInput)` per the paper's
 //! equation (4): `dW_l = δ_l ⊗ A_{l−1}`.
 //!
 //! The functions here are *dispatchers*: shape checks, output allocation
@@ -18,7 +18,7 @@
 //! [`BackendKind::Reference`] for the plain entry points or any backend
 //! via the `*_with` variants. Both passes cut the batch into image bands
 //! once the per-batch im2col volume crosses `PARALLEL_THRESHOLD` and
-//! hand them to [`threads::for_each_band`]: as many threads as the
+//! hand them to `threads::for_each_band`: as many threads as the
 //! caller's budget allows, the caller among them, walk the bands — under
 //! a federation engine worker that owns one core, inline. Each image's
 //! computation is independent, so the forward pass is bit-identical to
@@ -261,8 +261,8 @@ fn check_weights(weights: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Resul
     Ok(())
 }
 
-/// Convolution forward pass: `Z = W ⊛ A + b` over a batch, on the default
-/// ([`BackendKind::Reference`]) backend.
+/// Convolution forward pass: `Z = W ⊛ A + b` over a batch, through an
+/// explicit backend.
 ///
 /// `input` is `(N, C, H, W)`, `weights` is `(F, C·K·K)`, `bias` is `(F)`;
 /// the result is `(N, F, OH, OW)`.
@@ -270,20 +270,6 @@ fn check_weights(weights: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Resul
 /// # Errors
 ///
 /// Returns shape errors when any operand disagrees with `geo`.
-pub fn conv2d_forward(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: &Tensor,
-    geo: &Conv2dGeometry,
-) -> Result<Tensor> {
-    conv2d_forward_with(input, weights, bias, geo, BackendKind::Reference)
-}
-
-/// [`conv2d_forward`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_forward`].
 pub fn conv2d_forward_with(
     input: &Tensor,
     weights: &Tensor,
@@ -323,7 +309,7 @@ pub fn conv2d_forward_with(
 ///
 /// # Errors
 ///
-/// Same contract as [`conv2d_forward`].
+/// Same contract as [`conv2d_forward_with`].
 pub fn conv2d_forward_fused_with(
     input: &Tensor,
     weights: &Tensor,
@@ -351,7 +337,7 @@ pub fn conv2d_forward_fused_with(
     Ok((z, a))
 }
 
-/// Convolution backward pass on the default backend.
+/// Convolution backward pass through an explicit backend.
 ///
 /// Given the upstream error `delta_out = ∂Loss/∂Z` of shape `(N, F, OH, OW)`,
 /// returns `(dW, db, dInput)` where
@@ -365,20 +351,6 @@ pub fn conv2d_forward_fused_with(
 /// # Errors
 ///
 /// Returns shape errors when any operand disagrees with `geo`.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weights: &Tensor,
-    delta_out: &Tensor,
-    geo: &Conv2dGeometry,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    conv2d_backward_with(input, weights, delta_out, geo, BackendKind::Reference)
-}
-
-/// [`conv2d_backward`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`conv2d_backward`].
 pub fn conv2d_backward_with(
     input: &Tensor,
     weights: &Tensor,
@@ -474,6 +446,15 @@ fn backward_banded(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn conv2d_forward(
+        input: &Tensor,
+        weights: &Tensor,
+        bias: &Tensor,
+        geo: &Conv2dGeometry,
+    ) -> Result<Tensor> {
+        conv2d_forward_with(input, weights, bias, geo, BackendKind::Reference)
+    }
     use crate::init;
 
     /// Naive direct convolution used as an oracle.

@@ -3,17 +3,15 @@
 //! The forward/backward passes of dense layers and the im2col formulation of
 //! convolutions reduce everything to three product forms:
 //!
-//! * `C = A·B` — [`matmul`],
-//! * `C = A·Bᵀ` — [`matmul_nt`] (used for `dW = δ·Aᵀ` style products),
-//! * `C = Aᵀ·B` — [`matmul_tn`] (used for `δ_in = Wᵀ·δ_out`).
+//! * `C = A·B` — [`matmul_with`],
+//! * `C = A·Bᵀ` — [`matmul_nt_with`] (used for `dW = δ·Aᵀ` style products),
+//! * `C = Aᵀ·B` — [`matmul_tn_with`] (used for `δ_in = Wᵀ·δ_out`).
 //!
 //! These functions are thin *dispatchers*: they validate shapes, allocate
-//! the output and hand the innermost loops to a
-//! [`TensorBackend`] — the default
-//! [`BackendKind::Reference`] kernels for the plain entry points, or any
-//! backend via the `*_with` variants. [`matmul`] additionally splits row
+//! the output and hand the innermost loops to the [`TensorBackend`] of
+//! the given [`BackendKind`]. [`matmul_with`] additionally splits row
 //! bands across the threads of the caller's budget
-//! ([`threads::for_each_band`]) when the output is large enough to
+//! (`threads::for_each_band`) when the output is large enough to
 //! amortize a spawn; each band is an independent kernel call over
 //! disjoint output rows, so the result is bit-identical under any banding
 //! — and therefore under any budget — whatever the backend. AlexNet's
@@ -37,8 +35,7 @@ fn check2d(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     Ok((t.dims()[0], t.dims()[1]))
 }
 
-/// Computes `C = A·B` for rank-2 tensors on the default
-/// ([`BackendKind::Reference`]) backend.
+/// Computes `C = A·B` for rank-2 tensors through an explicit backend.
 ///
 /// # Errors
 ///
@@ -48,25 +45,16 @@ fn check2d(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 /// # Example
 ///
 /// ```
-/// use gradsec_tensor::{Tensor, ops::matmul::matmul};
+/// use gradsec_tensor::{BackendKind, Tensor, ops::matmul::matmul_with};
 ///
 /// # fn main() -> Result<(), gradsec_tensor::TensorError> {
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
 /// let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2])?;
-/// let c = matmul(&a, &b)?;
+/// let c = matmul_with(&a, &b, BackendKind::Reference)?;
 /// assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_with(a, b, BackendKind::Reference)
-}
-
-/// [`matmul`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`matmul`].
 pub fn matmul_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Tensor> {
     let (m, ka) = check2d(a, "matmul")?;
     let (kb, n) = check2d(b, "matmul")?;
@@ -87,21 +75,12 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Tenso
     Ok(out)
 }
 
-/// Computes `C = A·Bᵀ` on the default backend.
+/// Computes `C = A·Bᵀ` through an explicit backend.
 ///
 /// # Errors
 ///
-/// Same contract as [`matmul`]; the shared dimension is `A`'s columns and
-/// `B`'s columns.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_nt_with(a, b, BackendKind::Reference)
-}
-
-/// [`matmul_nt`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`matmul_nt`].
+/// Same contract as [`matmul_with`]; the shared dimension is `A`'s
+/// columns and `B`'s columns.
 pub fn matmul_nt_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Tensor> {
     let (m, ka) = check2d(a, "matmul_nt")?;
     let (n, kb) = check2d(b, "matmul_nt")?;
@@ -130,7 +109,7 @@ pub fn matmul_nt_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Te
 ///
 /// # Errors
 ///
-/// Same contract as [`matmul_nt`], plus a shape error when `bias` is not
+/// Same contract as [`matmul_nt_with`], plus a shape error when `bias` is not
 /// a length-`n` vector.
 pub fn dense_forward_fused_with(
     input: &Tensor,
@@ -164,21 +143,12 @@ pub fn dense_forward_fused_with(
     Ok((z, a))
 }
 
-/// Computes `C = Aᵀ·B` on the default backend.
+/// Computes `C = Aᵀ·B` through an explicit backend.
 ///
 /// # Errors
 ///
-/// Same contract as [`matmul`]; the shared dimension is the *rows* of both
-/// operands.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_tn_with(a, b, BackendKind::Reference)
-}
-
-/// [`matmul_tn`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`matmul_tn`].
+/// Same contract as [`matmul_with`]; the shared dimension is the *rows*
+/// of both operands.
 pub fn matmul_tn_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Tensor> {
     let (ka, m) = check2d(a, "matmul_tn")?;
     let (kb, n) = check2d(b, "matmul_tn")?;
@@ -196,20 +166,12 @@ pub fn matmul_tn_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Te
     Ok(out)
 }
 
-/// Computes the matrix–vector product `y = A·x` on the default backend.
+/// Computes the matrix–vector product `y = A·x` through an explicit
+/// backend.
 ///
 /// # Errors
 ///
 /// Returns shape errors when `A` is not `m×k` with `x` of length `k`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    matvec_with(a, x, BackendKind::Reference)
-}
-
-/// [`matvec`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`matvec`].
 pub fn matvec_with(a: &Tensor, x: &Tensor, backend: BackendKind) -> Result<Tensor> {
     let (m, k) = check2d(a, "matvec")?;
     if x.shape().ndim() != 1 || x.dims()[0] != k {
@@ -272,7 +234,7 @@ mod tests {
     fn small_known_product() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]).unwrap();
-        let c = matmul(&a, &b).unwrap();
+        let c = matmul_with(&a, &b, BackendKind::Reference).unwrap();
         assert_eq!(c.dims(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -280,7 +242,9 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let a = init::uniform(&[5, 5], -1.0, 1.0, 3);
-        let c = matmul(&a, &Tensor::eye(5)).unwrap();
+        let eye = (0..25).map(|i| if i % 6 == 0 { 1.0 } else { 0.0 });
+        let eye = Tensor::from_vec(eye.collect(), &[5, 5]).unwrap();
+        let c = matmul_with(&a, &eye, BackendKind::Reference).unwrap();
         assert!(c.approx_eq(&a, 1e-6));
     }
 
@@ -288,7 +252,7 @@ mod tests {
     fn blocked_matches_naive_rectangular() {
         let a = init::uniform(&[37, 21], -1.0, 1.0, 1);
         let b = init::uniform(&[21, 53], -1.0, 1.0, 2);
-        let c = matmul(&a, &b).unwrap();
+        let c = matmul_with(&a, &b, BackendKind::Reference).unwrap();
         assert!(c.approx_eq(&naive(&a, &b), 1e-3));
     }
 

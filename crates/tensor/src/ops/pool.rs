@@ -75,24 +75,15 @@ impl PoolGeometry {
     }
 }
 
-/// Forward max pooling over a `(N, C, H, W)` batch.
+/// Forward max pooling through an explicit backend.
 ///
 /// Returns the pooled output and a same-shaped index tensor whose entries
 /// are the flat offsets (within each image) of the winning inputs, consumed
-/// by [`maxpool_backward`].
+/// by [`maxpool_backward_with`].
 ///
 /// # Errors
 ///
 /// Returns shape errors when `input` disagrees with `geo`.
-pub fn maxpool_forward(input: &Tensor, geo: &PoolGeometry) -> Result<(Tensor, Vec<u32>)> {
-    maxpool_forward_with(input, geo, BackendKind::Reference)
-}
-
-/// [`maxpool_forward`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`maxpool_forward`].
 pub fn maxpool_forward_with(
     input: &Tensor,
     geo: &PoolGeometry,
@@ -123,22 +114,13 @@ pub fn maxpool_forward_with(
     Ok((out, argmax))
 }
 
-/// Backward max pooling: routes each upstream error to the input position
-/// that won the forward max.
+/// Backward max pooling through an explicit backend: routes each
+/// upstream error to the input position that won the forward max.
 ///
 /// # Errors
 ///
 /// Returns shape errors when `delta_out` disagrees with `geo` or the argmax
 /// buffer has the wrong length.
-pub fn maxpool_backward(delta_out: &Tensor, argmax: &[u32], geo: &PoolGeometry) -> Result<Tensor> {
-    maxpool_backward_with(delta_out, argmax, geo, BackendKind::Reference)
-}
-
-/// [`maxpool_backward`] through an explicit backend.
-///
-/// # Errors
-///
-/// Same contract as [`maxpool_backward`].
 pub fn maxpool_backward_with(
     delta_out: &Tensor,
     argmax: &[u32],
@@ -171,6 +153,14 @@ pub fn maxpool_backward_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn maxpool_forward(input: &Tensor, geo: &PoolGeometry) -> Result<(Tensor, Vec<u32>)> {
+        maxpool_forward_with(input, geo, BackendKind::Reference)
+    }
+
+    fn maxpool_backward(delta_out: &Tensor, argmax: &[u32], geo: &PoolGeometry) -> Result<Tensor> {
+        maxpool_backward_with(delta_out, argmax, geo, BackendKind::Reference)
+    }
     use crate::init;
 
     #[test]

@@ -45,7 +45,10 @@ pub fn with_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// and each taking a contiguous range; a budget of 1 (or a single job)
 /// runs inline. Band workers hold a budget of 1, and a panic in one
 /// resumes on the caller.
-pub fn for_each_band<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
+pub(crate) fn for_each_band<J: Send, R: Send>(
+    jobs: Vec<J>,
+    work: impl Fn(J) -> R + Sync,
+) -> Vec<R> {
     let threads = budget().min(jobs.len());
     if threads <= 1 {
         return jobs.into_iter().map(work).collect();

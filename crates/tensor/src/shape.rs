@@ -32,12 +32,12 @@ impl Shape {
     }
 
     /// Creates the scalar (rank-0) shape.
-    pub fn scalar() -> Self {
+    pub(crate) fn scalar() -> Self {
         Shape { dims: Vec::new() }
     }
 
     /// Returns the dimension sizes.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
     }
 
@@ -56,7 +56,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `axis >= self.ndim()`.
-    pub fn dim(&self, axis: usize) -> usize {
+    pub(crate) fn dim(&self, axis: usize) -> usize {
         self.dims[axis]
     }
 
@@ -75,7 +75,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] if the index rank differs
     /// from the shape rank or any coordinate exceeds its dimension.
-    pub fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
         if index.len() != self.dims.len() || index.iter().zip(&self.dims).any(|(i, d)| i >= d) {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.to_vec(),
@@ -86,7 +86,7 @@ impl Shape {
     }
 
     /// Returns `true` when both shapes have identical dimensions.
-    pub fn same_as(&self, other: &Shape) -> bool {
+    pub(crate) fn same_as(&self, other: &Shape) -> bool {
         self.dims == other.dims
     }
 }

@@ -53,15 +53,6 @@ impl Tensor {
         }
     }
 
-    /// Creates the `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor from a flat row-major buffer.
     ///
     /// # Errors
@@ -312,10 +303,6 @@ mod tests {
         assert_eq!(Tensor::zeros(&[2, 2]).data(), &[0.0; 4]);
         assert_eq!(Tensor::ones(&[3]).data(), &[1.0; 3]);
         assert_eq!(Tensor::full(&[2], 7.5).data(), &[7.5, 7.5]);
-        let i = Tensor::eye(3);
-        assert_eq!(i.get(&[0, 0]).unwrap(), 1.0);
-        assert_eq!(i.get(&[0, 1]).unwrap(), 0.0);
-        assert_eq!(i.get(&[2, 2]).unwrap(), 1.0);
     }
 
     #[test]

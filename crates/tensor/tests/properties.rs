@@ -1,12 +1,44 @@
 //! Property-based tests for the tensor substrate.
 
-use gradsec_tensor::ops::conv::{col2im, conv2d_forward, im2col, Conv2dGeometry};
-use gradsec_tensor::ops::elementwise::{add, hadamard, scale, sub};
-use gradsec_tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
-use gradsec_tensor::ops::pool::{maxpool_backward, maxpool_forward, PoolGeometry};
-use gradsec_tensor::ops::reduce::{softmax_rows, sum};
-use gradsec_tensor::{init, Tensor};
+use gradsec_tensor::ops::conv::{col2im, conv2d_forward_with, im2col, Conv2dGeometry};
+use gradsec_tensor::ops::elementwise::{axpy_with, hadamard_with, scale_with};
+use gradsec_tensor::ops::matmul::{matmul_nt_with, matmul_tn_with, matmul_with};
+use gradsec_tensor::ops::pool::{maxpool_backward_with, maxpool_forward_with, PoolGeometry};
+use gradsec_tensor::ops::reduce::{softmax_rows, sum_with};
+use gradsec_tensor::{init, BackendKind, Tensor, TensorError};
 use proptest::prelude::*;
+
+// The algebraic properties are checked on the `Reference` backend; the
+// backends' agreement is `backend_properties.rs`' question.
+const REF: BackendKind = BackendKind::Reference;
+type Res<T> = Result<T, TensorError>;
+
+fn matmul(a: &Tensor, b: &Tensor) -> Res<Tensor> {
+    matmul_with(a, b, REF)
+}
+
+fn matmul_nt(a: &Tensor, b: &Tensor) -> Res<Tensor> {
+    matmul_nt_with(a, b, REF)
+}
+
+fn matmul_tn(a: &Tensor, b: &Tensor) -> Res<Tensor> {
+    matmul_tn_with(a, b, REF)
+}
+
+/// `a + alpha·b` through `axpy`.
+fn axpy(a: &Tensor, alpha: f32, b: &Tensor) -> Res<Tensor> {
+    let mut y = a.clone();
+    axpy_with(alpha, b, &mut y, REF)?;
+    Ok(y)
+}
+
+fn add(a: &Tensor, b: &Tensor) -> Res<Tensor> {
+    axpy(a, 1.0, b)
+}
+
+fn sum(t: &Tensor) -> f32 {
+    sum_with(t, REF)
+}
 
 fn small_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..8, 1usize..8, 1usize..8)
@@ -54,13 +86,13 @@ proptest! {
     fn hadamard_commutes(len in 1usize..64, seed in 0u64..1000) {
         let a = tensor_with(vec![len], seed);
         let b = tensor_with(vec![len], seed + 1);
-        prop_assert!(hadamard(&a, &b).unwrap().approx_eq(&hadamard(&b, &a).unwrap(), 1e-6));
+        prop_assert!(hadamard_with(&a, &b, REF).unwrap().approx_eq(&hadamard_with(&b, &a, REF).unwrap(), 1e-6));
     }
 
     #[test]
     fn scale_is_linear_in_sum(len in 1usize..64, s in -3.0f32..3.0, seed in 0u64..1000) {
         let a = tensor_with(vec![len], seed);
-        let scaled_sum = sum(&scale(&a, s));
+        let scaled_sum = sum(&scale_with(&a, s, REF));
         prop_assert!((scaled_sum - s * sum(&a)).abs() < 1e-2);
     }
 
@@ -68,7 +100,7 @@ proptest! {
     fn sub_then_add_roundtrips(len in 1usize..64, seed in 0u64..1000) {
         let a = tensor_with(vec![len], seed);
         let b = tensor_with(vec![len], seed + 1);
-        let round = add(&sub(&a, &b).unwrap(), &b).unwrap();
+        let round = add(&axpy(&a, -1.0, &b).unwrap(), &b).unwrap();
         prop_assert!(round.approx_eq(&a, 1e-5));
     }
 
@@ -99,10 +131,10 @@ proptest! {
         let x2 = tensor_with(vec![1, c, hw, hw], seed + 1);
         let w = tensor_with(vec![f, c * 9], seed + 2);
         let b = Tensor::zeros(&[f]);
-        let y_sum = conv2d_forward(&add(&x1, &x2).unwrap(), &w, &b, &geo).unwrap();
+        let y_sum = conv2d_forward_with(&add(&x1, &x2).unwrap(), &w, &b, &geo, REF).unwrap();
         let sum_y = add(
-            &conv2d_forward(&x1, &w, &b, &geo).unwrap(),
-            &conv2d_forward(&x2, &w, &b, &geo).unwrap(),
+            &conv2d_forward_with(&x1, &w, &b, &geo, REF).unwrap(),
+            &conv2d_forward_with(&x2, &w, &b, &geo, REF).unwrap(),
         ).unwrap();
         prop_assert!(y_sum.approx_eq(&sum_y, 1e-2));
     }
@@ -114,9 +146,9 @@ proptest! {
         prop_assume!(hw >= 2);
         let geo = PoolGeometry::mp2(c, hw, hw).unwrap();
         let input = tensor_with(vec![1, c, hw, hw], seed);
-        let (out, argmax) = maxpool_forward(&input, &geo).unwrap();
+        let (out, argmax) = maxpool_forward_with(&input, &geo, REF).unwrap();
         let delta = tensor_with(vec![1, c, geo.out_h, geo.out_w], seed + 1);
-        let dinput = maxpool_backward(&delta, &argmax, &geo).unwrap();
+        let dinput = maxpool_backward_with(&delta, &argmax, &geo, REF).unwrap();
         // The backward pass scatters without loss: total error mass equal.
         prop_assert!((sum(&dinput) - sum(&delta)).abs() < 1e-3);
         // Pooling never invents values (for odd inputs the global max may

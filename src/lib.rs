@@ -9,7 +9,7 @@
 //! * [`tensor`] — dense `f32` math substrate,
 //! * [`nn`] — CNN framework (LeNet-5 / AlexNet per the paper's Table 4),
 //! * [`tee`] — simulated ARM TrustZone / OP-TEE (worlds, secure memory,
-//!   secure storage, attestation, cost model),
+//!   trusted applications, attestation, cost model),
 //! * [`data`] — synthetic CIFAR-100-like and LFW-like datasets,
 //! * [`fl`] — federated-learning server/clients with TEE-aware selection,
 //! * [`attacks`] — DRIA, MIA and DPIA client-side inference attacks,

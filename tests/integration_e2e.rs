@@ -9,7 +9,6 @@ use gradsec::data::{batch_of, SyntheticCifar100};
 use gradsec::fl::client::DeviceProfile;
 use gradsec::fl::config::TrainingPlan;
 use gradsec::fl::runner::Federation;
-use gradsec::nn::gradient::GradientSnapshot;
 use gradsec::nn::zoo;
 
 fn plan(rounds: u64) -> TrainingPlan {
@@ -141,7 +140,9 @@ fn history_supports_flaw1_gradient_recovery() {
         .unwrap();
     let before = fed.server().global().clone();
     fed.run_round().unwrap();
-    let g = GradientSnapshot::from_weight_diff(&before, fed.server().global(), 0.05).unwrap();
-    assert!(!g.is_empty());
-    assert!(g.to_flat().iter().any(|&x| x != 0.0));
+    let mut g = before;
+    g.add_scaled(fed.server().global(), -1.0).unwrap();
+    g.scale(1.0 / 0.05);
+    assert!(g.num_layers() > 0);
+    assert!(g.iter().any(|l| l.w.data().iter().any(|&x| x != 0.0)));
 }
