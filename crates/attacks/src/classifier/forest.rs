@@ -12,7 +12,7 @@ use crate::Result;
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForestConfig {
+pub(crate) struct ForestConfig {
     /// Number of trees.
     pub(crate) trees: usize,
     /// Per-tree depth limit.

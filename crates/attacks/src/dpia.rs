@@ -40,8 +40,6 @@ pub struct DpiaObservation {
 pub struct DpiaConfig {
     /// Raw gradient values sampled per layer in the feature reduction.
     pub raw_per_layer: usize,
-    /// Random-forest hyper-parameters.
-    pub forest: ForestConfig,
     /// Normalise each row's per-layer feature block to unit L2 norm.
     ///
     /// Aggregated gradients shrink as FL training converges; the property
@@ -57,7 +55,6 @@ impl Default for DpiaConfig {
     fn default() -> Self {
         DpiaConfig {
             raw_per_layer: 16,
-            forest: ForestConfig::default(),
             normalize_per_layer: true,
             seed: 0,
         }
@@ -126,7 +123,7 @@ pub fn run_dpia(
     let means = train_ds.column_means();
     let x_train = train_ds.impute_with(&means);
     let x_test = test_ds.impute_with(&means);
-    let mut forest = RandomForest::new(cfg.forest, cfg.seed);
+    let mut forest = RandomForest::new(ForestConfig::default(), cfg.seed);
     forest.fit(&x_train, train_ds.labels())?;
     let scores = forest.scores(&x_test);
     let a = auc(&scores, test_ds.labels())?;

@@ -36,14 +36,12 @@ pub fn faults() -> FaultPlan {
         .spare(2)
 }
 
-/// Every hostile persona at once: poisoners, scalers, free-riders and a
-/// colluding coalition.
+/// Every hostile persona at once: poisoners, scalers and free-riders.
 pub fn personas() -> AdversaryPlan {
     AdversaryPlan::seeded(0xAD5)
         .poisoners(0.2)
         .scalers(0.1)
         .free_riders(0.1)
-        .colluders(0.1)
 }
 
 /// Where every corner runs: engine shards, the mux, shard servers.

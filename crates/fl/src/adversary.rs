@@ -2,11 +2,11 @@
 //!
 //! The fault layer ([`crate::faults`]) covers *failure*; this module
 //! covers *malice*. An [`AdversaryPlan`] assigns each client a
-//! [`Persona`] — update poisoner, update scaler, free-rider, or
-//! colluding observer — as a **pure function of (scenario seed, client
-//! id)**, using the same salted-RNG discipline as `faults::FaultPlan`:
-//! no shared stream, no wall clock, so the same fleet is hostile in the
-//! same way on every worker, shard, process and transport.
+//! [`Persona`] — update poisoner, update scaler or free-rider — as a
+//! **pure function of (scenario seed, client id)**, using the same
+//! salted-RNG discipline as `faults::FaultPlan`: no shared stream, no
+//! wall clock, so the same fleet is hostile in the same way on every
+//! worker, shard, process and transport.
 //!
 //! Personas act entirely on the client side of the round exchange:
 //!
@@ -15,14 +15,9 @@
 //!   plus seeded uniform noise, the classic sign-flip model-poisoning
 //!   attack.
 //! * **Scaler** — uploads `global + 8·(trained − global)`
-//!   ([`SCALE_BOOST`]), the boosted-update (model replacement) attack.
+//!   (`SCALE_BOOST`), the boosted-update (model replacement) attack.
 //! * **Free-rider** — skips training entirely and echoes the downloaded
 //!   global weights back, claiming a full cycle's samples.
-//! * **Colluder** — trains honestly (so colluding fleets stay
-//!   bit-identical across process boundaries) but records every global
-//!   snapshot it observes into a shared [`CollusionLog`], which
-//!   fleet-scale membership-inference harnesses in `gradsec_attacks`
-//!   consume after the run.
 //!
 //! The server-side defense lives next door: robust aggregation in
 //! [`crate::aggregate`] ([`crate::Aggregator`]).
@@ -33,8 +28,7 @@
 //! touches the server's selection/screening RNG stream — asserted by
 //! `clean_fleet_consumes_no_server_rng` in the runner tests.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -52,7 +46,7 @@ const SALT_PERSONA: u64 = 0x5045_5253_4F4E_4131; // "PERSONA1"
 const SALT_POISON: u64 = 0x504F_4953_4F4E_5231; // "POISONR1"
 
 /// The factor a [`Persona::Scaler`] multiplies its update by.
-pub const SCALE_BOOST: f32 = 8.0;
+pub(crate) const SCALE_BOOST: f32 = 8.0;
 
 /// The behavior a hostile client exhibits for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +57,6 @@ pub enum Persona {
     Scaler,
     /// Skips training and echoes the global model back.
     FreeRider,
-    /// Trains honestly but records global snapshots for offline
-    /// membership-inference analysis.
-    Colluder,
-}
-
-impl Persona {
-    /// Short stable name, used in reports and logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Persona::Poisoner => "poisoner",
-            Persona::Scaler => "scaler",
-            Persona::FreeRider => "free-rider",
-            Persona::Colluder => "colluder",
-        }
-    }
 }
 
 /// The full adversarial scenario of one federation run: which fraction
@@ -93,7 +72,6 @@ pub struct AdversaryPlan {
     poisoners: f64,
     scalers: f64,
     free_riders: f64,
-    colluders: f64,
     poison_strength: f32,
     poison_noise: f32,
 }
@@ -108,7 +86,6 @@ impl AdversaryPlan {
             poisoners: 0.0,
             scalers: 0.0,
             free_riders: 0.0,
-            colluders: 0.0,
             poison_strength: 1.0,
             poison_noise: 0.1,
         }
@@ -135,13 +112,6 @@ impl AdversaryPlan {
         self
     }
 
-    /// Fraction of the fleet assigned [`Persona::Colluder`].
-    #[must_use]
-    pub fn colluders(mut self, fraction: f64) -> Self {
-        self.colluders = fraction;
-        self
-    }
-
     /// Multiplier on the negated update a poisoner uploads.
     #[must_use]
     pub fn poison_strength(mut self, strength: f32) -> Self {
@@ -156,18 +126,10 @@ impl AdversaryPlan {
         self
     }
 
-    /// The scenario seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// `true` when no persona fraction is positive — the plan changes
     /// nothing about the run.
-    pub fn is_quiet(&self) -> bool {
-        self.poisoners == 0.0
-            && self.scalers == 0.0
-            && self.free_riders == 0.0
-            && self.colluders == 0.0
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.poisoners == 0.0 && self.scalers == 0.0 && self.free_riders == 0.0
     }
 
     /// Checks every knob is in range.
@@ -175,13 +137,12 @@ impl AdversaryPlan {
     /// # Errors
     ///
     /// Returns [`FlError::BadConfig`] for fractions outside `[0, 1]`, a
-    /// mix summing past 1, or non-finite strengths.
+    /// mix summing past 1 by more than rounding, or non-finite strengths.
     pub fn validate(&self) -> Result<()> {
         for (name, f) in [
             ("poisoners", self.poisoners),
             ("scalers", self.scalers),
             ("free_riders", self.free_riders),
-            ("colluders", self.colluders),
         ] {
             if !(0.0..=1.0).contains(&f) || f.is_nan() {
                 return Err(FlError::BadConfig {
@@ -189,8 +150,10 @@ impl AdversaryPlan {
                 });
             }
         }
-        let total = self.poisoners + self.scalers + self.free_riders + self.colluders;
-        if total > 1.0 {
+        // Decimal fractions rarely sum to exactly 1.0 in binary
+        // (0.34 + 0.56 + 0.10 is 1 + 2⁻⁵²), so allow a few ULPs of slack.
+        let total = self.poisoners + self.scalers + self.free_riders;
+        if total > 1.0 + 4.0 * f64::EPSILON {
             return Err(FlError::BadConfig {
                 reason: format!("persona fractions sum to {total} > 1"),
             });
@@ -211,7 +174,7 @@ impl AdversaryPlan {
     /// The persona of `client`, or `None` for an honest client — a pure
     /// function of `(seed, client)`, identical on every worker, shard,
     /// process and transport.
-    pub fn persona_of(&self, client: u64) -> Option<Persona> {
+    pub(crate) fn persona_of(&self, client: u64) -> Option<Persona> {
         if self.is_quiet() {
             return None;
         }
@@ -228,16 +191,7 @@ impl AdversaryPlan {
         if u < edge {
             return Some(Persona::FreeRider);
         }
-        edge += self.colluders;
-        if u < edge {
-            return Some(Persona::Colluder);
-        }
         None
-    }
-
-    /// The ids of all hostile clients in a fleet of `n`.
-    pub fn hostile_in(&self, n: u64) -> Vec<u64> {
-        (0..n).filter(|&c| self.persona_of(c).is_some()).collect()
     }
 
     /// The poisoned weights `client` uploads in `round`:
@@ -249,7 +203,7 @@ impl AdversaryPlan {
     ///
     /// Returns [`FlError::Nn`] if `trained` and `global` disagree on
     /// architecture.
-    pub fn poisoned(
+    pub(crate) fn poisoned(
         &self,
         client: u64,
         round: u64,
@@ -274,7 +228,11 @@ impl AdversaryPlan {
     ///
     /// Returns [`FlError::Nn`] if `trained` and `global` disagree on
     /// architecture.
-    pub fn scaled(&self, global: &ModelWeights, trained: &ModelWeights) -> Result<ModelWeights> {
+    pub(crate) fn scaled(
+        &self,
+        global: &ModelWeights,
+        trained: &ModelWeights,
+    ) -> Result<ModelWeights> {
         let mut out = global.clone();
         out.scale(1.0 - SCALE_BOOST);
         out.add_scaled(trained, SCALE_BOOST)?;
@@ -311,7 +269,6 @@ wire_struct!(
         poisoners,
         scalers,
         free_riders,
-        colluders,
         poison_strength,
         poison_noise,
     },
@@ -319,73 +276,13 @@ wire_struct!(
 );
 
 /// The view a client's adversarial behavior needs at cycle time: its
-/// persona, the scenario knobs, and (for colluders assembled in the
-/// coordinator process) the shared observation log.
+/// persona and the scenario knobs.
 #[derive(Debug, Clone)]
 pub struct Adversary {
     /// This client's persona.
-    pub persona: Persona,
+    pub(crate) persona: Persona,
     /// The scenario configuration.
-    pub plan: Arc<AdversaryPlan>,
-    /// Where colluders record global snapshots. `None` in shard-server
-    /// processes — collusion records are an in-process observability
-    /// artifact, never part of the round exchange, so their absence
-    /// cannot perturb bit-identity.
-    pub log: Option<Arc<CollusionLog>>,
-}
-
-#[derive(Debug, Default)]
-struct CollusionRecords {
-    colluders: BTreeSet<u64>,
-    snapshots: BTreeMap<u64, ModelWeights>,
-}
-
-/// What a colluding coalition observed: which clients colluded and the
-/// global model snapshot of every round any colluder participated in.
-///
-/// Keyed structures are ordered maps, so the recorded content is
-/// independent of worker interleaving. Fleet-scale MIA harnesses in
-/// `gradsec_attacks` consume the snapshot sequence after the run.
-#[derive(Debug, Default)]
-pub struct CollusionLog {
-    inner: Mutex<CollusionRecords>,
-}
-
-impl CollusionLog {
-    /// Records that `client` observed `global` in `round`.
-    pub fn observe(&self, client: u64, round: u64, global: &ModelWeights) {
-        let mut inner = self.inner.lock().expect("collusion log poisoned");
-        inner.colluders.insert(client);
-        inner
-            .snapshots
-            .entry(round)
-            .or_insert_with(|| global.clone());
-    }
-
-    /// The colluding client ids seen so far, ascending.
-    pub fn colluders(&self) -> Vec<u64> {
-        let inner = self.inner.lock().expect("collusion log poisoned");
-        inner.colluders.iter().copied().collect()
-    }
-
-    /// The observed `(round, global weights)` snapshots, round-ascending.
-    pub fn snapshots(&self) -> Vec<(u64, ModelWeights)> {
-        let inner = self.inner.lock().expect("collusion log poisoned");
-        inner
-            .snapshots
-            .iter()
-            .map(|(&r, w)| (r, w.clone()))
-            .collect()
-    }
-
-    /// Number of distinct rounds observed.
-    pub fn rounds_observed(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("collusion log poisoned")
-            .snapshots
-            .len()
-    }
+    pub(crate) plan: Arc<AdversaryPlan>,
 }
 
 #[cfg(test)]
@@ -402,23 +299,19 @@ mod tests {
 
     #[test]
     fn persona_assignment_is_pure_and_respects_fractions() {
-        let plan = AdversaryPlan::seeded(9).poisoners(0.2).colluders(0.1);
+        let plan = AdversaryPlan::seeded(9).poisoners(0.2).free_riders(0.1);
         let n = 4000u64;
         let first: Vec<_> = (0..n).map(|c| plan.persona_of(c)).collect();
         let second: Vec<_> = (0..n).map(|c| plan.persona_of(c)).collect();
         assert_eq!(first, second);
-        let poisoners = first
-            .iter()
-            .filter(|p| **p == Some(Persona::Poisoner))
-            .count();
-        let colluders = first
-            .iter()
-            .filter(|p| **p == Some(Persona::Colluder))
-            .count();
-        let frac = poisoners as f64 / n as f64;
+        let share = |persona| {
+            let count = first.iter().filter(|p| **p == Some(persona)).count();
+            count as f64 / n as f64
+        };
+        let frac = share(Persona::Poisoner);
         assert!((frac - 0.2).abs() < 0.03, "poisoner fraction {frac}");
-        let frac = colluders as f64 / n as f64;
-        assert!((frac - 0.1).abs() < 0.03, "colluder fraction {frac}");
+        let frac = share(Persona::FreeRider);
+        assert!((frac - 0.1).abs() < 0.03, "free-rider fraction {frac}");
         assert!(AdversaryPlan::seeded(9).persona_of(3).is_none());
     }
 
@@ -426,7 +319,10 @@ mod tests {
     fn different_seeds_pick_different_hostile_sets() {
         let a = AdversaryPlan::seeded(1).poisoners(0.3);
         let b = AdversaryPlan::seeded(2).poisoners(0.3);
-        assert_ne!(a.hostile_in(256), b.hostile_in(256));
+        let hostile = |plan: &AdversaryPlan| -> Vec<u64> {
+            (0..256).filter(|&c| plan.persona_of(c).is_some()).collect()
+        };
+        assert_ne!(hostile(&a), hostile(&b));
     }
 
     #[test]
@@ -481,29 +377,31 @@ mod tests {
     }
 
     #[test]
+    fn a_mix_summing_to_one_is_accepted() {
+        // 0.34 + 0.56 + 0.10 rounds to 1 + 2⁻⁵² in f64.
+        let whole = AdversaryPlan::seeded(1)
+            .poisoners(0.34)
+            .scalers(0.56)
+            .free_riders(0.10);
+        whole.validate().unwrap();
+        assert!((0..64).all(|c| whole.persona_of(c).is_some()));
+        let over = AdversaryPlan::seeded(1)
+            .poisoners(0.34)
+            .scalers(0.57)
+            .free_riders(0.10);
+        assert!(over.validate().is_err(), "1.01 is still refused");
+    }
+
+    #[test]
     fn plan_round_trips_on_the_wire() {
         let plan = AdversaryPlan::seeded(42)
             .poisoners(0.25)
             .scalers(0.05)
             .free_riders(0.1)
-            .colluders(0.1)
             .poison_strength(2.0)
             .poison_noise(0.05);
         // `decode` also demands the plan consumed every byte.
         let back: AdversaryPlan = decode(&encode(&plan)).unwrap();
         assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn collusion_log_is_order_independent() {
-        let log = CollusionLog::default();
-        log.observe(5, 1, &weights(1.0));
-        log.observe(2, 0, &weights(0.5));
-        log.observe(5, 0, &weights(0.5));
-        assert_eq!(log.colluders(), vec![2, 5]);
-        assert_eq!(log.rounds_observed(), 2);
-        let snaps = log.snapshots();
-        assert_eq!(snaps[0].0, 0);
-        assert_eq!(snaps[1].0, 1);
     }
 }

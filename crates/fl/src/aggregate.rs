@@ -109,7 +109,7 @@ impl Aggregator {
     ///
     /// Returns [`FlError::BadConfig`] for a non-finite or non-positive
     /// clipping norm.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if let Aggregator::NormClip { tau } = self {
             if !tau.is_finite() || *tau <= 0.0 {
                 return Err(FlError::BadConfig {
@@ -304,7 +304,7 @@ pub struct AggregateOutcome {
     pub weights: ModelWeights,
     /// Mean training loss across the round's updates, in selection order
     /// (the round report's `mean_loss`).
-    pub mean_loss: f32,
+    pub(crate) mean_loss: f32,
     /// Total samples the round trained on.
     pub total_samples: usize,
 }

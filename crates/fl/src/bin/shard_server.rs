@@ -7,9 +7,9 @@
 //! to the coordinator, receives its shard configuration over the
 //! shard-control handshake, and serves screen/round requests until a
 //! Goodbye (or EOF) ends the session. All logic lives in
-//! [`gradsec_fl::distributed::serve_shard`]; this binary only parses its
-//! argument and maps the result to an exit code the coordinator's
-//! teardown watchdog can observe.
+//! [`gradsec_fl::distributed::shard_server_main`]; this binary only hands
+//! it the arguments and maps the result to an exit code the
+//! coordinator's teardown watchdog can observe.
 
 use std::process::ExitCode;
 

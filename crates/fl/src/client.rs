@@ -23,9 +23,7 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct DeviceProfile {
     /// Whether the device has TrustZone at all.
-    pub has_tee: bool,
-    /// Secure-memory carveout in bytes (3–5 MB typical, paper §3.3).
-    pub tee_budget: usize,
+    pub(crate) has_tee: bool,
     /// Device attestation key (provisioned at manufacture; shared with the
     /// verifier in this symmetric simulation).
     ///
@@ -34,22 +32,22 @@ pub struct DeviceProfile {
     /// its transport handshake — so a device whose key differs from
     /// `provisioned_key(id)` fails screening, exactly as an unprovisioned
     /// device would in the field.
-    pub attestation_key: Vec<u8>,
+    pub(crate) attestation_key: Vec<u8>,
     /// The GradSec TA installed on this device, if any.
-    pub ta: Option<InstalledTa>,
+    pub(crate) ta: Option<InstalledTa>,
 }
 
 /// The genuine GradSec TA's code: what a TrustZone device installs, and
 /// what every federation whitelists by its measurement.
-pub const TA_CODE: &[u8] = b"gradsec-ta-code-v1";
+pub(crate) const TA_CODE: &[u8] = b"gradsec-ta-code-v1";
 
 /// A TA installed on a device.
 #[derive(Debug, Clone)]
-pub struct InstalledTa {
+pub(crate) struct InstalledTa {
     /// TA identity.
-    pub uuid: Uuid,
+    pub(crate) uuid: Uuid,
     /// The TA code bytes (what attestation measures).
-    pub code: Vec<u8>,
+    pub(crate) code: Vec<u8>,
 }
 
 impl DeviceProfile {
@@ -65,7 +63,6 @@ impl DeviceProfile {
     pub fn trustzone(device_id: u64) -> Self {
         DeviceProfile {
             has_tee: true,
-            tee_budget: 4 * 1024 * 1024,
             attestation_key: Self::provisioned_key(device_id),
             ta: Some(InstalledTa {
                 uuid: Uuid::from_name("gradsec-ta"),
@@ -78,7 +75,6 @@ impl DeviceProfile {
     pub fn legacy(device_id: u64) -> Self {
         DeviceProfile {
             has_tee: false,
-            tee_budget: 0,
             attestation_key: Self::provisioned_key(device_id),
             ta: None,
         }
@@ -89,7 +85,6 @@ impl DeviceProfile {
     pub fn compromised(device_id: u64) -> Self {
         DeviceProfile {
             has_tee: true,
-            tee_budget: 4 * 1024 * 1024,
             attestation_key: Self::provisioned_key(device_id),
             ta: Some(InstalledTa {
                 uuid: Uuid::from_name("gradsec-ta"),
@@ -307,7 +302,7 @@ impl Drop for Lent<'_> {
 /// trainer. It holds no model: each cycle borrows one from its fleet's
 /// `ClientModels` (a client built on its own gets a store of its own),
 /// and a delta-topk session's reference view is held by its
-/// [`ClientHandler`](crate::transport::ClientHandler).
+/// `ClientHandler`.
 pub struct FlClient {
     id: u64,
     device: DeviceProfile,
@@ -315,7 +310,6 @@ pub struct FlClient {
     shard: Vec<usize>,
     models: Arc<ClientModels>,
     trainer: Box<dyn LocalTrainer>,
-    last_stats: Option<CycleStats>,
     adversary: Option<Adversary>,
 }
 
@@ -359,7 +353,6 @@ impl FlClient {
             shard,
             models,
             trainer,
-            last_stats: None,
             adversary: None,
         }
     }
@@ -370,23 +363,8 @@ impl FlClient {
     }
 
     /// Client id.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The device profile.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
-    /// The local shard size.
-    pub fn shard_len(&self) -> usize {
-        self.shard.len()
-    }
-
-    /// Statistics of the most recent cycle.
-    pub fn last_stats(&self) -> Option<&CycleStats> {
-        self.last_stats.as_ref()
     }
 
     /// Assigns this client an adversarial persona (see
@@ -394,19 +372,19 @@ impl FlClient {
     /// [`run_cycle`](Self::run_cycle) — attestation and the transport
     /// exchange stay honest, so screening and bit-identity are
     /// unaffected by *who* the client is, only by what it uploads.
-    pub fn set_adversary(&mut self, adversary: Adversary) {
+    pub(crate) fn set_adversary(&mut self, adversary: Adversary) {
         self.adversary = Some(adversary);
     }
 
     /// This client's persona, if hostile.
-    pub fn persona(&self) -> Option<Persona> {
+    pub(crate) fn persona(&self) -> Option<Persona> {
         self.adversary.as_ref().map(|a| a.persona)
     }
 
     /// Responds to an attestation challenge. Devices without a TEE (or
     /// without the TA) answer with no quote and are filtered out by the
     /// server.
-    pub fn attest(&self, challenge: &Challenge) -> AttestationResponse {
+    pub(crate) fn attest(&self, challenge: &Challenge) -> AttestationResponse {
         let quote = match (&self.device.has_tee, &self.device.ta) {
             (true, Some(ta)) => {
                 let m = Measurement(gradsec_tee::crypto::sha256::sha256(&ta.code));
@@ -477,7 +455,6 @@ impl FlClient {
             plan.learning_rate,
             protected_layers,
         )?;
-        self.last_stats = Some(stats);
         // Reset before the upload is built, as a client always has: heap
         // shape is a cost here, and the other order measured 13–26 %
         // slower `lenet_protected` set-ups.
@@ -488,12 +465,6 @@ impl FlClient {
             Some(adv) => match adv.persona {
                 Persona::Poisoner => adv.plan.poisoned(self.id, round, global, &trained)?,
                 Persona::Scaler => adv.plan.scaled(global, &trained)?,
-                Persona::Colluder => {
-                    if let Some(log) = &adv.log {
-                        log.observe(self.id, round, global);
-                    }
-                    trained
-                }
                 Persona::FreeRider => unreachable!("free-riders return before training"),
             },
             None => trained,
@@ -511,14 +482,8 @@ impl FlClient {
     /// The free-rider cycle: no training at all — echo the global
     /// weights back while claiming a full cycle's samples and zero
     /// compute cost. Deterministic by construction (no RNG, no batches).
-    fn free_ride(
-        &mut self,
-        round: u64,
-        global: &ModelWeights,
-        plan: &TrainingPlan,
-    ) -> UpdateUpload {
+    fn free_ride(&self, round: u64, global: &ModelWeights, plan: &TrainingPlan) -> UpdateUpload {
         let claimed = (plan.batch_size * plan.batches_per_cycle).max(1);
-        self.last_stats = Some(CycleStats::default());
         UpdateUpload {
             client_id: self.id,
             round,
@@ -593,7 +558,7 @@ mod tests {
 
     #[test]
     fn personas_shape_the_upload() {
-        use crate::adversary::{Adversary, AdversaryPlan, CollusionLog};
+        use crate::adversary::{Adversary, AdversaryPlan};
 
         let scenario = Arc::new(AdversaryPlan::seeded(5).poisoners(1.0));
         let download = ModelDownload {
@@ -611,7 +576,6 @@ mod tests {
         poisoner.set_adversary(Adversary {
             persona: Persona::Poisoner,
             plan: scenario.clone(),
-            log: None,
         });
         let poisoned = poisoner.run_cycle(&download).unwrap();
         assert_ne!(poisoned.weights, honest.weights);
@@ -621,23 +585,10 @@ mod tests {
         rider.set_adversary(Adversary {
             persona: Persona::FreeRider,
             plan: scenario.clone(),
-            log: None,
         });
         let echoed = rider.run_cycle(&download).unwrap();
         assert_eq!(echoed.weights, download.weights);
         assert_eq!(echoed.num_samples, 16, "claims a full cycle's samples");
-
-        let log = Arc::new(CollusionLog::default());
-        let mut colluder = client(DeviceProfile::trustzone(7));
-        colluder.set_adversary(Adversary {
-            persona: Persona::Colluder,
-            plan: scenario,
-            log: Some(log.clone()),
-        });
-        let observed = colluder.run_cycle(&download).unwrap();
-        assert_eq!(observed.weights, honest.weights, "colluders train honestly");
-        assert_eq!(log.colluders(), vec![7]);
-        assert_eq!(log.rounds_observed(), 1);
     }
 
     #[test]
@@ -654,7 +605,6 @@ mod tests {
         assert_eq!(up.client_id, 7);
         assert_eq!(up.num_samples, 16);
         assert_ne!(up.weights, global, "training must move the weights");
-        assert!(c.last_stats().is_some());
         assert_eq!(
             c.models().idle_clean(),
             [true],

@@ -20,7 +20,7 @@
 //!   way `repro_kernels` pins `Tiled`'s kernel parity).
 //! * [`CodecKind::DeltaTopK`] — top-k sparsified delta against the
 //!   previous committed round: both sides hold a reference *view* of
-//!   the model per client epoch, only the largest [`TOPK_DENSITY`]
+//!   the model per client epoch, only the largest `TOPK_DENSITY`
 //!   fraction of per-tensor delta coefficients cross the wire, and the
 //!   receiver reconstructs `view + delta`. A view is one shared
 //!   allocation per lockstep group on each side: the server's broadcast
@@ -44,7 +44,7 @@
 //!
 //! A sparse body's indices are strictly increasing, so each travels as
 //! the LEB128 varint of its gap to the previous one (`idx - prev - 1`;
-//! the first gap is the first index). At [`TOPK_DENSITY`] kept indices
+//! the first gap is the first index). At `TOPK_DENSITY` kept indices
 //! sit 10 apart on average and a gap below 128 is one byte, so a kept
 //! coefficient costs 5 bytes — one of gap, four of value — against 4 for
 //! every coefficient of a dense body. Decoding refuses `k > n`, a
@@ -57,8 +57,8 @@
 //!
 //! # Selection
 //!
-//! A delta-topk tensor of `n` coefficients keeps `k = ⌈n ×`
-//! [`TOPK_DENSITY`]`⌉` of its deltas `x − r`: those of largest magnitude,
+//! A delta-topk tensor of `n` coefficients keeps
+//! `k = ⌈n × TOPK_DENSITY⌉` of its deltas `x − r`: those of largest magnitude,
 //! the lower index first among equal magnitudes, where magnitudes order as
 //! `total_cmp` orders `abs()` — NaN above ±∞, ±∞ above every finite value,
 //! and −0.0 tied with +0.0. That order is the unsigned order of a delta's
@@ -112,7 +112,7 @@
 //! followed by the same rebuild, which after the check cannot fail. The
 //! public eager calls
 //! ([`RemoteClient::train`](crate::transport::RemoteClient::train),
-//! `ExecutionEngine::execute_cycles`, `PartialAggregate::push` /
+//! `ExecutionEngine::execute_cycles_with`, `PartialAggregate::push` /
 //! `into_terms`) still speak dense
 //! [`UpdateUpload`](crate::message::UpdateUpload)s: they are the same
 //! path with the expansion applied at the edge.
@@ -126,7 +126,7 @@
 //! names — a garbled upload made the server withhold its commit, or the
 //! client's last cycle failed or panicked, which drops its view —
 //! answers with a typed error containing
-//! [`BASE_MISMATCH`], and the server re-sends that one download dense.
+//! `BASE_MISMATCH`, and the server re-sends that one download dense.
 
 use std::sync::Arc;
 
@@ -141,12 +141,12 @@ use crate::{FlError, Result};
 
 /// Fraction of per-tensor delta coefficients [`CodecKind::DeltaTopK`]
 /// keeps (at least one per tensor).
-pub const TOPK_DENSITY: f64 = 0.1;
+pub(crate) const TOPK_DENSITY: f64 = 0.1;
 
 /// Marker embedded in the typed error a client returns when a delta
 /// download references a base epoch the client no longer holds. The
 /// server detects it and retries that download once, dense.
-pub const BASE_MISMATCH: &str = "codec base mismatch";
+pub(crate) const BASE_MISMATCH: &str = "codec base mismatch";
 
 /// Which update codec a session speaks, negotiated at Hello/HelloAck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -171,7 +171,7 @@ impl CodecKind {
     }
 
     /// The wire tag.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             CodecKind::Identity => 0,
             CodecKind::Int8 => 1,
@@ -184,7 +184,7 @@ impl CodecKind {
     /// # Errors
     ///
     /// Returns [`FlError::Protocol`] on an unknown tag.
-    pub fn from_u8(v: u8) -> Result<Self> {
+    pub(crate) fn from_u8(v: u8) -> Result<Self> {
         match v {
             0 => Ok(CodecKind::Identity),
             1 => Ok(CodecKind::Int8),
@@ -1098,7 +1098,7 @@ impl Wire for EncodedTensor {
     }
 }
 
-/// One byte: the tag [`CodecKind::as_u8`] names.
+/// One byte: the tag `CodecKind::as_u8` names.
 impl Wire for CodecKind {
     fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u8(self.as_u8());

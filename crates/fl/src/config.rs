@@ -28,7 +28,7 @@ impl TrainingPlan {
     ///
     /// Returns [`FlError::BadConfig`] for zero counts or a learning rate
     /// that is not a positive finite number.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.rounds == 0 {
             return Err(FlError::BadConfig {
                 reason: "rounds must be positive".to_owned(),
@@ -128,7 +128,7 @@ impl MuxOptions {
     ///
     /// Returns [`FlError::BadConfig`] for a zero read chunk or write
     /// bound.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.read_chunk == 0 {
             return Err(FlError::BadConfig {
                 reason: "mux read_chunk must be positive".to_owned(),
@@ -144,7 +144,7 @@ impl MuxOptions {
 
     /// The configured loop count, with `0` resolved to one loop per
     /// available core (at least one).
-    pub fn effective_loops(&self) -> usize {
+    pub(crate) fn effective_loops(&self) -> usize {
         if self.loops > 0 {
             return self.loops;
         }

@@ -5,7 +5,7 @@
 //! inside one process; this module promotes each shard to its own OS
 //! process. [`DistributedCoordinator`] is the same
 //! [`RoundDriver`] over a [`ProcessFleet`]: `shard-server` children (the
-//! thin binary in `src/bin/shard_server.rs` over [`serve_shard`]), each
+//! thin binary in `src/bin/shard_server.rs` over `serve_shard`), each
 //! hosting one contiguous [`ShardLayout`] client range — a
 //! [`LocalFleet`] built by the same assembler an in-process federation
 //! uses — behind the existing envelope protocol, screened and executed
@@ -36,11 +36,10 @@
 //! in-process reference — gated by `repro_gates` and the shard-server
 //! cells of `tests/deployment_matrix.rs`.
 //!
-//! Shard-failure semantics: a shard process that crashes, hangs past the
-//! reply deadline, or answers garbage is billed and excluded like a
-//! straggler cohort — its picked clients become failed outcomes with
-//! zero-cost ledger entries and the round commits from the surviving
-//! shards. [`FlError::RoundCollapsed`] is raised only when *nothing*
+//! Shard-failure semantics: a shard process that crashes or answers
+//! garbage is billed and excluded like a straggler cohort — its picked
+//! clients become failed outcomes with zero-cost ledger entries and the
+//! round commits from the surviving shards. [`FlError::RoundCollapsed`] is raised only when *nothing*
 //! commits. A dead shard stays dead (and is reaped at
 //! [`shutdown`](RoundDriver::shutdown)); later rounds simply screen its
 //! clients as unreachable.
@@ -92,9 +91,7 @@ pub const SHARD_SERVER_ENV: &str = "GRADSEC_SHARD_SERVER";
 /// One framed envelope channel between the coordinator and a
 /// shard-server process: the envelope header doubles as the length
 /// prefix, exactly as on the per-client TCP transport. Counts bytes in
-/// both directions so the repro gates can report wire overhead, and
-/// supports a read deadline so a hung shard is detected rather than
-/// waited on forever.
+/// both directions so the repro gates can report wire overhead.
 struct ShardChannel {
     stream: TcpStream,
     peer: String,
@@ -119,12 +116,6 @@ impl ShardChannel {
             bytes_out: 0,
             bytes_in: 0,
         })
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| FlError::transport("setting shard read deadline", e))
     }
 
     fn send(&mut self, envelope: &Envelope) -> Result<()> {
@@ -247,12 +238,11 @@ pub struct DistributedBuilder {
     clients: usize,
     shards: usize,
     workers: usize,
-    reply_timeout: Option<Duration>,
 }
 
 impl DistributedBuilder {
     /// Starts a builder for `plan`.
-    pub fn new(plan: TrainingPlan) -> Self {
+    pub(crate) fn new(plan: TrainingPlan) -> Self {
         DistributedBuilder {
             setup: RunSetup::new(plan),
             dataset: None,
@@ -260,7 +250,6 @@ impl DistributedBuilder {
             clients: 0,
             shards: 1,
             workers: 1,
-            reply_timeout: None,
         }
     }
 
@@ -349,15 +338,6 @@ impl DistributedBuilder {
         self
     }
 
-    /// Bounds how long the coordinator waits for any one shard reply; a
-    /// shard that blows the deadline is billed and excluded like a
-    /// crashed one. Unset (the default) waits indefinitely; zero is
-    /// rejected at [`launch`](Self::launch).
-    pub fn reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = Some(timeout);
-        self
-    }
-
     /// Spawns the shard-server processes, performs the shard-control
     /// handshake and configuration, and returns the ready coordinator.
     ///
@@ -376,13 +356,6 @@ impl DistributedBuilder {
         if self.clients == 0 {
             return Err(FlError::BadConfig {
                 reason: "distributed federation needs at least one client".to_owned(),
-            });
-        }
-        // std refuses a zero socket read timeout; unchecked, every shard
-        // reply would fail and round 0 would retire the whole fleet.
-        if self.reply_timeout.is_some_and(|t| t.is_zero()) {
-            return Err(FlError::BadConfig {
-                reason: "reply_timeout must be greater than zero".to_owned(),
             });
         }
         let init_weights = model.build()?.weights();
@@ -417,7 +390,6 @@ impl DistributedBuilder {
 
         let fleet = ProcessFleet {
             measurement: self.setup.measurement,
-            reply_timeout: self.reply_timeout,
             shards: Vec::with_capacity(layout.num_shards()),
             layout,
             torn_down: false,
@@ -461,18 +433,15 @@ impl ShardSlot {
         }
     }
 
-    /// Receives the shard's reply under `timeout` and opens it as `T`.
-    /// Does *not* retire the channel on failure — the caller decides how
-    /// a failure is billed.
-    fn reply<T: Wire>(&mut self, expect: MessageKind, timeout: Option<Duration>) -> Result<T> {
+    /// Receives the shard's reply and opens it as `T`. Does *not* retire
+    /// the channel on failure — the caller decides how a failure is
+    /// billed.
+    fn reply<T: Wire>(&mut self, expect: MessageKind) -> Result<T> {
         let channel = self
             .channel
             .as_mut()
             .ok_or_else(|| FlError::disconnected("shard channel already retired"))?;
-        channel.set_read_timeout(timeout)?;
-        let reply = channel.recv();
-        let _ = channel.set_read_timeout(None);
-        reply?.open(expect)
+        channel.recv()?.open(expect)
     }
 }
 
@@ -482,7 +451,6 @@ impl ShardSlot {
 pub struct ProcessFleet {
     layout: ShardLayout,
     measurement: Measurement,
-    reply_timeout: Option<Duration>,
     shards: Vec<ShardSlot>,
     torn_down: bool,
 }
@@ -642,7 +610,7 @@ impl ProcessFleet {
         }
         for (s, slot) in self.shards.iter_mut().enumerate() {
             let expected = self.layout.range(s).len();
-            let ack: ShardConfigAck = slot.reply(MessageKind::ShardConfigAck, None)?;
+            let ack: ShardConfigAck = slot.reply(MessageKind::ShardConfigAck)?;
             if ack.clients != expected as u64 {
                 return Err(FlError::Protocol {
                     reason: format!(
@@ -693,8 +661,7 @@ impl Fleet for ProcessFleet {
             if positions.is_empty() || slot.channel.is_none() {
                 continue;
             }
-            match slot.reply::<ShardScreenReply>(MessageKind::ShardScreenReply, self.reply_timeout)
-            {
+            match slot.reply::<ShardScreenReply>(MessageKind::ShardScreenReply) {
                 Ok(reply) if reply.evidence.len() == positions.len() => {
                     for (&ci, evidence) in positions.iter().zip(reply.evidence) {
                         let g = plan.candidates[ci];
@@ -755,7 +722,7 @@ impl Fleet for ProcessFleet {
                 continue;
             }
             let applied = slot
-                .reply::<ShardRoundReply>(MessageKind::ShardRoundReply, self.reply_timeout)
+                .reply::<ShardRoundReply>(MessageKind::ShardRoundReply)
                 .and_then(|reply| {
                     apply_shard_reply(
                         reply,
@@ -1038,7 +1005,7 @@ pub fn shard_server_main(mut args: impl Iterator<Item = String>) -> Result<()> {
 /// Propagates handshake, configuration and transport failures (the
 /// binary turns them into a nonzero exit, which the coordinator's
 /// teardown surfaces).
-pub fn serve_shard(stream: TcpStream) -> Result<()> {
+pub(crate) fn serve_shard(stream: TcpStream) -> Result<()> {
     let mut channel = ShardChannel::new(stream)?;
     channel.send(&Envelope::pack(
         MessageKind::ShardHello,
@@ -1146,14 +1113,10 @@ fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
     if let Some(plan) = &config.adversaries {
         builder = builder.adversaries(plan.clone());
     }
-    // No collusion log in shard processes: it is an observability
-    // artifact, and colluders train honestly, so its absence cannot
-    // perturb the committed weights.
     builder.host(
         prototype,
         config.range_start as usize,
         config.total_clients as usize,
-        None,
     )
 }
 
@@ -1199,31 +1162,6 @@ fn shard_round_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_zero_reply_timeout_is_rejected_before_any_spawn() {
-        let err = DistributedCoordinator::builder(TrainingPlan::default())
-            .clients(
-                8,
-                DatasetSpec::Micro {
-                    len: 64,
-                    classes: 2,
-                    dim: 4,
-                    seed: 1,
-                },
-            )
-            .model(ModelSpec::TinyMlp {
-                inputs: 4,
-                hidden: 4,
-                outputs: 2,
-                seed: 1,
-            })
-            .reply_timeout(Duration::ZERO)
-            .launch()
-            .unwrap_err();
-        assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
-        assert!(err.to_string().contains("reply_timeout"), "{err}");
-    }
 
     /// A `ShardConfig` whose backend tag is past [`BackendKind::ALL`] —
     /// the retired `Blocked` backend's among them — or whose codec tag is

@@ -27,11 +27,10 @@
 //!   "Who holds what, when") — and the round's commit folds it on
 //!   arrival, in any order, unless it is a spare that might prove
 //!   surplus, so only such spares are held, and a straggler's is dropped
-//!   unexpanded. The public
-//!   entry points ([`execute_cycles`](ExecutionEngine::execute_cycles),
-//!   [`execute_shards`](ExecutionEngine::execute_shards) and their
-//!   `_with` forms) are that same run with a sink that collects, every
-//!   completed update expanded on the way out,
+//!   unexpanded. The public entry point
+//!   ([`execute_cycles_with`](ExecutionEngine::execute_cycles_with)) is
+//!   that same run with a sink that collects, every completed update
+//!   expanded on the way out,
 //! * the TEE accounting that arrives *on the wire* with every upload is
 //!   recorded into a [`SharedLedger`] as workers finish and merged into an
 //!   id-sorted [`RoundLedger`], so the world-switch/crypto bill stays
@@ -60,11 +59,11 @@
 //! `(fault seed, client, round)`, so they are identical on every worker,
 //! shard and transport.
 //!
-//! [`ExecutionEngine::execute_shards`] lifts the same machinery one level
-//! up for sharded fleets: disjoint client shards run concurrently, each
-//! with its own worker pool and its own [`RoundLedger`]; a shard's slots
-//! are offset by the picks of the shards before it, and the per-shard
-//! ledgers come back in shard order for the global merge.
+//! A sharded fleet lifts the same machinery one level up: disjoint
+//! client shards run concurrently, each with its own worker pool and its
+//! own [`RoundLedger`]; a shard's slots are offset by the picks of the
+//! shards before it, and the per-shard ledgers come back in shard order
+//! for the global merge.
 //!
 //! With identical seeds — training *and* fault seeds — a 1-worker and an
 //! N-worker engine, over the in-process or the TCP transport, sharded or
@@ -123,22 +122,6 @@ impl ClientOutcome {
             }
         }
     }
-
-    /// The update, for completed outcomes.
-    pub fn update(&self) -> Option<&UpdateUpload> {
-        match self {
-            ClientOutcome::Completed(u) => Some(u),
-            _ => None,
-        }
-    }
-
-    /// Consumes the outcome into its update, for completed outcomes.
-    pub fn into_update(self) -> Option<UpdateUpload> {
-        match self {
-            ClientOutcome::Completed(u) => Some(u),
-            _ => None,
-        }
-    }
 }
 
 impl<U> ClientOutcome<U> {
@@ -153,22 +136,9 @@ impl<U> ClientOutcome<U> {
         }
     }
 
-    /// The failure, for failed outcomes.
-    pub fn error(&self) -> Option<&FlError> {
-        match self {
-            ClientOutcome::Failed { error, .. } => Some(error),
-            _ => None,
-        }
-    }
-
     /// `true` for [`ClientOutcome::Completed`].
     pub fn is_completed(&self) -> bool {
         matches!(self, ClientOutcome::Completed(_))
-    }
-
-    /// `true` for [`ClientOutcome::Straggler`].
-    pub fn is_straggler(&self) -> bool {
-        matches!(self, ClientOutcome::Straggler { .. })
     }
 
     /// `true` for [`ClientOutcome::Failed`].
@@ -180,7 +150,7 @@ impl<U> ClientOutcome<U> {
 /// Per-client outcomes of one engine run, in `picked` order, plus the
 /// round's merged TEE ledger (one entry per picked client — zero-cost
 /// entries for failures).
-pub type CycleOutcomes = (Vec<ClientOutcome>, RoundLedger);
+pub(crate) type CycleOutcomes = (Vec<ClientOutcome>, RoundLedger);
 
 /// The public, dense view of one engine run's collected outcomes.
 fn expanded(collected: Collected) -> Vec<ClientOutcome> {
@@ -210,28 +180,6 @@ impl ExecutionEngine {
             workers
         };
         ExecutionEngine { workers }
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Drives the cycles of the clients listed in `picked` (indices into
-    /// `clients`) against `download` with no fault plan — see
-    /// [`execute_cycles_with`](Self::execute_cycles_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::InvalidSelection`] when `picked` contains a
-    /// duplicate or out-of-range index.
-    pub fn execute_cycles(
-        &self,
-        clients: &mut [RemoteClient],
-        picked: &[usize],
-        download: &ModelDownload,
-    ) -> Result<CycleOutcomes> {
-        self.execute_cycles_with(clients, picked, download, None)
     }
 
     /// Drives the cycles of the clients listed in `picked` (indices into
@@ -384,30 +332,17 @@ impl ExecutionEngine {
         Ok(ledger.into_round_ledger())
     }
 
-    /// Runs several disjoint client shards concurrently with no fault
-    /// plan — see [`execute_shards_with`](Self::execute_shards_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::InvalidSelection`] when any shard's picks are
-    /// duplicated or out of range (checked before anything runs).
-    pub fn execute_shards(
-        &self,
-        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
-        download: &ModelDownload,
-    ) -> Result<Vec<CycleOutcomes>> {
-        self.execute_shards_with(shards, download, None)
-    }
-
     /// Runs several disjoint client shards concurrently — each shard's
-    /// picked clients on this engine's own worker pool — returning the
-    /// per-shard outcomes and per-shard ledgers in shard order.
+    /// picked clients on this engine's own worker pool — handing `sink`
+    /// each outcome as it lands, keyed by its slot in the shards' picks
+    /// concatenated in shard order, with the upload left as it arrived.
+    /// Returns the per-shard ledgers in shard order.
     ///
     /// `shards` pairs each shard's clients with its *shard-local* pick
-    /// indices. Because every shard's execution is independently
-    /// deterministic (fault decisions included) and results stay keyed by
-    /// shard + slot, the concatenated outcome is bit-identical to running
-    /// the shards one after another — which is how a multi-shard
+    /// indices. Every shard's execution is independently deterministic
+    /// (fault decisions included) and outcomes stay keyed by shard +
+    /// slot, so the result is bit-identical to running the shards one
+    /// after another — which is how a multi-shard
     /// [`Federation`](crate::runner::Federation) reproduces a one-shard
     /// round exactly.
     ///
@@ -415,27 +350,6 @@ impl ExecutionEngine {
     ///
     /// Returns [`FlError::InvalidSelection`] when any shard's picks are
     /// duplicated or out of range (checked before anything runs).
-    pub fn execute_shards_with(
-        &self,
-        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
-        download: &ModelDownload,
-        faults: Option<&FaultPlan>,
-    ) -> Result<Vec<CycleOutcomes>> {
-        let sizes: Vec<usize> = shards.iter().map(|(_, picked)| picked.len()).collect();
-        let collected = Collected::new(sizes.iter().sum());
-        let sink = |slot, outcome| collected.put(slot, outcome);
-        let ledgers = self.shards_in(shards, download, faults, Sink::new(&sink))?;
-        let mut outcomes = expanded(collected).into_iter();
-        let per_shard = sizes.into_iter().zip(ledgers);
-        Ok(per_shard
-            .map(|(n, ledger)| (outcomes.by_ref().take(n).collect(), ledger))
-            .collect())
-    }
-
-    /// [`execute_shards_with`](Self::execute_shards_with) handing `sink`
-    /// each outcome as it lands, keyed by its slot in the shards' picks
-    /// concatenated in shard order, with the upload left as it arrived.
-    /// Returns the per-shard ledgers in shard order.
     pub(crate) fn shards_in(
         &self,
         shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
@@ -569,7 +483,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::{DeviceProfile, FlClient};
     use crate::codec::CodecKind;
@@ -584,11 +498,19 @@ mod tests {
 
     #[test]
     fn zero_workers_means_all_cores() {
-        let e = ExecutionEngine::new(0);
-        assert!(e.workers() >= 1);
-        assert_eq!(ExecutionEngine::new(3).workers(), 3);
-        assert_eq!(ExecutionEngine::sequential().workers(), 1);
+        assert!(ExecutionEngine::new(0).workers >= 1);
+        assert_eq!(ExecutionEngine::new(3).workers, 3);
+        assert_eq!(ExecutionEngine::sequential().workers, 1);
         assert_eq!(ExecutionEngine::default(), ExecutionEngine::sequential());
+    }
+
+    /// The update of a completed outcome; any other outcome fails the
+    /// test.
+    pub(crate) fn completed(outcome: &ClientOutcome) -> &UpdateUpload {
+        match outcome {
+            ClientOutcome::Completed(update) => update,
+            other => panic!("expected a completed outcome, got {other:?}"),
+        }
     }
 
     /// A trainer that panics on every cycle — the failure mode the engine
@@ -685,7 +607,7 @@ mod tests {
         for (budget, workers, want) in [(12, 1, 12), (12, 2, 6), (12, 3, 4), (2, 3, 1), (7, 2, 3)] {
             threads::with_budget(budget, || {
                 let (outcomes, _) = ExecutionEngine::new(workers)
-                    .execute_cycles(&mut clients, &picked, &download())
+                    .execute_cycles_with(&mut clients, &picked, &download(), None)
                     .unwrap();
                 assert!(outcomes.iter().all(ClientOutcome::is_completed));
                 assert_eq!(threads::budget(), budget, "the caller's budget is restored");
@@ -696,12 +618,28 @@ mod tests {
         threads::with_budget(12, || {
             let (lo, hi) = clients.split_at_mut(3);
             let shards = vec![(lo, vec![0, 1, 2]), (hi, vec![0, 1, 2])];
-            ExecutionEngine::new(3)
-                .execute_shards(shards, &download())
-                .unwrap();
+            sharded(ExecutionEngine::new(3), shards, &download()).unwrap();
             assert_eq!(threads::budget(), 12, "the caller's budget is restored");
         });
         assert_eq!(take(), vec![2; 6]);
+    }
+
+    /// [`ExecutionEngine::shards_in`] with a sink that collects: the
+    /// per-shard outcomes, expanded, and ledgers in shard order.
+    fn sharded(
+        engine: ExecutionEngine,
+        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
+        download: &ModelDownload,
+    ) -> Result<Vec<CycleOutcomes>> {
+        let sizes: Vec<usize> = shards.iter().map(|(_, picked)| picked.len()).collect();
+        let collected = Collected::new(sizes.iter().sum());
+        let sink = |slot, outcome| collected.put(slot, outcome);
+        let ledgers = engine.shards_in(shards, download, None, Sink::new(&sink))?;
+        let mut outcomes = expanded(collected).into_iter();
+        let per_shard = sizes.into_iter().zip(ledgers);
+        Ok(per_shard
+            .map(|(n, ledger)| (outcomes.by_ref().take(n).collect(), ledger))
+            .collect())
     }
 
     fn download() -> ModelDownload {
@@ -725,7 +663,7 @@ mod tests {
         let mut clients = fleet(4, &[]);
         for engine in [ExecutionEngine::sequential(), ExecutionEngine::new(3)] {
             let err = engine
-                .execute_cycles(&mut clients, &[1, 2, 1], &download())
+                .execute_cycles_with(&mut clients, &[1, 2, 1], &download(), None)
                 .unwrap_err();
             assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
         }
@@ -735,7 +673,7 @@ mod tests {
     fn out_of_range_picks_are_an_error_not_a_panic() {
         let mut clients = fleet(2, &[]);
         let err = ExecutionEngine::new(2)
-            .execute_cycles(&mut clients, &[0, 5], &download())
+            .execute_cycles_with(&mut clients, &[0, 5], &download(), None)
             .unwrap_err();
         assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
     }
@@ -744,7 +682,7 @@ mod tests {
     fn empty_pick_set_runs_to_an_empty_round() {
         let mut clients = fleet(2, &[]);
         let (results, ledger) = ExecutionEngine::new(2)
-            .execute_cycles(&mut clients, &[], &download())
+            .execute_cycles_with(&mut clients, &[], &download(), None)
             .unwrap();
         assert!(results.is_empty());
         assert!(ledger.is_empty());
@@ -755,7 +693,7 @@ mod tests {
         for workers in [1usize, 3] {
             let mut clients = fleet(4, &[2]);
             let (results, ledger) = ExecutionEngine::new(workers)
-                .execute_cycles(&mut clients, &[0, 2, 3], &download())
+                .execute_cycles_with(&mut clients, &[0, 2, 3], &download(), None)
                 .unwrap();
             assert_eq!(results.len(), 3);
             assert!(results[0].is_completed(), "{workers} workers: client 0");
@@ -893,18 +831,14 @@ mod tests {
         let engine = ExecutionEngine::new(2);
         let (mut a_seq, mut b_seq) = build();
         let want_a = engine
-            .execute_cycles(&mut a_seq, &[0, 2], &download())
+            .execute_cycles_with(&mut a_seq, &[0, 2], &download(), None)
             .unwrap();
         let want_b = engine
-            .execute_cycles(&mut b_seq, &[1], &download())
+            .execute_cycles_with(&mut b_seq, &[1], &download(), None)
             .unwrap();
         let (mut a, mut b) = build();
-        let got = engine
-            .execute_shards(
-                vec![(a.as_mut_slice(), vec![0, 2]), (b.as_mut_slice(), vec![1])],
-                &download(),
-            )
-            .unwrap();
+        let shards = vec![(a.as_mut_slice(), vec![0, 2]), (b.as_mut_slice(), vec![1])];
+        let got = sharded(engine, shards, &download()).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], want_a);
         assert_eq!(got[1], want_b);
@@ -933,11 +867,7 @@ mod tests {
                 expanded(collected)
             });
             assert_eq!(broadcast.encodes(), 1, "round {round}");
-            let uploads: Vec<_> = per_shard
-                .into_iter()
-                .flatten()
-                .map(|o| o.into_update().expect("a healthy fleet completes"))
-                .collect();
+            let uploads: Vec<_> = per_shard.iter().flatten().map(completed).collect();
             assert_eq!(uploads.len(), 6);
             download.weights = uploads[0].weights.clone();
         }
@@ -959,15 +889,94 @@ mod tests {
             },
         };
         assert_eq!(failed.client_id(), 4);
-        assert!(failed.error().is_some());
-        assert!(failed.update().is_none());
         assert!(!failed.is_completed() && failed.is_failed());
         let straggler = ClientOutcome::Straggler {
             client: 9,
             elapsed_s: 2.0,
         };
         assert_eq!(straggler.client_id(), 9);
-        assert!(straggler.is_straggler());
-        assert!(straggler.clone().into_update().is_none());
+        assert!(!straggler.is_completed() && !straggler.is_failed());
+    }
+
+    mod sharding {
+        use super::*;
+        use gradsec_data::{split, SyntheticMicro};
+
+        const N_CLIENTS: usize = 5;
+        const DIM: usize = 6;
+
+        fn fleet() -> Vec<RemoteClient> {
+            let ds = Arc::new(SyntheticMicro::new(4 * N_CLIENTS, 2, DIM, 3));
+            let shards = split::shard(ds.len(), N_CLIENTS, 1);
+            (0..N_CLIENTS)
+                .zip(shards)
+                .map(|(i, shard)| {
+                    let client = FlClient::new(
+                        i as u64,
+                        DeviceProfile::trustzone(i as u64),
+                        ds.clone(),
+                        shard,
+                        zoo::tiny_mlp(DIM, 4, 2, 5).unwrap(),
+                        Box::new(PlainSgdTrainer),
+                    );
+                    RemoteClient::connect(Box::new(LocalEndpoint::new(client))).unwrap()
+                })
+                .collect()
+        }
+
+        fn download() -> ModelDownload {
+            ModelDownload {
+                round: 0,
+                weights: zoo::tiny_mlp(DIM, 4, 2, 5).unwrap().weights(),
+                plan: TrainingPlan {
+                    rounds: 1,
+                    clients_per_round: N_CLIENTS,
+                    batches_per_cycle: 1,
+                    batch_size: 2,
+                    learning_rate: 0.05,
+                    seed: 11,
+                },
+                protected_layers: vec![],
+            }
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+            /// Shard-partitioned execution equals flat execution for any
+            /// cut of the fleet and any sorted pick set.
+            #[test]
+            fn execute_shards_agrees_with_flat_execution(
+                picked in proptest::collection::btree_set(0usize..N_CLIENTS, 0..N_CLIENTS + 1),
+                cut in 1usize..N_CLIENTS,
+                workers in 1usize..4,
+            ) {
+                let picked: Vec<usize> = picked.iter().copied().collect();
+                let download = download();
+                let engine = ExecutionEngine::new(workers);
+                let mut flat_fleet = fleet();
+                let (flat_outcomes, flat_ledger) = engine
+                    .execute_cycles_with(&mut flat_fleet, &picked, &download, None)
+                    .unwrap();
+                let mut front = fleet();
+                let mut back = front.split_off(cut);
+                let front_picks: Vec<usize> = picked.iter().copied().filter(|&p| p < cut).collect();
+                let back_picks: Vec<usize> =
+                    picked.iter().copied().filter(|&p| p >= cut).map(|p| p - cut).collect();
+                let shards = vec![
+                    (front.as_mut_slice(), front_picks),
+                    (back.as_mut_slice(), back_picks),
+                ];
+                let per_shard = sharded(engine, shards, &download).unwrap();
+                let mut merged_ledger = RoundLedger::new();
+                let mut merged_outcomes = Vec::new();
+                for (outcomes, ledger) in per_shard {
+                    merged_outcomes.extend(outcomes);
+                    merged_ledger.merge(&ledger);
+                }
+                proptest::prop_assert_eq!(merged_outcomes, flat_outcomes);
+                proptest::prop_assert_eq!(merged_ledger, flat_ledger);
+            }
+        }
     }
 }

@@ -78,7 +78,7 @@ pub enum FlError {
 
 impl FlError {
     /// Wraps an I/O error with the transport context it occurred in.
-    pub fn transport(context: impl Into<String>, source: std::io::Error) -> Self {
+    pub(crate) fn transport(context: impl Into<String>, source: std::io::Error) -> Self {
         FlError::Transport {
             context: context.into(),
             source: Arc::new(source),
@@ -87,7 +87,7 @@ impl FlError {
 
     /// A transport error for a peer that disconnected mid-exchange
     /// (channel hung up, socket closed).
-    pub fn disconnected(context: impl Into<String>) -> Self {
+    pub(crate) fn disconnected(context: impl Into<String>) -> Self {
         FlError::transport(
             context,
             std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer disconnected"),

@@ -28,8 +28,8 @@
 //! bit-for-bit, scaled-out wall clock. Imperfect fleets — stragglers,
 //! dropouts, crashes, lossy links — are simulated by the seeded,
 //! deterministic [`faults`] layer, with over-provisioned selection
-//! keeping faulted rounds aggregating a full cohort. Hostile fleets — update poisoners,
-//! scalers, free-riders, colluding observers — are simulated by the
+//! keeping faulted rounds aggregating a full cohort. Hostile fleets —
+//! update poisoners, scalers and free-riders — are simulated by the
 //! equally-seeded [`adversary`] layer, defended by robust aggregation
 //! ([`aggregate::Aggregator`]).
 //!
@@ -87,7 +87,7 @@ pub mod trainer;
 pub mod transport;
 mod wire;
 
-pub use adversary::{Adversary, AdversaryPlan, CollusionLog, Persona};
+pub use adversary::{Adversary, AdversaryPlan, Persona};
 pub use aggregate::Aggregator;
 pub use codec::CodecKind;
 pub use config::{MuxOptions, ShardLayout, TransportKind};

@@ -8,7 +8,7 @@
 //! Peers are always the same build, so there is one wire dialect: the
 //! [`Hello`]/[`HelloAck`] exchange at session start states each side's
 //! [`PROTOCOL_VERSION`] and negotiates only the update codec; any other
-//! version is refused by name (see [`check_version`]).
+//! version is refused by name (see `check_version`).
 //!
 //! # Wire grammar
 //!
@@ -22,9 +22,9 @@
 //! | `u8` `u16` `u64` `f32` `f64` | fixed width, little-endian | truncation |
 //! | `usize` | a `u64` | must fit this target's `usize` (never truncated) |
 //! | `[u8; N]` | `N` raw bytes | truncation |
-//! | `String` | `u64` length, UTF-8 bytes | [`limits::MAX_FIELD_BYTES`]; valid UTF-8 |
+//! | `String` | `u64` length, UTF-8 bytes | `limits::MAX_FIELD_BYTES`; valid UTF-8 |
 //! | `Option<T>` | `u8` flag `0`/`1`, then `T` if `1` | any other flag refused |
-//! | list (`Vec<T>`, map) | `u64` count, then each item (map: key, value) | a per-field cap from [`limits`]; the count must fit the bytes that remain |
+//! | list (`Vec<T>`, map) | `u64` count, then each item (map: key, value) | a per-field cap from `limits`; the count must fit the bytes that remain |
 //! | `(A, B)` | `A` then `B` | — |
 //! | `f32` run | the floats back to back, count known from context | the count's own bound; truncation, before allocating |
 //! | varint (`u32`) | LEB128: 7 bits a byte, low group first, shortest form | at most 5 bytes; no bits beyond `u32`; overlong form refused |
@@ -33,9 +33,9 @@
 //!
 //! Written out by hand instead: [`Tensor`] and the
 //! [`EncodedTensor`](crate::codec::EncodedTensor) body (the hot loops;
-//! ranks and element counts bounded by [`limits`]), a shard term's tagged
+//! ranks and element counts bounded by `limits`), a shard term's tagged
 //! weights (a [`ShardRoundReply`] term), and the [`Envelope`] header,
-//! whose payload length is bounded by [`MAX_ENVELOPE_PAYLOAD`].
+//! whose payload length is bounded by `MAX_ENVELOPE_PAYLOAD`.
 
 use std::sync::Arc;
 
@@ -63,32 +63,32 @@ use crate::{FlError, Result};
 /// protocol is validated against — one named home so hostile lengths
 /// are bounded uniformly across the base messages, the shard-control
 /// plane, the fault plan and the codec payloads.
-pub mod limits {
+pub(crate) mod limits {
     /// No single length-prefixed field legitimately exceeds 256 MiB
     /// (bytes for byte fields, elements for f32 fields).
-    pub const MAX_FIELD_BYTES: usize = 256 * 1024 * 1024;
+    pub(crate) const MAX_FIELD_BYTES: usize = 256 * 1024 * 1024;
 
     /// Maximum tensor rank any model in this protocol ships.
-    pub const MAX_TENSOR_RANK: usize = 16;
+    pub(crate) const MAX_TENSOR_RANK: usize = 16;
 
     /// Maximum model layer count.
-    pub const MAX_LAYERS: usize = 4096;
+    pub(crate) const MAX_LAYERS: usize = 4096;
 
     /// Maximum protected-layer indices on a download (bounded by the
     /// layer count they index into).
-    pub const MAX_PROTECTED_LAYERS: usize = MAX_LAYERS;
+    pub(crate) const MAX_PROTECTED_LAYERS: usize = MAX_LAYERS;
 
     /// Item-count bound for list fields (candidate lists, pick lists,
     /// aggregate terms, ledger entries): no shard legitimately hosts
     /// more than a million clients, so a larger prefix is hostile.
-    pub const MAX_LIST_ITEMS: usize = 1 << 20;
+    pub(crate) const MAX_LIST_ITEMS: usize = 1 << 20;
 
     /// Maximum entries a wire-shipped fault plan may carry (one per
     /// client, same fleet bound as [`MAX_LIST_ITEMS`]).
-    pub const MAX_PLAN_ENTRIES: usize = MAX_LIST_ITEMS;
+    pub(crate) const MAX_PLAN_ENTRIES: usize = MAX_LIST_ITEMS;
 
     /// Maximum tensors in one encoded payload: two per layer.
-    pub const MAX_ENCODED_TENSORS: usize = 2 * MAX_LAYERS;
+    pub(crate) const MAX_ENCODED_TENSORS: usize = 2 * MAX_LAYERS;
 }
 
 /// The protocol version this build speaks — the only one it accepts.
@@ -108,11 +108,12 @@ pub mod limits {
 /// measurement from [`ShardConfig`]: a shard server never read it, since
 /// quotes are verified on the coordinator. Version 10 retires the
 /// envelope-sealing carrier: kind byte 8 is refused as unknown, and a
-/// payload is bounded by [`MAX_ENVELOPE_PAYLOAD`] with no sealing slack.
+/// payload is bounded by `MAX_ENVELOPE_PAYLOAD` with no sealing slack.
 /// Version 11 ships a [`ShardConfig`]'s backend and codec as one-byte
 /// tags, drops its partition name, and drops the scale boost from
+/// [`AdversaryPlan`]. Version 12 drops the colluder fraction from
 /// [`AdversaryPlan`].
-pub const PROTOCOL_VERSION: u16 = 11;
+pub const PROTOCOL_VERSION: u16 = 12;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -121,7 +122,7 @@ pub const PROTOCOL_VERSION: u16 = 11;
 /// # Errors
 ///
 /// Returns [`FlError::Protocol`] naming both versions.
-pub fn check_version(peer: &str, version: u16) -> Result<()> {
+pub(crate) fn check_version(peer: &str, version: u16) -> Result<()> {
     if version == PROTOCOL_VERSION {
         return Ok(());
     }
@@ -519,18 +520,18 @@ pub const ENVELOPE_HEADER_LEN: usize = 13;
 
 /// Guard against adversarial envelope lengths: no round of this protocol
 /// legitimately ships more than 1 GiB in one message.
-pub const MAX_ENVELOPE_PAYLOAD: usize = 1024 * 1024 * 1024;
+pub(crate) const MAX_ENVELOPE_PAYLOAD: usize = 1024 * 1024 * 1024;
 
 /// A validated envelope header: everything a socket reader needs to pull
 /// the rest of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvelopeHead {
+pub(crate) struct EnvelopeHead {
     /// Protocol version the sender stamped on the envelope.
-    pub version: u16,
+    pub(crate) version: u16,
     /// What the payload will decode as.
-    pub kind: MessageKind,
+    pub(crate) kind: MessageKind,
     /// How many payload bytes follow the header.
-    pub payload_len: usize,
+    pub(crate) payload_len: usize,
 }
 
 /// Parses and validates one fixed-size envelope header from raw bytes —
@@ -545,7 +546,7 @@ pub struct EnvelopeHead {
 /// payload length beyond [`MAX_ENVELOPE_PAYLOAD`]. The length bound is
 /// checked on the raw `u64` — a `usize` cast first would truncate on
 /// 32-bit targets and defeat the guard.
-pub fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<EnvelopeHead> {
+pub(crate) fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<EnvelopeHead> {
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != ENVELOPE_MAGIC {
         return Err(FlError::Protocol {
@@ -637,7 +638,7 @@ impl Envelope {
 
     /// Best-effort extraction of an [`ErrorReply`] reason (for envelopes
     /// whose kind is [`MessageKind::Error`]).
-    pub fn error_reason(&self) -> String {
+    pub(crate) fn error_reason(&self) -> String {
         decode::<ErrorReply>(&self.payload)
             .map(|e| e.reason)
             .unwrap_or_else(|_| "malformed error reply".to_owned())
@@ -864,7 +865,7 @@ pub struct ShardHello {
 
 impl ShardHello {
     /// The ShardHello this build sends.
-    pub fn current() -> Self {
+    pub(crate) fn current() -> Self {
         ShardHello {
             version: PROTOCOL_VERSION,
             pid: u64::from(std::process::id()),

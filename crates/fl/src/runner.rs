@@ -37,7 +37,7 @@ use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
 
-use crate::adversary::{Adversary, AdversaryPlan, CollusionLog};
+use crate::adversary::{Adversary, AdversaryPlan};
 use crate::aggregate::Aggregator;
 use crate::client::{ClientModels, DeviceProfile, FlClient, TA_CODE};
 use crate::codec::CodecKind;
@@ -57,10 +57,10 @@ use crate::transport::{tcp, RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
 
 /// Builds the prototype model whose replicas every client trains.
-pub type ModelFactory = Box<dyn Fn() -> Sequential + Send + Sync>;
+pub(crate) type ModelFactory = Box<dyn Fn() -> Sequential + Send + Sync>;
 
 /// Builds a local trainer for a client id.
-pub type TrainerFactory = Box<dyn Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync>;
+pub(crate) type TrainerFactory = Box<dyn Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync>;
 
 fn json_usize_list(xs: &[usize]) -> String {
     let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
@@ -103,7 +103,7 @@ pub struct RoundReport {
 impl RoundReport {
     /// Renders the report as a JSON object, so repro binaries can export
     /// per-round results.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             r#"{{"round":{},"participants":{},"surplus":{},"stragglers":{},"failures":{},"mean_loss":{},"protected_layers":{},"ledger":{}}}"#,
             self.round,
@@ -367,7 +367,7 @@ impl FederationBuilder {
 
     /// Installs a deterministic adversarial scenario: each client's
     /// persona is a pure function of `(scenario seed, client id)` (see
-    /// [`AdversaryPlan::persona_of`]), applied entirely client-side at
+    /// `AdversaryPlan::persona_of`), applied entirely client-side at
     /// cycle time — screening, selection and the transport exchange
     /// stay untouched, so a hostile run is bit-identical for any
     /// `(shards, workers, transport)` combination under the same
@@ -414,13 +414,8 @@ impl FederationBuilder {
         let mut prototype = model_factory();
         prototype.set_backend(self.setup.backend);
         let server = self.setup.server(prototype.weights())?;
-        let collusion = self
-            .setup
-            .adversaries
-            .as_ref()
-            .map(|_| Arc::new(CollusionLog::default()));
         let total = self.devices.len();
-        let fleet = self.host(prototype, 0, total, collusion)?;
+        let fleet = self.host(prototype, 0, total)?;
         Ok(self.setup.drive(server, fleet))
     }
 
@@ -449,7 +444,6 @@ impl FederationBuilder {
         prototype: Sequential,
         first_id: usize,
         total_clients: usize,
-        collusion: Option<Arc<CollusionLog>>,
     ) -> Result<LocalFleet> {
         let dataset = self.dataset.clone().ok_or_else(|| FlError::BadConfig {
             reason: "dataset not set".to_owned(),
@@ -473,7 +467,6 @@ impl FederationBuilder {
                         client.set_adversary(Adversary {
                             persona,
                             plan: plan.clone(),
-                            log: collusion.clone(),
                         });
                     }
                 }
@@ -494,7 +487,6 @@ impl FederationBuilder {
             faults: self.setup.faults.clone(),
             sessions,
             measurement: self.setup.measurement,
-            collusion,
             #[cfg(test)]
             models,
         })
@@ -587,7 +579,6 @@ pub struct LocalFleet {
     /// The event-loop pool behind a [`TransportKind::TcpMux`] fleet.
     sessions: Option<MuxFleet>,
     measurement: Measurement,
-    collusion: Option<Arc<CollusionLog>>,
     /// The store every client of the fleet borrows from.
     #[cfg(test)]
     models: Arc<ClientModels>,
@@ -837,13 +828,6 @@ impl Federation {
     /// this size).
     pub fn engine(&self) -> ExecutionEngine {
         self.fleet.engine
-    }
-
-    /// The colluding coalition's observation log, present when an
-    /// adversarial scenario is installed (empty until a colluder
-    /// participates in a round).
-    pub fn collusion_log(&self) -> Option<&Arc<CollusionLog>> {
-        self.fleet.collusion.as_ref()
     }
 }
 
@@ -1479,17 +1463,12 @@ mod tests {
         let mut fed = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
             .clients(4, dataset())
-            .adversaries(AdversaryPlan::seeded(3).poisoners(0.3).colluders(0.3))
+            .adversaries(AdversaryPlan::seeded(3).poisoners(0.3).scalers(0.3))
             .aggregator(Aggregator::Median)
             .build()
             .unwrap();
         let report = fed.run().unwrap();
         assert_eq!(report.rounds_completed, 3);
-        let log = fed.collusion_log().expect("adversarial run keeps a log");
-        // With a 30% colluder band over 4 clients the coalition may be
-        // empty; either way the log observes at most one snapshot per
-        // round.
-        assert!(log.rounds_observed() <= 3);
     }
 
     #[test]

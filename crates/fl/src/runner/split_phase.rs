@@ -12,6 +12,7 @@ use gradsec_tee::cost::SharedLedger;
 
 use super::*;
 use crate::codec::flatten;
+use crate::engine::tests::completed;
 use crate::engine::ClientOutcome;
 use crate::engine::{cycle_begin, cycle_finish};
 use crate::message::{Envelope, HelloAck, MessageKind};
@@ -373,10 +374,10 @@ fn replicas_a_mux_fleet_hands_back_are_the_committed_views() {
         next.round = round;
         let picked = if round == 2 { &all[..4] } else { &all[..] };
         let (outcomes, _) = ExecutionEngine::new(2)
-            .execute_cycles(&mut clients, picked, &next)
+            .execute_cycles_with(&mut clients, picked, &next, None)
             .unwrap();
         assert!(outcomes.iter().all(ClientOutcome::is_completed));
-        next.weights = outcomes[0].update().unwrap().weights.clone();
+        next.weights = completed(&outcomes[0]).weights.clone();
     }
     let views: Vec<ModelWeights> = clients
         .iter()
@@ -432,10 +433,10 @@ fn a_lockstep_group_shares_one_client_view_in_process_and_over_a_mux() {
             next.round = round;
             let picked = if round == 2 { &all[..4] } else { &all[..] };
             let (outcomes, _) = ExecutionEngine::new(2)
-                .execute_cycles(&mut clients, picked, &next)
+                .execute_cycles_with(&mut clients, picked, &next, None)
                 .unwrap();
             assert!(outcomes.iter().all(ClientOutcome::is_completed));
-            next.weights = outcomes[0].update().unwrap().weights.clone();
+            next.weights = completed(&outcomes[0]).weights.clone();
             let held = models.views_held();
             let what = format!("{transport:?}, round {round}");
             assert_eq!(held.len(), 5, "{what}");
@@ -487,12 +488,18 @@ fn a_session_killed_mid_window_fails_alone() {
     assert_eq!(screen_all(&mut clients), [ScreeningOutcome::Eligible; 4]);
     let engine = ExecutionEngine::sequential();
     let (outcomes, ledger) = engine
-        .execute_cycles(&mut clients, &[0, 1, 2, 3], &download(0))
+        .execute_cycles_with(&mut clients, &[0, 1, 2, 3], &download(0), None)
         .unwrap();
     victim.unwrap().join().unwrap();
     assert!(outcomes[..3].iter().all(ClientOutcome::is_completed));
     assert!(
-        matches!(outcomes[3].error(), Some(FlError::Transport { .. })),
+        matches!(
+            outcomes[3],
+            ClientOutcome::Failed {
+                error: FlError::Transport { .. },
+                ..
+            }
+        ),
         "{:?}",
         outcomes[3]
     );
@@ -503,7 +510,7 @@ fn a_session_killed_mid_window_fails_alone() {
     assert_eq!(verdicts[..3], [ScreeningOutcome::Eligible; 3]);
     assert_eq!(verdicts[3], ScreeningOutcome::Unreachable);
     let (outcomes, _) = engine
-        .execute_cycles(&mut clients, &[0, 1, 2], &download(1))
+        .execute_cycles_with(&mut clients, &[0, 1, 2], &download(1), None)
         .unwrap();
     assert!(outcomes.iter().all(ClientOutcome::is_completed));
     drop((clients, mux));
@@ -561,10 +568,14 @@ fn a_panic_in_either_half_is_contained_to_its_slot() {
         };
         let (mut clients, mux) = mux_sessions(6, 0, CodecKind::Identity, trap, |_| ());
         let (outcomes, ledger) = ExecutionEngine::new(workers)
-            .execute_cycles(&mut clients, &[0, 1, 2, 3, 4, 5], &download(0))
+            .execute_cycles_with(&mut clients, &[0, 1, 2, 3, 4, 5], &download(0), None)
             .unwrap();
         for (slot, outcome) in outcomes.iter().enumerate() {
-            match (slot, outcome.error()) {
+            let error = match outcome {
+                ClientOutcome::Failed { error, .. } => Some(error),
+                _ => None,
+            };
+            match (slot, error) {
                 (1, Some(FlError::ClientFailure { client: 1, reason })) => {
                     assert!(reason.contains("panicked: trap in begin"), "{reason}")
                 }
@@ -636,7 +647,7 @@ fn sessions_in_flight_stay_within_the_window_and_at_one_in_process() {
     assert_eq!(high(), WINDOW, "screening");
     for (workers, bound) in [(1, WINDOW), (2, 2 * WINDOW)] {
         let (outcomes, _) = ExecutionEngine::new(workers)
-            .execute_cycles(&mut clients, &all, &download(0))
+            .execute_cycles_with(&mut clients, &all, &download(0), None)
             .unwrap();
         assert!(outcomes.iter().all(ClientOutcome::is_completed));
         let high = high();
@@ -653,7 +664,7 @@ fn sessions_in_flight_stay_within_the_window_and_at_one_in_process() {
     let mut clients = RemoteClient::connect_all(endpoints, CodecKind::Identity).unwrap();
     screen_all(&mut clients);
     ExecutionEngine::sequential()
-        .execute_cycles(&mut clients, &all, &download(0))
+        .execute_cycles_with(&mut clients, &all, &download(0), None)
         .unwrap();
     assert_eq!(high(), 1, "in process");
     assert_eq!(gauge.now.load(Ordering::SeqCst), 0, "every window drained");

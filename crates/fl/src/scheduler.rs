@@ -41,30 +41,11 @@ where
 
 /// The no-protection schedule (the unprotected baseline).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoProtection;
+pub(crate) struct NoProtection;
 
 impl ProtectionScheduler for NoProtection {
     fn layers_for_round(&self, _round: u64) -> Vec<usize> {
         Vec::new()
-    }
-}
-
-/// A fixed layer set sheltered every round.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FixedSchedule {
-    layers: Vec<usize>,
-}
-
-impl FixedSchedule {
-    /// Shelters `layers` on every cycle.
-    pub fn new(layers: Vec<usize>) -> Self {
-        FixedSchedule { layers }
-    }
-}
-
-impl ProtectionScheduler for FixedSchedule {
-    fn layers_for_round(&self, _round: u64) -> Vec<usize> {
-        self.layers.clone()
     }
 }
 
@@ -86,14 +67,14 @@ mod tests {
     #[test]
     fn fixed_and_none() {
         assert!(NoProtection.layers_for_round(9).is_empty());
-        let f = FixedSchedule::new(vec![1, 4]);
+        let f = |_: u64| vec![1, 4];
         assert_eq!(f.layers_for_round(0), vec![1, 4]);
         assert_eq!(f.layers_for_round(99), vec![1, 4]);
     }
 
     #[test]
     fn schedulers_are_shareable_across_threads() {
-        let s = std::sync::Arc::new(FixedSchedule::new(vec![2]));
+        let s = std::sync::Arc::new(|_: u64| vec![2]);
         let draws: Vec<Vec<usize>> = std::thread::scope(|scope| {
             (0..4)
                 .map(|r| {

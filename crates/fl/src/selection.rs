@@ -73,7 +73,7 @@ fn judge(
 /// quote against the provisioning registry's key for the device. This is
 /// the same judgement for an in-process client and for evidence relayed
 /// by a shard-server process — verification always happens server-side.
-pub fn verify_evidence(
+pub(crate) fn verify_evidence(
     key: &[u8],
     quote: Option<gradsec_tee::attestation::Quote>,
     expected: Measurement,
@@ -116,7 +116,7 @@ pub(crate) fn screen_planned(
 /// Draws one 16-byte attestation nonce — the single point every
 /// screening path consumes the selection RNG through, so nonce streams
 /// cannot drift between flat, sharded and distributed runs.
-pub fn draw_challenge(rng: &mut StdRng) -> Challenge {
+pub(crate) fn draw_challenge(rng: &mut StdRng) -> Challenge {
     let mut nonce = [0u8; 16];
     rng.fill(&mut nonce[..]);
     Challenge::new(nonce)
@@ -126,7 +126,7 @@ pub fn draw_challenge(rng: &mut StdRng) -> Challenge {
 /// replacement (Floyd's algorithm), returned sorted. `m >= n` returns
 /// every index without consuming the RNG — the sub-sampled screening
 /// path degrades to full screening with an untouched stream.
-pub fn sample_indices(n: usize, m: usize, rng: &mut StdRng) -> Vec<usize> {
+pub(crate) fn sample_indices(n: usize, m: usize, rng: &mut StdRng) -> Vec<usize> {
     if m >= n {
         return (0..n).collect();
     }
@@ -168,7 +168,7 @@ pub struct ScreenPlan {
 /// # Errors
 ///
 /// Returns [`FlError::InvalidSelection`] naming the offending index.
-pub fn validate_picks(picked: &[usize], n_clients: usize) -> Result<()> {
+pub(crate) fn validate_picks(picked: &[usize], n_clients: usize) -> Result<()> {
     let mut seen = vec![false; n_clients];
     for &p in picked {
         if p >= n_clients {

@@ -65,11 +65,6 @@ impl FlServer {
         self.spare = spare;
     }
 
-    /// The configured selection spare count.
-    pub fn spare(&self) -> usize {
-        self.spare
-    }
-
     /// Caps per-round screening at `m` uniformly-sampled candidates
     /// instead of the whole fleet, so selection cost stops being
     /// O(fleet). `None` (the default) or `m >= fleet` restores full
@@ -77,11 +72,6 @@ impl FlServer {
     /// consumes nothing in that case.
     pub fn set_screening_sample(&mut self, m: Option<usize>) {
         self.screening_sample = m;
-    }
-
-    /// The configured screening sample cap, if any.
-    pub fn screening_sample(&self) -> Option<usize> {
-        self.screening_sample
     }
 
     /// The training plan.
@@ -257,9 +247,9 @@ mod tests {
     fn overprovisioned_selection_samples_k_plus_spare() {
         let model = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 100).unwrap();
         let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
-        assert_eq!(server.spare(), 0);
+        assert_eq!(server.spare, 0);
         server.overprovision(1);
-        assert_eq!(server.spare(), 1);
+        assert_eq!(server.spare, 1);
         let mut clients = make_clients(vec![
             DeviceProfile::trustzone(0),
             DeviceProfile::trustzone(1),
@@ -284,7 +274,7 @@ mod tests {
         for cap in [5usize, 6, 64] {
             let mut server = FlServer::new(plan(), model.weights(), measurement()).unwrap();
             server.set_screening_sample(Some(cap));
-            assert_eq!(server.screening_sample(), Some(cap));
+            assert_eq!(server.screening_sample, Some(cap));
             let picked = server.select(&mut make_clients(devices())).unwrap();
             assert_eq!(picked, reference_picked, "cap {cap} diverged from full");
         }

@@ -18,7 +18,7 @@
 //!    fails exactly like a real TA hitting `TEE_ERROR_OUT_OF_MEMORY`),
 //!    charging the allocation clock.
 //! 2. **Training** — the real SGD computation runs; the simulator charges
-//!    each layer's MAC operations ([`layer_cycle_macs`]) to the user or
+//!    each layer's MAC operations (`layer_cycle_macs`) to the user or
 //!    kernel clock depending on placement, and each contiguous protected
 //!    run ([`contiguous_runs`]) costs one enclave entry + exit per batch
 //!    through the secure monitor.
@@ -44,9 +44,9 @@ pub struct CycleStats {
     /// Mean training loss over the cycle's batches.
     pub mean_loss: f32,
     /// Batches processed.
-    pub batches: usize,
+    pub(crate) batches: usize,
     /// Samples processed.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Simulated time breakdown (all-zero for the plain trainer — only the
     /// enclave-partitioned trainer charges the cost model).
     pub time: TimeBreakdown,
@@ -62,7 +62,7 @@ impl CycleStats {
     /// The ledger entry for this cycle, attributed to `client_id`. This is
     /// what an [`UpdateUpload`](crate::message::UpdateUpload) carries over
     /// the wire so remote clients stay accountable.
-    pub fn cost(&self, client_id: u64) -> ClientCycleCost {
+    pub(crate) fn cost(&self, client_id: u64) -> ClientCycleCost {
         ClientCycleCost {
             client_id,
             time: self.time,
@@ -160,7 +160,7 @@ pub fn layer_tee_bytes(layer: &dyn Layer, batch: usize) -> usize {
 /// Backward roughly doubles-and-a-half this (weight gradients + input
 /// gradients), so the full per-sample cost is `3 ×` this value — the
 /// convention the cost model was calibrated under.
-pub fn layer_fwd_macs(layer: &dyn Layer) -> usize {
+pub(crate) fn layer_fwd_macs(layer: &dyn Layer) -> usize {
     match layer.kind() {
         LayerKind::Conv2d { filters, .. } => {
             let positions = layer.preact_elems() / filters.max(1);
@@ -171,7 +171,7 @@ pub fn layer_fwd_macs(layer: &dyn Layer) -> usize {
 }
 
 /// Full (forward + backward) MAC count of one layer for one sample.
-pub fn layer_cycle_macs(layer: &dyn Layer) -> usize {
+pub(crate) fn layer_cycle_macs(layer: &dyn Layer) -> usize {
     3 * layer_fwd_macs(layer)
 }
 

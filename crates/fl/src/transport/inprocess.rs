@@ -25,7 +25,7 @@ use crate::transport::{ClientHandler, ServerEndpoint};
 use crate::{FlError, Result};
 
 /// A synchronous, zero-copy in-process endpoint: requests are dispatched
-/// to the wrapped client's [`ClientHandler`] on the calling thread.
+/// to the wrapped client's `ClientHandler` on the calling thread.
 pub struct LocalEndpoint {
     handler: ClientHandler,
     /// The reply `begin` produced, parked for `finish`.
@@ -39,16 +39,6 @@ impl LocalEndpoint {
             handler: ClientHandler::new(client),
             reply: None,
         }
-    }
-
-    /// The wrapped client.
-    pub fn client(&self) -> &FlClient {
-        self.handler.client()
-    }
-
-    /// Mutable access to the wrapped client.
-    pub fn client_mut(&mut self) -> &mut FlClient {
-        self.handler.client_mut()
     }
 
     /// The handler serving the client.

@@ -19,7 +19,7 @@
 //! in-process one) is collected before the next session begins, which is
 //! the old one-at-a-time walk.
 //!
-//! A client is served one way: a [`ClientHandler`] turns each request
+//! A client is served one way: a `ClientHandler` turns each request
 //! into its reply. Two paths carry envelopes to it:
 //!
 //! * [`inprocess::LocalEndpoint`] — in-process dispatch, zero-copy in
@@ -37,7 +37,7 @@
 //! Above the byte seam sit the two protocol roles: [`RemoteClient`] (the
 //! server's typed view of a client behind any endpoint, beginning with the
 //! [`Hello`]/[`HelloAck`] version-check-and-codec handshake) and
-//! [`ClientHandler`] (the client-side request dispatcher both paths
+//! `ClientHandler` (the client-side request dispatcher both paths
 //! drive). The server half of a round's download — encode, mirror decode,
 //! billing, framing — is memoised per group of lockstep sessions by the
 //! crate-private `broadcast` module.
@@ -176,7 +176,7 @@ pub(crate) fn slide<F: ?Sized, B, T>(
 /// holds its own: the decoded download with the epoch that names it, one
 /// allocation per lockstep group (see `client::ClientModels`). The
 /// wrapped client holds no model at all.
-pub struct ClientHandler {
+pub(crate) struct ClientHandler {
     client: FlClient,
     /// The update codec the hello negotiated (None before a handshake).
     codec: Option<CodecKind>,
@@ -197,7 +197,7 @@ impl std::fmt::Debug for ClientHandler {
 
 impl ClientHandler {
     /// Wraps a client.
-    pub fn new(client: FlClient) -> Self {
+    pub(crate) fn new(client: FlClient) -> Self {
         ClientHandler {
             client,
             codec: None,
@@ -206,17 +206,12 @@ impl ClientHandler {
     }
 
     /// The wrapped client.
-    pub fn client(&self) -> &FlClient {
+    pub(crate) fn client(&self) -> &FlClient {
         &self.client
     }
 
-    /// Mutable access to the wrapped client (tests inject failures here).
-    pub fn client_mut(&mut self) -> &mut FlClient {
-        &mut self.client
-    }
-
     /// Unwraps the client.
-    pub fn into_client(self) -> FlClient {
+    pub(crate) fn into_client(self) -> FlClient {
         self.client
     }
 
@@ -235,7 +230,7 @@ impl ClientHandler {
 
     /// Handles one request, returning the reply — or `None` for
     /// [`MessageKind::Goodbye`], which ends the session without a reply.
-    pub fn handle(&mut self, request: Envelope) -> Option<Envelope> {
+    pub(crate) fn handle(&mut self, request: Envelope) -> Option<Envelope> {
         if request.kind == MessageKind::Goodbye {
             return None;
         }
@@ -414,7 +409,10 @@ impl RemoteClient {
     /// # Errors
     ///
     /// Same conditions as [`connect`](Self::connect).
-    pub fn connect_with(endpoint: Box<dyn ServerEndpoint>, codec: CodecKind) -> Result<Self> {
+    pub(crate) fn connect_with(
+        endpoint: Box<dyn ServerEndpoint>,
+        codec: CodecKind,
+    ) -> Result<Self> {
         let mut one = RemoteClient::connect_all(vec![endpoint], codec)?;
         Ok(one.pop().expect("one endpoint in, one session out"))
     }
@@ -466,13 +464,8 @@ impl RemoteClient {
     }
 
     /// The provisioned attestation key for this client's identity.
-    pub fn attestation_key(&self) -> &[u8] {
+    pub(crate) fn attestation_key(&self) -> &[u8] {
         &self.attestation_key
-    }
-
-    /// The endpoint's peer description.
-    pub fn descriptor(&self) -> String {
-        self.endpoint.descriptor()
     }
 
     /// Puts `request` on the pipe (see [`ServerEndpoint::begin`]). A
@@ -515,7 +508,7 @@ impl RemoteClient {
     ///
     /// Transport/protocol failures; a client-side failure surfaces as
     /// [`FlError::ClientFailure`].
-    pub fn attest(&mut self, challenge: &Challenge) -> Result<AttestationResponse> {
+    pub(crate) fn attest(&mut self, challenge: &Challenge) -> Result<AttestationResponse> {
         self.attest_begin(challenge)?;
         self.attest_finish()
     }
@@ -1064,7 +1057,6 @@ pub(crate) mod tests {
             client.set_adversary(Adversary {
                 persona,
                 plan: Arc::new(AdversaryPlan::seeded(5).poisoners(1.0)),
-                log: None,
             });
             let mut handler = delta_handler(client);
             let dense = encode_weights(CodecKind::DeltaTopK, 0, &base, None);
@@ -1309,16 +1301,16 @@ pub(crate) mod tests {
                     protected_layers: vec![],
                 };
                 let (honest, _) = engine
-                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .execute_cycles_with(&mut clients, &[0, 1], &download, None)
                     .unwrap();
                 assert!(honest.iter().all(ClientOutcome::is_completed), "{what}");
                 let committed = clients[1].view_weights().cloned();
                 assert_eq!(committed.is_some(), codec == DeltaTopK, "{what}");
 
                 download.round = 1;
-                download.weights = honest[0].update().unwrap().weights.clone();
+                download.weights = crate::engine::tests::completed(&honest[0]).weights.clone();
                 let (outcomes, ledger) = engine
-                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .execute_cycles_with(&mut clients, &[0, 1], &download, None)
                     .unwrap();
                 assert!(outcomes[0].is_completed(), "{what}");
                 let refusal = match &outcomes[1] {
@@ -1348,7 +1340,7 @@ pub(crate) mod tests {
                 // (a delta session by way of one dense re-send).
                 download.round = 2;
                 let (recovered, _) = engine
-                    .execute_cycles(&mut clients, &[0, 1], &download)
+                    .execute_cycles_with(&mut clients, &[0, 1], &download, None)
                     .unwrap();
                 assert!(recovered.iter().all(ClientOutcome::is_completed), "{what}");
                 assert_eq!(clients[1].epoch(), if codec == DeltaTopK { 4 } else { 3 });

@@ -9,7 +9,7 @@
 //! sockets registered with a [`Poller`]. A
 //! per-session `Session` state machine reassembles [`Envelope`] frames
 //! from partial reads ([`FrameReassembler`]), dispatches them through the
-//! ordinary [`ClientHandler`], and queues the encoded reply in a bounded
+//! ordinary `ClientHandler`, and queues the encoded reply in a bounded
 //! per-session write buffer — when the buffer backs up past the
 //! configured bound, that session's reads pause until the peer drains it
 //! (backpressure, never unbounded queueing).
@@ -57,7 +57,7 @@ pub const DEFAULT_JOIN_GRACE: Duration = Duration::from_secs(30);
 /// chunks as they arrive — any split, down to one byte at a time — and it
 /// emits each envelope exactly once, however the header/payload
 /// boundaries straddle the chunks. Validation (magic, kind tag, hostile
-/// length prefixes) is [`parse_envelope_head`], the same decoder the
+/// length prefixes) is `parse_envelope_head`, the same decoder the
 /// blocking reader uses, so both paths reject garbage identically.
 #[derive(Debug, Default)]
 pub struct FrameReassembler {
@@ -444,7 +444,7 @@ impl std::fmt::Debug for MuxFleet {
 
 impl MuxFleet {
     /// Spawns the event-loop pool and hands it the fleet: clients are
-    /// dealt round-robin across [`MuxOptions::effective_loops`] threads,
+    /// dealt round-robin across `MuxOptions::effective_loops` threads,
     /// each of which connects its share to `addr` and starts polling. The
     /// server side accepts those connections with
     /// [`TcpListenerEndpoint::accept`](super::tcp::TcpListenerEndpoint::accept)
@@ -457,7 +457,7 @@ impl MuxFleet {
     ///
     /// Returns [`FlError::BadConfig`] for invalid options. Connect
     /// failures inside the loops surface through
-    /// [`take_early_error`](Self::take_early_error) and
+    /// `take_early_error` and
     /// [`join`](Self::join), not here.
     pub fn launch(
         addr: SocketAddr,
@@ -498,21 +498,11 @@ impl MuxFleet {
         })
     }
 
-    /// Event-loop threads serving this fleet.
-    pub fn loops(&self) -> usize {
-        self.loops
-    }
-
-    /// Sessions across all loops.
-    pub fn sessions(&self) -> usize {
-        self.sessions
-    }
-
     /// Takes the first connect-time failure a loop reported, if any —
     /// polled by the builder while it waits for the fleet's connections,
     /// so a refused connect fails the build immediately instead of
     /// timing out the accept deadline.
-    pub fn take_early_error(&self) -> Option<FlError> {
+    pub(crate) fn take_early_error(&self) -> Option<FlError> {
         self.early_error
             .lock()
             .expect("mux error slot poisoned")
@@ -719,7 +709,7 @@ mod tests {
             ..MuxOptions::default()
         };
         let mut fleet = MuxFleet::launch(addr, vec![fl_client(1), fl_client(2)], &options).unwrap();
-        assert_eq!(fleet.loops(), 2);
+        assert_eq!(fleet.loops, 2);
         let deadline = Instant::now() + Duration::from_secs(10);
         let early = loop {
             if let Some(e) = fleet.take_early_error() {

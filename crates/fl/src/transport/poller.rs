@@ -30,37 +30,31 @@ use crate::{FlError, Result};
 
 /// What a session wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the socket has bytes to read (or hit EOF/error).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Wake when the socket can accept more written bytes.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
     /// Read-only interest — the steady state of an idle session.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-
-    /// Read + write interest — a session with queued reply bytes.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
     };
 }
 
 /// One readiness event: the registered token plus what it can do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PollEvent {
+pub(crate) struct PollEvent {
     /// The token the socket was registered under (the mux uses the
     /// session's slot index).
-    pub token: usize,
+    pub(crate) token: usize,
     /// Reading (or observing EOF/error) will make progress.
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// Writing will make progress.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 /// A readiness poller: epoll on Linux, the portable scan elsewhere.
@@ -99,7 +93,12 @@ impl Poller {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the kernel rejects the watch.
-    pub fn register(&mut self, stream: &TcpStream, token: usize, interest: Interest) -> Result<()> {
+    pub(crate) fn register(
+        &mut self,
+        stream: &TcpStream,
+        token: usize,
+        interest: Interest,
+    ) -> Result<()> {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(EPOLL_CTL_ADD, stream, token, interest),
@@ -132,7 +131,12 @@ impl Poller {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the kernel rejects the change.
-    pub fn modify(&mut self, stream: &TcpStream, token: usize, interest: Interest) -> Result<()> {
+    pub(crate) fn modify(
+        &mut self,
+        stream: &TcpStream,
+        token: usize,
+        interest: Interest,
+    ) -> Result<()> {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(EPOLL_CTL_MOD, stream, token, interest),
@@ -148,7 +152,7 @@ impl Poller {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the kernel rejects the removal.
-    pub fn deregister(&mut self, stream: &TcpStream, token: usize) -> Result<()> {
+    pub(crate) fn deregister(&mut self, stream: &TcpStream, token: usize) -> Result<()> {
         match self {
             #[cfg(target_os = "linux")]
             Poller::Epoll(p) => p.ctl(EPOLL_CTL_DEL, stream, token, Interest::READ),
@@ -165,7 +169,7 @@ impl Poller {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the wait itself fails.
-    pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> Result<()> {
+    pub(crate) fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> Result<()> {
         events.clear();
         match self {
             #[cfg(target_os = "linux")]
@@ -426,7 +430,7 @@ extern "C" {
 /// Calling `listen` again on the bound socket just resizes the queue
 /// (the kernel clamps to `net.core.somaxconn`). Best effort: `false`
 /// when the host refuses or exposes no such API.
-pub fn deepen_listen_backlog(listener: &std::net::TcpListener, backlog: u32) -> bool {
+pub(crate) fn deepen_listen_backlog(listener: &std::net::TcpListener, backlog: u32) -> bool {
     #[cfg(target_os = "linux")]
     {
         use std::os::unix::io::AsRawFd;
@@ -543,7 +547,11 @@ mod tests {
         assert_eq!(&scratch[..n], b"hi");
 
         // Write interest fires on a fresh socket with buffer space.
-        poller.modify(&a, 7, Interest::READ_WRITE).unwrap();
+        let read_write = Interest {
+            readable: true,
+            writable: true,
+        };
+        poller.modify(&a, 7, read_write).unwrap();
         poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
 

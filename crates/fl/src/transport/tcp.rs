@@ -4,7 +4,7 @@
 //! 13-byte header (magic, version, kind, payload length) followed by
 //! exactly `payload length` bytes — so the reader never needs to guess
 //! message boundaries and a hostile length prefix is rejected before any
-//! allocation ([`MAX_ENVELOPE_PAYLOAD`](crate::message::MAX_ENVELOPE_PAYLOAD)).
+//! allocation (`MAX_ENVELOPE_PAYLOAD`).
 //!
 //! Deployment shape: the FL server [`bind`]s and [`TcpListenerEndpoint::accept`]s
 //! one connection per client. The client side of every such socket is a
@@ -131,7 +131,7 @@ impl TcpListenerEndpoint {
     /// Call before wiring kilo-client fleets whose sessions all connect
     /// at once: the std default backlog of 128 drops the overflow SYNs
     /// into kernel retry backoff.
-    pub fn deepen_backlog(&self, backlog: u32) -> bool {
+    pub(crate) fn deepen_backlog(&self, backlog: u32) -> bool {
         crate::transport::poller::deepen_listen_backlog(&self.listener, backlog)
     }
 
@@ -142,7 +142,7 @@ impl TcpListenerEndpoint {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the socket is gone.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
         self.listener
             .set_nonblocking(nonblocking)
             .map_err(|e| FlError::transport("configuring listener", e))
@@ -169,7 +169,7 @@ impl TcpListenerEndpoint {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] on accept failure.
-    pub fn try_accept(&self) -> Result<Option<TcpServerEndpoint>> {
+    pub(crate) fn try_accept(&self) -> Result<Option<TcpServerEndpoint>> {
         match self.listener.accept() {
             Ok((stream, addr)) => self.admit(stream, addr).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),

@@ -75,9 +75,11 @@ proptest! {
     ) {
         let download = download();
         let mut seq_fleet = fleet();
-        let seq = ExecutionEngine::sequential().execute_cycles(&mut seq_fleet, &picked, &download);
+        let seq = ExecutionEngine::sequential()
+            .execute_cycles_with(&mut seq_fleet, &picked, &download, None);
         let mut par_fleet = fleet();
-        let par = ExecutionEngine::new(workers).execute_cycles(&mut par_fleet, &picked, &download);
+        let par = ExecutionEngine::new(workers)
+            .execute_cycles_with(&mut par_fleet, &picked, &download, None);
         prop_assert_eq!(&seq, &par);
         // Malformed schedules fail identically and cleanly.
         let duplicated = picked.iter().any(|a| picked.iter().filter(|b| *b == a).count() > 1);
@@ -94,43 +96,5 @@ proptest! {
                 prop_assert_eq!(outcomes[slot].client_id(), ci as u64);
             }
         }
-    }
-
-    /// Shard-partitioned execution equals flat execution for any cut of
-    /// the fleet and any sorted pick set.
-    #[test]
-    fn execute_shards_agrees_with_flat_execution(
-        picked in proptest::collection::btree_set(0usize..N_CLIENTS, 0..N_CLIENTS + 1),
-        cut in 1usize..N_CLIENTS,
-        workers in 1usize..4,
-    ) {
-        let picked: Vec<usize> = picked.iter().copied().collect();
-        let download = download();
-        let engine = ExecutionEngine::new(workers);
-        let mut flat_fleet = fleet();
-        let (flat_outcomes, flat_ledger) =
-            engine.execute_cycles(&mut flat_fleet, &picked, &download).unwrap();
-        let mut front = fleet();
-        let mut back = front.split_off(cut);
-        let front_picks: Vec<usize> = picked.iter().copied().filter(|&p| p < cut).collect();
-        let back_picks: Vec<usize> =
-            picked.iter().copied().filter(|&p| p >= cut).map(|p| p - cut).collect();
-        let per_shard = engine
-            .execute_shards(
-                vec![
-                    (front.as_mut_slice(), front_picks),
-                    (back.as_mut_slice(), back_picks),
-                ],
-                &download,
-            )
-            .unwrap();
-        let mut merged_ledger = gradsec_tee::cost::RoundLedger::new();
-        let mut merged_outcomes = Vec::new();
-        for (outcomes, ledger) in per_shard {
-            merged_outcomes.extend(outcomes);
-            merged_ledger.merge(&ledger);
-        }
-        prop_assert_eq!(merged_outcomes, flat_outcomes);
-        prop_assert_eq!(merged_ledger, flat_ledger);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for [`ShardLayout`] itself.
 //!
 //! The layout's invariants were previously pinned only indirectly,
-//! through `execute_shards` agreeing with flat execution; these
+//! through sharded execution agreeing with flat execution; these
 //! properties exercise the partition directly across the degenerate
 //! corners — 0- and 1-client fleets, more shards than clients, shard
 //! count 0 — where clamping and near-equal sizing must still hold.

@@ -1,12 +1,15 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 11 has always produced.
+//! version 12 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 11 moved
-//! every `envelope/*` for the version stamp, two of them,
+//! table (the failure message prints the new digests). Version 12 moved
+//! every `envelope/*` for the version stamp, one of them,
+//! `envelope/shard_config_hostile`, also for its layout, and
+//! `adversary_plan` for its layout (no colluder fraction). Version 11 had
+//! moved every `envelope/*` for the version stamp, two of them,
 //! `envelope/shard_config_{plain,hostile}`, also for their layout (the
 //! backend and codec as one-byte tags, no partition name), and
 //! `adversary_plan` for its layout (no scale boost). Version 10 had moved
@@ -154,7 +157,6 @@ fn adversary_plan() -> AdversaryPlan {
         .poisoners(0.2)
         .scalers(0.1)
         .free_riders(0.05)
-        .colluders(0.15)
         .poison_strength(2.0)
         .poison_noise(0.25)
 }
@@ -490,75 +492,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 11 (see the module comment for what moved from 10).
+/// Protocol version 12 (see the module comment for what moved from 11).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "bc8a43542d459e413f6fc2f8639c7411546e98ac7c1123609e60e0ebca97f9d8",
+        "9bc7a519c9fb517972868c07aaaa68da55194e9baf63fb78fab1b4ab6e6e8b93",
     ),
     (
         "envelope/hello_ack",
-        "72c05a117a2b21a6750e435513a9a431a9154b9b34316ff6d4438c1ed3d51cfe",
+        "7accb97491e7f4f22a04a1573f88e90f5896239f10eb65e3ad7b283ebe503fb3",
     ),
     (
         "envelope/attestation_request",
-        "8ce5395d891bfd336ac84017845a7e5ba296cde93ceb5d33f4f67778b343421d",
+        "26b42e6bf549e5d878e6bb33c5a1dd8aba860282b036b1c2ee287b9e743642c3",
     ),
     (
         "envelope/attestation_response",
-        "01ff4c8b9523d87d68c27fbae6c6e0489a8f14135c1ce2fe210a382f30f4cb6c",
+        "c4dd05eb6d16c3baab29383a5024700222f34b4763e728d783495cdb1b96f472",
     ),
     (
         "envelope/goodbye",
-        "976140a0bbb9faf7600fc97bf32672011dcfc674b8486aa3fbf5baa991a46572",
+        "541bc200c0eed56715e07eb88fd42b4acfd9991a9e18788a018e794b84f0565e",
     ),
     (
         "envelope/error",
-        "310beb62689d2aee3aa1100359e6ccaef8d182955f0c8b3b01d6301fa36537ec",
+        "f8e0dfcb020297e1444c6b8798cdf4de8042b3921755b5ad9adce821c0f4d615",
     ),
     (
         "envelope/encoded_model_download",
-        "fef96d16807d89feb5683259ced87129c9ab71242282898be57d79a18b04970d",
+        "c4f6505943b83fd2a6fa56dada195d4bccfc7250cae84a14b4f0a4b88f22c7e5",
     ),
     (
         "envelope/encoded_update_upload",
-        "472215982f8db2255ebfbab4b4e4f52cc17d3b0069a2986e3d3ea9cfc427892b",
+        "a65f38fec52e4315d057a9e089031188af557ca4c5f15603ac3c634859fb1ed9",
     ),
     (
         "envelope/shard_hello",
-        "2ec2415133fbfebdbf3e39ad923659dca07594d87dbb2b166d7fd3ad05b66238",
+        "ba33783b0cf5cfc2811639284893248fad9aa3116f364e9299f742df3f5ea726",
     ),
     (
         "envelope/shard_hello_ack",
-        "71b7b117f9c485c134655bcdbe1662706936c0571670b84d611dc3f6cdbe1c84",
+        "8c6befbd7492c8bf3e2018e78f1c1269329bad882f696fc2b13f46afb86e3dff",
     ),
     (
         "envelope/shard_config_plain",
-        "ded0cfbc5c563d7bb13ee9d096abcdc7a645e7aea7c49f47461ec8648192056b",
+        "f7a9737036e0221c096c47946165acae8e59e16e3956ef9aa31a2b5ba624257e",
     ),
     (
         "envelope/shard_config_hostile",
-        "1eaf601429908535cb7108faa67841faa933545c5b5c300d5fed065f5759bec9",
+        "00c9977e06356899714860e8a4e739afdf145846a2795d3a1c7b1ed21f4c0fd2",
     ),
     (
         "envelope/shard_config_ack",
-        "98a4d04dc965553daf41079beb49f7ea66ded562e7d51c625923088d9b50721b",
+        "c67b6ba4d223978bd3407749e6d88b126f8d25f6d5a415b78205f868f8438014",
     ),
     (
         "envelope/shard_screen",
-        "ab0c699ed0ae6d75cd87637922581c02c67cd20f188c6cbb40e0a6a54ad9ebf3",
+        "4f9b120ec103eb4c2cbd31a0fba60b5eec3a0dcc5560befc5f7d7336efa93ef3",
     ),
     (
         "envelope/shard_screen_reply",
-        "0352731826a6ae7db5ef23d0fba8ea4f3a0a33cf693c5fc44adf0d628796cad6",
+        "bb17296b2e83d59b55e095b7f6f70d9905146256d03f1bd19964e8e610a66e1e",
     ),
     (
         "envelope/shard_round",
-        "af7e6bd48589ae25ba60bd7a3c1dde71a70f30a8e3f00c7b6beaadd40bc0c287",
+        "01fb1fb0cd8d2021cd01b4a99957af2bbed05fc91b395cd831644bd2643129d6",
     ),
     (
         "envelope/shard_round_reply",
-        "48a2918382923f26d25d5230427f125e41fe5b2ed7f71724299fd380adaf15aa",
+        "0f5c0756afe2f51eed3e4213645af04c809b7cf6d432a67a53e3a82a2dd151d4",
     ),
     (
         "tensor",
@@ -630,7 +632,7 @@ const FROZEN: &[(&str, &str)] = &[
     ),
     (
         "adversary_plan",
-        "bca3e076c326b0120e0e18e56a46b5ad5e6b6d3d493da1d229d59b2e59eecb91",
+        "5d9ca89889e3514be8dc1f0494eb7cb8cc819234604698d35f8e859778491eeb",
     ),
     (
         "dataset_spec/micro",
@@ -688,7 +690,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 11, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 12, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

@@ -193,16 +193,11 @@ fn shard_config(
 /// An arbitrary-but-valid adversarial scenario from primitive draws
 /// (fractions capped at 0.25 each so their sum stays within [0, 1];
 /// knobs nonnegative and finite, as validation demands).
-fn adversary_plan_from(
-    seed: u64,
-    fractions: (f64, f64, f64, f64),
-    knobs: (f32, f32),
-) -> AdversaryPlan {
+fn adversary_plan_from(seed: u64, fractions: (f64, f64, f64), knobs: (f32, f32)) -> AdversaryPlan {
     AdversaryPlan::seeded(seed)
         .poisoners(fractions.0)
         .scalers(fractions.1)
         .free_riders(fractions.2)
-        .colluders(fractions.3)
         .poison_strength(knobs.0)
         .poison_noise(knobs.1)
 }
@@ -922,7 +917,7 @@ proptest! {
     #[test]
     fn adversary_plan_wire_roundtrip(
         seed in any::<u64>(),
-        fractions in (0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25),
+        fractions in (0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25),
         knobs in (0.0f32..10.0, 0.0f32..1.0),
     ) {
         let plan = adversary_plan_from(seed, fractions, knobs);
@@ -934,7 +929,7 @@ proptest! {
     #[test]
     fn adversarial_shard_config_wire_roundtrip(
         seed in any::<u64>(),
-        fractions in (0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25),
+        fractions in (0.0f64..0.25, 0.0f64..0.25, 0.0f64..0.25),
         hostile in any::<bool>(),
     ) {
         let mut config = shard_config(
@@ -981,7 +976,7 @@ proptest! {
             Some(FaultPlan::seeded(9).dropout(0.1)),
         );
         config.adversaries =
-            Some(adversary_plan_from(7, (0.2, 0.1, 0.1, 0.1), (1.0, 0.1)));
+            Some(adversary_plan_from(7, (0.2, 0.1, 0.1), (1.0, 0.1)));
         let mut bytes = encode(&Envelope::pack(MessageKind::ShardConfig, &config));
         bytes.truncate(cut.min(bytes.len().saturating_sub(1)));
         prop_assert!(decode::<Envelope>(&bytes).is_err());
@@ -996,7 +991,7 @@ proptest! {
             None,
         );
         config.adversaries =
-            Some(adversary_plan_from(3, (0.25, 0.0, 0.25, 0.0), (2.0, 0.05)));
+            Some(adversary_plan_from(3, (0.25, 0.0, 0.25), (2.0, 0.05)));
         let mut bytes = encode(&Envelope::pack(MessageKind::ShardConfig, &config));
         if pos < bytes.len() {
             bytes[pos] = byte;

@@ -13,9 +13,7 @@
 //!   SIGKILLed shard server downgrades to an excluded cohort.
 //! * **Codecs** — a failed delta cycle costs one dense re-send on every
 //!   topology, and sessions report the codec they negotiated.
-//! * **Hostile fleets** — robust rules hold where FedAvg is dragged away,
-//!   and a colluding coalition's log holds one global snapshot per
-//!   observed round.
+//! * **Hostile fleets** — robust rules hold where FedAvg is dragged away.
 //! * **Surfaces** — the default backend is `Reference` and tiled runs land
 //!   within rounding of it, duplicate picks error instead of panicking,
 //!   the sharded federation's `Debug` and layout agree, and the per-round
@@ -159,14 +157,14 @@ fn a_client_failure_bills_exactly_its_own_ledger_slot() {
     let mut clean = build(false);
     let download = clean.server().download(vec![1]);
     let (_, clean_ledger) = ExecutionEngine::sequential()
-        .execute_cycles(clean.clients_mut(), &[0, 2, 3], &download)
+        .execute_cycles_with(clean.clients_mut(), &[0, 2, 3], &download, None)
         .unwrap();
     assert!(clean_ledger.client(2).unwrap().crossings > 0);
     for workers in [1usize, 2, 4] {
         let mut fed = build(true);
         let download = fed.server().download(vec![1]);
         let (outcomes, ledger) = ExecutionEngine::new(workers)
-            .execute_cycles(fed.clients_mut(), &[0, 2, 3], &download)
+            .execute_cycles_with(fed.clients_mut(), &[0, 2, 3], &download, None)
             .unwrap();
         assert!(outcomes[0].is_completed(), "{workers} workers");
         assert!(outcomes[1].is_failed(), "{workers} workers");
@@ -421,27 +419,6 @@ fn robust_aggregation_holds_where_fedavg_degrades() {
     }
 }
 
-#[test]
-fn collusion_log_records_a_snapshot_per_observed_round() {
-    // Every client colludes: the coalition observes each round's global
-    // snapshot.
-    let colluding = Scenario {
-        adversaries: Some(AdversaryPlan::seeded(0xAD5).colluders(1.0)),
-        ..sixteen()
-    };
-    let mut fed = colluding.federation().build().unwrap();
-    fed.run().unwrap();
-    let log = fed
-        .collusion_log()
-        .expect("adversarial run keeps a collusion log")
-        .clone();
-    fed.shutdown().unwrap();
-    assert!(!log.colluders().is_empty(), "whole fleet colludes");
-    let snapshots = log.snapshots();
-    assert_eq!(snapshots.len(), log.rounds_observed());
-    assert!(!snapshots.is_empty());
-}
-
 /// The builder default is `Reference` and is bit-identical to passing
 /// that kind explicitly; tiled runs land within kernel-rounding distance
 /// of reference but are *not* required to match bits.
@@ -495,7 +472,7 @@ fn duplicate_pick_schedules_error_instead_of_panicking() {
     let download = fed.server().download(vec![]);
     for engine in [ExecutionEngine::sequential(), ExecutionEngine::new(4)] {
         let err = engine
-            .execute_cycles(fed.clients_mut(), &[0, 3, 0], &download)
+            .execute_cycles_with(fed.clients_mut(), &[0, 3, 0], &download, None)
             .unwrap_err();
         assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
     }
