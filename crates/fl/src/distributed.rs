@@ -23,6 +23,13 @@
 //!  └─────────────────────────┘  per shard└───────────────────────────┘
 //! ```
 //!
+//! The control channel is framed exactly like a socket client session:
+//! both of its ends are a [`FramedStream`], which also counts the bytes
+//! [`bytes_on_wire`](DistributedCoordinator::bytes_on_wire) reports. The
+//! coordinator accepts its shard servers through the same accept loop
+//! that wires a mux fleet: it waits on the poller, and gives up at once
+//! when a child exits before connecting.
+//!
 //! The determinism contract is unchanged: because every RNG consumption
 //! happens in the driver ([`FlServer::screen_plan`](crate::server::FlServer::screen_plan)
 //! draws the candidate sub-sample and the attestation nonces in global
@@ -44,13 +51,12 @@
 //! [`shutdown`](RoundDriver::shutdown)); later rounds simply screen its
 //! clients as unreachable.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use gradsec_nn::BackendKind;
 use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
@@ -67,13 +73,13 @@ use crate::message::{
     check_version, ArrivedUpload, ArrivedWeights, DatasetSpec, Envelope, MessageKind,
     ModelDownload, ModelSpec, ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck,
     ShardOutcome, ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply,
-    Wire, ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
+    Wire, PROTOCOL_VERSION,
 };
 use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
 use crate::scheduler::ProtectionScheduler;
 use crate::selection::{verify_evidence, ScreenPlan, ScreeningOutcome};
 use crate::transport::mux::DEFAULT_JOIN_GRACE;
-use crate::transport::tcp::{read_envelope, write_envelope};
+use crate::transport::tcp::{self, FramedStream, TcpListenerEndpoint};
 use crate::{FlError, Result};
 
 /// How long `launch` waits for every spawned shard-server to connect
@@ -83,53 +89,6 @@ const CONNECT_GRACE: Duration = Duration::from_secs(60);
 /// Environment variable overriding where the `shard-server` binary
 /// lives (used by CI and the repro gates to pin an already-built one).
 pub const SHARD_SERVER_ENV: &str = "GRADSEC_SHARD_SERVER";
-
-// ---------------------------------------------------------------------
-// Shard channel: blocking envelope I/O over one TCP stream.
-// ---------------------------------------------------------------------
-
-/// One framed envelope channel between the coordinator and a
-/// shard-server process: the envelope header doubles as the length
-/// prefix, exactly as on the per-client TCP transport. Counts bytes in
-/// both directions so the repro gates can report wire overhead.
-struct ShardChannel {
-    stream: TcpStream,
-    peer: String,
-    /// Write scratch reused across frames (see `tcp::write_envelope`).
-    scratch: BytesMut,
-    bytes_out: u64,
-    bytes_in: u64,
-}
-
-impl ShardChannel {
-    fn new(stream: TcpStream) -> Result<Self> {
-        stream
-            .set_nodelay(true)
-            .map_err(|e| FlError::transport("configuring shard channel", e))?;
-        let peer = stream
-            .peer_addr()
-            .map_or_else(|_| "shard <unknown>".to_owned(), |a| format!("shard {a}"));
-        Ok(ShardChannel {
-            stream,
-            peer,
-            scratch: BytesMut::new(),
-            bytes_out: 0,
-            bytes_in: 0,
-        })
-    }
-
-    fn send(&mut self, envelope: &Envelope) -> Result<()> {
-        write_envelope(&mut self.stream, &mut self.scratch, envelope, &self.peer)?;
-        self.bytes_out += self.scratch.len() as u64;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Envelope> {
-        let envelope = read_envelope(&mut self.stream, &self.peer)?;
-        self.bytes_in += (ENVELOPE_HEADER_LEN + envelope.payload.len()) as u64;
-        Ok(envelope)
-    }
-}
 
 // ---------------------------------------------------------------------
 // Shard-server binary resolution.
@@ -378,14 +337,8 @@ impl DistributedBuilder {
             adversaries: self.setup.adversaries.as_deref().cloned(),
         };
 
-        let listener = TcpListener::bind(("127.0.0.1", 0))
-            .map_err(|e| FlError::transport("binding coordinator listener", e))?;
-        let addr: SocketAddr = listener
-            .local_addr()
-            .map_err(|e| FlError::transport("reading coordinator address", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| FlError::transport("configuring coordinator listener", e))?;
+        let listener = tcp::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
         let binary = resolve_shard_server()?;
 
         let fleet = ProcessFleet {
@@ -398,7 +351,7 @@ impl DistributedBuilder {
         // here on still tears the children down via its Drop.
         let mut coordinator = self.setup.drive(server, fleet);
         coordinator.fleet.spawn(&binary, addr)?;
-        coordinator.fleet.connect(&listener, &template)?;
+        coordinator.fleet.connect(listener, &template)?;
         Ok(coordinator)
     }
 }
@@ -407,7 +360,7 @@ impl DistributedBuilder {
 /// channel (dropped once the shard is declared dead) and the child
 /// process handle.
 struct ShardSlot {
-    channel: Option<ShardChannel>,
+    channel: Option<FramedStream>,
     /// Bytes (out, in) the channel had carried when it was dropped.
     retired_bytes: (u64, u64),
     child: Child,
@@ -419,7 +372,7 @@ impl ShardSlot {
     /// Drops the channel, keeping its byte counters. Idempotent.
     fn retire(&mut self) {
         if let Some(ch) = self.channel.take() {
-            self.retired_bytes = (ch.bytes_out, ch.bytes_in);
+            self.retired_bytes = ch.bytes();
         }
     }
 
@@ -478,10 +431,10 @@ impl DistributedCoordinator {
     /// channel this coordinator has driven, dead ones included.
     pub fn bytes_on_wire(&self) -> (u64, u64) {
         self.fleet.shards.iter().fold((0, 0), |(out, inn), slot| {
-            let (o, i) = match &slot.channel {
-                Some(ch) => (ch.bytes_out, ch.bytes_in),
-                None => slot.retired_bytes,
-            };
+            let (o, i) = slot
+                .channel
+                .as_ref()
+                .map_or(slot.retired_bytes, FramedStream::bytes);
             (out + o, inn + i)
         })
     }
@@ -532,41 +485,27 @@ impl ProcessFleet {
     /// Accepts, handshakes and configures every spawned shard-server;
     /// `template` carries everything of the [`ShardConfig`] but the
     /// shard's index and range.
-    fn connect(&mut self, listener: &TcpListener, template: &ShardConfig) -> Result<()> {
+    fn connect(&mut self, listener: TcpListenerEndpoint, template: &ShardConfig) -> Result<()> {
         // Accept one connection per shard; identity is assigned by
-        // arrival order (shard servers are symmetric until
-        // configured). Poll so a child that died before connecting
-        // fails the launch instead of hanging it.
-        let deadline = Instant::now() + CONNECT_GRACE;
-        for s in 0..self.shards.len() {
-            let stream = loop {
-                match listener.accept() {
-                    Ok((stream, _)) => break stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        for slot in &mut self.shards {
-                            if let Ok(Some(status)) = slot.child.try_wait() {
-                                slot.reaped = true;
-                                return Err(FlError::Protocol {
-                                    reason: format!(
-                                        "shard-server exited before connecting: {status}"
-                                    ),
-                                });
-                            }
-                        }
-                        if Instant::now() > deadline {
-                            return Err(FlError::disconnected(
-                                "waiting for shard-server connections",
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) => return Err(FlError::transport("accepting shard connection", e)),
-                }
-            };
-            stream
-                .set_nonblocking(false)
-                .map_err(|e| FlError::transport("configuring shard stream", e))?;
-            let mut channel = ShardChannel::new(stream)?;
+        // arrival order (shard servers are symmetric until configured).
+        // A child that died before connecting fails the launch instead of
+        // hanging it.
+        let shards = &mut self.shards;
+        let channels = listener.accept_all(
+            shards.len(),
+            Instant::now() + CONNECT_GRACE,
+            "shard-server connections",
+            || {
+                shards.iter_mut().find_map(|slot| {
+                    let status = slot.child.try_wait().ok().flatten()?;
+                    slot.reaped = true;
+                    Some(FlError::Protocol {
+                        reason: format!("shard-server exited before connecting: {status}"),
+                    })
+                })
+            },
+        )?;
+        for (s, mut channel) in channels.into_iter().enumerate() {
             let hello: ShardHello = channel.recv()?.open(MessageKind::ShardHello)?;
             // Arrival order assigns shard identity, but the child
             // handles sit in *spawn* order — pair each connection
@@ -1006,7 +945,7 @@ pub fn shard_server_main(mut args: impl Iterator<Item = String>) -> Result<()> {
 /// binary turns them into a nonzero exit, which the coordinator's
 /// teardown surfaces).
 pub(crate) fn serve_shard(stream: TcpStream) -> Result<()> {
-    let mut channel = ShardChannel::new(stream)?;
+    let mut channel = FramedStream::new(stream)?;
     channel.send(&Envelope::pack(
         MessageKind::ShardHello,
         &ShardHello::current(),
@@ -1080,7 +1019,7 @@ pub(crate) fn serve_shard(stream: TcpStream) -> Result<()> {
 
 /// Passes `result` through, first telling the coordinator why when it is
 /// a failure this process is about to exit on.
-fn reported<T>(result: Result<T>, channel: &mut ShardChannel) -> Result<T> {
+fn reported<T>(result: Result<T>, channel: &mut FramedStream) -> Result<T> {
     if let Err(e) = &result {
         let _ = channel.send(&Envelope::error(e.to_string()));
     }
@@ -1425,10 +1364,10 @@ mod tests {
 
     #[test]
     fn a_shard_server_refuses_a_coordinator_at_another_version() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let listener = tcp::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let shard = std::thread::spawn(move || serve_shard(TcpStream::connect(addr).unwrap()));
-        let mut channel = ShardChannel::new(listener.accept().unwrap().0).unwrap();
+        let mut channel = listener.accept().unwrap();
         let hello: ShardHello = channel
             .recv()
             .unwrap()

@@ -52,7 +52,6 @@ use crate::server::FlServer;
 use crate::trainer::{DefaultTrainer, LocalTrainer};
 use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
-use crate::transport::poller::Poller;
 use crate::transport::{tcp, RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
 
@@ -493,6 +492,9 @@ impl FederationBuilder {
     }
 }
 
+/// How long `build` waits for every mux session to connect.
+const ACCEPT_GRACE: std::time::Duration = std::time::Duration::from_secs(30);
+
 /// Wires a built fleet onto `transport`, returning the handshaken
 /// endpoints (id-ordered) plus, over sockets, the event-loop pool serving
 /// their client side, for teardown to reap. With a fault plan, every
@@ -537,33 +539,16 @@ fn wire_fleet(
     // handshake attempted early would block on a session nobody is
     // serving yet — while the un-accepted remainder overflows the
     // listener backlog and stalls the loops' own connects: a deadlock.
-    // Draining the backlog first breaks the cycle. Poll rather than block
-    // in accept: a session that failed to connect would otherwise leave
-    // build() waiting forever for a connection that will never arrive.
-    // An empty backlog is waited on through the poller, which returns as
-    // soon as a connection lands — or within a millisecond, to look at
-    // the loops and the deadline again.
-    listener.set_nonblocking(true)?;
-    let mut backlog = Poller::new();
-    listener.watch(&mut backlog, 0)?;
-    let mut landed = Vec::new();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let mut endpoints: Vec<Box<dyn ServerEndpoint>> = Vec::with_capacity(n);
-    while endpoints.len() < n {
-        if let Some(endpoint) = listener.try_accept()? {
-            endpoints.push(Box::new(endpoint));
-            continue;
-        }
-        if let Some(e) = sessions.take_early_error() {
-            return Err(e);
-        }
-        if std::time::Instant::now() > deadline {
-            return Err(FlError::disconnected(
-                "waiting for client connections during federation build",
-            ));
-        }
-        backlog.wait(&mut landed, std::time::Duration::from_millis(1))?;
-    }
+    // Draining the backlog first breaks the cycle. A session that failed
+    // to connect surfaces as the loops' early error, so build() fails
+    // instead of waiting for a connection that will never arrive.
+    let endpoints = listener.accept_all(
+        n,
+        std::time::Instant::now() + ACCEPT_GRACE,
+        "client connections during federation build",
+        || sessions.take_early_error(),
+    )?;
+    let endpoints = endpoints.into_iter().map(|e| Box::new(e) as _).collect();
     Ok((greet(endpoints)?, Some(sessions)))
 }
 

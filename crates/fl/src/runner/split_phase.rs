@@ -4,7 +4,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bytes::BytesMut;
 use gradsec_data::SyntheticMicro;
 use gradsec_nn::zoo;
 use gradsec_tee::attestation::Challenge;
@@ -20,7 +19,7 @@ use crate::selection::screen_one;
 use crate::trainer::tests::{Flaky, Mishap};
 use crate::trainer::PlainSgdTrainer;
 use crate::transport::broadcast::Broadcast;
-use crate::transport::tcp::{read_envelope, write_envelope};
+use crate::transport::tcp::FramedStream;
 use crate::transport::tests::bits;
 use crate::transport::{slide, ClientHandler, WINDOW};
 
@@ -471,16 +470,15 @@ fn a_session_killed_mid_window_fails_alone() {
         |endpoint| endpoint,
         |addr| {
             victim = Some(std::thread::spawn(move || {
-                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                let stream = std::net::TcpStream::connect(addr).unwrap();
+                let mut stream = FramedStream::new(stream).unwrap();
                 let mut handler = ClientHandler::new(fl_client(3));
-                let mut scratch = BytesMut::new();
                 loop {
-                    let request = read_envelope(&mut stream, "server").unwrap();
+                    let request = stream.recv().unwrap();
                     if request.kind == MessageKind::EncodedModelDownload {
                         return;
                     }
-                    let reply = handler.handle(request).unwrap();
-                    write_envelope(&mut stream, &mut scratch, &reply, "server").unwrap();
+                    stream.send(&handler.handle(request).unwrap()).unwrap();
                 }
             }));
         },

@@ -254,17 +254,17 @@ mod tests {
 
     #[test]
     fn hung_up_clients_screen_as_unreachable() {
-        use crate::transport::tcp::{bind, read_envelope, write_envelope};
+        use crate::transport::tcp::{bind, FramedStream};
         use crate::transport::ClientHandler;
         let listener = bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         // The peer answers the handshake then hangs up without a Goodbye.
         let handle = std::thread::spawn(move || {
-            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            let mut stream = FramedStream::new(stream).unwrap();
             let mut handler = ClientHandler::new(fl_client(5, DeviceProfile::trustzone(5)));
-            let reply = handler.handle(read_envelope(&mut stream, "server").unwrap());
-            let mut scratch = bytes::BytesMut::new();
-            write_envelope(&mut stream, &mut scratch, &reply.unwrap(), "server").unwrap();
+            let reply = handler.handle(stream.recv().unwrap());
+            stream.send(&reply.unwrap()).unwrap();
         });
         let endpoint = listener.accept().unwrap();
         let mut clients = vec![RemoteClient::connect(Box::new(endpoint)).unwrap()];

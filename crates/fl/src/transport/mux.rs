@@ -15,7 +15,7 @@
 //! (backpressure, never unbounded queueing).
 //!
 //! The server side is plain blocking sockets: the engine drives
-//! [`TcpServerEndpoint`](super::tcp::TcpServerEndpoint)s
+//! [`FramedStream`](super::tcp::FramedStream)s
 //! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
 //! a window of them at a time (the transport's `slide`) so the loops
 //! have many requests to serve per wake-up, and completed uploads feed

@@ -1,4 +1,5 @@
-//! TCP transport: the same envelopes over real sockets.
+//! TCP transport: the same envelopes over real sockets, framed in one
+//! place.
 //!
 //! The [`Envelope`] binary layout doubles as the socket frame — a fixed
 //! 13-byte header (magic, version, kind, payload length) followed by
@@ -6,14 +7,18 @@
 //! message boundaries and a hostile length prefix is rejected before any
 //! allocation (`MAX_ENVELOPE_PAYLOAD`).
 //!
-//! Deployment shape: the FL server [`bind`]s and [`TcpListenerEndpoint::accept`]s
-//! one connection per client. The client side of every such socket is a
-//! [`mux`](super::mux) session — one device is a one-session
-//! [`MuxFleet`](super::mux::MuxFleet) — and the shard-control channel
-//! frames its messages with the same `read_envelope` / `write_envelope`.
+//! Every blocking socket is a [`FramedStream`]: the FL server's end of a
+//! client session (whose client side is a [`mux`](super::mux) session —
+//! one device is a one-session [`MuxFleet`](super::mux::MuxFleet)) and
+//! both ends of a coordinator's shard-control channel. The FL server
+//! [`bind`]s and accepts one connection per peer; a fleet whose peers all
+//! connect back at once — mux sessions, shard servers — goes through the
+//! one crate-private accept loop, which waits on a [`Poller`] and fails
+//! at once on a dead peer or a passed deadline.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
@@ -22,71 +27,102 @@ use crate::transport::poller::Poller;
 use crate::transport::ServerEndpoint;
 use crate::{FlError, Result};
 
-/// Writes one envelope to a stream (header + payload, single buffer).
-///
-/// `scratch` is the endpoint's write buffer, reused across frames: the
-/// envelope is encoded into it in place and its capacity survives the
-/// call, so steady-state rounds do one allocation per *session*, not one
-/// (or, with the old `encode` → `to_vec` path, two) per envelope.
-pub(crate) fn write_envelope<W: Write>(
-    w: &mut W,
-    scratch: &mut BytesMut,
-    envelope: &Envelope,
-    peer: &str,
-) -> Result<()> {
-    scratch.clear();
-    envelope.encode_into(scratch);
-    w.write_all(scratch.as_slice())
-        .and_then(|()| w.flush())
-        .map_err(|e| FlError::transport(format!("writing envelope to {peer}"), e))
-}
-
-/// Reads one envelope from a stream: fixed header first (parsed in place
-/// by [`parse_envelope_head`] — no buffer allocation), then the
-/// advertised payload length read directly into the envelope's own
-/// buffer (no reassembly or second decode pass — this is the hot round
-/// path, and the payload `Vec` is the envelope's storage, not scratch).
-pub(crate) fn read_envelope<R: Read>(r: &mut R, peer: &str) -> Result<Envelope> {
-    let mut header = [0u8; ENVELOPE_HEADER_LEN];
-    r.read_exact(&mut header)
-        .map_err(|e| FlError::transport(format!("reading envelope header from {peer}"), e))?;
-    let head = parse_envelope_head(&header).map_err(|e| match e {
-        FlError::Protocol { reason } => FlError::Protocol {
-            reason: format!("{reason} (from {peer})"),
-        },
-        other => other,
-    })?;
-    let mut payload = vec![0u8; head.payload_len];
-    r.read_exact(&mut payload)
-        .map_err(|e| FlError::transport(format!("reading envelope payload from {peer}"), e))?;
-    Ok(Envelope {
-        version: head.version,
-        kind: head.kind,
-        payload,
-    })
-}
-
-/// The server's socket to one connected client.
+/// One blocking envelope stream: the FL server's end of a client session,
+/// or either end of a shard-control channel. It names its peer in every
+/// error and counts the envelope bytes it carried each way.
 #[derive(Debug)]
-pub struct TcpServerEndpoint {
+pub struct FramedStream {
     stream: TcpStream,
     peer: String,
-    /// Per-session write scratch (see [`write_envelope`]).
+    /// Write buffer reused across frames: each envelope is encoded into
+    /// it in place and its capacity survives the call, so steady-state
+    /// rounds do one allocation per *session*, not one per envelope.
     scratch: BytesMut,
+    sent: u64,
+    received: u64,
 }
 
-impl ServerEndpoint for TcpServerEndpoint {
+impl FramedStream {
+    /// Frames a connected socket: blocking, since it may come from a
+    /// polled listener, and with Nagle off, which only adds latency to
+    /// one small frame per exchange.
+    pub(crate) fn new(stream: TcpStream) -> Result<Self> {
+        let peer = stream
+            .peer_addr()
+            .map_or_else(|_| "<unknown peer>".to_owned(), |a| a.to_string());
+        stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.set_nodelay(true))
+            .map_err(|e| FlError::transport(format!("configuring socket to {peer}"), e))?;
+        Ok(FramedStream {
+            stream,
+            peer,
+            scratch: BytesMut::new(),
+            sent: 0,
+            received: 0,
+        })
+    }
+
+    /// Writes one envelope (header + payload, one buffer).
+    pub(crate) fn send(&mut self, envelope: &Envelope) -> Result<()> {
+        self.scratch.clear();
+        envelope.encode_into(&mut self.scratch);
+        self.stream
+            .write_all(self.scratch.as_slice())
+            .and_then(|()| self.stream.flush())
+            .map_err(|e| FlError::transport(format!("writing envelope to {}", self.peer), e))?;
+        self.sent += self.scratch.len() as u64;
+        Ok(())
+    }
+
+    /// Reads one envelope: the fixed header first (parsed in place by
+    /// [`parse_envelope_head`] — no buffer allocation), then the
+    /// advertised payload length read directly into the envelope's own
+    /// buffer (no reassembly or second decode pass — this is the hot
+    /// round path, and the payload `Vec` is the envelope's storage, not
+    /// scratch).
+    pub(crate) fn recv(&mut self) -> Result<Envelope> {
+        let peer = &self.peer;
+        let mut header = [0u8; ENVELOPE_HEADER_LEN];
+        self.stream
+            .read_exact(&mut header)
+            .map_err(|e| FlError::transport(format!("reading envelope header from {peer}"), e))?;
+        let head = parse_envelope_head(&header).map_err(|e| match e {
+            FlError::Protocol { reason } => FlError::Protocol {
+                reason: format!("{reason} (from {peer})"),
+            },
+            other => other,
+        })?;
+        let mut payload = vec![0u8; head.payload_len];
+        self.stream
+            .read_exact(&mut payload)
+            .map_err(|e| FlError::transport(format!("reading envelope payload from {peer}"), e))?;
+        self.received += (ENVELOPE_HEADER_LEN + payload.len()) as u64;
+        Ok(Envelope {
+            version: head.version,
+            kind: head.kind,
+            payload,
+        })
+    }
+
+    /// Envelope bytes `(sent, received)` over this stream so far.
+    pub(crate) fn bytes(&self) -> (u64, u64) {
+        (self.sent, self.received)
+    }
+}
+
+impl ServerEndpoint for FramedStream {
     fn begin(&mut self, request: Envelope) -> Result<bool> {
-        write_envelope(&mut self.stream, &mut self.scratch, &request, &self.peer)?;
+        self.send(&request)?;
         Ok(false)
     }
 
     fn finish(&mut self) -> Result<Envelope> {
-        read_envelope(&mut self.stream, &self.peer)
+        self.recv()
     }
 
     fn notify(&mut self, message: Envelope) -> Result<()> {
-        write_envelope(&mut self.stream, &mut self.scratch, &message, &self.peer)
+        self.send(&message)
     }
 
     fn descriptor(&self) -> String {
@@ -117,12 +153,12 @@ impl TcpListenerEndpoint {
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] on accept failure.
-    pub fn accept(&self) -> Result<TcpServerEndpoint> {
-        let (stream, addr) = self
+    pub fn accept(&self) -> Result<FramedStream> {
+        let (stream, _) = self
             .listener
             .accept()
             .map_err(|e| FlError::transport("accepting client connection", e))?;
-        self.admit(stream, addr)
+        FramedStream::new(stream)
     }
 
     /// Deepens the accept backlog toward `backlog` connections (best
@@ -135,62 +171,51 @@ impl TcpListenerEndpoint {
         crate::transport::poller::deepen_listen_backlog(&self.listener, backlog)
     }
 
-    /// Switches the listener between blocking accepts (the default) and
-    /// polled ones ([`try_accept`](Self::try_accept)) — once per accept
-    /// loop, not once per accept.
+    /// Accepts exactly `n` connections and returns them framed, in
+    /// arrival order. An empty backlog is waited on through a [`Poller`],
+    /// which returns as soon as a connection lands — or within a
+    /// millisecond, to ask `dead_peer` and look at `deadline` again. A
+    /// peer that died before connecting never will, so the first error
+    /// `dead_peer` reports fails the accept at once; a passed `deadline`
+    /// fails it with a disconnect naming `waiting_for`. The listener is
+    /// consumed: it is left non-blocking.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::Transport`] when the socket is gone.
-    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
+    /// Returns `dead_peer`'s error, [`FlError::Transport`] on a passed
+    /// deadline or an accept or poll failure.
+    pub(crate) fn accept_all(
+        self,
+        n: usize,
+        deadline: Instant,
+        waiting_for: &str,
+        mut dead_peer: impl FnMut() -> Option<FlError>,
+    ) -> Result<Vec<FramedStream>> {
         self.listener
-            .set_nonblocking(nonblocking)
-            .map_err(|e| FlError::transport("configuring listener", e))
-    }
-
-    /// Registers the listener with `poller` under `token`, so an accept
-    /// loop can wait for the backlog to fill instead of napping between
-    /// [`try_accept`](Self::try_accept)s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] when the poller rejects the watch.
-    pub(crate) fn watch(&self, poller: &mut Poller, token: usize) -> Result<()> {
-        poller.register_listener(&self.listener, token)
-    }
-
-    /// Polls a [non-blocking](Self::set_nonblocking) listener for one
-    /// client connection: `Ok(None)` when nobody is waiting. Callers that
-    /// interleave accepting with other work (liveness checks, deadlines)
-    /// use this instead of [`accept`].
-    ///
-    /// [`accept`]: TcpListenerEndpoint::accept
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::Transport`] on accept failure.
-    pub(crate) fn try_accept(&self) -> Result<Option<TcpServerEndpoint>> {
-        match self.listener.accept() {
-            Ok((stream, addr)) => self.admit(stream, addr).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(FlError::transport("accepting client connection", e)),
+            .set_nonblocking(true)
+            .map_err(|e| FlError::transport("configuring listener", e))?;
+        let mut backlog = Poller::new();
+        backlog.register_listener(&self.listener, 0)?;
+        let mut landed = Vec::new();
+        let mut accepted = Vec::with_capacity(n);
+        while accepted.len() < n {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    accepted.push(FramedStream::new(stream)?);
+                    continue;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => return Err(FlError::transport(format!("accepting {waiting_for}"), e)),
+            }
+            if let Some(e) = dead_peer() {
+                return Err(e);
+            }
+            if Instant::now() > deadline {
+                return Err(FlError::disconnected(format!("waiting for {waiting_for}")));
+            }
+            backlog.wait(&mut landed, Duration::from_millis(1))?;
         }
-    }
-
-    fn admit(&self, stream: TcpStream, addr: SocketAddr) -> Result<TcpServerEndpoint> {
-        let peer = addr.to_string();
-        // The listener may have been polled in non-blocking mode; the
-        // session socket must block. One small frame per exchange: Nagle
-        // only adds latency here.
-        stream
-            .set_nonblocking(false)
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| FlError::transport(format!("configuring socket to {peer}"), e))?;
-        Ok(TcpServerEndpoint {
-            stream,
-            peer,
-            scratch: BytesMut::new(),
-        })
+        Ok(accepted)
     }
 }
 
@@ -211,21 +236,28 @@ mod tests {
     use super::*;
     use crate::message::{Hello, MessageKind};
 
+    fn hello() -> Envelope {
+        Envelope::pack(MessageKind::Hello, &Hello::current())
+    }
+
     #[test]
     fn envelope_roundtrips_over_a_socket_pair() {
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let req = read_envelope(&mut stream, "server").unwrap();
-            write_envelope(&mut stream, &mut BytesMut::new(), &req, "server").unwrap();
-            // echo
+            let mut client = FramedStream::new(TcpStream::connect(addr).unwrap()).unwrap();
+            let req = client.recv().unwrap();
+            client.send(&req).unwrap(); // echo
+            client.bytes()
         });
         let mut server = listener.accept().unwrap();
-        let sent = Envelope::pack(MessageKind::Hello, &Hello::current());
+        let sent = hello();
         let echoed = server.exchange(sent.clone()).unwrap();
         assert_eq!(sent, echoed);
-        handle.join().unwrap();
+        // Each end counts the whole frame, header included, each way.
+        let frame = (ENVELOPE_HEADER_LEN + sent.payload.len()) as u64;
+        assert_eq!(server.bytes(), (frame, frame));
+        assert_eq!(handle.join().unwrap(), (frame, frame));
     }
 
     #[test]
@@ -237,7 +269,7 @@ mod tests {
             s.write_all(&[0u8; ENVELOPE_HEADER_LEN]).unwrap();
         });
         let mut server = listener.accept().unwrap();
-        let err = read_envelope(&mut server.stream, "test").unwrap_err();
+        let err = server.recv().unwrap_err();
         assert!(matches!(err, FlError::Protocol { .. }), "{err:?}");
         handle.join().unwrap();
     }
@@ -252,7 +284,74 @@ mod tests {
         });
         let mut server = listener.accept().unwrap();
         client.join().unwrap();
-        let err = read_envelope(&mut server.stream, "test").unwrap_err();
+        let err = server.recv().unwrap_err();
         assert!(matches!(err, FlError::Transport { .. }), "{err:?}");
+    }
+
+    /// A dead peer reported by the liveness check fails the accept at
+    /// once with the check's own error, long before the deadline — even
+    /// with part of the fleet already accepted.
+    #[test]
+    fn the_accept_loop_fails_at_once_on_a_dead_peer() {
+        let listener = bind("127.0.0.1:0").unwrap();
+        let _early = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let started = Instant::now();
+        let deadline = started + Duration::from_secs(30);
+        let err = listener
+            .accept_all(2, deadline, "test peers", || {
+                Some(FlError::Protocol {
+                    reason: "peer 1 exited before connecting".to_owned(),
+                })
+            })
+            .unwrap_err();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(3), "waited {waited:?}");
+        assert!(matches!(err, FlError::Protocol { .. }), "{err:?}");
+        assert!(err.to_string().contains("peer 1 exited"), "{err}");
+    }
+
+    /// A passed deadline fails the accept with a disconnect that names
+    /// what the loop was waiting for.
+    #[test]
+    fn the_accept_loop_gives_up_at_its_deadline_naming_what_it_waited_for() {
+        let listener = bind("127.0.0.1:0").unwrap();
+        let err = listener
+            .accept_all(1, Instant::now(), "test peers", || None)
+            .unwrap_err();
+        assert!(matches!(err, FlError::Transport { .. }), "{err:?}");
+        assert!(err.to_string().contains("waiting for test peers"), "{err}");
+    }
+
+    /// The loop takes exactly `n` connections and hands each back
+    /// blocking with Nagle off: a peer that writes only after the server
+    /// started reading is read whole, where a non-blocking stream would
+    /// fail the read with `WouldBlock`.
+    #[test]
+    fn the_accept_loop_takes_n_connections_blocking_with_nodelay() {
+        const N: usize = 3;
+        let listener = bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peers: Vec<TcpStream> = (0..N).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut accepted = listener
+            .accept_all(N, deadline, "test peers", || None)
+            .unwrap();
+        assert_eq!(accepted.len(), N);
+        let (reading, writer_go) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            writer_go.recv().unwrap();
+            // The pause only makes a non-blocking stream's failure
+            // likely; a blocking one passes whatever the timing.
+            std::thread::sleep(Duration::from_millis(50));
+            for peer in peers {
+                FramedStream::new(peer).unwrap().send(&hello()).unwrap();
+            }
+        });
+        reading.send(()).unwrap();
+        for stream in &mut accepted {
+            assert!(stream.stream.nodelay().unwrap());
+            assert_eq!(stream.recv().unwrap(), hello());
+        }
+        writer.join().unwrap();
     }
 }
