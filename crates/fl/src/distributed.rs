@@ -376,11 +376,11 @@ impl ShardSlot {
         }
     }
 
-    /// Sends `msg` if the shard is still connected; a failed send
+    /// Sends `envelope` if the shard is still connected; a failed send
     /// retires the channel.
-    fn send<T: Wire>(&mut self, kind: MessageKind, msg: &T) {
+    fn send(&mut self, envelope: &Envelope) {
         if let Some(ch) = &mut self.channel {
-            if ch.send(&Envelope::pack(kind, msg)).is_err() {
+            if ch.send(envelope).is_err() {
                 self.retire();
             }
         }
@@ -593,7 +593,10 @@ impl Fleet for ProcessFleet {
         let mut outcomes = vec![ScreeningOutcome::Unreachable; plan.candidates.len()];
         for (slot, probes) in self.shards.iter_mut().zip(probes) {
             if !probes.is_empty() {
-                slot.send(MessageKind::ShardScreen, &ShardScreen { probes });
+                slot.send(&Envelope::pack(
+                    MessageKind::ShardScreen,
+                    &ShardScreen { probes },
+                ));
             }
         }
         for (slot, positions) in self.shards.iter_mut().zip(&positions) {
@@ -644,14 +647,8 @@ impl Fleet for ProcessFleet {
             if picks.is_empty() || slot.channel.is_none() {
                 continue;
             }
-            slot.send(
-                MessageKind::ShardRound,
-                &ShardRound {
-                    download: download.clone(),
-                    picks: picks.iter().map(|&p| p as u64).collect(),
-                    slot_base: base as u64,
-                },
-            );
+            let picks: Vec<u64> = picks.iter().map(|&p| p as u64).collect();
+            slot.send(&ShardRound::envelope(download, base as u64, &picks));
         }
         let mut ledger = RoundLedger::new();
         let mut cohort_lost = false;

@@ -56,7 +56,10 @@ use crate::codec::{
 };
 use crate::config::TrainingPlan;
 use crate::faults::FaultPlan;
-use crate::wire::{decode_len, get_f32s, put_f32s, take_bytes, wire_enum, wire_list, wire_struct};
+use crate::wire::{
+    decode_len, decode_list, encode_list, get_f32s, put_f32s, take_bytes, wire_enum, wire_list,
+    wire_struct,
+};
 use crate::{FlError, Result};
 
 /// The decode-side size caps every length-prefixed field in this
@@ -1174,12 +1177,42 @@ wire_struct!(ShardScreen {
 wire_struct!(ShardScreenReply {
     evidence: list(limits::MAX_LIST_ITEMS),
 });
-// Wire order, not declaration order: the slot base precedes the picks.
-wire_struct!(ShardRound {
-    download,
-    slot_base,
-    picks: list(limits::MAX_LIST_ITEMS),
-});
+impl ShardRound {
+    /// The envelope a `ShardRound` over `download` packs to, encoded from
+    /// the borrowed download: the coordinator sends one to every live
+    /// shard each round without cloning the model for it.
+    pub(crate) fn envelope(download: &ModelDownload, slot_base: u64, picks: &[u64]) -> Envelope {
+        let mut buf = BytesMut::new();
+        encode_shard_round(download, slot_base, picks, &mut buf);
+        Envelope {
+            version: PROTOCOL_VERSION,
+            kind: MessageKind::ShardRound,
+            payload: buf.into(),
+        }
+    }
+}
+
+/// `ShardRound`'s one encoder, in wire order, not declaration order: the
+/// slot base precedes the picks.
+fn encode_shard_round(download: &ModelDownload, slot_base: u64, picks: &[u64], buf: &mut BytesMut) {
+    download.encode_into(buf);
+    slot_base.encode_into(buf);
+    encode_list(picks.len(), picks.iter(), buf);
+}
+
+impl Wire for ShardRound {
+    fn encode_into(&self, buf: &mut BytesMut) {
+        encode_shard_round(&self.download, self.slot_base, &self.picks, buf);
+    }
+
+    fn decode_from(buf: &mut Bytes) -> Result<Self> {
+        Ok(ShardRound {
+            download: Wire::decode_from(buf)?,
+            slot_base: Wire::decode_from(buf)?,
+            picks: decode_list(buf, limits::MAX_LIST_ITEMS, "picks")?,
+        })
+    }
+}
 wire_enum!(ShardOutcomeKind, "outcome kind" {
     0 => Straggler { elapsed_s },
     1 => Failed { reason },
@@ -1231,6 +1264,30 @@ mod tests {
         };
         let back: ModelDownload = decode(&encode(&msg)).unwrap();
         assert_eq!(msg, back);
+    }
+
+    /// The coordinator's borrowed-download envelope is the one packing an
+    /// owned `ShardRound` gives, byte for byte.
+    #[test]
+    fn a_shard_round_envelope_packs_the_owned_message_bytes() {
+        let download = ModelDownload {
+            round: 3,
+            weights: weights(),
+            plan: TrainingPlan::default(),
+            protected_layers: vec![1, 4],
+        };
+        let picks = [0, 3, 7];
+        let owned = ShardRound {
+            download: download.clone(),
+            picks: picks.to_vec(),
+            slot_base: 11,
+        };
+        let sent = ShardRound::envelope(&download, 11, &picks);
+        assert_eq!(sent, Envelope::pack(MessageKind::ShardRound, &owned));
+        assert_eq!(
+            sent.open::<ShardRound>(MessageKind::ShardRound).unwrap(),
+            owned
+        );
     }
 
     #[test]

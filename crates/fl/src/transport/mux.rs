@@ -31,9 +31,10 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::BytesMut;
 use gradsec_tensor::ops::threads;
@@ -427,6 +428,9 @@ fn run_loop(
 /// joined (with a grace bound) at teardown.
 pub struct MuxFleet {
     handles: Vec<JoinHandle<LoopOutcome>>,
+    /// Never carries a message: every loop holds a sender until it
+    /// returns or unwinds, so this disconnects once the last loop ended.
+    exited: mpsc::Receiver<()>,
     shutdown: Arc<AtomicBool>,
     early_error: Arc<Mutex<Option<FlError>>>,
     loops: usize,
@@ -477,12 +481,13 @@ impl MuxFleet {
         let write_bound = options.write_bound;
         // Clients train on their loop's thread: split the kernel budget.
         let kernel_threads = threads::budget() / loops;
+        let (exit, exited) = mpsc::channel();
         let handles = per_loop
             .into_iter()
             .map(|share| {
                 let shutdown = shutdown.clone();
                 let early_error = early_error.clone();
-                std::thread::spawn(move || {
+                spawn_loop(exit.clone(), move || {
                     threads::with_budget(kernel_threads, || {
                         run_loop(addr, share, read_chunk, write_bound, shutdown, early_error)
                     })
@@ -491,6 +496,7 @@ impl MuxFleet {
             .collect();
         Ok(MuxFleet {
             handles,
+            exited,
             shutdown,
             early_error,
             loops,
@@ -536,13 +542,8 @@ impl MuxFleet {
     /// loop's outcome, while the slot holds whichever loop posted first —
     /// and one the builder already took is no longer there at all.
     pub(crate) fn join_handlers(&mut self, grace: Duration) -> Result<Vec<ClientHandler>> {
-        let deadline = Instant::now() + grace;
-        while !self.handles.iter().all(JoinHandle::is_finished) {
-            if Instant::now() >= deadline {
-                self.shutdown.store(true, Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        if self.exited.recv_timeout(grace) == Err(RecvTimeoutError::Timeout) {
+            self.shutdown.store(true, Ordering::Relaxed);
         }
         let mut handlers = Vec::with_capacity(self.sessions);
         let mut first_err = None;
@@ -568,6 +569,19 @@ impl MuxFleet {
     }
 }
 
+/// Spawns one event loop that holds `exit` — a sender of
+/// [`MuxFleet::exited`] — until `body` returns or unwinds, so `join` wakes
+/// as soon as the last loop ends, a panicked one included.
+fn spawn_loop(
+    exit: mpsc::Sender<()>,
+    body: impl FnOnce() -> LoopOutcome + Send + 'static,
+) -> JoinHandle<LoopOutcome> {
+    std::thread::spawn(move || {
+        let _exit = exit;
+        body()
+    })
+}
+
 impl Drop for MuxFleet {
     fn drop(&mut self) {
         // Best effort on abnormal paths: force the loops down and reap
@@ -590,6 +604,7 @@ mod tests {
     use gradsec_data::SyntheticCifar100;
     use gradsec_nn::zoo;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn fl_client(id: u64) -> FlClient {
         let ds = Arc::new(SyntheticCifar100::with_classes(16, 2, 1));
@@ -670,6 +685,35 @@ mod tests {
         clients.sort_by_key(FlClient::id);
         assert_eq!(clients.len(), 2);
         assert_eq!(clients[0].id(), 3);
+    }
+
+    /// A loop that panics still ends `join`'s wait at once — its exit
+    /// sender drops as it unwinds — and `join` reports the panic.
+    #[test]
+    fn join_wakes_at_once_when_a_loop_panics() {
+        let (exit, exited) = mpsc::channel();
+        let (go, wait) = mpsc::channel::<()>();
+        let handle = spawn_loop(exit, move || {
+            wait.recv().expect("the test sends go");
+            panic!("event loop died")
+        });
+        let mut fleet = MuxFleet {
+            handles: vec![handle],
+            exited,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            early_error: Arc::new(Mutex::new(None)),
+            loops: 1,
+            sessions: 0,
+        };
+        let start = Instant::now();
+        go.send(()).unwrap();
+        let err = fleet.join(Duration::from_secs(60)).unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "join waited out its grace"
+        );
+        assert!(err.to_string().contains("panicked"), "{err}");
+        assert!(!fleet.shutdown.load(Ordering::Relaxed), "the grace ran out");
     }
 
     #[test]

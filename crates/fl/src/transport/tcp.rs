@@ -288,6 +288,32 @@ mod tests {
         assert!(matches!(err, FlError::Transport { .. }), "{err:?}");
     }
 
+    /// `FramedStream::new` makes its socket blocking whatever it was
+    /// handed: a stream explicitly set non-blocking reads a frame its
+    /// peer sends only after a pause, where it would otherwise fail the
+    /// read with `WouldBlock`.
+    #[test]
+    fn a_non_blocking_stream_is_framed_blocking() {
+        let listener = bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (reading, writer_go) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut peer = listener.accept().unwrap();
+            writer_go.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            peer.send(&hello()).unwrap();
+            // Held until the frame was read, so the read sees no close.
+            writer_go.recv().unwrap();
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut framed = FramedStream::new(stream).unwrap();
+        reading.send(()).unwrap();
+        assert_eq!(framed.recv().unwrap(), hello());
+        reading.send(()).unwrap();
+        writer.join().unwrap();
+    }
+
     /// A dead peer reported by the liveness check fails the accept at
     /// once with the check's own error, long before the deadline — even
     /// with part of the fleet already accepted.

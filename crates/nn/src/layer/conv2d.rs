@@ -161,12 +161,12 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: Tensor) -> Result<Tensor> {
-        // One fused kernel call computes Z and A = f(Z) together: the
-        // Reference default hook replays the historical unfused op
-        // order bit-for-bit, while Tiled applies the activation inside
-        // its GEMM writeback instead of re-walking the output. Z goes
-        // at once: backward reads f' off A.
-        let (_, a) = conv2d_forward_fused_with(
+        // One fused kernel call computes A = f(Z), summing Z in A's own
+        // buffer: the Reference default hook replays the historical
+        // unfused op order bit-for-bit, while Tiled applies the
+        // activation inside its GEMM writeback instead of re-walking the
+        // output. No Z is kept: backward reads f' off A.
+        let a = conv2d_forward_fused_with(
             &input,
             &self.weights,
             &self.bias,

@@ -155,12 +155,12 @@ impl Layer for Dense {
 
     fn forward(&mut self, mut input: Tensor) -> Result<Tensor> {
         self.check_input(&input)?;
-        // Z (N, out) = A (N, in) · Wᵀ + b and A = f(Z), in one fused
-        // kernel call: Reference's default hook replays the
-        // historical matmul → bias sweep → activation order
+        // A (N, out) = f(A_in (N, in) · Wᵀ + b), in one fused kernel
+        // call that sums Z in A's own buffer: Reference's default hook
+        // replays the historical matmul → bias sweep → activation order
         // bit-for-bit, while Tiled seeds the bias and activates inside
-        // its GEMM writeback. Z goes at once: backward reads f' off A.
-        let (_, a) = flattened(&mut input, self.inputs, |flat| {
+        // its GEMM writeback. No Z is kept: backward reads f' off A.
+        let a = flattened(&mut input, self.inputs, |flat| {
             dense_forward_fused_with(
                 flat,
                 &self.weights,

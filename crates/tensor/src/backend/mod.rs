@@ -21,11 +21,12 @@
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only
 //!   `unsafe` island), selected once per process via
 //!   `is_x86_feature_detected!` with a `GRADSEC_TILED_ISA` override.
-//!   Convolutions consume their input through a *virtual im2col* packer —
-//!   a zero-padded copy of the band read in row runs — and compute the
-//!   input gradient with a direct per-tap kernel into a padded gradient
-//!   frame, so the conv path holds no column buffer and checks nothing
-//!   out of the pool. Deterministic per ISA path (same inputs →
+//!   Convolutions consume their input through a *virtual im2col* — a
+//!   zero-padded, stride-phased copy of the band, copied into the
+//!   forward panels in row runs and read in place by dW's kernel — and
+//!   compute the input gradient with a direct per-tap kernel into a
+//!   padded gradient frame, so the conv path holds no column buffer and
+//!   checks nothing out of the pool. Deterministic per ISA path (same inputs →
 //!   bit-identical outputs) but *not* bit-identical to `Reference`: its
 //!   kernels reassociate floating-point reductions, so outputs agree only
 //!   to ~1e-5 relative error.
@@ -246,18 +247,19 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
     /// `Σ a∗b` (inner product).
     fn dot(&self, a: &[f32], b: &[f32]) -> f32;
 
-    /// Convolution forward pass fused with an elementwise activation:
-    /// writes the pre-activations into `z` *and* `act(z)` into `a` over
-    /// one band of images (the `nn` conv layers cache `z` for the
-    /// backward pass and hand `a` to the next layer, so both buffers are
-    /// always needed).
+    /// Convolution forward pass fused with an elementwise activation over
+    /// one band of images: writes the pre-activations into `z` *and*
+    /// `act(z)` into `a`, or — `z` empty — `act(Z)` into `a` alone, its
+    /// pre-activations summed in `a`'s own buffer (what the `nn` conv
+    /// layers ask for: their backward reads `f'` off `A`).
     ///
     /// The default is the unfused two-sweep path — the kernel followed by
     /// an elementwise map in the same order the layers used before fusion
     /// existed, so `Reference` stays bit-identical to its historical
     /// behaviour. Backends that fuse (e.g. `Tiled`, which
     /// applies `act` during the final tile writeback) must produce the
-    /// same `z` as their unfused kernel and `a = act(z)` exactly.
+    /// same `z` as their unfused kernel and `a = act(z)` exactly, with or
+    /// without `z`.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_forward_fused(
         &self,
@@ -269,6 +271,11 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
         act: FusedActivation,
         geo: &Conv2dGeometry,
     ) {
+        if z.is_empty() {
+            self.conv2d_forward(input, weights, bias, a, geo);
+            a.iter_mut().for_each(|ai| *ai = act.apply(*ai));
+            return;
+        }
         self.conv2d_forward(input, weights, bias, z, geo);
         for (ai, &zi) in a.iter_mut().zip(z.iter()) {
             *ai = act.apply(zi);
@@ -277,7 +284,8 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
 
     /// Dense forward pass fused with bias and an elementwise activation:
     /// `z (m×n) = input (m×k) · weightsᵀ + bias`, `a = act(z)`, with
-    /// `weights` stored `(n×k)` (the Darknet row-per-output convention).
+    /// `weights` stored `(n×k)` (the Darknet row-per-output convention);
+    /// an empty `z` sums the pre-activations in `a` instead.
     ///
     /// Same contract as [`TensorBackend::conv2d_forward_fused`]: the
     /// default replays the historical unfused op order (matmul_nt, then
@@ -295,11 +303,17 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
         k: usize,
         n: usize,
     ) {
-        self.matmul_nt(input, weights, z, m, k, n);
-        for row in z.chunks_mut(n) {
+        let keep_z = !z.is_empty();
+        let sums = if keep_z { &mut *z } else { &mut *a };
+        self.matmul_nt(input, weights, sums, m, k, n);
+        for row in sums.chunks_mut(n) {
             for (zj, &bj) in row.iter_mut().zip(bias) {
                 *zj += bj;
             }
+        }
+        if !keep_z {
+            a.iter_mut().for_each(|ai| *ai = act.apply(*ai));
+            return;
         }
         for (ai, &zi) in a.iter_mut().zip(z.iter()) {
             *ai = act.apply(zi);

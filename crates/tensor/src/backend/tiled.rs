@@ -5,7 +5,9 @@
 //! operand panels, with the shared dimension blocked in [`KC`]-wide slabs
 //! so the active B panel (`KC×NR`, 16 KiB) stays L1-resident and the
 //! packed A slab (`m×KC`) streams from L2/L3. The innermost micro-kernel,
-//! and the backward data pass's direct tap kernel, exist twice:
+//! its band variant (dW's, which broadcasts its A operand straight from
+//! a convolution's padded band instead of a packed panel), and the
+//! backward data pass's direct tap kernel exist twice:
 //!
 //! * a **portable** safe-Rust kernel written so the autovectorizer can
 //!   lift it to whatever SIMD the target baseline has, and
@@ -27,29 +29,35 @@
 //!
 //! Convolutions never materialise an im2col buffer (*virtual im2col*).
 //! Each kernel call copies its band of images once into zero-padded
-//! frames, so every tap of every output position is in bounds, and the
-//! packers then move *runs*, not elements: a strip of batched columns
-//! `(image, oh, ow)` splits once into its output-row runs, and each tap of
-//! the forward B panel is one (strided) row-segment copy per run; error
-//! panels and writebacks walk per-image runs as contiguous slices; only
-//! dW's transposed panel still gathers, through a tap-offset table with
-//! no compare. The backward data pass is no GEMM and has no column
-//! buffer: per image and per tap, a direct kernel sums that tap's row of
-//! `Wᵀ·Δ` over the filters in registers, then adds it into a padded
-//! gradient frame in canonical `col2im` order. The frame stores each row's
-//! columns by stride phase, so a tap's output row lands as one contiguous
-//! run. Frames and buffers are plain per-call `Vec`s: the conv path
-//! performs **zero** `backend::scratch` checkouts. Forward batches all
-//! images of a band into one GEMM whose writeback also applies the fused
-//! activation on the final `KC` slab.
+//! frames that store each padded row by stride phase — columns `x ≡ 0
+//! (mod stride)` first, then `x ≡ 1`, and so on — so every tap of every
+//! output position is in bounds, and the positions one tap reaches along
+//! one output row are one contiguous run. Nothing then moves element by
+//! element: a strip of batched columns `(image, oh, ow)` splits once into
+//! its output-row runs, and each tap of the forward B panel is one
+//! fixed-width vector copy per run; dW is computed as its transpose
+//! `col·Δᵀ`, so the band is the band kernel's broadcast operand, read in
+//! place through per-tap offsets, and only the `F`-wide `Δᵀ` panel is
+//! packed; error panels and writebacks walk per-image runs as contiguous
+//! slices. The backward data pass is no GEMM and has no column buffer:
+//! per image and per tap, a direct kernel sums that tap's row of `Wᵀ·Δ`
+//! over the filters in registers, then adds it into a padded gradient
+//! frame, laid out as the band is, in canonical `col2im` order, so a
+//! tap's output row lands as one contiguous run. Frames and buffers are
+//! plain per-call `Vec`s: the conv path performs **zero**
+//! `backend::scratch` checkouts. Forward batches all images of a band
+//! into one GEMM whose writeback also applies the fused activation on
+//! the final `KC` slab — in place, when the caller keeps no `Z`.
 //!
 //! # Determinism
 //!
 //! Each output element accumulates in pure ascending-k order, rounded
 //! only at fixed `KC` boundaries — independent of the element's position
-//! within a tile, of its neighbours, and of how a dispatcher bands rows,
-//! columns or images; the direct tap kernel sums each dInput chain exactly
-//! as a micro-kernel lane would, so it lands the GEMM's bits. Both kernel
+//! within a tile, of its neighbours, of which operand a tile broadcasts
+//! (products commute exactly, fused or not), and of how a dispatcher
+//! bands rows, columns or images; the direct tap kernel sums each dInput
+//! chain exactly as a micro-kernel lane would, so it lands the GEMM's
+//! bits. Both kernel
 //! sets are therefore bit-deterministic run-to-run and under any banding;
 //! the AVX2 kernels' FMA contractions mean portable and AVX2 outputs may
 //! differ in the last bits (each stays within the ~1e-5 relative parity
@@ -215,7 +223,7 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
     }
 }
 
-/// The crate's single `unsafe` island: the AVX2+FMA micro-kernel.
+/// The crate's single `unsafe` island: the AVX2+FMA kernels.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
@@ -259,6 +267,89 @@ mod avx2 {
                     cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
                 }
                 ap = ap.add(MR);
+                bp = bp.add(NR);
+            }
+            for (cr, ar) in c.iter().zip(acc.iter_mut()) {
+                _mm256_storeu_ps(ar.as_mut_ptr(), cr[0]);
+                _mm256_storeu_ps(ar.as_mut_ptr().add(8), cr[1]);
+            }
+        }
+    }
+
+    /// AVX2+FMA band kernel: [`super::band_panels_portable`]'s contract,
+    /// each panel in [`kernel_6x16`]'s twelve accumulators, broadcasting
+    /// its `A` elements straight from the frame. Safe to call: it checks
+    /// that every element it reads lies inside `frame` and `b`, so no
+    /// caller outside this module writes `unsafe`.
+    ///
+    /// # Panics
+    ///
+    /// On a host without AVX2 and FMA, when `b` holds fewer than
+    /// `pos.len()` rows of `NR`, or when some `offs[i] + pos[kk]` lies
+    /// outside `frame`.
+    pub(crate) fn band_panels(
+        frame: &[f32],
+        offs: &[usize],
+        pos: &[usize],
+        b: &[f32],
+        mut emit: impl FnMut(usize, usize, &Acc),
+    ) {
+        assert!(
+            super::avx2_available(),
+            "the AVX2 band kernel needs AVX2 and FMA"
+        );
+        assert!(b.len() >= pos.len() * NR, "one B row per step");
+        let reach = offs.iter().max().zip(pos.iter().max());
+        assert!(
+            reach.is_none_or(|(&o, &p)| o.checked_add(p).is_some_and(|r| r < frame.len())),
+            "the band kernel would read past its {}-element frame",
+            frame.len()
+        );
+        for (pi, offs) in offs.chunks(MR).enumerate() {
+            // A tail panel repeats its first row: in bounds, and never
+            // emitted.
+            let mut rows = [offs[0]; MR];
+            rows[..offs.len()].copy_from_slice(offs);
+            let mut acc = [[0.0f32; NR]; MR];
+            // SAFETY: AVX2 and FMA are asserted above, and so is
+            // `frame.len() > max(offs) + max(pos) >= rows[i] + pos[kk]`
+            // for every row and step; `b` holds `pos.len()` rows of NR.
+            unsafe { band_fma(frame, &rows, pos, b, &mut acc) };
+            emit(pi * MR, offs.len(), &acc);
+        }
+    }
+
+    /// [`band_panels`]' kernel for one panel: per step `kk`, row `i`
+    /// broadcasts `frame[rows[i] + pos[kk]]` and issues two FMAs against
+    /// the packed B row, exactly as [`kernel_6x16`] does with a packed
+    /// A element.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the host supports AVX2 and FMA, that
+    /// `rows[i] + pos[kk] < frame.len()` for every `i` and `kk`, and that
+    /// `b.len() >= pos.len() * NR`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn band_fma(frame: &[f32], rows: &[usize; MR], pos: &[usize], b: &[f32], acc: &mut Acc) {
+        // `wrapping_add`: with no step, a row offset need not be in
+        // bounds, and nothing is read through it.
+        let from = rows.map(|o| frame.as_ptr().wrapping_add(o));
+        // SAFETY: `rows[i] + p` is inside `frame` for every step `p` (the
+        // caller's bound; `from[i]`, at `rows[i]`, is then too), `bp`
+        // advances by NR exactly `pos.len()` times within `b`, and each
+        // acc row is a [f32; NR] giving the two stores 8+8 in-bounds
+        // lanes.
+        unsafe {
+            let mut c: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
+            let mut bp = b.as_ptr();
+            for &p in pos {
+                let b0 = _mm256_loadu_ps(bp);
+                let b1 = _mm256_loadu_ps(bp.add(8));
+                for (cr, row) in c.iter_mut().zip(&from) {
+                    let av = _mm256_set1_ps(*row.add(p));
+                    cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
+                    cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
+                }
                 bp = bp.add(NR);
             }
             for (cr, ar) in c.iter().zip(acc.iter_mut()) {
@@ -420,6 +511,50 @@ fn tap_row(isa: TiledIsa, w: &[f32], d: &[f32], row: &mut [f32]) {
             #[cfg(not(target_arch = "x86_64"))]
             TiledIsa::Avx2 => tap_portable(w, d, row, first),
         }
+    }
+}
+
+/// Portable band kernel: every `MR`-row panel of `A (m × kc) · B (kc × NR)`
+/// for an `A` that is never packed — `A[i][kk] = frame[offs[i] + pos[kk]]`,
+/// `m = offs.len()` — with `B` packed `kc×NR` as for [`kernel_portable`],
+/// whose lanes' sums it repeats. `emit(i0, rows, acc)` receives each
+/// finished panel; rows past `rows` are not computed.
+fn band_panels_portable(
+    frame: &[f32],
+    offs: &[usize],
+    pos: &[usize],
+    b: &[f32],
+    mut emit: impl FnMut(usize, usize, &Acc),
+) {
+    for (pi, offs) in offs.chunks(MR).enumerate() {
+        let mut acc = [[0.0f32; NR]; MR];
+        for (&p, bp) in pos.iter().zip(b.chunks_exact(NR)) {
+            for (row, &off) in acc.iter_mut().zip(offs) {
+                let aik = frame[off + p];
+                for (c, &bkj) in row.iter_mut().zip(bp) {
+                    *c += aik * bkj;
+                }
+            }
+        }
+        emit(pi * MR, offs.len(), &acc);
+    }
+}
+
+/// The band kernel on the resolved ISA (see [`band_panels_portable`]).
+fn band_panels(
+    isa: TiledIsa,
+    frame: &[f32],
+    offs: &[usize],
+    pos: &[usize],
+    b: &[f32],
+    emit: impl FnMut(usize, usize, &Acc),
+) {
+    match isa {
+        TiledIsa::Portable => band_panels_portable(frame, offs, pos, b, emit),
+        #[cfg(target_arch = "x86_64")]
+        TiledIsa::Avx2 => avx2::band_panels(frame, offs, pos, b, emit),
+        #[cfg(not(target_arch = "x86_64"))]
+        TiledIsa::Avx2 => band_panels_portable(frame, offs, pos, b, emit),
     }
 }
 
@@ -609,96 +744,36 @@ fn runs(
     })
 }
 
-/// One band of images in zero-padded frames — `(H+2p)×(W+2p)` per
-/// channel, image after image — so every tap of every output position is
-/// in bounds: the virtual im2col element `(kk, gc)` is
-/// `frame[base(gc) + tap_off[kk]]`, no compare.
-struct PaddedBand<'a> {
-    /// The padded copy, or the input itself when there is no padding.
-    frame: Cow<'a, [f32]>,
-    /// Per patch row `kk = (c, ki, kj)`: `c·PH·PW + ki·PW + kj`.
+/// Where every element of a zero-padded image frame — `(H+2p)×(W+2p)` per
+/// channel — lives when each padded row is stored phase by phase: columns
+/// `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so on. The `OW` columns
+/// one tap reaches in one output row, `stride` apart in the image, are
+/// then one contiguous run, and no tap of any output position needs a
+/// bounds test. At stride 1 the order is the plain one.
+struct FrameLayout {
+    /// Per padded column `x`: its slot within a stored row.
+    slot: Vec<usize>,
+    /// Per patch row `kk = (c, ki, kj)`: where the tap of output `(0, 0)`
+    /// lies.
     tap_off: Vec<usize>,
-    /// Elements per padded image, `C·PH·PW`.
-    image_len: usize,
     /// Padded row length `W + 2p`.
     pw: usize,
+    /// Elements per padded image, `C·PH·PW`.
+    image_len: usize,
 }
 
-/// `(offset in a padded image, offset in the dense image)` of every
-/// `in_w`-long input row, in `(c, ih)` order.
+/// `(offset in a padded image, offset in the dense image)` of every input
+/// row, in `(c, ih)` order: the first is the start of the padded row that
+/// holds it.
 fn interior_rows(geo: &Conv2dGeometry) -> impl Iterator<Item = (usize, usize)> + '_ {
     let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
     (0..geo.in_channels * geo.in_h).map(move |row| {
         let (c, ih) = (row / geo.in_h, row % geo.in_h);
-        ((c * ph + ih + geo.pad) * pw + geo.pad, row * geo.in_w)
+        ((c * ph + ih + geo.pad) * pw, row * geo.in_w)
     })
 }
 
-impl<'a> PaddedBand<'a> {
-    fn new(input: &'a [f32], geo: &Conv2dGeometry) -> Self {
-        debug_assert!(
-            input.len().is_multiple_of(geo.in_len()),
-            "a band is whole images"
-        );
-        let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
-        let image_len = geo.in_channels * ph * pw;
-        let frame = if geo.pad == 0 {
-            Cow::Borrowed(input)
-        } else {
-            let mut frame = vec![0.0f32; input.len() / geo.in_len() * image_len];
-            for (padded, image) in frame.chunks_mut(image_len).zip(input.chunks(geo.in_len())) {
-                for (to, from) in interior_rows(geo) {
-                    padded[to..to + geo.in_w].copy_from_slice(&image[from..from + geo.in_w]);
-                }
-            }
-            Cow::Owned(frame)
-        };
-        let k = geo.kernel;
-        let tap_off = (0..geo.in_channels * k * k)
-            .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + kk % k)
-            .collect();
-        PaddedBand {
-            frame,
-            tap_off,
-            image_len,
-            pw,
-        }
-    }
-
-    /// Frame offset of the patch origin of output position `ow` in output
-    /// row `grow = img·OH + oh`. Every tap of that patch lies inside the
-    /// frame — the bound the packers' unchecked-looking reads rest on.
-    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
-        debug_assert!(ow < geo.out_w, "output column {ow} of {}", geo.out_w);
-        let base = (grow / geo.out_h) * self.image_len
-            + (grow % geo.out_h) * geo.stride * self.pw
-            + ow * geo.stride;
-        debug_assert!(
-            base + self.tap_off.last().copied().unwrap_or(0) < self.frame.len(),
-            "output row {grow} reads past its band's {}-element frame",
-            self.frame.len()
-        );
-        base
-    }
-}
-
-/// One image's zeroed padded gradient frame, each padded row stored phase
-/// by phase — columns `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so
-/// on — so the `OW` positions one tap reaches in one output row, `stride`
-/// columns apart in the image, are one contiguous run here. No tap needs
-/// a bounds test, and each frame element still receives its taps' terms
-/// one by one, in the order the taps are added.
-struct GradFrame {
-    frame: Vec<f32>,
-    /// Per padded column `x`: its slot within a stored row.
-    slot: Vec<usize>,
-    /// Per patch row `kk = (c, ki, kj)`: where output `(0, 0)` lands.
-    tap_off: Vec<usize>,
-    /// Padded row length `W + 2p`.
-    pw: usize,
-}
-
-impl GradFrame {
+impl FrameLayout {
     fn new(geo: &Conv2dGeometry) -> Self {
         let (ph, pw, k) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad, geo.kernel);
         let mut slot = vec![0; pw];
@@ -709,19 +784,142 @@ impl GradFrame {
         let tap_off = (0..geo.in_channels * k * k)
             .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + slot[kk % k])
             .collect();
-        GradFrame {
-            frame: vec![0.0; geo.in_channels * ph * pw],
+        FrameLayout {
             slot,
             tap_off,
             pw,
+            image_len: geo.in_channels * ph * pw,
+        }
+    }
+
+    /// Frame offset of output position `ow` in output row `grow = img·OH +
+    /// oh`: tap `kk` of the positions `ow ..` of that row lies at `base +
+    /// tap_off[kk] ..`, one element apart.
+    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
+        debug_assert!(ow < geo.out_w, "output column {ow} of {}", geo.out_w);
+        (grow / geo.out_h) * self.image_len + (grow % geo.out_h) * geo.stride * self.pw + ow
+    }
+
+    /// The interior slots of each stored row, in image column order.
+    fn interior_slots(&self, geo: &Conv2dGeometry) -> &[usize] {
+        &self.slot[geo.pad..geo.pad + geo.in_w]
+    }
+}
+
+/// One band of images in zero-padded, phase-ordered frames, image after
+/// image: the virtual im2col element `(kk, gc)` is `frame[base(gc) +
+/// tap_off[kk]]`, no compare.
+struct PaddedBand<'a> {
+    /// The frames, or the input itself when it is already laid out so
+    /// (no padding, stride 1).
+    frame: Cow<'a, [f32]>,
+    layout: FrameLayout,
+}
+
+impl<'a> PaddedBand<'a> {
+    fn new(input: &'a [f32], geo: &Conv2dGeometry) -> Self {
+        debug_assert!(
+            input.len().is_multiple_of(geo.in_len()),
+            "a band is whole images"
+        );
+        let layout = FrameLayout::new(geo);
+        let frame = if geo.pad == 0 && geo.stride == 1 {
+            Cow::Borrowed(input)
+        } else {
+            let slots = layout.interior_slots(geo);
+            let mut frame = vec![0.0f32; input.len() / geo.in_len() * layout.image_len];
+            for (padded, image) in frame
+                .chunks_mut(layout.image_len)
+                .zip(input.chunks(geo.in_len()))
+            {
+                for (to, from) in interior_rows(geo) {
+                    let row = &mut padded[to..to + layout.pw];
+                    for (&x, &v) in slots.iter().zip(&image[from..from + geo.in_w]) {
+                        row[x] = v;
+                    }
+                }
+            }
+            Cow::Owned(frame)
+        };
+        PaddedBand { frame, layout }
+    }
+
+    /// [`FrameLayout::base`], checked against this band's frame in debug
+    /// builds: every tap of the run's patches lies inside it.
+    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
+        let base = self.layout.base(grow, ow, geo);
+        debug_assert!(
+            base + (geo.out_w - 1 - ow) + self.layout.tap_off.iter().max().copied().unwrap_or(0)
+                < self.frame.len(),
+            "output row {grow} reads past its band's {}-element frame",
+            self.frame.len()
+        );
+        base
+    }
+}
+
+/// Copies one run of a B-panel row in fixed 8-wide pieces and a tail, so
+/// a run of 8 or 16 positions compiles to vector moves, not a `memcpy`
+/// call.
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+    let (src8, src_tail) = src.as_chunks::<8>();
+    for (d, s) in dst8.iter_mut().zip(src8) {
+        *d = *s;
+    }
+    for (d, &s) in dst_tail.iter_mut().zip(src_tail) {
+        *d = s;
+    }
+}
+
+/// The forward B panel of the strip `j0 .. j0 + cols` over the patch rows
+/// `kc0 .. kc0 + kc_len`: the strip splits once into its output-row runs,
+/// and each patch row is then one contiguous copy per run out of the
+/// phase-ordered band.
+fn pack_cols(
+    band: &PaddedBand,
+    geo: &Conv2dGeometry,
+    (j0, cols): (usize, usize),
+    (kc0, kc_len): (usize, usize),
+    dst: &mut [f32],
+) {
+    let mut row_runs = [(0usize, 0usize, 0usize); NR];
+    let mut n_runs = 0;
+    for (at, grow, ow, take) in runs(j0, cols, geo.out_w) {
+        row_runs[n_runs] = (at, take, band.base(grow, ow, geo));
+        n_runs += 1;
+    }
+    let taps = &band.layout.tap_off[kc0..kc0 + kc_len];
+    for (row, &off) in dst.chunks_exact_mut(NR).zip(taps) {
+        for &(at, take, base) in &row_runs[..n_runs] {
+            copy_run(&mut row[at..at + take], &band.frame[base + off..][..take]);
+        }
+    }
+}
+
+/// One image's zeroed padded gradient frame, phase-ordered as
+/// [`FrameLayout`] stores a band, so a tap's output row lands as one
+/// contiguous run. Each frame element still receives its taps' terms one
+/// by one, in the order the taps are added.
+struct GradFrame {
+    frame: Vec<f32>,
+    layout: FrameLayout,
+}
+
+impl GradFrame {
+    fn new(geo: &Conv2dGeometry) -> Self {
+        let layout = FrameLayout::new(geo);
+        GradFrame {
+            frame: vec![0.0; layout.image_len],
+            layout,
         }
     }
 
     /// Adds tap `kk`'s `OH×OW` values, output row by output row.
     fn add_tap(&mut self, kk: usize, row: &[f32], geo: &Conv2dGeometry) {
-        let off = self.tap_off[kk];
+        let off = self.layout.tap_off[kk];
         for (oh, vals) in row.chunks(geo.out_w).enumerate() {
-            let run = &mut self.frame[off + oh * geo.stride * self.pw..][..geo.out_w];
+            let run = &mut self.frame[off + self.layout.base(oh, 0, geo)..][..geo.out_w];
             for (g, &v) in run.iter_mut().zip(vals) {
                 *g += v;
             }
@@ -731,14 +929,73 @@ impl GradFrame {
     /// Adds the frame's interior to `dinput`, then zeroes the frame for
     /// the next image.
     fn flush(&mut self, geo: &Conv2dGeometry, dinput: &mut [f32]) {
-        let slots = &self.slot[geo.pad..geo.pad + geo.in_w];
+        let slots = self.layout.interior_slots(geo);
         for (from, to) in interior_rows(geo) {
-            let frame_row = &self.frame[from - geo.pad..][..self.pw];
+            let frame_row = &self.frame[from..][..self.layout.pw];
             for (d, &x) in dinput[to..to + geo.in_w].iter_mut().zip(slots) {
                 *d += frame_row[x];
             }
         }
         self.frame.fill(0.0);
+    }
+}
+
+/// The filter gradient `dW (F × k2) += Δ (F × gc) · colᵀ`, computed as its
+/// transpose `dWᵀ = col · Δᵀ` so that the band is the micro-kernel's
+/// broadcast operand, read in place: patch row `kk` at batched column `gc`
+/// is `frame[tap_off[kk] + pos[gc]]`, with `pos` the band offsets of one
+/// `KC` slab of columns. Only `Δᵀ` is packed, `F` wide, and the writeback
+/// transposes each tile into `dw`. Every element is the chain `Δ · colᵀ`
+/// sums — ascending columns, cut at the same `KC` slabs — and products
+/// commute exactly, so the bits are the same.
+fn conv_backward_filters(
+    isa: TiledIsa,
+    band: &PaddedBand,
+    delta_out: &[f32],
+    dw: &mut [f32],
+    geo: &Conv2dGeometry,
+) {
+    let (k2, filters) = (geo.in_channels * geo.kernel * geo.kernel, geo.out_channels);
+    let cols = geo.out_h * geo.out_w;
+    let gc_total = band.frame.len() / band.layout.image_len * cols;
+    let mut pos = Vec::with_capacity(KC.min(gc_total));
+    let mut b_panel = [0.0f32; KC * NR];
+    for kc0 in (0..gc_total).step_by(KC) {
+        let kc_len = KC.min(gc_total - kc0);
+        pos.clear();
+        for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
+            let base = band.base(grow, ow, geo);
+            pos.extend(base..base + take);
+        }
+        for j0 in (0..filters).step_by(NR) {
+            let fs = NR.min(filters - j0);
+            let bp = &mut b_panel[..kc_len * NR];
+            if fs < NR {
+                bp.fill(0.0);
+            }
+            for (at, img, p0, take) in runs(kc0, kc_len, cols) {
+                let delta = &delta_out[img * geo.out_len() + j0 * cols + p0..];
+                for (c, drow) in delta.chunks(cols).take(fs).enumerate() {
+                    for (i, &d) in drow[..take].iter().enumerate() {
+                        bp[(at + i) * NR + c] = d;
+                    }
+                }
+            }
+            band_panels(
+                isa,
+                &band.frame,
+                &band.layout.tap_off,
+                &pos,
+                bp,
+                |i0, rows, acc| {
+                    for (r, arow) in acc.iter().enumerate().take(rows) {
+                        for (c, &av) in arow.iter().enumerate().take(fs) {
+                            dw[(j0 + c) * k2 + i0 + r] += av;
+                        }
+                    }
+                },
+            );
+        }
     }
 }
 
@@ -781,9 +1038,10 @@ fn conv_backward_data(
 
 impl Tiled {
     /// Band-batched forward convolution through the virtual-im2col GEMM:
-    /// `Z (F × N·OH·OW) = W · col(input) + b`, with `act(Z)` written to
-    /// `a_out` during the final slab writeback when `a_out` is non-empty
-    /// (the fused path; the unfused path passes an empty slice).
+    /// `Z (F × N·OH·OW) = W · col(input) + b`. With `a_out` non-empty
+    /// (the fused path) the final slab writeback also lands `act(Z)` in
+    /// it — beside `z`, or in place when `z` is empty and the slabs were
+    /// summed in `a_out` itself.
     #[allow(clippy::too_many_arguments)] // mirrors the TensorBackend fused-hook signature
     fn conv_forward_core(
         &self,
@@ -801,6 +1059,7 @@ impl Tiled {
         let n_imgs = input.len() / geo.in_len();
         let out_len = geo.out_len();
         let fused = !a_out.is_empty();
+        let (sums, mut kept) = sums_and_kept(z, a_out);
         let band = PaddedBand::new(input, geo);
         gemm(
             isa,
@@ -809,46 +1068,52 @@ impl Tiled {
             n_imgs * cols,
             pack_a_strided(weights, k2, 1),
             |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                // The strip splits once into its row runs; each tap is
-                // then one strided row-segment copy per run.
-                let mut row_runs = [(0usize, 0usize, 0usize); NR];
-                let mut n_runs = 0;
-                for (at, grow, ow, take) in runs(j0, cols_take, geo.out_w) {
-                    row_runs[n_runs] = (at, take, band.base(grow, ow, geo));
-                    n_runs += 1;
-                }
-                for (step, &off) in band.tap_off[kc0..kc0 + kc_len].iter().enumerate() {
-                    let row = &mut dst[step * NR..step * NR + cols_take];
-                    for &(at, take, base) in &row_runs[..n_runs] {
-                        let (seg, src) = (&mut row[at..at + take], &band.frame[base + off..]);
-                        if geo.stride == 1 {
-                            seg.copy_from_slice(&src[..take]);
-                        } else {
-                            for (slot, &v) in seg.iter_mut().zip(src.iter().step_by(geo.stride)) {
-                                *slot = v;
-                            }
-                        }
-                    }
-                }
+                pack_cols(&band, geo, (j0, cols_take), (kc0, kc_len), dst)
             },
             |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
                 for (at, img, pos, take) in runs(j0, cols_take, cols) {
                     for (r, arow) in acc.iter().enumerate().take(rows) {
                         let f = i0 + r;
                         let zi = img * out_len + f * cols + pos;
-                        let zrow = &mut z[zi..zi + take];
+                        let zrow = &mut sums[zi..zi + take];
                         for (zv, &av) in zrow.iter_mut().zip(&arow[at..at + take]) {
                             *zv = if slab_first { bias[f] + av } else { *zv + av };
                         }
                         if fused && slab_last {
-                            for (a, &zv) in a_out[zi..zi + take].iter_mut().zip(zrow.iter()) {
-                                *a = act.apply(zv);
-                            }
+                            let kept = kept.as_deref_mut().map(|a| &mut a[zi..zi + take]);
+                            activate(act, zrow, kept);
                         }
                     }
                 }
             },
         );
+    }
+}
+
+/// Where a forward pass sums its `KC` slabs, and where `A` goes: `z`, with
+/// `A` kept beside it in `a`, or — `z` empty — `a`'s own buffer.
+fn sums_and_kept<'s>(z: &'s mut [f32], a: &'s mut [f32]) -> (&'s mut [f32], Option<&'s mut [f32]>) {
+    if z.is_empty() {
+        (a, None)
+    } else {
+        (z, Some(a))
+    }
+}
+
+/// Lands `act` on a finished run of pre-activations: into `kept` (the
+/// same run of `A`) when `Z` is kept, otherwise over `sums` in place.
+fn activate(act: FusedActivation, sums: &mut [f32], kept: Option<&mut [f32]>) {
+    match kept {
+        Some(a) => {
+            for (a, &zv) in a.iter_mut().zip(sums.iter()) {
+                *a = act.apply(zv);
+            }
+        }
+        None => {
+            for zv in sums {
+                *zv = act.apply(*zv);
+            }
+        }
     }
 }
 
@@ -968,56 +1233,10 @@ impl TensorBackend for Tiled {
         geo: &Conv2dGeometry,
     ) {
         let isa = self.isa();
-        let k2 = geo.in_channels * geo.kernel * geo.kernel;
         let cols = geo.out_h * geo.out_w;
         let n_imgs = input.len() / geo.in_len();
-        let gc_total = n_imgs * cols;
         let out_len = geo.out_len();
-        let band = PaddedBand::new(input, geo);
-
-        // dW (F × k2) += Δ (F × gc) · colᵀ (gc × k2): the batched error
-        // matrix is read image run by image run, the transposed virtual
-        // im2col through the tap-offset table — still no materialised
-        // column buffer.
-        gemm(
-            isa,
-            geo.out_channels,
-            gc_total,
-            k2,
-            |i0, rows, kc0, kc_len, dst: &mut [f32]| {
-                for (at, img, pos, take) in runs(kc0, kc_len, cols) {
-                    for r in 0..rows {
-                        let src = &delta_out[img * out_len + (i0 + r) * cols + pos..][..take];
-                        for (step, &d) in src.iter().enumerate() {
-                            dst[(at + step) * MR + r] = d;
-                        }
-                    }
-                }
-            },
-            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                // One batched column per panel row: the position is fixed
-                // along a row and the taps vary instead.
-                let offs = &band.tap_off[j0..j0 + cols_take];
-                for (at, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
-                    let base = band.base(grow, ow, geo);
-                    for i in 0..take {
-                        let src = &band.frame[base + i * geo.stride..];
-                        let row = &mut dst[(at + i) * NR..(at + i) * NR + cols_take];
-                        for (slot, &off) in row.iter_mut().zip(offs) {
-                            *slot = src[off];
-                        }
-                    }
-                }
-            },
-            |i0, rows, j0, cols_take, acc: &Acc, _, _| {
-                for (r, arow) in acc.iter().enumerate().take(rows) {
-                    let dwrow = &mut dw[(i0 + r) * k2 + j0..(i0 + r) * k2 + j0 + cols_take];
-                    for (dj, &av) in dwrow.iter_mut().zip(arow) {
-                        *dj += av;
-                    }
-                }
-            },
-        );
+        conv_backward_filters(isa, &PaddedBand::new(input, geo), delta_out, dw, geo);
 
         // db (F) += Σ batch+spatial Δ.
         for (f, dbf) in db.iter_mut().enumerate() {
@@ -1093,6 +1312,7 @@ impl TensorBackend for Tiled {
     ) {
         let isa = self.isa();
         let fused = !a.is_empty();
+        let (sums, mut kept) = sums_and_kept(z, a);
         gemm(
             isa,
             m,
@@ -1103,16 +1323,13 @@ impl TensorBackend for Tiled {
             |i0, rows, j0, cols, acc: &Acc, first, last| {
                 for (r, arow) in acc.iter().enumerate().take(rows) {
                     let base = (i0 + r) * n + j0;
-                    for (c, &av) in arow.iter().enumerate().take(cols) {
-                        let v = if first {
-                            bias[j0 + c] + av
-                        } else {
-                            z[base + c] + av
-                        };
-                        z[base + c] = v;
-                        if fused && last {
-                            a[base + c] = act.apply(v);
-                        }
+                    let zrow = &mut sums[base..base + cols];
+                    for ((zv, &av), &b) in zrow.iter_mut().zip(arow).zip(&bias[j0..]) {
+                        *zv = if first { b + av } else { *zv + av };
+                    }
+                    if fused && last {
+                        let kept = kept.as_deref_mut().map(|a| &mut a[base..base + cols]);
+                        activate(act, zrow, kept);
                     }
                 }
             },
@@ -1619,9 +1836,114 @@ mod tests {
             (3, 9, 9, 17, 3, 2, 1, 2), // F = 17, stride 2: one step longer, 25 positions a tap
             (2, 4, 4, 300, 3, 1, 1, 2), // F = 300 > KC: dInput's filter chains split at KC
             (2, 11, 10, 5, 4, 3, 1, 2), // stride 3: three column phases in the gradient frame
+            // Pad 0, and the last output's last tap is the input's final
+            // element: the frame is the input itself at stride 1 and
+            // phase-ordered to its last slot at strides 2 and 3.
+            (2, 4, 6, 3, 3, 1, 0, 2),  // stride 1, out_w = 4
+            (1, 3, 18, 2, 3, 1, 0, 2), // stride 1, out_w = NR: one 16-wide run a strip
+            (1, 5, 5, 2, 3, 2, 0, 1),  // stride 2, out 2×2
+            (1, 5, 19, 2, 3, 2, 0, 2), // stride 2, out_w = 9: an 8-wide piece and a tail
+            (2, 7, 10, 3, 4, 3, 0, 2), // stride 3, out 2×3
         ] {
             let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
             assert_matches_oracle(&geo, n);
+        }
+    }
+
+    /// Element `(kk, gc)` of the batched virtual im2col matrix, fetched
+    /// through `tap()`.
+    fn col_at(input: &[f32], geo: &Conv2dGeometry, kk: usize, gc: usize) -> f32 {
+        let (k, cur) = (geo.kernel, ColCursor::at(gc, geo));
+        let image = &input[cur.img * geo.in_len()..][..geo.in_len()];
+        let chan_base = kk / (k * k) * geo.in_h * geo.in_w;
+        tap(image, geo, chan_base, kk / k % k, kk % k, cur.oh, cur.ow)
+    }
+
+    /// The operands the convolutions no longer gather element by element
+    /// equal the per-element ones: every forward B panel built by runs
+    /// is the panel `tap()` fills, and the band kernel reading dW's col
+    /// operand in place lands each tile's bits as the micro-kernel does
+    /// on that operand packed from `tap()`, on every ISA.
+    #[test]
+    fn run_built_and_direct_read_operands_equal_the_per_element_panels() {
+        // (C, H, W, F, K, stride, pad, images)
+        for (c, h, w, f, k, s, p, n) in [
+            (3, 32, 32, 12, 5, 2, 2, 2),  // LeNet L1
+            (12, 16, 16, 12, 5, 2, 2, 5), // LeNet L2: k2 = 300 > KC, 320 columns > KC
+            (1, 6, 11, 7, 3, 2, 1, 5),    // strips cross images
+            (1, 5, 19, 2, 3, 2, 0, 2),    // pad 0, stride 2, the input's last element read
+            (2, 7, 10, 3, 4, 3, 0, 2),    // pad 0, stride 3
+            (2, 4, 6, 3, 3, 1, 0, 2),     // pad 0, stride 1: the input itself
+        ] {
+            let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
+            let input = signal(n * geo.in_len(), 1);
+            let band = PaddedBand::new(&input, &geo);
+            let k2 = c * k * k;
+            let gc_total = n * geo.out_h * geo.out_w;
+            for kc0 in (0..k2).step_by(KC) {
+                let kc_len = KC.min(k2 - kc0);
+                for j0 in (0..gc_total).step_by(NR) {
+                    let cols = NR.min(gc_total - j0);
+                    let mut got = vec![0.0f32; kc_len * NR];
+                    pack_cols(&band, &geo, (j0, cols), (kc0, kc_len), &mut got);
+                    let mut want = vec![0.0f32; kc_len * NR];
+                    for (step, row) in want.chunks_mut(NR).enumerate() {
+                        for (col, slot) in row[..cols].iter_mut().enumerate() {
+                            *slot = col_at(&input, &geo, kc0 + step, j0 + col);
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "B panel {geo:?} at ({kc0}, {j0})");
+                }
+            }
+            for isa in TiledIsa::available_on_host() {
+                for kc0 in (0..gc_total).step_by(KC) {
+                    let kc_len = KC.min(gc_total - kc0);
+                    let mut pos = Vec::new();
+                    for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
+                        let base = band.base(grow, ow, &geo);
+                        pos.extend(base..base + take);
+                    }
+                    let b = signal(kc_len * NR, 7);
+                    let mut tiles = 0;
+                    band_panels(
+                        isa,
+                        &band.frame,
+                        &band.layout.tap_off,
+                        &pos,
+                        &b,
+                        |i0, rows, acc| {
+                            let mut a = vec![0.0f32; kc_len * MR];
+                            for (step, panel) in a.chunks_mut(MR).enumerate() {
+                                for (r, slot) in panel[..rows].iter_mut().enumerate() {
+                                    *slot = col_at(&input, &geo, i0 + r, kc0 + step);
+                                }
+                            }
+                            let mut want = [[0.0f32; NR]; MR];
+                            run_kernel(isa, kc_len, &a, &b, &mut want);
+                            assert_eq!(
+                                acc[..rows],
+                                want[..rows],
+                                "{isa} dW tile {geo:?} at ({i0}, {kc0})"
+                            );
+                            tiles += 1;
+                        },
+                    );
+                    assert_eq!(tiles, k2.div_ceil(MR), "{isa} panels {geo:?}");
+                }
+            }
+        }
+    }
+
+    /// A band kernel offset that would reach past the frame panics on
+    /// every ISA — on AVX2 before any load could read there.
+    #[test]
+    fn a_band_read_past_the_frame_panics() {
+        let (frame, b) = (signal(40, 1), signal(2 * NR, 2));
+        for isa in TiledIsa::available_on_host() {
+            let read = std::panic::catch_unwind(|| {
+                band_panels(isa, &frame, &[0, 30], &[5, 10], &b, |_, _, _| {});
+            });
+            assert!(read.is_err(), "{isa} read past the frame");
         }
     }
 

@@ -297,10 +297,9 @@ pub fn conv2d_forward_with(
 }
 
 /// Fused convolution + activation forward pass through an explicit
-/// backend: returns `(Z, A)` where `Z = W ⊛ input + b` and
-/// `A = act(Z)`, banded exactly like [`conv2d_forward_with`] (both
-/// outputs split on the same image boundaries, so results are
-/// bit-identical under any banding).
+/// backend: returns `A = act(W ⊛ input + b)` alone, banded exactly like
+/// [`conv2d_forward_with`] (so it is bit-identical under any banding). The
+/// pre-activations are summed in `A`'s own buffer; no `Z` is allocated.
 ///
 /// Backends without a fused kernel fall back to the trait's default
 /// (unfused conv then an activation sweep), which reproduces the
@@ -317,24 +316,22 @@ pub fn conv2d_forward_fused_with(
     geo: &Conv2dGeometry,
     act: FusedActivation,
     backend: BackendKind,
-) -> Result<(Tensor, Tensor)> {
+) -> Result<Tensor> {
     let n = check_batch_input(input, geo)?;
     check_weights(weights, bias, geo)?;
     let kernels = backend.kernels();
-    let mut z = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
     let mut a = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
     let per = band_width(n, geo);
     let (wd, bd) = (weights.data(), bias.data());
     let jobs = input
         .data()
         .chunks(per * geo.in_len())
-        .zip(z.data_mut().chunks_mut(per * geo.out_len()))
         .zip(a.data_mut().chunks_mut(per * geo.out_len()))
         .collect();
-    threads::for_each_band(jobs, |((in_band, z_band), a_band)| {
-        kernels.conv2d_forward_fused(in_band, wd, bd, z_band, a_band, act, geo)
+    threads::for_each_band(jobs, |(in_band, a_band)| {
+        kernels.conv2d_forward_fused(in_band, wd, bd, &mut [], a_band, act, geo)
     });
-    Ok((z, a))
+    Ok(a)
 }
 
 /// Convolution backward pass through an explicit backend.

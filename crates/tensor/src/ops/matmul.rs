@@ -99,8 +99,8 @@ pub fn matmul_nt_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Te
 }
 
 /// Fused dense-layer forward pass through an explicit backend: returns
-/// `(Z, A)` where `Z = input·Wᵀ + b` (one bias row broadcast over the
-/// batch) and `A = act(Z)`.
+/// `A = act(input·Wᵀ + b)` alone (one bias row broadcast over the batch),
+/// its pre-activations summed in `A`'s own buffer.
 ///
 /// Backends without a fused kernel run the trait default — `matmul_nt`,
 /// then a bias sweep, then the activation — which reproduces the
@@ -117,7 +117,7 @@ pub fn dense_forward_fused_with(
     bias: &Tensor,
     act: FusedActivation,
     backend: BackendKind,
-) -> Result<(Tensor, Tensor)> {
+) -> Result<Tensor> {
     let (m, ka) = check2d(input, "dense_forward")?;
     let (n, kb) = check2d(weights, "dense_forward")?;
     if ka != kb || bias.dims() != [n] {
@@ -127,20 +127,19 @@ pub fn dense_forward_fused_with(
             rhs: weights.dims().to_vec(),
         });
     }
-    let mut z = Tensor::zeros(&[m, n]);
     let mut a = Tensor::zeros(&[m, n]);
     backend.kernels().dense_forward_fused(
         input.data(),
         weights.data(),
         bias.data(),
-        z.data_mut(),
+        &mut [],
         a.data_mut(),
         act,
         m,
         ka,
         n,
     );
-    Ok((z, a))
+    Ok(a)
 }
 
 /// Computes `C = Aᵀ·B` through an explicit backend.
