@@ -843,19 +843,6 @@ impl<'a> PaddedBand<'a> {
         };
         PaddedBand { frame, layout }
     }
-
-    /// [`FrameLayout::base`], checked against this band's frame in debug
-    /// builds: every tap of the run's patches lies inside it.
-    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
-        let base = self.layout.base(grow, ow, geo);
-        debug_assert!(
-            base + (geo.out_w - 1 - ow) + self.layout.tap_off.iter().max().copied().unwrap_or(0)
-                < self.frame.len(),
-            "output row {grow} reads past its band's {}-element frame",
-            self.frame.len()
-        );
-        base
-    }
 }
 
 /// Copies one run of a B-panel row in fixed 8-wide pieces and a tail, so
@@ -886,7 +873,7 @@ fn pack_cols(
     let mut row_runs = [(0usize, 0usize, 0usize); NR];
     let mut n_runs = 0;
     for (at, grow, ow, take) in runs(j0, cols, geo.out_w) {
-        row_runs[n_runs] = (at, take, band.base(grow, ow, geo));
+        row_runs[n_runs] = (at, take, band.layout.base(grow, ow, geo));
         n_runs += 1;
     }
     let taps = &band.layout.tap_off[kc0..kc0 + kc_len];
@@ -964,7 +951,7 @@ fn conv_backward_filters(
         let kc_len = KC.min(gc_total - kc0);
         pos.clear();
         for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
-            let base = band.base(grow, ow, geo);
+            let base = band.layout.base(grow, ow, geo);
             pos.extend(base..base + take);
         }
         for j0 in (0..filters).step_by(NR) {
@@ -1900,7 +1887,7 @@ mod tests {
                     let kc_len = KC.min(gc_total - kc0);
                     let mut pos = Vec::new();
                     for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
-                        let base = band.base(grow, ow, &geo);
+                        let base = band.layout.base(grow, ow, &geo);
                         pos.extend(base..base + take);
                     }
                     let b = signal(kc_len * NR, 7);
