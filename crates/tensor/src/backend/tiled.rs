@@ -1,19 +1,18 @@
 //! Register-tiled GEMM kernels with virtual-im2col convolutions.
 //!
-//! Every op here but the convolution's backward data pass is lowered onto
-//! one GEMM core: a 6×16 (`MR`×`NR`) register tile marched over packed
-//! operand panels, with the shared dimension blocked in [`KC`]-wide slabs
-//! so the active B panel (`KC×NR`, 16 KiB) stays L1-resident and the
-//! packed A slab (`m×KC`) streams from L2/L3. The innermost micro-kernel,
-//! its band variant (dW's, which broadcasts its A operand straight from
-//! a convolution's padded band instead of a packed panel), and the
-//! backward data pass's direct tap kernel exist twice:
+//! Every op here is lowered onto one GEMM core — the convolution's
+//! forward, dW and dInput passes included: a 6×16 (`MR`×`NR`) register
+//! tile marched over packed operand panels, with the shared dimension
+//! blocked in [`KC`]-wide slabs so the active B panel (`KC×NR`, 16 KiB)
+//! stays L1-resident and the packed A slab (`m×KC`) streams from L2/L3.
+//! The innermost micro-kernel and its band variant (dW's, which
+//! broadcasts its A operand straight from a convolution's padded band
+//! instead of a packed panel) exist twice:
 //!
 //! * a **portable** safe-Rust kernel written so the autovectorizer can
 //!   lift it to whatever SIMD the target baseline has, and
 //! * an **x86-64 AVX2+FMA** kernel — the crate's only `unsafe` island —
-//!   holding the whole 6×16 tile in twelve YMM accumulators (the tap
-//!   kernel: 64 output positions in eight).
+//!   holding the whole 6×16 tile in twelve YMM accumulators.
 //!
 //! A [`Tiled::with_isa`] instance is pinned; every other instance runs on
 //! the ISA the process resolves once, at first use: the
@@ -28,26 +27,26 @@
 //! kernels, bit for bit.
 //!
 //! Convolutions never materialise an im2col buffer (*virtual im2col*).
-//! Each kernel call copies its band of images once into zero-padded
-//! frames that store each padded row by stride phase — columns `x ≡ 0
-//! (mod stride)` first, then `x ≡ 1`, and so on — so every tap of every
-//! output position is in bounds, and the positions one tap reaches along
-//! one output row are one contiguous run. Nothing then moves element by
-//! element: a strip of batched columns `(image, oh, ow)` splits once into
-//! its output-row runs, and each tap of the forward B panel is one
-//! fixed-width vector copy per run; dW is computed as its transpose
-//! `col·Δᵀ`, so the band is the band kernel's broadcast operand, read in
-//! place through per-tap offsets, and only the `F`-wide `Δᵀ` panel is
-//! packed; error panels and writebacks walk per-image runs as contiguous
-//! slices. The backward data pass is no GEMM and has no column buffer:
-//! per image and per tap, a direct kernel sums that tap's row of `Wᵀ·Δ`
-//! over the filters in registers, then adds it into a padded gradient
-//! frame, laid out as the band is, in canonical `col2im` order, so a
-//! tap's output row lands as one contiguous run. Frames and buffers are
-//! plain per-call `Vec`s: the conv path performs **zero**
-//! `backend::scratch` checkouts. Forward batches all images of a band
-//! into one GEMM whose writeback also applies the fused activation on
-//! the final `KC` slab — in place, when the caller keeps no `Z`.
+//! Each pass reads its B operand out of one band of zero-padded frames
+//! through a [`FrameLayout`] — a tap offset per shared index, a row step
+//! and an output shape — so every element it reads is in bounds, and the
+//! positions one tap reaches along one output row are one contiguous run.
+//! Nothing then moves element by element: a strip of batched columns
+//! `(image, oh, ow)` splits once into its output-row runs, and each tap of
+//! a B panel is one fixed-width vector copy per run. The forward pass and
+//! dW read the input band, whose padded rows are stored by stride phase —
+//! columns `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so on; dW is
+//! computed as its transpose `col·Δᵀ`, so the band is the band kernel's
+//! broadcast operand, read in place, and only the `F`-wide `Δᵀ` panel is
+//! packed. dInput is the full correlation of `Δ` with the weights,
+//! transposed in `(F, C)` and flipped in `(ki, kj)`: split by input phase
+//! `(y mod stride, x mod stride)` into one GEMM per phase over only the
+//! taps that reach it, each reading one padded frame of the error band,
+//! and landing its tiles in `dinput` at the phase's strided positions.
+//! Frames and buffers are plain per-call `Vec`s: the conv path performs
+//! **zero** `backend::scratch` checkouts. Forward batches all images of a
+//! band into one GEMM whose writeback also applies the fused activation
+//! on the final `KC` slab — in place, when the caller keeps no `Z`.
 //!
 //! # Determinism
 //!
@@ -55,13 +54,11 @@
 //! only at fixed `KC` boundaries — independent of the element's position
 //! within a tile, of its neighbours, of which operand a tile broadcasts
 //! (products commute exactly, fused or not), and of how a dispatcher
-//! bands rows, columns or images; the direct tap kernel sums each dInput
-//! chain exactly as a micro-kernel lane would, so it lands the GEMM's
-//! bits. Both kernel
-//! sets are therefore bit-deterministic run-to-run and under any banding;
-//! the AVX2 kernels' FMA contractions mean portable and AVX2 outputs may
-//! differ in the last bits (each stays within the ~1e-5 relative parity
-//! bound of `Reference`).
+//! bands rows, columns or images. Both kernel sets are therefore
+//! bit-deterministic run-to-run and under any banding; the AVX2 kernels'
+//! FMA contractions mean portable and AVX2 outputs may differ in the last
+//! bits (each stays within the ~1e-5 relative parity bound of
+//! `Reference`).
 
 use std::borrow::Cow;
 
@@ -227,9 +224,9 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{Acc, MR, NR, TAP_BLOCK};
+    use super::{Acc, MR, NR};
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
 
@@ -358,90 +355,6 @@ mod avx2 {
             }
         }
     }
-
-    /// AVX2+FMA direct dInput tap: [`super::tap_portable`]'s contract,
-    /// with each chain fused the way [`kernel_6x16`]'s lanes are. Safe to
-    /// call: it checks the two conditions its kernel needs, so no caller
-    /// outside this module writes `unsafe`.
-    ///
-    /// # Panics
-    ///
-    /// On a host without AVX2 and FMA, or when `d` holds fewer than
-    /// `w.len()` rows of `out.len()` positions.
-    pub(crate) fn tap(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
-        assert!(super::avx2_available(), "the AVX2 tap needs AVX2 and FMA");
-        assert!(d.len() >= w.len() * out.len(), "one error row per filter");
-        // SAFETY: both of `tap_fma`'s conditions are asserted above.
-        unsafe { tap_fma(w, d, out, first) }
-    }
-
-    /// [`tap`]'s kernel. Output positions go `TAP_BLOCK` at a time, eight
-    /// YMM chains a block, so the `w.len()` dependent FMAs of a chain
-    /// overlap with the other seven; a tail of fewer than eight positions
-    /// runs scalar `mul_add` chains, which round exactly as the vector
-    /// lanes do.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee the host supports AVX2 and FMA, and
-    /// that `d.len() >= w.len() * out.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tap_fma(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
-        let cols = out.len();
-        let lanes = cols - cols % 8;
-        let mut p0 = 0;
-        while p0 + TAP_BLOCK <= lanes {
-            // SAFETY: `p0 + TAP_BLOCK <= cols`, as `block` requires.
-            unsafe { block::<{ TAP_BLOCK / 8 }>(w, d, out, p0, first) };
-            p0 += TAP_BLOCK;
-        }
-        while p0 < lanes {
-            // SAFETY: `p0 + 8 <= lanes <= cols`.
-            unsafe { block::<1>(w, d, out, p0, first) };
-            p0 += 8;
-        }
-        for p in lanes..cols {
-            let acc = w
-                .iter()
-                .enumerate()
-                .fold(0.0f32, |acc, (f, &wf)| wf.mul_add(d[f * cols + p], acc));
-            out[p] = if first { acc } else { out[p] + acc };
-        }
-    }
-
-    /// Positions `p0 .. p0 + 8·V` of [`tap_fma`], in `V` YMM chains.
-    ///
-    /// # Safety
-    ///
-    /// AVX2+FMA on the host, `p0 + 8·V <= out.len()` and `d.len() >=
-    /// w.len() * out.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn block<const V: usize>(w: &[f32], d: &[f32], out: &mut [f32], p0: usize, first: bool) {
-        let cols = out.len();
-        debug_assert!(p0 + 8 * V <= cols && d.len() >= w.len() * cols);
-        // SAFETY: row `f < w.len()` of `d` reads `d[f·cols + p0 ..
-        // f·cols + p0 + 8·V]`, inside `d` by the bounds above, and the
-        // stores write `out[p0 .. p0 + 8·V]`.
-        unsafe {
-            let mut acc = [_mm256_setzero_ps(); V];
-            for (f, &wf) in w.iter().enumerate() {
-                let wv = _mm256_set1_ps(wf);
-                let row = d.as_ptr().add(f * cols + p0);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_fmadd_ps(wv, _mm256_loadu_ps(row.add(8 * j)), *a);
-                }
-            }
-            let to = out.as_mut_ptr().add(p0);
-            for (j, &a) in acc.iter().enumerate() {
-                let v = if first {
-                    a
-                } else {
-                    _mm256_add_ps(_mm256_loadu_ps(to.add(8 * j)), a)
-                };
-                _mm256_storeu_ps(to.add(8 * j), v);
-            }
-        }
-    }
 }
 
 /// Runs one micro-tile on the resolved ISA.
@@ -461,55 +374,6 @@ fn run_kernel(isa: TiledIsa, kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
             }
             #[cfg(not(target_arch = "x86_64"))]
             kernel_portable(kc, a, b, acc)
-        }
-    }
-}
-
-/// Output positions one direct dInput tap accumulates at once: eight
-/// AVX2 vectors, a whole LeNet 8×8 output map.
-const TAP_BLOCK: usize = 64;
-
-/// Portable direct dInput tap over one `KC` slab of filters: for every
-/// output position `p < out.len()`, the chain `Σ_f w[f]·d[f·cols + p]`
-/// (`cols = out.len()`) summed in ascending `f` from +0.0 exactly as a
-/// [`kernel_portable`] lane sums it, then landed as the GEMM writebacks
-/// land a slab: `out[p] = chain` on the first slab, `out[p] + chain`
-/// after. Positions go [`TAP_BLOCK`] at a time, so the block's chains are
-/// independent and the filter loop streams rows of `d`.
-fn tap_portable(w: &[f32], d: &[f32], out: &mut [f32], first: bool) {
-    let cols = out.len();
-    debug_assert!(d.len() >= w.len() * cols);
-    for (b, outs) in out.chunks_mut(TAP_BLOCK).enumerate() {
-        let p0 = b * TAP_BLOCK;
-        let mut acc = [0.0f32; TAP_BLOCK];
-        let acc = &mut acc[..outs.len()];
-        for (f, &wf) in w.iter().enumerate() {
-            for (a, &dv) in acc.iter_mut().zip(&d[f * cols + p0..]) {
-                *a += wf * dv;
-            }
-        }
-        for (o, &a) in outs.iter_mut().zip(acc.iter()) {
-            *o = if first { a } else { *o + a };
-        }
-    }
-}
-
-/// One tap's row of `Wᵀ·Δ` on the resolved ISA, from the tap's weight per
-/// filter `w` and the image's error rows `d` (`row.len()` positions
-/// each): `row[p] = Σ_f w[f]·d[f·cols + p]`, each chain split at `KC` as
-/// the GEMM splits its slabs — the bits `gemm` would land for it.
-fn tap_row(isa: TiledIsa, w: &[f32], d: &[f32], row: &mut [f32]) {
-    // `TensorBackend` callers size `delta_out` themselves.
-    assert_eq!(d.len(), w.len() * row.len(), "one error row per filter");
-    debug_assert!(!w.is_empty());
-    for (slab, (w, d)) in w.chunks(KC).zip(d.chunks(KC * row.len())).enumerate() {
-        let first = slab == 0;
-        match isa {
-            TiledIsa::Portable => tap_portable(w, d, row, first),
-            #[cfg(target_arch = "x86_64")]
-            TiledIsa::Avx2 => avx2::tap(w, d, row, first),
-            #[cfg(not(target_arch = "x86_64"))]
-            TiledIsa::Avx2 => tap_portable(w, d, row, first),
         }
     }
 }
@@ -719,7 +583,7 @@ fn pack_b_strided(
 }
 
 // ---------------------------------------------------------------------------
-// Convolution layout: a padded band, walked by runs
+// Convolution layout: zero-padded frames, read by runs
 // ---------------------------------------------------------------------------
 
 /// Splits `len` consecutive indices from `start` into maximal runs inside
@@ -744,71 +608,74 @@ fn runs(
     })
 }
 
-/// Where every element of a zero-padded image frame — `(H+2p)×(W+2p)` per
-/// channel — lives when each padded row is stored phase by phase: columns
-/// `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so on. The `OW` columns
-/// one tap reaches in one output row, `stride` apart in the image, are
-/// then one contiguous run, and no tap of any output position needs a
-/// bounds test. At stride 1 the order is the plain one.
+/// Where a convolution GEMM's B operand lies in a band of zero-padded
+/// frames, `image_len` elements an image. Over the batched columns `gc =
+/// img·(OH·OW) + oh·OW + ow` of the output shape `(OH, OW)`, element
+/// `(kk, gc)` is `frame[base(img·OH + oh, ow) + tap_off[kk]]`: the
+/// positions of one output row are one element apart, so a tap of a row
+/// run is one contiguous run of the frame, and no read needs a bounds
+/// test. The forward pass and dW read the input band through one; dInput
+/// reads the error band through one per output phase.
 struct FrameLayout {
-    /// Per padded column `x`: its slot within a stored row.
-    slot: Vec<usize>,
-    /// Per patch row `kk = (c, ki, kj)`: where the tap of output `(0, 0)`
-    /// lies.
+    /// Per shared index `kk`: where its element of output `(0, 0)` lies.
     tap_off: Vec<usize>,
-    /// Padded row length `W + 2p`.
-    pw: usize,
-    /// Elements per padded image, `C·PH·PW`.
+    /// Frame elements from one output row to the next.
+    row_step: usize,
+    /// Elements per image frame.
     image_len: usize,
-}
-
-/// `(offset in a padded image, offset in the dense image)` of every input
-/// row, in `(c, ih)` order: the first is the start of the padded row that
-/// holds it.
-fn interior_rows(geo: &Conv2dGeometry) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let (ph, pw) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad);
-    (0..geo.in_channels * geo.in_h).map(move |row| {
-        let (c, ih) = (row / geo.in_h, row % geo.in_h);
-        ((c * ph + ih + geo.pad) * pw, row * geo.in_w)
-    })
+    /// Output rows per image.
+    out_h: usize,
+    /// Output columns per row.
+    out_w: usize,
 }
 
 impl FrameLayout {
-    fn new(geo: &Conv2dGeometry) -> Self {
-        let (ph, pw, k) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad, geo.kernel);
-        let mut slot = vec![0; pw];
-        let phases = (0..geo.stride).flat_map(|q| (q..pw).step_by(geo.stride));
-        for (at, x) in phases.enumerate() {
-            slot[x] = at;
-        }
-        let tap_off = (0..geo.in_channels * k * k)
-            .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + slot[kk % k])
-            .collect();
-        FrameLayout {
-            slot,
-            tap_off,
-            pw,
-            image_len: geo.in_channels * ph * pw,
-        }
-    }
-
     /// Frame offset of output position `ow` in output row `grow = img·OH +
     /// oh`: tap `kk` of the positions `ow ..` of that row lies at `base +
     /// tap_off[kk] ..`, one element apart.
-    fn base(&self, grow: usize, ow: usize, geo: &Conv2dGeometry) -> usize {
-        debug_assert!(ow < geo.out_w, "output column {ow} of {}", geo.out_w);
-        (grow / geo.out_h) * self.image_len + (grow % geo.out_h) * geo.stride * self.pw + ow
-    }
-
-    /// The interior slots of each stored row, in image column order.
-    fn interior_slots(&self, geo: &Conv2dGeometry) -> &[usize] {
-        &self.slot[geo.pad..geo.pad + geo.in_w]
+    fn base(&self, grow: usize, ow: usize) -> usize {
+        debug_assert!(ow < self.out_w, "output column {ow} of {}", self.out_w);
+        (grow / self.out_h) * self.image_len + (grow % self.out_h) * self.row_step + ow
     }
 }
 
-/// One band of images in zero-padded, phase-ordered frames, image after
-/// image: the virtual im2col element `(kk, gc)` is `frame[base(gc) +
-/// tap_off[kk]]`, no compare.
+/// Copies a band of `chans × h × w` images into zeroed `chans × ph × pw`
+/// frames: element `(c, y, x)` lands at `(c·ph + top + y)·pw + slot[x]` of
+/// its image's frame. When that is the identity the band is its own frame.
+fn pad_frames<'a>(
+    images: &'a [f32],
+    (chans, h, w): (usize, usize, usize),
+    (ph, pw, top): (usize, usize, usize),
+    slot: &[usize],
+) -> Cow<'a, [f32]> {
+    let image_len = chans * h * w;
+    debug_assert!(
+        images.len().is_multiple_of(image_len),
+        "a band is whole images"
+    );
+    if (ph, pw) == (h, w) && slot.iter().enumerate().all(|(x, &at)| at == x) {
+        return Cow::Borrowed(images);
+    }
+    let mut frame = vec![0.0f32; images.len() / image_len * chans * ph * pw];
+    for (padded, image) in frame
+        .chunks_mut(chans * ph * pw)
+        .zip(images.chunks(image_len))
+    {
+        for (row, from) in image.chunks(w).enumerate() {
+            let to = &mut padded[(row / h * ph + top + row % h) * pw..][..pw];
+            for (&x, &v) in slot.iter().zip(from) {
+                to[x] = v;
+            }
+        }
+    }
+    Cow::Owned(frame)
+}
+
+/// One band of images in zero-padded frames whose rows are stored by
+/// stride phase — columns `x ≡ 0 (mod stride)` first, then `x ≡ 1`, and so
+/// on — so the `OW` columns one tap reaches in one output row, `stride`
+/// apart in the image, are one contiguous run. At stride 1 the order is
+/// the plain one. The forward pass and dW read it.
 struct PaddedBand<'a> {
     /// The frames, or the input itself when it is already laid out so
     /// (no padding, stride 1).
@@ -818,29 +685,27 @@ struct PaddedBand<'a> {
 
 impl<'a> PaddedBand<'a> {
     fn new(input: &'a [f32], geo: &Conv2dGeometry) -> Self {
-        debug_assert!(
-            input.len().is_multiple_of(geo.in_len()),
-            "a band is whole images"
-        );
-        let layout = FrameLayout::new(geo);
-        let frame = if geo.pad == 0 && geo.stride == 1 {
-            Cow::Borrowed(input)
-        } else {
-            let slots = layout.interior_slots(geo);
-            let mut frame = vec![0.0f32; input.len() / geo.in_len() * layout.image_len];
-            for (padded, image) in frame
-                .chunks_mut(layout.image_len)
-                .zip(input.chunks(geo.in_len()))
-            {
-                for (to, from) in interior_rows(geo) {
-                    let row = &mut padded[to..to + layout.pw];
-                    for (&x, &v) in slots.iter().zip(&image[from..from + geo.in_w]) {
-                        row[x] = v;
-                    }
-                }
-            }
-            Cow::Owned(frame)
+        let (ph, pw, k) = (geo.in_h + 2 * geo.pad, geo.in_w + 2 * geo.pad, geo.kernel);
+        let mut slot = vec![0; pw];
+        let phases = (0..geo.stride).flat_map(|q| (q..pw).step_by(geo.stride));
+        for (at, x) in phases.enumerate() {
+            slot[x] = at;
+        }
+        let layout = FrameLayout {
+            tap_off: (0..geo.in_channels * k * k)
+                .map(|kk| (kk / (k * k) * ph + kk / k % k) * pw + slot[kk % k])
+                .collect(),
+            row_step: geo.stride * pw,
+            image_len: geo.in_channels * ph * pw,
+            out_h: geo.out_h,
+            out_w: geo.out_w,
         };
+        let frame = pad_frames(
+            input,
+            (geo.in_channels, geo.in_h, geo.in_w),
+            (ph, pw, geo.pad),
+            &slot[geo.pad..geo.pad + geo.in_w],
+        );
         PaddedBand { frame, layout }
     }
 }
@@ -859,71 +724,28 @@ fn copy_run(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// The forward B panel of the strip `j0 .. j0 + cols` over the patch rows
-/// `kc0 .. kc0 + kc_len`: the strip splits once into its output-row runs,
-/// and each patch row is then one contiguous copy per run out of the
-/// phase-ordered band.
+/// The B panel of the strip `j0 .. j0 + cols` over the shared rows `kc0 ..
+/// kc0 + kc_len`, for the forward pass and dInput alike: the strip splits
+/// once into its output-row runs, and each shared row is then one
+/// contiguous copy per run out of the frame.
 fn pack_cols(
-    band: &PaddedBand,
-    geo: &Conv2dGeometry,
+    frame: &[f32],
+    layout: &FrameLayout,
     (j0, cols): (usize, usize),
     (kc0, kc_len): (usize, usize),
     dst: &mut [f32],
 ) {
     let mut row_runs = [(0usize, 0usize, 0usize); NR];
     let mut n_runs = 0;
-    for (at, grow, ow, take) in runs(j0, cols, geo.out_w) {
-        row_runs[n_runs] = (at, take, band.layout.base(grow, ow, geo));
+    for (at, grow, ow, take) in runs(j0, cols, layout.out_w) {
+        row_runs[n_runs] = (at, take, layout.base(grow, ow));
         n_runs += 1;
     }
-    let taps = &band.layout.tap_off[kc0..kc0 + kc_len];
+    let taps = &layout.tap_off[kc0..kc0 + kc_len];
     for (row, &off) in dst.chunks_exact_mut(NR).zip(taps) {
         for &(at, take, base) in &row_runs[..n_runs] {
-            copy_run(&mut row[at..at + take], &band.frame[base + off..][..take]);
+            copy_run(&mut row[at..at + take], &frame[base + off..][..take]);
         }
-    }
-}
-
-/// One image's zeroed padded gradient frame, phase-ordered as
-/// [`FrameLayout`] stores a band, so a tap's output row lands as one
-/// contiguous run. Each frame element still receives its taps' terms one
-/// by one, in the order the taps are added.
-struct GradFrame {
-    frame: Vec<f32>,
-    layout: FrameLayout,
-}
-
-impl GradFrame {
-    fn new(geo: &Conv2dGeometry) -> Self {
-        let layout = FrameLayout::new(geo);
-        GradFrame {
-            frame: vec![0.0; layout.image_len],
-            layout,
-        }
-    }
-
-    /// Adds tap `kk`'s `OH×OW` values, output row by output row.
-    fn add_tap(&mut self, kk: usize, row: &[f32], geo: &Conv2dGeometry) {
-        let off = self.layout.tap_off[kk];
-        for (oh, vals) in row.chunks(geo.out_w).enumerate() {
-            let run = &mut self.frame[off + self.layout.base(oh, 0, geo)..][..geo.out_w];
-            for (g, &v) in run.iter_mut().zip(vals) {
-                *g += v;
-            }
-        }
-    }
-
-    /// Adds the frame's interior to `dinput`, then zeroes the frame for
-    /// the next image.
-    fn flush(&mut self, geo: &Conv2dGeometry, dinput: &mut [f32]) {
-        let slots = self.layout.interior_slots(geo);
-        for (from, to) in interior_rows(geo) {
-            let frame_row = &self.frame[from..][..self.layout.pw];
-            for (d, &x) in dinput[to..to + geo.in_w].iter_mut().zip(slots) {
-                *d += frame_row[x];
-            }
-        }
-        self.frame.fill(0.0);
     }
 }
 
@@ -951,7 +773,7 @@ fn conv_backward_filters(
         let kc_len = KC.min(gc_total - kc0);
         pos.clear();
         for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
-            let base = band.layout.base(grow, ow, geo);
+            let base = band.layout.base(grow, ow);
             pos.extend(base..base + take);
         }
         for j0 in (0..filters).step_by(NR) {
@@ -986,13 +808,57 @@ fn conv_backward_filters(
     }
 }
 
-/// The backward data pass: `dinput += col2im(Wᵀ·Δ)`, image by image and
-/// tap by tap. The tap's row of `Wᵀ·Δ` (one chain over the filters per
-/// output position, split at `KC` as the GEMM's slabs are) is built in
-/// `row` and added straight into the image's gradient frame, in canonical
-/// `col2im` `(c, ki, kj, oh, ow)` order, so overlapping taps always land
-/// in the same order under any batch banding. No column buffer: the
-/// frame, one row and the tap's weights are the whole working set.
+/// One axis of dInput's output phases: the input coordinates `r, r +
+/// stride, …` (`count` of them) and the kernel taps `ki ≡ r + pad (mod
+/// stride)` that reach them, ascending, each with its shift: input `r +
+/// stride·q` takes tap `ki`'s term from output `q + shift`.
+struct AxisPhase {
+    r: usize,
+    count: usize,
+    taps: Vec<(usize, isize)>,
+}
+
+/// The phases of one axis of `len` inputs and `out` outputs that some tap
+/// reaches, with the zero padding `(before, after)` an error row needs so
+/// that every shift of every phase reads inside it.
+fn axis_phases(len: usize, out: usize, geo: &Conv2dGeometry) -> (Vec<AxisPhase>, usize, usize) {
+    let (k, s, p) = (geo.kernel, geo.stride, geo.pad);
+    let phases: Vec<AxisPhase> = (0..s.min(len))
+        .map(|r| AxisPhase {
+            r,
+            count: (len - r).div_ceil(s),
+            taps: ((r + p) % s..k)
+                .step_by(s)
+                .map(|ki| (ki, (r + p) as isize / s as isize - (ki / s) as isize))
+                .collect(),
+        })
+        .filter(|phase| !phase.taps.is_empty())
+        .collect();
+    let shifts = || {
+        phases
+            .iter()
+            .flat_map(|ph| ph.taps.iter().map(move |&(_, sh)| (ph, sh)))
+    };
+    let before = shifts().map(|(_, sh)| -sh).max().unwrap_or(0).max(0);
+    let last = shifts()
+        .map(|(ph, sh)| ph.count as isize - 1 + sh)
+        .max()
+        .unwrap_or(0);
+    let after = (last - (out as isize - 1)).max(0);
+    (phases, before as usize, after as usize)
+}
+
+/// The backward data pass `dinput += ∂L/∂input` on the GEMM core. dX is
+/// the full correlation of `Δ` with the weights, transposed in `(F, C)`
+/// and flipped in `(ki, kj)`. Split by output phase `(y mod s, x mod s)`,
+/// phase φ is one GEMM `dXφ (C × N·posφ) = Wφ (C × F·|tapsφ|) · Bφ` over
+/// only the taps that reach it — no FMA meets a zero of a dilated `Δ` —
+/// with `Bφ` read by [`pack_cols`] out of one zero-padded frame of the
+/// error band, padded as far as the farthest tap shift reaches. Each dX
+/// element is one chain over its phase's `(f, ki, kj)` terms in that
+/// order, cut at `KC`, added into `dinput` slab by slab at the phase's
+/// strided positions: it depends on its own image alone, so any banding
+/// lands the same bits.
 fn conv_backward_data(
     isa: TiledIsa,
     weights: &[f32],
@@ -1000,22 +866,69 @@ fn conv_backward_data(
     dinput: &mut [f32],
     geo: &Conv2dGeometry,
 ) {
-    let k2 = geo.in_channels * geo.kernel * geo.kernel;
-    let mut w = vec![0.0f32; geo.out_channels];
-    let mut row = vec![0.0f32; geo.out_h * geo.out_w];
-    let mut frame = GradFrame::new(geo);
-    for (delta, dinput) in delta_out
-        .chunks(geo.out_len())
-        .zip(dinput.chunks_mut(geo.in_len()))
+    let n = dinput.len() / geo.in_len();
+    // `TensorBackend` callers size `delta_out` themselves.
+    assert!(
+        dinput.len() == n * geo.in_len() && delta_out.len() == n * geo.out_len(),
+        "one error row per filter"
+    );
+    let (k, s, filters) = (geo.kernel, geo.stride, geo.out_channels);
+    let (k2, plane) = (geo.in_channels * k * k, geo.in_h * geo.in_w);
+    let (rows, top, bottom) = axis_phases(geo.in_h, geo.out_h, geo);
+    let (cols, left, right) = axis_phases(geo.in_w, geo.out_w, geo);
+    let (ph, pw) = (top + geo.out_h + bottom, left + geo.out_w + right);
+    let slot: Vec<usize> = (left..left + geo.out_w).collect();
+    let frame = pad_frames(
+        delta_out,
+        (filters, geo.out_h, geo.out_w),
+        (ph, pw, top),
+        &slot,
+    );
+    for (py, px) in rows
+        .iter()
+        .flat_map(|py| cols.iter().map(move |px| (py, px)))
     {
-        for kk in 0..k2 {
-            for (wf, wrow) in w.iter_mut().zip(weights.chunks(k2)) {
-                *wf = wrow[kk];
-            }
-            tap_row(isa, &w, delta, &mut row);
-            frame.add_tap(kk, &row, geo);
-        }
-        frame.flush(geo, dinput);
+        let terms: Vec<(usize, usize)> = (0..filters)
+            .flat_map(|f| py.taps.iter().map(move |&tap_y| (f, tap_y)))
+            .flat_map(|(f, (ki, sy))| px.taps.iter().map(move |&(kj, sx)| (f, ki, sy, kj, sx)))
+            .map(|(f, ki, sy, kj, sx)| {
+                let at = (f * ph + top) as isize + sy;
+                let off = at as usize * pw + (left as isize + sx) as usize;
+                (f * k2 + ki * k + kj, off)
+            })
+            .collect();
+        let w_phase: Vec<f32> = (0..geo.in_channels)
+            .flat_map(|c| terms.iter().map(move |&(w, _)| weights[w + c * k * k]))
+            .collect();
+        let layout = FrameLayout {
+            tap_off: terms.iter().map(|&(_, off)| off).collect(),
+            row_step: pw,
+            image_len: filters * ph * pw,
+            out_h: py.count,
+            out_w: px.count,
+        };
+        gemm(
+            isa,
+            geo.in_channels,
+            terms.len(),
+            n * py.count * px.count,
+            pack_a_strided(&w_phase, terms.len(), 1),
+            |j0, take, kc0, kc_len, dst: &mut [f32]| {
+                pack_cols(&frame, &layout, (j0, take), (kc0, kc_len), dst)
+            },
+            |i0, rows, j0, take, acc: &Acc, _, _| {
+                for (at, grow, qx, run) in runs(j0, take, px.count) {
+                    let (img, qy) = (grow / py.count, grow % py.count);
+                    let base = img * geo.in_len() + (py.r + s * qy) * geo.in_w + px.r + s * qx;
+                    for (r, arow) in acc.iter().enumerate().take(rows) {
+                        let to = dinput[base + (i0 + r) * plane..].iter_mut().step_by(s);
+                        for (d, &v) in to.zip(&arow[at..at + run]) {
+                            *d += v;
+                        }
+                    }
+                }
+            },
+        );
     }
 }
 
@@ -1055,7 +968,13 @@ impl Tiled {
             n_imgs * cols,
             pack_a_strided(weights, k2, 1),
             |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                pack_cols(&band, geo, (j0, cols_take), (kc0, kc_len), dst)
+                pack_cols(
+                    &band.frame,
+                    &band.layout,
+                    (j0, cols_take),
+                    (kc0, kc_len),
+                    dst,
+                )
             },
             |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
                 for (at, img, pos, take) in runs(j0, cols_take, cols) {
@@ -1642,52 +1561,65 @@ mod tests {
             *dbf += acc;
         }
 
-        // dInput: dcol (k2 × gc) = Wᵀ · Δ in one band-batched GEMM (the
-        // transposed weights pack once for all images), landed in a
-        // plain per-call `Vec` blocked per image — deliberately *not* a
-        // `backend::scratch` checkout — then folded into image space by
-        // the canonical `col2im` scatter. Scattering per image in
-        // canonical tap order (rather than per GEMM tile) keeps `dinput`
-        // bit-identical under any batch banding: overlapping taps always
-        // accumulate in the same order.
-        let col_len = k2 * cols;
-        let mut dcol = vec![0.0f32; n_imgs * col_len];
-        gemm(
-            isa,
-            k2,
-            geo.out_channels,
-            gc_total,
-            pack_a_strided(weights, 1, k2),
-            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                for step in 0..kc_len {
-                    let f = kc0 + step;
-                    let mut cur = ColCursor::at(j0, geo);
-                    let row = &mut dst[step * NR..step * NR + cols_take];
-                    for slot in row.iter_mut() {
-                        *slot =
-                            delta_out[cur.img * out_len + f * cols + cur.oh * geo.out_w + cur.ow];
-                        cur.advance(geo);
+        oracle_dinput(isa, weights, delta_out, dinput, geo);
+    }
+
+    /// The backward data pass element by element, with no frame and no
+    /// packer: each dX element `(c, y, x)` walks its phase's terms in the
+    /// GEMM's shared order — filters ascending, then the taps `ki ≡ y +
+    /// pad` and `kj ≡ x + pad (mod stride)` ascending — reading each error
+    /// value by bounds test (zero outside the error map), summed from +0.0
+    /// as a micro-kernel lane sums them (fused on AVX2), and added into
+    /// `dinput` one `KC` slab at a time.
+    fn oracle_dinput(
+        isa: TiledIsa,
+        weights: &[f32],
+        delta_out: &[f32],
+        dinput: &mut [f32],
+        geo: &Conv2dGeometry,
+    ) {
+        let (k, s, p) = (geo.kernel, geo.stride, geo.pad);
+        let k2 = geo.in_channels * k * k;
+        let taps = |at: usize| (0..k).filter(move |ki| ki % s == (at + p) % s);
+        let error = |delta: &[f32], f: usize, oy: usize, ox: usize| {
+            let (oh, ow) = (oy / s, ox / s);
+            if oh < geo.out_h && ow < geo.out_w {
+                delta[(f * geo.out_h + oh) * geo.out_w + ow]
+            } else {
+                0.0
+            }
+        };
+        for (delta, image) in delta_out
+            .chunks(geo.out_len())
+            .zip(dinput.chunks_mut(geo.in_len()))
+        {
+            for (at, slot) in image.iter_mut().enumerate() {
+                let (c, y, x) = (
+                    at / geo.in_w / geo.in_h,
+                    at / geo.in_w % geo.in_h,
+                    at % geo.in_w,
+                );
+                let mut terms = Vec::new();
+                for f in 0..geo.out_channels {
+                    for ki in taps(y) {
+                        for kj in taps(x) {
+                            let w = weights[f * k2 + (c * k + ki) * k + kj];
+                            // A tap past the input's edge reads padding.
+                            let d = match ((y + p).checked_sub(ki), (x + p).checked_sub(kj)) {
+                                (Some(oy), Some(ox)) => error(delta, f, oy, ox),
+                                _ => 0.0,
+                            };
+                            terms.push((w, d));
+                        }
                     }
                 }
-            },
-            |i0, rows, j0, cols_take, acc: &Acc, first, _| {
-                for (r, arow) in acc.iter().enumerate().take(rows) {
-                    let kk2 = i0 + r;
-                    let mut cur = ColCursor::at(j0, geo);
-                    for &av in arow.iter().take(cols_take) {
-                        let di = cur.img * col_len + kk2 * cols + cur.oh * geo.out_w + cur.ow;
-                        dcol[di] = if first { av } else { dcol[di] + av };
-                        cur.advance(geo);
-                    }
+                for slab in terms.chunks(KC) {
+                    *slot += slab.iter().fold(0.0f32, |acc, &(w, d)| match isa {
+                        TiledIsa::Portable => acc + w * d,
+                        TiledIsa::Avx2 => w.mul_add(d, acc),
+                    });
                 }
-            },
-        );
-        for img in 0..n_imgs {
-            crate::ops::conv::col2im(
-                &dcol[img * col_len..(img + 1) * col_len],
-                geo,
-                &mut dinput[img * in_len..(img + 1) * in_len],
-            );
+            }
         }
     }
 
@@ -1744,44 +1676,6 @@ mod tests {
         }
     }
 
-    /// A tap row is the row `gemm` lands for `w (1×F) · d (F×cols)` under
-    /// an overwrite-then-add writeback, bit for bit on every ISA: across
-    /// the `KC` split, and at every block and lane tail.
-    #[test]
-    fn direct_taps_land_the_gemm_bits() {
-        for (f, cols) in [
-            (1, 1),
-            (12, 64),
-            (12, 7),
-            (16, 65),
-            (17, 130),
-            (256, 9),
-            (257, 72),
-            (600, 24),
-        ] {
-            let (w, d) = (signal(f, 5), signal(f * cols, 6));
-            for isa in TiledIsa::available_on_host() {
-                let mut want = vec![f32::NAN; cols];
-                gemm(
-                    isa,
-                    1,
-                    f,
-                    cols,
-                    pack_a_strided(&w, f, 1),
-                    pack_b_strided(&d, cols, 1),
-                    |_, _, j0, take, acc: &Acc, first, _| {
-                        for (o, &av) in want[j0..j0 + take].iter_mut().zip(&acc[0]) {
-                            *o = if first { av } else { *o + av };
-                        }
-                    },
-                );
-                let mut row = vec![f32::NAN; cols];
-                tap_row(isa, &w, &d, &mut row);
-                assert_eq!(bits(&row), bits(&want), "{isa} F = {f}, {cols} positions");
-            }
-        }
-    }
-
     /// Error rows that stop short of a whole image panic before the AVX2
     /// tap kernel could read past them.
     #[test]
@@ -1819,10 +1713,12 @@ mod tests {
             (1, 4, 4, 2, 5, 1, 2, 1),  // kernel wider than the unpadded input
             (2, 3, 3, 13, 1, 1, 0, 5), // 1x1 kernel, 9 columns an image
             (3, 7, 5, 4, 3, 2, 2, 4),  // pad 2 with stride 2 on a 3x-wide ring
-            (4, 8, 8, 16, 3, 1, 1, 3), // F = 16: dInput's filter chains 16 steps long
-            (3, 9, 9, 17, 3, 2, 1, 2), // F = 17, stride 2: one step longer, 25 positions a tap
-            (2, 4, 4, 300, 3, 1, 1, 2), // F = 300 > KC: dInput's filter chains split at KC
-            (2, 11, 10, 5, 4, 3, 1, 2), // stride 3: three column phases in the gradient frame
+            (4, 8, 8, 16, 3, 1, 1, 3), // F = 16: dInput's chains 16 × 9 terms long
+            (3, 9, 9, 17, 3, 2, 1, 2), // F = 17, stride 2: dInput phases of 4, 2, 2 and 1 taps
+            (2, 4, 4, 300, 3, 1, 1, 2), // F = 300 > KC: dInput's chains split at KC ten times
+            (2, 11, 10, 5, 4, 3, 1, 2), // stride 3: dInput phases of unequal size
+            (2, 5, 7, 3, 2, 2, 3, 2),  // pad 3 > k − 1: dInput's taps reach past the error map
+            (1, 8, 7, 2, 2, 3, 0, 2),  // k < stride: one dInput phase per axis no tap reaches
             // Pad 0, and the last output's last tap is the input's final
             // element: the frame is the input itself at stride 1 and
             // phase-ordered to its last slot at strides 2 and 3.
@@ -1834,6 +1730,50 @@ mod tests {
         ] {
             let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
             assert_matches_oracle(&geo, n);
+        }
+    }
+
+    /// dInput on the GEMM core: LeNet L2 splits into phases of 9, 6, 6 and
+    /// 4 taps, and on every ISA each band lands the per-element oracle's
+    /// bits — at strides 1 to 3, with pad ≥ kernel, with a phase no tap
+    /// reaches, and with chains past `KC` — and the bits of its images
+    /// taken one at a time.
+    #[test]
+    fn dinput_phases_land_the_per_element_bits() {
+        let l2 = Conv2dGeometry::new(12, 16, 16, 12, 5, 2, 2).unwrap();
+        let (phases, ..) = axis_phases(l2.in_h, l2.out_h, &l2);
+        let taps: Vec<usize> = (phases.iter())
+            .flat_map(|py| phases.iter().map(|px| py.taps.len() * px.taps.len()))
+            .collect();
+        assert_eq!(taps, [9, 6, 6, 4]);
+        // (C, H, W, F, K, stride, pad, images)
+        for (c, h, w, f, k, s, p, n) in [
+            (12, 16, 16, 12, 5, 2, 2, 4), // LeNet L2
+            (12, 8, 8, 12, 5, 1, 2, 3),   // LeNet L3: 300 terms, cut at KC
+            (3, 7, 8, 40, 3, 3, 1, 2),    // stride 3: 40 × 9 terms in the middle phase
+            (2, 3, 4, 5, 1, 1, 2, 2),     // pad 2 > k − 1
+            (2, 6, 5, 3, 2, 2, 3, 3),     // pad 3, stride 2
+            (1, 9, 9, 2, 1, 2, 0, 2),     // 1×1 at stride 2: three phases get nothing
+        ] {
+            let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
+            let weights = signal(f * c * k * k, 2);
+            let delta = signal(n * geo.out_len(), 4);
+            for isa in TiledIsa::available_on_host() {
+                let what = format!("{isa} {geo:?} x{n}");
+                let mut got = vec![0.0f32; n * geo.in_len()];
+                conv_backward_data(isa, &weights, &delta, &mut got, &geo);
+                let mut want = vec![0.0f32; got.len()];
+                oracle_dinput(isa, &weights, &delta, &mut want, &geo);
+                assert_eq!(bits(&got), bits(&want), "dInput {what}");
+                let one_by_one: Vec<f32> = (delta.chunks(geo.out_len()))
+                    .flat_map(|d| {
+                        let mut di = vec![0.0f32; geo.in_len()];
+                        conv_backward_data(isa, &weights, d, &mut di, &geo);
+                        di
+                    })
+                    .collect();
+                assert_eq!(bits(&one_by_one), bits(&got), "banded dInput {what}");
+            }
         }
     }
 
@@ -1872,7 +1812,13 @@ mod tests {
                 for j0 in (0..gc_total).step_by(NR) {
                     let cols = NR.min(gc_total - j0);
                     let mut got = vec![0.0f32; kc_len * NR];
-                    pack_cols(&band, &geo, (j0, cols), (kc0, kc_len), &mut got);
+                    pack_cols(
+                        &band.frame,
+                        &band.layout,
+                        (j0, cols),
+                        (kc0, kc_len),
+                        &mut got,
+                    );
                     let mut want = vec![0.0f32; kc_len * NR];
                     for (step, row) in want.chunks_mut(NR).enumerate() {
                         for (col, slot) in row[..cols].iter_mut().enumerate() {
@@ -1887,7 +1833,7 @@ mod tests {
                     let kc_len = KC.min(gc_total - kc0);
                     let mut pos = Vec::new();
                     for (_, grow, ow, take) in runs(kc0, kc_len, geo.out_w) {
-                        let base = band.layout.base(grow, ow, &geo);
+                        let base = band.layout.base(grow, ow);
                         pos.extend(base..base + take);
                     }
                     let b = signal(kc_len * NR, 7);

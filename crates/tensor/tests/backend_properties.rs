@@ -414,7 +414,7 @@ proptest! {
         w in 3usize..12,
         f in 1usize..7,
         kern in 1usize..5,
-        stride in 1usize..3,
+        stride in 1usize..4,
         pad in 0usize..3,
         seed in 0u64..1000,
     ) {
