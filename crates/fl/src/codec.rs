@@ -803,22 +803,10 @@ pub(crate) fn identical(a: &EncodedWeights, b: &EncodedWeights) -> bool {
 /// The coefficients a checked body stands for; `r` is the reference
 /// tensor a sparse delta is added to.
 fn rebuild(body: &EncodedBody, r: Option<&Tensor>) -> Vec<f32> {
-    match body {
-        EncodedBody::Dense(v) => v.clone(),
-        EncodedBody::Int8 { zero, scale, q } => {
-            q.iter().map(|&b| zero + scale * f32::from(b)).collect()
-        }
-        EncodedBody::TopK(sparse) => {
-            let mut out = r
-                .expect("checked: a delta body has its reference")
-                .data()
-                .to_vec();
-            for (idx, v) in sparse.entries() {
-                out[idx as usize] += v;
-            }
-            out
-        }
-    }
+    let mut reader = TensorReader::new(body, r);
+    let mut out = vec![0.0; reader.base.len()];
+    reader.fill(&mut out);
+    out
 }
 
 /// The model a payload [`check_against`] accepted against `reference`
@@ -891,30 +879,10 @@ impl CheckedWeights {
     }
 
     /// A front-to-back reader of flattened tensor `i`: the coefficients
-    /// of [`to_dense`](Self::to_dense)'s tensor, by [`rebuild`]'s
-    /// arithmetic, without building it.
+    /// of [`to_dense`](Self::to_dense)'s tensor, without building it.
     pub(crate) fn reader(&self, i: usize) -> TensorReader<'_> {
-        match &self.enc.tensors[i].body {
-            EncodedBody::Dense(v) => TensorReader::dense(v),
-            EncodedBody::Int8 { zero, scale, q } => TensorReader {
-                base: Coefficients::Int8 {
-                    zero: *zero,
-                    scale: *scale,
-                    q,
-                },
-                delta: None,
-                at: 0,
-            },
-            EncodedBody::TopK(sparse) => {
-                let view = self.view.as_deref();
-                let r = flat_tensor(view.expect("checked: a delta body has its reference"), i);
-                TensorReader {
-                    base: Coefficients::Floats(r.data()),
-                    delta: Some(sparse.entries().peekable()),
-                    at: 0,
-                }
-            }
-        }
+        let view = self.view.as_deref().map(|v| flat_tensor(v, i));
+        TensorReader::new(&self.enc.tensors[i].body, view)
     }
 
     /// The view and the kept `(index, value)` pairs of flattened tensor
@@ -952,9 +920,11 @@ impl CheckedWeights {
 }
 
 /// One flattened tensor of a held update, read front to back: each
-/// [`fill`](Self::fill) writes the next `out.len()` coefficients. A sparse
-/// body's gaps are walked once across all the fills, each kept value
-/// added to the reference coefficient under it, as [`rebuild`] adds it.
+/// [`fill`](Self::fill) writes the next `out.len()` coefficients. An int8
+/// body is dequantised as it is read, and a sparse body's gaps are walked
+/// once across all the fills, each kept value added to the reference
+/// coefficient under it. [`rebuild`] fills through one, so this is the
+/// codec's one decoder.
 pub(crate) struct TensorReader<'a> {
     base: Coefficients<'a>,
     delta: Option<std::iter::Peekable<SparseEntries<'a>>>,
@@ -968,6 +938,15 @@ enum Coefficients<'a> {
     Int8 { zero: f32, scale: f32, q: &'a [u8] },
 }
 
+impl Coefficients<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Coefficients::Floats(v) => v.len(),
+            Coefficients::Int8 { q, .. } => q.len(),
+        }
+    }
+}
+
 impl<'a> TensorReader<'a> {
     /// A reader of dense coefficients.
     pub(crate) fn dense(data: &'a [f32]) -> Self {
@@ -975,6 +954,32 @@ impl<'a> TensorReader<'a> {
             base: Coefficients::Floats(data),
             delta: None,
             at: 0,
+        }
+    }
+
+    /// A reader of the coefficients a checked `body` stands for;
+    /// `reference` is the tensor a sparse delta body adds to.
+    pub(crate) fn new(body: &'a EncodedBody, reference: Option<&'a Tensor>) -> Self {
+        match body {
+            EncodedBody::Dense(v) => TensorReader::dense(v),
+            EncodedBody::Int8 { zero, scale, q } => TensorReader {
+                base: Coefficients::Int8 {
+                    zero: *zero,
+                    scale: *scale,
+                    q,
+                },
+                delta: None,
+                at: 0,
+            },
+            EncodedBody::TopK(sparse) => TensorReader {
+                base: Coefficients::Floats(
+                    reference
+                        .expect("checked: a delta body has its reference")
+                        .data(),
+                ),
+                delta: Some(sparse.entries().peekable()),
+                at: 0,
+            },
         }
     }
 
