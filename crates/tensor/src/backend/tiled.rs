@@ -39,10 +39,11 @@
 //! computed as its transpose `col·Δᵀ`, so the band is the band kernel's
 //! broadcast operand, read in place, and only the `F`-wide `Δᵀ` panel is
 //! packed. dInput is the full correlation of `Δ` with the weights,
-//! transposed in `(F, C)` and flipped in `(ki, kj)`: split by input phase
-//! `(y mod stride, x mod stride)` into one GEMM per phase over only the
-//! taps that reach it, each reading one padded frame of the error band,
-//! and landing its tiles in `dinput` at the phase's strided positions.
+//! transposed in `(F, C)` and flipped in `(ki, kj)`: split by the phase
+//! `(y mod stride, x mod stride)` of the input position into one GEMM per
+//! phase over only the taps that reach it, each reading one padded frame
+//! of the error band, and landing its tiles in `dinput` at the phase's
+//! strided positions.
 //! Frames and buffers are plain per-call `Vec`s: the conv path performs
 //! **zero** `backend::scratch` checkouts. Forward batches all images of a
 //! band into one GEMM whose writeback also applies the fused activation
@@ -615,7 +616,7 @@ fn runs(
 /// positions of one output row are one element apart, so a tap of a row
 /// run is one contiguous run of the frame, and no read needs a bounds
 /// test. The forward pass and dW read the input band through one; dInput
-/// reads the error band through one per output phase.
+/// reads the error band through one per phase of the input position.
 struct FrameLayout {
     /// Per shared index `kk`: where its element of output `(0, 0)` lies.
     tap_off: Vec<usize>,
@@ -850,8 +851,8 @@ fn axis_phases(len: usize, out: usize, geo: &Conv2dGeometry) -> (Vec<AxisPhase>,
 
 /// The backward data pass `dinput += ∂L/∂input` on the GEMM core. dX is
 /// the full correlation of `Δ` with the weights, transposed in `(F, C)`
-/// and flipped in `(ki, kj)`. Split by output phase `(y mod s, x mod s)`,
-/// phase φ is one GEMM `dXφ (C × N·posφ) = Wφ (C × F·|tapsφ|) · Bφ` over
+/// and flipped in `(ki, kj)`. Split by the phase `(y mod s, x mod s)` of
+/// the dX element, phase φ is one GEMM `dXφ (C × N·posφ) = Wφ (C × F·|tapsφ|) · Bφ` over
 /// only the taps that reach it — no FMA meets a zero of a dilated `Δ` —
 /// with `Bφ` read by [`pack_cols`] out of one zero-padded frame of the
 /// error band, padded as far as the farthest tap shift reaches. Each dX
@@ -888,20 +889,23 @@ fn conv_backward_data(
         .iter()
         .flat_map(|py| cols.iter().map(move |px| (py, px)))
     {
-        let terms: Vec<(usize, usize)> = (0..filters)
-            .flat_map(|f| py.taps.iter().map(move |&tap_y| (f, tap_y)))
-            .flat_map(|(f, (ki, sy))| px.taps.iter().map(move |&(kj, sx)| (f, ki, sy, kj, sx)))
-            .map(|(f, ki, sy, kj, sx)| {
-                let at = (f * ph + top) as isize + sy;
-                let off = at as usize * pw + (left as isize + sx) as usize;
-                (f * k2 + ki * k + kj, off)
-            })
-            .collect();
+        // Shared index `kk` walks `(f, ki, kj)`: its weight and its frame
+        // offset.
+        let (mut w_off, mut tap_off) = (Vec::new(), Vec::new());
+        for f in 0..filters {
+            for &(ki, sy) in &py.taps {
+                for &(kj, sx) in &px.taps {
+                    w_off.push(f * k2 + ki * k + kj);
+                    let (y, x) = (top as isize + sy, left as isize + sx);
+                    tap_off.push((f * ph + y as usize) * pw + x as usize);
+                }
+            }
+        }
         let w_phase: Vec<f32> = (0..geo.in_channels)
-            .flat_map(|c| terms.iter().map(move |&(w, _)| weights[w + c * k * k]))
+            .flat_map(|c| w_off.iter().map(move |&o| weights[o + c * k * k]))
             .collect();
         let layout = FrameLayout {
-            tap_off: terms.iter().map(|&(_, off)| off).collect(),
+            tap_off,
             row_step: pw,
             image_len: filters * ph * pw,
             out_h: py.count,
@@ -910,9 +914,9 @@ fn conv_backward_data(
         gemm(
             isa,
             geo.in_channels,
-            terms.len(),
+            w_off.len(),
             n * py.count * px.count,
-            pack_a_strided(&w_phase, terms.len(), 1),
+            pack_a_strided(&w_phase, w_off.len(), 1),
             |j0, take, kc0, kc_len, dst: &mut [f32]| {
                 pack_cols(&frame, &layout, (j0, take), (kc0, kc_len), dst)
             },
