@@ -711,24 +711,12 @@ impl<'a> PaddedBand<'a> {
     }
 }
 
-/// Copies one run of a B-panel row in fixed 8-wide pieces and a tail, so
-/// a run of 8 or 16 positions compiles to vector moves, not a `memcpy`
-/// call.
-fn copy_run(dst: &mut [f32], src: &[f32]) {
-    let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
-    let (src8, src_tail) = src.as_chunks::<8>();
-    for (d, s) in dst8.iter_mut().zip(src8) {
-        *d = *s;
-    }
-    for (d, &s) in dst_tail.iter_mut().zip(src_tail) {
-        *d = s;
-    }
-}
-
 /// The B panel of the strip `j0 .. j0 + cols` over the shared rows `kc0 ..
 /// kc0 + kc_len`, for the forward pass and dInput alike: the strip splits
-/// once into its output-row runs, and each shared row is then one
-/// contiguous copy per run out of the frame.
+/// once into its output-row runs, and each run of each shared row is one
+/// contiguous copy out of the frame. A run of 16 or 8 positions — all
+/// that LeNet's layers cut — is a fixed-width vector move, run by run, not
+/// a `memcpy` call.
 fn pack_cols(
     frame: &[f32],
     layout: &FrameLayout,
@@ -736,17 +724,31 @@ fn pack_cols(
     (kc0, kc_len): (usize, usize),
     dst: &mut [f32],
 ) {
-    let mut row_runs = [(0usize, 0usize, 0usize); NR];
-    let mut n_runs = 0;
-    for (at, grow, ow, take) in runs(j0, cols, layout.out_w) {
-        row_runs[n_runs] = (at, take, layout.base(grow, ow));
-        n_runs += 1;
-    }
     let taps = &layout.tap_off[kc0..kc0 + kc_len];
-    for (row, &off) in dst.chunks_exact_mut(NR).zip(taps) {
-        for &(at, take, base) in &row_runs[..n_runs] {
-            copy_run(&mut row[at..at + take], &frame[base + off..][..take]);
+    for (at, grow, ow, take) in runs(j0, cols, layout.out_w) {
+        let from = &frame[layout.base(grow, ow)..];
+        match take {
+            NR => copy_runs::<NR>(dst, from, taps, at),
+            8 => copy_runs::<8>(dst, from, taps, at),
+            _ => {
+                for (row, &off) in dst.chunks_exact_mut(NR).zip(taps) {
+                    row[at..at + take].copy_from_slice(&from[off..][..take]);
+                }
+            }
         }
+    }
+}
+
+/// Copies the `W` positions from `from[taps[kk]]` on into columns `at ..`
+/// of every B-panel row `kk`.
+fn copy_runs<const W: usize>(dst: &mut [f32], from: &[f32], taps: &[usize], at: usize) {
+    for (row, &off) in dst.chunks_exact_mut(NR).zip(taps) {
+        let run = row[at..]
+            .first_chunk_mut::<W>()
+            .expect("a run inside its strip");
+        *run = *from[off..]
+            .first_chunk::<W>()
+            .expect("a run inside the frame");
     }
 }
 
