@@ -891,8 +891,9 @@ fn conv_backward_data(
         .iter()
         .flat_map(|py| cols.iter().map(move |px| (py, px)))
     {
-        // Shared index `kk` walks `(f, ki, kj)`: its weight and its frame
-        // offset.
+        // Shared index `kk` walks `(f, ki, kj)`: where its weight of
+        // channel 0 lies, and its frame offset. `Wφ` is packed straight
+        // from `weights`, so no copy of it is held.
         let (mut w_off, mut tap_off) = (Vec::new(), Vec::new());
         for f in 0..filters {
             for &(ki, sy) in &py.taps {
@@ -903,9 +904,6 @@ fn conv_backward_data(
                 }
             }
         }
-        let w_phase: Vec<f32> = (0..geo.in_channels)
-            .flat_map(|c| w_off.iter().map(move |&o| weights[o + c * k * k]))
-            .collect();
         let layout = FrameLayout {
             tap_off,
             row_step: pw,
@@ -918,7 +916,13 @@ fn conv_backward_data(
             geo.in_channels,
             w_off.len(),
             n * py.count * px.count,
-            pack_a_strided(&w_phase, w_off.len(), 1),
+            |i0, rows, kc0, kc_len, dst: &mut [f32]| {
+                for (kk, &o) in w_off[kc0..kc0 + kc_len].iter().enumerate() {
+                    for r in 0..rows {
+                        dst[kk * MR + r] = weights[o + (i0 + r) * k * k];
+                    }
+                }
+            },
             |j0, take, kc0, kc_len, dst: &mut [f32]| {
                 pack_cols(&frame, &layout, (j0, take), (kc0, kc_len), dst)
             },
