@@ -21,12 +21,13 @@
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only
 //!   `unsafe` island), selected once per process via
 //!   `is_x86_feature_detected!` with a `GRADSEC_TILED_ISA` override.
-//!   Convolutions consume their input through a *virtual im2col* — a
-//!   zero-padded, stride-phased copy of the band, copied into the
-//!   forward panels in row runs and read in place by dW's kernel — and
-//!   compute the input gradient with a direct per-tap kernel into a
-//!   padded gradient frame, so the conv path holds no column buffer and
-//!   checks nothing out of the pool. Deterministic per ISA path (same inputs →
+//!   Every op, all three convolution passes included, is lowered onto
+//!   that one GEMM core. Convolutions read their operands through a
+//!   *virtual im2col*: forward and dW from a zero-padded, stride-phased
+//!   copy of the input band (copied into the forward panels in row runs,
+//!   read in place by dW's kernel), dInput from a zero-padded copy of the
+//!   error band, one GEMM per output phase, so the conv path holds no
+//!   column buffer and checks nothing out of the pool. Deterministic per ISA path (same inputs →
 //!   bit-identical outputs) but *not* bit-identical to `Reference`: its
 //!   kernels reassociate floating-point reductions, so outputs agree only
 //!   to ~1e-5 relative error.

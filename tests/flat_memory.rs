@@ -178,10 +178,10 @@ fn encode_peak() -> (usize, usize) {
 /// (2 × 1 082 624 B) above its model, optimizer and batch, on both
 /// backends. A step whose layers each copied their input and kept `Z`
 /// beside `A` peaked at about 2.6 MB (Reference) and 2.9 MB (Tiled). On
-/// Tiled it peaks below 1.5 × those activations (about 1.40 MB): its
-/// backward data pass adds each tap straight into a per-image gradient
-/// frame. While that pass landed `Wᵀ·Δ` in a column buffer for a band of
-/// four images first, the step peaked at about 1.70 MB.
+/// Tiled it peaks below 1.5 × those activations (about 1.38 MB): its
+/// backward data pass is one GEMM per phase over a padded frame of a
+/// band's errors. While that pass landed `Wᵀ·Δ` in a column buffer for a
+/// band of four images first, the step peaked at about 1.70 MB.
 ///
 /// And a delta-topk encode of that model, drifted 1 %, peaks below two
 /// `f32` planes of its 32 768-coefficient weight tensor (2 × 131 072 B),
