@@ -811,7 +811,7 @@ fn conv_backward_filters(
     }
 }
 
-/// One axis of dInput's output phases: the input coordinates `r, r +
+/// One axis of a dInput phase: the input coordinates `r, r +
 /// stride, …` (`count` of them) and the kernel taps `ki ≡ r + pad (mod
 /// stride)` that reach them, ascending, each with its shift: input `r +
 /// stride·q` takes tap `ki`'s term from output `q + shift`.
@@ -854,14 +854,14 @@ fn axis_phases(len: usize, out: usize, geo: &Conv2dGeometry) -> (Vec<AxisPhase>,
 /// The backward data pass `dinput += ∂L/∂input` on the GEMM core. dX is
 /// the full correlation of `Δ` with the weights, transposed in `(F, C)`
 /// and flipped in `(ki, kj)`. Split by the phase `(y mod s, x mod s)` of
-/// the dX element, phase φ is one GEMM `dXφ (C × N·posφ) = Wφ (C × F·|tapsφ|) · Bφ` over
-/// only the taps that reach it — no FMA meets a zero of a dilated `Δ` —
-/// with `Bφ` read by [`pack_cols`] out of one zero-padded frame of the
-/// error band, padded as far as the farthest tap shift reaches. Each dX
-/// element is one chain over its phase's `(f, ki, kj)` terms in that
-/// order, cut at `KC`, added into `dinput` slab by slab at the phase's
-/// strided positions: it depends on its own image alone, so any banding
-/// lands the same bits.
+/// the dX element, phase φ is one GEMM
+/// `dXφ (C × N·posφ) = Wφ (C × F·|tapsφ|) · Bφ` over only the taps that
+/// reach it — no FMA meets a zero of a dilated `Δ` — with `Bφ` read by
+/// [`pack_cols`] out of one zero-padded frame of the error band, padded
+/// as far as the farthest tap shift reaches. Each dX element is one chain
+/// over its phase's `(f, ki, kj)` terms in that order, cut at `KC`, added
+/// into `dinput` slab by slab at the phase's strided positions: it
+/// depends on its own image alone, so any banding lands the same bits.
 fn conv_backward_data(
     isa: TiledIsa,
     weights: &[f32],
