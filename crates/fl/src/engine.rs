@@ -1,25 +1,28 @@
 //! The federation execution engine: fans one round's client exchanges out
-//! across a worker pool.
+//! across one set of worker deals.
 //!
 //! Every selected client's local training is independent — each cycle
 //! loads the download into a replica it borrows for that cycle alone and
 //! trains it on a private shard with a per-client seeded batcher
-//! (`plan.seed ^ client_id ^ round`), so exchanges can run on any worker
+//! (`plan.seed ^ client_id ^ round`), so exchanges can run on any deal
 //! in any order without changing a single bit of the result. Since
 //! the transport redesign the engine drives [`RemoteClient`] endpoints
 //! rather than touching client structs directly:
 //!
-//! * endpoints are dealt round-robin onto `workers` scoped threads, which
-//!   divide the caller's kernel budget (`gradsec_tensor::ops::threads`)
-//!   between them, as shard threads do one level up, so workers × kernel
-//!   bands never exceed the cores; each worker owns its shard of
-//!   endpoints for the round and walks it through
-//!   the transport's `slide`: the download goes out to a window of its sessions before
-//!   the worker waits for the oldest upload, so a worker's concurrency
-//!   is the window, not one (an in-process endpoint trains inside the
-//!   send and is collected at once, one client at a time as ever),
+//! * the picked endpoints of each [`ShardLayout`] shard are dealt
+//!   round-robin, in client order, onto `min(workers, picks in the
+//!   shard)` deals, and every deal of every shard runs on its own scoped
+//!   thread — one fan-out, whose deals divide the caller's kernel budget
+//!   (`gradsec_tensor::ops::threads`) between them, so deals × kernel
+//!   bands never exceed the cores; a lone deal runs on the calling
+//!   thread. Each deal owns its endpoints for the round and walks them
+//!   through the transport's `slide`: the download goes out to a window
+//!   of its sessions before the deal waits for the oldest upload, so a
+//!   deal's concurrency is the window, not one (an in-process endpoint
+//!   trains inside the send and is collected at once, one client at a
+//!   time as ever),
 //! * each exchange's [`ClientOutcome`] is handed to the caller's sink the
-//!   moment its worker finishes it, keyed by the client's position in
+//!   moment its deal finishes it, keyed by the client's position in
 //!   the round's selection, so what a round commits never depends on
 //!   timing. Inside a round the update goes out as it arrived — the
 //!   codec payload that crossed the wire, checked against the session's
@@ -32,10 +35,10 @@
 //!   that same run with a sink that collects, every completed update
 //!   expanded on the way out,
 //! * the TEE accounting that arrives *on the wire* with every upload is
-//!   recorded into a [`SharedLedger`] as workers finish and merged into an
-//!   id-sorted [`RoundLedger`], so the world-switch/crypto bill stays
-//!   correct under concurrency — and complete even when clients live in
-//!   other processes. A client that fails still gets a ledger entry (an
+//!   recorded into the round's one [`SharedLedger`] as deals finish and
+//!   merged into an id-sorted [`RoundLedger`], so the world-switch/crypto
+//!   bill stays correct under concurrency — and complete even when
+//!   clients live in other processes. A client that fails still gets a ledger entry (an
 //!   [`unbilled`](ClientCycleCost::unbilled) zero-cost one), so the round
 //!   ledger accounts every selected client, success or not, and a failure
 //!   can never leak cost into another client's slot.
@@ -43,7 +46,7 @@
 //! Failure containment: a schedule with duplicate or out-of-range indices
 //! is rejected up front ([`FlError::InvalidSelection`]) instead of
 //! panicking, and a panic inside either half of one client's exchange — a
-//! buggy trainer, a poisoned endpoint — is caught on the worker and
+//! buggy trainer, a poisoned endpoint — is caught on its deal and
 //! surfaced as that client's [`ClientOutcome::Failed`]. One bad client in
 //! a 10⁴-client round can therefore no longer kill the *process*; the
 //! round's fate stays a policy decision of the runner.
@@ -56,14 +59,14 @@
 //! back as [`ClientOutcome::Straggler`] — its cost still billed to the
 //! ledger, its update excluded from aggregation — instead of blocking the
 //! round. All fault decisions are pure functions of
-//! `(fault seed, client, round)`, so they are identical on every worker,
+//! `(fault seed, client, round)`, so they are identical on every deal,
 //! shard and transport.
 //!
-//! A sharded fleet lifts the same machinery one level up: disjoint
-//! client shards run concurrently, each with its own worker pool and its
-//! own [`RoundLedger`]; a shard's slots are offset by the picks of the
-//! shards before it, and the per-shard ledgers come back in shard order
-//! for the global merge.
+//! Shards are groups of deals, not a second layer of threads: a sharded
+//! round validates its global picks once, deals each shard's picks on
+//! its own, and runs all the deals in the same scope against the same
+//! sink and ledger. A deal whose thread dies outside the per-exchange
+//! guard fails its undelivered slots; the round still returns.
 //!
 //! With identical seeds — training *and* fault seeds — a 1-worker and an
 //! N-worker engine, over the in-process or the TCP transport, sharded or
@@ -77,6 +80,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
 use gradsec_tensor::ops::threads;
 
+use crate::config::ShardLayout;
 use crate::faults::FaultPlan;
 use crate::fleet::{Collected, Sink};
 use crate::message::{ArrivedUpload, ModelDownload, UpdateUpload};
@@ -172,7 +176,8 @@ impl ExecutionEngine {
         ExecutionEngine { workers: 1 }
     }
 
-    /// A pool of `workers` threads; `0` means one per available core.
+    /// Up to `workers` concurrent deals per shard; `0` means one per
+    /// available core.
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
             threads::host()
@@ -205,194 +210,119 @@ impl ExecutionEngine {
         faults: Option<&FaultPlan>,
     ) -> Result<CycleOutcomes> {
         let collected = Collected::new(picked.len());
-        let broadcast = Broadcast::new(download);
         let sink = |slot, outcome| collected.put(slot, outcome);
-        let ledger = self.cycles_in(clients, picked, &broadcast, faults, Sink::new(&sink))?;
+        let layout = ShardLayout::new(clients.len(), 1);
+        let broadcast = Broadcast::new(download);
+        let ledger = self.cycles_in(
+            clients,
+            &layout,
+            picked,
+            &broadcast,
+            faults,
+            Sink::new(&sink),
+        )?;
         Ok((expanded(collected), ledger))
     }
 
-    /// [`execute_cycles_with`](Self::execute_cycles_with) against a
-    /// broadcast the caller owns — one per round, so every worker of
-    /// every shard draws its download from the same memo — handing `sink`
-    /// each outcome, keyed by its slot in `picked`, as its worker finishes
-    /// it, with the upload left as it arrived. Returns the merged ledger.
-    fn cycles_in(
+    /// [`execute_cycles_with`](Self::execute_cycles_with) over a fleet cut
+    /// into `layout`'s shards, against a broadcast the caller owns — one
+    /// per round, so every deal draws its download from the same memo —
+    /// handing `sink` each outcome, keyed by its slot in `picked`, as its
+    /// deal finishes it, with the upload left as it arrived. Returns the
+    /// round's ledger.
+    ///
+    /// Each shard's picks are dealt round-robin, in client order, onto
+    /// `min(workers, picks in the shard)` deals — a pure function of
+    /// `(layout, picked, workers)`, so the partition, and any numeric
+    /// consequence of it, is reproducible. The deals of every shard run
+    /// concurrently, each under an equal share of the caller's kernel
+    /// budget; a lone deal runs on the calling thread.
+    pub(crate) fn cycles_in(
         &self,
         clients: &mut [RemoteClient],
+        layout: &ShardLayout,
         picked: &[usize],
         broadcast: &Broadcast<'_>,
         faults: Option<&FaultPlan>,
         sink: Sink<'_>,
     ) -> Result<RoundLedger> {
+        debug_assert_eq!(layout.num_clients(), clients.len());
         validate_picks(picked, clients.len())?;
-        let picked_ids: Vec<u64> = picked.iter().map(|&ci| clients[ci].id()).collect();
+        let mut slot_of: Vec<Option<usize>> = vec![None; clients.len()];
+        let mut picks_in = vec![0; layout.num_shards()];
+        for (slot, &ci) in picked.iter().enumerate() {
+            slot_of[ci] = Some(slot);
+            picks_in[layout.shard_of(ci)] += 1;
+        }
+        // Shard s's deals are first_deal[s]..first_deal[s] + width(s).
+        let width = |s: usize| self.workers.min(picks_in[s]);
+        let (mut first_deal, mut total) = (Vec::with_capacity(picks_in.len()), 0);
+        for s in 0..picks_in.len() {
+            first_deal.push(total);
+            total += width(s);
+        }
+        let mut deals: Vec<Vec<(usize, &mut RemoteClient)>> =
+            (0..total).map(|_| Vec::new()).collect();
+        let mut dealt = vec![0; layout.num_shards()];
+        for (ci, client) in clients.iter_mut().enumerate() {
+            let Some(slot) = slot_of[ci] else { continue };
+            let s = layout.shard_of(ci);
+            deals[first_deal[s] + dealt[s] % width(s)].push((slot, client));
+            dealt[s] += 1;
+        }
         let ledger = SharedLedger::new();
-        // Which slots reached the sink. Read after every worker joined —
+        // Which slots reached the sink. Read after every deal joined —
         // the join orders the stores before the loads — so `Relaxed`.
         let delivered: Vec<AtomicBool> = picked.iter().map(|_| AtomicBool::new(false)).collect();
-        let deliver = |slot: usize, outcome| {
-            delivered[slot].store(true, Ordering::Relaxed);
-            sink.deliver(slot, outcome);
-        };
-        // A client whose outcome no worker delivered fails, billed nothing.
-        let fail = |slot: usize, reason: &str| {
-            let client = picked_ids[slot];
-            ledger.record(ClientCycleCost::unbilled(client));
-            let error = FlError::ClientFailure {
-                client,
-                reason: reason.to_owned(),
-            };
-            deliver(slot, ClientOutcome::Failed { client, error });
-        };
-        if self.workers <= 1 || picked.len() <= 1 {
+        let run = |deal: &mut [(usize, &mut RemoteClient)]| {
             slide(
-                clients,
-                picked.len(),
-                |clients, slot| cycle_begin(&mut clients[picked[slot]], broadcast),
-                |clients, slot, sent| {
-                    let client = &mut clients[picked[slot]];
-                    deliver(slot, cycle_finish(client, sent, broadcast, &ledger, faults));
+                deal,
+                deal.len(),
+                |deal, k| cycle_begin(deal[k].1, broadcast),
+                |deal, k, sent| {
+                    let (slot, client) = &mut deal[k];
+                    let outcome = cycle_finish(client, sent, broadcast, &ledger, faults);
+                    delivered[*slot].store(true, Ordering::Relaxed);
+                    sink.deliver(*slot, outcome);
                 },
             );
-        } else {
-            // Deal the selected clients round-robin into one shard per
-            // worker. The deal is a pure function of (picked, workers),
-            // so the partition — and therefore any numeric consequence of
-            // it — is reproducible. An O(n) slot map replaces the old
-            // per-client `position` scan (O(|picked|·|clients|)), which
-            // also silently collapsed duplicate picks onto one slot.
-            let mut slot_of: Vec<Option<usize>> = vec![None; clients.len()];
-            for (slot, &ci) in picked.iter().enumerate() {
-                slot_of[ci] = Some(slot);
-            }
-            let workers = self.workers.min(picked.len());
-            let mut shards: Vec<Vec<(usize, &mut RemoteClient)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (k, (slot, client)) in clients
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, c)| slot_of[i].map(|s| (s, c)))
-                .enumerate()
-            {
-                shards[k % workers].push((slot, client));
-            }
-            // Remember each worker's slot assignment so a worker that dies
-            // wholesale (a panic escaping the per-exchange guard) can be
-            // billed to exactly its undelivered clients.
-            let assignments: Vec<Vec<usize>> = shards
-                .iter()
-                .map(|shard| shard.iter().map(|(slot, _)| *slot).collect())
-                .collect();
-            // The workers split the caller's kernel budget between them.
-            let kernel_threads = threads::budget() / workers;
-            let joined = std::thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|mut shard| {
-                        let (ledger, deliver) = (&ledger, &deliver);
-                        s.spawn(move || {
-                            let n = shard.len();
-                            threads::with_budget(kernel_threads, || {
-                                slide(
-                                    shard.as_mut_slice(),
-                                    n,
-                                    |shard, k| cycle_begin(shard[k].1, broadcast),
-                                    |shard, k, sent| {
-                                        let (slot, client) = &mut shard[k];
-                                        let outcome =
-                                            cycle_finish(client, sent, broadcast, ledger, faults);
-                                        deliver(*slot, outcome);
-                                    },
-                                );
-                            })
+        };
+        match deals.as_mut_slice() {
+            [] => {}
+            [deal] => run(deal),
+            deals => {
+                let (run, kernel_threads) = (&run, threads::budget() / deals.len());
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = deals
+                        .iter_mut()
+                        .map(|deal| {
+                            s.spawn(move || threads::with_budget(kernel_threads, || run(deal)))
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().is_ok())
-                    .collect::<Vec<bool>>()
-            });
-            // The per-exchange guard makes this unreachable in practice;
-            // if it ever fires, the worker's clients fail individually
-            // rather than killing the round.
-            for (worker, _) in joined.iter().enumerate().filter(|(_, ok)| !**ok) {
-                for &slot in &assignments[worker] {
-                    if !delivered[slot].load(Ordering::Relaxed) {
-                        fail(slot, "engine worker panicked");
+                        .collect();
+                    // A deal that died outside the per-exchange guard
+                    // (which makes that unreachable in practice) is
+                    // settled below, slot by slot, not as the round.
+                    for handle in handles {
+                        let _ = handle.join();
                     }
-                }
+                });
             }
         }
+        // Every live deal delivered all its slots, so a slot still
+        // undelivered belongs to a deal that died: its client fails,
+        // billed nothing.
         for (slot, delivered) in delivered.iter().enumerate() {
             if !delivered.load(Ordering::Relaxed) {
-                fail(slot, "engine lost the client's outcome");
+                let client = clients[picked[slot]].id();
+                ledger.record(ClientCycleCost::unbilled(client));
+                let error = FlError::ClientFailure {
+                    client,
+                    reason: "engine worker panicked".to_owned(),
+                };
+                sink.deliver(slot, ClientOutcome::Failed { client, error });
             }
         }
         Ok(ledger.into_round_ledger())
-    }
-
-    /// Runs several disjoint client shards concurrently — each shard's
-    /// picked clients on this engine's own worker pool — handing `sink`
-    /// each outcome as it lands, keyed by its slot in the shards' picks
-    /// concatenated in shard order, with the upload left as it arrived.
-    /// Returns the per-shard ledgers in shard order.
-    ///
-    /// `shards` pairs each shard's clients with its *shard-local* pick
-    /// indices. Every shard's execution is independently deterministic
-    /// (fault decisions included) and outcomes stay keyed by shard +
-    /// slot, so the result is bit-identical to running the shards one
-    /// after another — which is how a multi-shard
-    /// [`Federation`](crate::runner::Federation) reproduces a one-shard
-    /// round exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::InvalidSelection`] when any shard's picks are
-    /// duplicated or out of range (checked before anything runs).
-    pub(crate) fn shards_in(
-        &self,
-        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
-        download: &ModelDownload,
-        faults: Option<&FaultPlan>,
-        sink: Sink<'_>,
-    ) -> Result<Vec<RoundLedger>> {
-        for (clients, picked) in &shards {
-            validate_picks(picked, clients.len())?;
-        }
-        let broadcast = &Broadcast::new(download);
-        if shards.len() <= 1 {
-            return shards
-                .into_iter()
-                .map(|(clients, picked)| self.cycles_in(clients, &picked, broadcast, faults, sink))
-                .collect();
-        }
-        // Shard threads split the caller's kernel budget, as workers do.
-        let kernel_threads = threads::budget() / shards.len();
-        std::thread::scope(|s| {
-            let mut base = 0;
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|(clients, picked)| {
-                    // The shard's slot j is the round's slot base + j.
-                    let shifted = move |slot: usize, outcome| sink.deliver(base + slot, outcome);
-                    base += picked.len();
-                    s.spawn(move || {
-                        threads::with_budget(kernel_threads, || {
-                            self.cycles_in(clients, &picked, broadcast, faults, Sink::new(&shifted))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().map_err(|_| FlError::Protocol {
-                        reason: "engine shard thread panicked".to_owned(),
-                    })?
-                })
-                .collect()
-        })
     }
 }
 
@@ -594,7 +524,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Workers, and shard threads above them, divide the caller's kernel
+    /// The deals of a round, flat or sharded, divide the caller's kernel
     /// budget instead of each taking the whole host.
     #[test]
     fn fan_out_divides_the_callers_kernel_budget() {
@@ -614,32 +544,34 @@ pub(crate) mod tests {
             });
             assert_eq!(take(), vec![want; 6], "budget {budget}, {workers} workers");
         }
-        // Two shards of three clients, three workers each: 12 / 2 / 3.
-        threads::with_budget(12, || {
-            let (lo, hi) = clients.split_at_mut(3);
-            let shards = vec![(lo, vec![0, 1, 2]), (hi, vec![0, 1, 2])];
-            sharded(ExecutionEngine::new(3), shards, &download()).unwrap();
-            assert_eq!(threads::budget(), 12, "the caller's budget is restored");
-        });
-        assert_eq!(take(), vec![2; 6]);
+        // Two shards of three picks, three workers: 6 deals, 12 / 6.
+        // Picks 3 + 1 at three workers: 4 deals, 12 / 4.
+        let (engine, download) = (ExecutionEngine::new(3), download());
+        for (picked, want) in [(&picked[..], 2), (&[0, 1, 2, 3][..], 3)] {
+            threads::with_budget(12, || {
+                sharded(engine, &mut clients, 2, picked, &download).unwrap();
+                assert_eq!(threads::budget(), 12, "the caller's budget is restored");
+            });
+            assert_eq!(take(), vec![want; picked.len()]);
+        }
     }
 
-    /// [`ExecutionEngine::shards_in`] with a sink that collects: the
-    /// per-shard outcomes, expanded, and ledgers in shard order.
+    /// [`ExecutionEngine::execute_cycles_with`] over `clients` cut into
+    /// `shards` by [`ShardLayout::new`], as a `LocalFleet` cuts its own.
     fn sharded(
         engine: ExecutionEngine,
-        shards: Vec<(&mut [RemoteClient], Vec<usize>)>,
+        clients: &mut [RemoteClient],
+        shards: usize,
+        picked: &[usize],
         download: &ModelDownload,
-    ) -> Result<Vec<CycleOutcomes>> {
-        let sizes: Vec<usize> = shards.iter().map(|(_, picked)| picked.len()).collect();
-        let collected = Collected::new(sizes.iter().sum());
+    ) -> Result<CycleOutcomes> {
+        let layout = ShardLayout::new(clients.len(), shards);
+        let collected = Collected::new(picked.len());
         let sink = |slot, outcome| collected.put(slot, outcome);
-        let ledgers = engine.shards_in(shards, download, None, Sink::new(&sink))?;
-        let mut outcomes = expanded(collected).into_iter();
-        let per_shard = sizes.into_iter().zip(ledgers);
-        Ok(per_shard
-            .map(|(n, ledger)| (outcomes.by_ref().take(n).collect(), ledger))
-            .collect())
+        let broadcast = Broadcast::new(download);
+        let ledger =
+            engine.cycles_in(clients, &layout, picked, &broadcast, None, Sink::new(&sink))?;
+        Ok((expanded(collected), ledger))
     }
 
     fn download() -> ModelDownload {
@@ -658,24 +590,34 @@ pub(crate) mod tests {
         }
     }
 
+    /// Bad picks are refused up front on one shard and on two: on two,
+    /// before `ShardLayout::shard_of` could panic on an out-of-range one.
     #[test]
     fn duplicate_picks_are_an_error_not_a_panic() {
         let mut clients = fleet(4, &[]);
-        for engine in [ExecutionEngine::sequential(), ExecutionEngine::new(3)] {
-            let err = engine
-                .execute_cycles_with(&mut clients, &[1, 2, 1], &download(), None)
-                .unwrap_err();
-            assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
+        for shards in [1, 2] {
+            for engine in [ExecutionEngine::sequential(), ExecutionEngine::new(3)] {
+                let err =
+                    sharded(engine, &mut clients, shards, &[1, 2, 1], &download()).unwrap_err();
+                assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
+            }
         }
     }
 
     #[test]
     fn out_of_range_picks_are_an_error_not_a_panic() {
-        let mut clients = fleet(2, &[]);
-        let err = ExecutionEngine::new(2)
-            .execute_cycles_with(&mut clients, &[0, 5], &download(), None)
+        let mut clients = fleet(4, &[]);
+        for shards in [1, 2] {
+            let err = sharded(
+                ExecutionEngine::new(2),
+                &mut clients,
+                shards,
+                &[0, 5],
+                &download(),
+            )
             .unwrap_err();
-        assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
+            assert!(matches!(err, FlError::InvalidSelection { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -719,69 +661,53 @@ pub(crate) mod tests {
         }
     }
 
-    /// A worker that dies outside the per-exchange guard (here, in the
-    /// sink) fails exactly the slots it had not delivered, and a dead
-    /// shard thread is the round's error instead of a panic in the caller.
+    /// A deal that dies outside the per-exchange guard (here, in the
+    /// sink) fails exactly the slots it had not delivered; every other
+    /// deal, of its own shard or another, completes its slots, and the
+    /// round returns.
     #[test]
-    fn a_dead_worker_fails_its_undelivered_slots_and_a_dead_shard_the_round() {
-        let got = std::sync::Mutex::new((0..4).map(|_| None).collect::<Vec<_>>());
-        let tripped = AtomicBool::new(false);
-        let sink = |slot: usize, outcome: ClientOutcome<ArrivedUpload>| {
-            if slot == 0 && !tripped.swap(true, Ordering::Relaxed) {
-                panic!("injected sink bug");
+    fn a_dead_deal_fails_only_its_undelivered_slots() {
+        // Flat at two workers the deals are slots {0, 2} and {1, 3}; two
+        // shards at one worker, {0, 1} and {2, 3}. Either way slot 0's
+        // delivery kills the first deal before it finishes its second.
+        for (workers, shards, lost, done) in [(2, 1, 2, [1, 3]), (1, 2, 1, [2, 3])] {
+            let got = std::sync::Mutex::new((0..4).map(|_| None).collect::<Vec<_>>());
+            let tripped = AtomicBool::new(false);
+            let sink = |slot: usize, outcome: ClientOutcome<ArrivedUpload>| {
+                if slot == 0 && !tripped.swap(true, Ordering::Relaxed) {
+                    panic!("injected sink bug");
+                }
+                got.lock().unwrap()[slot] = Some(outcome);
+            };
+            let mut clients = fleet(4, &[]);
+            let layout = ShardLayout::new(4, shards);
+            let download = download();
+            let ledger = ExecutionEngine::new(workers)
+                .cycles_in(
+                    &mut clients,
+                    &layout,
+                    &[0, 1, 2, 3],
+                    &Broadcast::new(&download),
+                    None,
+                    Sink::new(&sink),
+                )
+                .unwrap();
+            assert_eq!(ledger.len(), 4);
+            let got = got.into_inner().unwrap();
+            match &got[lost] {
+                Some(ClientOutcome::Failed {
+                    error: FlError::ClientFailure { reason, .. },
+                    ..
+                }) => assert_eq!(reason, "engine worker panicked"),
+                other => panic!("expected slot {lost} to fail with its deal, got {other:?}"),
             }
-            got.lock().unwrap()[slot] = Some(outcome);
-        };
-        let mut clients = fleet(4, &[]);
-        let download = download();
-        let broadcast = Broadcast::new(&download);
-        // Two workers deal slots {0, 2} and {1, 3}: slot 0's delivery
-        // kills the first worker before it finishes slot 2.
-        let ledger = ExecutionEngine::new(2)
-            .cycles_in(
-                &mut clients,
-                &[0, 1, 2, 3],
-                &broadcast,
-                None,
-                Sink::new(&sink),
-            )
-            .unwrap();
-        assert_eq!(ledger.len(), 4);
-        let got = got.into_inner().unwrap();
-        match &got[2] {
-            Some(ClientOutcome::Failed {
-                client: 2,
-                error: FlError::ClientFailure { reason, .. },
-            }) => assert_eq!(reason, "engine worker panicked"),
-            other => panic!("expected slot 2 to fail with its worker, got {other:?}"),
-        }
-        for slot in [1, 3] {
-            assert!(
-                got[slot].as_ref().is_some_and(ClientOutcome::is_completed),
-                "slot {slot}"
-            );
-        }
-
-        let tripped = AtomicBool::new(false);
-        let sink = |_: usize, _: ClientOutcome<ArrivedUpload>| {
-            if !tripped.swap(true, Ordering::Relaxed) {
-                panic!("injected sink bug");
+            for slot in done {
+                assert!(
+                    got[slot].as_ref().is_some_and(ClientOutcome::is_completed),
+                    "{shards} shards: slot {slot}"
+                );
             }
-        };
-        let mut clients = fleet(4, &[]);
-        let (lo, hi) = clients.split_at_mut(2);
-        let err = ExecutionEngine::sequential()
-            .shards_in(
-                vec![(lo, vec![0, 1]), (hi, vec![0, 1])],
-                &download,
-                None,
-                Sink::new(&sink),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(&err, FlError::Protocol { reason } if reason == "engine shard thread panicked"),
-            "{err}"
-        );
+        }
     }
 
     #[test]
@@ -829,50 +755,54 @@ pub(crate) mod tests {
             (all, tail)
         };
         let engine = ExecutionEngine::new(2);
-        let (mut a_seq, mut b_seq) = build();
-        let want_a = engine
-            .execute_cycles_with(&mut a_seq, &[0, 2], &download(), None)
-            .unwrap();
-        let want_b = engine
-            .execute_cycles_with(&mut b_seq, &[1], &download(), None)
-            .unwrap();
         let (mut a, mut b) = build();
-        let shards = vec![(a.as_mut_slice(), vec![0, 2]), (b.as_mut_slice(), vec![1])];
-        let got = sharded(engine, shards, &download()).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], want_a);
-        assert_eq!(got[1], want_b);
+        let (mut want, mut want_ledger) = engine
+            .execute_cycles_with(&mut a, &[0, 2], &download(), None)
+            .unwrap();
+        let (tail, tail_ledger) = engine
+            .execute_cycles_with(&mut b, &[1], &download(), None)
+            .unwrap();
+        want.extend(tail);
+        want_ledger.merge(&tail_ledger);
+        let mut all = fleet(6, &[]);
+        let got = sharded(engine, &mut all, 2, &[0, 2, 4], &download()).unwrap();
+        assert_eq!(got, (want, want_ledger));
     }
 
     #[test]
     fn lockstep_sessions_share_one_encode_and_one_view_per_round() {
         // A healthy delta-topk fleet, two shards of 2 workers drawing from
-        // one broadcast: whatever the worker, every session stands at the
+        // one broadcast: whatever the deal, every session stands at the
         // same epoch on the same base, so each round encodes its download
         // once — not once per client — and all sessions end up holding one
         // view allocation.
-        let mut head = fleet_speaking(CodecKind::DeltaTopK, 6, &[]);
-        let mut tail = head.split_off(3);
+        let mut clients = fleet_speaking(CodecKind::DeltaTopK, 6, &[]);
+        let layout = ShardLayout::new(6, 2);
         let engine = ExecutionEngine::new(2);
         let mut download = download();
         for round in 0..3 {
             download.round = round;
             let broadcast = Broadcast::new(&download);
-            let per_shard = [&mut head, &mut tail].map(|shard| {
-                let collected = Collected::new(3);
-                let sink = |slot, outcome| collected.put(slot, outcome);
-                engine
-                    .cycles_in(shard, &[0, 1, 2], &broadcast, None, Sink::new(&sink))
-                    .unwrap();
-                expanded(collected)
-            });
+            let collected = Collected::new(6);
+            let sink = |slot, outcome| collected.put(slot, outcome);
+            let picked = [0, 1, 2, 3, 4, 5];
+            engine
+                .cycles_in(
+                    &mut clients,
+                    &layout,
+                    &picked,
+                    &broadcast,
+                    None,
+                    Sink::new(&sink),
+                )
+                .unwrap();
             assert_eq!(broadcast.encodes(), 1, "round {round}");
-            let uploads: Vec<_> = per_shard.iter().flatten().map(completed).collect();
+            let outcomes = expanded(collected);
+            let uploads: Vec<_> = outcomes.iter().map(completed).collect();
             assert_eq!(uploads.len(), 6);
             download.weights = uploads[0].weights.clone();
         }
-        let all: Vec<&RemoteClient> = head.iter().chain(&tail).collect();
-        assert!(all.iter().all(|c| c.shares_view_with(all[0])));
+        assert!(clients.iter().all(|c| c.shares_view_with(&clients[0])));
         // A stateless codec keeps no view to share.
         let mut plain = fleet(1, &[]);
         plain[0].train(&download).unwrap();
@@ -944,38 +874,21 @@ pub(crate) mod tests {
             #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
             /// Shard-partitioned execution equals flat execution for any
-            /// cut of the fleet and any sorted pick set.
+            /// shard count `ShardLayout::new` cuts and any sorted pick set.
             #[test]
             fn execute_shards_agrees_with_flat_execution(
                 picked in proptest::collection::btree_set(0usize..N_CLIENTS, 0..N_CLIENTS + 1),
-                cut in 1usize..N_CLIENTS,
+                shards in 1usize..N_CLIENTS + 1,
                 workers in 1usize..4,
             ) {
                 let picked: Vec<usize> = picked.iter().copied().collect();
                 let download = download();
                 let engine = ExecutionEngine::new(workers);
-                let mut flat_fleet = fleet();
-                let (flat_outcomes, flat_ledger) = engine
-                    .execute_cycles_with(&mut flat_fleet, &picked, &download, None)
+                let flat = engine
+                    .execute_cycles_with(&mut fleet(), &picked, &download, None)
                     .unwrap();
-                let mut front = fleet();
-                let mut back = front.split_off(cut);
-                let front_picks: Vec<usize> = picked.iter().copied().filter(|&p| p < cut).collect();
-                let back_picks: Vec<usize> =
-                    picked.iter().copied().filter(|&p| p >= cut).map(|p| p - cut).collect();
-                let shards = vec![
-                    (front.as_mut_slice(), front_picks),
-                    (back.as_mut_slice(), back_picks),
-                ];
-                let per_shard = sharded(engine, shards, &download).unwrap();
-                let mut merged_ledger = RoundLedger::new();
-                let mut merged_outcomes = Vec::new();
-                for (outcomes, ledger) in per_shard {
-                    merged_outcomes.extend(outcomes);
-                    merged_ledger.merge(&ledger);
-                }
-                proptest::prop_assert_eq!(merged_outcomes, flat_outcomes);
-                proptest::prop_assert_eq!(merged_ledger, flat_ledger);
+                let got = sharded(engine, &mut fleet(), shards, &picked, &download).unwrap();
+                proptest::prop_assert_eq!(got, flat);
             }
         }
     }

@@ -13,9 +13,10 @@
 //!   onto the configured [`TransportKind`] (zero-copy in-process dispatch
 //!   by default, or multiplexed loopback TCP with the whole fleet served
 //!   by a small event-loop pool) and partitions them into contiguous
-//!   [`ShardLayout`] shards, each running its picks on its own
-//!   [`ExecutionEngine`] pool. [`Federation`] is the driver over one, at
-//!   any shard count; a `shard-server` process hosts one too.
+//!   [`ShardLayout`] shards, whose picks its [`ExecutionEngine`] deals
+//!   onto workers shard by shard and runs in one scope. [`Federation`] is
+//!   the driver over one, at any shard count; a `shard-server` process
+//!   hosts one too.
 //! * [`ProcessFleet`](crate::distributed::ProcessFleet) — `shard-server`
 //!   child processes behind the shard-control protocol;
 //!   [`DistributedCoordinator`](crate::distributed::DistributedCoordinator)
@@ -50,6 +51,7 @@ use crate::scheduler::{NoProtection, ProtectionScheduler};
 use crate::selection::{screen_planned, ScreenPlan, ScreeningOutcome};
 use crate::server::FlServer;
 use crate::trainer::{DefaultTrainer, LocalTrainer};
+use crate::transport::broadcast::Broadcast;
 use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
 use crate::transport::{tcp, RemoteClient, ServerEndpoint};
@@ -279,7 +281,7 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the round-execution engine (worker pool size); defaults to
+    /// Sets the round-execution engine (workers per shard); defaults to
     /// sequential execution.
     pub fn engine(mut self, engine: ExecutionEngine) -> Self {
         self.engine = engine;
@@ -343,9 +345,10 @@ impl FederationBuilder {
     }
 
     /// Partitions the fleet into `shards` contiguous engine shards
-    /// (clamped to the client count; defaults to 1), each running its
-    /// selected clients on its own worker pool, all shards concurrently
-    /// — sharding changes wall-clock scaling, never results.
+    /// (clamped to the client count; defaults to 1). The engine deals
+    /// each shard's selected clients onto deals of the shard's own, up
+    /// to its worker count, and all shards' deals run concurrently —
+    /// sharding changes wall-clock scaling, never results.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -594,27 +597,18 @@ impl Fleet for LocalFleet {
         download: &ModelDownload,
         sink: Sink<'_>,
     ) -> Result<Executed> {
-        // Shards are contiguous sub-slices of the one client vector; each
-        // runs its picks on its own worker pool, all shards concurrently
-        // (a single shard runs straight on the calling thread's pool).
-        // The layout being contiguous, a shard's picks concatenated in
-        // shard order are exactly the canonical global selection order,
-        // so the engine's slots are the round's.
-        let mut rest = self.clients.as_mut_slice();
-        let mut jobs = Vec::with_capacity(self.layout.num_shards());
-        for (s, picks) in self.layout.split_picks(picked).into_iter().enumerate() {
-            let (shard, tail) = rest.split_at_mut(self.layout.range(s).len());
-            rest = tail;
-            jobs.push((shard, picks));
-        }
-        let per_shard = self
-            .engine
-            .shards_in(jobs, download, self.faults.as_deref(), sink)?;
-        // Ledgers fold id-sorted.
-        let mut ledger = RoundLedger::new();
-        for shard_ledger in per_shard {
-            ledger.merge(&shard_ledger);
-        }
+        // The engine deals each shard's picks onto deals of its own and
+        // runs them all at once, billed to one ledger; the picks are
+        // global, so the engine's slots are the round's.
+        let broadcast = Broadcast::new(download);
+        let ledger = self.engine.cycles_in(
+            &mut self.clients,
+            &self.layout,
+            picked,
+            &broadcast,
+            self.faults.as_deref(),
+            sink,
+        )?;
         Ok(Executed {
             ledger,
             cohort_lost: false,
@@ -809,8 +803,8 @@ impl Federation {
         self.fleet.layout.num_clients()
     }
 
-    /// The configured execution engine (each shard runs its own pool of
-    /// this size).
+    /// The configured execution engine (each shard's picks are dealt
+    /// onto up to this many workers).
     pub fn engine(&self) -> ExecutionEngine {
         self.fleet.engine
     }

@@ -353,9 +353,14 @@ pub fn json_number(v: f64) -> String {
 /// into while a round is in flight. Interior locking keeps recording
 /// thread-safe; the id-sorted ledger makes the merged result independent
 /// of worker completion order.
+///
+/// Entries are kept in arrival order and sorted once, on extraction:
+/// workers of different shards record interleaved runs of ids, and an
+/// insert into the sorted ledger would shift a later shard's entries on
+/// every record of an earlier one's.
 #[derive(Debug, Default)]
 pub struct SharedLedger {
-    inner: std::sync::Mutex<RoundLedger>,
+    inner: std::sync::Mutex<Vec<ClientCycleCost>>,
 }
 
 impl SharedLedger {
@@ -366,12 +371,21 @@ impl SharedLedger {
 
     /// Thread-safe recording of one client's cycle cost.
     pub fn record(&self, entry: ClientCycleCost) {
-        self.inner.lock().expect("ledger poisoned").record(entry);
+        self.inner.lock().expect("ledger poisoned").push(entry);
     }
 
-    /// Extracts the merged per-round ledger.
+    /// Extracts the merged per-round ledger. A client recorded twice
+    /// keeps its last entry, as [`RoundLedger::record`] would.
     pub fn into_round_ledger(self) -> RoundLedger {
-        self.inner.into_inner().expect("ledger poisoned")
+        let mut entries = self.inner.into_inner().expect("ledger poisoned");
+        // Stable, so each id's entries stay in arrival order and the
+        // records below append or replace the last one only.
+        entries.sort_by_key(|e| e.client_id);
+        let mut ledger = RoundLedger::new();
+        for entry in entries {
+            ledger.record(entry);
+        }
+        ledger
     }
 }
 
@@ -589,12 +603,17 @@ mod tests {
                 });
             }
         });
+        // A client recorded again keeps its last entry.
+        shared.record(ClientCycleCost {
+            crossings: 100,
+            ..ClientCycleCost::unbilled(3)
+        });
         let ledger = std::sync::Arc::try_unwrap(shared)
             .expect("all workers joined")
             .into_round_ledger();
         let ids: Vec<u64> = ledger.entries().iter().map(|e| e.client_id).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
-        assert_eq!(ledger.total_crossings(), 28);
+        assert_eq!(ledger.total_crossings(), 28 - 3 + 100);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   verbatim from `ops::*`. This is the default everywhere and the
 //!   determinism anchor: its results are bit-identical to the pre-backend
 //!   kernels, so every seeded test and federation bit-identity gate holds
-//!   unchanged. Its convolutions check their im2col/col2im buffers out of
-//!   the `scratch` pool, which serves `Reference` only.
+//!   unchanged, down to the convolutions' per-call im2col/col2im
+//!   buffers.
 //! * [`BackendKind::Tiled`] — register-tiled GEMM micro-kernels (6×16
 //!   tiles over packed panels) with two interchangeable inner kernels: a
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only
@@ -27,7 +27,7 @@
 //!   copy of the input band (copied into the forward panels in row runs,
 //!   read in place by dW's kernel), dInput from a zero-padded copy of the
 //!   error band, one GEMM per output phase, so the conv path holds no
-//!   column buffer and checks nothing out of the pool. Deterministic per ISA path (same inputs →
+//!   column buffer. Deterministic per ISA path (same inputs →
 //!   bit-identical outputs) but *not* bit-identical to `Reference`: its
 //!   kernels reassociate floating-point reductions, so outputs agree only
 //!   to ~1e-5 relative error.
@@ -41,7 +41,6 @@
 //! worker/shard/transport combination.
 
 mod reference;
-pub(crate) mod scratch;
 mod tiled;
 
 // `Reference` and `BackendKind::kernels` stay public although only this
@@ -49,15 +48,6 @@ mod tiled;
 // kernel dispatch, and `lenet_protected` ran about 7 % slower.
 pub use reference::Reference;
 pub use tiled::{Tiled, TiledIsa};
-
-/// Column-scratch checkouts performed by the calling thread so far (a
-/// monotonic counter). Banded conv dispatchers may run bands on other
-/// threads of the caller's budget, so observe this across a
-/// *single-band* op to see exactly that op's scratch traffic — the
-/// `Tiled` backend's virtual-im2col conv path is asserted to add zero.
-pub fn thread_scratch_checkouts() -> u64 {
-    scratch::thread_checkouts()
-}
 
 use crate::ops::conv::Conv2dGeometry;
 use crate::ops::pool::PoolGeometry;

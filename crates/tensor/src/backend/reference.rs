@@ -3,13 +3,10 @@
 //! This backend is the determinism anchor of the whole reproduction: its
 //! loops are exactly the seed implementation's, so every seeded training
 //! run, every federation bit-identity gate and every recorded repro table
-//! is reproduced bit-for-bit. Only the convolution scratch allocation
-//! changed — the per-call `vec![0.0; col_len]` buffers moved to the
-//! process-wide checkout/return pool in [`super::scratch`], which cannot
-//! affect values because every kernel fully overwrites the region it
-//! reads.
+//! is reproduced bit-for-bit, down to the convolutions' per-call
+//! `vec![0.0; col_len]` im2col/col2im buffers.
 
-use super::{scratch, BackendKind, TensorBackend};
+use super::{BackendKind, TensorBackend};
 use crate::ops::conv::{col2im, im2col, Conv2dGeometry};
 use crate::ops::pool::PoolGeometry;
 
@@ -101,28 +98,27 @@ impl TensorBackend for Reference {
         let k2 = geo.in_channels * geo.kernel * geo.kernel;
         let cols = geo.out_h * geo.out_w;
         let n = input.len() / geo.in_len();
-        scratch::with_col(geo.col_len(), |col| {
-            for img in 0..n {
-                let inp = &input[img * geo.in_len()..(img + 1) * geo.in_len()];
-                im2col(inp, geo, col);
-                let out_img = &mut out[img * geo.out_len()..(img + 1) * geo.out_len()];
-                // out_img (F, cols) = W (F, k2) × col (k2, cols)
-                for f in 0..geo.out_channels {
-                    let wrow = &weights[f * k2..(f + 1) * k2];
-                    let orow = &mut out_img[f * cols..(f + 1) * cols];
-                    orow.fill(bias[f]);
-                    for (kk, &w) in wrow.iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let crow = &col[kk * cols..(kk + 1) * cols];
-                        for j in 0..cols {
-                            orow[j] += w * crow[j];
-                        }
+        let mut col = vec![0.0; geo.col_len()];
+        for img in 0..n {
+            let inp = &input[img * geo.in_len()..(img + 1) * geo.in_len()];
+            im2col(inp, geo, &mut col);
+            let out_img = &mut out[img * geo.out_len()..(img + 1) * geo.out_len()];
+            // out_img (F, cols) = W (F, k2) × col (k2, cols)
+            for f in 0..geo.out_channels {
+                let wrow = &weights[f * k2..(f + 1) * k2];
+                let orow = &mut out_img[f * cols..(f + 1) * cols];
+                orow.fill(bias[f]);
+                for (kk, &w) in wrow.iter().enumerate() {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let crow = &col[kk * cols..(kk + 1) * cols];
+                    for j in 0..cols {
+                        orow[j] += w * crow[j];
                     }
                 }
             }
-        });
+        }
     }
 
     /// Sequential backward kernel over one contiguous band of images,
@@ -141,51 +137,51 @@ impl TensorBackend for Reference {
         let k2 = geo.in_channels * geo.kernel * geo.kernel;
         let cols = geo.out_h * geo.out_w;
         let n = input.len() / geo.in_len();
-        scratch::with_col_pair(geo.col_len(), |col, dcol| {
-            for img in 0..n {
-                let inp = &input[img * geo.in_len()..(img + 1) * geo.in_len()];
-                let dout = &delta_out[img * geo.out_len()..(img + 1) * geo.out_len()];
-                im2col(inp, geo, col);
-                // dW += δ (F, cols) × colᵀ (cols, k2)
-                for f in 0..geo.out_channels {
-                    let drow = &dout[f * cols..(f + 1) * cols];
-                    let dwrow = &mut dw[f * k2..(f + 1) * k2];
-                    for kk in 0..k2 {
-                        let crow = &col[kk * cols..(kk + 1) * cols];
-                        let mut acc = 0.0f32;
-                        for j in 0..cols {
-                            acc += drow[j] * crow[j];
-                        }
-                        dwrow[kk] += acc;
+        let mut col = vec![0.0; geo.col_len()];
+        let mut dcol = vec![0.0; geo.col_len()];
+        for img in 0..n {
+            let inp = &input[img * geo.in_len()..(img + 1) * geo.in_len()];
+            let dout = &delta_out[img * geo.out_len()..(img + 1) * geo.out_len()];
+            im2col(inp, geo, &mut col);
+            // dW += δ (F, cols) × colᵀ (cols, k2)
+            for f in 0..geo.out_channels {
+                let drow = &dout[f * cols..(f + 1) * cols];
+                let dwrow = &mut dw[f * k2..(f + 1) * k2];
+                for kk in 0..k2 {
+                    let crow = &col[kk * cols..(kk + 1) * cols];
+                    let mut acc = 0.0f32;
+                    for j in 0..cols {
+                        acc += drow[j] * crow[j];
                     }
+                    dwrow[kk] += acc;
                 }
-                // db += Σ spatial δ
-                for f in 0..geo.out_channels {
-                    db[f] += dout[f * cols..(f + 1) * cols].iter().sum::<f32>();
-                }
-                if dinput.is_empty() {
-                    continue; // the caller wants the parameter gradients only
-                }
-                // dcol = Wᵀ (k2, F) × δ (F, cols); then scatter to image space.
-                dcol.fill(0.0);
-                for f in 0..geo.out_channels {
-                    let wrow = &weights[f * k2..(f + 1) * k2];
-                    let drow = &dout[f * cols..(f + 1) * cols];
-                    for kk in 0..k2 {
-                        let w = wrow[kk];
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let dcrow = &mut dcol[kk * cols..(kk + 1) * cols];
-                        for j in 0..cols {
-                            dcrow[j] += w * drow[j];
-                        }
-                    }
-                }
-                let dinp = &mut dinput[img * geo.in_len()..(img + 1) * geo.in_len()];
-                col2im(dcol, geo, dinp);
             }
-        });
+            // db += Σ spatial δ
+            for f in 0..geo.out_channels {
+                db[f] += dout[f * cols..(f + 1) * cols].iter().sum::<f32>();
+            }
+            if dinput.is_empty() {
+                continue; // the caller wants the parameter gradients only
+            }
+            // dcol = Wᵀ (k2, F) × δ (F, cols); then scatter to image space.
+            dcol.fill(0.0);
+            for f in 0..geo.out_channels {
+                let wrow = &weights[f * k2..(f + 1) * k2];
+                let drow = &dout[f * cols..(f + 1) * cols];
+                for kk in 0..k2 {
+                    let w = wrow[kk];
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let dcrow = &mut dcol[kk * cols..(kk + 1) * cols];
+                    for j in 0..cols {
+                        dcrow[j] += w * drow[j];
+                    }
+                }
+            }
+            let dinp = &mut dinput[img * geo.in_len()..(img + 1) * geo.in_len()];
+            col2im(&dcol, geo, dinp);
+        }
     }
 
     fn maxpool_forward(

@@ -44,10 +44,10 @@
 //! phase over only the taps that reach it, each reading one padded frame
 //! of the error band, and landing its tiles in `dinput` at the phase's
 //! strided positions.
-//! Frames and buffers are plain per-call `Vec`s: the conv path performs
-//! **zero** `backend::scratch` checkouts. Forward batches all images of a
-//! band into one GEMM whose writeback also applies the fused activation
-//! on the final `KC` slab — in place, when the caller keeps no `Z`.
+//! Frames and buffers are plain per-call `Vec`s, and no column matrix
+//! is ever materialised. Forward batches all images of a band into one
+//! GEMM whose writeback also applies the fused activation on the final
+//! `KC` slab — in place, when the caller keeps no `Z`.
 //!
 //! # Determinism
 //!

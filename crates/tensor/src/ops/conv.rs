@@ -153,8 +153,7 @@ impl Conv2dGeometry {
 /// Expands one `C×H×W` image into its `(C·K·K) × (OH·OW)` column matrix.
 ///
 /// Out-of-bounds taps (padding) contribute zeros. Every element of `col`
-/// is written, which is what lets the backends reuse scratch buffers
-/// across calls.
+/// is written, so `col` may hold anything on entry.
 ///
 /// # Panics
 ///

@@ -2,8 +2,8 @@
 //!
 //! The *budget* is a per-thread number: how many threads the code running
 //! on this thread may keep busy, itself included — the whole host
-//! ([`host`]) until someone divides it. Whoever fans out `k` ways (engine
-//! workers, shard threads, transport client loops) runs each branch under
+//! ([`host`]) until someone divides it. Whoever fans out `k` ways (a
+//! round's engine deals, transport client loops) runs each branch under
 //! [`with_budget`]`(budget() / k, ..)`, so nested parallelism divides the
 //! cores instead of multiplying the threads. The budget decides only
 //! *who* computes a band, never how bands are cut or combined: no bit of

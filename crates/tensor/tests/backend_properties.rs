@@ -21,9 +21,7 @@
 //!    (bit-identically on `Reference`, which runs the default unfused
 //!    replay).
 
-use gradsec_tensor::backend::{
-    thread_scratch_checkouts, BackendKind, FusedActivation, TensorBackend, Tiled, TiledIsa,
-};
+use gradsec_tensor::backend::{BackendKind, FusedActivation, TensorBackend, Tiled, TiledIsa};
 use gradsec_tensor::ops::conv::{
     col2im, conv2d_backward_with, conv2d_forward_fused_with, conv2d_forward_with, im2col,
     Conv2dGeometry,
@@ -665,47 +663,4 @@ proptest! {
             );
         }
     }
-}
-
-/// The `Tiled` conv path gathers patch taps straight into GEMM panels
-/// (virtual im2col), so it must perform **zero** column-scratch
-/// checkouts — while `Reference` on the same shapes materialises its
-/// im2col/col2im buffers through the pool. Shapes are single-band
-/// (`n = 1`), so the kernels run on the calling thread and the
-/// thread-local counter observes exactly this op's traffic.
-#[test]
-fn tiled_conv_makes_no_scratch_checkouts() {
-    let geo = Conv2dGeometry::new(3, 8, 8, 6, 3, 1, 1).unwrap();
-    let input = t(&[1, 3, 8, 8], 1);
-    let weights = t(&[6, 3 * 9], 2);
-    let bias = t(&[6], 3);
-    let delta = t(&[1, 6, geo.out_h, geo.out_w], 4);
-
-    let before = thread_scratch_checkouts();
-    let _ = conv2d_forward_with(&input, &weights, &bias, &geo, BackendKind::Tiled).unwrap();
-    let _ = conv2d_forward_fused_with(
-        &input,
-        &weights,
-        &bias,
-        &geo,
-        FusedActivation::Relu,
-        BackendKind::Tiled,
-    )
-    .unwrap();
-    let _ = conv2d_backward_with(&input, &weights, &delta, &geo, BackendKind::Tiled).unwrap();
-    assert_eq!(
-        thread_scratch_checkouts() - before,
-        0,
-        "tiled conv path touched the scratch pool"
-    );
-
-    // Sanity: the counter is live — Reference's im2col path does check
-    // buffers out on the very same shapes.
-    let before = thread_scratch_checkouts();
-    let _ = conv2d_forward_with(&input, &weights, &bias, &geo, BackendKind::Reference).unwrap();
-    let _ = conv2d_backward_with(&input, &weights, &delta, &geo, BackendKind::Reference).unwrap();
-    assert!(
-        thread_scratch_checkouts() - before >= 3,
-        "reference conv path no longer exercises the scratch pool"
-    );
 }

@@ -176,12 +176,16 @@ fn encode_peak() -> (usize, usize) {
 /// And a training step holds each layer-boundary activation once: one
 /// LeNet-5 step of 32 images peaks below twice its boundary activations
 /// (2 × 1 082 624 B) above its model, optimizer and batch, on both
-/// backends. A step whose layers each copied their input and kept `Z`
-/// beside `A` peaked at about 2.6 MB (Reference) and 2.9 MB (Tiled). On
-/// Tiled it peaks below 1.5 × those activations (about 1.38 MB): its
-/// backward data pass is one GEMM per phase over a padded frame of a
-/// band's errors. While that pass landed `Wᵀ·Δ` in a column buffer for a
-/// band of four images first, the step peaked at about 1.70 MB.
+/// backends. Reference peaks at about 1.45 MB, its convolutions
+/// allocating their im2col buffers per call; while they came from a
+/// pool, it peaked at about 1.31 MB above a live heap that held the
+/// pool's parked buffers, about 0.15 MB more. A step whose layers each
+/// copied their input and kept `Z` beside `A` peaked at about 2.6 MB
+/// (Reference) and 2.9 MB (Tiled). On Tiled it peaks below 1.5 × those
+/// activations (about 1.38 MB): its backward data pass is one GEMM per
+/// phase over a padded frame of a band's errors. While that pass landed
+/// `Wᵀ·Δ` in a column buffer for a band of four images first, the step
+/// peaked at about 1.70 MB.
 ///
 /// And a delta-topk encode of that model, drifted 1 %, peaks below two
 /// `f32` planes of its 32 768-coefficient weight tensor (2 × 131 072 B),
