@@ -23,11 +23,13 @@
 //! (ties to even). A zero sum finishes as `+0.0`.
 //!
 //! A sparse delta term checked against view `v` stands for
-//! `f32(vⱼ + δⱼ)` at its kept coordinates and `vⱼ` everywhere else. It
-//! adds `nᵢ·f32(vⱼ + δⱼ) − nᵢ·vⱼ` at its kept coordinates only, and `nᵢ`
-//! to a count kept per (view, tensor); the finish adds each count times
-//! its view once. So a sparse term costs its kept coefficients, not the
-//! model.
+//! `wⱼ = f32(vⱼ + δⱼ)` at its kept coordinates and `vⱼ` everywhere else.
+//! It adds `nᵢ·wⱼ − nᵢ·vⱼ` at its kept coordinates only, and `nᵢ` to a
+//! count kept per (view, tensor); the finish adds each count times its
+//! view once. So a sparse term costs its kept coefficients, not the
+//! model. Where `f32(wⱼ − vⱼ)` is `wⱼ − vⱼ` exactly — its TwoSum residual
+//! is zero, which holds whenever |δⱼ| ≤ |vⱼ| — the difference is one
+//! product, `nᵢ·f32(wⱼ − vⱼ)`; otherwise it is the two.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -123,7 +125,7 @@ impl Fold {
             self.window = self.dims.iter().map(|d| vec![0; len(d)]).collect();
             self.chunk = vec![0.0; FOLD_CHUNK];
         }
-        // A sparse tensor adds two products at a kept coordinate.
+        // A sparse tensor adds at most two products at a kept coordinate.
         let sparse = (0..count).any(|i| weights.delta(i).is_some());
         self.reserve(if sparse { 2 } else { 1 });
         let n = Scale::new(samples as u64);
@@ -147,8 +149,14 @@ impl Fold {
                         // What the term stands for here, as `rebuild` adds it.
                         let w = v + d;
                         let acc = &mut window[j];
-                        add(acc, &mut self.overflow, client, (i, j), n, w)?;
-                        add(acc, &mut self.overflow, client, (i, j), n, -v)?;
+                        let e = w - v;
+                        if two_sum_residual(w, -v, e) == 0.0 {
+                            // `e` is `w − v` exactly: n·e is n·w − n·v.
+                            add(acc, &mut self.overflow, client, (i, j), n, e)?;
+                        } else {
+                            add(acc, &mut self.overflow, client, (i, j), n, w)?;
+                            add(acc, &mut self.overflow, client, (i, j), n, -v)?;
+                        }
                     }
                 }
                 None => {
@@ -197,14 +205,14 @@ impl Fold {
         sum
     }
 
-    /// The average: each coordinate's exact Σ divided by `total` and
-    /// rounded to the nearest f32 once.
+    /// Adds each sparse term's view times the terms' Σ nᵢ, so the sums
+    /// stand for every term in full.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::BadAggregation`] if a sparse term's view holds a
-    /// non-finite coefficient, which no update can average to.
-    pub(super) fn finish(mut self, total: usize) -> Result<ModelWeights> {
+    /// Returns [`FlError::BadAggregation`] if a view holds a non-finite
+    /// coefficient.
+    fn fold_views(&mut self) -> Result<()> {
         for (view, counts) in std::mem::take(&mut self.views) {
             for (i, &c) in counts.iter().enumerate().filter(|(_, c)| **c != 0) {
                 self.reserve(1);
@@ -221,6 +229,18 @@ impl Fold {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// The average: each coordinate's exact Σ divided by `total` and
+    /// rounded to the nearest f32 once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::BadAggregation`] if a sparse term's view holds a
+    /// non-finite coefficient, which no update can average to.
+    pub(super) fn finish(mut self, total: usize) -> Result<ModelWeights> {
+        self.fold_views()?;
         let n = total as u64;
         let mut overflow = self.overflow.keys().copied().peekable();
         let tensors = self
@@ -239,6 +259,16 @@ impl Fold {
             });
         Ok(layers(tensors))
     }
+}
+
+/// What `s = f32(a + b)` misses of `a + b`: Knuth's TwoSum error term.
+/// It is exact when no step overflows, and not finite when one does or
+/// an operand is infinite or NaN, so it is zero only when `s` is `a + b`
+/// exactly.
+#[inline]
+fn two_sum_residual(a: f32, b: f32, s: f32) -> f32 {
+    let b_part = s - a;
+    (a - (s - b_part)) + (b - b_part)
 }
 
 /// `|x| = m · 2^(e − 149)`: the sign, the integer significand `m` and the
@@ -674,30 +704,99 @@ mod tests {
     }
 
     /// A one-tensor-pair model whose weight tensor holds `xs`.
-    fn term(xs: &[f32]) -> ArrivedWeights {
-        ArrivedWeights::Dense(ModelWeights::new(vec![LayerWeights {
+    fn model(xs: &[f32]) -> ModelWeights {
+        ModelWeights::new(vec![LayerWeights {
             w: Tensor::from_vec(xs.to_vec(), &[xs.len()]).unwrap(),
             b: Tensor::from_vec(vec![0.0], &[1]).unwrap(),
-        }]))
+        }])
     }
 
-    /// Every fold of `terms`, `(nᵢ, coefficients)`, in `order` sums to
-    /// the oracle's exact Σ at each coordinate and finishes to its
+    /// [`model`]`(xs)` as a dense term.
+    fn term(xs: &[f32]) -> ArrivedWeights {
+        ArrivedWeights::Dense(model(xs))
+    }
+
+    /// A term of the oracle property: dense coefficients, or a sparse
+    /// delta against the fold's one view, holding per coordinate the kept
+    /// delta or `None` where the view stands.
+    #[derive(Debug, Clone)]
+    enum Term {
+        Dense(Vec<f32>),
+        Delta(Vec<Option<f32>>),
+    }
+
+    impl Term {
+        /// What the term stands for at coordinate `j`: for a delta, the
+        /// view's coefficient plus the kept delta in f32, as `rebuild`
+        /// adds it.
+        fn at(&self, view: &[f32], j: usize) -> f32 {
+            match self {
+                Term::Dense(xs) => xs[j],
+                Term::Delta(ds) => ds[j].map_or(view[j], |d| view[j] + d),
+            }
+        }
+
+        /// The term as it reaches the fold: dense, or a delta in wire
+        /// form, checked against `view`.
+        fn arrived(&self, view: &Arc<ModelWeights>) -> ArrivedWeights {
+            use crate::codec::{CheckedWeights, CodecKind, EncodedBody, EncodedTensor};
+            use crate::codec::{EncodedWeights, SparseDelta};
+            let ds = match self {
+                Term::Dense(xs) => return term(xs),
+                Term::Delta(ds) => ds,
+            };
+            let kept = (ds.iter().enumerate()).filter_map(|(j, d)| d.map(|d| (j as u32, d)));
+            let tensor = |dims: Vec<usize>, body| EncodedTensor { dims, body };
+            let enc = EncodedWeights {
+                codec: CodecKind::DeltaTopK,
+                epoch: 1,
+                base_epoch: Some(0),
+                tensors: vec![
+                    tensor(
+                        vec![ds.len()],
+                        EncodedBody::TopK(SparseDelta::from_entries(kept)),
+                    ),
+                    tensor(vec![1], EncodedBody::Dense(vec![0.0])),
+                ],
+            };
+            let checked = CheckedWeights::new(enc, Some(view.clone()));
+            ArrivedWeights::Wire(Box::new(checked.expect("every kept sum is finite")))
+        }
+    }
+
+    /// Every fold of dense `terms`, `(nᵢ, coefficients)`, in `order` sums
+    /// to the oracle's exact Σ at each coordinate and finishes to its
     /// correctly rounded Σ / N.
     fn check(terms: &[(u64, Vec<f32>)], order: &[usize]) -> std::result::Result<(), String> {
+        let view = vec![0.0; terms[0].1.len()];
+        let terms: Vec<_> = (terms.iter())
+            .map(|(n, xs)| (*n, Term::Dense(xs.clone())))
+            .collect();
+        check_terms(&view, &terms, order)
+    }
+
+    /// [`check`] over dense and delta `terms`, the deltas against `view`:
+    /// once the fold has added the view for its delta terms, each
+    /// coordinate's sum is the oracle's Σ nᵢ·(what term i stands for).
+    fn check_terms(
+        view: &[f32],
+        terms: &[(u64, Term)],
+        order: &[usize],
+    ) -> std::result::Result<(), String> {
+        let shared = Arc::new(model(view));
         let mut fold = Fold::new(None);
         for &t in order {
-            let (n, xs) = &terms[t];
-            fold.add(t as u64, *n as usize, &term(xs))
+            let (n, term) = &terms[t];
+            fold.add(t as u64, *n as usize, &term.arrived(&shared))
                 .map_err(|e| e.to_string())?;
         }
+        fold.fold_views().map_err(|e| e.to_string())?;
         let total: u64 = terms.iter().map(|(n, _)| n).sum();
-        let coords = terms[0].1.len();
-        let sums: Vec<Wide> = (0..coords).map(|j| fold.sum(0, j)).collect();
+        let sums: Vec<Wide> = (0..view.len()).map(|j| fold.sum(0, j)).collect();
         let got = fold.finish(total as usize).unwrap();
         for (j, wide) in sums.iter().enumerate() {
-            let want = terms.iter().fold(Big::zero(), |acc, (n, xs)| {
-                acc.add(&Big::product(*n, xs[j]))
+            let want = terms.iter().fold(Big::zero(), |acc, (n, term)| {
+                acc.add(&Big::product(*n, term.at(view, j)))
             });
             if Big::of_wide(wide) != want {
                 return Err(format!("coordinate {j}: sum {wide:?}, oracle {want:?}"));
@@ -747,13 +846,18 @@ mod tests {
         /// neighbours), exactly cancelling pairs and sample counts up to
         /// `u32::MAX`, every permutation of the terms sums to the
         /// big-integer oracle's Σ nᵢ·xᵢ at every coordinate, and finishes
-        /// to Σ / N rounded to the nearest f32.
+        /// to Σ / N rounded to the nearest f32. Any term may be a sparse
+        /// delta against a view drawn from the same values, whose kept
+        /// coefficient takes one product where `f32(v + d) − v` is exact
+        /// and two where it is not (|d| ≫ |v|).
         #[test]
         fn the_exact_fold_is_the_oracle_sum_in_any_order(
             picks in proptest::collection::vec((proptest::any::<u8>(), -4.0f32..4.0), 3..25),
             counts in proptest::collection::vec((0u8..3, proptest::any::<u32>()), 8..9),
             cancel in proptest::any::<bool>(),
             keys in proptest::collection::vec(proptest::any::<u32>(), 16..17),
+            view in proptest::collection::vec((proptest::any::<u8>(), -4.0f32..4.0), 3..4),
+            deltas in proptest::any::<u8>(),
         ) {
             // Small counts, u32::MAX, and anything up to it.
             let counts: Vec<u64> = counts
@@ -764,28 +868,92 @@ mod tests {
                     _ => u64::from(x.max(1)),
                 })
                 .collect();
-            // Up to eight terms over three coordinates.
+            let view: Vec<f32> = view.iter().map(|&(p, o)| special(p, o)).collect();
+            // Up to eight terms over three coordinates; term t is a delta
+            // if bit t of `deltas` is set, keeping the coordinates whose
+            // pick has bit 6 clear (a sum that would not be finite is
+            // dropped, as the arrival check refuses it).
             let per = 3;
-            let mut terms: Vec<(u64, Vec<f32>)> = picks
+            let mut terms: Vec<(u64, Term)> = picks
                 .chunks_exact(per)
                 .zip(&counts)
-                .map(|(xs, &n)| (n, xs.iter().map(|&(p, o)| special(p, o)).collect()))
+                .enumerate()
+                .map(|(t, (xs, &n))| {
+                    let xs = xs.iter().map(|&(p, o)| (p, special(p, o)));
+                    let term = if deltas >> t & 1 == 0 {
+                        Term::Dense(xs.map(|(_, x)| x).collect())
+                    } else {
+                        let kept = |(j, (p, d)): (usize, (u8, f32))| {
+                            (p & 64 == 0 && (view[j] + d).is_finite()).then_some(d)
+                        };
+                        Term::Delta(xs.enumerate().map(kept).collect())
+                    };
+                    (n, term)
+                })
                 .collect();
             if terms.is_empty() {
-                terms.push((1, vec![1.0; per]));
+                terms.push((1, Term::Dense(vec![1.0; per])));
             }
             if cancel {
-                // Every term's exact negation, under the same count: the
-                // sum is zero, whatever the magnitudes.
-                let negated: Vec<_> = terms.iter().map(|(n, xs)| (*n, xs.iter().map(|x| -x).collect())).collect();
+                // What every term stands for, negated, under the same
+                // count: the sum is zero, whatever the magnitudes.
+                let negated: Vec<_> = (terms.iter())
+                    .map(|(n, term)| (*n, Term::Dense((0..per).map(|j| -term.at(&view, j)).collect())))
+                    .collect();
                 terms.extend(negated);
             }
             let mut order: Vec<usize> = (0..terms.len()).collect();
             order.sort_by_key(|&t| keys[t % keys.len()].rotate_left(t as u32));
             let forward: Vec<usize> = (0..terms.len()).collect();
-            proptest::prop_assert_eq!(check(&terms, &forward), Ok(()));
-            proptest::prop_assert_eq!(check(&terms, &order), Ok(()));
+            proptest::prop_assert_eq!(check_terms(&view, &terms, &forward), Ok(()));
+            proptest::prop_assert_eq!(check_terms(&view, &terms, &order), Ok(()));
         }
+    }
+
+    /// A sparse term's kept coefficient folds to the exact sum wherever
+    /// its view stands: on the window's edges (2⁻⁵⁷, 2¹³ and their
+    /// neighbours), among subnormals and at ±`f32::MAX`, under deltas far
+    /// smaller, about as large and far larger than the view — the last
+    /// making `f32(v + d) − v` inexact — and `f32::MAX` of either sign.
+    #[test]
+    fn a_sparse_term_folds_exactly_at_every_edge_of_its_view() {
+        let edge = |e: i32| 2f32.powi(e);
+        let mut views = vec![
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+        ];
+        for e in [-57, 13] {
+            views.extend([edge(e).next_down(), edge(e), edge(e).next_up()]);
+        }
+        views.extend([f32::MAX, 0.3]);
+        let views: Vec<f32> = views.iter().flat_map(|&v| [v, -v]).collect();
+        let mut inexact = 0;
+        for &v in &views {
+            let scaled = [2f32.powi(-30), 0.7, 2f32.powi(30)].map(|s| s * v.abs().max(1e-30));
+            for d in scaled.into_iter().chain([1.5, 2f32.powi(-100), f32::MAX]) {
+                for d in [d, -d] {
+                    if !(v + d).is_finite() {
+                        continue;
+                    }
+                    let e = (v + d) - v;
+                    inexact += usize::from(two_sum_residual(v + d, -v, e) != 0.0);
+                    let terms = [
+                        (3, Term::Delta(vec![Some(d), None])),
+                        (u64::from(u32::MAX), Term::Delta(vec![Some(d), Some(d)])),
+                        (5, Term::Dense(vec![v, 1.0])),
+                    ];
+                    for order in [[0, 1, 2], [2, 1, 0]] {
+                        assert_eq!(
+                            check_terms(&[v, v], &terms, &order),
+                            Ok(()),
+                            "v {v:e}, d {d:e}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(inexact > 20, "only {inexact} inexact differences drawn");
     }
 
     /// Past the window's 2¹⁷-product headroom: 2¹⁷ + 40 terms of nearly

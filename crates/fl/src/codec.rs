@@ -62,15 +62,21 @@
 //! the lower index first among equal magnitudes, where magnitudes order as
 //! `total_cmp` orders `abs()` — NaN above ±∞, ±∞ above every finite value,
 //! and −0.0 tied with +0.0. That order is the unsigned order of a delta's
-//! bits without the sign, so the encoder ranks those bits: one pass
-//! histograms their top 11 bits, a walk down from the top bin finds the
-//! bin holding the `k`-th rank, a second pass lists every delta in or
-//! above that bin in index order, and only that bin's deltas are ranked
-//! among themselves, on `(magnitude << 32) | (u32::MAX − index)`. The list,
-//! cut to the `k` deltas ranked at or above the `k`-th, is the body's
-//! index order already, so nothing is sorted. The kept set, and with it
-//! every encoded byte, is pinned by a digest test and checked against the
-//! sorting selection it replaced.
+//! bits without the sign, so the encoder ranks those bits, packed as
+//! `(magnitude << 32) | (u32::MAX − index)` so that one integer order is
+//! the kept order. It reads `x` and `r` in one pass and builds no delta
+//! tensor: a floor is read off 512 strided deltas, set low enough that
+//! about one and a half times `k` deltas reach it, and the pass lists, in
+//! index order, the packed rank of every delta at or above the floor — a
+//! word of 64 flagged with no branch, then its set bits listed. One
+//! selection on a copy of the list finds the `k`-th rank, and one walk
+//! over the list emits the gaps and values of the deltas ranked at or
+//! above it, so nothing is sorted. Every delta below the floor ranks
+//! below every listed one, so the kept set is exact whatever the floor;
+//! if the sample set it so high that fewer than `k` are listed, the pass
+//! runs again at floor 0, which lists every delta. The kept set, and with
+//! it every encoded byte, is pinned by a digest test and checked against
+//! the sorting selection it replaced.
 //!
 //! # Who holds what, when
 //!
@@ -230,9 +236,9 @@ pub enum EncodedBody {
 /// The body of a sparse delta in its wire form: the `k` kept indices as
 /// the LEB128 varints of their gaps (`idx - prev - 1`; the first gap is
 /// the first index), exactly the bytes the encoder writes, beside the `k`
-/// delta values. Only [`from_entries`](Self::from_entries) and the wire
-/// decoder build one, and [`entries`](Self::entries) is the one walk that
-/// reads the indices back.
+/// delta values. Only [`from_entries`](Self::from_entries) (the encoder
+/// through its builder) and the wire decoder build one, and
+/// [`entries`](Self::entries) is the one walk that reads the indices back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseDelta {
     gaps: Vec<u8>,
@@ -247,7 +253,12 @@ impl SparseDelta {
     /// instead of panicking in the sender.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, f32)>) -> Self {
         let entries = entries.into_iter();
-        let k = entries.size_hint().0;
+        SparseDelta::collect(entries.size_hint().0, entries)
+    }
+
+    /// [`from_entries`](Self::from_entries) with room for `k` entries
+    /// reserved: a gap byte and a value each.
+    fn collect(k: usize, entries: impl Iterator<Item = (u32, f32)>) -> Self {
         let (mut gaps, mut values) = (Vec::with_capacity(k), Vec::with_capacity(k));
         let mut next = 0u32;
         for (idx, v) in entries {
@@ -497,11 +508,7 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
         return encode_dense(t);
     }
     let k = ((n as f64 * TOPK_DENSITY).ceil() as usize).clamp(1, n);
-    let (data, ref_data) = (t.data(), reference.data());
-    let delta: Vec<f32> = data.iter().zip(ref_data).map(|(&x, &r)| x - r).collect();
-    let kept = kept_indices(&delta, k);
-    let entries = kept.iter().map(|&i| (i, delta[i as usize]));
-    let body = EncodedBody::TopK(SparseDelta::from_entries(entries));
+    let body = EncodedBody::TopK(top_k(t.data(), reference.data(), k));
     // A sparse body pays a count, a gap and a value per kept coefficient;
     // dense pays 4 bytes for every coefficient and is exact. When the
     // sparse form would not actually be smaller (tensors of a handful of
@@ -515,14 +522,8 @@ fn encode_topk(t: &Tensor, reference: &Tensor) -> EncodedTensor {
     }
 }
 
-/// The high bits of a [`magnitude`] key that [`kept_indices`] histograms:
-/// the exponent and three mantissa bits, so a bin spans an eighth of an
-/// octave.
-const RADIX_BITS: u32 = 11;
-
-/// Sub-histograms [`kept_indices`] interleaves: a run of equal keys would
-/// otherwise make each count wait on the store of the one before it.
-const RADIX_LANES: usize = 4;
+/// Keys [`sampled_floor`] reads to place the listing floor.
+const SAMPLE: usize = 512;
 
 /// `|d|` as a key whose unsigned order is `total_cmp`'s on magnitudes:
 /// the bits of `d` without the sign. NaN ranks above ±∞, ±∞ above every
@@ -532,70 +533,89 @@ fn magnitude(d: f32) -> u32 {
     d.to_bits() & 0x7fff_ffff
 }
 
-/// The histogram bin of a [`magnitude`] key: its top [`RADIX_BITS`].
+/// The rank of delta `d` at index `i`: `(key << 32) | (u32::MAX − i)`, so
+/// that one integer order is the kept order — larger magnitude first, then
+/// lower index.
 #[inline]
-fn radix_bin(key: u32) -> usize {
-    (key >> (31 - RADIX_BITS)) as usize
+fn ranked(i: usize, d: f32) -> u64 {
+    u64::from(magnitude(d)) << 32 | u64::from(u32::MAX - i as u32)
 }
 
-/// The indices of the `k` deltas that delta-topk keeps, in increasing
-/// order: the largest magnitudes, and among equal magnitudes the lowest
-/// indices; `1 <= k <= delta.len()`.
+/// The body keeping the `k` deltas `x − r` that delta-topk keeps: the
+/// largest magnitudes, and among equal magnitudes the lowest indices;
+/// `1 <= k <= x.len()`.
 ///
-/// One pass histograms the keys' top [`RADIX_BITS`], and a walk down from
-/// the top bin finds the bin holding rank `k`. A second pass lists, in
-/// index order, every delta in or above that bin: those above it are
-/// kept, and only that bin's own are ranked, packed as
-/// `(key << 32) | (u32::MAX - index)` so that one integer order is the
-/// kept order. The list is then cut to the deltas ranked at or above the
-/// `k`-th, so it never needs sorting. Its scratch is one index per listed
-/// delta and one packed key per delta of the bin: a little over `k`
-/// indices on a continuous spread, `n` of each when every delta shares
-/// one bin.
-fn kept_indices(delta: &[f32], k: usize) -> Vec<u32> {
-    let mut hist = [[0u32; 1 << RADIX_BITS]; RADIX_LANES];
-    let mut lanes = delta.chunks_exact(RADIX_LANES);
-    for d in &mut lanes {
-        for (h, &d) in hist.iter_mut().zip(d) {
-            h[radix_bin(magnitude(d))] += 1;
+/// One pass over `(x, r)` lists the rank of every delta whose key reaches
+/// a floor read off a sample ([`sampled_floor`]). Every delta below the
+/// floor ranks below every listed one, so when at least `k` are listed
+/// the kept set is the top `k` of the list, found by one selection on a
+/// copy of it; the list is in index order, so one walk over it emits the
+/// kept gaps and values together. When the sample set the floor too high
+/// and fewer than `k` are listed, the same pass runs again at floor 0,
+/// which lists every delta.
+fn top_k(x: &[f32], r: &[f32], k: usize) -> SparseDelta {
+    let mut listed = Vec::new();
+    list_at_or_above(x, r, sampled_floor(x, r, k), &mut listed);
+    if listed.len() < k {
+        list_at_or_above(x, r, 0, &mut listed);
+    }
+    let kth = *listed.clone().select_nth_unstable(listed.len() - k).1;
+    let kept = listed.iter().filter(|&&p| p >= kth).map(|&p| {
+        let i = u32::MAX - p as u32;
+        (i, x[i as usize] - r[i as usize])
+    });
+    SparseDelta::collect(k, kept)
+}
+
+/// A floor on the keys of `x − r` that about one and a half times `k`
+/// of them reach: the key [`SAMPLE`] strided deltas rank at, three
+/// standard deviations of a sample's count below where the `k`-th rank
+/// would fall. The stride is odd, so it walks across the columns of a
+/// matrix whose row length is a power of two. Tensors below four
+/// samples' worth take floor 0, which lists every delta. Only speed
+/// depends on the floor: [`top_k`] is exact for any.
+fn sampled_floor(x: &[f32], r: &[f32], k: usize) -> u32 {
+    let n = x.len();
+    if n < 4 * SAMPLE {
+        return 0;
+    }
+    let stride = (n / SAMPLE - 1) | 1;
+    let mut keys: [u32; SAMPLE] = std::array::from_fn(|s| magnitude(x[s * stride] - r[s * stride]));
+    let expected = (SAMPLE * k) as f64 / n as f64;
+    let rank = (expected + 3.0 * expected.sqrt()).ceil() as usize + 1;
+    if rank >= SAMPLE {
+        return 0;
+    }
+    let (_, &mut floor, _) = keys.select_nth_unstable(SAMPLE - rank);
+    floor
+}
+
+/// Replaces `listed` with the [`ranked`] value of every delta `x − r`
+/// whose key is at least `floor`, in index order.
+///
+/// A word of 64 deltas is flagged in a loop with no branch, its flags
+/// gathered eight at a time into a bit mask, and its set bits listed into
+/// room reserved for the word: no branch depends on one delta's flag,
+/// which on a random spread would mispredict.
+fn list_at_or_above(x: &[f32], r: &[f32], floor: u32, listed: &mut Vec<u64>) {
+    listed.clear();
+    for (w, (xs, rs)) in x.chunks(64).zip(r.chunks(64)).enumerate() {
+        let mut flags = [0u8; 64];
+        for ((f, &x), &r) in flags.iter_mut().zip(xs).zip(rs) {
+            *f = u8::from(magnitude(x - r) >= floor);
+        }
+        // Byte j of eight 0/1 bytes lands on bit 56 + j of the product.
+        let mut mask = flags.chunks_exact(8).rev().fold(0u64, |mask, eight| {
+            let bytes = u64::from_le_bytes(eight.try_into().expect("eight flags"));
+            mask << 8 | bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+        listed.reserve(xs.len());
+        while mask != 0 {
+            let i = 64 * w + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            listed.push(ranked(i, x[i] - r[i]));
         }
     }
-    for &d in lanes.remainder() {
-        hist[0][radix_bin(magnitude(d))] += 1;
-    }
-    let mut listed = 0;
-    let (bin, in_bin) = (0..1 << RADIX_BITS)
-        .rev()
-        .map(|b| (b, hist.iter().map(|h| h[b] as usize).sum::<usize>()))
-        .find(|&(_, count)| {
-            listed += count;
-            listed >= k
-        })
-        .expect("the bins hold all n >= k deltas");
-    // Each entry is written unconditionally and kept by advancing past
-    // it, because on a random spread a branch on the bin would mispredict.
-    let mut kept = vec![0u32; listed + 1];
-    let mut len = 0;
-    for (i, &d) in delta.iter().enumerate() {
-        kept[len] = i as u32;
-        len += usize::from(radix_bin(magnitude(d)) >= bin);
-    }
-    kept.truncate(listed);
-    let packed = |i: u32| u64::from(magnitude(delta[i as usize])) << 32 | u64::from(u32::MAX - i);
-    let mut ranked = vec![0u64; in_bin + 1];
-    let mut len = 0;
-    for &i in &kept {
-        let p = packed(i);
-        ranked[len] = p;
-        len += usize::from(radix_bin((p >> 32) as u32) == bin);
-    }
-    ranked.truncate(in_bin);
-    // The bin's keys rank among themselves `k - (listed - in_bin)` from
-    // the top.
-    let from_bottom = listed - k;
-    let (_, &mut kth, _) = ranked.select_nth_unstable(from_bottom);
-    kept.retain(|&i| packed(i) >= kth);
-    kept
 }
 
 /// Encodes `weights` under `codec`, stamped with `epoch`.
@@ -2047,6 +2067,58 @@ mod tests {
         let mut f = [1.0f32; 30];
         (f[4], f[8], f[20]) = (f32::NAN, -f32::MAX, f32::from_bits(1));
         assert_eq!(kept(&f), [at(&f, 0), at(&f, 4), at(&f, 8)]);
+    }
+
+    /// The encoder's worst cases by name, each encoded to the sorting
+    /// oracle's bytes: ascending magnitudes, all-equal deltas, all-zero
+    /// deltas, a NaN and ±∞ among finite deltas, every `n` in 1..=17, `k
+    /// = n`, and a periodic input whose large deltas sit on the sample's
+    /// stride, so the sampled floor lists fewer than `k` and the pass runs
+    /// again at floor 0.
+    #[test]
+    fn the_encoder_equals_the_oracle_on_its_worst_cases() {
+        let same = |t: &Tensor, r: &Tensor, what: &str| {
+            let got = encode(&encode_topk(t, r));
+            assert_eq!(got, encode(&encode_topk_oracle(t, r)), "{what}");
+        };
+        let zero = |n: usize| Tensor::zeros(&[n]);
+        let n = 5000;
+        same(&vector(n, |i| i as f32 * 1e-3), &zero(n), "ascending");
+        let r = vector(n, |i| draw(60, i));
+        same(&vector(n, |i| r.data()[i] + 0.25), &r, "all equal");
+        same(&r, &r, "all zero");
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let odd = |i: usize| special.get(i % 997).copied().unwrap_or(draw(61, i));
+        same(&vector(n, odd), &zero(n), "non-finite among finite");
+        for n in 1..=17 {
+            same(
+                &vector(n, |i| draw(62, i)),
+                &vector(n, |i| draw(63, i)),
+                "small n",
+            );
+        }
+        // k = n: every delta is kept, in index order.
+        let (x, r) = (vector(n, |i| draw(64, i)), vector(n, |i| draw(65, i)));
+        let all = (0..n).map(|i| (i as u32, x.data()[i] - r.data()[i]));
+        assert_eq!(top_k(x.data(), r.data(), n), SparseDelta::from_entries(all));
+        // The sample reads every 63rd delta of 32 768, each of them large.
+        let n = 32_768;
+        let k = ((n as f64 * TOPK_DENSITY).ceil()) as usize;
+        let periodic = vector(n, |i| {
+            if i % 63 == 0 {
+                4.0 + draw(66, i)
+            } else {
+                draw(67, i)
+            }
+        });
+        let floor = sampled_floor(periodic.data(), zero(n).data(), k);
+        let listed = periodic
+            .data()
+            .iter()
+            .filter(|d| magnitude(**d) >= floor)
+            .count();
+        assert!(listed < k, "{listed} listed at the sampled floor, k = {k}");
+        same(&periodic, &zero(n), "periodic on the stride");
     }
 
     /// The delta-topk encoder as it was before its radix selection: an

@@ -11,11 +11,11 @@
 //! Two backends ship:
 //!
 //! * [`BackendKind::Reference`] — the original scalar kernels, extracted
-//!   verbatim from `ops::*`. This is the default everywhere and the
-//!   determinism anchor: its results are bit-identical to the pre-backend
-//!   kernels, so every seeded test and federation bit-identity gate holds
-//!   unchanged, down to the convolutions' per-call im2col/col2im
-//!   buffers.
+//!   from `ops::*`, each output's chain of float operations the seed's.
+//!   This is the default everywhere and the determinism anchor: its
+//!   results are bit-identical to the pre-backend kernels, so every
+//!   seeded test and federation bit-identity gate holds unchanged, down
+//!   to the convolutions' per-call im2col/col2im buffers.
 //! * [`BackendKind::Tiled`] — register-tiled GEMM micro-kernels (6×16
 //!   tiles over packed panels) with two interchangeable inner kernels: a
 //!   portable safe-Rust one and an x86-64 AVX2+FMA one (the crate's only

@@ -1,10 +1,14 @@
-//! The original scalar kernels, extracted verbatim from `ops::*`.
+//! The original scalar kernels, extracted from `ops::*`.
 //!
-//! This backend is the determinism anchor of the whole reproduction: its
-//! loops are exactly the seed implementation's, so every seeded training
-//! run, every federation bit-identity gate and every recorded repro table
-//! is reproduced bit-for-bit, down to the convolutions' per-call
-//! `vec![0.0; col_len]` im2col/col2im buffers.
+//! This backend is the determinism anchor of the whole reproduction: each
+//! output's chain of float operations is exactly the seed
+//! implementation's — the same terms, in the same order, a multiply then
+//! an add, no fused multiply-add — so every seeded training run, every
+//! federation bit-identity gate and every recorded repro table is
+//! reproduced bit-for-bit. The loops are the seed's verbatim, down to the
+//! convolutions' per-call `vec![0.0; col_len]` im2col/col2im buffers,
+//! except `matmul_nt`'s, which advances the chains of two rows and eight
+//! columns side by side instead of one after another.
 
 use super::{BackendKind, TensorBackend};
 use crate::ops::conv::{col2im, im2col, Conv2dGeometry};
@@ -12,6 +16,52 @@ use crate::ops::pool::PoolGeometry;
 
 /// Block edge for the cache-blocked `matmul` kernel (the seed constant).
 const BLOCK: usize = 64;
+
+/// Output columns `matmul_nt` carries side by side.
+const NT_LANES: usize = 8;
+
+/// Rows `i .. i + R` of `matmul_nt`'s output, [`NT_LANES`] columns at a
+/// time and the rest one at a time.
+#[inline(always)]
+fn nt_rows<const R: usize>(a: &[f32], b: &[f32], c: &mut [f32], i: usize, k: usize, n: usize) {
+    let lanes = n - n % NT_LANES;
+    for j in (0..lanes).step_by(NT_LANES) {
+        nt_block::<R, NT_LANES>(a, b, c, (i, j), k, n);
+    }
+    for j in lanes..n {
+        nt_block::<R, 1>(a, b, c, (i, j), k, n);
+    }
+}
+
+/// Outputs `C[i + r][j + l]` for `r < R`, `l < W`, with `(i, j) = at`:
+/// each its own chain `acc += A[i + r][kk]·B[j + l][kk]` for `kk` from 0,
+/// all `R·W` chains advancing one `kk` at a time.
+#[inline(always)]
+fn nt_block<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    at: (usize, usize),
+    k: usize,
+    n: usize,
+) {
+    let (i, j) = at;
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let brows: [&[f32]; W] = std::array::from_fn(|l| &b[(j + l) * k..(j + l + 1) * k]);
+    let mut acc = [[0.0f32; W]; R];
+    for kk in 0..k {
+        let bs: [f32; W] = std::array::from_fn(|l| brows[l][kk]);
+        for (accs, arow) in acc.iter_mut().zip(arows) {
+            let x = arow[kk];
+            for (acc, &y) in accs.iter_mut().zip(&bs) {
+                *acc += x * y;
+            }
+        }
+    }
+    for (r, accs) in acc.iter().enumerate() {
+        c[(i + r) * n + j..(i + r) * n + j + W].copy_from_slice(accs);
+    }
+}
 
 /// The seed kernel set (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,17 +96,15 @@ impl TensorBackend for Reference {
     }
 
     fn matmul_nt(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        // C[i][j] = Σ_k A[i][k]·B[j][k]; contiguous in k for both operands.
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += arow[kk] * brow[kk];
-                }
-                c[i * n + j] = acc;
-            }
+        // C[i][j] = Σ_k A[i][k]·B[j][k], each output one `acc += a·b`
+        // chain over k from 0.0, as the seed wrote it. Pairs of rows and
+        // runs of `NT_LANES` columns advance their chains side by side, so
+        // the kernel waits on no add but its own output's.
+        for i in (0..m - m % 2).step_by(2) {
+            nt_rows::<2>(a, b, c, i, k, n);
+        }
+        if m % 2 == 1 {
+            nt_rows::<1>(a, b, c, m - 1, k, n);
         }
     }
 

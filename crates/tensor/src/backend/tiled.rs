@@ -1686,8 +1686,8 @@ mod tests {
         }
     }
 
-    /// Error rows that stop short of a whole image panic before the AVX2
-    /// tap kernel could read past them.
+    /// Error rows that stop short of a whole image panic in dInput's
+    /// entry check, before a phase GEMM packs its error frame from them.
     #[test]
     #[should_panic(expected = "one error row per filter")]
     fn a_short_trailing_error_image_panics() {

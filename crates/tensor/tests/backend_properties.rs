@@ -664,3 +664,32 @@ proptest! {
         }
     }
 }
+
+/// `Reference`'s `matmul_nt` advances pairs of rows and runs of columns
+/// side by side, and each output must still be the seed's one chain
+/// `acc += a·b` over k from 0.0, bit for bit: every row count from 1 to
+/// 5 (pairs and an odd row), depths 0, 1, 7, 256 and 257, and column
+/// counts below, at and past the lane width and between its multiples.
+/// The inputs spread over thirteen octaves, so a chain whose adds ran in
+/// any other order would round differently.
+#[test]
+fn reference_matmul_nt_is_the_per_output_chain() {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let spread = |dims: &[usize], seed: u64| {
+        let data = (t(dims, seed).data().iter().enumerate())
+            .map(|(i, &x)| x * 2f32.powi((i * 7 % 13) as i32 - 6))
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    };
+    for m in 1..=5 {
+        for k in [0, 1, 7, 256, 257] {
+            for n in [1, 7, 8, 9, 15, 16, 17, 30] {
+                let seed = (100 * m + 10 * k + n) as u64;
+                let (a, b) = (spread(&[m, k], seed), spread(&[n, k], seed + 1));
+                let got = matmul_nt_with(&a, &b, BackendKind::Reference).unwrap();
+                let want = seed_matmul_nt(&a, &b);
+                assert_eq!(bits(got.data()), bits(want.data()), "m {m}, k {k}, n {n}");
+            }
+        }
+    }
+}

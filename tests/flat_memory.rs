@@ -129,7 +129,8 @@ fn step_peak(backend: BackendKind) -> (usize, usize) {
         for i in 0..IMAGES {
             y.set(&[i, i % 10], 1.0).expect("in range");
         }
-        // A first step warms the kernels' scratch up; its caches go.
+        // A first step warms the allocator and the model up; its caches
+        // go.
         model.train_batch(x.clone(), &y, &mut opt).expect("trains");
         model.clear_caches();
         let before = LIVE.load(Ordering::Relaxed);
