@@ -4,8 +4,8 @@
 //!
 //! * [`fedavg`] — the classic slice-in, weights-out aggregation over one
 //!   round's updates in selection order.
-//! * [`PartialAggregate`] — the sharded path. Each engine shard packs its
-//!   updates into a partial tagged with their *global selection slots*;
+//! * [`PartialAggregate`] — the public grouped path. A caller packs
+//!   updates into partials tagged with their *global selection slots*;
 //!   partials [`merge`](PartialAggregate::merge) exactly (list
 //!   concatenation plus integer sample counts — no floating point), and
 //!   [`finish`](PartialAggregate::finish) runs the very same fold
@@ -46,8 +46,7 @@ use gradsec_nn::model::ModelWeights;
 use gradsec_tensor::Tensor;
 
 use crate::codec::{flatten, layers};
-use crate::message::{limits, ArrivedUpload, ArrivedWeights, UpdateUpload};
-use crate::wire::wire_struct;
+use crate::message::{ArrivedUpload, ArrivedWeights, UpdateUpload};
 use crate::{FlError, Result};
 
 mod fold;
@@ -312,18 +311,12 @@ pub struct AggregateOutcome {
 /// A shard's contribution to one round's aggregate: updates tagged with
 /// their global selection slots, merged exactly and finished by the exact
 /// fold (see the module docs), which no grouping or order moves. Terms
-/// wait in the form they arrived in — a shard server's int8 reply as the
-/// checked codec payload that crossed the wire, anything pushed through
-/// the public [`push`](Self::push) dense — and are read by the finish,
-/// not before.
+/// pushed through the public [`push`](Self::push) are dense; they are
+/// read by the finish, not before.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialAggregate {
     terms: Vec<(usize, ArrivedUpload)>,
 }
-
-wire_struct!(PartialAggregate {
-    terms: list(limits::MAX_LIST_ITEMS),
-});
 
 impl PartialAggregate {
     /// An empty partial.
@@ -333,10 +326,12 @@ impl PartialAggregate {
 
     /// Adds one update at its global selection slot.
     pub fn push(&mut self, slot: usize, upload: UpdateUpload) {
-        self.push_arrived(slot, upload.into());
+        self.terms.push((slot, upload.into()));
     }
 
-    /// [`push`](Self::push) for an update still in its arrival form.
+    /// [`push`](Self::push) for an update still in its arrival form: the
+    /// tests' way to fold a term in wire form.
+    #[cfg(test)]
     pub(crate) fn push_arrived(&mut self, slot: usize, upload: ArrivedUpload) {
         self.terms.push((slot, upload));
     }
@@ -357,12 +352,6 @@ impl PartialAggregate {
             .into_iter()
             .map(|(slot, upload)| (slot, upload.expand()))
             .collect()
-    }
-
-    /// [`into_terms`](Self::into_terms), each update still in the form it
-    /// arrived in.
-    pub(crate) fn into_arrived(self) -> Vec<(usize, ArrivedUpload)> {
-        self.terms
     }
 
     /// Number of updates collected so far.

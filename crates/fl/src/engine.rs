@@ -34,14 +34,15 @@
 //!   ([`execute_cycles_with`](ExecutionEngine::execute_cycles_with)) is
 //!   that same run with a sink that collects, every completed update
 //!   expanded on the way out,
-//! * the TEE accounting that arrives *on the wire* with every upload is
-//!   recorded into the round's one [`SharedLedger`] as deals finish and
-//!   merged into an id-sorted [`RoundLedger`], so the world-switch/crypto
-//!   bill stays correct under concurrency — and complete even when
-//!   clients live in other processes. A client that fails still gets a ledger entry (an
-//!   [`unbilled`](ClientCycleCost::unbilled) zero-cost one), so the round
-//!   ledger accounts every selected client, success or not, and a failure
-//!   can never leak cost into another client's slot.
+//! * the TEE accounting that arrives *on the wire* with every upload
+//!   travels on the outcome itself: a completed or straggling outcome
+//!   carries its client's bill, a failed one bills an
+//!   [`unbilled`](ClientCycleCost::unbilled) zero-cost entry
+//!   (`ClientOutcome::bill`). A round's id-sorted [`RoundLedger`] is
+//!   read off its outcomes, one bill per slot, so it accounts every
+//!   selected client, success or not, whatever order deals finished in —
+//!   and complete even when clients live in other processes — and a
+//!   failure can never leak cost into another client's slot.
 //!
 //! Failure containment: a schedule with duplicate or out-of-range indices
 //! is rejected up front ([`FlError::InvalidSelection`]) instead of
@@ -56,16 +57,16 @@
 //! contributes each client's simulated network latency for the round, and
 //! when a round deadline is configured, a client whose simulated elapsed
 //! time (latency + cycle compute on the simulated clock) overruns it comes
-//! back as [`ClientOutcome::Straggler`] — its cost still billed to the
-//! ledger, its update excluded from aggregation — instead of blocking the
-//! round. All fault decisions are pure functions of
+//! back as [`ClientOutcome::Straggler`] — carrying its cost, still billed
+//! to the ledger, its update excluded from aggregation — instead of
+//! blocking the round. All fault decisions are pure functions of
 //! `(fault seed, client, round)`, so they are identical on every deal,
 //! shard and transport.
 //!
 //! Shards are groups of deals, not a second layer of threads: a sharded
 //! round validates its global picks once, deals each shard's picks on
 //! its own, and runs all the deals in the same scope against the same
-//! sink and ledger. A deal whose thread dies outside the per-exchange
+//! sink. A deal whose thread dies outside the per-exchange
 //! guard fails its undelivered slots; the round still returns.
 //!
 //! With identical seeds — training *and* fault seeds — a 1-worker and an
@@ -77,7 +78,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use gradsec_tee::cost::{ClientCycleCost, RoundLedger, SharedLedger};
+use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
 use gradsec_tensor::ops::threads;
 
 use crate::config::ShardLayout;
@@ -105,6 +106,8 @@ pub enum ClientOutcome<U = UpdateUpload> {
         client: u64,
         /// Simulated seconds from download to (late) upload.
         elapsed_s: f64,
+        /// The cycle's bill, as its upload carried it.
+        cost: ClientCycleCost,
     },
     /// The exchange failed: a transport fault, a client-side error
     /// report, or a panic caught on the worker.
@@ -133,9 +136,15 @@ impl<U> ClientOutcome<U> {
     pub(crate) fn map<V>(self, form: impl FnOnce(U) -> V) -> ClientOutcome<V> {
         match self {
             ClientOutcome::Completed(u) => ClientOutcome::Completed(form(u)),
-            ClientOutcome::Straggler { client, elapsed_s } => {
-                ClientOutcome::Straggler { client, elapsed_s }
-            }
+            ClientOutcome::Straggler {
+                client,
+                elapsed_s,
+                cost,
+            } => ClientOutcome::Straggler {
+                client,
+                elapsed_s,
+                cost,
+            },
             ClientOutcome::Failed { client, error } => ClientOutcome::Failed { client, error },
         }
     }
@@ -151,15 +160,30 @@ impl<U> ClientOutcome<U> {
     }
 }
 
+impl ClientOutcome<ArrivedUpload> {
+    /// What the outcome bills the round ledger: a completed or straggling
+    /// cycle its cost, a failure a zero-cost entry for its client.
+    pub(crate) fn bill(&self) -> ClientCycleCost {
+        match self {
+            ClientOutcome::Completed(upload) => upload.cost,
+            ClientOutcome::Straggler { cost, .. } => *cost,
+            ClientOutcome::Failed { client, .. } => ClientCycleCost::unbilled(*client),
+        }
+    }
+}
+
 /// Per-client outcomes of one engine run, in `picked` order, plus the
-/// round's merged TEE ledger (one entry per picked client — zero-cost
-/// entries for failures).
+/// round's TEE ledger (one entry per picked client — zero-cost entries
+/// for failures).
 pub(crate) type CycleOutcomes = (Vec<ClientOutcome>, RoundLedger);
 
-/// The public, dense view of one engine run's collected outcomes.
-fn expanded(collected: Collected) -> Vec<ClientOutcome> {
+/// The public, dense view of one engine run's collected outcomes, and the
+/// ledger their bills make.
+fn expanded(collected: Collected) -> CycleOutcomes {
+    let outcomes = collected.into_outcomes();
+    let ledger = outcomes.iter().map(ClientOutcome::bill).collect();
     let dense = |o: ClientOutcome<ArrivedUpload>| o.map(ArrivedUpload::expand);
-    collected.into_outcomes().into_iter().map(dense).collect()
+    (outcomes.into_iter().map(dense).collect(), ledger)
 }
 
 /// A round-execution strategy: how many workers drive client exchanges
@@ -189,7 +213,7 @@ impl ExecutionEngine {
 
     /// Drives the cycles of the clients listed in `picked` (indices into
     /// `clients`) against `download`, returning per-client outcomes in
-    /// `picked` order plus the round's merged TEE ledger.
+    /// `picked` order plus the round's TEE ledger, read off them.
     ///
     /// A failing client (transport error, failed cycle, or a panic inside
     /// its exchange) yields a [`ClientOutcome::Failed`] in its slot; the
@@ -213,7 +237,7 @@ impl ExecutionEngine {
         let sink = |slot, outcome| collected.put(slot, outcome);
         let layout = ShardLayout::new(clients.len(), 1);
         let broadcast = Broadcast::new(download);
-        let ledger = self.cycles_in(
+        self.cycles_in(
             clients,
             &layout,
             picked,
@@ -221,15 +245,14 @@ impl ExecutionEngine {
             faults,
             Sink::new(&sink),
         )?;
-        Ok((expanded(collected), ledger))
+        Ok(expanded(collected))
     }
 
     /// [`execute_cycles_with`](Self::execute_cycles_with) over a fleet cut
     /// into `layout`'s shards, against a broadcast the caller owns — one
     /// per round, so every deal draws its download from the same memo —
     /// handing `sink` each outcome, keyed by its slot in `picked`, as its
-    /// deal finishes it, with the upload left as it arrived. Returns the
-    /// round's ledger.
+    /// deal finishes it, with the upload left as it arrived.
     ///
     /// Each shard's picks are dealt round-robin, in client order, onto
     /// `min(workers, picks in the shard)` deals — a pure function of
@@ -245,7 +268,7 @@ impl ExecutionEngine {
         broadcast: &Broadcast<'_>,
         faults: Option<&FaultPlan>,
         sink: Sink<'_>,
-    ) -> Result<RoundLedger> {
+    ) -> Result<()> {
         debug_assert_eq!(layout.num_clients(), clients.len());
         validate_picks(picked, clients.len())?;
         let mut slot_of: Vec<Option<usize>> = vec![None; clients.len()];
@@ -270,7 +293,6 @@ impl ExecutionEngine {
             deals[first_deal[s] + dealt[s] % width(s)].push((slot, client));
             dealt[s] += 1;
         }
-        let ledger = SharedLedger::new();
         // Which slots reached the sink. Read after every deal joined —
         // the join orders the stores before the loads — so `Relaxed`.
         let delivered: Vec<AtomicBool> = picked.iter().map(|_| AtomicBool::new(false)).collect();
@@ -281,7 +303,7 @@ impl ExecutionEngine {
                 |deal, k| cycle_begin(deal[k].1, broadcast),
                 |deal, k, sent| {
                     let (slot, client) = &mut deal[k];
-                    let outcome = cycle_finish(client, sent, broadcast, &ledger, faults);
+                    let outcome = cycle_finish(client, sent, broadcast, faults);
                     delivered[*slot].store(true, Ordering::Relaxed);
                     sink.deliver(*slot, outcome);
                 },
@@ -309,12 +331,10 @@ impl ExecutionEngine {
             }
         }
         // Every live deal delivered all its slots, so a slot still
-        // undelivered belongs to a deal that died: its client fails,
-        // billed nothing.
+        // undelivered belongs to a deal that died: its client fails.
         for (slot, delivered) in delivered.iter().enumerate() {
             if !delivered.load(Ordering::Relaxed) {
                 let client = clients[picked[slot]].id();
-                ledger.record(ClientCycleCost::unbilled(client));
                 let error = FlError::ClientFailure {
                     client,
                     reason: "engine worker panicked".to_owned(),
@@ -322,7 +342,7 @@ impl ExecutionEngine {
                 sink.deliver(slot, ClientOutcome::Failed { client, error });
             }
         }
-        Ok(ledger.into_round_ledger())
+        Ok(())
     }
 }
 
@@ -349,7 +369,7 @@ fn contained<T>(id: u64, half: impl FnOnce() -> Result<T>) -> Result<T> {
 
 /// Sends one client its download — the `begin` of a [`slide`] over a
 /// round's sessions. A failure here is the client's result;
-/// [`cycle_finish`] bills it in the client's turn.
+/// [`cycle_finish`] reports it in the client's turn.
 pub(crate) fn cycle_begin(
     client: &mut RemoteClient,
     broadcast: &Broadcast<'_>,
@@ -358,24 +378,21 @@ pub(crate) fn cycle_begin(
 }
 
 /// Collects one client's upload and classifies the result. On success the
-/// TEE accounting the upload carried across the transport is recorded and
-/// the simulated elapsed time (injected latency + cycle compute) is
-/// checked against any round deadline; overruns come back as stragglers
-/// with their cost still billed (and their payload dropped as it
-/// arrived). Failures of either half are billed as zero-cost ledger
-/// entries so the round accounts every selected client.
+/// simulated elapsed time (injected latency + cycle compute) is checked
+/// against any round deadline; overruns come back as stragglers carrying
+/// the cost the upload brought across the transport (their payload
+/// dropped as it arrived). Failures of either half come back as failed
+/// outcomes, which bill a zero-cost entry.
 pub(crate) fn cycle_finish(
     client: &mut RemoteClient,
     sent: Result<InFlight>,
     broadcast: &Broadcast<'_>,
-    ledger: &SharedLedger,
     faults: Option<&FaultPlan>,
 ) -> ClientOutcome<ArrivedUpload> {
     let id = client.id();
     let result = sent.and_then(|sent| contained(id, || client.train_finish(broadcast, sent)));
     match result {
         Ok(upload) => {
-            ledger.record(upload.cost);
             // Draw the latency only when a deadline can consume it: the
             // draw is deterministic either way, but a 10⁴-client round
             // should not pay a per-exchange RNG for a discarded value.
@@ -387,16 +404,14 @@ pub(crate) fn cycle_finish(
                         return ClientOutcome::Straggler {
                             client: id,
                             elapsed_s,
+                            cost: upload.cost,
                         };
                     }
                 }
             }
             ClientOutcome::Completed(upload)
         }
-        Err(error) => {
-            ledger.record(ClientCycleCost::unbilled(id));
-            ClientOutcome::Failed { client: id, error }
-        }
+        Err(error) => ClientOutcome::Failed { client: id, error },
     }
 }
 
@@ -569,9 +584,8 @@ pub(crate) mod tests {
         let collected = Collected::new(picked.len());
         let sink = |slot, outcome| collected.put(slot, outcome);
         let broadcast = Broadcast::new(download);
-        let ledger =
-            engine.cycles_in(clients, &layout, picked, &broadcast, None, Sink::new(&sink))?;
-        Ok((expanded(collected), ledger))
+        engine.cycles_in(clients, &layout, picked, &broadcast, None, Sink::new(&sink))?;
+        Ok(expanded(collected))
     }
 
     fn download() -> ModelDownload {
@@ -682,7 +696,7 @@ pub(crate) mod tests {
             let mut clients = fleet(4, &[]);
             let layout = ShardLayout::new(4, shards);
             let download = download();
-            let ledger = ExecutionEngine::new(workers)
+            ExecutionEngine::new(workers)
                 .cycles_in(
                     &mut clients,
                     &layout,
@@ -692,7 +706,6 @@ pub(crate) mod tests {
                     Sink::new(&sink),
                 )
                 .unwrap();
-            assert_eq!(ledger.len(), 4);
             let got = got.into_inner().unwrap();
             match &got[lost] {
                 Some(ClientOutcome::Failed {
@@ -726,8 +739,10 @@ pub(crate) mod tests {
                 ClientOutcome::Straggler {
                     client: 1,
                     elapsed_s,
+                    cost,
                 } => {
                     assert!(*elapsed_s > 50.0, "{elapsed_s}");
+                    assert_eq!(ledger.client(1), Some(cost));
                 }
                 other => panic!("expected a straggler, got {other:?}"),
             }
@@ -763,7 +778,10 @@ pub(crate) mod tests {
             .execute_cycles_with(&mut b, &[1], &download(), None)
             .unwrap();
         want.extend(tail);
-        want_ledger.merge(&tail_ledger);
+        tail_ledger
+            .entries()
+            .iter()
+            .for_each(|e| want_ledger.record(*e));
         let mut all = fleet(6, &[]);
         let got = sharded(engine, &mut all, 2, &[0, 2, 4], &download()).unwrap();
         assert_eq!(got, (want, want_ledger));
@@ -797,7 +815,7 @@ pub(crate) mod tests {
                 )
                 .unwrap();
             assert_eq!(broadcast.encodes(), 1, "round {round}");
-            let outcomes = expanded(collected);
+            let (outcomes, _) = expanded(collected);
             let uploads: Vec<_> = outcomes.iter().map(completed).collect();
             assert_eq!(uploads.len(), 6);
             download.weights = uploads[0].weights.clone();
@@ -823,6 +841,7 @@ pub(crate) mod tests {
         let straggler = ClientOutcome::Straggler {
             client: 9,
             elapsed_s: 2.0,
+            cost: ClientCycleCost::unbilled(9),
         };
         assert_eq!(straggler.client_id(), 9);
         assert!(!straggler.is_completed() && !straggler.is_failed());

@@ -22,14 +22,14 @@
 //! update among the round's first `k` completed ones as soon as it is
 //! certain to be one — on arrival below slot `k`, else once every slot
 //! below it has arrived — and drops the rest untouched; a fleet holds
-//! nothing for the commit.
+//! nothing for the commit. The outcome is the bill too: the commit reads
+//! the round ledger off the outcomes, so a fleet keeps no ledger beside
+//! them.
 //!
 //! The module is private: the trait bounds the public driver but cannot
 //! be named — or implemented — outside this crate.
 
 use std::sync::Mutex;
-
-use gradsec_tee::cost::RoundLedger;
 
 use crate::config::ShardLayout;
 use crate::engine::ClientOutcome;
@@ -59,8 +59,6 @@ impl<'a> Sink<'a> {
 /// What one round's execution hands back to the driver besides the
 /// outcomes it delivered.
 pub struct Executed {
-    /// One entry per picked client — zero-cost entries for failures.
-    pub ledger: RoundLedger,
     /// A whole cohort was lost with the machinery hosting it (a dead
     /// shard process) rather than client by client. The round then
     /// commits from the survivors even without a fault plan.

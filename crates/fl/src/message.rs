@@ -45,12 +45,11 @@ use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_nn::{zoo, BackendKind, Sequential};
 use gradsec_tee::attestation::{Challenge, Measurement, Quote};
-use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
+use gradsec_tee::cost::{ClientCycleCost, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
 use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
-use crate::aggregate::PartialAggregate;
 use crate::codec::{
     flat_tensor, CheckedWeights, CodecKind, EncodedWeights, SparseEntries, TensorReader,
 };
@@ -82,7 +81,7 @@ pub(crate) mod limits {
     pub(crate) const MAX_PROTECTED_LAYERS: usize = MAX_LAYERS;
 
     /// Item-count bound for list fields (candidate lists, pick lists,
-    /// aggregate terms, ledger entries): no shard legitimately hosts
+    /// shard outcomes): no shard legitimately hosts
     /// more than a million clients, so a larger prefix is hostile.
     pub(crate) const MAX_LIST_ITEMS: usize = 1 << 20;
 
@@ -115,8 +114,10 @@ pub(crate) mod limits {
 /// Version 11 ships a [`ShardConfig`]'s backend and codec as one-byte
 /// tags, drops its partition name, and drops the scale boost from
 /// [`AdversaryPlan`]. Version 12 drops the colluder fraction from
-/// [`AdversaryPlan`].
-pub const PROTOCOL_VERSION: u16 = 12;
+/// [`AdversaryPlan`]. Version 13 ships a [`ShardRoundReply`] as one list
+/// of slot-tagged outcomes, a straggler's carrying its bill, and drops
+/// the reply's ledger: the outcomes are the shard's bill.
+pub const PROTOCOL_VERSION: u16 = 13;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -222,16 +223,17 @@ pub struct EncodedUpdateUpload {
 /// the metadata the round reads (who, how many samples, what loss, what
 /// it cost) beside weights still in the form they arrived in. A session's
 /// int8 or sparse reply stays the codec payload that crossed the wire,
-/// already checked against the view it names ([`CheckedWeights`]), so a
+/// already checked against the view it names (`CheckedWeights`), so a
 /// pending update costs what it cost the network; a reply of dense bodies
 /// and a scripted fleet's update are dense on arrival and are carried as
 /// they are. A shard server's arrives in the form the control channel
 /// carried it in (see its `Wire` impl): an int8 payload as it crossed the
 /// client's wire, anything else dense.
 /// [`expand`](Self::expand) produces the coefficients; a coordinate-wise
-/// rule reads them in place through its [`ArrivedWeights`].
+/// rule reads them in place. Outside this crate it is opaque: built from
+/// an [`UpdateUpload`], decoded off a [`ShardRoundReply`] or expanded.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ArrivedUpload {
+pub struct ArrivedUpload {
     pub(crate) client_id: u64,
     pub(crate) round: u64,
     pub(crate) weights: ArrivedWeights,
@@ -306,7 +308,7 @@ impl ArrivedUpload {
     /// The dense update. Dense weights are moved, a wire payload's dense
     /// bodies too; int8 and sparse bodies are rebuilt against the view
     /// the payload was checked against, which cannot fail.
-    pub(crate) fn expand(self) -> UpdateUpload {
+    pub fn expand(self) -> UpdateUpload {
         #[cfg(test)]
         if matches!(self.weights, ArrivedWeights::Wire(_)) {
             probe::note(probe::Event::Expanded(self.client_id));
@@ -475,8 +477,8 @@ pub enum MessageKind {
     /// [`ShardRound`] — coordinator → shard-server: one round's model
     /// download plus the shard's local pick list.
     ShardRound = 15,
-    /// [`ShardRoundReply`] — shard-server → coordinator: slot-tagged
-    /// partial aggregate, non-completed outcomes and the shard ledger.
+    /// [`ShardRoundReply`] — shard-server → coordinator: one slot-tagged
+    /// outcome per pick.
     ShardRoundReply = 16,
     /// [`EncodedModelDownload`] — a [`ModelDownload`] whose weights
     /// travel as a codec payload (Figure 2-➋).
@@ -753,7 +755,7 @@ wire_struct!(UpdateUpload {
 /// the buffer as it is written — since that view is the shard server's
 /// decoded download and the coordinator holds none. `1` is the
 /// [`EncodedWeights`] of a self-contained (int8) payload as it crossed the
-/// client's wire. It decodes through [`CheckedWeights::new`] with no view,
+/// client's wire. It decodes through `CheckedWeights::new` with no view,
 /// so the one validator refuses a delta body, a non-finite coefficient or
 /// a body unlike its dims before the term exists.
 impl Wire for ArrivedUpload {
@@ -843,17 +845,6 @@ wire_struct!(ClientCycleCost {
     tee_peak_bytes,
     wire,
 });
-wire_list!(
-    RoundLedger,
-    limits::MAX_LIST_ITEMS,
-    "ledger entry count",
-    |l| (l.entries().len(), l.entries().iter()),
-    |entries: Vec<ClientCycleCost>| {
-        let mut ledger = RoundLedger::new();
-        entries.into_iter().for_each(|e| ledger.record(e));
-        ledger
-    }
-);
 
 /// Shard-server → coordinator: opens the shard-control channel with the
 /// server's protocol version plus its OS process id (diagnostics only —
@@ -1082,13 +1073,18 @@ pub struct ShardRound {
     pub slot_base: u64,
 }
 
-/// How a non-completed cycle ended on a shard.
+/// How a picked client's cycle ended on a shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardOutcomeKind {
+    /// The update arrived in time; it crosses in the form its `Wire` impl
+    /// picks, and carries the cycle's bill.
+    Completed(ArrivedUpload),
     /// The client blew the round deadline on the simulated clock.
     Straggler {
         /// Simulated elapsed seconds.
         elapsed_s: f64,
+        /// The cycle's bill.
+        cost: ClientCycleCost,
     },
     /// The exchange failed (transport fault, training error, panic).
     Failed {
@@ -1097,7 +1093,7 @@ pub enum ShardOutcomeKind {
     },
 }
 
-/// One non-completed outcome, tagged with its global selection slot.
+/// One picked client's outcome, tagged with its global selection slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutcome {
     /// Global selection slot.
@@ -1108,17 +1104,14 @@ pub struct ShardOutcome {
     pub kind: ShardOutcomeKind,
 }
 
-/// Shard-server → coordinator: one round's results — the completed
-/// updates as a [`PartialAggregate`] tagged with *global* slots, the
-/// stragglers/failures, and the shard's cost ledger.
+/// Shard-server → coordinator: one round's results, one outcome per pick
+/// at its *global* selection slot. A completed or straggling outcome
+/// carries its cycle's bill and a failure bills nothing, so the outcomes
+/// are the shard's whole bill.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRoundReply {
-    /// Completed updates at their global selection slots.
-    pub partial: PartialAggregate,
-    /// Stragglers and failures, also at global slots.
-    pub others: Vec<ShardOutcome>,
-    /// The shard's round ledger (completed and billed-failed cycles).
-    pub ledger: RoundLedger,
+    /// The shard's outcomes.
+    pub outcomes: Vec<ShardOutcome>,
 }
 
 impl ShardConfig {
@@ -1214,14 +1207,13 @@ impl Wire for ShardRound {
     }
 }
 wire_enum!(ShardOutcomeKind, "outcome kind" {
-    0 => Straggler { elapsed_s },
-    1 => Failed { reason },
+    0 => Completed { 0: upload },
+    1 => Straggler { elapsed_s, cost },
+    2 => Failed { reason },
 });
 wire_struct!(ShardOutcome { slot, client, kind });
 wire_struct!(ShardRoundReply {
-    partial,
-    others: list(limits::MAX_LIST_ITEMS),
-    ledger,
+    outcomes: list(limits::MAX_LIST_ITEMS),
 });
 
 #[cfg(test)]

@@ -25,9 +25,10 @@
 //! Every draw on the server RNG happens in the driver, fleets hand each
 //! outcome to the round's commit as it lands, keyed by selection slot,
 //! and every round commits through that one commit, which resolves the
-//! outcomes in selection order whatever order they arrive in — so for
-//! any `(fleet, shards, workers, transport)` combination the reports and
-//! final weights are bit-identical.
+//! outcomes in selection order whatever order they arrive in and reads
+//! the round's ledger off them, one bill per slot — so for any
+//! `(fleet, shards, workers, transport)` combination the reports, their
+//! ledgers included, and final weights are bit-identical.
 
 use std::sync::Arc;
 
@@ -95,8 +96,8 @@ pub struct RoundReport {
     pub mean_loss: f32,
     /// The protected layers used this round.
     pub protected_layers: Vec<usize>,
-    /// Per-client TEE accounting merged over the round (id-sorted, so
-    /// identical whichever worker finished first) — one entry per
+    /// Per-client TEE accounting read off the round's outcomes (id-sorted,
+    /// so identical whichever worker finished first) — one entry per
     /// selected client, success or not.
     pub ledger: RoundLedger,
 }
@@ -598,10 +599,10 @@ impl Fleet for LocalFleet {
         sink: Sink<'_>,
     ) -> Result<Executed> {
         // The engine deals each shard's picks onto deals of its own and
-        // runs them all at once, billed to one ledger; the picks are
-        // global, so the engine's slots are the round's.
+        // runs them all at once; the picks are global, so the engine's
+        // slots are the round's.
         let broadcast = Broadcast::new(download);
-        let ledger = self.engine.cycles_in(
+        self.engine.cycles_in(
             &mut self.clients,
             &self.layout,
             picked,
@@ -609,10 +610,7 @@ impl Fleet for LocalFleet {
             self.faults.as_deref(),
             sink,
         )?;
-        Ok(Executed {
-            ledger,
-            cohort_lost: false,
-        })
+        Ok(Executed { cohort_lost: false })
     }
 
     /// Says goodbye over every endpoint, *drops* every endpoint, then
@@ -696,8 +694,8 @@ impl<F: Fleet> RoundDriver<F> {
     }
 
     /// Runs one FL cycle — screen and select ➊, download ➋, local train
-    /// on the fleet ➌, aggregate ➍ — and merges the TEE accounting
-    /// carried on the uploads into the round ledger.
+    /// on the fleet ➌, aggregate ➍ — and bills the round ledger from the
+    /// outcomes, each with the TEE accounting its upload carried.
     ///
     /// # Errors
     ///
@@ -740,7 +738,7 @@ impl<F: Fleet> RoundDriver<F> {
             failures: groups.failures,
             mean_loss: outcome.mean_loss,
             protected_layers: download.protected_layers,
-            ledger: executed.ledger,
+            ledger: groups.ledger,
         })
     }
 
@@ -1101,14 +1099,11 @@ mod tests {
             download: &ModelDownload,
             sink: Sink<'_>,
         ) -> Result<Executed> {
-            let mut ledger = RoundLedger::new();
             for (slot, &client) in picked.iter().enumerate() {
-                ledger.record(ClientCycleCost::unbilled(client as u64));
                 let outcome = (self.outcome_of)(client as u64, download);
                 sink.deliver(slot, outcome.map(Into::into));
             }
             Ok(Executed {
-                ledger,
                 cohort_lost: self.cohort_lost,
             })
         }
@@ -1205,6 +1200,7 @@ mod tests {
             |client, _| ClientOutcome::Straggler {
                 client,
                 elapsed_s: 9.0,
+                cost: ClientCycleCost::unbilled(client),
             },
             false,
         );

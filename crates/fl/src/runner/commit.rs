@@ -11,9 +11,10 @@
 //! completed update at a slot of `k` or above, which might be surplus,
 //! waits until every slot below it has arrived: then it is added, or
 //! dropped as surplus. Stragglers and failures are recorded where they
-//! land. The groups, the earliest failure and (in the aggregation) the
-//! mean loss are read in slot order at the finish, so a round commits the
-//! same report in any arrival order.
+//! land, and every outcome's bill at its slot. The groups, the earliest
+//! failure, the ledger and (in the aggregation) the mean loss are read in
+//! slot order at the finish, so a round commits the same report in any
+//! arrival order.
 //!
 //! An outcome is deposited under a short lock, which hands back the
 //! updates it made ready; the depositing thread adds them under the
@@ -22,6 +23,7 @@
 use std::sync::Mutex;
 
 use gradsec_nn::model::ModelWeights;
+use gradsec_tee::cost::{ClientCycleCost, RoundLedger};
 
 use crate::aggregate::{AggregateOutcome, Aggregation, Aggregator};
 use crate::engine::ClientOutcome;
@@ -43,6 +45,8 @@ pub(crate) struct Commit<'r> {
 /// What has arrived, slot by slot.
 struct Deposits {
     slots: Vec<Slot>,
+    /// What each arrived slot's outcome bills.
+    bills: Vec<ClientCycleCost>,
     /// The first slot that has not arrived, or that every slot below
     /// has.
     next: usize,
@@ -62,13 +66,16 @@ enum Slot {
     Failed(FlError),
 }
 
-/// How a round's picks partition, as the report lists them.
+/// How a round's picks partition, and what they billed, as the report
+/// lists them.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Groups {
     pub(crate) participants: Vec<usize>,
     pub(crate) surplus: Vec<usize>,
     pub(crate) stragglers: Vec<usize>,
     pub(crate) failures: Vec<usize>,
+    /// One bill per pick.
+    pub(crate) ledger: RoundLedger,
 }
 
 impl<'r> Commit<'r> {
@@ -85,6 +92,7 @@ impl<'r> Commit<'r> {
             k,
             deposits: Mutex::new(Deposits {
                 slots: picked.iter().map(|_| Slot::Pending).collect(),
+                bills: vec![ClientCycleCost::default(); picked.len()],
                 next: 0,
                 completed: 0,
             }),
@@ -103,6 +111,7 @@ impl<'r> Commit<'r> {
             .deposits
             .lock()
             .expect("no deposit panics holding the lock");
+        deposits.bills[slot] = outcome.bill();
         deposits.slots[slot] = match outcome {
             ClientOutcome::Completed(upload) if slot < self.k => {
                 ready.push((slot, upload));
@@ -140,7 +149,11 @@ impl<'r> Commit<'r> {
             "a fleet delivers every slot"
         );
         let aggregation = self.aggregation.into_inner().expect("no fold panicked");
-        let mut groups = Groups::default();
+        // `picked` is sorted, so each bill lands at the ledger's end.
+        let mut groups = Groups {
+            ledger: deposits.bills.into_iter().collect(),
+            ..Groups::default()
+        };
         let mut first_err = None;
         for (slot, outcome) in deposits.slots.into_iter().enumerate() {
             let ci = self.picked[slot];
@@ -209,6 +222,7 @@ mod tests {
     use crate::message::{ArrivedWeights, UpdateUpload};
     use crate::transport::tests::bits;
     use gradsec_nn::model::LayerWeights;
+    use gradsec_tee::cost::TimeBreakdown;
     use gradsec_tensor::init;
 
     /// A model whose weight tensor spans three fold chunks.
@@ -221,17 +235,26 @@ mod tests {
 
     /// The outcome of client `client` as `kind` draws it: completed dense
     /// (0) or as an int8 payload in wire form (1), straggling (2), failed
-    /// (3), or completed dense but shaped unlike the model (4).
+    /// (3), or completed dense but shaped unlike the model (4). A cycle
+    /// that ran bills a cost of its own.
     fn outcome(client: usize, kind: u8, seed: u64) -> ClientOutcome<ArrivedUpload> {
         let id = client as u64;
         let trained = model(seed.wrapping_add(id));
+        let cost = ClientCycleCost {
+            time: TimeBreakdown {
+                user_s: 0.5 * client as f64,
+                ..TimeBreakdown::default()
+            },
+            crossings: id,
+            ..ClientCycleCost::unbilled(id)
+        };
         let mut upload = ArrivedUpload::from(UpdateUpload {
             client_id: id,
             round: 0,
             weights: trained.clone(),
             num_samples: 1 + client % 7,
             train_loss: 0.1 * client as f32,
-            cost: Default::default(),
+            cost,
         });
         match kind {
             0 => ClientOutcome::Completed(upload),
@@ -251,6 +274,7 @@ mod tests {
             2 => ClientOutcome::Straggler {
                 client: id,
                 elapsed_s: 9.0,
+                cost,
             },
             _ => ClientOutcome::Failed {
                 client: id,
@@ -280,7 +304,7 @@ mod tests {
 
         /// Whatever order a round's outcomes arrive in, and from however
         /// many threads, the commit is the one slot order gives: the same
-        /// groups, loss and error — a misshapen term's included — and
+        /// groups, one bill per pick, loss and error — a misshapen term's included — and
         /// weights bit-identical to delivery in slot order and to
         /// `PartialAggregate::finish_with` over the first `k` completed
         /// updates, under every rule, strict or tolerant. Delivered
@@ -347,8 +371,13 @@ mod tests {
                     }
                 }
 
-                // The rule spelled out: the first k completed commit.
-                let mut groups = Groups::default();
+                // The rule spelled out: the first k completed commit, and
+                // each outcome bills its pick.
+                let mut groups = Groups {
+                    ledger: outcomes.iter().map(ClientOutcome::bill).collect(),
+                    ..Groups::default()
+                };
+                proptest::prop_assert_eq!(groups.ledger.len(), n);
                 let mut partial = PartialAggregate::new();
                 let mut first_err = None;
                 for (slot, o) in outcomes.iter().enumerate() {

@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use gradsec_data::SyntheticMicro;
 use gradsec_nn::zoo;
 use gradsec_tee::attestation::Challenge;
-use gradsec_tee::cost::SharedLedger;
 
 use super::*;
 use crate::codec::flatten;
@@ -51,17 +50,13 @@ impl Fleet for OneByOne {
         sink: Sink<'_>,
     ) -> Result<Executed> {
         let fleet = &mut self.0.fleet;
-        let ledger = SharedLedger::new();
         for (slot, &ci) in picked.iter().enumerate() {
             let (client, alone) = (&mut fleet.clients[ci], Broadcast::new(download));
             let sent = cycle_begin(client, &alone).map(|(sent, _)| sent);
-            let outcome = cycle_finish(client, sent, &alone, &ledger, fleet.faults.as_deref());
+            let outcome = cycle_finish(client, sent, &alone, fleet.faults.as_deref());
             sink.deliver(slot, outcome);
         }
-        Ok(Executed {
-            ledger: ledger.into_round_ledger(),
-            cohort_lost: false,
-        })
+        Ok(Executed { cohort_lost: false })
     }
 
     fn teardown(&mut self) -> Result<()> {

@@ -595,6 +595,16 @@ impl RemoteClient {
     fn collect(&mut self, round: &Broadcast<'_>, sent: InFlight) -> Result<ArrivedUpload> {
         let InFlight { epoch, shared } = sent;
         let reply: EncodedUpdateUpload = self.finish(MessageKind::EncodedUpdateUpload)?;
+        // The reply and its bill are this session's client's: the round's
+        // ledger is read off the outcomes, one bill per pick.
+        if reply.client_id != self.id || reply.cost.client_id != self.id {
+            return Err(FlError::Protocol {
+                reason: format!(
+                    "client {} replied as client {} with a bill for client {}",
+                    self.id, reply.client_id, reply.cost.client_id
+                ),
+            });
+        }
         if reply.weights.base_epoch.is_some_and(|base| base != epoch) {
             return Err(FlError::Protocol {
                 reason: format!(
@@ -1098,6 +1108,8 @@ pub(crate) mod tests {
         NonFinite(Body, f32),
         /// Sound weights, claiming this many samples.
         Claims(usize),
+        /// Sound weights, sent and billed as this client.
+        Impersonates(u64),
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -1149,6 +1161,10 @@ pub(crate) mod tests {
                 Tamper::DeltaBody => weights.tensors[0].body = sparse(&[0]),
                 Tamper::NonFinite(body, x) => weights.tensors[0].body = body.standing_for(x, n),
                 Tamper::Claims(samples) => update.num_samples = samples,
+                Tamper::Impersonates(client) => {
+                    update.client_id = client;
+                    update.cost.client_id = client;
+                }
             }
         }
     }
@@ -1205,7 +1221,7 @@ pub(crate) mod tests {
         // — and a sparse body is a refusal only where no view exists. A
         // coefficient that would decode to NaN or ±inf is refused in every
         // body kind, naming the tensor and the position.
-        let structural: [(&[CodecKind], Tamper, &str); 8] = [
+        let structural: [(&[CodecKind], Tamper, &str); 9] = [
             (
                 &[Identity, Int8, DeltaTopK],
                 Tamper::IndexOutOfRange,
@@ -1249,6 +1265,12 @@ pub(crate) mod tests {
                 &[Identity, Int8, DeltaTopK],
                 Tamper::Claims(usize::MAX),
                 "client 1 claims 18446744073709551615 samples, outside 1..=4",
+            ),
+            // Its bill would land on client 0's, and client 1 go unbilled.
+            (
+                &[Identity, Int8, DeltaTopK],
+                Tamper::Impersonates(0),
+                "client 1 replied as client 0 with a bill for client 0",
             ),
         ];
         let mut cases: Vec<(&[CodecKind], Tamper, String)> = structural
@@ -1328,6 +1350,9 @@ pub(crate) mod tests {
                     Some(&ClientCycleCost::unbilled(0)),
                     "{what}"
                 );
+                // Client 0's bill is its own upload's, whatever client 1 sent.
+                let own = crate::engine::tests::completed(&outcomes[0]).cost;
+                assert_eq!(ledger.client(0), Some(&own), "{what}");
                 // The refused session's view did not move; its neighbour's did.
                 assert_eq!(clients[1].view_weights(), committed.as_ref(), "{what}");
                 assert_eq!(

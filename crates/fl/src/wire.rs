@@ -416,17 +416,15 @@ mod tests {
         for text in [
             refusal::<ShardScreen>(&hostile),
             refusal::<ShardScreenReply>(&hostile),
+            refusal::<ShardRoundReply>(&hostile),
         ] {
             assert!(
                 text.contains(&format!("need {} bytes", limits::MAX_LIST_ITEMS)),
                 "{text}"
             );
         }
-        // `others` sits behind an (empty) partial aggregate.
-        let mut reply = encode(&0u64);
-        reply.extend_from_slice(&hostile);
-        let text = refusal::<ShardRoundReply>(&reply);
-        assert!(text.contains("for others"), "{text}");
+        let text = refusal::<ShardRoundReply>(&hostile);
+        assert!(text.contains("for outcomes"), "{text}");
         // One past the cap is refused by the cap, whatever follows.
         let mut over = encode(&(limits::MAX_LIST_ITEMS + 1));
         over.resize(64, 0);

@@ -21,7 +21,9 @@
 
 use gradsec_fl::aggregate::{fedavg, Aggregator, PartialAggregate};
 use gradsec_fl::codec::{decode_weights, encode_weights, CodecKind};
-use gradsec_fl::message::{decode, encode, UpdateUpload};
+use gradsec_fl::message::{
+    decode, encode, ShardOutcome, ShardOutcomeKind, ShardRoundReply, UpdateUpload,
+};
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tensor::{init, Tensor};
 use proptest::prelude::*;
@@ -317,8 +319,8 @@ proptest! {
         sparse in any::<bool>(),
     ) {
         // However the updates are grouped into partials, whichever of
-        // those crossed the shard-control channel on the way (a partial
-        // travels dense, whatever form its terms waited in), and in
+        // those crossed the shard-control channel on the way (as the
+        // completed outcomes of a shard reply), and in
         // whatever order they merge, the finish restores slot order and
         // runs the fold `fedavg` runs. (Terms still in wire form cannot be
         // built outside the crate; that half of the property is
@@ -341,7 +343,7 @@ proptest! {
             let g = (i + rot) % 3;
             let partial = std::mem::take(&mut partials[g]);
             merged.merge(if shipped >> g & 1 == 1 {
-                decode(&encode(&partial)).expect("a partial round-trips")
+                through_a_shard_reply(partial)
             } else {
                 partial
             });
@@ -351,4 +353,29 @@ proptest! {
         prop_assert_eq!(out.weights, want);
         prop_assert_eq!(out.total_samples, uploads.iter().map(|u| u.num_samples).sum::<usize>());
     }
+}
+
+/// `partial`'s terms as the completed outcomes of a shard reply that
+/// crossed the shard-control channel, pushed back into a partial.
+fn through_a_shard_reply(partial: PartialAggregate) -> PartialAggregate {
+    let outcomes = partial
+        .into_terms()
+        .into_iter()
+        .map(|(slot, upload)| ShardOutcome {
+            slot: slot as u64,
+            client: upload.client_id,
+            kind: ShardOutcomeKind::Completed(upload.into()),
+        });
+    let sent = ShardRoundReply {
+        outcomes: outcomes.collect(),
+    };
+    let reply: ShardRoundReply = decode(&encode(&sent)).expect("a reply round-trips");
+    let mut back = PartialAggregate::new();
+    for o in reply.outcomes {
+        let ShardOutcomeKind::Completed(upload) = o.kind else {
+            unreachable!("only completed outcomes were sent")
+        };
+        back.push(o.slot as usize, upload.expand());
+    }
+    back
 }

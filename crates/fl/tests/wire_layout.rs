@@ -1,11 +1,17 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 12 has always produced.
+//! version 13 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 12 moved
+//! table (the failure message prints the new digests). Version 13 moved
+//! every `envelope/*` for the version stamp, one of them,
+//! `envelope/shard_round_reply`, also for its layout (one list of
+//! slot-tagged outcomes, no ledger), and the `shard_outcome/*` rows for
+//! theirs (a completed kind, and a straggler's bill); `partial_aggregate`
+//! and `round_ledger` left the table, since neither crosses the wire any
+//! more. Version 12 had moved
 //! every `envelope/*` for the version stamp, one of them,
 //! `envelope/shard_config_hostile`, also for its layout, and
 //! `adversary_plan` for its layout (no colluder fraction). Version 11 had
@@ -38,14 +44,14 @@ use gradsec_fl::message::{
 };
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tee::attestation::{Challenge, Measurement, Quote};
-use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
+use gradsec_tee::cost::{ClientCycleCost, TimeBreakdown, WireBill};
 use gradsec_tee::crypto::sha256::sha256;
 use gradsec_tee::ta::Uuid;
 use gradsec_tensor::{BackendKind, Tensor};
 
 #[path = "common/shard_terms.rs"]
 mod shard_terms;
-use shard_terms::{partial_bytes, term_bytes};
+use shard_terms::{reply_bytes, term_bytes};
 
 fn tensor(dims: &[usize], offset: f32) -> Tensor {
     let n: usize = dims.iter().product();
@@ -214,36 +220,33 @@ fn encoded(codec: CodecKind) -> EncodedWeights {
 }
 
 /// A shard's reply: a dense term, an int8 term in the form it crossed its
-/// client's wire, a straggler, a failure and the ledger. Only a shard
-/// server holds a term in wire form, so the partial is spelled in bytes.
+/// client's wire, a straggler and a failure. Only a shard server holds a
+/// term in wire form, so the completed outcomes are spelled in bytes.
 fn round_reply() -> ShardRoundReply {
     let terms = [
         term_bytes(9, &upload(3), None),
         term_bytes(4, &upload(1), Some(&encoded(CodecKind::Int8))),
     ];
-    let partial = decode(&partial_bytes(&terms)).expect("a dense and a wire-form term decode");
-    let mut ledger = RoundLedger::new();
-    ledger.record(cost(3));
-    ledger.record(cost(1));
-    ledger.record(ClientCycleCost::unbilled(6));
-    ShardRoundReply {
-        partial,
-        others: vec![
-            ShardOutcome {
-                slot: 5,
-                client: 6,
-                kind: ShardOutcomeKind::Straggler { elapsed_s: 31.5 },
+    let mut reply: ShardRoundReply =
+        decode(&reply_bytes(&terms)).expect("a dense and a wire-form term decode");
+    reply.outcomes.extend([
+        ShardOutcome {
+            slot: 5,
+            client: 6,
+            kind: ShardOutcomeKind::Straggler {
+                elapsed_s: 31.5,
+                cost: cost(6),
             },
-            ShardOutcome {
-                slot: 7,
-                client: 2,
-                kind: ShardOutcomeKind::Failed {
-                    reason: "fault injection: exchange dropped in flight".to_owned(),
-                },
+        },
+        ShardOutcome {
+            slot: 7,
+            client: 2,
+            kind: ShardOutcomeKind::Failed {
+                reason: "fault injection: exchange dropped in flight".to_owned(),
             },
-        ],
-        ledger,
-    }
+        },
+    ]);
+    reply
 }
 
 /// Encodes `msg`, checks the bytes decode back to an equal value, and
@@ -467,15 +470,15 @@ fn digests() -> Vec<(&'static str, String)> {
     file(&mut t, "dataset_spec/cifar", &shard_config(false).dataset);
     file(&mut t, "model_spec/tiny_mlp", &shard_config(true).model);
     file(&mut t, "model_spec/lenet5", &shard_config(false).model);
-    for outcome in &round_reply().others {
-        let name = match outcome.kind {
-            ShardOutcomeKind::Straggler { .. } => "shard_outcome/straggler",
-            ShardOutcomeKind::Failed { .. } => "shard_outcome/failed",
-        };
+    let outcomes = [
+        "shard_outcome/completed_dense",
+        "shard_outcome/completed_int8",
+        "shard_outcome/straggler",
+        "shard_outcome/failed",
+    ];
+    for (name, outcome) in outcomes.into_iter().zip(&round_reply().outcomes) {
         file(&mut t, name, outcome);
     }
-    file(&mut t, "partial_aggregate", &round_reply().partial);
-    file(&mut t, "round_ledger", &round_reply().ledger);
     file(
         &mut t,
         "encoded_weights/identity",
@@ -492,75 +495,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 12 (see the module comment for what moved from 11).
+/// Protocol version 13 (see the module comment for what moved from 12).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "9bc7a519c9fb517972868c07aaaa68da55194e9baf63fb78fab1b4ab6e6e8b93",
+        "342623fb6fc81743322aded76dde5f218a41dbd4070aa9ae6d8125c680415096",
     ),
     (
         "envelope/hello_ack",
-        "7accb97491e7f4f22a04a1573f88e90f5896239f10eb65e3ad7b283ebe503fb3",
+        "cb0a57079ed0794e5cc06a78135a730959048df6e648de68cc7a327d89e6f75d",
     ),
     (
         "envelope/attestation_request",
-        "26b42e6bf549e5d878e6bb33c5a1dd8aba860282b036b1c2ee287b9e743642c3",
+        "4c42a2adc11538ffabd6b6b616b40cd17e5a5397d1367925c602acddd9a48800",
     ),
     (
         "envelope/attestation_response",
-        "c4dd05eb6d16c3baab29383a5024700222f34b4763e728d783495cdb1b96f472",
+        "a20788b3c022855932606e955a4af6ebfa0e8be17cc668a25943efc82e8822f5",
     ),
     (
         "envelope/goodbye",
-        "541bc200c0eed56715e07eb88fd42b4acfd9991a9e18788a018e794b84f0565e",
+        "8e1f2bc2983332539d949ae78487728ef63ac677b6f1fabdfc264a6640764a59",
     ),
     (
         "envelope/error",
-        "f8e0dfcb020297e1444c6b8798cdf4de8042b3921755b5ad9adce821c0f4d615",
+        "8831338c6594c78e0f0ea51c50a459aaf024ae52a0ae3a060b5878ad8cb82f47",
     ),
     (
         "envelope/encoded_model_download",
-        "c4f6505943b83fd2a6fa56dada195d4bccfc7250cae84a14b4f0a4b88f22c7e5",
+        "fea0a2cf8d0d5e39a338d2a67b4b637739148b7d7f214c20f80e1a2e99396d7c",
     ),
     (
         "envelope/encoded_update_upload",
-        "a65f38fec52e4315d057a9e089031188af557ca4c5f15603ac3c634859fb1ed9",
+        "4e5e9d8a2d3c4749a88c5ac58c2a478b7957768e9a2d99a8a04749a4e89ac4a1",
     ),
     (
         "envelope/shard_hello",
-        "ba33783b0cf5cfc2811639284893248fad9aa3116f364e9299f742df3f5ea726",
+        "de7e65dcfe74120dbe471b323488f84355da16c0f7c57cae6408e53a4e0572f8",
     ),
     (
         "envelope/shard_hello_ack",
-        "8c6befbd7492c8bf3e2018e78f1c1269329bad882f696fc2b13f46afb86e3dff",
+        "484a7ae71add9931b73f28e46ec830c1a891d9a6b47547ad4ab8c78a6942afaf",
     ),
     (
         "envelope/shard_config_plain",
-        "f7a9737036e0221c096c47946165acae8e59e16e3956ef9aa31a2b5ba624257e",
+        "c8c688699e3376116f99bb3a6a19322b19f487865f2f58ad91dd6727aaa88b20",
     ),
     (
         "envelope/shard_config_hostile",
-        "00c9977e06356899714860e8a4e739afdf145846a2795d3a1c7b1ed21f4c0fd2",
+        "14748c9a968c0148aa9703942d58fa2c24eae7d822ce9a3def637ad17c87e86e",
     ),
     (
         "envelope/shard_config_ack",
-        "c67b6ba4d223978bd3407749e6d88b126f8d25f6d5a415b78205f868f8438014",
+        "c5bcf26d31ca7379f95629c0af0ca90f1107457c966f442ec6803ca26210fda5",
     ),
     (
         "envelope/shard_screen",
-        "4f9b120ec103eb4c2cbd31a0fba60b5eec3a0dcc5560befc5f7d7336efa93ef3",
+        "5f40cf329c42dcaaed02aabee8c87cc4a0768f73a17c7930506f47a111ef5eef",
     ),
     (
         "envelope/shard_screen_reply",
-        "bb17296b2e83d59b55e095b7f6f70d9905146256d03f1bd19964e8e610a66e1e",
+        "5b13b2db7babd9db0a16579065cd8a28ae62f3cfbafb620835229de5c0138812",
     ),
     (
         "envelope/shard_round",
-        "01fb1fb0cd8d2021cd01b4a99957af2bbed05fc91b395cd831644bd2643129d6",
+        "d60bbd6b14730f397447626507de2ea08fe191986cf9f47e08acf05c71afb526",
     ),
     (
         "envelope/shard_round_reply",
-        "0f5c0756afe2f51eed3e4213645af04c809b7cf6d432a67a53e3a82a2dd151d4",
+        "605e9ef912266d556cc95b3423331d72185307f439f3ae971e8d3b8cc80281cb",
     ),
     (
         "tensor",
@@ -651,20 +654,20 @@ const FROZEN: &[(&str, &str)] = &[
         "59cf9e447fcbf41a76b375bfac7461fd9c10d19be2d0c2db27c9335852091a14",
     ),
     (
+        "shard_outcome/completed_dense",
+        "efd48386ec7722636bbb4c3197e2abcf9014657831c763a8a77e69328c03382d",
+    ),
+    (
+        "shard_outcome/completed_int8",
+        "097aab52a596a3e5cfc6c68f2a081721219a2b4ad514c6315298527e38fae497",
+    ),
+    (
         "shard_outcome/straggler",
-        "6b15219b216ea503b36cdf4816b74b68a407cecd105c293fe84a4cbe5ab46ce7",
+        "4ee3ecb40c008b45c9e0e13714b98ebd690b562d2266f1354a1319f6d5042361",
     ),
     (
         "shard_outcome/failed",
-        "9947f821c08f994d975e78deb2c58e9a7c127e2f04a8c1e149aee79dee0b094f",
-    ),
-    (
-        "partial_aggregate",
-        "820ebe119575447ed3d66125937d513a7968323b274c48b15e62b5f5ae6ce312",
-    ),
-    (
-        "round_ledger",
-        "76629221e1f2353b2cc0be9a98209d0866ee37019007f582edc222e9f10f5ec5",
+        "e993fdb9045a81a435971bba76f04c44380398f8f8ae70d1270a976f114ad43e",
     ),
     (
         "encoded_weights/identity",
@@ -690,7 +693,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 12, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 13, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

@@ -5,7 +5,7 @@
 //! (the TCP frame) → decode the envelope → open the payload.
 
 use gradsec_fl::adversary::AdversaryPlan;
-use gradsec_fl::aggregate::{fedavg, PartialAggregate};
+use gradsec_fl::aggregate::fedavg;
 use gradsec_fl::codec::{
     decode_weights, dense_wire_bytes, encode_weights, int8_error_bound, CodecKind, EncodedBody,
     EncodedTensor, EncodedWeights, SparseDelta,
@@ -22,14 +22,14 @@ use gradsec_fl::message::{
 use gradsec_fl::FlError;
 use gradsec_nn::model::{LayerWeights, ModelWeights};
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
-use gradsec_tee::cost::{ClientCycleCost, RoundLedger, TimeBreakdown, WireBill};
+use gradsec_tee::cost::{ClientCycleCost, TimeBreakdown, WireBill};
 use gradsec_tee::ta::Uuid;
 use gradsec_tensor::{init, BackendKind, Tensor};
 use proptest::prelude::*;
 
 #[path = "common/shard_terms.rs"]
 mod shard_terms;
-use shard_terms::{reply_bytes, term_bytes};
+use shard_terms::{reply_bytes, term_bytes, WEIGHTS_TAG_AT};
 
 fn weights(layers: usize, width: usize, seed: u64) -> ModelWeights {
     ModelWeights::new(
@@ -245,7 +245,7 @@ proptest! {
             train_loss: 0.5,
             cost: cost(id, (crossings % 7) as f64 * 0.5, crossings, peak),
         };
-        // No envelope kind of its own: a plain upload rides in PartialAggregate.
+        // No envelope kind of its own: a shard term is its fields, tagged.
         let back: UpdateUpload = decode(&encode(&msg)).unwrap();
         prop_assert_eq!(msg, back);
     }
@@ -525,30 +525,27 @@ proptest! {
     }
 
     #[test]
-    fn shard_round_reply_wire_roundtrip(n_done in 0usize..5, n_others in 0usize..5, slot_base in 0usize..32, seed in any::<u64>()) {
-        let mut partial = PartialAggregate::new();
-        let mut ledger = RoundLedger::new();
-        for j in 0..n_done {
-            let id = (slot_base + j) as u64;
-            partial.push(slot_base + j, upload(id, seed ^ id));
-            ledger.record(cost(id, 1.0, 2, 512));
-        }
-        let others: Vec<ShardOutcome> = (0..n_others)
-            .map(|j| {
-                let slot = (slot_base + n_done + j) as u64;
-                ledger.record(ClientCycleCost::unbilled(slot));
+    fn shard_round_reply_wire_roundtrip(kinds in proptest::collection::vec(0u8..3, 0..10), slot_base in 0usize..32, seed in any::<u64>()) {
+        let outcomes = kinds
+            .iter()
+            .enumerate()
+            .map(|(j, kind)| {
+                let slot = (slot_base + j) as u64;
                 ShardOutcome {
                     slot,
                     client: slot,
-                    kind: if j % 2 == 0 {
-                        ShardOutcomeKind::Straggler { elapsed_s: 12.5 + j as f64 }
-                    } else {
-                        ShardOutcomeKind::Failed { reason: format!("injected failure {j}") }
+                    kind: match kind {
+                        0 => ShardOutcomeKind::Completed(upload(slot, seed ^ slot).into()),
+                        1 => ShardOutcomeKind::Straggler {
+                            elapsed_s: 12.5 + j as f64,
+                            cost: cost(slot, 1.0, 2, 512),
+                        },
+                        _ => ShardOutcomeKind::Failed { reason: format!("injected failure {j}") },
                     },
                 }
             })
             .collect();
-        let reply = ShardRoundReply { partial, others, ledger };
+        let reply = ShardRoundReply { outcomes };
         prop_assert_eq!(&reply, &through_envelope(MessageKind::ShardRoundReply, &reply));
     }
 
@@ -567,11 +564,13 @@ proptest! {
 
     #[test]
     fn garbled_shard_replies_never_panic(pos in 0usize..256, byte in any::<u8>()) {
-        let mut partial = PartialAggregate::new();
-        partial.push(3, upload(7, 1));
-        let mut ledger = RoundLedger::new();
-        ledger.record(cost(7, 1.0, 2, 512));
-        let reply = ShardRoundReply { partial, others: vec![], ledger };
+        let outcome = |slot, kind| ShardOutcome { slot, client: 7, kind };
+        let straggling = ShardOutcomeKind::Straggler { elapsed_s: 3.5, cost: cost(7, 1.0, 2, 512) };
+        let outcomes = vec![
+            outcome(3, ShardOutcomeKind::Completed(upload(7, 1).into())),
+            outcome(4, straggling),
+        ];
+        let reply = ShardRoundReply { outcomes };
         let mut bytes = encode(&Envelope::pack(MessageKind::ShardRoundReply, &reply));
         if pos < bytes.len() {
             bytes[pos] = byte;
@@ -583,20 +582,18 @@ proptest! {
     }
 }
 
-// Shard terms (protocol v8): a `ShardRoundReply` term tags its weights —
-// `0` and a dense model, or `1` and the self-contained payload its client
-// sent. Only a shard server holds a term in wire form, so these replies
-// are spelled in bytes.
+// Shard terms (protocol v8; one outcome list since v13): a completed
+// outcome's term tags its weights — `0` and a dense model, or `1` and the
+// self-contained payload its client sent. Only a shard server holds a term
+// in wire form, so these replies are spelled in bytes.
 
 /// A reply of `n` terms, those whose bit is set in `in_wire_form` shipped
 /// as their int8 payload, beside the dense model each term stands for.
 fn mixed_reply(n: usize, in_wire_form: u8, seed: u64) -> (Vec<u8>, Vec<ModelWeights>) {
-    let mut ledger = RoundLedger::new();
     let mut dense = Vec::new();
     let terms: Vec<Vec<u8>> = (0..n)
         .map(|j| {
             let up = upload(j as u64, seed ^ j as u64);
-            ledger.record(up.cost);
             let wire = (in_wire_form >> j & 1 == 1)
                 .then(|| encode_weights(CodecKind::Int8, 3, &up.weights, None));
             dense.push(match &wire {
@@ -606,7 +603,7 @@ fn mixed_reply(n: usize, in_wire_form: u8, seed: u64) -> (Vec<u8>, Vec<ModelWeig
             term_bytes(j, &up, wire.as_ref())
         })
         .collect();
-    (reply_bytes(&terms, &ledger), dense)
+    (reply_bytes(&terms), dense)
 }
 
 proptest! {
@@ -620,11 +617,13 @@ proptest! {
         prop_assert_eq!(&encode(&reply), &bytes);
         prop_assert_eq!(&reply, &through_envelope(MessageKind::ShardRoundReply, &reply));
         // A tag-1 term stands for its payload's decode.
-        let terms = reply.partial.into_terms();
-        prop_assert_eq!(terms.len(), n);
-        for (j, ((slot, term), want)) in terms.iter().zip(&dense).enumerate() {
-            prop_assert_eq!(*slot, j);
-            prop_assert_eq!(&term.weights, want);
+        prop_assert_eq!(reply.outcomes.len(), n);
+        for (j, (outcome, want)) in reply.outcomes.into_iter().zip(&dense).enumerate() {
+            prop_assert_eq!(outcome.slot, j as u64);
+            let ShardOutcomeKind::Completed(term) = outcome.kind else {
+                panic!("slot {j} holds a term")
+            };
+            prop_assert_eq!(&term.expand().weights, want);
         }
     }
 
@@ -663,8 +662,7 @@ fn shard_terms_the_coordinator_cannot_hold_are_refused_by_name() {
     };
     *scale = f32::INFINITY;
     let mut unknown = term_bytes(0, &up, None);
-    // Slot, client and round take 24 bytes; the tag follows.
-    unknown[24] = 2;
+    unknown[WEIGHTS_TAG_AT] = 2;
     for (term, why) in [
         (
             term_bytes(0, &up, Some(&sparse)),
@@ -676,7 +674,7 @@ fn shard_terms_the_coordinator_cannot_hold_are_refused_by_name() {
         ),
         (unknown, "unknown shard term tag 2"),
     ] {
-        let bytes = reply_bytes(&[term], &RoundLedger::new());
+        let bytes = reply_bytes(&[term]);
         let err = decode::<ShardRoundReply>(&bytes).unwrap_err();
         assert!(err.to_string().contains(why), "{why}: {err}");
     }

@@ -199,8 +199,8 @@ impl ClientCycleCost {
 }
 
 /// Per-round TEE accounting: one entry per participating client, kept
-/// sorted by client id so the merged view is deterministic regardless of
-/// the order workers finished in.
+/// sorted by client id so the ledger is deterministic regardless of the
+/// order clients finished in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundLedger {
     entries: Vec<ClientCycleCost>,
@@ -293,13 +293,6 @@ impl RoundLedger {
         out
     }
 
-    /// Folds another ledger into this one.
-    pub fn merge(&mut self, other: &RoundLedger) {
-        for e in &other.entries {
-            self.record(*e);
-        }
-    }
-
     /// Renders the ledger as a JSON object, so per-round accounting can
     /// be exported by repro binaries.
     pub fn to_json(&self) -> String {
@@ -338,6 +331,15 @@ impl RoundLedger {
     }
 }
 
+/// Records each entry in turn, as [`RoundLedger::record`] does.
+impl FromIterator<ClientCycleCost> for RoundLedger {
+    fn from_iter<I: IntoIterator<Item = ClientCycleCost>>(entries: I) -> Self {
+        let mut ledger = RoundLedger::new();
+        entries.into_iter().for_each(|e| ledger.record(e));
+        ledger
+    }
+}
+
 /// Renders an `f64` as a JSON number (`null` for non-finite values) —
 /// the one rule every hand-rolled JSON export in the workspace shares,
 /// so formats cannot drift apart.
@@ -346,46 +348,6 @@ pub fn json_number(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_owned()
-    }
-}
-
-/// A [`RoundLedger`] collector that concurrent engine workers can record
-/// into while a round is in flight. Interior locking keeps recording
-/// thread-safe; the id-sorted ledger makes the merged result independent
-/// of worker completion order.
-///
-/// Entries are kept in arrival order and sorted once, on extraction:
-/// workers of different shards record interleaved runs of ids, and an
-/// insert into the sorted ledger would shift a later shard's entries on
-/// every record of an earlier one's.
-#[derive(Debug, Default)]
-pub struct SharedLedger {
-    inner: std::sync::Mutex<Vec<ClientCycleCost>>,
-}
-
-impl SharedLedger {
-    /// An empty shared ledger.
-    pub fn new() -> Self {
-        SharedLedger::default()
-    }
-
-    /// Thread-safe recording of one client's cycle cost.
-    pub fn record(&self, entry: ClientCycleCost) {
-        self.inner.lock().expect("ledger poisoned").push(entry);
-    }
-
-    /// Extracts the merged per-round ledger. A client recorded twice
-    /// keeps its last entry, as [`RoundLedger::record`] would.
-    pub fn into_round_ledger(self) -> RoundLedger {
-        let mut entries = self.inner.into_inner().expect("ledger poisoned");
-        // Stable, so each id's entries stay in arrival order and the
-        // records below append or replace the last one only.
-        entries.sort_by_key(|e| e.client_id);
-        let mut ledger = RoundLedger::new();
-        for entry in entries {
-            ledger.record(entry);
-        }
-        ledger
     }
 }
 
@@ -583,40 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ledger_is_deterministic_under_concurrency() {
-        let shared = std::sync::Arc::new(SharedLedger::new());
-        std::thread::scope(|s| {
-            for id in 0..8u64 {
-                let shared = shared.clone();
-                s.spawn(move || {
-                    shared.record(ClientCycleCost {
-                        client_id: id,
-                        time: TimeBreakdown {
-                            user_s: id as f64,
-                            kernel_s: 0.0,
-                            alloc_s: 0.0,
-                        },
-                        crossings: id,
-                        tee_peak_bytes: id as usize,
-                        wire: WireBill::default(),
-                    });
-                });
-            }
-        });
-        // A client recorded again keeps its last entry.
-        shared.record(ClientCycleCost {
-            crossings: 100,
-            ..ClientCycleCost::unbilled(3)
-        });
-        let ledger = std::sync::Arc::try_unwrap(shared)
-            .expect("all workers joined")
-            .into_round_ledger();
-        let ids: Vec<u64> = ledger.entries().iter().map(|e| e.client_id).collect();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>());
-        assert_eq!(ledger.total_crossings(), 28 - 3 + 100);
-    }
-
-    #[test]
     fn unbilled_entries_cost_nothing_but_are_accounted() {
         let mut ledger = RoundLedger::new();
         ledger.record(ClientCycleCost::unbilled(9));
@@ -639,25 +567,6 @@ mod tests {
         assert!(ledger.client(4).expect("billed").time.total_s() > 0.0);
         assert!(ledger.client(7).is_none());
         assert_eq!(ledger.total_crossings(), 3);
-    }
-
-    #[test]
-    fn ledger_merge_folds_entries() {
-        let entry = |id: u64| ClientCycleCost {
-            client_id: id,
-            time: TimeBreakdown::default(),
-            crossings: 1,
-            tee_peak_bytes: 0,
-            wire: WireBill::default(),
-        };
-        let mut a = RoundLedger::new();
-        a.record(entry(1));
-        let mut b = RoundLedger::new();
-        b.record(entry(3));
-        b.record(entry(1));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.total_crossings(), 2);
     }
 
     #[test]

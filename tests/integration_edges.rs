@@ -287,8 +287,12 @@ fn killed_shard_downgrades_to_excluded_cohort() {
     assert_eq!(first.participants.len(), 5);
     let (sent, received) = coord.bytes_on_wire();
     // Handshake, configuration, one screen and one round over two shard
-    // channels, to the byte: the framing moves no byte.
-    assert_eq!((sent, received), (2064, 3493), "shard-control bytes moved");
+    // channels, to the byte: the framing moves no byte. The two round
+    // replies are one outcome list each (8 bytes of counts, not 24), and
+    // each of the five completed terms gains its slot's client and an
+    // outcome tag (9 bytes) but no longer repeats its 80-byte bill in a
+    // ledger: 3 493 − 2 × 16 − 5 × 71 = 3 106 received.
+    assert_eq!((sent, received), (2064, 3106), "shard-control bytes moved");
 
     // SIGKILL the second shard's process: clients 4..8 are gone. The
     // federation must keep committing rounds from the surviving shard
