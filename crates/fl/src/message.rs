@@ -741,14 +741,6 @@ wire_struct!(ModelDownload {
     plan,
     protected_layers: list(limits::MAX_PROTECTED_LAYERS),
 });
-wire_struct!(UpdateUpload {
-    client_id,
-    round,
-    weights,
-    num_samples,
-    train_loss,
-    cost,
-});
 /// A shard term's bytes: an [`UpdateUpload`]'s fields, with a one-byte tag
 /// in front of the weights. `0` is a dense [`ModelWeights`]: a term dense
 /// on arrival, and one whose bodies add to a delta view — expanded into
@@ -1283,20 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_update_upload() {
-        let msg = UpdateUpload {
-            client_id: 9,
-            round: 1,
-            weights: weights(),
-            num_samples: 320,
-            train_loss: 2.5,
-            cost: sample_cost(9),
-        };
-        let back: UpdateUpload = decode(&encode(&msg)).unwrap();
-        assert_eq!(msg, back);
-    }
-
-    #[test]
     fn roundtrip_encoded_download_and_upload() {
         use crate::codec::{encode_weights, CodecKind};
         let enc = encode_weights(CodecKind::Int8, 5, &weights(), None);
@@ -1409,22 +1387,23 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage_and_truncation() {
-        assert!(decode::<UpdateUpload>(b"short").is_err());
-        let msg = UpdateUpload {
+        use crate::codec::{encode_weights, CodecKind};
+        assert!(decode::<EncodedUpdateUpload>(b"short").is_err());
+        let msg = EncodedUpdateUpload {
             client_id: 1,
             round: 1,
-            weights: weights(),
+            weights: encode_weights(CodecKind::Identity, 1, &weights(), None),
             num_samples: 10,
             train_loss: 0.5,
             cost: sample_cost(1),
         };
         let mut bytes = encode(&msg);
         bytes.truncate(bytes.len() - 3);
-        assert!(decode::<UpdateUpload>(&bytes).is_err());
+        assert!(decode::<EncodedUpdateUpload>(&bytes).is_err());
         // Trailing bytes are rejected too.
         let mut bytes = encode(&msg);
         bytes.push(0);
-        assert!(decode::<UpdateUpload>(&bytes).is_err());
+        assert!(decode::<EncodedUpdateUpload>(&bytes).is_err());
         // Kind byte 8 named a retired carrier; no kind answers to it now.
         let err = parse_envelope_head(&header(8, 0)).unwrap_err();
         assert!(err.to_string().contains("unknown message kind 8"), "{err}");

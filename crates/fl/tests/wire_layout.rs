@@ -11,7 +11,9 @@
 //! slot-tagged outcomes, no ledger), and the `shard_outcome/*` rows for
 //! theirs (a completed kind, and a straggler's bill); `partial_aggregate`
 //! and `round_ledger` left the table, since neither crosses the wire any
-//! more. Version 12 had moved
+//! more. `update_upload` left it within version 13 for the same reason:
+//! sessions send an `EncodedUpdateUpload`, and a shard term is spelled
+//! by its own rows. Version 12 had moved
 //! every `envelope/*` for the version stamp, one of them,
 //! `envelope/shard_config_hostile`, also for its layout, and
 //! `adversary_plan` for its layout (no colluder fraction). Version 11 had
@@ -438,7 +440,6 @@ fn digests() -> Vec<(&'static str, String)> {
         &AttestationResponse { quote: None },
     );
     file(&mut t, "model_download", &download());
-    file(&mut t, "update_upload", &upload(9));
     file(&mut t, "time_breakdown", &cost(1).time);
     file(&mut t, "client_cycle_cost", &cost(1));
     file(
@@ -592,10 +593,6 @@ const FROZEN: &[(&str, &str)] = &[
     (
         "model_download",
         "01e1d32f7f123acd0deaac95d3812e2f02415e63fc51a93493760395ce46f8c7",
-    ),
-    (
-        "update_upload",
-        "ca2ede42d660fae2938dbaf2bdc2f58f737b9c769a52741de817588f261e0c2e",
     ),
     (
         "time_breakdown",

@@ -236,21 +236,6 @@ proptest! {
     }
 
     #[test]
-    fn upload_wire_roundtrip(layers in 1usize..4, width in 1usize..5, id in 0u64..64, crossings in 0u64..1000, peak in 0usize..(8 << 20)) {
-        let msg = UpdateUpload {
-            client_id: id,
-            round: 3,
-            weights: weights(layers, width, id),
-            num_samples: 10,
-            train_loss: 0.5,
-            cost: cost(id, (crossings % 7) as f64 * 0.5, crossings, peak),
-        };
-        // No envelope kind of its own: a shard term is its fields, tagged.
-        let back: UpdateUpload = decode(&encode(&msg)).unwrap();
-        prop_assert_eq!(msg, back);
-    }
-
-    #[test]
     fn attestation_wire_roundtrip(nonce in any::<[u8; 16]>(), with_quote in any::<bool>(), key in proptest::collection::vec(any::<u8>(), 1..32)) {
         let challenge = Challenge::new(nonce);
         let req = AttestationRequest { challenge };

@@ -133,13 +133,14 @@ impl FusedActivation {
     }
 }
 
-/// The swappable kernel set behind `ops::*`.
+/// The swappable kernel set behind `ops::*`: only the passes a layer
+/// runs.
 ///
 /// Implementations are stateless and shared (`&'static`): all buffers
 /// arrive as arguments, pre-validated and pre-sized by the dispatchers in
-/// `ops::matmul`, `ops::conv`, `ops::pool`, `ops::elementwise` and
-/// `ops::reduce` — kernels may assume consistent lengths (the dispatchers
-/// debug-assert them) and must not allocate per element.
+/// `ops::matmul`, `ops::conv` and `ops::pool` — kernels may assume
+/// consistent lengths (the dispatchers debug-assert them) and must not
+/// allocate per element.
 ///
 /// # Contract
 ///
@@ -149,7 +150,7 @@ impl FusedActivation {
 ///   dispatchers and only ever split work in result-preserving ways.
 /// * **Accumulation** — `matmul` and `matmul_tn` *accumulate* into `c`
 ///   (every implementation; the dispatchers supply a zeroed buffer),
-///   while `matmul_nt`, `matvec` and `conv2d_forward` overwrite every
+///   while `matmul_nt` and the fused forward passes overwrite every
 ///   output element; `conv2d_backward` accumulates into `dw`/`db`
 ///   (per-band partials are reduced by the dispatcher in band order)
 ///   and into `dinput`.
@@ -169,18 +170,27 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
     /// accumulating into `c` (the dispatcher supplies a zeroed buffer).
     fn matmul_tn(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize);
 
-    /// `y (m) = A (m×k) · x (k)`; overwrites every element of `y`.
-    fn matvec(&self, a: &[f32], x: &[f32], y: &mut [f32], m: usize, k: usize);
-
-    /// Convolution forward pass over one contiguous band of images
-    /// (`input.len() / geo.in_len()` of them); writes every element of
-    /// `out`.
-    fn conv2d_forward(
+    /// Convolution forward pass fused with an elementwise activation over
+    /// one contiguous band of images (`input.len() / geo.in_len()` of
+    /// them): writes the pre-activations into `z` *and* `act(z)` into
+    /// `a`, or — `z` empty — `act(Z)` into `a` alone, its pre-activations
+    /// summed in `a`'s own buffer (what the `nn` conv layers ask for:
+    /// their backward reads `f'` off `A`). The plain convolution is this
+    /// pass at [`FusedActivation::Identity`] with `z` empty.
+    ///
+    /// `a = act(z)` exactly, with or without `z`, and the same `z` either
+    /// way: `Reference` runs its scalar kernel then an activation sweep,
+    /// the historical op order; `Tiled` applies `act` during the final
+    /// tile writeback.
+    #[allow(clippy::too_many_arguments)]
+    fn conv2d_forward_fused(
         &self,
         input: &[f32],
         weights: &[f32],
         bias: &[f32],
-        out: &mut [f32],
+        z: &mut [f32],
+        a: &mut [f32],
+        act: FusedActivation,
         geo: &Conv2dGeometry,
     );
 
@@ -223,56 +233,6 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
         geo: &PoolGeometry,
     );
 
-    /// `y ← y + alpha·x` (the BLAS `axpy` primitive).
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]);
-
-    /// Elementwise `out = a ∗ b` (Hadamard product).
-    fn hadamard(&self, a: &[f32], b: &[f32], out: &mut [f32]);
-
-    /// Elementwise `out = s·a`.
-    fn scale(&self, s: f32, a: &[f32], out: &mut [f32]);
-
-    /// `Σ xs`.
-    fn sum(&self, xs: &[f32]) -> f32;
-
-    /// `Σ a∗b` (inner product).
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32;
-
-    /// Convolution forward pass fused with an elementwise activation over
-    /// one band of images: writes the pre-activations into `z` *and*
-    /// `act(z)` into `a`, or — `z` empty — `act(Z)` into `a` alone, its
-    /// pre-activations summed in `a`'s own buffer (what the `nn` conv
-    /// layers ask for: their backward reads `f'` off `A`).
-    ///
-    /// The default is the unfused two-sweep path — the kernel followed by
-    /// an elementwise map in the same order the layers used before fusion
-    /// existed, so `Reference` stays bit-identical to its historical
-    /// behaviour. Backends that fuse (e.g. `Tiled`, which
-    /// applies `act` during the final tile writeback) must produce the
-    /// same `z` as their unfused kernel and `a = act(z)` exactly, with or
-    /// without `z`.
-    #[allow(clippy::too_many_arguments)]
-    fn conv2d_forward_fused(
-        &self,
-        input: &[f32],
-        weights: &[f32],
-        bias: &[f32],
-        z: &mut [f32],
-        a: &mut [f32],
-        act: FusedActivation,
-        geo: &Conv2dGeometry,
-    ) {
-        if z.is_empty() {
-            self.conv2d_forward(input, weights, bias, a, geo);
-            a.iter_mut().for_each(|ai| *ai = act.apply(*ai));
-            return;
-        }
-        self.conv2d_forward(input, weights, bias, z, geo);
-        for (ai, &zi) in a.iter_mut().zip(z.iter()) {
-            *ai = act.apply(zi);
-        }
-    }
-
     /// Dense forward pass fused with bias and an elementwise activation:
     /// `z (m×n) = input (m×k) · weightsᵀ + bias`, `a = act(z)`, with
     /// `weights` stored `(n×k)` (the Darknet row-per-output convention);
@@ -294,20 +254,41 @@ pub trait TensorBackend: Send + Sync + std::fmt::Debug {
         k: usize,
         n: usize,
     ) {
-        let keep_z = !z.is_empty();
-        let sums = if keep_z { &mut *z } else { &mut *a };
+        let (sums, kept) = sums_and_kept(z, a);
         self.matmul_nt(input, weights, sums, m, k, n);
         for row in sums.chunks_mut(n) {
             for (zj, &bj) in row.iter_mut().zip(bias) {
                 *zj += bj;
             }
         }
-        if !keep_z {
-            a.iter_mut().for_each(|ai| *ai = act.apply(*ai));
-            return;
+        activate(act, sums, kept);
+    }
+}
+
+/// Where a forward pass sums its pre-activations, and where `A` goes:
+/// `z`, with `A` kept beside it in `a`, or — `z` empty — `a`'s own buffer.
+fn sums_and_kept<'s>(z: &'s mut [f32], a: &'s mut [f32]) -> (&'s mut [f32], Option<&'s mut [f32]>) {
+    if z.is_empty() {
+        (a, None)
+    } else {
+        (z, Some(a))
+    }
+}
+
+/// Lands `act` on a finished run of pre-activations: into `kept` (the
+/// same run of `A`) when `Z` is kept, otherwise over `sums` in place.
+#[inline]
+fn activate(act: FusedActivation, sums: &mut [f32], kept: Option<&mut [f32]>) {
+    match kept {
+        Some(a) => {
+            for (a, &zv) in a.iter_mut().zip(sums.iter()) {
+                *a = act.apply(zv);
+            }
         }
-        for (ai, &zi) in a.iter_mut().zip(z.iter()) {
-            *ai = act.apply(zi);
+        None => {
+            for zv in sums {
+                *zv = act.apply(*zv);
+            }
         }
     }
 }

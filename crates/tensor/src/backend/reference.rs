@@ -10,7 +10,7 @@
 //! except `matmul_nt`'s, which advances the chains of two rows and eight
 //! columns side by side instead of one after another.
 
-use super::{BackendKind, TensorBackend};
+use super::{activate, sums_and_kept, BackendKind, FusedActivation, TensorBackend};
 use crate::ops::conv::{col2im, im2col, Conv2dGeometry};
 use crate::ops::pool::PoolGeometry;
 
@@ -127,22 +127,20 @@ impl TensorBackend for Reference {
         }
     }
 
-    fn matvec(&self, a: &[f32], x: &[f32], y: &mut [f32], m: usize, k: usize) {
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            y[i] = row.iter().zip(x).map(|(&a, &b)| a * b).sum();
-        }
-    }
-
-    /// Sequential forward kernel over one contiguous band of images.
-    fn conv2d_forward(
+    /// Sequential forward kernel over one contiguous band of images, into
+    /// `z` (or `a`, `z` empty), then an activation sweep: the layers'
+    /// historical op order.
+    fn conv2d_forward_fused(
         &self,
         input: &[f32],
         weights: &[f32],
         bias: &[f32],
-        out: &mut [f32],
+        z: &mut [f32],
+        a: &mut [f32],
+        act: FusedActivation,
         geo: &Conv2dGeometry,
     ) {
+        let (sums, kept) = sums_and_kept(z, a);
         let k2 = geo.in_channels * geo.kernel * geo.kernel;
         let cols = geo.out_h * geo.out_w;
         let n = input.len() / geo.in_len();
@@ -150,7 +148,7 @@ impl TensorBackend for Reference {
         for img in 0..n {
             let inp = &input[img * geo.in_len()..(img + 1) * geo.in_len()];
             im2col(inp, geo, &mut col);
-            let out_img = &mut out[img * geo.out_len()..(img + 1) * geo.out_len()];
+            let out_img = &mut sums[img * geo.out_len()..(img + 1) * geo.out_len()];
             // out_img (F, cols) = W (F, k2) × col (k2, cols)
             for f in 0..geo.out_channels {
                 let wrow = &weights[f * k2..(f + 1) * k2];
@@ -167,6 +165,7 @@ impl TensorBackend for Reference {
                 }
             }
         }
+        activate(act, sums, kept);
     }
 
     /// Sequential backward kernel over one contiguous band of images,
@@ -289,31 +288,5 @@ impl TensorBackend for Reference {
                 dinp[src as usize] += dout[o];
             }
         }
-    }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-
-    fn hadamard(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((&x, &y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-            *o = x * y;
-        }
-    }
-
-    fn scale(&self, s: f32, a: &[f32], out: &mut [f32]) {
-        for (&x, o) in a.iter().zip(out.iter_mut()) {
-            *o = x * s;
-        }
-    }
-
-    fn sum(&self, xs: &[f32]) -> f32 {
-        xs.iter().sum()
-    }
-
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
     }
 }

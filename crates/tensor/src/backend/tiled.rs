@@ -21,10 +21,8 @@
 //! `is_x86_feature_detected!` finds it. `avx2` silently falls back to
 //! portable on hosts without the features, so CI recipes are portable.
 //!
-//! `matvec`, `sum` and `dot` are lane reductions ([`LANES`] independent
-//! chains, so the loop vectorizes); max pooling and the elementwise maps
-//! are memory-bound with nothing to tile, so they are the `Reference`
-//! kernels, bit for bit.
+//! Max pooling is memory-bound with nothing to tile, so it is the
+//! `Reference` kernel, bit for bit.
 //!
 //! Convolutions never materialise an im2col buffer (*virtual im2col*).
 //! Each pass reads its B operand out of one band of zero-padded frames
@@ -65,7 +63,7 @@ use std::borrow::Cow;
 
 use std::sync::OnceLock;
 
-use super::{BackendKind, FusedActivation, Reference, TensorBackend};
+use super::{activate, sums_and_kept, BackendKind, FusedActivation, Reference, TensorBackend};
 use crate::ops::conv::Conv2dGeometry;
 use crate::ops::pool::PoolGeometry;
 
@@ -79,10 +77,6 @@ const KC: usize = 256;
 
 /// One micro-tile of output accumulators.
 type Acc = [[f32; NR]; MR];
-
-/// Independent accumulator chains for the `matvec`, `sum` and `dot`
-/// reductions.
-const LANES: usize = 8;
 
 /// The instruction set the micro-kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -421,43 +415,6 @@ fn band_panels(
         #[cfg(not(target_arch = "x86_64"))]
         TiledIsa::Avx2 => band_panels_portable(frame, offs, pos, b, emit),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Lane reductions
-// ---------------------------------------------------------------------------
-
-/// Multi-lane inner product over equal-length slices.
-fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; LANES];
-    let xc = x.chunks_exact(LANES);
-    let yc = y.chunks_exact(LANES);
-    let mut tail = 0.0f32;
-    for (xv, yv) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += xv * yv;
-    }
-    for (xs, ys) in xc.zip(yc) {
-        for l in 0..LANES {
-            lanes[l] += xs[l] * ys[l];
-        }
-    }
-    lanes.iter().sum::<f32>() + tail
-}
-
-/// Multi-lane sum.
-fn sum_lanes(xs: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; LANES];
-    let chunks = xs.chunks_exact(LANES);
-    let mut tail = 0.0f32;
-    for &x in chunks.remainder() {
-        tail += x;
-    }
-    for c in chunks {
-        for l in 0..LANES {
-            lanes[l] += c[l];
-        }
-    }
-    lanes.iter().sum::<f32>() + tail
 }
 
 // ---------------------------------------------------------------------------
@@ -946,93 +903,6 @@ fn conv_backward_data(
 // The backend
 // ---------------------------------------------------------------------------
 
-impl Tiled {
-    /// Band-batched forward convolution through the virtual-im2col GEMM:
-    /// `Z (F × N·OH·OW) = W · col(input) + b`. With `a_out` non-empty
-    /// (the fused path) the final slab writeback also lands `act(Z)` in
-    /// it — beside `z`, or in place when `z` is empty and the slabs were
-    /// summed in `a_out` itself.
-    #[allow(clippy::too_many_arguments)] // mirrors the TensorBackend fused-hook signature
-    fn conv_forward_core(
-        &self,
-        input: &[f32],
-        weights: &[f32],
-        bias: &[f32],
-        z: &mut [f32],
-        a_out: &mut [f32],
-        act: FusedActivation,
-        geo: &Conv2dGeometry,
-    ) {
-        let isa = self.isa();
-        let k2 = geo.in_channels * geo.kernel * geo.kernel;
-        let cols = geo.out_h * geo.out_w;
-        let n_imgs = input.len() / geo.in_len();
-        let out_len = geo.out_len();
-        let fused = !a_out.is_empty();
-        let (sums, mut kept) = sums_and_kept(z, a_out);
-        let band = PaddedBand::new(input, geo);
-        gemm(
-            isa,
-            geo.out_channels,
-            k2,
-            n_imgs * cols,
-            pack_a_strided(weights, k2, 1),
-            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
-                pack_cols(
-                    &band.frame,
-                    &band.layout,
-                    (j0, cols_take),
-                    (kc0, kc_len),
-                    dst,
-                )
-            },
-            |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
-                for (at, img, pos, take) in runs(j0, cols_take, cols) {
-                    for (r, arow) in acc.iter().enumerate().take(rows) {
-                        let f = i0 + r;
-                        let zi = img * out_len + f * cols + pos;
-                        let zrow = &mut sums[zi..zi + take];
-                        for (zv, &av) in zrow.iter_mut().zip(&arow[at..at + take]) {
-                            *zv = if slab_first { bias[f] + av } else { *zv + av };
-                        }
-                        if fused && slab_last {
-                            let kept = kept.as_deref_mut().map(|a| &mut a[zi..zi + take]);
-                            activate(act, zrow, kept);
-                        }
-                    }
-                }
-            },
-        );
-    }
-}
-
-/// Where a forward pass sums its `KC` slabs, and where `A` goes: `z`, with
-/// `A` kept beside it in `a`, or — `z` empty — `a`'s own buffer.
-fn sums_and_kept<'s>(z: &'s mut [f32], a: &'s mut [f32]) -> (&'s mut [f32], Option<&'s mut [f32]>) {
-    if z.is_empty() {
-        (a, None)
-    } else {
-        (z, Some(a))
-    }
-}
-
-/// Lands `act` on a finished run of pre-activations: into `kept` (the
-/// same run of `A`) when `Z` is kept, otherwise over `sums` in place.
-fn activate(act: FusedActivation, sums: &mut [f32], kept: Option<&mut [f32]>) {
-    match kept {
-        Some(a) => {
-            for (a, &zv) in a.iter_mut().zip(sums.iter()) {
-                *a = act.apply(zv);
-            }
-        }
-        None => {
-            for zv in sums {
-                *zv = act.apply(*zv);
-            }
-        }
-    }
-}
-
 impl TensorBackend for Tiled {
     fn kind(&self) -> BackendKind {
         BackendKind::Tiled
@@ -1098,33 +968,10 @@ impl TensorBackend for Tiled {
         );
     }
 
-    fn matvec(&self, a: &[f32], x: &[f32], y: &mut [f32], m: usize, k: usize) {
-        // A single output column wastes 15/16 of the tile; a lane
-        // reduction per row is the right kernel for matvec.
-        for (i, yi) in y.iter_mut().enumerate().take(m) {
-            *yi = dot_lanes(&a[i * k..(i + 1) * k], x);
-        }
-    }
-
-    fn conv2d_forward(
-        &self,
-        input: &[f32],
-        weights: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-        geo: &Conv2dGeometry,
-    ) {
-        self.conv_forward_core(
-            input,
-            weights,
-            bias,
-            out,
-            &mut [],
-            FusedActivation::Identity,
-            geo,
-        );
-    }
-
+    /// Band-batched forward convolution through the virtual-im2col GEMM:
+    /// `Z (F × N·OH·OW) = W · col(input) + b`, whose final slab writeback
+    /// lands `act(Z)` — beside `z`, or in place when `z` is empty and the
+    /// slabs were summed in `a` itself.
     fn conv2d_forward_fused(
         &self,
         input: &[f32],
@@ -1135,7 +982,45 @@ impl TensorBackend for Tiled {
         act: FusedActivation,
         geo: &Conv2dGeometry,
     ) {
-        self.conv_forward_core(input, weights, bias, z, a, act, geo);
+        let isa = self.isa();
+        let k2 = geo.in_channels * geo.kernel * geo.kernel;
+        let cols = geo.out_h * geo.out_w;
+        let n_imgs = input.len() / geo.in_len();
+        let out_len = geo.out_len();
+        let (sums, mut kept) = sums_and_kept(z, a);
+        let band = PaddedBand::new(input, geo);
+        gemm(
+            isa,
+            geo.out_channels,
+            k2,
+            n_imgs * cols,
+            pack_a_strided(weights, k2, 1),
+            |j0, cols_take, kc0, kc_len, dst: &mut [f32]| {
+                pack_cols(
+                    &band.frame,
+                    &band.layout,
+                    (j0, cols_take),
+                    (kc0, kc_len),
+                    dst,
+                )
+            },
+            |i0, rows, j0, cols_take, acc: &Acc, slab_first, slab_last| {
+                for (at, img, pos, take) in runs(j0, cols_take, cols) {
+                    for (r, arow) in acc.iter().enumerate().take(rows) {
+                        let f = i0 + r;
+                        let zi = img * out_len + f * cols + pos;
+                        let zrow = &mut sums[zi..zi + take];
+                        for (zv, &av) in zrow.iter_mut().zip(&arow[at..at + take]) {
+                            *zv = if slab_first { bias[f] + av } else { *zv + av };
+                        }
+                        if slab_last {
+                            let kept = kept.as_deref_mut().map(|a| &mut a[zi..zi + take]);
+                            activate(act, zrow, kept);
+                        }
+                    }
+                }
+            },
+        );
     }
 
     fn conv2d_backward(
@@ -1194,26 +1079,6 @@ impl TensorBackend for Tiled {
         Reference.maxpool_backward(delta_out, argmax, dinput, n, geo);
     }
 
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        Reference.axpy(alpha, x, y);
-    }
-
-    fn hadamard(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        Reference.hadamard(a, b, out);
-    }
-
-    fn scale(&self, s: f32, a: &[f32], out: &mut [f32]) {
-        Reference.scale(s, a, out);
-    }
-
-    fn sum(&self, xs: &[f32]) -> f32 {
-        sum_lanes(xs)
-    }
-
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        dot_lanes(a, b)
-    }
-
     fn dense_forward_fused(
         &self,
         input: &[f32],
@@ -1227,7 +1092,6 @@ impl TensorBackend for Tiled {
         n: usize,
     ) {
         let isa = self.isa();
-        let fused = !a.is_empty();
         let (sums, mut kept) = sums_and_kept(z, a);
         gemm(
             isa,
@@ -1243,7 +1107,7 @@ impl TensorBackend for Tiled {
                     for ((zv, &av), &b) in zrow.iter_mut().zip(arow).zip(&bias[j0..]) {
                         *zv = if first { b + av } else { *zv + av };
                     }
-                    if fused && last {
+                    if last {
                         let kept = kept.as_deref_mut().map(|a| &mut a[base..base + cols]);
                         activate(act, zrow, kept);
                     }
@@ -1292,16 +1156,6 @@ mod tests {
                 "{err}"
             );
         }
-    }
-
-    #[test]
-    fn lane_reductions_match_serial_on_small_inputs() {
-        let xs: Vec<f32> = (0..37).map(|i| (i as f32) * 0.25 - 4.0).collect();
-        let ys: Vec<f32> = (0..37).map(|i| 1.0 - (i as f32) * 0.125).collect();
-        let serial_sum: f32 = xs.iter().sum();
-        let serial_dot: f32 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
-        assert!((sum_lanes(&xs) - serial_sum).abs() < 1e-4);
-        assert!((dot_lanes(&xs, &ys) - serial_dot).abs() < 1e-4);
     }
 
     #[test]
@@ -1666,7 +1520,8 @@ mod tests {
             assert_eq!(bits(&z), bits(&z0), "z {what}");
             assert_eq!(bits(&a), bits(&a0), "a {what}");
             let mut plain = vec![0.0; delta.len()];
-            tiled.conv2d_forward(&input, &weights, &bias, &mut plain, geo);
+            let identity = FusedActivation::Identity;
+            tiled.conv2d_forward_fused(&input, &weights, &bias, &mut [], &mut plain, identity, geo);
             assert_eq!(bits(&plain), bits(&z0), "unfused z {what}");
 
             let zeros = |len: usize| (vec![0.0f32; len], vec![0.0f32; len]);

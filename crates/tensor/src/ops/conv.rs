@@ -13,10 +13,9 @@
 //! equation (4): `dW_l = δ_l ⊗ A_{l−1}`.
 //!
 //! The functions here are *dispatchers*: shape checks, output allocation
-//! and thread banding live here, while the per-band kernels come from a
-//! [`TensorBackend`](crate::backend::TensorBackend) — the default
-//! [`BackendKind::Reference`] for the plain entry points or any backend
-//! via the `*_with` variants. Both passes cut the batch into image bands
+//! and thread banding live here, while the per-band kernels come from the
+//! [`TensorBackend`](crate::backend::TensorBackend) of the [`BackendKind`]
+//! each entry point takes. Both passes cut the batch into image bands
 //! once the per-batch im2col volume crosses `PARALLEL_THRESHOLD` and
 //! hand them to `threads::for_each_band`: as many threads as the
 //! caller's budget allows, the caller among them, walk the bands — under
@@ -261,7 +260,8 @@ fn check_weights(weights: &Tensor, bias: &Tensor, geo: &Conv2dGeometry) -> Resul
 }
 
 /// Convolution forward pass: `Z = W ⊛ A + b` over a batch, through an
-/// explicit backend.
+/// explicit backend — [`conv2d_forward_fused_with`] at
+/// [`FusedActivation::Identity`].
 ///
 /// `input` is `(N, C, H, W)`, `weights` is `(F, C·K·K)`, `bias` is `(F)`;
 /// the result is `(N, F, OH, OW)`.
@@ -276,38 +276,21 @@ pub fn conv2d_forward_with(
     geo: &Conv2dGeometry,
     backend: BackendKind,
 ) -> Result<Tensor> {
-    let n = check_batch_input(input, geo)?;
-    check_weights(weights, bias, geo)?;
-    let kernels = backend.kernels();
-    let mut out = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
-    // Contiguous image bands; every image is computed exactly as in the
-    // sequential loop, so the result is bit-identical under any banding.
-    let per = band_width(n, geo);
-    let (wd, bd) = (weights.data(), bias.data());
-    let jobs = input
-        .data()
-        .chunks(per * geo.in_len())
-        .zip(out.data_mut().chunks_mut(per * geo.out_len()))
-        .collect();
-    threads::for_each_band(jobs, |(in_band, band)| {
-        kernels.conv2d_forward(in_band, wd, bd, band, geo)
-    });
-    Ok(out)
+    let identity = FusedActivation::Identity;
+    conv2d_forward_fused_with(input, weights, bias, geo, identity, backend)
 }
 
 /// Fused convolution + activation forward pass through an explicit
-/// backend: returns `A = act(W ⊛ input + b)` alone, banded exactly like
-/// [`conv2d_forward_with`] (so it is bit-identical under any banding). The
-/// pre-activations are summed in `A`'s own buffer; no `Z` is allocated.
+/// backend: returns `A = act(W ⊛ input + b)` alone. The pre-activations
+/// are summed in `A`'s own buffer; no `Z` is allocated.
 ///
-/// Backends without a fused kernel fall back to the trait's default
-/// (unfused conv then an activation sweep), which reproduces the
-/// historical `forward` + `apply_tensor` op order bit-for-bit; the
-/// `Tiled` backend applies the activation inside its GEMM writeback.
+/// `Reference` runs its scalar kernel and then an activation sweep, the
+/// historical `forward` + `apply_tensor` op order bit-for-bit; `Tiled`
+/// applies the activation inside its GEMM writeback.
 ///
 /// # Errors
 ///
-/// Same contract as [`conv2d_forward_with`].
+/// Returns shape errors when any operand disagrees with `geo`.
 pub fn conv2d_forward_fused_with(
     input: &Tensor,
     weights: &Tensor,
@@ -320,6 +303,8 @@ pub fn conv2d_forward_fused_with(
     check_weights(weights, bias, geo)?;
     let kernels = backend.kernels();
     let mut a = Tensor::zeros(&[n, geo.out_channels, geo.out_h, geo.out_w]);
+    // Contiguous image bands; every image is computed exactly as in the
+    // sequential loop, so the result is bit-identical under any banding.
     let per = band_width(n, geo);
     let (wd, bd) = (weights.data(), bias.data());
     let jobs = input
@@ -643,20 +628,18 @@ mod tests {
             for split in [1usize, 3, 5] {
                 let mut banded = vec![0.0f32; n * geo.out_len()];
                 let (lo, hi) = banded.split_at_mut(split * geo.out_len());
-                kernels.conv2d_forward(
-                    &input.data()[..split * geo.in_len()],
-                    weights.data(),
-                    bias.data(),
-                    lo,
-                    &geo,
-                );
-                kernels.conv2d_forward(
-                    &input.data()[split * geo.in_len()..],
-                    weights.data(),
-                    bias.data(),
-                    hi,
-                    &geo,
-                );
+                let (x_lo, x_hi) = input.data().split_at(split * geo.in_len());
+                for (band, out) in [(x_lo, lo), (x_hi, hi)] {
+                    kernels.conv2d_forward_fused(
+                        band,
+                        weights.data(),
+                        bias.data(),
+                        &mut [],
+                        out,
+                        FusedActivation::Identity,
+                        &geo,
+                    );
+                }
                 assert_eq!(
                     full.data(),
                     &banded[..],

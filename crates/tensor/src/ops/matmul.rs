@@ -165,28 +165,6 @@ pub fn matmul_tn_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<Te
     Ok(out)
 }
 
-/// Computes the matrix–vector product `y = A·x` through an explicit
-/// backend.
-///
-/// # Errors
-///
-/// Returns shape errors when `A` is not `m×k` with `x` of length `k`.
-pub fn matvec_with(a: &Tensor, x: &Tensor, backend: BackendKind) -> Result<Tensor> {
-    let (m, k) = check2d(a, "matvec")?;
-    if x.shape().ndim() != 1 || x.dims()[0] != k {
-        return Err(TensorError::ShapeMismatch {
-            op: "matvec",
-            lhs: a.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-        });
-    }
-    let mut out = Tensor::zeros(&[m]);
-    backend
-        .kernels()
-        .matvec(a.data(), x.data(), out.data_mut(), m, k);
-    Ok(out)
-}
-
 /// Splits the rows of `C` into one band per thread of the caller's
 /// [`threads::budget`] and computes each through the same backend kernel
 /// (a budget of 1 is one kernel call on the calling thread).
@@ -289,21 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = init::uniform(&[6, 4], -1.0, 1.0, 30);
-        let x = init::uniform(&[4], -1.0, 1.0, 31);
-        for backend in BackendKind::ALL {
-            let y = matvec_with(&a, &x, backend).unwrap();
-            let xm = x.reshape(&[4, 1]).unwrap();
-            let ym = matmul_with(&a, &xm, backend).unwrap();
-            assert!(
-                y.approx_eq(&ym.reshape(&[6]).unwrap(), 1e-5),
-                "{backend} diverged"
-            );
-        }
-    }
-
-    #[test]
     fn shape_errors() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
@@ -312,7 +275,6 @@ mod tests {
             assert!(matmul_with(&a, &Tensor::zeros(&[3]), backend).is_err());
             assert!(matmul_nt_with(&a, &Tensor::zeros(&[2, 4]), backend).is_err());
             assert!(matmul_tn_with(&a, &Tensor::zeros(&[3, 4]), backend).is_err());
-            assert!(matvec_with(&a, &Tensor::zeros(&[2]), backend).is_err());
         }
     }
 }

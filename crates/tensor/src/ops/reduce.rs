@@ -1,31 +1,6 @@
-//! Reductions and row-wise normalisations.
+//! Row-wise reductions and normalisations: argmax and softmax.
 
-use crate::backend::BackendKind;
 use crate::{Result, Tensor, TensorError};
-
-/// Sum of all elements through an explicit backend. Reductions are where
-/// backends legitimately differ: the tiled backend accumulates in
-/// multiple lanes, so its result can differ from a serial sum by f32
-/// reassociation error (each backend is individually deterministic).
-pub fn sum_with(t: &Tensor, backend: BackendKind) -> f32 {
-    backend.kernels().sum(t.data())
-}
-
-/// Inner product `Σ a∗b` through an explicit backend.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-pub fn dot_with(a: &Tensor, b: &Tensor, backend: BackendKind) -> Result<f32> {
-    if !a.shape().same_as(b.shape()) {
-        return Err(TensorError::ShapeMismatch {
-            op: "dot",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    Ok(backend.kernels().dot(a.data(), b.data()))
-}
 
 /// Row-wise argmax of a rank-2 tensor — the predicted class per sample.
 ///
@@ -91,19 +66,6 @@ pub fn softmax_rows(t: &Tensor) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_reductions_agree_within_rounding() {
-        let t = Tensor::from_vec((0..37).map(|i| (i as f32) * 0.5 - 9.0).collect(), &[37]).unwrap();
-        let u =
-            Tensor::from_vec((0..37).map(|i| 1.0 - (i as f32) * 0.25).collect(), &[37]).unwrap();
-        for backend in BackendKind::ALL {
-            assert!((sum_with(&t, backend) - t.data().iter().sum::<f32>()).abs() < 1e-3);
-            let serial: f32 = t.data().iter().zip(u.data()).map(|(a, b)| a * b).sum();
-            assert!((dot_with(&t, &u, backend).unwrap() - serial).abs() < 1e-3);
-        }
-        assert!(dot_with(&t, &Tensor::zeros(&[2]), BackendKind::Reference).is_err());
-    }
 
     #[test]
     fn row_argmax() {
