@@ -1,7 +1,7 @@
 //! FL clients, their devices, and the models a fleet of them trains.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use gradsec_data::{Batcher, Dataset};
 use gradsec_nn::model::ModelWeights;
@@ -10,7 +10,7 @@ use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::ta::Uuid;
 
 use crate::adversary::{Adversary, Persona};
-use crate::codec::{flatten, identical, rebuild_all, EncodedWeights};
+use crate::codec::CodecKind;
 use crate::config::TrainingPlan;
 use crate::message::{AttestationResponse, ModelDownload, UpdateUpload};
 use crate::trainer::{CycleStats, LocalTrainer};
@@ -95,7 +95,8 @@ impl DeviceProfile {
 }
 
 /// The models a fleet's clients train, lent per cycle, and the delta
-/// views they hold between cycles, shared per lockstep group.
+/// downloads its clients open, memoised per lockstep group: the
+/// client-side mirror of the server's `Broadcast`.
 ///
 /// Between cycles nothing reads what training left in a model — a cycle
 /// starts by overwriting it with the download — so an idle client needs
@@ -106,19 +107,25 @@ impl DeviceProfile {
 /// replica back; it is dropped, not lent out dirty.
 ///
 /// A delta-topk client's reference view is the decoded download it last
-/// trained on. Decoding is a pure function of `(base view, payload)`, so
-/// clients that hold the same base allocation and receive an identical
-/// payload — a lockstep group — are handed one allocation
-/// ([`view`](Self::view)), the client-side counterpart of the server's
-/// per-group view.
+/// trained on. Opening, checking and decoding a frame is a pure function
+/// of `(base view, frame bytes)`, so clients that hold the same base
+/// allocation and receive the same bytes — a lockstep group — open it
+/// once between them ([`download`](Self::download)): the group's first
+/// member does the work, the others pay one byte comparison and are
+/// handed the same view allocation. The store holds each view weakly,
+/// with the frame bytes it was opened from, and only while a client
+/// holds that view and its base can still be named.
 pub(crate) struct ClientModels {
     replicas: Mutex<Replicas>,
-    /// Every view handed out and possibly still held, with what it was
-    /// decoded from.
-    views: Mutex<Vec<Decoded>>,
+    /// Every download opened and possibly still named, with what it was
+    /// opened from.
+    downloads: Mutex<Vec<Arc<Decoded>>>,
     /// Replicas built so far.
     #[cfg(test)]
     built: std::sync::atomic::AtomicUsize,
+    /// Downloads opened, checked and decoded so far.
+    #[cfg(test)]
+    opened: std::sync::atomic::AtomicUsize,
     /// The view each client holds, as its handler last recorded it.
     #[cfg(test)]
     held: Mutex<std::collections::BTreeMap<u64, Weak<ModelWeights>>>,
@@ -129,27 +136,53 @@ struct Replicas {
     idle: Vec<Sequential>,
 }
 
-/// A view and the `(base, payload)` it was decoded from. The base is held
-/// weakly, which keeps its address from being reused while it is a key.
+/// What a download asks of a cycle, besides the model it decodes to.
+#[derive(Debug, Clone)]
+pub(crate) struct Opened {
+    pub(crate) round: u64,
+    pub(crate) plan: TrainingPlan,
+    pub(crate) protected_layers: Vec<usize>,
+    pub(crate) codec: CodecKind,
+    /// The epoch the download is stamped with.
+    pub(crate) epoch: u64,
+    /// The epoch of the view its delta bodies are coded against.
+    pub(crate) base_epoch: Option<u64>,
+}
+
+/// A download and its view, or the refusal that opening it met.
+pub(crate) type Accepted = std::result::Result<(Opened, Arc<ModelWeights>), String>;
+
+/// A download opened against a base view, keyed by that base and the
+/// frame bytes. The base is held weakly, which keeps its address from
+/// being reused while it is a key; the view is held weakly too, so the
+/// store never keeps one alive.
 struct Decoded {
     base: Option<Weak<ModelWeights>>,
-    payload: EncodedWeights,
-    view: Weak<ModelWeights>,
+    frame: Vec<u8>,
+    /// Set once, by the group's first member; a refusal is forgotten.
+    opened: OnceLock<std::result::Result<(Opened, Weak<ModelWeights>), String>>,
 }
 
 impl Decoded {
-    fn is(&self, base: Option<&Arc<ModelWeights>>, payload: &EncodedWeights) -> bool {
+    fn is(&self, base: Option<&Arc<ModelWeights>>, frame: &[u8]) -> bool {
         let same_base = match (&self.base, base) {
             (None, None) => true,
             (Some(held), Some(base)) => std::ptr::eq(held.as_ptr(), Arc::as_ptr(base)),
             _ => false,
         };
-        same_base && identical(&self.payload, payload)
+        same_base && self.frame == frame
     }
 
-    /// Whether the view is still held and its base can still be named.
+    /// Whether a client may still look this entry up: its base can still
+    /// be named, and it is being opened or its view is still held.
     fn is_live(&self) -> bool {
-        self.view.strong_count() > 0 && self.base.as_ref().is_none_or(|b| b.strong_count() > 0)
+        let named = self.base.as_ref().is_none_or(|b| b.strong_count() > 0);
+        named
+            && match self.opened.get() {
+                None => true,
+                Some(Ok((_, view))) => view.strong_count() > 0,
+                Some(Err(_)) => false,
+            }
     }
 }
 
@@ -167,9 +200,11 @@ impl ClientModels {
                 prototype,
                 idle: Vec::new(),
             }),
-            views: Mutex::default(),
+            downloads: Mutex::default(),
             #[cfg(test)]
             built: Default::default(),
+            #[cfg(test)]
+            opened: Default::default(),
             #[cfg(test)]
             held: Mutex::default(),
         })
@@ -190,43 +225,80 @@ impl ClientModels {
         }
     }
 
-    /// The model `payload` decodes to against `base`: the live view
-    /// already decoded from the same base allocation and an identical
-    /// payload, or a new one. `payload` must have passed
-    /// [`check_against`](crate::codec::check_against) against `base`.
-    pub(crate) fn view(
+    /// The download `frame` holds for a client whose view is `base`: what
+    /// the first client to bring the same bytes on the same base
+    /// allocation made of it, or — for that first client — what `open`
+    /// makes of it (it opens, checks and decodes the frame). Clients that
+    /// arrive while it runs wait for it. A refusal is handed to them, and
+    /// its entry is dead: the next lookup or [`prune`](Self::prune) drops
+    /// it, so a later client opens the bytes again.
+    pub(crate) fn download(
         &self,
         base: Option<&Arc<ModelWeights>>,
-        payload: EncodedWeights,
-    ) -> Arc<ModelWeights> {
-        let live = |views: &[Decoded]| {
-            let found = views.iter().find(|d| d.is(base, &payload));
-            found.and_then(|d| d.view.upgrade())
-        };
-        if let Some(view) = live(&lock(&self.views)) {
-            return view;
+        frame: &[u8],
+        open: impl FnOnce() -> Accepted,
+    ) -> Accepted {
+        let mut open = Some(open);
+        loop {
+            let entry = self.entry(base, frame);
+            let mut fresh = None;
+            let opened = entry.opened.get_or_init(|| {
+                #[cfg(test)]
+                self.opened
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let (opened, view) = open.take().expect("a client opens a frame once")()?;
+                let held = Arc::downgrade(&view);
+                fresh = Some(view);
+                Ok((opened, held))
+            });
+            let (opened, view) = opened.as_ref().map_err(Clone::clone)?;
+            if let Some(view) = fresh.or_else(|| view.upgrade()) {
+                return Ok((opened.clone(), view));
+            }
+            // Every client that held the view dropped it (their cycles
+            // failed) before this one could take it: the entry is dead,
+            // and the next lookup drops it and opens the frame anew.
         }
-        let reference = base.map(|b| flatten(b));
-        let decoded = Arc::new(rebuild_all(&payload, reference.as_deref()));
-        let mut views = lock(&self.views);
-        // Another thread may have decoded the same view meanwhile: the
-        // first one stays, so the group still shares one allocation.
-        if let Some(view) = live(&views) {
-            return view;
+    }
+
+    /// The entry for `(base, frame)`, made if none is live.
+    fn entry(&self, base: Option<&Arc<ModelWeights>>, frame: &[u8]) -> Arc<Decoded> {
+        let mut downloads = lock(&self.downloads);
+        downloads.retain(|d| d.is_live());
+        if let Some(found) = downloads.iter().find(|d| d.is(base, frame)) {
+            return Arc::clone(found);
         }
-        views.retain(Decoded::is_live);
-        views.push(Decoded {
+        let entry = Arc::new(Decoded {
             base: base.map(Arc::downgrade),
-            payload,
-            view: Arc::downgrade(&decoded),
+            frame: frame.to_vec(),
+            opened: OnceLock::new(),
         });
-        decoded
+        downloads.push(Arc::clone(&entry));
+        entry
+    }
+
+    /// Drops every entry no client can look up any more: a client calls
+    /// it once it let go of a view, so no entry outlives what names it.
+    pub(crate) fn prune(&self) {
+        lock(&self.downloads).retain(|d| d.is_live());
     }
 
     /// How many replicas this store has built.
     #[cfg(test)]
     pub(crate) fn replicas_built(&self) -> usize {
         self.built.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// How many downloads this store has opened, checked and decoded.
+    #[cfg(test)]
+    pub(crate) fn downloads_opened(&self) -> usize {
+        self.opened.load(std::sync::atomic::Ordering::SeqCst)
+    }
+
+    /// How many downloads this store keeps.
+    #[cfg(test)]
+    pub(crate) fn downloads_kept(&self) -> usize {
+        lock(&self.downloads).len()
     }
 
     /// The replicas idle right now: whether each is clean (no gradients).
@@ -498,6 +570,7 @@ impl FlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::flatten;
     use crate::config::TrainingPlan;
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
@@ -610,6 +683,54 @@ mod tests {
             [true],
             "the replica went back without gradient buffers"
         );
+    }
+
+    #[test]
+    fn concurrent_first_members_wait_for_one_open_and_keep_no_refusal() {
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        let models = ClientModels::new(model());
+        let opened = Opened {
+            round: 0,
+            plan: plan(),
+            protected_layers: vec![],
+            codec: CodecKind::DeltaTopK,
+            epoch: 0,
+            base_epoch: None,
+        };
+        let members = |frame: &[u8], accept: &(dyn Fn() -> Accepted + Sync)| {
+            let start = Barrier::new(3);
+            std::thread::scope(|scope| {
+                let open = || {
+                    start.wait();
+                    models.download(None, frame, || {
+                        std::thread::sleep(Duration::from_millis(50));
+                        accept()
+                    })
+                };
+                let joined: Vec<_> = (0..3).map(|_| scope.spawn(open)).collect();
+                let got: Vec<_> = joined.into_iter().map(|t| t.join().unwrap()).collect();
+                got
+            })
+        };
+        let view = || Ok((opened.clone(), Arc::new(model().weights())));
+        let got = members(b"frame", &view);
+        let views: Vec<_> = got.into_iter().map(|g| g.unwrap().1).collect();
+        assert!(views.iter().all(|v| Arc::ptr_eq(v, &views[0])));
+        assert_eq!((models.downloads_opened(), models.downloads_kept()), (1, 1));
+        drop(views);
+        models.prune();
+        assert_eq!(models.downloads_kept(), 0, "no view, no entry");
+
+        // Whether a member waits for a refusal or opens the frame again
+        // after it was forgotten depends on timing; either way each is
+        // refused and nothing is kept.
+        let refuse = || Err("refused".to_owned());
+        let got = members(b"other frame", &refuse);
+        assert!(got.iter().all(|g| g.as_ref().unwrap_err() == "refused"));
+        models.prune();
+        assert_eq!(models.downloads_kept(), 0);
     }
 
     #[test]

@@ -435,14 +435,14 @@ impl ServerEndpoint for FaultyEndpoint {
     /// Decides the faults that stop a request — an injected failure is
     /// that exchange's result, with nothing to finish — and whether the
     /// reply, once collected, arrives garbled.
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         self.garble = false;
         if matches!(
             request.kind,
             MessageKind::AttestationRequest | MessageKind::EncodedModelDownload
         ) {
             let client = self.client.unwrap_or_default();
-            let round = self.round_of(&request);
+            let round = self.round_of(request);
             let nth = self.messages_seen;
             self.messages_seen += 1;
             if self.plan.down(client, round) {

@@ -397,8 +397,14 @@ fn a_lockstep_group_shares_one_client_view_in_process_and_over_a_mux() {
     // Five delta sessions of one fleet, four rounds; client 4 sits round
     // 2 out. After every round each client's view is bit for bit its
     // session's server view, and the clients that have been picked
-    // together every round hold one allocation between them.
+    // together every round hold one allocation between them. Each group
+    // opened its download once — round 3 has two groups, since client 4
+    // stands on an older view — and the store keeps a download only while
+    // a client can still name its base: after round 2, client 4's view is
+    // the base of the round's download; after rounds 1 and 3 every base
+    // is gone, and after round 0 the dense download needs none.
     let all = [0, 1, 2, 3, 4];
+    let (opens, kept) = ([1, 1, 1, 2], [1, 0, 1, 0]);
     for transport in [TransportKind::InProcess, TransportKind::TcpMux] {
         let models = ClientModels::new(model());
         let fleet: Vec<FlClient> = (0..5)
@@ -426,6 +432,7 @@ fn a_lockstep_group_shares_one_client_view_in_process_and_over_a_mux() {
         for round in 0..4 {
             next.round = round;
             let picked = if round == 2 { &all[..4] } else { &all[..] };
+            let before = models.downloads_opened();
             let (outcomes, _) = ExecutionEngine::new(2)
                 .execute_cycles_with(&mut clients, picked, &next, None)
                 .unwrap();
@@ -433,6 +440,9 @@ fn a_lockstep_group_shares_one_client_view_in_process_and_over_a_mux() {
             next.weights = completed(&outcomes[0]).weights.clone();
             let held = models.views_held();
             let what = format!("{transport:?}, round {round}");
+            let r = round as usize;
+            assert_eq!(models.downloads_opened() - before, opens[r], "{what}");
+            assert_eq!(models.downloads_kept(), kept[r], "{what}");
             assert_eq!(held.len(), 5, "{what}");
             for (client, view) in clients.iter().zip(held.values()) {
                 let server = client.view_weights().expect("a delta session commits");
@@ -473,7 +483,7 @@ fn a_session_killed_mid_window_fails_alone() {
                     if request.kind == MessageKind::EncodedModelDownload {
                         return;
                     }
-                    stream.send(&handler.handle(request).unwrap()).unwrap();
+                    stream.send(&handler.handle(&request).unwrap()).unwrap();
                 }
             }));
         },
@@ -519,7 +529,7 @@ struct Trap {
 }
 
 impl ServerEndpoint for Trap {
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         self.training = request.kind == MessageKind::EncodedModelDownload;
         if self.training && self.client == Some(self.in_begin) {
             panic!("trap in begin");
@@ -598,7 +608,7 @@ struct Gauged {
 }
 
 impl ServerEndpoint for Gauged {
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         let inline = self.inner.begin(request)?;
         let now = self.gauge.now.fetch_add(1, Ordering::SeqCst) + 1;
         self.gauge.high.fetch_max(now, Ordering::SeqCst);
@@ -685,7 +695,7 @@ fn a_failed_handshake_still_collects_every_hello_it_sent() {
     // the same window must still be finished before the error returns.
     struct Stale(Box<dyn ServerEndpoint>);
     impl ServerEndpoint for Stale {
-        fn begin(&mut self, request: Envelope) -> Result<bool> {
+        fn begin(&mut self, request: &Envelope) -> Result<bool> {
             self.0.begin(request)
         }
         fn finish(&mut self) -> Result<Envelope> {

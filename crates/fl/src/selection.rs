@@ -263,7 +263,7 @@ mod tests {
             let stream = std::net::TcpStream::connect(addr).unwrap();
             let mut stream = FramedStream::new(stream).unwrap();
             let mut handler = ClientHandler::new(fl_client(5, DeviceProfile::trustzone(5)));
-            let reply = handler.handle(stream.recv().unwrap());
+            let reply = handler.handle(&stream.recv().unwrap());
             stream.send(&reply.unwrap()).unwrap();
         });
         let endpoint = listener.accept().unwrap();

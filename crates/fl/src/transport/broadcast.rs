@@ -16,7 +16,15 @@
 //! It is a pure memo of a pure function of `(download, codec, epoch,
 //! base view)`: owned by the `execute` call that fans the round out,
 //! shared by reference with its workers, dropped with the round. Only the
-//! views the sessions commit outlive it.
+//! views the sessions commit outlive it. Every member sends the group's
+//! one frame as it lies here: an endpoint's `begin` borrows its request
+//! ([`ServerEndpoint::begin`](super::ServerEndpoint::begin)), so no
+//! member copies it.
+//!
+//! The client half is memoised the same way, by the fleet's store
+//! (`client::ClientModels`): clients that hold the same view allocation
+//! and receive the same frame bytes — the group's members, seen from the
+//! other side — open, check and decode it once between them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -34,7 +42,7 @@ pub(super) type View = (u64, Arc<ModelWeights>);
 
 /// What every member of one group sends and bills.
 pub(super) struct Payload {
-    /// The packed `EncodedModelDownload`; each member sends a copy.
+    /// The packed `EncodedModelDownload`, which every member sends.
     pub(super) frame: Envelope,
     /// The download's encoded-bytes billing column.
     pub(super) encoded_bytes: u64,
@@ -195,7 +203,7 @@ mod tests {
     }
 
     impl ServerEndpoint for Scripted {
-        fn begin(&mut self, request: Envelope) -> Result<bool> {
+        fn begin(&mut self, request: &Envelope) -> Result<bool> {
             self.garble = false;
             if request.kind == MessageKind::EncodedModelDownload {
                 let nth = self.downloads;

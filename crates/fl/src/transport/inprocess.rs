@@ -1,7 +1,9 @@
 //! The in-process transport.
 //!
-//! [`Envelope`]s move without their payload bytes being copied *in
-//! flight* (the envelope is moved, never re-buffered between endpoints).
+//! [`Envelope`]s cross without their payload bytes being copied *in
+//! flight*: the server's `begin` lends its request to the client's
+//! handler, which reads it where it lies — a broadcast group's members
+//! all read the group's one frame — and the reply is moved back.
 //! Encoding/decoding still happens once per side — that is the point of
 //! the seam: every transport carries the identical protocol bytes, so a
 //! deployment over the [`mux`](super::mux) sockets is bit-identical.
@@ -57,7 +59,7 @@ impl std::fmt::Debug for LocalEndpoint {
 }
 
 impl ServerEndpoint for LocalEndpoint {
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         self.reply = Some(self.handler.handle(request).ok_or_else(|| {
             FlError::disconnected("exchanging with an in-process client that said goodbye")
         })?);
@@ -73,7 +75,7 @@ impl ServerEndpoint for LocalEndpoint {
     fn notify(&mut self, message: Envelope) -> Result<()> {
         // Goodbye (and any other fire-and-forget message) is absorbed by
         // the handler; a reply, if produced, has nobody waiting for it.
-        let _ = self.handler.handle(message);
+        let _ = self.handler.handle(&message);
         Ok(())
     }
 
@@ -108,7 +110,7 @@ mod tests {
     fn local_endpoint_answers_hello_inline() {
         let mut ep = LocalEndpoint::new(fl_client(9));
         let reply = ep
-            .exchange(Envelope::pack(MessageKind::Hello, &Hello::current()))
+            .exchange(&Envelope::pack(MessageKind::Hello, &Hello::current()))
             .unwrap();
         let ack: HelloAck = reply.open(MessageKind::HelloAck).unwrap();
         assert_eq!(ack.client_id, 9);

@@ -51,11 +51,12 @@ pub mod tcp;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use gradsec_nn::model::ModelWeights;
 use gradsec_tee::attestation::Challenge;
 use gradsec_tee::cost::WireBill;
 
 use self::broadcast::{Broadcast, Payload, View};
-use crate::client::{DeviceProfile, FlClient};
+use crate::client::{Accepted, DeviceProfile, FlClient, Opened};
 use crate::codec::{
     check_against, encode_weights, flatten, rebuild_all, CheckedWeights, CodecKind, BASE_MISMATCH,
 };
@@ -78,10 +79,13 @@ pub trait ServerEndpoint: Send {
     /// already parked for `finish`), `false` when `finish` will block for
     /// it. After an error there is nothing to finish.
     ///
+    /// The request is borrowed: every member of a broadcast group sends
+    /// the group's one frame, and no member copies it.
+    ///
     /// # Errors
     ///
     /// Returns [`FlError::Transport`] when the underlying pipe fails.
-    fn begin(&mut self, request: Envelope) -> Result<bool>;
+    fn begin(&mut self, request: &Envelope) -> Result<bool>;
 
     /// Blocks for the reply to the request last begun.
     ///
@@ -96,7 +100,7 @@ pub trait ServerEndpoint: Send {
     /// # Errors
     ///
     /// Those of [`begin`](Self::begin) and [`finish`](Self::finish).
-    fn exchange(&mut self, request: Envelope) -> Result<Envelope> {
+    fn exchange(&mut self, request: &Envelope) -> Result<Envelope> {
         self.begin(request)?;
         self.finish()
     }
@@ -114,7 +118,7 @@ pub trait ServerEndpoint: Send {
 }
 
 impl ServerEndpoint for Box<dyn ServerEndpoint> {
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         (**self).begin(request)
     }
 
@@ -174,8 +178,12 @@ pub(crate) fn slide<F: ?Sized, B, T>(
 ///
 /// A delta-topk session's reference view is held here, as the server
 /// holds its own: the decoded download with the epoch that names it, one
-/// allocation per lockstep group (see `client::ClientModels`). The
-/// wrapped client holds no model at all.
+/// allocation per lockstep group. A delta download is looked up in the
+/// fleet's store (`client::ClientModels`) by this session's view and the
+/// frame's bytes before anything opens it, so a group's frame is opened,
+/// checked and decoded once, by its first member; every member still
+/// checks that the frame names the epoch it holds. The wrapped client
+/// holds no model at all.
 pub(crate) struct ClientHandler {
     client: FlClient,
     /// The update codec the hello negotiated (None before a handshake).
@@ -217,7 +225,7 @@ impl ClientHandler {
 
     /// The committed delta view's model, if the session holds one.
     #[cfg(test)]
-    pub(crate) fn view_weights(&self) -> Option<&gradsec_nn::model::ModelWeights> {
+    pub(crate) fn view_weights(&self) -> Option<&ModelWeights> {
         self.view.as_ref().map(|(_, weights)| &**weights)
     }
 
@@ -230,19 +238,19 @@ impl ClientHandler {
 
     /// Handles one request, returning the reply — or `None` for
     /// [`MessageKind::Goodbye`], which ends the session without a reply.
-    pub(crate) fn handle(&mut self, request: Envelope) -> Option<Envelope> {
+    pub(crate) fn handle(&mut self, request: &Envelope) -> Option<Envelope> {
         if request.kind == MessageKind::Goodbye {
             return None;
         }
         Some(self.reply_to(request))
     }
 
-    fn reply_to(&mut self, request: Envelope) -> Envelope {
+    fn reply_to(&mut self, request: &Envelope) -> Envelope {
         if let Err(e) = check_version("peer envelope", request.version) {
             return Envelope::error(e.to_string());
         }
         match request.kind {
-            MessageKind::Hello => self.handle_hello(&request),
+            MessageKind::Hello => self.handle_hello(request),
             MessageKind::AttestationRequest => {
                 match request.open::<AttestationRequest>(MessageKind::AttestationRequest) {
                     Ok(req) => Envelope::pack(
@@ -252,12 +260,7 @@ impl ClientHandler {
                     Err(e) => Envelope::error(format!("malformed attestation request: {e}")),
                 }
             }
-            MessageKind::EncodedModelDownload => {
-                match request.open::<EncodedModelDownload>(MessageKind::EncodedModelDownload) {
-                    Ok(download) => self.handle_encoded_download(download),
-                    Err(e) => Envelope::error(format!("malformed encoded download: {e}")),
-                }
-            }
+            MessageKind::EncodedModelDownload => self.handle_encoded_download(request),
             other => Envelope::error(format!("unexpected request kind {other:?}")),
         }
     }
@@ -266,51 +269,53 @@ impl ClientHandler {
     /// codec, train, and reply with the update encoded the same way.
     ///
     /// The download is checked against the view this client holds,
-    /// whatever the bytes of its neighbours; a delta session is then
-    /// handed its group's decoded view by the fleet's store, and the cycle
-    /// trains from it in place. The view is taken before the cycle starts
-    /// and put back untouched when the download is refused, or replaced by
-    /// the decoded download when the cycle succeeds — so a cycle that
-    /// fails or panics leaves no view, and the server's next delta is
-    /// answered with [`BASE_MISMATCH`] and re-sent dense.
-    fn handle_encoded_download(&mut self, download: EncodedModelDownload) -> Envelope {
+    /// whatever the bytes of its neighbours; a delta session is handed
+    /// its group's opened download and decoded view by the fleet's store,
+    /// and the cycle trains from it in place. The view is taken before
+    /// the cycle starts and put back untouched when the download is
+    /// refused, or replaced by the decoded download when the cycle
+    /// succeeds — so a cycle that fails or panics leaves no view, and the
+    /// server's next delta is answered with [`BASE_MISMATCH`] and re-sent
+    /// dense.
+    fn handle_encoded_download(&mut self, request: &Envelope) -> Envelope {
         let held = self.view.take();
         #[cfg(test)]
         self.note_view();
-        let reply = self.train_on(download, held);
+        let reply = self.train_on(request, held);
         #[cfg(test)]
         self.note_view();
+        if self.codec == Some(CodecKind::DeltaTopK) {
+            self.client.models().prune();
+        }
         reply
     }
 
-    fn train_on(&mut self, download: EncodedModelDownload, held: Option<View>) -> Envelope {
-        let codec = self.codec.unwrap_or(download.weights.codec);
-        let base = match (download.weights.base_epoch, &held) {
-            (None, _) => None,
-            (Some(base), Some((epoch, view))) if base == *epoch => Some(Arc::clone(view)),
-            (Some(base), _) => {
-                let holds = held.as_ref().map(|(epoch, _)| *epoch);
+    fn train_on(&mut self, request: &Envelope, held: Option<View>) -> Envelope {
+        let accepted = if self.codec == Some(CodecKind::DeltaTopK) {
+            let base = held.as_ref().map(|(_, view)| view);
+            let models = self.client.models();
+            let memo = models.download(base, &request.payload, || open(request, held.as_ref()));
+            // A member handed what another opened still checks that the
+            // frame names the epoch it holds.
+            memo.and_then(|(opened, global)| {
+                base_of(opened.base_epoch, held.as_ref())?;
+                Ok((opened, global))
+            })
+        } else {
+            open(request, held.as_ref())
+        };
+        let (opened, global) = match accepted {
+            Ok(accepted) => accepted,
+            Err(refusal) => {
                 self.view = held;
-                return Envelope::error(format!(
-                    "{BASE_MISMATCH}: server referenced epoch {base} but this \
-                     client holds {holds:?}"
-                ));
+                return Envelope::error(refusal);
             }
         };
-        let reference = base.as_deref().map(flatten);
-        if let Err(e) = check_against(&download.weights, reference.as_deref()) {
-            self.view = held;
-            return Envelope::error(format!("malformed encoded download: {e}"));
-        }
-        let epoch = download.weights.epoch;
-        let global = if codec == CodecKind::DeltaTopK {
-            self.client.models().view(base.as_ref(), download.weights)
-        } else {
-            Arc::new(rebuild_all(&download.weights, reference.as_deref()))
-        };
-        let (round, plan, protected) = (download.round, &download.plan, &download.protected_layers);
+        let codec = self.codec.unwrap_or(opened.codec);
+        let (round, plan, protected) = (opened.round, &opened.plan, &opened.protected_layers);
         match self.client.cycle(round, &global, plan, protected) {
             Ok(upload) => {
+                let epoch = opened.epoch;
                 let encoded = encode_weights(codec, epoch, &upload.weights, Some((epoch, &global)));
                 if codec == CodecKind::DeltaTopK {
                     self.view = Some((epoch, global));
@@ -348,6 +353,48 @@ impl ClientHandler {
                 codec: hello.codec,
             },
         )
+    }
+}
+
+/// Opens a download frame, checks it against the view `held` and decodes
+/// it; the refusal is the reply's text.
+fn open(request: &Envelope, held: Option<&View>) -> Accepted {
+    let malformed = |e: FlError| format!("malformed encoded download: {e}");
+    let download: EncodedModelDownload = request
+        .open(MessageKind::EncodedModelDownload)
+        .map_err(malformed)?;
+    let weights = &download.weights;
+    let reference = base_of(weights.base_epoch, held)?.map(flatten);
+    check_against(weights, reference.as_deref()).map_err(malformed)?;
+    let global = Arc::new(rebuild_all(weights, reference.as_deref()));
+    let opened = Opened {
+        round: download.round,
+        plan: download.plan,
+        codec: weights.codec,
+        epoch: weights.epoch,
+        base_epoch: weights.base_epoch,
+        protected_layers: download.protected_layers,
+    };
+    Ok((opened, global))
+}
+
+/// The view a download coded against `base_epoch` is decoded against:
+/// none for a dense one, the held view if it is the one named, and a
+/// [`BASE_MISMATCH`] refusal otherwise.
+fn base_of(
+    base_epoch: Option<u64>,
+    held: Option<&View>,
+) -> std::result::Result<Option<&ModelWeights>, String> {
+    match (base_epoch, held) {
+        (None, _) => Ok(None),
+        (Some(base), Some((epoch, view))) if base == *epoch => Ok(Some(&**view)),
+        (Some(base), _) => {
+            let holds = held.map(|(epoch, _)| *epoch);
+            Err(format!(
+                "{BASE_MISMATCH}: server referenced epoch {base} but this \
+                 client holds {holds:?}"
+            ))
+        }
     }
 }
 
@@ -432,7 +479,7 @@ impl RemoteClient {
             n,
             |endpoints, i| {
                 let endpoint = endpoints[i].as_mut().expect("greeted once");
-                Ok(((), endpoint.begin(hello.clone())?))
+                Ok(((), endpoint.begin(&hello)?))
             },
             |endpoints, i, sent| {
                 let mut endpoint = endpoints[i].take().expect("greeted once");
@@ -472,7 +519,7 @@ impl RemoteClient {
     /// session takes one request at a time: a second one before the
     /// first's reply is collected would let that reply answer the wrong
     /// request, so it is refused.
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
         if self.begun {
             return Err(FlError::Protocol {
                 reason: format!("client {} has a request in flight already", self.id),
@@ -518,7 +565,7 @@ impl RemoteClient {
         let request = AttestationRequest {
             challenge: *challenge,
         };
-        self.begin(Envelope::pack(MessageKind::AttestationRequest, &request))
+        self.begin(&Envelope::pack(MessageKind::AttestationRequest, &request))
     }
 
     /// The reply half of [`attest`](Self::attest).
@@ -556,7 +603,7 @@ impl RemoteClient {
         let epoch = self.epoch;
         self.epoch += 1;
         let shared = round.payload(self.codec, epoch, self.view.as_ref())?;
-        let inline = self.begin(shared.frame.clone())?;
+        let inline = self.begin(&shared.frame)?;
         Ok((InFlight { epoch, shared }, inline))
     }
 
@@ -679,7 +726,6 @@ pub(crate) mod tests {
     use crate::config::TrainingPlan;
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
-    use gradsec_nn::model::ModelWeights;
     use gradsec_nn::zoo;
     use gradsec_tensor::Tensor;
     use std::sync::Mutex;
@@ -737,7 +783,7 @@ pub(crate) mod tests {
                 codec: CodecKind::Identity,
             },
         );
-        let reply = handler.handle(futuristic).expect("hello gets a reply");
+        let reply = handler.handle(&futuristic).expect("hello gets a reply");
         assert_eq!(reply.kind, MessageKind::Error);
         let reason = reply.error_reason();
         assert!(
@@ -755,7 +801,7 @@ pub(crate) mod tests {
         /// A client that acks every hello at an older protocol version.
         struct StaleClient;
         impl ServerEndpoint for StaleClient {
-            fn begin(&mut self, _request: Envelope) -> Result<bool> {
+            fn begin(&mut self, _request: &Envelope) -> Result<bool> {
                 Ok(true)
             }
             fn finish(&mut self) -> Result<Envelope> {
@@ -799,7 +845,7 @@ pub(crate) mod tests {
             },
         );
         req.version = 0;
-        let reply = handler.handle(req).expect("a reply");
+        let reply = handler.handle(&req).expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
         let reason = reply.error_reason();
         assert!(reason.contains("version 0,"), "{reason}");
@@ -886,7 +932,7 @@ pub(crate) mod tests {
     fn goodbye_ends_the_session_without_a_reply() {
         let mut handler = ClientHandler::new(fl_client(1));
         assert!(handler
-            .handle(Envelope::control(MessageKind::Goodbye))
+            .handle(&Envelope::control(MessageKind::Goodbye))
             .is_none());
     }
 
@@ -894,7 +940,7 @@ pub(crate) mod tests {
     fn unexpected_kinds_get_error_replies_not_panics() {
         let mut handler = ClientHandler::new(fl_client(1));
         let reply = handler
-            .handle(Envelope::control(MessageKind::EncodedUpdateUpload))
+            .handle(&Envelope::control(MessageKind::EncodedUpdateUpload))
             .expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
     }
@@ -916,9 +962,8 @@ pub(crate) mod tests {
             },
             protected_layers: vec![],
         };
-        let reply = handler
-            .handle(Envelope::pack(MessageKind::EncodedModelDownload, &download))
-            .expect("a reply");
+        let request = Envelope::pack(MessageKind::EncodedModelDownload, &download);
+        let reply = handler.handle(&request).expect("a reply");
         assert_eq!(reply.kind, MessageKind::Error);
         let reason = reply.error_reason();
         assert!(reason.contains("batch_size"), "{reason}");
@@ -944,7 +989,7 @@ pub(crate) mod tests {
     fn delta_handler(client: FlClient) -> ClientHandler {
         let mut handler = ClientHandler::new(client);
         let hello = Hello::with_codec(CodecKind::DeltaTopK);
-        let ack = handler.handle(Envelope::pack(MessageKind::Hello, &hello));
+        let ack = handler.handle(&Envelope::pack(MessageKind::Hello, &hello));
         assert_eq!(ack.expect("an ack").kind, MessageKind::HelloAck);
         handler
     }
@@ -957,7 +1002,7 @@ pub(crate) mod tests {
             protected_layers: vec![],
         };
         let request = Envelope::pack(MessageKind::EncodedModelDownload, &request);
-        handler.handle(request).expect("a reply")
+        handler.handle(&request).expect("a reply")
     }
 
     /// A [`LocalEndpoint`] the test keeps a second handle on, to read the
@@ -966,7 +1011,7 @@ pub(crate) mod tests {
     struct Watched(Arc<Mutex<LocalEndpoint>>);
 
     impl ServerEndpoint for Watched {
-        fn begin(&mut self, request: Envelope) -> Result<bool> {
+        fn begin(&mut self, request: &Envelope) -> Result<bool> {
             self.0.lock().unwrap().begin(request)
         }
         fn finish(&mut self) -> Result<Envelope> {
@@ -1087,6 +1132,146 @@ pub(crate) mod tests {
             }
         }
     }
+    /// `n` delta handlers whose clients (ids `0..n`) share one store.
+    fn delta_group(n: u64) -> (Arc<crate::client::ClientModels>, Vec<ClientHandler>) {
+        let models = crate::client::ClientModels::new(zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap());
+        let ds = Arc::new(SyntheticCifar100::with_classes(16, 2, 1));
+        let handlers = (0..n)
+            .map(|id| {
+                let device = DeviceProfile::trustzone(id);
+                let trainer = Box::new(PlainSgdTrainer);
+                let shard = (0..16).collect();
+                let client =
+                    FlClient::hosted(id, device, ds.clone(), shard, models.clone(), trainer);
+                delta_handler(client)
+            })
+            .collect();
+        (models, handlers)
+    }
+
+    fn shares_view(a: &ClientHandler, b: &ClientHandler) -> bool {
+        match (&a.view, &b.view) {
+            (Some((_, a)), Some((_, b))) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn a_group_opens_its_download_once_and_a_diverged_base_or_byte_opens_its_own() {
+        use CodecKind::DeltaTopK;
+        let base = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let other = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 2).unwrap().weights();
+        let (models, mut handlers) = delta_group(4);
+        // Round 0: clients 0 to 2 get one dense frame, client 3 another.
+        for (id, handler) in handlers.iter_mut().enumerate() {
+            let dense = encode_weights(DeltaTopK, 0, if id < 3 { &base } else { &other }, None);
+            let reply = send(handler, 0, dense);
+            assert_eq!(reply.kind, MessageKind::EncodedUpdateUpload, "client {id}");
+        }
+        assert_eq!(models.downloads_opened(), 2);
+        assert!(shares_view(&handlers[0], &handlers[2]));
+        assert!(!shares_view(&handlers[0], &handlers[3]));
+
+        // Round 1: one delta for everyone at epoch 0, but client 2's copy
+        // differs in one byte of one coefficient, and client 3's view is
+        // another model at the same epoch.
+        let mut next = base.clone();
+        next.add_scaled(&base, 0.01).unwrap();
+        let delta = encode_weights(DeltaTopK, 1, &next, Some((0, &base)));
+        let mut nudged = delta.clone();
+        let EncodedBody::TopK(body) = &nudged.tensors[0].body else {
+            unreachable!("a delta on the same shapes is sparse")
+        };
+        let moved = body.entries().enumerate().map(|(j, (i, v))| {
+            let flipped = v.to_bits() ^ u32::from(j == 0);
+            (i as u32, f32::from_bits(flipped))
+        });
+        nudged.tensors[0].body = EncodedBody::TopK(SparseDelta::from_entries(moved));
+        let frame = |weights: &EncodedWeights| {
+            let request = EncodedModelDownload {
+                round: 1,
+                weights: weights.clone(),
+                plan: one_batch(),
+                protected_layers: vec![],
+            };
+            Envelope::pack(MessageKind::EncodedModelDownload, &request)
+        };
+        let (plain, odd) = (frame(&delta), frame(&nudged));
+        let differ = plain
+            .payload
+            .iter()
+            .zip(&odd.payload)
+            .filter(|(a, b)| a != b);
+        assert_eq!(
+            (plain.payload.len(), differ.count()),
+            (odd.payload.len(), 1)
+        );
+        let wants = [
+            decode_weights(&delta, Some(&base)).unwrap(),
+            decode_weights(&delta, Some(&base)).unwrap(),
+            decode_weights(&nudged, Some(&base)).unwrap(),
+            decode_weights(&delta, Some(&other)).unwrap(),
+        ];
+        // Client 3 goes second, while the group's base is still held.
+        for id in [0, 3, 1, 2] {
+            let handler = &mut handlers[id];
+            let reply = handler.handle(if id == 2 { &odd } else { &plain }).unwrap();
+            assert_eq!(reply.kind, MessageKind::EncodedUpdateUpload, "client {id}");
+            let held = handler.view_weights().unwrap();
+            assert_eq!(
+                bits(flatten(held)),
+                bits(flatten(&wants[id])),
+                "client {id}"
+            );
+        }
+        // Clients 0 and 1 opened one; clients 2 and 3 each their own.
+        assert_eq!(models.downloads_opened(), 5);
+        assert!(shares_view(&handlers[0], &handlers[1]));
+        assert!(!shares_view(&handlers[0], &handlers[2]));
+        assert!(!shares_view(&handlers[0], &handlers[3]));
+        // Every round-0 view is gone, and so is every download on one.
+        assert_eq!(models.downloads_kept(), 0);
+    }
+
+    #[test]
+    fn a_non_finite_download_is_refused_for_every_member_and_never_kept() {
+        use CodecKind::DeltaTopK;
+        let base = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let (models, mut handlers) = delta_group(3);
+        for handler in &mut handlers {
+            let reply = send(handler, 0, encode_weights(DeltaTopK, 0, &base, None));
+            assert_eq!(reply.kind, MessageKind::EncodedUpdateUpload);
+        }
+        let (opened, kept) = (models.downloads_opened(), models.downloads_kept());
+        assert_eq!((opened, kept), (1, 1), "the dense download and its view");
+        let mut next = base.clone();
+        next.add_scaled(&base, 0.01).unwrap();
+        let mut poisoned = encode_weights(DeltaTopK, 1, &next, Some((0, &base)));
+        poisoned.tensors[0].body = EncodedBody::TopK(SparseDelta::from_entries([(5, f32::NAN)]));
+        let request = EncodedModelDownload {
+            round: 1,
+            weights: poisoned,
+            plan: one_batch(),
+            protected_layers: vec![],
+        };
+        let request = Envelope::pack(MessageKind::EncodedModelDownload, &request);
+        for (id, handler) in handlers.iter_mut().enumerate() {
+            let reply = handler.handle(&request).unwrap();
+            assert_eq!(reply.kind, MessageKind::Error, "client {id}");
+            let reason = reply.error_reason();
+            let why = "non-finite coefficient NaN in tensor 0 at index 5";
+            assert!(reason.contains(why), "client {id}: {reason}");
+            assert_eq!(
+                bits(flatten(handler.view_weights().unwrap())),
+                bits(flatten(&base))
+            );
+            // Refused, so not kept: the next member opens it again.
+            assert_eq!(models.downloads_opened(), opened + id + 1, "client {id}");
+            assert_eq!(models.downloads_kept(), kept, "client {id}");
+        }
+        assert!(shares_view(&handlers[0], &handlers[2]));
+    }
+
     /// What a [`Tampering`] endpoint does to tensor 0 of an update on its
     /// way back to the server.
     #[derive(Debug, Clone, Copy)]
@@ -1180,7 +1365,7 @@ pub(crate) mod tests {
     }
 
     impl ServerEndpoint for Tampering {
-        fn begin(&mut self, request: Envelope) -> Result<bool> {
+        fn begin(&mut self, request: &Envelope) -> Result<bool> {
             self.inner.begin(request)
         }
         fn finish(&mut self) -> Result<Envelope> {

@@ -270,7 +270,7 @@ impl Session {
                     frames.clear();
                     let fed = self.rx.feed(&chunk[..n], &mut frames);
                     for envelope in frames.drain(..) {
-                        match self.handler.handle(envelope) {
+                        match self.handler.handle(&envelope) {
                             Some(reply) => reply.encode_into(&mut self.wbuf),
                             None => self.phase = Phase::Draining,
                         }

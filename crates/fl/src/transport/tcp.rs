@@ -112,8 +112,8 @@ impl FramedStream {
 }
 
 impl ServerEndpoint for FramedStream {
-    fn begin(&mut self, request: Envelope) -> Result<bool> {
-        self.send(&request)?;
+    fn begin(&mut self, request: &Envelope) -> Result<bool> {
+        self.send(request)?;
         Ok(false)
     }
 
@@ -252,7 +252,7 @@ mod tests {
         });
         let mut server = listener.accept().unwrap();
         let sent = hello();
-        let echoed = server.exchange(sent.clone()).unwrap();
+        let echoed = server.exchange(&sent).unwrap();
         assert_eq!(sent, echoed);
         // Each end counts the whole frame, header included, each way.
         let frame = (ENVELOPE_HEADER_LEN + sent.payload.len()) as u64;

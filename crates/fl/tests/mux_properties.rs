@@ -276,7 +276,7 @@ proptest! {
 
         let hello = Envelope::pack(MessageKind::Hello, &Hello::current());
         for &s in &order_by(&hello_keys) {
-            prop_assert!(!endpoints[s].begin(hello.clone()).unwrap(), "a socket answers later");
+            prop_assert!(!endpoints[s].begin(&hello).unwrap(), "a socket answers later");
         }
         let mut ids = [0u64; SESSIONS];
         for &s in &order_by(&finish_keys) {
@@ -290,7 +290,7 @@ proptest! {
         let challenge_of = |s: usize| Challenge::new([seed + s as u8; 16]);
         for &s in &order_by(&begin_keys) {
             let request = AttestationRequest { challenge: challenge_of(s) };
-            endpoints[s].begin(Envelope::pack(MessageKind::AttestationRequest, &request)).unwrap();
+            endpoints[s].begin(&Envelope::pack(MessageKind::AttestationRequest, &request)).unwrap();
         }
         let whitelisted = Measurement(sha256(b"gradsec-ta-code-v1"));
         for &s in &order_by(&finish_keys) {
