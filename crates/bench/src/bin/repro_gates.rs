@@ -121,7 +121,7 @@ fn processes(n: usize) -> [Section; 3] {
 /// round commits from the survivor and teardown stays clean.
 fn killed_shard(gate: &mut Gate, n: usize) {
     let name = format!("procs killed shard {n}");
-    let coord = two_rounds(n, None).distributed().shards(2).workers(2);
+    let coord = two_rounds(n, None).federation().shards(2).workers(2);
     let mut coord = coord.launch().expect("kill-run fleet launches");
     coord.run_round().expect("pre-kill round completes");
     coord.kill_shard(1).expect("kill delivers");

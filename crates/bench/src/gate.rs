@@ -1,6 +1,6 @@
 //! The deployment gate: one [`Scenario`] describes a lightweight fleet
-//! once and yields both the in-process and the multi-process builder for
-//! it, one [`run`] executes it under a [`Deployment`], and one [`Gate`]
+//! once and yields the one builder of its run, from recipes, one [`run`]
+//! builds or launches it under a [`Deployment`], and one [`Gate`]
 //! judges every deployment of a [`Section`] against the scenario's flat
 //! in-process run — bit for bit — into a table. `repro_gates` prints that
 //! table and exits 1 naming every failed cell; tests call [`hold`], which
@@ -8,21 +8,15 @@
 //! `benchmark/` package.
 
 use std::fmt;
-use std::sync::Arc;
 
 use gradsec_core::window::MovingWindow;
 use gradsec_core::ProtectionPolicy;
-use gradsec_data::Dataset;
 use gradsec_fl::client::DeviceProfile;
 use gradsec_fl::config::{MuxOptions, TrainingPlan, TransportKind};
-use gradsec_fl::distributed::DistributedBuilder;
 use gradsec_fl::message::{DatasetSpec, ModelSpec};
 use gradsec_fl::runner::{Federation, FederationBuilder, FederationReport};
-use gradsec_fl::{
-    AdversaryPlan, Aggregator, CodecKind, DistributedCoordinator, ExecutionEngine, FaultPlan,
-    ProtectionScheduler,
-};
-use gradsec_nn::model::{ModelWeights, Sequential};
+use gradsec_fl::{AdversaryPlan, Aggregator, CodecKind, FaultPlan, ProtectionScheduler};
+use gradsec_nn::model::ModelWeights;
 use gradsec_nn::BackendKind;
 
 use crate::table::TextTable;
@@ -70,9 +64,9 @@ impl fmt::Display for Net {
 /// Which layers each round shelters, and in what.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// No schedule: the builders' default.
+    /// No schedule: the builder's default.
     Open,
-    /// The net's static paper policy. The builders' default trainer
+    /// The net's static paper policy. The builder's default trainer
     /// trains every protected cycle in `SecureTrainer`, so each ledger
     /// carries an enclave bill.
     Secure,
@@ -122,8 +116,7 @@ pub struct Scenario {
     pub policy: Policy,
     /// Every fourth client from the second a legacy device and every
     /// fourth from the third a compromised one, which screening must
-    /// refuse alike on every path. Shard servers provision TrustZone
-    /// devices only, so only fleets in this process run it.
+    /// refuse alike on every path, shard servers included.
     pub mixed: bool,
     /// Kernel backend.
     pub backend: BackendKind,
@@ -137,32 +130,6 @@ pub struct Scenario {
     pub codec: CodecKind,
     /// Per-round screening cap.
     pub screening: Option<usize>,
-}
-
-/// Applies the scenario's run options to either builder — they spell
-/// these setters alike.
-macro_rules! configured {
-    ($builder:expr, $s:expr) => {{
-        let mut b = $builder.aggregator($s.aggregator).codec($s.codec);
-        // The default backend is left to the builders' own default, which
-        // `integration_edges` pins as `Reference`.
-        if $s.backend != BackendKind::default() {
-            b = b.backend($s.backend);
-        }
-        if let Some(policy) = $s.protection() {
-            b = b.scheduler(policy);
-        }
-        if let Some(plan) = &$s.faults {
-            b = b.faults(plan.clone());
-        }
-        if let Some(plan) = &$s.adversaries {
-            b = b.adversaries(plan.clone());
-        }
-        if let Some(cap) = $s.screening {
-            b = b.screening_sample(cap);
-        }
-        b
-    }};
 }
 
 impl Scenario {
@@ -221,14 +188,6 @@ impl Scenario {
         !self.mixed || !matches!(device % 4, 1 | 2)
     }
 
-    /// Whether this scenario can run under `deployment`: shard servers
-    /// train every policy, but provision TrustZone devices only. A mixed
-    /// fleet on them waits on ROADMAP's "One builder", which puts the
-    /// device mix on the wire.
-    pub(crate) fn runs_on(&self, deployment: Deployment) -> bool {
-        !(self.mixed && matches!(deployment, Deployment::Processes(..)))
-    }
-
     /// The fleet's samples: one shard per client.
     fn samples(&self) -> u64 {
         (self.local.shape().0 * self.clients) as u64
@@ -265,40 +224,38 @@ impl Scenario {
         }
     }
 
-    /// The fleet's shared dataset.
-    pub fn dataset(&self) -> Arc<dyn Dataset> {
-        self.dataset_spec().build()
-    }
-
-    /// A freshly initialised model.
-    pub fn model(&self) -> Sequential {
-        self.model_spec().build().expect("zoo model builds")
-    }
-
-    /// The in-process federation of this fleet.
+    /// This fleet's run, from its recipes: every [`Deployment`] builds
+    /// or launches it.
     pub fn federation(&self) -> FederationBuilder {
-        let scenario = self.clone();
-        let builder = Federation::builder(self.plan()).model(move || scenario.model());
-        let builder = if self.mixed {
-            let device = |id: u64| match id % 4 {
-                1 => DeviceProfile::legacy(id),
-                2 => DeviceProfile::compromised(id),
-                _ => DeviceProfile::trustzone(id),
-            };
-            let devices = (0..self.clients as u64).map(device).collect();
-            builder.devices(devices, self.dataset())
-        } else {
-            builder.clients(self.clients, self.dataset())
+        let device = |id: u64| match id % 4 {
+            1 if self.mixed => DeviceProfile::legacy(id),
+            2 if self.mixed => DeviceProfile::compromised(id),
+            _ => DeviceProfile::trustzone(id),
         };
-        configured!(builder, self)
-    }
-
-    /// The shard-server federation of the same fleet.
-    pub fn distributed(&self) -> DistributedBuilder {
-        let builder = DistributedCoordinator::builder(self.plan())
-            .clients(self.clients, self.dataset_spec())
-            .model(self.model_spec());
-        configured!(builder, self)
+        let devices = (0..self.clients as u64).map(device).collect();
+        let mut b = Federation::builder(self.plan())
+            .model(self.model_spec())
+            .devices(devices, self.dataset_spec())
+            .aggregator(self.aggregator)
+            .codec(self.codec);
+        // The default backend is left to the builder's own default, which
+        // `integration_edges` pins as `Reference`.
+        if self.backend != BackendKind::default() {
+            b = b.backend(self.backend);
+        }
+        if let Some(policy) = self.protection() {
+            b = b.scheduler(policy);
+        }
+        if let Some(plan) = &self.faults {
+            b = b.faults(plan.clone());
+        }
+        if let Some(plan) = &self.adversaries {
+            b = b.adversaries(plan.clone());
+        }
+        if let Some(cap) = self.screening {
+            b = b.screening_sample(cap);
+        }
+        b
     }
 }
 
@@ -383,13 +340,9 @@ fn must<T>(what: &dyn fmt::Display, step: gradsec_fl::Result<T>) -> T {
 /// Panics when the fleet cannot be built, a round errors or teardown
 /// is not clean.
 pub fn run(scenario: &Scenario, deployment: Deployment) -> Outcome {
-    assert!(
-        scenario.runs_on(deployment),
-        "{scenario} cannot run on {deployment}"
-    );
-    let local = |transport, shards, workers| {
-        let builder = scenario.federation().transport(transport).shards(shards);
-        builder.engine(ExecutionEngine::new(workers))
+    let on = |transport, shards, workers| {
+        let builder = scenario.federation().transport(transport);
+        builder.shards(shards).workers(workers)
     };
     let trickle = MuxOptions {
         loops: 2,
@@ -397,13 +350,13 @@ pub fn run(scenario: &Scenario, deployment: Deployment) -> Outcome {
         write_bound: 256,
     };
     match deployment {
-        Deployment::InProcess(s, w) => drive(deployment, local(TransportKind::InProcess, s, w)),
-        Deployment::Mux(s, w) => drive(deployment, local(TransportKind::TcpMux, s, w)),
+        Deployment::InProcess(s, w) => drive(deployment, on(TransportKind::InProcess, s, w)),
+        Deployment::Mux(s, w) => drive(deployment, on(TransportKind::TcpMux, s, w)),
         Deployment::Trickle(s, w) => {
-            drive(deployment, local(TransportKind::TcpMux, s, w).mux(trickle))
+            drive(deployment, on(TransportKind::TcpMux, s, w).mux(trickle))
         }
         Deployment::Processes(p, w) => {
-            let launched = scenario.distributed().shards(p).workers(w).launch();
+            let launched = on(TransportKind::InProcess, p, w).launch();
             let mut coordinator = must(&deployment, launched);
             let report = must(&deployment, coordinator.run());
             let weights = coordinator.server().global().clone();
@@ -675,7 +628,10 @@ pub fn hold(sections: &[Section]) {
 
 #[cfg(test)]
 mod tests {
-    use gradsec_nn::zoo;
+    use std::sync::Arc;
+
+    use gradsec_data::{Dataset, SyntheticCifar100, SyntheticMicro};
+    use gradsec_nn::{zoo, Sequential};
 
     use super::*;
 
@@ -713,13 +669,21 @@ mod tests {
     }
 
     /// One literal per number: the recipes a shard server rebuilds from
-    /// and the in-process dataset / model come from the same fields.
+    /// are the literals a closure-built fleet spells, and the fleet built
+    /// in process from them commits the closure-built fleet's report and
+    /// weights, bit for bit.
     #[test]
     fn scenario_recipes_and_in_process_fleet_are_one_literal() {
+        let by_closures = |s: &Scenario, model: fn() -> Sequential, data: Arc<dyn Dataset>| {
+            let closures = Federation::builder(s.plan())
+                .model(model)
+                .clients(s.clients, data);
+            assert_eq!(drive("closures", closures), run(s, FLAT), "{s}");
+        };
         for (dim, hidden) in [(8, 4), (32, 16)] {
             let mut s = Scenario::new(10);
             s.net = Net::Mlp(dim);
-            let data = s.dataset();
+            let data = s.dataset_spec().build();
             let [len, classes, width] =
                 [data.len(), data.num_classes(), data.image_dims().1].map(|v| v as u64);
             assert_eq!([len, classes, width], [20, 2, dim as u64]);
@@ -739,11 +703,15 @@ mod tests {
                 seed,
             };
             assert_eq!(s.model_spec(), recipe);
-            let from_recipe = zoo::tiny_mlp(dim, hidden as usize, 2, 13).unwrap();
-            assert_eq!(from_recipe.weights(), s.model().weights());
             let plan = s.plan();
             assert_eq!((plan.seed, plan.learning_rate), (7, 0.05));
             assert_eq!((plan.batches_per_cycle, plan.batch_size), (1, 2));
+            let model: fn() -> Sequential = if dim == 8 {
+                || zoo::tiny_mlp(8, 4, 2, 13).unwrap()
+            } else {
+                || zoo::tiny_mlp(32, 16, 2, 13).unwrap()
+            };
+            by_closures(&s, model, Arc::new(SyntheticMicro::new(20, 2, dim, 5)));
         }
         let stepped = Scenario {
             local: Local::TwoSteps,
@@ -751,7 +719,6 @@ mod tests {
         };
         let plan = stepped.plan();
         assert_eq!((plan.batches_per_cycle, plan.batch_size), (2, 4));
-        assert_eq!(stepped.dataset().len(), 160);
         let spec = DatasetSpec::Micro {
             len: 160,
             classes: 2,
@@ -763,7 +730,7 @@ mod tests {
             net: Net::LeNet,
             ..Scenario::new(10)
         };
-        let data = lenet.dataset();
+        let data = lenet.dataset_spec().build();
         assert_eq!([data.len(), data.num_classes()], [20, 2]);
         let recipe = DatasetSpec::Cifar {
             len: 20,
@@ -776,5 +743,8 @@ mod tests {
             seed: 13,
         };
         assert_eq!(lenet.model_spec(), recipe);
+        let model = || zoo::lenet5_with(2, 13).unwrap();
+        let data = Arc::new(SyntheticCifar100::with_classes(20, 2, 5));
+        by_closures(&lenet, model, data);
     }
 }

@@ -55,8 +55,7 @@ const POLICY_PATHS: [Deployment; 4] =
 /// The corners: `product`'s 96, the paper's policies on both nets
 /// (`policies`), and the fleets only a screen tells apart — the mixed
 /// fleet, TrustZone clients in the enclave beside legacy and compromised
-/// devices, on engine shards and the mux, and a screening cap on every
-/// corner path.
+/// devices, and a screening cap — on every corner path.
 pub fn corners() -> Vec<Section> {
     let fleet = Scenario {
         cohort: 4,
@@ -75,7 +74,7 @@ pub fn corners() -> Vec<Section> {
     };
     let mut corners = product();
     corners.extend(policies());
-    corners.push(corner(mixed, vec![InProcess(2, 2), Mux(2, 2)], accounted));
+    corners.push(corner(mixed, CORNER_PATHS.into(), accounted));
     corners.push(corner(capped, CORNER_PATHS.into(), accounted));
     corners
 }
@@ -206,8 +205,8 @@ impl Draws {
 }
 
 /// `n` sections drawn from every value of every axis by `seed`, each
-/// judged on two deployments it can run on. Draws are tamed where a value
-/// would make the reference run itself fail: a trimmed mean needs three
+/// judged on two deployments. Draws are tamed where a value would make
+/// the reference run itself fail: a trimmed mean needs three
 /// updates, so a cohort of two or a faulted round (which may shed
 /// clients) folds by median instead; an enclave-billed LeNet cycle
 /// outlasts [`faults`]' deadline, so a faulted LeNet draw shelters
@@ -248,7 +247,7 @@ pub fn interior(seed: u64, n: usize) -> Vec<Section> {
         let mut deployments = Vec::new();
         while deployments.len() < 2 {
             let deployment = d.pick(&kinds)(d.pick(&[1, 2, 3]), d.pick(&[1, 2, 4]));
-            if s.runs_on(deployment) && deployment != FLAT && !deployments.contains(&deployment) {
+            if deployment != FLAT && !deployments.contains(&deployment) {
                 deployments.push(deployment);
             }
         }
@@ -265,8 +264,7 @@ mod tests {
     use super::*;
     use crate::gate::run;
 
-    /// No two corners share a scenario, and every one can run on every
-    /// path it names.
+    /// No two corners share a scenario.
     #[test]
     fn corners_are_one_hundred_and_six_distinct_scenarios() {
         let corners = corners();
@@ -274,13 +272,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 106);
-        let runnable = |c: &Section| c.deployments.iter().all(|&d| c.scenario.runs_on(d));
-        assert!(corners.iter().all(runnable));
     }
 
     /// Every deployment kind and every policy appear among the corners,
-    /// as do the mixed fleet and a screening cap, and every faulted corner
-    /// judges that its faults landed: losing any fails here by name.
+    /// as do the mixed fleet on shard servers and a screening cap, and
+    /// every faulted corner judges that its faults landed: losing any
+    /// fails here by name.
     #[test]
     fn corners_cover_every_path_policy_and_fleet() {
         let corners = corners();
@@ -300,12 +297,9 @@ mod tests {
             .flat_map(|c| c.deployments.iter().map(path))
             .chain(corners.iter().map(|c| policy(&c.scenario)))
             .collect();
-        covered.extend(
-            corners
-                .iter()
-                .any(|c| c.scenario.mixed)
-                .then_some("mixed fleet"),
-        );
+        let procs = |c: &Section| c.deployments.iter().any(|d| path(d) == "procs");
+        let mixed = corners.iter().any(|c| c.scenario.mixed && procs(c));
+        covered.extend(mixed.then_some("mixed fleet on procs"));
         let capped = corners.iter().any(|c| c.scenario.screening.is_some());
         covered.extend(capped.then_some("screening cap"));
         // Judged on a clean run, a faulted corner's bars name the faults
@@ -329,7 +323,7 @@ mod tests {
             "open",
             "secure",
             "window",
-            "mixed fleet",
+            "mixed fleet on procs",
             "screening cap",
             "faults landed",
         ];
@@ -349,10 +343,7 @@ mod tests {
         for section in interior(42, 32) {
             assert_eq!(section.deployments.len(), 2);
             let s = &section.scenario;
-            assert!(section
-                .deployments
-                .iter()
-                .all(|&d| s.runs_on(d) && d != FLAT));
+            assert!(!section.deployments.contains(&FLAT));
             assert!(s.cohort <= s.clients && s.screening.is_none_or(|m| m <= s.clients));
         }
     }

@@ -20,10 +20,8 @@ use crate::Result;
 ///
 /// The paper's selection step (Figure 2-➊) discards devices without a TEE;
 /// this profile is what that check inspects.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
-    /// Whether the device has TrustZone at all.
-    pub(crate) has_tee: bool,
     /// Device attestation key (provisioned at manufacture; shared with the
     /// verifier in this symmetric simulation).
     ///
@@ -33,7 +31,8 @@ pub struct DeviceProfile {
     /// `provisioned_key(id)` fails screening, exactly as an unprovisioned
     /// device would in the field.
     pub(crate) attestation_key: Vec<u8>,
-    /// The GradSec TA installed on this device, if any.
+    /// The GradSec TA installed in this device's TrustZone; `None` on a
+    /// device without a TEE.
     pub(crate) ta: Option<InstalledTa>,
 }
 
@@ -42,7 +41,7 @@ pub struct DeviceProfile {
 pub(crate) const TA_CODE: &[u8] = b"gradsec-ta-code-v1";
 
 /// A TA installed on a device.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstalledTa {
     /// TA identity.
     pub(crate) uuid: Uuid,
@@ -62,7 +61,6 @@ impl DeviceProfile {
     /// A well-provisioned TrustZone device running the genuine GradSec TA.
     pub fn trustzone(device_id: u64) -> Self {
         DeviceProfile {
-            has_tee: true,
             attestation_key: Self::provisioned_key(device_id),
             ta: Some(InstalledTa {
                 uuid: Uuid::from_name("gradsec-ta"),
@@ -74,7 +72,6 @@ impl DeviceProfile {
     /// A legacy device with no TEE.
     pub fn legacy(device_id: u64) -> Self {
         DeviceProfile {
-            has_tee: false,
             attestation_key: Self::provisioned_key(device_id),
             ta: None,
         }
@@ -84,7 +81,6 @@ impl DeviceProfile {
     /// will not match the server's whitelist.
     pub fn compromised(device_id: u64) -> Self {
         DeviceProfile {
-            has_tee: true,
             attestation_key: Self::provisioned_key(device_id),
             ta: Some(InstalledTa {
                 uuid: Uuid::from_name("gradsec-ta"),
@@ -389,7 +385,7 @@ impl std::fmt::Debug for FlClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlClient")
             .field("id", &self.id)
-            .field("has_tee", &self.device.has_tee)
+            .field("has_tee", &self.device.ta.is_some())
             .field("shard_len", &self.shard.len())
             .finish()
     }
@@ -453,22 +449,14 @@ impl FlClient {
         self.adversary.as_ref().map(|a| a.persona)
     }
 
-    /// Responds to an attestation challenge. Devices without a TEE (or
-    /// without the TA) answer with no quote and are filtered out by the
+    /// Responds to an attestation challenge. Devices without a TEE (and
+    /// so without the TA) answer with no quote and are filtered out by the
     /// server.
     pub(crate) fn attest(&self, challenge: &Challenge) -> AttestationResponse {
-        let quote = match (&self.device.has_tee, &self.device.ta) {
-            (true, Some(ta)) => {
-                let m = Measurement(gradsec_tee::crypto::sha256::sha256(&ta.code));
-                Some(sign_quote(
-                    &self.device.attestation_key,
-                    ta.uuid,
-                    m,
-                    challenge,
-                ))
-            }
-            _ => None,
-        };
+        let quote = self.device.ta.as_ref().map(|ta| {
+            let m = Measurement(gradsec_tee::crypto::sha256::sha256(&ta.code));
+            sign_quote(&self.device.attestation_key, ta.uuid, m, challenge)
+        });
         AttestationResponse { quote }
     }
 

@@ -3,13 +3,17 @@
 //!
 //! An in-process [`Federation`] scales its fleet across engine shards
 //! inside one process; this module promotes each shard to its own OS
-//! process. [`DistributedCoordinator`] is the same
-//! [`RoundDriver`] over a [`ProcessFleet`]: `shard-server` children (the
-//! thin binary in `src/bin/shard_server.rs` over `serve_shard`), each
-//! hosting one contiguous [`ShardLayout`] client range — a
-//! [`LocalFleet`] built by the same assembler an in-process federation
-//! uses — behind the existing envelope protocol, screened and executed
-//! over loopback TCP:
+//! process. The same [`FederationBuilder`] that
+//! [`build`](FederationBuilder::build)s the one
+//! [`launch`](FederationBuilder::launch)es the other, from the same
+//! fields. [`DistributedCoordinator`] is the same [`RoundDriver`] over a
+//! [`ProcessFleet`]: `shard-server` children (the thin binary in
+//! `src/bin/shard_server.rs` over `serve_shard`), each hosting one
+//! contiguous [`ShardLayout`] client range — a [`LocalFleet`] built by
+//! the same builder and assembler an in-process federation uses, from
+//! the recipes, plans and device profiles its [`ShardConfig`] carries —
+//! behind the existing envelope protocol, screened and executed over
+//! loopback TCP:
 //!
 //! ```text
 //!  coordinator process                    shard-server processes
@@ -55,19 +59,14 @@
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gradsec_nn::BackendKind;
 use gradsec_tee::attestation::Measurement;
 
-use crate::adversary::AdversaryPlan;
-use crate::aggregate::Aggregator;
 use crate::client::DeviceProfile;
-use crate::codec::{flatten, CodecKind};
-use crate::config::{ShardLayout, TrainingPlan};
-use crate::engine::{ClientOutcome, ExecutionEngine};
-use crate::faults::FaultPlan;
+use crate::codec::flatten;
+use crate::config::{ShardLayout, TrainingPlan, TransportKind};
+use crate::engine::ClientOutcome;
 use crate::fleet::{Collected, Executed, Fleet, Sink};
 use crate::message::{
     check_version, ArrivedUpload, ArrivedWeights, DatasetSpec, Envelope, MessageKind,
@@ -75,8 +74,7 @@ use crate::message::{
     ShardOutcome, ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply,
     Wire, PROTOCOL_VERSION,
 };
-use crate::runner::{Federation, LocalFleet, RoundDriver, RunSetup};
-use crate::scheduler::ProtectionScheduler;
+use crate::runner::{Data, Federation, FederationBuilder, LocalFleet, Model, RoundDriver};
 use crate::selection::{verify_evidence, ScreenPlan, ScreeningOutcome};
 use crate::transport::mux::DEFAULT_JOIN_GRACE;
 use crate::transport::tcp::{self, FramedStream, TcpListenerEndpoint};
@@ -175,184 +173,98 @@ fn resolve_shard_server() -> Result<PathBuf> {
 // Coordinator.
 // ---------------------------------------------------------------------
 
-/// Configures and launches a [`DistributedCoordinator`].
-///
-/// Unlike [`FederationBuilder`](crate::runner::FederationBuilder) —
-/// whose model/trainer factories are arbitrary closures — the
-/// distributed builder takes *recipes* ([`DatasetSpec`], [`ModelSpec`])
-/// that travel over the wire, because a shard-server process must
-/// reconstruct the identical fleet from bytes alone. Everything a shard
-/// needs travels in its [`ShardConfig`]: the recipes, the plan, the
-/// backend and codec as one-byte tags, the worker count and the fault
-/// and adversary plans; the scheduler, aggregator and screening cap stay
-/// on the coordinator. Shard servers provision all-TrustZone
-/// [`DeviceProfile`]s and the default trainer, which trains a cycle in
-/// the simulated enclave whenever the round's download protects a layer
-/// and as plain SGD otherwise (the builder defaults); heterogeneous
-/// device mixes and custom trainers stay in-process for now.
-pub struct DistributedBuilder {
-    setup: RunSetup,
-    dataset: Option<DatasetSpec>,
-    model: Option<ModelSpec>,
-    clients: usize,
-    shards: usize,
-    workers: usize,
-}
-
-impl DistributedBuilder {
-    /// Starts a builder for `plan`.
-    pub(crate) fn new(plan: TrainingPlan) -> Self {
-        DistributedBuilder {
-            setup: RunSetup::new(plan),
-            dataset: None,
-            model: None,
-            clients: 0,
-            shards: 1,
-            workers: 1,
-        }
-    }
-
-    /// Sets the fleet: `n` clients sharing the dataset `spec`
-    /// (partitioned by the same global IID derivation the flat reference
-    /// uses).
-    pub fn clients(mut self, n: usize, spec: DatasetSpec) -> Self {
-        self.clients = n;
-        self.dataset = Some(spec);
-        self
-    }
-
-    /// Sets the model recipe every process builds.
-    pub fn model(mut self, spec: ModelSpec) -> Self {
-        self.model = Some(spec);
-        self
-    }
-
-    /// Number of shard-server processes to spawn (clamped to the client
-    /// count, like [`ShardLayout::new`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Engine worker threads *per shard process* (`0` = one per core).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the kernel backend every shard process uses (shipped as
-    /// a tag in the [`ShardConfig`]).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.setup.backend = backend;
-        self
-    }
-
-    /// Selects the update codec every shard's sessions negotiate
-    /// (shipped as a tag in the [`ShardConfig`]; defaults to
-    /// [`CodecKind::Identity`]).
-    pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.setup.codec = codec;
-        self
-    }
-
-    /// Installs a deterministic fault plan (shipped to every shard;
-    /// selection over-provisions by the plan's spare count, exactly as
-    /// in-process).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.setup.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Installs a deterministic adversarial scenario (shipped to every
-    /// shard; persona assignment is a pure function of the scenario
-    /// seed and the *global* client id, so the hostile subset is
-    /// identical to an in-process run over the same plan).
-    pub fn adversaries(mut self, plan: AdversaryPlan) -> Self {
-        self.setup.adversaries = Some(Arc::new(plan));
-        self
-    }
-
-    /// Selects the aggregation rule committed on the coordinator
-    /// (defaults to plain FedAvg; robust variants defend against
-    /// hostile uploads).
-    pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
-        self.setup.aggregator = aggregator;
-        self
-    }
-
-    /// Caps per-round screening at `m` sub-sampled candidates (see
-    /// [`FlServer::set_screening_sample`](crate::server::FlServer::set_screening_sample)).
-    pub fn screening_sample(mut self, m: usize) -> Self {
-        self.setup.screening_sample = Some(m);
-        self
-    }
-
-    /// Sets the protection scheduler driving every round's sheltered
-    /// layer set.
-    pub fn scheduler<S>(mut self, s: S) -> Self
-    where
-        S: ProtectionScheduler + 'static,
-    {
-        self.setup.scheduler = Arc::new(s);
-        self
-    }
-
-    /// Spawns the shard-server processes, performs the shard-control
-    /// handshake and configuration, and returns the ready coordinator.
+impl FederationBuilder {
+    /// Spawns one `shard-server` child process per shard, ships each its
+    /// slice of the fleet, and returns the ready coordinator: the run
+    /// [`build`](Self::build) assembles, with its clients in other
+    /// processes. A shard server rebuilds its range from bytes alone, so
+    /// everything it needs crosses in its [`ShardConfig`]: the recipes,
+    /// the plan, the backend and codec as one-byte tags, the worker count
+    /// (per process), the fault and adversary plans and the shard's slice
+    /// of the device list. The scheduler, aggregator and screening cap
+    /// stay on the coordinator, and shard servers train with the default
+    /// trainer.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::BadConfig`] on invalid configuration,
+    /// Returns [`FlError::BadConfig`] on invalid configuration, and — by
+    /// name, before anything is spawned — for an input that cannot cross
+    /// to a shard server: a closure model, a built dataset, a custom
+    /// [`trainer`](Self::trainer) or [`TransportKind::TcpMux`];
     /// [`FlError::Transport`] when spawning/connecting fails, and
     /// [`FlError::Protocol`] on a handshake violation.
     pub fn launch(self) -> Result<DistributedCoordinator> {
-        let dataset = self.dataset.ok_or(FlError::BadConfig {
-            reason: "distributed federation needs a dataset spec".to_owned(),
-        })?;
-        let model = self.model.ok_or(FlError::BadConfig {
-            reason: "distributed federation needs a model spec".to_owned(),
-        })?;
-        if self.clients == 0 {
-            return Err(FlError::BadConfig {
-                reason: "distributed federation needs at least one client".to_owned(),
-            });
-        }
-        let init_weights = model.build()?.weights();
-        let server = self.setup.server(init_weights.clone())?;
-        let layout = ShardLayout::new(self.clients, self.shards);
-        // Everything but the shard's identity and range.
-        let template = ShardConfig {
-            shard_index: 0,
-            range_start: 0,
-            range_end: 0,
-            total_clients: self.clients as u64,
-            dataset,
-            model,
-            init_weights,
-            plan: self.setup.plan,
-            backend: self.setup.backend,
-            codec: self.setup.codec,
-            workers: self.workers as u64,
-            faults: self.setup.faults.as_deref().cloned(),
-            adversaries: self.setup.adversaries.as_deref().cloned(),
+        let (model, dataset) = self.recipes()?;
+        let init_weights = self.prototype()?.weights();
+        let server = self.server(init_weights.clone())?;
+        let layout = ShardLayout::new(self.devices.len(), self.shards);
+        let config = |s: usize| {
+            let range = layout.range(s);
+            ShardConfig {
+                shard_index: s as u64,
+                range_start: range.start as u64,
+                range_end: range.end as u64,
+                total_clients: self.devices.len() as u64,
+                dataset,
+                model,
+                init_weights: init_weights.clone(),
+                plan: self.plan,
+                backend: self.backend,
+                codec: self.codec,
+                workers: self.engine.workers as u64,
+                faults: self.faults.as_deref().cloned(),
+                adversaries: self.adversaries.as_deref().cloned(),
+                devices: self.devices[range].to_vec(),
+            }
         };
+        let configs = (0..layout.num_shards()).map(config).collect();
 
         let listener = tcp::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let binary = resolve_shard_server()?;
 
         let fleet = ProcessFleet {
-            measurement: self.setup.measurement,
+            measurement: self.measurement,
             shards: Vec::with_capacity(layout.num_shards()),
             layout,
             torn_down: false,
         };
         // Under the driver before the first spawn, so any failure from
         // here on still tears the children down via its Drop.
-        let mut coordinator = self.setup.drive(server, fleet);
+        let mut coordinator = self.drive(server, fleet);
         coordinator.fleet.spawn(&binary, addr)?;
-        coordinator.fleet.connect(listener, &template)?;
+        coordinator.fleet.connect(listener, configs)?;
         Ok(coordinator)
+    }
+
+    /// The model and dataset recipes a shard server rebuilds its range
+    /// from, once every input is one that can cross to it.
+    fn recipes(&self) -> Result<(ModelSpec, DatasetSpec)> {
+        let refuse = |what: &str, instead: &str| FlError::BadConfig {
+            reason: format!("launch: {what} cannot cross to a shard server; {instead}"),
+        };
+        let unset = |what: &str| FlError::BadConfig {
+            reason: format!("{what} not set"),
+        };
+        let model = match &self.model {
+            Some(Model::Recipe(spec)) => *spec,
+            Some(Model::Closure(_)) => return Err(refuse("a closure model", "pass a ModelSpec")),
+            None => return Err(unset("model")),
+        };
+        let dataset = match &self.dataset {
+            Some(Data::Recipe(spec)) => *spec,
+            Some(Data::Built(_)) => return Err(refuse("a built dataset", "pass a DatasetSpec")),
+            None => return Err(unset("dataset")),
+        };
+        if self.trainer.is_some() {
+            let instead = "shard servers train with DefaultTrainer";
+            return Err(refuse("a custom trainer", instead));
+        }
+        if self.transport != TransportKind::InProcess {
+            let instead = "shard servers host their clients in process";
+            return Err(refuse("transport TcpMux", instead));
+        }
+        Ok((model, dataset))
     }
 }
 
@@ -400,7 +312,7 @@ impl ShardSlot {
 
 /// A fleet whose clients live in `shard-server` child processes, one per
 /// contiguous [`ShardLayout`] range, each behind its own control
-/// channel. Launched by [`DistributedBuilder`].
+/// channel. Launched by [`FederationBuilder::launch`].
 pub struct ProcessFleet {
     layout: ShardLayout,
     measurement: Measurement,
@@ -414,9 +326,11 @@ pub struct ProcessFleet {
 pub type DistributedCoordinator = RoundDriver<ProcessFleet>;
 
 impl DistributedCoordinator {
-    /// Starts a builder.
-    pub fn builder(plan: TrainingPlan) -> DistributedBuilder {
-        DistributedBuilder::new(plan)
+    /// Alias of [`Federation::builder`], for callers that spell out the
+    /// multi-process case: the one builder
+    /// [`launch`](FederationBuilder::launch)es shard servers.
+    pub fn builder(plan: TrainingPlan) -> FederationBuilder {
+        Federation::builder(plan)
     }
 
     /// Whether shard `s`'s process is still connected.
@@ -462,10 +376,18 @@ impl DistributedCoordinator {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Shard-server children this thread spawned.
+    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl ProcessFleet {
     /// Spawns one shard-server per layout shard, pointed at `addr`.
     fn spawn(&mut self, binary: &Path, addr: SocketAddr) -> Result<()> {
         for _ in 0..self.layout.num_shards() {
+            #[cfg(test)]
+            SPAWNED.set(SPAWNED.get() + 1);
             let child = Command::new(binary)
                 .arg(addr.to_string())
                 .stdin(Stdio::null())
@@ -482,10 +404,9 @@ impl ProcessFleet {
         Ok(())
     }
 
-    /// Accepts, handshakes and configures every spawned shard-server;
-    /// `template` carries everything of the [`ShardConfig`] but the
-    /// shard's index and range.
-    fn connect(&mut self, listener: TcpListenerEndpoint, template: &ShardConfig) -> Result<()> {
+    /// Accepts, handshakes and configures every spawned shard-server,
+    /// shard `s` with `configs[s]`.
+    fn connect(&mut self, listener: TcpListenerEndpoint, configs: Vec<ShardConfig>) -> Result<()> {
         // Accept one connection per shard; identity is assigned by
         // arrival order (shard servers are symmetric until configured).
         // A child that died before connecting fails the launch instead of
@@ -534,14 +455,7 @@ impl ProcessFleet {
         // Configure all shards, then collect all acks: fleet wiring
         // is the expensive part and this pipelines it across
         // processes.
-        for (s, slot) in self.shards.iter_mut().enumerate() {
-            let range = self.layout.range(s);
-            let config = ShardConfig {
-                shard_index: s as u64,
-                range_start: range.start as u64,
-                range_end: range.end as u64,
-                ..template.clone()
-            };
+        for (slot, config) in self.shards.iter_mut().zip(configs) {
             slot.channel
                 .as_mut()
                 .expect("channel just installed")
@@ -924,7 +838,7 @@ pub(crate) fn serve_shard(stream: TcpStream) -> Result<()> {
     check_version("coordinator", ack.version)?;
     let config: ShardConfig =
         reported(channel.recv()?.open(MessageKind::ShardConfig), &mut channel)?;
-    let mut fleet = reported(host_shard(&config), &mut channel)?;
+    let mut fleet = reported(host_shard(config), &mut channel)?;
     channel.send(&Envelope::pack(
         MessageKind::ShardConfigAck,
         &ShardConfigAck {
@@ -993,31 +907,29 @@ fn reported<T>(result: Result<T>, channel: &mut FramedStream) -> Result<T> {
 }
 
 /// Builds and handshakes the shard's client fleet from its config through
-/// the same assembler as an in-process federation
-/// ([`FederationBuilder::host`](crate::runner::FederationBuilder)):
-/// all-TrustZone devices and the default trainer, which shelters each
-/// round's protected layers in the enclave (the builder defaults),
-/// global client ids, the *global* data partition sub-ranged, personas
-/// re-derived from the shipped scenario plan, and the fault wrapper
-/// installed before the handshake. The config's range, tags and plan
-/// were checked where it decoded.
-fn host_shard(config: &ShardConfig) -> Result<LocalFleet> {
-    let mut prototype = config.model.build()?;
-    prototype.set_backend(config.backend);
-    prototype.set_weights(&config.init_weights)?;
-    let devices = (config.range_start..config.range_end)
-        .map(DeviceProfile::trustzone)
-        .collect();
+/// the same builder and assembler as an in-process federation
+/// ([`FederationBuilder::host`](crate::runner::FederationBuilder)): the
+/// device profiles it was sent and the default trainer, which shelters
+/// each round's protected layers in the enclave, global client ids, the
+/// *global* data partition sub-ranged, personas re-derived from the
+/// shipped scenario plan, and the fault wrapper installed before the
+/// handshake. The config's range, device count, tags and plan were
+/// checked where it decoded.
+fn host_shard(config: ShardConfig) -> Result<LocalFleet> {
     let mut builder = Federation::builder(config.plan)
-        .devices(devices, config.dataset.build())
-        .engine(ExecutionEngine::new(config.workers as usize))
+        .model(config.model)
+        .backend(config.backend)
+        .devices(config.devices, config.dataset)
+        .workers(config.workers as usize)
         .codec(config.codec);
-    if let Some(plan) = &config.faults {
-        builder = builder.faults(plan.clone());
+    if let Some(plan) = config.faults {
+        builder = builder.faults(plan);
     }
-    if let Some(plan) = &config.adversaries {
-        builder = builder.adversaries(plan.clone());
+    if let Some(plan) = config.adversaries {
+        builder = builder.adversaries(plan);
     }
+    let mut prototype = builder.prototype()?;
+    prototype.set_weights(&config.init_weights)?;
     builder.host(
         prototype,
         config.range_start as usize,
@@ -1061,6 +973,8 @@ fn shard_round_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecKind;
+    use gradsec_nn::BackendKind;
 
     /// A `ShardConfig` whose backend tag is past [`BackendKind::ALL`] —
     /// the retired `Blocked` backend's among them — or whose codec tag is
@@ -1095,6 +1009,7 @@ mod tests {
             workers: 1,
             faults: None,
             adversaries: None,
+            devices: (0..2).map(DeviceProfile::trustzone).collect(),
         };
         let bytes = encode(&valid);
         assert_eq!(decode::<ShardConfig>(&bytes).unwrap(), valid);
@@ -1128,6 +1043,58 @@ mod tests {
                 text.contains(what) && text.contains(&tag.to_string()),
                 "{text}"
             );
+        }
+    }
+
+    /// `launch` refuses, by name and before it spawns anything, each
+    /// input that cannot cross to a shard server.
+    #[test]
+    fn launch_refuses_what_cannot_cross_to_a_shard_server() {
+        use crate::trainer::PlainSgdTrainer;
+
+        let model = ModelSpec::TinyMlp {
+            inputs: 4,
+            hidden: 4,
+            outputs: 2,
+            seed: 1,
+        };
+        let data = DatasetSpec::Micro {
+            len: 16,
+            classes: 2,
+            dim: 4,
+            seed: 1,
+        };
+        let recipes = || {
+            Federation::builder(TrainingPlan::default())
+                .model(model)
+                .clients(4, data)
+                .shards(2)
+        };
+        let cases = [
+            (
+                recipes().model(move || model.build().unwrap()),
+                "a closure model cannot cross to a shard server; pass a ModelSpec",
+            ),
+            (
+                recipes().clients(4, data.build()),
+                "a built dataset cannot cross to a shard server; pass a DatasetSpec",
+            ),
+            (
+                recipes().trainer(|_| Box::new(PlainSgdTrainer)),
+                "a custom trainer cannot cross to a shard server; \
+                 shard servers train with DefaultTrainer",
+            ),
+            (
+                recipes().transport(TransportKind::TcpMux),
+                "transport TcpMux cannot cross to a shard server; \
+                 shard servers host their clients in process",
+            ),
+        ];
+        for (builder, expected) in cases {
+            let err = builder.launch().expect_err(expected);
+            assert!(matches!(err, FlError::BadConfig { .. }), "{err}");
+            assert!(err.to_string().contains(expected), "{expected}: {err}");
+            assert_eq!(SPAWNED.get(), 0, "{expected}: a child was spawned");
         }
     }
 

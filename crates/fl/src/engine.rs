@@ -190,7 +190,7 @@ fn expanded(collected: Collected) -> CycleOutcomes {
 /// concurrently within one FL cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionEngine {
-    workers: usize,
+    pub(crate) workers: usize,
 }
 
 impl ExecutionEngine {

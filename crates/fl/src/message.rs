@@ -50,6 +50,7 @@ use gradsec_tee::ta::Uuid;
 use gradsec_tensor::Tensor;
 
 use crate::adversary::AdversaryPlan;
+use crate::client::{DeviceProfile, InstalledTa};
 use crate::codec::{
     flat_tensor, CheckedWeights, CodecKind, EncodedWeights, SparseEntries, TensorReader,
 };
@@ -116,8 +117,10 @@ pub(crate) mod limits {
 /// [`AdversaryPlan`]. Version 12 drops the colluder fraction from
 /// [`AdversaryPlan`]. Version 13 ships a [`ShardRoundReply`] as one list
 /// of slot-tagged outcomes, a straggler's carrying its bill, and drops
-/// the reply's ledger: the outcomes are the shard's bill.
-pub const PROTOCOL_VERSION: u16 = 13;
+/// the reply's ledger: the outcomes are the shard's bill. Version 14
+/// ships the shard's slice of the device list on [`ShardConfig`], so a
+/// shard server hosts the profiles it was sent, not all-TrustZone ones.
+pub const PROTOCOL_VERSION: u16 = 14;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -974,9 +977,10 @@ impl ModelSpec {
 /// (so data sharding reproduces the flat reference), the model recipe
 /// plus initial weights, the training plan, the kernel backend and
 /// update codec, the engine worker count, and the fault and adversary
-/// plans. Decoding refuses an unknown backend or codec tag, an invalid
-/// plan and an out-of-order range, so a shard server hosts only what it
-/// can run.
+/// plans, and the range's device profiles. Decoding refuses an unknown
+/// backend or codec tag, an invalid plan, an out-of-order range and a
+/// device list whose length is not the range's, so a shard server hosts
+/// only what it can run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
     /// The shard index this config provisions (echoes the hello ack).
@@ -1010,6 +1014,9 @@ pub struct ShardConfig {
     pub faults: Option<FaultPlan>,
     /// The adversarial scenario, when the run hosts hostile personas.
     pub adversaries: Option<AdversaryPlan>,
+    /// The profiles of the shard's devices, one per client of its range,
+    /// in id order: a mixed fleet is the same fleet in every process.
+    pub devices: Vec<DeviceProfile>,
 }
 
 /// Shard-server → coordinator: configuration applied, fleet wired.
@@ -1118,6 +1125,17 @@ impl ShardConfig {
                 ),
             });
         }
+        let range = self.range_end - self.range_start;
+        if self.devices.len() as u64 != range {
+            return Err(FlError::BadConfig {
+                reason: format!(
+                    "shard device list holds {} profiles for the {range} clients of [{}, {})",
+                    self.devices.len(),
+                    self.range_start,
+                    self.range_end
+                ),
+            });
+        }
         Ok(())
     }
 }
@@ -1151,9 +1169,18 @@ wire_struct!(
         workers,
         faults,
         adversaries,
+        devices: list(limits::MAX_LIST_ITEMS),
     },
     validate = ShardConfig::validate
 );
+wire_struct!(InstalledTa {
+    uuid,
+    code: list(limits::MAX_FIELD_BYTES),
+});
+wire_struct!(DeviceProfile {
+    attestation_key: list(limits::MAX_FIELD_BYTES),
+    ta,
+});
 wire_struct!(ShardConfigAck { clients });
 wire_struct!(ScreenProbe { local, challenge });
 wire_struct!(ShardScreen {

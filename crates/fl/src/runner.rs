@@ -6,21 +6,31 @@
 //! the [`FlServer`] (global model, round counter, the selection RNG), the
 //! protection scheduler and the aggregation rule, and asks its fleet for
 //! two things only: screen these candidates, execute these picks. Where
-//! the clients live is the fleet's business, and there are two:
+//! the clients live is the fleet's business, and there are two, both
+//! configured by the one [`FederationBuilder`]:
 //!
 //! * [`LocalFleet`] — handshaken [`RemoteClient`] endpoints in this
-//!   process. [`FederationBuilder`] assembles the clients, wires each
-//!   onto the configured [`TransportKind`] (zero-copy in-process dispatch
-//!   by default, or multiplexed loopback TCP with the whole fleet served
-//!   by a small event-loop pool) and partitions them into contiguous
-//!   [`ShardLayout`] shards, whose picks its [`ExecutionEngine`] deals
-//!   onto workers shard by shard and runs in one scope. [`Federation`] is
-//!   the driver over one, at any shard count; a `shard-server` process
-//!   hosts one too.
+//!   process. [`FederationBuilder::build`] assembles the clients, wires
+//!   each onto the configured [`TransportKind`] (zero-copy in-process
+//!   dispatch by default, or multiplexed loopback TCP with the whole
+//!   fleet served by a small event-loop pool) and partitions them into
+//!   contiguous [`ShardLayout`] shards, whose picks its
+//!   [`ExecutionEngine`] deals onto workers shard by shard and runs in
+//!   one scope. [`Federation`] is the driver over one, at any shard
+//!   count; a `shard-server` process hosts one too.
 //! * [`ProcessFleet`](crate::distributed::ProcessFleet) — `shard-server`
-//!   child processes behind the shard-control protocol;
+//!   child processes behind the shard-control protocol, spawned by
+//!   [`FederationBuilder::launch`];
 //!   [`DistributedCoordinator`](crate::distributed::DistributedCoordinator)
 //!   is the driver over one.
+//!
+//! The builder's inputs are values: a model is a closure or a
+//! [`ModelSpec`](crate::message::ModelSpec) recipe, a dataset an `Arc` or
+//! a [`DatasetSpec`](crate::message::DatasetSpec) recipe, and the device
+//! mix a list of [`DeviceProfile`]s. `build` takes any of them; `launch`
+//! takes the recipes, the default trainer and the in-process transport
+//! only, since a shard server rebuilds its range from bytes, and refuses
+//! anything else by name before it spawns a process.
 //!
 //! Every draw on the server RNG happens in the driver, fleets hand each
 //! outcome to the round's commit as it lands, keyed by selection slot,
@@ -32,7 +42,7 @@
 
 use std::sync::Arc;
 
-use gradsec_data::{split, Dataset};
+use gradsec_data::split;
 use gradsec_nn::model::ModelWeights;
 use gradsec_nn::{BackendKind, Sequential};
 use gradsec_tee::attestation::Measurement;
@@ -57,9 +67,6 @@ use crate::transport::inprocess::LocalEndpoint;
 use crate::transport::mux::{MuxFleet, DEFAULT_JOIN_GRACE};
 use crate::transport::{tcp, RemoteClient, ServerEndpoint};
 use crate::{FlError, Result};
-
-/// Builds the prototype model whose replicas every client trains.
-pub(crate) type ModelFactory = Box<dyn Fn() -> Sequential + Send + Sync>;
 
 /// Builds a local trainer for a client id.
 pub(crate) type TrainerFactory = Box<dyn Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync>;
@@ -141,25 +148,93 @@ impl FederationReport {
     }
 }
 
-/// The run configuration both builders carry — everything that is the
-/// same question whether the clients live in this process or in
-/// `shard-server` children — and the one place it is validated and
-/// turned into an [`FlServer`].
-pub(crate) struct RunSetup {
+/// What [`FederationBuilder::model`] and the fleet setters accept, each
+/// normalised once at the builder's edge. The module is private, so no
+/// other crate adds an input kind.
+mod input {
+    use std::sync::Arc;
+
+    use gradsec_data::Dataset;
+    use gradsec_nn::Sequential;
+
+    use crate::message::{DatasetSpec, ModelSpec};
+
+    /// Where the run's prototype model comes from: a closure called once
+    /// in this process, or a recipe a shard server rebuilds from bytes.
+    pub enum Model {
+        Closure(Box<dyn Fn() -> Sequential + Send + Sync>),
+        Recipe(ModelSpec),
+    }
+
+    /// Where the fleet's shared dataset comes from: built in this
+    /// process, or a recipe a shard server rebuilds from bytes.
+    pub enum Data {
+        Built(Arc<dyn Dataset>),
+        Recipe(DatasetSpec),
+    }
+
+    impl<F: Fn() -> Sequential + Send + Sync + 'static> From<F> for Model {
+        fn from(build: F) -> Self {
+            Model::Closure(Box::new(build))
+        }
+    }
+
+    impl From<ModelSpec> for Model {
+        fn from(spec: ModelSpec) -> Self {
+            Model::Recipe(spec)
+        }
+    }
+
+    impl<D: Dataset + 'static> From<Arc<D>> for Data {
+        fn from(dataset: Arc<D>) -> Self {
+            Data::Built(dataset)
+        }
+    }
+
+    impl From<Arc<dyn Dataset>> for Data {
+        fn from(dataset: Arc<dyn Dataset>) -> Self {
+            Data::Built(dataset)
+        }
+    }
+
+    impl From<DatasetSpec> for Data {
+        fn from(spec: DatasetSpec) -> Self {
+            Data::Recipe(spec)
+        }
+    }
+}
+
+pub(crate) use input::{Data, Model};
+
+/// Builder for every deployment of one run: [`build`](Self::build) hosts
+/// the clients in this process, [`launch`](Self::launch) in
+/// `shard-server` child processes, from the same fields. It validates the
+/// configuration and turns it into the [`FlServer`] and round driver
+/// either way.
+pub struct FederationBuilder {
     pub(crate) plan: TrainingPlan,
-    pub(crate) scheduler: Arc<dyn ProtectionScheduler>,
+    scheduler: Arc<dyn ProtectionScheduler>,
     pub(crate) measurement: Measurement,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     pub(crate) adversaries: Option<Arc<AdversaryPlan>>,
     pub(crate) backend: BackendKind,
     pub(crate) codec: CodecKind,
-    pub(crate) screening_sample: Option<usize>,
-    pub(crate) aggregator: Aggregator,
+    screening_sample: Option<usize>,
+    aggregator: Aggregator,
+    pub(crate) model: Option<Model>,
+    /// `None` is [`DefaultTrainer`], the only trainer a shard server runs.
+    pub(crate) trainer: Option<TrainerFactory>,
+    pub(crate) dataset: Option<Data>,
+    pub(crate) devices: Vec<DeviceProfile>,
+    pub(crate) engine: ExecutionEngine,
+    pub(crate) transport: TransportKind,
+    mux: MuxOptions,
+    pub(crate) shards: usize,
 }
 
-impl RunSetup {
-    pub(crate) fn new(plan: TrainingPlan) -> Self {
-        RunSetup {
+impl FederationBuilder {
+    fn new(plan: TrainingPlan) -> Self {
+        FederationBuilder {
             plan,
             scheduler: Arc::new(NoProtection),
             measurement: Measurement(sha256(TA_CODE)),
@@ -169,7 +244,233 @@ impl RunSetup {
             codec: CodecKind::Identity,
             screening_sample: None,
             aggregator: Aggregator::FedAvg,
+            model: None,
+            trainer: None,
+            dataset: None,
+            devices: Vec::new(),
+            engine: ExecutionEngine::sequential(),
+            transport: TransportKind::InProcess,
+            mux: MuxOptions::default(),
+            shards: 1,
         }
+    }
+
+    /// Sets the model: a closure building it, or a
+    /// [`ModelSpec`](crate::message::ModelSpec) recipe (the form
+    /// [`launch`](Self::launch) needs).
+    pub fn model(mut self, model: impl Into<Model>) -> Self {
+        self.model = Some(model.into());
+        self
+    }
+
+    /// Adds `n` TrustZone-capable clients sharing `dataset` (sharded
+    /// evenly): an `Arc` of a built dataset, or a
+    /// [`DatasetSpec`](crate::message::DatasetSpec) recipe (the form
+    /// [`launch`](Self::launch) needs).
+    pub fn clients(self, n: usize, dataset: impl Into<Data>) -> Self {
+        let devices = (0..n as u64).map(DeviceProfile::trustzone).collect();
+        self.devices(devices, dataset)
+    }
+
+    /// Uses an explicit device mix instead of all-TrustZone (for the
+    /// hybrid-deployment scenarios of the paper's future work), on any
+    /// deployment: a shard server hosts the profiles of its range.
+    pub fn devices(mut self, devices: Vec<DeviceProfile>, dataset: impl Into<Data>) -> Self {
+        self.dataset = Some(dataset.into());
+        self.devices = devices;
+        self
+    }
+
+    /// Overrides the per-client trainer factory — for test doubles and
+    /// custom enclave budgets, in this process only. The default,
+    /// [`DefaultTrainer`], already trains every cycle whose round protects
+    /// a layer in GradSec's
+    /// [`SecureTrainer`](crate::trainer::SecureTrainer) and every other
+    /// as plain SGD.
+    pub fn trainer<F>(mut self, f: F) -> Self
+    where
+        F: Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync + 'static,
+    {
+        self.trainer = Some(Box::new(f));
+        self
+    }
+
+    /// Sets the protection scheduler driving every round's sheltered
+    /// layer set. Policies from `gradsec-core` implement
+    /// [`ProtectionScheduler`] directly; plain `Fn(u64) -> Vec<usize>`
+    /// closures work too.
+    pub fn scheduler<S>(mut self, s: S) -> Self
+    where
+        S: ProtectionScheduler + 'static,
+    {
+        self.scheduler = Arc::new(s);
+        self
+    }
+
+    /// Sets the round-execution engine (workers per shard); defaults to
+    /// sequential execution.
+    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Shorthand for `engine(ExecutionEngine::new(workers))`: up to
+    /// `workers` concurrent cycles per shard, or per shard process
+    /// (`0` = one per core).
+    pub fn workers(self, workers: usize) -> Self {
+        self.engine(ExecutionEngine::new(workers))
+    }
+
+    /// Selects the transport the fleet is wired onto (in-process by
+    /// default; [`TransportKind::TcpMux`] puts every client behind a
+    /// loopback socket served by a small event-loop pool — see
+    /// [`mux`](Self::mux) for its knobs).
+    pub fn transport(mut self, transport: TransportKind) -> Self {
+        self.transport = transport;
+        self
+    }
+
+    /// Tunes the [`TransportKind::TcpMux`] transport: event-loop count
+    /// (0 = one per core), read-chunk size and the per-session
+    /// write-queue bound. Ignored by the in-process transport.
+    pub fn mux(mut self, options: MuxOptions) -> Self {
+        self.mux = options;
+        self
+    }
+
+    /// Installs a deterministic fault plan: every client endpoint is
+    /// wrapped in a [`FaultyEndpoint`] injecting the plan's transport
+    /// faults, selection over-provisions by the plan's spare count, and
+    /// rounds become fault-*tolerant* — failed and straggling clients are
+    /// recorded in the round report (and billed to its ledger) instead of
+    /// failing the round, as long as at least one update commits. Under
+    /// the same plan seed a faulted run is bit-identical for any
+    /// `(shards, workers, transport)` combination.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(Arc::new(plan));
+        self
+    }
+
+    /// Selects the tensor kernel backend for the whole federation run:
+    /// the prototype model is pointed at it before replication, so every
+    /// replica a cycle borrows trains through the same kernels on every
+    /// shard and transport. Defaults to [`BackendKind::Reference`], the
+    /// bit-identical-to-seed kernels.
+    /// Runs are bit-identical *within* a backend for any
+    /// `(shards, workers, transport)` combination; switching backends
+    /// changes f32 rounding, not semantics.
+    pub fn backend(mut self, backend: BackendKind) -> Self {
+        self.backend = backend;
+        self
+    }
+
+    /// Selects the update codec every session negotiates at handshake:
+    /// how model downloads and update uploads are packed on the wire.
+    /// [`CodecKind::Identity`] (the default) is bit-identical to the
+    /// uncompressed payloads; [`CodecKind::Int8`] and
+    /// [`CodecKind::DeltaTopK`] trade a pinned, deterministic amount of
+    /// precision for 3×+ smaller rounds. The codec is part of the run's
+    /// reproducibility key: runs with the same codec are bit-identical
+    /// across shards, workers, transports and process boundaries.
+    pub fn codec(mut self, codec: CodecKind) -> Self {
+        self.codec = codec;
+        self
+    }
+
+    /// Partitions the fleet into `shards` contiguous shards (clamped to
+    /// the client count; defaults to 1): engine shards in this process,
+    /// or one `shard-server` process each under
+    /// [`launch`](Self::launch). The engine deals each shard's selected
+    /// clients onto deals of the shard's own, up to its worker count, and
+    /// all shards' deals run concurrently — sharding changes wall-clock
+    /// scaling, never results.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// Caps per-round screening at `m` uniformly-sampled candidates
+    /// instead of the whole fleet (see
+    /// [`FlServer::set_screening_sample`]), so per-round selection cost
+    /// stops being O(fleet). The default — no cap — screens everyone
+    /// with an RNG stream bit-identical to pre-cap builds. Runs with the
+    /// same cap are bit-identical across shards, workers, transports and
+    /// process boundaries; changing the cap changes which clients are
+    /// screened, so it is part of the run's reproducibility key.
+    pub fn screening_sample(mut self, m: usize) -> Self {
+        self.screening_sample = Some(m);
+        self
+    }
+
+    /// Installs a deterministic adversarial scenario: each client's
+    /// persona is a pure function of `(scenario seed, client id)` (see
+    /// `AdversaryPlan::persona_of`), applied entirely client-side at
+    /// cycle time — screening, selection and the transport exchange
+    /// stay untouched, so a hostile run is bit-identical for any
+    /// `(shards, workers, transport)` combination under the same
+    /// scenario seed, and a quiet plan changes nothing at all.
+    pub fn adversaries(mut self, plan: AdversaryPlan) -> Self {
+        self.adversaries = Some(Arc::new(plan));
+        self
+    }
+
+    /// Selects the aggregation rule rounds commit with (see
+    /// [`Aggregator`]); defaults to plain FedAvg. Coordinator-side
+    /// state: it never crosses the wire, so flat, sharded and
+    /// distributed runs of the same rule are bit-identical.
+    pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
+        self.aggregator = aggregator;
+        self
+    }
+
+    /// Assembles the federation: builds the fleet, wires it onto the
+    /// configured transport, handshakes every endpoint and partitions it
+    /// into the configured number of shards (one by default).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::BadConfig`] when the model or dataset is
+    /// missing or the plan is invalid; transport/handshake failures
+    /// propagate as [`FlError::Transport`]/[`FlError::Protocol`].
+    pub fn build(mut self) -> Result<Federation> {
+        // One prototype, which the fleet's store replicates once per
+        // cycle in flight, not once per client.
+        let prototype = self.prototype()?;
+        let server = self.server(prototype.weights())?;
+        let total = self.devices.len();
+        let fleet = self.host(prototype, 0, total)?;
+        Ok(self.drive(server, fleet))
+    }
+
+    /// Alias of [`build`](Self::build), for callers that spell out the
+    /// multi-shard case.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`build`](Self::build).
+    pub fn build_sharded(self) -> Result<ShardedFederation> {
+        self.build()
+    }
+
+    /// Builds the prototype model every client's replica copies, on the
+    /// run's kernel backend, once some client is configured.
+    pub(crate) fn prototype(&self) -> Result<Sequential> {
+        let Some(model) = &self.model else {
+            return Err(FlError::BadConfig {
+                reason: "model not set".to_owned(),
+            });
+        };
+        if self.devices.is_empty() {
+            return Err(FlError::BadConfig {
+                reason: "no clients configured".to_owned(),
+            });
+        }
+        let mut prototype = match model {
+            Model::Closure(build) => build(),
+            Model::Recipe(spec) => spec.build()?,
+        };
+        prototype.set_backend(self.backend);
+        Ok(prototype)
     }
 
     /// Validates the configuration and builds the server around the
@@ -202,235 +503,6 @@ impl RunSetup {
             fault_tolerant: self.faults.is_some(),
         }
     }
-}
-
-/// Builder for a [`Federation`].
-pub struct FederationBuilder {
-    setup: RunSetup,
-    model_factory: Option<ModelFactory>,
-    trainer_factory: TrainerFactory,
-    dataset: Option<Arc<dyn Dataset>>,
-    devices: Vec<DeviceProfile>,
-    engine: ExecutionEngine,
-    transport: TransportKind,
-    mux: MuxOptions,
-    shards: usize,
-}
-
-impl FederationBuilder {
-    fn new(plan: TrainingPlan) -> Self {
-        FederationBuilder {
-            setup: RunSetup::new(plan),
-            model_factory: None,
-            trainer_factory: Box::new(|_| Box::new(DefaultTrainer)),
-            dataset: None,
-            devices: Vec::new(),
-            engine: ExecutionEngine::sequential(),
-            transport: TransportKind::InProcess,
-            mux: MuxOptions::default(),
-            shards: 1,
-        }
-    }
-
-    /// Sets the model architecture factory.
-    pub fn model<F>(mut self, f: F) -> Self
-    where
-        F: Fn() -> Sequential + Send + Sync + 'static,
-    {
-        self.model_factory = Some(Box::new(f));
-        self
-    }
-
-    /// Adds `n` TrustZone-capable clients sharing `dataset` (sharded
-    /// evenly).
-    pub fn clients(mut self, n: usize, dataset: Arc<dyn Dataset>) -> Self {
-        self.dataset = Some(dataset);
-        self.devices = (0..n as u64).map(DeviceProfile::trustzone).collect();
-        self
-    }
-
-    /// Uses an explicit device mix instead of all-TrustZone (for the
-    /// hybrid-deployment scenarios of the paper's future work).
-    pub fn devices(mut self, devices: Vec<DeviceProfile>, dataset: Arc<dyn Dataset>) -> Self {
-        self.dataset = Some(dataset);
-        self.devices = devices;
-        self
-    }
-
-    /// Overrides the per-client trainer factory — for test doubles and
-    /// custom enclave budgets. The default, [`DefaultTrainer`], already
-    /// trains every cycle whose round protects a layer in GradSec's
-    /// [`SecureTrainer`](crate::trainer::SecureTrainer) and every other
-    /// as plain SGD.
-    pub fn trainer<F>(mut self, f: F) -> Self
-    where
-        F: Fn(u64) -> Box<dyn LocalTrainer> + Send + Sync + 'static,
-    {
-        self.trainer_factory = Box::new(f);
-        self
-    }
-
-    /// Sets the protection scheduler driving every round's sheltered
-    /// layer set. Policies from `gradsec-core` implement
-    /// [`ProtectionScheduler`] directly; plain `Fn(u64) -> Vec<usize>`
-    /// closures work too.
-    pub fn scheduler<S>(mut self, s: S) -> Self
-    where
-        S: ProtectionScheduler + 'static,
-    {
-        self.setup.scheduler = Arc::new(s);
-        self
-    }
-
-    /// Sets the round-execution engine (workers per shard); defaults to
-    /// sequential execution.
-    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the transport the fleet is wired onto (in-process by
-    /// default; [`TransportKind::TcpMux`] puts every client behind a
-    /// loopback socket served by a small event-loop pool — see
-    /// [`mux`](Self::mux) for its knobs).
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Tunes the [`TransportKind::TcpMux`] transport: event-loop count
-    /// (0 = one per core), read-chunk size and the per-session
-    /// write-queue bound. Ignored by the in-process transport.
-    pub fn mux(mut self, options: MuxOptions) -> Self {
-        self.mux = options;
-        self
-    }
-
-    /// Installs a deterministic fault plan: every client endpoint is
-    /// wrapped in a [`FaultyEndpoint`] injecting the plan's transport
-    /// faults, selection over-provisions by the plan's spare count, and
-    /// rounds become fault-*tolerant* — failed and straggling clients are
-    /// recorded in the round report (and billed to its ledger) instead of
-    /// failing the round, as long as at least one update commits. Under
-    /// the same plan seed a faulted run is bit-identical for any
-    /// `(shards, workers, transport)` combination.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.setup.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Selects the tensor kernel backend for the whole federation run:
-    /// the prototype model is pointed at it before replication, so every
-    /// replica a cycle borrows trains through the same kernels on every
-    /// shard and transport. Defaults to [`BackendKind::Reference`], the
-    /// bit-identical-to-seed kernels.
-    /// Runs are bit-identical *within* a backend for any
-    /// `(shards, workers, transport)` combination; switching backends
-    /// changes f32 rounding, not semantics.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.setup.backend = backend;
-        self
-    }
-
-    /// Selects the update codec every session negotiates at handshake:
-    /// how model downloads and update uploads are packed on the wire.
-    /// [`CodecKind::Identity`] (the default) is bit-identical to the
-    /// uncompressed payloads; [`CodecKind::Int8`] and
-    /// [`CodecKind::DeltaTopK`] trade a pinned, deterministic amount of
-    /// precision for 3×+ smaller rounds. The codec is part of the run's
-    /// reproducibility key: runs with the same codec are bit-identical
-    /// across shards, workers, transports and process boundaries.
-    pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.setup.codec = codec;
-        self
-    }
-
-    /// Partitions the fleet into `shards` contiguous engine shards
-    /// (clamped to the client count; defaults to 1). The engine deals
-    /// each shard's selected clients onto deals of the shard's own, up
-    /// to its worker count, and all shards' deals run concurrently —
-    /// sharding changes wall-clock scaling, never results.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Caps per-round screening at `m` uniformly-sampled candidates
-    /// instead of the whole fleet (see
-    /// [`FlServer::set_screening_sample`]), so per-round selection cost
-    /// stops being O(fleet). The default — no cap — screens everyone
-    /// with an RNG stream bit-identical to pre-cap builds. Runs with the
-    /// same cap are bit-identical across shards, workers, transports and
-    /// process boundaries; changing the cap changes which clients are
-    /// screened, so it is part of the run's reproducibility key.
-    pub fn screening_sample(mut self, m: usize) -> Self {
-        self.setup.screening_sample = Some(m);
-        self
-    }
-
-    /// Installs a deterministic adversarial scenario: each client's
-    /// persona is a pure function of `(scenario seed, client id)` (see
-    /// `AdversaryPlan::persona_of`), applied entirely client-side at
-    /// cycle time — screening, selection and the transport exchange
-    /// stay untouched, so a hostile run is bit-identical for any
-    /// `(shards, workers, transport)` combination under the same
-    /// scenario seed, and a quiet plan changes nothing at all.
-    pub fn adversaries(mut self, plan: AdversaryPlan) -> Self {
-        self.setup.adversaries = Some(Arc::new(plan));
-        self
-    }
-
-    /// Selects the aggregation rule rounds commit with (see
-    /// [`Aggregator`]); defaults to plain FedAvg. Coordinator-side
-    /// state: it never crosses the wire, so flat, sharded and
-    /// distributed runs of the same rule are bit-identical.
-    pub fn aggregator(mut self, aggregator: Aggregator) -> Self {
-        self.setup.aggregator = aggregator;
-        self
-    }
-
-    /// Assembles the federation: builds the fleet, wires it onto the
-    /// configured transport, handshakes every endpoint and partitions it
-    /// into the configured number of shards (one by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::BadConfig`] when the model factory or dataset is
-    /// missing or the plan is invalid; transport/handshake failures
-    /// propagate as [`FlError::Transport`]/[`FlError::Protocol`].
-    pub fn build(mut self) -> Result<Federation> {
-        let model_factory = self
-            .model_factory
-            .take()
-            .ok_or_else(|| FlError::BadConfig {
-                reason: "model factory not set".to_owned(),
-            })?;
-        if self.devices.is_empty() {
-            return Err(FlError::BadConfig {
-                reason: "no clients configured".to_owned(),
-            });
-        }
-        // One factory invocation builds the prototype, which the fleet's
-        // store replicates once per cycle in flight, not once per client.
-        // The run's kernel backend is set once here and rides along in
-        // every replica.
-        let mut prototype = model_factory();
-        prototype.set_backend(self.setup.backend);
-        let server = self.setup.server(prototype.weights())?;
-        let total = self.devices.len();
-        let fleet = self.host(prototype, 0, total)?;
-        Ok(self.setup.drive(server, fleet))
-    }
-
-    /// Alias of [`build`](Self::build), for callers that spell out the
-    /// multi-shard case.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn build_sharded(self) -> Result<ShardedFederation> {
-        self.build()
-    }
 
     /// Builds the configured devices as clients `first_id..` of a
     /// `total_clients` federation, wires them onto the transport and
@@ -448,24 +520,35 @@ impl FederationBuilder {
         first_id: usize,
         total_clients: usize,
     ) -> Result<LocalFleet> {
-        let dataset = self.dataset.clone().ok_or_else(|| FlError::BadConfig {
-            reason: "dataset not set".to_owned(),
-        })?;
-        let mut partition = split::shard(dataset.len(), total_clients, self.setup.plan.seed);
+        let dataset = match self.dataset.take() {
+            Some(Data::Built(dataset)) => dataset,
+            Some(Data::Recipe(spec)) => spec.build(),
+            None => {
+                return Err(FlError::BadConfig {
+                    reason: "dataset not set".to_owned(),
+                })
+            }
+        };
+        let mut partition = split::shard(dataset.len(), total_clients, self.plan.seed);
         let models = ClientModels::new(prototype);
-        let clients: Vec<FlClient> = std::mem::take(&mut self.devices)
+        let devices = std::mem::take(&mut self.devices);
+        let clients: Vec<FlClient> = devices
             .into_iter()
             .zip(first_id..)
             .map(|(device, g)| {
+                let trainer = match &self.trainer {
+                    Some(build) => build(g as u64),
+                    None => Box::new(DefaultTrainer),
+                };
                 let mut client = FlClient::hosted(
                     g as u64,
                     device,
                     dataset.clone(),
                     std::mem::take(&mut partition[g]),
                     models.clone(),
-                    (self.trainer_factory)(g as u64),
+                    trainer,
                 );
-                if let Some(plan) = &self.setup.adversaries {
+                if let Some(plan) = &self.adversaries {
                     if let Some(persona) = plan.persona_of(g as u64) {
                         client.set_adversary(Adversary {
                             persona,
@@ -480,16 +563,16 @@ impl FederationBuilder {
             clients,
             self.transport,
             &self.mux,
-            self.setup.faults.as_ref(),
-            self.setup.codec,
+            self.faults.as_ref(),
+            self.codec,
         )?;
         Ok(LocalFleet {
             layout: ShardLayout::new(clients.len(), self.shards),
             clients,
             engine: self.engine,
-            faults: self.setup.faults.clone(),
+            faults: self.faults.clone(),
             sessions,
-            measurement: self.setup.measurement,
+            measurement: self.measurement,
             #[cfg(test)]
             models,
         })
@@ -1120,18 +1203,18 @@ mod tests {
         outcome_of: fn(u64, &ModelDownload) -> ClientOutcome,
         cohort_lost: bool,
     ) -> RoundDriver<ScriptedFleet> {
-        let setup = RunSetup::new(TrainingPlan {
+        let builder = Federation::builder(TrainingPlan {
             clients_per_round: clients,
             ..plan()
         });
         let initial = zoo::tiny_mlp(4, 4, 2, 1).unwrap().weights();
-        let server = setup.server(initial).unwrap();
+        let server = builder.server(initial).unwrap();
         let fleet = ScriptedFleet {
             layout: ShardLayout::new(clients, 1),
             outcome_of,
             cohort_lost,
         };
-        setup.drive(server, fleet)
+        builder.drive(server, fleet)
     }
 
     fn completed(client: u64, download: &ModelDownload) -> ClientOutcome {

@@ -72,9 +72,9 @@ impl RoundDriver<OneByOne> {
 
 pub(super) fn one_by_one(configured: impl Fn() -> FederationBuilder) -> RoundDriver<OneByOne> {
     let inner = configured().build().unwrap();
-    let setup = configured().setup;
-    let server = setup.server(inner.server().global().clone()).unwrap();
-    setup.drive(server, OneByOne(inner))
+    let builder = configured();
+    let server = builder.server(inner.server().global().clone()).unwrap();
+    builder.drive(server, OneByOne(inner))
 }
 
 fn plan(rounds: u64, clients_per_round: usize) -> TrainingPlan {
@@ -113,7 +113,7 @@ fn fl_client(id: u64) -> FlClient {
 }
 
 fn whitelist() -> Measurement {
-    RunSetup::new(plan(1, 1)).measurement
+    Federation::builder(plan(1, 1)).measurement
 }
 
 /// Training attempts per session: one epoch each, retries included.

@@ -110,7 +110,6 @@ fn eager_public_calls_commit_what_run_round_commits() {
                 let mut whole = configured(workers).shards(shards).build().unwrap();
                 let mut staged = configured(2).build().unwrap();
                 let mut shadow = configured(2)
-                    .setup
                     .server(staged.server().global().clone())
                     .unwrap();
                 for round in 0..4 {

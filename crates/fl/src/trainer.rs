@@ -5,7 +5,7 @@
 //! [`LocalTrainer`]. [`PlainSgdTrainer`] trains every layer in the
 //! normal world and bills nothing; [`SecureTrainer`] trains the cycle's
 //! protected layers in the simulated enclave and bills the calibrated
-//! cost model (GradSec, §5); [`DefaultTrainer`], the builders' default,
+//! cost model (GradSec, §5); [`DefaultTrainer`], the builder's default,
 //! picks between the two by the cycle's protected set. All three run the
 //! same batch loop, so the arithmetic — and the committed model — is the
 //! same in both worlds.
@@ -341,7 +341,7 @@ impl LocalTrainer for SecureTrainer {
     }
 }
 
-/// The builders' default trainer: a cycle with nothing protected trains
+/// The builder's default trainer: a cycle with nothing protected trains
 /// as [`PlainSgdTrainer`] and bills nothing, any other as
 /// [`SecureTrainer::new`]. The round's protected set alone decides where
 /// a client trains, in this process and on shard servers alike.

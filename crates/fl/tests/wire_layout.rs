@@ -1,11 +1,16 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 13 has always produced.
+//! version 14 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 13 moved
+//! table (the failure message prints the new digests). Version 14 moved
+//! every `envelope/*` for the version stamp, two of them,
+//! `envelope/shard_config_{plain,hostile}`, also for their layout (the
+//! shard's slice of the device list, eight profiles, mixed in the hostile
+//! fixture), and added the `device_profile/*` rows for the profile's own
+//! wire form; no other digest moved. Version 13 had moved
 //! every `envelope/*` for the version stamp, one of them,
 //! `envelope/shard_round_reply`, also for its layout (one list of
 //! slot-tagged outcomes, no ledger), and the `shard_outcome/*` rows for
@@ -34,6 +39,7 @@
 //! from version 6's hand-written encoders.
 
 use gradsec_fl::adversary::AdversaryPlan;
+use gradsec_fl::client::DeviceProfile;
 use gradsec_fl::codec::{encode_weights, CodecKind, EncodedBody, EncodedWeights};
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::faults::{FaultPlan, LatencyModel};
@@ -209,6 +215,17 @@ fn shard_config(hostile: bool) -> ShardConfig {
         workers: 4,
         faults: hostile.then(fault_plan),
         adversaries: hostile.then(adversary_plan),
+        devices: (8..16).map(|id| device(hostile, id)).collect(),
+    }
+}
+
+/// A TrustZone device, or in a hostile fleet every fourth from the second
+/// a legacy device and every fourth from the third a compromised one.
+fn device(hostile: bool, id: u64) -> DeviceProfile {
+    match id % 4 {
+        1 if hostile => DeviceProfile::legacy(id),
+        2 if hostile => DeviceProfile::compromised(id),
+        _ => DeviceProfile::trustzone(id),
     }
 }
 
@@ -493,78 +510,85 @@ fn digests() -> Vec<(&'static str, String)> {
     file(&mut t, "encoded_tensor/sparse", &delta.tensors[0]);
     assert!(matches!(delta.tensors[3].body, EncodedBody::Dense(_)));
     file(&mut t, "encoded_tensor/dense_fallback", &delta.tensors[3]);
+    for (name, id) in [
+        ("device_profile/trustzone", 8),
+        ("device_profile/legacy", 9),
+        ("device_profile/compromised", 10),
+    ] {
+        file(&mut t, name, &device(true, id));
+    }
     t
 }
 
-/// Protocol version 13 (see the module comment for what moved from 12).
+/// Protocol version 14 (see the module comment for what moved from 13).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "342623fb6fc81743322aded76dde5f218a41dbd4070aa9ae6d8125c680415096",
+        "b34b3becaae919da5e067105be4174fd344325604559d362f10401a9d6cd5be7",
     ),
     (
         "envelope/hello_ack",
-        "cb0a57079ed0794e5cc06a78135a730959048df6e648de68cc7a327d89e6f75d",
+        "c8200a933c3079ba6fdff3079c65b5c4f1fcc157619e9680d025d401a486f23a",
     ),
     (
         "envelope/attestation_request",
-        "4c42a2adc11538ffabd6b6b616b40cd17e5a5397d1367925c602acddd9a48800",
+        "97e6936f1898eb70aae1ac27949812c8a3099316b84f6674ce27736bee69d457",
     ),
     (
         "envelope/attestation_response",
-        "a20788b3c022855932606e955a4af6ebfa0e8be17cc668a25943efc82e8822f5",
+        "2365c65dc5bf8021c47b7bfd84de1e7deda397c2d6b23ef9c66c313dbd363544",
     ),
     (
         "envelope/goodbye",
-        "8e1f2bc2983332539d949ae78487728ef63ac677b6f1fabdfc264a6640764a59",
+        "10befbee8fa4e1941fc10fceca9fb263a425c5a083ebb64977eb3ca90485ea53",
     ),
     (
         "envelope/error",
-        "8831338c6594c78e0f0ea51c50a459aaf024ae52a0ae3a060b5878ad8cb82f47",
+        "f93c905bfde02457f185c27039886abb75bff194e3cf11997a83567dae890d14",
     ),
     (
         "envelope/encoded_model_download",
-        "fea0a2cf8d0d5e39a338d2a67b4b637739148b7d7f214c20f80e1a2e99396d7c",
+        "3deac5fb7f58560c242489de78650e25a355ce101dc07073a7a8c23734c8743f",
     ),
     (
         "envelope/encoded_update_upload",
-        "4e5e9d8a2d3c4749a88c5ac58c2a478b7957768e9a2d99a8a04749a4e89ac4a1",
+        "80624ed2e4065c59c62371a17b2534a5445783cb27ea8d0471910b79337857af",
     ),
     (
         "envelope/shard_hello",
-        "de7e65dcfe74120dbe471b323488f84355da16c0f7c57cae6408e53a4e0572f8",
+        "55512feb61a80395841a8e1f4691fd8c7456522a3fa8304d750d4fbe9c415c42",
     ),
     (
         "envelope/shard_hello_ack",
-        "484a7ae71add9931b73f28e46ec830c1a891d9a6b47547ad4ab8c78a6942afaf",
+        "6f50659f93bb8333196dfc2650f327453d0a4946603c946a27c460da317f07d2",
     ),
     (
         "envelope/shard_config_plain",
-        "c8c688699e3376116f99bb3a6a19322b19f487865f2f58ad91dd6727aaa88b20",
+        "8d1ed8e43e772cd43bb5524d9b38a690d10eeee2e21fba3d8f547cb22c365fb5",
     ),
     (
         "envelope/shard_config_hostile",
-        "14748c9a968c0148aa9703942d58fa2c24eae7d822ce9a3def637ad17c87e86e",
+        "dd50e91965eb198adad66f8142bf0667a88094a10d16ead88f4193889ca5ee96",
     ),
     (
         "envelope/shard_config_ack",
-        "c5bcf26d31ca7379f95629c0af0ca90f1107457c966f442ec6803ca26210fda5",
+        "affc57a509caf9000759ca6138eb79c691a13fc232204782ec82011cc7dd8050",
     ),
     (
         "envelope/shard_screen",
-        "5f40cf329c42dcaaed02aabee8c87cc4a0768f73a17c7930506f47a111ef5eef",
+        "2c95a978e99cd82947ff63ad63cc9353552739c1cc5b711f25418667c081211d",
     ),
     (
         "envelope/shard_screen_reply",
-        "5b13b2db7babd9db0a16579065cd8a28ae62f3cfbafb620835229de5c0138812",
+        "286522133f76aed16dd6ff8f2d1a86e3f3ed8fc87b6c0330f321fca59268221c",
     ),
     (
         "envelope/shard_round",
-        "d60bbd6b14730f397447626507de2ea08fe191986cf9f47e08acf05c71afb526",
+        "4d92b0f79abba9237c95d54b59839fff02c5d98ae4e5b7803db45086c5c780ac",
     ),
     (
         "envelope/shard_round_reply",
-        "605e9ef912266d556cc95b3423331d72185307f439f3ae971e8d3b8cc80281cb",
+        "e189f389be5275f3216ea8e579c67f7636eadacd3b18bd6a48bad9168914f5ef",
     ),
     (
         "tensor",
@@ -686,11 +710,23 @@ const FROZEN: &[(&str, &str)] = &[
         "encoded_tensor/dense_fallback",
         "4c130f70d4924d08583ad6cd84011d80e8d157765e5dfb4eb2a55710930e53f6",
     ),
+    (
+        "device_profile/trustzone",
+        "eca30ef1921f3a44424add21da27d3f0102be660fd5e07c95ad1955162bc758c",
+    ),
+    (
+        "device_profile/legacy",
+        "0acbaa9eb0c94f998f2efb69cd03af71295afd1571feb3c527283b97a419b335",
+    ),
+    (
+        "device_profile/compromised",
+        "aa7e2f593927f60969f5c1cc4681e7ef5392501cd92e1df65f09b1c5fd36ea70",
+    ),
 ];
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 13, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 14, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

@@ -6,6 +6,7 @@
 
 use gradsec_fl::adversary::AdversaryPlan;
 use gradsec_fl::aggregate::fedavg;
+use gradsec_fl::client::DeviceProfile;
 use gradsec_fl::codec::{
     decode_weights, dense_wire_bytes, encode_weights, int8_error_bound, CodecKind, EncodedBody,
     EncodedTensor, EncodedWeights, SparseDelta,
@@ -187,6 +188,17 @@ fn shard_config(
         workers: 4,
         faults,
         adversaries: None,
+        devices: (range.0..range.1).map(device).collect(),
+    }
+}
+
+/// Every third device a legacy one and every third a compromised one, so
+/// each profile shape crosses.
+fn device(id: u64) -> DeviceProfile {
+    match id % 3 {
+        0 => DeviceProfile::trustzone(id),
+        1 => DeviceProfile::legacy(id),
+        _ => DeviceProfile::compromised(id),
     }
 }
 
@@ -464,6 +476,34 @@ proptest! {
             None,
         );
         prop_assert!(decode::<ShardConfig>(&encode(&overflowing)).is_err());
+    }
+
+    #[test]
+    fn shard_config_decode_refuses_a_device_list_unlike_its_range(
+        start in 0u64..16,
+        len in 0u64..16,
+        shipped in 0u64..24,
+    ) {
+        // The shard server hosts one client per shipped profile: a list
+        // longer or shorter than the range is refused by name on decode.
+        let mut config = shard_config(
+            DatasetSpec::Micro { len: 64, classes: 2, dim: 4, seed: 1 },
+            ModelSpec::TinyMlp { inputs: 4, hidden: 2, outputs: 2, seed: 1 },
+            (start, start + len, start + len + 4),
+            None,
+        );
+        config.devices = (start..start + shipped).map(device).collect();
+        let decoded = decode::<ShardConfig>(&encode(&config));
+        if shipped == len {
+            prop_assert_eq!(decoded.unwrap(), config);
+        } else {
+            let text = decoded.unwrap_err().to_string();
+            let named = format!(
+                "device list holds {shipped} profiles for the {len} clients of [{start}, {})",
+                start + len
+            );
+            prop_assert!(text.contains(&named), "{}", text);
+        }
     }
 
     #[test]

@@ -282,7 +282,7 @@ fn dropping_a_server_endpoint_releases_a_session_awaiting_goodbye() {
 fn killed_shard_downgrades_to_excluded_cohort() {
     // The paper's enclave policy: shard servers train it in the enclave.
     let fleet = eight(Policy::Secure);
-    let mut coord = fleet.distributed().shards(2).workers(1).launch().unwrap();
+    let mut coord = fleet.federation().shards(2).workers(1).launch().unwrap();
     let first = coord.run_round().unwrap();
     assert_eq!(first.participants.len(), 5);
     let (sent, received) = coord.bytes_on_wire();
@@ -291,8 +291,12 @@ fn killed_shard_downgrades_to_excluded_cohort() {
     // replies are one outcome list each (8 bytes of counts, not 24), and
     // each of the five completed terms gains its slot's client and an
     // outcome tag (9 bytes) but no longer repeats its 80-byte bill in a
-    // ledger: 3 493 − 2 × 16 − 5 × 71 = 3 106 received.
-    assert_eq!((sent, received), (2064, 3106), "shard-control bytes moved");
+    // ledger: 3 493 − 2 × 16 − 5 × 71 = 3 106 received. Each shard's
+    // config carries its 4-client device list: an 8-byte count and 4
+    // TrustZone profiles of 63 bytes (key count 8, "device-key-N" 12, TA
+    // presence flag 1, uuid 16, code count 8, TA code 18), so
+    // 2 064 + 2 × (8 + 4 × 63) = 2 584 sent.
+    assert_eq!((sent, received), (2584, 3106), "shard-control bytes moved");
 
     // SIGKILL the second shard's process: clients 4..8 are gone. The
     // federation must keep committing rounds from the surviving shard
