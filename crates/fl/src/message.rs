@@ -23,6 +23,7 @@
 //! | `usize` | a `u64` | must fit this target's `usize` (never truncated) |
 //! | `[u8; N]` | `N` raw bytes | truncation |
 //! | `String` | `u64` length, UTF-8 bytes | `limits::MAX_FIELD_BYTES`; valid UTF-8 |
+//! | `Vec<u8>` | `u64` length, the bytes | `limits::MAX_FIELD_BYTES` |
 //! | `Option<T>` | `u8` flag `0`/`1`, then `T` if `1` | any other flag refused |
 //! | list (`Vec<T>`, map) | `u64` count, then each item (map: key, value) | a per-field cap from `limits`; the count must fit the bytes that remain |
 //! | `(A, B)` | `A` then `B` | — |
@@ -1173,12 +1174,9 @@ wire_struct!(
     },
     validate = ShardConfig::validate
 );
-wire_struct!(InstalledTa {
-    uuid,
-    code: list(limits::MAX_FIELD_BYTES),
-});
+wire_struct!(InstalledTa { uuid, code });
 wire_struct!(DeviceProfile {
-    attestation_key: list(limits::MAX_FIELD_BYTES),
+    attestation_key,
     ta,
 });
 wire_struct!(ShardConfigAck { clients });

@@ -1,9 +1,9 @@
 //! The leaf shapes of the wire grammar, and the macros that spell a
 //! message as a list of them.
 //!
-//! How an integer, a `usize`, a fixed array, a string, an optional, a
-//! counted list, a run of floats and a varint are laid out — and bounded
-//! on decode — is decided here, once. Every message in
+//! How an integer, a `usize`, a fixed array, a string, raw bytes, an
+//! optional, a counted list, a run of floats and a varint are laid out
+//! — and bounded on decode — is decided here, once. Every message in
 //! [`crate::message`], [`crate::codec`], [`crate::faults`] and
 //! [`crate::adversary`] is then a field list
 //! ([`wire_struct!`]), a tag plus field lists ([`wire_enum!`]) or a
@@ -192,6 +192,19 @@ impl<const N: usize> Wire for [u8; N] {
         let mut bytes = [0u8; N];
         buf.copy_to_slice(&mut bytes);
         Ok(bytes)
+    }
+}
+
+/// Raw bytes, read in one copy rather than as a list of `u8`s.
+impl Wire for Vec<u8> {
+    fn encode_into(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.len() as u64);
+        buf.put_slice(self);
+    }
+
+    fn decode_from(buf: &mut Bytes) -> Result<Self> {
+        let n = decode_len(buf, "byte string length")?;
+        take_bytes(buf, n, "byte string")
     }
 }
 
@@ -559,6 +572,12 @@ mod tests {
         );
         assert!(refusal::<Option<u8>>(&[2, 0]).contains("presence flag 2"));
         assert!(refusal::<String>(&[1, 0, 0, 0, 0, 0, 0, 0, 0xFF]).contains("UTF-8"));
+        // Raw bytes are laid out as a counted list of `u8`s is.
+        let bytes = vec![0u8, 0xFF, 7];
+        assert_eq!(encode(&bytes), [3, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 7]);
+        assert_eq!(decode::<Vec<u8>>(&encode(&bytes)).unwrap(), bytes);
+        let short = [4, 0, 0, 0, 0, 0, 0, 0, 1];
+        assert!(refusal::<Vec<u8>>(&short).contains("need 4 bytes for byte string"));
         assert!(refusal::<u16>(&[1]).contains("need 2 bytes for u16"));
     }
 }
