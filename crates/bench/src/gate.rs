@@ -122,7 +122,7 @@ pub struct Scenario {
     pub backend: BackendKind,
     /// Seeded transport faults.
     pub faults: Option<FaultPlan>,
-    /// Seeded hostile personas.
+    /// Seeded update poisoners.
     pub adversaries: Option<AdversaryPlan>,
     /// Commit rule.
     pub aggregator: Aggregator,

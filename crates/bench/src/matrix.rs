@@ -36,12 +36,9 @@ pub fn faults() -> FaultPlan {
         .spare(2)
 }
 
-/// Every hostile persona at once: poisoners, scalers and free-riders.
-pub fn personas() -> AdversaryPlan {
-    AdversaryPlan::seeded(0xAD5)
-        .poisoners(0.2)
-        .scalers(0.1)
-        .free_riders(0.1)
+/// A fifth of the fleet poisoning its updates.
+pub fn poisoners() -> AdversaryPlan {
+    AdversaryPlan::seeded(0xAD5).poisoners(0.2)
 }
 
 /// Where every corner runs: engine shards, the mux, shard servers.
@@ -90,7 +87,7 @@ fn corner(
 
 /// Every combination of two extremes on five axes — fleet (all 4 clients
 /// selected, or 6 of 24), backend (reference, tiled), faults (none,
-/// [`faults`]), adversaries (none, [`personas`]) and aggregator (FedAvg,
+/// [`faults`]), adversaries (none, [`poisoners`]) and aggregator (FedAvg,
 /// median) — under each codec (identity, int8, delta-topk), each over two
 /// rounds of two sampled batches per cycle ([`Local::TwoSteps`]) and
 /// judged on engine shards, the mux and shard servers: 96 sections. A
@@ -109,7 +106,7 @@ fn product() -> Vec<Section> {
             codec,
             backend: [BackendKind::Reference, BackendKind::Tiled][usize::from(on(1))],
             faults: on(2).then(faults),
-            adversaries: on(3).then(personas),
+            adversaries: on(3).then(poisoners),
             aggregator: [Aggregator::FedAvg, Aggregator::Median][usize::from(on(4))],
             ..Scenario::new(clients)
         };
@@ -225,12 +222,11 @@ pub fn interior(seed: u64, n: usize) -> Vec<Section> {
             mixed: d.coin(),
             backend: d.pick(&BackendKind::ALL),
             faults: d.coin().then(faults),
-            adversaries: d.coin().then(personas),
+            adversaries: d.coin().then(poisoners),
             aggregator: d.pick(&[
                 Aggregator::FedAvg,
                 Aggregator::TrimmedMean { trim: 1 },
                 Aggregator::Median,
-                Aggregator::NormClip { tau: 1.0 },
             ]),
             codec: d.pick(&[CodecKind::Identity, CodecKind::Int8, CodecKind::DeltaTopK]),
             ..Scenario::new(clients)
@@ -275,9 +271,9 @@ mod tests {
     }
 
     /// Every deployment kind and every policy appear among the corners,
-    /// as do the mixed fleet on shard servers and a screening cap, and
-    /// every faulted corner judges that its faults landed: losing any
-    /// fails here by name.
+    /// as do the mixed fleet and poisoners on shard servers, a median
+    /// corner and a screening cap, and every faulted corner judges that
+    /// its faults landed: losing any fails here by name.
     #[test]
     fn corners_cover_every_path_policy_and_fleet() {
         let corners = corners();
@@ -300,6 +296,14 @@ mod tests {
         let procs = |c: &Section| c.deployments.iter().any(|d| path(d) == "procs");
         let mixed = corners.iter().any(|c| c.scenario.mixed && procs(c));
         covered.extend(mixed.then_some("mixed fleet on procs"));
+        let hostile = corners
+            .iter()
+            .any(|c| c.scenario.adversaries.is_some() && procs(c));
+        covered.extend(hostile.then_some("poisoners on procs"));
+        let median = corners
+            .iter()
+            .any(|c| c.scenario.aggregator == Aggregator::Median);
+        covered.extend(median.then_some("median"));
         let capped = corners.iter().any(|c| c.scenario.screening.is_some());
         covered.extend(capped.then_some("screening cap"));
         // Judged on a clean run, a faulted corner's bars name the faults
@@ -324,6 +328,8 @@ mod tests {
             "secure",
             "window",
             "mixed fleet on procs",
+            "poisoners on procs",
+            "median",
             "screening cap",
             "faults landed",
         ];

@@ -34,11 +34,11 @@
 //! and the mean loss are read from the metadata beside the weights, in
 //! slot order at the finish. Under `FedAvg` (and `TrimmedMean { trim: 0 }`,
 //! which is the same fold) a term is read in place, a chunk of one tensor
-//! at a time or its kept coefficients, and nothing is expanded; `NormClip`
-//! expands the term it clips, one at a time. `TrimmedMean` and `Median`,
-//! which need every update per coordinate, keep their terms and expand
-//! none: they read each term in place, front to back, a chunk of one
-//! tensor at a time, so a sparse term's gaps are walked once a tensor.
+//! at a time or its kept coefficients, and nothing is expanded.
+//! `TrimmedMean` and `Median`, which need every update per coordinate,
+//! keep their terms and expand none: they read each term in place, front
+//! to back, a chunk of one tensor at a time, so a sparse term's gaps are
+//! walked once a tensor.
 //! Their per-coordinate sums run over sorted values, so they too are
 //! independent of the order terms arrive in.
 
@@ -64,9 +64,6 @@ use fold::Fold;
 ///   so the two agree bit-for-bit.
 /// * [`Median`](Self::Median) — coordinate-wise median (even counts
 ///   average the two middle values).
-/// * [`NormClip`](Self::NormClip) — clips each update's delta from the
-///   previous global model to L2 norm `tau`, then sample-weighted
-///   FedAvg over the clipped updates.
 ///
 /// The choice is coordinator-side state: it never crosses the wire, so
 /// every execution path (flat, sharded, distributed) aggregates with
@@ -83,12 +80,6 @@ pub enum Aggregator {
     },
     /// Coordinate-wise median, unweighted.
     Median,
-    /// Per-update L2 delta clipping followed by FedAvg.
-    NormClip {
-        /// Maximum L2 norm of an update's delta from the previous
-        /// global model.
-        tau: f32,
-    },
 }
 
 impl Aggregator {
@@ -98,71 +89,40 @@ impl Aggregator {
             Aggregator::FedAvg => "fedavg".to_owned(),
             Aggregator::TrimmedMean { trim } => format!("trimmed-mean({trim})"),
             Aggregator::Median => "median".to_owned(),
-            Aggregator::NormClip { tau } => format!("norm-clip({tau})"),
         }
-    }
-
-    /// Checks the rule's parameters are usable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlError::BadConfig`] for a non-finite or non-positive
-    /// clipping norm.
-    pub(crate) fn validate(&self) -> Result<()> {
-        if let Aggregator::NormClip { tau } = self {
-            if !tau.is_finite() || *tau <= 0.0 {
-                return Err(FlError::BadConfig {
-                    reason: format!("norm-clip tau must be finite and positive, got {tau}"),
-                });
-            }
-        }
-        Ok(())
     }
 }
 
 /// One round's aggregate built term by term, in any order — the rule
 /// applied as each term is added, so the caller may drop the term at
 /// once. Under `FedAvg` (and `TrimmedMean { trim: 0 }`, which is the same
-/// fold) a term is read in place and folded exactly; under `NormClip` it
-/// is expanded, clipped and folded; `TrimmedMean` and `Median`, which
-/// need every term per coordinate, keep them as they arrived for the
-/// finish. Each term carries its selection slot: the finish reads the
-/// sample total, the mean loss and the kept terms in slot order, and of
-/// several failing terms reports the lowest slot's error, so the outcome
-/// does not depend on the order terms were added in.
-pub(crate) struct Aggregation<'r> {
+/// fold) a term is read in place and folded exactly; `TrimmedMean` and
+/// `Median`, which need every term per coordinate, keep them as they
+/// arrived for the finish. Each term carries its selection slot: the
+/// finish reads the sample total, the mean loss and the kept terms in
+/// slot order, and of several failing terms reports the lowest slot's
+/// error, so the outcome does not depend on the order terms were added
+/// in.
+pub(crate) struct Aggregation {
     rule: Aggregator,
-    reference: Option<&'r ModelWeights>,
     fold: Fold,
     kept: Vec<(usize, ArrivedUpload)>,
     /// Every term's slot, client, sample count and loss, as added.
     terms: Vec<(usize, u64, usize, f32)>,
-    /// The rule's own configuration error, before any term.
-    invalid: Option<FlError>,
     /// The lowest-slot error of a term so far.
     error: Option<(usize, FlError)>,
 }
 
-impl<'r> Aggregation<'r> {
-    /// An empty aggregate under `rule`; `reference` is the previous global
-    /// model, needed by [`Aggregator::NormClip`]. When given, every folded
-    /// term must have its shape; otherwise the first term's.
-    pub(crate) fn new(rule: Aggregator, reference: Option<&'r ModelWeights>) -> Self {
-        let invalid = match rule {
-            Aggregator::NormClip { .. } => rule.validate().err().or_else(|| {
-                reference.is_none().then(|| FlError::BadAggregation {
-                    reason: "norm clipping needs the previous global model as reference".to_owned(),
-                })
-            }),
-            _ => None,
-        };
+impl Aggregation {
+    /// An empty aggregate under `rule`. When the previous global model
+    /// `reference` is given, every folded term must have its shape;
+    /// otherwise the first term's.
+    pub(crate) fn new(rule: Aggregator, reference: Option<&ModelWeights>) -> Self {
         Aggregation {
             rule,
-            reference,
             fold: Fold::new(reference),
             kept: Vec::new(),
             terms: Vec::new(),
-            invalid,
             error: None,
         }
     }
@@ -172,7 +132,7 @@ impl<'r> Aggregation<'r> {
         let (client, samples) = (upload.client_id, upload.num_samples);
         self.terms.push((slot, client, samples, upload.train_loss));
         let settled = self.error.as_ref().is_some_and(|(at, _)| *at < slot);
-        if self.invalid.is_none() && !settled {
+        if !settled {
             if let Err(e) = self.try_add(slot, upload) {
                 self.error = Some((slot, e));
             }
@@ -188,12 +148,6 @@ impl<'r> Aggregation<'r> {
             Aggregator::FedAvg | Aggregator::TrimmedMean { trim: 0 } => {
                 self.fold.add(client, samples, &upload.weights)
             }
-            Aggregator::NormClip { tau } => {
-                let reference = self.reference.expect("checked when the aggregation began");
-                let clipped = clip(upload.expand(), reference, tau)?;
-                let weights = ArrivedWeights::Dense(clipped.weights);
-                self.fold.add(client, samples, &weights)
-            }
             Aggregator::TrimmedMean { .. } | Aggregator::Median => {
                 self.kept.push((slot, upload));
                 Ok(())
@@ -205,19 +159,15 @@ impl<'r> Aggregation<'r> {
     ///
     /// # Errors
     ///
-    /// No terms, the rule's configuration error, the lowest slot's error
-    /// — a term's own, or a sample count that overflows the total summed
-    /// in slot order — a zero sample total, or a trim that leaves no
-    /// coordinates (`2·trim ≥ n`).
+    /// No terms, the lowest slot's error — a term's own, or a sample
+    /// count that overflows the total summed in slot order — a zero
+    /// sample total, or a trim that leaves no coordinates (`2·trim ≥ n`).
     pub(crate) fn finish(mut self) -> Result<AggregateOutcome> {
         let n = self.terms.len();
         if n == 0 {
             return Err(FlError::BadAggregation {
                 reason: "no updates to aggregate".to_owned(),
             });
-        }
-        if let Some(e) = self.invalid {
-            return Err(e);
         }
         self.terms.sort_by_key(|&(slot, ..)| slot);
         let mut total = 0usize;
@@ -377,21 +327,19 @@ impl PartialAggregate {
     }
 
     /// Like [`finish`](Self::finish), but committing with an arbitrary
-    /// [`Aggregator`]. `reference` is the previous global model, needed
-    /// only by [`Aggregator::NormClip`] (the delta-clipping baseline);
-    /// the other rules ignore it, but for checking every folded term's
-    /// shape against it. `FedAvg` and `TrimmedMean { trim: 0 }`
-    /// run *literally* the one FedAvg fold, so a robust run with
-    /// no trimming is bit-identical to the plain path; they read each term
-    /// in place and expand none. `NormClip` expands, clips and folds one
-    /// term at a time; `TrimmedMean` and `Median` expand none either —
-    /// they read each term in place, a chunk of coordinates at a time.
+    /// [`Aggregator`]. `reference` is the previous global model: when
+    /// given, every folded term's shape is checked against it. `FedAvg`
+    /// and `TrimmedMean { trim: 0 }` run *literally* the one FedAvg fold,
+    /// so a robust run with no trimming is bit-identical to the plain
+    /// path; they read each term in place and expand none. `TrimmedMean`
+    /// and `Median` expand none either — they read each term in place, a
+    /// chunk of coordinates at a time.
     ///
     /// # Errors
     ///
     /// Everything [`finish`](Self::finish) rejects, plus a trim that
-    /// leaves no coordinates (`2·trim ≥ n`), a missing reference for
-    /// norm clipping, and shape mismatches between updates.
+    /// leaves no coordinates (`2·trim ≥ n`) and shape mismatches between
+    /// updates.
     pub fn finish_with(
         mut self,
         aggregator: Aggregator,
@@ -411,21 +359,6 @@ impl PartialAggregate {
     }
 }
 
-/// `u` with its delta from `reference` clipped to L2 norm `tau`; an
-/// update within the norm passes through untouched.
-fn clip(mut u: UpdateUpload, reference: &ModelWeights, tau: f32) -> Result<UpdateUpload> {
-    let norm = delta_norm(&u.weights, reference)?;
-    if norm <= f64::from(tau) {
-        return Ok(u);
-    }
-    let factor = f64::from(tau) / norm;
-    let mut w = reference.clone();
-    w.add_scaled(&u.weights, factor as f32)?;
-    w.add_scaled(reference, -(factor as f32))?;
-    u.weights = w;
-    Ok(u)
-}
-
 /// The mean of `vals` once the `trim` lowest and highest are dropped.
 fn trimmed_mean(vals: &mut [f32], trim: usize) -> f32 {
     vals.sort_unstable_by(f32::total_cmp);
@@ -442,34 +375,6 @@ fn median(vals: &mut [f32]) -> f32 {
     } else {
         0.5 * (vals[mid - 1] + vals[mid])
     }
-}
-
-/// The L2 norm of `w − reference` across all coordinates, accumulated
-/// in f64 (a fixed, canonical order — deterministic regardless of
-/// shard/worker layout since it runs on one update at a time).
-fn delta_norm(w: &ModelWeights, reference: &ModelWeights) -> Result<f64> {
-    if w.num_layers() != reference.num_layers() {
-        return Err(FlError::BadAggregation {
-            reason: "update and reference disagree on layer count".to_owned(),
-        });
-    }
-    let mut sum = 0.0f64;
-    for (a, b) in w.iter().zip(reference.iter()) {
-        if a.w.dims() != b.w.dims() || a.b.dims() != b.b.dims() {
-            return Err(FlError::BadAggregation {
-                reason: "update and reference disagree on layer shapes".to_owned(),
-            });
-        }
-        for (x, y) in a.w.data().iter().zip(b.w.data()) {
-            let d = f64::from(x - y);
-            sum += d * d;
-        }
-        for (x, y) in a.b.data().iter().zip(b.b.data()) {
-            let d = f64::from(x - y);
-            sum += d * d;
-        }
-    }
-    Ok(sum.sqrt())
 }
 
 /// Coordinates of one tensor [`coordinate_reduce`] reads from each term
@@ -724,34 +629,13 @@ mod tests {
     #[test]
     fn trim_too_large_is_rejected() {
         let updates = vec![upload(0, 1.0, 10), upload(1, 2.0, 10)];
-        assert!(collect(&updates)
+        let err = collect(&updates)
             .finish_with(Aggregator::TrimmedMean { trim: 1 }, None)
-            .is_err());
-    }
-
-    #[test]
-    fn norm_clip_bounds_a_boosted_update() {
-        let reference = upload(0, 0.0, 1).weights;
-        let updates = vec![upload(0, 0.1, 10), upload(1, 1000.0, 10)];
-        let clipped = collect(&updates)
-            .finish_with(Aggregator::NormClip { tau: 0.5 }, Some(&reference))
-            .unwrap();
-        let val = clipped.weights.layer(0).unwrap().w.data()[0];
-        assert!(
-            val.abs() < 0.5,
-            "clipped aggregate stayed bounded, got {val}"
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad aggregation: trim 1 leaves no values out of 2 updates"
         );
-        // Missing reference is an error, not a silent fallback.
-        assert!(collect(&updates)
-            .finish_with(Aggregator::NormClip { tau: 0.5 }, None)
-            .is_err());
-        // Within-norm updates pass through exactly: identical to fedavg.
-        let gentle = vec![upload(0, 0.01, 10), upload(1, 0.02, 10)];
-        let plain = collect(&gentle).finish().unwrap();
-        let clipped = collect(&gentle)
-            .finish_with(Aggregator::NormClip { tau: 10.0 }, Some(&reference))
-            .unwrap();
-        assert_eq!(plain.weights, clipped.weights);
     }
 
     #[test]
@@ -762,9 +646,6 @@ mod tests {
             Aggregator::TrimmedMean { trim: 2 }.name(),
             "trimmed-mean(2)"
         );
-        assert!(Aggregator::NormClip { tau: 0.0 }.validate().is_err());
-        assert!(Aggregator::NormClip { tau: f32::NAN }.validate().is_err());
-        assert!(Aggregator::NormClip { tau: 1.0 }.validate().is_ok());
     }
 
     /// A non-finite coefficient on the public dense path is refused by
@@ -778,7 +659,6 @@ mod tests {
             Aggregator::TrimmedMean { trim: 0 },
             Aggregator::TrimmedMean { trim: 1 },
             Aggregator::Median,
-            Aggregator::NormClip { tau: 0.5 },
         ];
         for (values, client) in [
             ([1.0, f32::NAN, 2.0], 1),

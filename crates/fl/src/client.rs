@@ -9,11 +9,11 @@ use gradsec_nn::Sequential;
 use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::ta::Uuid;
 
-use crate::adversary::{Adversary, Persona};
+use crate::adversary::AdversaryPlan;
 use crate::codec::CodecKind;
 use crate::config::TrainingPlan;
 use crate::message::{AttestationResponse, ModelDownload, UpdateUpload};
-use crate::trainer::{CycleStats, LocalTrainer};
+use crate::trainer::LocalTrainer;
 use crate::Result;
 
 /// Hardware profile of a client device.
@@ -386,7 +386,9 @@ pub struct FlClient {
     shard: Vec<usize>,
     models: Arc<ClientModels>,
     trainer: Box<dyn LocalTrainer>,
-    adversary: Option<Adversary>,
+    /// The scenario this client poisons its updates under, if it is a
+    /// poisoner.
+    poisoner: Option<Arc<AdversaryPlan>>,
 }
 
 impl std::fmt::Debug for FlClient {
@@ -429,7 +431,7 @@ impl FlClient {
             shard,
             models,
             trainer,
-            adversary: None,
+            poisoner: None,
         }
     }
 
@@ -443,18 +445,13 @@ impl FlClient {
         self.id
     }
 
-    /// Assigns this client an adversarial persona (see
-    /// [`crate::adversary`]). All persona behavior is confined to
+    /// Makes this client a poisoner under `plan` (see
+    /// [`crate::adversary`]). Poisoning is confined to
     /// [`run_cycle`](Self::run_cycle) — attestation and the transport
     /// exchange stay honest, so screening and bit-identity are
     /// unaffected by *who* the client is, only by what it uploads.
-    pub(crate) fn set_adversary(&mut self, adversary: Adversary) {
-        self.adversary = Some(adversary);
-    }
-
-    /// This client's persona, if hostile.
-    pub(crate) fn persona(&self) -> Option<Persona> {
-        self.adversary.as_ref().map(|a| a.persona)
+    pub(crate) fn set_poisoner(&mut self, plan: Arc<AdversaryPlan>) {
+        self.poisoner = Some(plan);
     }
 
     /// Responds to an attestation challenge. Devices without a TEE (and
@@ -500,9 +497,6 @@ impl FlClient {
         plan: &TrainingPlan,
         protected_layers: &[usize],
     ) -> Result<UpdateUpload> {
-        if self.persona() == Some(Persona::FreeRider) {
-            return Ok(self.free_ride(round, global, plan));
-        }
         let mut model = self.models.lend();
         model.set_weights(global)?;
         let batcher = Batcher::new(
@@ -529,12 +523,8 @@ impl FlClient {
         model.reset();
         let trained = model.weights();
         drop(model);
-        let weights = match &self.adversary {
-            Some(adv) => match adv.persona {
-                Persona::Poisoner => adv.plan.poisoned(self.id, round, global, &trained)?,
-                Persona::Scaler => adv.plan.scaled(global, &trained)?,
-                Persona::FreeRider => unreachable!("free-riders return before training"),
-            },
+        let weights = match &self.poisoner {
+            Some(plan) => plan.poisoned(self.id, round, global, &trained)?,
             None => trained,
         };
         Ok(UpdateUpload {
@@ -545,21 +535,6 @@ impl FlClient {
             train_loss: stats.mean_loss,
             cost: stats.cost(self.id),
         })
-    }
-
-    /// The free-rider cycle: no training at all — echo the global
-    /// weights back while claiming a full cycle's samples and zero
-    /// compute cost. Deterministic by construction (no RNG, no batches).
-    fn free_ride(&self, round: u64, global: &ModelWeights, plan: &TrainingPlan) -> UpdateUpload {
-        let claimed = (plan.batch_size * plan.batches_per_cycle).max(1);
-        UpdateUpload {
-            client_id: self.id,
-            round,
-            weights: global.clone(),
-            num_samples: claimed,
-            train_loss: 0.0,
-            cost: CycleStats::default().cost(self.id),
-        }
     }
 }
 
@@ -627,8 +602,6 @@ mod tests {
 
     #[test]
     fn personas_shape_the_upload() {
-        use crate::adversary::{Adversary, AdversaryPlan};
-
         let scenario = Arc::new(AdversaryPlan::seeded(5).poisoners(1.0));
         let download = ModelDownload {
             round: 0,
@@ -642,22 +615,10 @@ mod tests {
             .unwrap();
 
         let mut poisoner = client(DeviceProfile::trustzone(7));
-        poisoner.set_adversary(Adversary {
-            persona: Persona::Poisoner,
-            plan: scenario.clone(),
-        });
+        poisoner.set_poisoner(scenario);
         let poisoned = poisoner.run_cycle(&download).unwrap();
         assert_ne!(poisoned.weights, honest.weights);
         assert_eq!(poisoned.num_samples, honest.num_samples);
-
-        let mut rider = client(DeviceProfile::trustzone(7));
-        rider.set_adversary(Adversary {
-            persona: Persona::FreeRider,
-            plan: scenario.clone(),
-        });
-        let echoed = rider.run_cycle(&download).unwrap();
-        assert_eq!(echoed.weights, download.weights);
-        assert_eq!(echoed.num_samples, 16, "claims a full cycle's samples");
     }
 
     #[test]

@@ -83,8 +83,8 @@
 //! A payload is dense in exactly three places: in a delta view, one per
 //! lockstep group on each side; in the replica a cycle borrows to train
 //! on it, one per cycle in flight; and inside the fold that consumes it:
-//! its exact fixed-point sum (an `i128` a coordinate), one per round, and
-//! under NormClip the one term it clips. On the way down, a client runs the download through `check_against`
+//! its exact fixed-point sum (an `i128` a coordinate), one per round. On
+//! the way down, a client runs the download through `check_against`
 //! against the view it holds and is handed the group's decoded view. On
 //! the way up, the server reads a session's reply, runs it through
 //! `check_against` — the one validator: every structural refusal there
@@ -105,11 +105,11 @@
 //! coefficient. FedAvg's fold reads an int8 or dense payload in place, a
 //! chunk of coordinates at a time, and a sparse one at its kept
 //! coefficients only, adds it to its exact sum and drops it, and
-//! expands nothing; NormClip expands the one term it clips; TrimmedMean
-//! and Median keep their terms and expand none, reading each payload
-//! front to back a chunk of coordinates at a time, so each sparse body's
-//! gaps are walked once a tensor; and an update the round does not fold
-//! (a surplus spare, a straggler) is never expanded at all. A
+//! expands nothing; TrimmedMean and Median keep their terms and expand
+//! none, reading each payload front to back a chunk of coordinates at a
+//! time, so each sparse body's gaps are walked once a tensor; and an
+//! update the round does not fold (a surplus spare, a straggler) is
+//! never expanded at all. A
 //! shard server's self-contained (int8) payloads cross the shard-control
 //! channel in the same form and are checked again as they arrive, against
 //! no view; a payload that adds to a delta view crosses dense, because the

@@ -911,7 +911,7 @@ fn reported<T>(result: Result<T>, channel: &mut FramedStream) -> Result<T> {
 /// ([`FederationBuilder::host`](crate::runner::FederationBuilder)): the
 /// device profiles it was sent and the default trainer, which shelters
 /// each round's protected layers in the enclave, global client ids, the
-/// *global* data partition sub-ranged, personas re-derived from the
+/// *global* data partition sub-ranged, poisoners re-derived from the
 /// shipped scenario plan, and the fault wrapper installed before the
 /// handshake. The config's range, device count, tags and plan were
 /// checked where it decoded.

@@ -41,6 +41,11 @@ use crate::{FlError, Result};
 /// A simulated network/compute latency distribution, drawn per
 /// `(client, round)` on the simulated clock (seconds). The draw never
 /// consumes a shared RNG stream, so it is independent of execution order.
+///
+/// A latency has an effect only against a round deadline
+/// ([`FaultPlan::deadline_s`]): the engine draws it to decide who
+/// straggles, and a plan without a deadline draws none, so its latency
+/// changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LatencyModel {
     /// No added latency (the default).
@@ -48,13 +53,6 @@ pub enum LatencyModel {
     None,
     /// A constant latency in seconds.
     Fixed(f64),
-    /// Uniform in `[min_s, max_s)`.
-    Uniform {
-        /// Lower bound, seconds.
-        min_s: f64,
-        /// Upper bound, seconds.
-        max_s: f64,
-    },
     /// Exponential with the given mean — the classic long-tail straggler
     /// model.
     Exponential {
@@ -69,10 +67,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::None => 0.0,
             LatencyModel::Fixed(s) => s,
-            LatencyModel::Uniform { min_s, max_s } => {
-                let u: f64 = rng.random();
-                min_s + (max_s - min_s) * u
-            }
             LatencyModel::Exponential { mean_s } => {
                 let u: f64 = rng.random();
                 -mean_s * (1.0 - u).ln()
@@ -87,14 +81,6 @@ impl LatencyModel {
             LatencyModel::Fixed(s) => {
                 if !s.is_finite() || s < 0.0 {
                     return bad(format!("fixed latency must be finite and >= 0, got {s}"));
-                }
-                Ok(())
-            }
-            LatencyModel::Uniform { min_s, max_s } => {
-                if !min_s.is_finite() || !max_s.is_finite() || min_s < 0.0 || max_s < min_s {
-                    return bad(format!(
-                        "uniform latency needs 0 <= min <= max, got [{min_s}, {max_s})"
-                    ));
                 }
                 Ok(())
             }
@@ -161,6 +147,8 @@ impl FaultPlan {
     }
 
     /// Sets the default latency distribution every client draws from.
+    /// Inert without a [`deadline_s`](Self::deadline_s): latency is drawn
+    /// only to find the round's stragglers.
     #[must_use]
     pub fn latency(mut self, model: LatencyModel) -> Self {
         self.latency = model;
@@ -317,7 +305,6 @@ wire_enum!(
     LatencyModel, "latency model" {
         0 => None {},
         1 => Fixed { 0: s },
-        2 => Uniform { min_s, max_s },
         3 => Exponential { mean_s },
     },
     validate = LatencyModel::validate
@@ -510,10 +497,7 @@ mod tests {
     #[test]
     fn draws_are_pure_functions_of_their_inputs() {
         let plan = FaultPlan::seeded(7)
-            .latency(LatencyModel::Uniform {
-                min_s: 0.5,
-                max_s: 2.0,
-            })
+            .latency(LatencyModel::Exponential { mean_s: 1.0 })
             .dropout(0.3)
             .drop_messages(0.2)
             .garble_replies(0.2);
@@ -536,15 +520,9 @@ mod tests {
 
     #[test]
     fn latency_models_respect_their_supports() {
-        let uniform = FaultPlan::seeded(3).latency(LatencyModel::Uniform {
-            min_s: 1.0,
-            max_s: 4.0,
-        });
         let expo = FaultPlan::seeded(3).latency(LatencyModel::Exponential { mean_s: 2.0 });
         let fixed = FaultPlan::seeded(3).latency(LatencyModel::Fixed(0.25));
         for c in 0..100u64 {
-            let u = uniform.latency_s(c, 1);
-            assert!((1.0..4.0).contains(&u), "{u}");
             assert!(expo.latency_s(c, 1) >= 0.0);
             assert_eq!(fixed.latency_s(c, 1), 0.25);
             assert_eq!(FaultPlan::seeded(3).latency_s(c, 1), 0.0);
@@ -596,10 +574,7 @@ mod tests {
             .is_err());
         assert!(FaultPlan::seeded(1).deadline_s(0.0).validate().is_err());
         assert!(FaultPlan::seeded(1)
-            .latency(LatencyModel::Uniform {
-                min_s: 2.0,
-                max_s: 1.0
-            })
+            .latency(LatencyModel::Exponential { mean_s: -1.0 })
             .validate()
             .is_err());
         assert!(FaultPlan::seeded(1)

@@ -29,9 +29,8 @@
 //! dropouts, crashes, lossy links — are simulated by the seeded,
 //! deterministic [`faults`] layer, with over-provisioned selection
 //! keeping faulted rounds aggregating a full cohort. Hostile fleets —
-//! update poisoners, scalers and free-riders — are simulated by the
-//! equally-seeded [`adversary`] layer, defended by robust aggregation
-//! ([`aggregate::Aggregator`]).
+//! update poisoners — are simulated by the equally-seeded [`adversary`]
+//! layer, defended by robust aggregation ([`aggregate::Aggregator`]).
 //!
 //! # Example
 //!
@@ -87,7 +86,7 @@ pub mod trainer;
 pub mod transport;
 mod wire;
 
-pub use adversary::{Adversary, AdversaryPlan, Persona};
+pub use adversary::AdversaryPlan;
 pub use aggregate::Aggregator;
 pub use codec::CodecKind;
 pub use config::{MuxOptions, ShardLayout, TransportKind};

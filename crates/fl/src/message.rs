@@ -121,7 +121,10 @@ pub(crate) mod limits {
 /// the reply's ledger: the outcomes are the shard's bill. Version 14
 /// ships the shard's slice of the device list on [`ShardConfig`], so a
 /// shard server hosts the profiles it was sent, not all-TrustZone ones.
-pub const PROTOCOL_VERSION: u16 = 14;
+/// Version 15 drops the scaler and free-rider fractions from
+/// [`AdversaryPlan`] and retires [`LatencyModel`](crate::faults::LatencyModel)
+/// tag 2 (uniform latency), which is refused as unknown.
+pub const PROTOCOL_VERSION: u16 = 15;
 
 /// Checks the version `peer` stamped on a hello, an ack or an envelope.
 /// Coordinator, shard servers and clients are always the same build, so
@@ -1013,7 +1016,7 @@ pub struct ShardConfig {
     pub workers: u64,
     /// The fault plan, when the run injects faults.
     pub faults: Option<FaultPlan>,
-    /// The adversarial scenario, when the run hosts hostile personas.
+    /// The adversarial scenario, when the run hosts poisoners.
     pub adversaries: Option<AdversaryPlan>,
     /// The profiles of the shard's devices, one per client of its range,
     /// in id order: a mixed fleet is the same fleet in every process.

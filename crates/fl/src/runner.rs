@@ -49,7 +49,7 @@ use gradsec_tee::attestation::Measurement;
 use gradsec_tee::cost::RoundLedger;
 use gradsec_tee::crypto::sha256::sha256;
 
-use crate::adversary::{Adversary, AdversaryPlan};
+use crate::adversary::AdversaryPlan;
 use crate::aggregate::Aggregator;
 use crate::client::{ClientModels, DeviceProfile, FlClient, TA_CODE};
 use crate::codec::CodecKind;
@@ -402,9 +402,9 @@ impl FederationBuilder {
         self
     }
 
-    /// Installs a deterministic adversarial scenario: each client's
-    /// persona is a pure function of `(scenario seed, client id)` (see
-    /// `AdversaryPlan::persona_of`), applied entirely client-side at
+    /// Installs a deterministic adversarial scenario: whether a client
+    /// poisons is a pure function of `(scenario seed, client id)` (see
+    /// `AdversaryPlan::poisons`), applied entirely client-side at
     /// cycle time — screening, selection and the transport exchange
     /// stay untouched, so a hostile run is bit-identical for any
     /// `(shards, workers, transport)` combination under the same
@@ -484,7 +484,6 @@ impl FederationBuilder {
         if let Some(plan) = &self.adversaries {
             plan.validate()?;
         }
-        self.aggregator.validate()?;
         let mut server = FlServer::new(self.plan, initial, self.measurement)?;
         if let Some(plan) = &self.faults {
             server.overprovision(plan.spare_count());
@@ -512,7 +511,7 @@ impl FederationBuilder {
     /// lends replicas of `prototype` to the cycles in flight.
     ///
     /// The data partition is derived for the *whole* federation and
-    /// sub-ranged, and ids and personas are global, so a client is the
+    /// sub-ranged, and ids and poisoners are global, so a client is the
     /// same client wherever it is hosted.
     pub(crate) fn host(
         &mut self,
@@ -549,11 +548,8 @@ impl FederationBuilder {
                     trainer,
                 );
                 if let Some(plan) = &self.adversaries {
-                    if let Some(persona) = plan.persona_of(g as u64) {
-                        client.set_adversary(Adversary {
-                            persona,
-                            plan: plan.clone(),
-                        });
+                    if plan.poisons(g as u64) {
+                        client.set_poisoner(plan.clone());
                     }
                 }
                 client
@@ -1479,11 +1475,11 @@ mod tests {
 
     #[test]
     fn clean_fleet_consumes_no_server_rng() {
-        // Installing the adversary layer with a quiet plan (all
-        // fractions zero) must leave every report and weight
-        // bit-identical to a run that never heard of adversaries:
-        // persona assignment draws from its own salted streams, never
-        // the server's selection/screening RNG.
+        // Installing the adversary layer with a quiet plan (no
+        // poisoners) must leave every report and weight bit-identical
+        // to a run that never heard of adversaries: the poisoner draw
+        // uses its own salted streams, never the server's
+        // selection/screening RNG.
         let mut plain = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
             .clients(4, dataset())
@@ -1500,7 +1496,7 @@ mod tests {
         assert_eq!(plain_report, quiet_report);
         assert_eq!(plain.server().global(), quiet.server().global());
         // A hostile fleet still picks the same
-        // participants every round: personas alter uploads, never the
+        // participants every round: poisoners alter uploads, never the
         // server's sampling stream.
         let mut hostile = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
@@ -1516,12 +1512,12 @@ mod tests {
 
     #[test]
     fn hostile_fleet_with_robust_aggregation_runs() {
-        // End-to-end wiring check: personas and a robust aggregator
+        // End-to-end wiring check: poisoners and a robust aggregator
         // active at once.
         let mut fed = Federation::builder(plan())
             .model(|| zoo::tiny_mlp(3 * 32 * 32, 8, 2, 9).unwrap())
             .clients(4, dataset())
-            .adversaries(AdversaryPlan::seeded(3).poisoners(0.3).scalers(0.3))
+            .adversaries(AdversaryPlan::seeded(3).poisoners(0.3))
             .aggregator(Aggregator::Median)
             .build()
             .unwrap();

@@ -4,8 +4,8 @@
 //! shard processes finish them. The commit adds a completed update to
 //! the round's one [`Aggregation`] as soon as it is certain to be among
 //! the first `k` completed, whatever order it arrives in: every slot
-//! below `k` is, since fewer than `k` slots precede it. Under FedAvg and
-//! NormClip that folds it on the spot — the fold is an exact integer sum,
+//! below `k` is, since fewer than `k` slots precede it. Under FedAvg
+//! that folds it on the spot — the fold is an exact integer sum,
 //! so the order terms are folded in cannot move a bit — and under the
 //! coordinate-wise rules it is kept in wire form for the finish. Only a
 //! completed update at a slot of `k` or above, which might be surplus,
@@ -39,7 +39,7 @@ pub(crate) struct Commit<'r> {
     /// How many completed updates the round commits.
     k: usize,
     deposits: Mutex<Deposits>,
-    aggregation: Mutex<Aggregation<'r>>,
+    aggregation: Mutex<Aggregation>,
 }
 
 /// What has arrived, slot by slot.
@@ -331,7 +331,6 @@ mod tests {
                 Aggregator::TrimmedMean { trim: 0 },
                 Aggregator::TrimmedMean { trim: 1 },
                 Aggregator::Median,
-                Aggregator::NormClip { tau: 0.5 },
             ];
             for rule in rules {
                 // The commit, and the probe log of a one-thread delivery.

@@ -84,7 +84,6 @@ fn eager_public_calls_commit_what_run_round_commits() {
         Aggregator::FedAvg,
         Aggregator::TrimmedMean { trim: 1 },
         Aggregator::Median,
-        Aggregator::NormClip { tau: 0.05 },
     ];
     // (shards, workers, transport) of the federation `run_round` drives;
     // the eager side is always the flat fleet on that transport.
@@ -144,7 +143,6 @@ fn the_fold_expands_one_upload_at_a_time_and_never_one_it_does_not_fold() {
     };
     let aggregators = [
         Aggregator::FedAvg,
-        Aggregator::NormClip { tau: 0.05 },
         Aggregator::TrimmedMean { trim: 1 },
         Aggregator::Median,
     ];
@@ -163,21 +161,16 @@ fn the_fold_expands_one_upload_at_a_time_and_never_one_it_does_not_fold() {
                 assert_eq!(report.participants, [0, 2, 3, 4], "{what}");
                 assert_eq!(report.surplus, [5], "{what}");
                 assert_eq!(report.stragglers, [1], "{what}");
-                // An identity payload is the dense model itself, moved out on
-                // arrival; only int8 and sparse bodies have anything to expand.
-                let expand = codec != CodecKind::Identity;
-                let fold = matches!(aggregator, Aggregator::FedAvg | Aggregator::NormClip { .. });
-                let clip = matches!(aggregator, Aggregator::NormClip { .. });
                 // Every outcome arrives in slot order, and a participant's
                 // term is folded and dropped before the next one arrives:
-                // read in place under FedAvg, which expands nothing, and
-                // expanded and clipped under NormClip. A coordinate-wise
-                // rule reads every term in place at the finish.
+                // read in place under FedAvg, which expands nothing. A
+                // coordinate-wise rule reads every term in place at the
+                // finish. No rule expands an int8 or sparse body.
+                let fold = aggregator == Aggregator::FedAvg;
                 let per_slot = |ci: usize| {
                     let (id, folded) = (ci as u64, fold && report.participants.contains(&ci));
                     [Event::Arrived(id)]
                         .into_iter()
-                        .chain((folded && clip && expand).then_some(Event::Expanded(id)))
                         .chain(folded.then_some(Event::Folded(id)))
                 };
                 let want: Vec<Event> = (0..6).flat_map(per_slot).collect();

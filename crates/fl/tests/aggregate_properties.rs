@@ -1,8 +1,7 @@
 //! Property-based tests for the robust aggregation rules.
 //!
 //! The estimators defending hostile fleets ([`Aggregator::TrimmedMean`],
-//! [`Aggregator::Median`], [`Aggregator::NormClip`]) must hold three
-//! families of invariants:
+//! [`Aggregator::Median`]) must hold three families of invariants:
 //!
 //! * **Permutation invariance** — the coordinate-wise estimators sort
 //!   values per coordinate, so reassigning updates to different
@@ -11,8 +10,7 @@
 //!   (`k` within the estimator's breakdown point), the robust estimate
 //!   stays at the honest value while plain FedAvg is dragged away.
 //! * **Degenerate agreement** — `TrimmedMean { trim: 0 }` delegates
-//!   literally to the FedAvg fold, and `NormClip` with a norm bound no
-//!   update exceeds clips nothing, so both agree with plain FedAvg
+//!   literally to the FedAvg fold, so it agrees with plain FedAvg
 //!   bit-for-bit.
 //!
 //! Every invariant is exercised on dense updates *and* on updates that
@@ -70,18 +68,13 @@ fn through_topk(w: &ModelWeights, base: &ModelWeights, id: u64) -> ModelWeights 
 }
 
 /// Aggregates `uploads` at the given selection slots under `rule`.
-fn aggregate(
-    uploads: &[UpdateUpload],
-    slots: &[usize],
-    rule: Aggregator,
-    reference: Option<&ModelWeights>,
-) -> ModelWeights {
+fn aggregate(uploads: &[UpdateUpload], slots: &[usize], rule: Aggregator) -> ModelWeights {
     let mut partial = PartialAggregate::new();
     for (u, &s) in uploads.iter().zip(slots) {
         partial.push(s, u.clone());
     }
     partial
-        .finish_with(rule, reference)
+        .finish_with(rule, None)
         .expect("aggregation succeeds")
         .weights
 }
@@ -111,8 +104,8 @@ proptest! {
         // ordering after the slot sort.
         let rotated: Vec<usize> = (0..n).map(|i| (i + rot) % n).collect();
         for rule in [Aggregator::TrimmedMean { trim: 1 }, Aggregator::Median] {
-            let a = aggregate(&uploads, &straight, rule, None);
-            let b = aggregate(&uploads, &rotated, rule, None);
+            let a = aggregate(&uploads, &straight, rule);
+            let b = aggregate(&uploads, &rotated, rule);
             prop_assert_eq!(a, b, "{} moved under slot permutation", rule.name());
         }
     }
@@ -144,7 +137,7 @@ proptest! {
             ));
         }
         let slots: Vec<usize> = (0..uploads.len()).collect();
-        let robust = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim }, None);
+        let robust = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim });
         // Every kept coordinate equals the honest value; the mean of k
         // identical f32s recovers it up to one rounding step.
         let slack = value.abs() * 1e-5 + 1e-6;
@@ -153,7 +146,7 @@ proptest! {
                 prop_assert!((x - value).abs() <= slack, "|{x} - {value}| > {slack}");
             }
         }
-        let plain = aggregate(&uploads, &slots, Aggregator::FedAvg, None);
+        let plain = aggregate(&uploads, &slots, Aggregator::FedAvg);
         let dragged = plain.layer(0).unwrap().w.data()[0];
         prop_assert!((dragged - value).abs() > 1.0, "fedavg survived {spike}: {dragged}");
     }
@@ -181,7 +174,7 @@ proptest! {
             ));
         }
         let slots: Vec<usize> = (0..uploads.len()).collect();
-        let robust = aggregate(&uploads, &slots, Aggregator::Median, None);
+        let robust = aggregate(&uploads, &slots, Aggregator::Median);
         for l in robust.iter() {
             for x in l.w.data().iter().chain(l.b.data()) {
                 prop_assert_eq!(*x, value);
@@ -206,78 +199,9 @@ proptest! {
             })
             .collect();
         let slots: Vec<usize> = (0..n).collect();
-        let plain = aggregate(&uploads, &slots, Aggregator::FedAvg, None);
-        let trimmed = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim: 0 }, None);
+        let plain = aggregate(&uploads, &slots, Aggregator::FedAvg);
+        let trimmed = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim: 0 });
         prop_assert_eq!(plain, trimmed);
-    }
-
-    #[test]
-    fn generous_clipping_is_bit_identical_to_fedavg(
-        n in 1usize..6,
-        layers in 1usize..3,
-        width in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        // Every delta from the reference is bounded (weights live in
-        // [-1, 1]); a tau above any reachable norm clips nothing, and
-        // the unclipped path hands the literal updates to the FedAvg
-        // fold.
-        let reference = weights(layers, width, seed ^ 0xCAFE);
-        let uploads: Vec<UpdateUpload> = (0..n)
-            .map(|i| upload(i as u64, weights(layers, width, seed.wrapping_add(i as u64)), 2 + i))
-            .collect();
-        let slots: Vec<usize> = (0..n).collect();
-        let plain = aggregate(&uploads, &slots, Aggregator::FedAvg, None);
-        let clipped = aggregate(
-            &uploads,
-            &slots,
-            Aggregator::NormClip { tau: 1e6 },
-            Some(&reference),
-        );
-        prop_assert_eq!(plain, clipped);
-    }
-
-    #[test]
-    fn clipped_aggregate_stays_within_tau_of_the_reference(
-        n in 1usize..5,
-        tau in 0.1f32..2.0,
-        magnitude in 2.0f32..100.0,
-        layers in 1usize..3,
-        width in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        // Each clipped delta has norm at most tau; FedAvg is a convex
-        // combination, so the committed model's delta cannot exceed it
-        // either (up to f32 rounding slack).
-        let reference = weights(layers, width, seed ^ 0x7AB5);
-        let uploads: Vec<UpdateUpload> = (0..n)
-            .map(|i| {
-                let mut w = reference.clone();
-                w.add_scaled(&constant(layers, width, magnitude), 1.0).unwrap();
-                upload(i as u64, w, 3)
-            })
-            .collect();
-        let slots: Vec<usize> = (0..n).collect();
-        let clipped = aggregate(
-            &uploads,
-            &slots,
-            Aggregator::NormClip { tau },
-            Some(&reference),
-        );
-        let mut sum = 0.0f64;
-        for (a, b) in clipped.iter().zip(reference.iter()) {
-            for (x, y) in a.w.data().iter().zip(b.w.data()) {
-                sum += f64::from(x - y) * f64::from(x - y);
-            }
-            for (x, y) in a.b.data().iter().zip(b.b.data()) {
-                sum += f64::from(x - y) * f64::from(x - y);
-            }
-        }
-        let norm = sum.sqrt();
-        prop_assert!(
-            norm <= f64::from(tau) * 1.001 + 1e-4,
-            "aggregate delta norm {norm} exceeds tau {tau}"
-        );
     }
 
     #[test]
@@ -299,7 +223,7 @@ proptest! {
             .collect();
         uploads.push(upload(honest as u64, sparse_spike, 4));
         let slots: Vec<usize> = (0..uploads.len()).collect();
-        let robust = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim: 1 }, None);
+        let robust = aggregate(&uploads, &slots, Aggregator::TrimmedMean { trim: 1 });
         let slack = value.abs() * 1e-5 + 1e-6;
         for l in robust.iter() {
             for x in l.w.data().iter().chain(l.b.data()) {

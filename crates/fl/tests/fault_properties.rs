@@ -45,14 +45,10 @@ fn builder(faults: FaultPlan) -> FederationBuilder {
 
 /// Decodes a drawn latency selector into a model (the vendored proptest
 /// has no enum strategies, so the case index is drawn as an integer).
-fn latency_model(kind: usize, a: f64, b: f64) -> LatencyModel {
+fn latency_model(kind: usize, a: f64) -> LatencyModel {
     match kind {
         0 => LatencyModel::None,
         1 => LatencyModel::Fixed(a),
-        2 => LatencyModel::Uniform {
-            min_s: a.min(b),
-            max_s: a.min(b) + (a - b).abs(),
-        },
         _ => LatencyModel::Exponential { mean_s: a },
     }
 }
@@ -66,7 +62,6 @@ fn fault_plan(
     garble_p: f64,
     latency_kind: usize,
     lat_a: f64,
-    lat_b: f64,
     deadline_ds: usize,
     spare: usize,
 ) -> FaultPlan {
@@ -74,7 +69,7 @@ fn fault_plan(
         .dropout(dropout)
         .drop_messages(drop_p)
         .garble_replies(garble_p)
-        .latency(latency_model(latency_kind, lat_a, lat_b))
+        .latency(latency_model(latency_kind, lat_a))
         .spare(spare);
     if deadline_ds > 0 {
         plan = plan.deadline_s(deadline_ds as f64 / 10.0);
@@ -94,16 +89,15 @@ proptest! {
         dropout in 0.0f64..0.5,
         drop_p in 0.0f64..0.3,
         garble_p in 0.0f64..0.3,
-        latency_kind in 0usize..4,
+        latency_kind in 0usize..3,
         lat_a in 0.0f64..3.0,
-        lat_b in 0.0f64..3.0,
         deadline_ds in 0usize..40,
         spare in 0usize..3,
         workers in 2usize..5,
     ) {
         let faults = || fault_plan(
             seed, dropout, drop_p, garble_p,
-            latency_kind, lat_a, lat_b, deadline_ds, spare,
+            latency_kind, lat_a, deadline_ds, spare,
         );
         let mut seq = builder(faults()).engine(ExecutionEngine::sequential()).build().unwrap();
         let seq_report = seq.run();
@@ -123,9 +117,8 @@ proptest! {
         dropout in 0.0f64..0.5,
         drop_p in 0.0f64..0.3,
         garble_p in 0.0f64..0.3,
-        latency_kind in 0usize..4,
+        latency_kind in 0usize..3,
         lat_a in 0.0f64..3.0,
-        lat_b in 0.0f64..3.0,
         deadline_ds in 0usize..40,
         spare in 0usize..3,
         shards in 1usize..5,
@@ -133,7 +126,7 @@ proptest! {
     ) {
         let faults = || fault_plan(
             seed, dropout, drop_p, garble_p,
-            latency_kind, lat_a, lat_b, deadline_ds, spare,
+            latency_kind, lat_a, deadline_ds, spare,
         );
         let mut flat = builder(faults()).build().unwrap();
         let flat_report = flat.run();
@@ -165,7 +158,7 @@ proptest! {
         spare in 0usize..3,
     ) {
         let faults = fault_plan(
-            seed, dropout, drop_p, garble_p, 3, 1.0, 0.0, deadline_ds, spare,
+            seed, dropout, drop_p, garble_p, 2, 1.0, deadline_ds, spare,
         );
         let mut fed = builder(faults).build().unwrap();
         // A fully-collapsed run is legal under heavy faults (the

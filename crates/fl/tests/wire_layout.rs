@@ -1,11 +1,17 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
 //! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 14 has always produced.
+//! version 15 has always produced.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 14 moved
+//! table (the failure message prints the new digests). Version 15 moved
+//! every `envelope/*` for the version stamp, one of them,
+//! `envelope/shard_config_hostile`, also for its layout, and
+//! `adversary_plan` for its layout (no scaler or free-rider fraction);
+//! `fault_plan/full` moved because its fixture lost the uniform latency
+//! entry, and `latency/uniform` left the table with the model (tag 2 is
+//! refused as unknown); no other digest moved. Version 14 had moved
 //! every `envelope/*` for the version stamp, two of them,
 //! `envelope/shard_config_{plain,hostile}`, also for their layout (the
 //! shard's slice of the device list, eight profiles, mixed in the hostile
@@ -149,13 +155,6 @@ fn fault_plan() -> FaultPlan {
         .latency(LatencyModel::Exponential { mean_s: 0.5 })
         .client_latency(3, LatencyModel::None)
         .client_latency(5, LatencyModel::Fixed(1.5))
-        .client_latency(
-            8,
-            LatencyModel::Uniform {
-                min_s: 0.25,
-                max_s: 2.0,
-            },
-        )
         .client_latency(13, LatencyModel::Exponential { mean_s: 3.0 })
         .dropout(0.1)
         .crash_at(2, 1)
@@ -169,8 +168,6 @@ fn fault_plan() -> FaultPlan {
 fn adversary_plan() -> AdversaryPlan {
     AdversaryPlan::seeded(0xBAD)
         .poisoners(0.2)
-        .scalers(0.1)
-        .free_riders(0.05)
         .poison_strength(2.0)
         .poison_noise(0.25)
 }
@@ -470,14 +467,6 @@ fn digests() -> Vec<(&'static str, String)> {
     file(&mut t, "latency/fixed", &LatencyModel::Fixed(1.5));
     file(
         &mut t,
-        "latency/uniform",
-        &LatencyModel::Uniform {
-            min_s: 0.25,
-            max_s: 2.0,
-        },
-    );
-    file(
-        &mut t,
         "latency/exponential",
         &LatencyModel::Exponential { mean_s: 3.0 },
     );
@@ -520,75 +509,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 14 (see the module comment for what moved from 13).
+/// Protocol version 15 (see the module comment for what moved from 14).
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "b34b3becaae919da5e067105be4174fd344325604559d362f10401a9d6cd5be7",
+        "1bb8e4f00e5d8d33e09c6b130af8366a1f51a67b5c28e124d63c22a5d168e1f3",
     ),
     (
         "envelope/hello_ack",
-        "c8200a933c3079ba6fdff3079c65b5c4f1fcc157619e9680d025d401a486f23a",
+        "d0e4ccae16099c1d8c6881f0a44b9d3ccec507859c647c363a6c5f807a093136",
     ),
     (
         "envelope/attestation_request",
-        "97e6936f1898eb70aae1ac27949812c8a3099316b84f6674ce27736bee69d457",
+        "976e39375fb0bce05ac0591b182569426a1f4a57219d4bef9c301daa8a7f6f09",
     ),
     (
         "envelope/attestation_response",
-        "2365c65dc5bf8021c47b7bfd84de1e7deda397c2d6b23ef9c66c313dbd363544",
+        "a8c6750b9dc3845ef1308009c613aa70b62b4bfd554b6da2b79f2007d36ed90d",
     ),
     (
         "envelope/goodbye",
-        "10befbee8fa4e1941fc10fceca9fb263a425c5a083ebb64977eb3ca90485ea53",
+        "4a8517633e754b2f8a5299d0d12fe9aa014495da229beb3c1ba180bb3c3ed216",
     ),
     (
         "envelope/error",
-        "f93c905bfde02457f185c27039886abb75bff194e3cf11997a83567dae890d14",
+        "1397446bdd9212422ff8cac35062eddc53cfb1630f9b98d7b11f79acda0c305f",
     ),
     (
         "envelope/encoded_model_download",
-        "3deac5fb7f58560c242489de78650e25a355ce101dc07073a7a8c23734c8743f",
+        "291f230c58257f3d2256c053534ab08920ab24c2a0ddfa4a4b14ebe1f0bc6c28",
     ),
     (
         "envelope/encoded_update_upload",
-        "80624ed2e4065c59c62371a17b2534a5445783cb27ea8d0471910b79337857af",
+        "7537b6cdcd9bd7bf18d43aa6538c482719dc8db53d84aa36ad3a430fa3219426",
     ),
     (
         "envelope/shard_hello",
-        "55512feb61a80395841a8e1f4691fd8c7456522a3fa8304d750d4fbe9c415c42",
+        "1f9952323831af65a85bdaa89df8d25f2b43805784d6c3e3ef52e3fdf332ffba",
     ),
     (
         "envelope/shard_hello_ack",
-        "6f50659f93bb8333196dfc2650f327453d0a4946603c946a27c460da317f07d2",
+        "c5e0be37971a79f98f6ec0d1018c0f212c45070133064c0d9a9bf80df7bfbc77",
     ),
     (
         "envelope/shard_config_plain",
-        "8d1ed8e43e772cd43bb5524d9b38a690d10eeee2e21fba3d8f547cb22c365fb5",
+        "3a514d359407aba3b7b88d6caaccce79e2fdeb9ca2be736ff4f1582cd69af026",
     ),
     (
         "envelope/shard_config_hostile",
-        "dd50e91965eb198adad66f8142bf0667a88094a10d16ead88f4193889ca5ee96",
+        "82388c6ec357d2d320782b66f4d451aff16b3c32bc0eb432d5f88307f83ff0e5",
     ),
     (
         "envelope/shard_config_ack",
-        "affc57a509caf9000759ca6138eb79c691a13fc232204782ec82011cc7dd8050",
+        "623b283f63962204d07540099a4bdf7844866654053ceaa97aba2ca6dc4e6d21",
     ),
     (
         "envelope/shard_screen",
-        "2c95a978e99cd82947ff63ad63cc9353552739c1cc5b711f25418667c081211d",
+        "ec1e4aeda3f90c837dc52e191aa2500fb8b1798d7723d3eb238a06eea99372df",
     ),
     (
         "envelope/shard_screen_reply",
-        "286522133f76aed16dd6ff8f2d1a86e3f3ed8fc87b6c0330f321fca59268221c",
+        "bc2e2fb8c8e64fd96059252d30fe5b477fc890ca0629b53f3c1814152a02f522",
     ),
     (
         "envelope/shard_round",
-        "4d92b0f79abba9237c95d54b59839fff02c5d98ae4e5b7803db45086c5c780ac",
+        "19164819bd0091eda43e65b78b84d38db673c3f89cb2753fce46a311955a92a2",
     ),
     (
         "envelope/shard_round_reply",
-        "e189f389be5275f3216ea8e579c67f7636eadacd3b18bd6a48bad9168914f5ef",
+        "ef082f59218bd9e449b31916488f9bd413a47fcc2803954568915ef805bdb56b",
     ),
     (
         "tensor",
@@ -639,10 +628,6 @@ const FROZEN: &[(&str, &str)] = &[
         "7d83d0304bdc2d2296626dcdb3004bb3b52ce89b95bf37153bfc53ba9604dbf8",
     ),
     (
-        "latency/uniform",
-        "d2ecc4fd460d14555176d0a9a5bb50e38510a23700a6c27c1a721e9512c609f7",
-    ),
-    (
         "latency/exponential",
         "cf37c2a98acbf5ea19e9b2341363fa04919bc3350bf9e3d6ea9ad70ee033dea7",
     ),
@@ -652,11 +637,11 @@ const FROZEN: &[(&str, &str)] = &[
     ),
     (
         "fault_plan/full",
-        "d27491c31ab5da83bf038701141701c7416a1ba72b1f039442745a70ad5f3faa",
+        "c9535edcd9468f3cbe344b5f96878b5bf3501e21476b49c1bf3ca3d2d48c91f5",
     ),
     (
         "adversary_plan",
-        "5d9ca89889e3514be8dc1f0494eb7cb8cc819234604698d35f8e859778491eeb",
+        "d7f340b0aef4993c69dc3994b0638482c8c762a91bb037f5c694a3faa2b1934d",
     ),
     (
         "dataset_spec/micro",
@@ -726,7 +711,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 14, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 15, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()
