@@ -13,7 +13,7 @@
 //!   drop/garble probabilities for the transport, a round deadline that
 //!   turns slow clients into stragglers, and an over-provisioning spare
 //!   count for selection.
-//! * [`FaultyEndpoint`] — a [`ServerEndpoint`] wrapper injecting the
+//! * `FaultyEndpoint` — a [`ServerEndpoint`] wrapper injecting the
 //!   transport-level faults around *any* backend (in-process or TCP),
 //!   so a faulted run behaves identically whichever transport carries
 //!   it.
@@ -355,7 +355,7 @@ fn injected_failure(what: &str) -> FlError {
 /// index)` without touching a shared stream. `Hello` and `Goodbye`
 /// always pass through untouched: fault injection must never break
 /// session setup or teardown.
-pub struct FaultyEndpoint {
+pub(crate) struct FaultyEndpoint {
     inner: Box<dyn ServerEndpoint>,
     plan: Arc<FaultPlan>,
     client: Option<u64>,

@@ -93,7 +93,7 @@ pub use config::{MuxOptions, ShardLayout, TransportKind};
 pub use distributed::DistributedCoordinator;
 pub use engine::{ClientOutcome, ExecutionEngine};
 pub use error::FlError;
-pub use faults::{FaultPlan, FaultyEndpoint, LatencyModel};
+pub use faults::{FaultPlan, LatencyModel};
 pub use runner::ShardedFederation;
 pub use scheduler::ProtectionScheduler;
 pub use transport::{RemoteClient, ServerEndpoint};

@@ -339,7 +339,7 @@ impl FederationBuilder {
     }
 
     /// Installs a deterministic fault plan: every client endpoint is
-    /// wrapped in a [`FaultyEndpoint`] injecting the plan's transport
+    /// wrapped in a `FaultyEndpoint` injecting the plan's transport
     /// faults, selection over-provisions by the plan's spare count, and
     /// rounds become fault-*tolerant* — failed and straggling clients are
     /// recorded in the round report (and billed to its ledger) instead of

@@ -16,7 +16,7 @@
 //!
 //! The server side is plain blocking sockets: the engine drives
 //! [`FramedStream`](super::tcp::FramedStream)s
-//! (optionally wrapped by [`FaultyEndpoint`](crate::faults::FaultyEndpoint)),
+//! (optionally wrapped by `faults::FaultyEndpoint`),
 //! a window of them at a time (the transport's `slide`) so the loops
 //! have many requests to serve per wake-up, and completed uploads feed
 //! the round's commit, whose exact fold no arrival order moves — so a

@@ -27,10 +27,10 @@
 //!   copy of the input band (copied into the forward panels in row runs,
 //!   read in place by dW's kernel), dInput from a zero-padded copy of the
 //!   error band, one GEMM per output phase, so the conv path holds no
-//!   column buffer. Deterministic per ISA path (same inputs →
-//!   bit-identical outputs) but *not* bit-identical to `Reference`: its
-//!   kernels reassociate floating-point reductions, so outputs agree only
-//!   to ~1e-5 relative error.
+//!   column buffer. Deterministic, with one answer on every ISA (both
+//!   inner kernels fuse each multiply-add), but *not* bit-identical to
+//!   `Reference`: its kernels reassociate floating-point reductions, so
+//!   outputs agree only to ~1e-5 relative error.
 //!
 //! Backend choice is a per-run policy, not a per-op one: the `nn` layers
 //! carry a [`BackendKind`] into every forward/backward call,
@@ -64,8 +64,8 @@ pub enum BackendKind {
     #[default]
     Reference,
     /// Register-tiled GEMM micro-kernels (portable or AVX2+FMA, chosen
-    /// at runtime) with virtual-im2col convolutions — deterministic per
-    /// ISA path, ~1e-5 relative parity with `Reference`.
+    /// at runtime, with the same bits) with virtual-im2col convolutions —
+    /// deterministic, ~1e-5 relative parity with `Reference`.
     Tiled,
 }
 

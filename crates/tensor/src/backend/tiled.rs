@@ -9,8 +9,9 @@
 //! broadcasts its A operand straight from a convolution's padded band
 //! instead of a packed panel) exist twice:
 //!
-//! * a **portable** safe-Rust kernel written so the autovectorizer can
-//!   lift it to whatever SIMD the target baseline has, and
+//! * a **portable** safe-Rust kernel fusing each multiply-add with
+//!   `f32::mul_add` (one `fmadd` on aarch64, a libm `fmaf` call on
+//!   baseline x86-64), and
 //! * an **x86-64 AVX2+FMA** kernel — the crate's only `unsafe` island —
 //!   holding the whole 6×16 tile in twelve YMM accumulators.
 //!
@@ -53,11 +54,10 @@
 //! only at fixed `KC` boundaries — independent of the element's position
 //! within a tile, of its neighbours, of which operand a tile broadcasts
 //! (products commute exactly, fused or not), and of how a dispatcher
-//! bands rows, columns or images. Both kernel sets are therefore
-//! bit-deterministic run-to-run and under any banding; the AVX2 kernels'
-//! FMA contractions mean portable and AVX2 outputs may differ in the last
-//! bits (each stays within the ~1e-5 relative parity bound of
-//! `Reference`).
+//! bands rows, columns or images. Each step is one fused multiply-add
+//! on both kernel sets, so `Tiled` has one answer: portable and AVX2
+//! outputs are bit-identical, run-to-run and under any banding (and stay
+//! within the ~1e-5 relative parity bound of `Reference`).
 
 use std::borrow::Cow;
 
@@ -199,8 +199,7 @@ fn process_isa() -> TiledIsa {
 
 /// Portable 6×16 micro-kernel: `acc += A_panel · B_panel` over `kc`
 /// steps, with `A` packed `kc×MR` (one tile row per element) and `B`
-/// packed `kc×NR`. The fixed-width inner loops over `NR` are what the
-/// autovectorizer needs to emit full-width SIMD for the baseline target.
+/// packed `kc×NR`, each step fused as the AVX2 kernel's lanes are.
 fn kernel_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
     debug_assert!(a.len() >= kc * MR);
     debug_assert!(b.len() >= kc * NR);
@@ -209,7 +208,7 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], acc: &mut Acc) {
         let bp = &b[kk * NR..kk * NR + NR];
         for (row, &aik) in acc.iter_mut().zip(ap) {
             for (c, &bkj) in row.iter_mut().zip(bp) {
-                *c += aik * bkj;
+                *c = aik.mul_add(bkj, *c);
             }
         }
     }
@@ -391,7 +390,7 @@ fn band_panels_portable(
             for (row, &off) in acc.iter_mut().zip(offs) {
                 let aik = frame[off + p];
                 for (c, &bkj) in row.iter_mut().zip(bp) {
-                    *c += aik * bkj;
+                    *c = aik.mul_add(bkj, *c);
                 }
             }
         }
@@ -1292,7 +1291,6 @@ mod tests {
 
     #[allow(clippy::too_many_arguments)]
     fn oracle_forward(
-        isa: TiledIsa,
         input: &[f32],
         weights: &[f32],
         bias: &[f32],
@@ -1310,7 +1308,7 @@ mod tests {
         let k = geo.kernel;
         let kk2 = k * k;
         gemm(
-            isa,
+            TiledIsa::Portable,
             geo.out_channels,
             k2,
             n_imgs * cols,
@@ -1353,7 +1351,6 @@ mod tests {
 
     #[allow(clippy::too_many_arguments)]
     fn oracle_backward(
-        isa: TiledIsa,
         input: &[f32],
         weights: &[f32],
         delta_out: &[f32],
@@ -1374,7 +1371,7 @@ mod tests {
         // matrix is gathered by geometry, the transposed virtual im2col
         // by the tap table — still no materialised column buffer.
         gemm(
-            isa,
+            TiledIsa::Portable,
             geo.out_channels,
             gc_total,
             k2,
@@ -1425,7 +1422,7 @@ mod tests {
             *dbf += acc;
         }
 
-        oracle_dinput(isa, weights, delta_out, dinput, geo);
+        oracle_dinput(weights, delta_out, dinput, geo);
     }
 
     /// The backward data pass element by element, with no frame and no
@@ -1433,15 +1430,9 @@ mod tests {
     /// GEMM's shared order — filters ascending, then the taps `ki ≡ y +
     /// pad` and `kj ≡ x + pad (mod stride)` ascending — reading each error
     /// value by bounds test (zero outside the error map), summed from +0.0
-    /// as a micro-kernel lane sums them (fused on AVX2), and added into
-    /// `dinput` one `KC` slab at a time.
-    fn oracle_dinput(
-        isa: TiledIsa,
-        weights: &[f32],
-        delta_out: &[f32],
-        dinput: &mut [f32],
-        geo: &Conv2dGeometry,
-    ) {
+    /// as a micro-kernel lane sums them (fused), and added into `dinput`
+    /// one `KC` slab at a time.
+    fn oracle_dinput(weights: &[f32], delta_out: &[f32], dinput: &mut [f32], geo: &Conv2dGeometry) {
         let (k, s, p) = (geo.kernel, geo.stride, geo.pad);
         let k2 = geo.in_channels * k * k;
         let taps = |at: usize| (0..k).filter(move |ki| ki % s == (at + p) % s);
@@ -1478,10 +1469,7 @@ mod tests {
                     }
                 }
                 for slab in terms.chunks(KC) {
-                    *slot += slab.iter().fold(0.0f32, |acc, &(w, d)| match isa {
-                        TiledIsa::Portable => acc + w * d,
-                        TiledIsa::Avx2 => w.mul_add(d, acc),
-                    });
+                    *slot += slab.iter().fold(0.0f32, |acc, &(w, d)| w.mul_add(d, acc));
                 }
             }
         }
@@ -1509,32 +1497,31 @@ mod tests {
         let weights = signal(geo.out_channels * k2, 2);
         let bias = signal(geo.out_channels, 3);
         let delta = signal(n * geo.out_len(), 4);
+        let act = FusedActivation::Tanh;
+        let zero = |len: usize| vec![0.0f32; len];
+        let (mut z0, mut a0) = (zero(delta.len()), zero(delta.len()));
+        oracle_forward(&input, &weights, &bias, &mut z0, &mut a0, act, geo);
+        let (mut dw0, mut db0, mut di0) =
+            (zero(weights.len()), zero(bias.len()), zero(input.len()));
+        oracle_backward(&input, &weights, &delta, &mut dw0, &mut db0, &mut di0, geo);
         for isa in TiledIsa::available_on_host() {
             let tiled = Tiled::with_isa(isa);
             let what = format!("{isa} {geo:?} x{n}");
-            let (mut z, mut a) = (vec![0.0; delta.len()], vec![0.0; delta.len()]);
-            let (mut z0, mut a0) = (z.clone(), a.clone());
-            let act = FusedActivation::Tanh;
+            let (mut z, mut a) = (zero(delta.len()), zero(delta.len()));
             tiled.conv2d_forward_fused(&input, &weights, &bias, &mut z, &mut a, act, geo);
-            oracle_forward(isa, &input, &weights, &bias, &mut z0, &mut a0, act, geo);
             assert_eq!(bits(&z), bits(&z0), "z {what}");
             assert_eq!(bits(&a), bits(&a0), "a {what}");
-            let mut plain = vec![0.0; delta.len()];
+            let mut plain = zero(delta.len());
             let identity = FusedActivation::Identity;
             tiled.conv2d_forward_fused(&input, &weights, &bias, &mut [], &mut plain, identity, geo);
             assert_eq!(bits(&plain), bits(&z0), "unfused z {what}");
 
-            let zeros = |len: usize| (vec![0.0f32; len], vec![0.0f32; len]);
-            let ((mut dw, mut dw0), (mut db, mut db0), (mut di, mut di0)) =
-                (zeros(weights.len()), zeros(bias.len()), zeros(input.len()));
+            let (mut dw, mut db, mut di) = (zero(dw0.len()), zero(db0.len()), zero(di0.len()));
             tiled.conv2d_backward(&input, &weights, &delta, &mut dw, &mut db, &mut di, geo);
-            oracle_backward(
-                isa, &input, &weights, &delta, &mut dw0, &mut db0, &mut di0, geo,
-            );
             assert_eq!(bits(&dw), bits(&dw0), "dW {what}");
             assert_eq!(bits(&db), bits(&db0), "db {what}");
             assert_eq!(bits(&di), bits(&di0), "dInput {what}");
-            let (mut dw, mut db) = (vec![0.0; dw.len()], vec![0.0; db.len()]);
+            let (mut dw, mut db) = (zero(dw.len()), zero(db.len()));
             tiled.conv2d_backward(&input, &weights, &delta, &mut dw, &mut db, &mut [], geo);
             assert_eq!(bits(&dw), bits(&dw0), "params-only dW {what}");
             assert_eq!(bits(&db), bits(&db0), "params-only db {what}");
@@ -1623,12 +1610,12 @@ mod tests {
             let geo = Conv2dGeometry::new(c, h, w, f, k, s, p).unwrap();
             let weights = signal(f * c * k * k, 2);
             let delta = signal(n * geo.out_len(), 4);
+            let mut want = vec![0.0f32; n * geo.in_len()];
+            oracle_dinput(&weights, &delta, &mut want, &geo);
             for isa in TiledIsa::available_on_host() {
                 let what = format!("{isa} {geo:?} x{n}");
-                let mut got = vec![0.0f32; n * geo.in_len()];
+                let mut got = vec![0.0f32; want.len()];
                 conv_backward_data(isa, &weights, &delta, &mut got, &geo);
-                let mut want = vec![0.0f32; got.len()];
-                oracle_dinput(isa, &weights, &delta, &mut want, &geo);
                 assert_eq!(bits(&got), bits(&want), "dInput {what}");
                 let one_by_one: Vec<f32> = (delta.chunks(geo.out_len()))
                     .flat_map(|d| {

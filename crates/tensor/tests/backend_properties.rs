@@ -10,12 +10,13 @@
 //! 2. **Each backend is deterministic** — running any op twice on the
 //!    same inputs yields bit-identical results, including the
 //!    thread-banded paths.
-//! 3. **Tiled ≈ Reference on every ISA** — the `Tiled` backend agrees
-//!    with `Reference` on every op (forward *and* backward) within 1e-5
-//!    relative error (scaled by the largest output magnitude, since f32
-//!    reassociation error is absolute per accumulation), on the portable
-//!    kernel *and* on the AVX2 kernel when the host has one; each ISA
-//!    path is individually bit-deterministic, its pooling is
+//! 3. **Tiled ≈ Reference, one answer on every ISA** — the `Tiled`
+//!    backend agrees with `Reference` on every op (forward *and*
+//!    backward) within 1e-5 relative error (scaled by the largest output
+//!    magnitude, since f32 reassociation error is absolute per
+//!    accumulation), on the portable kernel *and* on the AVX2 kernel
+//!    when the host has one; the two ISAs' outputs are bit-identical and
+//!    each is bit-deterministic, its pooling is
 //!    `Reference`'s bit for bit, and the fused conv/dense forward hooks
 //!    agree with their unfused op sequences (bit-identically on
 //!    `Reference`, which runs the kernel then the activation sweep).
@@ -471,9 +472,10 @@ proptest! {
 
     /// Every micro-kernel ISA the host can run (portable always; AVX2
     /// when detected) agrees with Reference within the relative bound on
-    /// GEMM and conv (forward and backward), and each ISA path is
-    /// individually bit-deterministic. Portable and AVX2 need not agree
-    /// bitwise with *each other* (FMA contraction), only with the bound.
+    /// GEMM and conv (forward and backward), each ISA path is
+    /// individually bit-deterministic, and every ISA's outputs are the
+    /// portable outputs bit for bit: both kernel sets fuse each
+    /// multiply-add, so `Tiled` has one answer.
     #[test]
     fn tiled_isa_paths_agree(
         m in 1usize..40,
@@ -496,6 +498,9 @@ proptest! {
         let (dw_ref, db_ref, di_ref) =
             conv2d_backward_with(&input, &weights, &delta, &geo, BackendKind::Reference).unwrap();
 
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The first ISA is portable; every later one must land its bits.
+        let mut portable = None;
         for isa in TiledIsa::available_on_host() {
             let tiled = Tiled::with_isa(isa);
             prop_assert_eq!(tiled.isa(), isa);
@@ -536,6 +541,15 @@ proptest! {
             prop_assert_eq!(&dw, &dw2, "{} conv dW nondeterministic", isa);
             prop_assert_eq!(&db, &db2, "{} conv db nondeterministic", isa);
             prop_assert_eq!(&di, &di2, "{} conv dI nondeterministic", isa);
+
+            let outs: Vec<Vec<u32>> = [c1, f1, dw, db, di].iter().map(|xs| bits(xs)).collect();
+            let want = portable.get_or_insert_with(|| outs.clone());
+            for (name, (got, want)) in ["matmul", "conv fwd", "conv dW", "conv db", "conv dInput"]
+                .iter()
+                .zip(outs.iter().zip(want.iter()))
+            {
+                prop_assert_eq!(got, want, "{} {} differs from portable", isa, name);
+            }
         }
     }
 
