@@ -303,7 +303,7 @@ pub enum Deployment {
     /// This process, multiplexed loopback TCP: `(engine shards, workers)`.
     Mux(usize, usize),
     /// The multiplexed transport on two loops reading 7 bytes at a time
-    /// (raised to the 13-byte envelope header) with a 256-byte write
+    /// (raised to `ENVELOPE_HEADER_LEN`) with a 256-byte write
     /// bound, so every payload frame straddles reads and replies park
     /// behind backpressure: `(engine shards, workers)`.
     Trickle(usize, usize),

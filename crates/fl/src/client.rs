@@ -10,7 +10,6 @@ use gradsec_tee::attestation::{sign_quote, Challenge, Measurement};
 use gradsec_tee::ta::Uuid;
 
 use crate::adversary::AdversaryPlan;
-use crate::codec::CodecKind;
 use crate::config::TrainingPlan;
 use crate::message::{AttestationResponse, ModelDownload, UpdateUpload};
 use crate::trainer::LocalTrainer;
@@ -146,7 +145,6 @@ pub(crate) struct Opened {
     pub(crate) round: u64,
     pub(crate) plan: TrainingPlan,
     pub(crate) protected_layers: Vec<usize>,
-    pub(crate) codec: CodecKind,
     /// The epoch the download is stamped with.
     pub(crate) epoch: u64,
     /// The epoch of the view its delta bodies are coded against.
@@ -652,7 +650,6 @@ mod tests {
             round: 0,
             plan: plan(),
             protected_layers: vec![],
-            codec: CodecKind::DeltaTopK,
             epoch: 0,
             base_epoch: None,
         };

@@ -2,7 +2,7 @@
 //!
 //! Every payload has a concrete binary framing (a little-endian codec
 //! over the `bytes` crate). These bytes genuinely cross process/socket
-//! boundaries: each message travels inside a typed, versioned
+//! boundaries: each message travels inside a typed
 //! [`Envelope`] whose header doubles as the length-prefixed TCP frame.
 //!
 //! Peers are always the same build, so there is one wire dialect: the
@@ -97,36 +97,13 @@ pub(crate) mod limits {
 
 /// The protocol version this build speaks — the only one it accepts.
 ///
-/// Version 2 introduced the [`Envelope`] header and the TEE cost
-/// accounting carried on [`UpdateUpload`]; version 3 the shard-control
-/// messages (`Shard*`); version 4 the update-codec layer (the encoded
-/// payload kinds and the codec byte on [`Hello`]/[`HelloAck`]); version 5
-/// the adversarial-scenario fields on [`ShardConfig`]. Version 6 is the
-/// single dialect: both hellos carry one version instead of a range, and
-/// the plain download/upload envelope kinds are gone (model payloads
-/// always travel encoded, identity codec included). Version 7 gap-codes
-/// the sparse codec body's indices as varints (see [`crate::codec`]).
-/// Version 8 ships a shard's self-contained update payloads as they
-/// arrived: a [`ShardRoundReply`] term tags its weights, and an int8 one
-/// crosses as the payload its client sent. Version 9 drops the TA
-/// measurement from [`ShardConfig`]: a shard server never read it, since
-/// quotes are verified on the coordinator. Version 10 retires the
-/// envelope-sealing carrier: kind byte 8 is refused as unknown, and a
-/// payload is bounded by `MAX_ENVELOPE_PAYLOAD` with no sealing slack.
-/// Version 11 ships a [`ShardConfig`]'s backend and codec as one-byte
-/// tags, drops its partition name, and drops the scale boost from
-/// [`AdversaryPlan`]. Version 12 drops the colluder fraction from
-/// [`AdversaryPlan`]. Version 13 ships a [`ShardRoundReply`] as one list
-/// of slot-tagged outcomes, a straggler's carrying its bill, and drops
-/// the reply's ledger: the outcomes are the shard's bill. Version 14
-/// ships the shard's slice of the device list on [`ShardConfig`], so a
-/// shard server hosts the profiles it was sent, not all-TrustZone ones.
-/// Version 15 drops the scaler and free-rider fractions from
-/// [`AdversaryPlan`] and retires [`LatencyModel`](crate::faults::LatencyModel)
-/// tag 2 (uniform latency), which is refused as unknown.
-pub const PROTOCOL_VERSION: u16 = 15;
+/// The four hellos carry it and are checked once per session (see
+/// `check_version`); no envelope does. A change to any message's bytes
+/// bumps it and re-captures `tests/wire_layout.rs`.
+pub const PROTOCOL_VERSION: u16 = 16;
 
-/// Checks the version `peer` stamped on a hello, an ack or an envelope.
+/// Checks the version `peer` stated on one of the four hellos, the
+/// session's one agreement.
 /// Coordinator, shard servers and clients are always the same build, so
 /// nothing is negotiated: anything but [`PROTOCOL_VERSION`] is refused.
 ///
@@ -378,11 +355,6 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// The Hello this build sends (identity codec).
-    pub fn current() -> Self {
-        Hello::with_codec(CodecKind::Identity)
-    }
-
     /// The Hello this build sends, proposing `codec`.
     pub fn with_codec(codec: CodecKind) -> Self {
         Hello {
@@ -523,12 +495,13 @@ impl MessageKind {
     }
 }
 
-/// Magic bytes opening every envelope header ("GS", little-endian).
-pub const ENVELOPE_MAGIC: u16 = 0x5347;
+/// Magic bytes opening every envelope header ("GF", little-endian). A
+/// peer framing another header layout is refused at its first frame.
+pub const ENVELOPE_MAGIC: u16 = 0x4647;
 
-/// Fixed envelope header length: magic (2) + version (2) + kind (1) +
-/// payload length (8).
-pub const ENVELOPE_HEADER_LEN: usize = 13;
+/// Fixed envelope header length: magic (2) + kind (1) + payload length
+/// (8).
+pub const ENVELOPE_HEADER_LEN: usize = 11;
 
 /// Guard against adversarial envelope lengths: no round of this protocol
 /// legitimately ships more than 1 GiB in one message.
@@ -538,8 +511,6 @@ pub(crate) const MAX_ENVELOPE_PAYLOAD: usize = 1024 * 1024 * 1024;
 /// the rest of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EnvelopeHead {
-    /// Protocol version the sender stamped on the envelope.
-    pub(crate) version: u16,
     /// What the payload will decode as.
     pub(crate) kind: MessageKind,
     /// How many payload bytes follow the header.
@@ -565,10 +536,9 @@ pub(crate) fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<
             reason: format!("bad envelope magic {magic:#06x}"),
         });
     }
-    let version = u16::from_le_bytes([header[2], header[3]]);
-    let kind = MessageKind::from_u8(header[4])?;
+    let kind = MessageKind::from_u8(header[2])?;
     let len = u64::from_le_bytes([
-        header[5], header[6], header[7], header[8], header[9], header[10], header[11], header[12],
+        header[3], header[4], header[5], header[6], header[7], header[8], header[9], header[10],
     ]);
     if len > MAX_ENVELOPE_PAYLOAD as u64 {
         return Err(FlError::Protocol {
@@ -576,22 +546,19 @@ pub(crate) fn parse_envelope_head(header: &[u8; ENVELOPE_HEADER_LEN]) -> Result<
         });
     }
     Ok(EnvelopeHead {
-        version,
         kind,
         payload_len: len as usize,
     })
 }
 
-/// The typed, versioned wrapper every message travels in.
+/// The typed wrapper every message travels in.
 ///
-/// Its binary layout — magic, version, kind, payload length, payload —
+/// Its binary layout — magic, kind, payload length, payload —
 /// doubles as the length-prefixed TCP frame: a socket reader pulls the
 /// fixed [`ENVELOPE_HEADER_LEN`] bytes, learns the payload length, then
 /// pulls exactly that many more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Protocol version the sender speaks.
-    pub version: u16,
     /// What the payload decodes as.
     pub kind: MessageKind,
     /// The encoded message bytes.
@@ -599,10 +566,9 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Wraps a message in an envelope at the current protocol version.
+    /// Wraps a message in an envelope.
     pub fn pack<T: Wire>(kind: MessageKind, msg: &T) -> Envelope {
         Envelope {
-            version: PROTOCOL_VERSION,
             kind,
             payload: encode(msg),
         }
@@ -611,7 +577,6 @@ impl Envelope {
     /// A payload-less envelope (Goodbye).
     pub fn control(kind: MessageKind) -> Envelope {
         Envelope {
-            version: PROTOCOL_VERSION,
             kind,
             payload: Vec::new(),
         }
@@ -660,7 +625,6 @@ impl Envelope {
 impl Wire for Envelope {
     fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u16_le(ENVELOPE_MAGIC);
-        buf.put_u16_le(self.version);
         buf.put_u8(self.kind as u8);
         buf.put_u64_le(self.payload.len() as u64);
         buf.put_slice(&self.payload);
@@ -669,7 +633,6 @@ impl Wire for Envelope {
     fn decode_from(buf: &mut Bytes) -> Result<Self> {
         let head = parse_envelope_head(&<[u8; ENVELOPE_HEADER_LEN]>::decode_from(buf)?)?;
         Ok(Envelope {
-            version: head.version,
             kind: head.kind,
             payload: take_bytes(buf, head.payload_len, "envelope payload")?,
         })
@@ -1198,7 +1161,6 @@ impl ShardRound {
         let mut buf = BytesMut::new();
         encode_shard_round(download, slot_base, picks, &mut buf);
         Envelope {
-            version: PROTOCOL_VERSION,
             kind: MessageKind::ShardRound,
             payload: buf.into(),
         }
@@ -1435,14 +1397,27 @@ mod tests {
         // Kind byte 8 named a retired carrier; no kind answers to it now.
         let err = parse_envelope_head(&header(8, 0)).unwrap_err();
         assert!(err.to_string().contains("unknown message kind 8"), "{err}");
+        // A peer on the old 13-byte layout (magic "GS", a version-15
+        // stamp) is refused at its first frame, not mis-framed.
+        let mut old = BytesMut::new();
+        old.put_u16_le(0x5347);
+        old.put_u16_le(15);
+        old.put_u8(MessageKind::Goodbye as u8);
+        old.put_u64_le(0);
+        let head = old.as_ref()[..ENVELOPE_HEADER_LEN].try_into().unwrap();
+        let err = parse_envelope_head(&head).unwrap_err();
+        assert!(
+            err.to_string().contains("bad envelope magic 0x5347"),
+            "{err}"
+        );
+        assert!(decode::<Envelope>(old.as_ref()).is_err());
     }
 
-    /// A raw envelope header: this build's magic and version, `kind`
-    /// and a claimed payload length.
+    /// A raw envelope header: this build's magic, `kind` and a claimed
+    /// payload length.
     fn header(kind: u8, len: u64) -> [u8; ENVELOPE_HEADER_LEN] {
         let mut buf = BytesMut::new();
         buf.put_u16_le(ENVELOPE_MAGIC);
-        buf.put_u16_le(PROTOCOL_VERSION);
         buf.put_u8(kind);
         buf.put_u64_le(len);
         buf.as_ref().try_into().unwrap()

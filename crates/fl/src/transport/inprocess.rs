@@ -88,6 +88,7 @@ impl ServerEndpoint for LocalEndpoint {
 mod tests {
     use super::*;
     use crate::client::DeviceProfile;
+    use crate::codec::CodecKind;
     use crate::message::{Hello, HelloAck, MessageKind};
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
@@ -110,7 +111,10 @@ mod tests {
     fn local_endpoint_answers_hello_inline() {
         let mut ep = LocalEndpoint::new(fl_client(9));
         let reply = ep
-            .exchange(&Envelope::pack(MessageKind::Hello, &Hello::current()))
+            .exchange(&Envelope::pack(
+                MessageKind::Hello,
+                &Hello::with_codec(CodecKind::Identity),
+            ))
             .unwrap();
         let ack: HelloAck = reply.open(MessageKind::HelloAck).unwrap();
         assert_eq!(ack.client_id, 9);

@@ -186,7 +186,8 @@ pub(crate) fn slide<F: ?Sized, B, T>(
 /// holds no model at all.
 pub(crate) struct ClientHandler {
     client: FlClient,
-    /// The update codec the hello negotiated (None before a handshake).
+    /// The update codec the hello agreed; until a hello arrives, every
+    /// request but a hello or a goodbye is refused.
     codec: Option<CodecKind>,
     /// The delta codec's committed reference view: the last download
     /// this client trained on and successfully replied to — the
@@ -246,11 +247,16 @@ impl ClientHandler {
     }
 
     fn reply_to(&mut self, request: &Envelope) -> Envelope {
-        if let Err(e) = check_version("peer envelope", request.version) {
-            return Envelope::error(e.to_string());
+        if request.kind == MessageKind::Hello {
+            return self.handle_hello(request);
         }
+        let Some(codec) = self.codec else {
+            return Envelope::error(format!(
+                "{:?} arrived before the session's Hello",
+                request.kind
+            ));
+        };
         match request.kind {
-            MessageKind::Hello => self.handle_hello(request),
             MessageKind::AttestationRequest => {
                 match request.open::<AttestationRequest>(MessageKind::AttestationRequest) {
                     Ok(req) => Envelope::pack(
@@ -260,7 +266,7 @@ impl ClientHandler {
                     Err(e) => Envelope::error(format!("malformed attestation request: {e}")),
                 }
             }
-            MessageKind::EncodedModelDownload => self.handle_encoded_download(request),
+            MessageKind::EncodedModelDownload => self.handle_encoded_download(request, codec),
             other => Envelope::error(format!("unexpected request kind {other:?}")),
         }
     }
@@ -277,21 +283,21 @@ impl ClientHandler {
     /// succeeds — so a cycle that fails or panics leaves no view, and the
     /// server's next delta is answered with [`BASE_MISMATCH`] and re-sent
     /// dense.
-    fn handle_encoded_download(&mut self, request: &Envelope) -> Envelope {
+    fn handle_encoded_download(&mut self, request: &Envelope, codec: CodecKind) -> Envelope {
         let held = self.view.take();
         #[cfg(test)]
         self.note_view();
-        let reply = self.train_on(request, held);
+        let reply = self.train_on(request, held, codec);
         #[cfg(test)]
         self.note_view();
-        if self.codec == Some(CodecKind::DeltaTopK) {
+        if codec == CodecKind::DeltaTopK {
             self.client.models().prune();
         }
         reply
     }
 
-    fn train_on(&mut self, request: &Envelope, held: Option<View>) -> Envelope {
-        let accepted = if self.codec == Some(CodecKind::DeltaTopK) {
+    fn train_on(&mut self, request: &Envelope, held: Option<View>, codec: CodecKind) -> Envelope {
+        let accepted = if codec == CodecKind::DeltaTopK {
             let base = held.as_ref().map(|(_, view)| view);
             let models = self.client.models();
             let memo = models.download(base, &request.payload, || open(request, held.as_ref()));
@@ -311,7 +317,6 @@ impl ClientHandler {
                 return Envelope::error(refusal);
             }
         };
-        let codec = self.codec.unwrap_or(opened.codec);
         let (round, plan, protected) = (opened.round, &opened.plan, &opened.protected_layers);
         match self.client.cycle(round, &global, plan, protected) {
             Ok(upload) => {
@@ -370,7 +375,6 @@ fn open(request: &Envelope, held: Option<&View>) -> Accepted {
     let opened = Opened {
         round: download.round,
         plan: download.plan,
-        codec: weights.codec,
         epoch: weights.epoch,
         base_epoch: weights.base_epoch,
         protected_layers: download.protected_layers,
@@ -486,10 +490,18 @@ impl RemoteClient {
                 sent?;
                 let ack: HelloAck = endpoint.finish()?.open(MessageKind::HelloAck)?;
                 check_version("client", ack.version)?;
+                if ack.codec != codec {
+                    return Err(FlError::Protocol {
+                        reason: format!(
+                            "client {} acked codec {:?}, not the proposed {codec:?}",
+                            ack.client_id, ack.codec
+                        ),
+                    });
+                }
                 Ok(RemoteClient {
                     id: ack.client_id,
                     attestation_key: DeviceProfile::provisioned_key(ack.client_id),
-                    codec: ack.codec,
+                    codec,
                     epoch: 0,
                     view: None,
                     begun: false,
@@ -796,32 +808,32 @@ pub(crate) mod tests {
         );
     }
 
+    /// A client that answers every hello with the same ack.
+    struct Acks(HelloAck);
+
+    impl ServerEndpoint for Acks {
+        fn begin(&mut self, _request: &Envelope) -> Result<bool> {
+            Ok(true)
+        }
+        fn finish(&mut self) -> Result<Envelope> {
+            Ok(Envelope::pack(MessageKind::HelloAck, &self.0))
+        }
+        fn notify(&mut self, _message: Envelope) -> Result<()> {
+            Ok(())
+        }
+        fn descriptor(&self) -> String {
+            "acks".to_owned()
+        }
+    }
+
     #[test]
     fn connect_rejects_an_ack_at_another_version() {
-        /// A client that acks every hello at an older protocol version.
-        struct StaleClient;
-        impl ServerEndpoint for StaleClient {
-            fn begin(&mut self, _request: &Envelope) -> Result<bool> {
-                Ok(true)
-            }
-            fn finish(&mut self) -> Result<Envelope> {
-                Ok(Envelope::pack(
-                    MessageKind::HelloAck,
-                    &HelloAck {
-                        version: PROTOCOL_VERSION - 1,
-                        client_id: 8,
-                        codec: CodecKind::Identity,
-                    },
-                ))
-            }
-            fn notify(&mut self, _message: Envelope) -> Result<()> {
-                Ok(())
-            }
-            fn descriptor(&self) -> String {
-                "stale".to_owned()
-            }
-        }
-        let err = RemoteClient::connect(Box::new(StaleClient)).unwrap_err();
+        let stale = Acks(HelloAck {
+            version: PROTOCOL_VERSION - 1,
+            client_id: 8,
+            codec: CodecKind::Identity,
+        });
+        let err = RemoteClient::connect(Box::new(stale)).unwrap_err();
         assert!(matches!(err, FlError::Protocol { .. }), "{err}");
         let text = err.to_string();
         assert!(text.contains("client speaks"), "{text}");
@@ -835,24 +847,57 @@ pub(crate) mod tests {
         );
     }
 
+    /// The session's codec is the server's proposal; an ack naming
+    /// another is refused, so a client cannot choose the server's views.
     #[test]
-    fn handler_rejects_unsupported_envelope_versions_after_handshake() {
+    fn connect_rejects_an_ack_naming_another_codec() {
+        let contrary = Acks(HelloAck {
+            version: PROTOCOL_VERSION,
+            client_id: 8,
+            codec: CodecKind::DeltaTopK,
+        });
+        let err = RemoteClient::connect(Box::new(contrary)).unwrap_err();
+        assert!(matches!(err, FlError::Protocol { .. }), "{err}");
+        let text = err.to_string();
+        assert!(
+            text.contains("client 8 acked codec DeltaTopK, not the proposed Identity"),
+            "{text}"
+        );
+    }
+
+    /// The hello is the session's one agreement: before it, any request
+    /// but a goodbye is refused, naming the hello.
+    #[test]
+    fn a_request_before_the_hello_is_refused_by_name() {
         let mut handler = ClientHandler::new(fl_client(1));
-        let mut req = Envelope::pack(
+        let attest = Envelope::pack(
             MessageKind::AttestationRequest,
             &AttestationRequest {
                 challenge: Challenge::new([0u8; 16]),
             },
         );
-        req.version = 0;
-        let reply = handler.handle(&req).expect("a reply");
-        assert_eq!(reply.kind, MessageKind::Error);
-        let reason = reply.error_reason();
-        assert!(reason.contains("version 0,"), "{reason}");
-        assert!(
-            reason.contains(&format!("speaks {PROTOCOL_VERSION}")),
-            "{reason}"
+        let global = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
+        let download = Envelope::pack(
+            MessageKind::EncodedModelDownload,
+            &EncodedModelDownload {
+                round: 0,
+                weights: encode_weights(CodecKind::Identity, 0, &global, None),
+                plan: one_batch(),
+                protected_layers: vec![],
+            },
         );
+        for (request, kind) in [
+            (&attest, "AttestationRequest"),
+            (&download, "EncodedModelDownload"),
+        ] {
+            let reply = handler.handle(request).expect("a reply");
+            assert_eq!(reply.kind, MessageKind::Error, "{kind}");
+            let reason = reply.error_reason();
+            assert_eq!(reason, format!("{kind} arrived before the session's Hello"));
+        }
+        assert!(handler
+            .handle(&Envelope::control(MessageKind::Goodbye))
+            .is_none());
     }
 
     #[test]
@@ -938,7 +983,7 @@ pub(crate) mod tests {
 
     #[test]
     fn unexpected_kinds_get_error_replies_not_panics() {
-        let mut handler = ClientHandler::new(fl_client(1));
+        let mut handler = greeted(fl_client(1), CodecKind::Identity);
         let reply = handler
             .handle(&Envelope::control(MessageKind::EncodedUpdateUpload))
             .expect("a reply");
@@ -951,7 +996,7 @@ pub(crate) mod tests {
     /// the loop serves.
     #[test]
     fn a_download_with_a_zero_batch_size_gets_an_error_naming_the_field() {
-        let mut handler = ClientHandler::new(fl_client(1));
+        let mut handler = greeted(fl_client(1), CodecKind::Identity);
         let global = zoo::tiny_mlp(3 * 32 * 32, 4, 2, 1).unwrap().weights();
         let download = EncodedModelDownload {
             round: 0,
@@ -985,13 +1030,18 @@ pub(crate) mod tests {
         }
     }
 
-    /// A handler past a delta-topk handshake.
-    fn delta_handler(client: FlClient) -> ClientHandler {
+    /// A handler past a handshake at `codec`.
+    fn greeted(client: FlClient, codec: CodecKind) -> ClientHandler {
         let mut handler = ClientHandler::new(client);
-        let hello = Hello::with_codec(CodecKind::DeltaTopK);
+        let hello = Hello::with_codec(codec);
         let ack = handler.handle(&Envelope::pack(MessageKind::Hello, &hello));
         assert_eq!(ack.expect("an ack").kind, MessageKind::HelloAck);
         handler
+    }
+
+    /// A handler past a delta-topk handshake.
+    fn delta_handler(client: FlClient) -> ClientHandler {
+        greeted(client, CodecKind::DeltaTopK)
     }
 
     fn send(handler: &mut ClientHandler, round: u64, weights: EncodedWeights) -> Envelope {

@@ -129,7 +129,6 @@ impl FrameReassembler {
                     // chunk arrives — there may never be one.
                     if self.payload_filled == head.payload_len {
                         out.push(Envelope {
-                            version: head.version,
                             kind: head.kind,
                             payload: std::mem::take(&mut self.payload),
                         });
@@ -599,6 +598,7 @@ impl Drop for MuxFleet {
 mod tests {
     use super::*;
     use crate::client::DeviceProfile;
+    use crate::codec::CodecKind;
     use crate::message::{encode, Hello, MessageKind};
     use crate::trainer::PlainSgdTrainer;
     use gradsec_data::SyntheticCifar100;
@@ -619,7 +619,7 @@ mod tests {
     }
 
     fn hello_frame() -> (Envelope, Vec<u8>) {
-        let envelope = Envelope::pack(MessageKind::Hello, &Hello::current());
+        let envelope = Envelope::pack(MessageKind::Hello, &Hello::with_codec(CodecKind::Identity));
         let bytes = encode(&envelope);
         (envelope, bytes)
     }

@@ -2,7 +2,7 @@
 //! place.
 //!
 //! The [`Envelope`] binary layout doubles as the socket frame — a fixed
-//! 13-byte header (magic, version, kind, payload length) followed by
+//! 11-byte header (magic, kind, payload length) followed by
 //! exactly `payload length` bytes — so the reader never needs to guess
 //! message boundaries and a hostile length prefix is rejected before any
 //! allocation (`MAX_ENVELOPE_PAYLOAD`).
@@ -99,7 +99,6 @@ impl FramedStream {
             .map_err(|e| FlError::transport(format!("reading envelope payload from {peer}"), e))?;
         self.received += (ENVELOPE_HEADER_LEN + payload.len()) as u64;
         Ok(Envelope {
-            version: head.version,
             kind: head.kind,
             payload,
         })
@@ -234,10 +233,11 @@ pub fn bind<A: ToSocketAddrs>(addr: A) -> Result<TcpListenerEndpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecKind;
     use crate::message::{Hello, MessageKind};
 
     fn hello() -> Envelope {
-        Envelope::pack(MessageKind::Hello, &Hello::current())
+        Envelope::pack(MessageKind::Hello, &Hello::with_codec(CodecKind::Identity))
     }
 
     #[test]

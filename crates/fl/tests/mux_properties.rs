@@ -18,7 +18,7 @@ use gradsec_fl::codec::{encode_weights, CodecKind};
 use gradsec_fl::config::TrainingPlan;
 use gradsec_fl::message::{
     encode, AttestationRequest, AttestationResponse, EncodedModelDownload, EncodedUpdateUpload,
-    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN, PROTOCOL_VERSION,
+    Envelope, ErrorReply, Hello, HelloAck, MessageKind, ENVELOPE_HEADER_LEN,
 };
 use gradsec_fl::trainer::PlainSgdTrainer;
 use gradsec_fl::transport::mux::{FrameReassembler, MuxFleet, DEFAULT_JOIN_GRACE};
@@ -50,7 +50,7 @@ fn weights(layers: usize, width: usize, seed: u64) -> ModelWeights {
 fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
     let width = 1 + (seed % 4) as usize;
     match kind_index {
-        0 => Envelope::pack(MessageKind::Hello, &Hello::current()),
+        0 => Envelope::pack(MessageKind::Hello, &Hello::with_codec(CodecKind::Identity)),
         1 => Envelope::pack(
             MessageKind::HelloAck,
             &HelloAck {
@@ -89,7 +89,6 @@ fn envelope_of(kind_index: usize, seed: u64) -> Envelope {
         5 => Envelope::control(MessageKind::Goodbye),
         // Bytes the reassembler must carry without reading them.
         6 => Envelope {
-            version: PROTOCOL_VERSION,
             kind: MessageKind::Error,
             payload: sha256(&seed.to_le_bytes())[..(seed % 33) as usize].to_vec(),
         },
@@ -216,7 +215,7 @@ proptest! {
     }
 
     /// A corrupted header (bad magic) is a protocol error as soon as the
-    /// 13th header byte lands, regardless of how the stream was chunked
+    /// last header byte lands, regardless of how the stream was chunked
     /// before it — never a panic, never a wild allocation.
     #[test]
     fn corrupt_magic_errors_at_any_split(byte in 0u8..0x46, split in 1usize..ENVELOPE_HEADER_LEN) {
@@ -274,7 +273,7 @@ proptest! {
         let mut mux = MuxFleet::launch(addr, fleet, &MuxOptions::default()).unwrap();
         let mut endpoints: Vec<_> = (0..SESSIONS).map(|_| listener.accept().unwrap()).collect();
 
-        let hello = Envelope::pack(MessageKind::Hello, &Hello::current());
+        let hello = Envelope::pack(MessageKind::Hello, &Hello::with_codec(CodecKind::Identity));
         for &s in &order_by(&hello_keys) {
             prop_assert!(!endpoints[s].begin(&hello).unwrap(), "a socket answers later");
         }

@@ -1,48 +1,12 @@
 //! The wire layout is frozen: one fixed instance of every [`Wire`] type,
-//! encoded and compared against a SHA-256 digest of the bytes protocol
-//! version 15 has always produced.
+//! encoded and compared against a SHA-256 digest of its bytes.
 //!
 //! Any change to how a leaf, a list, an optional or a tagged enum is
 //! laid out — or to a message's field order — fails here by name. A
 //! deliberate layout change bumps `PROTOCOL_VERSION` and re-captures the
-//! table (the failure message prints the new digests). Version 15 moved
-//! every `envelope/*` for the version stamp, one of them,
-//! `envelope/shard_config_hostile`, also for its layout, and
-//! `adversary_plan` for its layout (no scaler or free-rider fraction);
-//! `fault_plan/full` moved because its fixture lost the uniform latency
-//! entry, and `latency/uniform` left the table with the model (tag 2 is
-//! refused as unknown); no other digest moved. Version 14 had moved
-//! every `envelope/*` for the version stamp, two of them,
-//! `envelope/shard_config_{plain,hostile}`, also for their layout (the
-//! shard's slice of the device list, eight profiles, mixed in the hostile
-//! fixture), and added the `device_profile/*` rows for the profile's own
-//! wire form; no other digest moved. Version 13 had moved
-//! every `envelope/*` for the version stamp, one of them,
-//! `envelope/shard_round_reply`, also for its layout (one list of
-//! slot-tagged outcomes, no ledger), and the `shard_outcome/*` rows for
-//! theirs (a completed kind, and a straggler's bill); `partial_aggregate`
-//! and `round_ledger` left the table, since neither crosses the wire any
-//! more. `update_upload` left it within version 13 for the same reason:
-//! sessions send an `EncodedUpdateUpload`, and a shard term is spelled
-//! by its own rows. Version 12 had moved
-//! every `envelope/*` for the version stamp, one of them,
-//! `envelope/shard_config_hostile`, also for its layout, and
-//! `adversary_plan` for its layout (no colluder fraction). Version 11 had
-//! moved every `envelope/*` for the version stamp, two of them,
-//! `envelope/shard_config_{plain,hostile}`, also for their layout (the
-//! backend and codec as one-byte tags, no partition name), and
-//! `adversary_plan` for its layout (no scale boost). Version 10 had moved
-//! only the version stamp of every `envelope/*`; it retired the sealed
-//! carrier, so `envelope/sealed` and `frame` left the table. Version 9
-//! had moved every `envelope/*` too, and two of them,
-//! `envelope/shard_config_{plain,hostile}`, also for the TA measurement
-//! `ShardConfig` no longer ships. Version 8 had moved every
-//! `envelope/*`, and `partial_aggregate` and
-//! `envelope/shard_round_reply` (a shard term's weights tag, and the
-//! fixture's int8 term in wire form). Version 7 had moved
-//! `encoded_weights/delta_topk` and `encoded_tensor/sparse` (gap-coded
-//! indices); the other twenty-seven digests are still the ones captured
-//! from version 6's hand-written encoders.
+//! table (the failure message prints the new digests): the rows that
+//! move are its own and the four hellos' envelopes, which carry the
+//! version.
 
 use gradsec_fl::adversary::AdversaryPlan;
 use gradsec_fl::client::DeviceProfile;
@@ -509,75 +473,75 @@ fn digests() -> Vec<(&'static str, String)> {
     t
 }
 
-/// Protocol version 15 (see the module comment for what moved from 14).
+/// The digests at the `PROTOCOL_VERSION` the test asserts.
 const FROZEN: &[(&str, &str)] = &[
     (
         "envelope/hello",
-        "1bb8e4f00e5d8d33e09c6b130af8366a1f51a67b5c28e124d63c22a5d168e1f3",
+        "e542000a9183e260888643c9bc83a0c6ca58bc9030b9379004827a913276ac1c",
     ),
     (
         "envelope/hello_ack",
-        "d0e4ccae16099c1d8c6881f0a44b9d3ccec507859c647c363a6c5f807a093136",
+        "4ffce16848b05e6aebd0694aca6fe6d8265d8a00c1aa35fb7313575f0c0a679e",
     ),
     (
         "envelope/attestation_request",
-        "976e39375fb0bce05ac0591b182569426a1f4a57219d4bef9c301daa8a7f6f09",
+        "0e62301d1692cb8d398a15f99d3333c5bab4e1a72d7f555e40b8aa8499ccda98",
     ),
     (
         "envelope/attestation_response",
-        "a8c6750b9dc3845ef1308009c613aa70b62b4bfd554b6da2b79f2007d36ed90d",
+        "7f5815d4a0aaabfd2db178a99f2694932f1461a83f285d2e03e38919441ac9c4",
     ),
     (
         "envelope/goodbye",
-        "4a8517633e754b2f8a5299d0d12fe9aa014495da229beb3c1ba180bb3c3ed216",
+        "88b360f1be89a248a22593b7d4abc410cac57c14835f98e8d152030308ddfc89",
     ),
     (
         "envelope/error",
-        "1397446bdd9212422ff8cac35062eddc53cfb1630f9b98d7b11f79acda0c305f",
+        "80d6d033aa5ac16c50d10b3888c4c5d8ec1c1885eb088530a8d52efdd862bc70",
     ),
     (
         "envelope/encoded_model_download",
-        "291f230c58257f3d2256c053534ab08920ab24c2a0ddfa4a4b14ebe1f0bc6c28",
+        "6b1fa0b51730fc7c732c91c87da50c2188634523d8b408b2c54a4b122c1f5ed0",
     ),
     (
         "envelope/encoded_update_upload",
-        "7537b6cdcd9bd7bf18d43aa6538c482719dc8db53d84aa36ad3a430fa3219426",
+        "13b79c78fd152b36ad2689d3e78b3f71dad6d90f68d5fc34943154891164a491",
     ),
     (
         "envelope/shard_hello",
-        "1f9952323831af65a85bdaa89df8d25f2b43805784d6c3e3ef52e3fdf332ffba",
+        "41e840e4da4ebf7448fcb8925eddd94070ba06021d69239eb87864108dba3a6a",
     ),
     (
         "envelope/shard_hello_ack",
-        "c5e0be37971a79f98f6ec0d1018c0f212c45070133064c0d9a9bf80df7bfbc77",
+        "d3f16614f19d78807f108e5b3c792545d11a16afaedd3f387a2740b9c45452bb",
     ),
     (
         "envelope/shard_config_plain",
-        "3a514d359407aba3b7b88d6caaccce79e2fdeb9ca2be736ff4f1582cd69af026",
+        "d29e0f4b4d2d01270a7a1fcf7edea6be0efa5fea5c1c453d6da70449cd86d11b",
     ),
     (
         "envelope/shard_config_hostile",
-        "82388c6ec357d2d320782b66f4d451aff16b3c32bc0eb432d5f88307f83ff0e5",
+        "44b89e86f364b46f84a65170710d938743b88df97a37ee7981ac91069e9e5279",
     ),
     (
         "envelope/shard_config_ack",
-        "623b283f63962204d07540099a4bdf7844866654053ceaa97aba2ca6dc4e6d21",
+        "7778cd6d20d11ce1c6379fdd4629030ff4fa7d36d0497d081a11529902e264af",
     ),
     (
         "envelope/shard_screen",
-        "ec1e4aeda3f90c837dc52e191aa2500fb8b1798d7723d3eb238a06eea99372df",
+        "4247458e56cc1ba4431dca7cca5a547e3ba4e3286ca7c1a6313134d8ca85b166",
     ),
     (
         "envelope/shard_screen_reply",
-        "bc2e2fb8c8e64fd96059252d30fe5b477fc890ca0629b53f3c1814152a02f522",
+        "2bae90e44340f7beabbeb5c09d9cb0d715cc199e60286cc83e204064c3dfec01",
     ),
     (
         "envelope/shard_round",
-        "19164819bd0091eda43e65b78b84d38db673c3f89cb2753fce46a311955a92a2",
+        "aa0e63467cf09dc43d93cb5a585815d9691184fb8fcfd017f831bf8ee3e6049f",
     ),
     (
         "envelope/shard_round_reply",
-        "ef082f59218bd9e449b31916488f9bd413a47fcc2803954568915ef805bdb56b",
+        "33c2ce5cb3d6cbaf9346b5467aa77a36f128172ad18c11dab1d1b7ee3c7d88d1",
     ),
     (
         "tensor",
@@ -711,7 +675,7 @@ const FROZEN: &[(&str, &str)] = &[
 
 #[test]
 fn every_wire_type_keeps_its_frozen_layout() {
-    assert_eq!(PROTOCOL_VERSION, 15, "a new version re-captures the table");
+    assert_eq!(PROTOCOL_VERSION, 16, "a new version re-captures the table");
     let actual = digests();
     let moved: Vec<&str> = actual
         .iter()

@@ -18,7 +18,7 @@ use gradsec_fl::message::{
     EncodedUpdateUpload, Envelope, ErrorReply, Hello, HelloAck, MessageKind, ModelDownload,
     ModelSpec, ScreenProbe, ShardConfig, ShardConfigAck, ShardHello, ShardHelloAck, ShardOutcome,
     ShardOutcomeKind, ShardRound, ShardRoundReply, ShardScreen, ShardScreenReply, UpdateUpload,
-    Wire, ENVELOPE_MAGIC, PROTOCOL_VERSION,
+    Wire, ENVELOPE_MAGIC,
 };
 use gradsec_fl::FlError;
 use gradsec_nn::model::{LayerWeights, ModelWeights};
@@ -650,7 +650,6 @@ proptest! {
     fn truncated_or_garbled_mixed_replies_never_panic(at in any::<usize>(), byte in any::<u8>()) {
         let (bytes, _) = mixed_reply(3, 0b101, 7);
         let framed = encode(&Envelope {
-            version: PROTOCOL_VERSION,
             kind: MessageKind::ShardRoundReply,
             payload: bytes.clone(),
         });

@@ -287,16 +287,17 @@ fn killed_shard_downgrades_to_excluded_cohort() {
     assert_eq!(first.participants.len(), 5);
     let (sent, received) = coord.bytes_on_wire();
     // Handshake, configuration, one screen and one round over two shard
-    // channels, to the byte: the framing moves no byte. The two round
-    // replies are one outcome list each (8 bytes of counts, not 24), and
-    // each of the five completed terms gains its slot's client and an
-    // outcome tag (9 bytes) but no longer repeats its 80-byte bill in a
-    // ledger: 3 493 − 2 × 16 − 5 × 71 = 3 106 received. Each shard's
-    // config carries its 4-client device list: an 8-byte count and 4
-    // TrustZone profiles of 63 bytes (key count 8, "device-key-N" 12, TA
-    // presence flag 1, uuid 16, code count 8, TA code 18), so
-    // 2 064 + 2 × (8 + 4 × 63) = 2 584 sent.
-    assert_eq!((sent, received), (2584, 3106), "shard-control bytes moved");
+    // channels, to the byte: each channel carries four frames each way
+    // (hello, config, screen, round, and their replies), each behind an
+    // 11-byte header, so 8 × 11 = 88 header bytes each way. Sent:
+    // 88 + 2 480 payload bytes = 2 568, where each shard's config
+    // carries its 4-client device list: an 8-byte count and 4 TrustZone
+    // profiles of 63 bytes (key count 8, "device-key-N" 12, TA presence
+    // flag 1, uuid 16, code count 8, TA code 18). Received: 88 + 3 002
+    // payload bytes = 3 090, where each round reply is one list of
+    // slot-tagged outcomes and each of the five completed terms carries
+    // its bill.
+    assert_eq!((sent, received), (2568, 3090), "shard-control bytes moved");
 
     // SIGKILL the second shard's process: clients 4..8 are gone. The
     // federation must keep committing rounds from the surviving shard
